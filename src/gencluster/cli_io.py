@@ -23,19 +23,18 @@ Exit codes: ``0`` all checks passed, ``1`` unusable input (bad flags,
 malformed files, out-of-range indices), ``2`` a mathematical check
 failed.  All output is deterministic for a fixed ``--rng-seed``;
 records never include wall-clock fields, so identical invocations are
-byte-identical.  ``GENCLUSTER_THREADS`` sets the worker-thread count
-for fanning verification cases; records are always printed in case
-order by the main thread.
+byte-identical.  ``verify laurent``, ``hadamard`` and
+``double-constant`` mutate and check each distinct prefix of their
+sequences once, sharing it between the sequences that start with it;
+records are printed in sequence order.
 """
 
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -88,8 +87,6 @@ _INPUT_ERRORS = (
     FrozenVertexMutation,
     UnknownSymbol,
     NonFrozenSupport,
-    KeyError,
-    OSError,
 )
 
 
@@ -358,10 +355,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_seed(args):
+    """The seed named by ``--seed-file`` or ``--seed``, with its record label."""
     if getattr(args, "seed_file", None):
-        return parse_seed(args.seed_file), args.seed_file
+        try:
+            return parse_seed(args.seed_file), args.seed_file
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise _UsageError(
+                f"cannot read seed file {args.seed_file!r}: {reason}"
+            ) from exc
     name = args.seed or ""
-    return fixture_seed(name), name.strip().upper()
+    label = name.strip().upper()
+    if label not in FIXTURE_NAMES:
+        raise _UsageError(
+            f"unknown seed {name!r}; choose from {', '.join(FIXTURE_NAMES)}"
+        )
+    return fixture_seed(name), label
 
 
 def _parse_sequence(text, rank, *, what="direction"):
@@ -381,19 +390,6 @@ def _parse_sequence(text, rank, *, what="direction"):
             )
         out.append(value - 1)
     return tuple(out)
-
-
-def _thread_count():
-    raw = os.environ.get("GENCLUSTER_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise _UsageError(
-            f"GENCLUSTER_THREADS must be an integer, got {raw!r}"
-        ) from exc
-    if count < 1:
-        raise _UsageError("GENCLUSTER_THREADS must be at least 1")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -461,42 +457,105 @@ _DEFAULT_DEPTH = {
 }
 
 
-def _verify_case(target, seed, sequence):
-    """Run one (seed, sequence) check; returns (ok, failures)."""
+def _walk(target, seed):
+    """Root state, step and per-prefix check of a walked target.
+
+    A ``laurent`` state is the seed, which has no check of its own; a
+    ``double-constant`` state is the unfolding; a ``hadamard`` state
+    pairs the unfolding with the weighted reference it is checked
+    against.  A check returns the failures of one prefix.
+    """
     if target == "laurent":
-        current = seed
-        for k in sequence:
-            current = mutate_seed(current, k)
-        return True, ()
-    if target in ("hadamard", "double-constant"):
-        fm = build(seed)
-        reference = seed.matrix
-        prefixes = [fm]
-        references = [reference]
-        for k in sequence:
-            fm = group_mutate(fm, k)
-            reference = mutate_sequence(reference, (k,))
-            prefixes.append(fm)
-            references.append(reference)
-        failures = []
-        for depth, (state, ref) in enumerate(zip(prefixes, references)):
-            if target == "hadamard":
-                report = hadamard_check(state, ref, seed.divisors)
-                if not report.ok:
-                    failures.append((depth,) + tuple(report.failures))
+        return seed, mutate_seed, lambda state, depth: ()
+    if target == "double-constant":
+        def check(fm, depth):
+            double_constant_check(fm)
+            return ()
+
+        return build(seed), group_mutate, check
+
+    def step(state, k):
+        fm, reference = state
+        return group_mutate(fm, k), mutate_sequence(reference, (k,))
+
+    def check(state, depth):
+        report = hadamard_check(*state, seed.divisors)
+        return () if report.ok else ((depth,) + tuple(report.failures),)
+
+    return (build(seed), seed.matrix), step, check
+
+
+def _error_text(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _walk_verdicts(target, seed, sequences):
+    """(ok, failures) of every sequence, each distinct prefix walked once.
+
+    ``path[t]`` is the node of the current sequence's first ``t``
+    directions: its state, the first mutation error on the path, the
+    first check error on the path, and the check failures in depth
+    order.  Each sequence keeps the nodes it shares with the previous
+    one and extends from there, so lexicographic sequences cost one
+    depth-first walk of the sequence trie.  A mutation error anywhere
+    on the path outranks a check error, which outranks the failures.
+    """
+    try:
+        root, step, check = _walk(target, seed)
+    except GenClusterError as exc:
+        return [(False, (_error_text(exc),))] * len(sequences)
+    path = []
+    previous = ()
+    verdicts = []
+    for sequence in sequences:
+        common = 0
+        for a, b in zip(previous, sequence):
+            if a != b:
+                break
+            common += 1
+        del path[common + 1:]
+        for depth in range(len(path), len(sequence) + 1):
+            if path:
+                state, mutation_error, check_error, failures = path[-1]
+                if mutation_error is None:
+                    try:
+                        state = step(state, sequence[depth - 1])
+                    except GenClusterError as exc:
+                        state, mutation_error = None, _error_text(exc)
             else:
-                double_constant_check(state)
-        return not failures, tuple(failures)
-    if target == "product-formula":
-        report = product_formula_suite(seed, sequence)
-        return report.ok, report.failures
-    if target == "embedding":
-        report = embedding_check(seed, sequence)
-        return report.ok, report.failures
-    if target == "subquotient":
-        report = subquotient_check(seed)
-        return report.ok, report.failures
-    raise _UsageError(f"unknown verify target {target!r}")
+                state, mutation_error, check_error, failures = root, None, None, ()
+            if mutation_error is None and check_error is None:
+                try:
+                    failures += check(state, depth)
+                except GenClusterError as exc:
+                    check_error = _error_text(exc)
+            path.append((state, mutation_error, check_error, failures))
+        previous = sequence
+        _, mutation_error, check_error, failures = path[-1]
+        error = mutation_error or check_error
+        verdicts.append((False, (error,)) if error else (not failures, failures))
+    return verdicts
+
+
+def _suite_verdict(target, seed, sequence):
+    """(ok, failures) of one sequence of a target checked per case."""
+    try:
+        if target == "product-formula":
+            report = product_formula_suite(seed, sequence)
+        elif target == "embedding":
+            report = embedding_check(seed, sequence)
+        else:
+            report = subquotient_check(seed)
+    except GenClusterError as exc:
+        return False, (_error_text(exc),)
+    return report.ok, report.failures
+
+
+def _verdicts(target, seed, sequences):
+    """(ok, failures) of every sequence of one seed, in sequence order."""
+    if target in ("laurent", "hadamard", "double-constant"):
+        return _walk_verdicts(target, seed, sequences)
+    return [_suite_verdict(target, seed, sequence) for sequence in sequences]
 
 
 def _sequence_space(target, seed, args):
@@ -533,43 +592,29 @@ def _render_record(record, as_json):
 
 
 def _cmd_verify(args, out):
-    if args.seed_file:
-        seeds = [(parse_seed(args.seed_file), args.seed_file)]
-    elif args.seed:
-        seeds = [(fixture_seed(args.seed), args.seed.strip().upper())]
+    if args.seed_file or args.seed:
+        seeds = [_load_seed(args)]
     else:
         seeds = [(fixture_seed(name), name) for name in FIXTURE_NAMES]
 
-    cases = []
-    for seed, label in seeds:
-        for sequence in _sequence_space(args.target, seed, args):
-            cases.append((seed, label, sequence))
-
-    def run(case):
-        seed, label, sequence = case
-        try:
-            ok, failures = _verify_case(args.target, seed, sequence)
-        except GenClusterError as exc:
-            ok, failures = False, (f"{type(exc).__name__}: {exc}",)
-        return {
-            "target": args.target,
-            "seed": label,
-            "sequence": [k + 1 for k in sequence],
-            "ok": ok,
-            "failures": [repr(f) for f in failures],
-        }
-
-    threads = _thread_count()
-    if threads == 1 or len(cases) <= 1:
-        records = [run(case) for case in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, cases))
-
     all_ok = True
+    records = []
+    for seed, label in seeds:
+        sequences = _sequence_space(args.target, seed, args)
+        for sequence, (ok, failures) in zip(
+            sequences, _verdicts(args.target, seed, sequences)
+        ):
+            records.append({
+                "target": args.target,
+                "seed": label,
+                "sequence": [k + 1 for k in sequence],
+                "ok": ok,
+                "failures": [repr(f) for f in failures],
+            })
+            all_ok = all_ok and ok
+
     for record in records:
         out.write(_render_record(record, args.json) + "\n")
-        all_ok = all_ok and record["ok"]
     return 0 if all_ok else 2
 
 

@@ -21,7 +21,7 @@ line of ``;``-separated rows, each row ``n + m`` integers::
     0 8 -3 5 ; -12 0 -2 7
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -91,17 +91,37 @@ def _principal_diagonalizer(rows, n):
     return result
 
 
+def _symmetrizes(d, rows, n):
+    """Whether the positive vector ``d`` skew-symmetrizes the principal part."""
+    if len(d) != n or not all(isinstance(x, int) and x > 0 for x in d):
+        return False
+    for i in range(n):
+        d_i, row = d[i], rows[i]
+        for j in range(i, n):
+            if d_i * row[j] != -d[j] * rows[j][i]:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class ExtendedExchangeMatrix:
     """Integer matrix with ``n`` mutable rows and ``n + m`` columns.
 
     The principal (left ``n`` x ``n``) part must be skew-symmetrizable;
-    this is checked at construction.
+    this is checked at construction.  ``_symmetrizer`` is a positive
+    diagonal that is tried first: mutation preserves skew-symmetrizers
+    (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so the mutation
+    rules and :func:`modify` derive one from their input, and the full
+    search runs only when it is absent or does not fit.  It takes no
+    part in equality, hashing or the repr.
     """
 
     n: int
     m: int
     rows: tuple
+    _symmetrizer: tuple = field(
+        default=None, compare=False, repr=False, kw_only=True
+    )
 
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
@@ -113,7 +133,10 @@ class ExtendedExchangeMatrix:
                 raise ValidationError("row width does not match n + m")
             if not all(isinstance(e, int) for e in row):
                 raise ValidationError("matrix entries must be integers")
-        _principal_diagonalizer(self.rows, self.n)
+        d = self._symmetrizer
+        if d is None or not _symmetrizes(d, self.rows, self.n):
+            d = _principal_diagonalizer(self.rows, self.n)
+            object.__setattr__(self, "_symmetrizer", d)
 
     @staticmethod
     def from_rows(rows, m=None):
@@ -193,7 +216,9 @@ def diagonalizer(matrix):
     """Minimal positive diagonal ``d`` with ``d_i B_ij = -d_j B_ji``.
 
     Minimality is componentwise: on each connected component of the
-    nonzero pattern the returned entries have no common factor.
+    nonzero pattern the returned entries have no common factor.  A
+    symmetrizer inherited through mutation need not be minimal (the
+    components can split), so this always searches afresh.
     """
     return _principal_diagonalizer(matrix.rows, matrix.n)
 
@@ -202,7 +227,9 @@ def modify(matrix, divisors):
     """Divisor-scaled companion matrix: principal rows divided by ``d_i``.
 
     Slack columns are kept as they are.  The divisor compatibility
-    requirement makes the scaled principal part integral.
+    requirement makes the scaled principal part integral.  If ``s``
+    skew-symmetrizes the matrix, ``s_i * d_i`` skew-symmetrizes the
+    result.
     """
     if not isinstance(divisors, DivisorVector):
         divisors = DivisorVector(tuple(divisors))
@@ -214,7 +241,12 @@ def modify(matrix, divisors):
         )
         for i, row in enumerate(matrix.rows)
     )
-    return ExtendedExchangeMatrix(matrix.n, matrix.m, rows)
+    symmetrizer = tuple(
+        s * d for s, d in zip(matrix._symmetrizer, divisors.entries)
+    )
+    return ExtendedExchangeMatrix(
+        matrix.n, matrix.m, rows, _symmetrizer=symmetrizer
+    )
 
 
 def _mutate_rows(rows, n, k, row_scale):
@@ -238,7 +270,9 @@ def mutate(matrix, k):
     """Standard mutation of an extended exchange matrix in direction ``k``."""
     matrix.check_direction(k)
     rows = _mutate_rows(matrix.rows, matrix.n, k, lambda i, j: 1)
-    return ExtendedExchangeMatrix(matrix.n, matrix.m, rows)
+    return ExtendedExchangeMatrix(
+        matrix.n, matrix.m, rows, _symmetrizer=matrix._symmetrizer
+    )
 
 
 def mutate_modified(matrix, divisors, k):
@@ -261,7 +295,9 @@ def mutate_modified(matrix, divisors, k):
         k,
         lambda i, j: divisors[k] if j < matrix.n else divisors[i],
     )
-    return ExtendedExchangeMatrix(matrix.n, matrix.m, rows)
+    return ExtendedExchangeMatrix(
+        matrix.n, matrix.m, rows, _symmetrizer=matrix._symmetrizer
+    )
 
 
 def mutate_sequence(matrix, sequence, divisors=None):

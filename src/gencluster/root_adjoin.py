@@ -28,9 +28,9 @@ from .gca_seed import (
     CoefficientStrings,
     ExchangeContext,
     GeneralizedSeed,
+    _cluster_power,
     exchange_polynomial,
     mutate_seed_sequence,
-    special_monomial,
 )
 from .laurent_kernel import (
     LaurentPolynomial,
@@ -229,8 +229,8 @@ def transport_check(base, adjoined, sequence=()):
             ("u>", ctx.u_gt, ctx_bar.u_gt),
             ("u<", ctx.u_lt, ctx_bar.u_lt),
         ):
-            lhs = phi(_evaluate_cluster_monomial(t, mono))
-            rhs = _evaluate_cluster_monomial(t_bar, mono_bar)
+            lhs = phi(_cluster_power(t, mono.exponents))
+            rhs = _cluster_power(t_bar, mono_bar.exponents)
             if lhs != rhs:
                 failures.append((f"(i) {label}", k, None))
         for r in range(ctx.degree + 1):
@@ -241,16 +241,6 @@ def transport_check(base, adjoined, sequence=()):
         if phi(t.cluster[k]) != t_bar.cluster[k]:
             failures.append(("(iii)", k, None))
     return TransportReport(ok=not failures, failures=tuple(failures))
-
-
-def _evaluate_cluster_monomial(seed, mono):
-    """Expand a cluster-slot monomial at the seed's current cluster."""
-    out = LaurentPolynomial.one(seed.table)
-    for i in seed.table.cluster_indices:
-        e = mono.exponents[i]
-        if e:
-            out = poly_mul(out, poly_pow(seed.cluster[i], e))
-    return out
 
 
 @dataclass(frozen=True)
@@ -367,9 +357,9 @@ def homogeneity_check(seed, k):
             .times(ctx.v_lt[1].power(r - d))
         )
         coefficients.append(entry)
-    gt_base = _evaluate_cluster_monomial(seed, ctx.u_gt)
+    gt_base = _cluster_power(seed, ctx.u_gt.exponents)
     gt_base = poly_mul_monomial(gt_base, ctx.v_gt[1])
-    lt_base = _evaluate_cluster_monomial(seed, ctx.u_lt)
+    lt_base = _cluster_power(seed, ctx.u_lt.exponents)
     lt_base = poly_mul_monomial(lt_base, ctx.v_lt[1])
     rebuilt = LaurentPolynomial.zero(seed.table)
     for r in range(d + 1):

@@ -2,7 +2,9 @@
 
 import io
 import json
+import random
 from importlib import resources
+from itertools import product
 
 import pytest
 
@@ -13,11 +15,24 @@ from gencluster.cli_io import (
     write_seed,
     _seed_text,
 )
-from gencluster.errors import ParseError, StructureViolation, ValidationError
+from gencluster.errors import (
+    GenClusterError,
+    ParseError,
+    StructureViolation,
+    ValidationError,
+)
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import mutate_seed
+from gencluster.matrix_mutation import mutate_sequence
 from gencluster.quotient_embedding import QuotientReport
-from gencluster.randomgen import random_seed
+from gencluster.randomgen import random_seed, random_sequence
+from gencluster.unfolding import (
+    HadamardReport,
+    build,
+    double_constant_check,
+    group_mutate,
+    hadamard_check,
+)
 
 MUTATE_FIX_A_1 = (
     "B\n"
@@ -209,13 +224,16 @@ class TestVerify:
         assert code == 0
         assert len(text.splitlines()) == 5
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        argv = ("verify", "hadamard", "--seed", "FIX-A", "--depth", "2")
-        code_one, text_one = run(*argv)
-        monkeypatch.setenv("GENCLUSTER_THREADS", "4")
-        code_four, text_four = run(*argv)
-        assert (code_one, text_one) == (code_four, text_four)
-        assert code_one == 0
+    def test_repeated_runs_are_byte_identical(self):
+        for argv in (
+            ("verify", "hadamard", "--depth", "3"),
+            ("verify", "double-constant", "--seed", "FIX-B", "--json"),
+            ("verify", "laurent", "--seed", "FIX-C", "--depth", "5",
+             "--sequences", "random:6", "--rng-seed", "2"),
+        ):
+            first, second = run(*argv), run(*argv)
+            assert first == second
+            assert first[0] == 0
 
     def test_failing_report_exits_two(self, monkeypatch):
         monkeypatch.setattr(
@@ -255,11 +273,36 @@ class TestUsageErrors:
         )
         assert code == 1
 
-    def test_unknown_fixture(self):
-        assert run("mutate", "--seed", "NOPE")[0] == 1
+    def test_unknown_fixture(self, capsys):
+        for command in ("mutate", "verify laurent"):
+            code, text = run(*command.split(), "--seed", "NOPE")
+            assert (code, text) == (1, "")
+            err = capsys.readouterr().err
+            assert err.startswith("gencluster: error: unknown seed 'NOPE'")
+            assert err.count("\n") == 1
 
-    def test_missing_file(self):
-        assert run("mutate", "--seed-file", "/no/such/file.seed")[0] == 1
+    def test_missing_file(self, capsys, tmp_path):
+        undecodable = tmp_path / "latin1.seed"
+        undecodable.write_bytes(b"gca-seed v1\n\xff\xfe\n")
+        # A missing file, a directory, and bytes that are not UTF-8.
+        for path in (tmp_path / "missing.seed", tmp_path, undecodable):
+            for command in ("mutate", "verify laurent"):
+                code, text = run(*command.split(), "--seed-file", str(path))
+                assert (code, text) == (1, "")
+                err = capsys.readouterr().err
+                assert err.startswith("gencluster: error: cannot read seed file")
+                assert err.count("\n") == 1
+
+    def test_internal_key_error_is_not_bad_input(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("gencluster.cli_io.product_formula_suite", broken)
+        with pytest.raises(KeyError):
+            run("verify", "product-formula", "--seed", "FIX-C", "--depth", "1")
+        monkeypatch.setattr("gencluster.cli_io.group_mutate", broken)
+        with pytest.raises(KeyError):
+            run("verify", "hadamard", "--seed", "FIX-C", "--depth", "1")
 
     def test_out_of_range_direction(self):
         assert run("mutate", "--seed", "FIX-A", "--sequence", "9")[0] == 1
@@ -281,3 +324,173 @@ class TestUsageErrors:
 
     def test_unknown_command(self):
         assert run("frobnicate")[0] == 1
+
+
+def oracle_verdict(target, seed, sequence, step=group_mutate,
+                   hadamard=hadamard_check, double_constant=double_constant_check):
+    """One case walked from the seed on its own, sharing nothing."""
+    try:
+        if target == "laurent":
+            state = seed
+            for k in sequence:
+                state = mutate_seed(state, k)
+            return True, []
+        fm, reference = build(seed), seed.matrix
+        prefixes = [(fm, reference)]
+        for k in sequence:
+            fm = step(fm, k)
+            reference = mutate_sequence(reference, (k,))
+            prefixes.append((fm, reference))
+        failures = []
+        for depth, (fm, reference) in enumerate(prefixes):
+            if target == "hadamard":
+                report = hadamard(fm, reference, seed.divisors)
+                if not report.ok:
+                    failures.append(repr((depth,) + tuple(report.failures)))
+            else:
+                double_constant(fm)
+        return not failures, failures
+    except GenClusterError as exc:
+        return False, [repr(f"{type(exc).__name__}: {exc}")]
+
+
+def oracle_records(target, seed, label, sequences, **fakes):
+    records = []
+    for sequence in sequences:
+        ok, failures = oracle_verdict(target, seed, sequence, **fakes)
+        records.append({
+            "failures": failures,
+            "ok": ok,
+            "seed": label,
+            "sequence": [k + 1 for k in sequence],
+            "target": target,
+        })
+    return records
+
+
+def walked_records(*argv):
+    code, text = run("verify", *argv, "--json")
+    records = [json.loads(line) for line in text.splitlines()]
+    assert code == (0 if all(r["ok"] for r in records) else 2)
+    return records
+
+
+def exhaustive(rank, depth):
+    return list(product(range(rank), repeat=depth))
+
+
+class TestWalker:
+    """The shared-prefix walk against a from-scratch walk of every case."""
+
+    @pytest.mark.parametrize("target", ["hadamard", "double-constant"])
+    def test_fixtures_exhaustive(self, target):
+        for name in FIXTURE_NAMES:
+            seed = fixture_seed(name)
+            for depth in range(5):
+                assert walked_records(
+                    target, "--seed", name, "--depth", str(depth)
+                ) == oracle_records(
+                    target, seed, name, exhaustive(seed.matrix.n, depth)
+                )
+
+    def test_fixtures_laurent(self):
+        # FIX-A grows doubly exponentially, so it stops at depth 2.
+        for name, depths in (("FIX-A", 3), ("FIX-B", 5), ("FIX-C", 5)):
+            seed = fixture_seed(name)
+            for depth in range(depths):
+                assert walked_records(
+                    "laurent", "--seed", name, "--depth", str(depth)
+                ) == oracle_records(
+                    "laurent", seed, name, exhaustive(seed.matrix.n, depth)
+                )
+
+    def test_random_seeds(self, tmp_path):
+        rng = random.Random(2504)
+        for i in range(24):
+            seed = random_seed(rng)
+            path = str(tmp_path / f"r{i}.seed")
+            write_seed(seed, path)
+            for target, depth in (
+                ("hadamard", 3), ("double-constant", 3), ("laurent", 2)
+            ):
+                assert walked_records(
+                    target, "--seed-file", path, "--depth", str(depth)
+                ) == oracle_records(
+                    target, seed, path, exhaustive(seed.matrix.n, depth)
+                )
+
+    def test_random_sequences_with_repeats(self):
+        for target, name, depth, count in (
+            ("hadamard", "FIX-A", 2, 30),
+            ("double-constant", "FIX-B", 3, 40),
+            ("laurent", "FIX-C", 4, 5),
+        ):
+            seed = fixture_seed(name)
+            rng = random.Random(11)
+            sequences = [
+                random_sequence(rng, seed.matrix.n, depth) for _ in range(count)
+            ]
+            assert any(a == b for a, b in zip(sequences, sequences[1:]))
+            assert walked_records(
+                target, "--seed", name, "--depth", str(depth),
+                "--sequences", f"random:{count}", "--rng-seed", "11",
+            ) == oracle_records(target, seed, name, sequences)
+
+    def test_failures_concatenate_in_depth_order(self, monkeypatch):
+        # A state-dependent value that the involution brings back on
+        # returning paths, so failing and passing prefixes interleave.
+        def value(fm):
+            return fm.rows[0][5] + fm.rows[-1][5]
+
+        def hadamard(fm, reference, divisors):
+            bad = value(fm) > 0
+            failures = (("synthetic", value(fm)),) if bad else ()
+            return HadamardReport(ok=not bad, failures=failures)
+
+        def double_constant(fm):
+            if value(fm) < -100:
+                raise StructureViolation(f"synthetic at {value(fm)}")
+
+        monkeypatch.setattr("gencluster.cli_io.hadamard_check", hadamard)
+        monkeypatch.setattr("gencluster.cli_io.double_constant_check", double_constant)
+        seed = fixture_seed("FIX-A")
+        for target in ("hadamard", "double-constant"):
+            expected = oracle_records(
+                target, seed, "FIX-A", exhaustive(2, 4),
+                hadamard=hadamard, double_constant=double_constant,
+            )
+            assert {r["ok"] for r in expected} == {True, False}
+            assert walked_records(
+                target, "--seed", "FIX-A", "--depth", "4"
+            ) == expected
+
+    def test_mutation_error_outranks_shallower_check_error(self, monkeypatch):
+        fix_a = fixture_seed("FIX-A")
+        after_1 = group_mutate(build(fix_a), 0)
+        after_12 = group_mutate(after_1, 1)
+
+        def step(fm, k):
+            if fm == after_12:
+                raise StructureViolation("deep mutation")
+            return group_mutate(fm, k)
+
+        def double_constant(fm):
+            if fm == after_1:
+                raise StructureViolation("shallow check")
+            return double_constant_check(fm)
+
+        monkeypatch.setattr("gencluster.cli_io.group_mutate", step)
+        monkeypatch.setattr("gencluster.cli_io.double_constant_check", double_constant)
+        records = walked_records(
+            "double-constant", "--seed", "FIX-A", "--depth", "3"
+        )
+        assert records == oracle_records(
+            "double-constant", fix_a, "FIX-A", exhaustive(2, 3),
+            step=step, double_constant=double_constant,
+        )
+        by_sequence = {tuple(r["sequence"]): r["failures"] for r in records}
+        deep = [repr("StructureViolation: deep mutation")]
+        shallow = [repr("StructureViolation: shallow check")]
+        assert by_sequence[(1, 2, 1)] == by_sequence[(1, 2, 2)] == deep
+        assert by_sequence[(1, 1, 1)] == shallow
+        assert by_sequence[(2, 2, 2)] == []

@@ -23,6 +23,7 @@ from gencluster.matrix_mutation import (
     write_matrix,
 )
 from gencluster.randomgen import random_seed, random_sequence
+from gencluster.unfolding import build, group_mutate
 
 # Independently derived reference values for the bundled rank-2 seed
 # with matrix rows (0, 8, -3, 5), (-12, 0, -2, 7) and divisors (2, 3).
@@ -125,6 +126,56 @@ class TestProperties:
                 )
                 == stepwise
             )
+
+
+def assert_like_rebuilt(matrix):
+    """``matrix`` behaves as if built afresh from its rows."""
+    rebuilt = ExtendedExchangeMatrix(matrix.n, matrix.m, matrix.rows)
+    assert matrix == rebuilt
+    assert hash(matrix) == hash(rebuilt)
+    assert repr(matrix) == repr(rebuilt)
+    assert diagonalizer(matrix) == diagonalizer(rebuilt)
+    d = matrix._symmetrizer
+    assert all(x > 0 for x in d)
+    for i in range(matrix.n):
+        for j in range(matrix.n):
+            assert d[i] * matrix.rows[i][j] == -d[j] * matrix.rows[j][i]
+
+
+class TestInheritedSymmetrizer:
+    def test_mutated_and_modified_matrices_match_fresh_ones(self, rng):
+        for _ in range(100):
+            seed = random_seed(rng)
+            sequence = random_sequence(rng, seed.matrix.n, 6)
+            plain = seed.matrix
+            modified = modify(seed.matrix, seed.divisors)
+            assert_like_rebuilt(modified)
+            for k in sequence:
+                plain = mutate(plain, k)
+                modified = mutate_modified(modified, seed.divisors, k)
+                assert_like_rebuilt(plain)
+                assert_like_rebuilt(modified)
+
+    def test_group_mutation_results_match_fresh_matrices(self, rng):
+        for _ in range(40):
+            seed = random_seed(rng)
+            fm = build(seed)
+            for k in random_sequence(rng, seed.matrix.n, 4):
+                fm = group_mutate(fm, k)
+                assert_like_rebuilt(fm.matrix)
+
+    def test_wrong_symmetrizer_is_replaced(self):
+        matrix = ExtendedExchangeMatrix(
+            2, 1, ((0, 2, 5), (-1, 0, 7)), _symmetrizer=(1, 1)
+        )
+        assert matrix._symmetrizer == (1, 2)
+        assert "_symmetrizer" not in repr(matrix)
+
+    def test_wrong_symmetrizer_does_not_hide_a_bad_matrix(self):
+        for rows in (((0, 1), (1, 0)), ((1, 0), (0, 0)), ((0, 1), (0, 0))):
+            for d in ((1, 1), (2, 1), (0, 0), (-1, -1), (1,)):
+                with pytest.raises(NotSkewSymmetrizable):
+                    ExtendedExchangeMatrix(2, 0, rows, _symmetrizer=d)
 
 
 class TestValidation:
