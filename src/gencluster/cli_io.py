@@ -564,6 +564,8 @@ def _sequence_space(target, seed, args):
         return [()]
     rank = seed.matrix.n
     depth = args.depth if args.depth is not None else _DEFAULT_DEPTH[target]
+    if depth < 0:
+        raise _UsageError(f"--depth must be non-negative, got {depth}")
     spec = args.sequences
     if spec == "exhaustive":
         sequences = [()]
@@ -575,6 +577,10 @@ def _sequence_space(target, seed, args):
             count = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise _UsageError(f"bad --sequences value {spec!r}") from exc
+        if count < 1:
+            raise _UsageError(f"--sequences random:N needs N >= 1, got {spec!r}")
+        if depth and not rank:
+            raise _UsageError(f"a rank-0 seed has no random sequences of depth {depth}")
         rng = random.Random(args.rng_seed)
         return [random_sequence(rng, rank, depth) for _ in range(count)]
     raise _UsageError(f"--sequences must be 'exhaustive' or 'random:N', got {spec!r}")

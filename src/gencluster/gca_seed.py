@@ -173,12 +173,15 @@ def frozen_box(seed, k, r):
     d_k = seed.divisors[k]
     if not 0 <= r <= d_k:
         raise IndexOutOfRange(f"box index {r} outside 0..{d_k}")
-    bhat = seed.scaled_matrix()
-    n = seed.rank
+    return _frozen_box(seed, seed.scaled_matrix().rows[k], d_k, r)
+
+
+def _frozen_box(seed, bhat_row, d_k, r):
+    """:func:`frozen_box` read off an already scaled row."""
     gt = {}
     lt = {}
-    for j in range(n, n + seed.matrix.m):
-        e = bhat.rows[k][j]
+    for j in range(seed.rank, len(bhat_row)):
+        e = bhat_row[j]
         name = seed.table.names[j]
         if e > 0:
             gt[name] = (r * e) // d_k
@@ -210,18 +213,17 @@ class ExchangeContext:
     def build(seed, k):
         seed.check_direction(k)
         d_k = seed.divisors[k]
-        bhat = seed.scaled_matrix()
-        n = seed.rank
+        bhat_row = seed.scaled_matrix().rows[k]
         gt = {}
         lt = {}
-        for i in range(n):
-            e = bhat.rows[k][i]
+        for i in range(seed.rank):
+            e = bhat_row[i]
             name = seed.table.names[i]
             if e > 0:
                 gt[name] = e
             elif e < 0:
                 lt[name] = -e
-        boxes = [frozen_box(seed, k, r) for r in range(d_k + 1)]
+        boxes = [_frozen_box(seed, bhat_row, d_k, r) for r in range(d_k + 1)]
         return ExchangeContext(
             seed=seed,
             k=k,

@@ -14,8 +14,8 @@ The construction proceeds in three layers, all verified exactly:
     into ``|J| = r`` members contributing ``t`` and the rest
     contributing ``s``, the sum of the products.  The ``r = 0`` and
     ``r = d_k`` generators force the unit relations ``prod_i t_{k,i} =
-    prod_i s_{k,i} = 1``, which :func:`normal_form` realizes by
-    eliminating the last member's pair.
+    prod_i s_{k,i} = 1``, which :meth:`QuotientContext.normal_form`
+    realizes by eliminating the last member's pair.
 
 3.  **Embedding** — the substitution ``phi`` sending each cluster
     variable to the product of its group members, each root symbol to
@@ -43,7 +43,7 @@ exactly when it holds formally.  This keeps the check exact at depths
 where the evaluated cluster entries would be astronomically large.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import (
@@ -78,7 +78,7 @@ from .root_adjoin import (
     _fresh_root_name,
     tau_tilde,
 )
-from .unfolding import FoldedMatrix, build, group_mutate
+from .unfolding import FoldedMatrix, _independent_members, build, group_mutate
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +178,15 @@ def folded_initial_seed(gca):
 def group_mutate_seed(fs, k):
     """Mutate every member of group ``k`` once (matrix, cluster, strings).
 
-    The matrix route is cross-checked against
-    :func:`~gencluster.unfolding.group_mutate`, which also enforces the
-    closed block formula.
+    The members are checked as in :func:`~gencluster.unfolding.group_mutate`;
+    the seed's mutated matrix is the new folded matrix.
     """
-    fm_next = group_mutate(fs.folded, k)
     seed = fs.seed
-    for c in fs.members(k):
+    for c in _independent_members(fs.folded, k):
         seed = mutate_seed(seed, c)
-    if seed.matrix != fm_next.matrix:
-        raise CorrespondenceViolation(
-            "sequential member mutation and group matrix mutation disagree"
-        )
     return FoldedSeed(
         seed=seed,
-        folded=fm_next,
+        folded=replace(fs.folded, matrix=seed.matrix),
         group_provenance=fs.group_provenance + (k,),
     )
 
@@ -530,11 +524,6 @@ class QuotientContext:
         return self.normal_form(lifted)
 
 
-def normal_form(p, ctx):
-    """Canonical representative of ``p`` in the quotient (see the context)."""
-    return ctx.normal_form(p)
-
-
 # ---------------------------------------------------------------------------
 # The embedding map
 
@@ -636,24 +625,16 @@ def product_formula_suite(gca, sequence=(), mode="total"):
     """
     adjoined = tau_tilde(gca, mode=mode)
     rho_rows = [tuple(row) for row in adjoined.seed.strings.rows]
-    fm = build(gca)
-    table = folded_table(gca)
-    divisors = DivisorVector((1,) * fm.total)
+    initial = folded_initial_seed(gca)
+    fm = initial.folded
     failures = []
-
-    def folded_state(provenance):
-        seed = GeneralizedSeed(
-            table=table,
-            cluster=tuple(table.variable(n) for n in table.names[: fm.total]),
-            matrix=fm.matrix,
-            divisors=divisors,
-            strings=CoefficientStrings.trivial(table, divisors),
-        )
-        return FoldedSeed(seed=seed, folded=fm, group_provenance=provenance)
-
     prefix = 0
     while True:
-        fs = folded_state(tuple(sequence[:prefix]))
+        fs = FoldedSeed(
+            seed=replace(initial.seed, matrix=fm.matrix),
+            folded=fm,
+            group_provenance=tuple(sequence[:prefix]),
+        )
         rho = GeneralizedCoefficientTable(tuple(rho_rows))
         for k in range(gca.rank):
             report = product_formula_check(fs, k, rho)

@@ -132,7 +132,11 @@ def adjoin_root(seed, j, n, root_name=None):
         tuple(e * n if col == pos else e for col, e in enumerate(row))
         for row in current.matrix.rows
     )
-    new_matrix = ExtendedExchangeMatrix(current.matrix.n, current.matrix.m, new_rows)
+    # Only a frozen column is scaled: the principal part keeps its symmetrizer.
+    new_matrix = ExtendedExchangeMatrix(
+        current.matrix.n, current.matrix.m, new_rows,
+        _symmetrizer=current.matrix._symmetrizer,
+    )
 
     def transport(p):
         return poly_map_variables(p, {j: root_power}, new_table)
@@ -264,6 +268,19 @@ class GeneralizedCoefficientTable:
                 )
 
 
+def _homogenized_coefficients(ctx):
+    """``p_r * v>[r] * v<[d-r] * v>[1]^(-r) * v<[1]^(r-d)`` for ``r = 0..d``."""
+    d = ctx.degree
+    return tuple(
+        ctx.strings[r]
+        .times(ctx.v_gt[r])
+        .times(ctx.v_lt[d - r])
+        .times(ctx.v_gt[1].power(-r))
+        .times(ctx.v_lt[1].power(r - d))
+        for r in range(d + 1)
+    )
+
+
 def rho(seed):
     """The generalized coefficient table of a seed.
 
@@ -274,22 +291,12 @@ def rho(seed):
     """
     if isinstance(seed, AdjoinedSeed):
         seed = seed.seed
-    rows = []
-    for k in range(seed.rank):
-        ctx = ExchangeContext.build(seed, k)
-        d = ctx.degree
-        row = []
-        for r in range(d + 1):
-            entry = (
-                ctx.strings[r]
-                .times(ctx.v_gt[r])
-                .times(ctx.v_lt[d - r])
-                .times(ctx.v_gt[1].power(-r))
-                .times(ctx.v_lt[1].power(r - d))
-            )
-            row.append(entry)
-        rows.append(tuple(row))
-    table = GeneralizedCoefficientTable(tuple(rows))
+    table = GeneralizedCoefficientTable(
+        tuple(
+            _homogenized_coefficients(ExchangeContext.build(seed, k))
+            for k in range(seed.rank)
+        )
+    )
     table.validate()
     return table
 
@@ -347,16 +354,7 @@ def homogeneity_check(seed, k):
                 column=name,
                 term=str(term),
             )
-    coefficients = []
-    for r in range(d + 1):
-        entry = (
-            ctx.strings[r]
-            .times(ctx.v_gt[r])
-            .times(ctx.v_lt[d - r])
-            .times(ctx.v_gt[1].power(-r))
-            .times(ctx.v_lt[1].power(r - d))
-        )
-        coefficients.append(entry)
+    coefficients = _homogenized_coefficients(ctx)
     gt_base = _cluster_power(seed, ctx.u_gt.exponents)
     gt_base = poly_mul_monomial(gt_base, ctx.v_gt[1])
     lt_base = _cluster_power(seed, ctx.u_lt.exponents)
@@ -375,7 +373,7 @@ def homogeneity_check(seed, k):
         k=k,
         degree=d,
         tau=tau_variable(seed, k),
-        coefficients=tuple(coefficients),
+        coefficients=coefficients,
     )
 
 

@@ -25,11 +25,12 @@ structural facts that the checkers in this module verify:
   reproduce the weighted matrix, and positive entries force
   non-negative blocks.
 
-:func:`group_mutate` additionally cross-checks the sequential result
-against the closed block-product formula for a whole-group mutation.
+:func:`group_mutate` mutates the members one by one; the closed
+block-product formula for a whole-group mutation is checked against it
+by the test suite, not recomputed at run time.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import IndexOutOfRange, StructureViolation, ValidationError
 from .matrix_mutation import (
@@ -157,41 +158,9 @@ def build(seed_or_matrix, divisors=None):
     return folded
 
 
-def _block_sign(block):
-    """Common sign of a block's entries; StructureViolation when mixed."""
-    sign = 0
-    for row in block:
-        for e in row:
-            if e > 0:
-                if sign < 0:
-                    raise StructureViolation("sign-incoherent block")
-                sign = 1
-            elif e < 0:
-                if sign > 0:
-                    raise StructureViolation("sign-incoherent block")
-                sign = -1
-    return sign
-
-
-def _matmul(a, b):
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
-    )
-
-
-def group_mutate(fm, k):
-    """Mutate every member of group ``k`` once (the order is immaterial).
-
-    The sequential result is cross-checked against the closed formula
-    for whole-group mutation: blocks in row or column group ``k`` are
-    negated, and every other block ``(Y, Z)`` gains
-    ``(sgn(B[Y,k]) + sgn(B[k,Z])) / 2 * B[Y,k] @ B[k,Z]``.
-    A disagreement or a sign-incoherent block raises
-    :class:`~gencluster.errors.StructureViolation`.
-    """
-    if not 0 <= k < fm.n_groups:
-        raise IndexOutOfRange(f"no group {k}")
-    members = list(fm.group_range(k))
+def _independent_members(fm, k):
+    """The members of group ``k``; StructureViolation if two interact."""
+    members = fm.group_range(k)
     for a in members:
         for b in members:
             if fm.matrix.rows[a][b] != 0:
@@ -199,39 +168,19 @@ def group_mutate(fm, k):
                     f"group {k} members interact at ({a},{b}); group mutation "
                     "is not well-defined"
                 )
-    out = fm.matrix
-    for c in members:
-        out = mutate(out, c)
-    result = FoldedMatrix(matrix=out, group_sizes=fm.group_sizes, m_original=fm.m_original)
+    return members
 
-    # Cross-check with the closed block formula.
-    col_groups = fm.column_groups()
-    k_cols = fm.group_range(k)
-    for i in range(fm.n_groups):
-        rows_i = fm.group_range(i)
-        left = fm.block(rows_i, k_cols)
-        for kind, idx, cols in col_groups:
-            expected_block = fm.block(rows_i, cols)
-            got = result.block(rows_i, cols)
-            if i == k or (kind == "cluster" and idx == k):
-                expected = tuple(tuple(-e for e in row) for row in expected_block)
-            else:
-                right = fm.block(k_cols, cols)
-                scale = (_block_sign(left) + _block_sign(right)) // 2
-                if scale:
-                    prod = _matmul(left, right)
-                    expected = tuple(
-                        tuple(e + scale * p for e, p in zip(row, prow))
-                        for row, prow in zip(expected_block, prod)
-                    )
-                else:
-                    expected = expected_block
-            if got != expected:
-                raise StructureViolation(
-                    f"sequential group mutation disagrees with the block "
-                    f"formula on block ({i}, {kind}{idx})"
-                )
-    return result
+
+def group_mutate(fm, k):
+    """Mutate every member of group ``k`` once (the order is immaterial).
+
+    Members that do not interact commute.  The test suite checks the
+    result against the closed block formula for whole-group mutation.
+    """
+    out = fm.matrix
+    for c in _independent_members(fm, k):
+        out = mutate(out, c)
+    return replace(fm, matrix=out)
 
 
 def group_mutate_sequence(fm, sequence):

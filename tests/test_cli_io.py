@@ -1,5 +1,6 @@
 """Seed files and the command-line interface."""
 
+import hashlib
 import io
 import json
 import random
@@ -22,8 +23,8 @@ from gencluster.errors import (
     ValidationError,
 )
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
-from gencluster.gca_seed import mutate_seed
-from gencluster.matrix_mutation import mutate_sequence
+from gencluster.gca_seed import initial_seed, mutate_seed
+from gencluster.matrix_mutation import ExtendedExchangeMatrix, mutate_sequence
 from gencluster.quotient_embedding import QuotientReport
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.unfolding import (
@@ -319,6 +320,36 @@ class TestUsageErrors:
         assert run("verify", "laurent", "--seed", "FIX-C", "--sequences", "bogus")[0] == 1
         assert run("verify", "laurent", "--seed", "FIX-C", "--sequences", "random:x")[0] == 1
 
+    def assert_usage_error(self, capsys, *argv):
+        assert run(*argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("gencluster: error: ")
+        assert err.count("\n") == 1
+        return err
+
+    def test_negative_depth(self, capsys):
+        err = self.assert_usage_error(
+            capsys, "verify", "hadamard", "--seed", "FIX-C", "--depth", "-3"
+        )
+        assert "--depth" in err
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_empty_random_sequence_space(self, capsys, count):
+        err = self.assert_usage_error(
+            capsys, "verify", "hadamard", "--seed", "FIX-C",
+            "--sequences", f"random:{count}",
+        )
+        assert f"random:{count}" in err
+
+    def test_random_sequences_of_a_rank_zero_seed(self, capsys, tmp_path):
+        path = tmp_path / "rank0.seed"
+        write_seed(initial_seed(ExtendedExchangeMatrix(0, 1, ()), ()), path)
+        err = self.assert_usage_error(
+            capsys, "verify", "hadamard", "--seed-file", str(path),
+            "--sequences", "random:2", "--depth", "2",
+        )
+        assert "rank-0" in err
+
     def test_unknown_target(self):
         assert run("verify", "nonsense", "--seed", "FIX-C")[0] == 1
 
@@ -494,3 +525,72 @@ class TestWalker:
         assert by_sequence[(1, 2, 1)] == by_sequence[(1, 2, 2)] == deep
         assert by_sequence[(1, 1, 1)] == shallow
         assert by_sequence[(2, 2, 2)] == []
+
+
+#: SHA-256 of stdout and the exit code of one in-process invocation per
+#: case, pinned from a reference run, so that byte-identical output is a
+#: tier-1 check rather than something compared by hand.
+GOLDEN_OUTPUTS = [
+    ("verify hadamard --seed FIX-A --depth 5 --json",
+     "9305f2421c5b53ae8b20bddfc3984091565fd8a848b7391c9d11acc988bff346", 0),
+    ("verify hadamard --seed FIX-B --depth 5 --json",
+     "cbfdb654a8cf3e72b79af72e816db6f74523d833adca52156f97d0f8f5d5c8e4", 0),
+    ("verify hadamard --seed FIX-C --depth 5 --json",
+     "44cf2afe3f75303b5796391cec71c616e282dede90e02e85556fde00260ac901", 0),
+    ("verify double-constant --seed FIX-A --depth 5 --json",
+     "dd13f6641c7d188cfa7af317b63edf0a4194b4b5351853d1759cf0a7f9463076", 0),
+    ("verify double-constant --seed FIX-B --depth 5 --json",
+     "aaf69e1e9083374ff92adb1e1736199189c069faaa51324bebbeba3ff7f36dd5", 0),
+    ("verify double-constant --seed FIX-C --depth 5 --json",
+     "caa54ed26d252b0239fa1eecaba94f4cf29bf46125ca45ea0b58fa03e42936c7", 0),
+    ("verify laurent --seed FIX-A --depth 1",
+     "aac3d6c2b5185ee74a60c9bde4a88bed366820aa070748b5f8afbe859ce7924c", 0),
+    ("verify laurent --seed FIX-B --depth 3",
+     "f943a404a55c9c5810f6371476f4f183a315575b5f6eed0187668efe7f4f6410", 0),
+    ("verify laurent --seed FIX-C --depth 4",
+     "527c4bb08c4ce49803979acaea5ec4a24c1b0b31283c4eaf69f959ef85f05338", 0),
+    ("verify product-formula --seed FIX-A --depth 3",
+     "81adfa6be0067eec310dc5b146c012348b95077f080b99cae7f2e5dc46a74dec", 0),
+    ("verify product-formula --seed FIX-B --depth 3",
+     "c342de27c07692878e723f2f52b40c520afc05a022e3dcc4d5e642458d66a409", 0),
+    ("verify product-formula --seed FIX-C --depth 4",
+     "301e3901b0ac57d3e91463681e6371a56866189a572fe1d95c133d0d13fe0aad", 0),
+    ("verify embedding --seed FIX-A --depth 1",
+     "44fe28e253ca81054842d8a81c4741d8ccab560bcd285706eed4a71451628aaf", 0),
+    ("verify embedding --seed FIX-B --depth 2",
+     "1e16b2458f2ec824b53303ac1570fa9329928fd6f57c4174d6ee0bdbb3e25e06", 0),
+    ("verify embedding --seed FIX-C --depth 4",
+     "6290da76347b21ae73f694b4c713ea97c2b38ac6b277a7dd6dcfb5be875396c1", 0),
+    ("verify subquotient --seed FIX-A",
+     "03c7527356566d1e083811d1a86b82f51faa5e13a30311685f9b26af310342ba", 0),
+    ("verify subquotient --seed FIX-B",
+     "316ad70e9bc867c4227ff794428fdeaaf392ea915e398c255c8457d4934d589e", 0),
+    ("verify subquotient --seed FIX-C",
+     "b06738b16cdb4507dbfc33b7ceb33e364b45423d34fa018e28635125fb358601", 0),
+    ("unfold --seed FIX-A --sequence 1,2,1,2",
+     "fd32421fbbd86d5fbf7bfde6c690ab0944d06f2358e8df8aa774e621b56dbe3b", 0),
+    ("unfold --seed FIX-B --sequence 1,2,1,2",
+     "71393934654757398b35caedc0d6540d59182b4f36b7228dbe6512854e1916ca", 0),
+    ("unfold --seed FIX-C --sequence 1,1,1",
+     "f3c89ca1a319817d9ea7a6e29747a8c006c4e56c366a928410ee2876624303dd", 0),
+    ("trace --seed FIX-B --sequence 1,2,1",
+     "f2ebb90a031126f2e1345a3bde862574115e51c2dc8e58670f6b9cc97baa7936", 0),
+    ("trace --seed FIX-C --sequence 1,1",
+     "75edba1984a36f71b603dc440958d56b1354a01271da7684a6ef575c1e3accbc", 0),
+    ("adjoin --seed FIX-A",
+     "e354dbde6969413df4ce08b7a6458131a9f6e60cb96ad565e5ab74d12e5be9db", 0),
+    ("adjoin --seed FIX-B",
+     "5ff38c0576b6133ddb6c70aa4399c187cdbacd488990a41eab242ed310a9e22f", 0),
+    ("adjoin --seed FIX-C",
+     "607933d64d167d9107dd0f730e452e0908bbea8de70dce95e5878555f251acf6", 0),
+    ("verify hadamard --depth 5 --sequences random:20 --rng-seed 3",
+     "f658e8702dbdb8ffe6413d121a282b4413172ed68c7d8ce37531524e250e398e", 0),
+]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("argv, digest, code", GOLDEN_OUTPUTS)
+    def test_stdout_bytes(self, argv, digest, code):
+        got_code, text = run(*argv.split())
+        assert got_code == code
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -10,6 +10,7 @@ from gencluster.errors import (
     NotSkewSymmetrizable,
     ParseError,
 )
+from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
@@ -23,6 +24,7 @@ from gencluster.matrix_mutation import (
     write_matrix,
 )
 from gencluster.randomgen import random_seed, random_sequence
+from gencluster.root_adjoin import tau_tilde
 from gencluster.unfolding import build, group_mutate
 
 # Independently derived reference values for the bundled rank-2 seed
@@ -163,6 +165,14 @@ class TestInheritedSymmetrizer:
             for k in random_sequence(rng, seed.matrix.n, 4):
                 fm = group_mutate(fm, k)
                 assert_like_rebuilt(fm.matrix)
+
+    def test_root_adjoined_matrices_match_fresh_ones(self):
+        rng = random.Random(135)
+        seeds = [fixture_seed(name) for name in FIXTURE_NAMES]
+        seeds += [random_seed(rng) for _ in range(20)]
+        for seed in seeds:
+            for mode in ("total", "lcm"):
+                assert_like_rebuilt(tau_tilde(seed, mode=mode).seed.matrix)
 
     def test_wrong_symmetrizer_is_replaced(self):
         matrix = ExtendedExchangeMatrix(

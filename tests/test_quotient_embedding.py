@@ -5,6 +5,8 @@ import pytest
 from gencluster.errors import (
     CorrespondenceViolation,
     GroupCoherenceViolation,
+    IndexOutOfRange,
+    StructureViolation,
     ValidationError,
 )
 from gencluster.gca_seed import mutate_seed
@@ -28,7 +30,7 @@ from gencluster.quotient_embedding import (
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import AdjoinedSeed, rho, tau_tilde
-from gencluster.unfolding import FoldedMatrix
+from gencluster.unfolding import FoldedMatrix, group_mutate
 
 FIX_C_PHI_X = "y1*y2"
 FIX_C_PHI_X_MUTATED = (
@@ -81,6 +83,26 @@ class TestFoldedSeed:
         fs = group_mutate_seed(folded_initial_seed(fix_a), 0)
         assert fs.group_provenance == (0,)
         assert fs.seed.matrix == fs.folded.matrix
+
+    def test_group_mutation_matches_unfolding(self, fix_a, fix_b):
+        for seed in (fix_a, fix_b):
+            fs = folded_initial_seed(seed)
+            for k in (0, 1, 1, 0):
+                expected = group_mutate(fs.folded, k)
+                fs = group_mutate_seed(fs, k)
+                assert fs.folded == expected
+                assert fs.seed.matrix == fs.folded.matrix
+
+    def test_group_mutation_checks_members(self, fix_c):
+        fs = folded_initial_seed(fix_c)
+        with pytest.raises(IndexOutOfRange):
+            group_mutate_seed(fs, 1)
+        matrix = ExtendedExchangeMatrix.from_rows(
+            ((0, 1, 1, 0, -1, 0), (-1, 0, 0, 1, 0, -1)), m=4
+        )
+        interacting = FoldedMatrix(matrix=matrix, group_sizes=(2,), m_original=0)
+        with pytest.raises(StructureViolation):
+            group_mutate_seed(FoldedSeed(seed=fs.seed, folded=interacting), 0)
 
     def test_group_monomials(self, fix_a):
         fs = folded_initial_seed(fix_a)

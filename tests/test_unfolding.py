@@ -1,5 +1,7 @@
 """Unfolding: block layout, group mutation, and preserved block structure."""
 
+import random
+
 import pytest
 
 from gencluster.errors import (
@@ -198,10 +200,94 @@ class TestGroupMutation:
         with pytest.raises(StructureViolation):
             group_mutate(fm, 0)
 
-    def test_sign_incoherent_block_rejected(self, fix_a):
+    def test_sign_incoherent_block_reported(self, fix_a):
+        # Group mutation does not need sign-coherent blocks (members that
+        # do not interact commute); the block checks report the corruption
+        # before and after it.
         fm = edited(build(fix_a), {(0, 4): -4, (4, 0): 4})
-        with pytest.raises(StructureViolation):
-            group_mutate(fm, 0)
+        reference = fix_a.matrix
+        for _ in range(2):
+            hadamard = hadamard_check(fm, reference, fix_a.divisors)
+            conditions = unfolding_conditions_check(fm, reference, fix_a.divisors)
+            assert ("cluster", 0, 1) in [f[:3] for f in hadamard.failures]
+            assert (0, 1) in [f[1:3] for f in conditions.failures]
+            fm = group_mutate(fm, 0)
+            reference = mutate_sequence(reference, (0,))
+
+
+def block_sign(block):
+    """Common sign of a block's entries, which must not be mixed."""
+    signs = {(e > 0) - (e < 0) for row in block for e in row} - {0}
+    assert len(signs) <= 1, f"sign-incoherent block {block}"
+    return signs.pop() if signs else 0
+
+
+def block_formula(fm, k):
+    """Closed formula for mutating every member of group ``k``.
+
+    Blocks in row or column group ``k`` are negated; every other block
+    ``(Y, Z)`` gains ``(sgn(B[Y,k]) + sgn(B[k,Z])) / 2 * B[Y,k] @ B[k,Z]``,
+    which needs both factors to be sign-coherent.
+    """
+    rows = [list(row) for row in fm.rows]
+    k_cols = fm.group_range(k)
+    for i in range(fm.n_groups):
+        rows_i = fm.group_range(i)
+        left = fm.block(rows_i, k_cols)
+        for kind, idx, cols in fm.column_groups():
+            block = fm.block(rows_i, cols)
+            if i == k or (kind == "cluster" and idx == k):
+                new = [[-e for e in row] for row in block]
+            else:
+                right = fm.block(k_cols, cols)
+                scale = (block_sign(left) + block_sign(right)) // 2
+                new = [
+                    [
+                        e + scale * sum(x * y for x, y in zip(left_row, col))
+                        for e, col in zip(row, zip(*right))
+                    ]
+                    for row, left_row in zip(block, left)
+                ]
+            for r, row in zip(rows_i, new):
+                for c, e in zip(cols, row):
+                    rows[r][c] = e
+    matrix = ExtendedExchangeMatrix(
+        fm.matrix.n, fm.matrix.m, tuple(tuple(row) for row in rows)
+    )
+    return FoldedMatrix(
+        matrix=matrix, group_sizes=fm.group_sizes, m_original=fm.m_original
+    )
+
+
+class TestBlockFormula:
+    """Member-by-member group mutation against the closed block formula."""
+
+    def test_fixtures_exhaustive(self, fix_a, fix_b, fix_c):
+        for seed in (fix_a, fix_b, fix_c):
+            states = [build(seed)]
+            for _ in range(4):
+                following = []
+                for fm in states:
+                    for k in range(fm.n_groups):
+                        mutated = group_mutate(fm, k)
+                        assert mutated == block_formula(fm, k)
+                        following.append(mutated)
+                states = following
+
+    def test_random_seeds(self):
+        rng = random.Random(2012)
+        for _ in range(80):
+            seed = random_seed(rng)
+            fm = build(seed)
+            for k in random_sequence(rng, seed.matrix.n, 4):
+                mutated = group_mutate(fm, k)
+                assert mutated == block_formula(fm, k)
+                fm = mutated
+
+    def test_oracle_needs_sign_coherent_blocks(self, fix_a):
+        fm = edited(build(fix_a), {(0, 4): -4, (4, 0): 4})
+        with pytest.raises(AssertionError, match="sign-incoherent"):
+            block_formula(fm, 0)
 
 
 class TestBlockConditions:
