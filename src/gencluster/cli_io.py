@@ -23,10 +23,9 @@ Exit codes: ``0`` all checks passed, ``1`` unusable input (bad flags,
 malformed files, out-of-range indices), ``2`` a mathematical check
 failed.  All output is deterministic for a fixed ``--rng-seed``;
 records never include wall-clock fields, so identical invocations are
-byte-identical.  ``verify laurent``, ``hadamard`` and
-``double-constant`` mutate and check each distinct prefix of their
-sequences once, sharing it between the sequences that start with it;
-records are printed in sequence order.
+byte-identical.  Every ``verify`` target mutates and checks each
+distinct prefix of its sequences once, sharing it between the sequences
+that start with it; records are printed in sequence order.
 """
 
 import argparse
@@ -60,8 +59,8 @@ from .matrix_mutation import (
     write_matrix,
 )
 from .quotient_embedding import (
-    embedding_check,
-    product_formula_suite,
+    embedding_walk,
+    product_formula_walk,
     subquotient_check,
 )
 from .randomgen import random_sequence
@@ -122,13 +121,16 @@ def _seed_text(seed):
         for row in seed.strings.rows
         for entry in row
     ):
-        for row in seed.strings.rows:
-            groups = []
-            for entry in row:
-                exps = [entry.exponents[pos] for pos in table.frozen_indices]
-                groups.append(" ".join(str(e) for e in exps))
-            lines.append(("string " + " ; ".join(groups)).rstrip())
+        lines.extend(_string_lines(seed))
     return "\n".join(lines) + "\n"
+
+
+def _string_lines(seed):
+    """The ``string e ; e ; ...`` line of each coefficient row: frozen exponents."""
+    frozen = seed.table.frozen_indices
+    for row in seed.strings.rows:
+        groups = [" ".join(str(e.exponents[pos]) for pos in frozen) for e in row]
+        yield ("string " + " ; ".join(groups)).rstrip()
 
 
 def write_seed(seed, path):
@@ -328,15 +330,9 @@ class TraceLog:
 
 def _state_text(seed):
     """Canonical matrix-and-strings text of a (possibly mutated) seed."""
-    parts = [write_matrix(seed.matrix)]
-    table = seed.table
-    for row in seed.strings.rows:
-        groups = []
-        for entry in row:
-            exps = [entry.exponents[pos] for pos in table.frozen_indices]
-            groups.append(" ".join(str(e) for e in exps))
-        parts.append(("string " + " ; ".join(groups)).rstrip() + "\n")
-    return "".join(parts)
+    return write_matrix(seed.matrix) + "".join(
+        line + "\n" for line in _string_lines(seed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +454,23 @@ _DEFAULT_DEPTH = {
 
 
 def _walk(target, seed):
-    """Root state, step and per-prefix check of a walked target.
+    """Root state, step and per-prefix check of a ``verify`` target.
 
     A ``laurent`` state is the seed, which has no check of its own; a
     ``double-constant`` state is the unfolding; a ``hadamard`` state
     pairs the unfolding with the weighted reference it is checked
-    against.  A check returns the failures of one prefix.
+    against.  ``product-formula`` and ``embedding`` walk as their
+    suites do, and ``subquotient`` is a depth-zero check of the seed.
+    A check returns the failures of one prefix.
     """
     if target == "laurent":
         return seed, mutate_seed, lambda state, depth: ()
+    if target == "product-formula":
+        return product_formula_walk(seed)
+    if target == "embedding":
+        return embedding_walk(seed)
+    if target == "subquotient":
+        return seed, None, lambda state, depth: subquotient_check(state).failures
     if target == "double-constant":
         def check(fm, depth):
             double_constant_check(fm)
@@ -537,27 +541,6 @@ def _walk_verdicts(target, seed, sequences):
     return verdicts
 
 
-def _suite_verdict(target, seed, sequence):
-    """(ok, failures) of one sequence of a target checked per case."""
-    try:
-        if target == "product-formula":
-            report = product_formula_suite(seed, sequence)
-        elif target == "embedding":
-            report = embedding_check(seed, sequence)
-        else:
-            report = subquotient_check(seed)
-    except GenClusterError as exc:
-        return False, (_error_text(exc),)
-    return report.ok, report.failures
-
-
-def _verdicts(target, seed, sequences):
-    """(ok, failures) of every sequence of one seed, in sequence order."""
-    if target in ("laurent", "hadamard", "double-constant"):
-        return _walk_verdicts(target, seed, sequences)
-    return [_suite_verdict(target, seed, sequence) for sequence in sequences]
-
-
 def _sequence_space(target, seed, args):
     """The list of sequences a verify run walks for one seed."""
     if target == "subquotient":
@@ -567,11 +550,13 @@ def _sequence_space(target, seed, args):
     if depth < 0:
         raise _UsageError(f"--depth must be non-negative, got {depth}")
     spec = args.sequences
+    if depth and not rank:
+        raise _UsageError(f"a rank-0 seed has no mutation sequences of depth {depth}")
     if spec == "exhaustive":
         sequences = [()]
         for _ in range(depth):
             sequences = [s + (k,) for s in sequences for k in range(rank)]
-        return sequences or [()]
+        return sequences
     if spec.startswith("random:"):
         try:
             count = int(spec.split(":", 1)[1])
@@ -579,8 +564,6 @@ def _sequence_space(target, seed, args):
             raise _UsageError(f"bad --sequences value {spec!r}") from exc
         if count < 1:
             raise _UsageError(f"--sequences random:N needs N >= 1, got {spec!r}")
-        if depth and not rank:
-            raise _UsageError(f"a rank-0 seed has no random sequences of depth {depth}")
         rng = random.Random(args.rng_seed)
         return [random_sequence(rng, rank, depth) for _ in range(count)]
     raise _UsageError(f"--sequences must be 'exhaustive' or 'random:N', got {spec!r}")
@@ -608,7 +591,7 @@ def _cmd_verify(args, out):
     for seed, label in seeds:
         sequences = _sequence_space(args.target, seed, args)
         for sequence, (ok, failures) in zip(
-            sequences, _verdicts(args.target, seed, sequences)
+            sequences, _walk_verdicts(args.target, seed, sequences)
         ):
             records.append({
                 "target": args.target,

@@ -252,7 +252,12 @@ def _cluster_power(seed, exponents):
 
 def exchange_polynomial(seed, k):
     """The exchange polynomial ``theta_k`` evaluated at the current cluster."""
-    ctx = ExchangeContext.build(seed, k)
+    return _exchange_polynomial(ExchangeContext.build(seed, k))
+
+
+def _exchange_polynomial(ctx):
+    """:func:`exchange_polynomial` of an already built context."""
+    seed = ctx.seed
     gt_base = _cluster_power(seed, ctx.u_gt.exponents)
     lt_base = _cluster_power(seed, ctx.u_lt.exponents)
     gt_powers = [LaurentPolynomial.one(seed.table)]

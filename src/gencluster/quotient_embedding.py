@@ -368,19 +368,18 @@ class QuotientContext:
         seed = adjoined.seed
         placeholder_names = []
         rows_placeholders = []
+        rho_values = {}
         for k in range(seed.rank):
             row = tuple(
                 f"rho{k + 1}_{r}" for r in range(1, seed.divisors[k])
             )
             placeholder_names.extend(row)
             rows_placeholders.append(row)
+            for r, name in enumerate(row, start=1):
+                rho_values[name] = seed.strings.entry(k, r)
         table_p = seed.table.extended(
             tuple(placeholder_names), (ROLE_FROZEN,) * len(placeholder_names)
         )
-        rho_values = {}
-        for k in range(seed.rank):
-            for idx, r in enumerate(range(1, seed.divisors[k])):
-                rho_values[rows_placeholders[k][idx]] = seed.strings.entry(k, r)
         new_rows = tuple(
             row + (0,) * len(placeholder_names) for row in seed.matrix.rows
         )
@@ -477,20 +476,17 @@ class QuotientContext:
         """
         if p.table == self.folded_plus:
             base_width = len(self.fs.table)
-            placeholder_pos = {
-                self.folded_plus.index(name): name
-                for name in self.placeholder_names
-            }
-            sigma_of = {}
-            for k in range(self.tracked.rank):
-                for r in range(1, self.tracked.divisors[k]):
-                    sigma_of[f"rho{k + 1}_{r}"] = (k, r)
+            slots = [
+                (self.folded_plus.index(f"rho{k + 1}_{r}"), k, r)
+                for k in range(self.tracked.rank)
+                for r in range(1, self.tracked.divisors[k])
+            ]
             expanded = LaurentPolynomial.zero(self.fs.table)
             for exps, coeff in p.terms.items():
                 body = LaurentPolynomial(
                     self.fs.table, {tuple(exps[:base_width]): coeff}
                 )
-                for pos, name in placeholder_pos.items():
+                for pos, k, r in slots:
                     e = exps[pos]
                     if not e:
                         continue
@@ -499,7 +495,6 @@ class QuotientContext:
                             "negative placeholder power: identity outside "
                             "the verified fragment"
                         )
-                    k, r = sigma_of[name]
                     body = poly_mul(body, poly_pow(self.sigma(k, r), e))
                 expanded = poly_add(expanded, body)
             p = expanded
@@ -567,8 +562,8 @@ def product_formula_check(fs, k, rho):
 
         prod_c theta_{k,c}  =  sum_r sigma(rho_{k,r}) * (U> V>)^r * (U< V<)^(d_k - r)
 
-    ``rho`` is the generalized coefficient table of the corresponding
-    adjoined seed at the same depth; its row lengths fix ``d_k``.  Each
+    ``rho`` is a generalized coefficient table of the adjoined seed at
+    any depth: only its row lengths are read, and they fix ``d_k``.  Each
     coefficient contributes through its defining relation: entry ``r``
     of row ``k`` is the initial coefficient at slot ``r`` or ``d_k - r``
     (mutation reverses the row once per mutation of the group, so the
@@ -614,43 +609,72 @@ def product_formula_check(fs, k, rho):
     return QuotientReport(ok=True, failures=())
 
 
+def product_formula_walk(gca, mode="total"):
+    """Root, step and per-prefix check of the product formula.
+
+    The state is a folded seed over formal current-cluster symbols:
+    group mutation mutates its matrix, and its cluster entries are never
+    expanded, which the product formula never needs.  ``tau_tilde`` runs
+    once; the check reads only the row lengths of its coefficient table,
+    which mutation does not change.  ``check(fs, depth)`` returns
+    ``(depth, k, residual)`` for every failing group.
+    """
+    rho = GeneralizedCoefficientTable(tau_tilde(gca, mode=mode).seed.strings.rows)
+
+    def step(fs, k):
+        fm = group_mutate(fs.folded, k)
+        return FoldedSeed(
+            seed=replace(fs.seed, matrix=fm.matrix),
+            folded=fm,
+            group_provenance=fs.group_provenance + (k,),
+        )
+
+    def check(fs, depth):
+        return tuple(
+            (depth,) + failure
+            for k in range(gca.rank)
+            for failure in product_formula_check(fs, k, rho).failures
+        )
+
+    return folded_initial_seed(gca), step, check
+
+
+def _walk_one(walk, sequence):
+    """Report of one sequence: the check of every prefix, in depth order."""
+    state, step, check = walk
+    failures = list(check(state, 0))
+    for depth, k in enumerate(sequence, start=1):
+        state = step(state, k)
+        failures.extend(check(state, depth))
+    return QuotientReport(ok=not failures, failures=tuple(failures))
+
+
 def product_formula_suite(gca, sequence=(), mode="total"):
     """Run the product formula for every group at every prefix.
 
-    Walks ``sequence`` with formal current-cluster symbols (matrices and
-    coefficient rows mutate; cluster entries are not expanded, which the
-    product formula never needs), checking every group at every prefix
-    including the empty one.  Failures are ``(prefix_length, k,
-    residual)`` triples.
+    One pass of :func:`product_formula_walk` along ``sequence``,
+    checking every group at every prefix including the empty one.
+    Failures are ``(prefix_length, k, residual)`` triples.
     """
-    adjoined = tau_tilde(gca, mode=mode)
-    rho_rows = [tuple(row) for row in adjoined.seed.strings.rows]
-    initial = folded_initial_seed(gca)
-    fm = initial.folded
-    failures = []
-    prefix = 0
-    while True:
-        fs = FoldedSeed(
-            seed=replace(initial.seed, matrix=fm.matrix),
-            folded=fm,
-            group_provenance=tuple(sequence[:prefix]),
-        )
-        rho = GeneralizedCoefficientTable(tuple(rho_rows))
-        for k in range(gca.rank):
-            report = product_formula_check(fs, k, rho)
-            for k_failed, residual in report.failures:
-                failures.append((prefix, k_failed, residual))
-        if prefix == len(sequence):
-            break
-        k = sequence[prefix]
-        fm = group_mutate(fm, k)
-        rho_rows[k] = tuple(reversed(rho_rows[k]))
-        prefix += 1
-    return QuotientReport(ok=not failures, failures=tuple(failures))
+    return _walk_one(product_formula_walk(gca, mode=mode), sequence)
 
 
 # ---------------------------------------------------------------------------
 # Verification: the embedding conditions
+
+
+def embedding_walk(gca, mode="total"):
+    """Root, step and per-prefix check of the embedding conditions.
+
+    The state is the :class:`QuotientContext`, stepped by its
+    :meth:`~QuotientContext.mutate`; ``check(ctx, depth)`` returns the
+    failures of :func:`embedding_check` at that prefix.
+    """
+
+    def check(ctx, depth):
+        return tuple((depth,) + f for f in _embedding_conditions_at(ctx))
+
+    return QuotientContext.create(gca, mode=mode), lambda ctx, k: ctx.mutate(k), check
 
 
 def embedding_check(gca, sequence=(), mode="total"):
@@ -670,19 +694,10 @@ def embedding_check(gca, sequence=(), mode="total"):
     Conditions (i), (ii) and (iv) compare exchange data — monomials in
     the table symbols — while (iii) compares the evaluated cluster
     entries, which carries the full content of the embedding through
-    the homomorphism property.  Failures are reported as
-    ``(prefix_length, condition, k, r)``.
+    the homomorphism property.  One pass of :func:`embedding_walk`;
+    failures are reported as ``(prefix_length, condition, k, r)``.
     """
-    ctx = QuotientContext.create(gca, mode=mode)
-    failures = []
-    prefix = 0
-    while True:
-        failures.extend((prefix,) + f for f in _embedding_conditions_at(ctx))
-        if prefix == len(sequence):
-            break
-        ctx = ctx.mutate(sequence[prefix])
-        prefix += 1
-    return QuotientReport(ok=not failures, failures=tuple(failures))
+    return _walk_one(embedding_walk(gca, mode=mode), sequence)
 
 
 def _embedding_conditions_at(ctx):
@@ -692,24 +707,18 @@ def _embedding_conditions_at(ctx):
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext.build(tracked, k)
         gm = group_monomials(fs, k)
-        # (i) cluster monomials, compared as monomials in the symbols.
+        # (i) cluster monomials and (ii) stable monomials, compared as
+        # monomials in the symbols.
         for label, mono, folded_mono in (
-            ("u>", gca_ctx.u_gt, gm.u_gt),
-            ("u<", gca_ctx.u_lt, gm.u_lt),
+            ("(i) u>", gca_ctx.u_gt, gm.u_gt),
+            ("(i) u<", gca_ctx.u_lt, gm.u_lt),
+            ("(ii) v>[1]", gca_ctx.v_gt[1], gm.v_gt),
+            ("(ii) v<[1]", gca_ctx.v_lt[1], gm.v_lt),
         ):
             lhs = ctx.phi_poly(mono.as_polynomial())
             rhs = ctx.normal_form(folded_mono.as_polynomial())
             if lhs != rhs:
-                failures.append((f"(i) {label}", k, None))
-        # (ii) stable monomials.
-        for label, mono, folded_mono in (
-            ("v>[1]", gca_ctx.v_gt[1], gm.v_gt),
-            ("v<[1]", gca_ctx.v_lt[1], gm.v_lt),
-        ):
-            lhs = ctx.phi_poly(mono.as_polynomial())
-            rhs = ctx.normal_form(folded_mono.as_polynomial())
-            if lhs != rhs:
-                failures.append((f"(ii) {label}", k, None))
+                failures.append((label, k, None))
         # (iii) cluster variables, compared as evaluated elements.
         lhs = ctx.phi_poly(tracked.cluster[k])
         rhs = phi(ctx.adjoined, k, fs)

@@ -29,7 +29,7 @@ from .gca_seed import (
     ExchangeContext,
     GeneralizedSeed,
     _cluster_power,
-    exchange_polynomial,
+    _exchange_polynomial,
     mutate_seed_sequence,
 )
 from .laurent_kernel import (
@@ -336,7 +336,6 @@ def homogeneity_check(seed, k):
     """
     if isinstance(seed, AdjoinedSeed):
         seed = seed.seed
-    seed.check_direction(k)
     ctx = ExchangeContext.build(seed, k)
     d = ctx.degree
     bhat = seed.scaled_matrix()
@@ -363,7 +362,7 @@ def homogeneity_check(seed, k):
     for r in range(d + 1):
         term = poly_mul(poly_pow(gt_base, r), poly_pow(lt_base, d - r))
         rebuilt = poly_add(rebuilt, poly_mul_monomial(term, coefficients[r]))
-    if rebuilt != exchange_polynomial(seed, k):
+    if rebuilt != _exchange_polynomial(ctx):
         raise HomogeneityFailure(
             f"homogeneous reconstruction of direction {k} disagrees with the "
             "exchange polynomial",
@@ -372,7 +371,7 @@ def homogeneity_check(seed, k):
     return HomogeneityReport(
         k=k,
         degree=d,
-        tau=tau_variable(seed, k),
+        tau=_tau_variable(ctx, floor_free=True),
         coefficients=coefficients,
     )
 
@@ -387,12 +386,11 @@ def tau_variable(seed, k):
     """
     if isinstance(seed, AdjoinedSeed):
         seed = seed.seed
-    seed.check_direction(k)
-    ctx = ExchangeContext.build(seed, k)
-    if is_floor_free(seed, k):
-        top = ctx.u_gt.times(ctx.v_gt[1])
-        bottom = ctx.u_lt.times(ctx.v_lt[1])
-    else:
-        top = ctx.u_gt
-        bottom = ctx.u_lt
-    return top.over(bottom)
+    return _tau_variable(ExchangeContext.build(seed, k), is_floor_free(seed, k))
+
+
+def _tau_variable(ctx, floor_free):
+    """:func:`tau_variable` of an already built context."""
+    if floor_free:
+        return ctx.u_gt.times(ctx.v_gt[1]).over(ctx.u_lt.times(ctx.v_lt[1]))
+    return ctx.u_gt.over(ctx.u_lt)

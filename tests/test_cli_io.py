@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+from dataclasses import replace
 from importlib import resources
 from itertools import product
 
@@ -25,13 +26,26 @@ from gencluster.errors import (
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import initial_seed, mutate_seed
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, mutate_sequence
-from gencluster.quotient_embedding import QuotientReport
+from gencluster import quotient_embedding
+from gencluster.quotient_embedding import (
+    FoldedSeed,
+    QuotientContext,
+    QuotientReport,
+    _embedding_conditions_at,
+    embedding_check,
+    folded_initial_seed,
+    product_formula_check,
+    product_formula_suite,
+    subquotient_check,
+)
 from gencluster.randomgen import random_seed, random_sequence
+from gencluster.root_adjoin import GeneralizedCoefficientTable, tau_tilde
 from gencluster.unfolding import (
     HadamardReport,
     build,
     double_constant_check,
     group_mutate,
+    group_mutate_sequence,
     hadamard_check,
 )
 
@@ -238,10 +252,8 @@ class TestVerify:
 
     def test_failing_report_exits_two(self, monkeypatch):
         monkeypatch.setattr(
-            "gencluster.cli_io.product_formula_suite",
-            lambda seed, sequence=(), mode="total": QuotientReport(
-                ok=False, failures=((0, 0, "residual"),)
-            ),
+            "gencluster.quotient_embedding.product_formula_check",
+            lambda fs, k, rho: QuotientReport(ok=False, failures=((k, "residual"),)),
         )
         code, text = run(
             "verify", "product-formula", "--seed", "FIX-C", "--depth", "1"
@@ -251,10 +263,12 @@ class TestVerify:
         assert "residual" in text
 
     def test_structural_error_exits_two(self, monkeypatch):
-        def boom(seed, sequence=(), mode="total"):
+        def boom(fs, k, rho):
             raise StructureViolation("synthetic break")
 
-        monkeypatch.setattr("gencluster.cli_io.product_formula_suite", boom)
+        monkeypatch.setattr(
+            "gencluster.quotient_embedding.product_formula_check", boom
+        )
         code, text = run(
             "verify", "product-formula", "--seed", "FIX-C", "--depth", "1"
         )
@@ -298,7 +312,9 @@ class TestUsageErrors:
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr("gencluster.cli_io.product_formula_suite", broken)
+        monkeypatch.setattr(
+            "gencluster.quotient_embedding.product_formula_check", broken
+        )
         with pytest.raises(KeyError):
             run("verify", "product-formula", "--seed", "FIX-C", "--depth", "1")
         monkeypatch.setattr("gencluster.cli_io.group_mutate", broken)
@@ -350,6 +366,20 @@ class TestUsageErrors:
         )
         assert "rank-0" in err
 
+    def test_exhaustive_sequences_of_a_rank_zero_seed(self, capsys, tmp_path):
+        path = tmp_path / "rank0.seed"
+        write_seed(initial_seed(ExtendedExchangeMatrix(0, 1, ()), ()), path)
+        for target, depth in (("hadamard", "3"), ("product-formula", "2")):
+            err = self.assert_usage_error(
+                capsys, "verify", target, "--seed-file", str(path), "--depth", depth
+            )
+            assert "rank-0" in err
+        # Depth 0 still has its one empty sequence.
+        code, text = run(
+            "verify", "hadamard", "--seed-file", str(path), "--depth", "0"
+        )
+        assert (code, text) == (0, f"ok target=hadamard seed={path} sequence=-\n")
+
     def test_unknown_target(self):
         assert run("verify", "nonsense", "--seed", "FIX-C")[0] == 1
 
@@ -357,10 +387,54 @@ class TestUsageErrors:
         assert run("frobnicate")[0] == 1
 
 
+def product_formula_prefix(seed, prefix):
+    """Folded seed and coefficient table after ``prefix``, built afresh."""
+    initial = folded_initial_seed(seed)
+    fm = group_mutate_sequence(initial.folded, prefix)
+    fs = FoldedSeed(
+        seed=replace(initial.seed, matrix=fm.matrix),
+        folded=fm,
+        group_provenance=prefix,
+    )
+    rows = tau_tilde(seed).seed.strings.rows
+    rho = GeneralizedCoefficientTable(tuple(
+        tuple(reversed(row)) if prefix.count(k) % 2 else row
+        for k, row in enumerate(rows)
+    ))
+    return fs, rho
+
+
+def quotient_failures(target, seed, sequence, pf_check, conditions):
+    """Failures of one quotient-target case, every prefix rebuilt."""
+    failures = []
+    if target == "product-formula":
+        for depth in range(len(sequence) + 1):
+            fs, rho = product_formula_prefix(seed, tuple(sequence[:depth]))
+            for k in range(seed.matrix.n):
+                report = pf_check(fs, k, rho)
+                failures += [repr((depth,) + f) for f in report.failures]
+    elif target == "subquotient":
+        failures = [repr(f) for f in subquotient_check(seed).failures]
+    else:
+        ctx = QuotientContext.create(seed)
+        for depth in range(len(sequence) + 1):
+            if depth:
+                ctx = ctx.mutate(sequence[depth - 1])
+            failures += [repr((depth,) + f) for f in conditions(ctx)]
+    return failures
+
+
 def oracle_verdict(target, seed, sequence, step=group_mutate,
-                   hadamard=hadamard_check, double_constant=double_constant_check):
+                   hadamard=hadamard_check, double_constant=double_constant_check,
+                   pf_check=product_formula_check,
+                   conditions=_embedding_conditions_at):
     """One case walked from the seed on its own, sharing nothing."""
     try:
+        if target in ("product-formula", "embedding", "subquotient"):
+            failures = quotient_failures(
+                target, seed, sequence, pf_check, conditions
+            )
+            return not failures, failures
         if target == "laurent":
             state = seed
             for k in sequence:
@@ -466,6 +540,131 @@ class TestWalker:
                 target, "--seed", name, "--depth", str(depth),
                 "--sequences", f"random:{count}", "--rng-seed", "11",
             ) == oracle_records(target, seed, name, sequences)
+
+    def test_quotient_fixtures_exhaustive(self):
+        for target, depths in (
+            ("product-formula", {"FIX-A": 4, "FIX-B": 4, "FIX-C": 4}),
+            ("embedding", {"FIX-A": 1, "FIX-B": 2, "FIX-C": 4}),
+            ("subquotient", {"FIX-A": 0, "FIX-B": 0, "FIX-C": 0}),
+        ):
+            for name, max_depth in depths.items():
+                seed = fixture_seed(name)
+                for depth in range(max_depth + 1):
+                    assert walked_records(
+                        target, "--seed", name, "--depth", str(depth)
+                    ) == oracle_records(
+                        target, seed, name, exhaustive(seed.matrix.n, depth)
+                    )
+
+    def test_quotient_random_seeds(self, tmp_path):
+        rng = random.Random(2504)
+        for i in range(12):
+            seed = random_seed(rng)
+            path = str(tmp_path / f"r{i}.seed")
+            write_seed(seed, path)
+            for target, depth in (("product-formula", 2), ("subquotient", 0)):
+                assert walked_records(
+                    target, "--seed-file", path, "--depth", str(depth)
+                ) == oracle_records(
+                    target, seed, path, exhaustive(seed.matrix.n, depth)
+                )
+
+    def test_quotient_random_sequences_with_repeats(self):
+        for target, name, depth, count in (
+            ("product-formula", "FIX-A", 3, 30),
+            ("product-formula", "FIX-C", 5, 4),
+            ("embedding", "FIX-B", 2, 12),
+        ):
+            seed = fixture_seed(name)
+            rng = random.Random(11)
+            sequences = [
+                random_sequence(rng, seed.matrix.n, depth) for _ in range(count)
+            ]
+            assert any(a == b for a, b in zip(sequences, sequences[1:]))
+            assert walked_records(
+                target, "--seed", name, "--depth", str(depth),
+                "--sequences", f"random:{count}", "--rng-seed", "11",
+            ) == oracle_records(target, seed, name, sequences)
+
+    def test_quotient_failures_concatenate_in_depth_order(self, monkeypatch):
+        # Synthetic checks that fail on some states and name the state,
+        # so a walk that reaches the wrong state changes the records.
+        def pf_check(fs, k, rho):
+            row = fs.folded.matrix.rows[fs.folded.group_range(k)[0]]
+            parity = fs.group_provenance.count(k) % 2
+            bad = sum(row) > 100
+            failures = ((k, f"{row} parity {parity}"),) if bad else ()
+            return QuotientReport(ok=not bad, failures=failures)
+
+        def conditions(ctx):
+            rows = ctx.tracked.matrix.rows
+            bad = sum(rows[0]) > 10
+            return [("synthetic", rows, ctx.fs.folded.matrix.rows)] if bad else []
+
+        monkeypatch.setattr(quotient_embedding, "product_formula_check", pf_check)
+        monkeypatch.setattr(quotient_embedding, "_embedding_conditions_at", conditions)
+        for target, name, depth in (
+            ("product-formula", "FIX-A", 4), ("embedding", "FIX-B", 3)
+        ):
+            seed = fixture_seed(name)
+            expected = oracle_records(
+                target, seed, name, exhaustive(seed.matrix.n, depth),
+                pf_check=pf_check, conditions=conditions,
+            )
+            assert {r["ok"] for r in expected} == {True, False}
+            assert walked_records(
+                target, "--seed", name, "--depth", str(depth)
+            ) == expected
+
+    @pytest.mark.parametrize("target", ["product-formula", "embedding"])
+    def test_quotient_mutation_error_outranks_shallower_check_error(
+        self, monkeypatch, target
+    ):
+        # After group 1 the check raises, and so does the next mutation.
+        fix_b = fixture_seed("FIX-B")
+        if target == "product-formula":
+            after_1 = group_mutate(build(fix_b), 0)
+
+            def step(fm, k):
+                if fm == after_1:
+                    raise StructureViolation("deep mutation")
+                return group_mutate(fm, k)
+
+            def check(fs, k, rho):
+                if fs.group_provenance == (0,):
+                    raise StructureViolation("shallow check")
+                return product_formula_check(fs, k, rho)
+
+            monkeypatch.setattr(quotient_embedding, "group_mutate", step)
+            monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
+            suite = product_formula_suite
+        else:
+            mutate = QuotientContext.mutate
+
+            def step(ctx, k):
+                if ctx.fs.group_provenance == (0,):
+                    raise StructureViolation("deep mutation")
+                return mutate(ctx, k)
+
+            def check(ctx):
+                if ctx.fs.group_provenance == (0,):
+                    raise StructureViolation("shallow check")
+                return _embedding_conditions_at(ctx)
+
+            monkeypatch.setattr(QuotientContext, "mutate", step)
+            monkeypatch.setattr(quotient_embedding, "_embedding_conditions_at", check)
+            suite = embedding_check
+        deep = [repr("StructureViolation: deep mutation")]
+        shallow = [repr("StructureViolation: shallow check")]
+        records = walked_records(target, "--seed", "FIX-B", "--depth", "2")
+        assert {tuple(r["sequence"]): r["failures"] for r in records} == {
+            (1, 1): deep, (1, 2): deep, (2, 1): [], (2, 2): [],
+        }
+        records = walked_records(target, "--seed", "FIX-B", "--depth", "1")
+        assert [r["failures"] for r in records] == [shallow, []]
+        # A suite walks one case and raises the first error it meets.
+        with pytest.raises(StructureViolation, match="shallow check"):
+            suite(fix_b, (0, 1))
 
     def test_failures_concatenate_in_depth_order(self, monkeypatch):
         # A state-dependent value that the involution brings back on
@@ -585,6 +784,14 @@ GOLDEN_OUTPUTS = [
      "607933d64d167d9107dd0f730e452e0908bbea8de70dce95e5878555f251acf6", 0),
     ("verify hadamard --depth 5 --sequences random:20 --rng-seed 3",
      "f658e8702dbdb8ffe6413d121a282b4413172ed68c7d8ce37531524e250e398e", 0),
+    ("verify product-formula --depth 4 --sequences random:16 --rng-seed 5",
+     "ffc580b0a7d857525b5cfdf05a2c76888655992b96494bd3dc5700e6ca7f6dd1", 0),
+    ("verify embedding --seed FIX-B --depth 3",
+     "b4988ec0ff0b954b417294b4d4be9ad547b9e4a7b769ddcc3e3be06951e6243a", 0),
+    ("verify embedding --seed FIX-A --depth 2 --sequences random:6 --rng-seed 1",
+     "c8f9abe2fdf0fe4dbb1c159a2dc8d5fc01512f8f0855da472204dd39116defa6", 0),
+    ("verify product-formula --seed FIX-A --depth 2 --sequences random:8 --rng-seed 2",
+     "b813086aa6c9cb4ec4543dcc67c05eb6b5c40d1e196020e4520a32f4a73d7ebd", 0),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gencluster import gca_seed
 from gencluster.errors import HomogeneityFailure, ValidationError
 from gencluster.gca_seed import exchange_polynomial, initial_seed, mutate_seed
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, mutate_sequence
@@ -104,6 +105,25 @@ class TestFloorStructure:
         assert report.degree == 3
         assert str(report.tau) == FIX_B_TAU_X
         assert str(report.coefficients[1]) == FIX_B_RHO_X[1]
+
+    def test_homogeneity_scales_the_matrix_at_most_twice(
+        self, fix_a, fix_b, fix_c, rng, monkeypatch
+    ):
+        scalings = []
+        modify = gca_seed.modify
+
+        def counted(*args, **kwargs):
+            scalings.append(1)
+            return modify(*args, **kwargs)
+
+        seeds = [tau_tilde(s).seed for s in (fix_a, fix_b, fix_c)]
+        seeds += [tau_tilde(random_seed(rng)).seed for _ in range(10)]
+        cases = [(s, k, tau_variable(s, k)) for s in seeds for k in range(s.rank)]
+        monkeypatch.setattr(gca_seed, "modify", counted)
+        for seed, k, tau in cases:
+            scalings.clear()
+            assert homogeneity_check(seed, k).tau == tau
+            assert len(scalings) <= 2
 
     def test_homogeneity_fails_with_floors(self, fix_b):
         with pytest.raises(HomogeneityFailure):
