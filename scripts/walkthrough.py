@@ -77,10 +77,10 @@ def tour_quotient():
     seed = fixture_seed("FIX-C")
     ctx = QuotientContext.create(seed)
     show("FIX-C folded matrix", write_matrix(ctx.fs.folded.matrix))
-    image = phi(ctx.adjoined, 0, ctx.fs)
+    image = phi(ctx.tracked, 0, ctx.fs)
     show("FIX-C image of x under the embedding", str(image))
     ctx = ctx.mutate(0)
-    image = phi(ctx.adjoined, 0, ctx.fs)
+    image = phi(ctx.tracked, 0, ctx.fs)
     show("FIX-C image of x' after one mutation", str(image))
 
 

@@ -80,8 +80,9 @@ class VariableTable:
     @staticmethod
     def make(cluster=(), frozen=()):
         """Build a plain table of cluster names followed by frozen names."""
-        names = tuple(cluster) + tuple(frozen)
-        roles = (ROLE_CLUSTER,) * len(tuple(cluster)) + (ROLE_FROZEN,) * len(tuple(frozen))
+        cluster, frozen = tuple(cluster), tuple(frozen)
+        names = cluster + frozen
+        roles = (ROLE_CLUSTER,) * len(cluster) + (ROLE_FROZEN,) * len(frozen)
         return VariableTable(names, roles, (None,) * len(names))
 
     def __len__(self):

@@ -201,6 +201,11 @@ class TestTables:
         with pytest.raises(ValidationError):
             VariableTable.make(cluster=("x", "x"))
 
+    def test_make_accepts_iterators(self):
+        table = VariableTable.make(cluster=(n for n in "xy"), frozen=("f",))
+        assert table == SMALL_TABLE
+        assert table.cluster_indices == (0, 1)
+
     def test_monomial_ops(self):
         m = SMALL_TABLE.monomial(x=2, f=-1)
         assert m.times(m).exponents == SMALL_TABLE.monomial(x=4, f=-2).exponents

@@ -1,5 +1,7 @@
 """Quotient embedding: folded seeds, the product formula, and the image map."""
 
+import hashlib
+
 import pytest
 
 from gencluster.errors import (
@@ -10,7 +12,13 @@ from gencluster.errors import (
     ValidationError,
 )
 from gencluster.gca_seed import mutate_seed
-from gencluster.laurent_kernel import LaurentPolynomial, poly_add, poly_mul
+from gencluster.laurent_kernel import (
+    LaurentPolynomial,
+    poly_add,
+    poly_map_variables,
+    poly_mul,
+    poly_pow,
+)
 from gencluster.matrix_mutation import ExtendedExchangeMatrix
 from gencluster.quotient_embedding import (
     FoldedSeed,
@@ -37,6 +45,35 @@ FIX_C_PHI_X_MUTATED = (
     "y1^-1*y2^-1*F^4 + y1^-1*y2^-1*F^2*t1*s1^-1 "
     "+ y1^-1*y2^-1*F^2*t1^-1*s1 + y1^-1*y2^-1"
 )
+
+
+FIX_B_CLUSTER_IMAGES_SHA256 = (
+    "335cb14205b7c7aa27e3250b401709f9f57fb1f7487a9f255235c2a147f0f558"
+)
+
+
+def expand_term_by_term(ctx, p):
+    """Normal form of a placeholder polynomial, expanded one term at a time.
+
+    Each term's placeholder exponents become powers of freshly built
+    balanced sums, the products are added term by term, and the unit
+    relations are applied last.
+    """
+    base_width = len(ctx.fs.table)
+    slots = [
+        (ctx.folded_plus.index(f"rho{k + 1}_{r}"), k, r)
+        for k in range(ctx.tracked.rank)
+        for r in range(1, ctx.tracked.divisors[k])
+    ]
+    expanded = LaurentPolynomial.zero(ctx.fs.table)
+    for exps, coeff in p.terms.items():
+        body = LaurentPolynomial(ctx.fs.table, {exps[:base_width]: coeff})
+        for pos, k, r in slots:
+            if exps[pos]:
+                sigma = sigma_polynomial(ctx.fs, k, r)
+                body = poly_mul(body, poly_pow(sigma, exps[pos]))
+        expanded = poly_add(expanded, body)
+    return eliminate_units(ctx.fs, expanded)
 
 
 def advance(adjoined, fs, k):
@@ -177,6 +214,30 @@ class TestSigmaAndUnits:
                 poly_mul(np_, nq)
             )
 
+    def test_placeholder_expansion_matches_term_by_term(
+        self, fix_a, fix_b, fix_c, rng
+    ):
+        for seed in (fix_a, fix_b, fix_c):
+            ctx = QuotientContext.create(seed)
+            base = ctx.fs.table.names
+            width = len(ctx.placeholder_names)
+            for _ in range(15):
+                parts = [
+                    tuple(rng.randint(0, 3) for _ in range(width))
+                    for _ in range(2)
+                ]
+                terms = {}
+                for _ in range(rng.randint(1, 6)):
+                    body = ctx.fs.table.monomial(
+                        {n: rng.randint(-2, 2) for n in rng.sample(base, 3)}
+                    )
+                    exps = body.exponents + rng.choice(parts)
+                    terms[exps] = terms.get(exps, 0) + rng.choice((-2, -1, 1, 3))
+                p = LaurentPolynomial(
+                    ctx.folded_plus, {e: c for e, c in terms.items() if c}
+                )
+                assert ctx.normal_form(p) == expand_term_by_term(ctx, p)
+
     def test_negative_placeholder_power_rejected(self, fix_c):
         ctx = QuotientContext.create(fix_c)
         bad = ctx.folded_plus.monomial({"rho1_1": -1}).as_polynomial()
@@ -200,15 +261,52 @@ class TestEmbeddingMap:
         with pytest.raises(CorrespondenceViolation):
             phi(adjoined, 0, fs)
 
-    def test_placeholder_track_shadows_concrete(self, fix_b):
-        ctx = QuotientContext.create(fix_b)
-        for k in (0, 1, 0):
-            ctx = ctx.mutate(k)
-        seed = ctx.adjoined.seed
-        for k in range(seed.rank):
-            for r in range(seed.divisors[k] + 1):
-                tracked = ctx._placeholder_value(ctx.tracked.strings.entry(k, r))
-                assert tracked == seed.strings.entry(k, r)
+    def test_tracked_seed_specializes_to_concrete(self, fix_a, fix_b, fix_c, rng):
+        # The concrete root-adjoined seed is mutated here on its own; the
+        # context's placeholder track must specialize to it at every prefix.
+        def check(ctx, concrete):
+            table = concrete.table
+            for k in range(concrete.rank):
+                assert poly_map_variables(
+                    ctx.tracked.cluster[k], ctx.rho_values, table
+                ) == concrete.cluster[k]
+                for r in range(concrete.divisors[k] + 1):
+                    entry = ctx.tracked.strings.entry(k, r).as_polynomial()
+                    assert poly_map_variables(
+                        entry, ctx.rho_values, table
+                    ) == concrete.strings.entry(k, r).as_polynomial()
+
+        def walk(ctx, concrete, depth):
+            check(ctx, concrete)
+            if depth:
+                for k in range(concrete.rank):
+                    walk(ctx.mutate(k), mutate_seed(concrete, k), depth - 1)
+
+        for seed, depth in ((fix_a, 2), (fix_b, 3), (fix_c, 3)):
+            walk(QuotientContext.create(seed), tau_tilde(seed).seed, depth)
+        for _ in range(20):
+            seed = random_seed(rng)
+            ctx, concrete = QuotientContext.create(seed), tau_tilde(seed).seed
+            check(ctx, concrete)
+            for k in random_sequence(rng, seed.matrix.n, 3):
+                ctx, concrete = ctx.mutate(k), mutate_seed(concrete, k)
+                check(ctx, concrete)
+
+    def test_cluster_images_pinned(self, fix_b):
+        # SHA-256 of every cluster image along FIX-B, exhaustively to
+        # depth 3 in depth-first order, pinned from a reference run.
+        lines = []
+
+        def walk(ctx, depth):
+            for k in range(ctx.tracked.rank):
+                lines.append(str(ctx.phi_poly(ctx.tracked.cluster[k])))
+            if depth:
+                for k in range(ctx.tracked.rank):
+                    walk(ctx.mutate(k), depth - 1)
+
+        walk(QuotientContext.create(fix_b), 3)
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == FIX_B_CLUSTER_IMAGES_SHA256
 
 
 class TestProductFormula:
