@@ -43,6 +43,7 @@ from .laurent_kernel import (
     poly_mul,
     poly_mul_monomial,
     poly_pow,
+    poly_sum,
 )
 from .matrix_mutation import (
     DivisorVector,
@@ -134,9 +135,6 @@ class GeneralizedSeed:
     def scaled_matrix(self):
         """The divisor-scaled companion matrix ``bhat``."""
         return modify(self.matrix, self.divisors)
-
-    def cluster_variable(self, k):
-        return self.cluster[k]
 
     def check_direction(self, k):
         if not isinstance(k, int) or not 0 <= k < self.rank:
@@ -265,12 +263,12 @@ def _exchange_polynomial(ctx):
     for _ in range(ctx.degree):
         gt_powers.append(poly_mul(gt_powers[-1], gt_base))
         lt_powers.append(poly_mul(lt_powers[-1], lt_base))
-    theta = LaurentPolynomial.zero(seed.table)
-    for r in range(ctx.degree + 1):
-        term = poly_mul(gt_powers[r], lt_powers[ctx.degree - r])
-        term = poly_mul_monomial(term, ctx.coefficient(r))
-        theta = poly_add(theta, term)
-    return theta
+    return poly_sum(seed.table, (
+        poly_mul_monomial(
+            poly_mul(gt_powers[r], lt_powers[ctx.degree - r]), ctx.coefficient(r)
+        )
+        for r in range(ctx.degree + 1)
+    ))
 
 
 def mutate_seed(seed, k):

@@ -8,24 +8,47 @@ canonical forms produced by this module.
 Design notes
 ------------
 * Coefficients are Python integers, so all arithmetic is exact and
-  unbounded.  Exponents are integers of either sign (Laurent).
+  unbounded.  Exponents are integers of either sign (Laurent) whose
+  magnitude stays below :data:`EXPONENT_LIMIT` (``2**46``).
 * A :class:`VariableTable` fixes the ambient ring: an ordered list of
   named variables, each with a role (``cluster``, ``frozen``, ``t-aux``
   or ``s-aux``) and an optional group index.  Elements over different
   tables never silently mix; combining them raises
   :class:`~gencluster.errors.TableMismatch`.
-* Terms are kept in a dict keyed by exponent vectors.  The canonical
-  linear order on terms is graded lexicographic: higher total degree
-  first, ties broken lexicographically on the exponent vector in table
-  order.  Printing and parsing round-trip through this order.
+* Terms are kept in a dict keyed by one packed integer per monomial:
+  the total degree in the top field, then one ``_FIELD_BITS``-bit field
+  per variable, variable 0 most significant, each exponent biased by
+  ``2**(_FIELD_BITS - 1)``.  Integer order on keys is therefore the
+  canonical graded-lexicographic order (higher total degree first, ties
+  broken lexicographically on the exponent vector in table order): a
+  leading term is ``max(keys)``, and printing sorts the keys.  Packing
+  is linear in the exponent vector, so a monomial product is
+  ``ka + kb - offset`` (``offset`` is the key of 1) and a monomial
+  substitution adds one packed image per variable it moves.
+* Exponent limit.  A field holds any sum of two exponents below the
+  limit without carrying into its neighbour.  Every polynomial carries
+  an upper bound on its largest exponent magnitude; each operation
+  bounds its result from its operands' bounds before it combines keys,
+  and reads the exact exponent extremes only when that bound reaches the
+  limit.  A result that would hold an exponent of magnitude
+  :data:`EXPONENT_LIMIT` or more raises
+  :class:`~gencluster.errors.ExponentOverflow`, so no key ever aliases
+  another.
+* ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
+  its terms; kernel results skip that check.  ``terms`` is a read-only
+  view that decodes keys back to exponent tuples on demand.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from operator import add, index, sub
 import re
 
 from .errors import (
+    ExponentOverflow,
     InexactDivision,
-    NonFrozenSupport,
     ParseError,
     TableMismatch,
     UnknownSymbol,
@@ -40,6 +63,49 @@ ROLE_S = "s-aux"
 _ROLES = (ROLE_CLUSTER, ROLE_FROZEN, ROLE_T, ROLE_S)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+_FIELD_BITS = 48
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_BIAS = 1 << (_FIELD_BITS - 1)
+#: Every stored exponent has magnitude below this bound.
+EXPONENT_LIMIT = 1 << (_FIELD_BITS - 2)
+
+
+class _Layout:
+    """Packing constants for tables of one width."""
+
+    __slots__ = ("shifts", "degree_shift", "offset", "units")
+
+    def __init__(self, width):
+        self.shifts = tuple((width - 1 - i) * _FIELD_BITS for i in range(width))
+        self.degree_shift = width * _FIELD_BITS
+        #: The key of the monomial 1.
+        self.offset = sum(_BIAS << s for s in self.shifts)
+        #: ``units[i]`` is what one more power of variable ``i`` adds to a key.
+        self.units = tuple((1 << self.degree_shift) + (1 << s) for s in self.shifts)
+
+    def pack(self, exps):
+        """Key of an exponent vector already checked against the limit."""
+        key = 0
+        for e in exps:
+            key = (key << _FIELD_BITS) + e
+        return key + (sum(exps) << self.degree_shift) + self.offset
+
+    def unpack(self, key):
+        return tuple(((key >> s) & _FIELD_MASK) - _BIAS for s in self.shifts)
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+
+def _amplitude(exps):
+    """Largest exponent magnitude of a vector; ExponentOverflow at the limit."""
+    amp = max(map(abs, exps), default=0)
+    if amp >= EXPONENT_LIMIT:
+        raise ExponentOverflow(
+            f"exponent of magnitude {amp} reaches the limit {EXPONENT_LIMIT}"
+        )
+    return amp
 
 
 @dataclass(frozen=True)
@@ -76,6 +142,7 @@ class VariableTable:
             if role not in _ROLES:
                 raise ValidationError(f"bad role: {role!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "_layout", _layout(len(self.names)))
 
     @staticmethod
     def make(cluster=(), frozen=()):
@@ -126,7 +193,8 @@ class VariableTable:
 
     def variable(self, name):
         """The single variable ``name`` as a Laurent polynomial."""
-        return LaurentPolynomial(self, {self.monomial({name: 1}).exponents: 1})
+        layout = self._layout
+        return _trusted(self, {layout.offset + layout.units[self.index(name)]: 1}, 1)
 
     def extended(self, names, roles, groups=None):
         """New table with extra variables appended on the right."""
@@ -143,14 +211,22 @@ class VariableTable:
         return VariableTable(tuple(names), self.roles, self.groups)
 
 
+def _same_table(a, b):
+    return a is b or a == b
+
+
 def _require_same_table(a, b):
-    if a.table != b.table:
+    if not _same_table(a.table, b.table):
         raise TableMismatch("operands live over different variable tables")
 
 
 @dataclass(frozen=True)
 class Monomial:
-    """A Laurent monomial: one exponent per table variable."""
+    """A Laurent monomial: one exponent per table variable.
+
+    Monomials are plain exponent tuples of any size; the exponent limit
+    applies when one enters polynomial arithmetic.
+    """
 
     table: VariableTable
     exponents: tuple
@@ -178,8 +254,19 @@ class Monomial:
     def is_one(self):
         return all(e == 0 for e in self.exponents)
 
+    def _packed(self):
+        """``(key - offset, largest exponent magnitude)``, computed once."""
+        try:
+            return self._packed_cache
+        except AttributeError:
+            amp = _amplitude(self.exponents)
+            delta = self.table._layout.pack(self.exponents) - self.table._layout.offset
+            object.__setattr__(self, "_packed_cache", (delta, amp))
+            return delta, amp
+
     def as_polynomial(self):
-        return LaurentPolynomial(self.table, {self.exponents: 1})
+        delta, amp = self._packed()
+        return _trusted(self.table, {self.table._layout.offset + delta: 1}, amp)
 
     def __str__(self):
         return _format_exponents(self.table, self.exponents) or "1"
@@ -197,70 +284,111 @@ def _format_exponents(table, exps):
     return "*".join(parts)
 
 
-def _term_key(exps):
-    return (sum(exps), exps)
+class _Terms(Mapping):
+    """Read-only ``{exponent tuple: coefficient}`` view of a polynomial."""
+
+    __slots__ = ("_keys", "_layout", "_width")
+
+    def __init__(self, poly):
+        self._keys = poly._keys
+        self._layout = poly.table._layout
+        self._width = len(poly.table)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __iter__(self):
+        return map(self._layout.unpack, self._keys)
+
+    def __getitem__(self, exps):
+        try:
+            if len(exps) == self._width and max(map(abs, exps), default=0) < EXPONENT_LIMIT:
+                return self._keys[self._layout.pack(tuple(map(index, exps)))]
+        except TypeError:
+            pass
+        raise KeyError(exps)
+
+    def values(self):
+        return self._keys.values()
 
 
-@dataclass(frozen=True, eq=False)
 class LaurentPolynomial:
     """Sparse Laurent polynomial with integer coefficients.
 
-    ``terms`` maps exponent vectors (tuples, one entry per table
-    variable) to nonzero integer coefficients.  Instances are treated as
-    immutable; all operations return new objects.
+    Built from ``{exponent tuple: nonzero coefficient}`` (one exponent
+    per table variable, each below :data:`EXPONENT_LIMIT` in magnitude);
+    ``terms`` reads the same mapping back.  Instances are immutable; all
+    operations return new objects.
     """
 
-    table: VariableTable
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("table", "_keys", "_amp")
 
-    def __post_init__(self):
-        for exps, coeff in self.terms.items():
-            if len(exps) != len(self.table):
+    def __init__(self, table, terms=None):
+        layout = table._layout
+        width = len(table)
+        keys = {}
+        amp = 0
+        for exps, coeff in (terms or {}).items():
+            if len(exps) != width:
                 raise ValidationError("term exponent vector does not match table size")
             if coeff == 0:
                 raise ValidationError("zero coefficient stored in term dict")
+            try:
+                exps = tuple(map(index, exps))
+            except TypeError:
+                raise ValidationError(f"exponents must be integers: {exps!r}") from None
+            amp = max(amp, _amplitude(exps))
+            keys[layout.pack(exps)] = coeff
+        self.table = table
+        self._keys = keys
+        self._amp = amp
+
+    @property
+    def terms(self):
+        return _Terms(self)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self._keys == other._keys and _same_table(self.table, other.table)
 
     __hash__ = None
 
     @staticmethod
     def zero(table):
-        return LaurentPolynomial(table, {})
+        return _trusted(table, {}, 0)
 
     @staticmethod
     def one(table):
-        return LaurentPolynomial(table, {(0,) * len(table): 1})
+        return _trusted(table, {table._layout.offset: 1}, 0)
 
     @staticmethod
     def constant(table, c):
         c = int(c)
-        return LaurentPolynomial(table, {} if c == 0 else {(0,) * len(table): c})
+        return _trusted(table, {table._layout.offset: c} if c else {}, 0)
 
     def is_zero(self):
-        return not self.terms
+        return not self._keys
 
     def is_one(self):
-        return self.terms == {(0,) * len(self.table): 1}
+        return len(self._keys) == 1 and self._keys.get(self.table._layout.offset) == 1
 
     def is_monomial(self):
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
+        return len(self._keys) == 1 and next(iter(self._keys.values())) == 1
 
     def as_monomial(self):
         """The unique exponent vector of a coefficient-one single term."""
         if not self.is_monomial():
             raise ValidationError("polynomial is not a coefficient-one monomial")
-        return Monomial(self.table, next(iter(self.terms)))
+        return Monomial(self.table, self.table._layout.unpack(next(iter(self._keys))))
 
     def sorted_terms(self):
         """Terms in canonical (graded-lex descending) order."""
-        return sorted(self.terms.items(), key=lambda kv: _term_key(kv[0]), reverse=True)
+        unpack = self.table._layout.unpack
+        return [(unpack(k), c) for k, c in sorted(self._keys.items(), reverse=True)]
 
     def __str__(self):
-        if not self.terms:
+        if not self._keys:
             return "0"
         pieces = []
         for exps, coeff in self.sorted_terms():
@@ -282,21 +410,71 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self})"
 
 
+def _trusted(table, keys, amp):
+    """A kernel result: ``keys`` are packed and nonzero, ``amp`` bounds them."""
+    p = object.__new__(LaurentPolynomial)
+    p.table = table
+    p._keys = keys
+    p._amp = amp
+    return p
+
+
+def _drop_zeros(terms):
+    for key in [k for k, c in terms.items() if not c]:
+        del terms[key]
+    return terms
+
+
+def _extremes(p):
+    """Exact per-variable ``(minima, maxima)`` of a nonzero polynomial."""
+    lo, hi = [], []
+    for shift in p.table._layout.shifts:
+        fields = [(k >> shift) & _FIELD_MASK for k in p._keys]
+        lo.append(min(fields) - _BIAS)
+        hi.append(max(fields) - _BIAS)
+    return tuple(lo), tuple(hi)
+
+
+def _shifted_amplitude(p, exps, amp):
+    """Bound for ``p`` times the monomial ``exps`` whose bound is ``amp``."""
+    if p._amp + amp < EXPONENT_LIMIT:
+        return p._amp + amp
+    lo, hi = _extremes(p)
+    return _amplitude(tuple(map(add, lo, exps)) + tuple(map(add, hi, exps)))
+
+
 def poly_add(a, b):
     """Sum of two Laurent polynomials over the same table."""
     _require_same_table(a, b)
-    terms = dict(a.terms)
-    for exps, coeff in b.terms.items():
-        new = terms.get(exps, 0) + coeff
+    if len(a._keys) < len(b._keys):
+        a, b = b, a
+    terms = dict(a._keys)
+    get = terms.get
+    for key, coeff in b._keys.items():
+        new = get(key, 0) + coeff
         if new:
-            terms[exps] = new
+            terms[key] = new
         else:
-            terms.pop(exps, None)
-    return LaurentPolynomial(a.table, terms)
+            del terms[key]
+    return _trusted(a.table, terms, max(a._amp, b._amp))
+
+
+def poly_sum(table, polys):
+    """Sum of any number of polynomials over ``table``, in one pass."""
+    terms = {}
+    get = terms.get
+    amp = 0
+    for p in polys:
+        if not _same_table(p.table, table):
+            raise TableMismatch("operands live over different variable tables")
+        for key, coeff in p._keys.items():
+            terms[key] = get(key, 0) + coeff
+        amp = max(amp, p._amp)
+    return _trusted(table, _drop_zeros(terms), amp)
 
 
 def poly_neg(a):
-    return LaurentPolynomial(a.table, {e: -c for e, c in a.terms.items()})
+    return _trusted(a.table, {k: -c for k, c in a._keys.items()}, a._amp)
 
 
 def poly_sub(a, b):
@@ -306,38 +484,40 @@ def poly_sub(a, b):
 def poly_mul(a, b):
     """Product of two Laurent polynomials over the same table."""
     _require_same_table(a, b)
-    if len(a.terms) > len(b.terms):
+    if len(a._keys) > len(b._keys):
         a, b = b, a
-    terms = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            new = terms.get(exps, 0) + ca * cb
-            if new:
-                terms[exps] = new
-            else:
-                terms.pop(exps, None)
-    return LaurentPolynomial(a.table, terms)
-
-
-def poly_scale(a, c):
-    c = int(c)
-    if c == 0:
+    if not a._keys:
         return LaurentPolynomial.zero(a.table)
-    return LaurentPolynomial(a.table, {e: k * c for e, k in a.terms.items()})
+    amp = a._amp + b._amp
+    if amp >= EXPONENT_LIMIT:
+        # Exponent extremes add under products (the ring is a domain).
+        (alo, ahi), (blo, bhi) = _extremes(a), _extremes(b)
+        amp = _amplitude(tuple(map(add, alo, blo)) + tuple(map(add, ahi, bhi)))
+    offset = a.table._layout.offset
+    if len(a._keys) == 1:
+        ((ka, ca),) = a._keys.items()
+        ka -= offset
+        return _trusted(a.table, {ka + k: ca * c for k, c in b._keys.items()}, amp)
+    terms = {}
+    get = terms.get
+    items = b._keys.items()
+    for ka, ca in a._keys.items():
+        ka -= offset
+        for kb, cb in items:
+            key = ka + kb
+            terms[key] = get(key, 0) + ca * cb
+    return _trusted(a.table, _drop_zeros(terms), amp)
 
 
 def poly_mul_monomial(a, m, c=1):
     """Product with a single term ``c * m`` (fast path)."""
     _require_same_table(a, m)
     c = int(c)
-    if c == 0:
+    if c == 0 or not a._keys:
         return LaurentPolynomial.zero(a.table)
-    me = m.exponents
-    return LaurentPolynomial(
-        a.table,
-        {tuple(x + y for x, y in zip(e, me)): k * c for e, k in a.terms.items()},
-    )
+    delta, m_amp = m._packed()
+    amp = _shifted_amplitude(a, m.exponents, m_amp)
+    return _trusted(a.table, {k + delta: k_c * c for k, k_c in a._keys.items()}, amp)
 
 
 def poly_pow(a, k):
@@ -361,50 +541,78 @@ def poly_exact_div(numer, denom):
     Raises :class:`~gencluster.errors.InexactDivision` when the quotient
     does not exist (nonzero remainder, coefficient non-divisibility, or
     division by zero).  Uses greedy leading-term elimination in the
-    canonical graded-lex order; correctness of the stopping rule rests
-    on exponent extremes being additive under polynomial products.
+    canonical graded-lex order, taking each leading term off a max-heap
+    of remainder keys; correctness of the stopping rule rests on
+    exponent extremes being additive under polynomial products.
     """
     _require_same_table(numer, denom)
-    if denom.is_zero():
+    if not denom._keys:
         raise InexactDivision("division by the zero polynomial")
-    if numer.is_zero():
-        return LaurentPolynomial.zero(numer.table)
+    table = numer.table
+    if not numer._keys:
+        return LaurentPolynomial.zero(table)
+    layout = table._layout
+    offset = layout.offset
+    if len(denom._keys) == 1:
+        ((lead_d, lc_d),) = denom._keys.items()
+        exps = tuple(-e for e in layout.unpack(lead_d))
+        amp = _shifted_amplitude(numer, exps, denom._amp)
+        shift = offset - lead_d
+        quotient = {}
+        for key, coeff in numer._keys.items():
+            q_c, rem = divmod(coeff, lc_d)
+            if rem:
+                raise InexactDivision("leading coefficient does not divide")
+            quotient[key + shift] = q_c
+        return _trusted(table, quotient, amp)
 
-    width = len(numer.table)
-    n_exps = list(numer.terms)
-    d_exps = list(denom.terms)
     # Componentwise exponent box that must contain every quotient term:
     # coordinate extremes add under multiplication, so the quotient's
     # extremes are the differences of the operands' extremes.
-    lo = tuple(
-        min(e[i] for e in n_exps) - min(e[i] for e in d_exps) for i in range(width)
-    )
-    hi = tuple(
-        max(e[i] for e in n_exps) - max(e[i] for e in d_exps) for i in range(width)
-    )
+    (n_lo, n_hi), (d_lo, d_hi) = _extremes(numer), _extremes(denom)
+    lo = tuple(map(sub, n_lo, d_lo))
+    hi = tuple(map(sub, n_hi, d_hi))
+    if any(l > h for l, h in zip(lo, hi)):
+        raise InexactDivision("quotient support leaves the feasible box")
+    amp = _amplitude(lo + hi)
 
-    lead_d = max(denom.terms, key=_term_key)
-    lc_d = denom.terms[lead_d]
-    remainder = dict(numer.terms)
+    lead_d = max(denom._keys)
+    lc_d = denom._keys[lead_d]
+    # The leading product cancels by construction; the others update the
+    # remainder.  Every remainder key stays inside the numerator's box.
+    others = [(k - offset, -c) for k, c in denom._keys.items() if k != lead_d]
+    shift = offset - lead_d
+    unpack = layout.unpack
+    remainder = dict(numer._keys)
+    get = remainder.get
+    heap = [-k for k in remainder]
+    heapify(heap)
     quotient = {}
-    while remainder:
-        lead_n = max(remainder, key=_term_key)
-        lc_n = remainder[lead_n]
-        if lc_n % lc_d:
+    while heap:
+        lead = -heappop(heap)
+        lc = remainder.pop(lead, 0)
+        if not lc:
+            continue  # a key that cancelled after it was queued
+        q_c, rem = divmod(lc, lc_d)
+        if rem:
             raise InexactDivision("leading coefficient does not divide")
-        q_exp = tuple(a - b for a, b in zip(lead_n, lead_d))
-        if any(q < l or q > h for q, l, h in zip(q_exp, lo, hi)):
+        q_key = lead + shift
+        if not all(l <= e <= h for l, e, h in zip(lo, unpack(q_key), hi)):
             raise InexactDivision("quotient support leaves the feasible box")
-        q_c = lc_n // lc_d
-        quotient[q_exp] = quotient.get(q_exp, 0) + q_c
-        for e, c in denom.terms.items():
-            key = tuple(a + b for a, b in zip(q_exp, e))
-            new = remainder.get(key, 0) - q_c * c
-            if new:
-                remainder[key] = new
+        quotient[q_key] = q_c
+        for kd, cd in others:
+            key = q_key + kd
+            old = get(key)
+            if old is None:
+                remainder[key] = q_c * cd
+                heappush(heap, -key)
             else:
-                remainder.pop(key, None)
-    return LaurentPolynomial(numer.table, {e: c for e, c in quotient.items() if c})
+                new = old + q_c * cd
+                if new:
+                    remainder[key] = new
+                else:
+                    del remainder[key]
+    return _trusted(table, quotient, amp)
 
 
 def poly_map_variables(p, mapping, target):
@@ -416,78 +624,109 @@ def poly_map_variables(p, mapping, target):
     in neither the mapping nor the target raises
     :class:`~gencluster.errors.UnknownSymbol`.
     """
+    source = p.table
     for name, mono in mapping.items():
-        if name not in p.table:
+        if name not in source:
             raise UnknownSymbol(f"mapping source {name!r} is not in the table")
-        if mono.table != target:
+        if not _same_table(mono.table, target):
             raise TableMismatch(f"image of {name!r} is not over the target table")
-    width = len(p.table)
-    used = [False] * width
-    for exps in p.terms:
-        for i, e in enumerate(exps):
-            if e:
-                used[i] = True
-    images = [None] * width
-    for i, name in enumerate(p.table.names):
-        if not used[i]:
+    s_layout, t_layout = source._layout, target._layout
+    used = 0
+    for key in p._keys:
+        used |= key ^ s_layout.offset
+    # Keys are linear in exponent vectors.  Over a table of the same
+    # width a term keeps its key and each variable that moves adds its
+    # exponent times (image - itself); over the same table only mapped
+    # variables can move.  Otherwise the key is rebuilt from the
+    # target's 1 out of the used variables.
+    same = _same_table(source, target)
+    in_place = same or len(source) == len(target)
+    moves = []
+    bound = 1 if same else 0
+    for i, name in ((source.index(n), n) for n in mapping) if same else enumerate(source.names):
+        shift = s_layout.shifts[i]
+        if not (used >> shift) & _FIELD_MASK:
             continue
-        if name in mapping:
-            images[i] = mapping[name].exponents
+        image = mapping.get(name)
+        if image is not None:
+            delta, amp = image._packed()
         else:
-            images[i] = target.monomial({name: 1}).exponents
-    zero = (0,) * len(target)
+            delta, amp = t_layout.units[target.index(name)], 1
+        if in_place:
+            delta -= s_layout.units[i]
+        if delta:
+            moves.append((shift, delta))
+        bound += amp
+    amp = p._amp * bound
+    if amp >= EXPONENT_LIMIT:
+        return _map_checked(p, mapping, target)
+    if same and not moves:
+        return p
+    base = None if in_place else t_layout.offset
     terms = {}
-    for exps, coeff in p.terms.items():
-        acc = list(zero)
-        for i, e in enumerate(exps):
+    get = terms.get
+    for key, coeff in p._keys.items():
+        acc = key if in_place else base
+        for shift, delta in moves:
+            e = ((key >> shift) & _FIELD_MASK) - _BIAS
+            if e:
+                acc += e * delta
+        terms[acc] = get(acc, 0) + coeff
+    return _trusted(target, _drop_zeros(terms), amp)
+
+
+def _map_checked(p, mapping, target):
+    """:func:`poly_map_variables` term by term, checking every exponent."""
+    width = len(target)
+    unpack = p.table._layout.unpack
+    terms = {}
+    amp = 0
+    for key, coeff in p._keys.items():
+        acc = [0] * width
+        for name, e in zip(p.table.names, unpack(key)):
             if not e:
                 continue
-            img = images[i]
-            for j, g in enumerate(img):
-                if g:
+            image = mapping.get(name)
+            if image is None:
+                acc[target.index(name)] += e
+            else:
+                for j, g in enumerate(image.exponents):
                     acc[j] += e * g
-        key = tuple(acc)
-        new = terms.get(key, 0) + coeff
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
-    return LaurentPolynomial(target, terms)
+        amp = max(amp, _amplitude(acc))
+        new_key = target._layout.pack(acc)
+        terms[new_key] = terms.get(new_key, 0) + coeff
+    return _trusted(target, _drop_zeros(terms), amp)
 
 
-def poly_substitute(p, v, m):
-    """Substitute the monomial ``m`` for the variable named ``v`` in ``p``.
+def poly_split_trailing(p, head):
+    """Group the terms of ``p`` by the exponents of its trailing variables.
 
-    ``m`` may live over a different table; the result lives over ``m``'s
-    table, with every other variable of ``p`` carried across by name.
+    ``head`` is a table whose names are the leading names of ``p``'s
+    table.  Returns ``{trailing exponent tuple: polynomial over head}``;
+    each polynomial collects the head parts of the terms with those
+    trailing exponents, so ``p`` is the sum of every part times its
+    trailing monomial.
     """
-    if v not in p.table:
-        raise UnknownSymbol(f"symbol {v!r} is not in the table")
-    return poly_map_variables(p, {v: m}, m.table)
-
-
-def _require_stable_support(m):
-    for i, e in enumerate(m.exponents):
-        if e and m.table.roles[i] == ROLE_CLUSTER:
-            raise NonFrozenSupport(
-                f"monomial has cluster-variable support at {m.table.names[i]!r}"
-            )
-
-
-def tropical_add(m1, m2):
-    """Tropical sum: componentwise minimum of frozen-supported exponents."""
-    _require_same_table(m1, m2)
-    _require_stable_support(m1)
-    _require_stable_support(m2)
-    return Monomial(m1.table, tuple(min(a, b) for a, b in zip(m1.exponents, m2.exponents)))
-
-
-def tropical_mul(m1, m2):
-    """Tropical product: ordinary product of frozen-supported monomials."""
-    _require_same_table(m1, m2)
-    _require_stable_support(m1)
-    _require_stable_support(m2)
-    return m1.times(m2)
+    width = len(head)
+    if p.table.names[:width] != head.names:
+        raise ValidationError("head table is not a prefix of the polynomial's table")
+    extra = len(p.table) - width
+    bits = extra * _FIELD_BITS
+    low = (1 << bits) - 1
+    groups = {}
+    for key, coeff in p._keys.items():
+        groups.setdefault(key & low, {})[key >> bits] = coeff
+    tail_shifts = p.table._layout.shifts[width:]
+    degree_shift = head._layout.degree_shift
+    out = {}
+    for tail, body in groups.items():
+        powers = tuple(((tail >> s) & _FIELD_MASK) - _BIAS for s in tail_shifts)
+        # ``key >> bits`` keeps the full degree; take the tail's share off.
+        correction = sum(powers) << degree_shift
+        out[powers] = _trusted(
+            head, {k - correction: c for k, c in body.items()}, p._amp
+        )
+    return out
 
 
 _TOKEN_RE = re.compile(
@@ -528,7 +767,7 @@ def parse_polynomial(text, table):
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")
-    result = LaurentPolynomial.zero(table)
+    terms = {}
     i = 0
     sign = 1
     if tokens[0] == ("op", "-"):
@@ -574,11 +813,11 @@ def parse_polynomial(text, table):
                     break
                 else:
                     raise ParseError(f"expected an operator, got {value!r}")
-        term = LaurentPolynomial(table, {tuple(exps): coeff} if coeff else {})
-        result = poly_add(result, term)
+        exps = tuple(exps)
+        terms[exps] = terms.get(exps, 0) + coeff
         if i < len(tokens):
             sign = 1 if tokens[i] == ("op", "+") else -1
             i += 1
             if i >= len(tokens):
                 raise ParseError("dangling operator at end of input")
-    return result
+    return LaurentPolynomial(table, {e: c for e, c in terms.items() if c})

@@ -26,7 +26,8 @@ The construction proceeds in three layers, all verified exactly:
     strings against their folded counterparts (conditions (i)-(iv)),
     that group products of exchange polynomials expand the generalized
     exchange polynomial (the product formula), and that the original
-    frozen variables land on ``D``-th powers (the subquotient property).
+    frozen variables land on ``n``-th powers, ``n`` the root multiplicity
+    (the subquotient property).
 
 Coefficient bookkeeping: on the generalized side the string entries are
 tracked as opaque placeholder symbols (mutation only permutes them), and
@@ -72,8 +73,11 @@ from .laurent_kernel import (
     poly_add,
     poly_map_variables,
     poly_mul,
+    poly_mul_monomial,
     poly_pow,
+    poly_split_trailing,
     poly_sub,
+    poly_sum,
 )
 from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
 from .root_adjoin import (
@@ -163,9 +167,13 @@ class FoldedSeed:
         return self.folded.group_range(k)
 
 
-def folded_initial_seed(gca):
-    """Unfold a generalized seed into an ordinary seed at depth zero."""
-    fm = build(gca)
+def folded_initial_seed(gca, multiplicity=None):
+    """Unfold a generalized seed into an ordinary seed at depth zero.
+
+    ``multiplicity`` is the root multiplicity of the adjoined seed the
+    unfolding is paired with (see :func:`~gencluster.unfolding.build`).
+    """
+    fm = build(gca, multiplicity=multiplicity)
     table = folded_table(gca)
     divisors = DivisorVector((1,) * fm.total)
     cluster = tuple(table.variable(table.names[i]) for i in range(fm.total))
@@ -272,12 +280,16 @@ def sigma_polynomial(fs, k, r):
     over the members of group ``k``: subsets with ``r`` members
     contribute their ``t`` variable, the rest their ``s``.
     """
-    table = fs.table
     if not 0 <= r <= len(fs.folded.group_range(k)):
         raise ValidationError(f"no coefficient slot {r} for group {k}")
+    return _sigma(fs.table, fs.folded.t_range(k), fs.folded.s_range(k), r)
+
+
+@lru_cache(maxsize=256)
+def _sigma(table, t_range, s_range, r):
     pairs = [
         (table.monomial({table.names[t]: 1}), table.monomial({table.names[s]: 1}))
-        for t, s in zip(fs.folded.t_range(k), fs.folded.s_range(k))
+        for t, s in zip(t_range, s_range)
     ]
     return _balanced_sum(table, pairs, r)
 
@@ -343,8 +355,8 @@ class QuotientContext:
     sending each placeholder to its concrete monomial; mutation only
     permutes which placeholder sits where), ``placeholder_names``, the
     placeholder-extended folded table ``folded_plus``, the unit-relation
-    elimination map, the sigma cache and the images of the cluster
-    variables.
+    elimination map and the images of the cluster variables.  The
+    ``sigma`` sums are shared further still, per folded table.
     """
 
     def __init__(self, tracked, fs, rho_values):
@@ -358,7 +370,6 @@ class QuotientContext:
         self._slots = tuple(
             (k, r) for k in range(tracked.rank) for r in range(1, tracked.divisors[k])
         )
-        self._sigma_cache = {}
         self._elimination = unit_elimination_map(fs)
         self._phi_images = {
             tracked.table.names[k]: self.folded_plus.monomial(
@@ -403,7 +414,8 @@ class QuotientContext:
             divisors=seed.divisors,
             strings=CoefficientStrings(string_rows),
         )
-        return QuotientContext(tracked, folded_initial_seed(adjoined.base), rho_values)
+        fs = folded_initial_seed(adjoined.base, adjoined.multiplicity)
+        return QuotientContext(tracked, fs, rho_values)
 
     def mutate(self, k):
         """Advance both tracks by one mutation in direction ``k``."""
@@ -411,13 +423,6 @@ class QuotientContext:
         step.tracked = mutate_seed(self.tracked, k)
         step.fs = group_mutate_seed(self.fs, k)
         return step
-
-    def sigma(self, k, r):
-        """Cached :func:`sigma_polynomial` over this context's groups."""
-        key = (k, r)
-        if key not in self._sigma_cache:
-            self._sigma_cache[key] = sigma_polynomial(self.fs, k, r)
-        return self._sigma_cache[key]
 
     def normal_form(self, p):
         """Canonical representative of ``p`` in the quotient.
@@ -430,24 +435,18 @@ class QuotientContext:
         """
         table = self.fs.table
         if p.table == self.folded_plus:
-            width = len(table)
-            parts = {}
-            for exps, coeff in p.terms.items():
-                parts.setdefault(exps[width:], {})[exps[:width]] = coeff
-            terms = {}
-            for powers, body in parts.items():
+            parts = []
+            for powers, part in poly_split_trailing(p, table).items():
                 if any(e < 0 for e in powers):
                     raise ValidationError(
                         "negative placeholder power: identity outside "
                         "the verified fragment"
                     )
-                part = LaurentPolynomial(table, body)
                 for (k, r), e in zip(self._slots, powers):
                     if e:
-                        part = poly_mul(part, poly_pow(self.sigma(k, r), e))
-                for exps, coeff in part.terms.items():
-                    terms[exps] = terms.get(exps, 0) + coeff
-            p = LaurentPolynomial(table, {e: c for e, c in terms.items() if c})
+                        part = poly_mul(part, poly_pow(sigma_polynomial(self.fs, k, r), e))
+                parts.append(part)
+            p = poly_sum(table, parts)
         elif p.table != table:
             raise ValidationError("normal_form expects a folded-side polynomial")
         return poly_map_variables(p, self._elimination, table)
@@ -528,13 +527,13 @@ def product_formula_check(fs, k, rho):
     reversed_row = fs.group_provenance.count(k) % 2 == 1
     gt_base = gm.u_gt.times(gm.v_gt)
     lt_base = gm.u_lt.times(gm.v_lt)
-    rhs = LaurentPolynomial.zero(table)
-    for r in range(d_k + 1):
-        original = d_k - r if reversed_row else r
-        shell = gt_base.power(r).times(lt_base.power(d_k - r))
-        rhs = poly_add(
-            rhs, poly_mul(sigma_polynomial(fs, k, original), shell.as_polynomial())
+    rhs = poly_sum(table, (
+        poly_mul_monomial(
+            sigma_polynomial(fs, k, d_k - r if reversed_row else r),
+            gt_base.power(r).times(lt_base.power(d_k - r)),
         )
+        for r in range(d_k + 1)
+    ))
     # Elimination is a monomial ring map and the shells carry no
     # auxiliary variables, so one pass per side suffices.
     lhs, rhs = eliminate_units(fs, lhs), eliminate_units(fs, rhs)
@@ -554,7 +553,8 @@ def product_formula_walk(gca, mode="total"):
     which mutation does not change.  ``check(fs, depth)`` returns
     ``(depth, k, residual)`` for every failing group.
     """
-    rho = GeneralizedCoefficientTable(tau_tilde(gca, mode=mode).seed.strings.rows)
+    adjoined = tau_tilde(gca, mode=mode)
+    rho = GeneralizedCoefficientTable(adjoined.seed.strings.rows)
 
     def step(fs, k):
         fm = group_mutate(fs.folded, k)
@@ -571,7 +571,7 @@ def product_formula_walk(gca, mode="total"):
             for failure in product_formula_check(fs, k, rho).failures
         )
 
-    return folded_initial_seed(gca), step, check
+    return folded_initial_seed(gca, adjoined.multiplicity), step, check
 
 
 def _walk_one(walk, sequence):
@@ -697,7 +697,7 @@ def subquotient_check(gca, mode="total"):
     adjoined = tau_tilde(gca, mode=mode)
     ctx = QuotientContext._over(adjoined)
     failures = []
-    n = gca.divisors.product if mode == "total" else None
+    n = adjoined.multiplicity
     root_map = adjoined.root_map()
     folded_names = folded_frozen_names(gca)
     for pos, name in zip(gca.table.frozen_indices, folded_names):
@@ -712,7 +712,7 @@ def subquotient_check(gca, mode="total"):
             failures.append(("root image", original, str(image)))
             continue
         exponent = support[0][1]
-        if n is not None and exponent != n:
+        if exponent != n:
             failures.append(("root exponent", original, exponent))
         target = ctx.fs.table.monomial({name: exponent}).as_polynomial()
         lifted = ctx.phi_poly(image.as_polynomial())

@@ -20,7 +20,7 @@ carrier monomial (the tau-variable) with monomial coefficients — the
 generalized coefficient table returned by :func:`rho`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
 
 from .errors import HomogeneityFailure, ValidationError
@@ -51,11 +51,14 @@ class AdjoinedSeed:
 
     ``base`` is the original seed, ``seed`` the current one; ``steps``
     lists ``(old_name, multiplicity, root_name)`` in application order.
+    ``multiplicity`` is the common multiplicity of every frozen column
+    when :func:`tau_tilde` built the seed, else ``None``.
     """
 
     base: GeneralizedSeed
     seed: GeneralizedSeed
     steps: tuple
+    multiplicity: int = None
 
     @property
     def table(self):
@@ -187,7 +190,7 @@ def tau_tilde(seed, mode="total"):
         out = adjoin_root(out if out is not None else seed, name, n)
     if out is None:
         out = AdjoinedSeed(base=seed, seed=seed, steps=())
-    return out
+    return replace(out, multiplicity=n)
 
 
 @dataclass(frozen=True)

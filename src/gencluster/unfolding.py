@@ -8,8 +8,10 @@ d_N`` mutable directions and ``T + ... `` frozen columns, laid out as::
 
 * cluster block ``(i, j)``: the constant ``B_ij / d_i`` repeated on a
   ``d_i x d_j`` block (zero on the diagonal blocks);
-* ``F`` column ``l``: the constant ``(D / d_i) * B_{i, N+l}`` down group
-  ``i``'s rows, where ``D`` is the product of the divisors;
+* ``F`` column ``l``: the constant ``(n / d_i) * B_{i, N+l}`` down group
+  ``i``'s rows, where ``n`` is the multiplicity of the adjoined frozen
+  roots: the product ``D`` of the divisors unless given (root adjunction
+  in ``lcm`` mode uses their least common multiple);
 * ``T^i`` / ``S^i``: identity and minus-identity blocks on the diagonal
   group, zero elsewhere.
 
@@ -119,8 +121,22 @@ class FoldedMatrix:
         )
 
 
-def build(seed_or_matrix, divisors=None):
-    """Unfold a seed (or a matrix-with-divisors pair)."""
+def _f_scales(divisors, multiplicity):
+    """``n / d_i`` per row: the factor of row ``i``'s ``F`` entries."""
+    n = divisors.product if multiplicity is None else multiplicity
+    if n < 1 or any(n % d for d in divisors.entries):
+        raise ValidationError(
+            f"root multiplicity {n} is not a positive multiple of every divisor"
+        )
+    return tuple(n // d for d in divisors.entries)
+
+
+def build(seed_or_matrix, divisors=None, multiplicity=None):
+    """Unfold a seed (or a matrix-with-divisors pair).
+
+    ``multiplicity`` is the root multiplicity ``n`` that scales the ``F``
+    columns; it defaults to the product of the divisors.
+    """
     if divisors is None:
         matrix = seed_or_matrix.matrix
         divisors = seed_or_matrix.divisors
@@ -132,7 +148,7 @@ def build(seed_or_matrix, divisors=None):
     n, m = matrix.n, matrix.m
     sizes = tuple(divisors.entries)
     total = sum(sizes)
-    product = divisors.product
+    scales = _f_scales(divisors, multiplicity)
     width = 3 * total + m
     rows = []
     for i in range(n):
@@ -141,7 +157,7 @@ def build(seed_or_matrix, divisors=None):
             value = matrix.rows[i][j] // divisors[i]
             base.extend([value] * sizes[j])
         for l in range(m):
-            base.append((product // divisors[i]) * matrix.rows[i][n + l])
+            base.append(scales[i] * matrix.rows[i][n + l])
         for _ in range(2 * total):
             base.append(0)
         for c in range(sizes[i]):
@@ -198,11 +214,13 @@ class HadamardReport:
     failures: tuple
 
 
-def hadamard_check(fm, matrix, divisors):
+def hadamard_check(fm, matrix, divisors, multiplicity=None):
     """Check block-constancy against a weighted reference matrix.
 
     Cluster block ``(i, j)`` must be the constant ``B_ij / d_i``; the
-    ``F`` block ``(i, l)`` must be the constant ``(D / d_i) * B_{i,N+l}``.
+    ``F`` block ``(i, l)`` must be the constant ``(n / d_i) * B_{i,N+l}``,
+    with ``n`` the root multiplicity the unfolding was built with (the
+    product of the divisors by default).
     ``matrix`` is the reference at the same mutation depth (group
     mutations of the unfolding mirror plain mutations of the reference).
     Returns a report whose failures name the first offending block and
@@ -212,7 +230,7 @@ def hadamard_check(fm, matrix, divisors):
         divisors = DivisorVector(tuple(divisors))
     failures = []
     n = matrix.n
-    product = divisors.product
+    scales = _f_scales(divisors, multiplicity)
     for i in range(n):
         rows_i = fm.group_range(i)
         for j in range(n):
@@ -227,7 +245,7 @@ def hadamard_check(fm, matrix, divisors):
             if bad is not None:
                 failures.append(("cluster", i, j, bad))
         for l in range(matrix.m):
-            value = (product // divisors[i]) * matrix.rows[i][n + l]
+            value = scales[i] * matrix.rows[i][n + l]
             c = fm.f_column(l)
             block = fm.block(rows_i, range(c, c + 1))
             bad = _first_nonconstant(block, value)

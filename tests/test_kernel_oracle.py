@@ -1,0 +1,176 @@
+"""Differential tests of the Laurent kernel against sympy.
+
+Random Laurent polynomials with negative exponents, over tables of 1 to
+24 variables, go through the kernel and through sympy's expression
+arithmetic; the two results must have the same terms.  sympy is an
+optional test dependency, so the module is skipped without it.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from gencluster.errors import InexactDivision
+from gencluster.laurent_kernel import (
+    LaurentPolynomial,
+    VariableTable,
+    parse_polynomial,
+    poly_add,
+    poly_exact_div,
+    poly_map_variables,
+    poly_mul,
+    poly_pow,
+)
+
+sympy = pytest.importorskip("sympy")
+
+MAX_WIDTH = 24
+
+
+def table_of(prefix, width):
+    return VariableTable.make(cluster=[f"{prefix}{i}" for i in range(width)])
+
+
+@st.composite
+def tables(draw, prefix="x", max_width=MAX_WIDTH):
+    return table_of(prefix, draw(st.integers(1, max_width)))
+
+
+@st.composite
+def polynomials(draw, table, max_terms=5, max_exp=4, min_terms=0):
+    exponent = st.integers(-max_exp, max_exp)
+    coeff = st.integers(-9, 9).filter(bool)
+    pairs = draw(st.lists(
+        st.tuples(st.tuples(*[exponent] * len(table)), coeff),
+        min_size=min_terms, max_size=max_terms, unique_by=lambda pair: pair[0],
+    ))
+    return LaurentPolynomial(table, dict(pairs))
+
+
+@st.composite
+def monomials(draw, table, max_exp=3):
+    return table.monomial({
+        name: draw(st.integers(-max_exp, max_exp)) for name in table.names
+    })
+
+
+def symbols(table):
+    return [sympy.Symbol(name) for name in table.names]
+
+
+def to_sympy(p):
+    xs = symbols(p.table)
+    return sympy.Add(*(
+        coeff * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+        for exps, coeff in p.terms.items()
+    ))
+
+
+def sympy_terms(expr, table):
+    """``{exponent tuple: coefficient}`` of an expanded sympy expression."""
+    xs = symbols(table)
+    out = {}
+    for mono, coeff in sympy.expand(expr).as_coefficients_dict().items():
+        if coeff == 0:
+            continue
+        powers = mono.as_powers_dict()
+        assert set(powers) <= set(xs) | {sympy.S.One}, mono
+        exps = tuple(int(powers.get(x, 0)) for x in xs)
+        out[exps] = out.get(exps, 0) + int(coeff)
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_matches(p, expr):
+    assert dict(p.terms.items()) == sympy_terms(expr, p.table)
+    assert len(p.terms) == len(sympy_terms(expr, p.table))
+
+
+class TestRingOperations:
+    @given(st.data())
+    def test_add_mul_pow(self, data):
+        table = data.draw(tables())
+        a = data.draw(polynomials(table))
+        b = data.draw(polynomials(table))
+        k = data.draw(st.integers(0, 3))
+        big_a, big_b = to_sympy(a), to_sympy(b)
+        assert_matches(poly_add(a, b), big_a + big_b)
+        assert_matches(poly_mul(a, b), big_a * big_b)
+        assert_matches(poly_pow(a, k), big_a**k)
+
+
+class TestDivision:
+    @given(st.data())
+    def test_division_of_products_is_exact(self, data):
+        table = data.draw(tables())
+        a = data.draw(polynomials(table))
+        b = data.draw(polynomials(table, min_terms=1))
+        product = poly_mul(a, b)
+        assert_matches(product, to_sympy(a) * to_sympy(b))
+        quotient = poly_exact_div(product, b)
+        assert quotient == a
+        assert sympy.expand(to_sympy(quotient) * to_sympy(b) - to_sympy(product)) == 0
+
+    @given(st.data())
+    def test_perturbed_products_are_inexact(self, data):
+        table = data.draw(tables())
+        a = data.draw(polynomials(table))
+        b = data.draw(polynomials(table, min_terms=2))
+        extra = data.draw(polynomials(table, min_terms=1, max_terms=1))
+        numer = poly_add(poly_mul(a, b), extra)
+        # A product of two nonzero polynomials keeps its two extreme terms,
+        # so a divisor with two or more terms divides no monomial, and
+        # ``numer`` is not a multiple of ``b``.
+        with pytest.raises(InexactDivision):
+            poly_exact_div(numer, b)
+
+
+class TestSubstitution:
+    @given(st.data())
+    def test_map_across_tables(self, data):
+        source = data.draw(tables("x"))
+        target = data.draw(tables("u"))
+        p = data.draw(polynomials(source))
+        mapping = {
+            name: data.draw(monomials(target)) for name in source.names
+        }
+        image = poly_map_variables(p, mapping, target)
+        expected = to_sympy(p).xreplace(
+            {sympy.Symbol(n): to_sympy(m.as_polynomial()) for n, m in mapping.items()}
+        )
+        assert_matches(image, expected)
+
+    @given(st.data())
+    def test_map_within_a_table(self, data):
+        table = data.draw(tables())
+        p = data.draw(polynomials(table))
+        moved = data.draw(st.lists(st.sampled_from(table.names), unique=True))
+        mapping = {name: data.draw(monomials(table)) for name in moved}
+        image = poly_map_variables(p, mapping, table)
+        expected = to_sympy(p).xreplace(
+            {sympy.Symbol(n): to_sympy(m.as_polynomial()) for n, m in mapping.items()}
+        )
+        assert_matches(image, expected)
+
+
+def canonical_text(terms, table):
+    """The printed form, built from sorted exponent tuples."""
+    pieces = []
+    for exps, coeff in sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        mono = "*".join(
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(table.names, exps) if e
+        )
+        mag = abs(coeff)
+        body = mono if mono and mag == 1 else f"{mag}*{mono}" if mono else str(mag)
+        sign = ("" if coeff > 0 else "-") if not pieces else ("+ " if coeff > 0 else "- ")
+        pieces.append(sign + body)
+    return " ".join(pieces) or "0"
+
+
+class TestText:
+    @given(st.data())
+    def test_print_parse_roundtrip_in_canonical_order(self, data):
+        table = data.draw(tables())
+        p = data.draw(polynomials(table))
+        text = str(p)
+        assert text == canonical_text(sympy_terms(to_sympy(p), table), table)
+        assert parse_polynomial(text, table) == p

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from conftest import SMALL_TABLE, small_polynomials
 from gencluster.errors import (
+    ExponentOverflow,
     InexactDivision,
     NonFrozenSupport,
     TableMismatch,
@@ -14,6 +15,7 @@ from gencluster.errors import (
     ValidationError,
 )
 from gencluster.laurent_kernel import (
+    EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
     ROLE_CLUSTER,
@@ -24,13 +26,46 @@ from gencluster.laurent_kernel import (
     poly_exact_div,
     poly_map_variables,
     poly_mul,
+    poly_mul_monomial,
     poly_neg,
     poly_pow,
     poly_sub,
-    poly_substitute,
-    tropical_add,
-    tropical_mul,
 )
+
+
+def poly_substitute(p, v, m):
+    """Substitute the monomial ``m`` for the variable named ``v`` in ``p``.
+
+    ``m`` may live over a different table; the result lives over ``m``'s
+    table, with every other variable of ``p`` carried across by name.
+    """
+    if v not in p.table:
+        raise UnknownSymbol(f"symbol {v!r} is not in the table")
+    return poly_map_variables(p, {v: m}, m.table)
+
+
+def _require_stable_support(m):
+    for i, e in enumerate(m.exponents):
+        if e and m.table.roles[i] == ROLE_CLUSTER:
+            raise NonFrozenSupport(
+                f"monomial has cluster-variable support at {m.table.names[i]!r}"
+            )
+
+
+def tropical_add(m1, m2):
+    """Tropical sum: componentwise minimum of frozen-supported exponents."""
+    if m1.table != m2.table:
+        raise TableMismatch("operands live over different variable tables")
+    _require_stable_support(m1)
+    _require_stable_support(m2)
+    return Monomial(m1.table, tuple(min(a, b) for a, b in zip(m1.exponents, m2.exponents)))
+
+
+def tropical_mul(m1, m2):
+    """Tropical product: ordinary product of frozen-supported monomials."""
+    _require_stable_support(m1)
+    _require_stable_support(m2)
+    return m1.times(m2)
 
 
 def random_poly(rng, table, max_terms=3, max_exp=4, max_coeff=6):
@@ -223,3 +258,93 @@ class TestTables:
         other = VariableTable.make(cluster=("x", "z"), frozen=("f",))
         with pytest.raises(TableMismatch):
             poly_add(SMALL_TABLE.variable("x"), other.variable("x"))
+
+
+LIMIT = EXPONENT_LIMIT
+
+
+def x_power(e, table=SMALL_TABLE):
+    return LaurentPolynomial(table, {(e, 0, 0): 1})
+
+
+class TestExponentLimit:
+    """Exponents below the limit are exact; reaching it raises, never wraps."""
+
+    def test_constructor(self):
+        for e in (LIMIT - 1, -(LIMIT - 1)):
+            p = x_power(e)
+            assert dict(p.terms.items()) == {(e, 0, 0): 1}
+            assert str(p) == f"x^{e}"
+        for e in (LIMIT, -LIMIT):
+            with pytest.raises(ExponentOverflow):
+                x_power(e)
+
+    def test_parse(self):
+        assert parse_polynomial(f"x^{LIMIT - 1} + y^{1 - LIMIT}", SMALL_TABLE) == poly_add(
+            x_power(LIMIT - 1), LaurentPolynomial(SMALL_TABLE, {(0, 1 - LIMIT, 0): 1})
+        )
+        for text in (f"x^{LIMIT}", f"x^-{LIMIT}", f"x^{LIMIT - 1}*x"):
+            with pytest.raises(ExponentOverflow):
+                parse_polynomial(text, SMALL_TABLE)
+
+    def test_mul(self):
+        x = SMALL_TABLE.variable("x")
+        y_plus_1 = parse_polynomial("y + 1", SMALL_TABLE)
+        assert poly_mul(x_power(LIMIT - 2), x) == x_power(LIMIT - 1)
+        assert poly_mul(x_power(LIMIT - 1), x_power(-1)) == x_power(LIMIT - 2)
+        edge = poly_mul(poly_add(x_power(LIMIT - 1), y_plus_1), y_plus_1)
+        assert (LIMIT - 1, 1, 0) in edge.terms
+        for a, b in (
+            (x_power(LIMIT - 1), x),
+            (x_power(1 - LIMIT), x_power(-1)),
+            (poly_add(x_power(LIMIT - 1), y_plus_1), poly_add(x, y_plus_1)),
+        ):
+            with pytest.raises(ExponentOverflow):
+                poly_mul(a, b)
+
+    def test_mul_monomial(self):
+        p = poly_add(x_power(LIMIT - 1), SMALL_TABLE.variable("y"))
+        shifted = poly_mul_monomial(p, SMALL_TABLE.monomial(y=5))
+        assert (LIMIT - 1, 5, 0) in shifted.terms
+        with pytest.raises(ExponentOverflow):
+            poly_mul_monomial(p, SMALL_TABLE.monomial(x=1))
+        with pytest.raises(ExponentOverflow):
+            poly_mul_monomial(x_power(-1), SMALL_TABLE.monomial(x=-LIMIT))
+
+    def test_pow_of_monomial(self):
+        x = SMALL_TABLE.variable("x")
+        assert poly_pow(x, LIMIT - 1) == x_power(LIMIT - 1)
+        assert poly_pow(x_power(-2), LIMIT // 2 - 1) == x_power(2 - LIMIT)
+        for base, k in ((x, LIMIT), (x_power(-1), LIMIT), (x_power(LIMIT // 2), 2)):
+            with pytest.raises(ExponentOverflow):
+                poly_pow(base, k)
+
+    def test_exact_div(self):
+        y_plus_1 = parse_polynomial("y + 1", SMALL_TABLE)
+        numer = poly_mul(x_power(LIMIT - 1), y_plus_1)
+        assert poly_exact_div(numer, y_plus_1) == x_power(LIMIT - 1)
+        assert poly_exact_div(x_power(LIMIT - 1), x_power(1)) == x_power(LIMIT - 2)
+        with pytest.raises(ExponentOverflow):
+            poly_exact_div(x_power(LIMIT - 1), x_power(-1))
+        with pytest.raises(ExponentOverflow):
+            poly_exact_div(numer, poly_mul(x_power(-1), y_plus_1))
+
+    def test_map_variables(self):
+        target = VariableTable.make(cluster=("u",), frozen=("f",))
+        p = poly_add(x_power(LIMIT // 4), SMALL_TABLE.variable("f"))
+        image = poly_map_variables(p, {"x": target.monomial(u=3)}, target)
+        assert image == parse_polynomial(f"u^{3 * (LIMIT // 4)} + f", target)
+        with pytest.raises(ExponentOverflow):
+            poly_map_variables(p, {"x": target.monomial(u=4)}, target)
+        # The same crossing inside one table, where keys move in place.
+        with pytest.raises(ExponentOverflow):
+            poly_map_variables(p, {"x": SMALL_TABLE.monomial(x=2, y=-4)}, SMALL_TABLE)
+
+    def test_terms_view_never_aliases(self):
+        p = x_power(LIMIT - 1)
+        assert len(p.terms) == 1
+        assert (LIMIT - 1, 0, 0) in p.terms
+        for exps in ((LIMIT, 0, 0), (LIMIT - 1, 0), ("x", 0, 0)):
+            assert exps not in p.terms
+        with pytest.raises(TypeError):
+            p.terms[(0, 0, 0)] = 1

@@ -1,6 +1,8 @@
 """Quotient embedding: folded seeds, the product formula, and the image map."""
 
 import hashlib
+from math import lcm
+import random
 
 import pytest
 
@@ -74,6 +76,21 @@ def expand_term_by_term(ctx, p):
                 body = poly_mul(body, poly_pow(sigma, exps[pos]))
         expanded = poly_add(expanded, body)
     return eliminate_units(ctx.fs, expanded)
+
+
+def shared_factor_seeds():
+    """Random seeds whose divisors share a factor and that have frozen columns.
+
+    In ``lcm`` mode their roots have multiplicity ``lcm(d) < prod(d)``,
+    so the unfolding paired with them must scale its ``F`` columns by
+    ``lcm(d) / d_k`` rather than ``prod(d) / d_k``.
+    """
+    rng = random.Random(11)
+    seeds = [random_seed(rng) for _ in range(300)]
+    return [
+        seed for seed in seeds
+        if seed.matrix.m and lcm(*seed.divisors.entries) < seed.divisors.product
+    ]
 
 
 def advance(adjoined, fs, k):
@@ -360,3 +377,13 @@ class TestEmbeddingAndSubquotient:
         for _ in range(25):
             report = subquotient_check(random_seed(rng))
             assert report.ok, report.failures
+
+    def test_lcm_mode_on_shared_factor_seeds(self, rng):
+        seeds = shared_factor_seeds()
+        assert len(seeds) == 48
+        for seed in seeds:
+            sequence = random_sequence(rng, seed.matrix.n, 2)
+            report = embedding_check(seed, sequence, mode="lcm")
+            assert report.ok, (seed.divisors, sequence, report.failures)
+            report = subquotient_check(seed, mode="lcm")
+            assert report.ok, (seed.divisors, report.failures)

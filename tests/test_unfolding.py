@@ -306,6 +306,23 @@ class TestBlockConditions:
             report = hadamard_check(fm, matrix, fix_a.divisors)
             assert report.ok, report.failures
 
+    def test_hadamard_with_root_multiplicity(self):
+        # Divisors (2, 2) share a factor: roots adjoined with the lcm 2
+        # scale the F columns by 2 / d_k, not by the product 4 / d_k.
+        matrix = ExtendedExchangeMatrix.from_rows(
+            [[0, 2, -1, -2], [-2, 0, 4, 3]], m=2
+        )
+        fm = build(matrix, (2, 2), multiplicity=2)
+        assert fm.block(fm.group_range(0), range(4, 6)) == ((-1, -2), (-1, -2))
+        for k in (0, 1, 0):
+            fm = group_mutate(fm, k)
+            matrix = mutate_sequence(matrix, (k,))
+            report = hadamard_check(fm, matrix, (2, 2), multiplicity=2)
+            assert report.ok, report.failures
+        assert not hadamard_check(fm, matrix, (2, 2)).ok
+        with pytest.raises(ValidationError):
+            build(matrix, (2, 2), multiplicity=3)
+
     def test_hadamard_detects_corruption(self, fix_a):
         fm = edited(build(fix_a), {(0, 5): -8})
         report = hadamard_check(fm, fix_a.matrix, fix_a.divisors)
