@@ -5,7 +5,9 @@ Covers every preserved condition the library asserts: mutation
 involution and coefficient-string legality, Laurent exactness over deep
 random walks, block constancy (Hadamard) and the double-constant shape
 of the unfolded matrix at every prefix, the coefficient product
-formula, the embedding conditions, the subquotient realization, and the
+formula, the embedding conditions, the subquotient realization (these
+three on the bundled seeds and on random seeds with up to three frozen
+variables, in both ``total`` and ``lcm`` root mode), and the
 root-extraction/homogeneity form of the exchange polynomials on
 adjoined seeds.  Exits nonzero if any suite fails.
 """
@@ -95,6 +97,16 @@ def suite_subquotient():
         assert report.ok, (name, report.failures)
 
 
+def suite_random_theorem(check, rng, cases, depth):
+    """``check(seed, sequence, mode)`` on random seeds, in both root modes."""
+    for _ in range(cases):
+        seed = random_seed(rng, max_frozen=3)
+        sequence = random_sequence(rng, seed.matrix.n, depth)
+        for mode in ("total", "lcm"):
+            report = check(seed, sequence, mode)
+            assert report.ok, (mode, sequence, report.failures)
+
+
 def suite_root_homogeneity(rng, cases, depth):
     for name in FIXTURE_NAMES:
         seed = fixture_seed(name)
@@ -131,6 +143,25 @@ def main():
         ),
         ("embedding", lambda r: suite_embedding()),
         ("subquotient", lambda r: suite_subquotient()),
+        (
+            "random embedding",
+            lambda r: suite_random_theorem(
+                embedding_check, r, args.cases // 4, min(args.depth, 3)
+            ),
+        ),
+        (
+            "random subquotient",
+            lambda r: suite_random_theorem(
+                lambda seed, _, mode: subquotient_check(seed, mode),
+                r, args.cases // 4, 0,
+            ),
+        ),
+        (
+            "random product-formula",
+            lambda r: suite_random_theorem(
+                product_formula_suite, r, args.cases // 4, min(args.depth, 4)
+            ),
+        ),
         (
             "root+homogeneity",
             lambda r: suite_root_homogeneity(r, args.cases // 2, min(args.depth, 4)),

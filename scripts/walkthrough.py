@@ -2,10 +2,10 @@
 """End-to-end tour of the library on the bundled seeds.
 
 Prints every major object the package computes, in dependency order:
-the seed files, the divisor-scaled matrix and its quiver, matrix and
-seed mutation, the unfolded matrix with its block-structure witnesses,
-root adjoining with the generalized coefficient rows, and the quotient
-images of the cluster variables.  Everything here is recomputed from
+the seed files, the divisor-scaled matrix, matrix and seed mutation,
+the unfolded matrix with its block-structure witnesses, root adjoining
+with the generalized coefficient rows, and the quotient images of the
+cluster variables.  Everything here is recomputed from
 the definitions; nothing is read from stored outputs.
 """
 
@@ -15,7 +15,6 @@ from gencluster.cli_io import _seed_text
 from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import exchange_polynomial, mutate_seed
 from gencluster.matrix_mutation import modify, mutate, write_matrix
-from gencluster.quiver import from_matrix, write_quiver
 from gencluster.quotient_embedding import QuotientContext, phi
 from gencluster.root_adjoin import rho, tau_tilde, tau_variable
 from gencluster.unfolding import build, double_constant_check, group_mutate
@@ -32,12 +31,6 @@ def tour_matrices():
     show("FIX-A seed file", _seed_text(seed))
     modified = modify(seed.matrix, seed.divisors)
     show("FIX-A divisor-scaled matrix", write_matrix(modified))
-    show(
-        "FIX-A quiver",
-        write_quiver(
-            from_matrix(modified, seed.divisors, names=("x1", "x2"))
-        ),
-    )
     show("mutation at 1: plain matrix", write_matrix(mutate(seed.matrix, 0)))
 
     fm = build(seed)

@@ -1,9 +1,9 @@
 """Exact symbolic computation for generalized cluster algebras.
 
-Subpackages cover the Laurent-polynomial kernel, matrix and quiver
-mutation, generalized seeds with higher-order exchange relations, root
-adjoining, block-constant unfoldings, and the quotient embedding of a
-generalized cluster algebra into an ordinary one, together with a
+Subpackages cover the Laurent-polynomial kernel, matrix mutation,
+generalized seeds with higher-order exchange relations, root adjoining,
+block-constant unfoldings, and the quotient embedding of a generalized
+cluster algebra into an ordinary one, together with a
 verification harness exposed on the command line as ``gencluster``.
 """
 
@@ -12,7 +12,6 @@ from . import (
     gca_seed,
     laurent_kernel,
     matrix_mutation,
-    quiver,
     quotient_embedding,
     root_adjoin,
     unfolding,
@@ -25,7 +24,6 @@ __all__ = [
     "gca_seed",
     "laurent_kernel",
     "matrix_mutation",
-    "quiver",
     "quotient_embedding",
     "root_adjoin",
     "unfolding",

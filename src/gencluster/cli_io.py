@@ -37,12 +37,9 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import (
-    FrozenVertexMutation,
     GenClusterError,
     IndexOutOfRange,
     InvalidDivisors,
-    NonFrozenSupport,
-    NotSkewSymmetric,
     NotSkewSymmetrizable,
     ParseError,
     UnknownSymbol,
@@ -81,11 +78,8 @@ _INPUT_ERRORS = (
     ValidationError,
     InvalidDivisors,
     NotSkewSymmetrizable,
-    NotSkewSymmetric,
     IndexOutOfRange,
-    FrozenVertexMutation,
     UnknownSymbol,
-    NonFrozenSupport,
 )
 
 

@@ -31,10 +31,6 @@ class UnknownSymbol(GenClusterError):
     """A symbol is not present in the relevant variable table."""
 
 
-class NonFrozenSupport(GenClusterError):
-    """A tropical operation met a monomial supported on a cluster variable."""
-
-
 class NotSkewSymmetrizable(GenClusterError):
     """No positive diagonal matrix skew-symmetrizes the principal part."""
 
@@ -45,32 +41,6 @@ class InvalidDivisors(GenClusterError):
 
 class IndexOutOfRange(GenClusterError, IndexError):
     """A mutation index does not name a mutable direction."""
-
-
-class NotSkewSymmetric(GenClusterError):
-    """A quiver construction needs a skew-symmetric principal part."""
-
-
-class FrozenVertexMutation(GenClusterError):
-    """A mutation was requested at a frozen vertex."""
-
-
-class FoldingViolation(GenClusterError):
-    """A partition fails the folding conditions.
-
-    Attributes
-    ----------
-    class_index : int
-        Index of the offending class.
-    edge : tuple or None
-        Pair of vertex indices carrying an intra-class arrow, when that
-        is what failed.
-    """
-
-    def __init__(self, message, class_index=None, edge=None):
-        super().__init__(message)
-        self.class_index = class_index
-        self.edge = edge
 
 
 class HomogeneityFailure(GenClusterError):

@@ -24,9 +24,11 @@ Mutation in direction ``k`` replaces the cluster entry by the exact
 quotient ``theta_k / x_k`` (evaluated at the current cluster), mutates
 the matrix by the standard rule, and reverses string row ``k``.
 
-The module also provides the degree-``d_k``-root apparatus: special
-monomials, balancing ``q`` monomials, and a checker for the perfect-power
-form of the exchange polynomial.
+The module also provides the degree-``d_k``-root apparatus: the floor
+defect, special monomials, balancing ``q`` monomials, and a check of the
+perfect-power form of each coefficient of ``theta_k``.  Reassembling
+``theta_k`` from the roots, and ``q`` by its second route, are test
+oracles in ``tests/test_gca_seed.py``.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +40,6 @@ from .laurent_kernel import (
     ROLE_CLUSTER,
     ROLE_FROZEN,
     VariableTable,
-    poly_add,
     poly_exact_div,
     poly_mul,
     poly_mul_monomial,
@@ -176,16 +177,15 @@ def frozen_box(seed, k, r):
 
 def _frozen_box(seed, bhat_row, d_k, r):
     """:func:`frozen_box` read off an already scaled row."""
-    gt = {}
-    lt = {}
+    gt = [0] * len(bhat_row)
+    lt = [0] * len(bhat_row)
     for j in range(seed.rank, len(bhat_row)):
         e = bhat_row[j]
-        name = seed.table.names[j]
         if e > 0:
-            gt[name] = (r * e) // d_k
+            gt[j] = (r * e) // d_k
         elif e < 0:
-            lt[name] = (r * (-e)) // d_k
-    return seed.table.monomial(gt), seed.table.monomial(lt)
+            lt[j] = (r * -e) // d_k
+    return Monomial(seed.table, tuple(gt)), Monomial(seed.table, tuple(lt))
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,14 @@ class ExchangeContext:
     ``u_gt``/``u_lt`` are monomials over the seed's table whose cluster
     exponents refer to the *current* cluster entries (slot ``i`` means
     ``seed.cluster[i]``), not to the table symbols; ``v_gt[r]`` and
-    ``v_lt[r]`` are honest frozen monomials.  ``strings`` is row ``k``.
+    ``v_lt[r]`` are honest frozen monomials.  ``strings`` is row ``k``
+    and ``bhat_row`` the divisor-scaled matrix row they are read from.
     """
 
     seed: GeneralizedSeed
     k: int
     degree: int
+    bhat_row: tuple
     u_gt: Monomial
     u_lt: Monomial
     v_gt: tuple
@@ -212,22 +214,16 @@ class ExchangeContext:
         seed.check_direction(k)
         d_k = seed.divisors[k]
         bhat_row = seed.scaled_matrix().rows[k]
-        gt = {}
-        lt = {}
-        for i in range(seed.rank):
-            e = bhat_row[i]
-            name = seed.table.names[i]
-            if e > 0:
-                gt[name] = e
-            elif e < 0:
-                lt[name] = -e
+        cluster = bhat_row[: seed.rank]
+        frozen = (0,) * (len(bhat_row) - seed.rank)
         boxes = [_frozen_box(seed, bhat_row, d_k, r) for r in range(d_k + 1)]
         return ExchangeContext(
             seed=seed,
             k=k,
             degree=d_k,
-            u_gt=seed.table.monomial(gt),
-            u_lt=seed.table.monomial(lt),
+            bhat_row=bhat_row,
+            u_gt=Monomial(seed.table, tuple(max(e, 0) for e in cluster) + frozen),
+            u_lt=Monomial(seed.table, tuple(max(-e, 0) for e in cluster) + frozen),
             v_gt=tuple(b[0] for b in boxes),
             v_lt=tuple(b[1] for b in boxes),
             strings=seed.strings.row(k),
@@ -296,13 +292,16 @@ def mutate_seed_sequence(seed, sequence):
     return out
 
 
+def floor_defect(n, r, b, d):
+    """``n*floor(r*b/d) - floor(n*r*b/d)``; zero when ``d`` divides ``r*b``."""
+    return n * ((r * b) // d) - (n * r * b) // d
+
+
 def special_monomial(seed, n, j, k, r):
     """Correction monomial of ``f_j`` for an ``n``-fold frozen rescaling.
 
     With ``b = bhat_kj`` (the signed scaled entry) and ``d = d_k``, the
-    exponent is ``n*floor(r*b/d) - floor(n*r*b/d)``: the defect of the
-    floor under scaling by ``n``.  It vanishes whenever ``d`` divides
-    ``r*b``.
+    exponent is :func:`floor_defect` ``(n, r, b, d)``.
     """
     seed.check_direction(k)
     d_k = seed.divisors[k]
@@ -311,34 +310,21 @@ def special_monomial(seed, n, j, k, r):
     pos = seed.table.index(j)
     if seed.table.roles[pos] != ROLE_FROZEN:
         raise ValidationError(f"{j!r} is not a frozen variable")
-    bhat = seed.scaled_matrix()
-    b = bhat.rows[k][pos]
-    exponent = n * ((r * b) // d_k) - (n * r * b) // d_k
-    return seed.table.monomial({j: exponent})
+    b = seed.scaled_matrix().rows[k][pos]
+    return seed.table.monomial({j: floor_defect(n, r, b, d_k)})
 
 
 def q_monomial(seed, k, r):
-    """Balancing monomial ``q_{k,r}``.
+    """Balancing monomial ``q_{k,r} = v>^r * v<^(d-r) / (v>[r] * v<[d-r])^d``.
 
-    Defined as ``v>^r * v<^(d-r) / (v>[r] * v<[d-r])^d`` where
-    ``v> = v>[d]`` and ``v< = v<[d]``; equal to the product over frozen
-    ``j`` of the inverses of the ``d``-fold special monomials, which is
-    asserted here.
+    Here ``v> = v>[d]`` and ``v< = v<[d]``.  A floor identity makes it the
+    product over frozen ``j`` of the inverse ``d``-fold special
+    monomials; ``tests/test_gca_seed.py`` checks that agreement.
     """
     ctx = ExchangeContext.build(seed, k)
     d = ctx.degree
     top = ctx.v_gt[d].power(r).times(ctx.v_lt[d].power(d - r))
-    bottom = ctx.v_gt[r].times(ctx.v_lt[d - r]).power(d)
-    q = top.over(bottom)
-    product = seed.table.one()
-    for pos in seed.table.frozen_indices:
-        name = seed.table.names[pos]
-        product = product.times(special_monomial(seed, d, name, k, r).power(-1))
-    if q != product:
-        raise ValidationError(
-            f"balancing monomial mismatch at ({k},{r}): {q} vs {product}"
-        )
-    return q
+    return top.over(ctx.v_gt[r].times(ctx.v_lt[d - r]).power(d))
 
 
 @dataclass(frozen=True)
@@ -352,38 +338,29 @@ class RootFormulaReport:
 def root_formula_check(seed, k):
     """Check the perfect-power (degree-``d_k`` root) form of ``theta_k``.
 
-    For each ``r`` the monomial ``p_{k,r}^d / q_{k,r} * v>^r * v<^(d-r)``
-    must be the exact ``d``-th power of ``p_{k,r} * v>[r] * v<[d-r]``,
-    and reassembling the extracted roots must reproduce the exchange
-    polynomial.  Returns a report listing failing ``(k, r)`` pairs.
+    For each ``r``, with ``q_{k,r}`` taken from the ``d``-fold special
+    monomials of the scaled row (so the test does not read the boxes it
+    is compared with), the monomial ``p_{k,r}^d / q_{k,r} * v>^r *
+    v<^(d-r)`` must have every exponent divisible by ``d``, and its
+    ``d``-th root must be the coefficient ``p_{k,r} * v>[r] * v<[d-r]``
+    of ``theta_k``.  Returns a report listing failing ``(k, r)`` pairs.
+    Reassembling ``theta_k`` from the roots is a test oracle.
     """
     ctx = ExchangeContext.build(seed, k)
     d = ctx.degree
+    v_gt, v_lt = ctx.v_gt[d], ctx.v_lt[d]
     failures = []
-    roots = []
     for r in range(d + 1):
-        p_r = ctx.strings[r]
-        hat = p_r.power(d).over(q_monomial(seed, k, r))
-        target = hat.times(ctx.v_gt[d].power(r)).times(ctx.v_lt[d].power(d - r))
-        if any(e % d for e in target.exponents) and d > 1:
+        inverse_q = Monomial(seed.table, tuple(
+            floor_defect(d, r, b, d) if pos >= seed.rank else 0
+            for pos, b in enumerate(ctx.bhat_row)
+        ))
+        target = ctx.strings[r].power(d).times(inverse_q)
+        target = target.times(v_gt.power(r)).times(v_lt.power(d - r))
+        if any(e % d for e in target.exponents):
             failures.append((k, r, "exponents not divisible by the degree"))
-            roots.append(None)
             continue
-        root = Monomial(
-            seed.table,
-            tuple(e // d for e in target.exponents) if d > 1 else target.exponents,
-        )
-        expected = p_r.times(ctx.v_gt[r]).times(ctx.v_lt[d - r])
-        if root != expected:
-            failures.append((k, r, f"root {root} differs from {expected}"))
-        roots.append(root)
-    if not failures:
-        gt_base = _cluster_power(seed, ctx.u_gt.exponents)
-        lt_base = _cluster_power(seed, ctx.u_lt.exponents)
-        theta = LaurentPolynomial.zero(seed.table)
-        for r in range(d + 1):
-            term = poly_mul(poly_pow(gt_base, r), poly_pow(lt_base, d - r))
-            theta = poly_add(theta, poly_mul_monomial(term, roots[r]))
-        if theta != exchange_polynomial(seed, k):
-            failures.append((k, None, "reassembled polynomial differs"))
+        root = Monomial(seed.table, tuple(e // d for e in target.exponents))
+        if root != ctx.coefficient(r):
+            failures.append((k, r, f"root {root} differs from {ctx.coefficient(r)}"))
     return RootFormulaReport(ok=not failures, failures=tuple(failures))

@@ -53,6 +53,7 @@ from types import MappingProxyType
 from .errors import (
     CorrespondenceViolation,
     GroupCoherenceViolation,
+    InexactDivision,
     ValidationError,
 )
 from .gca_seed import (
@@ -429,7 +430,8 @@ class QuotientContext:
 
         Placeholder exponents are expanded to ``sigma`` powers (only
         non-negative powers arise in the verified identities; a negative
-        power raises).  The terms that share one placeholder part are
+        one would divide by a ``sigma`` polynomial and raises
+        :class:`~gencluster.errors.InexactDivision`).  The terms that share one placeholder part are
         multiplied by its ``sigma`` powers together.  Then the unit
         relations eliminate each group's last auxiliary pair.
         """
@@ -438,7 +440,7 @@ class QuotientContext:
             parts = []
             for powers, part in poly_split_trailing(p, table).items():
                 if any(e < 0 for e in powers):
-                    raise ValidationError(
+                    raise InexactDivision(
                         "negative placeholder power: identity outside "
                         "the verified fragment"
                     )

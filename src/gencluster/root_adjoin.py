@@ -29,19 +29,10 @@ from .gca_seed import (
     ExchangeContext,
     GeneralizedSeed,
     _cluster_power,
-    _exchange_polynomial,
+    floor_defect,
     mutate_seed_sequence,
 )
-from .laurent_kernel import (
-    LaurentPolynomial,
-    Monomial,
-    ROLE_FROZEN,
-    poly_add,
-    poly_map_variables,
-    poly_mul,
-    poly_mul_monomial,
-    poly_pow,
-)
+from .laurent_kernel import Monomial, ROLE_FROZEN, poly_map_variables
 from .matrix_mutation import ExtendedExchangeMatrix
 
 
@@ -152,7 +143,7 @@ def adjoin_root(seed, j, n, root_name=None):
         b = bhat.rows[k][pos]
         row = []
         for r, p in enumerate(current.strings.row(k)):
-            defect = n * ((r * b) // d_k) - (n * r * b) // d_k
+            defect = floor_defect(n, r, b, d_k)
             image = transport(p.as_polynomial()).as_monomial()
             row.append(image.times(new_table.monomial({root_name: defect})))
         new_string_rows.append(tuple(row))
@@ -304,14 +295,18 @@ def rho(seed):
     return table
 
 
+def _unbalanced_column(ctx):
+    """First frozen position whose scaled entry ``d_k`` does not divide, or ``None``."""
+    row = ctx.bhat_row
+    frozen = range(ctx.seed.rank, len(row))
+    return next((j for j in frozen if row[j] % ctx.degree), None)
+
+
 def is_floor_free(seed, k):
     """Whether every frozen entry of scaled row ``k`` is divisible by ``d_k``."""
     if isinstance(seed, AdjoinedSeed):
         seed = seed.seed
-    bhat = seed.scaled_matrix()
-    d_k = seed.divisors[k]
-    n = seed.rank
-    return all(bhat.rows[k][j] % d_k == 0 for j in range(n, n + seed.matrix.m))
+    return _unbalanced_column(ExchangeContext.build(seed, k)) is None
 
 
 @dataclass(frozen=True)
@@ -328,54 +323,38 @@ def homogeneity_check(seed, k):
     """Check that ``theta_k`` is a polynomial in one carrier monomial.
 
     Requires every frozen entry of scaled row ``k`` to be divisible by
-    ``d_k`` (otherwise raises
+    ``d_k``; otherwise raises
     :class:`~gencluster.errors.HomogeneityFailure` naming the offending
-    frozen column and the first inhomogeneous term), then verifies the
-    reconstruction::
+    frozen column and the ``r = 1`` coefficient.  On such a row the
+    boxes are powers of ``v>[1]`` and ``v<[1]``, so::
 
         theta_k = sum_r rho_{k,r} * (u> * v>[1])^r * (u< * v<[1])^(d-r)
 
-    against :func:`~gencluster.gca_seed.exchange_polynomial`.
+    holds term by term; the report carries the carrier and the
+    ``rho_{k,r}``.  ``tests/test_root_adjoin.py`` rebuilds ``theta_k``
+    from them as an oracle.
     """
     if isinstance(seed, AdjoinedSeed):
         seed = seed.seed
     ctx = ExchangeContext.build(seed, k)
-    d = ctx.degree
-    bhat = seed.scaled_matrix()
-    n = seed.rank
-    for j in range(n, n + seed.matrix.m):
-        b = bhat.rows[k][j]
-        if b % d:
-            name = seed.table.names[j]
-            # The r = 1 coefficient carries a genuine floor defect.
-            term = ctx.coefficient(1)
-            raise HomogeneityFailure(
-                f"scaled entry {b} of frozen column {name!r} is not divisible "
-                f"by {d}; coefficient {term} cannot be balanced",
-                row=k,
-                column=name,
-                term=str(term),
-            )
-    coefficients = _homogenized_coefficients(ctx)
-    gt_base = _cluster_power(seed, ctx.u_gt.exponents)
-    gt_base = poly_mul_monomial(gt_base, ctx.v_gt[1])
-    lt_base = _cluster_power(seed, ctx.u_lt.exponents)
-    lt_base = poly_mul_monomial(lt_base, ctx.v_lt[1])
-    rebuilt = LaurentPolynomial.zero(seed.table)
-    for r in range(d + 1):
-        term = poly_mul(poly_pow(gt_base, r), poly_pow(lt_base, d - r))
-        rebuilt = poly_add(rebuilt, poly_mul_monomial(term, coefficients[r]))
-    if rebuilt != _exchange_polynomial(ctx):
+    j = _unbalanced_column(ctx)
+    if j is not None:
+        b = ctx.bhat_row[j]
+        name = seed.table.names[j]
+        # The r = 1 coefficient carries a genuine floor defect.
+        term = ctx.coefficient(1)
         raise HomogeneityFailure(
-            f"homogeneous reconstruction of direction {k} disagrees with the "
-            "exchange polynomial",
+            f"scaled entry {b} of frozen column {name!r} is not divisible "
+            f"by {ctx.degree}; coefficient {term} cannot be balanced",
             row=k,
+            column=name,
+            term=str(term),
         )
     return HomogeneityReport(
         k=k,
-        degree=d,
+        degree=ctx.degree,
         tau=_tau_variable(ctx, floor_free=True),
-        coefficients=coefficients,
+        coefficients=_homogenized_coefficients(ctx),
     )
 
 
@@ -389,7 +368,8 @@ def tau_variable(seed, k):
     """
     if isinstance(seed, AdjoinedSeed):
         seed = seed.seed
-    return _tau_variable(ExchangeContext.build(seed, k), is_floor_free(seed, k))
+    ctx = ExchangeContext.build(seed, k)
+    return _tau_variable(ctx, _unbalanced_column(ctx) is None)
 
 
 def _tau_variable(ctx, floor_free):

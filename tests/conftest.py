@@ -6,7 +6,12 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from gencluster.fixtures import fixture_seed
-from gencluster.laurent_kernel import LaurentPolynomial, VariableTable
+from gencluster.laurent_kernel import (
+    LaurentPolynomial,
+    VariableTable,
+    poly_mul,
+    poly_pow,
+)
 
 settings.register_profile(
     "suite",
@@ -52,3 +57,18 @@ def small_polynomials(table=SMALL_TABLE, max_terms=4, max_exp=3, max_coeff=5):
             terms[exps] = terms.get(exps, 0) + c
         return LaurentPolynomial(table, {e: c for e, c in terms.items() if c})
     return st.lists(term, min_size=0, max_size=max_terms).map(build)
+
+
+def cluster_side(seed, k, sign):
+    """``u>`` (``sign=1``) or ``u<`` (``sign=-1``) of direction ``k``.
+
+    The product of the current cluster entries raised to the positive
+    parts of ``sign`` times the scaled row, built with ``poly_pow``
+    independently of the library's exchange context.
+    """
+    row = seed.scaled_matrix().rows[k]
+    out = LaurentPolynomial.one(seed.table)
+    for i in range(seed.rank):
+        if sign * row[i] > 0:
+            out = poly_mul(out, poly_pow(seed.cluster[i], sign * row[i]))
+    return out

@@ -275,6 +275,21 @@ class TestVerify:
         assert code == 2
         assert "StructureViolation" in text
 
+    def test_negative_placeholder_power_exits_two(self, monkeypatch):
+        # Shift every placeholder power down by one, so the quotient's
+        # normal form meets a negative power: a mismatch, not bad input.
+        split = quotient_embedding.poly_split_trailing
+        monkeypatch.setattr(
+            "gencluster.quotient_embedding.poly_split_trailing",
+            lambda p, table: {
+                tuple(e - 1 for e in powers): part
+                for powers, part in split(p, table).items()
+            },
+        )
+        code, text = run("verify", "embedding", "--seed", "FIX-C", "--depth", "1")
+        assert code == 2
+        assert "InexactDivision: negative placeholder power" in text
+
 
 class TestUsageErrors:
     def test_missing_seed(self):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import cluster_side
+from gencluster import gca_seed
 from gencluster.errors import (
     IndexOutOfRange,
     InvalidDivisors,
@@ -19,15 +21,58 @@ from gencluster.gca_seed import (
     root_formula_check,
     special_monomial,
 )
-from gencluster.laurent_kernel import VariableTable, parse_polynomial
+from gencluster.laurent_kernel import (
+    LaurentPolynomial,
+    Monomial,
+    VariableTable,
+    parse_polynomial,
+    poly_add,
+    poly_mul,
+    poly_mul_monomial,
+    poly_pow,
+)
 from gencluster.matrix_mutation import ExtendedExchangeMatrix
 from gencluster.randomgen import random_seed, random_sequence
+from gencluster.root_adjoin import tau_tilde
 
 # Independently derived canonical exchange polynomials of the bundled
 # rank-2 seed with divisors (3, 2) and strings (1, p1x, p2x, 1) and
 # (1, p1y, 1).
 FIX_B_THETA_X = "y^3*b^2 + y^2*a*b*p2x + y*a^2*p1x + a^4"
 FIX_B_THETA_Y = "x^2*b^3 + x*b*p1y + 1"
+
+
+def q_by_special_monomials(seed, k, r):
+    """``q_{k,r}`` as the product of inverse ``d``-fold special monomials."""
+    d = seed.divisors[k]
+    q = seed.table.one()
+    for pos in seed.table.frozen_indices:
+        name = seed.table.names[pos]
+        q = q.times(special_monomial(seed, d, name, k, r).power(-1))
+    return q
+
+
+def extracted_roots(seed, k):
+    """The ``d``-th roots of ``p_{k,r}^d / q_{k,r} * v>^r * v<^(d-r)``."""
+    d = seed.divisors[k]
+    v_gt, v_lt = frozen_box(seed, k, d)
+    roots = []
+    for r in range(d + 1):
+        target = seed.strings.entry(k, r).power(d)
+        target = target.over(q_by_special_monomials(seed, k, r))
+        target = target.times(v_gt.power(r)).times(v_lt.power(d - r))
+        assert all(e % d == 0 for e in target.exponents), (k, r)
+        roots.append(Monomial(seed.table, tuple(e // d for e in target.exponents)))
+    return roots
+
+
+def walked_seeds(rng, count=20, depth=3):
+    """Random seeds, plain and root-adjoined, each after a random walk."""
+    for _ in range(count):
+        seed = random_seed(rng)
+        sequence = random_sequence(rng, seed.rank, depth)
+        for start in (seed, tau_tilde(seed).seed):
+            yield mutate_seed_sequence(start, sequence)
 
 
 class TestExchangePolynomials:
@@ -100,11 +145,35 @@ class TestRootForm:
             for k in range(seed.matrix.n):
                 assert root_formula_check(seed, k).ok
 
-    def test_q_monomial_consistency_on_fixtures(self, fix_a, fix_b, fix_c):
-        for seed in (fix_a, fix_b, fix_c):
-            for k in range(seed.matrix.n):
+    def test_q_monomial_consistency_on_fixtures(self, fix_a, fix_b, fix_c, rng):
+        # The box ratio and the special-monomial product agree by a floor
+        # identity; the root-formula check uses the second route only.
+        for seed in (fix_a, fix_b, fix_c, *walked_seeds(rng)):
+            for k in range(seed.rank):
                 for r in range(seed.divisors[k] + 1):
-                    q_monomial(seed, k, r)  # raises on mismatch
+                    expected = q_by_special_monomials(seed, k, r)
+                    assert q_monomial(seed, k, r) == expected
+
+    def test_reassembled_roots_give_theta(self, fix_a, fix_b, fix_c, rng):
+        # Oracle for the root-formula check: the extracted roots, put back
+        # as coefficients, give theta_k.
+        for seed in (fix_a, fix_b, fix_c, *walked_seeds(rng)):
+            for k in range(seed.rank):
+                d = seed.divisors[k]
+                gt, lt = cluster_side(seed, k, 1), cluster_side(seed, k, -1)
+                theta = LaurentPolynomial.zero(seed.table)
+                for r, root in enumerate(extracted_roots(seed, k)):
+                    term = poly_mul(poly_pow(gt, r), poly_pow(lt, d - r))
+                    theta = poly_add(theta, poly_mul_monomial(term, root))
+                assert theta == exchange_polynomial(seed, k)
+                assert root_formula_check(seed, k).ok
+
+    def test_root_formula_fails_on_a_wrong_floor_defect(self, fix_c, monkeypatch):
+        # The check reads q from the floor defects, never from the boxes,
+        # so a wrong defect cannot cancel against the boxes.
+        defect = gca_seed.floor_defect
+        monkeypatch.setattr(gca_seed, "floor_defect", lambda *a: defect(*a) + 1)
+        assert not root_formula_check(fix_c, 0).ok
 
     def test_special_monomial_values(self, fix_b):
         assert special_monomial(fix_b, 2, "b", 0, 1) == fix_b.table.monomial(b=-1)

@@ -8,8 +8,8 @@ from hypothesis import given
 from conftest import SMALL_TABLE, small_polynomials
 from gencluster.errors import (
     ExponentOverflow,
+    GenClusterError,
     InexactDivision,
-    NonFrozenSupport,
     TableMismatch,
     UnknownSymbol,
     ValidationError,
@@ -42,6 +42,10 @@ def poly_substitute(p, v, m):
     if v not in p.table:
         raise UnknownSymbol(f"symbol {v!r} is not in the table")
     return poly_map_variables(p, {v: m}, m.table)
+
+
+class NonFrozenSupport(GenClusterError):
+    """A tropical operation met a monomial supported on a cluster variable."""
 
 
 def _require_stable_support(m):

@@ -4,17 +4,16 @@ import random
 
 import pytest
 
-from gencluster.errors import (
+from gencluster.errors import ParseError, ValidationError
+from gencluster.matrix_mutation import modify, mutate_modified
+from gencluster.randomgen import random_seed
+from gencluster.unfolding import build, group_mutate
+from weighted_quiver import (
+    FoldingPartition,
     FoldingViolation,
     FrozenVertexMutation,
-    NotSkewSymmetric,
-    ParseError,
-    ValidationError,
-)
-from gencluster.matrix_mutation import modify, mutate_modified
-from gencluster.quiver import (
-    FoldingPartition,
     NodeWeightedQuiver,
+    NotSkewSymmetric,
     check_folding,
     from_matrix,
     group_mutation_quiver,
@@ -23,8 +22,6 @@ from gencluster.quiver import (
     weighted_mutation,
     write_quiver,
 )
-from gencluster.randomgen import random_seed
-from gencluster.unfolding import build, group_mutate
 
 
 def quiver_of(seed, **kwargs):

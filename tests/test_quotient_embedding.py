@@ -10,6 +10,7 @@ from gencluster.errors import (
     CorrespondenceViolation,
     GroupCoherenceViolation,
     IndexOutOfRange,
+    InexactDivision,
     StructureViolation,
     ValidationError,
 )
@@ -258,7 +259,7 @@ class TestSigmaAndUnits:
     def test_negative_placeholder_power_rejected(self, fix_c):
         ctx = QuotientContext.create(fix_c)
         bad = ctx.folded_plus.monomial({"rho1_1": -1}).as_polynomial()
-        with pytest.raises(ValidationError, match="verified fragment"):
+        with pytest.raises(InexactDivision, match="verified fragment"):
             ctx.normal_form(bad)
 
 

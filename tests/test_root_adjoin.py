@@ -2,9 +2,23 @@
 
 import pytest
 
+from conftest import cluster_side
 from gencluster import gca_seed
 from gencluster.errors import HomogeneityFailure, ValidationError
-from gencluster.gca_seed import exchange_polynomial, initial_seed, mutate_seed
+from gencluster.gca_seed import (
+    ExchangeContext,
+    exchange_polynomial,
+    initial_seed,
+    mutate_seed,
+    root_formula_check,
+)
+from gencluster.laurent_kernel import (
+    LaurentPolynomial,
+    poly_add,
+    poly_mul,
+    poly_mul_monomial,
+    poly_pow,
+)
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, mutate_sequence
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import (
@@ -106,7 +120,30 @@ class TestFloorStructure:
         assert str(report.tau) == FIX_B_TAU_X
         assert str(report.coefficients[1]) == FIX_B_RHO_X[1]
 
-    def test_homogeneity_scales_the_matrix_at_most_twice(
+    def test_homogeneous_reconstruction(self, fix_a, fix_b, fix_c, rng):
+        # Oracle for the homogeneity check on floor-free seeds:
+        # theta_k = sum_r rho_{k,r} * (u> * v>[1])^r * (u< * v<[1])^(d-r).
+        # FIX-A grows doubly exponentially, so it is checked at depth 1.
+        starts = [(fix_a, 1), (fix_b, 3), (fix_c, 3)]
+        starts += [(random_seed(rng), 3) for _ in range(20)]
+        for start, depth in starts:
+            current = tau_tilde(start).seed
+            for step in random_sequence(rng, start.rank, depth) + (None,):
+                for k in range(current.rank):
+                    report = homogeneity_check(current, k)
+                    ctx = ExchangeContext.build(current, k)
+                    gt = poly_mul_monomial(cluster_side(current, k, 1), ctx.v_gt[1])
+                    lt = poly_mul_monomial(cluster_side(current, k, -1), ctx.v_lt[1])
+                    d = report.degree
+                    rebuilt = LaurentPolynomial.zero(current.table)
+                    for r, rho_r in enumerate(report.coefficients):
+                        term = poly_mul(poly_pow(gt, r), poly_pow(lt, d - r))
+                        rebuilt = poly_add(rebuilt, poly_mul_monomial(term, rho_r))
+                    assert rebuilt == exchange_polynomial(current, k)
+                if step is not None:
+                    current = mutate_seed(current, step)
+
+    def test_exchange_checks_scale_the_matrix_once(
         self, fix_a, fix_b, fix_c, rng, monkeypatch
     ):
         scalings = []
@@ -121,9 +158,14 @@ class TestFloorStructure:
         cases = [(s, k, tau_variable(s, k)) for s in seeds for k in range(s.rank)]
         monkeypatch.setattr(gca_seed, "modify", counted)
         for seed, k, tau in cases:
-            scalings.clear()
-            assert homogeneity_check(seed, k).tau == tau
-            assert len(scalings) <= 2
+            for check in (
+                lambda: homogeneity_check(seed, k).tau == tau,
+                lambda: root_formula_check(seed, k).ok,
+                lambda: tau_variable(seed, k) == tau,
+            ):
+                scalings.clear()
+                assert check()
+                assert len(scalings) == 1
 
     def test_homogeneity_fails_with_floors(self, fix_b):
         with pytest.raises(HomogeneityFailure):

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: SHA-256 of ``scripts/walkthrough.py`` stdout, pinned from a reference run.
 WALKTHROUGH_SHA256 = (
-    "760d60f01854bbd98adf2edf4e0d3bf85a6224b69612bcae9275e8a8c62281f6"
+    "8dfe6127b77a441f7966aa3921d16a0c6cfb02b51d0c9f72bb1fa1cfcaa35345"
 )
 
 
@@ -38,3 +38,16 @@ def test_run_verification_passes():
     result = run_script("run_verification.py", "--cases", "8", "--depth", "3")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "FAIL" not in result.stdout
+
+
+def test_perfbench_selftest():
+    # The benchmark's tracer wraps library functions by name, so renaming
+    # one fails here rather than only in a benchmark run.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.rstrip().endswith("selftest passed")

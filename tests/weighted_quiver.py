@@ -1,5 +1,10 @@
 """Node-weighted quivers, weighted mutation, and folding checks.
 
+This is the weighted-quiver oracle of the test suite: an independent
+route for matrix mutation and group mutation, checked against
+:mod:`gencluster.matrix_mutation` and :mod:`gencluster.unfolding` in
+``tests/test_quiver.py``.  No command uses it.
+
 A quiver here is a finite set of named vertices, each mutable (with a
 positive integer weight) or frozen, together with a signed arrow-count
 matrix: entry ``(i, j)`` is the number of arrows ``i -> j`` minus the
@@ -27,14 +32,34 @@ condition (1) still holds.
 
 from dataclasses import dataclass
 
-from .errors import (
-    FoldingViolation,
-    FrozenVertexMutation,
-    NotSkewSymmetric,
-    ParseError,
-    ValidationError,
-)
-from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
+from gencluster.errors import GenClusterError, ParseError, ValidationError
+from gencluster.matrix_mutation import DivisorVector, ExtendedExchangeMatrix
+
+
+class NotSkewSymmetric(GenClusterError):
+    """A quiver construction needs a skew-symmetric principal part."""
+
+
+class FrozenVertexMutation(GenClusterError):
+    """A mutation was requested at a frozen vertex."""
+
+
+class FoldingViolation(GenClusterError):
+    """A partition fails the folding conditions.
+
+    Attributes
+    ----------
+    class_index : int
+        Index of the offending class.
+    edge : tuple or None
+        Pair of vertex indices carrying an intra-class arrow, when that
+        is what failed.
+    """
+
+    def __init__(self, message, class_index=None, edge=None):
+        super().__init__(message)
+        self.class_index = class_index
+        self.edge = edge
 
 
 @dataclass(frozen=True)
