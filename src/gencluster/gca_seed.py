@@ -40,6 +40,7 @@ from .laurent_kernel import (
     ROLE_CLUSTER,
     ROLE_FROZEN,
     VariableTable,
+    _same_table,
     poly_exact_div,
     poly_mul,
     poly_mul_monomial,
@@ -76,7 +77,7 @@ class CoefficientStrings:
                     f"string row {i} must have {divisors[i] + 1} entries"
                 )
             for r, mono in enumerate(row):
-                if mono.table != table:
+                if not _same_table(mono.table, table):
                     raise ValidationError("string entry over the wrong table")
                 for pos, e in enumerate(mono.exponents):
                     if e and table.roles[pos] == ROLE_CLUSTER:
@@ -102,6 +103,15 @@ class GeneralizedSeed:
     ``provenance`` records the mutation directions applied since the
     seed was built; it is ignored by equality so that round-trip
     identities compare cleanly.
+
+    The constructor checks that the parts fit together: sizes, tables,
+    divisor compatibility and the coefficient strings.  Mutation results
+    skip those checks (see :func:`_trusted_seed`), because
+    :func:`mutate_seed` preserves each of them: the table and divisors
+    are unchanged; each matrix update is 0 or ``+/- b_ik * b_kj``, so
+    ``d_i`` still divides row ``i`` (and the symmetrizer carries over,
+    Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5); and string row
+    ``k`` is only reversed.
     """
 
     table: VariableTable
@@ -122,7 +132,7 @@ class GeneralizedSeed:
         if len(self.cluster) != n:
             raise ValidationError("cluster size does not match the matrix")
         for entry in self.cluster:
-            if entry.table != self.table:
+            if not _same_table(entry.table, self.table):
                 raise ValidationError("cluster entry over the wrong table")
         if len(self.divisors) != n:
             raise ValidationError("divisor count does not match the matrix")
@@ -136,6 +146,13 @@ class GeneralizedSeed:
     def scaled_matrix(self):
         """The divisor-scaled companion matrix ``bhat``."""
         return modify(self.matrix, self.divisors)
+
+    def scaled_row(self, k):
+        """Row ``k`` of :meth:`scaled_matrix`, scaled alone."""
+        d_k, n = self.divisors[k], self.rank
+        return tuple([
+            e // d_k if j < n else e for j, e in enumerate(self.matrix.rows[k])
+        ])
 
     def check_direction(self, k):
         if not isinstance(k, int) or not 0 <= k < self.rank:
@@ -166,13 +183,25 @@ def initial_seed(matrix, divisors, strings=None, cluster_names=None, frozen_name
     return GeneralizedSeed(table, cluster, matrix, divisors, strings)
 
 
+def _trusted_seed(seed, **changes):
+    """``dataclasses.replace(seed, **changes)`` without the constructor's checks.
+
+    Only for seeds that mutation derives from ``seed``: the changed
+    fields must keep every invariant the constructor checks (see
+    :class:`GeneralizedSeed`).
+    """
+    out = object.__new__(GeneralizedSeed)
+    out.__dict__.update(seed.__dict__, **changes)
+    return out
+
+
 def frozen_box(seed, k, r):
     """The pair ``(v>[r], v<[r])`` of frozen monomials for direction ``k``."""
     seed.check_direction(k)
     d_k = seed.divisors[k]
     if not 0 <= r <= d_k:
         raise IndexOutOfRange(f"box index {r} outside 0..{d_k}")
-    return _frozen_box(seed, seed.scaled_matrix().rows[k], d_k, r)
+    return _frozen_box(seed, seed.scaled_row(k), d_k, r)
 
 
 def _frozen_box(seed, bhat_row, d_k, r):
@@ -213,7 +242,7 @@ class ExchangeContext:
     def build(seed, k):
         seed.check_direction(k)
         d_k = seed.divisors[k]
-        bhat_row = seed.scaled_matrix().rows[k]
+        bhat_row = seed.scaled_row(k)
         cluster = bhat_row[: seed.rank]
         frozen = (0,) * (len(bhat_row) - seed.rank)
         boxes = [_frozen_box(seed, bhat_row, d_k, r) for r in range(d_k + 1)]
@@ -275,11 +304,10 @@ def mutate_seed(seed, k):
     new_cluster[k] = poly_exact_div(theta, seed.cluster[k])
     new_rows = list(seed.strings.rows)
     new_rows[k] = seed.strings.reversed_row(k)
-    return GeneralizedSeed(
-        table=seed.table,
+    return _trusted_seed(
+        seed,
         cluster=tuple(new_cluster),
         matrix=mutate(seed.matrix, k),
-        divisors=seed.divisors,
         strings=CoefficientStrings(tuple(new_rows)),
         provenance=seed.provenance + (k,),
     )
@@ -310,7 +338,7 @@ def special_monomial(seed, n, j, k, r):
     pos = seed.table.index(j)
     if seed.table.roles[pos] != ROLE_FROZEN:
         raise ValidationError(f"{j!r} is not a frozen variable")
-    b = seed.scaled_matrix().rows[k][pos]
+    b = seed.scaled_row(k)[pos]
     return seed.table.monomial({j: floor_defect(n, r, b, d_k)})
 
 

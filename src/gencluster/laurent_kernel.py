@@ -142,6 +142,10 @@ class VariableTable:
             if role not in _ROLES:
                 raise ValidationError(f"bad role: {role!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "_role_indices", {
+            role: tuple(i for i, r in enumerate(self.roles) if r == role)
+            for role in _ROLES
+        })
         object.__setattr__(self, "_layout", _layout(len(self.names)))
 
     @staticmethod
@@ -169,15 +173,15 @@ class VariableTable:
         return self.roles[self.index(name)]
 
     def indices_of_role(self, role):
-        return tuple(i for i, r in enumerate(self.roles) if r == role)
+        return self._role_indices.get(role, ())
 
     @property
     def cluster_indices(self):
-        return self.indices_of_role(ROLE_CLUSTER)
+        return self._role_indices[ROLE_CLUSTER]
 
     @property
     def frozen_indices(self):
-        return self.indices_of_role(ROLE_FROZEN)
+        return self._role_indices[ROLE_FROZEN]
 
     def monomial(self, exponents=None, **by_name):
         """Monomial with the given ``{name: exponent}`` support."""

@@ -14,6 +14,15 @@ Two mutation rules live here:
   divisor-scaled matrix produced by :func:`modify`, which is asserted by
   the test-suite rather than assumed.
 
+The public constructor :class:`ExtendedExchangeMatrix` (and with it
+:func:`parse_matrix`, :meth:`ExtendedExchangeMatrix.from_rows` and
+:func:`modify`) validates its input.  Mutation results skip that
+validation: the shape and the integer entries carry over from the
+input, and so does its skew-symmetrizer (Fomin-Zelevinsky, Cluster
+algebras I, Prop. 4.5), so both rules build their results through
+:func:`_trusted_matrix`.  The test-suite rebuilds those results through
+the validating constructor and compares.
+
 The plain-text matrix format is a header line ``"n m"`` followed by one
 line of ``;``-separated rows, each row ``n + m`` integers::
 
@@ -108,12 +117,18 @@ class ExtendedExchangeMatrix:
     """Integer matrix with ``n`` mutable rows and ``n + m`` columns.
 
     The principal (left ``n`` x ``n``) part must be skew-symmetrizable;
-    this is checked at construction.  ``_symmetrizer`` is a positive
-    diagonal that is tried first: mutation preserves skew-symmetrizers
-    (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so the mutation
-    rules and :func:`modify` derive one from their input, and the full
+    the constructor checks the shape, the entries and that property,
+    and stores the rows as tuples.
+    ``_symmetrizer`` is a positive diagonal that is tried first, so
+    :func:`modify` passes one derived from its input, and the full
     search runs only when it is absent or does not fit.  It takes no
     part in equality, hashing or the repr.
+
+    Mutation results do not pass through the constructor: mutation
+    keeps the shape and integrality and preserves skew-symmetrizers
+    (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so
+    :func:`mutate` and :func:`mutate_modified` build them with
+    :func:`_trusted_matrix` and the input's symmetrizer.
     """
 
     n: int
@@ -126,6 +141,9 @@ class ExtendedExchangeMatrix:
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
             raise ValidationError("matrix dimensions must be non-negative")
+        # Rows are stored as tuples, so the matrix is hashable and
+        # mutation may share unchanged rows with its input.
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if len(self.rows) != self.n:
             raise ValidationError("row count does not match n")
         for row in self.rows:
@@ -249,19 +267,54 @@ def modify(matrix, divisors):
     )
 
 
-def _mutate_rows(rows, n, k, row_scale):
-    """Shared mutation kernel; ``row_scale(i, j)`` scales the update term."""
+def _trusted_matrix(matrix, rows):
+    """``matrix`` with its rows replaced, built without validation.
+
+    Only for mutation results: ``rows`` is a tuple of integer tuples of
+    the input's shape, and the input's symmetrizer, which is kept, still
+    skew-symmetrizes the principal part.
+    """
+    out = object.__new__(ExtendedExchangeMatrix)
+    out.__dict__.update(matrix.__dict__, rows=rows)
+    return out
+
+
+def _mutate_rows(rows, n, k, mutable_scale, frozen_scales):
+    """Shared mutation kernel on the rows of a valid matrix.
+
+    The update of entry ``(i, j)`` off row and column ``k`` is ``scale *
+    (|b_ik| b_kj + b_ik |b_kj|) / 2``, which is ``scale * |b_ik|`` times
+    the part of ``b_kj`` with the sign of ``b_ik``.  ``scale`` is
+    ``mutable_scale`` in the first ``n`` columns and ``frozen_scales[i]``
+    in the rest.  A row with ``b_ik = 0`` is unchanged, its column ``k``
+    entry being zero, and is shared with the input: rows are tuples.
+    """
+    pivot = rows[k]
+    # b_kk = 0, so column k of both parts is zero and the update
+    # leaves it for the sign flip below.  Rows are built from lists, not
+    # generators: tuples grown from generators raised the peak memory of
+    # long ``verify`` walks.
+    positive = [e if e > 0 else 0 for e in pivot]
+    negative = [e if e < 0 else 0 for e in pivot]
     new_rows = []
     for i, row in enumerate(rows):
-        new_row = []
-        for j, e in enumerate(row):
-            if i == k or j == k:
-                new_row.append(-e)
-                continue
-            b_ik = row[k]
-            b_kj = rows[k][j]
-            bump = (abs(b_ik) * b_kj + b_ik * abs(b_kj)) // 2
-            new_row.append(e + row_scale(i, j) * bump)
+        b_ik = row[k]
+        if i == k:
+            new_rows.append(tuple([-e for e in row]))
+            continue
+        if not b_ik:
+            new_rows.append(row)
+            continue
+        part = positive if b_ik > 0 else negative
+        size = abs(b_ik)
+        s, t = size * mutable_scale, size * frozen_scales[i]
+        if s == t:
+            # Always so for the standard rule: one pass, no slices.
+            new_row = [e + s * p for e, p in zip(row, part)]
+        else:
+            new_row = [e + s * p for e, p in zip(row[:n], part[:n])]
+            new_row += [e + t * p for e, p in zip(row[n:], part[n:])]
+        new_row[k] = -b_ik
         new_rows.append(tuple(new_row))
     return tuple(new_rows)
 
@@ -269,10 +322,8 @@ def _mutate_rows(rows, n, k, row_scale):
 def mutate(matrix, k):
     """Standard mutation of an extended exchange matrix in direction ``k``."""
     matrix.check_direction(k)
-    rows = _mutate_rows(matrix.rows, matrix.n, k, lambda i, j: 1)
-    return ExtendedExchangeMatrix(
-        matrix.n, matrix.m, rows, _symmetrizer=matrix._symmetrizer
-    )
+    rows = _mutate_rows(matrix.rows, matrix.n, k, 1, (1,) * matrix.n)
+    return _trusted_matrix(matrix, rows)
 
 
 def mutate_modified(matrix, divisors, k):
@@ -282,7 +333,9 @@ def mutate_modified(matrix, divisors, k):
     by ``d_i`` (the row divisor) when the column is slack.  This rule is
     meant for divisor-scaled matrices (see :func:`modify`) and commutes
     with scaling: ``modify(mutate(B, k), d) == mutate_modified(modify(B,
-    d), d, k)``.  No row-divisibility is required of the input.
+    d), d, k)``.  No row-divisibility is required of the input.  The
+    input's symmetrizer carries over: with ``D = diag(d)`` the result is
+    ``D^-1 mutate(D B, k)``, and ``s / d`` skew-symmetrizes ``D B``.
     """
     matrix.check_direction(k)
     if not isinstance(divisors, DivisorVector):
@@ -290,14 +343,9 @@ def mutate_modified(matrix, divisors, k):
     if len(divisors) != matrix.n:
         raise InvalidDivisors("divisor count does not match the matrix")
     rows = _mutate_rows(
-        matrix.rows,
-        matrix.n,
-        k,
-        lambda i, j: divisors[k] if j < matrix.n else divisors[i],
+        matrix.rows, matrix.n, k, divisors[k], divisors.entries
     )
-    return ExtendedExchangeMatrix(
-        matrix.n, matrix.m, rows, _symmetrizer=matrix._symmetrizer
-    )
+    return _trusted_matrix(matrix, rows)
 
 
 def mutate_sequence(matrix, sequence, divisors=None):

@@ -60,6 +60,7 @@ from .gca_seed import (
     CoefficientStrings,
     ExchangeContext,
     GeneralizedSeed,
+    _trusted_seed,
     mutate_seed,
 )
 from .laurent_kernel import (
@@ -561,7 +562,7 @@ def product_formula_walk(gca, mode="total"):
     def step(fs, k):
         fm = group_mutate(fs.folded, k)
         return FoldedSeed(
-            seed=replace(fs.seed, matrix=fm.matrix),
+            seed=_trusted_seed(fs.seed, matrix=fm.matrix),
             folded=fm,
             group_provenance=fs.group_provenance + (k,),
         )

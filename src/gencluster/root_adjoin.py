@@ -120,7 +120,6 @@ def adjoin_root(seed, j, n, root_name=None):
     new_table = table.renamed(j, root_name)
     root_power = new_table.monomial({root_name: n})
 
-    bhat = current.scaled_matrix()
     d = current.divisors
     new_rows = tuple(
         tuple(e * n if col == pos else e for col, e in enumerate(row))
@@ -140,7 +139,7 @@ def adjoin_root(seed, j, n, root_name=None):
     new_string_rows = []
     for k in range(current.rank):
         d_k = d[k]
-        b = bhat.rows[k][pos]
+        b = current.scaled_row(k)[pos]
         row = []
         for r, p in enumerate(current.strings.row(k)):
             defect = floor_defect(n, r, b, d_k)

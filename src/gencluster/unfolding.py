@@ -115,10 +115,13 @@ class FoldedMatrix:
         return out
 
     def block(self, rows, cols):
-        """The sub-matrix over the given row and column ranges (copied)."""
-        return tuple(
-            tuple(self.matrix.rows[r][c] for c in cols) for r in rows
-        )
+        """The sub-matrix over the given rows and a contiguous column ``range``.
+
+        ``cols`` is a step-1 ``range``, as every accessor here returns;
+        each row is read as one slice.
+        """
+        start, stop = cols.start, cols.stop
+        return tuple(self.matrix.rows[r][start:stop] for r in rows)
 
 
 def _f_scales(divisors, multiplicity):

@@ -1,5 +1,7 @@
 """Generalized seeds: higher-degree exchange relations and mutation."""
 
+import random
+
 import pytest
 
 from conftest import cluster_side
@@ -12,6 +14,7 @@ from gencluster.errors import (
 from gencluster.gca_seed import (
     CoefficientStrings,
     ExchangeContext,
+    GeneralizedSeed,
     exchange_polynomial,
     frozen_box,
     initial_seed,
@@ -31,7 +34,7 @@ from gencluster.laurent_kernel import (
     poly_mul_monomial,
     poly_pow,
 )
-from gencluster.matrix_mutation import ExtendedExchangeMatrix
+from gencluster.matrix_mutation import ExtendedExchangeMatrix, _symmetrizes
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import tau_tilde
 
@@ -137,6 +140,52 @@ class TestMutation:
             mutate_seed(fix_c, 1)
         with pytest.raises(IndexOutOfRange):
             mutate_seed(fix_c, -1)
+
+
+def assert_seed_valid_as_built(seed):
+    """A mutated seed passes the validating constructors unchanged."""
+    matrix = seed.matrix
+    assert _symmetrizes(matrix._symmetrizer, matrix.rows, matrix.n)
+    rebuilt = GeneralizedSeed(
+        table=seed.table,
+        cluster=seed.cluster,
+        matrix=ExtendedExchangeMatrix(matrix.n, matrix.m, matrix.rows),
+        divisors=seed.divisors,
+        strings=seed.strings,
+        provenance=seed.provenance,
+    )
+    assert type(seed) is GeneralizedSeed
+    assert rebuilt == seed
+
+
+class TestTrustedSeeds:
+    def test_fixture_walks(self, fix_a, fix_b, fix_c):
+        # FIX-A's cluster grows doubly exponentially: depth 3 alone
+        # takes seconds, so it walks to depth 2.
+        walks = [
+            (fix_a, ((0, 1), (1, 0))),
+            (fix_b, ((0, 1, 0, 1), (1, 0, 1, 0))),
+            (fix_c, ((0, 0, 0, 0),)),
+        ]
+        for start, sequences in walks:
+            for seed in (start, tau_tilde(start).seed):
+                for sequence in sequences:
+                    current = seed
+                    for k in sequence:
+                        current = mutate_seed(current, k)
+                        assert_seed_valid_as_built(current)
+
+    def test_random_walks(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            start = random_seed(rng, max_frozen=3)
+            for seed in (start, tau_tilde(start).seed):
+                current = seed
+                sequence = random_sequence(rng, seed.rank, 6)
+                for k in sequence:
+                    current = mutate_seed(current, k)
+                    assert_seed_valid_as_built(current)
+                assert current.provenance == seed.provenance + sequence
 
 
 class TestRootForm:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gencluster.errors import (
     IndexOutOfRange,
@@ -14,6 +15,7 @@ from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
+    _symmetrizes,
     check_compatible,
     diagonalizer,
     modify,
@@ -186,6 +188,87 @@ class TestInheritedSymmetrizer:
             for d in ((1, 1), (2, 1), (0, 0), (-1, -1), (1,)):
                 with pytest.raises(NotSkewSymmetrizable):
                     ExtendedExchangeMatrix(2, 0, rows, _symmetrizer=d)
+
+
+def oracle_mutate_rows(rows, k, row_scale):
+    """The mutation rule entry by entry; ``row_scale(i, j)`` scales the update."""
+    new_rows = []
+    for i, row in enumerate(rows):
+        new_row = []
+        for j, e in enumerate(row):
+            if i == k or j == k:
+                new_row.append(-e)
+                continue
+            b_ik = row[k]
+            b_kj = rows[k][j]
+            bump = (abs(b_ik) * b_kj + b_ik * abs(b_kj)) // 2
+            new_row.append(e + row_scale(i, j) * bump)
+        new_rows.append(tuple(new_row))
+    return tuple(new_rows)
+
+
+@st.composite
+def weighted_walks(draw, max_rank=4, max_frozen=3):
+    """A skew-symmetrizable matrix with frozen columns, divisors and a walk.
+
+    The principal part is skew-symmetrized by a random positive vector
+    ``s`` (``b_ij = s_j c``, ``b_ji = -s_i c``); the divisors need not
+    divide its rows, which the weighted rule does not require.
+    """
+    n = draw(st.integers(1, max_rank))
+    m = draw(st.integers(0, max_frozen))
+    s = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rows = [[0] * (n + m) for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = draw(st.integers(-2, 2))
+            rows[i][j], rows[j][i] = s[j] * c, -s[i] * c
+        for l in range(m):
+            rows[i][n + l] = draw(st.integers(-5, 5))
+    matrix = ExtendedExchangeMatrix(n, m, tuple(tuple(row) for row in rows))
+    divisors = DivisorVector(tuple(
+        draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ))
+    walk = draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=6))
+    return matrix, divisors, walk
+
+
+def assert_valid_as_built(matrix):
+    """A trusted result passes the validating constructor unchanged."""
+    assert type(matrix) is ExtendedExchangeMatrix
+    assert ExtendedExchangeMatrix(matrix.n, matrix.m, matrix.rows) == matrix
+    assert _symmetrizes(matrix._symmetrizer, matrix.rows, matrix.n)
+
+
+class TestTrustedResults:
+    @given(weighted_walks())
+    def test_walks_match_the_entrywise_oracle(self, case):
+        matrix, divisors, walk = case
+        n = matrix.n
+        plain = modified = matrix
+        for k in walk:
+            expected_plain = oracle_mutate_rows(plain.rows, k, lambda i, j: 1)
+            expected_modified = oracle_mutate_rows(
+                modified.rows,
+                k,
+                lambda i, j: divisors[k] if j < n else divisors[i],
+            )
+            plain = mutate(plain, k)
+            modified = mutate_modified(modified, divisors, k)
+            assert plain.rows == expected_plain
+            assert modified.rows == expected_modified
+            assert_valid_as_built(plain)
+            assert_valid_as_built(modified)
+
+    def test_list_rows_are_stored_as_tuples(self):
+        rows = [[0, 1, 0, 2], [-1, 0, 1, 0], [0, -1, 0, 3]]
+        listed = ExtendedExchangeMatrix(3, 1, rows)
+        assert listed == ExtendedExchangeMatrix(3, 1, tuple(map(tuple, rows)))
+        # Row 2 has b_20 = 0, so mutation in direction 0 keeps it as it is.
+        divisors = DivisorVector.of(2, 1, 1)
+        for result in (mutate(listed, 0), mutate_modified(listed, divisors, 0)):
+            assert all(type(row) is tuple for row in result.rows)
+            assert hash(result) == hash(ExtendedExchangeMatrix(3, 1, result.rows))
 
 
 class TestValidation:

@@ -7,6 +7,7 @@ from gencluster import gca_seed
 from gencluster.errors import HomogeneityFailure, ValidationError
 from gencluster.gca_seed import (
     ExchangeContext,
+    GeneralizedSeed,
     exchange_polynomial,
     initial_seed,
     mutate_seed,
@@ -146,17 +147,31 @@ class TestFloorStructure:
     def test_exchange_checks_scale_the_matrix_once(
         self, fix_a, fix_b, fix_c, rng, monkeypatch
     ):
-        scalings = []
+        # Each check builds one exchange context, which scales row k
+        # once and alone; none scales the whole matrix.
+        scalings, builds, row_scalings = [], [], []
         modify = gca_seed.modify
+        build = ExchangeContext.build
+        scaled_row = GeneralizedSeed.scaled_row
 
-        def counted(*args, **kwargs):
+        def counted_modify(*args, **kwargs):
             scalings.append(1)
             return modify(*args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        def counted_scaled_row(self, k):
+            row_scalings.append(1)
+            return scaled_row(self, k)
 
         seeds = [tau_tilde(s).seed for s in (fix_a, fix_b, fix_c)]
         seeds += [tau_tilde(random_seed(rng)).seed for _ in range(10)]
         cases = [(s, k, tau_variable(s, k)) for s in seeds for k in range(s.rank)]
-        monkeypatch.setattr(gca_seed, "modify", counted)
+        monkeypatch.setattr(gca_seed, "modify", counted_modify)
+        monkeypatch.setattr(ExchangeContext, "build", staticmethod(counted_build))
+        monkeypatch.setattr(GeneralizedSeed, "scaled_row", counted_scaled_row)
         for seed, k, tau in cases:
             for check in (
                 lambda: homogeneity_check(seed, k).tau == tau,
@@ -164,8 +179,12 @@ class TestFloorStructure:
                 lambda: tau_variable(seed, k) == tau,
             ):
                 scalings.clear()
+                builds.clear()
+                row_scalings.clear()
                 assert check()
-                assert len(scalings) == 1
+                assert len(scalings) == 0
+                assert len(builds) == 1
+                assert len(row_scalings) == 1
 
     def test_homogeneity_fails_with_floors(self, fix_b):
         with pytest.raises(HomogeneityFailure):
