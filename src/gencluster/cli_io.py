@@ -33,8 +33,6 @@ import hashlib
 import json
 import random
 import sys
-import time
-from dataclasses import dataclass, field
 
 from .errors import (
     GenClusterError,
@@ -291,42 +289,18 @@ def parse_seed(path):
 
 
 # ---------------------------------------------------------------------------
-# trace logs
+# trace digests
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One step of a traced run."""
+def _digest(seed):
+    """SHA-256 of a (possibly mutated) seed's matrix-and-strings text.
 
-    operation: str
-    index: int
-    elapsed: float
-    digest: str
-
-
-@dataclass
-class TraceLog:
-    """Append-only sequence of trace records.
-
-    Digests are SHA-256 over the canonical text form of each step's
-    output, so two runs agree exactly when every intermediate object
-    agrees.  ``elapsed`` is informational and never participates in
-    digests or canonical output.
+    Two traced runs agree exactly when every intermediate seed agrees.
     """
-
-    records: list = field(default_factory=list)
-
-    def add(self, operation, index, elapsed, text):
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.records.append(TraceRecord(operation, index, elapsed, digest))
-        return self.records[-1]
-
-
-def _state_text(seed):
-    """Canonical matrix-and-strings text of a (possibly mutated) seed."""
-    return write_matrix(seed.matrix) + "".join(
+    text = write_matrix(seed.matrix) + "".join(
         line + "\n" for line in _string_lines(seed)
     )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +395,11 @@ def _cmd_adjoin(args, out):
 def _cmd_trace(args, out):
     seed, _ = _load_seed(args)
     sequence = _parse_sequence(args.sequence, seed.matrix.n)
-    log = TraceLog()
-    record = log.add("init", 0, 0.0, _state_text(seed))
-    out.write(f"init digest={record.digest}\n")
+    out.write(f"init digest={_digest(seed)}\n")
     current = seed
     for k in sequence:
-        start = time.perf_counter()
         current = mutate_seed(current, k)
-        elapsed = time.perf_counter() - start
-        record = log.add("mutate", k + 1, elapsed, _state_text(current))
-        out.write(f"mutate k={record.index} digest={record.digest}\n")
+        out.write(f"mutate k={k + 1} digest={_digest(current)}\n")
     return 0
 
 
@@ -536,21 +505,16 @@ def _walk_verdicts(target, seed, sequences):
 
 
 def _sequence_space(target, seed, args):
-    """The list of sequences a verify run walks for one seed."""
-    if target == "subquotient":
-        return [()]
-    rank = seed.matrix.n
+    """The list of sequences a verify run walks for one seed.
+
+    The flags are validated for every target; ``subquotient`` then walks
+    the empty sequence alone.
+    """
     depth = args.depth if args.depth is not None else _DEFAULT_DEPTH[target]
     if depth < 0:
         raise _UsageError(f"--depth must be non-negative, got {depth}")
     spec = args.sequences
-    if depth and not rank:
-        raise _UsageError(f"a rank-0 seed has no mutation sequences of depth {depth}")
-    if spec == "exhaustive":
-        sequences = [()]
-        for _ in range(depth):
-            sequences = [s + (k,) for s in sequences for k in range(rank)]
-        return sequences
+    count = None
     if spec.startswith("random:"):
         try:
             count = int(spec.split(":", 1)[1])
@@ -558,9 +522,20 @@ def _sequence_space(target, seed, args):
             raise _UsageError(f"bad --sequences value {spec!r}") from exc
         if count < 1:
             raise _UsageError(f"--sequences random:N needs N >= 1, got {spec!r}")
-        rng = random.Random(args.rng_seed)
-        return [random_sequence(rng, rank, depth) for _ in range(count)]
-    raise _UsageError(f"--sequences must be 'exhaustive' or 'random:N', got {spec!r}")
+    elif spec != "exhaustive":
+        raise _UsageError(f"--sequences must be 'exhaustive' or 'random:N', got {spec!r}")
+    if target == "subquotient":
+        return [()]
+    rank = seed.matrix.n
+    if depth and not rank:
+        raise _UsageError(f"a rank-0 seed has no mutation sequences of depth {depth}")
+    if count is None:
+        sequences = [()]
+        for _ in range(depth):
+            sequences = [s + (k,) for s in sequences for k in range(rank)]
+        return sequences
+    rng = random.Random(args.rng_seed)
+    return [random_sequence(rng, rank, depth) for _ in range(count)]
 
 
 def _render_record(record, as_json):

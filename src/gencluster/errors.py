@@ -1,10 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types and the check report shared across the package.
 
 Every error raised by the library derives from :class:`GenClusterError`,
 so callers can catch one type at the boundary.  Input/validation problems
 and mathematical impossibilities get distinct subclasses because the
-command line maps them to different exit codes.
+command line maps them to different exit codes.  A verification check
+that reports its failures rather than raising returns a :class:`Report`.
 """
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Report:
+    """Outcome of a verification check: ``ok`` and the ``failures`` tuple."""
+
+    ok: bool
+    failures: tuple
 
 
 class GenClusterError(Exception):

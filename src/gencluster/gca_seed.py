@@ -33,7 +33,7 @@ oracles in ``tests/test_gca_seed.py``.
 
 from dataclasses import dataclass, field
 
-from .errors import IndexOutOfRange, ValidationError
+from .errors import IndexOutOfRange, Report, ValidationError
 from .laurent_kernel import (
     LaurentPolynomial,
     Monomial,
@@ -355,14 +355,6 @@ def q_monomial(seed, k, r):
     return top.over(ctx.v_gt[r].times(ctx.v_lt[d - r]).power(d))
 
 
-@dataclass(frozen=True)
-class RootFormulaReport:
-    """Outcome of :func:`root_formula_check`."""
-
-    ok: bool
-    failures: tuple
-
-
 def root_formula_check(seed, k):
     """Check the perfect-power (degree-``d_k`` root) form of ``theta_k``.
 
@@ -391,4 +383,4 @@ def root_formula_check(seed, k):
         root = Monomial(seed.table, tuple(e // d for e in target.exponents))
         if root != ctx.coefficient(r):
             failures.append((k, r, f"root {root} differs from {ctx.coefficient(r)}"))
-    return RootFormulaReport(ok=not failures, failures=tuple(failures))
+    return Report(ok=not failures, failures=tuple(failures))

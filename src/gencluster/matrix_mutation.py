@@ -165,16 +165,6 @@ class ExtendedExchangeMatrix:
             m = width - n
         return ExtendedExchangeMatrix(n, m, rows)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def principal(self):
-        """The left ``n`` x ``n`` block as a tuple of row tuples."""
-        return tuple(row[: self.n] for row in self.rows)
-
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
-
     def check_direction(self, k):
         if not isinstance(k, int) or not 0 <= k < self.n:
             raise IndexOutOfRange(
@@ -211,10 +201,6 @@ class DivisorVector:
         for d in self.entries:
             out *= d
         return out
-
-    @property
-    def total(self):
-        return sum(self.entries)
 
 
 def check_compatible(matrix, divisors):

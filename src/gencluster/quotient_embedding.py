@@ -54,6 +54,7 @@ from .errors import (
     CorrespondenceViolation,
     GroupCoherenceViolation,
     InexactDivision,
+    Report,
     ValidationError,
 )
 from .gca_seed import (
@@ -84,8 +85,8 @@ from .laurent_kernel import (
 from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
 from .root_adjoin import (
     AdjoinedSeed,
-    GeneralizedCoefficientTable,
     _fresh_root_name,
+    root_multiplicity,
     tau_tilde,
 )
 from .unfolding import FoldedMatrix, _independent_members, build, group_mutate
@@ -311,7 +312,8 @@ def _balanced_sum(table, pairs, r):
     return LaurentPolynomial(table, terms)
 
 
-def unit_elimination_map(fs):
+@lru_cache(maxsize=64)
+def unit_elimination_map(table):
     """Substitutions realizing ``prod t = prod s = 1`` per group.
 
     The last member's pair is rewritten as the inverse product of the
@@ -319,11 +321,6 @@ def unit_elimination_map(fs):
     map depends on the folded table alone, so every route to the
     quotient over one table shares a single, read-only map.
     """
-    return _unit_elimination(fs.table)
-
-
-@lru_cache(maxsize=64)
-def _unit_elimination(table):
     members = {}
     for name, role, group in zip(table.names, table.roles, table.groups):
         if role in (ROLE_T, ROLE_S):
@@ -338,7 +335,7 @@ def eliminate_units(fs, p):
     """Rewrite ``p`` modulo the unit relations only (no placeholders)."""
     if p.table != fs.table:
         raise ValidationError("polynomial is not over the folded table")
-    return poly_map_variables(p, unit_elimination_map(fs), fs.table)
+    return poly_map_variables(p, unit_elimination_map(fs.table), fs.table)
 
 
 class QuotientContext:
@@ -372,7 +369,7 @@ class QuotientContext:
         self._slots = tuple(
             (k, r) for k in range(tracked.rank) for r in range(1, tracked.divisors[k])
         )
-        self._elimination = unit_elimination_map(fs)
+        self._elimination = unit_elimination_map(fs.table)
         self._phi_images = {
             tracked.table.names[k]: self.folded_plus.monomial(
                 {fs.table.names[c]: 1 for c in fs.members(k)}
@@ -488,38 +485,23 @@ def phi(gca_seed, k, fs):
 # Verification: the product formula
 
 
-@dataclass(frozen=True)
-class QuotientReport:
-    """Outcome of a quotient-embedding verification."""
-
-    ok: bool
-    failures: tuple
-
-
-def product_formula_check(fs, k, rho):
+def product_formula_check(fs, k):
     """Group products of exchange polynomials expand the generalized one.
 
     Verifies, in the quotient and over formal current-cluster symbols::
 
         prod_c theta_{k,c}  =  sum_r sigma(rho_{k,r}) * (U> V>)^r * (U< V<)^(d_k - r)
 
-    ``rho`` is a generalized coefficient table of the adjoined seed at
-    any depth: only its row lengths are read, and they fix ``d_k``.  Each
-    coefficient contributes through its defining relation: entry ``r``
-    of row ``k`` is the initial coefficient at slot ``r`` or ``d_k - r``
-    (mutation reverses the row once per mutation of the group, so the
-    parity of ``k`` in the folded seed's provenance decides), and the
-    relation identifies that initial coefficient with the balanced sum
-    of the same index.  Returns a report; on failure it carries
+    ``d_k`` is the size of group ``k``.  Each coefficient contributes
+    through its defining relation: ``rho_{k,r}`` is the initial
+    coefficient at slot ``r`` or ``d_k - r`` (mutation reverses the row
+    once per mutation of the group, so the parity of ``k`` in the folded
+    seed's provenance decides), and the relation identifies that initial
+    coefficient with the balanced sum of the same index.  Returns a
+    :class:`~gencluster.errors.Report`; on failure it carries
     ``(k, residual)`` with the difference of the two normal forms.
     """
     d_k = len(fs.folded.group_range(k))
-    if len(rho.rows) != fs.folded.n_groups:
-        raise ValidationError("coefficient table has the wrong row count")
-    if len(rho.rows[k]) != d_k + 1:
-        raise ValidationError(
-            f"coefficient row {k} must have {d_k + 1} entries"
-        )
     table = fs.table
     lhs = LaurentPolynomial.one(table)
     for c in fs.members(k):
@@ -542,8 +524,8 @@ def product_formula_check(fs, k, rho):
     lhs, rhs = eliminate_units(fs, lhs), eliminate_units(fs, rhs)
     if lhs != rhs:
         residual = poly_sub(lhs, rhs)
-        return QuotientReport(ok=False, failures=((k, str(residual)),))
-    return QuotientReport(ok=True, failures=())
+        return Report(ok=False, failures=((k, str(residual)),))
+    return Report(ok=True, failures=())
 
 
 def product_formula_walk(gca, mode="total"):
@@ -551,14 +533,11 @@ def product_formula_walk(gca, mode="total"):
 
     The state is a folded seed over formal current-cluster symbols:
     group mutation mutates its matrix, and its cluster entries are never
-    expanded, which the product formula never needs.  ``tau_tilde`` runs
-    once; the check reads only the row lengths of its coefficient table,
-    which mutation does not change.  ``check(fs, depth)`` returns
-    ``(depth, k, residual)`` for every failing group.
+    expanded, which the product formula never needs.  The unfolding's
+    ``F`` columns carry the root multiplicity of ``mode``
+    (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fs,
+    depth)`` returns ``(depth, k, residual)`` for every failing group.
     """
-    adjoined = tau_tilde(gca, mode=mode)
-    rho = GeneralizedCoefficientTable(adjoined.seed.strings.rows)
-
     def step(fs, k):
         fm = group_mutate(fs.folded, k)
         return FoldedSeed(
@@ -571,10 +550,10 @@ def product_formula_walk(gca, mode="total"):
         return tuple(
             (depth,) + failure
             for k in range(gca.rank)
-            for failure in product_formula_check(fs, k, rho).failures
+            for failure in product_formula_check(fs, k).failures
         )
 
-    return folded_initial_seed(gca, adjoined.multiplicity), step, check
+    return folded_initial_seed(gca, root_multiplicity(gca, mode)), step, check
 
 
 def _walk_one(walk, sequence):
@@ -584,7 +563,7 @@ def _walk_one(walk, sequence):
     for depth, k in enumerate(sequence, start=1):
         state = step(state, k)
         failures.extend(check(state, depth))
-    return QuotientReport(ok=not failures, failures=tuple(failures))
+    return Report(ok=not failures, failures=tuple(failures))
 
 
 def product_formula_suite(gca, sequence=(), mode="total"):
@@ -725,4 +704,4 @@ def subquotient_check(gca, mode="total"):
         image = ctx.phi_poly(ctx.tracked.cluster[k])
         if image != phi(ctx.tracked, k, ctx.fs):
             failures.append(("cluster image", k, str(image)))
-    return QuotientReport(ok=not failures, failures=tuple(failures))
+    return Report(ok=not failures, failures=tuple(failures))

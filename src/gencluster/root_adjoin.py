@@ -23,7 +23,7 @@ generalized coefficient table returned by :func:`rho`.
 from dataclasses import dataclass, replace
 from math import lcm
 
-from .errors import HomogeneityFailure, ValidationError
+from .errors import HomogeneityFailure, Report, ValidationError
 from .gca_seed import (
     CoefficientStrings,
     ExchangeContext,
@@ -158,37 +158,34 @@ def adjoin_root(seed, j, n, root_name=None):
     return AdjoinedSeed(base=base, seed=new_seed, steps=steps + ((j, n, root_name),))
 
 
+def root_multiplicity(seed, mode):
+    """The common multiplicity :func:`tau_tilde` adjoins in ``mode``.
+
+    ``mode="total"`` is the product of the divisors, ``mode="lcm"``
+    their least common multiple (the smallest multiplicity that removes
+    every floor).
+    """
+    if mode == "total":
+        return seed.divisors.product
+    if mode == "lcm":
+        return lcm(*seed.divisors.entries)
+    raise ValidationError(f"unknown mode {mode!r} (use 'total' or 'lcm')")
+
+
 def tau_tilde(seed, mode="total"):
     """Adjoin one root per frozen column, all with the same multiplicity.
 
-    ``mode="total"`` uses the product of the divisors, ``mode="lcm"``
-    their least common multiple (the smallest multiplicity that removes
-    every floor).  Columns are processed in table order; the result does
-    not depend on the order, which the tests assert.
+    The multiplicity is :func:`root_multiplicity` of ``mode``.  Columns
+    are processed in table order; the result does not depend on the
+    order, which the tests assert.
     """
     if isinstance(seed, AdjoinedSeed):
         raise ValidationError("tau_tilde starts from an unadjoined seed")
-    if mode == "total":
-        n = seed.divisors.product
-    elif mode == "lcm":
-        n = lcm(*seed.divisors.entries)
-    else:
-        raise ValidationError(f"unknown mode {mode!r} (use 'total' or 'lcm')")
-    out = None
+    n = root_multiplicity(seed, mode)
+    out = AdjoinedSeed(base=seed, seed=seed, steps=())
     for pos in seed.table.frozen_indices:
-        name = seed.table.names[pos]
-        out = adjoin_root(out if out is not None else seed, name, n)
-    if out is None:
-        out = AdjoinedSeed(base=seed, seed=seed, steps=())
+        out = adjoin_root(out, seed.table.names[pos], n)
     return replace(out, multiplicity=n)
-
-
-@dataclass(frozen=True)
-class TransportReport:
-    """Outcome of :func:`transport_check`."""
-
-    ok: bool
-    failures: tuple
 
 
 def transport_check(base, adjoined, sequence=()):
@@ -205,7 +202,7 @@ def transport_check(base, adjoined, sequence=()):
           coefficient monomial, for every ``k`` and ``r``;
     (iii) ``phi`` of each cluster entry equals the counterpart entry.
 
-    Returns a :class:`TransportReport` listing failures as
+    Returns a :class:`~gencluster.errors.Report` listing failures as
     ``(condition, k, r)`` triples (``r`` is ``None`` outside (ii)).
     """
     if adjoined.base != base:
@@ -237,7 +234,7 @@ def transport_check(base, adjoined, sequence=()):
                 failures.append(("(ii)", k, r))
         if phi(t.cluster[k]) != t_bar.cluster[k]:
             failures.append(("(iii)", k, None))
-    return TransportReport(ok=not failures, failures=tuple(failures))
+    return Report(ok=not failures, failures=tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -249,9 +246,6 @@ class GeneralizedCoefficientTable:
     """
 
     rows: tuple
-
-    def entry(self, k, r):
-        return self.rows[k][r]
 
     def validate(self):
         for k, row in enumerate(self.rows):
@@ -282,8 +276,6 @@ def rho(seed):
     string table itself; on other seeds the end entries fail to be 1,
     which raises :class:`~gencluster.errors.HomogeneityFailure`.
     """
-    if isinstance(seed, AdjoinedSeed):
-        seed = seed.seed
     table = GeneralizedCoefficientTable(
         tuple(
             _homogenized_coefficients(ExchangeContext.build(seed, k))
@@ -303,8 +295,6 @@ def _unbalanced_column(ctx):
 
 def is_floor_free(seed, k):
     """Whether every frozen entry of scaled row ``k`` is divisible by ``d_k``."""
-    if isinstance(seed, AdjoinedSeed):
-        seed = seed.seed
     return _unbalanced_column(ExchangeContext.build(seed, k)) is None
 
 
@@ -333,8 +323,6 @@ def homogeneity_check(seed, k):
     ``rho_{k,r}``.  ``tests/test_root_adjoin.py`` rebuilds ``theta_k``
     from them as an oracle.
     """
-    if isinstance(seed, AdjoinedSeed):
-        seed = seed.seed
     ctx = ExchangeContext.build(seed, k)
     j = _unbalanced_column(ctx)
     if j is not None:
@@ -365,8 +353,6 @@ def tau_variable(seed, k):
     and the carrier is the bare cluster ratio ``u> / u<``.  Cluster
     exponents refer to the current cluster entries.
     """
-    if isinstance(seed, AdjoinedSeed):
-        seed = seed.seed
     ctx = ExchangeContext.build(seed, k)
     return _tau_variable(ctx, _unbalanced_column(ctx) is None)
 

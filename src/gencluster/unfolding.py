@@ -2,7 +2,7 @@
 
 A rank-``N`` seed with divisors ``d`` and ``M`` slack columns unfolds to
 an ordinary (all-divisors-one) exchange matrix with ``T = d_1 + ... +
-d_N`` mutable directions and ``T + ... `` frozen columns, laid out as::
+d_N`` mutable directions and ``M + 2T`` frozen columns, laid out as::
 
     [ cluster groups | F | T^1 S^1 | T^2 S^2 | ... | T^N S^N ]
 
@@ -34,7 +34,7 @@ by the test suite, not recomputed at run time.
 
 from dataclasses import dataclass, replace
 
-from .errors import IndexOutOfRange, StructureViolation, ValidationError
+from .errors import IndexOutOfRange, Report, StructureViolation, ValidationError
 from .matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
@@ -209,14 +209,6 @@ def group_mutate_sequence(fm, sequence):
     return out
 
 
-@dataclass(frozen=True)
-class HadamardReport:
-    """Outcome of :func:`hadamard_check`."""
-
-    ok: bool
-    failures: tuple
-
-
 def hadamard_check(fm, matrix, divisors, multiplicity=None):
     """Check block-constancy against a weighted reference matrix.
 
@@ -254,7 +246,7 @@ def hadamard_check(fm, matrix, divisors, multiplicity=None):
             bad = _first_nonconstant(block, value)
             if bad is not None:
                 failures.append(("f", i, l, bad))
-    return HadamardReport(ok=not failures, failures=tuple(failures))
+    return Report(ok=not failures, failures=tuple(failures))
 
 
 def _first_nonconstant(block, value):
@@ -340,23 +332,13 @@ def double_constant_check(fm):
     return DoubleConstantWitness(a=a, c=c, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class UnfoldingReport:
-    """Outcome of :func:`unfolding_conditions_check`."""
-
-    ok: bool
-    failures: tuple
-
-
-def unfolding_conditions_check(fm, matrix, divisors):
+def unfolding_conditions_check(fm, matrix):
     """Column sums and sign coherence of the cluster blocks.
 
     For each cluster block ``(i, j)`` against the reference entry
     ``B_ij``: every column of the block sums to ``B_ij``, and when
     ``B_ij > 0`` every entry of the block is non-negative.
     """
-    if not isinstance(divisors, DivisorVector):
-        divisors = DivisorVector(tuple(divisors))
     failures = []
     n = matrix.n
     for i in range(n):
@@ -374,4 +356,4 @@ def unfolding_conditions_check(fm, matrix, divisors):
                     break
             if ref > 0 and any(e < 0 for row in block for e in row):
                 failures.append(("sign", i, j, "negative entry under positive reference"))
-    return UnfoldingReport(ok=not failures, failures=tuple(failures))
+    return Report(ok=not failures, failures=tuple(failures))

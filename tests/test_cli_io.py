@@ -20,6 +20,7 @@ from gencluster.cli_io import (
 from gencluster.errors import (
     GenClusterError,
     ParseError,
+    Report,
     StructureViolation,
     ValidationError,
 )
@@ -30,7 +31,6 @@ from gencluster import quotient_embedding
 from gencluster.quotient_embedding import (
     FoldedSeed,
     QuotientContext,
-    QuotientReport,
     _embedding_conditions_at,
     embedding_check,
     folded_initial_seed,
@@ -39,9 +39,7 @@ from gencluster.quotient_embedding import (
     subquotient_check,
 )
 from gencluster.randomgen import random_seed, random_sequence
-from gencluster.root_adjoin import GeneralizedCoefficientTable, tau_tilde
 from gencluster.unfolding import (
-    HadamardReport,
     build,
     double_constant_check,
     group_mutate,
@@ -253,7 +251,7 @@ class TestVerify:
     def test_failing_report_exits_two(self, monkeypatch):
         monkeypatch.setattr(
             "gencluster.quotient_embedding.product_formula_check",
-            lambda fs, k, rho: QuotientReport(ok=False, failures=((k, "residual"),)),
+            lambda fs, k: Report(ok=False, failures=((k, "residual"),)),
         )
         code, text = run(
             "verify", "product-formula", "--seed", "FIX-C", "--depth", "1"
@@ -263,7 +261,7 @@ class TestVerify:
         assert "residual" in text
 
     def test_structural_error_exits_two(self, monkeypatch):
-        def boom(fs, k, rho):
+        def boom(fs, k):
             raise StructureViolation("synthetic break")
 
         monkeypatch.setattr(
@@ -347,9 +345,15 @@ class TestUsageErrors:
         path.write_text(BAD_SEED, encoding="utf-8")
         assert run("mutate", "--seed-file", str(path))[0] == 1
 
+    # ``subquotient`` walks the empty sequence alone, but its flags are
+    # validated like every other target's.
+    FLAG_TARGETS = ("hadamard", "subquotient")
+
     def test_bad_sequences_spec(self):
-        assert run("verify", "laurent", "--seed", "FIX-C", "--sequences", "bogus")[0] == 1
-        assert run("verify", "laurent", "--seed", "FIX-C", "--sequences", "random:x")[0] == 1
+        for target in self.FLAG_TARGETS:
+            for spec in ("bogus", "random:x"):
+                argv = ("verify", target, "--seed", "FIX-C", "--sequences", spec)
+                assert run(*argv)[0] == 1
 
     def assert_usage_error(self, capsys, *argv):
         assert run(*argv) == (1, "")
@@ -359,18 +363,20 @@ class TestUsageErrors:
         return err
 
     def test_negative_depth(self, capsys):
-        err = self.assert_usage_error(
-            capsys, "verify", "hadamard", "--seed", "FIX-C", "--depth", "-3"
-        )
-        assert "--depth" in err
+        for target in self.FLAG_TARGETS:
+            err = self.assert_usage_error(
+                capsys, "verify", target, "--seed", "FIX-C", "--depth", "-3"
+            )
+            assert "--depth" in err
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_empty_random_sequence_space(self, capsys, count):
-        err = self.assert_usage_error(
-            capsys, "verify", "hadamard", "--seed", "FIX-C",
-            "--sequences", f"random:{count}",
-        )
-        assert f"random:{count}" in err
+        for target in self.FLAG_TARGETS:
+            err = self.assert_usage_error(
+                capsys, "verify", target, "--seed", "FIX-C",
+                "--sequences", f"random:{count}",
+            )
+            assert f"random:{count}" in err
 
     def test_random_sequences_of_a_rank_zero_seed(self, capsys, tmp_path):
         path = tmp_path / "rank0.seed"
@@ -403,20 +409,14 @@ class TestUsageErrors:
 
 
 def product_formula_prefix(seed, prefix):
-    """Folded seed and coefficient table after ``prefix``, built afresh."""
+    """Folded seed after ``prefix``, built afresh."""
     initial = folded_initial_seed(seed)
     fm = group_mutate_sequence(initial.folded, prefix)
-    fs = FoldedSeed(
+    return FoldedSeed(
         seed=replace(initial.seed, matrix=fm.matrix),
         folded=fm,
         group_provenance=prefix,
     )
-    rows = tau_tilde(seed).seed.strings.rows
-    rho = GeneralizedCoefficientTable(tuple(
-        tuple(reversed(row)) if prefix.count(k) % 2 else row
-        for k, row in enumerate(rows)
-    ))
-    return fs, rho
 
 
 def quotient_failures(target, seed, sequence, pf_check, conditions):
@@ -424,9 +424,9 @@ def quotient_failures(target, seed, sequence, pf_check, conditions):
     failures = []
     if target == "product-formula":
         for depth in range(len(sequence) + 1):
-            fs, rho = product_formula_prefix(seed, tuple(sequence[:depth]))
+            fs = product_formula_prefix(seed, tuple(sequence[:depth]))
             for k in range(seed.matrix.n):
-                report = pf_check(fs, k, rho)
+                report = pf_check(fs, k)
                 failures += [repr((depth,) + f) for f in report.failures]
     elif target == "subquotient":
         failures = [repr(f) for f in subquotient_check(seed).failures]
@@ -604,12 +604,12 @@ class TestWalker:
     def test_quotient_failures_concatenate_in_depth_order(self, monkeypatch):
         # Synthetic checks that fail on some states and name the state,
         # so a walk that reaches the wrong state changes the records.
-        def pf_check(fs, k, rho):
+        def pf_check(fs, k):
             row = fs.folded.matrix.rows[fs.folded.group_range(k)[0]]
             parity = fs.group_provenance.count(k) % 2
             bad = sum(row) > 100
             failures = ((k, f"{row} parity {parity}"),) if bad else ()
-            return QuotientReport(ok=not bad, failures=failures)
+            return Report(ok=not bad, failures=failures)
 
         def conditions(ctx):
             rows = ctx.tracked.matrix.rows
@@ -645,10 +645,10 @@ class TestWalker:
                     raise StructureViolation("deep mutation")
                 return group_mutate(fm, k)
 
-            def check(fs, k, rho):
+            def check(fs, k):
                 if fs.group_provenance == (0,):
                     raise StructureViolation("shallow check")
-                return product_formula_check(fs, k, rho)
+                return product_formula_check(fs, k)
 
             monkeypatch.setattr(quotient_embedding, "group_mutate", step)
             monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
@@ -690,7 +690,7 @@ class TestWalker:
         def hadamard(fm, reference, divisors):
             bad = value(fm) > 0
             failures = (("synthetic", value(fm)),) if bad else ()
-            return HadamardReport(ok=not bad, failures=failures)
+            return Report(ok=not bad, failures=failures)
 
         def double_constant(fm):
             if value(fm) < -100:
@@ -780,6 +780,9 @@ GOLDEN_OUTPUTS = [
     ("verify subquotient --seed FIX-B",
      "316ad70e9bc867c4227ff794428fdeaaf392ea915e398c255c8457d4934d589e", 0),
     ("verify subquotient --seed FIX-C",
+     "b06738b16cdb4507dbfc33b7ceb33e364b45423d34fa018e28635125fb358601", 0),
+    # Valid sequence flags leave the depth-zero subquotient record as it is.
+    ("verify subquotient --seed FIX-C --depth 3 --sequences random:4",
      "b06738b16cdb4507dbfc33b7ceb33e364b45423d34fa018e28635125fb358601", 0),
     ("unfold --seed FIX-A --sequence 1,2,1,2",
      "fd32421fbbd86d5fbf7bfde6c690ab0944d06f2358e8df8aa774e621b56dbe3b", 0),

@@ -12,7 +12,6 @@ from gencluster.errors import (
     IndexOutOfRange,
     InexactDivision,
     StructureViolation,
-    ValidationError,
 )
 from gencluster.gca_seed import mutate_seed
 from gencluster.laurent_kernel import (
@@ -34,13 +33,13 @@ from gencluster.quotient_embedding import (
     group_monomials,
     group_mutate_seed,
     phi,
-    product_formula_check,
     product_formula_suite,
+    product_formula_walk,
     sigma_polynomial,
     subquotient_check,
 )
 from gencluster.randomgen import random_seed, random_sequence
-from gencluster.root_adjoin import AdjoinedSeed, rho, tau_tilde
+from gencluster.root_adjoin import AdjoinedSeed, tau_tilde
 from gencluster.unfolding import FoldedMatrix, group_mutate
 
 FIX_C_PHI_X = "y1*y2"
@@ -344,15 +343,21 @@ class TestProductFormula:
             report = product_formula_suite(seed, sequence)
             assert report.ok, report.failures
 
-    def test_coefficient_table_shape_validation(self, fix_b, fix_c):
-        fs = folded_initial_seed(fix_c)
-        wrong_rows = rho(tau_tilde(fix_b))
-        with pytest.raises(ValidationError):
-            product_formula_check(fs, 0, wrong_rows)
-
     def test_lcm_mode(self, fix_b):
         report = product_formula_suite(fix_b, (0, 1), mode="lcm")
         assert report.ok, report.failures
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_walk_root_carries_the_adjoined_multiplicity(
+        self, fix_a, fix_b, fix_c, mode
+    ):
+        # The product-formula checks cannot see the scale of the F
+        # columns, so the walk's multiplicity is pinned here against the
+        # one root adjunction uses.
+        for seed in (fix_a, fix_b, fix_c, *shared_factor_seeds()):
+            root, _, _ = product_formula_walk(seed, mode)
+            n = tau_tilde(seed, mode=mode).multiplicity
+            assert root == folded_initial_seed(seed, n), (seed.divisors, mode)
 
 
 class TestEmbeddingAndSubquotient:

@@ -3,6 +3,7 @@
 import hashlib
 import os
 from pathlib import Path
+import shutil
 import subprocess
 import sys
 
@@ -40,14 +41,32 @@ def test_run_verification_passes():
     assert "FAIL" not in result.stdout
 
 
-def test_perfbench_selftest():
+def result_files(results):
+    """Name and modification time of every file under ``results``."""
+    if not results.is_dir():
+        return {}
+    return {
+        str(path.relative_to(results)): path.stat().st_mtime_ns
+        for path in results.rglob("*")
+    }
+
+
+def test_perfbench_selftest(tmp_path):
     # The benchmark's tracer wraps library functions by name, so renaming
-    # one fails here rather than only in a benchmark run.
+    # one fails here rather than only in a benchmark run.  The self-test
+    # writes its results beside the benchmark, so it runs on a copy.
+    ignore = shutil.ignore_patterns("results", "__pycache__")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    results = ROOT / "perfbench" / "results"
+    before = result_files(results)
     result = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        [sys.executable, str(tmp_path / "perfbench" / "selftest.py")],
         capture_output=True,
         text=True,
-        cwd=ROOT,
+        cwd=tmp_path,
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.rstrip().endswith("selftest passed")
+    assert result_files(results) == before

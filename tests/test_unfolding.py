@@ -208,7 +208,7 @@ class TestGroupMutation:
         reference = fix_a.matrix
         for _ in range(2):
             hadamard = hadamard_check(fm, reference, fix_a.divisors)
-            conditions = unfolding_conditions_check(fm, reference, fix_a.divisors)
+            conditions = unfolding_conditions_check(fm, reference)
             assert ("cluster", 0, 1) in [f[:3] for f in hadamard.failures]
             assert (0, 1) in [f[1:3] for f in conditions.failures]
             fm = group_mutate(fm, 0)
@@ -349,9 +349,7 @@ class TestBlockConditions:
 
     def test_conditions_at_build(self, fix_a, fix_b, fix_c):
         for seed in (fix_a, fix_b, fix_c):
-            report = unfolding_conditions_check(
-                build(seed), seed.matrix, seed.divisors
-            )
+            report = unfolding_conditions_check(build(seed), seed.matrix)
             assert report.ok, report.failures
 
     def test_random_walks_preserve_all_conditions(self, rng):
@@ -364,6 +362,4 @@ class TestBlockConditions:
                 matrix = mutate_sequence(matrix, (k,))
                 assert hadamard_check(fm, matrix, seed.divisors).ok
                 double_constant_check(fm)
-                assert unfolding_conditions_check(
-                    fm, matrix, seed.divisors
-                ).ok
+                assert unfolding_conditions_check(fm, matrix).ok
