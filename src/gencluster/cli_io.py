@@ -466,10 +466,14 @@ def _walk_verdicts(target, seed, sequences):
     one and extends from there, so lexicographic sequences cost one
     depth-first walk of the sequence trie.  A mutation error anywhere
     on the path outranks a check error, which outranks the failures.
+
+    Any exception, not only a library error, is the error of the case
+    that raised it: it is recorded as ``Type: message`` and the walk goes
+    on, so one faulty case cannot abort the others.
     """
     try:
         root, step, check = _walk(target, seed)
-    except GenClusterError as exc:
+    except Exception as exc:
         return [(False, (_error_text(exc),))] * len(sequences)
     path = []
     previous = ()
@@ -487,14 +491,14 @@ def _walk_verdicts(target, seed, sequences):
                 if mutation_error is None:
                     try:
                         state = step(state, sequence[depth - 1])
-                    except GenClusterError as exc:
+                    except Exception as exc:
                         state, mutation_error = None, _error_text(exc)
             else:
                 state, mutation_error, check_error, failures = root, None, None, ()
             if mutation_error is None and check_error is None:
                 try:
                     failures += check(state, depth)
-                except GenClusterError as exc:
+                except Exception as exc:
                     check_error = _error_text(exc)
             path.append((state, mutation_error, check_error, failures))
         previous = sequence

@@ -73,10 +73,10 @@ from .laurent_kernel import (
     ROLE_T,
     VariableTable,
     _ROLES,
-    poly_add,
+    _amplitude,
+    _trusted,
     poly_map_variables,
     poly_mul,
-    poly_mul_monomial,
     poly_pow,
     poly_split_trailing,
     poly_sub,
@@ -241,55 +241,79 @@ def group_monomials(fs, k):
     product, hence 1 in the quotient) plus their own distinguished
     pair, and that structure is validated by the double-constant check.
     """
+    first = _coherent_row(fs, k)
+    u_gt, u_lt = _member_sides(fs, first, (ROLE_CLUSTER,))
+    v_gt, v_lt = _member_sides(fs, first, (ROLE_FROZEN,))
+    return GroupMonomials(k=k, u_gt=u_gt, u_lt=u_lt, v_gt=v_gt, v_lt=v_lt)
+
+
+def _coherent_row(fs, k):
+    """First row of group ``k``, once :func:`group_monomials`' check passes."""
     fm = fs.folded
     if not 0 <= k < fm.n_groups:
         raise ValidationError(f"no group {k}")
-    rows = list(fm.group_range(k))
-    width = fm.total + fm.m_original
-    for col in range(width):
-        column = [fm.matrix.rows[r][col] for r in rows]
+    rows = [fm.matrix.rows[r] for r in fm.group_range(k)]
+    for col in range(fm.total + fm.m_original):
+        column = [row[col] for row in rows]
         if any(v != column[0] for v in column):
             raise GroupCoherenceViolation(
                 f"group {k} rows disagree in column {col}: {column}"
             )
-    u_gt, u_lt = _member_sides(fs, rows[0], (ROLE_CLUSTER,))
-    v_gt, v_lt = _member_sides(fs, rows[0], (ROLE_FROZEN,))
-    return GroupMonomials(k=k, u_gt=u_gt, u_lt=u_lt, v_gt=v_gt, v_lt=v_lt)
+    return rows[0]
 
 
-def _member_sides(fs, c, roles=_ROLES):
-    """Exchange sides ``(gt, lt)`` of member row ``c`` as monomials.
+@lru_cache(maxsize=64)
+def _role_mask(table, roles):
+    """Per table position: is the variable's role in ``roles``?"""
+    return tuple(role in roles for role in table.roles)
+
+
+def _member_sides(fs, row, roles):
+    """Exchange sides ``(gt, lt)`` of a member's matrix row as monomials.
 
     Only the columns of variables whose role is in ``roles`` are read.
     """
-    row = [
-        value if role in roles else 0
-        for value, role in zip(fs.folded.matrix.rows[c], fs.table.roles)
-    ]
+    row = [v if keep else 0 for v, keep in zip(row, _role_mask(fs.table, roles))]
     return (
         Monomial(fs.table, tuple(max(v, 0) for v in row)),
         Monomial(fs.table, tuple(max(-v, 0) for v in row)),
     )
 
 
+def _packed_sides(table, row, roles):
+    """Exchange sides of a matrix row as packed key shifts.
+
+    Returns ``(gt, gt_amp, lt, lt_amp)``: the key shift of each side
+    (the packed key minus the key of 1) and its largest exponent.  Only
+    the columns of variables whose role is in ``roles`` are read.  The
+    shifts are valid keys only once the amplitudes are checked against
+    the limit.
+    """
+    gt = lt = gt_amp = lt_amp = 0
+    for v, unit, keep in zip(row, table._layout.units, _role_mask(table, roles)):
+        if not keep or not v:
+            continue
+        if v > 0:
+            gt += v * unit
+            gt_amp = max(gt_amp, v)
+        else:
+            lt -= v * unit
+            lt_amp = max(lt_amp, -v)
+    return gt, gt_amp, lt, lt_amp
+
+
 # ---------------------------------------------------------------------------
 # The quotient: sigma sums, unit relations, normal forms
 
 
-def sigma_polynomial(fs, k, r):
+@lru_cache(maxsize=256)
+def _sigma(table, t_range, s_range, r):
     """The balanced sum identified with the coefficient ``rho_{k,r}``.
 
     ``sigma_{k,r} = sum_{|J|=r} prod_{c in J} t_c prod_{c not in J} s_c``
-    over the members of group ``k``: subsets with ``r`` members
-    contribute their ``t`` variable, the rest their ``s``.
+    over the members of group ``k``, whose ``t`` and ``s`` variables sit
+    at ``t_range`` and ``s_range``.
     """
-    if not 0 <= r <= len(fs.folded.group_range(k)):
-        raise ValidationError(f"no coefficient slot {r} for group {k}")
-    return _sigma(fs.table, fs.folded.t_range(k), fs.folded.s_range(k), r)
-
-
-@lru_cache(maxsize=256)
-def _sigma(table, t_range, s_range, r):
     pairs = [
         (table.monomial({table.names[t]: 1}), table.monomial({table.names[s]: 1}))
         for t, s in zip(t_range, s_range)
@@ -331,6 +355,19 @@ def unit_elimination_map(table):
     })
 
 
+@lru_cache(maxsize=256)
+def _eliminated_sigma(table, t_range, s_range, r, e):
+    """``E(sigma_{k,r})^e``, ``E`` the unit elimination of ``table``.
+
+    ``E`` is a monomial ring map, so ``E(sigma^e) = E(sigma)^e`` and the
+    power of the eliminated sum is the eliminated power.
+    """
+    if e == 1:
+        sigma = _sigma(table, t_range, s_range, r)
+        return poly_map_variables(sigma, unit_elimination_map(table), table)
+    return poly_pow(_eliminated_sigma(table, t_range, s_range, r, 1), e)
+
+
 def eliminate_units(fs, p):
     """Rewrite ``p`` modulo the unit relations only (no placeholders)."""
     if p.table != fs.table:
@@ -366,10 +403,14 @@ class QuotientContext:
         self.folded_plus = fs.table.extended(
             self.placeholder_names, (ROLE_FROZEN,) * len(rho_values)
         )
-        self._slots = tuple(
-            (k, r) for k in range(tracked.rank) for r in range(1, tracked.divisors[k])
+        # ``_eliminated_sigma`` arguments of every placeholder, in table order.
+        self._sigma_slots = tuple(
+            (fs.table, fs.folded.t_range(k), fs.folded.s_range(k), r)
+            for k in range(tracked.rank)
+            for r in range(1, tracked.divisors[k])
         )
         self._elimination = unit_elimination_map(fs.table)
+        self._plus_elimination = unit_elimination_map(self.folded_plus)
         self._phi_images = {
             tracked.table.names[k]: self.folded_plus.monomial(
                 {fs.table.names[c]: 1 for c in fs.members(k)}
@@ -426,15 +467,20 @@ class QuotientContext:
     def normal_form(self, p):
         """Canonical representative of ``p`` in the quotient.
 
-        Placeholder exponents are expanded to ``sigma`` powers (only
-        non-negative powers arise in the verified identities; a negative
-        one would divide by a ``sigma`` polynomial and raises
-        :class:`~gencluster.errors.InexactDivision`).  The terms that share one placeholder part are
-        multiplied by its ``sigma`` powers together.  Then the unit
-        relations eliminate each group's last auxiliary pair.
+        The unit relations eliminate each group's last auxiliary pair
+        first, on the unexpanded polynomial: the elimination ``E`` is a
+        monomial ring map that fixes the placeholders, so
+        ``E(sum part * sigma^e) = sum E(part) * E(sigma)^e``.  Then the
+        terms that share one placeholder part are multiplied together by
+        its eliminated ``sigma`` powers, which are walk constants built
+        once per folded table.  Only non-negative placeholder powers
+        arise in the verified identities; a negative one would divide by
+        a ``sigma`` polynomial and raises
+        :class:`~gencluster.errors.InexactDivision`.
         """
         table = self.fs.table
         if p.table == self.folded_plus:
+            p = poly_map_variables(p, self._plus_elimination, self.folded_plus)
             parts = []
             for powers, part in poly_split_trailing(p, table).items():
                 if any(e < 0 for e in powers):
@@ -442,12 +488,12 @@ class QuotientContext:
                         "negative placeholder power: identity outside "
                         "the verified fragment"
                     )
-                for (k, r), e in zip(self._slots, powers):
+                for slot, e in zip(self._sigma_slots, powers):
                     if e:
-                        part = poly_mul(part, poly_pow(sigma_polynomial(self.fs, k, r), e))
+                        part = poly_mul(part, _eliminated_sigma(*slot, e))
                 parts.append(part)
-            p = poly_sum(table, parts)
-        elif p.table != table:
+            return poly_sum(table, parts)
+        if p.table != table:
             raise ValidationError("normal_form expects a folded-side polynomial")
         return poly_map_variables(p, self._elimination, table)
 
@@ -500,28 +546,51 @@ def product_formula_check(fs, k):
     coefficient with the balanced sum of the same index.  Returns a
     :class:`~gencluster.errors.Report`; on failure it carries
     ``(k, residual)`` with the difference of the two normal forms.
+
+    Both sides are built on packed keys.  Each member's binomial comes
+    straight from its matrix row, and each shell
+    ``(U> V>)^r (U< V<)^(d_k - r)`` is the key shift ``r*g + (d_k - r)*l``
+    (keys are linear in exponents).  The unit elimination ``E`` is a
+    monomial ring map and the shells carry no auxiliary variables, so
+    ``E(sigma * shell) = E(sigma) * shell``: the right side adds the
+    shifts onto the eliminated ``sigma`` sums, walk constants built once
+    per folded table, and only the left side takes an elimination pass.
     """
     d_k = len(fs.folded.group_range(k))
     table = fs.table
+    offset = table._layout.offset
+    rows = fs.folded.matrix.rows
     lhs = LaurentPolynomial.one(table)
     for c in fs.members(k):
-        gt, lt = _member_sides(fs, c)
-        lhs = poly_mul(lhs, poly_add(gt.as_polynomial(), lt.as_polynomial()))
+        gt, gt_amp, lt, lt_amp = _packed_sides(table, rows[c], _ROLES)
+        binomial = {offset + gt: 1}
+        binomial[offset + lt] = binomial.get(offset + lt, 0) + 1
+        amp = max(_amplitude((gt_amp,)), _amplitude((lt_amp,)))
+        lhs = poly_mul(lhs, _trusted(table, binomial, amp))
 
-    gm = group_monomials(fs, k)
+    g, g_amp, l, l_amp = _packed_sides(
+        table, _coherent_row(fs, k), (ROLE_CLUSTER, ROLE_FROZEN)
+    )
     reversed_row = fs.group_provenance.count(k) % 2 == 1
-    gt_base = gm.u_gt.times(gm.v_gt)
-    lt_base = gm.u_lt.times(gm.v_lt)
-    rhs = poly_sum(table, (
-        poly_mul_monomial(
-            sigma_polynomial(fs, k, d_k - r if reversed_row else r),
-            gt_base.power(r).times(lt_base.power(d_k - r)),
+    t_range, s_range = fs.folded.t_range(k), fs.folded.s_range(k)
+    terms = {}
+    get = terms.get
+    amp = 0
+    for r in range(d_k + 1):
+        # ``g`` and ``l`` have disjoint supports, as do the shell and
+        # sigma: each bound is the larger of the two parts' bounds.
+        shell_amp = _amplitude((r * g_amp, (d_k - r) * l_amp))
+        sigma = _eliminated_sigma(
+            table, t_range, s_range, d_k - r if reversed_row else r, 1
         )
-        for r in range(d_k + 1)
-    ))
-    # Elimination is a monomial ring map and the shells carry no
-    # auxiliary variables, so one pass per side suffices.
-    lhs, rhs = eliminate_units(fs, lhs), eliminate_units(fs, rhs)
+        shift = r * g + (d_k - r) * l
+        for key, coeff in sigma._keys.items():
+            key += shift
+            terms[key] = get(key, 0) + coeff
+        amp = max(amp, sigma._amp, shell_amp)
+    # Every sigma coefficient is positive, so no term of the sum cancels.
+    rhs = _trusted(table, terms, amp)
+    lhs = eliminate_units(fs, lhs)
     if lhs != rhs:
         residual = poly_sub(lhs, rhs)
         return Report(ok=False, failures=((k, str(residual)),))
@@ -644,7 +713,9 @@ def _embedding_conditions_at(ctx):
         # (iv) string entries against balanced side-ratio sums.
         ratios = []
         for c in fs.members(k):
-            v_c_gt, v_c_lt = _member_sides(fs, c, (ROLE_FROZEN, ROLE_T, ROLE_S))
+            v_c_gt, v_c_lt = _member_sides(
+                fs, fs.folded.matrix.rows[c], (ROLE_FROZEN, ROLE_T, ROLE_S)
+            )
             ratio_gt = v_c_gt.over(gm.v_gt)
             ratio_lt = v_c_lt.over(gm.v_lt)
             for ratio, label in ((ratio_gt, ">"), (ratio_lt, "<")):

@@ -25,7 +25,7 @@ minutes.
 
 from math import isqrt
 
-from .gca_seed import CoefficientStrings, GeneralizedSeed, initial_seed
+from .gca_seed import CoefficientStrings, initial_seed
 from .laurent_kernel import VariableTable
 from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
 

@@ -26,6 +26,7 @@ from gencluster.errors import (
 )
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import initial_seed, mutate_seed
+from gencluster.laurent_kernel import EXPONENT_LIMIT
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, mutate_sequence
 from gencluster import quotient_embedding
 from gencluster.quotient_embedding import (
@@ -288,6 +289,25 @@ class TestVerify:
         assert code == 2
         assert "InexactDivision: negative placeholder power" in text
 
+    def test_exponent_overflow_is_a_recorded_failure(self, tmp_path):
+        # The folded shared frozen entry is limit / 2, so the product
+        # formula's r = 2 shell reaches the exponent limit at depth 0.
+        path = tmp_path / "big.seed"
+        path.write_text(
+            "gca-seed v1\nN 1\nM 1\ndivisors 2\nnames x ; f\n"
+            f"matrix 0 {EXPONENT_LIMIT // 2}\nstring 0 ; 2 ; 0\n"
+        )
+        code, text = run(
+            "verify", "product-formula", "--seed-file", str(path), "--depth", "1"
+        )
+        assert code == 2
+        lines = text.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("FAIL")
+        assert (
+            f"ExponentOverflow: exponent of magnitude {EXPONENT_LIMIT} "
+            f"reaches the limit {EXPONENT_LIMIT}"
+        ) in lines[0]
+
 
 class TestUsageErrors:
     def test_missing_seed(self):
@@ -322,17 +342,21 @@ class TestUsageErrors:
                 assert err.count("\n") == 1
 
     def test_internal_key_error_is_not_bad_input(self, monkeypatch):
+        # A KeyError raised inside a case is a fault of that case, not
+        # bad input: it is recorded as the case's failure and exits 2.
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
         monkeypatch.setattr(
             "gencluster.quotient_embedding.product_formula_check", broken
         )
-        with pytest.raises(KeyError):
-            run("verify", "product-formula", "--seed", "FIX-C", "--depth", "1")
         monkeypatch.setattr("gencluster.cli_io.group_mutate", broken)
-        with pytest.raises(KeyError):
-            run("verify", "hadamard", "--seed", "FIX-C", "--depth", "1")
+        for target in ("product-formula", "hadamard"):
+            code, text = run("verify", target, "--seed", "FIX-C", "--depth", "1")
+            assert code == 2
+            lines = text.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("FAIL")
+            assert "KeyError: " in lines[0] and "internal" in lines[0]
 
     def test_out_of_range_direction(self):
         assert run("mutate", "--seed", "FIX-A", "--sequence", "9")[0] == 1
@@ -442,8 +466,12 @@ def quotient_failures(target, seed, sequence, pf_check, conditions):
 def oracle_verdict(target, seed, sequence, step=group_mutate,
                    hadamard=hadamard_check, double_constant=double_constant_check,
                    pf_check=product_formula_check,
-                   conditions=_embedding_conditions_at):
-    """One case walked from the seed on its own, sharing nothing."""
+                   conditions=_embedding_conditions_at, errors=GenClusterError):
+    """One case walked from the seed on its own, sharing nothing.
+
+    Exceptions of type ``errors`` become the case's failure; any other
+    propagates, so a library fault makes the comparing test error.
+    """
     try:
         if target in ("product-formula", "embedding", "subquotient"):
             failures = quotient_failures(
@@ -470,7 +498,7 @@ def oracle_verdict(target, seed, sequence, step=group_mutate,
             else:
                 double_constant(fm)
         return not failures, failures
-    except GenClusterError as exc:
+    except errors as exc:
         return False, [repr(f"{type(exc).__name__}: {exc}")]
 
 
@@ -680,6 +708,30 @@ class TestWalker:
         # A suite walks one case and raises the first error it meets.
         with pytest.raises(StructureViolation, match="shallow check"):
             suite(fix_b, (0, 1))
+
+    def test_unexpected_exception_fails_its_case_only(self, monkeypatch):
+        # A check that is not a library error, raised after direction 2
+        # only: those cases fail with its text, the others still pass.
+        def check(fs, k):
+            if fs.group_provenance[:1] == (1,):
+                raise RuntimeError("synthetic fault")
+            return product_formula_check(fs, k)
+
+        monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
+        fault = [repr("RuntimeError: synthetic fault")]
+        records = walked_records("product-formula", "--seed", "FIX-B", "--depth", "2")
+        assert {tuple(r["sequence"]): r["failures"] for r in records} == {
+            (1, 1): [], (1, 2): [], (2, 1): fault, (2, 2): fault,
+        }
+        assert records == oracle_records(
+            "product-formula", fixture_seed("FIX-B"), "FIX-B",
+            exhaustive(2, 2), pf_check=check, errors=Exception,
+        )
+        code, text = run("verify", "product-formula", "--seed", "FIX-B", "--depth", "2")
+        assert code == 2
+        assert [line.split()[0] for line in text.splitlines()] == [
+            "ok", "ok", "FAIL", "FAIL",
+        ]
 
     def test_failures_concatenate_in_depth_order(self, monkeypatch):
         # A state-dependent value that the involution brings back on

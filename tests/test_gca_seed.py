@@ -27,7 +27,6 @@ from gencluster.gca_seed import (
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
-    VariableTable,
     parse_polynomial,
     poly_add,
     poly_mul,

@@ -1,7 +1,5 @@
 """Node-weighted quivers: correspondence, mutation, folding, text."""
 
-import random
-
 import pytest
 
 from gencluster.errors import ParseError, ValidationError

@@ -1,25 +1,34 @@
 """Quotient embedding: folded seeds, the product formula, and the image map."""
 
 import hashlib
+from itertools import combinations, product
 from math import lcm
 import random
 
 import pytest
 
+from gencluster.cli_io import parse_seed_text
 from gencluster.errors import (
     CorrespondenceViolation,
+    ExponentOverflow,
     GroupCoherenceViolation,
     IndexOutOfRange,
     InexactDivision,
+    Report,
     StructureViolation,
 )
 from gencluster.gca_seed import mutate_seed
 from gencluster.laurent_kernel import (
+    EXPONENT_LIMIT,
     LaurentPolynomial,
+    Monomial,
     poly_add,
     poly_map_variables,
     poly_mul,
+    poly_mul_monomial,
     poly_pow,
+    poly_sub,
+    poly_sum,
 )
 from gencluster.matrix_mutation import ExtendedExchangeMatrix
 from gencluster.quotient_embedding import (
@@ -33,9 +42,9 @@ from gencluster.quotient_embedding import (
     group_monomials,
     group_mutate_seed,
     phi,
+    product_formula_check,
     product_formula_suite,
     product_formula_walk,
-    sigma_polynomial,
     subquotient_check,
 )
 from gencluster.randomgen import random_seed, random_sequence
@@ -52,6 +61,24 @@ FIX_C_PHI_X_MUTATED = (
 FIX_B_CLUSTER_IMAGES_SHA256 = (
     "335cb14205b7c7aa27e3250b401709f9f57fb1f7487a9f255235c2a147f0f558"
 )
+
+
+def sigma_polynomial(fs, k, r):
+    """The balanced sum ``sigma_{k,r}``, built one subset at a time.
+
+    Each ``r``-subset ``J`` of group ``k``'s members adds the monomial
+    with ``t_c`` for ``c`` in ``J`` and ``s_c`` for the others.
+    """
+    names = fs.table.names
+    pairs = list(zip(fs.folded.t_range(k), fs.folded.s_range(k)))
+    total = LaurentPolynomial.zero(fs.table)
+    for subset in combinations(range(len(pairs)), r):
+        term = fs.table.monomial({
+            names[t if idx in subset else s]: 1
+            for idx, (t, s) in enumerate(pairs)
+        })
+        total = poly_add(total, term.as_polynomial())
+    return total
 
 
 def expand_term_by_term(ctx, p):
@@ -76,6 +103,68 @@ def expand_term_by_term(ctx, p):
                 body = poly_mul(body, poly_pow(sigma, exps[pos]))
         expanded = poly_add(expanded, body)
     return eliminate_units(ctx.fs, expanded)
+
+
+def oracle_product_formula_check(fs, k):
+    """The product formula over exponent-tuple monomials.
+
+    Both sides are built from :class:`Monomial` objects and expanded in
+    full, each shell by ``power`` and ``times``, and the unit relations
+    eliminate both sides at the end.
+    """
+    d_k = len(fs.folded.group_range(k))
+    table = fs.table
+    lhs = LaurentPolynomial.one(table)
+    for c in fs.members(k):
+        row = fs.folded.matrix.rows[c]
+        gt = Monomial(table, tuple(max(v, 0) for v in row))
+        lt = Monomial(table, tuple(max(-v, 0) for v in row))
+        lhs = poly_mul(lhs, poly_add(gt.as_polynomial(), lt.as_polynomial()))
+    gm = group_monomials(fs, k)
+    reversed_row = fs.group_provenance.count(k) % 2 == 1
+    gt_base = gm.u_gt.times(gm.v_gt)
+    lt_base = gm.u_lt.times(gm.v_lt)
+    rhs = poly_sum(table, (
+        poly_mul_monomial(
+            sigma_polynomial(fs, k, d_k - r if reversed_row else r),
+            gt_base.power(r).times(lt_base.power(d_k - r)),
+        )
+        for r in range(d_k + 1)
+    ))
+    lhs, rhs = eliminate_units(fs, lhs), eliminate_units(fs, rhs)
+    if lhs != rhs:
+        return Report(ok=False, failures=((k, str(poly_sub(lhs, rhs))),))
+    return Report(ok=True, failures=())
+
+
+def product_formula_states(seed, mode, sequences):
+    """Every folded state the product-formula walk reaches along ``sequences``."""
+    root, step, _ = product_formula_walk(seed, mode)
+    states = [root]
+    for sequence in sequences:
+        fs = root
+        for k in sequence:
+            fs = step(fs, k)
+            states.append(fs)
+    return states
+
+
+def tampered(fs, row, col, delta):
+    """``fs`` with one entry of its folded matrix moved by ``delta``."""
+    rows = [list(r) for r in fs.folded.matrix.rows]
+    rows[row][col] += delta
+    matrix = ExtendedExchangeMatrix(
+        fs.folded.matrix.n, fs.folded.matrix.m, tuple(tuple(r) for r in rows)
+    )
+    return FoldedSeed(
+        seed=fs.seed,
+        folded=FoldedMatrix(
+            matrix=matrix,
+            group_sizes=fs.folded.group_sizes,
+            m_original=fs.folded.m_original,
+        ),
+        group_provenance=fs.group_provenance,
+    )
 
 
 def shared_factor_seeds():
@@ -234,13 +323,22 @@ class TestSigmaAndUnits:
     def test_placeholder_expansion_matches_term_by_term(
         self, fix_a, fix_b, fix_c, rng
     ):
-        for seed in (fix_a, fix_b, fix_c):
-            ctx = QuotientContext.create(seed)
+        # normal_form eliminates the units first and multiplies by cached
+        # eliminated sigma powers; the oracle expands first and
+        # eliminates last.
+        cases = [(seed, "total", 15, 3) for seed in (fix_a, fix_b, fix_c)]
+        cases += [
+            (seed, mode, 3, 2)
+            for seed in shared_factor_seeds()
+            for mode in ("total", "lcm")
+        ]
+        for seed, mode, count, top in cases:
+            ctx = QuotientContext.create(seed, mode=mode)
             base = ctx.fs.table.names
             width = len(ctx.placeholder_names)
-            for _ in range(15):
+            for _ in range(count):
                 parts = [
-                    tuple(rng.randint(0, 3) for _ in range(width))
+                    tuple(rng.randint(0, top) for _ in range(width))
                     for _ in range(2)
                 ]
                 terms = {}
@@ -342,6 +440,66 @@ class TestProductFormula:
             sequence = random_sequence(rng, seed.matrix.n, 3)
             report = product_formula_suite(seed, sequence)
             assert report.ok, report.failures
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_packed_check_matches_tuple_oracle(self, fix_a, fix_b, fix_c, rng, mode):
+        cases = [
+            (fix_a, list(product(range(2), repeat=3))),
+            (fix_b, list(product(range(2), repeat=4))),
+            (fix_c, [(0,) * 6]),
+        ]
+        cases += [
+            (seed, [random_sequence(rng, seed.matrix.n, 3)])
+            for seed in shared_factor_seeds()
+        ]
+        for _ in range(25):
+            seed = random_seed(rng)
+            cases.append((seed, [random_sequence(rng, seed.matrix.n, 4)]))
+        for seed, sequences in cases:
+            for fs in product_formula_states(seed, mode, sequences):
+                for k in range(seed.rank):
+                    report = product_formula_check(fs, k)
+                    assert report.ok, (seed.divisors, fs.group_provenance, k)
+                    assert report == oracle_product_formula_check(fs, k)
+
+    def test_tampered_auxiliary_entry_fails_alike(self, fix_a, fix_b, fix_c):
+        # The aux columns are outside the coherence check, so a tampered
+        # entry reaches the identity itself, and both routes must print
+        # the same residual.
+        for seed in (fix_a, fix_b, fix_c):
+            sequences = [(k,) for k in range(seed.rank)]
+            for fs in product_formula_states(seed, "total", sequences):
+                for k in range(seed.rank):
+                    member = fs.members(k)[0]
+                    for col in (fs.folded.t_range(k)[0], fs.folded.s_range(k)[-1]):
+                        for delta in (1, -2):
+                            bad = tampered(fs, member, col, delta)
+                            report = product_formula_check(bad, k)
+                            assert not report.ok
+                            assert report == oracle_product_formula_check(bad, k)
+
+    def test_shell_exponent_at_the_limit_overflows(self):
+        # One group of two members whose shared frozen entry is b: the
+        # r = 2 shell holds F^(2b), which reaches the limit at 2b = limit.
+        def check_at(b):
+            seed = parse_seed_text(
+                "gca-seed v1\nN 1\nM 1\ndivisors 2\nnames x ; f\n"
+                f"matrix 0 {b}\nstring 0 ; 2 ; 0\n"
+            )
+            fs = folded_initial_seed(seed)
+            assert [row[2] for row in fs.folded.matrix.rows] == [b, b]
+            return fs
+
+        fs = check_at(EXPONENT_LIMIT // 2)
+        with pytest.raises(ExponentOverflow) as packed:
+            product_formula_check(fs, 0)
+        with pytest.raises(ExponentOverflow) as oracle:
+            oracle_product_formula_check(fs, 0)
+        assert str(packed.value) == str(oracle.value)
+        assert str(EXPONENT_LIMIT) in str(packed.value)
+        fs = check_at(EXPONENT_LIMIT // 2 - 2)
+        assert product_formula_check(fs, 0) == Report(ok=True, failures=())
+        assert oracle_product_formula_check(fs, 0) == Report(ok=True, failures=())
 
     def test_lcm_mode(self, fix_b):
         report = product_formula_suite(fix_b, (0, 1), mode="lcm")
