@@ -20,15 +20,21 @@ where the cluster monomials ``u>``, ``u<`` and the frozen boxes
     v>[r] = prod_{bhat_kj > 0} f_j^floor(r*bhat_kj / d_k)   (frozen columns)
     v<[r] = prod_{bhat_kj < 0} f_j^floor(r*|bhat_kj| / d_k)
 
+The exchange data of one direction is kept as exponent vectors
+(:class:`ExchangeContext`), and ``theta_k`` is summed on packed keys:
+each product ``u>^r * u<^(d_k - r)`` of cluster powers is shifted by
+the key of its frozen coefficient, so the mutation path builds no
+:class:`~gencluster.laurent_kernel.Monomial`.
+
 Mutation in direction ``k`` replaces the cluster entry by the exact
 quotient ``theta_k / x_k`` (evaluated at the current cluster), mutates
 the matrix by the standard rule, and reverses string row ``k``.
 
 The module also provides the degree-``d_k``-root apparatus: the floor
-defect, special monomials, balancing ``q`` monomials, and a check of the
-perfect-power form of each coefficient of ``theta_k``.  Reassembling
-``theta_k`` from the roots, and ``q`` by its second route, are test
-oracles in ``tests/test_gca_seed.py``.
+defect and a check of the perfect-power form of each coefficient of
+``theta_k``.  The monomial route to ``theta_k`` and to the check,
+reassembling ``theta_k`` from the roots, and the special and balancing
+``q`` monomials are test oracles in ``tests/test_gca_seed.py``.
 """
 
 from dataclasses import dataclass, field
@@ -38,14 +44,15 @@ from .laurent_kernel import (
     LaurentPolynomial,
     Monomial,
     ROLE_CLUSTER,
-    ROLE_FROZEN,
     VariableTable,
+    _amplitude,
+    _drop_zeros,
     _same_table,
+    _shifted_amplitude,
+    _trusted,
     poly_exact_div,
     poly_mul,
-    poly_mul_monomial,
     poly_pow,
-    poly_sum,
 )
 from .matrix_mutation import (
     DivisorVector,
@@ -201,39 +208,29 @@ def frozen_box(seed, k, r):
     d_k = seed.divisors[k]
     if not 0 <= r <= d_k:
         raise IndexOutOfRange(f"box index {r} outside 0..{d_k}")
-    return _frozen_box(seed, seed.scaled_row(k), d_k, r)
-
-
-def _frozen_box(seed, bhat_row, d_k, r):
-    """:func:`frozen_box` read off an already scaled row."""
-    gt = [0] * len(bhat_row)
-    lt = [0] * len(bhat_row)
-    for j in range(seed.rank, len(bhat_row)):
-        e = bhat_row[j]
-        if e > 0:
-            gt[j] = (r * e) // d_k
-        elif e < 0:
-            lt[j] = (r * -e) // d_k
-    return Monomial(seed.table, tuple(gt)), Monomial(seed.table, tuple(lt))
+    ctx = ExchangeContext.build(seed, k)
+    return Monomial(seed.table, ctx.v_gt[r]), Monomial(seed.table, ctx.v_lt[r])
 
 
 @dataclass(frozen=True)
 class ExchangeContext:
-    """All ingredients of one exchange relation, precomputed.
+    """All ingredients of one exchange relation, as exponent vectors.
 
-    ``u_gt``/``u_lt`` are monomials over the seed's table whose cluster
-    exponents refer to the *current* cluster entries (slot ``i`` means
-    ``seed.cluster[i]``), not to the table symbols; ``v_gt[r]`` and
-    ``v_lt[r]`` are honest frozen monomials.  ``strings`` is row ``k``
-    and ``bhat_row`` the divisor-scaled matrix row they are read from.
+    Every field is read once off the divisor-scaled row ``bhat_row``.
+    ``u_gt``/``u_lt`` are exponent tuples over the seed's table whose
+    cluster slots refer to the *current* cluster entries (slot ``i``
+    means ``seed.cluster[i]``), not to the table symbols; ``v_gt[r]``
+    and ``v_lt[r]`` are the frozen boxes as exponent tuples.
+    ``strings`` is string row ``k``.  No :class:`Monomial` is built:
+    callers that need one (reports, failure text) wrap a vector.
     """
 
     seed: GeneralizedSeed
     k: int
     degree: int
     bhat_row: tuple
-    u_gt: Monomial
-    u_lt: Monomial
+    u_gt: tuple
+    u_lt: tuple
     v_gt: tuple
     v_lt: tuple
     strings: tuple
@@ -243,34 +240,45 @@ class ExchangeContext:
         seed.check_direction(k)
         d_k = seed.divisors[k]
         bhat_row = seed.scaled_row(k)
-        cluster = bhat_row[: seed.rank]
-        frozen = (0,) * (len(bhat_row) - seed.rank)
-        boxes = [_frozen_box(seed, bhat_row, d_k, r) for r in range(d_k + 1)]
+        n = seed.rank
+        cluster, frozen = bhat_row[:n], bhat_row[n:]
+        pad, zeros = (0,) * n, (0,) * len(frozen)
         return ExchangeContext(
             seed=seed,
             k=k,
             degree=d_k,
             bhat_row=bhat_row,
-            u_gt=Monomial(seed.table, tuple(max(e, 0) for e in cluster) + frozen),
-            u_lt=Monomial(seed.table, tuple(max(-e, 0) for e in cluster) + frozen),
-            v_gt=tuple(b[0] for b in boxes),
-            v_lt=tuple(b[1] for b in boxes),
+            u_gt=tuple([e if e > 0 else 0 for e in cluster]) + zeros,
+            u_lt=tuple([-e if e < 0 else 0 for e in cluster]) + zeros,
+            v_gt=tuple([
+                pad + tuple([(r * e) // d_k if e > 0 else 0 for e in frozen])
+                for r in range(d_k + 1)
+            ]),
+            v_lt=tuple([
+                pad + tuple([(r * -e) // d_k if e < 0 else 0 for e in frozen])
+                for r in range(d_k + 1)
+            ]),
             strings=seed.strings.row(k),
         )
 
     def coefficient(self, r):
-        """The full frozen coefficient ``p_{k,r} * v>[r] * v<[d-r]``."""
-        return self.strings[r].times(self.v_gt[r]).times(self.v_lt[self.degree - r])
+        """Exponents of the frozen coefficient ``p_{k,r} * v>[r] * v<[d-r]``."""
+        return tuple([
+            p + g + l for p, g, l in zip(
+                self.strings[r].exponents, self.v_gt[r], self.v_lt[self.degree - r]
+            )
+        ])
 
 
 def _cluster_power(seed, exponents):
     """Product of current cluster entries raised to table-slot exponents."""
-    out = LaurentPolynomial.one(seed.table)
+    out = None
     for i in seed.table.cluster_indices:
         e = exponents[i]
         if e:
-            out = poly_mul(out, poly_pow(seed.cluster[i], e))
-    return out
+            factor = poly_pow(seed.cluster[i], e)
+            out = factor if out is None else poly_mul(out, factor)
+    return LaurentPolynomial.one(seed.table) if out is None else out
 
 
 def exchange_polynomial(seed, k):
@@ -279,21 +287,39 @@ def exchange_polynomial(seed, k):
 
 
 def _exchange_polynomial(ctx):
-    """:func:`exchange_polynomial` of an already built context."""
-    seed = ctx.seed
-    gt_base = _cluster_power(seed, ctx.u_gt.exponents)
-    lt_base = _cluster_power(seed, ctx.u_lt.exponents)
-    gt_powers = [LaurentPolynomial.one(seed.table)]
-    lt_powers = [LaurentPolynomial.one(seed.table)]
-    for _ in range(ctx.degree):
-        gt_powers.append(poly_mul(gt_powers[-1], gt_base))
-        lt_powers.append(poly_mul(lt_powers[-1], lt_base))
-    return poly_sum(seed.table, (
-        poly_mul_monomial(
-            poly_mul(gt_powers[r], lt_powers[ctx.degree - r]), ctx.coefficient(r)
-        )
-        for r in range(ctx.degree + 1)
-    ))
+    """:func:`exchange_polynomial` of an already built context.
+
+    With ``G``/``L`` the cluster powers of ``u>``/``u<``, each product
+    ``G^r * L^(d-r)`` is added into one dict, shifted by the packed key
+    of coefficient ``r``, in ascending ``r``.  Each coefficient, then its
+    shifted product, is checked against the exponent limit before any
+    key is shifted, so an overflow raises before a key can alias.
+    """
+    seed, d = ctx.seed, ctx.degree
+    layout = seed.table._layout
+    # Index r holds G^r (L^r); the power 0 is 1 and is never multiplied.
+    gt_powers = [None, _cluster_power(seed, ctx.u_gt)]
+    lt_powers = [None, _cluster_power(seed, ctx.u_lt)]
+    for _ in range(1, d):
+        gt_powers.append(poly_mul(gt_powers[-1], gt_powers[1]))
+        lt_powers.append(poly_mul(lt_powers[-1], lt_powers[1]))
+    terms = {}
+    get = terms.get
+    amp = 0
+    for r in range(d + 1):
+        if r == 0:
+            product = lt_powers[d]
+        elif r == d:
+            product = gt_powers[d]
+        else:
+            product = poly_mul(gt_powers[r], lt_powers[d - r])
+        exps = ctx.coefficient(r)
+        amp = max(amp, _shifted_amplitude(product, exps, _amplitude(exps)))
+        shift = layout.pack(exps) - layout.offset
+        for key, coeff in product._keys.items():
+            key += shift
+            terms[key] = get(key, 0) + coeff
+    return _trusted(seed.table, _drop_zeros(terms), amp)
 
 
 def mutate_seed(seed, k):
@@ -325,62 +351,37 @@ def floor_defect(n, r, b, d):
     return n * ((r * b) // d) - (n * r * b) // d
 
 
-def special_monomial(seed, n, j, k, r):
-    """Correction monomial of ``f_j`` for an ``n``-fold frozen rescaling.
-
-    With ``b = bhat_kj`` (the signed scaled entry) and ``d = d_k``, the
-    exponent is :func:`floor_defect` ``(n, r, b, d)``.
-    """
-    seed.check_direction(k)
-    d_k = seed.divisors[k]
-    if not 0 <= r <= d_k:
-        raise IndexOutOfRange(f"index {r} outside 0..{d_k}")
-    pos = seed.table.index(j)
-    if seed.table.roles[pos] != ROLE_FROZEN:
-        raise ValidationError(f"{j!r} is not a frozen variable")
-    b = seed.scaled_row(k)[pos]
-    return seed.table.monomial({j: floor_defect(n, r, b, d_k)})
-
-
-def q_monomial(seed, k, r):
-    """Balancing monomial ``q_{k,r} = v>^r * v<^(d-r) / (v>[r] * v<[d-r])^d``.
-
-    Here ``v> = v>[d]`` and ``v< = v<[d]``.  A floor identity makes it the
-    product over frozen ``j`` of the inverse ``d``-fold special
-    monomials; ``tests/test_gca_seed.py`` checks that agreement.
-    """
-    ctx = ExchangeContext.build(seed, k)
-    d = ctx.degree
-    top = ctx.v_gt[d].power(r).times(ctx.v_lt[d].power(d - r))
-    return top.over(ctx.v_gt[r].times(ctx.v_lt[d - r]).power(d))
-
-
 def root_formula_check(seed, k):
     """Check the perfect-power (degree-``d_k`` root) form of ``theta_k``.
 
     For each ``r``, with ``q_{k,r}`` taken from the ``d``-fold special
-    monomials of the scaled row (so the test does not read the boxes it
-    is compared with), the monomial ``p_{k,r}^d / q_{k,r} * v>^r *
-    v<^(d-r)`` must have every exponent divisible by ``d``, and its
-    ``d``-th root must be the coefficient ``p_{k,r} * v>[r] * v<[d-r]``
-    of ``theta_k``.  Returns a report listing failing ``(k, r)`` pairs.
-    Reassembling ``theta_k`` from the roots is a test oracle.
+    monomials of the scaled row (frozen exponents :func:`floor_defect`
+    ``(d, r, bhat_kj, d)`` of ``1/q``, so the test does not read the
+    boxes it is compared with), the monomial ``p_{k,r}^d / q_{k,r} *
+    v>^r * v<^(d-r)`` must have every exponent divisible by ``d``, and
+    its ``d``-th root must be the coefficient ``p_{k,r} * v>[r] *
+    v<[d-r]`` of ``theta_k``.  The monomials are exponent vectors.
+    Returns a report listing failing ``(k, r)`` pairs.  Reassembling
+    ``theta_k`` from the roots is a test oracle.
     """
     ctx = ExchangeContext.build(seed, k)
-    d = ctx.degree
+    d, n = ctx.degree, seed.rank
     v_gt, v_lt = ctx.v_gt[d], ctx.v_lt[d]
     failures = []
     for r in range(d + 1):
-        inverse_q = Monomial(seed.table, tuple(
-            floor_defect(d, r, b, d) if pos >= seed.rank else 0
-            for pos, b in enumerate(ctx.bhat_row)
-        ))
-        target = ctx.strings[r].power(d).times(inverse_q)
-        target = target.times(v_gt.power(r)).times(v_lt.power(d - r))
-        if any(e % d for e in target.exponents):
+        target = [
+            d * p + (floor_defect(d, r, b, d) if pos >= n else 0) + r * g + (d - r) * l
+            for pos, (p, b, g, l) in enumerate(
+                zip(ctx.strings[r].exponents, ctx.bhat_row, v_gt, v_lt)
+            )
+        ]
+        if any(e % d for e in target):
             failures.append((k, r, "exponents not divisible by the degree"))
             continue
-        root = Monomial(seed.table, tuple(e // d for e in target.exponents))
-        if root != ctx.coefficient(r):
-            failures.append((k, r, f"root {root} differs from {ctx.coefficient(r)}"))
+        root, coefficient = tuple([e // d for e in target]), ctx.coefficient(r)
+        if root != coefficient:
+            root, coefficient = (
+                Monomial(seed.table, v) for v in (root, coefficient)
+            )
+            failures.append((k, r, f"root {root} differs from {coefficient}"))
     return Report(ok=not failures, failures=tuple(failures))

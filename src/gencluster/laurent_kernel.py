@@ -239,19 +239,6 @@ class Monomial:
         if len(self.exponents) != len(self.table):
             raise ValidationError("exponent vector does not match table size")
 
-    def times(self, other):
-        _require_same_table(self, other)
-        return Monomial(self.table, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def over(self, other):
-        """Exact monomial quotient (exponent subtraction)."""
-        _require_same_table(self, other)
-        return Monomial(self.table, tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def power(self, k):
-        k = int(k)
-        return Monomial(self.table, tuple(a * k for a in self.exponents))
-
     def exponent(self, name):
         return self.exponents[self.table.index(name)]
 
@@ -529,14 +516,14 @@ def poly_pow(a, k):
     k = int(k)
     if k < 0:
         raise ValidationError("poly_pow needs a non-negative exponent")
-    result = LaurentPolynomial.one(a.table)
+    result = None
     base = a
     while k:
         if k & 1:
-            result = poly_mul(result, base)
+            result = base if result is None else poly_mul(result, base)
         base = poly_mul(base, base) if k > 1 else base
         k >>= 1
-    return result
+    return LaurentPolynomial.one(a.table) if result is None else result
 
 
 def poly_exact_div(numer, denom):

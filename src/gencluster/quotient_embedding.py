@@ -314,26 +314,27 @@ def _sigma(table, t_range, s_range, r):
     over the members of group ``k``, whose ``t`` and ``s`` variables sit
     at ``t_range`` and ``s_range``.
     """
-    pairs = [
-        (table.monomial({table.names[t]: 1}), table.monomial({table.names[s]: 1}))
-        for t, s in zip(t_range, s_range)
-    ]
-    return _balanced_sum(table, pairs, r)
+    units = table._layout.units
+    pairs = [(units[t], units[s]) for t, s in zip(t_range, s_range)]
+    return _balanced_sum(table, pairs, r, len(pairs))
 
 
-def _balanced_sum(table, pairs, r):
-    """Sum over the ``r``-subsets ``J`` of a group's monomial pairs.
+def _balanced_sum(table, pairs, r, amp):
+    """Sum over the ``r``-subsets ``J`` of a group's pairs of key shifts.
 
-    Each summand takes the first monomial of every pair in ``J`` and the
-    second of every pair outside it.
+    Each summand shifts the key of 1 by the first shift of every pair in
+    ``J`` and the second of every pair outside it.  ``amp`` bounds every
+    summand's largest exponent and is checked against the limit.
     """
+    offset = table._layout.offset
     terms = {}
+    get = terms.get
     for subset in combinations(range(len(pairs)), r):
-        term = table.one()
+        key = offset
         for idx, (inside, outside) in enumerate(pairs):
-            term = term.times(inside if idx in subset else outside)
-        terms[term.exponents] = terms.get(term.exponents, 0) + 1
-    return LaurentPolynomial(table, terms)
+            key += inside if idx in subset else outside
+        terms[key] = get(key, 0) + 1
+    return _trusted(table, terms, _amplitude((amp,)))
 
 
 @lru_cache(maxsize=64)
@@ -690,18 +691,20 @@ def _embedding_conditions_at(ctx):
     failures = []
     tracked = ctx.tracked
     fs = ctx.fs
+    table = fs.table
+    layout = table._layout
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext.build(tracked, k)
         gm = group_monomials(fs, k)
         # (i) cluster monomials and (ii) stable monomials, compared as
         # monomials in the symbols.
-        for label, mono, folded_mono in (
+        for label, exps, folded_mono in (
             ("(i) u>", gca_ctx.u_gt, gm.u_gt),
             ("(i) u<", gca_ctx.u_lt, gm.u_lt),
             ("(ii) v>[1]", gca_ctx.v_gt[1], gm.v_gt),
             ("(ii) v<[1]", gca_ctx.v_lt[1], gm.v_lt),
         ):
-            lhs = ctx.phi_poly(mono.as_polynomial())
+            lhs = ctx.phi_poly(Monomial(tracked.table, exps).as_polynomial())
             rhs = ctx.normal_form(folded_mono.as_polynomial())
             if lhs != rhs:
                 failures.append((label, k, None))
@@ -710,24 +713,27 @@ def _embedding_conditions_at(ctx):
         rhs = phi(tracked, k, fs)
         if lhs != rhs:
             failures.append(("(iii)", k, None))
-        # (iv) string entries against balanced side-ratio sums.
-        ratios = []
+        # (iv) string entries against balanced side-ratio sums, on packed
+        # keys: each side ratio is a key shift whose fields are its exponents.
+        (v_gt, v_gt_amp), (v_lt, v_lt_amp) = gm.v_gt._packed(), gm.v_lt._packed()
+        ratios, amp = [], 0
         for c in fs.members(k):
-            v_c_gt, v_c_lt = _member_sides(
-                fs, fs.folded.matrix.rows[c], (ROLE_FROZEN, ROLE_T, ROLE_S)
+            gt, gt_amp, lt, lt_amp = _packed_sides(
+                table, fs.folded.matrix.rows[c], (ROLE_FROZEN, ROLE_T, ROLE_S)
             )
-            ratio_gt = v_c_gt.over(gm.v_gt)
-            ratio_lt = v_c_lt.over(gm.v_lt)
+            amp += _amplitude((gt_amp, lt_amp, v_gt_amp, v_lt_amp))
+            ratio_gt, ratio_lt = gt - v_gt, lt - v_lt
             for ratio, label in ((ratio_gt, ">"), (ratio_lt, "<")):
-                for pos, e in enumerate(ratio.exponents):
-                    if e and fs.table.roles[pos] == ROLE_FROZEN:
-                        failures.append(
-                            (f"(iv) ratio {label} keeps frozen content", k, c)
-                        )
+                exps = layout.unpack(layout.offset + ratio)
+                failures.extend(
+                    (f"(iv) ratio {label} keeps frozen content", k, c)
+                    for pos in table.frozen_indices
+                    if exps[pos]
+                )
             ratios.append((ratio_gt, ratio_lt))
         for r in range(tracked.divisors[k] + 1):
             lhs = ctx.phi_poly(tracked.strings.entry(k, r).as_polynomial())
-            rhs = ctx.normal_form(_balanced_sum(fs.table, ratios, r))
+            rhs = ctx.normal_form(_balanced_sum(table, ratios, r, amp))
             if lhs != rhs:
                 failures.append(("(iv)", k, r))
     return failures

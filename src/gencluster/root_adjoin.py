@@ -22,6 +22,7 @@ generalized coefficient table returned by :func:`rho`.
 
 from dataclasses import dataclass, replace
 from math import lcm
+from operator import add, sub
 
 from .errors import HomogeneityFailure, Report, ValidationError
 from .gca_seed import (
@@ -32,7 +33,7 @@ from .gca_seed import (
     floor_defect,
     mutate_seed_sequence,
 )
-from .laurent_kernel import Monomial, ROLE_FROZEN, poly_map_variables
+from .laurent_kernel import Monomial, ROLE_FROZEN, _amplitude, poly_map_variables
 from .matrix_mutation import ExtendedExchangeMatrix
 
 
@@ -131,10 +132,10 @@ def adjoin_root(seed, j, n, root_name=None):
         _symmetrizer=current.matrix._symmetrizer,
     )
 
-    def transport(p):
-        return poly_map_variables(p, {j: root_power}, new_table)
-
-    new_cluster = tuple(transport(entry) for entry in current.cluster)
+    new_cluster = tuple(
+        poly_map_variables(entry, {j: root_power}, new_table)
+        for entry in current.cluster
+    )
 
     new_string_rows = []
     for k in range(current.rank):
@@ -142,9 +143,14 @@ def adjoin_root(seed, j, n, root_name=None):
         b = current.scaled_row(k)[pos]
         row = []
         for r, p in enumerate(current.strings.row(k)):
-            defect = floor_defect(n, r, b, d_k)
-            image = transport(p.as_polynomial()).as_monomial()
-            row.append(image.times(new_table.monomial({root_name: defect})))
+            # The image of ``p`` under ``f_j -> g^n``, bounded like a
+            # transported polynomial, times the correction ``g^defect``.
+            _amplitude(p.exponents)
+            image = list(p.exponents)
+            image[pos] *= n
+            _amplitude(image)
+            image[pos] += floor_defect(n, r, b, d_k)
+            row.append(Monomial(new_table, tuple(image)))
         new_string_rows.append(tuple(row))
 
     new_seed = GeneralizedSeed(
@@ -219,17 +225,17 @@ def transport_check(base, adjoined, sequence=()):
     for k in range(base.rank):
         ctx = ExchangeContext.build(t, k)
         ctx_bar = ExchangeContext.build(t_bar, k)
-        for label, mono, mono_bar in (
+        for label, exps, exps_bar in (
             ("u>", ctx.u_gt, ctx_bar.u_gt),
             ("u<", ctx.u_lt, ctx_bar.u_lt),
         ):
-            lhs = phi(_cluster_power(t, mono.exponents))
-            rhs = _cluster_power(t_bar, mono_bar.exponents)
+            lhs = phi(_cluster_power(t, exps))
+            rhs = _cluster_power(t_bar, exps_bar)
             if lhs != rhs:
                 failures.append((f"(i) {label}", k, None))
         for r in range(ctx.degree + 1):
-            lhs = phi(ctx.coefficient(r).as_polynomial())
-            rhs = ctx_bar.coefficient(r).as_polynomial()
+            lhs = phi(Monomial(t.table, ctx.coefficient(r)).as_polynomial())
+            rhs = Monomial(target, ctx_bar.coefficient(r)).as_polynomial()
             if lhs != rhs:
                 failures.append(("(ii)", k, r))
         if phi(t.cluster[k]) != t_bar.cluster[k]:
@@ -257,13 +263,12 @@ class GeneralizedCoefficientTable:
 
 def _homogenized_coefficients(ctx):
     """``p_r * v>[r] * v<[d-r] * v>[1]^(-r) * v<[1]^(r-d)`` for ``r = 0..d``."""
-    d = ctx.degree
+    d, table = ctx.degree, ctx.seed.table
     return tuple(
-        ctx.strings[r]
-        .times(ctx.v_gt[r])
-        .times(ctx.v_lt[d - r])
-        .times(ctx.v_gt[1].power(-r))
-        .times(ctx.v_lt[1].power(r - d))
+        Monomial(table, tuple([
+            c - r * g - (d - r) * l
+            for c, g, l in zip(ctx.coefficient(r), ctx.v_gt[1], ctx.v_lt[1])
+        ]))
         for r in range(d + 1)
     )
 
@@ -291,11 +296,6 @@ def _unbalanced_column(ctx):
     row = ctx.bhat_row
     frozen = range(ctx.seed.rank, len(row))
     return next((j for j in frozen if row[j] % ctx.degree), None)
-
-
-def is_floor_free(seed, k):
-    """Whether every frozen entry of scaled row ``k`` is divisible by ``d_k``."""
-    return _unbalanced_column(ExchangeContext.build(seed, k)) is None
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,7 @@ def homogeneity_check(seed, k):
         b = ctx.bhat_row[j]
         name = seed.table.names[j]
         # The r = 1 coefficient carries a genuine floor defect.
-        term = ctx.coefficient(1)
+        term = Monomial(seed.table, ctx.coefficient(1))
         raise HomogeneityFailure(
             f"scaled entry {b} of frozen column {name!r} is not divisible "
             f"by {ctx.degree}; coefficient {term} cannot be balanced",
@@ -359,6 +359,7 @@ def tau_variable(seed, k):
 
 def _tau_variable(ctx, floor_free):
     """:func:`tau_variable` of an already built context."""
+    exps = map(sub, ctx.u_gt, ctx.u_lt)
     if floor_free:
-        return ctx.u_gt.times(ctx.v_gt[1]).over(ctx.u_lt.times(ctx.v_lt[1]))
-    return ctx.u_gt.over(ctx.u_lt)
+        exps = map(add, exps, map(sub, ctx.v_gt[1], ctx.v_lt[1]))
+    return Monomial(ctx.seed.table, tuple(exps))

@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, settings, strategies as st
 from gencluster.fixtures import fixture_seed
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
+    Monomial,
     VariableTable,
+    _require_same_table,
     poly_mul,
     poly_pow,
 )
@@ -72,3 +74,20 @@ def cluster_side(seed, k, sign):
         if sign * row[i] > 0:
             out = poly_mul(out, poly_pow(seed.cluster[i], sign * row[i]))
     return out
+
+
+def mono_times(a, b):
+    """Product of two monomials over one table (exponent addition)."""
+    _require_same_table(a, b)
+    return Monomial(a.table, tuple(x + y for x, y in zip(a.exponents, b.exponents)))
+
+
+def mono_over(a, b):
+    """Exact quotient of two monomials over one table (exponent subtraction)."""
+    _require_same_table(a, b)
+    return Monomial(a.table, tuple(x - y for x, y in zip(a.exponents, b.exponents)))
+
+
+def mono_power(m, k):
+    """Integer power of a monomial (exponent scaling)."""
+    return Monomial(m.table, tuple(x * int(k) for x in m.exponents))

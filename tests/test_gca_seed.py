@@ -4,13 +4,16 @@ import random
 
 import pytest
 
-from conftest import cluster_side
+from conftest import cluster_side, mono_over, mono_power, mono_times
 from gencluster import gca_seed
 from gencluster.errors import (
+    ExponentOverflow,
     IndexOutOfRange,
     InvalidDivisors,
+    Report,
     ValidationError,
 )
+from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import (
     CoefficientStrings,
     ExchangeContext,
@@ -20,18 +23,20 @@ from gencluster.gca_seed import (
     initial_seed,
     mutate_seed,
     mutate_seed_sequence,
-    q_monomial,
     root_formula_check,
-    special_monomial,
 )
 from gencluster.laurent_kernel import (
+    EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
+    ROLE_FROZEN,
     parse_polynomial,
     poly_add,
+    poly_exact_div,
     poly_mul,
     poly_mul_monomial,
     poly_pow,
+    poly_sum,
 )
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, _symmetrizes
 from gencluster.randomgen import random_seed, random_sequence
@@ -44,13 +49,42 @@ FIX_B_THETA_X = "y^3*b^2 + y^2*a*b*p2x + y*a^2*p1x + a^4"
 FIX_B_THETA_Y = "x^2*b^3 + x*b*p1y + 1"
 
 
+def special_monomial(seed, n, j, k, r):
+    """Correction monomial of ``f_j`` for an ``n``-fold frozen rescaling.
+
+    With ``b = bhat_kj`` (the signed scaled entry) and ``d = d_k``, the
+    exponent is :func:`~gencluster.gca_seed.floor_defect` ``(n, r, b, d)``.
+    """
+    seed.check_direction(k)
+    d_k = seed.divisors[k]
+    if not 0 <= r <= d_k:
+        raise IndexOutOfRange(f"index {r} outside 0..{d_k}")
+    pos = seed.table.index(j)
+    if seed.table.roles[pos] != ROLE_FROZEN:
+        raise ValidationError(f"{j!r} is not a frozen variable")
+    b = seed.scaled_row(k)[pos]
+    return seed.table.monomial({j: gca_seed.floor_defect(n, r, b, d_k)})
+
+
+def q_monomial(seed, k, r):
+    """Balancing monomial ``q_{k,r} = v>^r * v<^(d-r) / (v>[r] * v<[d-r])^d``.
+
+    Here ``v> = v>[d]`` and ``v< = v<[d]``: the box route to ``q``.
+    """
+    d = seed.divisors[k]
+    top_gt, top_lt = frozen_box(seed, k, d)
+    box_gt, box_lt = frozen_box(seed, k, r)[0], frozen_box(seed, k, d - r)[1]
+    top = mono_times(mono_power(top_gt, r), mono_power(top_lt, d - r))
+    return mono_over(top, mono_power(mono_times(box_gt, box_lt), d))
+
+
 def q_by_special_monomials(seed, k, r):
     """``q_{k,r}`` as the product of inverse ``d``-fold special monomials."""
     d = seed.divisors[k]
     q = seed.table.one()
     for pos in seed.table.frozen_indices:
         name = seed.table.names[pos]
-        q = q.times(special_monomial(seed, d, name, k, r).power(-1))
+        q = mono_times(q, mono_power(special_monomial(seed, d, name, k, r), -1))
     return q
 
 
@@ -60,21 +94,147 @@ def extracted_roots(seed, k):
     v_gt, v_lt = frozen_box(seed, k, d)
     roots = []
     for r in range(d + 1):
-        target = seed.strings.entry(k, r).power(d)
-        target = target.over(q_by_special_monomials(seed, k, r))
-        target = target.times(v_gt.power(r)).times(v_lt.power(d - r))
+        target = mono_power(seed.strings.entry(k, r), d)
+        target = mono_over(target, q_by_special_monomials(seed, k, r))
+        target = mono_times(target, mono_power(v_gt, r))
+        target = mono_times(target, mono_power(v_lt, d - r))
         assert all(e % d == 0 for e in target.exponents), (k, r)
         roots.append(Monomial(seed.table, tuple(e // d for e in target.exponents)))
     return roots
 
 
-def walked_seeds(rng, count=20, depth=3):
+def monomial_context(seed, k):
+    """``(bhat_row, u>, u<, boxes>, boxes<)`` of direction ``k`` as monomials.
+
+    Read off the whole scaled matrix, independently of the library's
+    :class:`ExchangeContext`: the positive entries of the row feed the
+    ``>`` side, the negative ones the ``<`` side, and box ``r`` of a
+    frozen entry ``b`` has exponent ``floor(r*|b|/d_k)``.
+    """
+    seed.check_direction(k)
+    d, n, table = seed.divisors[k], seed.rank, seed.table
+    row = seed.scaled_matrix().rows[k]
+
+    def side(sign):
+        parts = [max(sign * e, 0) for e in row]
+        u = Monomial(table, tuple(e if j < n else 0 for j, e in enumerate(parts)))
+        boxes = tuple(
+            Monomial(table, tuple(
+                (r * e) // d if j >= n else 0 for j, e in enumerate(parts)
+            ))
+            for r in range(d + 1)
+        )
+        return u, boxes
+
+    (u_gt, v_gt), (u_lt, v_lt) = side(1), side(-1)
+    return row, u_gt, u_lt, v_gt, v_lt
+
+
+def oracle_coefficient(seed, k, r):
+    """The coefficient ``p_{k,r} * v>[r] * v<[d-r]`` as a monomial chain."""
+    _, _, _, v_gt, v_lt = monomial_context(seed, k)
+    p = seed.strings.entry(k, r)
+    return mono_times(mono_times(p, v_gt[r]), v_lt[seed.divisors[k] - r])
+
+
+def oracle_exchange_polynomial(seed, k):
+    """``theta_k`` assembled from monomial coefficients.
+
+    The cluster powers start from 1; each product ``G^r * L^(d-r)`` is
+    shifted by its coefficient monomial with ``poly_mul_monomial``, and
+    ``poly_sum`` adds the shifted products in ascending ``r``.
+    """
+    _, u_gt, u_lt, _, _ = monomial_context(seed, k)
+    d, one = seed.divisors[k], LaurentPolynomial.one(seed.table)
+
+    def cluster_power(mono):
+        out = one
+        for i in seed.table.cluster_indices:
+            if mono.exponents[i]:
+                out = poly_mul(out, poly_pow(seed.cluster[i], mono.exponents[i]))
+        return out
+
+    gt_base, lt_base = cluster_power(u_gt), cluster_power(u_lt)
+    gt_powers, lt_powers = [one], [one]
+    for _ in range(d):
+        gt_powers.append(poly_mul(gt_powers[-1], gt_base))
+        lt_powers.append(poly_mul(lt_powers[-1], lt_base))
+    return poly_sum(seed.table, (
+        poly_mul_monomial(
+            poly_mul(gt_powers[r], lt_powers[d - r]), oracle_coefficient(seed, k, r)
+        )
+        for r in range(d + 1)
+    ))
+
+
+def oracle_root_formula_check(seed, k):
+    """:func:`root_formula_check` over monomials of the whole scaled matrix."""
+    row, _, _, v_gt, v_lt = monomial_context(seed, k)
+    d, table = seed.divisors[k], seed.table
+    failures = []
+    for r in range(d + 1):
+        inverse_q = Monomial(table, tuple(
+            gca_seed.floor_defect(d, r, b, d) if pos >= seed.rank else 0
+            for pos, b in enumerate(row)
+        ))
+        target = mono_times(mono_power(seed.strings.entry(k, r), d), inverse_q)
+        target = mono_times(target, mono_power(v_gt[d], r))
+        target = mono_times(target, mono_power(v_lt[d], d - r))
+        if any(e % d for e in target.exponents):
+            failures.append((k, r, "exponents not divisible by the degree"))
+            continue
+        root = Monomial(table, tuple(e // d for e in target.exponents))
+        coefficient = oracle_coefficient(seed, k, r)
+        if root != coefficient:
+            failures.append((k, r, f"root {root} differs from {coefficient}"))
+    return Report(ok=not failures, failures=tuple(failures))
+
+
+def assert_matches_oracles(seed):
+    """``theta_k`` keys, in order, and root-formula reports equal the oracles'."""
+    for k in range(seed.rank):
+        theta = exchange_polynomial(seed, k)
+        oracle = oracle_exchange_polynomial(seed, k)
+        assert list(theta._keys.items()) == list(oracle._keys.items())
+        assert theta._amp == oracle._amp
+        assert root_formula_check(seed, k) == oracle_root_formula_check(seed, k)
+
+
+def exhaustive_states(seed, depth):
+    """Every seed reached from ``seed`` by a sequence of length at most ``depth``."""
+    level = states = [seed]
+    for _ in range(depth):
+        level = [mutate_seed(s, k) for s in level for k in range(s.rank)]
+        states = states + level
+    return states
+
+
+def walked_seeds(rng, count=20, depth=3, mode="total"):
     """Random seeds, plain and root-adjoined, each after a random walk."""
     for _ in range(count):
         seed = random_seed(rng)
         sequence = random_sequence(rng, seed.rank, depth)
-        for start in (seed, tau_tilde(seed).seed):
+        for start in (seed, tau_tilde(seed, mode=mode).seed):
             yield mutate_seed_sequence(start, sequence)
+
+
+def limit_seed(string_exponent, carried):
+    """A seed whose coefficient ``(0, 1)`` is ``f1^(s + 1)``, ``s`` the argument.
+
+    Scaled row 0 is ``(0, 1, 2)``, so ``u> = x2`` and ``v>[1] = f1``,
+    and string entry ``(0, 1)`` is ``f1^s``.  The second cluster entry
+    is ``x2 * f1^carried``, so the product ``x2 * f1^carried`` shifted by
+    that coefficient is ``x2 * f1^(s + 1 + carried)``.
+    """
+    matrix = ExtendedExchangeMatrix.from_rows(((0, 2, 2), (-2, 0, 0)), m=1)
+    base = initial_seed(matrix, (2, 2))
+    table, one = base.table, base.table.one()
+    strings = CoefficientStrings((
+        (one, table.monomial(f1=string_exponent), one),
+        (one, one, one),
+    ))
+    cluster = (base.cluster[0], LaurentPolynomial(table, {(0, 1, carried): 1}))
+    return GeneralizedSeed(table, cluster, matrix, base.divisors, strings)
 
 
 class TestExchangePolynomials:
@@ -104,12 +264,57 @@ class TestExchangePolynomials:
     def test_context_coefficients(self, fix_b):
         ctx = ExchangeContext.build(fix_b, 0)
         assert ctx.degree == 3
-        assert ctx.coefficient(0) == ctx.strings[0].times(ctx.v_gt[0]).times(
-            ctx.v_lt[3]
-        )
-        assert ctx.coefficient(3) == ctx.strings[3].times(ctx.v_gt[3]).times(
-            ctx.v_lt[0]
-        )
+        for r in range(4):
+            assert Monomial(fix_b.table, ctx.coefficient(r)) == oracle_coefficient(
+                fix_b, 0, r
+            )
+
+    def test_fixture_walks_match_the_monomial_oracles(self, fix_a, fix_b, fix_c):
+        # FIX-A's theta_k at depth 2 takes tens of seconds, so its walk
+        # stops at depth 1; FIX-B and FIX-C are walked to depth 3.
+        for seed, depth in ((fix_a, 1), (fix_b, 3), (fix_c, 3)):
+            for start in (seed, tau_tilde(seed).seed, tau_tilde(seed, mode="lcm").seed):
+                for state in exhaustive_states(start, depth):
+                    assert_matches_oracles(state)
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_random_walks_match_the_monomial_oracles(self, mode):
+        for seed in walked_seeds(random.Random(12), mode=mode):
+            assert_matches_oracles(seed)
+
+    def test_exponent_limit_on_the_coefficient(self):
+        # With x2 / f1 only the coefficient f1^(s + 1) reaches the limit,
+        # with x2 * f1 only the shifted product x2 * f1^(s + 2) does.  At
+        # the limit both routes raise the same message; one step below
+        # both pass.
+        for carried, at_limit in ((-1, EXPONENT_LIMIT - 1), (1, EXPONENT_LIMIT - 2)):
+            seed = limit_seed(at_limit, carried)
+            with pytest.raises(ExponentOverflow) as new:
+                mutate_seed(seed, 0)
+            with pytest.raises(ExponentOverflow) as oracle:
+                poly_exact_div(oracle_exchange_polynomial(seed, 0), seed.cluster[0])
+            assert str(new.value) == str(oracle.value)
+            assert f"magnitude {EXPONENT_LIMIT} reaches the limit" in str(new.value)
+            seed = limit_seed(at_limit - 1, carried)
+            mutated = mutate_seed(seed, 0)
+            assert mutated.cluster[0] == poly_exact_div(
+                oracle_exchange_polynomial(seed, 0), seed.cluster[0]
+            )
+            assert_matches_oracles(seed)
+
+    def test_mutation_builds_no_monomials(self, monkeypatch):
+        # The exchange relation runs on exponent vectors and packed keys;
+        # seeds are built before the count starts.
+        rng = random.Random(5)
+        adjoined = tau_tilde(random_seed(rng)).seed
+        seeds = [fixture_seed("FIX-B"), adjoined]
+        built = []
+        monkeypatch.setattr(Monomial, "__post_init__", lambda self: built.append(self))
+        for seed in seeds:
+            for k in range(seed.rank):
+                mutate_seed(seed, k)
+                exchange_polynomial(seed, k)
+        assert built == []
 
 
 class TestMutation:
@@ -219,9 +424,19 @@ class TestRootForm:
     def test_root_formula_fails_on_a_wrong_floor_defect(self, fix_c, monkeypatch):
         # The check reads q from the floor defects, never from the boxes,
         # so a wrong defect cannot cancel against the boxes.
+        # A defect off by 1 breaks divisibility; one off by d keeps it
+        # and gives a wrong root.  The monomial oracle reports alike.
         defect = gca_seed.floor_defect
-        monkeypatch.setattr(gca_seed, "floor_defect", lambda *a: defect(*a) + 1)
-        assert not root_formula_check(fix_c, 0).ok
+        seeds = (fix_c, fixture_seed("FIX-A"), fixture_seed("FIX-B"))
+        for wrong in (lambda n, r, b, d: 1, lambda n, r, b, d: d):
+            monkeypatch.setattr(
+                gca_seed, "floor_defect", lambda *a: defect(*a) + wrong(*a)
+            )
+            assert not root_formula_check(fix_c, 0).ok
+            for seed in seeds:
+                for k in range(seed.rank):
+                    report = root_formula_check(seed, k)
+                    assert report == oracle_root_formula_check(seed, k)
 
     def test_special_monomial_values(self, fix_b):
         assert special_monomial(fix_b, 2, "b", 0, 1) == fix_b.table.monomial(b=-1)

@@ -1,5 +1,6 @@
 """Quotient embedding: folded seeds, the product formula, and the image map."""
 
+from copy import copy
 import hashlib
 from itertools import combinations, product
 from math import lcm
@@ -7,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import mono_over, mono_power, mono_times
 from gencluster.cli_io import parse_seed_text
 from gencluster.errors import (
     CorrespondenceViolation,
@@ -22,6 +24,9 @@ from gencluster.laurent_kernel import (
     EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
+    ROLE_FROZEN,
+    ROLE_S,
+    ROLE_T,
     poly_add,
     poly_map_variables,
     poly_mul,
@@ -34,6 +39,7 @@ from gencluster.matrix_mutation import ExtendedExchangeMatrix
 from gencluster.quotient_embedding import (
     FoldedSeed,
     QuotientContext,
+    _embedding_conditions_at,
     eliminate_units,
     embedding_check,
     folded_frozen_names,
@@ -109,7 +115,7 @@ def oracle_product_formula_check(fs, k):
     """The product formula over exponent-tuple monomials.
 
     Both sides are built from :class:`Monomial` objects and expanded in
-    full, each shell by ``power`` and ``times``, and the unit relations
+    full, each shell by ``mono_power`` and ``mono_times``, and the unit relations
     eliminate both sides at the end.
     """
     d_k = len(fs.folded.group_range(k))
@@ -122,12 +128,12 @@ def oracle_product_formula_check(fs, k):
         lhs = poly_mul(lhs, poly_add(gt.as_polynomial(), lt.as_polynomial()))
     gm = group_monomials(fs, k)
     reversed_row = fs.group_provenance.count(k) % 2 == 1
-    gt_base = gm.u_gt.times(gm.v_gt)
-    lt_base = gm.u_lt.times(gm.v_lt)
+    gt_base = mono_times(gm.u_gt, gm.v_gt)
+    lt_base = mono_times(gm.u_lt, gm.v_lt)
     rhs = poly_sum(table, (
         poly_mul_monomial(
             sigma_polynomial(fs, k, d_k - r if reversed_row else r),
-            gt_base.power(r).times(lt_base.power(d_k - r)),
+            mono_times(mono_power(gt_base, r), mono_power(lt_base, d_k - r)),
         )
         for r in range(d_k + 1)
     ))
@@ -135,6 +141,44 @@ def oracle_product_formula_check(fs, k):
     if lhs != rhs:
         return Report(ok=False, failures=((k, str(poly_sub(lhs, rhs))),))
     return Report(ok=True, failures=())
+
+
+def oracle_condition_iv(ctx):
+    """Condition (iv) of the embedding check over exponent-tuple monomials.
+
+    Each member's side ratios are divided out with ``mono_over`` and the
+    balanced sums are built one subset at a time with ``mono_times``.
+    """
+    fs, tracked, table = ctx.fs, ctx.tracked, ctx.fs.table
+    keep = [role in (ROLE_FROZEN, ROLE_T, ROLE_S) for role in table.roles]
+    failures = []
+    for k in range(tracked.rank):
+        gm = group_monomials(fs, k)
+        ratios = []
+        for c in fs.members(k):
+            row = [v if kept else 0 for v, kept in zip(fs.folded.matrix.rows[c], keep)]
+            pair = (
+                mono_over(Monomial(table, tuple(max(v, 0) for v in row)), gm.v_gt),
+                mono_over(Monomial(table, tuple(max(-v, 0) for v in row)), gm.v_lt),
+            )
+            for ratio, label in zip(pair, "><"):
+                failures.extend(
+                    (f"(iv) ratio {label} keeps frozen content", k, c)
+                    for pos in table.frozen_indices
+                    if ratio.exponents[pos]
+                )
+            ratios.append(pair)
+        for r in range(tracked.divisors[k] + 1):
+            total = LaurentPolynomial.zero(table)
+            for subset in combinations(range(len(ratios)), r):
+                term = table.one()
+                for idx, (inside, outside) in enumerate(ratios):
+                    term = mono_times(term, inside if idx in subset else outside)
+                total = poly_add(total, term.as_polynomial())
+            lhs = ctx.phi_poly(tracked.strings.entry(k, r).as_polynomial())
+            if lhs != ctx.normal_form(total):
+                failures.append(("(iv)", k, r))
+    return failures
 
 
 def product_formula_states(seed, mode, sequences):
@@ -519,6 +563,31 @@ class TestProductFormula:
 
 
 class TestEmbeddingAndSubquotient:
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_condition_iv_matches_the_monomial_oracle(self, fix_a, fix_b, fix_c, mode):
+        # Untouched contexts pass (iv); a moved auxiliary entry of one
+        # member must fail it alike on both routes (a group of one has
+        # its auxiliary pair erased by the unit relations, so it is
+        # not tampered with).
+        rng = random.Random(21)
+        walks = [(fix_a, (0,)), (fix_b, (0, 1)), (fix_b, (1, 0)), (fix_c, (0, 0, 0))]
+        for _ in range(10):
+            seed = random_seed(rng)
+            walks.append((seed, random_sequence(rng, seed.rank, 2)))
+        def condition_iv(ctx):
+            return [f for f in _embedding_conditions_at(ctx) if f[0].startswith("(iv)")]
+
+        for seed, sequence in walks:
+            ctx = QuotientContext.create(seed, mode=mode)
+            for k in (None,) + sequence:
+                ctx = ctx if k is None else ctx.mutate(k)
+                assert condition_iv(ctx) == oracle_condition_iv(ctx) == []
+                for j in (j for j in range(seed.rank) if seed.divisors[j] > 1):
+                    bad = copy(ctx)
+                    member = ctx.fs.members(j)[0]
+                    bad.fs = tampered(ctx.fs, member, ctx.fs.folded.t_range(j)[0], 1)
+                    assert condition_iv(bad) == oracle_condition_iv(bad) != []
+
     def test_embedding_fix_c_deep(self, fix_c):
         report = embedding_check(fix_c, (0,) * 6)
         assert report.ok, report.failures

@@ -15,6 +15,7 @@ from gencluster.gca_seed import (
 )
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
+    Monomial,
     poly_add,
     poly_mul,
     poly_mul_monomial,
@@ -25,7 +26,6 @@ from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import (
     adjoin_root,
     homogeneity_check,
-    is_floor_free,
     rho,
     tau_tilde,
     tau_variable,
@@ -41,6 +41,16 @@ FIX_B_TAU_X = "y*A^-8*B^4"
 FIX_B_TAU_Y = "x^-1*B^-9"
 FIX_B_RHO_X = ("1", "A^-4*B^-4*P1X^6", "A^-2*B^-2*P2X^6", "1")
 FIX_B_RHO_Y = ("1", "B^-3*P1Y^6", "1")
+
+
+def is_floor_free(seed, k):
+    """Whether every frozen entry of scaled row ``k`` is divisible by ``d_k``.
+
+    Read off the whole scaled matrix, independently of the exchange
+    context the library's homogeneity check reads.
+    """
+    row = seed.scaled_matrix().rows[k]
+    return all(e % seed.divisors[k] == 0 for e in row[seed.rank:])
 
 
 class TestTauTilde:
@@ -133,8 +143,10 @@ class TestFloorStructure:
                 for k in range(current.rank):
                     report = homogeneity_check(current, k)
                     ctx = ExchangeContext.build(current, k)
-                    gt = poly_mul_monomial(cluster_side(current, k, 1), ctx.v_gt[1])
-                    lt = poly_mul_monomial(cluster_side(current, k, -1), ctx.v_lt[1])
+                    v_gt = Monomial(current.table, ctx.v_gt[1])
+                    v_lt = Monomial(current.table, ctx.v_lt[1])
+                    gt = poly_mul_monomial(cluster_side(current, k, 1), v_gt)
+                    lt = poly_mul_monomial(cluster_side(current, k, -1), v_lt)
                     d = report.degree
                     rebuilt = LaurentPolynomial.zero(current.table)
                     for r, rho_r in enumerate(report.coefficients):
