@@ -23,12 +23,15 @@ Exit codes: ``0`` all checks passed, ``1`` unusable input (bad flags,
 malformed files, out-of-range indices), ``2`` a mathematical check
 failed.  All output is deterministic for a fixed ``--rng-seed``;
 records never include wall-clock fields, so identical invocations are
-byte-identical.  Every ``verify`` target mutates and checks each
-distinct prefix of its sequences once, sharing it between the sequences
-that start with it; records are printed in sequence order.
+byte-identical.  Every ``verify`` target keeps the states it reaches by
+their content: each distinct state is checked once and each distinct
+(state, direction) step is made once, however many prefixes of its
+sequences reach them, and the walk holds one state per distinct key
+until it ends; records are printed in sequence order.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -44,7 +47,12 @@ from .errors import (
     ValidationError,
 )
 from .fixtures import FIXTURE_NAMES, fixture_seed
-from .gca_seed import CoefficientStrings, initial_seed, mutate_seed
+from .gca_seed import (
+    CoefficientStrings,
+    GeneralizedSeed,
+    initial_seed,
+    mutate_seed,
+)
 from .laurent_kernel import VariableTable
 from .matrix_mutation import (
     DivisorVector,
@@ -417,64 +425,121 @@ _DEFAULT_DEPTH = {
 
 
 def _walk(target, seed):
-    """Root state, step and per-prefix check of a ``verify`` target.
+    """Root state, step, check and state key of a ``verify`` target.
 
     A ``laurent`` state is the seed, which has no check of its own; a
     ``double-constant`` state is the unfolding; a ``hadamard`` state
     pairs the unfolding with the weighted reference it is checked
     against.  ``product-formula`` and ``embedding`` walk as their
-    suites do, and ``subquotient`` is a depth-zero check of the seed.
-    A check returns the failures of one prefix.
+    suites do.  A check returns the depth-free failures of one state.
+    The key of a state holds everything its step and its check read,
+    compared exactly: states with equal keys step and check alike.
     """
     if target == "laurent":
-        return seed, mutate_seed, lambda state, depth: ()
+        return seed, mutate_seed, lambda state: (), GeneralizedSeed.content_key
     if target == "product-formula":
         return product_formula_walk(seed)
     if target == "embedding":
         return embedding_walk(seed)
-    if target == "subquotient":
-        return seed, None, lambda state, depth: subquotient_check(state).failures
     if target == "double-constant":
-        def check(fm, depth):
+        def check(fm):
             double_constant_check(fm)
             return ()
 
-        return build(seed), group_mutate, check
+        return build(seed), group_mutate, check, lambda fm: fm.matrix.rows
 
     def step(state, k):
         fm, reference = state
         return group_mutate(fm, k), mutate_sequence(reference, (k,))
 
-    def check(state, depth):
+    def check(state):
         report = hadamard_check(*state, seed.divisors)
-        return () if report.ok else ((depth,) + tuple(report.failures),)
+        return () if report.ok else (tuple(report.failures),)
 
-    return (build(seed), seed.matrix), step, check
+    def key(state):
+        fm, reference = state
+        return fm.matrix.rows, reference.rows
+
+    return (build(seed), seed.matrix), step, check, key
 
 
 def _error_text(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
+class _State:
+    """One distinct state of a walk, with its check and the steps made from it.
+
+    ``outcome`` is ``None`` until a path needs the check, then
+    ``(failures, error)``: the depth-free failures, or the text of the
+    exception the check raised.  ``children`` maps each direction
+    stepped so far to ``(state, error)``, the :class:`_State` it leads
+    to or the text of the exception the step (or the key) raised.
+    """
+
+    __slots__ = ("value", "outcome", "children")
+
+    def __init__(self, value):
+        self.value = value
+        self.outcome = None
+        self.children = {}
+
+
 def _walk_verdicts(target, seed, sequences):
-    """(ok, failures) of every sequence, each distinct prefix walked once.
+    """(ok, failures) of every sequence, each distinct state walked once.
+
+    States are kept by their content key (see :func:`_walk`), so each
+    distinct state is checked once and each distinct (state, direction)
+    step is made once, however many prefixes reach it; the walk holds
+    one state per distinct key until it ends.  Mutation is an
+    involution, so an exhaustive rank-2 walk to depth ``d`` reaches at most
+    ``2d + 1`` distinct states.  Every new step is still computed: a
+    step that broke the involution would give a new key, not a reused
+    result.
 
     ``path[t]`` is the node of the current sequence's first ``t``
     directions: its state, the first mutation error on the path, the
     first check error on the path, and the check failures in depth
-    order.  Each sequence keeps the nodes it shares with the previous
-    one and extends from there, so lexicographic sequences cost one
-    depth-first walk of the sequence trie.  A mutation error anywhere
-    on the path outranks a check error, which outranks the failures.
+    order, each stamped with the depth of the prefix that met it.  Each
+    sequence keeps the nodes it shares with the previous one and extends
+    from there.  A mutation error anywhere on the path outranks a check
+    error, which outranks the failures.
 
     Any exception, not only a library error, is the error of the case
     that raised it: it is recorded as ``Type: message`` and the walk goes
-    on, so one faulty case cannot abort the others.
+    on, so one faulty case cannot abort the others.  ``subquotient`` is
+    a depth-zero check of the seed, whose failures carry no depth.
     """
+    if target == "subquotient":
+        try:
+            failures = subquotient_check(seed).failures
+        except Exception as exc:
+            return [(False, (_error_text(exc),))]
+        return [(not failures, failures)]
     try:
-        root, step, check = _walk(target, seed)
+        root, step, check, key = _walk(target, seed)
+        start = _State(root)
+        seen = {key(root): start}
     except Exception as exc:
         return [(False, (_error_text(exc),))] * len(sequences)
+
+    def child(state, k):
+        if k not in state.children:
+            try:
+                value = step(state.value, k)
+                state.children[k] = (seen.setdefault(key(value), _State(value)), None)
+            except Exception as exc:
+                state.children[k] = (None, _error_text(exc))
+        return state.children[k]
+
+    def outcome(state):
+        if state.outcome is None:
+            try:
+                state.outcome = (tuple(check(state.value)), None)
+            except Exception as exc:
+                state.outcome = ((), _error_text(exc))
+        return state.outcome
+
     path = []
     previous = ()
     verdicts = []
@@ -489,17 +554,12 @@ def _walk_verdicts(target, seed, sequences):
             if path:
                 state, mutation_error, check_error, failures = path[-1]
                 if mutation_error is None:
-                    try:
-                        state = step(state, sequence[depth - 1])
-                    except Exception as exc:
-                        state, mutation_error = None, _error_text(exc)
+                    state, mutation_error = child(state, sequence[depth - 1])
             else:
-                state, mutation_error, check_error, failures = root, None, None, ()
+                state, mutation_error, check_error, failures = start, None, None, ()
             if mutation_error is None and check_error is None:
-                try:
-                    failures += check(state, depth)
-                except Exception as exc:
-                    check_error = _error_text(exc)
+                found, check_error = outcome(state)
+                failures += tuple((depth,) + f for f in found)
             path.append((state, mutation_error, check_error, failures))
         previous = sequence
         _, mutation_error, check_error, failures = path[-1]
@@ -584,7 +644,9 @@ def _cmd_verify(args, out):
 # entry points
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process."""
     parser = _Parser(
         prog="gencluster",
         description="Exact mutations, unfoldings, and verification for"

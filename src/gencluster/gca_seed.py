@@ -161,6 +161,21 @@ class GeneralizedSeed:
             e // d_k if j < n else e for j, e in enumerate(self.matrix.rows[k])
         ])
 
+    def content_key(self):
+        """Hashable key, equal for equal seeds over one table and divisors.
+
+        It holds the matrix rows, the string exponents and every cluster
+        entry as a set of packed terms: an exact division can return an
+        equal polynomial whose dict holds its terms in another order.
+        An entry's ``_amp`` is left out, because it only bounds the
+        exponents and every overflow check falls back to exact extremes.
+        """
+        return (
+            self.matrix.rows,
+            tuple(tuple(e.exponents for e in row) for row in self.strings.rows),
+            tuple(frozenset(p._keys.items()) for p in self.cluster),
+        )
+
     def check_direction(self, k):
         if not isinstance(k, int) or not 0 <= k < self.rank:
             raise IndexOutOfRange(
@@ -200,16 +215,6 @@ def _trusted_seed(seed, **changes):
     out = object.__new__(GeneralizedSeed)
     out.__dict__.update(seed.__dict__, **changes)
     return out
-
-
-def frozen_box(seed, k, r):
-    """The pair ``(v>[r], v<[r])`` of frozen monomials for direction ``k``."""
-    seed.check_direction(k)
-    d_k = seed.divisors[k]
-    if not 0 <= r <= d_k:
-        raise IndexOutOfRange(f"box index {r} outside 0..{d_k}")
-    ctx = ExchangeContext.build(seed, k)
-    return Monomial(seed.table, ctx.v_gt[r]), Monomial(seed.table, ctx.v_lt[r])
 
 
 @dataclass(frozen=True)

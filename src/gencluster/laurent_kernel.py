@@ -49,7 +49,6 @@ import re
 from .errors import (
     ExponentOverflow,
     InexactDivision,
-    ParseError,
     TableMismatch,
     UnknownSymbol,
     ValidationError,
@@ -500,17 +499,6 @@ def poly_mul(a, b):
     return _trusted(a.table, _drop_zeros(terms), amp)
 
 
-def poly_mul_monomial(a, m, c=1):
-    """Product with a single term ``c * m`` (fast path)."""
-    _require_same_table(a, m)
-    c = int(c)
-    if c == 0 or not a._keys:
-        return LaurentPolynomial.zero(a.table)
-    delta, m_amp = m._packed()
-    amp = _shifted_amplitude(a, m.exponents, m_amp)
-    return _trusted(a.table, {k + delta: k_c * c for k, k_c in a._keys.items()}, amp)
-
-
 def poly_pow(a, k):
     """Non-negative integer power by binary exponentiation."""
     k = int(k)
@@ -718,97 +706,3 @@ def poly_split_trailing(p, head):
             head, {k - correction: c for k, c in body.items()}, p._amp
         )
     return out
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*+-]))"
-)
-
-
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"bad character at position {pos} in {text!r}")
-        if m.lastgroup == "int":
-            out.append(("int", int(m.group("int"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    return out
-
-
-def parse_polynomial(text, table):
-    """Parse the canonical text form back into a polynomial.
-
-    Grammar (whitespace-insensitive)::
-
-        poly   := ['-'] term (('+'|'-') term)*
-        term   := factor ('*' factor)*
-        factor := INT | NAME ['^' INT]
-
-    Unknown variable names raise
-    :class:`~gencluster.errors.UnknownSymbol`; structural problems raise
-    :class:`~gencluster.errors.ParseError`.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    terms = {}
-    i = 0
-    sign = 1
-    if tokens[0] == ("op", "-"):
-        sign = -1
-        i = 1
-    elif tokens[0] == ("op", "+"):
-        i = 1
-    while i < len(tokens):
-        coeff = sign
-        exps = [0] * len(table)
-        expect_factor = True
-        while True:
-            if i >= len(tokens):
-                if expect_factor:
-                    raise ParseError("dangling operator at end of input")
-                break
-            kind, value = tokens[i]
-            if expect_factor:
-                if kind == "int":
-                    coeff *= value
-                    i += 1
-                elif kind == "name":
-                    idx = table.index(value)
-                    power = 1
-                    i += 1
-                    if i + 1 < len(tokens) and tokens[i] == ("op", "^"):
-                        k, v = tokens[i + 1]
-                        if k != "int":
-                            raise ParseError("exponent must be an integer")
-                        power = v
-                        i += 2
-                    elif i < len(tokens) and tokens[i] == ("op", "^"):
-                        raise ParseError("dangling '^'")
-                    exps[idx] += power
-                else:
-                    raise ParseError(f"expected a factor, got {value!r}")
-                expect_factor = False
-            else:
-                if (kind, value) == ("op", "*"):
-                    i += 1
-                    expect_factor = True
-                elif (kind, value) in (("op", "+"), ("op", "-")):
-                    break
-                else:
-                    raise ParseError(f"expected an operator, got {value!r}")
-        exps = tuple(exps)
-        terms[exps] = terms.get(exps, 0) + coeff
-        if i < len(tokens):
-            sign = 1 if tokens[i] == ("op", "+") else -1
-            i += 1
-            if i >= len(tokens):
-                raise ParseError("dangling operator at end of input")
-    return LaurentPolynomial(table, {e: c for e, c in terms.items() if c})

@@ -599,14 +599,16 @@ def product_formula_check(fs, k):
 
 
 def product_formula_walk(gca, mode="total"):
-    """Root, step and per-prefix check of the product formula.
+    """Root, step, check and state key of the product formula.
 
     The state is a folded seed over formal current-cluster symbols:
     group mutation mutates its matrix, and its cluster entries are never
     expanded, which the product formula never needs.  The unfolding's
     ``F`` columns carry the root multiplicity of ``mode``
-    (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fs,
-    depth)`` returns ``(depth, k, residual)`` for every failing group.
+    (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fs)``
+    returns ``(k, residual)`` for every failing group.  The key is the
+    folded matrix and the parity of each group in the provenance, the
+    one fact of the history that :func:`product_formula_check` reads.
     """
     def step(fs, k):
         fm = group_mutate(fs.folded, k)
@@ -616,23 +618,29 @@ def product_formula_walk(gca, mode="total"):
             group_provenance=fs.group_provenance + (k,),
         )
 
-    def check(fs, depth):
+    def check(fs):
         return tuple(
-            (depth,) + failure
+            failure
             for k in range(gca.rank)
             for failure in product_formula_check(fs, k).failures
         )
 
-    return folded_initial_seed(gca, root_multiplicity(gca, mode)), step, check
+    def key(fs):
+        parity = tuple(fs.group_provenance.count(k) % 2 for k in range(gca.rank))
+        return fs.folded.matrix.rows, parity
+
+    root = folded_initial_seed(gca, root_multiplicity(gca, mode))
+    return root, step, check, key
 
 
 def _walk_one(walk, sequence):
     """Report of one sequence: the check of every prefix, in depth order."""
-    state, step, check = walk
-    failures = list(check(state, 0))
-    for depth, k in enumerate(sequence, start=1):
-        state = step(state, k)
-        failures.extend(check(state, depth))
+    state, step, check, _ = walk
+    failures = []
+    for depth in range(len(sequence) + 1):
+        if depth:
+            state = step(state, sequence[depth - 1])
+        failures.extend((depth,) + f for f in check(state))
     return Report(ok=not failures, failures=tuple(failures))
 
 
@@ -651,17 +659,22 @@ def product_formula_suite(gca, sequence=(), mode="total"):
 
 
 def embedding_walk(gca, mode="total"):
-    """Root, step and per-prefix check of the embedding conditions.
+    """Root, step, check and state key of the embedding conditions.
 
     The state is the :class:`QuotientContext`, stepped by its
-    :meth:`~QuotientContext.mutate`; ``check(ctx, depth)`` returns the
-    failures of :func:`embedding_check` at that prefix.
+    :meth:`~QuotientContext.mutate`; ``check(ctx)`` returns the
+    failures of :func:`embedding_check` at that state.  The key is the
+    content of both tracks' seeds; everything else in a context is a
+    walk constant, and the two tracks' histories, which :func:`phi`
+    compares, agree because :meth:`~QuotientContext.mutate` extends
+    both.
     """
-
-    def check(ctx, depth):
-        return tuple((depth,) + f for f in _embedding_conditions_at(ctx))
-
-    return QuotientContext.create(gca, mode=mode), lambda ctx, k: ctx.mutate(k), check
+    return (
+        QuotientContext.create(gca, mode=mode),
+        lambda ctx, k: ctx.mutate(k),
+        _embedding_conditions_at,
+        lambda ctx: (ctx.tracked.content_key(), ctx.fs.seed.content_key()),
+    )
 
 
 def embedding_check(gca, sequence=(), mode="total"):

@@ -1,16 +1,20 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from gencluster.errors import ParseError
 from gencluster.fixtures import fixture_seed
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
     VariableTable,
     _require_same_table,
+    _shifted_amplitude,
+    _trusted,
     poly_mul,
     poly_pow,
 )
@@ -91,3 +95,108 @@ def mono_over(a, b):
 def mono_power(m, k):
     """Integer power of a monomial (exponent scaling)."""
     return Monomial(m.table, tuple(x * int(k) for x in m.exponents))
+
+
+def poly_mul_monomial(a, m, c=1):
+    """Product with a single term ``c * m``, shifting every key by the monomial's."""
+    _require_same_table(a, m)
+    c = int(c)
+    if c == 0 or not a._keys:
+        return LaurentPolynomial.zero(a.table)
+    delta, m_amp = m._packed()
+    amp = _shifted_amplitude(a, m.exponents, m_amp)
+    return _trusted(a.table, {k + delta: k_c * c for k, k_c in a._keys.items()}, amp)
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*+-]))"
+)
+
+
+def _tokenize(text):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            raise ParseError(f"bad character at position {pos} in {text!r}")
+        if m.lastgroup == "int":
+            out.append(("int", int(m.group("int"))))
+        elif m.lastgroup == "name":
+            out.append(("name", m.group("name")))
+        else:
+            out.append(("op", m.group("op")))
+        pos = m.end()
+    return out
+
+
+def parse_polynomial(text, table):
+    """Parse the canonical text form back into a polynomial.
+
+    Grammar (whitespace-insensitive)::
+
+        poly   := ['-'] term (('+'|'-') term)*
+        term   := factor ('*' factor)*
+        factor := INT | NAME ['^' INT]
+
+    Unknown variable names raise
+    :class:`~gencluster.errors.UnknownSymbol`; structural problems raise
+    :class:`~gencluster.errors.ParseError`.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial text")
+    terms = {}
+    i = 0
+    sign = 1
+    if tokens[0] == ("op", "-"):
+        sign = -1
+        i = 1
+    elif tokens[0] == ("op", "+"):
+        i = 1
+    while i < len(tokens):
+        coeff = sign
+        exps = [0] * len(table)
+        expect_factor = True
+        while True:
+            if i >= len(tokens):
+                if expect_factor:
+                    raise ParseError("dangling operator at end of input")
+                break
+            kind, value = tokens[i]
+            if expect_factor:
+                if kind == "int":
+                    coeff *= value
+                    i += 1
+                elif kind == "name":
+                    idx = table.index(value)
+                    power = 1
+                    i += 1
+                    if i + 1 < len(tokens) and tokens[i] == ("op", "^"):
+                        k, v = tokens[i + 1]
+                        if k != "int":
+                            raise ParseError("exponent must be an integer")
+                        power = v
+                        i += 2
+                    elif i < len(tokens) and tokens[i] == ("op", "^"):
+                        raise ParseError("dangling '^'")
+                    exps[idx] += power
+                else:
+                    raise ParseError(f"expected a factor, got {value!r}")
+                expect_factor = False
+            else:
+                if (kind, value) == ("op", "*"):
+                    i += 1
+                    expect_factor = True
+                elif (kind, value) in (("op", "+"), ("op", "-")):
+                    break
+                else:
+                    raise ParseError(f"expected an operator, got {value!r}")
+        exps = tuple(exps)
+        terms[exps] = terms.get(exps, 0) + coeff
+        if i < len(tokens):
+            sign = 1 if tokens[i] == ("op", "+") else -1
+            i += 1
+            if i >= len(tokens):
+                raise ParseError("dangling operator at end of input")
+    return LaurentPolynomial(table, {e: c for e, c in terms.items() if c})

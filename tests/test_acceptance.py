@@ -13,6 +13,7 @@ import itertools
 import random
 import time
 
+from conftest import parse_polynomial
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import (
     exchange_polynomial,
@@ -20,7 +21,6 @@ from gencluster.gca_seed import (
     mutate_seed_sequence,
     root_formula_check,
 )
-from gencluster.laurent_kernel import parse_polynomial
 from gencluster.matrix_mutation import (
     modify,
     mutate,

@@ -7,15 +7,18 @@ import random
 from dataclasses import replace
 from importlib import resources
 from itertools import product
+from unittest.mock import Mock
 
 import pytest
 
+from gencluster import cli_io
 from gencluster.cli_io import (
     parse_seed,
     parse_seed_text,
     run_command,
     write_seed,
     _seed_text,
+    _walk,
 )
 from gencluster.errors import (
     GenClusterError,
@@ -527,6 +530,99 @@ def exhaustive(rank, depth):
     return list(product(range(rank), repeat=depth))
 
 
+def prefix_walk_verdicts(target, seed, sequences):
+    """``verify``'s walk before states were shared by content key.
+
+    Each distinct prefix is stepped and checked once, shared between the
+    sequences that start with it, but equal states reached by different
+    prefixes are stepped and checked again.  Errors rank as in the
+    walker: a mutation error on the path, then a check error, then the
+    failures in depth order.
+    """
+    try:
+        root, step, check, _ = _walk(target, seed)
+    except Exception as exc:
+        return [(False, (f"{type(exc).__name__}: {exc}",))] * len(sequences)
+    path = []
+    previous = ()
+    verdicts = []
+    for sequence in sequences:
+        common = 0
+        for a, b in zip(previous, sequence):
+            if a != b:
+                break
+            common += 1
+        del path[common + 1:]
+        for depth in range(len(path), len(sequence) + 1):
+            if path:
+                state, mutation_error, check_error, failures = path[-1]
+                if mutation_error is None:
+                    try:
+                        state = step(state, sequence[depth - 1])
+                    except Exception as exc:
+                        state, mutation_error = None, f"{type(exc).__name__}: {exc}"
+            else:
+                state, mutation_error, check_error, failures = root, None, None, ()
+            if mutation_error is None and check_error is None:
+                try:
+                    failures += tuple((depth,) + f for f in check(state))
+                except Exception as exc:
+                    check_error = f"{type(exc).__name__}: {exc}"
+            path.append((state, mutation_error, check_error, failures))
+        previous = sequence
+        _, mutation_error, check_error, failures = path[-1]
+        error = mutation_error or check_error
+        verdicts.append((False, (error,)) if error else (not failures, failures))
+    return verdicts
+
+
+def prefix_walk_records(target, seed, label, sequences):
+    return [
+        {
+            "failures": [repr(f) for f in failures],
+            "ok": ok,
+            "seed": label,
+            "sequence": [k + 1 for k in sequence],
+            "target": target,
+        }
+        for sequence, (ok, failures) in zip(
+            sequences, prefix_walk_verdicts(target, seed, sequences)
+        )
+    ]
+
+
+def parity_naming_check(threshold):
+    """Synthetic product-formula check that names the group's parity.
+
+    It fails group ``k`` when the row sum of its first member exceeds
+    ``threshold``, and its failure text holds the parity of ``k`` in the
+    provenance, so a walk that shares a state across parities changes
+    the records.
+    """
+    def pf_check(fs, k):
+        row = fs.folded.matrix.rows[fs.folded.group_range(k)[0]]
+        parity = fs.group_provenance.count(k) % 2
+        bad = sum(row) > threshold
+        failures = ((k, f"{row} parity {parity}"),) if bad else ()
+        return Report(ok=not bad, failures=failures)
+
+    return pf_check
+
+
+#: The fifth ``random_seed`` draw of ``random.Random(3)``.  Its
+#: product-formula walk reaches one folded matrix under two parities:
+#: ``2,3,2,3,2`` and ``3,2,3,2,3`` lead to the same matrix with group 2
+#: mutated an odd number of times on one path and group 3 on the other.
+RANK_3_SEED = (
+    "gca-seed v1\n"
+    "N 3\n"
+    "M 0\n"
+    "divisors 3 1 1\n"
+    "names x1 x2 x3 ;\n"
+    "matrix 0 3 0 ; -1 0 -1 ; 0 1 0\n"
+)
+
+
 class TestWalker:
     """The shared-prefix walk against a from-scratch walk of every case."""
 
@@ -632,12 +728,7 @@ class TestWalker:
     def test_quotient_failures_concatenate_in_depth_order(self, monkeypatch):
         # Synthetic checks that fail on some states and name the state,
         # so a walk that reaches the wrong state changes the records.
-        def pf_check(fs, k):
-            row = fs.folded.matrix.rows[fs.folded.group_range(k)[0]]
-            parity = fs.group_provenance.count(k) % 2
-            bad = sum(row) > 100
-            failures = ((k, f"{row} parity {parity}"),) if bad else ()
-            return Report(ok=not bad, failures=failures)
+        pf_check = parity_naming_check(100)
 
         def conditions(ctx):
             rows = ctx.tracked.matrix.rows
@@ -791,6 +882,135 @@ class TestWalker:
         assert by_sequence[(1, 2, 1)] == by_sequence[(1, 2, 2)] == deep
         assert by_sequence[(1, 1, 1)] == shallow
         assert by_sequence[(2, 2, 2)] == []
+
+
+
+class TestSharedStates:
+    """The walk shares each state by its content key."""
+
+    @pytest.mark.parametrize(
+        "target", ["hadamard", "double-constant", "laurent", "product-formula", "embedding"]
+    )
+    def test_rank_3_walks_match_the_prefix_walk(self, tmp_path, target):
+        path = tmp_path / "rank3.seed"
+        path.write_text(RANK_3_SEED, encoding="utf-8")
+        seed = parse_seed_text(RANK_3_SEED)
+        depth = 2 if target == "embedding" else 4
+        assert walked_records(
+            target, "--seed-file", str(path), "--depth", str(depth)
+        ) == prefix_walk_records(target, seed, str(path), exhaustive(3, depth))
+
+    def test_key_holds_the_parity_of_each_group(self, monkeypatch, tmp_path):
+        path = tmp_path / "rank3.seed"
+        path.write_text(RANK_3_SEED, encoding="utf-8")
+        seed = parse_seed_text(RANK_3_SEED)
+        monkeypatch.setattr(
+            quotient_embedding, "product_formula_check", parity_naming_check(0)
+        )
+        expected = prefix_walk_records(
+            "product-formula", seed, str(path), exhaustive(3, 5)
+        )
+        by_sequence = {tuple(r["sequence"]): r["failures"] for r in expected}
+
+        def last_step(sequence):
+            return [f for f in by_sequence[sequence] if f.startswith("(5,")]
+
+        # One folded matrix, and a failure whose text differs by parity.
+        assert last_step((2, 3, 2, 3, 2))
+        assert last_step((2, 3, 2, 3, 2)) != last_step((3, 2, 3, 2, 3))
+        assert walked_records(
+            "product-formula", "--seed-file", str(path), "--depth", "5"
+        ) == expected
+
+    def test_key_holds_the_cluster_entries(self, monkeypatch, tmp_path):
+        # Every mutation of this rank-2 seed negates its matrix, so 1,2
+        # returns to the initial matrix with another cluster.  A step that
+        # fails on a first entry of several terms, naming it, tells them apart.
+        text = "gca-seed v1\nN 2\nM 0\ndivisors 1 1\nnames x y ;\nmatrix 0 1 ; -1 0\n"
+        path = tmp_path / "a2.seed"
+        path.write_text(text, encoding="utf-8")
+
+        def step(seed, k):
+            if k == 1 and len(seed.cluster[0]._keys) > 1:
+                raise StructureViolation(str(seed.cluster[0]))
+            return mutate_seed(seed, k)
+
+        monkeypatch.setattr("gencluster.cli_io.mutate_seed", step)
+        expected = prefix_walk_records(
+            "laurent", parse_seed_text(text), str(path), exhaustive(2, 5)
+        )
+        assert len({tuple(r["failures"]) for r in expected}) > 2
+        assert walked_records(
+            "laurent", "--seed-file", str(path), "--depth", "5"
+        ) == expected
+
+    @pytest.mark.parametrize("argv, check, step, before, after", [
+        ("hadamard --seed FIX-A --depth 7", (cli_io, "hadamard_check"),
+         (cli_io, "group_mutate"), (255, 254), (15, 26)),
+        ("product-formula --seed FIX-A --depth 5",
+         (quotient_embedding, "product_formula_check"),
+         (quotient_embedding, "group_mutate"), (126, 62), (22, 18)),
+        ("embedding --seed FIX-B --depth 3",
+         (quotient_embedding, "_embedding_conditions_at"),
+         (quotient_embedding, "group_mutate_seed"), (15, 14), (7, 10)),
+    ])
+    def test_each_distinct_state_is_checked_once(
+        self, monkeypatch, argv, check, step, before, after
+    ):
+        target, _, name, _, depth = argv.split()
+        counters = []
+        for owner, attr in (check, step):
+            counter = Mock(wraps=getattr(owner, attr))
+            monkeypatch.setattr(owner, attr, counter)
+            counters.append(counter)
+        records = walked_records(*argv.split())
+        assert tuple(c.call_count for c in counters) == after
+        for counter in counters:
+            counter.reset_mock()
+        seed = fixture_seed(name)
+        assert records == prefix_walk_records(
+            target, seed, name, exhaustive(seed.matrix.n, int(depth))
+        )
+        assert tuple(c.call_count for c in counters) == before
+
+    def test_errors_on_a_shared_state_fail_every_case_that_reaches_it(
+        self, monkeypatch
+    ):
+        # The state after group 1 is reached by 1 and by 1,1,1, 2,2,1 and
+        # 1,2,2; the state after 1,2 by 1,2 and by 1,1,1,2 and 2,2,1,2.
+        fix_a = fixture_seed("FIX-A")
+        after_1 = group_mutate(build(fix_a), 0)
+        after_12 = group_mutate(after_1, 1)
+        raised = []
+
+        def step(fm, k):
+            if fm == after_12 and k == 1:
+                raised.append("step")
+                raise StructureViolation("step from a shared state")
+            return group_mutate(fm, k)
+
+        def hadamard(fm, reference, divisors):
+            if fm == after_1:
+                raised.append("check")
+                raise StructureViolation("check of a shared state")
+            return hadamard_check(fm, reference, divisors)
+
+        monkeypatch.setattr("gencluster.cli_io.group_mutate", step)
+        monkeypatch.setattr("gencluster.cli_io.hadamard_check", hadamard)
+        records = walked_records("hadamard", "--seed", "FIX-A", "--depth", "5")
+        assert sorted(raised) == ["check", "step"]
+        assert records == oracle_records(
+            "hadamard", fix_a, "FIX-A", exhaustive(2, 5),
+            step=step, hadamard=hadamard,
+        )
+        by_sequence = {tuple(r["sequence"]): r["failures"] for r in records}
+        step_error = [repr("StructureViolation: step from a shared state")]
+        check_error = [repr("StructureViolation: check of a shared state")]
+        for sequence in ((1, 2, 2, 1, 1), (1, 1, 1, 2, 2), (2, 2, 1, 2, 2)):
+            assert by_sequence[sequence] == step_error
+        for sequence in ((1, 1, 1, 1, 1), (2, 2, 1, 1, 2), (1, 2, 1, 2, 1)):
+            assert by_sequence[sequence] == check_error
+        assert by_sequence[(2, 1, 2, 1, 2)] == by_sequence[(2, 2, 2, 2, 2)] == []
 
 
 #: SHA-256 of stdout and the exit code of one in-process invocation per

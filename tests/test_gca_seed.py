@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from conftest import cluster_side, mono_over, mono_power, mono_times
+from conftest import (
+    cluster_side,
+    mono_over,
+    mono_power,
+    mono_times,
+    parse_polynomial,
+    poly_mul_monomial,
+)
 from gencluster import gca_seed
 from gencluster.errors import (
     ExponentOverflow,
@@ -19,7 +26,6 @@ from gencluster.gca_seed import (
     ExchangeContext,
     GeneralizedSeed,
     exchange_polynomial,
-    frozen_box,
     initial_seed,
     mutate_seed,
     mutate_seed_sequence,
@@ -30,11 +36,9 @@ from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
     ROLE_FROZEN,
-    parse_polynomial,
     poly_add,
     poly_exact_div,
     poly_mul,
-    poly_mul_monomial,
     poly_pow,
     poly_sum,
 )
@@ -47,6 +51,16 @@ from gencluster.root_adjoin import tau_tilde
 # (1, p1y, 1).
 FIX_B_THETA_X = "y^3*b^2 + y^2*a*b*p2x + y*a^2*p1x + a^4"
 FIX_B_THETA_Y = "x^2*b^3 + x*b*p1y + 1"
+
+
+def frozen_box(seed, k, r):
+    """The pair ``(v>[r], v<[r])`` of frozen monomials for direction ``k``."""
+    seed.check_direction(k)
+    d_k = seed.divisors[k]
+    if not 0 <= r <= d_k:
+        raise IndexOutOfRange(f"box index {r} outside 0..{d_k}")
+    ctx = ExchangeContext.build(seed, k)
+    return Monomial(seed.table, ctx.v_gt[r]), Monomial(seed.table, ctx.v_lt[r])
 
 
 def special_monomial(seed, n, j, k, r):

@@ -9,11 +9,12 @@ optional test dependency, so the module is skipped without it.
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import parse_polynomial
+
 from gencluster.errors import InexactDivision
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
     VariableTable,
-    parse_polynomial,
     poly_add,
     poly_exact_div,
     poly_map_variables,

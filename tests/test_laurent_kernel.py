@@ -5,7 +5,15 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import SMALL_TABLE, mono_over, mono_power, mono_times, small_polynomials
+from conftest import (
+    SMALL_TABLE,
+    mono_over,
+    mono_power,
+    mono_times,
+    parse_polynomial,
+    poly_mul_monomial,
+    small_polynomials,
+)
 from gencluster.errors import (
     ExponentOverflow,
     GenClusterError,
@@ -21,12 +29,10 @@ from gencluster.laurent_kernel import (
     ROLE_CLUSTER,
     ROLE_FROZEN,
     VariableTable,
-    parse_polynomial,
     poly_add,
     poly_exact_div,
     poly_map_variables,
     poly_mul,
-    poly_mul_monomial,
     poly_neg,
     poly_pow,
     poly_sub,

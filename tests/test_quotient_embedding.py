@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import mono_over, mono_power, mono_times
+from conftest import mono_over, mono_power, mono_times, poly_mul_monomial
 from gencluster.cli_io import parse_seed_text
 from gencluster.errors import (
     CorrespondenceViolation,
@@ -30,7 +30,6 @@ from gencluster.laurent_kernel import (
     poly_add,
     poly_map_variables,
     poly_mul,
-    poly_mul_monomial,
     poly_pow,
     poly_sub,
     poly_sum,
@@ -183,7 +182,7 @@ def oracle_condition_iv(ctx):
 
 def product_formula_states(seed, mode, sequences):
     """Every folded state the product-formula walk reaches along ``sequences``."""
-    root, step, _ = product_formula_walk(seed, mode)
+    root, step, _, _ = product_formula_walk(seed, mode)
     states = [root]
     for sequence in sequences:
         fs = root
@@ -557,7 +556,7 @@ class TestProductFormula:
         # columns, so the walk's multiplicity is pinned here against the
         # one root adjunction uses.
         for seed in (fix_a, fix_b, fix_c, *shared_factor_seeds()):
-            root, _, _ = product_formula_walk(seed, mode)
+            root, _, _, _ = product_formula_walk(seed, mode)
             n = tau_tilde(seed, mode=mode).multiplicity
             assert root == folded_initial_seed(seed, n), (seed.divisors, mode)
 

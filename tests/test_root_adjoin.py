@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import cluster_side
+from conftest import cluster_side, poly_mul_monomial
 from gencluster import gca_seed
 from gencluster.errors import HomogeneityFailure, ValidationError
 from gencluster.gca_seed import (
@@ -18,7 +18,6 @@ from gencluster.laurent_kernel import (
     Monomial,
     poly_add,
     poly_mul,
-    poly_mul_monomial,
     poly_pow,
 )
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, mutate_sequence
