@@ -133,19 +133,6 @@ def _string_lines(seed):
         yield ("string " + " ; ".join(groups)).rstrip()
 
 
-def write_seed(seed, path):
-    """Write ``seed`` to ``path`` in the canonical flat-file form.
-
-    Only depth-zero seeds (cluster equal to the table variables) have a
-    flat-file form; anything else raises
-    :class:`~gencluster.errors.ValidationError`.
-    """
-    text = _seed_text(seed)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return text
-
-
 class _Cursor:
     """Line-by-line reader that reports 1-based positions on errors."""
 

@@ -357,20 +357,8 @@ class LaurentPolynomial:
         c = int(c)
         return _trusted(table, {table._layout.offset: c} if c else {}, 0)
 
-    def is_zero(self):
-        return not self._keys
-
     def is_one(self):
         return len(self._keys) == 1 and self._keys.get(self.table._layout.offset) == 1
-
-    def is_monomial(self):
-        return len(self._keys) == 1 and next(iter(self._keys.values())) == 1
-
-    def as_monomial(self):
-        """The unique exponent vector of a coefficient-one single term."""
-        if not self.is_monomial():
-            raise ValidationError("polynomial is not a coefficient-one monomial")
-        return Monomial(self.table, self.table._layout.unpack(next(iter(self._keys))))
 
     def sorted_terms(self):
         """Terms in canonical (graded-lex descending) order."""
@@ -447,20 +435,6 @@ def poly_add(a, b):
         else:
             del terms[key]
     return _trusted(a.table, terms, max(a._amp, b._amp))
-
-
-def poly_sum(table, polys):
-    """Sum of any number of polynomials over ``table``, in one pass."""
-    terms = {}
-    get = terms.get
-    amp = 0
-    for p in polys:
-        if not _same_table(p.table, table):
-            raise TableMismatch("operands live over different variable tables")
-        for key, coeff in p._keys.items():
-            terms[key] = get(key, 0) + coeff
-        amp = max(amp, p._amp)
-    return _trusted(table, _drop_zeros(terms), amp)
 
 
 def poly_neg(a):

@@ -216,17 +216,6 @@ def check_compatible(matrix, divisors):
                 )
 
 
-def diagonalizer(matrix):
-    """Minimal positive diagonal ``d`` with ``d_i B_ij = -d_j B_ji``.
-
-    Minimality is componentwise: on each connected component of the
-    nonzero pattern the returned entries have no common factor.  A
-    symmetrizer inherited through mutation need not be minimal (the
-    components can split), so this always searches afresh.
-    """
-    return _principal_diagonalizer(matrix.rows, matrix.n)
-
-
 def modify(matrix, divisors):
     """Divisor-scaled companion matrix: principal rows divided by ``d_i``.
 

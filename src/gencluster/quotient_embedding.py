@@ -46,7 +46,7 @@ where the evaluated cluster entries would be astronomically large.
 
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from types import MappingProxyType
 
@@ -65,8 +65,8 @@ from .gca_seed import (
     mutate_seed,
 )
 from .laurent_kernel import (
+    EXPONENT_LIMIT,
     LaurentPolynomial,
-    Monomial,
     ROLE_CLUSTER,
     ROLE_FROZEN,
     ROLE_S,
@@ -74,13 +74,13 @@ from .laurent_kernel import (
     VariableTable,
     _ROLES,
     _amplitude,
+    _drop_zeros,
     _trusted,
     poly_map_variables,
     poly_mul,
     poly_pow,
     poly_split_trailing,
     poly_sub,
-    poly_sum,
 )
 from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
 from .root_adjoin import (
@@ -207,48 +207,18 @@ def group_mutate_seed(fs, k):
 
 
 # ---------------------------------------------------------------------------
-# Group monomials
-
-
-@dataclass(frozen=True)
-class GroupMonomials:
-    """Shared exchange monomials of one group of the folded seed.
-
-    ``u_gt``/``u_lt`` carry cluster-slot exponents (every member of a
-    group shares the exponent, one value per other group); ``v_gt``/
-    ``v_lt`` are the shared frozen monomials.  All exponents are
-    non-negative; the matrix signs select the side.
-    """
-
-    k: int
-    u_gt: Monomial
-    u_lt: Monomial
-    v_gt: Monomial
-    v_lt: Monomial
-
-
-def group_monomials(fs, k):
-    """Extract the shared monomials of group ``k``, checking coherence.
-
-    Raises :class:`~gencluster.errors.GroupCoherenceViolation` when the
-    members disagree where they must agree: cluster and frozen columns
-    must be constant down the group's rows.  The constancy of the
-    frozen columns is exactly the statement that every member's stable
-    exchange monomial is the shared ``V`` times auxiliary-variable
-    content, i.e. that the ``V``'s divide the member monomials.
-    Auxiliary columns are deliberately not constrained here: mutated
-    members carry shared auxiliary content (a power of a full-group
-    product, hence 1 in the quotient) plus their own distinguished
-    pair, and that structure is validated by the double-constant check.
-    """
-    first = _coherent_row(fs, k)
-    u_gt, u_lt = _member_sides(fs, first, (ROLE_CLUSTER,))
-    v_gt, v_lt = _member_sides(fs, first, (ROLE_FROZEN,))
-    return GroupMonomials(k=k, u_gt=u_gt, u_lt=u_lt, v_gt=v_gt, v_lt=v_lt)
+# Group exchange data
 
 
 def _coherent_row(fs, k):
-    """First row of group ``k``, once :func:`group_monomials`' check passes."""
+    """First row of group ``k``, once the members are checked to agree.
+
+    Cluster and frozen columns must be constant down the group's rows
+    (:class:`~gencluster.errors.GroupCoherenceViolation` otherwise): the
+    members share the exchange monomials ``U`` and ``V``.  Auxiliary
+    columns are not constrained here; the double-constant check
+    validates their structure.
+    """
     fm = fs.folded
     if not 0 <= k < fm.n_groups:
         raise ValidationError(f"no group {k}")
@@ -266,18 +236,6 @@ def _coherent_row(fs, k):
 def _role_mask(table, roles):
     """Per table position: is the variable's role in ``roles``?"""
     return tuple(role in roles for role in table.roles)
-
-
-def _member_sides(fs, row, roles):
-    """Exchange sides ``(gt, lt)`` of a member's matrix row as monomials.
-
-    Only the columns of variables whose role is in ``roles`` are read.
-    """
-    row = [v if keep else 0 for v, keep in zip(row, _role_mask(fs.table, roles))]
-    return (
-        Monomial(fs.table, tuple(max(v, 0) for v in row)),
-        Monomial(fs.table, tuple(max(-v, 0) for v in row)),
-    )
 
 
 def _packed_sides(table, row, roles):
@@ -392,8 +350,20 @@ class QuotientContext:
     sending each placeholder to its concrete monomial; mutation only
     permutes which placeholder sits where), ``placeholder_names``, the
     placeholder-extended folded table ``folded_plus``, the unit-relation
-    elimination map and the images of the cluster variables.  The
-    ``sigma`` sums are shared further still, per folded table.
+    elimination map, and the images of the tracked variables and their
+    key shifts.  The eliminated ``sigma`` powers are cached per folded
+    table.
+
+    The constructor checks two facts once per walk
+    (:class:`~gencluster.errors.ValidationError` otherwise): no tracked
+    variable lifts onto a ``t`` or ``s`` variable, so the unit
+    elimination ``E`` fixes every lift; and the tracked matrix's
+    placeholder columns are zero (mutation keeps them so), so the
+    exchange monomials carry no placeholder.
+
+    Each context holds the eliminated folded cluster entries ``E(x_c)``,
+    filled on first use and shared with its parent for every member
+    outside the mutated group.
     """
 
     def __init__(self, tracked, fs, rho_values):
@@ -404,9 +374,9 @@ class QuotientContext:
         self.folded_plus = fs.table.extended(
             self.placeholder_names, (ROLE_FROZEN,) * len(rho_values)
         )
-        # ``_eliminated_sigma`` arguments of every placeholder, in table order.
+        # ``(t_range, s_range, r)`` of every placeholder, in table order.
         self._sigma_slots = tuple(
-            (fs.table, fs.folded.t_range(k), fs.folded.s_range(k), r)
+            (fs.folded.t_range(k), fs.folded.s_range(k), r)
             for k in range(tracked.rank)
             for r in range(1, tracked.divisors[k])
         )
@@ -418,6 +388,31 @@ class QuotientContext:
             )
             for k in range(tracked.rank)
         }
+        self._lift_shifts = self._checked_lift_shifts()
+        self._eliminated = [None] * fs.folded.total
+
+    def _checked_lift_shifts(self):
+        """Key shift over the folded table of each tracked variable's image.
+
+        A placeholder's shift is 0: no exchange monomial carries one.
+        Checks the two facts named in the class docstring.
+        """
+        plus, width = self.folded_plus, len(self.fs.table)
+        units = self.fs.table._layout.units
+        shifts = []
+        for name in self.tracked.table.names:
+            image = self._phi_images.get(name)
+            support = (
+                [plus.index(name)] if image is None
+                else [q for q, e in enumerate(image.exponents) if e]
+            )
+            if any(plus.roles[q] in (ROLE_T, ROLE_S) for q in support):
+                raise ValidationError(f"{name!r} lifts onto an auxiliary variable")
+            shifts.append(sum(units[q] for q in support if q < width))
+        columns = [self.tracked.table.index(n) for n in self.placeholder_names]
+        if any(row[j] for row in self.tracked.matrix.rows for j in columns):
+            raise ValidationError("a tracked placeholder column is nonzero")
+        return tuple(shifts)
 
     @staticmethod
     def create(gca, mode="total"):
@@ -463,6 +458,9 @@ class QuotientContext:
         step = copy(self)
         step.tracked = mutate_seed(self.tracked, k)
         step.fs = group_mutate_seed(self.fs, k)
+        step._eliminated = list(self._eliminated)
+        for c in self.fs.members(k):
+            step._eliminated[c] = None
         return step
 
     def normal_form(self, p):
@@ -472,36 +470,88 @@ class QuotientContext:
         first, on the unexpanded polynomial: the elimination ``E`` is a
         monomial ring map that fixes the placeholders, so
         ``E(sum part * sigma^e) = sum E(part) * E(sigma)^e``.  Then the
-        terms that share one placeholder part are multiplied together by
-        its eliminated ``sigma`` powers, which are walk constants built
-        once per folded table.  Only non-negative placeholder powers
-        arise in the verified identities; a negative one would divide by
-        a ``sigma`` polynomial and raises
-        :class:`~gencluster.errors.InexactDivision`.
+        placeholders are expanded as in :meth:`phi_poly`.
         """
         table = self.fs.table
         if p.table == self.folded_plus:
             p = poly_map_variables(p, self._plus_elimination, self.folded_plus)
-            parts = []
-            for powers, part in poly_split_trailing(p, table).items():
-                if any(e < 0 for e in powers):
-                    raise InexactDivision(
-                        "negative placeholder power: identity outside "
-                        "the verified fragment"
-                    )
-                for slot, e in zip(self._sigma_slots, powers):
-                    if e:
-                        part = poly_mul(part, _eliminated_sigma(*slot, e))
-                parts.append(part)
-            return poly_sum(table, parts)
+            return self._expand(p)
         if p.table != table:
             raise ValidationError("normal_form expects a folded-side polynomial")
         return poly_map_variables(p, self._elimination, table)
 
     def phi_poly(self, p):
-        """Image of a generalized-side polynomial, in normal form."""
-        lifted = poly_map_variables(p, self._phi_images, self.folded_plus)
-        return self.normal_form(lifted)
+        """Image of a polynomial over the tracked table, in normal form.
+
+        ``p`` may also live over a leading part of that table.  Its lift
+        carries no ``t`` or ``s`` variable (checked once per walk), so
+        the unit elimination, which would fix it, is skipped and only
+        the placeholders are expanded.
+        """
+        names, table = p.table.names, self.tracked.table
+        if p.table is not table and names != table.names[: len(names)]:
+            raise ValidationError("phi_poly expects a polynomial over the tracked table")
+        return self._expand(poly_map_variables(p, self._phi_images, self.folded_plus))
+
+    def _expand(self, p):
+        """Expand the placeholders of ``p``, over ``folded_plus`` and fixed by ``E``.
+
+        Each placeholder part is multiplied by the product of its
+        eliminated ``sigma`` powers, straight into one dict.  A negative
+        placeholder power would divide by a ``sigma`` polynomial, outside
+        the verified identities: it raises
+        :class:`~gencluster.errors.InexactDivision`.
+        """
+        table, slots = self.fs.table, self._sigma_slots
+        offset = table._layout.offset
+        one = LaurentPolynomial.one(table)
+        terms = {}
+        get = terms.get
+        amp = 0
+        for powers, part in poly_split_trailing(p, table).items():
+            if any(e < 0 for e in powers):
+                raise InexactDivision(
+                    "negative placeholder power: identity outside "
+                    "the verified fragment"
+                )
+            factors = [_eliminated_sigma(table, *s, e) for s, e in zip(slots, powers) if e]
+            factor = reduce(poly_mul, factors) if factors else one
+            bound = part._amp + factor._amp
+            if bound >= EXPONENT_LIMIT:
+                # poly_mul reads the exact extremes and raises at the limit.
+                bound = poly_mul(part, factor)._amp
+            amp = max(amp, bound)
+            a, b = sorted((part, factor), key=lambda q: len(q._keys))
+            items = b._keys.items()
+            for ka, ca in a._keys.items():
+                ka -= offset
+                for kb, cb in items:
+                    key = ka + kb
+                    terms[key] = get(key, 0) + ca * cb
+        return _trusted(table, _drop_zeros(terms), amp)
+
+    def _image_key(self, exps):
+        """Packed key of the image of a placeholder-free tracked monomial.
+
+        Each tracked variable lifts to distinct variables with exponent
+        one, disjoint from the others' lifts, so the exact image vector
+        holds the entries of ``exps`` and has their amplitude.
+        """
+        _amplitude(exps)
+        shifts = zip(exps, self._lift_shifts)
+        return self.fs.table._layout.offset + sum(e * shift for e, shift in shifts if e)
+
+    def group_image(self, k):
+        """``prod_c E(x_c)`` over the members ``c`` of group ``k``.
+
+        ``E`` is a monomial ring map, so this is ``E(prod_c x_c)``, the
+        class :func:`phi` gives the ``k``-th cluster variable.
+        """
+        members, eliminated = self.fs.members(k), self._eliminated
+        for c in members:
+            if eliminated[c] is None:
+                eliminated[c] = eliminate_units(self.fs, self.fs.cluster[c])
+        return reduce(poly_mul, (eliminated[c] for c in members))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +564,8 @@ def phi(gca_seed, k, fs):
     ``gca_seed`` (a generalized seed or an adjoined seed) and ``fs``
     must have been reached by corresponding mutation sequences; the
     image of the ``k``-th cluster variable is the class of the product
-    of its group's folded cluster variables.
+    of its group's folded cluster variables, taken as the product of
+    their unit-eliminated classes (see :meth:`QuotientContext.group_image`).
     """
     seed = gca_seed.seed if isinstance(gca_seed, AdjoinedSeed) else gca_seed
     if tuple(seed.provenance) != tuple(fs.group_provenance):
@@ -522,10 +573,7 @@ def phi(gca_seed, k, fs):
             "generalized and folded seeds have different mutation histories"
         )
     seed.check_direction(k)
-    product = LaurentPolynomial.one(fs.table)
-    for c in fs.members(k):
-        product = poly_mul(product, fs.cluster[c])
-    return eliminate_units(fs, product)
+    return reduce(poly_mul, (eliminate_units(fs, fs.cluster[c]) for c in fs.members(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +713,9 @@ def embedding_walk(gca, mode="total"):
     :meth:`~QuotientContext.mutate`; ``check(ctx)`` returns the
     failures of :func:`embedding_check` at that state.  The key is the
     content of both tracks' seeds; everything else in a context is a
-    walk constant, and the two tracks' histories, which :func:`phi`
-    compares, agree because :meth:`~QuotientContext.mutate` extends
-    both.
+    walk constant or, like the eliminated cluster entries, a function of
+    the folded seed.  The two tracks' histories agree because
+    :meth:`~QuotientContext.mutate` extends both.
     """
     return (
         QuotientContext.create(gca, mode=mode),
@@ -701,6 +749,18 @@ def embedding_check(gca, sequence=(), mode="total"):
 
 
 def _embedding_conditions_at(ctx):
+    """The failures of conditions (i)-(iv) at one context.
+
+    (i) and (ii) compare packed keys.  The tracked exchange monomials
+    carry no placeholder and the folded group monomials no ``t``/``s``
+    variable, so neither side needs the quotient: the left side's image
+    is the key ``sum_i e_i * delta_i``, ``delta_i`` the key shift of
+    tracked variable ``i``'s image (a walk constant), and the unit
+    elimination ``E`` leaves the right side as it is.  (iii) takes its
+    right side as ``prod_c E(x_c)``, which equals ``E(prod_c x_c)``
+    because ``E`` is a monomial ring map; the context keeps the
+    ``E(x_c)``.  (iv) builds the balanced side-ratio sums on packed keys.
+    """
     failures = []
     tracked = ctx.tracked
     fs = ctx.fs
@@ -708,27 +768,25 @@ def _embedding_conditions_at(ctx):
     layout = table._layout
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext.build(tracked, k)
-        gm = group_monomials(fs, k)
-        # (i) cluster monomials and (ii) stable monomials, compared as
-        # monomials in the symbols.
-        for label, exps, folded_mono in (
-            ("(i) u>", gca_ctx.u_gt, gm.u_gt),
-            ("(i) u<", gca_ctx.u_lt, gm.u_lt),
-            ("(ii) v>[1]", gca_ctx.v_gt[1], gm.v_gt),
-            ("(ii) v<[1]", gca_ctx.v_lt[1], gm.v_lt),
+        first = _coherent_row(fs, k)
+        u_gt, u_gt_amp, u_lt, u_lt_amp = _packed_sides(table, first, (ROLE_CLUSTER,))
+        v_gt, v_gt_amp, v_lt, v_lt_amp = _packed_sides(table, first, (ROLE_FROZEN,))
+        # (i) cluster monomials and (ii) stable monomials, as packed keys.
+        for label, exps, shift, amp in (
+            ("(i) u>", gca_ctx.u_gt, u_gt, u_gt_amp),
+            ("(i) u<", gca_ctx.u_lt, u_lt, u_lt_amp),
+            ("(ii) v>[1]", gca_ctx.v_gt[1], v_gt, v_gt_amp),
+            ("(ii) v<[1]", gca_ctx.v_lt[1], v_lt, v_lt_amp),
         ):
-            lhs = ctx.phi_poly(Monomial(tracked.table, exps).as_polynomial())
-            rhs = ctx.normal_form(folded_mono.as_polynomial())
-            if lhs != rhs:
+            lhs = ctx._image_key(exps)
+            _amplitude((amp,))
+            if lhs != layout.offset + shift:
                 failures.append((label, k, None))
         # (iii) cluster variables, compared as evaluated elements.
-        lhs = ctx.phi_poly(tracked.cluster[k])
-        rhs = phi(tracked, k, fs)
-        if lhs != rhs:
+        if ctx.phi_poly(tracked.cluster[k]) != ctx.group_image(k):
             failures.append(("(iii)", k, None))
         # (iv) string entries against balanced side-ratio sums, on packed
         # keys: each side ratio is a key shift whose fields are its exponents.
-        (v_gt, v_gt_amp), (v_lt, v_lt_amp) = gm.v_gt._packed(), gm.v_lt._packed()
         ratios, amp = [], 0
         for c in fs.members(k):
             gt, gt_amp, lt, lt_amp = _packed_sides(

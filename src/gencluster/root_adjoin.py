@@ -84,10 +84,6 @@ class AdjoinedSeed:
             for name, exps in images.items()
         }
 
-    def transport(self, p):
-        """Image of a polynomial over the base table in the current table."""
-        return poly_map_variables(p, self.root_map(), self.seed.table)
-
 
 def _fresh_root_name(name, taken):
     candidate = name.upper()

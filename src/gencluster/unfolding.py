@@ -101,19 +101,6 @@ class FoldedMatrix:
         )
         return range(start, start + self.group_sizes[i])
 
-    def column_groups(self):
-        """All column groups as (kind, index, range) triples."""
-        out = []
-        for j in range(self.n_groups):
-            out.append(("cluster", j, self.group_range(j)))
-        for l in range(self.m_original):
-            c = self.f_column(l)
-            out.append(("f", l, range(c, c + 1)))
-        for j in range(self.n_groups):
-            out.append(("t", j, self.t_range(j)))
-            out.append(("s", j, self.s_range(j)))
-        return out
-
     def block(self, rows, cols):
         """The sub-matrix over the given rows and a contiguous column ``range``.
 
@@ -200,13 +187,6 @@ def group_mutate(fm, k):
     for c in _independent_members(fm, k):
         out = mutate(out, c)
     return replace(fm, matrix=out)
-
-
-def group_mutate_sequence(fm, sequence):
-    out = fm
-    for k in sequence:
-        out = group_mutate(out, k)
-    return out
 
 
 def hadamard_check(fm, matrix, divisors, multiplicity=None):

@@ -6,13 +6,16 @@ import re
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from gencluster.errors import ParseError
+from gencluster.errors import ParseError, TableMismatch
 from gencluster.fixtures import fixture_seed
+from gencluster.unfolding import group_mutate
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
     VariableTable,
+    _drop_zeros,
     _require_same_table,
+    _same_table,
     _shifted_amplitude,
     _trusted,
     poly_mul,
@@ -78,6 +81,27 @@ def cluster_side(seed, k, sign):
         if sign * row[i] > 0:
             out = poly_mul(out, poly_pow(seed.cluster[i], sign * row[i]))
     return out
+
+
+def group_mutate_sequence(fm, sequence):
+    """Group-mutate the unfolded matrix ``fm`` along ``sequence``."""
+    for k in sequence:
+        fm = group_mutate(fm, k)
+    return fm
+
+
+def poly_sum(table, polys):
+    """Sum of any number of polynomials over ``table``, in one pass."""
+    terms = {}
+    get = terms.get
+    amp = 0
+    for p in polys:
+        if not _same_table(p.table, table):
+            raise TableMismatch("operands live over different variable tables")
+        for key, coeff in p._keys.items():
+            terms[key] = get(key, 0) + coeff
+        amp = max(amp, p._amp)
+    return _trusted(table, _drop_zeros(terms), amp)
 
 
 def mono_times(a, b):

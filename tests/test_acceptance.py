@@ -13,7 +13,7 @@ import itertools
 import random
 import time
 
-from conftest import parse_polynomial
+from conftest import group_mutate_sequence, parse_polynomial
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import (
     exchange_polynomial,
@@ -21,6 +21,7 @@ from gencluster.gca_seed import (
     mutate_seed_sequence,
     root_formula_check,
 )
+from gencluster.laurent_kernel import poly_map_variables
 from gencluster.matrix_mutation import (
     modify,
     mutate,
@@ -44,7 +45,6 @@ from gencluster.unfolding import (
     build,
     double_constant_check,
     group_mutate,
-    group_mutate_sequence,
     hadamard_check,
 )
 
@@ -190,8 +190,9 @@ class TestAcceptance:
             assert tuple(str(m) for m in table.rows[1]) == FIX_B_RHO_Y
             alt = parse_polynomial(FIX_B_ADJ_THETA_X_ALT, adjoined.table)
             assert alt != theta_bar_x
-            assert adjoined.transport(theta_x) == theta_bar_x
-            assert adjoined.transport(theta_y) == theta_bar_y
+            root_map = adjoined.root_map()
+            assert poly_map_variables(theta_x, root_map, adjoined.table) == theta_bar_x
+            assert poly_map_variables(theta_y, root_map, adjoined.table) == theta_bar_y
 
     def test_criterion_04_involution_and_string_legality(self):
         with criterion(4, 30.0):

@@ -11,12 +11,12 @@ from unittest.mock import Mock
 
 import pytest
 
+from conftest import group_mutate_sequence
 from gencluster import cli_io
 from gencluster.cli_io import (
     parse_seed,
     parse_seed_text,
     run_command,
-    write_seed,
     _seed_text,
     _walk,
 )
@@ -47,7 +47,6 @@ from gencluster.unfolding import (
     build,
     double_constant_check,
     group_mutate,
-    group_mutate_sequence,
     hadamard_check,
 )
 
@@ -71,6 +70,19 @@ ADJOIN_FIX_C = (
     "matrix 0 4\n"
     "string 0 ; 4 ; 0\n"
 )
+
+def write_seed(seed, path):
+    """Write ``seed`` to ``path`` in the canonical flat-file form.
+
+    Only depth-zero seeds (cluster equal to the table variables) have a
+    flat-file form; anything else raises
+    :class:`~gencluster.errors.ValidationError`.
+    """
+    text = _seed_text(seed)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return text
+
 
 BAD_SEED = (
     "gca-seed v1\n"

@@ -11,6 +11,7 @@ from conftest import (
     mono_times,
     parse_polynomial,
     poly_mul_monomial,
+    poly_sum,
 )
 from gencluster import gca_seed
 from gencluster.errors import (
@@ -40,7 +41,6 @@ from gencluster.laurent_kernel import (
     poly_exact_div,
     poly_mul,
     poly_pow,
-    poly_sum,
 )
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, _symmetrizes
 from gencluster.randomgen import random_seed, random_sequence

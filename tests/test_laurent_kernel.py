@@ -127,7 +127,7 @@ class TestRingAxioms:
 class TestExactDivision:
     @given(small_polynomials(), small_polynomials())
     def test_product_roundtrip(self, a, b):
-        if b.is_zero():
+        if not b.terms:
             with pytest.raises(InexactDivision):
                 poly_exact_div(poly_mul(a, b), b)
         else:
@@ -140,7 +140,7 @@ class TestExactDivision:
         while done < 1000:
             a = random_poly(rng, table)
             b = random_poly(rng, table)
-            if b.is_zero():
+            if not b.terms:
                 continue
             assert poly_exact_div(poly_mul(a, b), b) == a
             done += 1

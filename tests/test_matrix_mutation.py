@@ -15,9 +15,9 @@ from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
+    _principal_diagonalizer,
     _symmetrizes,
     check_compatible,
-    diagonalizer,
     modify,
     mutate,
     mutate_modified,
@@ -36,6 +36,17 @@ FIX_A_MU1 = ((0, -8, 3, -5), (12, 0, -38, 7))
 FIX_A_MU21 = ((0, 8, -301, -5), (-12, 0, 38, -7))
 FIX_A_MU1_MODIFIED = ((0, -4, 3, -5), (4, 0, -38, 7))
 FIX_A_MU21_MODIFIED = ((0, 4, -301, -5), (-4, 0, 38, -7))
+
+
+def diagonalizer(matrix):
+    """Minimal positive diagonal ``d`` with ``d_i B_ij = -d_j B_ji``.
+
+    Minimality is componentwise: on each connected component of the
+    nonzero pattern the returned entries have no common factor.  A
+    symmetrizer inherited through mutation need not be minimal (the
+    components can split), so this always searches afresh.
+    """
+    return _principal_diagonalizer(matrix.rows, matrix.n)
 
 
 @pytest.fixture

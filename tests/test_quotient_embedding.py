@@ -1,5 +1,6 @@
 """Quotient embedding: folded seeds, the product formula, and the image map."""
 
+from collections import namedtuple
 from copy import copy
 import hashlib
 from itertools import combinations, product
@@ -8,7 +9,7 @@ import random
 
 import pytest
 
-from conftest import mono_over, mono_power, mono_times, poly_mul_monomial
+from conftest import mono_over, mono_power, mono_times, poly_mul_monomial, poly_sum
 from gencluster.cli_io import parse_seed_text
 from gencluster.errors import (
     CorrespondenceViolation,
@@ -18,12 +19,15 @@ from gencluster.errors import (
     InexactDivision,
     Report,
     StructureViolation,
+    ValidationError,
 )
-from gencluster.gca_seed import mutate_seed
+from gencluster.fixtures import fixture_seed
+from gencluster.gca_seed import ExchangeContext, _trusted_seed, mutate_seed
 from gencluster.laurent_kernel import (
     EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
+    ROLE_CLUSTER,
     ROLE_FROZEN,
     ROLE_S,
     ROLE_T,
@@ -31,26 +35,28 @@ from gencluster.laurent_kernel import (
     poly_map_variables,
     poly_mul,
     poly_pow,
+    poly_split_trailing,
     poly_sub,
-    poly_sum,
 )
-from gencluster.matrix_mutation import ExtendedExchangeMatrix
+from gencluster.matrix_mutation import ExtendedExchangeMatrix, _trusted_matrix
 from gencluster.quotient_embedding import (
     FoldedSeed,
     QuotientContext,
+    _coherent_row,
+    _eliminated_sigma,
     _embedding_conditions_at,
     eliminate_units,
     embedding_check,
     folded_frozen_names,
     folded_initial_seed,
     folded_table,
-    group_monomials,
     group_mutate_seed,
     phi,
     product_formula_check,
     product_formula_suite,
     product_formula_walk,
     subquotient_check,
+    unit_elimination_map,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import AdjoinedSeed, tau_tilde
@@ -66,6 +72,36 @@ FIX_C_PHI_X_MUTATED = (
 FIX_B_CLUSTER_IMAGES_SHA256 = (
     "335cb14205b7c7aa27e3250b401709f9f57fb1f7487a9f255235c2a147f0f558"
 )
+
+
+#: Shared exchange monomials of one group of the folded seed.
+GroupMonomials = namedtuple("GroupMonomials", "k u_gt u_lt v_gt v_lt")
+
+
+def member_sides(table, row, roles):
+    """Exchange sides ``(gt, lt)`` of a matrix row as monomials.
+
+    Only the columns of variables whose role is in ``roles`` are read.
+    """
+    row = [v if role in roles else 0 for v, role in zip(row, table.roles)]
+    return (
+        Monomial(table, tuple(max(v, 0) for v in row)),
+        Monomial(table, tuple(max(-v, 0) for v in row)),
+    )
+
+
+def group_monomials(fs, k):
+    """The shared monomials of group ``k``, once the members are checked to agree.
+
+    ``u_gt``/``u_lt`` carry the cluster columns of the group's rows and
+    ``v_gt``/``v_lt`` the frozen columns, each split by sign.
+    """
+    first = _coherent_row(fs, k)
+    return GroupMonomials(
+        k,
+        *member_sides(fs.table, first, (ROLE_CLUSTER,)),
+        *member_sides(fs.table, first, (ROLE_FROZEN,)),
+    )
 
 
 def sigma_polynomial(fs, k, r):
@@ -180,6 +216,122 @@ def oracle_condition_iv(ctx):
     return failures
 
 
+def oracle_phi_poly(ctx, p):
+    """The image of a generalized-side polynomial by the earlier route.
+
+    Lift by the cluster images, eliminate the units over the
+    placeholder-extended table, multiply each placeholder part by its
+    eliminated ``sigma`` powers one ``poly_mul`` at a time, and add the
+    parts with ``poly_sum``.
+    """
+    fs, plus, tracked = ctx.fs, ctx.folded_plus, ctx.tracked
+    images = {
+        tracked.table.names[k]: plus.monomial({fs.table.names[c]: 1 for c in fs.members(k)})
+        for k in range(tracked.rank)
+    }
+    lifted = poly_map_variables(p, images, plus)
+    lifted = poly_map_variables(lifted, unit_elimination_map(plus), plus)
+    slots = [
+        (fs.folded.t_range(k), fs.folded.s_range(k), r)
+        for k in range(tracked.rank)
+        for r in range(1, tracked.divisors[k])
+    ]
+    parts = []
+    for powers, part in poly_split_trailing(lifted, fs.table).items():
+        if any(e < 0 for e in powers):
+            raise InexactDivision("negative placeholder power")
+        for slot, e in zip(slots, powers):
+            if e:
+                part = poly_mul(part, _eliminated_sigma(fs.table, *slot, e))
+        parts.append(part)
+    return poly_sum(fs.table, parts)
+
+
+def oracle_group_image(fs, k):
+    """``E(prod_c x_c)``: the group product first, the unit elimination last."""
+    product = LaurentPolynomial.one(fs.table)
+    for c in fs.members(k):
+        product = poly_mul(product, fs.cluster[c])
+    return eliminate_units(fs, product)
+
+
+def oracle_conditions_i_ii(ctx):
+    """Conditions (i) and (ii) of the embedding check, compared as polynomials.
+
+    The left side is the image of the tracked monomial by
+    :func:`oracle_phi_poly`, the right side the normal form of the
+    folded group monomial.
+    """
+    tracked, failures = ctx.tracked, []
+    for k in range(tracked.rank):
+        gca_ctx = ExchangeContext.build(tracked, k)
+        gm = group_monomials(ctx.fs, k)
+        for label, exps, folded in (
+            ("(i) u>", gca_ctx.u_gt, gm.u_gt),
+            ("(i) u<", gca_ctx.u_lt, gm.u_lt),
+            ("(ii) v>[1]", gca_ctx.v_gt[1], gm.v_gt),
+            ("(ii) v<[1]", gca_ctx.v_lt[1], gm.v_lt),
+        ):
+            lhs = oracle_phi_poly(ctx, Monomial(tracked.table, exps).as_polynomial())
+            if lhs != ctx.normal_form(folded.as_polynomial()):
+                failures.append((label, k, None))
+    return failures
+
+
+def conditions_i_ii(ctx):
+    """The (i) and (ii) failures of :func:`_embedding_conditions_at`."""
+    return [
+        f for f in _embedding_conditions_at(ctx) if f[0].startswith(("(i) ", "(ii) "))
+    ]
+
+
+def outcome(check, ctx):
+    """``check(ctx)``, or the type and message of what it raised."""
+    try:
+        return check(ctx)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def walked_contexts(seed, mode, sequences):
+    """The context at every prefix of ``sequences``, each prefix once."""
+    root = QuotientContext.create(seed, mode=mode)
+    reached = {(): root}
+    for sequence in sequences:
+        for depth in range(1, len(sequence) + 1):
+            prefix = tuple(sequence[:depth])
+            if prefix not in reached:
+                reached[prefix] = reached[prefix[:-1]].mutate(prefix[-1])
+    return reached
+
+
+def embedding_walks():
+    """The walks the image routes are compared on, with their sequences.
+
+    FIX-A exhaustively to depth 2, FIX-B to depth 3, FIX-C to depth 6,
+    and 20 random seeds along a random length-3 sequence.
+    """
+    walks = [
+        (fixture_seed("FIX-A"), list(product(range(2), repeat=2))),
+        (fixture_seed("FIX-B"), list(product(range(2), repeat=3))),
+        (fixture_seed("FIX-C"), [(0,) * 6]),
+    ]
+    rng = random.Random(13)
+    for _ in range(20):
+        seed = random_seed(rng)
+        walks.append((seed, [random_sequence(rng, seed.rank, 3)]))
+    return walks
+
+
+def limit_seed(kind, b):
+    """A divisor-one seed whose (i) or (ii) monomial has exponent ``b``."""
+    if kind == "(i)":
+        text = f"gca-seed v1\nN 2\nM 0\ndivisors 1 1\nnames x y ;\nmatrix 0 {b} ; -{b} 0\n"
+    else:
+        text = f"gca-seed v1\nN 1\nM 1\ndivisors 1\nnames x ; f\nmatrix 0 {b}\nstring 0 ; 0\n"
+    return parse_seed_text(text)
+
+
 def product_formula_states(seed, mode, sequences):
     """Every folded state the product-formula walk reaches along ``sequences``."""
     root, step, _, _ = product_formula_walk(seed, mode)
@@ -193,12 +345,14 @@ def product_formula_states(seed, mode, sequences):
 
 
 def tampered(fs, row, col, delta):
-    """``fs`` with one entry of its folded matrix moved by ``delta``."""
+    """``fs`` with one entry of its folded matrix moved by ``delta``.
+
+    The matrix is built without validation, so a moved principal entry
+    may break its skew-symmetrizability.
+    """
     rows = [list(r) for r in fs.folded.matrix.rows]
     rows[row][col] += delta
-    matrix = ExtendedExchangeMatrix(
-        fs.folded.matrix.n, fs.folded.matrix.m, tuple(tuple(r) for r in rows)
-    )
+    matrix = _trusted_matrix(fs.folded.matrix, tuple(tuple(r) for r in rows))
     return FoldedSeed(
         seed=fs.seed,
         folded=FoldedMatrix(
@@ -208,6 +362,37 @@ def tampered(fs, row, col, delta):
         ),
         group_provenance=fs.group_provenance,
     )
+
+
+def moved_entry_contexts(ctx):
+    """Copies of ``ctx`` with one matrix entry moved, one copy per entry.
+
+    Each group ``j`` gets its tracked row's first frozen entry moved by
+    ``d_j``, and its first member's entry in the first cluster column of
+    another group, and in the first frozen column, moved by one.
+    """
+    tracked, fs = ctx.tracked, ctx.fs
+    frozen = [
+        pos for pos in tracked.table.frozen_indices
+        if tracked.table.names[pos] not in ctx.rho_values
+    ]
+    for j in range(tracked.rank):
+        if frozen:
+            rows = [list(row) for row in tracked.matrix.rows]
+            rows[j][frozen[0]] += tracked.divisors[j]
+            bad = copy(ctx)
+            bad.tracked = _trusted_seed(
+                tracked,
+                matrix=ExtendedExchangeMatrix(tracked.matrix.n, tracked.matrix.m, rows),
+            )
+            yield bad
+        member = fs.members(j)[0]
+        columns = [fs.members(i)[0] for i in range(tracked.rank) if i != j]
+        columns += list(fs.table.frozen_indices[:1])
+        for col in columns:
+            bad = copy(ctx)
+            bad.fs = tampered(fs, member, col, 1)
+            yield bad
 
 
 def shared_factor_seeds():
@@ -395,6 +580,24 @@ class TestSigmaAndUnits:
                     ctx.folded_plus, {e: c for e, c in terms.items() if c}
                 )
                 assert ctx.normal_form(p) == expand_term_by_term(ctx, p)
+
+    def test_expansion_at_the_exponent_limit(self, fix_c):
+        # E(sigma_{1,1}) = t1*s1^-1 + t1^-1*s1, so t1^e * rho1_1 expands
+        # to a t1 exponent of e + 1.
+        ctx = QuotientContext.create(fix_c)
+
+        def placeholder_term(e):
+            return ctx.folded_plus.monomial({"t1": e, "rho1_1": 1}).as_polynomial()
+
+        p = placeholder_term(EXPONENT_LIMIT - 1)
+        with pytest.raises(ExponentOverflow) as packed:
+            ctx.normal_form(p)
+        with pytest.raises(ExponentOverflow) as oracle:
+            expand_term_by_term(ctx, p)
+        assert str(packed.value) == str(oracle.value)
+        assert str(EXPONENT_LIMIT) in str(packed.value)
+        p = placeholder_term(EXPONENT_LIMIT - 2)
+        assert ctx.normal_form(p) == expand_term_by_term(ctx, p)
 
     def test_negative_placeholder_power_rejected(self, fix_c):
         ctx = QuotientContext.create(fix_c)
@@ -586,6 +789,78 @@ class TestEmbeddingAndSubquotient:
                     member = ctx.fs.members(j)[0]
                     bad.fs = tampered(ctx.fs, member, ctx.fs.folded.t_range(j)[0], 1)
                     assert condition_iv(bad) == oracle_condition_iv(bad) != []
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_images_match_the_earlier_route(self, mode):
+        # Every cluster and string image by phi_poly, and every group
+        # image, against the route that eliminated the units of the whole
+        # lift and of the whole group product.
+        for seed, sequences in embedding_walks():
+            for ctx in walked_contexts(seed, mode, sequences).values():
+                tracked = ctx.tracked
+                for k in range(tracked.rank):
+                    polys = [tracked.cluster[k]] + [
+                        tracked.strings.entry(k, r).as_polynomial()
+                        for r in range(tracked.divisors[k] + 1)
+                    ]
+                    for p in polys:
+                        assert ctx.phi_poly(p)._keys == oracle_phi_poly(ctx, p)._keys
+                    assert ctx.group_image(k)._keys == oracle_group_image(ctx.fs, k)._keys
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_conditions_i_ii_match_the_polynomial_oracle(self, mode):
+        # Untouched contexts pass both routes.  Then one entry is moved in
+        # turn: a frozen entry of the tracked matrix, or a cluster or
+        # frozen entry of one folded member's row, which breaks the
+        # coherence of a larger group.
+        failing = 0
+        for seed, sequences in embedding_walks():
+            for ctx in walked_contexts(seed, mode, sequences).values():
+                assert conditions_i_ii(ctx) == oracle_conditions_i_ii(ctx) == []
+                for bad in moved_entry_contexts(ctx):
+                    found = outcome(conditions_i_ii, bad)
+                    assert found == outcome(oracle_conditions_i_ii, bad)
+                    failing += isinstance(found, list) and found != []
+        assert failing > 100
+
+    @pytest.mark.parametrize("kind", ["(i)", "(ii)"])
+    def test_conditions_i_ii_at_the_exponent_limit(self, kind):
+        ctx = QuotientContext.create(limit_seed(kind, EXPONENT_LIMIT))
+        with pytest.raises(ExponentOverflow) as keys:
+            conditions_i_ii(ctx)
+        with pytest.raises(ExponentOverflow) as oracle:
+            oracle_conditions_i_ii(ctx)
+        assert str(keys.value) == str(oracle.value)
+        assert str(EXPONENT_LIMIT) in str(keys.value)
+        ctx = QuotientContext.create(limit_seed(kind, EXPONENT_LIMIT - 1))
+        assert _embedding_conditions_at(ctx) == oracle_conditions_i_ii(ctx) == []
+        # One more on the folded side alone: the right side reaches the limit.
+        col = ctx.fs.members(1)[0] if kind == "(i)" else ctx.fs.table.frozen_indices[0]
+        bad = copy(ctx)
+        bad.fs = tampered(ctx.fs, 0, col, 1)
+        found = outcome(conditions_i_ii, bad)
+        assert found == outcome(oracle_conditions_i_ii, bad)
+        assert found[0] == "ExponentOverflow" and str(EXPONENT_LIMIT) in found[1]
+
+    def test_context_checks_what_the_images_rely_on(self, fix_c):
+        ctx = QuotientContext.create(fix_c)
+        # A tracked variable named like an auxiliary variable would lift
+        # onto it, and phi_poly no longer eliminates the units.
+        renamed = _trusted_seed(ctx.tracked, table=ctx.tracked.table.renamed("F", "t1"))
+        with pytest.raises(ValidationError, match="auxiliary"):
+            QuotientContext(renamed, ctx.fs, ctx.rho_values)
+        # A nonzero placeholder column would put a placeholder into the
+        # exchange monomials that conditions (i) and (ii) read as keys.
+        matrix = ctx.tracked.matrix
+        rows = [list(row) for row in matrix.rows]
+        rows[0][-1] = 1
+        moved = _trusted_seed(
+            ctx.tracked, matrix=ExtendedExchangeMatrix(matrix.n, matrix.m, rows)
+        )
+        with pytest.raises(ValidationError, match="placeholder column"):
+            QuotientContext(moved, ctx.fs, ctx.rho_values)
+        with pytest.raises(ValidationError, match="tracked table"):
+            ctx.phi_poly(ctx.fs.cluster[0])
 
     def test_embedding_fix_c_deep(self, fix_c):
         report = embedding_check(fix_c, (0,) * 6)

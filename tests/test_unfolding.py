@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import group_mutate_sequence
 from gencluster.errors import (
     IndexOutOfRange,
     InvalidDivisors,
@@ -21,7 +22,6 @@ from gencluster.unfolding import (
     build,
     double_constant_check,
     group_mutate,
-    group_mutate_sequence,
     hadamard_check,
     unfolding_conditions_check,
 )
@@ -67,6 +67,18 @@ FIX_A_GROUP01 = (
 FIX_A_MU21 = ((0, 8, -301, -5), (-12, 0, 38, -7))
 
 
+def column_groups(fm):
+    """All column groups of ``fm`` as (kind, index, range) triples."""
+    out = [("cluster", j, fm.group_range(j)) for j in range(fm.n_groups)]
+    for l in range(fm.m_original):
+        c = fm.f_column(l)
+        out.append(("f", l, range(c, c + 1)))
+    for j in range(fm.n_groups):
+        out.append(("t", j, fm.t_range(j)))
+        out.append(("s", j, fm.s_range(j)))
+    return out
+
+
 def edited(fm, changes):
     """Copy of ``fm`` with ``{(row, col): value}`` entry replacements."""
     rows = [list(row) for row in fm.matrix.rows]
@@ -94,7 +106,7 @@ class TestBuild:
         n = B.n
         for i in range(n):
             rows_i = fm.group_range(i)
-            for kind, idx, cols in fm.column_groups():
+            for kind, idx, cols in column_groups(fm):
                 block = fm.block(rows_i, cols)
                 if kind == "cluster":
                     value = B.rows[i][idx] // d[i]
@@ -130,7 +142,7 @@ class TestBuild:
         assert list(fm.s_range(0)) == [9, 10]
         assert list(fm.t_range(1)) == [11, 12, 13]
         assert list(fm.s_range(1)) == [14, 15, 16]
-        kinds = [(kind, idx) for kind, idx, _ in fm.column_groups()]
+        kinds = [(kind, idx) for kind, idx, _ in column_groups(fm)]
         assert kinds == [
             ("cluster", 0),
             ("cluster", 1),
@@ -234,7 +246,7 @@ def block_formula(fm, k):
     for i in range(fm.n_groups):
         rows_i = fm.group_range(i)
         left = fm.block(rows_i, k_cols)
-        for kind, idx, cols in fm.column_groups():
+        for kind, idx, cols in column_groups(fm):
             block = fm.block(rows_i, cols)
             if i == k or (kind == "cluster" and idx == k):
                 new = [[-e for e in row] for row in block]
