@@ -1084,6 +1084,13 @@ GOLDEN_OUTPUTS = [
      "5ff38c0576b6133ddb6c70aa4399c187cdbacd488990a41eab242ed310a9e22f", 0),
     ("adjoin --seed FIX-C",
      "607933d64d167d9107dd0f730e452e0908bbea8de70dce95e5878555f251acf6", 0),
+    # The bundled divisors are coprime, so ``lcm`` adjoins what ``total`` does.
+    ("adjoin --seed FIX-A --mode lcm",
+     "e354dbde6969413df4ce08b7a6458131a9f6e60cb96ad565e5ab74d12e5be9db", 0),
+    ("adjoin --seed FIX-B --mode lcm",
+     "5ff38c0576b6133ddb6c70aa4399c187cdbacd488990a41eab242ed310a9e22f", 0),
+    ("adjoin --seed FIX-C --mode lcm",
+     "607933d64d167d9107dd0f730e452e0908bbea8de70dce95e5878555f251acf6", 0),
     ("verify hadamard --depth 5 --sequences random:20 --rng-seed 3",
      "f658e8702dbdb8ffe6413d121a282b4413172ed68c7d8ce37531524e250e398e", 0),
     ("verify product-formula --depth 4 --sequences random:16 --rng-seed 5",

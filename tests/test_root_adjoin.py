@@ -1,5 +1,8 @@
 """Root adjoining: frozen rescaling, carriers, and homogeneous form."""
 
+import hashlib
+import random
+
 import pytest
 
 from conftest import cluster_side, poly_mul_monomial
@@ -11,6 +14,7 @@ from gencluster.gca_seed import (
     exchange_polynomial,
     initial_seed,
     mutate_seed,
+    mutate_seed_sequence,
     root_formula_check,
 )
 from gencluster.laurent_kernel import (
@@ -40,6 +44,15 @@ FIX_B_TAU_X = "y*A^-8*B^4"
 FIX_B_TAU_Y = "x^-1*B^-9"
 FIX_B_RHO_X = ("1", "A^-4*B^-4*P1X^6", "A^-2*B^-2*P2X^6", "1")
 FIX_B_RHO_Y = ("1", "B^-3*P1Y^6", "1")
+
+# SHA-256 of the table names, matrix rows, cluster entries and string
+# entries of ``tau_tilde`` in both modes, over 50 random seeds with up to
+# three frozen variables, each mutated along a depth-3 sequence.  The
+# bundled fixtures have coprime divisors; 11 of these seeds do not, so
+# ``lcm`` and ``total`` adjoin different roots there.
+RANDOM_ADJOINED_SHA256 = (
+    "8a026d5edf47abbead4fe1bf9d4aff415676bc6c568db0b49e8ec50a9abcebce"
+)
 
 
 def is_floor_free(seed, k):
@@ -91,6 +104,23 @@ class TestTauTilde:
         root_lcm = next(iter(lcm.root_map().values()))
         assert max(root_total.exponents) == 4
         assert max(root_lcm.exponents) == 2
+
+    def test_random_adjoined_seeds_pinned(self):
+        rng = random.Random(14)
+        lines = []
+        for _ in range(50):
+            seed = random_seed(rng, max_frozen=3)
+            seed = mutate_seed_sequence(seed, random_sequence(rng, seed.rank, 3))
+            for mode in ("total", "lcm"):
+                adjoined = tau_tilde(seed, mode).seed
+                lines.append(" ".join(adjoined.table.names))
+                lines.append(repr(adjoined.matrix.rows))
+                lines.extend(str(p) for p in adjoined.cluster)
+                lines.extend(
+                    " ".join(str(e) for e in row) for row in adjoined.strings.rows
+                )
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == RANDOM_ADJOINED_SHA256
 
     def test_adjoining_twice_rejected(self, fix_c):
         adjoined = tau_tilde(fix_c)
