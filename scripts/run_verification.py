@@ -3,11 +3,12 @@
 
 Covers every preserved condition the library asserts: mutation
 involution and coefficient-string legality, Laurent exactness over deep
-random walks, block constancy (Hadamard) and the double-constant shape
-of the unfolded matrix at every prefix, the coefficient product
-formula, the embedding conditions, the subquotient realization (these
-three on the bundled seeds and on random seeds with up to three frozen
-variables, in both ``total`` and ``lcm`` root mode), and the
+random walks, block constancy (Hadamard), the double-constant shape and
+the column conditions of the unfolded matrix at every prefix, the
+coefficient product formula, the embedding conditions, the subquotient
+realization (these three on the bundled seeds and on random seeds with
+up to three frozen variables, in both ``total`` and ``lcm`` root mode),
+the transport of exchange data through root adjunction, and the
 root-extraction/homogeneity form of the exchange polynomials on
 adjoined seeds.  Exits nonzero if any suite fails.
 """
@@ -17,7 +18,7 @@ import random
 import time
 
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
-from gencluster.gca_seed import mutate_seed, root_formula_check
+from gencluster.gca_seed import mutate_seed, mutate_seed_sequence, root_formula_check
 from gencluster.matrix_mutation import mutate_sequence
 from gencluster.quotient_embedding import (
     embedding_check,
@@ -25,12 +26,13 @@ from gencluster.quotient_embedding import (
     subquotient_check,
 )
 from gencluster.randomgen import random_seed, random_sequence
-from gencluster.root_adjoin import homogeneity_check, tau_tilde
+from gencluster.root_adjoin import homogeneity_check, tau_tilde, transport_check
 from gencluster.unfolding import (
     build,
     double_constant_check,
     group_mutate,
     hadamard_check,
+    unfolding_conditions_check,
 )
 
 
@@ -60,11 +62,13 @@ def suite_block_constancy(rng, cases, depth):
         reference = seed.matrix
         double_constant_check(fm)
         assert hadamard_check(fm, reference, seed.divisors).ok
+        assert unfolding_conditions_check(fm, reference).ok
         for k in random_sequence(rng, seed.matrix.n, depth):
             fm = group_mutate(fm, k)
             reference = mutate_sequence(reference, (k,))
             double_constant_check(fm)
             assert hadamard_check(fm, reference, seed.divisors).ok
+            assert unfolding_conditions_check(fm, reference).ok
 
 
 def suite_product_formula(rng, cases, depth):
@@ -115,9 +119,10 @@ def suite_root_homogeneity(rng, cases, depth):
     for _ in range(cases):
         seed = random_seed(rng)
         adjoined = tau_tilde(seed)
-        current = adjoined.seed
-        for k in random_sequence(rng, seed.matrix.n, depth):
-            current = mutate_seed(current, k)
+        sequence = random_sequence(rng, seed.matrix.n, depth)
+        report = transport_check(seed, adjoined, sequence)
+        assert report.ok, (sequence, report.failures)
+        current = mutate_seed_sequence(adjoined.seed, sequence)
         for k in range(seed.matrix.n):
             assert root_formula_check(current, k).ok
             homogeneity_check(current, k)

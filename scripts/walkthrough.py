@@ -15,7 +15,7 @@ from gencluster.cli_io import _seed_text
 from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import exchange_polynomial, mutate_seed
 from gencluster.matrix_mutation import modify, mutate, write_matrix
-from gencluster.quotient_embedding import QuotientContext, phi
+from gencluster.quotient_embedding import QuotientContext
 from gencluster.root_adjoin import rho, tau_tilde, tau_variable
 from gencluster.unfolding import build, double_constant_check, group_mutate
 
@@ -70,10 +70,10 @@ def tour_quotient():
     seed = fixture_seed("FIX-C")
     ctx = QuotientContext.create(seed)
     show("FIX-C folded matrix", write_matrix(ctx.fs.folded.matrix))
-    image = phi(ctx.tracked, 0, ctx.fs)
+    image = ctx.group_image(0)
     show("FIX-C image of x under the embedding", str(image))
     ctx = ctx.mutate(0)
-    image = phi(ctx.tracked, 0, ctx.fs)
+    image = ctx.group_image(0)
     show("FIX-C image of x' after one mutation", str(image))
 
 

@@ -82,10 +82,6 @@ class GroupCoherenceViolation(GenClusterError):
     """Members of one mutation group disagree where they must agree."""
 
 
-class CorrespondenceViolation(GenClusterError):
-    """Two objects that must track the same mutation history do not."""
-
-
 class ParseError(GenClusterError):
     """A text input does not match the documented grammar.
 

@@ -13,7 +13,8 @@ Three pinned fixtures exercise complementary features:
   seed whose quotient embedding is still non-degenerate.
 """
 
-from .gca_seed import CoefficientStrings, GeneralizedSeed, initial_seed
+from .errors import ValidationError
+from .gca_seed import CoefficientStrings, initial_seed
 from .laurent_kernel import VariableTable
 from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
 
@@ -76,7 +77,5 @@ def fixture_seed(name):
     """The named built-in seed (``FIX-A``, ``FIX-B`` or ``FIX-C``)."""
     key = name.strip().upper()
     if key not in _BUILDERS:
-        raise KeyError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
-    seed = _BUILDERS[key]()
-    assert isinstance(seed, GeneralizedSeed)
-    return seed
+        raise ValidationError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    return _BUILDERS[key]()

@@ -37,7 +37,7 @@ reassembling ``theta_k`` from the roots, and the special and balancing
 ``q`` monomials are test oracles in ``tests/test_gca_seed.py``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, Report, ValidationError
 from .laurent_kernel import (
@@ -107,10 +107,6 @@ class CoefficientStrings:
 class GeneralizedSeed:
     """Cluster, exchange matrix, divisors, and coefficient strings.
 
-    ``provenance`` records the mutation directions applied since the
-    seed was built; it is ignored by equality so that round-trip
-    identities compare cleanly.
-
     The constructor checks that the parts fit together: sizes, tables,
     divisor compatibility and the coefficient strings.  Mutation results
     skip those checks (see :func:`_trusted_seed`), because
@@ -126,7 +122,6 @@ class GeneralizedSeed:
     matrix: ExtendedExchangeMatrix
     divisors: DivisorVector
     strings: CoefficientStrings
-    provenance: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         n, m = self.matrix.n, self.matrix.m
@@ -340,7 +335,6 @@ def mutate_seed(seed, k):
         cluster=tuple(new_cluster),
         matrix=mutate(seed.matrix, k),
         strings=CoefficientStrings(tuple(new_rows)),
-        provenance=seed.provenance + (k,),
     )
 
 

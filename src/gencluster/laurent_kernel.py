@@ -206,13 +206,6 @@ class VariableTable:
         groups = tuple(groups) if groups is not None else (None,) * len(names)
         return VariableTable(self.names + names, self.roles + roles, self.groups + groups)
 
-    def renamed(self, old, new):
-        """New table with variable ``old`` renamed to ``new`` in place."""
-        i = self.index(old)
-        names = list(self.names)
-        names[i] = new
-        return VariableTable(tuple(names), self.roles, self.groups)
-
 
 def _same_table(a, b):
     return a is b or a == b

@@ -50,13 +50,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from types import MappingProxyType
 
-from .errors import (
-    CorrespondenceViolation,
-    GroupCoherenceViolation,
-    InexactDivision,
-    Report,
-    ValidationError,
-)
+from .errors import GroupCoherenceViolation, InexactDivision, Report, ValidationError
 from .gca_seed import (
     CoefficientStrings,
     ExchangeContext,
@@ -83,12 +77,7 @@ from .laurent_kernel import (
     poly_sub,
 )
 from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
-from .root_adjoin import (
-    AdjoinedSeed,
-    _fresh_root_name,
-    root_multiplicity,
-    tau_tilde,
-)
+from .root_adjoin import root_multiplicity, root_names, tau_tilde
 from .unfolding import FoldedMatrix, _independent_members, build, group_mutate
 
 
@@ -96,31 +85,14 @@ from .unfolding import FoldedMatrix, _independent_members, build, group_mutate
 # Folded seeds
 
 
-def folded_frozen_names(gca):
-    """Folded names of the original frozen variables.
-
-    Mirrors the renaming performed by root adjunction over the same
-    table, so the folded frozen variables and the adjoined root symbols
-    share their names and the embedding map is the identity on them.
-    """
-    taken = set(gca.table.names)
-    names = []
-    for pos in gca.table.frozen_indices:
-        original = gca.table.names[pos]
-        name = _fresh_root_name(original, taken)
-        taken.discard(original)
-        taken.add(name)
-        names.append(name)
-    return tuple(names)
-
-
 def folded_table(gca):
     """Variable table of the unfolded seed.
 
     Cluster variables ``y1..yT`` (grouped by original direction), the
-    renamed frozen variables, then per group the ``t`` members followed
-    by the ``s`` members, in the same interleaved order as the folded
-    matrix columns.
+    frozen variables renamed to their roots
+    (:func:`~gencluster.root_adjoin.root_names`), then per group the
+    ``t`` members followed by the ``s`` members, in the same interleaved
+    order as the folded matrix columns.
     """
     sizes = gca.divisors.entries
     names, roles, groups = [], [], []
@@ -131,7 +103,7 @@ def folded_table(gca):
             names.append(f"y{flat}")
             roles.append(ROLE_CLUSTER)
             groups.append(i)
-    for name in folded_frozen_names(gca):
+    for name in root_names(gca.table):
         names.append(name)
         roles.append(ROLE_FROZEN)
         groups.append(None)
@@ -152,11 +124,17 @@ def folded_table(gca):
 
 @dataclass(frozen=True)
 class FoldedSeed:
-    """An ordinary seed over the folded table, with group metadata."""
+    """An ordinary seed over the folded table, with group metadata.
+
+    ``parity[k]`` is the number of mutations of group ``k`` so far, mod 2:
+    each one reverses string row ``k`` of the generalized seed, so the
+    parity tells :func:`product_formula_check` which end of the row
+    holds each initial coefficient.
+    """
 
     seed: GeneralizedSeed
     folded: FoldedMatrix
-    group_provenance: tuple = ()
+    parity: tuple
 
     @property
     def table(self):
@@ -187,7 +165,12 @@ def folded_initial_seed(gca, multiplicity=None):
         divisors=divisors,
         strings=CoefficientStrings.trivial(table, divisors),
     )
-    return FoldedSeed(seed=seed, folded=fm, group_provenance=())
+    return FoldedSeed(seed=seed, folded=fm, parity=(0,) * fm.n_groups)
+
+
+def _flip(parity, k):
+    """``parity`` after one more mutation of group ``k``."""
+    return parity[:k] + (1 - parity[k],) + parity[k + 1:]
 
 
 def group_mutate_seed(fs, k):
@@ -202,7 +185,7 @@ def group_mutate_seed(fs, k):
     return FoldedSeed(
         seed=seed,
         folded=replace(fs.folded, matrix=seed.matrix),
-        group_provenance=fs.group_provenance + (k,),
+        parity=_flip(fs.parity, k),
     )
 
 
@@ -545,35 +528,13 @@ class QuotientContext:
         """``prod_c E(x_c)`` over the members ``c`` of group ``k``.
 
         ``E`` is a monomial ring map, so this is ``E(prod_c x_c)``, the
-        class :func:`phi` gives the ``k``-th cluster variable.
+        class the embedding gives the ``k``-th cluster variable.
         """
         members, eliminated = self.fs.members(k), self._eliminated
         for c in members:
             if eliminated[c] is None:
                 eliminated[c] = eliminate_units(self.fs, self.fs.cluster[c])
         return reduce(poly_mul, (eliminated[c] for c in members))
-
-
-# ---------------------------------------------------------------------------
-# The embedding map
-
-
-def phi(gca_seed, k, fs):
-    """Embedding image of the ``k``-th cluster variable, in normal form.
-
-    ``gca_seed`` (a generalized seed or an adjoined seed) and ``fs``
-    must have been reached by corresponding mutation sequences; the
-    image of the ``k``-th cluster variable is the class of the product
-    of its group's folded cluster variables, taken as the product of
-    their unit-eliminated classes (see :meth:`QuotientContext.group_image`).
-    """
-    seed = gca_seed.seed if isinstance(gca_seed, AdjoinedSeed) else gca_seed
-    if tuple(seed.provenance) != tuple(fs.group_provenance):
-        raise CorrespondenceViolation(
-            "generalized and folded seeds have different mutation histories"
-        )
-    seed.check_direction(k)
-    return reduce(poly_mul, (eliminate_units(fs, fs.cluster[c]) for c in fs.members(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +551,9 @@ def product_formula_check(fs, k):
     ``d_k`` is the size of group ``k``.  Each coefficient contributes
     through its defining relation: ``rho_{k,r}`` is the initial
     coefficient at slot ``r`` or ``d_k - r`` (mutation reverses the row
-    once per mutation of the group, so the parity of ``k`` in the folded
-    seed's provenance decides), and the relation identifies that initial
-    coefficient with the balanced sum of the same index.  Returns a
+    once per mutation of the group, so the folded seed's ``parity[k]``
+    decides), and the relation identifies that initial coefficient with
+    the balanced sum of the same index.  Returns a
     :class:`~gencluster.errors.Report`; on failure it carries
     ``(k, residual)`` with the difference of the two normal forms.
 
@@ -620,7 +581,6 @@ def product_formula_check(fs, k):
     g, g_amp, l, l_amp = _packed_sides(
         table, _coherent_row(fs, k), (ROLE_CLUSTER, ROLE_FROZEN)
     )
-    reversed_row = fs.group_provenance.count(k) % 2 == 1
     t_range, s_range = fs.folded.t_range(k), fs.folded.s_range(k)
     terms = {}
     get = terms.get
@@ -630,7 +590,7 @@ def product_formula_check(fs, k):
         # sigma: each bound is the larger of the two parts' bounds.
         shell_amp = _amplitude((r * g_amp, (d_k - r) * l_amp))
         sigma = _eliminated_sigma(
-            table, t_range, s_range, d_k - r if reversed_row else r, 1
+            table, t_range, s_range, d_k - r if fs.parity[k] else r, 1
         )
         shift = r * g + (d_k - r) * l
         for key, coeff in sigma._keys.items():
@@ -655,15 +615,15 @@ def product_formula_walk(gca, mode="total"):
     ``F`` columns carry the root multiplicity of ``mode``
     (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fs)``
     returns ``(k, residual)`` for every failing group.  The key is the
-    folded matrix and the parity of each group in the provenance, the
-    one fact of the history that :func:`product_formula_check` reads.
+    folded matrix and the groups' parities, the one fact about the path
+    to a state that :func:`product_formula_check` reads.
     """
     def step(fs, k):
         fm = group_mutate(fs.folded, k)
         return FoldedSeed(
             seed=_trusted_seed(fs.seed, matrix=fm.matrix),
             folded=fm,
-            group_provenance=fs.group_provenance + (k,),
+            parity=_flip(fs.parity, k),
         )
 
     def check(fs):
@@ -673,12 +633,8 @@ def product_formula_walk(gca, mode="total"):
             for failure in product_formula_check(fs, k).failures
         )
 
-    def key(fs):
-        parity = tuple(fs.group_provenance.count(k) % 2 for k in range(gca.rank))
-        return fs.folded.matrix.rows, parity
-
     root = folded_initial_seed(gca, root_multiplicity(gca, mode))
-    return root, step, check, key
+    return root, step, check, lambda fs: (fs.folded.matrix.rows, fs.parity)
 
 
 def _walk_one(walk, sequence):
@@ -714,8 +670,8 @@ def embedding_walk(gca, mode="total"):
     failures of :func:`embedding_check` at that state.  The key is the
     content of both tracks' seeds; everything else in a context is a
     walk constant or, like the eliminated cluster entries, a function of
-    the folded seed.  The two tracks' histories agree because
-    :meth:`~QuotientContext.mutate` extends both.
+    the folded seed.  The two tracks correspond because
+    :meth:`~QuotientContext.mutate` advances both.
     """
     return (
         QuotientContext.create(gca, mode=mode),
@@ -829,8 +785,7 @@ def subquotient_check(gca, mode="total"):
     failures = []
     n = adjoined.multiplicity
     root_map = adjoined.root_map()
-    folded_names = folded_frozen_names(gca)
-    for pos, name in zip(gca.table.frozen_indices, folded_names):
+    for pos, name in zip(gca.table.frozen_indices, root_names(gca.table)):
         original = gca.table.names[pos]
         image = root_map[original]
         support = [
@@ -850,6 +805,6 @@ def subquotient_check(gca, mode="total"):
             failures.append(("frozen image", original, str(lifted)))
     for k in range(gca.rank):
         image = ctx.phi_poly(ctx.tracked.cluster[k])
-        if image != phi(ctx.tracked, k, ctx.fs):
+        if image != ctx.group_image(k):
             failures.append(("cluster image", k, str(image)))
     return Report(ok=not failures, failures=tuple(failures))

@@ -30,19 +30,11 @@ from .laurent_kernel import VariableTable
 from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
 
 
-def random_seed(
-    rng,
-    max_rank=3,
-    max_frozen=2,
-    max_divisor=3,
-    max_entry=4,
-    with_strings=True,
-):
+def random_seed(rng, max_rank=3, max_frozen=2, max_divisor=3, max_entry=4):
     """Draw a valid generalized seed within the documented bounds.
 
     ``rng`` is a :class:`random.Random`.  Entries of the returned matrix
-    are bounded by ``max_entry`` in absolute value; string exponents by
-    2.  ``with_strings=False`` forces trivial coefficient strings.
+    are bounded by ``max_entry`` in absolute value; string exponents by 2.
     """
     n = rng.randint(1, max_rank)
     m = rng.randint(0, max_frozen)
@@ -71,7 +63,7 @@ def random_seed(
     cluster_names = tuple(f"x{i + 1}" for i in range(n))
     frozen_names = tuple(f"f{l + 1}" for l in range(m))
     strings = None
-    if with_strings and m:
+    if m:
         table = VariableTable.make(cluster=cluster_names, frozen=frozen_names)
         string_rows = []
         for i in range(n):

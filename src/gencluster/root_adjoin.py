@@ -1,26 +1,26 @@
 """Adjoining roots of frozen variables to remove floors from exchange data.
 
-``adjoin_root(seed, j, n)`` replaces the frozen variable ``f_j`` by a
-fresh symbol ``g`` with ``f_j = g^n``: the slack column of ``j`` is
-multiplied by ``n``, cluster entries are transported by the substitution
-``f_j -> g^n``, and every string entry picks up a correction power of
-``g`` — the defect ``n*floor(r*b/d_k) - floor(n*r*b/d_k)`` (with ``b``
-the pre-adjunction scaled entry of column ``j`` in row ``k``) that makes
-the transported exchange relations match term by term.  The
-:func:`transport_check` verifier asserts exactly that, along any
-mutation sequence.
+``tau_tilde(seed, mode)`` adjoins an ``n``-th root of every frozen
+variable, with one common multiplicity ``n`` (the product of the
+divisors by default, their least common multiple optionally): each
+``f_j`` is renamed to a fresh symbol ``g_j`` (:func:`root_names`) with
+``f_j = g_j^n``, every frozen column is multiplied by ``n``, cluster
+entries are transported by the substitution ``f_j -> g_j^n``, and every
+string entry picks up a correction power of each ``g_j`` — the defect
+``n*floor(r*b/d_k) - floor(n*r*b/d_k)`` (with ``b`` the pre-adjunction
+scaled entry of column ``j`` in row ``k``) that makes the transported
+exchange relations match term by term.  The :func:`transport_check`
+verifier asserts exactly that, along any mutation sequence.
 
-``tau_tilde`` composes one adjunction per frozen column, all with the
-same multiplicity (the product of the divisors by default, their least
-common multiple optionally).  The result is *floor-free*: every scaled
-entry of a frozen column is divisible by the row divisor, so each
-exchange polynomial becomes homogeneous in the sense checked by
-:func:`homogeneity_check`: it collapses to a polynomial in a single
-carrier monomial (the tau-variable) with monomial coefficients — the
-generalized coefficient table returned by :func:`rho`.
+The result is *floor-free*: every scaled entry of a frozen column is
+divisible by the row divisor, so each exchange polynomial becomes
+homogeneous in the sense checked by :func:`homogeneity_check`: it
+collapses to a polynomial in a single carrier monomial (the
+tau-variable) with monomial coefficients — the generalized coefficient
+table returned by :func:`rho`.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import lcm
 from operator import add, sub
 
@@ -33,131 +33,70 @@ from .gca_seed import (
     floor_defect,
     mutate_seed_sequence,
 )
-from .laurent_kernel import Monomial, ROLE_FROZEN, _amplitude, poly_map_variables
+from .laurent_kernel import Monomial, VariableTable, _amplitude, poly_map_variables
 from .matrix_mutation import ExtendedExchangeMatrix
 
 
 @dataclass(frozen=True)
 class AdjoinedSeed:
-    """A seed together with the record of root adjunctions that built it.
+    """A seed with a root of every frozen variable adjoined.
 
-    ``base`` is the original seed, ``seed`` the current one; ``steps``
-    lists ``(old_name, multiplicity, root_name)`` in application order.
-    ``multiplicity`` is the common multiplicity of every frozen column
-    when :func:`tau_tilde` built the seed, else ``None``.
+    ``base`` is the original seed, ``seed`` the adjoined one, and
+    ``multiplicity`` the common multiplicity ``n`` of every root:
+    each base frozen variable ``f_j`` is ``g_j^n``.
     """
 
     base: GeneralizedSeed
     seed: GeneralizedSeed
-    steps: tuple
-    multiplicity: int = None
+    multiplicity: int
 
     @property
     def table(self):
         return self.seed.table
 
-    @property
-    def divisors(self):
-        return self.seed.divisors
-
     def root_map(self):
-        """Images of the base frozen variables in the current table.
+        """``{base_frozen_name: g^n}``, each root power over the current table.
 
-        Returns ``{base_frozen_name: Monomial}``; names never adjoined
-        map to themselves.  Adjunctions rename in place, so positions
-        are stable and each step scales one exponent coordinate.
+        Roots are named in place, so a frozen variable's root sits at
+        its position.
         """
-        width = len(self.base.table)
-        images = {}
-        for pos in self.base.table.frozen_indices:
-            exps = [0] * width
-            exps[pos] = 1
-            images[self.base.table.names[pos]] = exps
-        positions = {name: i for i, name in enumerate(self.base.table.names)}
-        for old, n, root in self.steps:
-            pos = positions.pop(old)
-            positions[root] = pos
-            for exps in images.values():
-                exps[pos] *= n
-        return {
-            name: Monomial(self.seed.table, tuple(exps))
-            for name, exps in images.items()
-        }
+        return _root_powers(self.base.table, self.seed.table, self.multiplicity)
 
 
-def _fresh_root_name(name, taken):
-    candidate = name.upper()
-    while candidate == name or candidate in taken:
-        candidate += "_R"
-    return candidate
+def _root_powers(base, table, n):
+    """``{name: g^n}`` over ``table`` for each frozen name of ``base``.
 
-
-def adjoin_root(seed, j, n, root_name=None):
-    """Adjoin an ``n``-th root of the frozen variable named ``j``.
-
-    ``seed`` may be a :class:`~gencluster.gca_seed.GeneralizedSeed` or an
-    :class:`AdjoinedSeed` (adjunctions compose).  Returns an
-    :class:`AdjoinedSeed`.
+    ``g`` is the variable of ``table`` at the name's position.
     """
-    if isinstance(seed, AdjoinedSeed):
-        base, current, steps = seed.base, seed.seed, seed.steps
-    else:
-        base, current, steps = seed, seed, ()
-    n = int(n)
-    if n < 1:
-        raise ValidationError("root multiplicity must be a positive integer")
-    table = current.table
-    pos = table.index(j)
-    if table.roles[pos] != ROLE_FROZEN:
-        raise ValidationError(f"{j!r} is not a frozen variable")
-    if root_name is None:
-        root_name = _fresh_root_name(j, set(table.names))
-    elif root_name in table.names:
-        raise ValidationError(f"root name {root_name!r} is already taken")
-    new_table = table.renamed(j, root_name)
-    root_power = new_table.monomial({root_name: n})
+    width = len(table)
+    images = {}
+    for pos in base.frozen_indices:
+        exps = [0] * width
+        exps[pos] = n
+        images[base.names[pos]] = Monomial(table, tuple(exps))
+    return images
 
-    d = current.divisors
-    new_rows = tuple(
-        tuple(e * n if col == pos else e for col, e in enumerate(row))
-        for row in current.matrix.rows
-    )
-    # Only a frozen column is scaled: the principal part keeps its symmetrizer.
-    new_matrix = ExtendedExchangeMatrix(
-        current.matrix.n, current.matrix.m, new_rows,
-        _symmetrizer=current.matrix._symmetrizer,
-    )
 
-    new_cluster = tuple(
-        poly_map_variables(entry, {j: root_power}, new_table)
-        for entry in current.cluster
-    )
+def root_names(table):
+    """Names of the roots of the frozen variables of ``table``, in table order.
 
-    new_string_rows = []
-    for k in range(current.rank):
-        d_k = d[k]
-        b = current.scaled_row(k)[pos]
-        row = []
-        for r, p in enumerate(current.strings.row(k)):
-            # The image of ``p`` under ``f_j -> g^n``, bounded like a
-            # transported polynomial, times the correction ``g^defect``.
-            _amplitude(p.exponents)
-            image = list(p.exponents)
-            image[pos] *= n
-            _amplitude(image)
-            image[pos] += floor_defect(n, r, b, d_k)
-            row.append(Monomial(new_table, tuple(image)))
-        new_string_rows.append(tuple(row))
-
-    new_seed = GeneralizedSeed(
-        table=new_table,
-        cluster=new_cluster,
-        matrix=new_matrix,
-        divisors=current.divisors,
-        strings=CoefficientStrings(tuple(new_string_rows)),
-        provenance=current.provenance,
-    )
-    return AdjoinedSeed(base=base, seed=new_seed, steps=steps + ((j, n, root_name),))
+    A root takes its variable's name in upper case, extended by ``_R``
+    while it equals that name or a name in use; each variable's name
+    frees up once its root is named.  Root adjunction and the folded
+    table both name their roots here, so the embedding map is the
+    identity on them.
+    """
+    taken = set(table.names)
+    names = []
+    for pos in table.frozen_indices:
+        original = table.names[pos]
+        name = original.upper()
+        while name == original or name in taken:
+            name += "_R"
+        taken.discard(original)
+        taken.add(name)
+        names.append(name)
+    return tuple(names)
 
 
 def root_multiplicity(seed, mode):
@@ -175,19 +114,64 @@ def root_multiplicity(seed, mode):
 
 
 def tau_tilde(seed, mode="total"):
-    """Adjoin one root per frozen column, all with the same multiplicity.
+    """Adjoin an ``n``-th root of every frozen variable, as the module describes.
 
-    The multiplicity is :func:`root_multiplicity` of ``mode``.  Columns
-    are processed in table order; the result does not depend on the
-    order, which the tests assert.
+    ``n`` is :func:`root_multiplicity` of ``mode``.  Each column's floor
+    defect reads only its own entry, so one pass equals adjoining the
+    roots one column at a time, in any order.
     """
     if isinstance(seed, AdjoinedSeed):
         raise ValidationError("tau_tilde starts from an unadjoined seed")
     n = root_multiplicity(seed, mode)
-    out = AdjoinedSeed(base=seed, seed=seed, steps=())
-    for pos in seed.table.frozen_indices:
-        out = adjoin_root(out, seed.table.names[pos], n)
-    return replace(out, multiplicity=n)
+    table = seed.table
+    frozen = table.frozen_indices
+    names = list(table.names)
+    for pos, name in zip(frozen, root_names(table)):
+        names[pos] = name
+    new_table = VariableTable(tuple(names), table.roles, table.groups)
+
+    scaled = set(frozen)
+    new_rows = tuple(
+        tuple(e * n if col in scaled else e for col, e in enumerate(row))
+        for row in seed.matrix.rows
+    )
+    # Only frozen columns are scaled: the principal part keeps its symmetrizer.
+    new_matrix = ExtendedExchangeMatrix(
+        seed.matrix.n, seed.matrix.m, new_rows,
+        _symmetrizer=seed.matrix._symmetrizer,
+    )
+
+    mapping = _root_powers(table, new_table, n)
+    new_cluster = tuple(
+        poly_map_variables(entry, mapping, new_table) for entry in seed.cluster
+    )
+
+    new_string_rows = []
+    for k in range(seed.rank):
+        d_k = seed.divisors[k]
+        row_k = seed.scaled_row(k)
+        row = []
+        for r, p in enumerate(seed.strings.row(k)):
+            # The image of ``p`` under ``f_j -> g_j^n``, bounded like a
+            # transported polynomial, times the corrections ``g_j^defect``.
+            _amplitude(p.exponents)
+            image = list(p.exponents)
+            for pos in frozen:
+                image[pos] *= n
+            _amplitude(image)
+            for pos in frozen:
+                image[pos] += floor_defect(n, r, row_k[pos], d_k)
+            row.append(Monomial(new_table, tuple(image)))
+        new_string_rows.append(tuple(row))
+
+    new_seed = GeneralizedSeed(
+        table=new_table,
+        cluster=new_cluster,
+        matrix=new_matrix,
+        divisors=seed.divisors,
+        strings=CoefficientStrings(tuple(new_string_rows)),
+    )
+    return AdjoinedSeed(base=seed, seed=new_seed, multiplicity=n)
 
 
 def transport_check(base, adjoined, sequence=()):

@@ -5,7 +5,6 @@ import io
 import json
 import random
 from dataclasses import replace
-from importlib import resources
 from itertools import product
 from unittest.mock import Mock
 
@@ -115,15 +114,9 @@ class TestSeedFiles:
             assert parse_seed_text(text) == seed
             assert _seed_text(parse_seed_text(text)) == text
 
-    def test_bundled_files_match_fixtures(self):
-        data = resources.files("gencluster") / "data"
-        for name, stem in (
-            ("FIX-A", "fix_a"),
-            ("FIX-B", "fix_b"),
-            ("FIX-C", "fix_c"),
-        ):
-            text = (data / f"{stem}.seed").read_text(encoding="utf-8")
-            assert parse_seed_text(text) == fixture_seed(name)
+    def test_unknown_fixture_is_a_library_error(self):
+        with pytest.raises(ValidationError, match="unknown fixture 'FIX-Z'"):
+            fixture_seed("FIX-Z")
 
     def test_write_and_parse_file(self, tmp_path, fix_b):
         path = tmp_path / "b.seed"
@@ -454,7 +447,7 @@ def product_formula_prefix(seed, prefix):
     return FoldedSeed(
         seed=replace(initial.seed, matrix=fm.matrix),
         folded=fm,
-        group_provenance=prefix,
+        parity=tuple(prefix.count(k) % 2 for k in range(fm.n_groups)),
     )
 
 
@@ -607,15 +600,13 @@ def parity_naming_check(threshold):
     """Synthetic product-formula check that names the group's parity.
 
     It fails group ``k`` when the row sum of its first member exceeds
-    ``threshold``, and its failure text holds the parity of ``k`` in the
-    provenance, so a walk that shares a state across parities changes
-    the records.
+    ``threshold``, and its failure text holds the parity of ``k``, so a
+    walk that shares a state across parities changes the records.
     """
     def pf_check(fs, k):
         row = fs.folded.matrix.rows[fs.folded.group_range(k)[0]]
-        parity = fs.group_provenance.count(k) % 2
         bad = sum(row) > threshold
-        failures = ((k, f"{row} parity {parity}"),) if bad else ()
+        failures = ((k, f"{row} parity {fs.parity[k]}"),) if bad else ()
         return Report(ok=not bad, failures=failures)
 
     return pf_check
@@ -767,9 +758,10 @@ class TestWalker:
         self, monkeypatch, target
     ):
         # After group 1 the check raises, and so does the next mutation.
+        # Within depth 2 no other prefix reaches that folded matrix.
         fix_b = fixture_seed("FIX-B")
+        after_1 = group_mutate(build(fix_b), 0)
         if target == "product-formula":
-            after_1 = group_mutate(build(fix_b), 0)
 
             def step(fm, k):
                 if fm == after_1:
@@ -777,7 +769,7 @@ class TestWalker:
                 return group_mutate(fm, k)
 
             def check(fs, k):
-                if fs.group_provenance == (0,):
+                if fs.folded == after_1:
                     raise StructureViolation("shallow check")
                 return product_formula_check(fs, k)
 
@@ -788,12 +780,12 @@ class TestWalker:
             mutate = QuotientContext.mutate
 
             def step(ctx, k):
-                if ctx.fs.group_provenance == (0,):
+                if ctx.fs.folded == after_1:
                     raise StructureViolation("deep mutation")
                 return mutate(ctx, k)
 
             def check(ctx):
-                if ctx.fs.group_provenance == (0,):
+                if ctx.fs.folded == after_1:
                     raise StructureViolation("shallow check")
                 return _embedding_conditions_at(ctx)
 
@@ -815,8 +807,11 @@ class TestWalker:
     def test_unexpected_exception_fails_its_case_only(self, monkeypatch):
         # A check that is not a library error, raised after direction 2
         # only: those cases fail with its text, the others still pass.
+        # Within depth 2 no other prefix reaches that folded matrix.
+        after_2 = group_mutate(build(fixture_seed("FIX-B")), 1)
+
         def check(fs, k):
-            if fs.group_provenance[:1] == (1,):
+            if fs.folded == after_2:
                 raise RuntimeError("synthetic fault")
             return product_formula_check(fs, k)
 

@@ -267,7 +267,6 @@ class TestExchangePolynomials:
             "x^-1*y^3*b^2 + x^-1*y^2*a*b*p2x + x^-1*y*a^2*p1x + x^-1*a^4",
             fix_b.table,
         )
-        assert mutated.provenance == (0,)
 
     def test_classical_rule_is_binomial(self, rng):
         for _ in range(30):
@@ -337,7 +336,6 @@ class TestMutation:
             for k in range(seed.matrix.n):
                 back = mutate_seed(mutate_seed(seed, k), k)
                 assert back == seed
-                assert back.provenance == (k, k)
 
     def test_strings_reverse_in_the_mutated_row(self, fix_b):
         mutated = mutate_seed(fix_b, 0)
@@ -370,7 +368,6 @@ def assert_seed_valid_as_built(seed):
         matrix=ExtendedExchangeMatrix(matrix.n, matrix.m, matrix.rows),
         divisors=seed.divisors,
         strings=seed.strings,
-        provenance=seed.provenance,
     )
     assert type(seed) is GeneralizedSeed
     assert rebuilt == seed
@@ -403,7 +400,6 @@ class TestTrustedSeeds:
                 for k in sequence:
                     current = mutate_seed(current, k)
                     assert_seed_valid_as_built(current)
-                assert current.provenance == seed.provenance + sequence
 
 
 class TestRootForm:

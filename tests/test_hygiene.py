@@ -58,8 +58,6 @@ UNUSED_ON_PURPOSE = {
     "constant": "kernel constructor beside LaurentPolynomial.zero and .one",
     "parse_matrix": "reads back the text form write_matrix prints",
     "scaled_matrix": "the whole divisor-scaled matrix; the library reads one row at a time",
-    "transport_check": "the root-adjunction transport statement, a documented check",
-    "unfolding_conditions_check": "the unfolding's column conditions, a documented check",
 }
 
 

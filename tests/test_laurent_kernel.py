@@ -232,11 +232,6 @@ class TestTables:
         assert SMALL_TABLE.cluster_indices == (0, 1)
         assert SMALL_TABLE.frozen_indices == (2,)
 
-    def test_renamed_preserves_structure(self):
-        renamed = SMALL_TABLE.renamed("f", "F")
-        assert renamed.names == ("x", "y", "F")
-        assert renamed.roles == SMALL_TABLE.roles
-
     def test_extended_appends(self):
         bigger = SMALL_TABLE.extended(("g",), (ROLE_FROZEN,))
         assert bigger.names == ("x", "y", "f", "g")

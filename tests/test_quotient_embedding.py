@@ -12,7 +12,6 @@ import pytest
 from conftest import mono_over, mono_power, mono_times, poly_mul_monomial, poly_sum
 from gencluster.cli_io import parse_seed_text
 from gencluster.errors import (
-    CorrespondenceViolation,
     ExponentOverflow,
     GroupCoherenceViolation,
     IndexOutOfRange,
@@ -22,7 +21,12 @@ from gencluster.errors import (
     ValidationError,
 )
 from gencluster.fixtures import fixture_seed
-from gencluster.gca_seed import ExchangeContext, _trusted_seed, mutate_seed
+from gencluster.gca_seed import (
+    ExchangeContext,
+    _trusted_seed,
+    initial_seed,
+    mutate_seed,
+)
 from gencluster.laurent_kernel import (
     EXPONENT_LIMIT,
     LaurentPolynomial,
@@ -31,6 +35,7 @@ from gencluster.laurent_kernel import (
     ROLE_FROZEN,
     ROLE_S,
     ROLE_T,
+    VariableTable,
     poly_add,
     poly_map_variables,
     poly_mul,
@@ -47,11 +52,9 @@ from gencluster.quotient_embedding import (
     _embedding_conditions_at,
     eliminate_units,
     embedding_check,
-    folded_frozen_names,
     folded_initial_seed,
     folded_table,
     group_mutate_seed,
-    phi,
     product_formula_check,
     product_formula_suite,
     product_formula_walk,
@@ -59,7 +62,7 @@ from gencluster.quotient_embedding import (
     unit_elimination_map,
 )
 from gencluster.randomgen import random_seed, random_sequence
-from gencluster.root_adjoin import AdjoinedSeed, tau_tilde
+from gencluster.root_adjoin import root_names, tau_tilde
 from gencluster.unfolding import FoldedMatrix, group_mutate
 
 FIX_C_PHI_X = "y1*y2"
@@ -162,12 +165,11 @@ def oracle_product_formula_check(fs, k):
         lt = Monomial(table, tuple(max(-v, 0) for v in row))
         lhs = poly_mul(lhs, poly_add(gt.as_polynomial(), lt.as_polynomial()))
     gm = group_monomials(fs, k)
-    reversed_row = fs.group_provenance.count(k) % 2 == 1
     gt_base = mono_times(gm.u_gt, gm.v_gt)
     lt_base = mono_times(gm.u_lt, gm.v_lt)
     rhs = poly_sum(table, (
         poly_mul_monomial(
-            sigma_polynomial(fs, k, d_k - r if reversed_row else r),
+            sigma_polynomial(fs, k, d_k - r if fs.parity[k] else r),
             mono_times(mono_power(gt_base, r), mono_power(lt_base, d_k - r)),
         )
         for r in range(d_k + 1)
@@ -360,7 +362,7 @@ def tampered(fs, row, col, delta):
             group_sizes=fs.folded.group_sizes,
             m_original=fs.folded.m_original,
         ),
-        group_provenance=fs.group_provenance,
+        parity=fs.parity,
     )
 
 
@@ -410,18 +412,6 @@ def shared_factor_seeds():
     ]
 
 
-def advance(adjoined, fs, k):
-    """Mutate the adjoined seed and the folded seed in lock step."""
-    return (
-        AdjoinedSeed(
-            base=adjoined.base,
-            seed=mutate_seed(adjoined.seed, k),
-            steps=adjoined.steps,
-        ),
-        group_mutate_seed(fs, k),
-    )
-
-
 class TestFoldedSeed:
     def test_table_layout(self, fix_c):
         table = folded_table(fix_c)
@@ -438,13 +428,23 @@ class TestFoldedSeed:
         assert table.groups == (0, 0, None, 0, 0, 0, 0)
 
     def test_frozen_names_match_root_symbols(self, fix_a, fix_b):
-        assert folded_frozen_names(fix_a) == ("F1", "F2")
-        adjoined_names = [root for _, _, root in tau_tilde(fix_b).steps]
-        assert list(folded_frozen_names(fix_b)) == adjoined_names
+        assert root_names(fix_a.table) == ("F1", "F2")
+        # A root name in use, or equal to its variable's, moves on.
+        clash = initial_seed(
+            ExtendedExchangeMatrix.from_rows([[0, 1, 1, 1]], m=3),
+            (1,),
+            frozen_names=("f", "F", "F_R"),
+        )
+        assert root_names(clash.table) == ("F_R_R", "F_R_R_R", "F_R_R_R_R")
+        for seed in (fix_a, fix_b, clash):
+            adjoined, folded = tau_tilde(seed).table, folded_table(seed)
+            assert [adjoined.names[p] for p in adjoined.frozen_indices] == [
+                folded.names[p] for p in folded.frozen_indices
+            ]
 
     def test_initial_seed_shape(self, fix_a):
         fs = folded_initial_seed(fix_a)
-        assert fs.group_provenance == ()
+        assert fs.parity == (0, 0)
         assert list(fs.members(0)) == [0, 1]
         assert list(fs.members(1)) == [2, 3, 4]
         assert fs.seed.matrix == fs.folded.matrix
@@ -452,7 +452,8 @@ class TestFoldedSeed:
 
     def test_group_mutation_tracks_matrix(self, fix_a):
         fs = group_mutate_seed(folded_initial_seed(fix_a), 0)
-        assert fs.group_provenance == (0,)
+        assert fs.parity == (1, 0)
+        assert group_mutate_seed(fs, 0).parity == (0, 0)
         assert fs.seed.matrix == fs.folded.matrix
 
     def test_group_mutation_matches_unfolding(self, fix_a, fix_b):
@@ -473,7 +474,9 @@ class TestFoldedSeed:
         )
         interacting = FoldedMatrix(matrix=matrix, group_sizes=(2,), m_original=0)
         with pytest.raises(StructureViolation):
-            group_mutate_seed(FoldedSeed(seed=fs.seed, folded=interacting), 0)
+            group_mutate_seed(
+                FoldedSeed(seed=fs.seed, folded=interacting, parity=fs.parity), 0
+            )
 
     def test_group_monomials(self, fix_a):
         fs = folded_initial_seed(fix_a)
@@ -500,7 +503,7 @@ class TestFoldedSeed:
             group_sizes=fs.folded.group_sizes,
             m_original=fs.folded.m_original,
         )
-        broken = FoldedSeed(seed=fs.seed, folded=corrupted)
+        broken = FoldedSeed(seed=fs.seed, folded=corrupted, parity=fs.parity)
         with pytest.raises(GroupCoherenceViolation):
             group_monomials(broken, 0)
 
@@ -608,19 +611,12 @@ class TestSigmaAndUnits:
 
 class TestEmbeddingMap:
     def test_initial_image(self, fix_c):
-        adjoined = tau_tilde(fix_c)
-        fs = folded_initial_seed(fix_c)
-        assert str(phi(adjoined, 0, fs)) == FIX_C_PHI_X
+        ctx = QuotientContext.create(fix_c)
+        assert str(ctx.group_image(0)) == FIX_C_PHI_X
 
     def test_image_after_mutation(self, fix_c):
-        adjoined, fs = advance(tau_tilde(fix_c), folded_initial_seed(fix_c), 0)
-        assert str(phi(adjoined, 0, fs)) == FIX_C_PHI_X_MUTATED
-
-    def test_history_mismatch_rejected(self, fix_c):
-        adjoined = tau_tilde(fix_c)
-        fs = group_mutate_seed(folded_initial_seed(fix_c), 0)
-        with pytest.raises(CorrespondenceViolation):
-            phi(adjoined, 0, fs)
+        ctx = QuotientContext.create(fix_c).mutate(0)
+        assert str(ctx.group_image(0)) == FIX_C_PHI_X_MUTATED
 
     def test_tracked_seed_specializes_to_concrete(self, fix_a, fix_b, fix_c, rng):
         # The concrete root-adjoined seed is mutated here on its own; the
@@ -705,7 +701,7 @@ class TestProductFormula:
             for fs in product_formula_states(seed, mode, sequences):
                 for k in range(seed.rank):
                     report = product_formula_check(fs, k)
-                    assert report.ok, (seed.divisors, fs.group_provenance, k)
+                    assert report.ok, (seed.divisors, fs.parity, k)
                     assert report == oracle_product_formula_check(fs, k)
 
     def test_tampered_auxiliary_entry_fails_alike(self, fix_a, fix_b, fix_c):
@@ -846,7 +842,11 @@ class TestEmbeddingAndSubquotient:
         ctx = QuotientContext.create(fix_c)
         # A tracked variable named like an auxiliary variable would lift
         # onto it, and phi_poly no longer eliminates the units.
-        renamed = _trusted_seed(ctx.tracked, table=ctx.tracked.table.renamed("F", "t1"))
+        table = ctx.tracked.table
+        names = tuple("t1" if name == "F" else name for name in table.names)
+        renamed = _trusted_seed(
+            ctx.tracked, table=VariableTable(names, table.roles, table.groups)
+        )
         with pytest.raises(ValidationError, match="auxiliary"):
             QuotientContext(renamed, ctx.fs, ctx.rho_values)
         # A nonzero placeholder column would put a placeholder into the

@@ -9,6 +9,7 @@ from conftest import cluster_side, poly_mul_monomial
 from gencluster import gca_seed
 from gencluster.errors import HomogeneityFailure, ValidationError
 from gencluster.gca_seed import (
+    CoefficientStrings,
     ExchangeContext,
     GeneralizedSeed,
     exchange_polynomial,
@@ -18,8 +19,10 @@ from gencluster.gca_seed import (
     root_formula_check,
 )
 from gencluster.laurent_kernel import (
+    EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
+    VariableTable,
     poly_add,
     poly_mul,
     poly_pow,
@@ -27,7 +30,6 @@ from gencluster.laurent_kernel import (
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, mutate_sequence
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import (
-    adjoin_root,
     homogeneity_check,
     rho,
     tau_tilde,
@@ -122,15 +124,30 @@ class TestTauTilde:
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
         assert digest == RANDOM_ADJOINED_SHA256
 
+    def test_correction_at_the_exponent_limit(self):
+        # 3 * e is one below the limit and the correction adds -1, which
+        # the adjoined row's box takes back: the coefficient of theta is
+        # below the limit, whichever frozen column carries the exponent.
+        e = -(EXPONENT_LIMIT - 1) // 3
+        table = VariableTable.make(cluster=("x",), frozen=("f", "g"))
+        matrix = ExtendedExchangeMatrix.from_rows([[0, 1, 1]], m=2)
+        for name in ("f", "g"):
+            middle = table.monomial({name: e})
+            strings = CoefficientStrings(((table.one(), middle, table.one(), table.one()),))
+            seed = initial_seed(
+                matrix, (3,), strings=strings,
+                cluster_names=("x",), frozen_names=("f", "g"),
+            )
+            adjoined = tau_tilde(seed).seed
+            assert min(adjoined.strings.entry(0, 1).exponents) == -EXPONENT_LIMIT
+            ctx = ExchangeContext.build(adjoined, 0)
+            assert min(ctx.coefficient(1)) == 1 - EXPONENT_LIMIT
+            assert exchange_polynomial(adjoined, 0).terms
+
     def test_adjoining_twice_rejected(self, fix_c):
         adjoined = tau_tilde(fix_c)
         with pytest.raises(ValidationError):
             tau_tilde(adjoined)
-
-    def test_adjoin_order_irrelevant(self, fix_a):
-        ab = adjoin_root(adjoin_root(fix_a, "f1", 6), "f2", 6)
-        ba = adjoin_root(adjoin_root(fix_a, "f2", 6), "f1", 6)
-        assert ab.seed == ba.seed
 
 
 class TestFloorStructure:
@@ -246,13 +263,6 @@ class TestTransport:
             adjoined = tau_tilde(seed)
             sequence = random_sequence(rng, seed.matrix.n, 4)
             report = transport_check(seed, adjoined, sequence)
-            assert report.ok, report.failures
-
-    def test_single_root_transport(self, fix_b, rng):
-        adjoined = adjoin_root(fix_b, "a", 6)
-        for _ in range(20):
-            sequence = random_sequence(rng, fix_b.matrix.n, 3)
-            report = transport_check(fix_b, adjoined, sequence)
             assert report.ok, report.failures
 
     def test_slack_scaling_commutes(self, fix_a, rng):
