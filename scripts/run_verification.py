@@ -26,7 +26,12 @@ from gencluster.quotient_embedding import (
     subquotient_check,
 )
 from gencluster.randomgen import random_seed, random_sequence
-from gencluster.root_adjoin import homogeneity_check, tau_tilde, transport_check
+from gencluster.root_adjoin import (
+    AdjoinedSeed,
+    homogeneity_check,
+    tau_tilde,
+    transport_check,
+)
 from gencluster.unfolding import (
     build,
     double_constant_check,
@@ -120,12 +125,14 @@ def suite_root_homogeneity(rng, cases, depth):
         seed = random_seed(rng)
         adjoined = tau_tilde(seed)
         sequence = random_sequence(rng, seed.matrix.n, depth)
-        report = transport_check(seed, adjoined, sequence)
+        # Each seed is walked once; the check runs on the final pair.
+        t = mutate_seed_sequence(seed, sequence)
+        t_bar = mutate_seed_sequence(adjoined.seed, sequence)
+        report = transport_check(t, AdjoinedSeed(t, t_bar, adjoined.multiplicity))
         assert report.ok, (sequence, report.failures)
-        current = mutate_seed_sequence(adjoined.seed, sequence)
         for k in range(seed.matrix.n):
-            assert root_formula_check(current, k).ok
-            homogeneity_check(current, k)
+            assert root_formula_check(t_bar, k).ok
+            homogeneity_check(t_bar, k)
 
 
 def main():

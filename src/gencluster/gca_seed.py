@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, Report, ValidationError
 from .laurent_kernel import (
-    LaurentPolynomial,
     Monomial,
     ROLE_CLUSTER,
     VariableTable,
@@ -237,13 +236,20 @@ class ExchangeContext:
 
     @staticmethod
     def build(seed, k):
+        """The context of direction ``k``; raises IndexOutOfRange.
+
+        Like :func:`_trusted_seed`, it fills the fields without the
+        frozen dataclass's ``__init__``, which sets each one through
+        ``object.__setattr__``; the result equals the constructor's.
+        """
         seed.check_direction(k)
         d_k = seed.divisors[k]
         bhat_row = seed.scaled_row(k)
         n = seed.rank
         cluster, frozen = bhat_row[:n], bhat_row[n:]
         pad, zeros = (0,) * n, (0,) * len(frozen)
-        return ExchangeContext(
+        out = object.__new__(ExchangeContext)
+        out.__dict__.update(
             seed=seed,
             k=k,
             degree=d_k,
@@ -260,6 +266,7 @@ class ExchangeContext:
             ]),
             strings=seed.strings.row(k),
         )
+        return out
 
     def coefficient(self, r):
         """Exponents of the frozen coefficient ``p_{k,r} * v>[r] * v<[d-r]``."""
@@ -271,14 +278,28 @@ class ExchangeContext:
 
 
 def _cluster_power(seed, exponents):
-    """Product of current cluster entries raised to table-slot exponents."""
+    """Product of current cluster entries raised to table-slot exponents.
+
+    ``None`` when no cluster exponent is nonzero: the power is 1, and
+    callers leave an absent factor out instead of multiplying by it.
+    """
     out = None
     for i in seed.table.cluster_indices:
         e = exponents[i]
         if e:
             factor = poly_pow(seed.cluster[i], e)
             out = factor if out is None else poly_mul(out, factor)
-    return LaurentPolynomial.one(seed.table) if out is None else out
+    return out
+
+
+def _ladder(base, d):
+    """``[None, base, base^2, ..., base^d]``, or ``None`` when ``base`` is."""
+    if base is None:
+        return None
+    powers = [None, base]
+    for _ in range(1, d):
+        powers.append(poly_mul(powers[-1], base))
+    return powers
 
 
 def exchange_polynomial(seed, k):
@@ -291,31 +312,42 @@ def _exchange_polynomial(ctx):
 
     With ``G``/``L`` the cluster powers of ``u>``/``u<``, each product
     ``G^r * L^(d-r)`` is added into one dict, shifted by the packed key
-    of coefficient ``r``, in ascending ``r``.  Each coefficient, then its
-    shifted product, is checked against the exponent limit before any
-    key is shifted, so an overflow raises before a key can alias.
+    of coefficient ``r``, in ascending ``r``.  Nothing is multiplied by
+    1: an empty cluster power is absent and gets no ladder of powers,
+    a product with one absent side is the other side, and a product
+    with both sides absent adds the coefficient's key alone.  Each
+    coefficient, then its shifted product, is checked against the
+    exponent limit before any key is shifted, so an overflow raises
+    before a key can alias.
     """
     seed, d = ctx.seed, ctx.degree
     layout = seed.table._layout
-    # Index r holds G^r (L^r); the power 0 is 1 and is never multiplied.
-    gt_powers = [None, _cluster_power(seed, ctx.u_gt)]
-    lt_powers = [None, _cluster_power(seed, ctx.u_lt)]
-    for _ in range(1, d):
-        gt_powers.append(poly_mul(gt_powers[-1], gt_powers[1]))
-        lt_powers.append(poly_mul(lt_powers[-1], lt_powers[1]))
+    offset = layout.offset
+    # Index r holds G^r (L^r); index 0 is unused, and an absent base has
+    # no ladder.
+    gt_powers = _ladder(_cluster_power(seed, ctx.u_gt), d)
+    lt_powers = _ladder(_cluster_power(seed, ctx.u_lt), d)
     terms = {}
     get = terms.get
     amp = 0
     for r in range(d + 1):
-        if r == 0:
-            product = lt_powers[d]
-        elif r == d:
-            product = gt_powers[d]
+        gt = gt_powers[r] if gt_powers and r else None
+        lt = lt_powers[d - r] if lt_powers and r < d else None
+        if gt is None:
+            product = lt
+        elif lt is None:
+            product = gt
         else:
-            product = poly_mul(gt_powers[r], lt_powers[d - r])
+            product = poly_mul(gt, lt)
         exps = ctx.coefficient(r)
-        amp = max(amp, _shifted_amplitude(product, exps, _amplitude(exps)))
-        shift = layout.pack(exps) - layout.offset
+        exps_amp = _amplitude(exps)
+        if product is None:
+            amp = max(amp, exps_amp)
+            key = layout.pack(exps)
+            terms[key] = get(key, 0) + 1
+            continue
+        amp = max(amp, _shifted_amplitude(product, exps, exps_amp))
+        shift = layout.pack(exps) - offset
         for key, coeff in product._keys.items():
             key += shift
             terms[key] = get(key, 0) + coeff
@@ -323,8 +355,10 @@ def _exchange_polynomial(ctx):
 
 
 def mutate_seed(seed, k):
-    """Seed mutation in direction ``k`` (matrix, cluster, and strings)."""
-    seed.check_direction(k)
+    """Seed mutation in direction ``k`` (matrix, cluster, and strings).
+
+    :func:`exchange_polynomial` checks the direction.
+    """
     theta = exchange_polynomial(seed, k)
     new_cluster = list(seed.cluster)
     new_cluster[k] = poly_exact_div(theta, seed.cluster[k])

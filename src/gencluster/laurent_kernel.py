@@ -486,10 +486,20 @@ def poly_exact_div(numer, denom):
 
     Raises :class:`~gencluster.errors.InexactDivision` when the quotient
     does not exist (nonzero remainder, coefficient non-divisibility, or
-    division by zero).  Uses greedy leading-term elimination in the
-    canonical graded-lex order, taking each leading term off a max-heap
-    of remainder keys; correctness of the stopping rule rests on
-    exponent extremes being additive under polynomial products.
+    division by zero).  Three routes, tried in this order:
+
+    * a one-term divisor shifts every numerator key; its exponents are
+      unpacked and checked only when the bound ``numer._amp +
+      denom._amp`` reaches the limit;
+    * operands of equal length are tried for a one-term quotient read
+      off the leading terms (:func:`_monomial_quotient`); when the
+      quotient is not one term, or not exact, the division falls
+      through to the heap route, which then raises any error;
+    * greedy leading-term elimination in the canonical graded-lex order,
+      taking each leading term off a max-heap of remainder keys
+      (Monagan and Pearce, ISSAC 2009); correctness of the stopping rule
+      rests on exponent extremes being additive under polynomial
+      products.
     """
     _require_same_table(numer, denom)
     if not denom._keys:
@@ -501,8 +511,10 @@ def poly_exact_div(numer, denom):
     offset = layout.offset
     if len(denom._keys) == 1:
         ((lead_d, lc_d),) = denom._keys.items()
-        exps = tuple(-e for e in layout.unpack(lead_d))
-        amp = _shifted_amplitude(numer, exps, denom._amp)
+        amp = numer._amp + denom._amp
+        if amp >= EXPONENT_LIMIT:
+            exps = tuple(-e for e in layout.unpack(lead_d))
+            amp = _shifted_amplitude(numer, exps, denom._amp)
         shift = offset - lead_d
         quotient = {}
         for key, coeff in numer._keys.items():
@@ -511,6 +523,10 @@ def poly_exact_div(numer, denom):
                 raise InexactDivision("leading coefficient does not divide")
             quotient[key + shift] = q_c
         return _trusted(table, quotient, amp)
+    if len(numer._keys) == len(denom._keys):
+        quotient = _monomial_quotient(numer, denom)
+        if quotient is not None:
+            return quotient
 
     # Componentwise exponent box that must contain every quotient term:
     # coordinate extremes add under multiplication, so the quotient's
@@ -559,6 +575,34 @@ def poly_exact_div(numer, denom):
                 else:
                     del remainder[key]
     return _trusted(table, quotient, amp)
+
+
+def _monomial_quotient(numer, denom):
+    """``numer / denom`` if it is one term, else ``None``.
+
+    For operands of equal length: the only candidate is the quotient of
+    the leading terms.  Its exponents must lie below the limit and
+    every divisor term times it must be a numerator term; the lengths
+    are equal, so those products are then all of the numerator.  The
+    result is the heap route's, bound included (the quotient's box is
+    the quotient itself).
+    """
+    n_keys, d_keys = numer._keys, denom._keys
+    lead_n, lead_d = max(n_keys), max(d_keys)
+    q_c, rem = divmod(n_keys[lead_n], d_keys[lead_d])
+    if rem:
+        return None
+    layout = numer.table._layout
+    shift = lead_n - lead_d
+    # Each difference of two exponents below the limit fits its field.
+    amp = max(map(abs, layout.unpack(layout.offset + shift)), default=0)
+    if amp >= EXPONENT_LIMIT:
+        return None
+    get = n_keys.get
+    for key, coeff in d_keys.items():
+        if get(key + shift) != q_c * coeff:
+            return None
+    return _trusted(numer.table, {layout.offset + shift: q_c}, amp)
 
 
 def poly_map_variables(p, mapping, target):

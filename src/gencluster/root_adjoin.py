@@ -33,7 +33,13 @@ from .gca_seed import (
     floor_defect,
     mutate_seed_sequence,
 )
-from .laurent_kernel import Monomial, VariableTable, _amplitude, poly_map_variables
+from .laurent_kernel import (
+    LaurentPolynomial,
+    Monomial,
+    VariableTable,
+    _amplitude,
+    poly_map_variables,
+)
 from .matrix_mutation import ExtendedExchangeMatrix
 
 
@@ -49,10 +55,6 @@ class AdjoinedSeed:
     base: GeneralizedSeed
     seed: GeneralizedSeed
     multiplicity: int
-
-    @property
-    def table(self):
-        return self.seed.table
 
     def root_map(self):
         """``{base_frozen_name: g^n}``, each root power over the current table.
@@ -190,6 +192,8 @@ def transport_check(base, adjoined, sequence=()):
 
     Returns a :class:`~gencluster.errors.Report` listing failures as
     ``(condition, k, r)`` triples (``r`` is ``None`` outside (ii)).
+    A pair already mutated along one sequence is checked as
+    ``transport_check(t, AdjoinedSeed(t, t_bar, n))``.
     """
     if adjoined.base != base:
         raise ValidationError("adjoined seed was not built from this base")
@@ -209,8 +213,9 @@ def transport_check(base, adjoined, sequence=()):
             ("u>", ctx.u_gt, ctx_bar.u_gt),
             ("u<", ctx.u_lt, ctx_bar.u_lt),
         ):
-            lhs = phi(_cluster_power(t, exps))
-            rhs = _cluster_power(t_bar, exps_bar)
+            # An absent cluster power (see _cluster_power) is 1.
+            lhs = phi(_cluster_power(t, exps) or LaurentPolynomial.one(t.table))
+            rhs = _cluster_power(t_bar, exps_bar) or LaurentPolynomial.one(target)
             if lhs != rhs:
                 failures.append((f"(i) {label}", k, None))
         for r in range(ctx.degree + 1):

@@ -2,10 +2,13 @@
 
 import random
 import re
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from gencluster import laurent_kernel
 from gencluster.errors import ParseError, TableMismatch
 from gencluster.fixtures import fixture_seed
 from gencluster.unfolding import group_mutate
@@ -88,6 +91,25 @@ def group_mutate_sequence(fm, sequence):
     for k in sequence:
         fm = group_mutate(fm, k)
     return fm
+
+
+@contextmanager
+def extremes_reads():
+    """Record every polynomial whose exponent extremes the kernel reads.
+
+    The heap route of ``poly_exact_div`` reads both operands' extremes
+    before it starts; its other routes read them only when a bound
+    reaches the exponent limit.
+    """
+    reads = []
+    original = laurent_kernel._extremes
+
+    def spy(p):
+        reads.append(p)
+        return original(p)
+
+    with mock.patch.object(laurent_kernel, "_extremes", spy):
+        yield reads
 
 
 def poly_sum(table, polys):

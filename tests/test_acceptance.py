@@ -188,11 +188,11 @@ class TestAcceptance:
             table = rho(adjoined.seed)
             assert tuple(str(m) for m in table.rows[0]) == FIX_B_RHO_X
             assert tuple(str(m) for m in table.rows[1]) == FIX_B_RHO_Y
-            alt = parse_polynomial(FIX_B_ADJ_THETA_X_ALT, adjoined.table)
+            alt = parse_polynomial(FIX_B_ADJ_THETA_X_ALT, adjoined.seed.table)
             assert alt != theta_bar_x
             root_map = adjoined.root_map()
-            assert poly_map_variables(theta_x, root_map, adjoined.table) == theta_bar_x
-            assert poly_map_variables(theta_y, root_map, adjoined.table) == theta_bar_y
+            assert poly_map_variables(theta_x, root_map, adjoined.seed.table) == theta_bar_x
+            assert poly_map_variables(theta_y, root_map, adjoined.seed.table) == theta_bar_y
 
     def test_criterion_04_involution_and_string_legality(self):
         with criterion(4, 30.0):

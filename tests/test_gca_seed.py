@@ -330,6 +330,40 @@ class TestExchangePolynomials:
         assert built == []
 
 
+    def test_exchange_step_never_multiplies_by_one(self, monkeypatch):
+        # An empty cluster power is left out, never multiplied in.  Rows
+        # with no entry of one sign, and every rank-1 row, have one.
+        rng = random.Random(16)
+        starts = [fixture_seed(name) for name in ("FIX-A", "FIX-B", "FIX-C")]
+        starts += [random_seed(rng, max_rank=1 + i % 3) for i in range(20)]
+        assert any(seed.rank == 1 for seed in starts[3:])
+        seeds = []
+        for seed in starts:
+            seeds += [seed, tau_tilde(seed).seed]
+        by_one = []
+
+        def recording_mul(a, b):
+            if a.is_one() or b.is_one():
+                by_one.append((a, b))
+            return poly_mul(a, b)
+
+        monkeypatch.setattr(gca_seed, "poly_mul", recording_mul)
+        for seed in seeds:
+            for k in range(seed.rank):
+                exchange_polynomial(seed, k)
+                mutated = mutate_seed(seed, k)
+                for j in range(seed.rank):
+                    exchange_polynomial(mutated, j)
+        assert by_one == []
+
+    def test_trusted_context_equals_the_constructed_one(self, fix_b, fix_c):
+        for seed in (fix_b, fix_c, tau_tilde(fix_b).seed):
+            for k in range(seed.rank):
+                ctx = ExchangeContext.build(seed, k)
+                assert ExchangeContext(**vars(ctx)) == ctx
+                assert type(ctx) is ExchangeContext
+
+
 class TestMutation:
     def test_involution_on_fixtures(self, fix_a, fix_b, fix_c):
         for seed in (fix_a, fix_b, fix_c):

@@ -9,7 +9,7 @@ optional test dependency, so the module is skipped without it.
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import parse_polynomial
+from conftest import extremes_reads, parse_polynomial
 
 from gencluster.errors import InexactDivision
 from gencluster.laurent_kernel import (
@@ -122,6 +122,89 @@ class TestDivision:
         # ``numer`` is not a multiple of ``b``.
         with pytest.raises(InexactDivision):
             poly_exact_div(numer, b)
+
+
+def monomial_times(table, draw):
+    """``c * m`` for a drawn monomial ``m`` and nonzero coefficient ``c``."""
+    exps = draw(monomials(table)).exponents
+    return LaurentPolynomial(table, {exps: draw(st.integers(-9, 9).filter(bool))})
+
+
+class TestMonomialQuotient:
+    """Operands of equal length: a one-term quotient is read off the leading terms.
+
+    Anything else falls through to the heap route, which gives the
+    quotient or raises.
+    """
+
+    @given(st.data())
+    def test_monomial_quotients_are_read_off(self, data):
+        table = data.draw(tables())
+        b = data.draw(polynomials(table, min_terms=2))
+        q = monomial_times(table, data.draw)
+        product = poly_mul(b, q)
+        assert len(product._keys) == len(b._keys)
+        with extremes_reads() as reads:
+            quotient = poly_exact_div(product, b)
+        assert reads == []
+        assert quotient == q
+        assert quotient._amp == max(map(abs, next(iter(q.terms))))
+        assert sympy.expand(to_sympy(quotient) * to_sympy(b) - to_sympy(product)) == 0
+
+    @pytest.mark.parametrize("numer, denom", [
+        ("(1 + x0)*(1 - x0)", "1 + x0"),
+        ("x0^3 - x1^3", "x0 - x1"),
+        ("x0^4 - 1", "x0^2 + 1"),
+        ("x0^-2 - 4*x1^2", "x0^-1 + 2*x1"),
+    ])
+    def test_equal_length_non_monomial_quotients_take_the_heap_route(self, numer, denom):
+        table = table_of("x", 2)
+        xs = symbols(table)
+        big_n = sympy.expand(sympy.sympify(numer, locals=dict(zip(table.names, xs))))
+        big_d = sympy.sympify(denom, locals=dict(zip(table.names, xs)))
+        numer = LaurentPolynomial(table, sympy_terms(big_n, table))
+        denom = LaurentPolynomial(table, sympy_terms(big_d, table))
+        assert len(numer._keys) == len(denom._keys)
+        with extremes_reads() as reads:
+            quotient = poly_exact_div(numer, denom)
+        assert reads == [numer, denom]
+        assert_matches(quotient, sympy.cancel(big_n / big_d))
+
+    @given(st.data())
+    def test_equal_length_inexact_pairs(self, data):
+        # One coefficient of a monomial multiple moves: the length stays,
+        # and a divisor of two or more terms divides no monomial.
+        table = data.draw(tables())
+        b = data.draw(polynomials(table, min_terms=2))
+        product = poly_mul(b, monomial_times(table, data.draw))
+        key = data.draw(st.sampled_from(sorted(product._keys)))
+        coeff = product._keys[key]
+        moved = data.draw(st.integers(-9, 9).filter(lambda c: c and c != -coeff))
+        terms = dict(product.terms.items())
+        terms[table._layout.unpack(key)] = coeff + moved
+        numer = LaurentPolynomial(table, terms)
+        assert len(numer._keys) == len(b._keys)
+        with pytest.raises(InexactDivision):
+            poly_exact_div(numer, b)
+
+    @pytest.mark.parametrize("numer, denom", [
+        ("3*x + 3", "2*x + 2"),
+        ("3*x + 2", "2*x + 1"),
+        ("2*x + 3", "2*x + 2"),
+        ("x + 2", "x + 1"),
+        ("x + y", "x + 1"),
+    ])
+    def test_inexact_pairs_raise_as_the_heap_route_does(self, numer, denom):
+        # The first two leading coefficients do not divide; in the others
+        # the leading quotient is no quotient of the whole.
+        table = VariableTable.make(cluster=("x", "y"))
+        numer, denom = parse_polynomial(numer, table), parse_polynomial(denom, table)
+        with extremes_reads() as reads:
+            with pytest.raises(InexactDivision) as failure:
+                poly_exact_div(numer, denom)
+        assert reads == [numer, denom]
+        if numer._keys[max(numer._keys)] % denom._keys[max(denom._keys)]:
+            assert str(failure.value) == "leading coefficient does not divide"
 
 
 class TestSubstitution:

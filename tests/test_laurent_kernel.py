@@ -7,6 +7,7 @@ from hypothesis import given
 
 from conftest import (
     SMALL_TABLE,
+    extremes_reads,
     mono_over,
     mono_power,
     mono_times,
@@ -333,6 +334,28 @@ class TestExponentLimit:
             poly_exact_div(x_power(LIMIT - 1), x_power(-1))
         with pytest.raises(ExponentOverflow):
             poly_exact_div(numer, poly_mul(x_power(-1), y_plus_1))
+
+    def test_exact_div_monomial_quotient(self):
+        # Equal lengths: below the limit the quotient is read off the
+        # leading terms; at the limit the division falls through to the
+        # heap route, which raises its own ExponentOverflow.
+        y_plus_1 = parse_polynomial("y + 1", SMALL_TABLE)
+        for sign in (1, -1):
+            denom = poly_mul(x_power(-sign), y_plus_1)
+            below = poly_mul(x_power(sign * (LIMIT - 2)), y_plus_1)
+            with extremes_reads() as reads:
+                quotient = poly_exact_div(below, denom)
+            assert reads == []
+            assert quotient == x_power(sign * (LIMIT - 1))
+            assert quotient._amp == LIMIT - 1
+            at = poly_mul(x_power(sign * (LIMIT - 1)), y_plus_1)
+            with extremes_reads() as reads:
+                with pytest.raises(ExponentOverflow) as overflow:
+                    poly_exact_div(at, denom)
+            assert reads == [at, denom]
+            assert str(overflow.value) == (
+                f"exponent of magnitude {LIMIT} reaches the limit {LIMIT}"
+            )
 
     def test_map_variables(self):
         target = VariableTable.make(cluster=("u",), frozen=("f",))

@@ -437,7 +437,7 @@ class TestFoldedSeed:
         )
         assert root_names(clash.table) == ("F_R_R", "F_R_R_R", "F_R_R_R_R")
         for seed in (fix_a, fix_b, clash):
-            adjoined, folded = tau_tilde(seed).table, folded_table(seed)
+            adjoined, folded = tau_tilde(seed).seed.table, folded_table(seed)
             assert [adjoined.names[p] for p in adjoined.frozen_indices] == [
                 folded.names[p] for p in folded.frozen_indices
             ]
