@@ -67,6 +67,35 @@ def is_floor_free(seed, k):
     return all(e % seed.divisors[k] == 0 for e in row[seed.rank:])
 
 
+def oracle_rho_row(seed, k):
+    """Row ``k`` of the coefficient table, or ``None`` unless both ends are 1.
+
+    ``rho_{k,r} = p_{k,r} * v>[r] * v<[d-r] * v>[1]^(-r) * v<[1]^(r-d)``
+    with the boxes read off the whole scaled matrix, independently of
+    the exchange context.  A row whose ends are not 1 carries a floor
+    defect, which is how the table was once validated.
+    """
+    d, n = seed.divisors[k], seed.rank
+    frozen = seed.scaled_matrix().rows[k][n:]
+
+    def box(r, sign):
+        return [0] * n + [(r * sign * b) // d if sign * b > 0 else 0 for b in frozen]
+
+    gt1, lt1 = box(1, 1), box(1, -1)
+    row = tuple(
+        Monomial(seed.table, tuple(
+            p + g + l - r * g1 - (d - r) * l1
+            for p, g, l, g1, l1 in zip(
+                seed.strings.entry(k, r).exponents,
+                box(r, 1), box(d - r, -1), gt1, lt1,
+            )
+        ))
+        for r in range(d + 1)
+    )
+    ends = row[0].exponents + row[-1].exponents
+    return row if not any(ends) else None
+
+
 class TestTauTilde:
     def test_fix_b_adjoined_exchange(self, fix_b):
         adjoined = tau_tilde(fix_b)
@@ -169,6 +198,38 @@ class TestFloorStructure:
     def test_rho_requires_homogeneous_ends(self, fix_b):
         with pytest.raises(HomogeneityFailure):
             rho(fix_b)
+
+    def test_rho_matches_the_ends_at_one_oracle(self, fix_a, fix_b, fix_c):
+        rng = random.Random(16)
+        starts = [fix_a, fix_b, fix_c]
+        starts += [random_seed(rng, max_frozen=3) for _ in range(50)]
+        failing = passing = 0
+        for start in starts:
+            for seed in (
+                start,
+                tau_tilde(start, "total").seed,
+                tau_tilde(start, "lcm").seed,
+            ):
+                for step in random_sequence(rng, seed.rank, 3) + (None,):
+                    rows = [oracle_rho_row(seed, k) for k in range(seed.rank)]
+                    for k, row in enumerate(rows):
+                        if row is None:
+                            with pytest.raises(HomogeneityFailure):
+                                homogeneity_check(seed, k)
+                        else:
+                            assert homogeneity_check(seed, k).coefficients == row
+                    if None in rows:
+                        failing += 1
+                        with pytest.raises(HomogeneityFailure):
+                            rho(seed)
+                    else:
+                        passing += 1
+                        table = rho(seed)
+                        for k, row in enumerate(rows):
+                            assert table.rows[k] == row
+                    if step is not None:
+                        seed = mutate_seed(seed, step)
+        assert failing and passing
 
     def test_homogeneity_witness(self, fix_b):
         adjoined = tau_tilde(fix_b)
