@@ -58,7 +58,7 @@ def tour_exchange():
     show(
         "FIX-B generalized coefficient rows",
         "\n".join(
-            "  ".join(str(entry) for entry in row) for row in rho(adjoined.seed).rows
+            "  ".join(str(entry) for entry in row) for row in rho(adjoined.seed)
         )
         + "\n",
     )

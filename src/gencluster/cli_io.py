@@ -734,10 +734,7 @@ def run_command(argv, out=None):
         ):
             raise _UsageError(f"{args.command} needs --seed or --seed-file")
         return args.func(args, out)
-    except _UsageError as exc:
-        print(f"gencluster: error: {exc}", file=sys.stderr)
-        return 1
-    except _INPUT_ERRORS as exc:
+    except (_UsageError, *_INPUT_ERRORS) as exc:
         print(f"gencluster: error: {exc}", file=sys.stderr)
         return 1
     except GenClusterError as exc:

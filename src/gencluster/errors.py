@@ -55,23 +55,7 @@ class IndexOutOfRange(GenClusterError, IndexError):
 
 
 class HomogeneityFailure(GenClusterError):
-    """An exchange polynomial is not coefficient-homogeneous.
-
-    Attributes
-    ----------
-    row : int
-        Cluster row whose exchange data fails.
-    column : str or None
-        Name of a frozen variable witnessing the failure.
-    term : str or None
-        Text of an offending exchange-polynomial term.
-    """
-
-    def __init__(self, message, row=None, column=None, term=None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
-        self.term = term
+    """An exchange polynomial is not coefficient-homogeneous."""
 
 
 class StructureViolation(GenClusterError):

@@ -126,9 +126,7 @@ class GeneralizedSeed:
         n, m = self.matrix.n, self.matrix.m
         if len(self.table.cluster_indices) != n:
             raise ValidationError("table cluster count does not match the matrix")
-        if len(self.table.frozen_indices) + len(
-            self.table.indices_of_role("t-aux")
-        ) + len(self.table.indices_of_role("s-aux")) != m:
+        if len(self.table) - n != m:
             raise ValidationError("table frozen count does not match the matrix")
         if len(self.cluster) != n:
             raise ValidationError("cluster size does not match the matrix")

@@ -107,6 +107,14 @@ def _amplitude(exps):
     return amp
 
 
+def _integer(value, what):
+    """``value`` as an ``int``; ValidationError if it is not an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be integers: {value!r}") from None
+
+
 @dataclass(frozen=True)
 class VariableTable:
     """Ordered table of named variables with roles and group indices.
@@ -168,12 +176,6 @@ class VariableTable:
         except KeyError:
             raise UnknownSymbol(f"symbol {name!r} is not in the table") from None
 
-    def role(self, name):
-        return self.roles[self.index(name)]
-
-    def indices_of_role(self, role):
-        return self._role_indices.get(role, ())
-
     @property
     def cluster_indices(self):
         return self._role_indices[ROLE_CLUSTER]
@@ -188,7 +190,7 @@ class VariableTable:
         merged = dict(exponents or {})
         merged.update(by_name)
         for name, e in merged.items():
-            exps[self.index(name)] = int(e)
+            exps[self.index(name)] = _integer(e, "exponents")
         return Monomial(self, tuple(exps))
 
     def one(self):
@@ -230,9 +232,6 @@ class Monomial:
     def __post_init__(self):
         if len(self.exponents) != len(self.table):
             raise ValidationError("exponent vector does not match table size")
-
-    def exponent(self, name):
-        return self.exponents[self.table.index(name)]
 
     def is_one(self):
         return all(e == 0 for e in self.exponents)
@@ -347,11 +346,8 @@ class LaurentPolynomial:
 
     @staticmethod
     def constant(table, c):
-        c = int(c)
+        c = _integer(c, "constants")
         return _trusted(table, {table._layout.offset: c} if c else {}, 0)
-
-    def is_one(self):
-        return len(self._keys) == 1 and self._keys.get(self.table._layout.offset) == 1
 
     def sorted_terms(self):
         """Terms in canonical (graded-lex descending) order."""
@@ -468,7 +464,7 @@ def poly_mul(a, b):
 
 def poly_pow(a, k):
     """Non-negative integer power by binary exponentiation."""
-    k = int(k)
+    k = _integer(k, "powers")
     if k < 0:
         raise ValidationError("poly_pow needs a non-negative exponent")
     result = None

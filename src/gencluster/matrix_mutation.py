@@ -18,10 +18,10 @@ The public constructor :class:`ExtendedExchangeMatrix` (and with it
 :func:`parse_matrix`, :meth:`ExtendedExchangeMatrix.from_rows` and
 :func:`modify`) validates its input.  Mutation results skip that
 validation: the shape and the integer entries carry over from the
-input, and so does its skew-symmetrizer (Fomin-Zelevinsky, Cluster
-algebras I, Prop. 4.5), so both rules build their results through
-:func:`_trusted_matrix`.  The test-suite rebuilds those results through
-the validating constructor and compares.
+input, and mutation preserves skew-symmetrizers (Fomin-Zelevinsky,
+Cluster algebras I, Prop. 4.5), so both rules build their results
+through :func:`_trusted_matrix`.  The test-suite rebuilds those results
+through the validating constructor and compares.
 
 The plain-text matrix format is a header line ``"n m"`` followed by one
 line of ``;``-separated rows, each row ``n + m`` integers::
@@ -30,7 +30,7 @@ line of ``;``-separated rows, each row ``n + m`` integers::
     0 8 -3 5 ; -12 0 -2 7
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -100,18 +100,6 @@ def _principal_diagonalizer(rows, n):
     return result
 
 
-def _symmetrizes(d, rows, n):
-    """Whether the positive vector ``d`` skew-symmetrizes the principal part."""
-    if len(d) != n or not all(isinstance(x, int) and x > 0 for x in d):
-        return False
-    for i in range(n):
-        d_i, row = d[i], rows[i]
-        for j in range(i, n):
-            if d_i * row[j] != -d[j] * rows[j][i]:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class ExtendedExchangeMatrix:
     """Integer matrix with ``n`` mutable rows and ``n + m`` columns.
@@ -119,24 +107,17 @@ class ExtendedExchangeMatrix:
     The principal (left ``n`` x ``n``) part must be skew-symmetrizable;
     the constructor checks the shape, the entries and that property,
     and stores the rows as tuples.
-    ``_symmetrizer`` is a positive diagonal that is tried first, so
-    :func:`modify` passes one derived from its input, and the full
-    search runs only when it is absent or does not fit.  It takes no
-    part in equality, hashing or the repr.
 
     Mutation results do not pass through the constructor: mutation
     keeps the shape and integrality and preserves skew-symmetrizers
     (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so
     :func:`mutate` and :func:`mutate_modified` build them with
-    :func:`_trusted_matrix` and the input's symmetrizer.
+    :func:`_trusted_matrix`.
     """
 
     n: int
     m: int
     rows: tuple
-    _symmetrizer: tuple = field(
-        default=None, compare=False, repr=False, kw_only=True
-    )
 
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
@@ -151,14 +132,11 @@ class ExtendedExchangeMatrix:
                 raise ValidationError("row width does not match n + m")
             if not all(isinstance(e, int) for e in row):
                 raise ValidationError("matrix entries must be integers")
-        d = self._symmetrizer
-        if d is None or not _symmetrizes(d, self.rows, self.n):
-            d = _principal_diagonalizer(self.rows, self.n)
-            object.__setattr__(self, "_symmetrizer", d)
+        _principal_diagonalizer(self.rows, self.n)
 
     @staticmethod
     def from_rows(rows, m=None):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         n = len(rows)
         width = len(rows[0]) if rows else 0
         if m is None:
@@ -187,7 +165,7 @@ class DivisorVector:
 
     @staticmethod
     def of(*entries):
-        return DivisorVector(tuple(int(d) for d in entries))
+        return DivisorVector(entries)
 
     def __len__(self):
         return len(self.entries)
@@ -220,9 +198,7 @@ def modify(matrix, divisors):
     """Divisor-scaled companion matrix: principal rows divided by ``d_i``.
 
     Slack columns are kept as they are.  The divisor compatibility
-    requirement makes the scaled principal part integral.  If ``s``
-    skew-symmetrizes the matrix, ``s_i * d_i`` skew-symmetrizes the
-    result.
+    requirement makes the scaled principal part integral.
     """
     if not isinstance(divisors, DivisorVector):
         divisors = DivisorVector(tuple(divisors))
@@ -234,20 +210,15 @@ def modify(matrix, divisors):
         )
         for i, row in enumerate(matrix.rows)
     )
-    symmetrizer = tuple(
-        s * d for s, d in zip(matrix._symmetrizer, divisors.entries)
-    )
-    return ExtendedExchangeMatrix(
-        matrix.n, matrix.m, rows, _symmetrizer=symmetrizer
-    )
+    return ExtendedExchangeMatrix(matrix.n, matrix.m, rows)
 
 
 def _trusted_matrix(matrix, rows):
     """``matrix`` with its rows replaced, built without validation.
 
-    Only for mutation results: ``rows`` is a tuple of integer tuples of
-    the input's shape, and the input's symmetrizer, which is kept, still
-    skew-symmetrizes the principal part.
+    Only for results that keep the input's shape and a skew-symmetrizable
+    principal part: ``rows`` is a tuple of integer tuples of the input's
+    shape, and its principal part is the input's or a mutation of it.
     """
     out = object.__new__(ExtendedExchangeMatrix)
     out.__dict__.update(matrix.__dict__, rows=rows)
@@ -309,8 +280,9 @@ def mutate_modified(matrix, divisors, k):
     meant for divisor-scaled matrices (see :func:`modify`) and commutes
     with scaling: ``modify(mutate(B, k), d) == mutate_modified(modify(B,
     d), d, k)``.  No row-divisibility is required of the input.  The
-    input's symmetrizer carries over: with ``D = diag(d)`` the result is
-    ``D^-1 mutate(D B, k)``, and ``s / d`` skew-symmetrizes ``D B``.
+    result stays skew-symmetrizable: with ``D = diag(d)`` it is
+    ``D^-1 mutate(D B, k)``, and ``s / d`` skew-symmetrizes ``D B`` when
+    ``s`` skew-symmetrizes ``B``.
     """
     matrix.check_direction(k)
     if not isinstance(divisors, DivisorVector):

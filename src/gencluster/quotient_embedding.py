@@ -247,19 +247,6 @@ def _packed_sides(table, row, roles):
 # The quotient: sigma sums, unit relations, normal forms
 
 
-@lru_cache(maxsize=256)
-def _sigma(table, t_range, s_range, r):
-    """The balanced sum identified with the coefficient ``rho_{k,r}``.
-
-    ``sigma_{k,r} = sum_{|J|=r} prod_{c in J} t_c prod_{c not in J} s_c``
-    over the members of group ``k``, whose ``t`` and ``s`` variables sit
-    at ``t_range`` and ``s_range``.
-    """
-    units = table._layout.units
-    pairs = [(units[t], units[s]) for t, s in zip(t_range, s_range)]
-    return _balanced_sum(table, pairs, r, len(pairs))
-
-
 def _balanced_sum(table, pairs, r, amp):
     """Sum over the ``r``-subsets ``J`` of a group's pairs of key shifts.
 
@@ -301,11 +288,17 @@ def unit_elimination_map(table):
 def _eliminated_sigma(table, t_range, s_range, r, e):
     """``E(sigma_{k,r})^e``, ``E`` the unit elimination of ``table``.
 
-    ``E`` is a monomial ring map, so ``E(sigma^e) = E(sigma)^e`` and the
-    power of the eliminated sum is the eliminated power.
+    ``sigma_{k,r} = sum_{|J|=r} prod_{c in J} t_c prod_{c not in J} s_c``
+    is the balanced sum identified with the coefficient ``rho_{k,r}``,
+    over the members of group ``k``, whose ``t`` and ``s`` variables sit
+    at ``t_range`` and ``s_range``.  ``E`` is a monomial ring map, so
+    ``E(sigma^e) = E(sigma)^e`` and the power of the eliminated sum is
+    the eliminated power.
     """
     if e == 1:
-        sigma = _sigma(table, t_range, s_range, r)
+        units = table._layout.units
+        pairs = [(units[t], units[s]) for t, s in zip(t_range, s_range)]
+        sigma = _balanced_sum(table, pairs, r, len(pairs))
         return poly_map_variables(sigma, unit_elimination_map(table), table)
     return poly_pow(_eliminated_sigma(table, t_range, s_range, r, 1), e)
 
@@ -363,7 +356,6 @@ class QuotientContext:
             for k in range(tracked.rank)
             for r in range(1, tracked.divisors[k])
         )
-        self._elimination = unit_elimination_map(fs.table)
         self._plus_elimination = unit_elimination_map(self.folded_plus)
         self._phi_images = {
             tracked.table.names[k]: self.folded_plus.monomial(
@@ -455,13 +447,10 @@ class QuotientContext:
         ``E(sum part * sigma^e) = sum E(part) * E(sigma)^e``.  Then the
         placeholders are expanded as in :meth:`phi_poly`.
         """
-        table = self.fs.table
         if p.table == self.folded_plus:
             p = poly_map_variables(p, self._plus_elimination, self.folded_plus)
             return self._expand(p)
-        if p.table != table:
-            raise ValidationError("normal_form expects a folded-side polynomial")
-        return poly_map_variables(p, self._elimination, table)
+        return eliminate_units(self.fs, p)
 
     def phi_poly(self, p):
         """Image of a polynomial over the tracked table, in normal form.

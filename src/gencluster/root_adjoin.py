@@ -40,7 +40,7 @@ from .laurent_kernel import (
     _amplitude,
     poly_map_variables,
 )
-from .matrix_mutation import ExtendedExchangeMatrix
+from .matrix_mutation import _trusted_matrix
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,8 @@ def tau_tilde(seed, mode="total"):
         tuple(e * n if col in scaled else e for col, e in enumerate(row))
         for row in seed.matrix.rows
     )
-    # Only frozen columns are scaled: the principal part keeps its symmetrizer.
-    new_matrix = ExtendedExchangeMatrix(
-        seed.matrix.n, seed.matrix.m, new_rows,
-        _symmetrizer=seed.matrix._symmetrizer,
-    )
+    # Only frozen columns are scaled: the principal part is the input's.
+    new_matrix = _trusted_matrix(seed.matrix, new_rows)
 
     mapping = _root_powers(table, new_table, n)
     new_cluster = tuple(
@@ -228,24 +225,6 @@ def transport_check(base, adjoined, sequence=()):
     return Report(ok=not failures, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class GeneralizedCoefficientTable:
-    """Monomial coefficients of the homogenized exchange polynomials.
-
-    Row ``k`` lists ``rho_{k,0}, ..., rho_{k,d_k}`` with both ends equal
-    to 1.
-    """
-
-    rows: tuple
-
-    def validate(self):
-        for k, row in enumerate(self.rows):
-            if not row[0].is_one() or not row[-1].is_one():
-                raise HomogeneityFailure(
-                    f"coefficient table row {k} does not end at 1", row=k
-                )
-
-
 def _homogenized_coefficients(ctx):
     """``p_r * v>[r] * v<[d-r] * v>[1]^(-r) * v<[1]^(r-d)`` for ``r = 0..d``."""
     d, table = ctx.degree, ctx.seed.table
@@ -259,21 +238,14 @@ def _homogenized_coefficients(ctx):
 
 
 def rho(seed):
-    """The generalized coefficient table of a seed.
+    """The generalized coefficient table of a seed, one row per direction.
 
     ``rho_{k,r} = p_{k,r} * v>[r] * v<[d-r] * v>[1]^(-r) * v<[1]^(r-d)``.
     On floor-free seeds the box corrections cancel and ``rho`` is the
-    string table itself; on other seeds the end entries fail to be 1,
-    which raises :class:`~gencluster.errors.HomogeneityFailure`.
+    string table itself; on other seeds :func:`homogeneity_check` raises
+    :class:`~gencluster.errors.HomogeneityFailure`.
     """
-    table = GeneralizedCoefficientTable(
-        tuple(
-            _homogenized_coefficients(ExchangeContext.build(seed, k))
-            for k in range(seed.rank)
-        )
-    )
-    table.validate()
-    return table
+    return tuple(homogeneity_check(seed, k).coefficients for k in range(seed.rank))
 
 
 def _unbalanced_column(ctx):
@@ -317,10 +289,7 @@ def homogeneity_check(seed, k):
         term = Monomial(seed.table, ctx.coefficient(1))
         raise HomogeneityFailure(
             f"scaled entry {b} of frozen column {name!r} is not divisible "
-            f"by {ctx.degree}; coefficient {term} cannot be balanced",
-            row=k,
-            column=name,
-            term=str(term),
+            f"by {ctx.degree}; coefficient {term} cannot be balanced"
         )
     return HomogeneityReport(
         k=k,

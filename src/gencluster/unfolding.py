@@ -35,12 +35,7 @@ by the test suite, not recomputed at run time.
 from dataclasses import dataclass, replace
 
 from .errors import IndexOutOfRange, Report, StructureViolation, ValidationError
-from .matrix_mutation import (
-    DivisorVector,
-    ExtendedExchangeMatrix,
-    check_compatible,
-    mutate,
-)
+from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix, mutate
 
 
 @dataclass(frozen=True)
@@ -71,10 +66,6 @@ class FoldedMatrix:
     @property
     def total(self):
         return sum(self.group_sizes)
-
-    @property
-    def rows(self):
-        return self.matrix.rows
 
     def group_range(self, i):
         """Row (and cluster-column) index range of group ``i``."""
@@ -121,20 +112,13 @@ def _f_scales(divisors, multiplicity):
     return tuple(n // d for d in divisors.entries)
 
 
-def build(seed_or_matrix, divisors=None, multiplicity=None):
-    """Unfold a seed (or a matrix-with-divisors pair).
+def build(seed, multiplicity=None):
+    """Unfold a seed, whose divisors divide its principal rows.
 
     ``multiplicity`` is the root multiplicity ``n`` that scales the ``F``
     columns; it defaults to the product of the divisors.
     """
-    if divisors is None:
-        matrix = seed_or_matrix.matrix
-        divisors = seed_or_matrix.divisors
-    else:
-        matrix = seed_or_matrix
-        if not isinstance(divisors, DivisorVector):
-            divisors = DivisorVector(tuple(divisors))
-    check_compatible(matrix, divisors)
+    matrix, divisors = seed.matrix, seed.divisors
     n, m = matrix.n, matrix.m
     sizes = tuple(divisors.entries)
     total = sum(sizes)

@@ -153,12 +153,12 @@ class TestAcceptance:
             assert composite.rows[0][2] != -304
             fm = group_mutate_sequence(build(seed), (0, 1))
             assert write_matrix(fm.matrix) == FIX_A_GROUP01
-            assert fm.rows[0][5] == 3 * composite.rows[0][2] == -903
-            assert fm.rows[0][5] != 3 * -304
-            assert (fm.rows[0][9], fm.rows[0][10]) == (-47, -48)
-            assert (fm.rows[1][9], fm.rows[1][10]) == (-48, -47)
-            assert fm.rows[0][10] == -(4 * 4 * 3)
-            assert (fm.rows[0][9], fm.rows[0][10]) != (-15, -16)
+            assert fm.matrix.rows[0][5] == 3 * composite.rows[0][2] == -903
+            assert fm.matrix.rows[0][5] != 3 * -304
+            assert (fm.matrix.rows[0][9], fm.matrix.rows[0][10]) == (-47, -48)
+            assert (fm.matrix.rows[1][9], fm.matrix.rows[1][10]) == (-48, -47)
+            assert fm.matrix.rows[0][10] == -(4 * 4 * 3)
+            assert (fm.matrix.rows[0][9], fm.matrix.rows[0][10]) != (-15, -16)
             assert hadamard_check(fm, composite, seed.divisors).ok
             double_constant_check(fm)
 
@@ -186,8 +186,8 @@ class TestAcceptance:
             assert str(tau_variable(adjoined.seed, 0)) == FIX_B_TAU_X
             assert str(tau_variable(adjoined.seed, 1)) == FIX_B_TAU_Y
             table = rho(adjoined.seed)
-            assert tuple(str(m) for m in table.rows[0]) == FIX_B_RHO_X
-            assert tuple(str(m) for m in table.rows[1]) == FIX_B_RHO_Y
+            assert tuple(str(m) for m in table[0]) == FIX_B_RHO_X
+            assert tuple(str(m) for m in table[1]) == FIX_B_RHO_Y
             alt = parse_polynomial(FIX_B_ADJ_THETA_X_ALT, adjoined.seed.table)
             assert alt != theta_bar_x
             root_map = adjoined.root_map()

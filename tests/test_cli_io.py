@@ -835,7 +835,7 @@ class TestWalker:
         # A state-dependent value that the involution brings back on
         # returning paths, so failing and passing prefixes interleave.
         def value(fm):
-            return fm.rows[0][5] + fm.rows[-1][5]
+            return fm.matrix.rows[0][5] + fm.matrix.rows[-1][5]
 
         def hadamard(fm, reference, divisors):
             bad = value(fm) > 0

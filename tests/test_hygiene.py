@@ -55,50 +55,140 @@ def test_every_import_is_read():
 #: or ``perfbench/`` uses, kept on purpose.  Every other definition must
 #: have a user there; a helper only the tests need lives in the tests.
 UNUSED_ON_PURPOSE = {
-    "constant": "kernel constructor beside LaurentPolynomial.zero and .one",
+    "LaurentPolynomial.constant": "kernel constructor beside LaurentPolynomial.zero and .one",
     "parse_matrix": "reads back the text form write_matrix prints",
-    "scaled_matrix": "the whole divisor-scaled matrix; the library reads one row at a time",
+    "GeneralizedSeed.scaled_matrix": "the whole divisor-scaled matrix; the library reads one row at a time",
+}
+
+#: Method and property names that another class also defines, as a member
+#: or a field.  The scan cannot tell whose attribute a read is, so each
+#: entry names the reads that are the member's own.
+SHARED_MEMBER_NAMES = {
+    "check_direction": (
+        "ExtendedExchangeMatrix's by mutate and mutate_modified; "
+        "GeneralizedSeed's by ExchangeContext.build"
+    ),
+    "cluster": "FoldedSeed's by QuotientContext (self.fs.cluster)",
+    "one": (
+        "VariableTable's by table.one() in gca_seed, fixtures, randomgen and "
+        "quotient_embedding; LaurentPolynomial's by LaurentPolynomial.one(table)"
+    ),
+    "table": "FoldedSeed's by fs.table and self.fs.table in quotient_embedding",
 }
 
 
-def defined_names(tree):
-    """``{name: line}`` of every function, class and method a module defines."""
+def definitions(tree):
+    """The definitions of a module, split by how they are reached.
+
+    Returns ``(plain, members, fields)``: ``plain`` maps each function
+    and class that is not a class's method to ``(name, line)``;
+    ``members`` maps each method and property to ``(class.name, line)``,
+    keyed by ``(class, name)``; ``fields`` holds ``(class, name)`` of
+    each name a class annotates in its body or assigns on ``self``.
+    """
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return {node.name: node.lineno for node in ast.walk(tree) if isinstance(node, kinds)}
+    plain, members, fields = {}, {}, set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members[(node.name, item.name)] = item.lineno
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                fields.add((node.name, item.target.id))
+        for sub in ast.walk(node):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ):
+                fields.add((node.name, sub.attr))
+    member_nodes = {
+        id(item)
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, kinds) and id(node) not in member_nodes:
+            plain[node.name] = node.lineno
+    return plain, members, fields
 
 
 def referenced_names(tree):
-    """Every name a module reads, as a name, an attribute or a string.
+    """``(names, attributes)`` a module reads.
 
-    Strings count because a name can be looked up by its text (the
-    benchmark's tracer wraps attributes it names in strings).
+    ``names`` holds every name read bare, as an attribute or in a
+    string; ``attributes`` only those read as an attribute or in a
+    string.  Strings count because a name can be looked up by its text
+    (the benchmark's tracer wraps attributes it names in strings).
     """
-    names = set()
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            attributes.add(node.value)
+    return names | attributes, attributes
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def unused_definitions(sources, users):
     """``(path, line, name)`` of every definition in ``sources`` no user reads.
 
-    Both arguments map a path to module source; dunder methods are
-    exempt, since the language calls them.
+    Both arguments map a path to module source.  A function or class
+    counts as read when a user names it in any way; a method or
+    property, named ``Class.member``, only when a user reads it as an
+    attribute or names it in a string, since a bare name of the same
+    spelling is some local variable.  Dunder methods are exempt, since
+    the language calls them.
     """
-    read = set()
+    names, attributes = set(), set()
     for source in users.values():
-        read |= referenced_names(ast.parse(source))
-    return sorted(
-        (path, line, name)
-        for path, source in sources.items()
-        for name, line in defined_names(ast.parse(source)).items()
-        if name not in read and not (name.startswith("__") and name.endswith("__"))
-    )
+        read = referenced_names(ast.parse(source))
+        names |= read[0]
+        attributes |= read[1]
+    unused = []
+    for path, source in sources.items():
+        plain, members, _ = definitions(ast.parse(source))
+        unused += [
+            (path, line, name)
+            for name, line in plain.items()
+            if name not in names and not is_dunder(name)
+        ]
+        unused += [
+            (path, line, f"{owner}.{name}")
+            for (owner, name), line in members.items()
+            if name not in attributes and not is_dunder(name)
+        ]
+    return sorted(unused)
+
+
+def shared_member_names(sources):
+    """``{name: owners}`` of each member name another class also defines.
+
+    A method or property shares its name when another class defines a
+    member or a field of that name; ``owners`` lists the ``Class.name``
+    of every such method and property.
+    """
+    members, fields = set(), set()
+    for source in sources.values():
+        _, defined, annotated = definitions(ast.parse(source))
+        members |= set(defined)
+        fields |= annotated
+    shared = {}
+    for owner, name in sorted(members):
+        if is_dunder(name):
+            continue
+        others = {c for c, n in members | fields if n == name and c != owner}
+        if others:
+            shared.setdefault(name, []).append(f"{owner}.{name}")
+    return shared
 
 
 def test_unused_definitions_are_detected():
@@ -110,21 +200,53 @@ def test_unused_definitions_are_detected():
             "    def __init__(self):\n        pass\n"
             "    def m(self):\n        pass\n"
             "    def n(self):\n        pass\n"
+            "    def o(self):\n        pass\n"
         ),
     }
-    users = {"b.py": "g()\nc.m()\ngetattr(c, 'n')\n"}
-    assert unused_definitions(sources, users) == [("a.py", 1, "f"), ("a.py", 5, "C")]
+    users = {"b.py": "g()\nc.m()\ngetattr(c, 'n')\no = 1\nprint(o)\n"}
+    assert unused_definitions(sources, users) == [
+        ("a.py", 1, "f"), ("a.py", 5, "C"), ("a.py", 12, "C.o"),
+    ]
+
+
+def test_shared_member_names_are_detected():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    size: int\n"
+            "    def rows(self):\n        pass\n"
+            "    def keys(self):\n        pass\n"
+            "    def only(self):\n        pass\n"
+        ),
+        "b.py": (
+            "class B:\n"
+            "    rows: tuple\n"
+            "    def __init__(self):\n        self.keys = {}\n"
+            "    def size(self):\n        pass\n"
+        ),
+    }
+    assert shared_member_names(sources) == {
+        "keys": ["A.keys"], "rows": ["A.rows"], "size": ["B.size"],
+    }
+
+
+def read_tree(folder):
+    return {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
 
 
 def test_every_definition_is_used():
-    def read(folder):
-        return {
-            str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
-            for path in sorted((ROOT / folder).rglob("*.py"))
-        }
-
-    users = {**read("src"), **read("scripts"), **read("perfbench")}
-    unused = unused_definitions(read("src/gencluster"), users)
+    users = {**read_tree("src"), **read_tree("scripts"), **read_tree("perfbench")}
+    unused = unused_definitions(read_tree("src/gencluster"), users)
     assert [u for u in unused if u[2] not in UNUSED_ON_PURPOSE] == []
     # An exemption whose name is used again, or gone, is dropped.
     assert sorted(UNUSED_ON_PURPOSE) == sorted(name for _, _, name in unused)
+
+
+def test_shared_member_names_are_reviewed():
+    shared = shared_member_names(read_tree("src/gencluster"))
+    assert {n: o for n, o in shared.items() if n not in SHARED_MEMBER_NAMES} == {}
+    # An entry whose name no longer collides is dropped.
+    assert sorted(SHARED_MEMBER_NAMES) == sorted(shared)

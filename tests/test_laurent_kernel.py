@@ -228,8 +228,7 @@ class TestTropical:
 
 class TestTables:
     def test_roles_and_indices(self):
-        assert SMALL_TABLE.role("x") == ROLE_CLUSTER
-        assert SMALL_TABLE.role("f") == ROLE_FROZEN
+        assert SMALL_TABLE.roles == (ROLE_CLUSTER, ROLE_CLUSTER, ROLE_FROZEN)
         assert SMALL_TABLE.cluster_indices == (0, 1)
         assert SMALL_TABLE.frozen_indices == (2,)
 
@@ -252,7 +251,7 @@ class TestTables:
         assert mono_times(m, m).exponents == SMALL_TABLE.monomial(x=4, f=-2).exponents
         assert mono_over(m, m).is_one()
         assert mono_power(m, 3) == SMALL_TABLE.monomial(x=6, f=-3)
-        assert m.exponent("x") == 2
+        assert m.exponents == (2, 0, -1)
 
     def test_equal_tables_are_interchangeable(self):
         twin = VariableTable.make(cluster=("x", "y"), frozen=("f",))
@@ -264,6 +263,31 @@ class TestTables:
         other = VariableTable.make(cluster=("x", "z"), frozen=("f",))
         with pytest.raises(TableMismatch):
             poly_add(SMALL_TABLE.variable("x"), other.variable("x"))
+
+
+class TestIntegerArguments:
+    """Helpers reject a non-integer instead of truncating it."""
+
+    @pytest.mark.parametrize("bad", [1.5, "3"])
+    def test_monomial_exponents(self, bad):
+        with pytest.raises(ValidationError):
+            SMALL_TABLE.monomial(x=bad)
+        assert SMALL_TABLE.monomial(x=3).exponents == (3, 0, 0)
+
+    @pytest.mark.parametrize("bad", [1.5, "3"])
+    def test_power(self, bad):
+        x = SMALL_TABLE.variable("x")
+        with pytest.raises(ValidationError):
+            poly_pow(x, bad)
+        assert poly_pow(x, 3) == x_power(3)
+
+    @pytest.mark.parametrize("bad", [1.5, "3"])
+    def test_constant(self, bad):
+        with pytest.raises(ValidationError):
+            LaurentPolynomial.constant(SMALL_TABLE, bad)
+        assert LaurentPolynomial.constant(SMALL_TABLE, 3) == LaurentPolynomial(
+            SMALL_TABLE, {(0, 0, 0): 3}
+        )
 
 
 LIMIT = EXPONENT_LIMIT

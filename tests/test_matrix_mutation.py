@@ -10,13 +10,13 @@ from gencluster.errors import (
     InvalidDivisors,
     NotSkewSymmetrizable,
     ParseError,
+    ValidationError,
 )
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
     _principal_diagonalizer,
-    _symmetrizes,
     check_compatible,
     modify,
     mutate,
@@ -42,9 +42,7 @@ def diagonalizer(matrix):
     """Minimal positive diagonal ``d`` with ``d_i B_ij = -d_j B_ji``.
 
     Minimality is componentwise: on each connected component of the
-    nonzero pattern the returned entries have no common factor.  A
-    symmetrizer inherited through mutation need not be minimal (the
-    components can split), so this always searches afresh.
+    nonzero pattern the returned entries have no common factor.
     """
     return _principal_diagonalizer(matrix.rows, matrix.n)
 
@@ -150,11 +148,6 @@ def assert_like_rebuilt(matrix):
     assert hash(matrix) == hash(rebuilt)
     assert repr(matrix) == repr(rebuilt)
     assert diagonalizer(matrix) == diagonalizer(rebuilt)
-    d = matrix._symmetrizer
-    assert all(x > 0 for x in d)
-    for i in range(matrix.n):
-        for j in range(matrix.n):
-            assert d[i] * matrix.rows[i][j] == -d[j] * matrix.rows[j][i]
 
 
 class TestInheritedSymmetrizer:
@@ -186,19 +179,6 @@ class TestInheritedSymmetrizer:
         for seed in seeds:
             for mode in ("total", "lcm"):
                 assert_like_rebuilt(tau_tilde(seed, mode=mode).seed.matrix)
-
-    def test_wrong_symmetrizer_is_replaced(self):
-        matrix = ExtendedExchangeMatrix(
-            2, 1, ((0, 2, 5), (-1, 0, 7)), _symmetrizer=(1, 1)
-        )
-        assert matrix._symmetrizer == (1, 2)
-        assert "_symmetrizer" not in repr(matrix)
-
-    def test_wrong_symmetrizer_does_not_hide_a_bad_matrix(self):
-        for rows in (((0, 1), (1, 0)), ((1, 0), (0, 0)), ((0, 1), (0, 0))):
-            for d in ((1, 1), (2, 1), (0, 0), (-1, -1), (1,)):
-                with pytest.raises(NotSkewSymmetrizable):
-                    ExtendedExchangeMatrix(2, 0, rows, _symmetrizer=d)
 
 
 def oracle_mutate_rows(rows, k, row_scale):
@@ -248,7 +228,6 @@ def assert_valid_as_built(matrix):
     """A trusted result passes the validating constructor unchanged."""
     assert type(matrix) is ExtendedExchangeMatrix
     assert ExtendedExchangeMatrix(matrix.n, matrix.m, matrix.rows) == matrix
-    assert _symmetrizes(matrix._symmetrizer, matrix.rows, matrix.n)
 
 
 class TestTrustedResults:
@@ -295,6 +274,18 @@ class TestValidation:
     def test_rejects_nonpositive_divisors(self):
         with pytest.raises(InvalidDivisors):
             DivisorVector((1, 0))
+
+    @pytest.mark.parametrize("bad", [1.5, "3"])
+    def test_from_rows_rejects_non_integers(self, bad):
+        with pytest.raises(ValidationError):
+            ExtendedExchangeMatrix.from_rows([[0, bad]], m=1)
+        assert ExtendedExchangeMatrix.from_rows([[0, 3]], m=1).rows == ((0, 3),)
+
+    @pytest.mark.parametrize("bad", [1.5, "3"])
+    def test_divisors_of_rejects_non_integers(self, bad):
+        with pytest.raises(InvalidDivisors):
+            DivisorVector.of(2, bad)
+        assert DivisorVector.of(2, 3).entries == (2, 3)
 
     def test_mutation_index_range(self, fix_a_matrix):
         matrix, divisors = fix_a_matrix

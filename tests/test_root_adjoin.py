@@ -109,8 +109,8 @@ class TestTauTilde:
 
     def test_fix_b_coefficient_rows(self, fix_b):
         table = rho(tau_tilde(fix_b).seed)
-        assert tuple(str(e) for e in table.rows[0]) == FIX_B_RHO_X
-        assert tuple(str(e) for e in table.rows[1]) == FIX_B_RHO_Y
+        assert tuple(str(e) for e in table[0]) == FIX_B_RHO_X
+        assert tuple(str(e) for e in table[1]) == FIX_B_RHO_Y
 
     def test_root_map_powers(self, fix_b, fix_c):
         for seed, power in ((fix_b, 6), (fix_c, 2)):
@@ -226,7 +226,7 @@ class TestFloorStructure:
                         passing += 1
                         table = rho(seed)
                         for k, row in enumerate(rows):
-                            assert table.rows[k] == row
+                            assert table[k] == row
                     if step is not None:
                         seed = mutate_seed(seed, step)
         assert failing and passing

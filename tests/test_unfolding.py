@@ -7,10 +7,10 @@ import pytest
 from conftest import group_mutate_sequence
 from gencluster.errors import (
     IndexOutOfRange,
-    InvalidDivisors,
     StructureViolation,
     ValidationError,
 )
+from gencluster.gca_seed import initial_seed
 from gencluster.matrix_mutation import (
     ExtendedExchangeMatrix,
     mutate_sequence,
@@ -125,13 +125,6 @@ class TestBuild:
                         for c, e in enumerate(row):
                             assert e == (expected if r == c else 0)
 
-    def test_matrix_divisor_pair(self, fix_a):
-        assert build(fix_a.matrix, fix_a.divisors) == build(fix_a)
-
-    def test_incompatible_divisors_rejected(self, fix_a):
-        with pytest.raises(InvalidDivisors):
-            build(fix_a.matrix, (3, 2))
-
     def test_layout_accessors(self, fix_a):
         fm = build(fix_a)
         assert list(fm.group_range(0)) == [0, 1]
@@ -241,7 +234,7 @@ def block_formula(fm, k):
     ``(Y, Z)`` gains ``(sgn(B[Y,k]) + sgn(B[k,Z])) / 2 * B[Y,k] @ B[k,Z]``,
     which needs both factors to be sign-coherent.
     """
-    rows = [list(row) for row in fm.rows]
+    rows = [list(row) for row in fm.matrix.rows]
     k_cols = fm.group_range(k)
     for i in range(fm.n_groups):
         rows_i = fm.group_range(i)
@@ -324,7 +317,8 @@ class TestBlockConditions:
         matrix = ExtendedExchangeMatrix.from_rows(
             [[0, 2, -1, -2], [-2, 0, 4, 3]], m=2
         )
-        fm = build(matrix, (2, 2), multiplicity=2)
+        seed = initial_seed(matrix, (2, 2))
+        fm = build(seed, multiplicity=2)
         assert fm.block(fm.group_range(0), range(4, 6)) == ((-1, -2), (-1, -2))
         for k in (0, 1, 0):
             fm = group_mutate(fm, k)
@@ -333,7 +327,7 @@ class TestBlockConditions:
             assert report.ok, report.failures
         assert not hadamard_check(fm, matrix, (2, 2)).ok
         with pytest.raises(ValidationError):
-            build(matrix, (2, 2), multiplicity=3)
+            build(seed, multiplicity=3)
 
     def test_hadamard_detects_corruption(self, fix_a):
         fm = edited(build(fix_a), {(0, 5): -8})
