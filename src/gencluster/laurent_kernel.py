@@ -151,7 +151,7 @@ class VariableTable:
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
         object.__setattr__(self, "_role_indices", {
             role: tuple(i for i, r in enumerate(self.roles) if r == role)
-            for role in _ROLES
+            for role in (ROLE_CLUSTER, ROLE_FROZEN)
         })
         object.__setattr__(self, "_layout", _layout(len(self.names)))
 

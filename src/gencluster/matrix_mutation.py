@@ -216,9 +216,9 @@ def modify(matrix, divisors):
 def _trusted_matrix(matrix, rows):
     """``matrix`` with its rows replaced, built without validation.
 
-    Only for results that keep the input's shape and a skew-symmetrizable
-    principal part: ``rows`` is a tuple of integer tuples of the input's
-    shape, and its principal part is the input's or a mutation of it.
+    Only for results that keep the input's shape and its principal part,
+    or a mutation of it, which stays skew-symmetrizable: ``rows`` is a
+    tuple of integer tuples of the input's shape.
     """
     out = object.__new__(ExtendedExchangeMatrix)
     out.__dict__.update(matrix.__dict__, rows=rows)

@@ -80,20 +80,21 @@ SHARED_MEMBER_NAMES = {
 def definitions(tree):
     """The definitions of a module, split by how they are reached.
 
-    Returns ``(plain, members, fields)``: ``plain`` maps each function
-    and class that is not a class's method to ``(name, line)``;
-    ``members`` maps each method and property to ``(class.name, line)``,
-    keyed by ``(class, name)``; ``fields`` holds ``(class, name)`` of
-    each name a class annotates in its body or assigns on ``self``.
+    Returns ``(plain, members, fields)``: ``plain`` maps the name of each
+    function and class that is not a class's method to its line;
+    ``members`` maps ``(class, name)`` of each method and property to
+    its line; ``fields`` holds ``(class, name)`` of each name a class
+    annotates in its body or assigns on ``self``.
     """
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    plain, members, fields = {}, {}, set()
+    members, fields, methods = {}, set(), set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 members[(node.name, item.name)] = item.lineno
+                methods.add(item)
             elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                 fields.add((node.name, item.target.id))
         for sub in ast.walk(node):
@@ -104,14 +105,11 @@ def definitions(tree):
                 and sub.value.id == "self"
             ):
                 fields.add((node.name, sub.attr))
-    member_nodes = {
-        id(item)
-        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-        for item in node.body
+    plain = {
+        node.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, kinds) and node not in methods
     }
-    for node in ast.walk(tree):
-        if isinstance(node, kinds) and id(node) not in member_nodes:
-            plain[node.name] = node.lineno
     return plain, members, fields
 
 
@@ -181,12 +179,12 @@ def shared_member_names(sources):
         _, defined, annotated = definitions(ast.parse(source))
         members |= set(defined)
         fields |= annotated
+    defined = members | fields
     shared = {}
     for owner, name in sorted(members):
         if is_dunder(name):
             continue
-        others = {c for c, n in members | fields if n == name and c != owner}
-        if others:
+        if any(n == name and c != owner for c, n in defined):
             shared.setdefault(name, []).append(f"{owner}.{name}")
     return shared
 
