@@ -111,7 +111,7 @@ class GeneralizedSeed:
     skip those checks (see :func:`_trusted_seed`), because
     :func:`mutate_seed` preserves each of them: the table and divisors
     are unchanged; each matrix update is 0 or ``+/- b_ik * b_kj``, so
-    ``d_i`` still divides row ``i`` (and the symmetrizer carries over,
+    ``d_i`` still divides row ``i`` (and skew-symmetrizers carry over,
     Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5); and string row
     ``k`` is only reversed.
     """
