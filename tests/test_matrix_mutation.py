@@ -1,5 +1,7 @@
 """Extended exchange matrices: mutation, scaling, and the weighted rule."""
 
+from itertools import permutations
+from math import prod
 import random
 
 import pytest
@@ -16,7 +18,6 @@ from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
-    _principal_diagonalizer,
     check_compatible,
     modify,
     mutate,
@@ -36,15 +37,6 @@ FIX_A_MU1 = ((0, -8, 3, -5), (12, 0, -38, 7))
 FIX_A_MU21 = ((0, 8, -301, -5), (-12, 0, 38, -7))
 FIX_A_MU1_MODIFIED = ((0, -4, 3, -5), (4, 0, -38, 7))
 FIX_A_MU21_MODIFIED = ((0, 4, -301, -5), (-4, 0, 38, -7))
-
-
-def diagonalizer(matrix):
-    """Minimal positive diagonal ``d`` with ``d_i B_ij = -d_j B_ji``.
-
-    Minimality is componentwise: on each connected component of the
-    nonzero pattern the returned entries have no common factor.
-    """
-    return _principal_diagonalizer(matrix.rows, matrix.n)
 
 
 @pytest.fixture
@@ -80,12 +72,6 @@ class TestGoldens:
             mutate_modified(modify(matrix, divisors), divisors, 0), divisors, 1
         )
         assert modified.rows == FIX_A_MU21_MODIFIED
-
-    def test_divisors_differ_from_diagonalizer(self, fix_a_matrix):
-        """The scaling vector is data, not derived from the matrix."""
-        matrix, divisors = fix_a_matrix
-        assert divisors.entries == (2, 3)
-        assert diagonalizer(matrix) == (3, 2)
 
 
 class TestProperties:
@@ -147,7 +133,6 @@ def assert_like_rebuilt(matrix):
     assert matrix == rebuilt
     assert hash(matrix) == hash(rebuilt)
     assert repr(matrix) == repr(rebuilt)
-    assert diagonalizer(matrix) == diagonalizer(rebuilt)
 
 
 class TestInheritedSymmetrizer:
@@ -261,7 +246,66 @@ class TestTrustedResults:
             assert hash(result) == hash(ExtendedExchangeMatrix(3, 1, result.rows))
 
 
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def cycle_criterion(rows, n):
+    """Whether the principal part of ``rows`` is skew-symmetrizable.
+
+    Fomin-Zelevinsky, Cluster algebras I, Lemma 7.4: the part must be
+    sign-skew-symmetric, and every cycle of distinct indices ``i1 ...
+    ik`` with ``k >= 3`` must satisfy ``b_{i1 i2} ... b_{ik i1} =
+    (-1)^k b_{i2 i1} ... b_{i1 ik}``.  No symmetrizer is built.
+    """
+    if any(sign(rows[i][j]) != -sign(rows[j][i]) for i in range(n) for j in range(n)):
+        return False
+    for k in range(3, n + 1):
+        for cycle in permutations(range(n), k):
+            steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+            forward = prod(rows[a][b] for a, b in steps)
+            backward = prod(rows[b][a] for a, b in steps)
+            if forward != (-1) ** k * backward:
+                return False
+    return True
+
+
+def drawn_rows(rng, perturb):
+    """``(n, m, rows)`` with a principal part built as :func:`weighted_walks` does.
+
+    With ``perturb``, one principal entry (possibly on the diagonal)
+    then moves by a nonzero amount.
+    """
+    n, m = rng.randint(1, 4), rng.randint(0, 2)
+    s = [rng.randint(1, 3) for _ in range(n)]
+    rows = [[0] * n + [rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = rng.randint(-2, 2)
+            rows[i][j], rows[j][i] = s[j] * c, -s[i] * c
+    if perturb:
+        rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+    return n, m, rows
+
+
 class TestValidation:
+    def test_constructor_agrees_with_the_cycle_criterion(self):
+        rng = random.Random(74)
+        built = []
+        for draw in range(600):
+            n, m, rows = drawn_rows(rng, perturb=draw % 2)
+            expected = cycle_criterion(rows, n)
+            # The unperturbed half is skew-symmetrizable by construction.
+            assert expected or draw % 2, rows
+            try:
+                ExtendedExchangeMatrix(n, m, rows)
+            except NotSkewSymmetrizable:
+                built.append(False)
+            else:
+                built.append(True)
+            assert built[-1] == expected, rows
+        assert built.count(False) >= 100 and built.count(True) >= 300
+
     def test_rejects_non_skew_symmetrizable(self):
         with pytest.raises(NotSkewSymmetrizable):
             ExtendedExchangeMatrix.from_rows(((0, 1), (1, 0)), m=0)

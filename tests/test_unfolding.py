@@ -1,5 +1,6 @@
 """Unfolding: block layout, group mutation, and preserved block structure."""
 
+from itertools import product
 import random
 
 import pytest
@@ -293,6 +294,127 @@ class TestBlockFormula:
         fm = edited(build(fix_a), {(0, 4): -4, (4, 0): 4})
         with pytest.raises(AssertionError, match="sign-incoherent"):
             block_formula(fm, 0)
+
+
+def witness_blocks(fm, witness, i, j):
+    """The ``T`` and ``S`` blocks of group pair ``(i, j)`` rebuilt from ``witness``.
+
+    On the diagonal ``T = c J + alpha Id`` and ``S = (a - c) J - alpha Id``;
+    off the diagonal the ``alpha`` terms are dropped.
+    """
+    a, c = witness.a[(i, j)], witness.c[(i, j)]
+    alpha = witness.alpha[i] if i == j else 0
+    t = tuple(
+        tuple(c + (alpha if r == q else 0) for q in range(fm.group_sizes[j]))
+        for r in range(fm.group_sizes[i])
+    )
+    return t, tuple(tuple(a - e for e in row) for row in t)
+
+
+def has_witness(fm):
+    """Whether a double-constant witness fits ``fm``, read off the definition.
+
+    Every ``T + S`` block is constant, and every ``T`` block is constant
+    once ``alpha Id`` is taken off, for ``alpha = 0`` off the diagonal
+    and for some ``alpha`` in ``{+1, -1}`` on it.
+    """
+    for i, j in product(range(fm.n_groups), repeat=2):
+        rows = fm.group_range(i)
+        t, s = fm.block(rows, fm.t_range(j)), fm.block(rows, fm.s_range(j))
+        if len({x + y for tr, sr in zip(t, s) for x, y in zip(tr, sr)}) != 1:
+            return False
+        if not any(
+            len({
+                e - (alpha if r == q else 0)
+                for r, row in enumerate(t) for q, e in enumerate(row)
+            }) == 1
+            for alpha in ((1, -1) if i == j else (0,))
+        ):
+            return False
+    return True
+
+
+def assert_witness_rebuilds(fm):
+    witness = double_constant_check(fm)
+    assert set(witness.alpha.values()) <= {1, -1}
+    # A 1 x 1 diagonal block fits either sign; the convention is +1.
+    assert all(witness.alpha[i] == 1 for i, size in enumerate(fm.group_sizes) if size == 1)
+    for i, j in product(range(fm.n_groups), repeat=2):
+        rows = fm.group_range(i)
+        assert (
+            fm.block(rows, fm.t_range(j)), fm.block(rows, fm.s_range(j))
+        ) == witness_blocks(fm, witness, i, j), (i, j)
+
+
+def walk_states(seed, depth):
+    """Every group-mutation state of ``build(seed)`` up to ``depth`` steps."""
+    states = layer = [build(seed)]
+    for _ in range(depth):
+        layer = [group_mutate(fm, k) for fm in layer for k in range(fm.n_groups)]
+        states = states + layer
+    return states
+
+
+def ts_corruptions(fm):
+    """Edits of the ``T``/``S`` columns of ``fm`` as ``{(row, col): value}``.
+
+    Single entries moved by one; a ``T`` entry and the ``S`` entry beside
+    it moved oppositely, which keeps ``T + S``; and a diagonal block's
+    identity part shifted by ``-2 .. 2``, again keeping ``T + S``.
+    """
+    rows = fm.matrix.rows
+    for j in range(fm.n_groups):
+        for r in range(fm.total):
+            for t, s in zip(fm.t_range(j), fm.s_range(j)):
+                yield {(r, t): rows[r][t] + 1}
+                yield {(r, s): rows[r][s] - 1}
+                yield {(r, t): rows[r][t] + 1, (r, s): rows[r][s] - 1}
+    for i in range(fm.n_groups):
+        members = list(zip(fm.group_range(i), fm.t_range(i), fm.s_range(i)))
+        for delta in (-2, -1, 1, 2):
+            changes = {}
+            for r, t, s in members:
+                changes[(r, t)] = rows[r][t] + delta
+                changes[(r, s)] = rows[r][s] - delta
+            yield changes
+
+
+class TestDoubleConstantOracle:
+    """``double_constant_check`` against the definition of its witness."""
+
+    def test_witness_rebuilds_the_blocks_on_fixtures(self, fix_a, fix_b, fix_c):
+        for seed in (fix_a, fix_b, fix_c):
+            for fm in walk_states(seed, 4):
+                assert_witness_rebuilds(fm)
+
+    def test_witness_rebuilds_the_blocks_on_random_walks(self):
+        rng = random.Random(4017)
+        for _ in range(60):
+            seed = random_seed(rng)
+            fm = build(seed)
+            assert_witness_rebuilds(fm)
+            for k in random_sequence(rng, seed.matrix.n, 4):
+                fm = group_mutate(fm, k)
+                assert_witness_rebuilds(fm)
+
+    def test_raises_exactly_when_no_witness_fits(self, fix_a, fix_b, fix_c):
+        rng = random.Random(4018)
+        states = [fm for seed in (fix_a, fix_b, fix_c) for fm in walk_states(seed, 2)]
+        for _ in range(20):
+            seed = random_seed(rng)
+            states += walk_states(seed, 1)
+        verdicts = set()
+        for fm in states:
+            for changes in ts_corruptions(fm):
+                broken = edited(fm, changes)
+                fits = has_witness(broken)
+                verdicts.add(fits)
+                if fits:
+                    assert_witness_rebuilds(broken)
+                else:
+                    with pytest.raises(StructureViolation):
+                        double_constant_check(broken)
+        assert verdicts == {True, False}
 
 
 class TestBlockConditions:
