@@ -313,6 +313,7 @@ class LaurentPolynomial:
         for exps, coeff in (terms or {}).items():
             if len(exps) != width:
                 raise ValidationError("term exponent vector does not match table size")
+            coeff = _integer(coeff, "coefficients")
             if coeff == 0:
                 raise ValidationError("zero coefficient stored in term dict")
             try:

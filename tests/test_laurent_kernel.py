@@ -282,12 +282,10 @@ class TestIntegerArguments:
         assert poly_pow(x, 3) == x_power(3)
 
     @pytest.mark.parametrize("bad", [1.5, "3"])
-    def test_constant(self, bad):
+    def test_coefficients(self, bad):
         with pytest.raises(ValidationError):
-            LaurentPolynomial.constant(SMALL_TABLE, bad)
-        assert LaurentPolynomial.constant(SMALL_TABLE, 3) == LaurentPolynomial(
-            SMALL_TABLE, {(0, 0, 0): 3}
-        )
+            LaurentPolynomial(SMALL_TABLE, {(1, 0, 0): bad})
+        assert str(LaurentPolynomial(SMALL_TABLE, {(1, 0, 0): 3})) == "3*x"
 
 
 LIMIT = EXPONENT_LIMIT
