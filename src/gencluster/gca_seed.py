@@ -39,7 +39,7 @@ reassembling ``theta_k`` from the roots, and the special and balancing
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, Report, ValidationError
+from .errors import Report, ValidationError
 from .laurent_kernel import (
     Monomial,
     ROLE_CLUSTER,
@@ -57,7 +57,6 @@ from .matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
     check_compatible,
-    modify,
     mutate,
 )
 
@@ -142,12 +141,12 @@ class GeneralizedSeed:
     def rank(self):
         return self.matrix.n
 
-    def scaled_matrix(self):
-        """The divisor-scaled companion matrix ``bhat``."""
-        return modify(self.matrix, self.divisors)
-
     def scaled_row(self, k):
-        """Row ``k`` of :meth:`scaled_matrix`, scaled alone."""
+        """Row ``k`` of the divisor-scaled matrix ``bhat``, scaled alone.
+
+        ``bhat`` is :func:`~gencluster.matrix_mutation.modify` of the
+        matrix and the divisors.
+        """
         d_k, n = self.divisors[k], self.rank
         return tuple([
             e // d_k if j < n else e for j, e in enumerate(self.matrix.rows[k])
@@ -167,12 +166,6 @@ class GeneralizedSeed:
             tuple(tuple(e.exponents for e in row) for row in self.strings.rows),
             tuple(frozenset(p._keys.items()) for p in self.cluster),
         )
-
-    def check_direction(self, k):
-        if not isinstance(k, int) or not 0 <= k < self.rank:
-            raise IndexOutOfRange(
-                f"direction {k!r} is not mutable (0..{self.rank - 1})"
-            )
 
 
 def initial_seed(matrix, divisors, strings=None, cluster_names=None, frozen_names=None):
@@ -240,7 +233,7 @@ class ExchangeContext:
         frozen dataclass's ``__init__``, which sets each one through
         ``object.__setattr__``; the result equals the constructor's.
         """
-        seed.check_direction(k)
+        seed.matrix.check_direction(k)
         d_k = seed.divisors[k]
         bhat_row = seed.scaled_row(k)
         n = seed.rank

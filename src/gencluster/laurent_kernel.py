@@ -345,11 +345,6 @@ class LaurentPolynomial:
     def one(table):
         return _trusted(table, {table._layout.offset: 1}, 0)
 
-    @staticmethod
-    def constant(table, c):
-        c = _integer(c, "constants")
-        return _trusted(table, {table._layout.offset: c} if c else {}, 0)
-
     def sorted_terms(self):
         """Terms in canonical (graded-lex descending) order."""
         unpack = self.table._layout.unpack

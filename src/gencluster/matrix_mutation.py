@@ -15,16 +15,17 @@ Two mutation rules live here:
   the test-suite rather than assumed.
 
 The public constructor :class:`ExtendedExchangeMatrix` (and with it
-:func:`parse_matrix`, :meth:`ExtendedExchangeMatrix.from_rows` and
-:func:`modify`) validates its input.  Mutation results skip that
-validation: the shape and the integer entries carry over from the
-input, and mutation preserves skew-symmetrizers (Fomin-Zelevinsky,
-Cluster algebras I, Prop. 4.5), so both rules build their results
-through :func:`_trusted_matrix`.  The test-suite rebuilds those results
-through the validating constructor and compares.
+:meth:`ExtendedExchangeMatrix.from_rows` and :func:`modify`) validates
+its input.  Mutation results skip that validation: the shape and the
+integer entries carry over from the input, and mutation preserves
+skew-symmetrizers (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so
+both rules build their results through :func:`_trusted_matrix`.  The
+test-suite rebuilds those results through the validating constructor
+and compares.
 
-The plain-text matrix format is a header line ``"n m"`` followed by one
-line of ``;``-separated rows, each row ``n + m`` integers::
+:func:`write_matrix` prints the plain-text matrix format: a header line
+``"n m"`` followed by one line of ``;``-separated rows, each row ``n +
+m`` integers::
 
     2 2
     0 8 -3 5 ; -12 0 -2 7
@@ -32,25 +33,21 @@ line of ``;``-separated rows, each row ``n + m`` integers::
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import (
     IndexOutOfRange,
     InvalidDivisors,
     NotSkewSymmetrizable,
-    ParseError,
     ValidationError,
 )
 
 
-def _principal_diagonalizer(rows, n):
-    """Componentwise-minimal positive diagonal skew-symmetrizing the principal part.
+def _check_skew_symmetrizable(rows, n):
+    """Raise NotSkewSymmetrizable unless a positive diagonal skew-symmetrizes.
 
-    Works component by component on the graph whose edges are the
-    nonzero principal entries, propagating exact ratios, then scales
-    each component to the minimal positive integer vector.  Raises
-    :class:`~gencluster.errors.NotSkewSymmetrizable` when no positive
-    diagonal works.
+    Checks the principal part's signs, then propagates the exact ratios
+    ``d_j / d_i`` over the graph whose edges are its nonzero entries;
+    every edge is checked when its row is popped.
     """
     for i in range(n):
         if rows[i][i] != 0:
@@ -70,7 +67,6 @@ def _principal_diagonalizer(rows, n):
         if values[start] is not None:
             continue
         values[start] = Fraction(1)
-        component = [start]
         queue = [start]
         while queue:
             i = queue.pop()
@@ -81,23 +77,11 @@ def _principal_diagonalizer(rows, n):
                 ratio = Fraction(-rows[i][j], rows[j][i])
                 if values[j] is None:
                     values[j] = values[i] * ratio
-                    component.append(j)
                     queue.append(j)
                 elif values[j] != values[i] * ratio:
                     raise NotSkewSymmetrizable(
                         f"inconsistent ratio constraints on direction {j}"
                     )
-        scale = lcm(*(v.denominator for v in (values[c] for c in component)))
-        ints = [values[c] * scale for c in component]
-        shrink = gcd(*(int(v) for v in ints))
-        for c, v in zip(component, ints):
-            values[c] = Fraction(int(v) // shrink)
-    result = tuple(int(v) for v in values)
-    for i in range(n):
-        for j in range(n):
-            if result[i] * rows[i][j] != -result[j] * rows[j][i]:
-                raise NotSkewSymmetrizable("no positive diagonal skew-symmetrizes")
-    return result
 
 
 @dataclass(frozen=True)
@@ -132,7 +116,7 @@ class ExtendedExchangeMatrix:
                 raise ValidationError("row width does not match n + m")
             if not all(isinstance(e, int) for e in row):
                 raise ValidationError("matrix entries must be integers")
-        _principal_diagonalizer(self.rows, self.n)
+        _check_skew_symmetrizable(self.rows, self.n)
 
     @staticmethod
     def from_rows(rows, m=None):
@@ -308,31 +292,3 @@ def write_matrix(matrix):
     rows = " ; ".join(" ".join(str(e) for e in row) for row in matrix.rows)
     return f"{matrix.n} {matrix.m}\n{rows}\n"
 
-
-def parse_matrix(text):
-    """Parse the canonical text form produced by :func:`write_matrix`."""
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines:
-        raise ParseError("empty matrix text")
-    try:
-        header = lines[0].split()
-        n, m = int(header[0]), int(header[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError("matrix header must be two integers") from exc
-    if n == 0:
-        return ExtendedExchangeMatrix(0, m, ())
-    if len(lines) < 2:
-        raise ParseError("missing matrix rows")
-    row_texts = " ".join(lines[1:]).split(";")
-    if len(row_texts) != n:
-        raise ParseError(f"expected {n} rows, got {len(row_texts)}")
-    rows = []
-    for text_row in row_texts:
-        try:
-            row = tuple(int(tok) for tok in text_row.split())
-        except ValueError as exc:
-            raise ParseError("matrix entries must be integers") from exc
-        if len(row) != n + m:
-            raise ParseError(f"expected {n + m} entries per row, got {len(row)}")
-        rows.append(row)
-    return ExtendedExchangeMatrix(n, m, tuple(rows))

@@ -325,10 +325,9 @@ class QuotientContext:
     shared by every context the walk reaches: ``rho_values`` (the table
     sending each placeholder to its concrete monomial; mutation only
     permutes which placeholder sits where), ``placeholder_names``, the
-    placeholder-extended folded table ``folded_plus``, the unit-relation
-    elimination map, and the images of the tracked variables and their
-    key shifts.  The eliminated ``sigma`` powers are cached per folded
-    table.
+    placeholder-extended folded table ``folded_plus``, and the images of
+    the tracked variables and their key shifts.  The eliminated
+    ``sigma`` powers are cached per folded table.
 
     The constructor checks two facts once per walk
     (:class:`~gencluster.errors.ValidationError` otherwise): no tracked
@@ -356,7 +355,6 @@ class QuotientContext:
             for k in range(tracked.rank)
             for r in range(1, tracked.divisors[k])
         )
-        self._plus_elimination = unit_elimination_map(self.folded_plus)
         self._phi_images = {
             tracked.table.names[k]: self.folded_plus.monomial(
                 {fs.table.names[c]: 1 for c in fs.members(k)}
@@ -439,17 +437,10 @@ class QuotientContext:
         return step
 
     def normal_form(self, p):
-        """Canonical representative of ``p`` in the quotient.
+        """Canonical representative in the quotient of ``p``, over the folded table.
 
-        The unit relations eliminate each group's last auxiliary pair
-        first, on the unexpanded polynomial: the elimination ``E`` is a
-        monomial ring map that fixes the placeholders, so
-        ``E(sum part * sigma^e) = sum E(part) * E(sigma)^e``.  Then the
-        placeholders are expanded as in :meth:`phi_poly`.
+        The unit relations eliminate each group's last auxiliary pair.
         """
-        if p.table == self.folded_plus:
-            p = poly_map_variables(p, self._plus_elimination, self.folded_plus)
-            return self._expand(p)
         return eliminate_units(self.fs, p)
 
     def phi_poly(self, p):

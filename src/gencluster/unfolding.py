@@ -236,63 +236,48 @@ class DoubleConstantWitness:
     alpha: dict
 
 
+def _plus_identity(value, shift, height, width):
+    """``value J + shift Id`` as row tuples, like :meth:`FoldedMatrix.block`."""
+    row = (value,) * width
+    if not shift:
+        return (row,) * height
+    return tuple(row[:r] + (value + shift,) + row[r + 1:] for r in range(height))
+
+
 def double_constant_check(fm):
-    """Extract the double-constant witness, or raise StructureViolation."""
+    """Extract the double-constant witness, or raise StructureViolation.
+
+    One rule holds for every group pair ``(i, j)``: with ``alpha`` equal
+    to ``alpha[i]`` when ``i == j`` and to 0 otherwise, ``T`` must be
+    ``c J + alpha Id`` and ``S`` must be ``(a - c) J - alpha Id``, with
+    ``a`` and ``c`` read off the first entries.  ``alpha[i]`` is ``T[0][0]
+    - T[0][1]`` of the diagonal block, or +1 for a 1 x 1 block, and must
+    be +1 or -1.
+    """
     a, c, alpha = {}, {}, {}
     for i in range(fm.n_groups):
         rows_i = fm.group_range(i)
         for j in range(fm.n_groups):
             t_block = fm.block(rows_i, fm.t_range(j))
             s_block = fm.block(rows_i, fm.s_range(j))
-            total = [
-                [t + s for t, s in zip(t_row, s_row)]
-                for t_row, s_row in zip(t_block, s_block)
-            ]
-            a_val = total[0][0]
-            if any(e != a_val for row in total for e in row):
-                raise StructureViolation(
-                    f"T+S block ({i},{j}) is not constant: {total}"
-                )
-            a[(i, j)] = a_val
-            if i != j:
-                c_val = t_block[0][0]
-                if any(e != c_val for row in t_block for e in row):
-                    raise StructureViolation(
-                        f"off-diagonal T block ({i},{j}) is not constant"
-                    )
-                c[(i, j)] = c_val
-            else:
-                size = fm.group_sizes[i]
-                if size == 1:
-                    # A 1 x 1 diagonal block splits as c + alpha in many
-                    # ways; fix alpha = +1, c = entry - 1 by convention.
-                    alpha[i] = 1
-                    c[(i, i)] = t_block[0][0] - 1
-                    continue
-                off = None
-                for r in range(size):
-                    for s in range(size):
-                        if r != s:
-                            if off is None:
-                                off = t_block[r][s]
-                            elif t_block[r][s] != off:
-                                raise StructureViolation(
-                                    f"diagonal T block ({i},{i}) off-diagonal "
-                                    "entries are not constant"
-                                )
-                diag = t_block[0][0]
-                if any(t_block[r][r] != diag for r in range(size)):
-                    raise StructureViolation(
-                        f"diagonal T block ({i},{i}) diagonal entries differ"
-                    )
-                alpha_i = diag - off
-                if alpha_i not in (1, -1):
+            shift = 0
+            if i == j:
+                row = t_block[0]
+                shift = alpha[i] = row[0] - row[1] if len(row) > 1 else 1
+                if shift not in (1, -1):
                     raise StructureViolation(
                         f"diagonal T block ({i},{i}) identity part is "
-                        f"{alpha_i}, expected +1 or -1"
+                        f"{shift}, expected +1 or -1"
                     )
-                alpha[i] = alpha_i
-                c[(i, i)] = off
+            a[(i, j)] = a_ij = t_block[0][0] + s_block[0][0]
+            c[(i, j)] = c_ij = t_block[0][0] - shift
+            shape = len(rows_i), fm.group_sizes[j]
+            if t_block != _plus_identity(c_ij, shift, *shape):
+                raise StructureViolation(
+                    f"T block ({i},{j}) is not a constant plus {shift} Id"
+                )
+            if s_block != _plus_identity(a_ij - c_ij, -shift, *shape):
+                raise StructureViolation(f"T+S block ({i},{j}) is not constant")
     return DoubleConstantWitness(a=a, c=c, alpha=alpha)
 
 

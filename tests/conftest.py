@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 from gencluster import laurent_kernel
 from gencluster.errors import ParseError, TableMismatch
 from gencluster.fixtures import fixture_seed
+from gencluster.matrix_mutation import modify
 from gencluster.unfolding import group_mutate
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
@@ -78,7 +79,7 @@ def cluster_side(seed, k, sign):
     parts of ``sign`` times the scaled row, built with ``poly_pow``
     independently of the library's exchange context.
     """
-    row = seed.scaled_matrix().rows[k]
+    row = modify(seed.matrix, seed.divisors).rows[k]
     out = LaurentPolynomial.one(seed.table)
     for i in range(seed.rank):
         if sign * row[i] > 0:

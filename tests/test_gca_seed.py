@@ -42,7 +42,7 @@ from gencluster.laurent_kernel import (
     poly_mul,
     poly_pow,
 )
-from gencluster.matrix_mutation import ExtendedExchangeMatrix
+from gencluster.matrix_mutation import ExtendedExchangeMatrix, modify
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import tau_tilde
 
@@ -55,7 +55,7 @@ FIX_B_THETA_Y = "x^2*b^3 + x*b*p1y + 1"
 
 def frozen_box(seed, k, r):
     """The pair ``(v>[r], v<[r])`` of frozen monomials for direction ``k``."""
-    seed.check_direction(k)
+    seed.matrix.check_direction(k)
     d_k = seed.divisors[k]
     if not 0 <= r <= d_k:
         raise IndexOutOfRange(f"box index {r} outside 0..{d_k}")
@@ -69,7 +69,7 @@ def special_monomial(seed, n, j, k, r):
     With ``b = bhat_kj`` (the signed scaled entry) and ``d = d_k``, the
     exponent is :func:`~gencluster.gca_seed.floor_defect` ``(n, r, b, d)``.
     """
-    seed.check_direction(k)
+    seed.matrix.check_direction(k)
     d_k = seed.divisors[k]
     if not 0 <= r <= d_k:
         raise IndexOutOfRange(f"index {r} outside 0..{d_k}")
@@ -125,9 +125,9 @@ def monomial_context(seed, k):
     ``>`` side, the negative ones the ``<`` side, and box ``r`` of a
     frozen entry ``b`` has exponent ``floor(r*|b|/d_k)``.
     """
-    seed.check_direction(k)
+    seed.matrix.check_direction(k)
     d, n, table = seed.divisors[k], seed.rank, seed.table
-    row = seed.scaled_matrix().rows[k]
+    row = modify(seed.matrix, seed.divisors).rows[k]
 
     def side(sign):
         parts = [max(sign * e, 0) for e in row]

@@ -51,23 +51,10 @@ def test_every_import_is_read():
     assert unread == []
 
 
-#: Definitions in ``src/gencluster/`` that nothing in ``src/``, ``scripts/``
-#: or ``perfbench/`` uses, kept on purpose.  Every other definition must
-#: have a user there; a helper only the tests need lives in the tests.
-UNUSED_ON_PURPOSE = {
-    "LaurentPolynomial.constant": "kernel constructor beside LaurentPolynomial.zero and .one",
-    "parse_matrix": "reads back the text form write_matrix prints",
-    "GeneralizedSeed.scaled_matrix": "the whole divisor-scaled matrix; the library reads one row at a time",
-}
-
 #: Method and property names that another class also defines, as a member
 #: or a field.  The scan cannot tell whose attribute a read is, so each
 #: entry names the reads that are the member's own.
 SHARED_MEMBER_NAMES = {
-    "check_direction": (
-        "ExtendedExchangeMatrix's by mutate and mutate_modified; "
-        "GeneralizedSeed's by ExchangeContext.build"
-    ),
     "cluster": "FoldedSeed's by QuotientContext (self.fs.cluster)",
     "one": (
         "VariableTable's by table.one() in gca_seed, fixtures, randomgen and "
@@ -236,11 +223,9 @@ def read_tree(folder):
 
 
 def test_every_definition_is_used():
+    # A helper only the tests need lives in the tests.
     users = {**read_tree("src"), **read_tree("scripts"), **read_tree("perfbench")}
-    unused = unused_definitions(read_tree("src/gencluster"), users)
-    assert [u for u in unused if u[2] not in UNUSED_ON_PURPOSE] == []
-    # An exemption whose name is used again, or gone, is dropped.
-    assert sorted(UNUSED_ON_PURPOSE) == sorted(name for _, _, name in unused)
+    assert unused_definitions(read_tree("src/gencluster"), users) == []
 
 
 def test_shared_member_names_are_reviewed():

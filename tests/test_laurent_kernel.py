@@ -155,7 +155,7 @@ class TestExactDivision:
     def test_inexact_coefficient_raises(self):
         table = SMALL_TABLE
         x_plus_one = poly_add(table.variable("x"), LaurentPolynomial.one(table))
-        three = LaurentPolynomial.constant(table, 3)
+        three = LaurentPolynomial(table, {(0,) * len(table): 3})
         with pytest.raises(InexactDivision):
             poly_exact_div(x_plus_one, three)
 
@@ -257,7 +257,7 @@ class TestTables:
         twin = VariableTable.make(cluster=("x", "y"), frozen=("f",))
         assert poly_add(
             SMALL_TABLE.variable("x"), twin.variable("x")
-        ) == poly_mul(LaurentPolynomial.constant(twin, 2), twin.variable("x"))
+        ) == poly_mul(LaurentPolynomial(twin, {(0,) * len(twin): 2}), twin.variable("x"))
 
     def test_cross_table_ops_rejected(self):
         other = VariableTable.make(cluster=("x", "z"), frozen=("f",))

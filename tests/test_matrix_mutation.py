@@ -11,7 +11,6 @@ from gencluster.errors import (
     IndexOutOfRange,
     InvalidDivisors,
     NotSkewSymmetrizable,
-    ParseError,
     ValidationError,
 )
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
@@ -23,8 +22,6 @@ from gencluster.matrix_mutation import (
     mutate,
     mutate_modified,
     mutate_sequence,
-    parse_matrix,
-    write_matrix,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import tau_tilde
@@ -342,18 +339,3 @@ class TestValidation:
         matrix, _ = fix_a_matrix
         with pytest.raises(IndexOutOfRange):
             mutate(matrix, 3)
-
-
-class TestTextForms:
-    def test_roundtrip_on_random(self, rng):
-        for _ in range(100):
-            matrix = random_seed(rng).matrix
-            assert parse_matrix(write_matrix(matrix)) == matrix
-
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            parse_matrix("")
-        with pytest.raises(ParseError):
-            parse_matrix("2 1\n0 1 ; 0")
-        with pytest.raises(ParseError):
-            parse_matrix("x y\n0 ; 0")

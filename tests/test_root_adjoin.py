@@ -6,7 +6,6 @@ import random
 import pytest
 
 from conftest import cluster_side, poly_mul_monomial
-from gencluster import gca_seed
 from gencluster.errors import HomogeneityFailure, ValidationError
 from gencluster.gca_seed import (
     CoefficientStrings,
@@ -27,7 +26,7 @@ from gencluster.laurent_kernel import (
     poly_mul,
     poly_pow,
 )
-from gencluster.matrix_mutation import ExtendedExchangeMatrix, mutate_sequence
+from gencluster.matrix_mutation import ExtendedExchangeMatrix, modify, mutate_sequence
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import (
     homogeneity_check,
@@ -63,7 +62,7 @@ def is_floor_free(seed, k):
     Read off the whole scaled matrix, independently of the exchange
     context the library's homogeneity check reads.
     """
-    row = seed.scaled_matrix().rows[k]
+    row = modify(seed.matrix, seed.divisors).rows[k]
     return all(e % seed.divisors[k] == 0 for e in row[seed.rank:])
 
 
@@ -76,7 +75,7 @@ def oracle_rho_row(seed, k):
     defect, which is how the table was once validated.
     """
     d, n = seed.divisors[k], seed.rank
-    frozen = seed.scaled_matrix().rows[k][n:]
+    frozen = modify(seed.matrix, seed.divisors).rows[k][n:]
 
     def box(r, sign):
         return [0] * n + [(r * sign * b) // d if sign * b > 0 else 0 for b in frozen]
@@ -267,15 +266,15 @@ class TestFloorStructure:
         self, fix_a, fix_b, fix_c, rng, monkeypatch
     ):
         # Each check builds one exchange context, which scales row k
-        # once and alone; none scales the whole matrix.
-        scalings, builds, row_scalings = [], [], []
-        modify = gca_seed.modify
+        # once and alone; none builds a whole (scaled) matrix.
+        matrices, builds, row_scalings = [], [], []
+        validate = ExtendedExchangeMatrix.__post_init__
         build = ExchangeContext.build
         scaled_row = GeneralizedSeed.scaled_row
 
-        def counted_modify(*args, **kwargs):
-            scalings.append(1)
-            return modify(*args, **kwargs)
+        def counted_validate(self):
+            matrices.append(1)
+            return validate(self)
 
         def counted_build(*args, **kwargs):
             builds.append(1)
@@ -288,7 +287,7 @@ class TestFloorStructure:
         seeds = [tau_tilde(s).seed for s in (fix_a, fix_b, fix_c)]
         seeds += [tau_tilde(random_seed(rng)).seed for _ in range(10)]
         cases = [(s, k, tau_variable(s, k)) for s in seeds for k in range(s.rank)]
-        monkeypatch.setattr(gca_seed, "modify", counted_modify)
+        monkeypatch.setattr(ExtendedExchangeMatrix, "__post_init__", counted_validate)
         monkeypatch.setattr(ExchangeContext, "build", staticmethod(counted_build))
         monkeypatch.setattr(GeneralizedSeed, "scaled_row", counted_scaled_row)
         for seed, k, tau in cases:
@@ -297,11 +296,11 @@ class TestFloorStructure:
                 lambda: root_formula_check(seed, k).ok,
                 lambda: tau_variable(seed, k) == tau,
             ):
-                scalings.clear()
+                matrices.clear()
                 builds.clear()
                 row_scalings.clear()
                 assert check()
-                assert len(scalings) == 0
+                assert len(matrices) == 0
                 assert len(builds) == 1
                 assert len(row_scalings) == 1
 
