@@ -7,12 +7,13 @@ cluster algebra into an ordinary one, together with a
 verification harness exposed on the command line as ``gencluster``.
 """
 
+import importlib
+
 from . import (
     cli_io,
     gca_seed,
     laurent_kernel,
     matrix_mutation,
-    quotient_embedding,
     root_adjoin,
     unfolding,
 )
@@ -30,3 +31,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import the quotient layer on first use: only its targets need it."""
+    if name != "quotient_embedding":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.{name}")

@@ -26,8 +26,10 @@ records never include wall-clock fields, so identical invocations are
 byte-identical.  Every ``verify`` target keeps the states it reaches by
 their content: each distinct state is checked once and each distinct
 (state, direction) step is made once, however many prefixes of its
-sequences reach them, and the walk holds one state per distinct key
-until it ends; records are printed in sequence order.
+sequences reach them.  Each record is written as soon as its verdict
+is known, in sequence order, so memory grows with the distinct states
+a walk holds, not with the number of cases, and an interrupted run
+leaves the records already written.
 """
 
 import argparse
@@ -60,11 +62,6 @@ from .matrix_mutation import (
     modify,
     mutate_sequence,
     write_matrix,
-)
-from .quotient_embedding import (
-    embedding_walk,
-    product_formula_walk,
-    subquotient_check,
 )
 from .randomgen import random_sequence
 from .root_adjoin import tau_tilde
@@ -425,8 +422,12 @@ def _walk(target, seed):
     if target == "laurent":
         return seed, mutate_seed, lambda state: (), GeneralizedSeed.content_key
     if target == "product-formula":
+        from .quotient_embedding import product_formula_walk
+
         return product_formula_walk(seed)
     if target == "embedding":
+        from .quotient_embedding import embedding_walk
+
         return embedding_walk(seed)
     if target == "double-constant":
         def check(fm):
@@ -472,9 +473,10 @@ class _State:
         self.children = {}
 
 
-def _walk_verdicts(target, seed, sequences):
-    """(ok, failures) of every sequence, each distinct state walked once.
+def _walk_verdicts(target, seed, cases):
+    """Yield ``(sequence, ok, failures)`` of each case as soon as it is known.
 
+    ``cases`` are the ``(sequence, shared)`` pairs of :func:`_sequence_space`.
     States are kept by their content key (see :func:`_walk`), so each
     distinct state is checked once and each distinct (state, direction)
     step is made once, however many prefixes reach it; the walk holds
@@ -497,18 +499,23 @@ def _walk_verdicts(target, seed, sequences):
     on, so one faulty case cannot abort the others.  ``subquotient`` is
     a depth-zero check of the seed, whose failures carry no depth.
     """
-    if target == "subquotient":
-        try:
-            failures = subquotient_check(seed).failures
-        except Exception as exc:
-            return [(False, (_error_text(exc),))]
-        return [(not failures, failures)]
+    verdict = None
     try:
-        root, step, check, key = _walk(target, seed)
-        start = _State(root)
-        seen = {key(root): start}
+        if target == "subquotient":
+            from .quotient_embedding import subquotient_check
+
+            failures = subquotient_check(seed).failures
+            verdict = (not failures, failures)
+        else:
+            root, step, check, key = _walk(target, seed)
+            start = _State(root)
+            seen = {key(root): start}
     except Exception as exc:
-        return [(False, (_error_text(exc),))] * len(sequences)
+        verdict = (False, (_error_text(exc),))
+    if verdict is not None:
+        for sequence, _ in cases:
+            yield (sequence, *verdict)
+        return
 
     def child(state, k):
         if k not in state.children:
@@ -527,39 +534,43 @@ def _walk_verdicts(target, seed, sequences):
                 state.outcome = ((), _error_text(exc))
         return state.outcome
 
-    path = []
-    previous = ()
-    verdicts = []
-    for sequence in sequences:
-        common = 0
-        for a, b in zip(previous, sequence):
-            if a != b:
-                break
-            common += 1
-        del path[common + 1:]
-        for depth in range(len(path), len(sequence) + 1):
-            if path:
-                state, mutation_error, check_error, failures = path[-1]
-                if mutation_error is None:
-                    state, mutation_error = child(state, sequence[depth - 1])
-            else:
-                state, mutation_error, check_error, failures = start, None, None, ()
+    found, check_error = outcome(start)
+    path = [(start, None, check_error, tuple((0,) + f for f in found))]
+    for sequence, shared in cases:
+        del path[shared + 1:]
+        for k in sequence[len(path) - 1:]:
+            state, mutation_error, check_error, failures = path[-1]
+            if mutation_error is None:
+                state, mutation_error = child(state, k)
             if mutation_error is None and check_error is None:
                 found, check_error = outcome(state)
-                failures += tuple((depth,) + f for f in found)
+                if found:
+                    failures += tuple((len(path),) + f for f in found)
             path.append((state, mutation_error, check_error, failures))
-        previous = sequence
         _, mutation_error, check_error, failures = path[-1]
         error = mutation_error or check_error
-        verdicts.append((False, (error,)) if error else (not failures, failures))
-    return verdicts
+        yield (sequence, False, (error,)) if error else (sequence, not failures, failures)
+
+
+def _odometer(rank, depth):
+    """Exhaustive cases in lexicographic order; ``shared`` is the digit that advanced."""
+    digits, shared = [0] * depth, 0
+    while shared >= 0:
+        yield tuple(digits), shared
+        shared = depth - 1
+        while shared >= 0 and digits[shared] == rank - 1:
+            digits[shared] = 0
+            shared -= 1
+        if shared >= 0:
+            digits[shared] += 1
 
 
 def _sequence_space(target, seed, args):
-    """The list of sequences a verify run walks for one seed.
+    """The ``(sequence, shared)`` cases a verify run walks for one seed.
 
-    The flags are validated for every target; ``subquotient`` then walks
-    the empty sequence alone.
+    ``shared`` is the length of the prefix a sequence shares with the
+    one before it.  The flags are validated for every target, before any
+    case is walked; ``subquotient`` then walks the empty sequence alone.
     """
     depth = args.depth if args.depth is not None else _DEFAULT_DEPTH[target]
     if depth < 0:
@@ -576,28 +587,29 @@ def _sequence_space(target, seed, args):
     elif spec != "exhaustive":
         raise _UsageError(f"--sequences must be 'exhaustive' or 'random:N', got {spec!r}")
     if target == "subquotient":
-        return [()]
+        return [((), 0)]
     rank = seed.matrix.n
     if depth and not rank:
         raise _UsageError(f"a rank-0 seed has no mutation sequences of depth {depth}")
     if count is None:
-        sequences = [()]
-        for _ in range(depth):
-            sequences = [s + (k,) for s in sequences for k in range(rank)]
-        return sequences
+        return _odometer(rank, depth)
     rng = random.Random(args.rng_seed)
-    return [random_sequence(rng, rank, depth) for _ in range(count)]
+    sequences = [random_sequence(rng, rank, depth) for _ in range(count)]
+    return [
+        (b, next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), len(a)))
+        for a, b in zip([()] + sequences, sequences)
+    ]
 
 
-def _render_record(record, as_json):
+def _render_record(target, label, sequence, failures, as_json):
+    """The line of a failing case."""
+    record = {"target": target, "seed": label, "sequence": [k + 1 for k in sequence],
+              "ok": False, "failures": [repr(f) for f in failures]}
     if as_json:
-        return json.dumps(record, sort_keys=True)
-    status = "ok" if record["ok"] else "FAIL"
-    sequence = ",".join(str(k) for k in record["sequence"]) or "-"
-    line = f"{status} target={record['target']} seed={record['seed']} sequence={sequence}"
-    if not record["ok"]:
-        line += f" detail={record['failures']!r}"
-    return line
+        return json.dumps(record, sort_keys=True) + "\n"
+    directions = ",".join(str(k) for k in record["sequence"]) or "-"
+    detail = record["failures"]
+    return f"FAIL target={target} seed={label} sequence={directions} detail={detail!r}\n"
 
 
 def _cmd_verify(args, out):
@@ -605,25 +617,26 @@ def _cmd_verify(args, out):
         seeds = [_load_seed(args)]
     else:
         seeds = [(fixture_seed(name), name) for name in FIXTURE_NAMES]
+    spaces = [_sequence_space(args.target, seed, args) for seed, _ in seeds]
 
+    # A passing line is a prefix and a suffix fixed per seed around the
+    # directions: the bytes ``json.dumps`` and the text form would give.
+    target = args.target
+    separator, empty = (", ", "") if args.json else (",", "-")
     all_ok = True
-    records = []
-    for seed, label in seeds:
-        sequences = _sequence_space(args.target, seed, args)
-        for sequence, (ok, failures) in zip(
-            sequences, _walk_verdicts(args.target, seed, sequences)
-        ):
-            records.append({
-                "target": args.target,
-                "seed": label,
-                "sequence": [k + 1 for k in sequence],
-                "ok": ok,
-                "failures": [repr(f) for f in failures],
-            })
-            all_ok = all_ok and ok
-
-    for record in records:
-        out.write(_render_record(record, args.json) + "\n")
+    for (seed, label), cases in zip(seeds, spaces):
+        if args.json:
+            prefix = f'{{"failures": [], "ok": true, "seed": {json.dumps(label)}, "sequence": ['
+            suffix = f'], "target": {json.dumps(target)}}}\n'
+        else:
+            prefix, suffix = f"ok target={target} seed={label} sequence=", "\n"
+        names = [str(k + 1) for k in range(seed.matrix.n)]
+        for sequence, ok, failures in _walk_verdicts(target, seed, cases):
+            if ok:
+                out.write(prefix + (separator.join([names[k] for k in sequence]) or empty) + suffix)
+            else:
+                all_ok = False
+                out.write(_render_record(target, label, sequence, failures, args.json))
     return 0 if all_ok else 2
 
 

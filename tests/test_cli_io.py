@@ -1,9 +1,11 @@
 """Seed files and the command-line interface."""
 
+import argparse
 import hashlib
 import io
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from unittest.mock import Mock
@@ -410,6 +412,18 @@ class TestUsageErrors:
             )
             assert f"random:{count}" in err
 
+    def test_every_seed_is_checked_before_any_record(self, capsys, monkeypatch):
+        err = self.assert_usage_error(capsys, "verify", "hadamard", "--depth", "-1")
+        assert "--depth" in err
+        # Only the last bundled seed is unusable, and nothing is written.
+        rank_0 = initial_seed(ExtendedExchangeMatrix(0, 1, ()), ())
+        monkeypatch.setattr(
+            cli_io, "fixture_seed",
+            lambda name: rank_0 if name == FIXTURE_NAMES[-1] else fixture_seed(name),
+        )
+        err = self.assert_usage_error(capsys, "verify", "hadamard", "--depth", "2")
+        assert "rank-0" in err
+
     def test_random_sequences_of_a_rank_zero_seed(self, capsys, tmp_path):
         path = tmp_path / "rank0.seed"
         write_seed(initial_seed(ExtendedExchangeMatrix(0, 1, ()), ()), path)
@@ -535,6 +549,16 @@ def exhaustive(rank, depth):
     return list(product(range(rank), repeat=depth))
 
 
+def shared_prefix_scan(previous, sequence):
+    """Length of the common prefix, by the ``zip`` scan."""
+    common = 0
+    for a, b in zip(previous, sequence):
+        if a != b:
+            break
+        common += 1
+    return common
+
+
 def prefix_walk_verdicts(target, seed, sequences):
     """``verify``'s walk before states were shared by content key.
 
@@ -552,12 +576,7 @@ def prefix_walk_verdicts(target, seed, sequences):
     previous = ()
     verdicts = []
     for sequence in sequences:
-        common = 0
-        for a, b in zip(previous, sequence):
-            if a != b:
-                break
-            common += 1
-        del path[common + 1:]
+        del path[shared_prefix_scan(previous, sequence) + 1:]
         for depth in range(len(path), len(sequence) + 1):
             if path:
                 state, mutation_error, check_error, failures = path[-1]
@@ -594,6 +613,23 @@ def prefix_walk_records(target, seed, label, sequences):
             sequences, prefix_walk_verdicts(target, seed, sequences)
         )
     ]
+
+
+def prefix_walk_stdout(target, seed, label, sequences, as_json):
+    """Exit code and stdout of the prefix walk's records, each rendered whole."""
+    records = prefix_walk_records(target, seed, label, sequences)
+    lines = []
+    for record in records:
+        if as_json:
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+            continue
+        status = "ok" if record["ok"] else "FAIL"
+        directions = ",".join(str(k) for k in record["sequence"]) or "-"
+        line = f"{status} target={target} seed={label} sequence={directions}"
+        if not record["ok"]:
+            line += f" detail={record['failures']!r}"
+        lines.append(line + "\n")
+    return (0 if all(r["ok"] for r in records) else 2), "".join(lines)
 
 
 def parity_naming_check(threshold):
@@ -892,20 +928,137 @@ class TestWalker:
 
 
 
+class TestSequenceSpace:
+    """Cases come in sequence order, each with the prefix it shares."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_cases_match_the_product_and_the_zip_scan(self, rank):
+        seed = {
+            1: fixture_seed("FIX-C"), 2: fixture_seed("FIX-A"), 3: parse_seed_text(RANK_3_SEED),
+        }[rank]
+        assert seed.matrix.n == rank
+        for depth in range(6):
+            for spec in ("exhaustive", "random:7"):
+                args = argparse.Namespace(depth=depth, sequences=spec, rng_seed=9)
+                cases = list(cli_io._sequence_space("hadamard", seed, args))
+                if spec == "exhaustive":
+                    sequences = list(product(range(rank), repeat=depth))
+                else:
+                    rng = random.Random(9)
+                    sequences = [random_sequence(rng, rank, depth) for _ in range(7)]
+                assert [sequence for sequence, _ in cases] == sequences
+                assert [shared for _, shared in cases] == [
+                    shared_prefix_scan(previous, sequence)
+                    for previous, sequence in zip([()] + sequences, sequences)
+                ]
+
+
+class _Null:
+    """A writer that counts the records written to it and keeps none."""
+
+    def __init__(self):
+        self.records = 0
+
+    def write(self, text):
+        self.records += text.count("\n")
+
+
+class TestStreaming:
+    """Records are written as their verdicts are known."""
+
+    def test_memory_does_not_grow_with_the_case_count(self):
+        # Parser, fixture and import costs are paid before tracing starts.
+        run_command(["verify", "hadamard", "--seed", "FIX-A", "--depth", "1"], _Null())
+        out = _Null()
+        tracemalloc.start()
+        try:
+            code = run_command(
+                ["verify", "hadamard", "--seed", "FIX-A", "--depth", "12"], out
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out.records) == (0, 2**12)
+        assert peak < 1 << 20
+
+    def test_first_record_is_written_before_the_last_step(self, monkeypatch):
+        steps = []
+
+        def step(fm, k):
+            steps.append(k)
+            return group_mutate(fm, k)
+
+        class Writer:
+            def __init__(self):
+                self.steps_before = []
+
+            def write(self, text):
+                self.steps_before.append(len(steps))
+
+        monkeypatch.setattr(cli_io, "group_mutate", step)
+        out = Writer()
+        assert run_command(
+            ["verify", "hadamard", "--seed", "FIX-A", "--depth", "5"], out
+        ) == 0
+        assert len(out.steps_before) == 2**5
+        assert out.steps_before[0] < len(steps) == out.steps_before[-1]
+
+
 class TestSharedStates:
     """The walk shares each state by its content key."""
 
+    @pytest.mark.parametrize("spec", ["exhaustive", "random:5"])
+    @pytest.mark.parametrize("as_json", [False, True])
     @pytest.mark.parametrize(
         "target", ["hadamard", "double-constant", "laurent", "product-formula", "embedding"]
     )
-    def test_rank_3_walks_match_the_prefix_walk(self, tmp_path, target):
-        path = tmp_path / "rank3.seed"
+    def test_rank_3_walks_match_the_prefix_walk(self, tmp_path, target, as_json, spec):
+        # The label needs JSON escapes, so the record's prefix is pinned too.
+        path = tmp_path / 'rank3 "\u00e9".seed'
         path.write_text(RANK_3_SEED, encoding="utf-8")
         seed = parse_seed_text(RANK_3_SEED)
         depth = 2 if target == "embedding" else 4
-        assert walked_records(
-            target, "--seed-file", str(path), "--depth", str(depth)
-        ) == prefix_walk_records(target, seed, str(path), exhaustive(3, depth))
+        if spec == "exhaustive":
+            sequences = exhaustive(3, depth)
+        else:
+            rng = random.Random(4)
+            sequences = [random_sequence(rng, 3, depth) for _ in range(5)]
+        argv = ["verify", target, "--seed-file", str(path), "--depth", str(depth),
+                "--sequences", spec, "--rng-seed", "4"] + ["--json"] * as_json
+        assert run(*argv) == prefix_walk_stdout(
+            target, seed, str(path), sequences, as_json
+        )
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_failing_and_error_records_match_the_prefix_walk(
+        self, monkeypatch, tmp_path, as_json
+    ):
+        # Passing records take the prefix/suffix route, failing and error
+        # records the whole-record one; all three kinds interleave here.
+        path = tmp_path / "rank3.seed"
+        path.write_text(RANK_3_SEED, encoding="utf-8")
+        seed = parse_seed_text(RANK_3_SEED)
+        root = build(seed)
+
+        def step(fm, k):
+            if k == 2 and fm != root:
+                raise RuntimeError(f"synthetic step fault at {fm.matrix.rows[0]}")
+            return group_mutate(fm, k)
+
+        monkeypatch.setattr(
+            quotient_embedding, "product_formula_check", parity_naming_check(3)
+        )
+        monkeypatch.setattr(quotient_embedding, "group_mutate", step)
+        expected = prefix_walk_stdout(
+            "product-formula", seed, str(path), exhaustive(3, 3), as_json
+        )
+        lines = expected[1].splitlines()
+        passing = [line for line in lines if ('"ok": true' if as_json else "ok ") in line]
+        errors = [line for line in lines if "RuntimeError: synthetic step fault" in line]
+        assert expected[0] == 2
+        assert (len(lines), len(passing), len(errors)) == (27, 6, 13)
+        argv = ["verify", "product-formula", "--seed-file", str(path), "--depth", "3"]
+        assert run(*argv + ["--json"] * as_json) == expected
 
     def test_key_holds_the_parity_of_each_group(self, monkeypatch, tmp_path):
         path = tmp_path / "rank3.seed"
