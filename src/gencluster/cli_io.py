@@ -601,6 +601,16 @@ def _sequence_space(target, seed, args):
     ]
 
 
+def _text_label(label):
+    """``label`` as a text record's ``seed`` field, quoted where it must be.
+
+    A label holding whitespace, ``=``, ``"``, a backslash or a
+    non-printable character is a JSON string, so the fields still split.
+    """
+    plain = label.isprintable() and not any(c in label for c in ' ="\\')
+    return label if plain else json.dumps(label)
+
+
 def _render_record(target, label, sequence, failures, as_json):
     """The line of a failing case."""
     record = {"target": target, "seed": label, "sequence": [k + 1 for k in sequence],
@@ -608,7 +618,7 @@ def _render_record(target, label, sequence, failures, as_json):
     if as_json:
         return json.dumps(record, sort_keys=True) + "\n"
     directions = ",".join(str(k) for k in record["sequence"]) or "-"
-    detail = record["failures"]
+    detail, label = record["failures"], _text_label(label)
     return f"FAIL target={target} seed={label} sequence={directions} detail={detail!r}\n"
 
 
@@ -629,7 +639,7 @@ def _cmd_verify(args, out):
             prefix = f'{{"failures": [], "ok": true, "seed": {json.dumps(label)}, "sequence": ['
             suffix = f'], "target": {json.dumps(target)}}}\n'
         else:
-            prefix, suffix = f"ok target={target} seed={label} sequence=", "\n"
+            prefix, suffix = f"ok target={target} seed={_text_label(label)} sequence=", "\n"
         names = [str(k + 1) for k in range(seed.matrix.n)]
         for sequence, ok, failures in _walk_verdicts(target, seed, cases):
             if ok:

@@ -21,9 +21,10 @@ where the cluster monomials ``u>``, ``u<`` and the frozen boxes
     v<[r] = prod_{bhat_kj < 0} f_j^floor(r*|bhat_kj| / d_k)
 
 The exchange data of one direction is kept as exponent vectors
-(:class:`ExchangeContext`), and ``theta_k`` is summed on packed keys:
-each product ``u>^r * u<^(d_k - r)`` of cluster powers is shifted by
-the key of its frozen coefficient, so the mutation path builds no
+(:class:`ExchangeContext`), and ``theta_k`` is one kernel sum of
+products: each product ``u>^r * u<^(d_k - r)`` of cluster powers times
+its frozen coefficient, a one-term polynomial built straight from its
+exponent vector, so the mutation path builds no
 :class:`~gencluster.laurent_kernel.Monomial`.
 
 Mutation in direction ``k`` replaces the cluster entry by the exact
@@ -44,14 +45,11 @@ from .laurent_kernel import (
     Monomial,
     ROLE_CLUSTER,
     VariableTable,
-    _amplitude,
-    _drop_zeros,
     _same_table,
-    _shifted_amplitude,
-    _trusted,
     poly_exact_div,
     poly_mul,
     poly_pow,
+    poly_sum_of_products,
 )
 from .matrix_mutation import (
     DivisorVector,
@@ -155,16 +153,14 @@ class GeneralizedSeed:
     def content_key(self):
         """Hashable key, equal for equal seeds over one table and divisors.
 
-        It holds the matrix rows, the string exponents and every cluster
-        entry as a set of packed terms: an exact division can return an
-        equal polynomial whose dict holds its terms in another order.
-        An entry's ``_amp`` is left out, because it only bounds the
-        exponents and every overflow check falls back to exact extremes.
+        It holds the matrix rows, the string exponents and the
+        :meth:`~gencluster.laurent_kernel.LaurentPolynomial.hash_key` of
+        every cluster entry.
         """
         return (
             self.matrix.rows,
             tuple(tuple(e.exponents for e in row) for row in self.strings.rows),
-            tuple(frozenset(p._keys.items()) for p in self.cluster),
+            tuple(p.hash_key() for p in self.cluster),
         )
 
 
@@ -284,12 +280,10 @@ def _cluster_power(seed, exponents):
 
 
 def _ladder(base, d):
-    """``[None, base, base^2, ..., base^d]``, or ``None`` when ``base`` is."""
-    if base is None:
-        return None
+    """``[None, base, base^2, ..., base^d]``, all ``None`` when ``base`` is."""
     powers = [None, base]
     for _ in range(1, d):
-        powers.append(poly_mul(powers[-1], base))
+        powers.append(None if base is None else poly_mul(powers[-1], base))
     return powers
 
 
@@ -301,48 +295,31 @@ def exchange_polynomial(seed, k):
 def _exchange_polynomial(ctx):
     """:func:`exchange_polynomial` of an already built context.
 
-    With ``G``/``L`` the cluster powers of ``u>``/``u<``, each product
-    ``G^r * L^(d-r)`` is added into one dict, shifted by the packed key
-    of coefficient ``r``, in ascending ``r``.  Nothing is multiplied by
-    1: an empty cluster power is absent and gets no ladder of powers,
-    a product with one absent side is the other side, and a product
-    with both sides absent adds the coefficient's key alone.  Each
-    coefficient, then its shifted product, is checked against the
-    exponent limit before any key is shifted, so an overflow raises
-    before a key can alias.
+    With ``G``/``L`` the cluster powers of ``u>``/``u<``, the products
+    ``G^r * L^(d-r)`` times the coefficients ``r``, in ascending ``r``,
+    are one :func:`~gencluster.laurent_kernel.poly_sum_of_products`,
+    which reads each product as it is made.  Nothing is multiplied by
+    1: an empty cluster power is absent and so are its powers, and a
+    product with an absent side is the other side, or absent.
     """
     seed, d = ctx.seed, ctx.degree
-    layout = seed.table._layout
-    offset = layout.offset
-    # Index r holds G^r (L^r); index 0 is unused, and an absent base has
-    # no ladder.
+    table = seed.table
+    # Index r holds G^r (L^r), absent at r = 0 and for an absent base.
     gt_powers = _ladder(_cluster_power(seed, ctx.u_gt), d)
     lt_powers = _ladder(_cluster_power(seed, ctx.u_lt), d)
-    terms = {}
-    get = terms.get
-    amp = 0
-    for r in range(d + 1):
-        gt = gt_powers[r] if gt_powers and r else None
-        lt = lt_powers[d - r] if lt_powers and r < d else None
-        if gt is None:
-            product = lt
-        elif lt is None:
-            product = gt
-        else:
-            product = poly_mul(gt, lt)
-        exps = ctx.coefficient(r)
-        exps_amp = _amplitude(exps)
-        if product is None:
-            amp = max(amp, exps_amp)
-            key = layout.pack(exps)
-            terms[key] = get(key, 0) + 1
-            continue
-        amp = max(amp, _shifted_amplitude(product, exps, exps_amp))
-        shift = layout.pack(exps) - offset
-        for key, coeff in product._keys.items():
-            key += shift
-            terms[key] = get(key, 0) + coeff
-    return _trusted(seed.table, _drop_zeros(terms), amp)
+
+    def summands():
+        for r in range(d + 1):
+            gt, lt = gt_powers[r], lt_powers[d - r]
+            if gt is None:
+                product = lt
+            elif lt is None:
+                product = gt
+            else:
+                product = poly_mul(gt, lt)
+            yield product, table.term(ctx.coefficient(r))
+
+    return poly_sum_of_products(table, summands())
 
 
 def mutate_seed(seed, k):

@@ -24,7 +24,11 @@ Design notes
   leading term is ``max(keys)``, and printing sorts the keys.  Packing
   is linear in the exponent vector, so a monomial product is
   ``ka + kb - offset`` (``offset`` is the key of 1) and a monomial
-  substitution adds one packed image per variable it moves.
+  substitution adds one packed image per variable it moves.  The format
+  is private to this module: other modules build polynomials from
+  exponent vectors (:meth:`VariableTable.term`, the constructor) and
+  add whole sums of products with :func:`poly_sum_of_products`;
+  :func:`exponent_amplitude` checks a vector against the limit.
 * Exponent limit.  A field holds any sum of two exponents below the
   limit without carrying into its neighbour.  Every polynomial carries
   an upper bound on its largest exponent magnitude; each operation
@@ -85,10 +89,11 @@ class _Layout:
 
     def pack(self, exps):
         """Key of an exponent vector already checked against the limit."""
-        key = 0
-        for e in exps:
-            key = (key << _FIELD_BITS) + e
-        return key + (sum(exps) << self.degree_shift) + self.offset
+        key = self.offset
+        for e, unit in zip(exps, self.units):
+            if e:
+                key += e * unit
+        return key
 
     def unpack(self, key):
         return tuple(((key >> s) & _FIELD_MASK) - _BIAS for s in self.shifts)
@@ -97,7 +102,7 @@ class _Layout:
 _layout = lru_cache(maxsize=None)(_Layout)
 
 
-def _amplitude(exps):
+def exponent_amplitude(exps):
     """Largest exponent magnitude of a vector; ExponentOverflow at the limit."""
     amp = max(map(abs, exps), default=0)
     if amp >= EXPONENT_LIMIT:
@@ -201,6 +206,16 @@ class VariableTable:
         layout = self._layout
         return _trusted(self, {layout.offset + layout.units[self.index(name)]: 1}, 1)
 
+    def term(self, exponents):
+        """The one-term polynomial with the given exponent vector.
+
+        ``exponents`` holds one integer per variable, in table order (the
+        polynomial constructor's type checks are skipped); an exponent of
+        magnitude :data:`EXPONENT_LIMIT` or more raises ExponentOverflow.
+        """
+        amp = exponent_amplitude(exponents)
+        return _trusted(self, {self._layout.pack(exponents): 1}, amp)
+
     def extended(self, names, roles, groups=None):
         """New table with extra variables appended on the right."""
         names = tuple(names)
@@ -241,14 +256,13 @@ class Monomial:
         try:
             return self._packed_cache
         except AttributeError:
-            amp = _amplitude(self.exponents)
+            amp = exponent_amplitude(self.exponents)
             delta = self.table._layout.pack(self.exponents) - self.table._layout.offset
             object.__setattr__(self, "_packed_cache", (delta, amp))
             return delta, amp
 
     def as_polynomial(self):
-        delta, amp = self._packed()
-        return _trusted(self.table, {self.table._layout.offset + delta: 1}, amp)
+        return self.table.term(self.exponents)
 
     def __str__(self):
         return _format_exponents(self.table, self.exponents) or "1"
@@ -320,7 +334,7 @@ class LaurentPolynomial:
                 exps = tuple(map(index, exps))
             except TypeError:
                 raise ValidationError(f"exponents must be integers: {exps!r}") from None
-            amp = max(amp, _amplitude(exps))
+            amp = max(amp, exponent_amplitude(exps))
             keys[layout.pack(exps)] = coeff
         self.table = table
         self._keys = keys
@@ -336,6 +350,10 @@ class LaurentPolynomial:
         return self._keys == other._keys and _same_table(self.table, other.table)
 
     __hash__ = None
+
+    def hash_key(self):
+        """Hashable key, equal exactly for equal polynomials over one table."""
+        return frozenset(self._keys.items())
 
     @staticmethod
     def zero(table):
@@ -398,14 +416,6 @@ def _extremes(p):
     return tuple(lo), tuple(hi)
 
 
-def _shifted_amplitude(p, exps, amp):
-    """Bound for ``p`` times the monomial ``exps`` whose bound is ``amp``."""
-    if p._amp + amp < EXPONENT_LIMIT:
-        return p._amp + amp
-    lo, hi = _extremes(p)
-    return _amplitude(tuple(map(add, lo, exps)) + tuple(map(add, hi, exps)))
-
-
 def poly_add(a, b):
     """Sum of two Laurent polynomials over the same table."""
     _require_same_table(a, b)
@@ -430,24 +440,21 @@ def poly_sub(a, b):
     return poly_add(a, poly_neg(b))
 
 
-def poly_mul(a, b):
-    """Product of two Laurent polynomials over the same table."""
-    _require_same_table(a, b)
-    if len(a._keys) > len(b._keys):
-        a, b = b, a
-    if not a._keys:
-        return LaurentPolynomial.zero(a.table)
+def _product_amplitude(a, b):
+    """Bound for ``a * b`` (both nonzero); ExponentOverflow at the limit.
+
+    The operands' bounds added, or at the limit the exact bound: exponent
+    extremes add under products (the ring is a domain).
+    """
     amp = a._amp + b._amp
     if amp >= EXPONENT_LIMIT:
-        # Exponent extremes add under products (the ring is a domain).
         (alo, ahi), (blo, bhi) = _extremes(a), _extremes(b)
-        amp = _amplitude(tuple(map(add, alo, blo)) + tuple(map(add, ahi, bhi)))
-    offset = a.table._layout.offset
-    if len(a._keys) == 1:
-        ((ka, ca),) = a._keys.items()
-        ka -= offset
-        return _trusted(a.table, {ka + k: ca * c for k, c in b._keys.items()}, amp)
-    terms = {}
+        amp = exponent_amplitude(tuple(map(add, alo, blo)) + tuple(map(add, ahi, bhi)))
+    return amp
+
+
+def _add_product(terms, a, b, offset):
+    """Add the terms of ``a * b`` into the key dict ``terms``, looping over ``a``'s."""
     get = terms.get
     items = b._keys.items()
     for ka, ca in a._keys.items():
@@ -455,7 +462,51 @@ def poly_mul(a, b):
         for kb, cb in items:
             key = ka + kb
             terms[key] = get(key, 0) + ca * cb
+
+
+def poly_mul(a, b):
+    """Product of two Laurent polynomials over the same table."""
+    _require_same_table(a, b)
+    if len(a._keys) > len(b._keys):
+        a, b = b, a
+    if not a._keys:
+        return LaurentPolynomial.zero(a.table)
+    amp = _product_amplitude(a, b)
+    offset = a.table._layout.offset
+    if len(a._keys) == 1:
+        ((ka, ca),) = a._keys.items()
+        ka -= offset
+        return _trusted(a.table, {ka + k: ca * c for k, c in b._keys.items()}, amp)
+    terms = {}
+    _add_product(terms, a, b, offset)
     return _trusted(a.table, _drop_zeros(terms), amp)
+
+
+def poly_sum_of_products(table, pairs):
+    """``sum_i a_i * b_i`` over ``table``, added into one dict.
+
+    ``pairs`` yields the ``(a_i, b_i)``, each side a polynomial over
+    ``table`` (TableMismatch otherwise) or ``None``, which stands for 1.
+    The pairs are read one at a time: each product is bounded as in
+    :func:`poly_mul` before its terms are added, looping over the
+    shorter side, so a one-term side shifts the other's keys.  Terms
+    whose sum cancels are dropped.
+    """
+    offset = table._layout.offset
+    one = _trusted(table, {offset: 1}, 0)
+    terms = {}
+    amp = 0
+    for a, b in pairs:
+        a = one if a is None else a
+        b = one if b is None else b
+        if not (_same_table(a.table, table) and _same_table(b.table, table)):
+            raise TableMismatch("operands live over different variable tables")
+        if len(a._keys) > len(b._keys):
+            a, b = b, a
+        if a._keys:
+            amp = max(amp, _product_amplitude(a, b))
+            _add_product(terms, a, b, offset)
+    return _trusted(table, _drop_zeros(terms), amp)
 
 
 def poly_pow(a, k):
@@ -480,9 +531,8 @@ def poly_exact_div(numer, denom):
     does not exist (nonzero remainder, coefficient non-divisibility, or
     division by zero).  Three routes, tried in this order:
 
-    * a one-term divisor shifts every numerator key; its exponents are
-      unpacked and checked only when the bound ``numer._amp +
-      denom._amp`` reaches the limit;
+    * a one-term divisor shifts every numerator key: the quotient is the
+      product with the inverse term, and bounded as products are;
     * operands of equal length are tried for a one-term quotient read
       off the leading terms (:func:`_monomial_quotient`); when the
       quotient is not one term, or not exact, the division falls
@@ -503,10 +553,9 @@ def poly_exact_div(numer, denom):
     offset = layout.offset
     if len(denom._keys) == 1:
         ((lead_d, lc_d),) = denom._keys.items()
-        amp = numer._amp + denom._amp
-        if amp >= EXPONENT_LIMIT:
-            exps = tuple(-e for e in layout.unpack(lead_d))
-            amp = _shifted_amplitude(numer, exps, denom._amp)
+        # Keys are linear in exponents: the inverse term mirrors ``lead_d``
+        # about the key of 1.
+        amp = _product_amplitude(numer, _trusted(table, {2 * offset - lead_d: 1}, denom._amp))
         shift = offset - lead_d
         quotient = {}
         for key, coeff in numer._keys.items():
@@ -528,7 +577,7 @@ def poly_exact_div(numer, denom):
     hi = tuple(map(sub, n_hi, d_hi))
     if any(l > h for l, h in zip(lo, hi)):
         raise InexactDivision("quotient support leaves the feasible box")
-    amp = _amplitude(lo + hi)
+    amp = exponent_amplitude(lo + hi)
 
     lead_d = max(denom._keys)
     lc_d = denom._keys[lead_d]
@@ -674,7 +723,7 @@ def _map_checked(p, mapping, target):
             else:
                 for j, g in enumerate(image.exponents):
                     acc[j] += e * g
-        amp = max(amp, _amplitude(acc))
+        amp = max(amp, exponent_amplitude(acc))
         new_key = target._layout.pack(acc)
         terms[new_key] = terms.get(new_key, 0) + coeff
     return _trusted(target, _drop_zeros(terms), amp)

@@ -42,12 +42,17 @@ checked over *formal* current-cluster symbols: the current cluster is a
 transcendence basis, hence an identity holds for the evaluated elements
 exactly when it holds formally.  This keeps the check exact at depths
 where the evaluated cluster entries would be astronomically large.
+
+Exchange data is read off matrix rows as exponent vectors, and each sum
+of products (a ``sigma`` sum, a placeholder expansion, the right side
+of the product formula) is one kernel ``poly_sum_of_products``.
 """
 
 from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import combinations
+from operator import sub
 from types import MappingProxyType
 
 from .errors import GroupCoherenceViolation, InexactDivision, Report, ValidationError
@@ -59,22 +64,19 @@ from .gca_seed import (
     mutate_seed,
 )
 from .laurent_kernel import (
-    EXPONENT_LIMIT,
-    LaurentPolynomial,
     ROLE_CLUSTER,
     ROLE_FROZEN,
     ROLE_S,
     ROLE_T,
     VariableTable,
     _ROLES,
-    _amplitude,
-    _drop_zeros,
-    _trusted,
+    poly_add,
     poly_map_variables,
     poly_mul,
     poly_pow,
     poly_split_trailing,
     poly_sub,
+    poly_sum_of_products,
 )
 from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
 from .root_adjoin import root_multiplicity, root_names, tau_tilde
@@ -221,48 +223,37 @@ def _role_mask(table, roles):
     return tuple(role in roles for role in table.roles)
 
 
-def _packed_sides(table, row, roles):
-    """Exchange sides of a matrix row as packed key shifts.
+def _sides(table, row, roles):
+    """Exchange sides ``(gt, lt)`` of a matrix row as exponent vectors.
 
-    Returns ``(gt, gt_amp, lt, lt_amp)``: the key shift of each side
-    (the packed key minus the key of 1) and its largest exponent.  Only
-    the columns of variables whose role is in ``roles`` are read.  The
-    shifts are valid keys only once the amplitudes are checked against
-    the limit.
+    Only the columns of variables whose role is in ``roles`` are read.
     """
-    gt = lt = gt_amp = lt_amp = 0
-    for v, unit, keep in zip(row, table._layout.units, _role_mask(table, roles)):
-        if not keep or not v:
-            continue
-        if v > 0:
-            gt += v * unit
-            gt_amp = max(gt_amp, v)
-        else:
-            lt -= v * unit
-            lt_amp = max(lt_amp, -v)
-    return gt, gt_amp, lt, lt_amp
+    mask = _role_mask(table, roles)
+    return (
+        tuple([v if keep and v > 0 else 0 for v, keep in zip(row, mask)]),
+        tuple([-v if keep and v < 0 else 0 for v, keep in zip(row, mask)]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # The quotient: sigma sums, unit relations, normal forms
 
 
-def _balanced_sum(table, pairs, r, amp):
-    """Sum over the ``r``-subsets ``J`` of a group's pairs of key shifts.
+def _balanced_sum(table, pairs, r):
+    """Sum over the ``r``-subsets ``J`` of a group's pairs of exponent vectors.
 
-    Each summand shifts the key of 1 by the first shift of every pair in
-    ``J`` and the second of every pair outside it.  ``amp`` bounds every
-    summand's largest exponent and is checked against the limit.
+    Each summand is the monomial whose exponents add the first vector of
+    every pair in ``J`` and the second of every pair outside it.
     """
-    offset = table._layout.offset
-    terms = {}
-    get = terms.get
-    for subset in combinations(range(len(pairs)), r):
-        key = offset
-        for idx, (inside, outside) in enumerate(pairs):
-            key += inside if idx in subset else outside
-        terms[key] = get(key, 0) + 1
-    return _trusted(table, terms, _amplitude((amp,)))
+    def summands():
+        for subset in combinations(range(len(pairs)), r):
+            chosen = [
+                inside if idx in subset else outside
+                for idx, (inside, outside) in enumerate(pairs)
+            ]
+            yield table.term(tuple(map(sum, zip(*chosen)))), None
+
+    return poly_sum_of_products(table, summands())
 
 
 @lru_cache(maxsize=64)
@@ -296,9 +287,10 @@ def _eliminated_sigma(table, t_range, s_range, r, e):
     the eliminated power.
     """
     if e == 1:
-        units = table._layout.units
-        pairs = [(units[t], units[s]) for t, s in zip(t_range, s_range)]
-        sigma = _balanced_sum(table, pairs, r, len(pairs))
+        positions = range(len(table))
+        unit = [tuple(int(q == i) for q in positions) for i in positions]
+        pairs = [(unit[t], unit[s]) for t, s in zip(t_range, s_range)]
+        sigma = _balanced_sum(table, pairs, r)
         return poly_map_variables(sigma, unit_elimination_map(table), table)
     return poly_pow(_eliminated_sigma(table, t_range, s_range, r, 1), e)
 
@@ -326,8 +318,8 @@ class QuotientContext:
     sending each placeholder to its concrete monomial; mutation only
     permutes which placeholder sits where), ``placeholder_names``, the
     placeholder-extended folded table ``folded_plus``, and the images of
-    the tracked variables and their key shifts.  The eliminated
-    ``sigma`` powers are cached per folded table.
+    the tracked variables with their positions in the folded table.  The
+    eliminated ``sigma`` powers are cached per folded table.
 
     The constructor checks two facts once per walk
     (:class:`~gencluster.errors.ValidationError` otherwise): no tracked
@@ -361,18 +353,18 @@ class QuotientContext:
             )
             for k in range(tracked.rank)
         }
-        self._lift_shifts = self._checked_lift_shifts()
+        self._lifts = self._checked_lifts()
         self._eliminated = [None] * fs.folded.total
 
-    def _checked_lift_shifts(self):
-        """Key shift over the folded table of each tracked variable's image.
+    def _checked_lifts(self):
+        """Folded-table positions of each tracked variable's image.
 
-        A placeholder's shift is 0: no exchange monomial carries one.
-        Checks the two facts named in the class docstring.
+        A placeholder's image lies outside the folded table, so its
+        positions are empty: no exchange monomial carries one.  Checks
+        the two facts named in the class docstring.
         """
         plus, width = self.folded_plus, len(self.fs.table)
-        units = self.fs.table._layout.units
-        shifts = []
+        lifts = []
         for name in self.tracked.table.names:
             image = self._phi_images.get(name)
             support = (
@@ -381,11 +373,11 @@ class QuotientContext:
             )
             if any(plus.roles[q] in (ROLE_T, ROLE_S) for q in support):
                 raise ValidationError(f"{name!r} lifts onto an auxiliary variable")
-            shifts.append(sum(units[q] for q in support if q < width))
+            lifts.append(tuple(q for q in support if q < width))
         columns = [self.tracked.table.index(n) for n in self.placeholder_names]
         if any(row[j] for row in self.tracked.matrix.rows for j in columns):
             raise ValidationError("a tracked placeholder column is nonzero")
-        return tuple(shifts)
+        return tuple(lifts)
 
     @staticmethod
     def create(gca, mode="total"):
@@ -459,50 +451,41 @@ class QuotientContext:
     def _expand(self, p):
         """Expand the placeholders of ``p``, over ``folded_plus`` and fixed by ``E``.
 
-        Each placeholder part is multiplied by the product of its
-        eliminated ``sigma`` powers, straight into one dict.  A negative
-        placeholder power would divide by a ``sigma`` polynomial, outside
-        the verified identities: it raises
+        The placeholder parts, each times the product of its eliminated
+        ``sigma`` powers (a part with no placeholder as it is), are one
+        :func:`~gencluster.laurent_kernel.poly_sum_of_products`.  A
+        negative placeholder power would divide by a ``sigma``
+        polynomial, outside the verified identities: it raises
         :class:`~gencluster.errors.InexactDivision`.
         """
         table, slots = self.fs.table, self._sigma_slots
-        offset = table._layout.offset
-        one = LaurentPolynomial.one(table)
-        terms = {}
-        get = terms.get
-        amp = 0
-        for powers, part in poly_split_trailing(p, table).items():
-            if any(e < 0 for e in powers):
-                raise InexactDivision(
-                    "negative placeholder power: identity outside "
-                    "the verified fragment"
-                )
-            factors = [_eliminated_sigma(table, *s, e) for s, e in zip(slots, powers) if e]
-            factor = reduce(poly_mul, factors) if factors else one
-            bound = part._amp + factor._amp
-            if bound >= EXPONENT_LIMIT:
-                # poly_mul reads the exact extremes and raises at the limit.
-                bound = poly_mul(part, factor)._amp
-            amp = max(amp, bound)
-            a, b = sorted((part, factor), key=lambda q: len(q._keys))
-            items = b._keys.items()
-            for ka, ca in a._keys.items():
-                ka -= offset
-                for kb, cb in items:
-                    key = ka + kb
-                    terms[key] = get(key, 0) + ca * cb
-        return _trusted(table, _drop_zeros(terms), amp)
 
-    def _image_key(self, exps):
-        """Packed key of the image of a placeholder-free tracked monomial.
+        def summands():
+            for powers, part in poly_split_trailing(p, table).items():
+                if any(e < 0 for e in powers):
+                    raise InexactDivision(
+                        "negative placeholder power: identity outside "
+                        "the verified fragment"
+                    )
+                factors = [
+                    _eliminated_sigma(table, *s, e) for s, e in zip(slots, powers) if e
+                ]
+                yield part, reduce(poly_mul, factors) if factors else None
+
+        return poly_sum_of_products(table, summands())
+
+    def _image(self, exps):
+        """Folded-table exponents of the image of a placeholder-free tracked monomial.
 
         Each tracked variable lifts to distinct variables with exponent
-        one, disjoint from the others' lifts, so the exact image vector
-        holds the entries of ``exps`` and has their amplitude.
+        one, disjoint from the others' lifts, so the image holds the
+        entries of ``exps``.
         """
-        _amplitude(exps)
-        shifts = zip(exps, self._lift_shifts)
-        return self.fs.table._layout.offset + sum(e * shift for e, shift in shifts if e)
+        image = [0] * len(self.fs.table)
+        for e, lift in zip(exps, self._lifts):
+            for q in lift:
+                image[q] = e
+        return tuple(image)
 
     def group_image(self, k):
         """``prod_c E(x_c)`` over the members ``c`` of group ``k``.
@@ -537,48 +520,31 @@ def product_formula_check(fs, k):
     :class:`~gencluster.errors.Report`; on failure it carries
     ``(k, residual)`` with the difference of the two normal forms.
 
-    Both sides are built on packed keys.  Each member's binomial comes
-    straight from its matrix row, and each shell
-    ``(U> V>)^r (U< V<)^(d_k - r)`` is the key shift ``r*g + (d_k - r)*l``
-    (keys are linear in exponents).  The unit elimination ``E`` is a
-    monomial ring map and the shells carry no auxiliary variables, so
-    ``E(sigma * shell) = E(sigma) * shell``: the right side adds the
-    shifts onto the eliminated ``sigma`` sums, walk constants built once
-    per folded table, and only the left side takes an elimination pass.
+    Each member's binomial and each shell ``(U> V>)^r (U< V<)^(d_k - r)``
+    is built straight from exponent vectors read off the matrix rows.
+    The unit elimination ``E`` is a monomial ring map and the shells
+    carry no auxiliary variables, so ``E(sigma * shell) = E(sigma) *
+    shell``: the right side is the sum of products of the shells and
+    the eliminated ``sigma`` sums, walk constants built once per folded
+    table, and only the left side takes an elimination pass.
     """
     d_k = len(fs.folded.group_range(k))
     table = fs.table
-    offset = table._layout.offset
     rows = fs.folded.matrix.rows
-    lhs = LaurentPolynomial.one(table)
-    for c in fs.members(k):
-        gt, gt_amp, lt, lt_amp = _packed_sides(table, rows[c], _ROLES)
-        binomial = {offset + gt: 1}
-        binomial[offset + lt] = binomial.get(offset + lt, 0) + 1
-        amp = max(_amplitude((gt_amp,)), _amplitude((lt_amp,)))
-        lhs = poly_mul(lhs, _trusted(table, binomial, amp))
+    # Each member's binomial adds the terms of its row's two sides.
+    lhs = reduce(poly_mul, (
+        poly_add(*map(table.term, _sides(table, rows[c], _ROLES))) for c in fs.members(k)
+    ))
 
-    g, g_amp, l, l_amp = _packed_sides(
-        table, _coherent_row(fs, k), (ROLE_CLUSTER, ROLE_FROZEN)
-    )
+    g, l = _sides(table, _coherent_row(fs, k), (ROLE_CLUSTER, ROLE_FROZEN))
     t_range, s_range = fs.folded.t_range(k), fs.folded.s_range(k)
-    terms = {}
-    get = terms.get
-    amp = 0
-    for r in range(d_k + 1):
-        # ``g`` and ``l`` have disjoint supports, as do the shell and
-        # sigma: each bound is the larger of the two parts' bounds.
-        shell_amp = _amplitude((r * g_amp, (d_k - r) * l_amp))
-        sigma = _eliminated_sigma(
-            table, t_range, s_range, d_k - r if fs.parity[k] else r, 1
+    rhs = poly_sum_of_products(table, (
+        (
+            table.term([r * a + (d_k - r) * b for a, b in zip(g, l)]),
+            _eliminated_sigma(table, t_range, s_range, d_k - r if fs.parity[k] else r, 1),
         )
-        shift = r * g + (d_k - r) * l
-        for key, coeff in sigma._keys.items():
-            key += shift
-            terms[key] = get(key, 0) + coeff
-        amp = max(amp, sigma._amp, shell_amp)
-    # Every sigma coefficient is positive, so no term of the sum cancels.
-    rhs = _trusted(table, terms, amp)
+        for r in range(d_k + 1)
+    ))
     lhs = eliminate_units(fs, lhs)
     if lhs != rhs:
         residual = poly_sub(lhs, rhs)
@@ -687,60 +653,55 @@ def embedding_check(gca, sequence=(), mode="total"):
 def _embedding_conditions_at(ctx):
     """The failures of conditions (i)-(iv) at one context.
 
-    (i) and (ii) compare packed keys.  The tracked exchange monomials
-    carry no placeholder and the folded group monomials no ``t``/``s``
-    variable, so neither side needs the quotient: the left side's image
-    is the key ``sum_i e_i * delta_i``, ``delta_i`` the key shift of
-    tracked variable ``i``'s image (a walk constant), and the unit
-    elimination ``E`` leaves the right side as it is.  (iii) takes its
-    right side as ``prod_c E(x_c)``, which equals ``E(prod_c x_c)``
+    (i) and (ii) compare one-term polynomials built from exponent
+    vectors.  The tracked exchange monomials carry no placeholder and
+    the folded group monomials no ``t``/``s`` variable, so neither side
+    needs the quotient: the left side's image places each exponent at
+    the positions of its variable's lift (a walk constant), and the
+    unit elimination ``E`` leaves the right side as it is.  (iii) takes
+    its right side as ``prod_c E(x_c)``, which equals ``E(prod_c x_c)``
     because ``E`` is a monomial ring map; the context keeps the
-    ``E(x_c)``.  (iv) builds the balanced side-ratio sums on packed keys.
+    ``E(x_c)``.  (iv) builds the balanced sums of the side ratios'
+    exponent vectors.
     """
     failures = []
     tracked = ctx.tracked
     fs = ctx.fs
     table = fs.table
-    layout = table._layout
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext.build(tracked, k)
         first = _coherent_row(fs, k)
-        u_gt, u_gt_amp, u_lt, u_lt_amp = _packed_sides(table, first, (ROLE_CLUSTER,))
-        v_gt, v_gt_amp, v_lt, v_lt_amp = _packed_sides(table, first, (ROLE_FROZEN,))
-        # (i) cluster monomials and (ii) stable monomials, as packed keys.
-        for label, exps, shift, amp in (
-            ("(i) u>", gca_ctx.u_gt, u_gt, u_gt_amp),
-            ("(i) u<", gca_ctx.u_lt, u_lt, u_lt_amp),
-            ("(ii) v>[1]", gca_ctx.v_gt[1], v_gt, v_gt_amp),
-            ("(ii) v<[1]", gca_ctx.v_lt[1], v_lt, v_lt_amp),
+        u_gt, u_lt = _sides(table, first, (ROLE_CLUSTER,))
+        v_gt, v_lt = _sides(table, first, (ROLE_FROZEN,))
+        # (i) cluster monomials and (ii) stable monomials.
+        for label, exps, side in (
+            ("(i) u>", gca_ctx.u_gt, u_gt),
+            ("(i) u<", gca_ctx.u_lt, u_lt),
+            ("(ii) v>[1]", gca_ctx.v_gt[1], v_gt),
+            ("(ii) v<[1]", gca_ctx.v_lt[1], v_lt),
         ):
-            lhs = ctx._image_key(exps)
-            _amplitude((amp,))
-            if lhs != layout.offset + shift:
+            if table.term(ctx._image(exps)) != table.term(side):
                 failures.append((label, k, None))
         # (iii) cluster variables, compared as evaluated elements.
         if ctx.phi_poly(tracked.cluster[k]) != ctx.group_image(k):
             failures.append(("(iii)", k, None))
-        # (iv) string entries against balanced side-ratio sums, on packed
-        # keys: each side ratio is a key shift whose fields are its exponents.
-        ratios, amp = [], 0
+        # (iv) string entries against balanced side-ratio sums.
+        ratios = []
         for c in fs.members(k):
-            gt, gt_amp, lt, lt_amp = _packed_sides(
+            gt, lt = _sides(
                 table, fs.folded.matrix.rows[c], (ROLE_FROZEN, ROLE_T, ROLE_S)
             )
-            amp += _amplitude((gt_amp, lt_amp, v_gt_amp, v_lt_amp))
-            ratio_gt, ratio_lt = gt - v_gt, lt - v_lt
-            for ratio, label in ((ratio_gt, ">"), (ratio_lt, "<")):
-                exps = layout.unpack(layout.offset + ratio)
+            pair = (tuple(map(sub, gt, v_gt)), tuple(map(sub, lt, v_lt)))
+            for ratio, label in zip(pair, "><"):
                 failures.extend(
                     (f"(iv) ratio {label} keeps frozen content", k, c)
                     for pos in table.frozen_indices
-                    if exps[pos]
+                    if ratio[pos]
                 )
-            ratios.append((ratio_gt, ratio_lt))
+            ratios.append(pair)
         for r in range(tracked.divisors[k] + 1):
             lhs = ctx.phi_poly(tracked.strings.entry(k, r).as_polynomial())
-            rhs = ctx.normal_form(_balanced_sum(table, ratios, r, amp))
+            rhs = ctx.normal_form(_balanced_sum(table, ratios, r))
             if lhs != rhs:
                 failures.append(("(iv)", k, r))
     return failures

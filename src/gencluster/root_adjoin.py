@@ -37,7 +37,7 @@ from .laurent_kernel import (
     LaurentPolynomial,
     Monomial,
     VariableTable,
-    _amplitude,
+    exponent_amplitude,
     poly_map_variables,
 )
 from .matrix_mutation import _trusted_matrix
@@ -153,11 +153,11 @@ def tau_tilde(seed, mode="total"):
         for r, p in enumerate(seed.strings.row(k)):
             # The image of ``p`` under ``f_j -> g_j^n``, bounded like a
             # transported polynomial, times the corrections ``g_j^defect``.
-            _amplitude(p.exponents)
+            exponent_amplitude(p.exponents)
             image = list(p.exponents)
             for pos in frozen:
                 image[pos] *= n
-            _amplitude(image)
+            exponent_amplitude(image)
             for pos in frozen:
                 image[pos] += floor_defect(n, r, row_k[pos], d_k)
             row.append(Monomial(new_table, tuple(image)))

@@ -19,8 +19,8 @@ from gencluster.laurent_kernel import (
     VariableTable,
     _drop_zeros,
     _require_same_table,
+    _product_amplitude,
     _same_table,
-    _shifted_amplitude,
     _trusted,
     poly_mul,
     poly_pow,
@@ -150,8 +150,8 @@ def poly_mul_monomial(a, m, c=1):
     c = int(c)
     if c == 0 or not a._keys:
         return LaurentPolynomial.zero(a.table)
-    delta, m_amp = m._packed()
-    amp = _shifted_amplitude(a, m.exponents, m_amp)
+    delta, _ = m._packed()
+    amp = _product_amplitude(a, m.as_polynomial())
     return _trusted(a.table, {k + delta: k_c * c for k, k_c in a._keys.items()}, amp)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -625,7 +626,8 @@ def prefix_walk_stdout(target, seed, label, sequences, as_json):
             continue
         status = "ok" if record["ok"] else "FAIL"
         directions = ",".join(str(k) for k in record["sequence"]) or "-"
-        line = f"{status} target={target} seed={label} sequence={directions}"
+        shown = json.dumps(label) if re.search(r'[\s="\\]', label) else label
+        line = f"{status} target={target} seed={shown} sequence={directions}"
         if not record["ok"]:
             line += f" detail={record['failures']!r}"
         lines.append(line + "\n")
@@ -1028,6 +1030,36 @@ class TestSharedStates:
         assert run(*argv) == prefix_walk_stdout(
             target, seed, str(path), sequences, as_json
         )
+
+    @pytest.mark.parametrize("name", ["rank 3.seed", "rank\n3.seed", "a=b.seed"])
+    def test_text_records_quote_labels_that_break_fields(
+        self, monkeypatch, tmp_path, name
+    ):
+        # Passing and failing records alike: every line splits into its
+        # four (or five) fields, and the quoted label reads back as the path.
+        path = tmp_path / name
+        path.write_text(RANK_3_SEED, encoding="utf-8")
+        monkeypatch.setattr(
+            quotient_embedding, "product_formula_check", parity_naming_check(3)
+        )
+        code, out = run(
+            "verify", "product-formula", "--seed-file", str(path), "--depth", "2"
+        )
+        lines = out.splitlines()
+        assert code == 2 and len(lines) == 9
+        assert {line.split(" ")[0] for line in lines} == {"ok", "FAIL"}
+        for line in lines:
+            fields = re.fullmatch(
+                r'(ok|FAIL) target=product-formula seed=("(?:[^"\\]|\\.)*") '
+                r"sequence=[0-9,]+( detail=.*)?",
+                line,
+            )
+            assert fields and json.loads(fields[2]) == str(path)
+            assert (fields[1] == "FAIL") == (fields[3] is not None)
+        json_out = run(
+            "verify", "product-formula", "--seed-file", str(path), "--depth", "2", "--json"
+        )[1]
+        assert {json.loads(line)["seed"] for line in json_out.splitlines()} == {str(path)}
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_failing_and_error_records_match_the_prefix_walk(

@@ -41,6 +41,7 @@ from gencluster.laurent_kernel import (
     poly_exact_div,
     poly_mul,
     poly_pow,
+    poly_sum_of_products,
 )
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, modify
 from gencluster.randomgen import random_seed, random_sequence
@@ -332,7 +333,9 @@ class TestExchangePolynomials:
 
     def test_exchange_step_never_multiplies_by_one(self, monkeypatch):
         # An empty cluster power is left out, never multiplied in.  Rows
-        # with no entry of one sign, and every rank-1 row, have one.
+        # with no entry of one sign, and every rank-1 row, have one.  The
+        # sum of products takes the cluster side of each pair as ``None``
+        # then, never as the constant 1.
         rng = random.Random(16)
         starts = [fixture_seed(name) for name in ("FIX-A", "FIX-B", "FIX-C")]
         starts += [random_seed(rng, max_rank=1 + i % 3) for i in range(20)]
@@ -340,14 +343,25 @@ class TestExchangePolynomials:
         seeds = []
         for seed in starts:
             seeds += [seed, tau_tilde(seed).seed]
-        by_one = []
+        by_one, absent, coefficients = [], [], []
 
         def recording_mul(a, b):
             if LaurentPolynomial.one(a.table) in (a, b):
                 by_one.append((a, b))
             return poly_mul(a, b)
 
+        def recording_sum(table, pairs):
+            pairs = list(pairs)
+            for product, coefficient in pairs:
+                if product is None:
+                    absent.append(coefficient)
+                elif product == LaurentPolynomial.one(table):
+                    by_one.append((product, coefficient))
+                coefficients.append(coefficient)
+            return poly_sum_of_products(table, pairs)
+
         monkeypatch.setattr(gca_seed, "poly_mul", recording_mul)
+        monkeypatch.setattr(gca_seed, "poly_sum_of_products", recording_sum)
         for seed in seeds:
             for k in range(seed.rank):
                 exchange_polynomial(seed, k)
@@ -355,6 +369,8 @@ class TestExchangePolynomials:
                 for j in range(seed.rank):
                     exchange_polynomial(mutated, j)
         assert by_one == []
+        assert absent
+        assert all(len(c.terms) == 1 for c in coefficients)
 
     def test_trusted_context_equals_the_constructed_one(self, fix_b, fix_c):
         for seed in (fix_b, fix_c, tau_tilde(fix_b).seed):

@@ -51,6 +51,58 @@ def test_every_import_is_read():
     assert unread == []
 
 
+#: Names private to the Laurent kernel: the helpers that build and bound
+#: results on packed keys, and the attributes that hold the key format.
+#: ``_amplitude`` is public as ``exponent_amplitude`` and the bound of
+#: ``_shifted_amplitude`` is ``_product_amplitude``; the old names stay
+#: listed so that neither comes back as an import.
+KERNEL_PRIVATE_IMPORTS = {
+    "_trusted", "_drop_zeros", "_amplitude", "_shifted_amplitude", "_extremes",
+    "_product_amplitude",
+}
+KERNEL_PRIVATE_ATTRIBUTES = {"_keys", "_amp", "_layout", "_packed"}
+
+
+def kernel_internals(source):
+    """``(line, name)`` of every import or attribute read of a kernel-private name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name in KERNEL_PRIVATE_IMPORTS
+            ]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr in KERNEL_PRIVATE_ATTRIBUTES | KERNEL_PRIVATE_IMPORTS:
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_kernel_internals_are_detected():
+    source = (
+        "from .laurent_kernel import VariableTable, _trusted as t, _extremes\n"
+        "p._keys = {}\n"
+        "print(p._amp, table._layout.offset, mono._packed(), lk._drop_zeros)\n"
+        "print(p.terms, seed._trusted_seed, _amplitude)\n"
+    )
+    assert kernel_internals(source) == [
+        (1, "_extremes"), (1, "_trusted"),
+        (3, "_amp"), (3, "_drop_zeros"), (3, "_layout"), (3, "_packed"),
+    ]
+
+
+def test_key_format_stays_in_the_kernel():
+    # Only laurent_kernel.py reads packed keys and their bounds.
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "gencluster").glob("*.py"))
+        if path.name != "laurent_kernel.py"
+        for line, name in kernel_internals(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
 #: Method and property names that another class also defines, as a member
 #: or a field.  The scan cannot tell whose attribute a read is, so each
 #: entry names the reads that are the member's own.

@@ -9,17 +9,20 @@ optional test dependency, so the module is skipped without it.
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import extremes_reads, parse_polynomial
+from conftest import extremes_reads, parse_polynomial, poly_sum
 
-from gencluster.errors import InexactDivision
+from gencluster.errors import ExponentOverflow, InexactDivision, TableMismatch
 from gencluster.laurent_kernel import (
+    EXPONENT_LIMIT,
     LaurentPolynomial,
     VariableTable,
     poly_add,
     poly_exact_div,
     poly_map_variables,
     poly_mul,
+    poly_neg,
     poly_pow,
+    poly_sum_of_products,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -96,6 +99,100 @@ class TestRingOperations:
         assert_matches(poly_add(a, b), big_a + big_b)
         assert_matches(poly_mul(a, b), big_a * big_b)
         assert_matches(poly_pow(a, k), big_a**k)
+
+
+def composed_sum(table, pairs):
+    """``sum_i a_i * b_i`` as ``poly_sum`` of ``poly_mul`` products (``None`` is 1)."""
+    one = LaurentPolynomial.one(table)
+    return poly_sum(table, [
+        poly_mul(one if a is None else a, one if b is None else b) for a, b in pairs
+    ])
+
+
+def assert_sum_matches(table, pairs):
+    fused = poly_sum_of_products(table, iter(pairs))
+    assert fused == composed_sum(table, pairs)
+    assert fused._amp < EXPONENT_LIMIT
+    assert all(fused._keys.values())
+    big = sympy.Add(*(
+        (1 if a is None else to_sympy(a)) * (1 if b is None else to_sympy(b))
+        for a, b in pairs
+    ))
+    assert_matches(fused, big)
+
+
+class TestSumOfProducts:
+    """``poly_sum_of_products`` against the sum of ``poly_mul`` products."""
+
+    @given(st.data())
+    def test_random_operands(self, data):
+        table = data.draw(tables())
+        pairs = data.draw(st.lists(
+            st.tuples(polynomials(table), polynomials(table)), max_size=4
+        ))
+        assert_sum_matches(table, pairs)
+
+    @given(st.data())
+    def test_cancelling_pairs(self, data):
+        table = data.draw(tables())
+        a = data.draw(polynomials(table, min_terms=1))
+        b = data.draw(polynomials(table, min_terms=1))
+        pairs = [(a, b), (poly_neg(b), a)]
+        assert_sum_matches(table, pairs)
+        assert poly_sum_of_products(table, pairs) == LaurentPolynomial.zero(table)
+        assert poly_sum_of_products(table, []) == LaurentPolynomial.zero(table)
+
+    @given(st.data())
+    def test_absent_sides(self, data):
+        table = data.draw(tables())
+        a = data.draw(polynomials(table))
+        b = data.draw(polynomials(table))
+        assert_sum_matches(table, [(a, None), (None, b), (None, None)])
+        assert poly_sum_of_products(table, [(None, None)]) == LaurentPolynomial.one(table)
+        assert poly_sum_of_products(table, [(a, None)]) == a
+
+    @given(st.data())
+    def test_one_term_operands(self, data):
+        table = data.draw(tables())
+        a = monomial_times(table, data.draw)
+        b = data.draw(polynomials(table))
+        c = monomial_times(table, data.draw)
+        assert_sum_matches(table, [(a, b), (b, c), (a, c), (None, c)])
+
+    def test_operands_over_other_tables(self):
+        table, other = table_of("x", 2), table_of("u", 2)
+        x = table.variable("x0")
+        u = other.variable("u0")
+        for pairs in ([(x, u)], [(u, x)], [(x, None), (None, u)], [(u, None)]):
+            with pytest.raises(TableMismatch):
+                poly_sum_of_products(table, pairs)
+        with pytest.raises(TableMismatch):
+            composed_sum(table, [(x, u)])
+
+    @pytest.mark.parametrize("top", [EXPONENT_LIMIT - 1, EXPONENT_LIMIT])
+    def test_exponents_near_the_limit(self, top):
+        # The bound of ``a * b`` reaches the limit either way, so its exact
+        # extremes are read: its x0 exponent is ``top``, allowed only
+        # below the limit.
+        table = table_of("x", 2)
+        a = parse_polynomial(f"x0^{top - 1} + x1^-1", table)
+        b = parse_polynomial("x0 + x1^-2", table)
+        pairs = [(b, b), (a, b), (None, b)]
+        assert a._amp + b._amp >= EXPONENT_LIMIT
+        if top < EXPONENT_LIMIT:
+            with extremes_reads() as reads:
+                poly_sum_of_products(table, pairs)
+            assert reads == [a, b]
+            assert_sum_matches(table, pairs)
+            return
+        with pytest.raises(ExponentOverflow) as fused:
+            poly_sum_of_products(table, pairs)
+        with pytest.raises(ExponentOverflow) as composed:
+            composed_sum(table, pairs)
+        assert str(fused.value) == str(composed.value)
+        assert str(fused.value) == (
+            f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
+        )
 
 
 class TestDivision:

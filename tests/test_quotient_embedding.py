@@ -9,7 +9,14 @@ import random
 
 import pytest
 
-from conftest import mono_over, mono_power, mono_times, poly_mul_monomial, poly_sum
+from conftest import (
+    extremes_reads,
+    mono_over,
+    mono_power,
+    mono_times,
+    poly_mul_monomial,
+    poly_sum,
+)
 from gencluster.cli_io import parse_seed_text
 from gencluster.errors import (
     ExponentOverflow,
@@ -607,6 +614,33 @@ class TestSigmaAndUnits:
         assert str(EXPONENT_LIMIT) in str(packed.value)
         p = placeholder_term(EXPONENT_LIMIT - 2)
         assert placeholder_normal_form(ctx, p) == expand_term_by_term(ctx, p)
+
+    def test_expansion_bound_at_the_limit_below_the_exact_extremes(self, fix_c):
+        # The bound of y1^(limit - 1) * E(sigma_{1,1}) reaches the limit,
+        # but sigma moves only t1 and s1, so the exact exponents stay below.
+        ctx = QuotientContext.create(fix_c)
+        p = poly_add(
+            ctx.folded_plus.monomial({"y1": EXPONENT_LIMIT - 1, "rho1_1": 1}).as_polynomial(),
+            ctx.folded_plus.monomial({"y2": -3, "t1": 2, "rho1_1": 2}).as_polynomial(),
+        )
+        with extremes_reads() as reads:
+            expanded = placeholder_normal_form(ctx, p)
+        assert any(len(q.terms) == 2 for q in reads)
+        assert expanded == expand_term_by_term(ctx, p)
+
+    def test_expansion_past_the_limit_names_the_exact_exponent(self, fix_c):
+        # The second part's t1^(limit - 1) times E(sigma_{1,1})^2 holds
+        # t1^(limit + 1); the first part is within the limit.
+        ctx = QuotientContext.create(fix_c)
+        p = poly_add(
+            ctx.folded_plus.monomial({"y1": EXPONENT_LIMIT - 1, "rho1_1": 1}).as_polynomial(),
+            ctx.folded_plus.monomial({"t1": EXPONENT_LIMIT - 1, "rho1_1": 2}).as_polynomial(),
+        )
+        with pytest.raises(ExponentOverflow) as packed:
+            placeholder_normal_form(ctx, p)
+        assert str(packed.value) == (
+            f"exponent of magnitude {EXPONENT_LIMIT + 1} reaches the limit {EXPONENT_LIMIT}"
+        )
 
     def test_negative_placeholder_power_rejected(self, fix_c):
         ctx = QuotientContext.create(fix_c)
