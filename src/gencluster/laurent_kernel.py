@@ -213,6 +213,8 @@ class VariableTable:
         polynomial constructor's type checks are skipped); an exponent of
         magnitude :data:`EXPONENT_LIMIT` or more raises ExponentOverflow.
         """
+        if len(exponents) != len(self.names):
+            raise ValidationError("exponent vector does not match table size")
         amp = exponent_amplitude(exponents)
         return _trusted(self, {self._layout.pack(exponents): 1}, amp)
 

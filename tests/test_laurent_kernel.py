@@ -253,6 +253,14 @@ class TestTables:
         assert mono_power(m, 3) == SMALL_TABLE.monomial(x=6, f=-3)
         assert m.exponents == (2, 0, -1)
 
+    def test_term(self):
+        # A one-term polynomial straight from an exponent vector.
+        assert SMALL_TABLE.term((2, 0, -1)) == LaurentPolynomial(SMALL_TABLE, {(2, 0, -1): 1})
+        assert SMALL_TABLE.term([0, 0, 0]) == LaurentPolynomial.one(SMALL_TABLE)
+        for bad in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValidationError):
+                SMALL_TABLE.term(bad)
+
     def test_equal_tables_are_interchangeable(self):
         twin = VariableTable.make(cluster=("x", "y"), frozen=("f",))
         assert poly_add(
@@ -306,6 +314,13 @@ class TestExponentLimit:
         for e in (LIMIT, -LIMIT):
             with pytest.raises(ExponentOverflow):
                 x_power(e)
+
+    def test_term(self):
+        edge = (LIMIT - 1, 0, 1 - LIMIT)
+        assert SMALL_TABLE.term(edge) == LaurentPolynomial(SMALL_TABLE, {edge: 1})
+        for e in (LIMIT, -LIMIT):
+            with pytest.raises(ExponentOverflow):
+                SMALL_TABLE.term((0, e, 0))
 
     def test_parse(self):
         assert parse_polynomial(f"x^{LIMIT - 1} + y^{1 - LIMIT}", SMALL_TABLE) == poly_add(
