@@ -156,16 +156,23 @@ class _Cursor:
 
 
 def _parse_ints(text, line_no, what):
+    """The integers of ``text``, each word in the form :func:`str` prints.
+
+    A sign ``+``, leading zeros, ``-0``, underscores and non-ASCII digits
+    are refused, so a parsed file writes back byte for byte.
+    """
     out = []
     for column, word in enumerate(text.split(), start=1):
         try:
-            out.append(int(word))
-        except ValueError as exc:
+            value = int(word)
+        except ValueError:
+            value = None
+        if value is None or str(value) != word:
+            form = "integers" if value is None else "integers in canonical form"
             raise ParseError(
-                f"{what} must be integers, got {word!r}",
-                line=line_no,
-                column=column,
-            ) from exc
+                f"{what} must be {form}, got {word!r}", line=line_no, column=column
+            )
+        out.append(value)
     return out
 
 

@@ -20,11 +20,12 @@ where the cluster monomials ``u>``, ``u<`` and the frozen boxes
     v>[r] = prod_{bhat_kj > 0} f_j^floor(r*bhat_kj / d_k)   (frozen columns)
     v<[r] = prod_{bhat_kj < 0} f_j^floor(r*|bhat_kj| / d_k)
 
-The exchange data of one direction is kept as exponent vectors
-(:class:`ExchangeContext`), and ``theta_k`` is one kernel sum of
-products: each product ``u>^r * u<^(d_k - r)`` of cluster powers times
-its frozen coefficient, a one-term polynomial built straight from its
-exponent vector, so the mutation path builds no
+:class:`ExchangeContext` reads the row once and keeps ``u>``, ``u<``
+and the ``d_k + 1`` frozen coefficients ``p_{k,r} * v>[r] * v<[d_k - r]``
+of ``theta_k`` as exponent vectors; no box is kept.  ``theta_k`` is one
+kernel sum of products: each product ``u>^r * u<^(d_k - r)`` of cluster
+powers times its coefficient, a one-term polynomial built straight
+from its exponent vector, so the mutation path builds no
 :class:`~gencluster.laurent_kernel.Monomial`.
 
 Mutation in direction ``k`` replaces the cluster entry by the exact
@@ -198,69 +199,44 @@ def _trusted_seed(seed, **changes):
     return out
 
 
-@dataclass(frozen=True)
 class ExchangeContext:
-    """All ingredients of one exchange relation, as exponent vectors.
+    """The exchange relation of direction ``k``, as exponent vectors.
 
-    Every field is read once off the divisor-scaled row ``bhat_row``.
-    ``u_gt``/``u_lt`` are exponent tuples over the seed's table whose
-    cluster slots refer to the *current* cluster entries (slot ``i``
-    means ``seed.cluster[i]``), not to the table symbols; ``v_gt[r]``
-    and ``v_lt[r]`` are the frozen boxes as exponent tuples.
-    ``strings`` is string row ``k``.  No :class:`Monomial` is built:
-    callers that need one (reports, failure text) wrap a vector.
+    The constructor reads the divisor-scaled row ``bhat_row`` once;
+    raises IndexOutOfRange for a bad direction.  ``u_gt``/``u_lt`` are
+    exponent tuples over the seed's table whose cluster slots refer to
+    the *current* cluster entries (slot ``i`` means ``seed.cluster[i]``),
+    not to the table symbols; ``v_gt``/``v_lt`` are the stable
+    monomials ``v>[1]``/``v<[1]``; ``coefficients[r]`` is the frozen
+    coefficient ``p_{k,r} * v>[r] * v<[d-r]`` of ``theta_k``.  No
+    :class:`Monomial` is built: callers that need one (reports, failure
+    text) wrap a vector.
     """
 
-    seed: GeneralizedSeed
-    k: int
-    degree: int
-    bhat_row: tuple
-    u_gt: tuple
-    u_lt: tuple
-    v_gt: tuple
-    v_lt: tuple
-    strings: tuple
+    __slots__ = (
+        "seed", "degree", "bhat_row", "u_gt", "u_lt", "v_gt", "v_lt", "coefficients",
+    )
 
-    @staticmethod
-    def build(seed, k):
-        """The context of direction ``k``; raises IndexOutOfRange.
-
-        Like :func:`_trusted_seed`, it fills the fields without the
-        frozen dataclass's ``__init__``, which sets each one through
-        ``object.__setattr__``; the result equals the constructor's.
-        """
+    def __init__(self, seed, k):
         seed.matrix.check_direction(k)
-        d_k = seed.divisors[k]
-        bhat_row = seed.scaled_row(k)
+        self.seed = seed
+        self.degree = d = seed.divisors[k]
+        self.bhat_row = bhat_row = seed.scaled_row(k)
         n = seed.rank
         cluster, frozen = bhat_row[:n], bhat_row[n:]
         pad, zeros = (0,) * n, (0,) * len(frozen)
-        out = object.__new__(ExchangeContext)
-        out.__dict__.update(
-            seed=seed,
-            k=k,
-            degree=d_k,
-            bhat_row=bhat_row,
-            u_gt=tuple([e if e > 0 else 0 for e in cluster]) + zeros,
-            u_lt=tuple([-e if e < 0 else 0 for e in cluster]) + zeros,
-            v_gt=tuple([
-                pad + tuple([(r * e) // d_k if e > 0 else 0 for e in frozen])
-                for r in range(d_k + 1)
-            ]),
-            v_lt=tuple([
-                pad + tuple([(r * -e) // d_k if e < 0 else 0 for e in frozen])
-                for r in range(d_k + 1)
-            ]),
-            strings=seed.strings.row(k),
-        )
-        return out
-
-    def coefficient(self, r):
-        """Exponents of the frozen coefficient ``p_{k,r} * v>[r] * v<[d-r]``."""
-        return tuple([
-            p + g + l for p, g, l in zip(
-                self.strings[r].exponents, self.v_gt[r], self.v_lt[self.degree - r]
-            )
+        self.u_gt = tuple([e if e > 0 else 0 for e in cluster]) + zeros
+        self.u_lt = tuple([-e if e < 0 else 0 for e in cluster]) + zeros
+        self.v_gt = pad + tuple([e // d if e > 0 else 0 for e in frozen])
+        self.v_lt = pad + tuple([-e // d if e < 0 else 0 for e in frozen])
+        # Frozen exponent b adds floor(r*b/d) (b > 0) or floor((d-r)*|b|/d)
+        # (b < 0) to p_{k,r}; strings have no cluster exponent.
+        self.coefficients = tuple([
+            pad + tuple([
+                p + (r * e if e > 0 else (r - d) * e) // d
+                for p, e in zip(string.exponents[n:], frozen)
+            ])
+            for r, string in enumerate(seed.strings.row(k))
         ])
 
 
@@ -289,7 +265,7 @@ def _ladder(base, d):
 
 def exchange_polynomial(seed, k):
     """The exchange polynomial ``theta_k`` evaluated at the current cluster."""
-    return _exchange_polynomial(ExchangeContext.build(seed, k))
+    return _exchange_polynomial(ExchangeContext(seed, k))
 
 
 def _exchange_polynomial(ctx):
@@ -317,7 +293,7 @@ def _exchange_polynomial(ctx):
                 product = gt
             else:
                 product = poly_mul(gt, lt)
-            yield product, table.term(ctx.coefficient(r))
+            yield product, table.term(ctx.coefficients[r])
 
     return poly_sum_of_products(table, summands())
 
@@ -358,28 +334,29 @@ def root_formula_check(seed, k):
     For each ``r``, with ``q_{k,r}`` taken from the ``d``-fold special
     monomials of the scaled row (frozen exponents :func:`floor_defect`
     ``(d, r, bhat_kj, d)`` of ``1/q``, so the test does not read the
-    boxes it is compared with), the monomial ``p_{k,r}^d / q_{k,r} *
-    v>^r * v<^(d-r)`` must have every exponent divisible by ``d``, and
-    its ``d``-th root must be the coefficient ``p_{k,r} * v>[r] *
-    v<[d-r]`` of ``theta_k``.  The monomials are exponent vectors.
+    coefficient it is compared with) and ``v> = v>[d]``, ``v< = v<[d]``
+    the frozen sign parts of the scaled row, the monomial ``p_{k,r}^d /
+    q_{k,r} * v>^r * v<^(d-r)`` must have every exponent divisible by
+    ``d``, and its ``d``-th root must be the coefficient ``p_{k,r} *
+    v>[r] * v<[d-r]`` of ``theta_k``.  The monomials are exponent vectors.
     Returns a report listing failing ``(k, r)`` pairs.  Reassembling
     ``theta_k`` from the roots is a test oracle.
     """
-    ctx = ExchangeContext.build(seed, k)
+    ctx = ExchangeContext(seed, k)
     d, n = ctx.degree, seed.rank
-    v_gt, v_lt = ctx.v_gt[d], ctx.v_lt[d]
     failures = []
-    for r in range(d + 1):
+    for r, string in enumerate(seed.strings.row(k)):
         target = [
-            d * p + (floor_defect(d, r, b, d) if pos >= n else 0) + r * g + (d - r) * l
-            for pos, (p, b, g, l) in enumerate(
-                zip(ctx.strings[r].exponents, ctx.bhat_row, v_gt, v_lt)
+            d * p + (
+                floor_defect(d, r, b, d) + r * max(b, 0) + (d - r) * max(-b, 0)
+                if pos >= n else 0
             )
+            for pos, (p, b) in enumerate(zip(string.exponents, ctx.bhat_row))
         ]
         if any(e % d for e in target):
             failures.append((k, r, "exponents not divisible by the degree"))
             continue
-        root, coefficient = tuple([e // d for e in target]), ctx.coefficient(r)
+        root, coefficient = tuple([e // d for e in target]), ctx.coefficients[r]
         if root != coefficient:
             root, coefficient = (
                 Monomial(seed.table, v) for v in (root, coefficient)

@@ -240,7 +240,8 @@ class Monomial:
     """A Laurent monomial: one exponent per table variable.
 
     Monomials are plain exponent tuples of any size; the exponent limit
-    applies when one enters polynomial arithmetic.
+    applies when one enters polynomial arithmetic.  Each exponent must
+    be an integer (ValidationError otherwise) and is stored as an ``int``.
     """
 
     table: VariableTable
@@ -249,6 +250,8 @@ class Monomial:
     def __post_init__(self):
         if len(self.exponents) != len(self.table):
             raise ValidationError("exponent vector does not match table size")
+        exps = tuple([_integer(e, "exponents") for e in self.exponents])
+        object.__setattr__(self, "exponents", exps)
 
     def is_one(self):
         return all(e == 0 for e in self.exponents)

@@ -669,7 +669,7 @@ def _embedding_conditions_at(ctx):
     fs = ctx.fs
     table = fs.table
     for k in range(tracked.rank):
-        gca_ctx = ExchangeContext.build(tracked, k)
+        gca_ctx = ExchangeContext(tracked, k)
         first = _coherent_row(fs, k)
         u_gt, u_lt = _sides(table, first, (ROLE_CLUSTER,))
         v_gt, v_lt = _sides(table, first, (ROLE_FROZEN,))
@@ -677,8 +677,8 @@ def _embedding_conditions_at(ctx):
         for label, exps, side in (
             ("(i) u>", gca_ctx.u_gt, u_gt),
             ("(i) u<", gca_ctx.u_lt, u_lt),
-            ("(ii) v>[1]", gca_ctx.v_gt[1], v_gt),
-            ("(ii) v<[1]", gca_ctx.v_lt[1], v_lt),
+            ("(ii) v>[1]", gca_ctx.v_gt, v_gt),
+            ("(ii) v<[1]", gca_ctx.v_lt, v_lt),
         ):
             if table.term(ctx._image(exps)) != table.term(side):
                 failures.append((label, k, None))

@@ -204,8 +204,8 @@ def transport_check(base, adjoined, sequence=()):
 
     failures = []
     for k in range(base.rank):
-        ctx = ExchangeContext.build(t, k)
-        ctx_bar = ExchangeContext.build(t_bar, k)
+        ctx = ExchangeContext(t, k)
+        ctx_bar = ExchangeContext(t_bar, k)
         for label, exps, exps_bar in (
             ("u>", ctx.u_gt, ctx_bar.u_gt),
             ("u<", ctx.u_lt, ctx_bar.u_lt),
@@ -215,34 +215,21 @@ def transport_check(base, adjoined, sequence=()):
             rhs = _cluster_power(t_bar, exps_bar) or LaurentPolynomial.one(target)
             if lhs != rhs:
                 failures.append((f"(i) {label}", k, None))
-        for r in range(ctx.degree + 1):
-            lhs = phi(Monomial(t.table, ctx.coefficient(r)).as_polynomial())
-            rhs = Monomial(target, ctx_bar.coefficient(r)).as_polynomial()
-            if lhs != rhs:
+        for r, exps in enumerate(ctx.coefficients):
+            if phi(t.table.term(exps)) != target.term(ctx_bar.coefficients[r]):
                 failures.append(("(ii)", k, r))
         if phi(t.cluster[k]) != t_bar.cluster[k]:
             failures.append(("(iii)", k, None))
     return Report(ok=not failures, failures=tuple(failures))
 
 
-def _homogenized_coefficients(ctx):
-    """``p_r * v>[r] * v<[d-r] * v>[1]^(-r) * v<[1]^(r-d)`` for ``r = 0..d``."""
-    d, table = ctx.degree, ctx.seed.table
-    return tuple(
-        Monomial(table, tuple([
-            c - r * g - (d - r) * l
-            for c, g, l in zip(ctx.coefficient(r), ctx.v_gt[1], ctx.v_lt[1])
-        ]))
-        for r in range(d + 1)
-    )
-
-
 def rho(seed):
     """The generalized coefficient table of a seed, one row per direction.
 
     ``rho_{k,r} = p_{k,r} * v>[r] * v<[d-r] * v>[1]^(-r) * v<[1]^(r-d)``.
-    On floor-free seeds the box corrections cancel and ``rho`` is the
-    string table itself; on other seeds :func:`homogeneity_check` raises
+    On floor-free seeds ``v>[r] = v>[1]^r`` and ``v<[r] = v<[1]^r``, so
+    ``rho`` is the string table itself; on other seeds
+    :func:`homogeneity_check` raises
     :class:`~gencluster.errors.HomogeneityFailure`.
     """
     return tuple(homogeneity_check(seed, k).coefficients for k in range(seed.rank))
@@ -259,7 +246,6 @@ def _unbalanced_column(ctx):
 class HomogeneityReport:
     """Successful homogeneity check for one direction."""
 
-    k: int
     degree: int
     tau: Monomial
     coefficients: tuple
@@ -271,31 +257,31 @@ def homogeneity_check(seed, k):
     Requires every frozen entry of scaled row ``k`` to be divisible by
     ``d_k``; otherwise raises
     :class:`~gencluster.errors.HomogeneityFailure` naming the offending
-    frozen column and the ``r = 1`` coefficient.  On such a row the
-    boxes are powers of ``v>[1]`` and ``v<[1]``, so::
+    frozen column and the ``r = 1`` coefficient.  On such a row
+    ``v>[r] = v>[1]^r`` and ``v<[r] = v<[1]^r``, so ``rho_{k,r}`` is the
+    string entry ``p_{k,r}`` and::
 
-        theta_k = sum_r rho_{k,r} * (u> * v>[1])^r * (u< * v<[1])^(d-r)
+        theta_k = sum_r p_{k,r} * (u> * v>[1])^r * (u< * v<[1])^(d-r)
 
-    holds term by term; the report carries the carrier and the
-    ``rho_{k,r}``.  ``tests/test_root_adjoin.py`` rebuilds ``theta_k``
-    from them as an oracle.
+    holds term by term; the report carries the carrier and string row
+    ``k`` as the ``rho_{k,r}``.  ``tests/test_root_adjoin.py`` derives
+    ``rho`` from the boxes and rebuilds ``theta_k`` from it as oracles.
     """
-    ctx = ExchangeContext.build(seed, k)
+    ctx = ExchangeContext(seed, k)
     j = _unbalanced_column(ctx)
     if j is not None:
         b = ctx.bhat_row[j]
         name = seed.table.names[j]
         # The r = 1 coefficient carries a genuine floor defect.
-        term = Monomial(seed.table, ctx.coefficient(1))
+        term = Monomial(seed.table, ctx.coefficients[1])
         raise HomogeneityFailure(
             f"scaled entry {b} of frozen column {name!r} is not divisible "
             f"by {ctx.degree}; coefficient {term} cannot be balanced"
         )
     return HomogeneityReport(
-        k=k,
         degree=ctx.degree,
         tau=_tau_variable(ctx, floor_free=True),
-        coefficients=_homogenized_coefficients(ctx),
+        coefficients=seed.strings.row(k),
     )
 
 
@@ -307,7 +293,7 @@ def tau_variable(seed, k):
     and the carrier is the bare cluster ratio ``u> / u<``.  Cluster
     exponents refer to the current cluster entries.
     """
-    ctx = ExchangeContext.build(seed, k)
+    ctx = ExchangeContext(seed, k)
     return _tau_variable(ctx, _unbalanced_column(ctx) is None)
 
 
@@ -315,5 +301,5 @@ def _tau_variable(ctx, floor_free):
     """:func:`tau_variable` of an already built context."""
     exps = map(sub, ctx.u_gt, ctx.u_lt)
     if floor_free:
-        exps = map(add, exps, map(sub, ctx.v_gt[1], ctx.v_lt[1]))
+        exps = map(add, exps, map(sub, ctx.v_gt, ctx.v_lt))
     return Monomial(ctx.seed.table, tuple(exps))

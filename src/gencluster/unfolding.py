@@ -183,10 +183,16 @@ def hadamard_check(fm, matrix, divisors, multiplicity=None):
     ``matrix`` is the reference at the same mutation depth (group
     mutations of the unfolding mirror plain mutations of the reference).
     Returns a report whose failures name the first offending block and
-    entry.
+    entry.  A reference or divisor vector whose shape does not match the
+    unfolding raises ValidationError.
     """
     if not isinstance(divisors, DivisorVector):
         divisors = DivisorVector(tuple(divisors))
+    _check_reference(fm, matrix)
+    if len(divisors) != fm.n_groups:
+        raise ValidationError(
+            f"{len(divisors)} divisors for an unfolding of {fm.n_groups} groups"
+        )
     failures = []
     n = matrix.n
     scales = _f_scales(divisors, multiplicity)
@@ -211,6 +217,19 @@ def hadamard_check(fm, matrix, divisors, multiplicity=None):
             if bad is not None:
                 failures.append(("f", i, l, bad))
     return Report(ok=not failures, failures=tuple(failures))
+
+
+def _check_reference(fm, matrix):
+    """ValidationError unless the reference ``matrix`` fits the unfolding.
+
+    It needs one row per group and one frozen column per ``F`` column:
+    a smaller reference would leave the rest of the unfolding unchecked.
+    """
+    if (matrix.n, matrix.m) != (fm.n_groups, fm.m_original):
+        raise ValidationError(
+            f"reference has {matrix.n} rows and {matrix.m} frozen columns; the "
+            f"unfolding has {fm.n_groups} groups and {fm.m_original} F columns"
+        )
 
 
 def _first_nonconstant(block, value):
@@ -286,8 +305,10 @@ def unfolding_conditions_check(fm, matrix):
 
     For each cluster block ``(i, j)`` against the reference entry
     ``B_ij``: every column of the block sums to ``B_ij``, and when
-    ``B_ij > 0`` every entry of the block is non-negative.
+    ``B_ij > 0`` every entry of the block is non-negative.  A reference
+    whose shape does not match the unfolding raises ValidationError.
     """
+    _check_reference(fm, matrix)
     failures = []
     n = matrix.n
     for i in range(n):

@@ -139,6 +139,27 @@ class TestSeedFiles:
         assert info.value.column == 1
         assert str(info.value).startswith("line 4, column 1:")
 
+    def test_integers_must_be_canonical(self, fix_c, tmp_path):
+        # Each word parses with int() but prints otherwise, so the file
+        # would not write back byte for byte.
+        text = _seed_text(fix_c)
+        path = tmp_path / "bad.seed"
+        for old, new, line, column in (
+            ("N 1", "N +1", 2, 1),
+            ("divisors 2", "divisors 0_2", 4, 1),
+            ("divisors 2", "divisors 02", 4, 1),
+            ("matrix 0 2", "matrix -0 2", 6, 1),
+            ("matrix 0 2", "matrix 0 \u0662", 6, 2),
+            ("string 0 ; 2 ; 0", "string 0 ; 2 ; +0", 7, 1),
+        ):
+            bad = text.replace(old, new)
+            with pytest.raises(ParseError, match="canonical form") as info:
+                parse_seed_text(bad)
+            assert (info.value.line, info.value.column) == (line, column)
+            path.write_text(bad, encoding="utf-8")
+            code, out = run("verify", "laurent", "--seed-file", str(path))
+            assert (code, out) == (1, "")
+
     def test_trailing_content_rejected(self, fix_c):
         with pytest.raises(ParseError):
             parse_seed_text(_seed_text(fix_c) + "extra\n")

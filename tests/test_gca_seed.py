@@ -60,8 +60,8 @@ def frozen_box(seed, k, r):
     d_k = seed.divisors[k]
     if not 0 <= r <= d_k:
         raise IndexOutOfRange(f"box index {r} outside 0..{d_k}")
-    ctx = ExchangeContext.build(seed, k)
-    return Monomial(seed.table, ctx.v_gt[r]), Monomial(seed.table, ctx.v_lt[r])
+    _, _, _, v_gt, v_lt = monomial_context(seed, k)
+    return v_gt[r], v_lt[r]
 
 
 def special_monomial(seed, n, j, k, r):
@@ -276,12 +276,11 @@ class TestExchangePolynomials:
                 assert len(exchange_polynomial(seed, k).terms) <= 2
 
     def test_context_coefficients(self, fix_b):
-        ctx = ExchangeContext.build(fix_b, 0)
+        ctx = ExchangeContext(fix_b, 0)
         assert ctx.degree == 3
-        for r in range(4):
-            assert Monomial(fix_b.table, ctx.coefficient(r)) == oracle_coefficient(
-                fix_b, 0, r
-            )
+        assert len(ctx.coefficients) == 4
+        for r, exps in enumerate(ctx.coefficients):
+            assert Monomial(fix_b.table, exps) == oracle_coefficient(fix_b, 0, r)
 
     def test_fixture_walks_match_the_monomial_oracles(self, fix_a, fix_b, fix_c):
         # FIX-A's theta_k at depth 2 takes tens of seconds, so its walk
@@ -371,13 +370,6 @@ class TestExchangePolynomials:
         assert by_one == []
         assert absent
         assert all(len(c.terms) == 1 for c in coefficients)
-
-    def test_trusted_context_equals_the_constructed_one(self, fix_b, fix_c):
-        for seed in (fix_b, fix_c, tau_tilde(fix_b).seed):
-            for k in range(seed.rank):
-                ctx = ExchangeContext.build(seed, k)
-                assert ExchangeContext(**vars(ctx)) == ctx
-                assert type(ctx) is ExchangeContext
 
 
 class TestMutation:

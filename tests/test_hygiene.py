@@ -122,11 +122,12 @@ def definitions(tree):
     Returns ``(plain, members, fields)``: ``plain`` maps the name of each
     function and class that is not a class's method to its line;
     ``members`` maps ``(class, name)`` of each method and property to
-    its line; ``fields`` holds ``(class, name)`` of each name a class
-    annotates in its body or assigns on ``self``.
+    its line; ``fields`` maps ``(class, name)`` of each name a class
+    annotates in its body, lists in its ``__slots__`` or assigns on
+    ``self`` to the line of its first such definition.
     """
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    members, fields, methods = {}, set(), set()
+    members, fields, methods = {}, {}, set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
@@ -135,7 +136,13 @@ def definitions(tree):
                 members[(node.name, item.name)] = item.lineno
                 methods.add(item)
             elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                fields.add((node.name, item.target.id))
+                fields.setdefault((node.name, item.target.id), item.lineno)
+            elif isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                for entry in ast.walk(item.value):
+                    if isinstance(entry, ast.Constant) and isinstance(entry.value, str):
+                        fields.setdefault((node.name, entry.value), item.lineno)
         for sub in ast.walk(node):
             if (
                 isinstance(sub, ast.Attribute)
@@ -143,7 +150,7 @@ def definitions(tree):
                 and isinstance(sub.value, ast.Name)
                 and sub.value.id == "self"
             ):
-                fields.add((node.name, sub.attr))
+                fields.setdefault((node.name, sub.attr), sub.lineno)
     plain = {
         node.name: node.lineno
         for node in ast.walk(tree)
@@ -206,6 +213,27 @@ def unused_definitions(sources, users):
     return sorted(unused)
 
 
+def unread_fields(sources, users):
+    """``(path, line, Class.field)`` of every field in ``sources`` no user reads.
+
+    A field counts as read when a user loads an attribute of its name;
+    assigning it, on ``self`` or through a constructor keyword, is not a
+    read.  Dunder names are exempt.
+    """
+    read = {
+        node.attr
+        for source in users.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (path, line, f"{owner}.{name}")
+        for path, source in sources.items()
+        for (owner, name), line in definitions(ast.parse(source))[2].items()
+        if name not in read and not is_dunder(name)
+    )
+
+
 def shared_member_names(sources):
     """``{name: owners}`` of each member name another class also defines.
 
@@ -217,7 +245,7 @@ def shared_member_names(sources):
     for source in sources.values():
         _, defined, annotated = definitions(ast.parse(source))
         members |= set(defined)
-        fields |= annotated
+        fields |= set(annotated)
     defined = members | fields
     shared = {}
     for owner, name in sorted(members):
@@ -243,6 +271,26 @@ def test_unused_definitions_are_detected():
     users = {"b.py": "g()\nc.m()\ngetattr(c, 'n')\no = 1\nprint(o)\n"}
     assert unused_definitions(sources, users) == [
         ("a.py", 1, "f"), ("a.py", 5, "C"), ("a.py", 12, "C.o"),
+    ]
+
+
+def test_unread_fields_are_detected():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    size: int\n"
+            "    kept: int\n"
+            "class B:\n"
+            "    __slots__ = ('rows', 'cols')\n"
+            "    def __init__(self):\n"
+            "        self.rows = self.cols = ()\n"
+            "        self.cache = {}\n"
+            "        self.__dict__ = {}\n"
+        ),
+    }
+    users = {"b.py": "print(a.kept, b.rows)\nb.cache = {}\nA(size=1)\nsize = 2\n"}
+    assert unread_fields(sources, users) == [
+        ("a.py", 2, "A.size"), ("a.py", 5, "B.cols"), ("a.py", 8, "B.cache"),
     ]
 
 
@@ -278,6 +326,16 @@ def test_every_definition_is_used():
     # A helper only the tests need lives in the tests.
     users = {**read_tree("src"), **read_tree("scripts"), **read_tree("perfbench")}
     assert unused_definitions(read_tree("src/gencluster"), users) == []
+
+
+def test_every_field_is_read():
+    # A field is data its object carries for callers, and the tests read
+    # reports' fields as callers do, so they count as readers here.
+    users = {
+        **read_tree("src"), **read_tree("tests"),
+        **read_tree("scripts"), **read_tree("perfbench"),
+    }
+    assert unread_fields(read_tree("src/gencluster"), users) == []
 
 
 def test_shared_member_names_are_reviewed():

@@ -282,6 +282,14 @@ class TestIntegerArguments:
             SMALL_TABLE.monomial(x=bad)
         assert SMALL_TABLE.monomial(x=3).exponents == (3, 0, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, "a"])
+    def test_monomial_constructor_exponents(self, bad):
+        with pytest.raises(ValidationError, match="exponents must be integers"):
+            Monomial(SMALL_TABLE, (bad, 0, 0))
+        mono = Monomial(SMALL_TABLE, [True, 0, -2])
+        assert mono.exponents == (1, 0, -2)
+        assert str(mono) == "x*f^-2"
+
     @pytest.mark.parametrize("bad", [1.5, "3"])
     def test_power(self, bad):
         x = SMALL_TABLE.variable("x")

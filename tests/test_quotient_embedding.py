@@ -279,13 +279,13 @@ def oracle_conditions_i_ii(ctx):
     """
     tracked, failures = ctx.tracked, []
     for k in range(tracked.rank):
-        gca_ctx = ExchangeContext.build(tracked, k)
+        gca_ctx = ExchangeContext(tracked, k)
         gm = group_monomials(ctx.fs, k)
         for label, exps, folded in (
             ("(i) u>", gca_ctx.u_gt, gm.u_gt),
             ("(i) u<", gca_ctx.u_lt, gm.u_lt),
-            ("(ii) v>[1]", gca_ctx.v_gt[1], gm.v_gt),
-            ("(ii) v<[1]", gca_ctx.v_lt[1], gm.v_lt),
+            ("(ii) v>[1]", gca_ctx.v_gt, gm.v_gt),
+            ("(ii) v<[1]", gca_ctx.v_lt, gm.v_lt),
         ):
             lhs = oracle_phi_poly(ctx, Monomial(tracked.table, exps).as_polynomial())
             if lhs != ctx.normal_form(folded.as_polynomial()):

@@ -66,6 +66,16 @@ def is_floor_free(seed, k):
     return all(e % seed.divisors[k] == 0 for e in row[seed.rank:])
 
 
+def stable_monomials(seed, k):
+    """``(v>[1], v<[1])`` of direction ``k``, read off the whole scaled matrix."""
+    d, n = seed.divisors[k], seed.rank
+    frozen = modify(seed.matrix, seed.divisors).rows[k][n:]
+    return tuple(
+        Monomial(seed.table, (0,) * n + tuple(max(sign * b, 0) // d for b in frozen))
+        for sign in (1, -1)
+    )
+
+
 def oracle_rho_row(seed, k):
     """Row ``k`` of the coefficient table, or ``None`` unless both ends are 1.
 
@@ -168,8 +178,8 @@ class TestTauTilde:
             )
             adjoined = tau_tilde(seed).seed
             assert min(adjoined.strings.entry(0, 1).exponents) == -EXPONENT_LIMIT
-            ctx = ExchangeContext.build(adjoined, 0)
-            assert min(ctx.coefficient(1)) == 1 - EXPONENT_LIMIT
+            ctx = ExchangeContext(adjoined, 0)
+            assert min(ctx.coefficients[1]) == 1 - EXPONENT_LIMIT
             assert exchange_polynomial(adjoined, 0).terms
 
     def test_adjoining_twice_rejected(self, fix_c):
@@ -248,9 +258,7 @@ class TestFloorStructure:
             for step in random_sequence(rng, start.rank, depth) + (None,):
                 for k in range(current.rank):
                     report = homogeneity_check(current, k)
-                    ctx = ExchangeContext.build(current, k)
-                    v_gt = Monomial(current.table, ctx.v_gt[1])
-                    v_lt = Monomial(current.table, ctx.v_lt[1])
+                    v_gt, v_lt = stable_monomials(current, k)
                     gt = poly_mul_monomial(cluster_side(current, k, 1), v_gt)
                     lt = poly_mul_monomial(cluster_side(current, k, -1), v_lt)
                     d = report.degree
@@ -265,20 +273,20 @@ class TestFloorStructure:
     def test_exchange_checks_scale_the_matrix_once(
         self, fix_a, fix_b, fix_c, rng, monkeypatch
     ):
-        # Each check builds one exchange context, which scales row k
+        # Each check constructs one exchange context, which scales row k
         # once and alone; none builds a whole (scaled) matrix.
-        matrices, builds, row_scalings = [], [], []
+        matrices, constructions, row_scalings = [], [], []
         validate = ExtendedExchangeMatrix.__post_init__
-        build = ExchangeContext.build
+        construct = ExchangeContext.__init__
         scaled_row = GeneralizedSeed.scaled_row
 
         def counted_validate(self):
             matrices.append(1)
             return validate(self)
 
-        def counted_build(*args, **kwargs):
-            builds.append(1)
-            return build(*args, **kwargs)
+        def counted_construct(self, seed, k):
+            constructions.append(1)
+            return construct(self, seed, k)
 
         def counted_scaled_row(self, k):
             row_scalings.append(1)
@@ -288,7 +296,7 @@ class TestFloorStructure:
         seeds += [tau_tilde(random_seed(rng)).seed for _ in range(10)]
         cases = [(s, k, tau_variable(s, k)) for s in seeds for k in range(s.rank)]
         monkeypatch.setattr(ExtendedExchangeMatrix, "__post_init__", counted_validate)
-        monkeypatch.setattr(ExchangeContext, "build", staticmethod(counted_build))
+        monkeypatch.setattr(ExchangeContext, "__init__", counted_construct)
         monkeypatch.setattr(GeneralizedSeed, "scaled_row", counted_scaled_row)
         for seed, k, tau in cases:
             for check in (
@@ -297,11 +305,11 @@ class TestFloorStructure:
                 lambda: tau_variable(seed, k) == tau,
             ):
                 matrices.clear()
-                builds.clear()
+                constructions.clear()
                 row_scalings.clear()
                 assert check()
                 assert len(matrices) == 0
-                assert len(builds) == 1
+                assert len(constructions) == 1
                 assert len(row_scalings) == 1
 
     def test_homogeneity_fails_with_floors(self, fix_b):

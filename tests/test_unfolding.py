@@ -457,6 +457,29 @@ class TestBlockConditions:
         assert not report.ok
         assert report.failures[0][:3] == ("f", 0, 0)
 
+    def test_reference_with_fewer_groups_rejected(self, fix_b):
+        # One row that matches group 0 of FIX-B would leave group 1 unchecked.
+        fm = build(fix_b)
+        reference = ExtendedExchangeMatrix.from_rows([[0, -8, 4, 0, 0, 0]], m=5)
+        with pytest.raises(ValidationError, match="1 rows"):
+            hadamard_check(fm, reference, (3,))
+        with pytest.raises(ValidationError, match="1 rows"):
+            unfolding_conditions_check(fm, reference)
+
+    def test_reference_with_fewer_f_columns_rejected(self, fix_a):
+        fm = build(fix_a)
+        reference = ExtendedExchangeMatrix.from_rows(
+            [row[:3] for row in fix_a.matrix.rows], m=1
+        )
+        with pytest.raises(ValidationError, match="1 frozen columns"):
+            hadamard_check(fm, reference, fix_a.divisors)
+        with pytest.raises(ValidationError, match="1 frozen columns"):
+            unfolding_conditions_check(fm, reference)
+
+    def test_divisor_count_must_match_the_groups(self, fix_a):
+        with pytest.raises(ValidationError, match="3 divisors"):
+            hadamard_check(build(fix_a), fix_a.matrix, (2, 3, 1))
+
     def test_double_constant_at_build(self, fix_a):
         witness = double_constant_check(build(fix_a))
         assert witness.a == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
