@@ -310,6 +310,17 @@ class _UsageError(Exception):
     pass
 
 
+def _flag_int(word):
+    """The value of an integer flag, written as in a seed file (see :func:`_parse_ints`)."""
+    try:
+        value = int(word)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {word!r}") from None
+    if str(value) != word:
+        raise argparse.ArgumentTypeError(f"int value not in canonical form: {word!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser that reports usage problems as exit code 1."""
 
@@ -337,16 +348,16 @@ def _load_seed(args):
 
 
 def _parse_sequence(text, rank, *, what="direction"):
-    """1-based comma/space separated indices -> 0-based tuple."""
+    """1-based comma/space separated indices -> 0-based tuple.
+
+    Each index is written as in a seed file (see :func:`_parse_ints`).
+    """
     if not text:
         return ()
     words = text.replace(",", " ").split()
     out = []
     for word in words:
-        try:
-            value = int(word)
-        except ValueError as exc:
-            raise ParseError(f"sequence entries must be integers, got {word!r}") from exc
+        (value,) = _parse_ints(word, None, "sequence entries")
         if not 1 <= value <= rank:
             raise IndexOutOfRange(
                 f"{what} {value} out of range 1..{rank}"
@@ -586,8 +597,8 @@ def _sequence_space(target, seed, args):
     count = None
     if spec.startswith("random:"):
         try:
-            count = int(spec.split(":", 1)[1])
-        except ValueError as exc:
+            count = _flag_int(spec.split(":", 1)[1])
+        except argparse.ArgumentTypeError as exc:
             raise _UsageError(f"bad --sequences value {spec!r}") from exc
         if count < 1:
             raise _UsageError(f"--sequences random:N needs N >= 1, got {spec!r}")
@@ -722,7 +733,7 @@ def _build_parser():
     )
     add_seed_options(p_verify)
     p_verify.add_argument(
-        "--depth", type=int, default=None, help="mutation sequence length"
+        "--depth", type=_flag_int, default=None, help="mutation sequence length"
     )
     p_verify.add_argument(
         "--sequences",
@@ -730,7 +741,7 @@ def _build_parser():
         help="'exhaustive' or 'random:N'",
     )
     p_verify.add_argument(
-        "--rng-seed", type=int, default=0, help="seed for random sequences"
+        "--rng-seed", type=_flag_int, default=0, help="seed for random sequences"
     )
     p_verify.add_argument(
         "--json", action="store_true", help="one JSON object per record"

@@ -23,9 +23,9 @@ where the cluster monomials ``u>``, ``u<`` and the frozen boxes
 :class:`ExchangeContext` reads the row once and keeps ``u>``, ``u<``
 and the ``d_k + 1`` frozen coefficients ``p_{k,r} * v>[r] * v<[d_k - r]``
 of ``theta_k`` as exponent vectors; no box is kept.  ``theta_k`` is one
-kernel sum of products: each product ``u>^r * u<^(d_k - r)`` of cluster
-powers times its coefficient, a one-term polynomial built straight
-from its exponent vector, so the mutation path builds no
+kernel shifted sum: each product ``u>^r * u<^(d_k - r)`` of cluster
+powers is shifted by its coefficient's exponent vector, so the mutation
+path builds neither a one-term polynomial per coefficient nor a
 :class:`~gencluster.laurent_kernel.Monomial`.
 
 Mutation in direction ``k`` replaces the cluster entry by the exact
@@ -50,7 +50,7 @@ from .laurent_kernel import (
     poly_exact_div,
     poly_mul,
     poly_pow,
-    poly_sum_of_products,
+    poly_shifted_sum,
 )
 from .matrix_mutation import (
     DivisorVector,
@@ -146,10 +146,9 @@ class GeneralizedSeed:
         ``bhat`` is :func:`~gencluster.matrix_mutation.modify` of the
         matrix and the divisors.
         """
-        d_k, n = self.divisors[k], self.rank
-        return tuple([
-            e // d_k if j < n else e for j, e in enumerate(self.matrix.rows[k])
-        ])
+        d_k, n = self.divisors.entries[k], self.matrix.n
+        row = self.matrix.rows[k]
+        return tuple([e // d_k for e in row[:n]]) + row[n:]
 
     def content_key(self):
         """Hashable key, equal for equal seeds over one table and divisors.
@@ -210,7 +209,8 @@ class ExchangeContext:
     monomials ``v>[1]``/``v<[1]``; ``coefficients[r]`` is the frozen
     coefficient ``p_{k,r} * v>[r] * v<[d-r]`` of ``theta_k``.  No
     :class:`Monomial` is built: callers that need one (reports, failure
-    text) wrap a vector.
+    text) wrap a vector.  A seed with no frozen column has no frozen
+    work: its coefficients and ``v`` vectors are all zero.
     """
 
     __slots__ = (
@@ -220,13 +220,17 @@ class ExchangeContext:
     def __init__(self, seed, k):
         seed.matrix.check_direction(k)
         self.seed = seed
-        self.degree = d = seed.divisors[k]
+        self.degree = d = seed.divisors.entries[k]
         self.bhat_row = bhat_row = seed.scaled_row(k)
-        n = seed.rank
+        n = seed.matrix.n
         cluster, frozen = bhat_row[:n], bhat_row[n:]
         pad, zeros = (0,) * n, (0,) * len(frozen)
         self.u_gt = tuple([e if e > 0 else 0 for e in cluster]) + zeros
         self.u_lt = tuple([-e if e < 0 else 0 for e in cluster]) + zeros
+        if not frozen:
+            self.v_gt = self.v_lt = pad
+            self.coefficients = (pad,) * (d + 1)
+            return
         self.v_gt = pad + tuple([e // d if e > 0 else 0 for e in frozen])
         self.v_lt = pad + tuple([-e // d if e < 0 else 0 for e in frozen])
         # Frozen exponent b adds floor(r*b/d) (b > 0) or floor((d-r)*|b|/d)
@@ -236,7 +240,7 @@ class ExchangeContext:
                 p + (r * e if e > 0 else (r - d) * e) // d
                 for p, e in zip(string.exponents[n:], frozen)
             ])
-            for r, string in enumerate(seed.strings.row(k))
+            for r, string in enumerate(seed.strings.rows[k])
         ])
 
 
@@ -272,20 +276,20 @@ def _exchange_polynomial(ctx):
     """:func:`exchange_polynomial` of an already built context.
 
     With ``G``/``L`` the cluster powers of ``u>``/``u<``, the products
-    ``G^r * L^(d-r)`` times the coefficients ``r``, in ascending ``r``,
-    are one :func:`~gencluster.laurent_kernel.poly_sum_of_products`,
-    which reads each product as it is made.  Nothing is multiplied by
-    1: an empty cluster power is absent and so are its powers, and a
-    product with an absent side is the other side, or absent.
+    ``G^r * L^(d-r)``, each shifted by the exponent vector of
+    coefficient ``r``, in ascending ``r``, are one
+    :func:`~gencluster.laurent_kernel.poly_shifted_sum`, which reads
+    each product as it is made.  Nothing is multiplied by 1: an empty
+    cluster power is absent and so are its powers, and a product with
+    an absent side is the other side, or absent.
     """
     seed, d = ctx.seed, ctx.degree
-    table = seed.table
     # Index r holds G^r (L^r), absent at r = 0 and for an absent base.
     gt_powers = _ladder(_cluster_power(seed, ctx.u_gt), d)
     lt_powers = _ladder(_cluster_power(seed, ctx.u_lt), d)
 
     def summands():
-        for r in range(d + 1):
+        for r, coefficient in enumerate(ctx.coefficients):
             gt, lt = gt_powers[r], lt_powers[d - r]
             if gt is None:
                 product = lt
@@ -293,9 +297,9 @@ def _exchange_polynomial(ctx):
                 product = gt
             else:
                 product = poly_mul(gt, lt)
-            yield product, table.term(ctx.coefficients[r])
+            yield coefficient, product
 
-    return poly_sum_of_products(table, summands())
+    return poly_shifted_sum(seed.table, summands())
 
 
 def mutate_seed(seed, k):

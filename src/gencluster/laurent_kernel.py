@@ -26,9 +26,12 @@ Design notes
   ``ka + kb - offset`` (``offset`` is the key of 1) and a monomial
   substitution adds one packed image per variable it moves.  The format
   is private to this module: other modules build polynomials from
-  exponent vectors (:meth:`VariableTable.term`, the constructor) and
-  add whole sums of products with :func:`poly_sum_of_products`;
-  :func:`exponent_amplitude` checks a vector against the limit.
+  exponent vectors (:meth:`VariableTable.term`, the constructor), add
+  sums of monomials times polynomials with :func:`poly_shifted_sum`,
+  which shifts each polynomial's keys by one packed vector and builds
+  no one-term polynomial, and add sums of general products with
+  :func:`poly_sum_of_products`; :func:`exponent_amplitude` checks a
+  vector against the limit.
 * Exponent limit.  A field holds any sum of two exponents below the
   limit without carrying into its neighbour.  Every polynomial carries
   an upper bound on its largest exponent magnitude; each operation
@@ -453,9 +456,14 @@ def _product_amplitude(a, b):
     """
     amp = a._amp + b._amp
     if amp >= EXPONENT_LIMIT:
-        (alo, ahi), (blo, bhi) = _extremes(a), _extremes(b)
-        amp = exponent_amplitude(tuple(map(add, alo, blo)) + tuple(map(add, ahi, bhi)))
+        amp = _exact_product_amplitude(_extremes(a), _extremes(b))
     return amp
+
+
+def _exact_product_amplitude(extremes_a, extremes_b):
+    """Largest exponent magnitude of a product of operands with these extremes."""
+    (alo, ahi), (blo, bhi) = extremes_a, extremes_b
+    return exponent_amplitude(tuple(map(add, alo, blo)) + tuple(map(add, ahi, bhi)))
 
 
 def _add_product(terms, a, b, offset):
@@ -514,6 +522,47 @@ def poly_sum_of_products(table, pairs):
     return _trusted(table, _drop_zeros(terms), amp)
 
 
+def poly_shifted_sum(table, pairs):
+    """``sum_i x^(v_i) * p_i`` over ``table``, added into one dict.
+
+    ``pairs`` yields the ``(v_i, p_i)``: ``v_i`` holds one integer per
+    variable, in table order (ValidationError for another length, and
+    ExponentOverflow at the limit, as :meth:`VariableTable.term`), and
+    ``p_i`` is a polynomial over ``table`` (TableMismatch otherwise) or
+    ``None``, which stands for 1.  Each vector is packed and checked
+    once, each product is bounded as in :func:`poly_mul`, and ``p_i``'s
+    keys are shifted by the packed vector, so no one-term polynomial is
+    built.  Terms whose sum cancels are dropped.
+    """
+    layout = table._layout
+    width, offset, pack = len(table), layout.offset, layout.pack
+    terms = {}
+    get = terms.get
+    amp = 0
+    for exps, p in pairs:
+        if len(exps) != width:
+            raise ValidationError("exponent vector does not match table size")
+        shift_amp = exponent_amplitude(exps)
+        shift = pack(exps)
+        if p is None:
+            terms[shift] = get(shift, 0) + 1
+            amp = max(amp, shift_amp)
+            continue
+        if not _same_table(p.table, table):
+            raise TableMismatch("operands live over different variable tables")
+        if not p._keys:
+            continue
+        bound = shift_amp + p._amp
+        if bound >= EXPONENT_LIMIT:
+            bound = _exact_product_amplitude((exps, exps), _extremes(p))
+        amp = max(amp, bound)
+        shift -= offset
+        for key, coeff in p._keys.items():
+            key += shift
+            terms[key] = get(key, 0) + coeff
+    return _trusted(table, _drop_zeros(terms), amp)
+
+
 def poly_pow(a, k):
     """Non-negative integer power by binary exponentiation."""
     k = _integer(k, "powers")
@@ -542,11 +591,16 @@ def poly_exact_div(numer, denom):
       off the leading terms (:func:`_monomial_quotient`); when the
       quotient is not one term, or not exact, the division falls
       through to the heap route, which then raises any error;
-    * greedy leading-term elimination in the canonical graded-lex order,
-      taking each leading term off a max-heap of remainder keys
-      (Monagan and Pearce, ISSAC 2009); correctness of the stopping rule
-      rests on exponent extremes being additive under polynomial
-      products.
+    * greedy leading-term elimination in the canonical graded-lex order.
+      The remainder is a dict of packed keys, and a max-heap holds every
+      key added to it; the leading term is the largest key popped that
+      has not cancelled since it was pushed.  Each quotient term updates
+      the remainder with the divisor's other terms at once, so the heap
+      holds remainder keys, not the pending products of Monagan and
+      Pearce's quotient heap (ISSAC 2009).  Every quotient term must lie
+      in the exponent box of the quotient, which is exact because
+      exponent extremes add under polynomial products; the first one
+      outside it stops the division.
     """
     _require_same_table(numer, denom)
     if not denom._keys:
@@ -590,7 +644,17 @@ def poly_exact_div(numer, denom):
     # remainder.  Every remainder key stays inside the numerator's box.
     others = [(k - offset, -c) for k, c in denom._keys.items() if k != lead_d]
     shift = offset - lead_d
-    unpack = layout.unpack
+    # A quotient key ``lead + shift`` lies in the box exactly when the
+    # remainder key ``lead`` lies in the box shifted by ``lead_d``, which
+    # lies inside the numerator's box.  So a field of ``lead`` and the
+    # same field of a corner differ by less than 2**47 in magnitude, and
+    # with 2**47 added per field (``offset`` has exactly those bits) the
+    # differences borrow nothing from each other: bit 47 of a field is
+    # set exactly when its difference is non-negative.  A borrow out of
+    # the fields reaches only the degree field, which is not tested.
+    fields = (1 << layout.degree_shift) - 1
+    upper = ((layout.pack(hi) - shift) & fields) + offset
+    lower = ((layout.pack(lo) - shift) & fields) - offset
     remainder = dict(numer._keys)
     get = remainder.get
     heap = [-k for k in remainder]
@@ -604,9 +668,9 @@ def poly_exact_div(numer, denom):
         q_c, rem = divmod(lc, lc_d)
         if rem:
             raise InexactDivision("leading coefficient does not divide")
-        q_key = lead + shift
-        if not all(l <= e <= h for l, e, h in zip(lo, unpack(q_key), hi)):
+        if (upper - lead) & (lead - lower) & offset != offset:
             raise InexactDivision("quotient support leaves the feasible box")
+        q_key = lead + shift
         quotient[q_key] = q_c
         for kd, cd in others:
             key = q_key + kd

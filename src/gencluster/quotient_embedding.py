@@ -43,9 +43,11 @@ transcendence basis, hence an identity holds for the evaluated elements
 exactly when it holds formally.  This keeps the check exact at depths
 where the evaluated cluster entries would be astronomically large.
 
-Exchange data is read off matrix rows as exponent vectors, and each sum
-of products (a ``sigma`` sum, a placeholder expansion, the right side
-of the product formula) is one kernel ``poly_sum_of_products``.
+Exchange data is read off matrix rows as exponent vectors.  A ``sigma``
+sum and the right side of the product formula are kernel shifted sums
+(``poly_shifted_sum``), which shift keys by exponent vectors and build
+no one-term polynomial; a placeholder expansion, whose factors are
+both general polynomials, is one kernel ``poly_sum_of_products``.
 """
 
 from copy import copy
@@ -74,6 +76,7 @@ from .laurent_kernel import (
     poly_map_variables,
     poly_mul,
     poly_pow,
+    poly_shifted_sum,
     poly_split_trailing,
     poly_sub,
     poly_sum_of_products,
@@ -251,9 +254,9 @@ def _balanced_sum(table, pairs, r):
                 inside if idx in subset else outside
                 for idx, (inside, outside) in enumerate(pairs)
             ]
-            yield table.term(tuple(map(sum, zip(*chosen)))), None
+            yield tuple(map(sum, zip(*chosen))), None
 
-    return poly_sum_of_products(table, summands())
+    return poly_shifted_sum(table, summands())
 
 
 @lru_cache(maxsize=64)
@@ -524,9 +527,9 @@ def product_formula_check(fs, k):
     is built straight from exponent vectors read off the matrix rows.
     The unit elimination ``E`` is a monomial ring map and the shells
     carry no auxiliary variables, so ``E(sigma * shell) = E(sigma) *
-    shell``: the right side is the sum of products of the shells and
-    the eliminated ``sigma`` sums, walk constants built once per folded
-    table, and only the left side takes an elimination pass.
+    shell``: the right side is the eliminated ``sigma`` sums, walk
+    constants built once per folded table, each shifted by its shell's
+    exponent vector, and only the left side takes an elimination pass.
     """
     d_k = len(fs.folded.group_range(k))
     table = fs.table
@@ -538,9 +541,9 @@ def product_formula_check(fs, k):
 
     g, l = _sides(table, _coherent_row(fs, k), (ROLE_CLUSTER, ROLE_FROZEN))
     t_range, s_range = fs.folded.t_range(k), fs.folded.s_range(k)
-    rhs = poly_sum_of_products(table, (
+    rhs = poly_shifted_sum(table, (
         (
-            table.term([r * a + (d_k - r) * b for a, b in zip(g, l)]),
+            [r * a + (d_k - r) * b for a, b in zip(g, l)],
             _eliminated_sigma(table, t_range, s_range, d_k - r if fs.parity[k] else r, 1),
         )
         for r in range(d_k + 1)

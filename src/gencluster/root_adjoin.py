@@ -30,6 +30,7 @@ from .gca_seed import (
     ExchangeContext,
     GeneralizedSeed,
     _cluster_power,
+    _trusted_seed,
     floor_defect,
     mutate_seed_sequence,
 )
@@ -121,6 +122,16 @@ def tau_tilde(seed, mode="total"):
     ``n`` is :func:`root_multiplicity` of ``mode``.  Each column's floor
     defect reads only its own entry, so one pass equals adjoining the
     roots one column at a time, in any order.
+
+    The result skips the seed constructor's checks (see
+    :func:`~gencluster.gca_seed._trusted_seed`); its table is validated.
+    The input passed those checks, and adjoining keeps each of them:
+    only frozen columns are scaled, so the principal part and the
+    divisors' compatibility are the input's; the cluster entries and
+    strings are mapped to the new table of the same roles; a string
+    entry gains frozen exponents only, so it stays cluster-free; and
+    both ends of a row stay 1, since ``floor_defect(n, 0, b, d) =
+    floor_defect(n, d, b, d) = 0``.
     """
     if isinstance(seed, AdjoinedSeed):
         raise ValidationError("tau_tilde starts from an unadjoined seed")
@@ -163,11 +174,11 @@ def tau_tilde(seed, mode="total"):
             row.append(Monomial(new_table, tuple(image)))
         new_string_rows.append(tuple(row))
 
-    new_seed = GeneralizedSeed(
+    new_seed = _trusted_seed(
+        seed,
         table=new_table,
         cluster=new_cluster,
         matrix=new_matrix,
-        divisors=seed.divisors,
         strings=CoefficientStrings(tuple(new_string_rows)),
     )
     return AdjoinedSeed(base=seed, seed=new_seed, multiplicity=n)

@@ -418,6 +418,36 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         return err
 
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--seed", "FIX-C", "--sequence", "\u0662"),
+        ("trace", "--seed", "FIX-A", "--sequence", "2,\u0661"),
+        ("mutate", "--seed", "FIX-A", "--sequence", "+1"),
+        ("unfold", "--seed", "FIX-B", "--sequence", "1,01"),
+        ("mutate", "--seed", "FIX-A", "--sequence", "0_1"),
+        ("verify", "laurent", "--seed", "FIX-C", "--sequences", "random:0_2", "--depth", "1"),
+        ("verify", "laurent", "--seed", "FIX-C", "--sequences", "random:+2", "--depth", "1"),
+        ("verify", "laurent", "--seed", "FIX-C", "--sequences", "random: 2", "--depth", "1"),
+        ("verify", "hadamard", "--seed", "FIX-C", "--depth", "\u0662"),
+        ("verify", "hadamard", "--seed", "FIX-C", "--depth", "02"),
+        ("verify", "hadamard", "--seed", "FIX-C", "--depth", " 2"),
+        ("verify", "hadamard", "--seed", "FIX-C", "--depth", "-0"),
+        ("verify", "hadamard", "--seed", "FIX-C", "--sequences", "random:2", "--rng-seed", "1_0"),
+        ("verify", "hadamard", "--seed", "FIX-C", "--sequences", "random:2", "--rng-seed", "+3"),
+    ])
+    def test_integer_flags_take_the_seed_file_form(self, capsys, argv):
+        # Integers on the command line are written as ``str`` prints them,
+        # as in a seed file; ``int`` alone would read each of these.
+        self.assert_usage_error(capsys, *argv)
+
+    def test_canonical_integer_flags_run(self):
+        assert run("trace", "--seed", "FIX-C", "--sequence", "1,1")[0] == 0
+        for rng_seed in ("0", "-3", "12"):
+            code, text = run(
+                "verify", "hadamard", "--seed", "FIX-C", "--depth", "2",
+                "--sequences", "random:3", "--rng-seed", rng_seed,
+            )
+            assert code == 0 and len(text.splitlines()) == 3
+
     def test_negative_depth(self, capsys):
         for target in self.FLAG_TARGETS:
             err = self.assert_usage_error(

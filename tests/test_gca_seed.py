@@ -41,7 +41,7 @@ from gencluster.laurent_kernel import (
     poly_exact_div,
     poly_mul,
     poly_pow,
-    poly_sum_of_products,
+    poly_shifted_sum,
 )
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, modify
 from gencluster.randomgen import random_seed, random_sequence
@@ -333,8 +333,9 @@ class TestExchangePolynomials:
     def test_exchange_step_never_multiplies_by_one(self, monkeypatch):
         # An empty cluster power is left out, never multiplied in.  Rows
         # with no entry of one sign, and every rank-1 row, have one.  The
-        # sum of products takes the cluster side of each pair as ``None``
-        # then, never as the constant 1.
+        # shifted sum takes the cluster side of each pair as ``None``
+        # then, never as the constant 1, and each coefficient as one
+        # exponent vector.
         rng = random.Random(16)
         starts = [fixture_seed(name) for name in ("FIX-A", "FIX-B", "FIX-C")]
         starts += [random_seed(rng, max_rank=1 + i % 3) for i in range(20)]
@@ -351,16 +352,16 @@ class TestExchangePolynomials:
 
         def recording_sum(table, pairs):
             pairs = list(pairs)
-            for product, coefficient in pairs:
+            for coefficient, product in pairs:
                 if product is None:
                     absent.append(coefficient)
                 elif product == LaurentPolynomial.one(table):
                     by_one.append((product, coefficient))
-                coefficients.append(coefficient)
-            return poly_sum_of_products(table, pairs)
+                coefficients.append((table, coefficient))
+            return poly_shifted_sum(table, pairs)
 
         monkeypatch.setattr(gca_seed, "poly_mul", recording_mul)
-        monkeypatch.setattr(gca_seed, "poly_sum_of_products", recording_sum)
+        monkeypatch.setattr(gca_seed, "poly_shifted_sum", recording_sum)
         for seed in seeds:
             for k in range(seed.rank):
                 exchange_polynomial(seed, k)
@@ -369,7 +370,10 @@ class TestExchangePolynomials:
                     exchange_polynomial(mutated, j)
         assert by_one == []
         assert absent
-        assert all(len(c.terms) == 1 for c in coefficients)
+        assert all(
+            type(c) is tuple and len(c) == len(table) and all(type(e) is int for e in c)
+            for table, c in coefficients
+        )
 
 
 class TestMutation:

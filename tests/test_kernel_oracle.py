@@ -11,7 +11,12 @@ from hypothesis import given, strategies as st
 
 from conftest import extremes_reads, parse_polynomial, poly_sum
 
-from gencluster.errors import ExponentOverflow, InexactDivision, TableMismatch
+from gencluster.errors import (
+    ExponentOverflow,
+    InexactDivision,
+    TableMismatch,
+    ValidationError,
+)
 from gencluster.laurent_kernel import (
     EXPONENT_LIMIT,
     LaurentPolynomial,
@@ -22,6 +27,7 @@ from gencluster.laurent_kernel import (
     poly_mul,
     poly_neg,
     poly_pow,
+    poly_shifted_sum,
     poly_sum_of_products,
 )
 
@@ -193,6 +199,127 @@ class TestSumOfProducts:
         assert str(fused.value) == (
             f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
         )
+
+
+def composed_shifted_sum(table, pairs):
+    """``sum_i x^(v_i) * p_i`` as ``poly_sum`` of ``poly_mul(table.term(v_i), p_i)``."""
+    return poly_sum(table, [
+        table.term(v) if p is None else poly_mul(table.term(v), p) for v, p in pairs
+    ])
+
+
+def assert_shifted_sum_matches(table, pairs):
+    fused = poly_shifted_sum(table, iter(pairs))
+    composed = composed_shifted_sum(table, pairs)
+    assert fused == composed
+    assert fused._amp == composed._amp < EXPONENT_LIMIT
+    assert all(fused._keys.values())
+    xs = symbols(table)
+    big = sympy.Add(*(
+        sympy.Mul(*(x**e for x, e in zip(xs, v))) * (1 if p is None else to_sympy(p))
+        for v, p in pairs
+    ))
+    assert_matches(fused, big)
+
+
+@st.composite
+def vectors(draw, table, max_exp=4):
+    return draw(st.tuples(*[st.integers(-max_exp, max_exp)] * len(table)))
+
+
+class TestShiftedSum:
+    """``poly_shifted_sum`` against sums of ``poly_mul(table.term(v), p)`` and sympy."""
+
+    @given(st.data())
+    def test_random_pairs(self, data):
+        table = data.draw(tables())
+        pairs = data.draw(st.lists(
+            st.tuples(vectors(table), st.none() | polynomials(table)), max_size=5
+        ))
+        assert_shifted_sum_matches(table, pairs)
+
+    @given(st.data())
+    def test_cancelling_pairs(self, data):
+        # Equal vectors cancel a polynomial against its negative; a
+        # vector and its shift by x0 cancel x0 * p against -p shifted once more.
+        table = data.draw(tables())
+        v = data.draw(vectors(table))
+        p = data.draw(polynomials(table, min_terms=1))
+        x0 = table.term(tuple(int(i == 0) for i in range(len(table))))
+        moved = tuple(e + (i == 0) for i, e in enumerate(v))
+        for pairs in (
+            [(v, p), (v, poly_neg(p))],
+            [(v, poly_mul(x0, p)), (moved, poly_neg(p))],
+            [(v, None), (v, poly_neg(LaurentPolynomial.one(table)))],
+        ):
+            assert_shifted_sum_matches(table, pairs)
+            assert poly_shifted_sum(table, pairs) == LaurentPolynomial.zero(table)
+        assert poly_shifted_sum(table, []) == LaurentPolynomial.zero(table)
+
+    @given(st.data())
+    def test_absent_and_zero_sides(self, data):
+        table = data.draw(tables())
+        v, w = data.draw(vectors(table)), data.draw(vectors(table))
+        p = data.draw(polynomials(table))
+        zero = LaurentPolynomial.zero(table)
+        assert_shifted_sum_matches(table, [(v, None), (w, zero), (w, p), (v, None)])
+        assert poly_shifted_sum(table, [(v, None)]) == table.term(v)
+        assert poly_shifted_sum(table, [(v, zero)]) == zero
+        origin = (0,) * len(table)
+        assert poly_shifted_sum(table, [(origin, p)]) == p
+
+    def test_both_signs(self):
+        table = table_of("x", 3)
+        p = parse_polynomial("x0^2*x1^-3 - 5*x2 + 7", table)
+        pairs = [((-4, 0, 3), p), ((2, -1, -2), poly_neg(p)), ((0, 0, -1), None)]
+        assert_shifted_sum_matches(table, pairs)
+
+    def test_other_tables_and_lengths(self):
+        table, other = table_of("x", 2), table_of("u", 2)
+        u = other.variable("u0")
+        for pairs in ([((1, 0), u)], [((0, 0), None), ((1, 0), u)]):
+            with pytest.raises(TableMismatch):
+                poly_shifted_sum(table, pairs)
+            with pytest.raises(TableMismatch):
+                composed_shifted_sum(table, pairs)
+        for v in ((1,), (1, 0, 0)):
+            for p in (None, table.variable("x0"), u):
+                with pytest.raises(ValidationError) as fused:
+                    poly_shifted_sum(table, [(v, p)])
+                with pytest.raises(ValidationError) as composed:
+                    table.term(v)
+                assert str(fused.value) == str(composed.value)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("top", [EXPONENT_LIMIT - 1, EXPONENT_LIMIT])
+    def test_exponents_near_the_limit(self, sign, top):
+        # Three routes to an exponent of magnitude ``top``: the vector
+        # alone, the vector times a polynomial whose bound reaches the
+        # limit one step early (its exact extremes are read), and a
+        # polynomial at the limit's edge shifted by a small vector, whose
+        # bound is exact.
+        table = table_of("x", 2)
+        p = parse_polynomial(f"x0^{sign} + x1^-2", table)
+        edge = parse_polynomial(f"x0^{sign * (top - 2)} + x1", table)
+        cases = [
+            ([((sign * top, 0), None)], []),
+            ([((0, 1), p), ((sign * (top - 1), 0), p)], [p]),
+            ([((sign * 2, 0), edge), ((0, 0), None)], []),
+        ]
+        for pairs, reads_below in cases:
+            if top < EXPONENT_LIMIT:
+                with extremes_reads() as reads:
+                    poly_shifted_sum(table, pairs)
+                assert reads == reads_below
+                assert_shifted_sum_matches(table, pairs)
+                continue
+            with pytest.raises(ExponentOverflow) as fused:
+                poly_shifted_sum(table, pairs)
+            with pytest.raises(ExponentOverflow) as composed:
+                composed_shifted_sum(table, pairs)
+            assert str(fused.value) == str(composed.value) == (
+                f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
+            )
 
 
 class TestDivision:

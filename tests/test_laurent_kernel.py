@@ -159,6 +159,52 @@ class TestExactDivision:
         with pytest.raises(InexactDivision):
             poly_exact_div(x_plus_one, three)
 
+    #: ``(numer, denom, field, face)``: the first quotient term of the heap
+    #: route leaves the quotient's box by one on ``face`` of ``field``.
+    #: Past that term the next leading coefficient is +/-1, which 3 does
+    #: not divide, so only the first term's box test gives the box error.
+    BOX_EXITS = [
+        ("3*x0^3*x1^5 + 1", "3*x1^2 + x0", 0, "high"),
+        ("x0^2 + 3*x1^3", "3*x0*x1 + x1", 0, "low"),
+        ("3*x0^5*x1^3 + 1", "3*x0^2 + x1", 1, "high"),
+        ("3*x0^3 + x1^2", "3*x0*x1 + x0", 1, "low"),
+    ]
+
+    @pytest.mark.parametrize("numer, denom, field, face", BOX_EXITS)
+    @pytest.mark.parametrize("numer_shift, denom_shift", [
+        (0, 0), (1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1),
+    ])
+    def test_first_quotient_term_leaves_the_box_by_one(
+        self, numer, denom, field, face, numer_shift, denom_shift
+    ):
+        # Shifts of +/-(LIMIT - 8) in every field move the keys, and with
+        # unequal shifts the box and the quotient, next to the limit.
+        table = VariableTable.make(cluster=("x0", "x1"))
+        far = LIMIT - 8
+
+        def shifted(text, sign):
+            return poly_mul(parse_polynomial(text, table), table.term((sign * far,) * 2))
+
+        numer, denom = shifted(numer, numer_shift), shifted(denom, denom_shift)
+        # The box and the first quotient term, read off exponent tuples.
+        n_exps, d_exps = list(numer.terms), list(denom.terms)
+        lo = [min(e[i] for e in n_exps) - min(e[i] for e in d_exps) for i in range(2)]
+        hi = [max(e[i] for e in n_exps) - max(e[i] for e in d_exps) for i in range(2)]
+        assert max(map(abs, lo + hi)) < LIMIT
+        lead = [a - b for a, b in zip(numer.sorted_terms()[0][0], denom.sorted_terms()[0][0])]
+        for i in range(2):
+            if i != field:
+                assert lo[i] <= lead[i] <= hi[i]
+        assert lead[field] == (hi[field] + 1 if face == "high" else lo[field] - 1)
+        with pytest.raises(InexactDivision) as failure:
+            poly_exact_div(numer, denom)
+        assert str(failure.value) == "quotient support leaves the feasible box"
+        # A quotient whose terms lie on every face of its box divides out
+        # of its product with the same divisor, at the same distance from
+        # the limit.
+        quotient = shifted("x0^2*x1 - 3*x1^-1 + x0^-1", numer_shift - denom_shift)
+        assert poly_exact_div(poly_mul(quotient, denom), denom) == quotient
+
     def test_monomial_division_crosses_zero(self):
         x = SMALL_TABLE.variable("x")
         y = SMALL_TABLE.variable("y")

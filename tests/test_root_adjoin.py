@@ -26,7 +26,12 @@ from gencluster.laurent_kernel import (
     poly_mul,
     poly_pow,
 )
-from gencluster.matrix_mutation import ExtendedExchangeMatrix, modify, mutate_sequence
+from gencluster.matrix_mutation import (
+    DivisorVector,
+    ExtendedExchangeMatrix,
+    modify,
+    mutate_sequence,
+)
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import (
     homogeneity_check,
@@ -315,6 +320,31 @@ class TestFloorStructure:
     def test_homogeneity_fails_with_floors(self, fix_b):
         with pytest.raises(HomogeneityFailure):
             homogeneity_check(fix_b, 0)
+
+
+class TestTrustedAdjunction:
+    """``tau_tilde`` skips the seed constructor; its result passes it unchanged."""
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_adjoined_seeds_rebuild_through_the_constructor(self, fix_a, fix_b, fix_c, mode):
+        rng = random.Random(21)
+        starts = [fix_a, fix_b, fix_c] + [random_seed(rng) for _ in range(50)]
+        # Mutated starts carry nontrivial clusters and reversed strings.
+        starts += [mutate_seed(s, s.rank - 1) for s in starts[:13]]
+        assert any(not s.table.frozen_indices for s in starts)
+        for start in starts:
+            seed = tau_tilde(start, mode).seed
+            table, matrix = seed.table, seed.matrix
+            rebuilt = GeneralizedSeed(
+                table=VariableTable(table.names, table.roles, table.groups),
+                cluster=seed.cluster,
+                matrix=ExtendedExchangeMatrix(matrix.n, matrix.m, matrix.rows),
+                divisors=DivisorVector(seed.divisors.entries),
+                strings=CoefficientStrings(seed.strings.rows),
+            )
+            assert type(seed) is GeneralizedSeed
+            assert rebuilt == seed
+            assert rebuilt.content_key() == seed.content_key()
 
 
 class TestTransport:
