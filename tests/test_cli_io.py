@@ -1299,6 +1299,12 @@ GOLDEN_OUTPUTS = [
     # Valid sequence flags leave the depth-zero subquotient record as it is.
     ("verify subquotient --seed FIX-C --depth 3 --sequences random:4",
      "b06738b16cdb4507dbfc33b7ceb33e364b45423d34fa018e28635125fb358601", 0),
+    ("mutate --seed FIX-A --sequence 1,2,1,2,1,2",
+     "b1e7b477d413203c9219d74bcb2defe14ba9d65a85ecc60a20df082ba2c13fac", 0),
+    ("mutate --seed FIX-B --sequence 1,2,2,1",
+     "81709b746eb776ad3cd15f36217ae8e3b741ba592273768a2fa638c83494d5a6", 0),
+    ("mutate --seed FIX-C --sequence 1,1",
+     "a7fe411cdc3b662b38d23b467d3493bc3edf31026d99e13b8b188945bace5669", 0),
     ("unfold --seed FIX-A --sequence 1,2,1,2",
      "fd32421fbbd86d5fbf7bfde6c690ab0944d06f2358e8df8aa774e621b56dbe3b", 0),
     ("unfold --seed FIX-B --sequence 1,2,1,2",
