@@ -128,7 +128,7 @@ def suite_root_homogeneity(rng, cases, depth):
         # Each seed is walked once; the check runs on the final pair.
         t = mutate_seed_sequence(seed, sequence)
         t_bar = mutate_seed_sequence(adjoined.seed, sequence)
-        report = transport_check(t, AdjoinedSeed(t, t_bar, adjoined.multiplicity))
+        report = transport_check(AdjoinedSeed(t, t_bar, adjoined.multiplicity))
         assert report.ok, (sequence, report.failures)
         for k in range(seed.matrix.n):
             assert root_formula_check(t_bar, k).ok

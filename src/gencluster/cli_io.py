@@ -330,7 +330,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_seed(args):
     """The seed named by ``--seed-file`` or ``--seed``, with its record label."""
-    if getattr(args, "seed_file", None):
+    if args.seed_file is not None:
         try:
             return parse_seed(args.seed_file), args.seed_file
         except (OSError, UnicodeDecodeError) as exc:
@@ -338,7 +338,7 @@ def _load_seed(args):
             raise _UsageError(
                 f"cannot read seed file {args.seed_file!r}: {reason}"
             ) from exc
-    name = args.seed or ""
+    name = args.seed
     label = name.strip().upper()
     if label not in FIXTURE_NAMES:
         raise _UsageError(
@@ -374,13 +374,10 @@ def _cmd_mutate(args, out):
     seed, _ = _load_seed(args)
     sequence = _parse_sequence(args.sequence, seed.matrix.n)
     matrix = mutate_sequence(seed.matrix, sequence)
-    modified = mutate_sequence(
-        modify(seed.matrix, seed.divisors), sequence, divisors=seed.divisors
-    )
     out.write("B\n")
     out.write(write_matrix(matrix))
     out.write("Bhat\n")
-    out.write(write_matrix(modified))
+    out.write(write_matrix(modify(matrix, seed.divisors)))
     return 0
 
 
@@ -611,12 +608,17 @@ def _sequence_space(target, seed, args):
         raise _UsageError(f"a rank-0 seed has no mutation sequences of depth {depth}")
     if count is None:
         return _odometer(rank, depth)
-    rng = random.Random(args.rng_seed)
-    sequences = [random_sequence(rng, rank, depth) for _ in range(count)]
-    return [
-        (b, next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), len(a)))
-        for a, b in zip([()] + sequences, sequences)
-    ]
+    return _random_cases(random.Random(args.rng_seed), rank, depth, count)
+
+
+def _random_cases(rng, rank, depth, count):
+    """``count`` random cases, each sequence drawn as the walk takes it."""
+    previous = ()
+    for _ in range(count):
+        sequence = random_sequence(rng, rank, depth)
+        pairs = enumerate(zip(previous, sequence))
+        yield sequence, next((i for i, (x, y) in pairs if x != y), len(previous))
+        previous = sequence
 
 
 def _text_label(label):
@@ -641,7 +643,7 @@ def _render_record(target, label, sequence, failures, as_json):
 
 
 def _cmd_verify(args, out):
-    if args.seed_file or args.seed:
+    if args.seed_file is not None or args.seed is not None:
         seeds = [_load_seed(args)]
     else:
         seeds = [(fixture_seed(name), name) for name in FIXTURE_NAMES]
@@ -766,13 +768,9 @@ def run_command(argv, out=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) and getattr(args, "seed_file", None):
+        if args.seed is not None and args.seed_file is not None:
             raise _UsageError("--seed and --seed-file are mutually exclusive")
-        if (
-            args.command in ("mutate", "unfold", "adjoin", "trace")
-            and not getattr(args, "seed", None)
-            and not getattr(args, "seed_file", None)
-        ):
+        if args.command != "verify" and args.seed is None and args.seed_file is None:
             raise _UsageError(f"{args.command} needs --seed or --seed-file")
         return args.func(args, out)
     except (_UsageError, *_INPUT_ERRORS) as exc:

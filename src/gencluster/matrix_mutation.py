@@ -1,25 +1,22 @@
-"""Exchange matrices, divisor vectors, and the two mutation rules.
+"""Exchange matrices, divisor vectors, and matrix mutation.
 
 An extended exchange matrix has ``n`` mutable rows and ``n + m``
 columns: the left ``n`` columns form the principal part (required to be
 skew-symmetrizable), the right ``m`` columns are slack (frozen)
 directions.
 
-Two mutation rules live here:
-
-* :func:`mutate` — the standard matrix mutation in direction ``k``.
-* :func:`mutate_modified` — the divisor-weighted variant in which the
-  off-row update is scaled by ``d_k`` in mutable columns and by ``d_i``
-  in frozen columns.  It is conjugate to the standard rule on the
-  divisor-scaled matrix produced by :func:`modify`, which is asserted by
-  the test-suite rather than assumed.
+There is one mutation rule, :func:`mutate`, the standard matrix
+mutation in direction ``k``.  The divisor-scaled matrix of a mutated
+seed is :func:`modify` of its mutated matrix; the divisor-weighted rule
+that mutates the scaled matrix directly is a test oracle, and the
+test-suite asserts that the two agree.
 
 The public constructor :class:`ExtendedExchangeMatrix` (and with it
 :meth:`ExtendedExchangeMatrix.from_rows` and :func:`modify`) validates
 its input.  Mutation results skip that validation: the shape and the
 integer entries carry over from the input, and mutation preserves
 skew-symmetrizers (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so
-both rules build their results through :func:`_trusted_matrix`.  The
+:func:`mutate` builds its results through :func:`_trusted_matrix`.  The
 test-suite rebuilds those results through the validating constructor
 and compares.
 
@@ -95,8 +92,7 @@ class ExtendedExchangeMatrix:
     Mutation results do not pass through the constructor: mutation
     keeps the shape and integrality and preserves skew-symmetrizers
     (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so
-    :func:`mutate` and :func:`mutate_modified` build them with
-    :func:`_trusted_matrix`.
+    :func:`mutate` builds them with :func:`_trusted_matrix`.
     """
 
     n: int
@@ -209,25 +205,25 @@ def _trusted_matrix(matrix, rows):
     return out
 
 
-def _mutate_rows(rows, n, k, mutable_scale, frozen_scales):
-    """Shared mutation kernel on the rows of a valid matrix.
+def mutate(matrix, k):
+    """Standard mutation of an extended exchange matrix in direction ``k``.
 
-    The update of entry ``(i, j)`` off row and column ``k`` is ``scale *
-    (|b_ik| b_kj + b_ik |b_kj|) / 2``, which is ``scale * |b_ik|`` times
-    the part of ``b_kj`` with the sign of ``b_ik``.  ``scale`` is
-    ``mutable_scale`` in the first ``n`` columns and ``frozen_scales[i]``
-    in the rest.  A row with ``b_ik = 0`` is unchanged, its column ``k``
-    entry being zero, and is shared with the input: rows are tuples.
+    The update of entry ``(i, j)`` off row and column ``k`` is ``(|b_ik|
+    b_kj + b_ik |b_kj|) / 2``, which is ``|b_ik|`` times the part of
+    ``b_kj`` with the sign of ``b_ik``.  A row with ``b_ik = 0`` is
+    unchanged, its column ``k`` entry being zero, and is shared with the
+    input: rows are tuples.
     """
-    pivot = rows[k]
-    # b_kk = 0, so column k of both parts is zero and the update
-    # leaves it for the sign flip below.  Rows are built from lists, not
+    matrix.check_direction(k)
+    pivot = matrix.rows[k]
+    # b_kk = 0, so column k is zero in both parts and the update leaves
+    # it for the sign flip below.  Rows are built from lists, not
     # generators: tuples grown from generators raised the peak memory of
     # long ``verify`` walks.
     positive = [e if e > 0 else 0 for e in pivot]
     negative = [e if e < 0 else 0 for e in pivot]
     new_rows = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(matrix.rows):
         b_ik = row[k]
         if i == k:
             new_rows.append(tuple([-e for e in row]))
@@ -237,53 +233,17 @@ def _mutate_rows(rows, n, k, mutable_scale, frozen_scales):
             continue
         part = positive if b_ik > 0 else negative
         size = abs(b_ik)
-        s, t = size * mutable_scale, size * frozen_scales[i]
-        if s == t:
-            # Always so for the standard rule: one pass, no slices.
-            new_row = [e + s * p for e, p in zip(row, part)]
-        else:
-            new_row = [e + s * p for e, p in zip(row[:n], part[:n])]
-            new_row += [e + t * p for e, p in zip(row[n:], part[n:])]
+        new_row = [e + size * p for e, p in zip(row, part)]
         new_row[k] = -b_ik
         new_rows.append(tuple(new_row))
-    return tuple(new_rows)
+    return _trusted_matrix(matrix, tuple(new_rows))
 
 
-def mutate(matrix, k):
-    """Standard mutation of an extended exchange matrix in direction ``k``."""
-    matrix.check_direction(k)
-    rows = _mutate_rows(matrix.rows, matrix.n, k, 1, (1,) * matrix.n)
-    return _trusted_matrix(matrix, rows)
-
-
-def mutate_modified(matrix, divisors, k):
-    """Divisor-weighted mutation in direction ``k``.
-
-    Off-row updates are scaled by ``d_k`` when the column is mutable and
-    by ``d_i`` (the row divisor) when the column is slack.  This rule is
-    meant for divisor-scaled matrices (see :func:`modify`) and commutes
-    with scaling: ``modify(mutate(B, k), d) == mutate_modified(modify(B,
-    d), d, k)``.  No row-divisibility is required of the input.  The
-    result stays skew-symmetrizable: with ``D = diag(d)`` it is
-    ``D^-1 mutate(D B, k)``, and ``s / d`` skew-symmetrizes ``D B`` when
-    ``s`` skew-symmetrizes ``B``.
-    """
-    matrix.check_direction(k)
-    if not isinstance(divisors, DivisorVector):
-        divisors = DivisorVector(tuple(divisors))
-    if len(divisors) != matrix.n:
-        raise InvalidDivisors("divisor count does not match the matrix")
-    rows = _mutate_rows(
-        matrix.rows, matrix.n, k, divisors[k], divisors.entries
-    )
-    return _trusted_matrix(matrix, rows)
-
-
-def mutate_sequence(matrix, sequence, divisors=None):
-    """Apply mutations left to right; weighted rule when divisors are given."""
+def mutate_sequence(matrix, sequence):
+    """Apply mutations left to right."""
     out = matrix
     for k in sequence:
-        out = mutate(out, k) if divisors is None else mutate_modified(out, divisors, k)
+        out = mutate(out, k)
     return out
 
 

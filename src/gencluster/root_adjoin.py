@@ -10,7 +10,8 @@ string entry picks up a correction power of each ``g_j`` — the defect
 ``n*floor(r*b/d_k) - floor(n*r*b/d_k)`` (with ``b`` the pre-adjunction
 scaled entry of column ``j`` in row ``k``) that makes the transported
 exchange relations match term by term.  The :func:`transport_check`
-verifier asserts exactly that, along any mutation sequence.
+verifier asserts exactly that on a base seed and its adjoined seed,
+mutated along any one sequence.
 
 The result is *floor-free*: every scaled entry of a frozen column is
 divisible by the row divisor, so each exchange polynomial becomes
@@ -32,7 +33,6 @@ from .gca_seed import (
     _cluster_power,
     _trusted_seed,
     floor_defect,
-    mutate_seed_sequence,
 )
 from .laurent_kernel import (
     LaurentPolynomial,
@@ -50,7 +50,8 @@ class AdjoinedSeed:
 
     ``base`` is the original seed, ``seed`` the adjoined one, and
     ``multiplicity`` the common multiplicity ``n`` of every root:
-    each base frozen variable ``f_j`` is ``g_j^n``.
+    each base frozen variable ``f_j`` is ``g_j^n``.  Both seeds mutated
+    along one sequence form a pair too (see :func:`transport_check`).
     """
 
     base: GeneralizedSeed
@@ -184,13 +185,14 @@ def tau_tilde(seed, mode="total"):
     return AdjoinedSeed(base=seed, seed=new_seed, multiplicity=n)
 
 
-def transport_check(base, adjoined, sequence=()):
-    """Verify that adjoining commutes with mutation along ``sequence``.
+def transport_check(adjoined):
+    """Verify that adjoining commutes with mutation, on one adjoined pair.
 
-    Both ``base`` and ``adjoined.seed`` are mutated along the sequence;
-    then, with ``phi`` the substitution sending each base frozen
-    variable to its root power, three families of identities are
-    checked at the final seeds:
+    ``adjoined.base`` and ``adjoined.seed`` are a seed and its adjoined
+    seed, both mutated along the same sequence (the caller mutates them,
+    for instance with :func:`~gencluster.gca_seed.mutate_seed_sequence`).
+    With ``phi`` the substitution sending each base frozen variable to
+    its root power, three families of identities are checked:
 
     (i)   ``phi`` of each cluster-monomial product ``u>``/``u<`` equals
           its counterpart;
@@ -200,21 +202,16 @@ def transport_check(base, adjoined, sequence=()):
 
     Returns a :class:`~gencluster.errors.Report` listing failures as
     ``(condition, k, r)`` triples (``r`` is ``None`` outside (ii)).
-    A pair already mutated along one sequence is checked as
-    ``transport_check(t, AdjoinedSeed(t, t_bar, n))``.
     """
-    if adjoined.base != base:
-        raise ValidationError("adjoined seed was not built from this base")
-    t = mutate_seed_sequence(base, tuple(sequence))
-    t_bar = mutate_seed_sequence(adjoined.seed, tuple(sequence))
+    t, t_bar = adjoined.base, adjoined.seed
     mapping = adjoined.root_map()
-    target = adjoined.seed.table
+    target = t_bar.table
 
     def phi(p):
         return poly_map_variables(p, mapping, target)
 
     failures = []
-    for k in range(base.rank):
+    for k in range(t.rank):
         ctx = ExchangeContext(t, k)
         ctx_bar = ExchangeContext(t_bar, k)
         for label, exps, exps_bar in (
@@ -243,7 +240,9 @@ def rho(seed):
     :func:`homogeneity_check` raises
     :class:`~gencluster.errors.HomogeneityFailure`.
     """
-    return tuple(homogeneity_check(seed, k).coefficients for k in range(seed.rank))
+    for k in range(seed.rank):
+        homogeneity_check(seed, k)
+    return seed.strings.rows
 
 
 def _unbalanced_column(ctx):
@@ -251,15 +250,6 @@ def _unbalanced_column(ctx):
     row = ctx.bhat_row
     frozen = range(ctx.seed.rank, len(row))
     return next((j for j in frozen if row[j] % ctx.degree), None)
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    """Successful homogeneity check for one direction."""
-
-    degree: int
-    tau: Monomial
-    coefficients: tuple
 
 
 def homogeneity_check(seed, k):
@@ -274,9 +264,10 @@ def homogeneity_check(seed, k):
 
         theta_k = sum_r p_{k,r} * (u> * v>[1])^r * (u< * v<[1])^(d-r)
 
-    holds term by term; the report carries the carrier and string row
-    ``k`` as the ``rho_{k,r}``.  ``tests/test_root_adjoin.py`` derives
-    ``rho`` from the boxes and rebuilds ``theta_k`` from it as oracles.
+    holds term by term.  Returns the carrier ``tau_k``; the ``rho_{k,r}``
+    are string row ``k`` (see :func:`rho`).  ``tests/test_root_adjoin.py``
+    derives ``rho`` from the boxes and rebuilds ``theta_k`` from it as
+    oracles.
     """
     ctx = ExchangeContext(seed, k)
     j = _unbalanced_column(ctx)
@@ -289,11 +280,7 @@ def homogeneity_check(seed, k):
             f"scaled entry {b} of frozen column {name!r} is not divisible "
             f"by {ctx.degree}; coefficient {term} cannot be balanced"
         )
-    return HomogeneityReport(
-        degree=ctx.degree,
-        tau=_tau_variable(ctx, floor_free=True),
-        coefficients=seed.strings.row(k),
-    )
+    return _tau_variable(ctx, floor_free=True)
 
 
 def tau_variable(seed, k):

@@ -25,7 +25,6 @@ from gencluster.laurent_kernel import poly_map_variables
 from gencluster.matrix_mutation import (
     modify,
     mutate,
-    mutate_modified,
     mutate_sequence,
     write_matrix,
 )
@@ -47,6 +46,7 @@ from gencluster.unfolding import (
     group_mutate,
     hadamard_check,
 )
+from weighted_quiver import weighted_matrix_mutation
 
 
 @contextlib.contextmanager
@@ -127,7 +127,11 @@ class TestAcceptance:
             assert write_matrix(fm.matrix) == FIX_A_UNFOLDED
             assert mutate(seed.matrix, 0).rows == FIX_A_MU1
             assert (
-                mutate_modified(
+                modify(mutate(seed.matrix, 0), seed.divisors).rows
+                == FIX_A_MU1_MODIFIED
+            )
+            assert (
+                weighted_matrix_mutation(
                     modify(seed.matrix, seed.divisors), seed.divisors, 0
                 ).rows
                 == FIX_A_MU1_MODIFIED

@@ -32,7 +32,12 @@ from gencluster.errors import (
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import initial_seed, mutate_seed
 from gencluster.laurent_kernel import EXPONENT_LIMIT
-from gencluster.matrix_mutation import ExtendedExchangeMatrix, mutate_sequence
+from gencluster.matrix_mutation import (
+    ExtendedExchangeMatrix,
+    modify,
+    mutate_sequence,
+    write_matrix,
+)
 from gencluster import quotient_embedding
 from gencluster.quotient_embedding import (
     FoldedSeed,
@@ -51,6 +56,7 @@ from gencluster.unfolding import (
     group_mutate,
     hadamard_check,
 )
+from weighted_quiver import weighted_matrix_mutation
 
 MUTATE_FIX_A_1 = (
     "B\n"
@@ -182,6 +188,26 @@ class TestCommands:
         code, text = run("mutate", "--seed-file", str(path), "--sequence", "1")
         assert code == 0
         assert text == MUTATE_FIX_A_1
+
+    def test_mutate_bhat_matches_the_weighted_rule(self, tmp_path):
+        # Bhat is modify of the mutated matrix; the weighted rule walks
+        # the scaled matrix itself.
+        rng = random.Random(222)
+        path = tmp_path / "r.seed"
+        for _ in range(30):
+            seed = random_seed(rng, max_rank=4, max_frozen=3, max_divisor=4, max_entry=8)
+            write_seed(seed, path)
+            for depth in range(7):
+                sequence = random_sequence(rng, seed.rank, depth)
+                expected = modify(seed.matrix, seed.divisors)
+                for k in sequence:
+                    expected = weighted_matrix_mutation(expected, seed.divisors, k)
+                code, text = run(
+                    "mutate", "--seed-file", str(path),
+                    "--sequence", ",".join(str(k + 1) for k in sequence),
+                )
+                assert code == 0
+                assert text.split("Bhat\n")[1] == write_matrix(expected)
 
     def test_unfold_golden(self):
         code, text = run("unfold", "--seed", "FIX-C")
@@ -463,6 +489,19 @@ class TestUsageErrors:
                 "--sequences", f"random:{count}",
             )
             assert f"random:{count}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "subquotient", "--seed", ""), "unknown seed ''"),
+        (("verify", "subquotient", "--seed-file", ""), "cannot read seed file ''"),
+        (("mutate", "--seed", ""), "unknown seed ''"),
+        (("trace", "--seed-file", ""), "cannot read seed file ''"),
+        (("verify", "subquotient", "--seed", "FIX-A", "--seed-file", ""), "mutually exclusive"),
+        (("mutate", "--seed", "", "--seed-file", "FIX-A"), "mutually exclusive"),
+    ])
+    def test_an_empty_seed_flag_is_given(self, capsys, argv, message):
+        # An empty value neither falls back to the bundled seeds nor
+        # slips past the exclusion of the two flags.
+        assert message in self.assert_usage_error(capsys, *argv)
 
     def test_every_seed_is_checked_before_any_record(self, capsys, monkeypatch):
         err = self.assert_usage_error(capsys, "verify", "hadamard", "--depth", "-1")
@@ -1055,6 +1094,62 @@ class TestStreaming:
         ) == 0
         assert len(out.steps_before) == 2**5
         assert out.steps_before[0] < len(steps) == out.steps_before[-1]
+
+
+    def test_random_cases_are_drawn_as_they_are_walked(self, monkeypatch):
+        drawn = []
+
+        def counted(rng, rank, depth):
+            drawn.append(1)
+            return random_sequence(rng, rank, depth)
+
+        monkeypatch.setattr(cli_io, "random_sequence", counted)
+        seed = fixture_seed("FIX-A")
+        args = argparse.Namespace(depth=6, sequences="random:1000", rng_seed=4)
+        cases = cli_io._sequence_space("hadamard", seed, args)
+        assert len(drawn) == 0
+        next(cases)
+        assert len(drawn) == 1
+
+        class Writer:
+            def __init__(self):
+                self.drawn_before = []
+
+            def write(self, text):
+                self.drawn_before.append(len(drawn))
+
+        drawn.clear()
+        out = Writer()
+        assert run_command(
+            ["verify", "hadamard", "--seed", "FIX-A", "--sequences", "random:50"], out
+        ) == 0
+        assert out.drawn_before == list(range(1, 51))
+
+    @pytest.mark.parametrize("target, rng_seed, count, depth", [
+        ("hadamard", 0, 1, 0),
+        ("hadamard", 3, 25, 4),
+        ("hadamard", 17, 60, 7),
+        ("double-constant", 40, 9, 9),
+        ("product-formula", 8, 12, 3),
+    ])
+    def test_random_records_match_the_list_form(self, target, rng_seed, count, depth):
+        for as_json in (False, True):
+            code, stdout = 0, ""
+            for name in FIXTURE_NAMES:
+                seed = fixture_seed(name)
+                rng = random.Random(rng_seed)
+                sequences = [
+                    random_sequence(rng, seed.rank, depth) for _ in range(count)
+                ]
+                seed_code, text = prefix_walk_stdout(
+                    target, seed, name, sequences, as_json
+                )
+                code, stdout = max(code, seed_code), stdout + text
+            argv = [
+                "verify", target, "--depth", str(depth), "--sequences",
+                f"random:{count}", "--rng-seed", str(rng_seed),
+            ]
+            assert run(*argv, *(["--json"] if as_json else [])) == (code, stdout)
 
 
 class TestSharedStates:

@@ -1,6 +1,9 @@
 """Source hygiene: every name a module imports is read by that module."""
 
 import ast
+import importlib
+import importlib.util
+import io
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,14 +117,6 @@ SHARED_MEMBER_NAMES = {
     "cluster": (
         "FoldedSeed's by QuotientContext (self.fs.cluster); GeneralizedSeed's by "
         "seed.cluster in gca_seed, root_adjoin and FoldedSeed.cluster"
-    ),
-    "coefficients": (
-        "ExchangeContext's by ctx.coefficients in gca_seed and root_adjoin; "
-        "HomogeneityReport's by homogeneity_check(seed, k).coefficients in rho"
-    ),
-    "degree": (
-        "ExchangeContext's by ctx.degree in gca_seed and root_adjoin; "
-        "HomogeneityReport's by report.degree in tests/test_root_adjoin.py"
     ),
     "matrix": (
         "FoldedMatrix's by fm.matrix in unfolding, quotient_embedding and cli_io; "
@@ -454,3 +449,116 @@ def test_shared_member_names_are_reviewed():
     assert {n: o for n, o in shared.items() if n not in SHARED_MEMBER_NAMES} == {}
     # An entry whose name no longer collides is dropped.
     assert sorted(SHARED_MEMBER_NAMES) == sorted(shared)
+
+
+#: Every cache the library makes, reviewed: ``module.name: (bound, fill)``.
+#: ``bound`` is its ``maxsize`` (``None``: unbounded); ``fill`` is its size
+#: after one pass of the benchmark's ``quotient`` units, or ``None`` where
+#: that is no fixed count: ``_layout`` keeps one layout per table width and
+#: ``_build_parser`` takes no argument.  A bounded cache that fills up evicts
+#: in the order the units run, so the traced work counts of a benchmark run
+#: would differ between passes; a new cache is reviewed here before it lands.
+REVIEWED_CACHES = {
+    "laurent_kernel._layout": (None, None),
+    "quotient_embedding._role_mask": (64, 15),
+    "quotient_embedding.unit_elimination_map": (64, 3),
+    "quotient_embedding._eliminated_sigma": (256, 54),
+    "cli_io._build_parser": (1, None),
+}
+
+CACHE_FACTORIES = {"cache", "lru_cache"}
+
+
+def caches(source):
+    """``{owner: bound}`` of every ``cache`` or ``lru_cache`` a module applies.
+
+    Decorators and calls both count, bare or read off ``functools``.
+    ``owner`` is the function or class a decorator wraps, the targets of
+    the assignment a call sits in, or ``line N`` elsewhere.  ``bound`` is
+    the ``maxsize`` when it is written as a constant, ``None`` for
+    ``cache``, and ``lru_cache``'s default of 128 otherwise.
+    """
+    tree = ast.parse(source)
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name not in CACHE_FACTORIES or not isinstance(node.ctx, ast.Load):
+            continue
+        bound = None if name == "cache" else 128
+        call = parents[node]
+        if name == "lru_cache" and isinstance(call, ast.Call) and call.func is node:
+            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            if sizes and isinstance(sizes[0], ast.Constant):
+                bound = sizes[0].value
+        owner, child, up = f"line {node.lineno}", node, parents.get(node)
+        while up is not None:
+            if isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child in up.decorator_list:
+                    owner = up.name
+                break
+            if isinstance(up, ast.Assign):
+                owner = ", ".join(ast.unparse(t) for t in up.targets)
+                break
+            if isinstance(up, ast.stmt):
+                break
+            child, up = up, parents.get(up)
+        found[owner] = bound
+    return found
+
+
+def test_caches_are_detected():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=8)\ndef a(x):\n    pass\n"
+        "@functools.lru_cache\ndef b(x):\n    pass\n"
+        "@cache\ndef c(x):\n    pass\n"
+        "class D:\n    @functools.cache\n    def e(self):\n        pass\n"
+        "f = lru_cache(maxsize=None)(len)\n"
+        "g = functools.lru_cache(4, typed=True)(len)\n"
+        "def h():\n    return lru_cache(len)\n"
+        "print(cache(len))\n"
+        "my_cache = tool.lru_cache_info\n"
+    )
+    assert caches(source) == {
+        "a": 8, "b": 128, "c": None, "e": None, "f": None, "g": 4,
+        "line 19": 128, "line 20": None,
+    }
+
+
+def test_every_cache_is_reviewed():
+    found = {
+        f"{path.stem}.{owner}": bound
+        for path in sorted((ROOT / "src" / "gencluster").glob("*.py"))
+        for owner, bound in caches(path.read_text(encoding="utf-8")).items()
+    }
+    assert found == {name: bound for name, (bound, _) in REVIEWED_CACHES.items()}
+
+
+def test_bounded_caches_do_not_fill_in_a_quotient_pass():
+    from gencluster import cli_io
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pinned = {}
+    for name, (bound, fill) in REVIEWED_CACHES.items():
+        if fill is not None:
+            module, function = name.split(".")
+            pinned[name] = getattr(importlib.import_module(f"gencluster.{module}"), function)
+            pinned[name].cache_clear()
+    for unit in workloads.generate("quotient", "full"):
+        assert cli_io.run_command(unit.verify_argv(), io.StringIO()) == 0
+    for name, cached in pinned.items():
+        bound, fill = REVIEWED_CACHES[name]
+        assert cached.cache_info().currsize == fill < bound, name

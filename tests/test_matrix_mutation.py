@@ -1,4 +1,4 @@
-"""Extended exchange matrices: mutation, scaling, and the weighted rule."""
+"""Extended exchange matrices: mutation, scaling, and the weighted oracle."""
 
 from itertools import permutations
 from math import prod
@@ -20,12 +20,12 @@ from gencluster.matrix_mutation import (
     check_compatible,
     modify,
     mutate,
-    mutate_modified,
     mutate_sequence,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import tau_tilde
 from gencluster.unfolding import build, group_mutate
+from weighted_quiver import weighted_matrix_mutation
 
 # Independently derived reference values for the bundled rank-2 seed
 # with matrix rows (0, 8, -3, 5), (-12, 0, -2, 7) and divisors (2, 3).
@@ -49,8 +49,9 @@ class TestGoldens:
     def test_first_mutation(self, fix_a_matrix):
         matrix, divisors = fix_a_matrix
         assert mutate(matrix, 0).rows == FIX_A_MU1
+        assert modify(mutate(matrix, 0), divisors).rows == FIX_A_MU1_MODIFIED
         assert (
-            mutate_modified(modify(matrix, divisors), divisors, 0).rows
+            weighted_matrix_mutation(modify(matrix, divisors), divisors, 0).rows
             == FIX_A_MU1_MODIFIED
         )
 
@@ -65,8 +66,11 @@ class TestGoldens:
         composite = mutate_sequence(matrix, (0, 1))
         assert composite.rows == FIX_A_MU21
         assert composite.rows[0][2] == -301
-        modified = mutate_modified(
-            mutate_modified(modify(matrix, divisors), divisors, 0), divisors, 1
+        assert modify(composite, divisors).rows == FIX_A_MU21_MODIFIED
+        modified = weighted_matrix_mutation(
+            weighted_matrix_mutation(modify(matrix, divisors), divisors, 0),
+            divisors,
+            1,
         )
         assert modified.rows == FIX_A_MU21_MODIFIED
 
@@ -78,19 +82,15 @@ class TestProperties:
             k = rng.randrange(seed.matrix.n)
             assert mutate(mutate(seed.matrix, k), k) == seed.matrix
             modified = modify(seed.matrix, seed.divisors)
-            assert (
-                mutate_modified(
-                    mutate_modified(modified, seed.divisors, k), seed.divisors, k
-                )
-                == modified
-            )
+            once = weighted_matrix_mutation(modified, seed.divisors, k)
+            assert weighted_matrix_mutation(once, seed.divisors, k) == modified
 
     def test_modify_commutes_with_mutation(self, rng):
         for _ in range(200):
             seed = random_seed(rng)
             k = rng.randrange(seed.matrix.n)
             left = modify(mutate(seed.matrix, k), seed.divisors)
-            right = mutate_modified(
+            right = weighted_matrix_mutation(
                 modify(seed.matrix, seed.divisors), seed.divisors, k
             )
             assert left == right
@@ -107,21 +107,19 @@ class TestProperties:
                     current.rows[i][j] % d == 0 for j in range(current.n)
                 )
 
-    def test_weighted_sequence_matches_stepwise(self, rng):
+    def test_scaled_sequence_matches_the_weighted_walk(self, rng):
+        # The scaled matrix of a mutated seed is modify of its mutated
+        # matrix; the weighted rule walks the scaled matrix step by step.
         for _ in range(50):
             seed = random_seed(rng)
             sequence = random_sequence(rng, seed.matrix.n, 4)
-            stepwise = modify(seed.matrix, seed.divisors)
+            plain = seed.matrix
+            weighted = modify(seed.matrix, seed.divisors)
             for k in sequence:
-                stepwise = mutate_modified(stepwise, seed.divisors, k)
-            assert (
-                mutate_sequence(
-                    modify(seed.matrix, seed.divisors),
-                    sequence,
-                    divisors=seed.divisors,
-                )
-                == stepwise
-            )
+                plain = mutate(plain, k)
+                weighted = weighted_matrix_mutation(weighted, seed.divisors, k)
+            assert mutate_sequence(seed.matrix, sequence) == plain
+            assert modify(plain, seed.divisors) == weighted
 
 
 def assert_like_rebuilt(matrix):
@@ -138,13 +136,11 @@ class TestInheritedSymmetrizer:
             seed = random_seed(rng)
             sequence = random_sequence(rng, seed.matrix.n, 6)
             plain = seed.matrix
-            modified = modify(seed.matrix, seed.divisors)
-            assert_like_rebuilt(modified)
+            assert_like_rebuilt(modify(plain, seed.divisors))
             for k in sequence:
                 plain = mutate(plain, k)
-                modified = mutate_modified(modified, seed.divisors, k)
                 assert_like_rebuilt(plain)
-                assert_like_rebuilt(modified)
+                assert_like_rebuilt(modify(plain, seed.divisors))
 
     def test_group_mutation_results_match_fresh_matrices(self, rng):
         for _ in range(40):
@@ -163,30 +159,13 @@ class TestInheritedSymmetrizer:
                 assert_like_rebuilt(tau_tilde(seed, mode=mode).seed.matrix)
 
 
-def oracle_mutate_rows(rows, k, row_scale):
-    """The mutation rule entry by entry; ``row_scale(i, j)`` scales the update."""
-    new_rows = []
-    for i, row in enumerate(rows):
-        new_row = []
-        for j, e in enumerate(row):
-            if i == k or j == k:
-                new_row.append(-e)
-                continue
-            b_ik = row[k]
-            b_kj = rows[k][j]
-            bump = (abs(b_ik) * b_kj + b_ik * abs(b_kj)) // 2
-            new_row.append(e + row_scale(i, j) * bump)
-        new_rows.append(tuple(new_row))
-    return tuple(new_rows)
-
-
 @st.composite
 def weighted_walks(draw, max_rank=4, max_frozen=3):
     """A skew-symmetrizable matrix with frozen columns, divisors and a walk.
 
     The principal part is skew-symmetrized by a random positive vector
     ``s`` (``b_ij = s_j c``, ``b_ji = -s_i c``); the divisors need not
-    divide its rows, which the weighted rule does not require.
+    divide its rows, which the weighted oracle does not require.
     """
     n = draw(st.integers(1, max_rank))
     m = draw(st.integers(0, max_frozen))
@@ -215,32 +194,36 @@ def assert_valid_as_built(matrix):
 class TestTrustedResults:
     @given(weighted_walks())
     def test_walks_match_the_entrywise_oracle(self, case):
+        # With unit divisors the weighted oracle is the standard rule
+        # entry by entry.  With others it is conjugate to the standard
+        # rule by the principal row scaling, divisible rows or not.
         matrix, divisors, walk = case
         n = matrix.n
-        plain = modified = matrix
-        for k in walk:
-            expected_plain = oracle_mutate_rows(plain.rows, k, lambda i, j: 1)
-            expected_modified = oracle_mutate_rows(
-                modified.rows,
-                k,
-                lambda i, j: divisors[k] if j < n else divisors[i],
+
+        def scale_up(rows):
+            return tuple(
+                tuple(d * e if j < n else e for j, e in enumerate(row))
+                for d, row in zip(divisors, rows)
             )
+
+        plain = weighted = matrix
+        for k in walk:
+            expected_plain = weighted_matrix_mutation(plain, (1,) * n, k)
             plain = mutate(plain, k)
-            modified = mutate_modified(modified, divisors, k)
-            assert plain.rows == expected_plain
-            assert modified.rows == expected_modified
+            assert plain == expected_plain
             assert_valid_as_built(plain)
-            assert_valid_as_built(modified)
+            scaled = ExtendedExchangeMatrix(n, matrix.m, scale_up(weighted.rows))
+            weighted = weighted_matrix_mutation(weighted, divisors, k)
+            assert mutate(scaled, k).rows == scale_up(weighted.rows)
 
     def test_list_rows_are_stored_as_tuples(self):
         rows = [[0, 1, 0, 2], [-1, 0, 1, 0], [0, -1, 0, 3]]
         listed = ExtendedExchangeMatrix(3, 1, rows)
         assert listed == ExtendedExchangeMatrix(3, 1, tuple(map(tuple, rows)))
         # Row 2 has b_20 = 0, so mutation in direction 0 keeps it as it is.
-        divisors = DivisorVector.of(2, 1, 1)
-        for result in (mutate(listed, 0), mutate_modified(listed, divisors, 0)):
-            assert all(type(row) is tuple for row in result.rows)
-            assert hash(result) == hash(ExtendedExchangeMatrix(3, 1, result.rows))
+        result = mutate(listed, 0)
+        assert all(type(row) is tuple for row in result.rows)
+        assert hash(result) == hash(ExtendedExchangeMatrix(3, 1, result.rows))
 
 
 def sign(x):
@@ -329,11 +312,11 @@ class TestValidation:
         assert DivisorVector.of(2, 3).entries == (2, 3)
 
     def test_mutation_index_range(self, fix_a_matrix):
-        matrix, divisors = fix_a_matrix
+        matrix, _ = fix_a_matrix
         with pytest.raises(IndexOutOfRange):
             mutate(matrix, 2)
         with pytest.raises(IndexOutOfRange):
-            mutate_modified(modify(matrix, divisors), divisors, -1)
+            mutate(matrix, -1)
 
     def test_frozen_column_not_mutable(self, fix_a_matrix):
         matrix, _ = fix_a_matrix

@@ -3,7 +3,7 @@
 import pytest
 
 from gencluster.errors import ParseError, ValidationError
-from gencluster.matrix_mutation import modify, mutate_modified
+from gencluster.matrix_mutation import modify, mutate
 from gencluster.randomgen import random_seed
 from gencluster.unfolding import build, group_mutate
 from weighted_quiver import (
@@ -17,6 +17,7 @@ from weighted_quiver import (
     group_mutation_quiver,
     parse_quiver,
     to_matrix,
+    weighted_matrix_mutation,
     weighted_mutation,
     write_quiver,
 )
@@ -79,9 +80,10 @@ class TestWeightedMutation:
             quiver = quiver_of(seed)
             k = rng.randrange(seed.matrix.n)
             image_matrix, image_weights = to_matrix(weighted_mutation(quiver, k))
-            assert image_matrix == mutate_modified(
+            assert image_matrix == weighted_matrix_mutation(
                 modify(seed.matrix, seed.divisors), seed.divisors, k
             )
+            assert image_matrix == modify(mutate(seed.matrix, k), seed.divisors)
             assert image_weights == seed.divisors
 
     def test_involution(self, rng):

@@ -4,7 +4,7 @@ from collections import namedtuple
 from copy import copy
 import hashlib
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 import random
 
 import pytest
@@ -519,6 +519,37 @@ class TestFoldedSeed:
         broken = FoldedSeed(seed=fs.seed, folded=corrupted, parity=fs.parity)
         with pytest.raises(GroupCoherenceViolation):
             group_monomials(broken, 0)
+
+
+    def test_root_unfoldings_scale_f_by_the_root_multiplicity(
+        self, fix_a, fix_b, fix_c
+    ):
+        # Row r of group i carries (n // d_i) * B[i][N + l] in column F_l,
+        # with n the product (total) or the lcm of the divisors, computed
+        # here from the divisors themselves.
+        rng = random.Random(318)
+        seeds = [fix_a, fix_b, fix_c]
+        seeds += [random_seed(rng, max_frozen=3) for _ in range(60)]
+        apart = 0
+        for gca in seeds:
+            rank, divisors = gca.rank, gca.divisors.entries
+            for mode, n in (("total", prod(divisors)), ("lcm", lcm(*divisors))):
+                expected = [
+                    tuple((n // d) * e for e in row[rank:])
+                    for row, d in zip(gca.matrix.rows, divisors)
+                    for _ in range(d)
+                ]
+                if n != prod(divisors) and any(map(any, expected)):
+                    apart += 1
+                for fm in (
+                    product_formula_walk(gca, mode)[0].folded,
+                    QuotientContext.create(gca, mode).fs.folded,
+                ):
+                    columns = [fm.f_column(l) for l in range(gca.matrix.m)]
+                    rows = fm.matrix.rows
+                    assert [tuple(row[c] for c in columns) for row in rows] == expected
+        # Some draws tell the lcm from the product.
+        assert apart >= 5
 
 
 class TestSigmaAndUnits:

@@ -34,6 +34,7 @@ from gencluster.matrix_mutation import (
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import (
+    AdjoinedSeed,
     homogeneity_check,
     rho,
     tau_tilde,
@@ -231,7 +232,8 @@ class TestFloorStructure:
                             with pytest.raises(HomogeneityFailure):
                                 homogeneity_check(seed, k)
                         else:
-                            assert homogeneity_check(seed, k).coefficients == row
+                            assert homogeneity_check(seed, k) == tau_variable(seed, k)
+                            assert seed.strings.rows[k] == row
                     if None in rows:
                         failing += 1
                         with pytest.raises(HomogeneityFailure):
@@ -247,10 +249,9 @@ class TestFloorStructure:
 
     def test_homogeneity_witness(self, fix_b):
         adjoined = tau_tilde(fix_b)
-        report = homogeneity_check(adjoined.seed, 0)
-        assert report.degree == 3
-        assert str(report.tau) == FIX_B_TAU_X
-        assert str(report.coefficients[1]) == FIX_B_RHO_X[1]
+        assert adjoined.seed.divisors[0] == 3
+        assert str(homogeneity_check(adjoined.seed, 0)) == FIX_B_TAU_X
+        assert str(rho(adjoined.seed)[0][1]) == FIX_B_RHO_X[1]
 
     def test_homogeneous_reconstruction(self, fix_a, fix_b, fix_c, rng):
         # Oracle for the homogeneity check on floor-free seeds:
@@ -261,14 +262,15 @@ class TestFloorStructure:
         for start, depth in starts:
             current = tau_tilde(start).seed
             for step in random_sequence(rng, start.rank, depth) + (None,):
+                table = rho(current)
                 for k in range(current.rank):
-                    report = homogeneity_check(current, k)
+                    homogeneity_check(current, k)
                     v_gt, v_lt = stable_monomials(current, k)
                     gt = poly_mul_monomial(cluster_side(current, k, 1), v_gt)
                     lt = poly_mul_monomial(cluster_side(current, k, -1), v_lt)
-                    d = report.degree
+                    d = current.divisors[k]
                     rebuilt = LaurentPolynomial.zero(current.table)
-                    for r, rho_r in enumerate(report.coefficients):
+                    for r, rho_r in enumerate(table[k]):
                         term = poly_mul(poly_pow(gt, r), poly_pow(lt, d - r))
                         rebuilt = poly_add(rebuilt, poly_mul_monomial(term, rho_r))
                     assert rebuilt == exchange_polynomial(current, k)
@@ -305,7 +307,7 @@ class TestFloorStructure:
         monkeypatch.setattr(GeneralizedSeed, "scaled_row", counted_scaled_row)
         for seed, k, tau in cases:
             for check in (
-                lambda: homogeneity_check(seed, k).tau == tau,
+                lambda: homogeneity_check(seed, k) == tau,
                 lambda: root_formula_check(seed, k).ok,
                 lambda: tau_variable(seed, k) == tau,
             ):
@@ -347,12 +349,22 @@ class TestTrustedAdjunction:
             assert rebuilt.content_key() == seed.content_key()
 
 
+def mutated_pair(adjoined, sequence):
+    """The base and adjoined seeds of ``adjoined``, both mutated along ``sequence``."""
+    return AdjoinedSeed(
+        mutate_seed_sequence(adjoined.base, sequence),
+        mutate_seed_sequence(adjoined.seed, sequence),
+        adjoined.multiplicity,
+    )
+
+
 class TestTransport:
     def test_transport_on_fixtures(self, fix_a, fix_b, fix_c):
         for seed in (fix_a, fix_b, fix_c):
             adjoined = tau_tilde(seed)
+            assert transport_check(adjoined).ok
             for sequence in ((), (0,), (0, 0)):
-                report = transport_check(seed, adjoined, sequence)
+                report = transport_check(mutated_pair(adjoined, sequence))
                 assert report.ok, report.failures
 
     def test_transport_on_random(self, rng):
@@ -360,8 +372,18 @@ class TestTransport:
             seed = random_seed(rng)
             adjoined = tau_tilde(seed)
             sequence = random_sequence(rng, seed.matrix.n, 4)
-            report = transport_check(seed, adjoined, sequence)
+            report = transport_check(mutated_pair(adjoined, sequence))
             assert report.ok, report.failures
+
+    def test_transport_flags_a_pair_mutated_apart(self, fix_b):
+        # Only the base moves: the check reads the pair as given.
+        adjoined = tau_tilde(fix_b)
+        apart = AdjoinedSeed(
+            mutate_seed(adjoined.base, 0), adjoined.seed, adjoined.multiplicity
+        )
+        report = transport_check(apart)
+        assert not report.ok
+        assert ("(iii)", 0, None) in report.failures
 
     def test_slack_scaling_commutes(self, fix_a, rng):
         adjoined = tau_tilde(fix_a)

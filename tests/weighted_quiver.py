@@ -3,7 +3,9 @@
 This is the weighted-quiver oracle of the test suite: an independent
 route for matrix mutation and group mutation, checked against
 :mod:`gencluster.matrix_mutation` and :mod:`gencluster.unfolding` in
-``tests/test_quiver.py``.  No command uses it.
+``tests/test_quiver.py``.  It also holds the divisor-weighted matrix
+rule :func:`weighted_matrix_mutation`, the oracle for the scaled matrix
+of a mutated seed.  No command uses it.
 
 A quiver here is a finite set of named vertices, each mutable (with a
 positive integer weight) or frozen, together with a signed arrow-count
@@ -199,6 +201,40 @@ def to_matrix(quiver):
     matrix = ExtendedExchangeMatrix(len(mutable_idx), len(frozen_idx), rows)
     weights = DivisorVector(tuple(quiver.weights[i] for i in mutable_idx))
     return matrix, weights
+
+
+def weighted_matrix_mutation(matrix, divisors, k):
+    """Divisor-weighted mutation of an exchange matrix in direction ``k``.
+
+    Entry by entry: the update ``(|b_ik| b_kj + b_ik |b_kj|) / 2`` of
+    entry ``(i, j)`` off row and column ``k`` is scaled by ``d_k`` when
+    the column is mutable and by ``d_i`` (the row divisor) when it is
+    slack.  The rule commutes with scaling: ``modify(mutate(B, k), d) ==
+    weighted_matrix_mutation(modify(B, d), d, k)``.  No row-divisibility
+    is required of the input: with ``C`` the input with principal row
+    ``i`` times ``d_i`` (slack columns kept), the result is ``mutate(C,
+    k)`` with principal row ``i`` divided by ``d_i``.  It is
+    skew-symmetrizable again and is built through the validating
+    constructor.
+    """
+    matrix.check_direction(k)
+    if not isinstance(divisors, DivisorVector):
+        divisors = DivisorVector(tuple(divisors))
+    if len(divisors) != matrix.n:
+        raise ValidationError("divisor count does not match the matrix")
+    pivot = matrix.rows[k]
+    rows = []
+    for i, row in enumerate(matrix.rows):
+        new_row = []
+        for j, e in enumerate(row):
+            if i == k or j == k:
+                new_row.append(-e)
+                continue
+            bump = (abs(row[k]) * pivot[j] + row[k] * abs(pivot[j])) // 2
+            scale = divisors[k] if j < matrix.n else divisors[i]
+            new_row.append(e + scale * bump)
+        rows.append(tuple(new_row))
+    return ExtendedExchangeMatrix(matrix.n, matrix.m, tuple(rows))
 
 
 def weighted_mutation(quiver, k):
