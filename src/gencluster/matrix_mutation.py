@@ -216,8 +216,8 @@ def mutate(matrix, k):
     """
     matrix.check_direction(k)
     pivot = matrix.rows[k]
-    # b_kk = 0, so column k is zero in both parts and the update leaves
-    # it for the sign flip below.  Rows are built from lists, not
+    # b_kk = 0, so column k of both parts is zero and the update
+    # leaves it for the sign flip below.  Rows are built from lists, not
     # generators: tuples grown from generators raised the peak memory of
     # long ``verify`` walks.
     positive = [e if e > 0 else 0 for e in pivot]

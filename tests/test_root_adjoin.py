@@ -264,7 +264,6 @@ class TestFloorStructure:
             for step in random_sequence(rng, start.rank, depth) + (None,):
                 table = rho(current)
                 for k in range(current.rank):
-                    homogeneity_check(current, k)
                     v_gt, v_lt = stable_monomials(current, k)
                     gt = poly_mul_monomial(cluster_side(current, k, 1), v_gt)
                     lt = poly_mul_monomial(cluster_side(current, k, -1), v_lt)
@@ -362,7 +361,6 @@ class TestTransport:
     def test_transport_on_fixtures(self, fix_a, fix_b, fix_c):
         for seed in (fix_a, fix_b, fix_c):
             adjoined = tau_tilde(seed)
-            assert transport_check(adjoined).ok
             for sequence in ((), (0,), (0, 0)):
                 report = transport_check(mutated_pair(adjoined, sequence))
                 assert report.ok, report.failures
