@@ -60,6 +60,7 @@ from .matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
     modify,
+    mutate,
     mutate_sequence,
     write_matrix,
 )
@@ -118,14 +119,14 @@ def _seed_text(seed):
         for row in seed.strings.rows
         for entry in row
     ):
-        lines.extend(_string_lines(seed))
+        lines.extend(_string_lines(table, seed.strings.rows))
     return "\n".join(lines) + "\n"
 
 
-def _string_lines(seed):
+def _string_lines(table, rows):
     """The ``string e ; e ; ...`` line of each coefficient row: frozen exponents."""
-    frozen = seed.table.frozen_indices
-    for row in seed.strings.rows:
+    frozen = table.frozen_indices
+    for row in rows:
         groups = [" ".join(str(e.exponents[pos]) for pos in frozen) for e in row]
         yield ("string " + " ; ".join(groups)).rstrip()
 
@@ -291,13 +292,15 @@ def parse_seed(path):
 # trace digests
 
 
-def _digest(seed):
+def _digest(matrix, table, rows):
     """SHA-256 of a (possibly mutated) seed's matrix-and-strings text.
 
-    Two traced runs agree exactly when every intermediate seed agrees.
+    ``rows`` are the seed's coefficient strings over ``table``.  Two
+    traced runs agree exactly when every intermediate matrix and string
+    table agrees.
     """
-    text = write_matrix(seed.matrix) + "".join(
-        line + "\n" for line in _string_lines(seed)
+    text = write_matrix(matrix) + "".join(
+        line + "\n" for line in _string_lines(table, rows)
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -402,11 +405,13 @@ def _cmd_adjoin(args, out):
 def _cmd_trace(args, out):
     seed, _ = _load_seed(args)
     sequence = _parse_sequence(args.sequence, seed.matrix.n)
-    out.write(f"init digest={_digest(seed)}\n")
-    current = seed
+    matrix, rows = seed.matrix, list(seed.strings.rows)
+    out.write(f"init digest={_digest(matrix, seed.table, rows)}\n")
+    # The digest reads no cluster entry, so only the matrix and the
+    # strings are mutated: mutation in direction k reverses string row k.
     for k in sequence:
-        current = mutate_seed(current, k)
-        out.write(f"mutate k={k + 1} digest={_digest(current)}\n")
+        matrix, rows[k] = mutate(matrix, k), rows[k][::-1]
+        out.write(f"mutate k={k + 1} digest={_digest(matrix, seed.table, rows)}\n")
     return 0
 
 

@@ -43,7 +43,10 @@ transcendence basis, hence an identity holds for the evaluated elements
 exactly when it holds formally.  This keeps the check exact at depths
 where the evaluated cluster entries would be astronomically large.
 
-Exchange data is read off matrix rows as exponent vectors.  A ``sigma``
+Exchange data is read off matrix rows as exponent vectors, each role
+from its column block of the folded layout ``[cluster groups | F | T^1
+S^1 | ...]`` that :func:`~gencluster.unfolding.build` fixes; the
+embedding's lifts are read off the same layout.  A ``sigma``
 sum and the right side of the product formula are kernel shifted sums
 (``poly_shifted_sum``), which shift keys by exponent vectors and build
 no one-term polynomial; a placeholder expansion, whose factors are
@@ -71,7 +74,6 @@ from .laurent_kernel import (
     ROLE_S,
     ROLE_T,
     VariableTable,
-    _ROLES,
     poly_add,
     poly_map_variables,
     poly_mul,
@@ -82,7 +84,7 @@ from .laurent_kernel import (
     poly_sum_of_products,
 )
 from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
-from .root_adjoin import root_multiplicity, root_names, tau_tilde
+from .root_adjoin import fresh_name, root_multiplicity, root_names, tau_tilde
 from .unfolding import FoldedMatrix, _independent_members, build, group_mutate
 
 
@@ -100,30 +102,18 @@ def folded_table(gca):
     order as the folded matrix columns.
     """
     sizes = gca.divisors.entries
-    names, roles, groups = [], [], []
-    flat = 0
+    total, roots = sum(sizes), root_names(gca.table)
+    names = [f"y{c + 1}" for c in range(total)] + list(roots)
+    roles = [ROLE_CLUSTER] * total + [ROLE_FROZEN] * len(roots)
+    groups = [i for i, size in enumerate(sizes) for _ in range(size)]
+    groups += [None] * len(roots)
+    start = 0
     for i, size in enumerate(sizes):
-        for _ in range(size):
-            flat += 1
-            names.append(f"y{flat}")
-            roles.append(ROLE_CLUSTER)
-            groups.append(i)
-    for name in root_names(gca.table):
-        names.append(name)
-        roles.append(ROLE_FROZEN)
-        groups.append(None)
-    flat = 0
-    for i, size in enumerate(sizes):
-        start = flat
-        for c in range(size):
-            names.append(f"t{start + c + 1}")
-            roles.append(ROLE_T)
-            groups.append(i)
-        for c in range(size):
-            names.append(f"s{start + c + 1}")
-            roles.append(ROLE_S)
-            groups.append(i)
-        flat += size
+        members = range(start + 1, start + size + 1)
+        names += [f"t{c}" for c in members] + [f"s{c}" for c in members]
+        roles += [ROLE_T] * size + [ROLE_S] * size
+        groups += [i] * (2 * size)
+        start += size
     return VariableTable(tuple(names), tuple(roles), tuple(groups))
 
 
@@ -220,21 +210,17 @@ def _coherent_row(fs, k):
     return rows[0]
 
 
-@lru_cache(maxsize=64)
-def _role_mask(table, roles):
-    """Per table position: is the variable's role in ``roles``?"""
-    return tuple(role in roles for role in table.roles)
-
-
-def _sides(table, row, roles):
+def _sides(row, start=0, stop=None):
     """Exchange sides ``(gt, lt)`` of a matrix row as exponent vectors.
 
-    Only the columns of variables whose role is in ``roles`` are read.
+    Only the columns ``[start, stop)`` are read; the folded layout puts
+    each role in one such block (see :func:`folded_table`).
     """
-    mask = _role_mask(table, roles)
+    stop = len(row) if stop is None else stop
+    before, after, block = (0,) * start, (0,) * (len(row) - stop), row[start:stop]
     return (
-        tuple([v if keep and v > 0 else 0 for v, keep in zip(row, mask)]),
-        tuple([-v if keep and v < 0 else 0 for v, keep in zip(row, mask)]),
+        before + tuple([v if v > 0 else 0 for v in block]) + after,
+        before + tuple([-v if v < 0 else 0 for v in block]) + after,
     )
 
 
@@ -316,87 +302,41 @@ class QuotientContext:
       ``rho_values``, so it is never mutated itself;
     * ``fs`` — the folded ordinary seed, advanced by group mutations.
 
-    Everything else is a walk constant, built once by :meth:`create` and
-    shared by every context the walk reaches: ``rho_values`` (the table
-    sending each placeholder to its concrete monomial; mutation only
-    permutes which placeholder sits where), ``placeholder_names``, the
+    Everything else is a walk constant, built once by the constructor
+    from the root-adjoined pair and shared by every context the walk
+    reaches: ``rho_values`` (the table sending each placeholder
+    ``rho<k>_<r>`` to its concrete monomial; mutation only permutes
+    which placeholder sits where), ``placeholder_names``, the
     placeholder-extended folded table ``folded_plus``, and the images of
     the tracked variables with their positions in the folded table.  The
     eliminated ``sigma`` powers are cached per folded table.
 
-    The constructor checks two facts once per walk
-    (:class:`~gencluster.errors.ValidationError` otherwise): no tracked
-    variable lifts onto a ``t`` or ``s`` variable, so the unit
-    elimination ``E`` fixes every lift; and the tracked matrix's
-    placeholder columns are zero (mutation keeps them so), so the
-    exchange monomials carry no placeholder.
+    The positions are read off the folded layout ``[cluster groups | F |
+    T^1 S^1 | ...]`` of :func:`~gencluster.unfolding.build`: cluster
+    variable ``k`` lifts to the members of group ``k``, and the root at
+    frozen position ``j`` to folded column ``total + j``, as both tables
+    name their roots with :func:`~gencluster.root_adjoin.root_names` in
+    frozen order.  A placeholder lifts to no folded column.  Two facts
+    keep the images sound, and the constructor makes them so: no lift
+    touches a ``t`` or ``s`` column, so the unit elimination ``E`` fixes
+    every lift; and the tracked matrix's placeholder columns are zero
+    (mutation keeps a zero column zero), so the exchange monomials
+    carry no placeholder.
 
     Each context holds the eliminated folded cluster entries ``E(x_c)``,
     filled on first use and shared with its parent for every member
     outside the mutated group.
     """
 
-    def __init__(self, tracked, fs, rho_values):
-        self.tracked = tracked
-        self.fs = fs
-        self.rho_values = rho_values
-        self.placeholder_names = tuple(rho_values)
-        self.folded_plus = fs.table.extended(
-            self.placeholder_names, (ROLE_FROZEN,) * len(rho_values)
-        )
-        # ``(t_range, s_range, r)`` of every placeholder, in table order.
-        self._sigma_slots = tuple(
-            (fs.folded.t_range(k), fs.folded.s_range(k), r)
-            for k in range(tracked.rank)
-            for r in range(1, tracked.divisors[k])
-        )
-        self._phi_images = {
-            tracked.table.names[k]: self.folded_plus.monomial(
-                {fs.table.names[c]: 1 for c in fs.members(k)}
-            )
-            for k in range(tracked.rank)
-        }
-        self._lifts = self._checked_lifts()
-        self._eliminated = [None] * fs.folded.total
-
-    def _checked_lifts(self):
-        """Folded-table positions of each tracked variable's image.
-
-        A placeholder's image lies outside the folded table, so its
-        positions are empty: no exchange monomial carries one.  Checks
-        the two facts named in the class docstring.
-        """
-        plus, width = self.folded_plus, len(self.fs.table)
-        lifts = []
-        for name in self.tracked.table.names:
-            image = self._phi_images.get(name)
-            support = (
-                [plus.index(name)] if image is None
-                else [q for q, e in enumerate(image.exponents) if e]
-            )
-            if any(plus.roles[q] in (ROLE_T, ROLE_S) for q in support):
-                raise ValidationError(f"{name!r} lifts onto an auxiliary variable")
-            lifts.append(tuple(q for q in support if q < width))
-        columns = [self.tracked.table.index(n) for n in self.placeholder_names]
-        if any(row[j] for row in self.tracked.matrix.rows for j in columns):
-            raise ValidationError("a tracked placeholder column is nonzero")
-        return tuple(lifts)
-
-    @staticmethod
-    def create(gca, mode="total"):
-        return QuotientContext._over(tau_tilde(gca, mode=mode))
-
-    @staticmethod
-    def _over(adjoined):
-        """The depth-zero context of a root-adjoined seed."""
+    def __init__(self, adjoined):
         seed = adjoined.seed
-        rho_values = {
-            f"rho{k + 1}_{r}": seed.strings.entry(k, r)
-            for k in range(seed.rank)
-            for r in range(1, seed.divisors[k])
-        }
-        extra = len(rho_values)
-        table_p = seed.table.extended(tuple(rho_values), (ROLE_FROZEN,) * extra)
+        fs = folded_initial_seed(adjoined.base, adjoined.multiplicity)
+        slots = [(k, r) for k in range(seed.rank) for r in range(1, seed.divisors[k])]
+        # A placeholder name a cluster variable holds moves on by ``_R``.
+        taken = set(seed.table.names)
+        names = tuple(fresh_name(f"rho{k + 1}_{r}", taken) for k, r in slots)
+        extra = len(names)
+        table_p = seed.table.extended(names, (ROLE_FROZEN,) * extra)
         matrix_p = ExtendedExchangeMatrix(
             seed.matrix.n,
             seed.matrix.m + extra,
@@ -405,21 +345,46 @@ class QuotientContext:
         string_rows = tuple(
             (table_p.one(),)
             + tuple(
-                table_p.monomial({f"rho{k + 1}_{r}": 1})
-                for r in range(1, seed.divisors[k])
+                table_p.monomial({name: 1})
+                for name, (j, _) in zip(names, slots) if j == k
             )
             + (table_p.one(),)
             for k in range(seed.rank)
         )
-        tracked = GeneralizedSeed(
+        self.tracked = GeneralizedSeed(
             table=table_p,
             cluster=tuple(table_p.variable(n) for n in table_p.names[: seed.rank]),
             matrix=matrix_p,
             divisors=seed.divisors,
             strings=CoefficientStrings(string_rows),
         )
-        fs = folded_initial_seed(adjoined.base, adjoined.multiplicity)
-        return QuotientContext(tracked, fs, rho_values)
+        self.fs = fs
+        self.rho_values = {
+            name: seed.strings.entry(k, r) for name, (k, r) in zip(names, slots)
+        }
+        self.placeholder_names = names
+        self.folded_plus = fs.table.extended(names, (ROLE_FROZEN,) * extra)
+        # ``(t_range, s_range, r)`` of every placeholder, in table order.
+        self._sigma_slots = tuple(
+            (fs.folded.t_range(k), fs.folded.s_range(k), r) for k, r in slots
+        )
+        self._phi_images = {
+            seed.table.names[k]: self.folded_plus.monomial(
+                {fs.table.names[c]: 1 for c in fs.members(k)}
+            )
+            for k in range(seed.rank)
+        }
+        total = fs.folded.total
+        self._lifts = (
+            tuple(tuple(fs.members(k)) for k in range(seed.rank))
+            + tuple((total + j,) for j in range(seed.matrix.m))
+            + ((),) * extra
+        )
+        self._eliminated = [None] * total
+
+    @staticmethod
+    def create(gca, mode="total"):
+        return QuotientContext(tau_tilde(gca, mode=mode))
 
     def mutate(self, k):
         """Advance both tracks by one mutation in direction ``k``."""
@@ -536,10 +501,11 @@ def product_formula_check(fs, k):
     rows = fs.folded.matrix.rows
     # Each member's binomial adds the terms of its row's two sides.
     lhs = reduce(poly_mul, (
-        poly_add(*map(table.term, _sides(table, rows[c], _ROLES))) for c in fs.members(k)
+        poly_add(*map(table.term, _sides(rows[c]))) for c in fs.members(k)
     ))
 
-    g, l = _sides(table, _coherent_row(fs, k), (ROLE_CLUSTER, ROLE_FROZEN))
+    frozen_end = fs.folded.total + fs.folded.m_original
+    g, l = _sides(_coherent_row(fs, k), 0, frozen_end)
     t_range, s_range = fs.folded.t_range(k), fs.folded.s_range(k)
     rhs = poly_shifted_sum(table, (
         (
@@ -671,11 +637,12 @@ def _embedding_conditions_at(ctx):
     tracked = ctx.tracked
     fs = ctx.fs
     table = fs.table
+    total, frozen_end = fs.folded.total, fs.folded.total + fs.folded.m_original
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
         first = _coherent_row(fs, k)
-        u_gt, u_lt = _sides(table, first, (ROLE_CLUSTER,))
-        v_gt, v_lt = _sides(table, first, (ROLE_FROZEN,))
+        u_gt, u_lt = _sides(first, 0, total)
+        v_gt, v_lt = _sides(first, total, frozen_end)
         # (i) cluster monomials and (ii) stable monomials.
         for label, exps, side in (
             ("(i) u>", gca_ctx.u_gt, u_gt),
@@ -691,9 +658,7 @@ def _embedding_conditions_at(ctx):
         # (iv) string entries against balanced side-ratio sums.
         ratios = []
         for c in fs.members(k):
-            gt, lt = _sides(
-                table, fs.folded.matrix.rows[c], (ROLE_FROZEN, ROLE_T, ROLE_S)
-            )
+            gt, lt = _sides(fs.folded.matrix.rows[c], total)
             pair = (tuple(map(sub, gt, v_gt)), tuple(map(sub, lt, v_lt)))
             for ratio, label in zip(pair, "><"):
                 failures.extend(
@@ -725,7 +690,7 @@ def subquotient_check(gca, mode="total"):
     variables.  Verified at depth zero.
     """
     adjoined = tau_tilde(gca, mode=mode)
-    ctx = QuotientContext._over(adjoined)
+    ctx = QuotientContext(adjoined)
     failures = []
     n = adjoined.multiplicity
     root_map = adjoined.root_map()

@@ -94,13 +94,17 @@ def root_names(table):
     names = []
     for pos in table.frozen_indices:
         original = table.names[pos]
-        name = original.upper()
-        while name == original or name in taken:
-            name += "_R"
+        names.append(fresh_name(original.upper(), taken))
         taken.discard(original)
-        taken.add(name)
-        names.append(name)
     return tuple(names)
+
+
+def fresh_name(name, taken):
+    """``name`` extended by ``_R`` while it is in ``taken``; the result joins ``taken``."""
+    while name in taken:
+        name += "_R"
+    taken.add(name)
+    return name
 
 
 def root_multiplicity(seed, mode):

@@ -84,13 +84,8 @@ class FoldedMatrix:
         return range(start, start + self.group_sizes[i])
 
     def s_range(self, i):
-        start = (
-            self.total
-            + self.m_original
-            + 2 * sum(self.group_sizes[:i])
-            + self.group_sizes[i]
-        )
-        return range(start, start + self.group_sizes[i])
+        t = self.t_range(i)
+        return range(t.stop, t.stop + len(t))
 
     def block(self, rows, cols):
         """The sub-matrix over the given rows and a contiguous column ``range``.

@@ -6,15 +6,17 @@ import io
 import json
 import random
 import re
+import shlex
 import tracemalloc
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 from unittest.mock import Mock
 
 import pytest
 
 from conftest import group_mutate_sequence
-from gencluster import cli_io
+from gencluster import cli_io, gca_seed
 from gencluster.cli_io import (
     parse_seed,
     parse_seed_text,
@@ -243,6 +245,28 @@ class TestCommands:
             digest = line.rsplit("=", 1)[1]
             assert len(digest) == 64
             int(digest, 16)
+
+    def test_trace_mutates_no_cluster(self, monkeypatch):
+        # The digest reads the matrix and the strings alone, so trace
+        # never mutates a seed, whose cluster entries on FIX-A grow past
+        # what a step can afford by depth 3.
+        def refuse(seed, k):
+            raise AssertionError("trace mutated a seed")
+
+        monkeypatch.setattr(cli_io, "mutate_seed", refuse)
+        monkeypatch.setattr(gca_seed, "mutate_seed", refuse)
+        pinned = [(argv, digest) for argv, digest, _ in GOLDEN_OUTPUTS if argv[:5] == "trace"]
+        assert len(pinned) == 2
+        for argv, digest in pinned:
+            code, text = run(*argv.split())
+            assert code == 0
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        code, text = run("trace", "--seed", "FIX-A", "--sequence", "1,2,1,2,1,2,1,2,1,2")
+        assert code == 0 and len(text.splitlines()) == 11
+        # Mutation is an involution on the matrix and the strings alike.
+        code, text = run("trace", "--seed", "FIX-A", "--sequence", "1,2,2,1")
+        lines = text.splitlines()
+        assert lines[4].rsplit("=", 1)[1] == lines[0].rsplit("=", 1)[1]
 
     def test_trace_digest_depends_on_state(self):
         _, short = run("trace", "--seed", "FIX-B", "--sequence", "1")
@@ -1442,3 +1466,24 @@ class TestGoldenOutputs:
         got_code, text = run(*argv.split())
         assert got_code == code
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def readme_examples():
+    """``(argv, stdout lines)`` of each README block that starts with ``$ gencluster``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        command, *output = block.splitlines()
+        if command.startswith("$ gencluster "):
+            examples.append((shlex.split(command)[2:], output))
+    return examples
+
+
+class TestReadme:
+    def test_examples_print_what_the_readme_shows(self):
+        examples = readme_examples()
+        assert [argv[0] for argv, _ in examples] == ["mutate", "verify", "trace"]
+        for argv, output in examples:
+            code, text = run(*argv)
+            assert code == 0, argv
+            assert text.splitlines() == output, argv

@@ -460,7 +460,6 @@ def test_shared_member_names_are_reviewed():
 #: would differ between passes; a new cache is reviewed here before it lands.
 REVIEWED_CACHES = {
     "laurent_kernel._layout": (None, None),
-    "quotient_embedding._role_mask": (64, 15),
     "quotient_embedding.unit_elimination_map": (64, 3),
     "quotient_embedding._eliminated_sigma": (256, 54),
     "cli_io._build_parser": (1, None),

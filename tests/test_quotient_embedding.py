@@ -3,6 +3,7 @@
 from collections import namedtuple
 from copy import copy
 import hashlib
+import io
 from itertools import combinations, product
 from math import lcm, prod
 import random
@@ -17,7 +18,7 @@ from conftest import (
     poly_mul_monomial,
     poly_sum,
 )
-from gencluster.cli_io import parse_seed_text
+from gencluster.cli_io import parse_seed_text, run_command
 from gencluster.errors import (
     ExponentOverflow,
     GroupCoherenceViolation,
@@ -42,7 +43,6 @@ from gencluster.laurent_kernel import (
     ROLE_FROZEN,
     ROLE_S,
     ROLE_T,
-    VariableTable,
     poly_add,
     poly_map_variables,
     poly_mul,
@@ -70,7 +70,7 @@ from gencluster.quotient_embedding import (
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import root_names, tau_tilde
-from gencluster.unfolding import FoldedMatrix, group_mutate
+from gencluster.unfolding import FoldedMatrix, build, group_mutate
 
 FIX_C_PHI_X = "y1*y2"
 FIX_C_PHI_X_MUTATED = (
@@ -410,6 +410,39 @@ def moved_entry_contexts(ctx):
             yield bad
 
 
+def oracle_lifts(ctx):
+    """Folded-table positions of each tracked variable's image, found by name.
+
+    A cluster variable lifts to the folded cluster variables of its
+    group, any other variable to the same-named variable of
+    ``folded_plus``, which for a placeholder lies past the folded table.
+    """
+    table, plus, width = ctx.tracked.table, ctx.folded_plus, len(ctx.fs.table)
+    folded = ctx.fs.table
+    lifts = []
+    for pos, name in enumerate(table.names):
+        if pos < ctx.tracked.rank:
+            support = [
+                q for q, (role, group) in enumerate(zip(folded.roles, folded.groups))
+                if role == ROLE_CLUSTER and group == pos
+            ]
+        else:
+            support = [plus.index(name)]
+        lifts.append(tuple(q for q in support if q < width))
+    return tuple(lifts)
+
+
+def named_frozen_seeds():
+    """Seeds whose frozen names are the folded table's or their root names."""
+    matrix = ExtendedExchangeMatrix.from_rows(
+        [[0, 2, 1, -1, 2, 0], [-1, 0, 0, 1, -1, 1]], m=4
+    )
+    return [
+        initial_seed(matrix, (2, 1), frozen_names=names)
+        for names in (("t1", "T1", "F", "y1"), ("y1", "s2", "t3", "F"))
+    ]
+
+
 def shared_factor_seeds():
     """Random seeds whose divisors share a factor and that have frozen columns.
 
@@ -454,6 +487,27 @@ class TestFoldedSeed:
             assert [adjoined.names[p] for p in adjoined.frozen_indices] == [
                 folded.names[p] for p in folded.frozen_indices
             ]
+
+    def test_table_roles_are_the_layout_blocks(self, fix_a, fix_b, fix_c):
+        # Each (role, group) of the folded table is one contiguous block,
+        # the one the unfolding's accessors name.
+        rng = random.Random(29)
+        seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(40)]
+        for seed in seeds:
+            table, fm = folded_table(seed), build(seed)
+            blocks = {}
+            for q, key in enumerate(zip(table.roles, table.groups)):
+                blocks.setdefault(key, []).append(q)
+            expected = {}
+            if fm.m_original:
+                expected[ROLE_FROZEN, None] = [fm.f_column(l) for l in range(fm.m_original)]
+            for k in range(fm.n_groups):
+                expected[ROLE_CLUSTER, k] = list(fm.group_range(k))
+                expected[ROLE_T, k] = list(fm.t_range(k))
+                expected[ROLE_S, k] = list(fm.s_range(k))
+            assert blocks == expected
+            assert all(b == list(range(b[0], b[-1] + 1)) for b in blocks.values())
+            assert len(table) == fm.matrix.n + fm.matrix.m
 
     def test_initial_seed_shape(self, fix_a):
         fs = folded_initial_seed(fix_a)
@@ -911,27 +965,57 @@ class TestEmbeddingAndSubquotient:
 
     def test_context_checks_what_the_images_rely_on(self, fix_c):
         ctx = QuotientContext.create(fix_c)
-        # A tracked variable named like an auxiliary variable would lift
-        # onto it, and phi_poly no longer eliminates the units.
-        table = ctx.tracked.table
-        names = tuple("t1" if name == "F" else name for name in table.names)
-        renamed = _trusted_seed(
-            ctx.tracked, table=VariableTable(names, table.roles, table.groups)
-        )
-        with pytest.raises(ValidationError, match="auxiliary"):
-            QuotientContext(renamed, ctx.fs, ctx.rho_values)
-        # A nonzero placeholder column would put a placeholder into the
-        # exchange monomials that conditions (i) and (ii) read as keys.
-        matrix = ctx.tracked.matrix
-        rows = [list(row) for row in matrix.rows]
-        rows[0][-1] = 1
-        moved = _trusted_seed(
-            ctx.tracked, matrix=ExtendedExchangeMatrix(matrix.n, matrix.m, rows)
-        )
-        with pytest.raises(ValidationError, match="placeholder column"):
-            QuotientContext(moved, ctx.fs, ctx.rho_values)
         with pytest.raises(ValidationError, match="tracked table"):
             ctx.phi_poly(ctx.fs.cluster[0])
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_lifts_read_off_the_layout_match_the_name_oracle(
+        self, fix_a, fix_b, fix_c, mode
+    ):
+        # The images rely on two facts: no lift touches a t or s column,
+        # and the tracked placeholder columns stay zero along every walk.
+        # FIX-A is walked to depth 2: its folded cluster entries at depth
+        # 3 take minutes to build.
+        walks = [
+            (fix_a, list(product(range(2), repeat=2))),
+            (fix_b, list(product(range(2), repeat=3))),
+            (fix_c, [(0,) * 3]),
+        ]
+        walks += [
+            (seed, list(product(range(2), repeat=3))) for seed in named_frozen_seeds()
+        ]
+        rng = random.Random(23)
+        for _ in range(20):
+            seed = random_seed(rng, max_frozen=3)
+            walks.append((seed, [random_sequence(rng, seed.rank, 3)]))
+        for seed, sequences in walks:
+            for ctx in walked_contexts(seed, mode, sequences).values():
+                assert oracle_lifts(ctx) == ctx._lifts
+                roles = ctx.fs.table.roles
+                assert all(roles[q] not in (ROLE_T, ROLE_S) for q in sum(ctx._lifts, ()))
+                columns = [ctx.tracked.table.index(n) for n in ctx.placeholder_names]
+                assert not any(row[j] for row in ctx.tracked.matrix.rows for j in columns)
+
+    def test_placeholders_move_off_cluster_names(self, tmp_path):
+        # A cluster variable may hold a placeholder's name; the
+        # placeholder then moves on by _R, as a root name does.
+        text = "gca-seed v1\nN 1\nM 1\ndivisors 2\nnames rho1_1 ; f\nmatrix 0 2\n"
+        seed = parse_seed_text(text)
+        assert QuotientContext.create(seed).placeholder_names == ("rho1_1_R",)
+        assert embedding_check(seed, (0, 0)).ok
+        assert subquotient_check(seed).ok
+        path = tmp_path / "rho.seed"
+        path.write_text(text, encoding="utf-8")
+        for target in ("embedding", "subquotient"):
+            out = io.StringIO()
+            assert run_command(["verify", target, "--seed-file", str(path)], out) == 0
+            assert out.getvalue().startswith(f"ok target={target} ")
+        both = parse_seed_text(
+            "gca-seed v1\nN 2\nM 1\ndivisors 2 1\nnames rho1_1 rho1_1_R ; f\n"
+            "matrix 0 0 2 ; 0 0 1\n"
+        )
+        assert QuotientContext.create(both).placeholder_names == ("rho1_1_R_R",)
+        assert embedding_check(both, (0, 1)).ok
 
     def test_embedding_fix_c_deep(self, fix_c):
         report = embedding_check(fix_c, (0,) * 6)
