@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of a verification check: ``ok`` and the ``failures`` tuple."""
+    """Outcome of a verification check: the ``failures`` tuple, ``ok`` when empty."""
 
-    ok: bool
     failures: tuple
+
+    @property
+    def ok(self):
+        return not self.failures
 
 
 class GenClusterError(Exception):

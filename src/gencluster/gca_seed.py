@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from .errors import Report, ValidationError
 from .laurent_kernel import (
     Monomial,
-    ROLE_CLUSTER,
     VariableTable,
     _same_table,
     poly_exact_div,
@@ -83,11 +82,10 @@ class CoefficientStrings:
             for r, mono in enumerate(row):
                 if not _same_table(mono.table, table):
                     raise ValidationError("string entry over the wrong table")
-                for pos, e in enumerate(mono.exponents):
-                    if e and table.roles[pos] == ROLE_CLUSTER:
-                        raise ValidationError(
-                            f"string entry ({i},{r}) touches a cluster variable"
-                        )
+                if any(mono.exponents[: table.n_cluster]):
+                    raise ValidationError(
+                        f"string entry ({i},{r}) touches a cluster variable"
+                    )
             if not row[0].is_one() or not row[-1].is_one():
                 raise ValidationError(f"string row {i} must start and end at 1")
 
@@ -122,7 +120,7 @@ class GeneralizedSeed:
 
     def __post_init__(self):
         n, m = self.matrix.n, self.matrix.m
-        if len(self.table.cluster_indices) != n:
+        if self.table.n_cluster != n:
             raise ValidationError("table cluster count does not match the matrix")
         if len(self.table) - n != m:
             raise ValidationError("table frozen count does not match the matrix")
@@ -366,4 +364,4 @@ def root_formula_check(seed, k):
                 Monomial(seed.table, v) for v in (root, coefficient)
             )
             failures.append((k, r, f"root {root} differs from {coefficient}"))
-    return Report(ok=not failures, failures=tuple(failures))
+    return Report(tuple(failures))

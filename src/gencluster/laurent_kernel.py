@@ -11,9 +11,10 @@ Design notes
   unbounded.  Exponents are integers of either sign (Laurent) whose
   magnitude stays below :data:`EXPONENT_LIMIT` (``2**46``).
 * A :class:`VariableTable` fixes the ambient ring: an ordered list of
-  named variables, each with a role (``cluster``, ``frozen``, ``t-aux``
-  or ``s-aux``) and an optional group index.  Elements over different
-  tables never silently mix; combining them raises
+  named variables and a cluster count; the first ``n_cluster`` names
+  are cluster variables and the rest are frozen, and
+  :meth:`VariableTable.extended` appends frozen variables.  Elements
+  over different tables never silently mix; combining them raises
   :class:`~gencluster.errors.TableMismatch`.
 * Terms are kept in a dict keyed by one packed integer per monomial:
   the total degree in the top field, then one ``_FIELD_BITS``-bit field
@@ -60,13 +61,6 @@ from .errors import (
     UnknownSymbol,
     ValidationError,
 )
-
-ROLE_CLUSTER = "cluster"
-ROLE_FROZEN = "frozen"
-ROLE_T = "t-aux"
-ROLE_S = "s-aux"
-
-_ROLES = (ROLE_CLUSTER, ROLE_FROZEN, ROLE_T, ROLE_S)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -125,27 +119,21 @@ def _integer(value, what):
 
 @dataclass(frozen=True)
 class VariableTable:
-    """Ordered table of named variables with roles and group indices.
+    """Ordered table of named variables: cluster variables, then frozen ones.
 
     Parameters
     ----------
     names : tuple of str
         Distinct variable names (identifier-shaped).
-    roles : tuple of str
-        One role per name, each from ``{"cluster", "frozen", "t-aux",
-        "s-aux"}``.
-    groups : tuple of (int or None)
-        Optional group index per name; ``None`` when the variable does
-        not belong to a mutation group.
+    n_cluster : int
+        How many of the names, from the left, are cluster variables; the
+        rest are frozen.
     """
 
     names: tuple
-    roles: tuple
-    groups: tuple
+    n_cluster: int
 
     def __post_init__(self):
-        if not (len(self.names) == len(self.roles) == len(self.groups)):
-            raise ValidationError("names, roles and groups must have equal length")
         seen = set()
         for name in self.names:
             if not isinstance(name, str) or not _NAME_RE.match(name):
@@ -153,23 +141,19 @@ class VariableTable:
             if name in seen:
                 raise ValidationError(f"duplicate variable name: {name!r}")
             seen.add(name)
-        for role in self.roles:
-            if role not in _ROLES:
-                raise ValidationError(f"bad role: {role!r}")
+        count, width = self.n_cluster, len(self.names)
+        if type(count) is not int or not 0 <= count <= width:
+            raise ValidationError(f"cluster count {count!r} is not an int in 0..{width}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
-        object.__setattr__(self, "_role_indices", {
-            role: tuple(i for i, r in enumerate(self.roles) if r == role)
-            for role in (ROLE_CLUSTER, ROLE_FROZEN)
-        })
-        object.__setattr__(self, "_layout", _layout(len(self.names)))
+        object.__setattr__(self, "cluster_indices", tuple(range(count)))
+        object.__setattr__(self, "frozen_indices", tuple(range(count, width)))
+        object.__setattr__(self, "_layout", _layout(width))
 
     @staticmethod
     def make(cluster=(), frozen=()):
         """Build a plain table of cluster names followed by frozen names."""
-        cluster, frozen = tuple(cluster), tuple(frozen)
-        names = cluster + frozen
-        roles = (ROLE_CLUSTER,) * len(cluster) + (ROLE_FROZEN,) * len(frozen)
-        return VariableTable(names, roles, (None,) * len(names))
+        cluster = tuple(cluster)
+        return VariableTable(cluster + tuple(frozen), len(cluster))
 
     def __len__(self):
         return len(self.names)
@@ -183,14 +167,6 @@ class VariableTable:
             return self._index[name]
         except KeyError:
             raise UnknownSymbol(f"symbol {name!r} is not in the table") from None
-
-    @property
-    def cluster_indices(self):
-        return self._role_indices[ROLE_CLUSTER]
-
-    @property
-    def frozen_indices(self):
-        return self._role_indices[ROLE_FROZEN]
 
     def monomial(self, exponents=None, **by_name):
         """Monomial with the given ``{name: exponent}`` support."""
@@ -221,12 +197,9 @@ class VariableTable:
         amp = exponent_amplitude(exponents)
         return _trusted(self, {self._layout.pack(exponents): 1}, amp)
 
-    def extended(self, names, roles, groups=None):
-        """New table with extra variables appended on the right."""
-        names = tuple(names)
-        roles = tuple(roles)
-        groups = tuple(groups) if groups is not None else (None,) * len(names)
-        return VariableTable(self.names + names, self.roles + roles, self.groups + groups)
+    def extended(self, names):
+        """New table with extra frozen variables appended on the right."""
+        return VariableTable(self.names + tuple(names), self.n_cluster)
 
 
 def _same_table(a, b):

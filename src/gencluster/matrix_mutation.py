@@ -30,6 +30,7 @@ m`` integers::
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import (
     IndexOutOfRange,
@@ -102,17 +103,20 @@ class ExtendedExchangeMatrix:
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
             raise ValidationError("matrix dimensions must be non-negative")
-        # Rows are stored as tuples, so the matrix is hashable and
-        # mutation may share unchanged rows with its input.
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        if len(self.rows) != self.n:
+        rows = tuple(map(tuple, self.rows))
+        if len(rows) != self.n:
             raise ValidationError("row count does not match n")
-        for row in self.rows:
-            if len(row) != self.n + self.m:
-                raise ValidationError("row width does not match n + m")
-            if not all(isinstance(e, int) for e in row):
-                raise ValidationError("matrix entries must be integers")
-        _check_skew_symmetrizable(self.rows, self.n)
+        if any(len(row) != self.n + self.m for row in rows):
+            raise ValidationError("row width does not match n + m")
+        # Rows are stored as tuples of plain ints, so the matrix is
+        # hashable, prints as it parses, and mutation may share unchanged
+        # rows with its input.
+        try:
+            rows = tuple([tuple([index(e) for e in row]) for row in rows])
+        except TypeError:
+            raise ValidationError("matrix entries must be integers") from None
+        object.__setattr__(self, "rows", rows)
+        _check_skew_symmetrizable(rows, self.n)
 
     @staticmethod
     def from_rows(rows, m=None):
@@ -140,8 +144,14 @@ class DivisorVector:
     entries: tuple
 
     def __post_init__(self):
-        if not all(isinstance(d, int) and d >= 1 for d in self.entries):
+        try:
+            entries = tuple([index(d) for d in self.entries])
+        except TypeError:
+            entries = None
+        if entries is None or not all(d >= 1 for d in entries):
             raise InvalidDivisors("divisors must be positive integers")
+        # Stored as plain ints, so the divisors print as they parse.
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def of(*entries):

@@ -69,10 +69,6 @@ from .gca_seed import (
     mutate_seed,
 )
 from .laurent_kernel import (
-    ROLE_CLUSTER,
-    ROLE_FROZEN,
-    ROLE_S,
-    ROLE_T,
     VariableTable,
     poly_add,
     poly_map_variables,
@@ -95,26 +91,21 @@ from .unfolding import FoldedMatrix, _independent_members, build, group_mutate
 def folded_table(gca):
     """Variable table of the unfolded seed.
 
-    Cluster variables ``y1..yT`` (grouped by original direction), the
-    frozen variables renamed to their roots
+    Cluster variables ``y1..yT`` (grouped by original direction), then
+    the frozen variables: the original ones renamed to their roots
     (:func:`~gencluster.root_adjoin.root_names`), then per group the
     ``t`` members followed by the ``s`` members, in the same interleaved
     order as the folded matrix columns.
     """
     sizes = gca.divisors.entries
-    total, roots = sum(sizes), root_names(gca.table)
-    names = [f"y{c + 1}" for c in range(total)] + list(roots)
-    roles = [ROLE_CLUSTER] * total + [ROLE_FROZEN] * len(roots)
-    groups = [i for i, size in enumerate(sizes) for _ in range(size)]
-    groups += [None] * len(roots)
+    total = sum(sizes)
+    names = [f"y{c + 1}" for c in range(total)] + list(root_names(gca.table))
     start = 0
-    for i, size in enumerate(sizes):
+    for size in sizes:
         members = range(start + 1, start + size + 1)
         names += [f"t{c}" for c in members] + [f"s{c}" for c in members]
-        roles += [ROLE_T] * size + [ROLE_S] * size
-        groups += [i] * (2 * size)
         start += size
-    return VariableTable(tuple(names), tuple(roles), tuple(groups))
+    return VariableTable(tuple(names), total)
 
 
 @dataclass(frozen=True)
@@ -246,21 +237,21 @@ def _balanced_sum(table, pairs, r):
 
 
 @lru_cache(maxsize=64)
-def unit_elimination_map(table):
+def unit_elimination_map(table, ranges):
     """Substitutions realizing ``prod t = prod s = 1`` per group.
 
-    The last member's pair is rewritten as the inverse product of the
-    others; for a size-one group the variables are simply erased.  The
-    map depends on the folded table alone, so every route to the
-    quotient over one table shares a single, read-only map.
+    ``ranges`` holds each group's ``(t_range, s_range)``: the positions
+    the folded layout gives its ``t`` and ``s`` variables
+    (:class:`~gencluster.unfolding.FoldedMatrix`).  The last member's
+    pair is rewritten as the inverse product of the others; for a
+    size-one group the variables are simply erased.  Every route to the
+    quotient over one layout shares a single, read-only map.
     """
-    members = {}
-    for name, role, group in zip(table.names, table.roles, table.groups):
-        if role in (ROLE_T, ROLE_S):
-            members.setdefault((role, group), []).append(name)
+    names = table.names
     return MappingProxyType({
-        names[-1]: table.monomial({n: -1 for n in names[:-1]})
-        for names in members.values()
+        names[block[-1]]: table.monomial({names[q]: -1 for q in block[:-1]})
+        for pair in ranges
+        for block in pair
     })
 
 
@@ -271,16 +262,18 @@ def _eliminated_sigma(table, t_range, s_range, r, e):
     ``sigma_{k,r} = sum_{|J|=r} prod_{c in J} t_c prod_{c not in J} s_c``
     is the balanced sum identified with the coefficient ``rho_{k,r}``,
     over the members of group ``k``, whose ``t`` and ``s`` variables sit
-    at ``t_range`` and ``s_range``.  ``E`` is a monomial ring map, so
-    ``E(sigma^e) = E(sigma)^e`` and the power of the eliminated sum is
-    the eliminated power.
+    at ``t_range`` and ``s_range``, so ``E`` of that group alone
+    eliminates it.  ``E`` is a monomial ring map, so ``E(sigma^e) =
+    E(sigma)^e`` and the power of the eliminated sum is the eliminated
+    power.
     """
     if e == 1:
         positions = range(len(table))
         unit = [tuple(int(q == i) for q in positions) for i in positions]
         pairs = [(unit[t], unit[s]) for t, s in zip(t_range, s_range)]
         sigma = _balanced_sum(table, pairs, r)
-        return poly_map_variables(sigma, unit_elimination_map(table), table)
+        group_map = unit_elimination_map(table, ((t_range, s_range),))
+        return poly_map_variables(sigma, group_map, table)
     return poly_pow(_eliminated_sigma(table, t_range, s_range, r, 1), e)
 
 
@@ -288,7 +281,9 @@ def eliminate_units(fs, p):
     """Rewrite ``p`` modulo the unit relations only (no placeholders)."""
     if p.table != fs.table:
         raise ValidationError("polynomial is not over the folded table")
-    return poly_map_variables(p, unit_elimination_map(fs.table), fs.table)
+    fm = fs.folded
+    ranges = tuple((fm.t_range(k), fm.s_range(k)) for k in range(fm.n_groups))
+    return poly_map_variables(p, unit_elimination_map(fs.table, ranges), fs.table)
 
 
 class QuotientContext:
@@ -309,19 +304,20 @@ class QuotientContext:
     which placeholder sits where), ``placeholder_names``, the
     placeholder-extended folded table ``folded_plus``, and the images of
     the tracked variables with their positions in the folded table.  The
-    eliminated ``sigma`` powers are cached per folded table.
+    eliminated ``sigma`` powers are cached per folded table and group.
 
-    The positions are read off the folded layout ``[cluster groups | F |
-    T^1 S^1 | ...]`` of :func:`~gencluster.unfolding.build`: cluster
-    variable ``k`` lifts to the members of group ``k``, and the root at
-    frozen position ``j`` to folded column ``total + j``, as both tables
-    name their roots with :func:`~gencluster.root_adjoin.root_names` in
-    frozen order.  A placeholder lifts to no folded column.  Two facts
-    keep the images sound, and the constructor makes them so: no lift
-    touches a ``t`` or ``s`` column, so the unit elimination ``E`` fixes
-    every lift; and the tracked matrix's placeholder columns are zero
-    (mutation keeps a zero column zero), so the exchange monomials
-    carry no placeholder.
+    Every position is read off the folded layout ``[cluster groups | F |
+    T^1 S^1 | ...]`` of :func:`~gencluster.unfolding.build`, not off the
+    table: the unit elimination takes each group's ``t`` and ``s``
+    ranges from it, cluster variable ``k`` lifts to the members of group
+    ``k``, and the root at frozen position ``j`` to folded column
+    ``total + j``, as both tables name their roots with
+    :func:`~gencluster.root_adjoin.root_names` in frozen order.  A
+    placeholder lifts to no folded column.  Two facts keep the images
+    sound, and the constructor makes them so: no lift touches a ``t`` or
+    ``s`` column, so the unit elimination ``E`` fixes every lift; and the
+    tracked matrix's placeholder columns are zero (mutation keeps a zero
+    column zero), so the exchange monomials carry no placeholder.
 
     Each context holds the eliminated folded cluster entries ``E(x_c)``,
     filled on first use and shared with its parent for every member
@@ -336,7 +332,7 @@ class QuotientContext:
         taken = set(seed.table.names)
         names = tuple(fresh_name(f"rho{k + 1}_{r}", taken) for k, r in slots)
         extra = len(names)
-        table_p = seed.table.extended(names, (ROLE_FROZEN,) * extra)
+        table_p = seed.table.extended(names)
         matrix_p = ExtendedExchangeMatrix(
             seed.matrix.n,
             seed.matrix.m + extra,
@@ -363,7 +359,7 @@ class QuotientContext:
             name: seed.strings.entry(k, r) for name, (k, r) in zip(names, slots)
         }
         self.placeholder_names = names
-        self.folded_plus = fs.table.extended(names, (ROLE_FROZEN,) * extra)
+        self.folded_plus = fs.table.extended(names)
         # ``(t_range, s_range, r)`` of every placeholder, in table order.
         self._sigma_slots = tuple(
             (fs.folded.t_range(k), fs.folded.s_range(k), r) for k, r in slots
@@ -517,8 +513,8 @@ def product_formula_check(fs, k):
     lhs = eliminate_units(fs, lhs)
     if lhs != rhs:
         residual = poly_sub(lhs, rhs)
-        return Report(ok=False, failures=((k, str(residual)),))
-    return Report(ok=True, failures=())
+        return Report(((k, str(residual)),))
+    return Report(())
 
 
 def product_formula_walk(gca, mode="total"):
@@ -560,7 +556,7 @@ def _walk_one(walk, sequence):
         if depth:
             state = step(state, sequence[depth - 1])
         failures.extend((depth,) + f for f in check(state))
-    return Report(ok=not failures, failures=tuple(failures))
+    return Report(tuple(failures))
 
 
 def product_formula_suite(gca, sequence=(), mode="total"):
@@ -663,7 +659,7 @@ def _embedding_conditions_at(ctx):
             for ratio, label in zip(pair, "><"):
                 failures.extend(
                     (f"(iv) ratio {label} keeps frozen content", k, c)
-                    for pos in table.frozen_indices
+                    for pos in range(total, frozen_end)
                     if ratio[pos]
                 )
             ratios.append(pair)
@@ -716,4 +712,4 @@ def subquotient_check(gca, mode="total"):
         image = ctx.phi_poly(ctx.tracked.cluster[k])
         if image != ctx.group_image(k):
             failures.append(("cluster image", k, str(image)))
-    return Report(ok=not failures, failures=tuple(failures))
+    return Report(tuple(failures))

@@ -133,9 +133,9 @@ def tau_tilde(seed, mode="total"):
     The input passed those checks, and adjoining keeps each of them:
     only frozen columns are scaled, so the principal part and the
     divisors' compatibility are the input's; the cluster entries and
-    strings are mapped to the new table of the same roles; a string
-    entry gains frozen exponents only, so it stays cluster-free; and
-    both ends of a row stay 1, since ``floor_defect(n, 0, b, d) =
+    strings are mapped to the new table of the same cluster count; a
+    string entry gains frozen exponents only, so it stays cluster-free;
+    and both ends of a row stay 1, since ``floor_defect(n, 0, b, d) =
     floor_defect(n, d, b, d) = 0``.
     """
     if isinstance(seed, AdjoinedSeed):
@@ -146,7 +146,7 @@ def tau_tilde(seed, mode="total"):
     names = list(table.names)
     for pos, name in zip(frozen, root_names(table)):
         names[pos] = name
-    new_table = VariableTable(tuple(names), table.roles, table.groups)
+    new_table = VariableTable(tuple(names), table.n_cluster)
 
     scaled = set(frozen)
     new_rows = tuple(
@@ -232,7 +232,7 @@ def transport_check(adjoined):
                 failures.append(("(ii)", k, r))
         if phi(t.cluster[k]) != t_bar.cluster[k]:
             failures.append(("(iii)", k, None))
-    return Report(ok=not failures, failures=tuple(failures))
+    return Report(tuple(failures))
 
 
 def rho(seed):

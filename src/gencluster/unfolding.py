@@ -211,7 +211,7 @@ def hadamard_check(fm, matrix, divisors, multiplicity=None):
             bad = _first_nonconstant(block, value)
             if bad is not None:
                 failures.append(("f", i, l, bad))
-    return Report(ok=not failures, failures=tuple(failures))
+    return Report(tuple(failures))
 
 
 def _check_reference(fm, matrix):
@@ -321,4 +321,4 @@ def unfolding_conditions_check(fm, matrix):
                     break
             if ref > 0 and any(e < 0 for row in block for e in row):
                 failures.append(("sign", i, j, "negative entry under positive reference"))
-    return Report(ok=not failures, failures=tuple(failures))
+    return Report(tuple(failures))

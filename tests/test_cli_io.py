@@ -35,6 +35,7 @@ from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import initial_seed, mutate_seed
 from gencluster.laurent_kernel import EXPONENT_LIMIT
 from gencluster.matrix_mutation import (
+    DivisorVector,
     ExtendedExchangeMatrix,
     modify,
     mutate_sequence,
@@ -124,6 +125,20 @@ class TestSeedFiles:
             text = _seed_text(seed)
             assert parse_seed_text(text) == seed
             assert _seed_text(parse_seed_text(text)) == text
+
+    def test_bool_entries_round_trip_as_integers(self):
+        # ``True`` is an integer to the matrix and divisor checks; both
+        # store it as 1, so the file says 1 and parses back.
+        seed = initial_seed(
+            ExtendedExchangeMatrix.from_rows([[0, True]], m=1), DivisorVector((True,))
+        )
+        assert seed.matrix.rows == ((0, 1),)
+        assert seed.divisors.entries == (1,)
+        assert all(type(e) is int for e in seed.matrix.rows[0] + seed.divisors.entries)
+        text = _seed_text(seed)
+        assert "True" not in text
+        assert parse_seed_text(text) == seed
+        assert _seed_text(parse_seed_text(text)) == text
 
     def test_unknown_fixture_is_a_library_error(self):
         with pytest.raises(ValidationError, match="unknown fixture 'FIX-Z'"):
@@ -334,7 +349,7 @@ class TestVerify:
     def test_failing_report_exits_two(self, monkeypatch):
         monkeypatch.setattr(
             "gencluster.quotient_embedding.product_formula_check",
-            lambda fs, k: Report(ok=False, failures=((k, "residual"),)),
+            lambda fs, k: Report(((k, "residual"),)),
         )
         code, text = run(
             "verify", "product-formula", "--seed", "FIX-C", "--depth", "1"
@@ -759,7 +774,7 @@ def parity_naming_check(threshold):
         row = fs.folded.matrix.rows[fs.folded.group_range(k)[0]]
         bad = sum(row) > threshold
         failures = ((k, f"{row} parity {fs.parity[k]}"),) if bad else ()
-        return Report(ok=not bad, failures=failures)
+        return Report(failures)
 
     return pf_check
 
@@ -992,7 +1007,7 @@ class TestWalker:
         def hadamard(fm, reference, divisors):
             bad = value(fm) > 0
             failures = (("synthetic", value(fm)),) if bad else ()
-            return Report(ok=not bad, failures=failures)
+            return Report(failures)
 
         def double_constant(fm):
             if value(fm) < -100:

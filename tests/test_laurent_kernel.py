@@ -27,8 +27,6 @@ from gencluster.laurent_kernel import (
     EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
-    ROLE_CLUSTER,
-    ROLE_FROZEN,
     VariableTable,
     poly_add,
     poly_exact_div,
@@ -57,7 +55,7 @@ class NonFrozenSupport(GenClusterError):
 
 def _require_stable_support(m):
     for i, e in enumerate(m.exponents):
-        if e and m.table.roles[i] == ROLE_CLUSTER:
+        if e and i < m.table.n_cluster:
             raise NonFrozenSupport(
                 f"monomial has cluster-variable support at {m.table.names[i]!r}"
             )
@@ -273,15 +271,27 @@ class TestTropical:
 
 
 class TestTables:
-    def test_roles_and_indices(self):
-        assert SMALL_TABLE.roles == (ROLE_CLUSTER, ROLE_CLUSTER, ROLE_FROZEN)
+    def test_cluster_count_and_indices(self):
+        assert SMALL_TABLE == VariableTable(("x", "y", "f"), 2)
+        assert SMALL_TABLE.n_cluster == 2
         assert SMALL_TABLE.cluster_indices == (0, 1)
         assert SMALL_TABLE.frozen_indices == (2,)
 
-    def test_extended_appends(self):
-        bigger = SMALL_TABLE.extended(("g",), (ROLE_FROZEN,))
+    def test_extended_appends_frozen_variables(self):
+        bigger = SMALL_TABLE.extended(("g",))
         assert bigger.names == ("x", "y", "f", "g")
+        assert bigger.n_cluster == 2
         assert bigger.frozen_indices == (2, 3)
+
+    @pytest.mark.parametrize("count", [-1, 4, True, False, 1.0, "1", None])
+    def test_bad_cluster_count_rejected(self, count):
+        with pytest.raises(ValidationError, match="cluster count"):
+            VariableTable(("x", "y", "f"), count)
+
+    def test_cluster_count_bounds_accepted(self):
+        assert VariableTable(("x", "y", "f"), 0).frozen_indices == (0, 1, 2)
+        assert VariableTable(("x", "y", "f"), 3).cluster_indices == (0, 1, 2)
+        assert VariableTable((), 0).cluster_indices == ()
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValidationError):

@@ -225,6 +225,20 @@ class TestTrustedResults:
         assert all(type(row) is tuple for row in result.rows)
         assert hash(result) == hash(ExtendedExchangeMatrix(3, 1, result.rows))
 
+    def test_integer_like_entries_are_stored_as_ints(self):
+        matrix = ExtendedExchangeMatrix.from_rows([[0, True, False]], m=2)
+        assert matrix.rows == ((0, 1, 0),)
+        assert all(type(e) is int for e in matrix.rows[0])
+        divisors = DivisorVector((True, 2))
+        assert divisors.entries == (1, 2)
+        assert all(type(d) is int for d in divisors.entries)
+        for bad in (0.0, "1", None):
+            with pytest.raises(ValidationError, match="matrix entries must be integers"):
+                ExtendedExchangeMatrix.from_rows([[0, bad]], m=1)
+        for bad in (1.0, "1", None, False, 0, -1):
+            with pytest.raises(InvalidDivisors, match="divisors must be positive integers"):
+                DivisorVector((bad,))
+
 
 def sign(x):
     return (x > 0) - (x < 0)

@@ -337,7 +337,7 @@ class TestTrustedAdjunction:
             seed = tau_tilde(start, mode).seed
             table, matrix = seed.table, seed.matrix
             rebuilt = GeneralizedSeed(
-                table=VariableTable(table.names, table.roles, table.groups),
+                table=VariableTable(table.names, table.n_cluster),
                 cluster=seed.cluster,
                 matrix=ExtendedExchangeMatrix(matrix.n, matrix.m, matrix.rows),
                 divisors=DivisorVector(seed.divisors.entries),
