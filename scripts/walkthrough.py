@@ -37,11 +37,31 @@ def tour_matrices():
     show("FIX-A unfolded matrix", write_matrix(fm.matrix))
     after = group_mutate(fm, 0)
     show("unfolded matrix after group mutation 1", write_matrix(after.matrix))
-    witness = double_constant_check(group_mutate(after, 1))
+    a, c, alpha = double_constants(group_mutate(after, 1))
     show(
         "double-constant witness after groups 1,2",
-        f"a = {witness.a}\nc = {witness.c}\nalpha = {witness.alpha}\n",
+        f"a = {a}\nc = {c}\nalpha = {alpha}\n",
     )
+
+
+def double_constants(fm):
+    """The constants ``a``, ``c`` and ``alpha`` of the ``T``/``S`` block pairs.
+
+    Once :func:`double_constant_check` passes, each pair ``(i, j)`` is
+    ``T = c J + alpha Id`` and ``T + S = a J`` (``alpha`` only on the
+    diagonal), so the constants are read off the first row: ``alpha`` is
+    ``T[0][0] - T[0][1]``, or +1 for a 1 x 1 block.
+    """
+    double_constant_check(fm)
+    a, c, alpha = {}, {}, {}
+    for i, rows in enumerate(fm.layout.groups):
+        for j, (t_cols, s_cols) in enumerate(fm.layout.aux):
+            t, s = fm.block(rows, t_cols)[0], fm.block(rows, s_cols)[0]
+            if i == j:
+                alpha[i] = t[0] - t[1] if len(t) > 1 else 1
+            a[(i, j)] = t[0] + s[0]
+            c[(i, j)] = t[0] - (alpha[i] if i == j else 0)
+    return a, c, alpha
 
 
 def tour_exchange():

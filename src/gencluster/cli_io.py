@@ -387,7 +387,7 @@ def _cmd_mutate(args, out):
 def _cmd_unfold(args, out):
     seed, _ = _load_seed(args)
     fm = build(seed)
-    sequence = _parse_sequence(args.sequence, fm.n_groups, what="group")
+    sequence = _parse_sequence(args.sequence, fm.layout.n_groups, what="group")
     for k in sequence:
         fm = group_mutate(fm, k)
     out.write("Bcal\n")

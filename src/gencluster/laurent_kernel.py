@@ -123,8 +123,9 @@ class VariableTable:
 
     Parameters
     ----------
-    names : tuple of str
-        Distinct variable names (identifier-shaped).
+    names : sequence of str
+        Distinct variable names (identifier-shaped), stored as a tuple; a
+        bare ``str`` is refused.
     n_cluster : int
         How many of the names, from the left, are cluster variables; the
         rest are frozen.
@@ -134,6 +135,9 @@ class VariableTable:
     n_cluster: int
 
     def __post_init__(self):
+        if isinstance(self.names, str):
+            raise ValidationError(f"names must be a sequence, not the string {self.names!r}")
+        object.__setattr__(self, "names", tuple(self.names))
         seen = set()
         for name in self.names:
             if not isinstance(name, str) or not _NAME_RE.match(name):

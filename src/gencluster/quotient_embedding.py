@@ -45,12 +45,13 @@ where the evaluated cluster entries would be astronomically large.
 
 Exchange data is read off matrix rows as exponent vectors, each role
 from its column block of the folded layout ``[cluster groups | F | T^1
-S^1 | ...]`` that :func:`~gencluster.unfolding.build` fixes; the
-embedding's lifts are read off the same layout.  A ``sigma``
-sum and the right side of the product formula are kernel shifted sums
-(``poly_shifted_sum``), which shift keys by exponent vectors and build
-no one-term polynomial; a placeholder expansion, whose factors are
-both general polynomials, is one kernel ``poly_sum_of_products``.
+S^1 | ...]``, which :class:`~gencluster.unfolding.FoldedLayout` works
+out once per unfolding; the embedding's lifts are read off the same
+layout.  A ``sigma`` sum and the right side of the product formula are
+kernel shifted sums (``poly_shifted_sum``), which shift keys by exponent
+vectors and build no one-term polynomial; a placeholder expansion, whose
+factors are both general polynomials, is one kernel
+``poly_sum_of_products``.
 """
 
 from copy import copy
@@ -66,10 +67,10 @@ from .gca_seed import (
     ExchangeContext,
     GeneralizedSeed,
     _trusted_seed,
+    initial_seed,
     mutate_seed,
 )
 from .laurent_kernel import (
-    VariableTable,
     poly_add,
     poly_map_variables,
     poly_mul,
@@ -79,33 +80,13 @@ from .laurent_kernel import (
     poly_sub,
     poly_sum_of_products,
 )
-from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix
+from .matrix_mutation import ExtendedExchangeMatrix
 from .root_adjoin import fresh_name, root_multiplicity, root_names, tau_tilde
 from .unfolding import FoldedMatrix, _independent_members, build, group_mutate
 
 
 # ---------------------------------------------------------------------------
 # Folded seeds
-
-
-def folded_table(gca):
-    """Variable table of the unfolded seed.
-
-    Cluster variables ``y1..yT`` (grouped by original direction), then
-    the frozen variables: the original ones renamed to their roots
-    (:func:`~gencluster.root_adjoin.root_names`), then per group the
-    ``t`` members followed by the ``s`` members, in the same interleaved
-    order as the folded matrix columns.
-    """
-    sizes = gca.divisors.entries
-    total = sum(sizes)
-    names = [f"y{c + 1}" for c in range(total)] + list(root_names(gca.table))
-    start = 0
-    for size in sizes:
-        members = range(start + 1, start + size + 1)
-        names += [f"t{c}" for c in members] + [f"s{c}" for c in members]
-        start += size
-    return VariableTable(tuple(names), total)
 
 
 @dataclass(frozen=True)
@@ -131,7 +112,7 @@ class FoldedSeed:
         return self.seed.cluster
 
     def members(self, k):
-        return self.folded.group_range(k)
+        return self.folded.layout.group_range(k)
 
 
 def folded_initial_seed(gca, multiplicity=None):
@@ -139,19 +120,20 @@ def folded_initial_seed(gca, multiplicity=None):
 
     ``multiplicity`` is the root multiplicity of the adjoined seed the
     unfolding is paired with (see :func:`~gencluster.unfolding.build`).
+    The table follows the folded columns: cluster variables ``y1..yT``
+    (grouped by original direction), the original frozen variables
+    renamed to their roots (:func:`~gencluster.root_adjoin.root_names`),
+    then per group the ``t`` members followed by the ``s`` members.
     """
     fm = build(gca, multiplicity=multiplicity)
-    table = folded_table(gca)
-    divisors = DivisorVector((1,) * fm.total)
-    cluster = tuple(table.variable(table.names[i]) for i in range(fm.total))
-    seed = GeneralizedSeed(
-        table=table,
-        cluster=cluster,
-        matrix=fm.matrix,
-        divisors=divisors,
-        strings=CoefficientStrings.trivial(table, divisors),
+    layout = fm.layout
+    seed = initial_seed(
+        fm.matrix,
+        (1,) * layout.total,
+        cluster_names=layout.cluster_names(),
+        frozen_names=layout.frozen_names(root_names(gca.table)),
     )
-    return FoldedSeed(seed=seed, folded=fm, parity=(0,) * fm.n_groups)
+    return FoldedSeed(seed=seed, folded=fm, parity=(0,) * layout.n_groups)
 
 
 def _flip(parity, k):
@@ -189,10 +171,8 @@ def _coherent_row(fs, k):
     validates their structure.
     """
     fm = fs.folded
-    if not 0 <= k < fm.n_groups:
-        raise ValidationError(f"no group {k}")
-    rows = [fm.matrix.rows[r] for r in fm.group_range(k)]
-    for col in range(fm.total + fm.m_original):
+    rows = [fm.matrix.rows[r] for r in fm.layout.group_range(k)]
+    for col in fm.layout.exchange_block:
         column = [row[col] for row in rows]
         if any(v != column[0] for v in column):
             raise GroupCoherenceViolation(
@@ -201,13 +181,14 @@ def _coherent_row(fs, k):
     return rows[0]
 
 
-def _sides(row, start=0, stop=None):
+def _sides(row, cols=None):
     """Exchange sides ``(gt, lt)`` of a matrix row as exponent vectors.
 
-    Only the columns ``[start, stop)`` are read; the folded layout puts
-    each role in one such block (see :func:`folded_table`).
+    Only the columns ``cols``, a step-1 ``range`` (all by default), are
+    read; the folded layout puts each role in one such block
+    (:class:`~gencluster.unfolding.FoldedLayout`).
     """
-    stop = len(row) if stop is None else stop
+    start, stop = (0, len(row)) if cols is None else (cols.start, cols.stop)
     before, after, block = (0,) * start, (0,) * (len(row) - stop), row[start:stop]
     return (
         before + tuple([v if v > 0 else 0 for v in block]) + after,
@@ -242,9 +223,9 @@ def unit_elimination_map(table, ranges):
 
     ``ranges`` holds each group's ``(t_range, s_range)``: the positions
     the folded layout gives its ``t`` and ``s`` variables
-    (:class:`~gencluster.unfolding.FoldedMatrix`).  The last member's
-    pair is rewritten as the inverse product of the others; for a
-    size-one group the variables are simply erased.  Every route to the
+    (``FoldedLayout.aux``).  The last member's pair is rewritten as the
+    inverse product of the others; for a size-one group the variables
+    are simply erased.  Every route to the
     quotient over one layout shares a single, read-only map.
     """
     names = table.names
@@ -281,8 +262,7 @@ def eliminate_units(fs, p):
     """Rewrite ``p`` modulo the unit relations only (no placeholders)."""
     if p.table != fs.table:
         raise ValidationError("polynomial is not over the folded table")
-    fm = fs.folded
-    ranges = tuple((fm.t_range(k), fm.s_range(k)) for k in range(fm.n_groups))
+    ranges = fs.folded.layout.aux
     return poly_map_variables(p, unit_elimination_map(fs.table, ranges), fs.table)
 
 
@@ -307,11 +287,11 @@ class QuotientContext:
     eliminated ``sigma`` powers are cached per folded table and group.
 
     Every position is read off the folded layout ``[cluster groups | F |
-    T^1 S^1 | ...]`` of :func:`~gencluster.unfolding.build`, not off the
-    table: the unit elimination takes each group's ``t`` and ``s``
-    ranges from it, cluster variable ``k`` lifts to the members of group
-    ``k``, and the root at frozen position ``j`` to folded column
-    ``total + j``, as both tables name their roots with
+    T^1 S^1 | ...]`` (:class:`~gencluster.unfolding.FoldedLayout`), not
+    off the table: the unit elimination takes each group's ``t`` and
+    ``s`` ranges from it, cluster variable ``k`` lifts to the members of
+    group ``k``, and the root at frozen position ``j`` to column ``j`` of
+    the ``F`` block, as both tables name their roots with
     :func:`~gencluster.root_adjoin.root_names` in frozen order.  A
     placeholder lifts to no folded column.  Two facts keep the images
     sound, and the constructor makes them so: no lift touches a ``t`` or
@@ -360,9 +340,10 @@ class QuotientContext:
         }
         self.placeholder_names = names
         self.folded_plus = fs.table.extended(names)
+        layout = fs.folded.layout
         # ``(t_range, s_range, r)`` of every placeholder, in table order.
         self._sigma_slots = tuple(
-            (fs.folded.t_range(k), fs.folded.s_range(k), r) for k, r in slots
+            (layout.t_range(k), layout.s_range(k), r) for k, r in slots
         )
         self._phi_images = {
             seed.table.names[k]: self.folded_plus.monomial(
@@ -370,13 +351,12 @@ class QuotientContext:
             )
             for k in range(seed.rank)
         }
-        total = fs.folded.total
         self._lifts = (
-            tuple(tuple(fs.members(k)) for k in range(seed.rank))
-            + tuple((total + j,) for j in range(seed.matrix.m))
+            tuple(tuple(members) for members in layout.groups)
+            + tuple((c,) for c in layout.f_block)
             + ((),) * extra
         )
-        self._eliminated = [None] * total
+        self._eliminated = [None] * layout.total
 
     @staticmethod
     def create(gca, mode="total"):
@@ -492,7 +472,8 @@ def product_formula_check(fs, k):
     constants built once per folded table, each shifted by its shell's
     exponent vector, and only the left side takes an elimination pass.
     """
-    d_k = len(fs.folded.group_range(k))
+    layout = fs.folded.layout
+    d_k = len(layout.group_range(k))
     table = fs.table
     rows = fs.folded.matrix.rows
     # Each member's binomial adds the terms of its row's two sides.
@@ -500,9 +481,8 @@ def product_formula_check(fs, k):
         poly_add(*map(table.term, _sides(rows[c]))) for c in fs.members(k)
     ))
 
-    frozen_end = fs.folded.total + fs.folded.m_original
-    g, l = _sides(_coherent_row(fs, k), 0, frozen_end)
-    t_range, s_range = fs.folded.t_range(k), fs.folded.s_range(k)
+    g, l = _sides(_coherent_row(fs, k), layout.exchange_block)
+    t_range, s_range = layout.t_range(k), layout.s_range(k)
     rhs = poly_shifted_sum(table, (
         (
             [r * a + (d_k - r) * b for a, b in zip(g, l)],
@@ -633,12 +613,12 @@ def _embedding_conditions_at(ctx):
     tracked = ctx.tracked
     fs = ctx.fs
     table = fs.table
-    total, frozen_end = fs.folded.total, fs.folded.total + fs.folded.m_original
+    layout = fs.folded.layout
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
         first = _coherent_row(fs, k)
-        u_gt, u_lt = _sides(first, 0, total)
-        v_gt, v_lt = _sides(first, total, frozen_end)
+        u_gt, u_lt = _sides(first, layout.cluster_block)
+        v_gt, v_lt = _sides(first, layout.f_block)
         # (i) cluster monomials and (ii) stable monomials.
         for label, exps, side in (
             ("(i) u>", gca_ctx.u_gt, u_gt),
@@ -654,12 +634,12 @@ def _embedding_conditions_at(ctx):
         # (iv) string entries against balanced side-ratio sums.
         ratios = []
         for c in fs.members(k):
-            gt, lt = _sides(fs.folded.matrix.rows[c], total)
+            gt, lt = _sides(fs.folded.matrix.rows[c], layout.frozen_block)
             pair = (tuple(map(sub, gt, v_gt)), tuple(map(sub, lt, v_lt)))
             for ratio, label in zip(pair, "><"):
                 failures.extend(
                     (f"(iv) ratio {label} keeps frozen content", k, c)
-                    for pos in range(total, frozen_end)
+                    for pos in layout.f_block
                     if ratio[pos]
                 )
             ratios.append(pair)

@@ -15,6 +15,9 @@ d_N`` mutable directions and ``M + 2T`` frozen columns, laid out as::
 * ``T^i`` / ``S^i``: identity and minus-identity blocks on the diagonal
   group, zero elsewhere.
 
+:class:`FoldedLayout` works these positions out once per unfolding;
+every other module reads them from it.
+
 Mutating a whole group (each member once, in any order — the diagonal
 cluster blocks vanish, so members do not interact) preserves three
 structural facts that the checkers in this module verify:
@@ -22,7 +25,8 @@ structural facts that the checkers in this module verify:
 * :func:`hadamard_check` — cluster and ``F`` blocks stay constant,
   with constants read off the correspondingly mutated weighted matrix;
 * :func:`double_constant_check` — each ``T``/``S`` block pair sums to a
-  constant block, with the diagonal pair constant-plus-(+/-)identity;
+  constant block, with the diagonal pair constant-plus-(+/-)identity
+  (it returns nothing, or raises at the first pair that fails);
 * :func:`unfolding_conditions_check` — column sums of cluster blocks
   reproduce the weighted matrix, and positive entries force
   non-negative blocks.
@@ -39,59 +43,96 @@ from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix, mutate
 
 
 @dataclass(frozen=True)
-class FoldedMatrix:
-    """An exchange matrix with group-block metadata.
+class FoldedLayout:
+    """Column positions of an unfolding, worked out once per :func:`build`.
 
-    ``matrix`` has ``total = sum(group_sizes)`` mutable columns followed
-    by ``m_original`` F-columns and then interleaved ``T^i``/``S^i``
-    column groups.  Block accessors return index ranges into the matrix,
-    so no data is copied.
+    From the divisors ``group_sizes`` and the frozen count ``m_original``
+    of the weighted seed, the constructor stores ``n_groups``, ``total``
+    (the member count), ``groups[i]`` (group ``i``'s rows and cluster
+    columns), ``aux[i]`` (its ``(t_range, s_range)`` pair) and the
+    blocks ``cluster_block``, ``f_block``, ``exchange_block`` (cluster
+    and ``F`` columns) and ``frozen_block`` (all columns after the
+    cluster block).  The group accessors raise IndexOutOfRange for a
+    missing group.  Group mutations share the layout.
     """
 
-    matrix: ExtendedExchangeMatrix
     group_sizes: tuple
     m_original: int
 
     def __post_init__(self):
-        total = sum(self.group_sizes)
-        if self.matrix.n != total:
-            raise ValidationError("matrix rank does not match the group sizes")
-        if self.matrix.m != self.m_original + 2 * total:
-            raise ValidationError("matrix width does not match the group layout")
+        total, m = sum(self.group_sizes), self.m_original
+        groups, aux, start, t = [], [], 0, total + m
+        for d in self.group_sizes:
+            groups.append(range(start, start + d))
+            aux.append((range(t, t + d), range(t + d, t + 2 * d)))
+            start, t = start + d, t + 2 * d
+        object.__setattr__(self, "n_groups", len(groups))
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "aux", tuple(aux))
+        object.__setattr__(self, "cluster_block", range(total))
+        object.__setattr__(self, "f_block", range(total, total + m))
+        object.__setattr__(self, "exchange_block", range(total + m))
+        object.__setattr__(self, "frozen_block", range(total, t))
 
-    @property
-    def n_groups(self):
-        return len(self.group_sizes)
-
-    @property
-    def total(self):
-        return sum(self.group_sizes)
+    def _group(self, i):
+        """``i``, or IndexOutOfRange unless it numbers a group."""
+        if not 0 <= i < self.n_groups:
+            raise IndexOutOfRange(f"no group {i}")
+        return i
 
     def group_range(self, i):
         """Row (and cluster-column) index range of group ``i``."""
-        if not 0 <= i < self.n_groups:
-            raise IndexOutOfRange(f"no group {i}")
-        start = sum(self.group_sizes[:i])
-        return range(start, start + self.group_sizes[i])
-
-    def f_column(self, l):
-        if not 0 <= l < self.m_original:
-            raise IndexOutOfRange(f"no F column {l}")
-        return self.total + l
+        return self.groups[self._group(i)]
 
     def t_range(self, i):
-        start = self.total + self.m_original + 2 * sum(self.group_sizes[:i])
-        return range(start, start + self.group_sizes[i])
+        return self.aux[self._group(i)][0]
 
     def s_range(self, i):
-        t = self.t_range(i)
-        return range(t.stop, t.stop + len(t))
+        return self.aux[self._group(i)][1]
+
+    def cluster_names(self):
+        """``y1 .. yT``, one cluster variable per member, group by group."""
+        return tuple(f"y{c + 1}" for c in self.cluster_block)
+
+    def frozen_names(self, roots):
+        """``roots`` (one per ``F`` column), then each group's ``t`` and ``s`` names."""
+        aux = (f"{v}{c + 1}" for members in self.groups for v in "ts" for c in members)
+        return tuple(roots) + tuple(aux)
+
+
+@dataclass(frozen=True)
+class FoldedMatrix:
+    """An unfolded exchange matrix and its :class:`FoldedLayout`.
+
+    ``matrix`` has one mutable column per group member and the frozen
+    columns the layout places.  :meth:`block` reads a sub-matrix over
+    index ranges of the layout, so no data is copied.  ``group_sizes``
+    and ``m_original`` are the layout's (a benchmark tracing key).
+    """
+
+    matrix: ExtendedExchangeMatrix
+    layout: FoldedLayout
+
+    def __post_init__(self):
+        if self.matrix.n != self.layout.total:
+            raise ValidationError("matrix rank does not match the group sizes")
+        if self.matrix.m != len(self.layout.frozen_block):
+            raise ValidationError("matrix width does not match the group layout")
+
+    @property
+    def group_sizes(self):
+        return self.layout.group_sizes
+
+    @property
+    def m_original(self):
+        return self.layout.m_original
 
     def block(self, rows, cols):
         """The sub-matrix over the given rows and a contiguous column ``range``.
 
-        ``cols`` is a step-1 ``range``, as every accessor here returns;
-        each row is read as one slice.
+        ``cols`` is a step-1 ``range``, as the layout's ranges are; each
+        row is read as one slice.
         """
         start, stop = cols.start, cols.stop
         return tuple(self.matrix.rows[r][start:stop] for r in rows)
@@ -115,37 +156,29 @@ def build(seed, multiplicity=None):
     """
     matrix, divisors = seed.matrix, seed.divisors
     n, m = matrix.n, matrix.m
-    sizes = tuple(divisors.entries)
-    total = sum(sizes)
+    layout = FoldedLayout(divisors.entries, m)
     scales = _f_scales(divisors, multiplicity)
-    width = 3 * total + m
     rows = []
     for i in range(n):
         base = []
         for j in range(n):
             value = matrix.rows[i][j] // divisors[i]
-            base.extend([value] * sizes[j])
+            base.extend([value] * divisors[j])
         for l in range(m):
             base.append(scales[i] * matrix.rows[i][n + l])
-        for _ in range(2 * total):
-            base.append(0)
-        for c in range(sizes[i]):
+        base.extend([0] * (2 * layout.total))
+        for t, s in zip(*layout.aux[i]):
             row = list(base)
-            t_start = total + m + 2 * sum(sizes[:i])
-            row[t_start + c] = 1
-            row[t_start + sizes[i] + c] = -1
+            row[t] = 1
+            row[s] = -1
             rows.append(tuple(row))
-    folded = FoldedMatrix(
-        matrix=ExtendedExchangeMatrix(total, width - total, tuple(rows)),
-        group_sizes=sizes,
-        m_original=m,
-    )
-    return folded
+    frozen = len(layout.frozen_block)
+    return FoldedMatrix(ExtendedExchangeMatrix(layout.total, frozen, tuple(rows)), layout)
 
 
 def _independent_members(fm, k):
     """The members of group ``k``; StructureViolation if two interact."""
-    members = fm.group_range(k)
+    members = fm.layout.group_range(k)
     for a in members:
         for b in members:
             if fm.matrix.rows[a][b] != 0:
@@ -184,29 +217,27 @@ def hadamard_check(fm, matrix, divisors, multiplicity=None):
     if not isinstance(divisors, DivisorVector):
         divisors = DivisorVector(tuple(divisors))
     _check_reference(fm, matrix)
-    if len(divisors) != fm.n_groups:
+    layout = fm.layout
+    if len(divisors) != layout.n_groups:
         raise ValidationError(
-            f"{len(divisors)} divisors for an unfolding of {fm.n_groups} groups"
+            f"{len(divisors)} divisors for an unfolding of {layout.n_groups} groups"
         )
     failures = []
     n = matrix.n
     scales = _f_scales(divisors, multiplicity)
-    for i in range(n):
-        rows_i = fm.group_range(i)
-        for j in range(n):
+    for i, rows_i in enumerate(layout.groups):
+        for j, cols in enumerate(layout.groups):
             value, rem = divmod(matrix.rows[i][j], divisors[i])
             if rem:
                 failures.append(
                     ("cluster", i, j, "reference entry not divisible by d_i")
                 )
                 continue
-            block = fm.block(rows_i, fm.group_range(j))
-            bad = _first_nonconstant(block, value)
+            bad = _first_nonconstant(fm.block(rows_i, cols), value)
             if bad is not None:
                 failures.append(("cluster", i, j, bad))
-        for l in range(matrix.m):
+        for l, c in enumerate(layout.f_block):
             value = scales[i] * matrix.rows[i][n + l]
-            c = fm.f_column(l)
             block = fm.block(rows_i, range(c, c + 1))
             bad = _first_nonconstant(block, value)
             if bad is not None:
@@ -220,10 +251,11 @@ def _check_reference(fm, matrix):
     It needs one row per group and one frozen column per ``F`` column:
     a smaller reference would leave the rest of the unfolding unchecked.
     """
-    if (matrix.n, matrix.m) != (fm.n_groups, fm.m_original):
+    layout = fm.layout
+    if (matrix.n, matrix.m) != (layout.n_groups, layout.m_original):
         raise ValidationError(
             f"reference has {matrix.n} rows and {matrix.m} frozen columns; the "
-            f"unfolding has {fm.n_groups} groups and {fm.m_original} F columns"
+            f"unfolding has {layout.n_groups} groups and {layout.m_original} F columns"
         )
 
 
@@ -235,21 +267,6 @@ def _first_nonconstant(block, value):
     return None
 
 
-@dataclass(frozen=True)
-class DoubleConstantWitness:
-    """Constants extracted from the ``T``/``S`` block pairs.
-
-    For each group pair ``(i, j)``: ``T^{ij} + S^{ij} = a[i,j] * ones``;
-    off the diagonal ``T^{ij} = c[i,j] * ones``; on the diagonal
-    ``T^{ii} = c[i,i] * ones + alpha[i] * Id`` with ``alpha[i]`` in
-    ``{+1, -1}``.
-    """
-
-    a: dict
-    c: dict
-    alpha: dict
-
-
 def _plus_identity(value, shift, height, width):
     """``value J + shift Id`` as row tuples, like :meth:`FoldedMatrix.block`."""
     row = (value,) * width
@@ -259,40 +276,38 @@ def _plus_identity(value, shift, height, width):
 
 
 def double_constant_check(fm):
-    """Extract the double-constant witness, or raise StructureViolation.
+    """Return None if every ``T``/``S`` block pair is double-constant.
 
     One rule holds for every group pair ``(i, j)``: with ``alpha`` equal
     to ``alpha[i]`` when ``i == j`` and to 0 otherwise, ``T`` must be
     ``c J + alpha Id`` and ``S`` must be ``(a - c) J - alpha Id``, with
     ``a`` and ``c`` read off the first entries.  ``alpha[i]`` is ``T[0][0]
     - T[0][1]`` of the diagonal block, or +1 for a 1 x 1 block, and must
-    be +1 or -1.
+    be +1 or -1.  The first pair that breaks the rule raises
+    StructureViolation.
     """
-    a, c, alpha = {}, {}, {}
-    for i in range(fm.n_groups):
-        rows_i = fm.group_range(i)
-        for j in range(fm.n_groups):
-            t_block = fm.block(rows_i, fm.t_range(j))
-            s_block = fm.block(rows_i, fm.s_range(j))
+    for i, rows_i in enumerate(fm.layout.groups):
+        for j, (t_cols, s_cols) in enumerate(fm.layout.aux):
+            t_block = fm.block(rows_i, t_cols)
+            s_block = fm.block(rows_i, s_cols)
             shift = 0
             if i == j:
                 row = t_block[0]
-                shift = alpha[i] = row[0] - row[1] if len(row) > 1 else 1
+                shift = row[0] - row[1] if len(row) > 1 else 1
                 if shift not in (1, -1):
                     raise StructureViolation(
                         f"diagonal T block ({i},{i}) identity part is "
                         f"{shift}, expected +1 or -1"
                     )
-            a[(i, j)] = a_ij = t_block[0][0] + s_block[0][0]
-            c[(i, j)] = c_ij = t_block[0][0] - shift
-            shape = len(rows_i), fm.group_sizes[j]
-            if t_block != _plus_identity(c_ij, shift, *shape):
+            a = t_block[0][0] + s_block[0][0]
+            c = t_block[0][0] - shift
+            shape = len(rows_i), len(t_cols)
+            if t_block != _plus_identity(c, shift, *shape):
                 raise StructureViolation(
                     f"T block ({i},{j}) is not a constant plus {shift} Id"
                 )
-            if s_block != _plus_identity(a_ij - c_ij, -shift, *shape):
+            if s_block != _plus_identity(a - c, -shift, *shape):
                 raise StructureViolation(f"T+S block ({i},{j}) is not constant")
-    return DoubleConstantWitness(a=a, c=c, alpha=alpha)
 
 
 def unfolding_conditions_check(fm, matrix):
@@ -305,12 +320,11 @@ def unfolding_conditions_check(fm, matrix):
     """
     _check_reference(fm, matrix)
     failures = []
-    n = matrix.n
-    for i in range(n):
-        rows_i = fm.group_range(i)
-        for j in range(n):
+    groups = fm.layout.groups
+    for i, rows_i in enumerate(groups):
+        for j, cols in enumerate(groups):
             ref = matrix.rows[i][j]
-            block = fm.block(rows_i, fm.group_range(j))
+            block = fm.block(rows_i, cols)
             for col in range(len(block[0])):
                 total = sum(block[r][col] for r in range(len(block)))
                 if total != ref:

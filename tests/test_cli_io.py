@@ -591,7 +591,7 @@ def product_formula_prefix(seed, prefix):
     return FoldedSeed(
         seed=replace(initial.seed, matrix=fm.matrix),
         folded=fm,
-        parity=tuple(prefix.count(k) % 2 for k in range(fm.n_groups)),
+        parity=tuple(prefix.count(k) % 2 for k in range(fm.layout.n_groups)),
     )
 
 
@@ -771,7 +771,7 @@ def parity_naming_check(threshold):
     walk that shares a state across parities changes the records.
     """
     def pf_check(fs, k):
-        row = fs.folded.matrix.rows[fs.folded.group_range(k)[0]]
+        row = fs.folded.matrix.rows[fs.folded.layout.group_range(k)[0]]
         bad = sum(row) > threshold
         failures = ((k, f"{row} parity {fs.parity[k]}"),) if bad else ()
         return Report(failures)

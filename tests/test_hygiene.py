@@ -111,6 +111,45 @@ def test_key_format_stays_in_the_kernel():
     assert found == []
 
 
+#: The sizes the folded layout is worked out from.  Only ``unfolding.py``
+#: turns them into column positions; the other modules read the ranges
+#: of :class:`~gencluster.unfolding.FoldedLayout`.
+FOLDED_LAYOUT_SIZES = {"group_sizes", "m_original"}
+
+
+def layout_size_reads(source):
+    """``(line, name)`` of every attribute read of a folded layout size."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in FOLDED_LAYOUT_SIZES
+    )
+
+
+def test_layout_size_reads_are_detected():
+    source = (
+        "frozen_end = fm.layout.total + fm.m_original\n"
+        "sizes = fs.folded.group_sizes\n"
+        "fm.m_original = 2\n"
+        "print(layout.f_block, layout.group_range(0))\n"
+    )
+    assert layout_size_reads(source) == [(1, "m_original"), (2, "group_sizes")]
+
+
+def test_folded_layout_stays_in_unfolding():
+    # Only unfolding.py works out folded column positions; the benchmark's
+    # tracer under perfbench/ reads the sizes as a state key, not as positions.
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "gencluster").glob("*.py"))
+        if path.name != "unfolding.py"
+        for line, name in layout_size_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
 #: The ``gencluster`` modules each module of the package imports, reviewed:
 #: ``module: (at import time, inside functions)``.  Each layer imports
 #: only the layers below it.  The quotient layer is imported inside the
@@ -230,6 +269,16 @@ SHARED_MEMBER_NAMES = {
     "cluster": (
         "FoldedSeed's by QuotientContext (self.fs.cluster); GeneralizedSeed's by "
         "seed.cluster in gca_seed, root_adjoin and FoldedSeed.cluster"
+    ),
+    "group_sizes": (
+        "FoldedLayout's by self.group_sizes and layout.group_sizes in unfolding; "
+        "FoldedMatrix's (its layout's) by fm.group_sizes in perfbench's tracer "
+        "and the tests"
+    ),
+    "m_original": (
+        "FoldedLayout's by self.m_original and fm.layout.m_original in unfolding; "
+        "FoldedMatrix's (its layout's) by fm.m_original in perfbench's tracer and "
+        "the tests"
     ),
     "matrix": (
         "FoldedMatrix's by fm.matrix in unfolding, quotient_embedding and cli_io; "

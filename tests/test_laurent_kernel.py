@@ -297,6 +297,16 @@ class TestTables:
         with pytest.raises(ValidationError):
             VariableTable.make(cluster=("x", "x"))
 
+    def test_names_are_stored_as_a_tuple(self):
+        table = VariableTable(["x", "y", "f"], 2)
+        assert table.names == ("x", "y", "f")
+        assert table == SMALL_TABLE and hash(table) == hash(SMALL_TABLE)
+        assert table.extended(("g",)) == SMALL_TABLE.extended(("g",))
+
+    def test_bare_string_of_names_rejected(self):
+        with pytest.raises(ValidationError, match="not the string 'xf'"):
+            VariableTable("xf", 1)
+
     def test_make_accepts_iterators(self):
         table = VariableTable.make(cluster=(n for n in "xy"), frozen=("f",))
         assert table == SMALL_TABLE

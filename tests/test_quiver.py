@@ -30,12 +30,12 @@ def quiver_of(seed, **kwargs):
 def unfolded_quiver(seed):
     fm = build(seed)
     partition = FoldingPartition(
-        tuple(tuple(fm.group_range(i)) for i in range(fm.n_groups))
-        + ((tuple(fm.f_column(l) for l in range(fm.m_original)),) if fm.m_original else ())
-        + tuple(tuple(fm.t_range(i)) for i in range(fm.n_groups))
-        + tuple(tuple(fm.s_range(i)) for i in range(fm.n_groups))
+        tuple(tuple(fm.layout.group_range(i)) for i in range(fm.layout.n_groups))
+        + ((tuple(fm.layout.f_block),) if fm.m_original else ())
+        + tuple(tuple(fm.layout.t_range(i)) for i in range(fm.layout.n_groups))
+        + tuple(tuple(fm.layout.s_range(i)) for i in range(fm.layout.n_groups))
     )
-    return from_matrix(fm.matrix, (1,) * fm.total), partition, fm
+    return from_matrix(fm.matrix, (1,) * fm.layout.total), partition, fm
 
 
 class TestCorrespondence:

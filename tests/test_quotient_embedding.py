@@ -56,7 +56,6 @@ from gencluster.quotient_embedding import (
     eliminate_units,
     embedding_check,
     folded_initial_seed,
-    folded_table,
     group_mutate_seed,
     product_formula_check,
     product_formula_suite,
@@ -66,7 +65,7 @@ from gencluster.quotient_embedding import (
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import root_names, tau_tilde
-from gencluster.unfolding import FoldedMatrix, build, group_mutate
+from gencluster.unfolding import FoldedLayout, FoldedMatrix, group_mutate
 
 FIX_C_PHI_X = "y1*y2"
 FIX_C_PHI_X_MUTATED = (
@@ -155,7 +154,7 @@ def sigma_polynomial(fs, k, r):
     with ``t_c`` for ``c`` in ``J`` and ``s_c`` for the others.
     """
     names = fs.table.names
-    pairs = list(zip(fs.folded.t_range(k), fs.folded.s_range(k)))
+    pairs = list(zip(fs.folded.layout.t_range(k), fs.folded.layout.s_range(k)))
     total = LaurentPolynomial.zero(fs.table)
     for subset in combinations(range(len(pairs)), r):
         term = fs.table.monomial({
@@ -204,7 +203,7 @@ def oracle_product_formula_check(fs, k):
     full, each shell by ``mono_power`` and ``mono_times``, and the unit relations
     eliminate both sides at the end.
     """
-    d_k = len(fs.folded.group_range(k))
+    d_k = len(fs.folded.layout.group_range(k))
     table = fs.table
     lhs = LaurentPolynomial.one(table)
     for c in fs.members(k):
@@ -284,7 +283,7 @@ def oracle_phi_poly(ctx, p):
     units = oracle_unit_elimination(plus, tracked.divisors.entries)
     lifted = poly_map_variables(lifted, units, plus)
     slots = [
-        (fs.folded.t_range(k), fs.folded.s_range(k), r)
+        (fs.folded.layout.t_range(k), fs.folded.layout.s_range(k), r)
         for k in range(tracked.rank)
         for r in range(1, tracked.divisors[k])
     ]
@@ -407,11 +406,7 @@ def tampered(fs, row, col, delta):
     matrix = _trusted_matrix(fs.folded.matrix, tuple(tuple(r) for r in rows))
     return FoldedSeed(
         seed=fs.seed,
-        folded=FoldedMatrix(
-            matrix=matrix,
-            group_sizes=fs.folded.group_sizes,
-            m_original=fs.folded.m_original,
-        ),
+        folded=FoldedMatrix(matrix=matrix, layout=fs.folded.layout),
         parity=fs.parity,
     )
 
@@ -495,7 +490,7 @@ def shared_factor_seeds():
 
 class TestFoldedSeed:
     def test_table_layout(self, fix_c):
-        table = folded_table(fix_c)
+        table = folded_initial_seed(fix_c).table
         assert table.names == ("y1", "y2", "F", "t1", "t2", "s1", "s2")
         assert table.n_cluster == 2
 
@@ -509,7 +504,7 @@ class TestFoldedSeed:
         )
         assert root_names(clash.table) == ("F_R_R", "F_R_R_R", "F_R_R_R_R")
         for seed in (fix_a, fix_b, clash):
-            adjoined, folded = tau_tilde(seed).seed.table, folded_table(seed)
+            adjoined, folded = tau_tilde(seed).seed.table, folded_initial_seed(seed).table
             roles = folded_roles(folded, seed.divisors.entries)
             assert [adjoined.names[p] for p in adjoined.frozen_indices] == [
                 name for name, (role, _) in zip(folded.names, roles) if role == "frozen"
@@ -522,21 +517,22 @@ class TestFoldedSeed:
         rng = random.Random(29)
         seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(40)]
         for seed in seeds:
-            table, fm = folded_table(seed), build(seed)
+            fs = folded_initial_seed(seed)
+            table, fm = fs.table, fs.folded
             blocks = {}
             for q, key in enumerate(folded_roles(table, seed.divisors.entries)):
                 blocks.setdefault(key, []).append(q)
             expected = {}
             if fm.m_original:
-                expected["frozen", None] = [fm.f_column(l) for l in range(fm.m_original)]
-            for k in range(fm.n_groups):
-                expected["cluster", k] = list(fm.group_range(k))
-                expected["t", k] = list(fm.t_range(k))
-                expected["s", k] = list(fm.s_range(k))
+                expected["frozen", None] = list(fm.layout.f_block)
+            for k in range(fm.layout.n_groups):
+                expected["cluster", k] = list(fm.layout.group_range(k))
+                expected["t", k] = list(fm.layout.t_range(k))
+                expected["s", k] = list(fm.layout.s_range(k))
             assert blocks == expected
             assert all(b == list(range(b[0], b[-1] + 1)) for b in blocks.values())
             assert len(table) == fm.matrix.n + fm.matrix.m
-            assert table.n_cluster == fm.total
+            assert table.n_cluster == fm.layout.total
 
     def test_unit_elimination_matches_the_name_oracle(self, fix_a, fix_b, fix_c):
         # The map reads each group's t and s positions off the layout;
@@ -545,9 +541,12 @@ class TestFoldedSeed:
         seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(40)]
         for seed in seeds:
             fs = folded_initial_seed(seed)
-            fm = fs.folded
-            ranges = tuple((fm.t_range(k), fm.s_range(k)) for k in range(fm.n_groups))
-            units = unit_elimination_map(fs.table, ranges)
+            layout = fs.folded.layout
+            ranges = tuple(
+                (layout.t_range(k), layout.s_range(k)) for k in range(layout.n_groups)
+            )
+            assert ranges == layout.aux
+            units = unit_elimination_map(fs.table, layout.aux)
             assert dict(units) == oracle_unit_elimination(fs.table, seed.divisors.entries)
             assert unit_elimination_map(fs.table, ranges) is units
 
@@ -581,11 +580,27 @@ class TestFoldedSeed:
         matrix = ExtendedExchangeMatrix.from_rows(
             ((0, 1, 1, 0, -1, 0), (-1, 0, 0, 1, 0, -1)), m=4
         )
-        interacting = FoldedMatrix(matrix=matrix, group_sizes=(2,), m_original=0)
+        interacting = FoldedMatrix(matrix=matrix, layout=FoldedLayout((2,), 0))
         with pytest.raises(StructureViolation):
             group_mutate_seed(
                 FoldedSeed(seed=fs.seed, folded=interacting, parity=fs.parity), 0
             )
+
+    def test_coherent_row_refuses_a_missing_group(self, fix_a):
+        # The layout's check is the only one, so the error is IndexOutOfRange.
+        fs = folded_initial_seed(fix_a)
+        for k in (-1, fs.folded.layout.n_groups):
+            with pytest.raises(IndexOutOfRange, match=f"no group {k}"):
+                _coherent_row(fs, k)
+
+    def test_walks_share_the_layout(self, fix_b):
+        ctx = QuotientContext.create(fix_b)
+        fs, step, _, _ = product_formula_walk(fix_b)
+        layouts = ctx.fs.folded.layout, fs.folded.layout
+        for k in (0, 1):
+            ctx, fs = ctx.mutate(k), step(fs, k)
+            assert ctx.fs.folded.layout is layouts[0]
+            assert fs.folded.layout is layouts[1]
 
     def test_group_monomials(self, fix_a):
         fs = folded_initial_seed(fix_a)
@@ -609,8 +624,7 @@ class TestFoldedSeed:
                 fs.folded.matrix.m,
                 tuple(tuple(row) for row in rows),
             ),
-            group_sizes=fs.folded.group_sizes,
-            m_original=fs.folded.m_original,
+            layout=fs.folded.layout,
         )
         broken = FoldedSeed(seed=fs.seed, folded=corrupted, parity=fs.parity)
         with pytest.raises(GroupCoherenceViolation):
@@ -641,7 +655,7 @@ class TestFoldedSeed:
                     product_formula_walk(gca, mode)[0].folded,
                     QuotientContext.create(gca, mode).fs.folded,
                 ):
-                    columns = [fm.f_column(l) for l in range(gca.matrix.m)]
+                    columns = fm.layout.f_block
                     rows = fm.matrix.rows
                     assert [tuple(row[c] for c in columns) for row in rows] == expected
         # Some draws tell the lcm from the product.
@@ -879,8 +893,8 @@ class TestProductFormula:
             sequences = [(k,) for k in range(seed.rank)]
             for fs in product_formula_states(seed, "total", sequences):
                 for k in range(seed.rank):
-                    member = fs.members(k)[0]
-                    for col in (fs.folded.t_range(k)[0], fs.folded.s_range(k)[-1]):
+                    member, (t_cols, s_cols) = fs.members(k)[0], fs.folded.layout.aux[k]
+                    for col in (t_cols[0], s_cols[-1]):
                         for delta in (1, -2):
                             bad = tampered(fs, member, col, delta)
                             report = product_formula_check(bad, k)
@@ -950,7 +964,7 @@ class TestEmbeddingAndSubquotient:
                 for j in (j for j in range(seed.rank) if seed.divisors[j] > 1):
                     bad = copy(ctx)
                     member = ctx.fs.members(j)[0]
-                    bad.fs = tampered(ctx.fs, member, ctx.fs.folded.t_range(j)[0], 1)
+                    bad.fs = tampered(ctx.fs, member, ctx.fs.folded.layout.t_range(j)[0], 1)
                     assert condition_iv(bad) == oracle_condition_iv(bad) != []
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])

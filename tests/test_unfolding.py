@@ -19,6 +19,7 @@ from gencluster.matrix_mutation import (
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.unfolding import (
+    FoldedLayout,
     FoldedMatrix,
     build,
     double_constant_check,
@@ -70,13 +71,12 @@ FIX_A_MU21 = ((0, 8, -301, -5), (-12, 0, 38, -7))
 
 def column_groups(fm):
     """All column groups of ``fm`` as (kind, index, range) triples."""
-    out = [("cluster", j, fm.group_range(j)) for j in range(fm.n_groups)]
-    for l in range(fm.m_original):
-        c = fm.f_column(l)
+    out = [("cluster", j, fm.layout.group_range(j)) for j in range(fm.layout.n_groups)]
+    for l, c in enumerate(fm.layout.f_block):
         out.append(("f", l, range(c, c + 1)))
-    for j in range(fm.n_groups):
-        out.append(("t", j, fm.t_range(j)))
-        out.append(("s", j, fm.s_range(j)))
+    for j in range(fm.layout.n_groups):
+        out.append(("t", j, fm.layout.t_range(j)))
+        out.append(("s", j, fm.layout.s_range(j)))
     return out
 
 
@@ -88,9 +88,7 @@ def edited(fm, changes):
     matrix = ExtendedExchangeMatrix(
         fm.matrix.n, fm.matrix.m, tuple(tuple(row) for row in rows)
     )
-    return FoldedMatrix(
-        matrix=matrix, group_sizes=fm.group_sizes, m_original=fm.m_original
-    )
+    return FoldedMatrix(matrix=matrix, layout=fm.layout)
 
 
 class TestBuild:
@@ -106,7 +104,7 @@ class TestBuild:
         D = d.product
         n = B.n
         for i in range(n):
-            rows_i = fm.group_range(i)
+            rows_i = fm.layout.group_range(i)
             for kind, idx, cols in column_groups(fm):
                 block = fm.block(rows_i, cols)
                 if kind == "cluster":
@@ -128,14 +126,13 @@ class TestBuild:
 
     def test_layout_accessors(self, fix_a):
         fm = build(fix_a)
-        assert list(fm.group_range(0)) == [0, 1]
-        assert list(fm.group_range(1)) == [2, 3, 4]
-        assert fm.f_column(0) == 5
-        assert fm.f_column(1) == 6
-        assert list(fm.t_range(0)) == [7, 8]
-        assert list(fm.s_range(0)) == [9, 10]
-        assert list(fm.t_range(1)) == [11, 12, 13]
-        assert list(fm.s_range(1)) == [14, 15, 16]
+        assert list(fm.layout.group_range(0)) == [0, 1]
+        assert list(fm.layout.group_range(1)) == [2, 3, 4]
+        assert list(fm.layout.f_block) == [5, 6]
+        assert list(fm.layout.t_range(0)) == [7, 8]
+        assert list(fm.layout.s_range(0)) == [9, 10]
+        assert list(fm.layout.t_range(1)) == [11, 12, 13]
+        assert list(fm.layout.s_range(1)) == [14, 15, 16]
         kinds = [(kind, idx) for kind, idx, _ in column_groups(fm)]
         assert kinds == [
             ("cluster", 0),
@@ -147,17 +144,21 @@ class TestBuild:
             ("t", 1),
             ("s", 1),
         ]
-        with pytest.raises(IndexOutOfRange):
-            fm.group_range(2)
-        with pytest.raises(IndexOutOfRange):
-            fm.f_column(2)
+
+    @pytest.mark.parametrize("accessor", ["group_range", "t_range", "s_range"])
+    def test_group_accessors_refuse_a_missing_group(self, fix_a, accessor):
+        # -1 would otherwise read the last group, and n_groups one past it.
+        layout = build(fix_a).layout
+        for i in (-1, layout.n_groups):
+            with pytest.raises(IndexOutOfRange, match=f"no group {i}"):
+                getattr(layout, accessor)(i)
 
     def test_layout_validation(self, fix_a):
         fm = build(fix_a)
         with pytest.raises(ValidationError):
-            FoldedMatrix(matrix=fm.matrix, group_sizes=(2, 2), m_original=2)
+            FoldedMatrix(matrix=fm.matrix, layout=FoldedLayout((2, 2), 2))
         with pytest.raises(ValidationError):
-            FoldedMatrix(matrix=fm.matrix, group_sizes=(2, 3), m_original=1)
+            FoldedMatrix(matrix=fm.matrix, layout=FoldedLayout((2, 3), 1))
 
     def test_fix_c_shape(self, fix_c):
         fm = build(fix_c)
@@ -198,11 +199,23 @@ class TestGroupMutation:
         with pytest.raises(IndexOutOfRange):
             group_mutate(build(fix_a), 2)
 
+    def test_group_mutation_shares_the_layout(self, fix_a, monkeypatch):
+        fm = build(fix_a)
+
+        def recompute(layout):
+            raise AssertionError("layout recomputed")
+
+        monkeypatch.setattr(FoldedLayout, "__post_init__", recompute)
+        for k in (0, 1, 1, 0):
+            mutated = group_mutate(fm, k)
+            assert mutated.layout is fm.layout
+            fm = mutated
+
     def test_interacting_members_rejected(self):
         matrix = ExtendedExchangeMatrix.from_rows(
             ((0, 1, 1, 0, -1, 0), (-1, 0, 0, 1, 0, -1)), m=4
         )
-        fm = FoldedMatrix(matrix=matrix, group_sizes=(2,), m_original=0)
+        fm = FoldedMatrix(matrix=matrix, layout=FoldedLayout((2,), 0))
         with pytest.raises(StructureViolation):
             group_mutate(fm, 0)
 
@@ -236,9 +249,9 @@ def block_formula(fm, k):
     which needs both factors to be sign-coherent.
     """
     rows = [list(row) for row in fm.matrix.rows]
-    k_cols = fm.group_range(k)
-    for i in range(fm.n_groups):
-        rows_i = fm.group_range(i)
+    k_cols = fm.layout.group_range(k)
+    for i in range(fm.layout.n_groups):
+        rows_i = fm.layout.group_range(i)
         left = fm.block(rows_i, k_cols)
         for kind, idx, cols in column_groups(fm):
             block = fm.block(rows_i, cols)
@@ -260,9 +273,7 @@ def block_formula(fm, k):
     matrix = ExtendedExchangeMatrix(
         fm.matrix.n, fm.matrix.m, tuple(tuple(row) for row in rows)
     )
-    return FoldedMatrix(
-        matrix=matrix, group_sizes=fm.group_sizes, m_original=fm.m_original
-    )
+    return FoldedMatrix(matrix=matrix, layout=fm.layout)
 
 
 class TestBlockFormula:
@@ -274,7 +285,7 @@ class TestBlockFormula:
             for _ in range(4):
                 following = []
                 for fm in states:
-                    for k in range(fm.n_groups):
+                    for k in range(fm.layout.n_groups):
                         mutated = group_mutate(fm, k)
                         assert mutated == block_formula(fm, k)
                         following.append(mutated)
@@ -296,21 +307,6 @@ class TestBlockFormula:
             block_formula(fm, 0)
 
 
-def witness_blocks(fm, witness, i, j):
-    """The ``T`` and ``S`` blocks of group pair ``(i, j)`` rebuilt from ``witness``.
-
-    On the diagonal ``T = c J + alpha Id`` and ``S = (a - c) J - alpha Id``;
-    off the diagonal the ``alpha`` terms are dropped.
-    """
-    a, c = witness.a[(i, j)], witness.c[(i, j)]
-    alpha = witness.alpha[i] if i == j else 0
-    t = tuple(
-        tuple(c + (alpha if r == q else 0) for q in range(fm.group_sizes[j]))
-        for r in range(fm.group_sizes[i])
-    )
-    return t, tuple(tuple(a - e for e in row) for row in t)
-
-
 def has_witness(fm):
     """Whether a double-constant witness fits ``fm``, read off the definition.
 
@@ -318,9 +314,9 @@ def has_witness(fm):
     once ``alpha Id`` is taken off, for ``alpha = 0`` off the diagonal
     and for some ``alpha`` in ``{+1, -1}`` on it.
     """
-    for i, j in product(range(fm.n_groups), repeat=2):
-        rows = fm.group_range(i)
-        t, s = fm.block(rows, fm.t_range(j)), fm.block(rows, fm.s_range(j))
+    for i, j in product(range(fm.layout.n_groups), repeat=2):
+        rows, (t_cols, s_cols) = fm.layout.group_range(i), fm.layout.aux[j]
+        t, s = fm.block(rows, t_cols), fm.block(rows, s_cols)
         if len({x + y for tr, sr in zip(t, s) for x, y in zip(tr, sr)}) != 1:
             return False
         if not any(
@@ -334,23 +330,19 @@ def has_witness(fm):
     return True
 
 
-def assert_witness_rebuilds(fm):
-    witness = double_constant_check(fm)
-    assert set(witness.alpha.values()) <= {1, -1}
-    # A 1 x 1 diagonal block fits either sign; the convention is +1.
-    assert all(witness.alpha[i] == 1 for i, size in enumerate(fm.group_sizes) if size == 1)
-    for i, j in product(range(fm.n_groups), repeat=2):
-        rows = fm.group_range(i)
-        assert (
-            fm.block(rows, fm.t_range(j)), fm.block(rows, fm.s_range(j))
-        ) == witness_blocks(fm, witness, i, j), (i, j)
+def assert_raises_exactly_without_witness(fm):
+    if has_witness(fm):
+        assert double_constant_check(fm) is None
+    else:
+        with pytest.raises(StructureViolation):
+            double_constant_check(fm)
 
 
 def walk_states(seed, depth):
     """Every group-mutation state of ``build(seed)`` up to ``depth`` steps."""
     states = layer = [build(seed)]
     for _ in range(depth):
-        layer = [group_mutate(fm, k) for fm in layer for k in range(fm.n_groups)]
+        layer = [group_mutate(fm, k) for fm in layer for k in range(fm.layout.n_groups)]
         states = states + layer
     return states
 
@@ -363,14 +355,15 @@ def ts_corruptions(fm):
     identity part shifted by ``-2 .. 2``, again keeping ``T + S``.
     """
     rows = fm.matrix.rows
-    for j in range(fm.n_groups):
-        for r in range(fm.total):
-            for t, s in zip(fm.t_range(j), fm.s_range(j)):
+    for j in range(fm.layout.n_groups):
+        for r in range(fm.layout.total):
+            for t, s in zip(fm.layout.t_range(j), fm.layout.s_range(j)):
                 yield {(r, t): rows[r][t] + 1}
                 yield {(r, s): rows[r][s] - 1}
                 yield {(r, t): rows[r][t] + 1, (r, s): rows[r][s] - 1}
-    for i in range(fm.n_groups):
-        members = list(zip(fm.group_range(i), fm.t_range(i), fm.s_range(i)))
+    for i in range(fm.layout.n_groups):
+        layout = fm.layout
+        members = list(zip(layout.group_range(i), layout.t_range(i), layout.s_range(i)))
         for delta in (-2, -1, 1, 2):
             changes = {}
             for r, t, s in members:
@@ -380,22 +373,23 @@ def ts_corruptions(fm):
 
 
 class TestDoubleConstantOracle:
-    """``double_constant_check`` against the definition of its witness."""
+    """``double_constant_check`` raises exactly when no witness fits."""
 
-    def test_witness_rebuilds_the_blocks_on_fixtures(self, fix_a, fix_b, fix_c):
+    def test_verdict_on_fixture_walks(self, fix_a, fix_b, fix_c):
         for seed in (fix_a, fix_b, fix_c):
             for fm in walk_states(seed, 4):
-                assert_witness_rebuilds(fm)
+                assert has_witness(fm)
+                assert_raises_exactly_without_witness(fm)
 
-    def test_witness_rebuilds_the_blocks_on_random_walks(self):
+    def test_verdict_on_random_walks(self):
         rng = random.Random(4017)
         for _ in range(60):
             seed = random_seed(rng)
             fm = build(seed)
-            assert_witness_rebuilds(fm)
+            assert_raises_exactly_without_witness(fm)
             for k in random_sequence(rng, seed.matrix.n, 4):
                 fm = group_mutate(fm, k)
-                assert_witness_rebuilds(fm)
+                assert_raises_exactly_without_witness(fm)
 
     def test_raises_exactly_when_no_witness_fits(self, fix_a, fix_b, fix_c):
         rng = random.Random(4018)
@@ -407,13 +401,8 @@ class TestDoubleConstantOracle:
         for fm in states:
             for changes in ts_corruptions(fm):
                 broken = edited(fm, changes)
-                fits = has_witness(broken)
-                verdicts.add(fits)
-                if fits:
-                    assert_witness_rebuilds(broken)
-                else:
-                    with pytest.raises(StructureViolation):
-                        double_constant_check(broken)
+                verdicts.add(has_witness(broken))
+                assert_raises_exactly_without_witness(broken)
         assert verdicts == {True, False}
 
 
@@ -441,7 +430,7 @@ class TestBlockConditions:
         )
         seed = initial_seed(matrix, (2, 2))
         fm = build(seed, multiplicity=2)
-        assert fm.block(fm.group_range(0), range(4, 6)) == ((-1, -2), (-1, -2))
+        assert fm.block(fm.layout.group_range(0), range(4, 6)) == ((-1, -2), (-1, -2))
         for k in (0, 1, 0):
             fm = group_mutate(fm, k)
             matrix = mutate_sequence(matrix, (k,))
@@ -481,17 +470,13 @@ class TestBlockConditions:
             hadamard_check(build(fix_a), fix_a.matrix, (2, 3, 1))
 
     def test_double_constant_at_build(self, fix_a):
-        witness = double_constant_check(build(fix_a))
-        assert witness.a == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-        assert witness.c == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-        assert witness.alpha == {0: 1, 1: 1}
+        assert double_constant_check(build(fix_a)) is None
 
     def test_double_constant_after_groups(self, fix_a):
+        # The constants a, c and alpha here are pinned by the walkthrough.
         fm = group_mutate_sequence(build(fix_a), (0, 1))
-        witness = double_constant_check(fm)
-        assert witness.a == {(0, 0): -48, (0, 1): -4, (1, 0): 4, (1, 1): 0}
-        assert witness.c == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-        assert witness.alpha == {0: -1, 1: -1}
+        assert has_witness(fm)
+        assert double_constant_check(fm) is None
 
     def test_double_constant_detects_corruption(self, fix_a):
         fm = edited(build(fix_a), {(0, 10): 5})
