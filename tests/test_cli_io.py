@@ -1472,12 +1472,35 @@ GOLDEN_OUTPUTS = [
      "c8f9abe2fdf0fe4dbb1c159a2dc8d5fc01512f8f0855da472204dd39116defa6", 0),
     ("verify product-formula --seed FIX-A --depth 2 --sequences random:8 --rng-seed 2",
      "b813086aa6c9cb4ec4543dcc67c05eb6b5c40d1e196020e4520a32f4a73d7ebd", 0),
+    # Two cases reach an exponent past the kernel's limit; both are
+    # recorded as ExponentOverflow failures and every other case passes.
+    ("verify product-formula --seed FIX-A --depth 13",
+     "27122452548533d5a821d5eb394dfb994db60e1dd0e906e61d20f85de58f05ac", 2),
+]
+
+#: Stdout digests and exit codes of ``verify product-formula --seed-file
+#: rank3.seed --depth 5`` on :data:`RANK_3_SEED`, whose groups 2 and 3
+#: have one member each, in text and ``--json``.
+RANK_3_PRODUCT_FORMULA_OUTPUTS = [
+    ("", "170d48fd90360245ed6e7087ef4bcd4454fcb078308c3ac3828b925d5e78d5fd", 0),
+    ("--json", "15696eabf5c122f58166a2a43c3ff947ae7e6fee98833cced16560e758e41e18", 0),
 ]
 
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("argv, digest, code", GOLDEN_OUTPUTS)
     def test_stdout_bytes(self, argv, digest, code):
+        got_code, text = run(*argv.split())
+        assert got_code == code
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags, digest, code", RANK_3_PRODUCT_FORMULA_OUTPUTS)
+    def test_rank_3_product_formula_bytes(self, monkeypatch, tmp_path, flags, digest, code):
+        # A relative file name keeps the record's label, and so the bytes,
+        # the same wherever the file is written.
+        monkeypatch.chdir(tmp_path)
+        Path("rank3.seed").write_text(RANK_3_SEED, encoding="utf-8")
+        argv = "verify product-formula --seed-file rank3.seed --depth 5 " + flags
         got_code, text = run(*argv.split())
         assert got_code == code
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
