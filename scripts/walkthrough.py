@@ -49,8 +49,8 @@ def double_constants(fm):
 
     Once :func:`double_constant_check` passes, each pair ``(i, j)`` is
     ``T = c J + alpha Id`` and ``T + S = a J`` (``alpha`` only on the
-    diagonal), so the constants are read off the first row: ``alpha`` is
-    ``T[0][0] - T[0][1]``, or +1 for a 1 x 1 block.
+    diagonal), so the constants are read off the first row, and ``alpha``
+    is the unfolding's ``identity_sign``.
     """
     double_constant_check(fm)
     a, c, alpha = {}, {}, {}
@@ -58,7 +58,7 @@ def double_constants(fm):
         for j, (t_cols, s_cols) in enumerate(fm.layout.aux):
             t, s = fm.block(rows, t_cols)[0], fm.block(rows, s_cols)[0]
             if i == j:
-                alpha[i] = t[0] - t[1] if len(t) > 1 else 1
+                alpha[i] = fm.identity_sign(i)
             a[(i, j)] = t[0] + s[0]
             c[(i, j)] = t[0] - (alpha[i] if i == j else 0)
     return a, c, alpha
@@ -89,7 +89,7 @@ def tour_exchange():
 def tour_quotient():
     seed = fixture_seed("FIX-C")
     ctx = QuotientContext.create(seed)
-    show("FIX-C folded matrix", write_matrix(ctx.fs.folded.matrix))
+    show("FIX-C folded matrix", write_matrix(ctx.folded.matrix))
     image = ctx.group_image(0)
     show("FIX-C image of x under the embedding", str(image))
     ctx = ctx.mutate(0)

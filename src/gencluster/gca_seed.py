@@ -163,24 +163,23 @@ class GeneralizedSeed:
 
 
 def initial_seed(matrix, divisors, strings=None, cluster_names=None, frozen_names=None):
-    """Seed at depth zero: the cluster is the table's own variables."""
+    """Seed at depth zero: the cluster is the table's own variables.
+
+    The names default to ``x1..xN`` and ``f1..fM``; given names are
+    sequences, and a bare ``str`` is refused as by
+    :meth:`~gencluster.laurent_kernel.VariableTable.make`.
+    """
     if not isinstance(divisors, DivisorVector):
         divisors = DivisorVector(tuple(divisors))
     n, m = matrix.n, matrix.m
-    cluster_names = (
-        tuple(cluster_names)
-        if cluster_names is not None
-        else tuple(f"x{i + 1}" for i in range(n))
-    )
-    frozen_names = (
-        tuple(frozen_names)
-        if frozen_names is not None
-        else tuple(f"f{j + 1}" for j in range(m))
-    )
+    if cluster_names is None:
+        cluster_names = tuple(f"x{i + 1}" for i in range(n))
+    if frozen_names is None:
+        frozen_names = tuple(f"f{j + 1}" for j in range(m))
     table = VariableTable.make(cluster=cluster_names, frozen=frozen_names)
     if strings is None:
         strings = CoefficientStrings.trivial(table, divisors)
-    cluster = tuple(table.variable(name) for name in cluster_names)
+    cluster = tuple(table.variable(name) for name in table.names[: table.n_cluster])
     return GeneralizedSeed(table, cluster, matrix, divisors, strings)
 
 

@@ -117,6 +117,13 @@ def _integer(value, what):
         raise ValidationError(f"{what} must be integers: {value!r}") from None
 
 
+def _name_tuple(names):
+    """``names`` as a tuple; a bare ``str`` raises ValidationError, not one name a letter."""
+    if isinstance(names, str):
+        raise ValidationError(f"names must be a sequence, not the string {names!r}")
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class VariableTable:
     """Ordered table of named variables: cluster variables, then frozen ones.
@@ -135,9 +142,7 @@ class VariableTable:
     n_cluster: int
 
     def __post_init__(self):
-        if isinstance(self.names, str):
-            raise ValidationError(f"names must be a sequence, not the string {self.names!r}")
-        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "names", _name_tuple(self.names))
         seen = set()
         for name in self.names:
             if not isinstance(name, str) or not _NAME_RE.match(name):
@@ -155,9 +160,12 @@ class VariableTable:
 
     @staticmethod
     def make(cluster=(), frozen=()):
-        """Build a plain table of cluster names followed by frozen names."""
-        cluster = tuple(cluster)
-        return VariableTable(cluster + tuple(frozen), len(cluster))
+        """Build a plain table of cluster names followed by frozen names.
+
+        Each part is a sequence of names; a bare ``str`` is refused.
+        """
+        cluster = _name_tuple(cluster)
+        return VariableTable(cluster + _name_tuple(frozen), len(cluster))
 
     def __len__(self):
         return len(self.names)

@@ -7,6 +7,8 @@ The construction proceeds in three layers, all verified exactly:
     per member of each group, the original frozen variables renamed to
     their root symbols, and one ``t``/``s`` pair of auxiliary frozen
     variables per member.  Group mutation mutates every member once.
+    The embedding walk's :class:`QuotientContext` holds this seed beside
+    the shared folded layout.
 
 2.  **Quotient** — the auxiliary variables are cut down by the ideal
     identifying each generalized coefficient ``rho_{k,r}`` with the
@@ -41,7 +43,11 @@ The product formula is a statement about exchange polynomials, so it is
 checked over *formal* current-cluster symbols: the current cluster is a
 transcendence basis, hence an identity holds for the evaluated elements
 exactly when it holds formally.  This keeps the check exact at depths
-where the evaluated cluster entries would be astronomically large.
+where the evaluated cluster entries would be astronomically large.  Its
+walk steps the bare unfolding and builds no seed: the folded table is a
+walk constant, and which end of a group's coefficient row holds each
+initial coefficient is read off the group's diagonal ``T`` block
+(:meth:`~gencluster.unfolding.FoldedMatrix.identity_sign`).
 
 Exchange data is read off matrix rows as exponent vectors, each role
 from its column block of the folded layout ``[cluster groups | F | T^1
@@ -55,7 +61,6 @@ factors are both general polynomials, is one kernel
 """
 
 from copy import copy
-from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import sub
@@ -66,7 +71,6 @@ from .gca_seed import (
     CoefficientStrings,
     ExchangeContext,
     GeneralizedSeed,
-    _trusted_seed,
     initial_seed,
     mutate_seed,
 )
@@ -82,86 +86,46 @@ from .laurent_kernel import (
 )
 from .matrix_mutation import ExtendedExchangeMatrix
 from .root_adjoin import fresh_name, root_multiplicity, root_names, tau_tilde
-from .unfolding import FoldedMatrix, _independent_members, build, group_mutate
+from .unfolding import _independent_members, build, group_mutate
 
 
 # ---------------------------------------------------------------------------
 # Folded seeds
 
 
-@dataclass(frozen=True)
-class FoldedSeed:
-    """An ordinary seed over the folded table, with group metadata.
+def folded_initial_seed(gca, fm):
+    """The ordinary seed of the unfolding ``fm`` of ``gca``, at depth zero.
 
-    ``parity[k]`` is the number of mutations of group ``k`` so far, mod 2:
-    each one reverses string row ``k`` of the generalized seed, so the
-    parity tells :func:`product_formula_check` which end of the row
-    holds each initial coefficient.
-    """
-
-    seed: GeneralizedSeed
-    folded: FoldedMatrix
-    parity: tuple
-
-    @property
-    def table(self):
-        return self.seed.table
-
-    @property
-    def cluster(self):
-        return self.seed.cluster
-
-    def members(self, k):
-        return self.folded.layout.group_range(k)
-
-
-def folded_initial_seed(gca, multiplicity=None):
-    """Unfold a generalized seed into an ordinary seed at depth zero.
-
-    ``multiplicity`` is the root multiplicity of the adjoined seed the
-    unfolding is paired with (see :func:`~gencluster.unfolding.build`).
     The table follows the folded columns: cluster variables ``y1..yT``
     (grouped by original direction), the original frozen variables
     renamed to their roots (:func:`~gencluster.root_adjoin.root_names`),
     then per group the ``t`` members followed by the ``s`` members.
     """
-    fm = build(gca, multiplicity=multiplicity)
     layout = fm.layout
-    seed = initial_seed(
+    return initial_seed(
         fm.matrix,
         (1,) * layout.total,
         cluster_names=layout.cluster_names(),
         frozen_names=layout.frozen_names(root_names(gca.table)),
     )
-    return FoldedSeed(seed=seed, folded=fm, parity=(0,) * layout.n_groups)
 
 
-def _flip(parity, k):
-    """``parity`` after one more mutation of group ``k``."""
-    return parity[:k] + (1 - parity[k],) + parity[k + 1:]
-
-
-def group_mutate_seed(fs, k):
-    """Mutate every member of group ``k`` once (matrix, cluster, strings).
+def group_mutate_seed(seed, layout, k):
+    """Mutate every member of group ``k`` of a folded seed once.
 
     The members are checked as in :func:`~gencluster.unfolding.group_mutate`;
     the seed's mutated matrix is the new folded matrix.
     """
-    seed = fs.seed
-    for c in _independent_members(fs.folded, k):
+    for c in _independent_members(seed.matrix, layout, k):
         seed = mutate_seed(seed, c)
-    return FoldedSeed(
-        seed=seed,
-        folded=replace(fs.folded, matrix=seed.matrix),
-        parity=_flip(fs.parity, k),
-    )
+    return seed
 
 
 # ---------------------------------------------------------------------------
 # Group exchange data
 
 
-def _coherent_row(fs, k):
+def _coherent_row(matrix, layout, k):
     """First row of group ``k``, once the members are checked to agree.
 
     Cluster and frozen columns must be constant down the group's rows
@@ -170,9 +134,8 @@ def _coherent_row(fs, k):
     columns are not constrained here; the double-constant check
     validates their structure.
     """
-    fm = fs.folded
-    rows = [fm.matrix.rows[r] for r in fm.layout.group_range(k)]
-    for col in fm.layout.exchange_block:
+    rows = [matrix.rows[r] for r in layout.group_range(k)]
+    for col in layout.exchange_block:
         column = [row[col] for row in rows]
         if any(v != column[0] for v in column):
             raise GroupCoherenceViolation(
@@ -258,12 +221,15 @@ def _eliminated_sigma(table, t_range, s_range, r, e):
     return poly_pow(_eliminated_sigma(table, t_range, s_range, r, 1), e)
 
 
-def eliminate_units(fs, p):
-    """Rewrite ``p`` modulo the unit relations only (no placeholders)."""
-    if p.table != fs.table:
+def eliminate_units(table, ranges, p):
+    """Rewrite ``p`` modulo the unit relations only (no placeholders).
+
+    ``table`` is the folded table and ``ranges`` the groups' ``(t_range,
+    s_range)`` pairs, as for :func:`unit_elimination_map`.
+    """
+    if p.table != table:
         raise ValidationError("polynomial is not over the folded table")
-    ranges = fs.folded.layout.aux
-    return poly_map_variables(p, unit_elimination_map(fs.table, ranges), fs.table)
+    return poly_map_variables(p, unit_elimination_map(table, ranges), table)
 
 
 class QuotientContext:
@@ -275,16 +241,17 @@ class QuotientContext:
       string entry replaced by an opaque placeholder symbol (zero matrix
       column).  The concrete root-adjoined seed is its image under
       ``rho_values``, so it is never mutated itself;
-    * ``fs`` — the folded ordinary seed, advanced by group mutations.
+    * ``folded`` — the folded ordinary seed, advanced by group mutations.
 
     Everything else is a walk constant, built once by the constructor
     from the root-adjoined pair and shared by every context the walk
-    reaches: ``rho_values`` (the table sending each placeholder
-    ``rho<k>_<r>`` to its concrete monomial; mutation only permutes
-    which placeholder sits where), ``placeholder_names``, the
-    placeholder-extended folded table ``folded_plus``, and the images of
-    the tracked variables with their positions in the folded table.  The
-    eliminated ``sigma`` powers are cached per folded table and group.
+    reaches: the folded ``layout``, ``rho_values`` (the table sending
+    each placeholder ``rho<k>_<r>`` to its concrete monomial; mutation
+    only permutes which placeholder sits where), ``placeholder_names``,
+    the placeholder-extended folded table ``folded_plus``, and the
+    images of the tracked variables with their positions in the folded
+    table.  The eliminated ``sigma`` powers are cached per folded table
+    and group.
 
     Every position is read off the folded layout ``[cluster groups | F |
     T^1 S^1 | ...]`` (:class:`~gencluster.unfolding.FoldedLayout`), not
@@ -306,7 +273,8 @@ class QuotientContext:
 
     def __init__(self, adjoined):
         seed = adjoined.seed
-        fs = folded_initial_seed(adjoined.base, adjoined.multiplicity)
+        fm = build(adjoined.base, adjoined.multiplicity)
+        folded, layout = folded_initial_seed(adjoined.base, fm), fm.layout
         slots = [(k, r) for k in range(seed.rank) for r in range(1, seed.divisors[k])]
         # A placeholder name a cluster variable holds moves on by ``_R``.
         taken = set(seed.table.names)
@@ -334,20 +302,20 @@ class QuotientContext:
             divisors=seed.divisors,
             strings=CoefficientStrings(string_rows),
         )
-        self.fs = fs
+        self.folded = folded
+        self.layout = layout
         self.rho_values = {
             name: seed.strings.entry(k, r) for name, (k, r) in zip(names, slots)
         }
         self.placeholder_names = names
-        self.folded_plus = fs.table.extended(names)
-        layout = fs.folded.layout
+        self.folded_plus = folded.table.extended(names)
         # ``(t_range, s_range, r)`` of every placeholder, in table order.
         self._sigma_slots = tuple(
             (layout.t_range(k), layout.s_range(k), r) for k, r in slots
         )
         self._phi_images = {
             seed.table.names[k]: self.folded_plus.monomial(
-                {fs.table.names[c]: 1 for c in fs.members(k)}
+                {folded.table.names[c]: 1 for c in layout.group_range(k)}
             )
             for k in range(seed.rank)
         }
@@ -366,9 +334,9 @@ class QuotientContext:
         """Advance both tracks by one mutation in direction ``k``."""
         step = copy(self)
         step.tracked = mutate_seed(self.tracked, k)
-        step.fs = group_mutate_seed(self.fs, k)
+        step.folded = group_mutate_seed(self.folded, self.layout, k)
         step._eliminated = list(self._eliminated)
-        for c in self.fs.members(k):
+        for c in self.layout.group_range(k):
             step._eliminated[c] = None
         return step
 
@@ -377,7 +345,7 @@ class QuotientContext:
 
         The unit relations eliminate each group's last auxiliary pair.
         """
-        return eliminate_units(self.fs, p)
+        return eliminate_units(self.folded.table, self.layout.aux, p)
 
     def phi_poly(self, p):
         """Image of a polynomial over the tracked table, in normal form.
@@ -402,7 +370,7 @@ class QuotientContext:
         polynomial, outside the verified identities: it raises
         :class:`~gencluster.errors.InexactDivision`.
         """
-        table, slots = self.fs.table, self._sigma_slots
+        table, slots = self.folded.table, self._sigma_slots
 
         def summands():
             for powers, part in poly_split_trailing(p, table).items():
@@ -425,7 +393,7 @@ class QuotientContext:
         one, disjoint from the others' lifts, so the image holds the
         entries of ``exps``.
         """
-        image = [0] * len(self.fs.table)
+        image = [0] * len(self.folded.table)
         for e, lift in zip(exps, self._lifts):
             for q in lift:
                 image[q] = e
@@ -437,10 +405,11 @@ class QuotientContext:
         ``E`` is a monomial ring map, so this is ``E(prod_c x_c)``, the
         class the embedding gives the ``k``-th cluster variable.
         """
-        members, eliminated = self.fs.members(k), self._eliminated
+        members, eliminated = self.layout.group_range(k), self._eliminated
+        table, aux = self.folded.table, self.layout.aux
         for c in members:
             if eliminated[c] is None:
-                eliminated[c] = eliminate_units(self.fs, self.fs.cluster[c])
+                eliminated[c] = eliminate_units(table, aux, self.folded.cluster[c])
         return reduce(poly_mul, (eliminated[c] for c in members))
 
 
@@ -448,19 +417,23 @@ class QuotientContext:
 # Verification: the product formula
 
 
-def product_formula_check(fs, k):
+def product_formula_check(table, fm, k):
     """Group products of exchange polynomials expand the generalized one.
 
     Verifies, in the quotient and over formal current-cluster symbols::
 
         prod_c theta_{k,c}  =  sum_r sigma(rho_{k,r}) * (U> V>)^r * (U< V<)^(d_k - r)
 
-    ``d_k`` is the size of group ``k``.  Each coefficient contributes
-    through its defining relation: ``rho_{k,r}`` is the initial
-    coefficient at slot ``r`` or ``d_k - r`` (mutation reverses the row
-    once per mutation of the group, so the folded seed's ``parity[k]``
+    on the unfolding ``fm``, with ``table`` the folded table.  ``d_k`` is
+    the size of group ``k``.  Each coefficient contributes through its
+    defining relation: ``rho_{k,r}`` is the initial coefficient at slot
+    ``r`` or ``d_k - r`` (mutation reverses the row once per mutation of
+    the group, and so negates the group's
+    :meth:`~gencluster.unfolding.FoldedMatrix.identity_sign`, which
     decides), and the relation identifies that initial coefficient with
-    the balanced sum of the same index.  Returns a
+    the balanced sum of the same index.  A group of one member has sign
+    +1 whatever its mutations, and needs no other: its ``sigma_{k,0} =
+    s`` and ``sigma_{k,1} = t`` both eliminate to 1.  Returns a
     :class:`~gencluster.errors.Report`; on failure it carries
     ``(k, residual)`` with the difference of the two normal forms.
 
@@ -472,25 +445,25 @@ def product_formula_check(fs, k):
     constants built once per folded table, each shifted by its shell's
     exponent vector, and only the left side takes an elimination pass.
     """
-    layout = fs.folded.layout
-    d_k = len(layout.group_range(k))
-    table = fs.table
-    rows = fs.folded.matrix.rows
+    layout, matrix = fm.layout, fm.matrix
+    members = layout.group_range(k)
+    d_k = len(members)
     # Each member's binomial adds the terms of its row's two sides.
     lhs = reduce(poly_mul, (
-        poly_add(*map(table.term, _sides(rows[c]))) for c in fs.members(k)
+        poly_add(*map(table.term, _sides(matrix.rows[c]))) for c in members
     ))
 
-    g, l = _sides(_coherent_row(fs, k), layout.exchange_block)
+    g, l = _sides(_coherent_row(matrix, layout, k), layout.exchange_block)
     t_range, s_range = layout.t_range(k), layout.s_range(k)
+    flip = fm.identity_sign(k) < 0
     rhs = poly_shifted_sum(table, (
         (
             [r * a + (d_k - r) * b for a, b in zip(g, l)],
-            _eliminated_sigma(table, t_range, s_range, d_k - r if fs.parity[k] else r, 1),
+            _eliminated_sigma(table, t_range, s_range, d_k - r if flip else r, 1),
         )
         for r in range(d_k + 1)
     ))
-    lhs = eliminate_units(fs, lhs)
+    lhs = eliminate_units(table, layout.aux, lhs)
     if lhs != rhs:
         residual = poly_sub(lhs, rhs)
         return Report(((k, str(residual)),))
@@ -500,32 +473,28 @@ def product_formula_check(fs, k):
 def product_formula_walk(gca, mode="total"):
     """Root, step, check and state key of the product formula.
 
-    The state is a folded seed over formal current-cluster symbols:
-    group mutation mutates its matrix, and its cluster entries are never
-    expanded, which the product formula never needs.  The unfolding's
-    ``F`` columns carry the root multiplicity of ``mode``
-    (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fs)``
-    returns ``(k, residual)`` for every failing group.  The key is the
-    folded matrix and the groups' parities, the one fact about the path
-    to a state that :func:`product_formula_check` reads.
+    The state is the bare unfolding, stepped by
+    :func:`~gencluster.unfolding.group_mutate`: the product formula reads
+    its exchange data off the matrix rows over formal current-cluster
+    symbols, so no cluster entry is built.  The unfolding's ``F``
+    columns carry the root multiplicity of ``mode``
+    (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fm)``
+    returns ``(k, residual)`` for every failing group, over the folded
+    table, a walk constant.  The key is the folded matrix, all that
+    :func:`product_formula_check` reads, as in the ``double-constant``
+    walk.
     """
-    def step(fs, k):
-        fm = group_mutate(fs.folded, k)
-        return FoldedSeed(
-            seed=_trusted_seed(fs.seed, matrix=fm.matrix),
-            folded=fm,
-            parity=_flip(fs.parity, k),
-        )
+    root = build(gca, root_multiplicity(gca, mode))
+    table = folded_initial_seed(gca, root).table
 
-    def check(fs):
+    def check(fm):
         return tuple(
             failure
             for k in range(gca.rank)
-            for failure in product_formula_check(fs, k).failures
+            for failure in product_formula_check(table, fm, k).failures
         )
 
-    root = folded_initial_seed(gca, root_multiplicity(gca, mode))
-    return root, step, check, lambda fs: (fs.folded.matrix.rows, fs.parity)
+    return root, group_mutate, check, lambda fm: fm.matrix.rows
 
 
 def _walk_one(walk, sequence):
@@ -568,7 +537,7 @@ def embedding_walk(gca, mode="total"):
         QuotientContext.create(gca, mode=mode),
         lambda ctx, k: ctx.mutate(k),
         _embedding_conditions_at,
-        lambda ctx: (ctx.tracked.content_key(), ctx.fs.seed.content_key()),
+        lambda ctx: (ctx.tracked.content_key(), ctx.folded.content_key()),
     )
 
 
@@ -610,13 +579,11 @@ def _embedding_conditions_at(ctx):
     exponent vectors.
     """
     failures = []
-    tracked = ctx.tracked
-    fs = ctx.fs
-    table = fs.table
-    layout = fs.folded.layout
+    tracked, folded, layout = ctx.tracked, ctx.folded, ctx.layout
+    table = folded.table
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
-        first = _coherent_row(fs, k)
+        first = _coherent_row(folded.matrix, layout, k)
         u_gt, u_lt = _sides(first, layout.cluster_block)
         v_gt, v_lt = _sides(first, layout.f_block)
         # (i) cluster monomials and (ii) stable monomials.
@@ -633,8 +600,8 @@ def _embedding_conditions_at(ctx):
             failures.append(("(iii)", k, None))
         # (iv) string entries against balanced side-ratio sums.
         ratios = []
-        for c in fs.members(k):
-            gt, lt = _sides(fs.folded.matrix.rows[c], layout.frozen_block)
+        for c in layout.group_range(k):
+            gt, lt = _sides(folded.matrix.rows[c], layout.frozen_block)
             pair = (tuple(map(sub, gt, v_gt)), tuple(map(sub, lt, v_lt)))
             for ratio, label in zip(pair, "><"):
                 failures.extend(
@@ -684,7 +651,7 @@ def subquotient_check(gca, mode="total"):
         exponent = support[0][1]
         if exponent != n:
             failures.append(("root exponent", original, exponent))
-        target = ctx.fs.table.monomial({name: exponent}).as_polynomial()
+        target = ctx.folded.table.monomial({name: exponent}).as_polynomial()
         lifted = ctx.phi_poly(image.as_polynomial())
         if lifted != ctx.normal_form(target):
             failures.append(("frozen image", original, str(lifted)))

@@ -27,6 +27,9 @@ structural facts that the checkers in this module verify:
 * :func:`double_constant_check` — each ``T``/``S`` block pair sums to a
   constant block, with the diagonal pair constant-plus-(+/-)identity
   (it returns nothing, or raises at the first pair that fails);
+  :meth:`FoldedMatrix.identity_sign` reads the sign of that identity,
+  which flips exactly when the group mutates (mutation negates the
+  group's rows);
 * :func:`unfolding_conditions_check` — column sums of cluster blocks
   reproduce the weighted matrix, and positive entries force
   non-negative blocks.
@@ -137,6 +140,24 @@ class FoldedMatrix:
         start, stop = cols.start, cols.stop
         return tuple(self.matrix.rows[r][start:stop] for r in rows)
 
+    def identity_sign(self, i):
+        """``alpha_i``: the identity part of group ``i``'s diagonal ``T`` block.
+
+        It is ``T[0][0] - T[0][1]``, or +1 for a 1 x 1 block, and must be
+        +1 or -1 (StructureViolation otherwise).  Each mutation of group
+        ``i`` negates the sign, and no other group's changes it, so a
+        group of two or more members has sign -1 exactly when it has
+        mutated an odd number of times.
+        """
+        row = self.matrix.rows[self.layout.group_range(i)[0]]
+        t = self.layout.t_range(i)
+        sign = row[t[0]] - row[t[1]] if len(t) > 1 else 1
+        if sign not in (1, -1):
+            raise StructureViolation(
+                f"diagonal T block ({i},{i}) identity part is {sign}, expected +1 or -1"
+            )
+        return sign
+
 
 def _f_scales(divisors, multiplicity):
     """``n / d_i`` per row: the factor of row ``i``'s ``F`` entries."""
@@ -176,12 +197,12 @@ def build(seed, multiplicity=None):
     return FoldedMatrix(ExtendedExchangeMatrix(layout.total, frozen, tuple(rows)), layout)
 
 
-def _independent_members(fm, k):
-    """The members of group ``k``; StructureViolation if two interact."""
-    members = fm.layout.group_range(k)
+def _independent_members(matrix, layout, k):
+    """The members of group ``k``; StructureViolation if two interact in ``matrix``."""
+    members = layout.group_range(k)
     for a in members:
         for b in members:
-            if fm.matrix.rows[a][b] != 0:
+            if matrix.rows[a][b] != 0:
                 raise StructureViolation(
                     f"group {k} members interact at ({a},{b}); group mutation "
                     "is not well-defined"
@@ -196,7 +217,7 @@ def group_mutate(fm, k):
     result against the closed block formula for whole-group mutation.
     """
     out = fm.matrix
-    for c in _independent_members(fm, k):
+    for c in _independent_members(fm.matrix, fm.layout, k):
         out = mutate(out, c)
     return replace(fm, matrix=out)
 
@@ -281,24 +302,15 @@ def double_constant_check(fm):
     One rule holds for every group pair ``(i, j)``: with ``alpha`` equal
     to ``alpha[i]`` when ``i == j`` and to 0 otherwise, ``T`` must be
     ``c J + alpha Id`` and ``S`` must be ``(a - c) J - alpha Id``, with
-    ``a`` and ``c`` read off the first entries.  ``alpha[i]`` is ``T[0][0]
-    - T[0][1]`` of the diagonal block, or +1 for a 1 x 1 block, and must
-    be +1 or -1.  The first pair that breaks the rule raises
-    StructureViolation.
+    ``a`` and ``c`` read off the first entries.  ``alpha[i]`` is
+    :meth:`FoldedMatrix.identity_sign`, which raises unless it is +1 or
+    -1.  The first pair that breaks the rule raises StructureViolation.
     """
     for i, rows_i in enumerate(fm.layout.groups):
         for j, (t_cols, s_cols) in enumerate(fm.layout.aux):
             t_block = fm.block(rows_i, t_cols)
             s_block = fm.block(rows_i, s_cols)
-            shift = 0
-            if i == j:
-                row = t_block[0]
-                shift = row[0] - row[1] if len(row) > 1 else 1
-                if shift not in (1, -1):
-                    raise StructureViolation(
-                        f"diagonal T block ({i},{i}) identity part is "
-                        f"{shift}, expected +1 or -1"
-                    )
+            shift = fm.identity_sign(i) if i == j else 0
             a = t_block[0][0] + s_block[0][0]
             c = t_block[0][0] - shift
             shape = len(rows_i), len(t_cols)

@@ -8,7 +8,6 @@ import random
 import re
 import shlex
 import tracemalloc
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from unittest.mock import Mock
@@ -43,7 +42,6 @@ from gencluster.matrix_mutation import (
 )
 from gencluster import quotient_embedding
 from gencluster.quotient_embedding import (
-    FoldedSeed,
     QuotientContext,
     _embedding_conditions_at,
     embedding_check,
@@ -349,7 +347,7 @@ class TestVerify:
     def test_failing_report_exits_two(self, monkeypatch):
         monkeypatch.setattr(
             "gencluster.quotient_embedding.product_formula_check",
-            lambda fs, k: Report(((k, "residual"),)),
+            lambda table, fm, k: Report(((k, "residual"),)),
         )
         code, text = run(
             "verify", "product-formula", "--seed", "FIX-C", "--depth", "1"
@@ -359,7 +357,7 @@ class TestVerify:
         assert "residual" in text
 
     def test_structural_error_exits_two(self, monkeypatch):
-        def boom(fs, k):
+        def boom(table, fm, k):
             raise StructureViolation("synthetic break")
 
         monkeypatch.setattr(
@@ -584,25 +582,16 @@ class TestUsageErrors:
         assert run("frobnicate")[0] == 1
 
 
-def product_formula_prefix(seed, prefix):
-    """Folded seed after ``prefix``, built afresh."""
-    initial = folded_initial_seed(seed)
-    fm = group_mutate_sequence(initial.folded, prefix)
-    return FoldedSeed(
-        seed=replace(initial.seed, matrix=fm.matrix),
-        folded=fm,
-        parity=tuple(prefix.count(k) % 2 for k in range(fm.layout.n_groups)),
-    )
-
-
 def quotient_failures(target, seed, sequence, pf_check, conditions):
     """Failures of one quotient-target case, every prefix rebuilt."""
     failures = []
     if target == "product-formula":
+        root = build(seed)
+        table = folded_initial_seed(seed, root).table
         for depth in range(len(sequence) + 1):
-            fs = product_formula_prefix(seed, tuple(sequence[:depth]))
+            fm = group_mutate_sequence(root, sequence[:depth])
             for k in range(seed.matrix.n):
-                report = pf_check(fs, k)
+                report = pf_check(table, fm, k)
                 failures += [repr((depth,) + f) for f in report.failures]
     elif target == "subquotient":
         failures = [repr(f) for f in subquotient_check(seed).failures]
@@ -763,26 +752,26 @@ def prefix_walk_stdout(target, seed, label, sequences, as_json):
     return (0 if all(r["ok"] for r in records) else 2), "".join(lines)
 
 
-def parity_naming_check(threshold):
-    """Synthetic product-formula check that names the group's parity.
+def sign_naming_check(threshold):
+    """Synthetic product-formula check that names the group's identity sign.
 
     It fails group ``k`` when the row sum of its first member exceeds
-    ``threshold``, and its failure text holds the parity of ``k``, so a
-    walk that shares a state across parities changes the records.
+    ``threshold``, and its failure text holds the sign of ``k``, so a
+    walk that reaches the wrong state changes the records.
     """
-    def pf_check(fs, k):
-        row = fs.folded.matrix.rows[fs.folded.layout.group_range(k)[0]]
+    def pf_check(table, fm, k):
+        row = fm.matrix.rows[fm.layout.group_range(k)[0]]
         bad = sum(row) > threshold
-        failures = ((k, f"{row} parity {fs.parity[k]}"),) if bad else ()
+        failures = ((k, f"{row} sign {fm.identity_sign(k)}"),) if bad else ()
         return Report(failures)
 
     return pf_check
 
 
-#: The fifth ``random_seed`` draw of ``random.Random(3)``.  Its
-#: product-formula walk reaches one folded matrix under two parities:
-#: ``2,3,2,3,2`` and ``3,2,3,2,3`` lead to the same matrix with group 2
-#: mutated an odd number of times on one path and group 3 on the other.
+#: The fifth ``random_seed`` draw of ``random.Random(3)``.  Its groups 2
+#: and 3 have one member each, and its product-formula walk reaches one
+#: folded matrix by ``2,3,2,3,2`` and ``3,2,3,2,3``, with group 2 mutated
+#: an odd number of times on one path and group 3 on the other.
 RANK_3_SEED = (
     "gca-seed v1\n"
     "N 3\n"
@@ -898,12 +887,12 @@ class TestWalker:
     def test_quotient_failures_concatenate_in_depth_order(self, monkeypatch):
         # Synthetic checks that fail on some states and name the state,
         # so a walk that reaches the wrong state changes the records.
-        pf_check = parity_naming_check(100)
+        pf_check = sign_naming_check(100)
 
         def conditions(ctx):
             rows = ctx.tracked.matrix.rows
             bad = sum(rows[0]) > 10
-            return [("synthetic", rows, ctx.fs.folded.matrix.rows)] if bad else []
+            return [("synthetic", rows, ctx.folded.matrix.rows)] if bad else []
 
         monkeypatch.setattr(quotient_embedding, "product_formula_check", pf_check)
         monkeypatch.setattr(quotient_embedding, "_embedding_conditions_at", conditions)
@@ -935,10 +924,10 @@ class TestWalker:
                     raise StructureViolation("deep mutation")
                 return group_mutate(fm, k)
 
-            def check(fs, k):
-                if fs.folded == after_1:
+            def check(table, fm, k):
+                if fm == after_1:
                     raise StructureViolation("shallow check")
-                return product_formula_check(fs, k)
+                return product_formula_check(table, fm, k)
 
             monkeypatch.setattr(quotient_embedding, "group_mutate", step)
             monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
@@ -947,12 +936,12 @@ class TestWalker:
             mutate = QuotientContext.mutate
 
             def step(ctx, k):
-                if ctx.fs.folded == after_1:
+                if ctx.folded.matrix == after_1.matrix:
                     raise StructureViolation("deep mutation")
                 return mutate(ctx, k)
 
             def check(ctx):
-                if ctx.fs.folded == after_1:
+                if ctx.folded.matrix == after_1.matrix:
                     raise StructureViolation("shallow check")
                 return _embedding_conditions_at(ctx)
 
@@ -977,10 +966,10 @@ class TestWalker:
         # Within depth 2 no other prefix reaches that folded matrix.
         after_2 = group_mutate(build(fixture_seed("FIX-B")), 1)
 
-        def check(fs, k):
-            if fs.folded == after_2:
+        def check(table, fm, k):
+            if fm == after_2:
                 raise RuntimeError("synthetic fault")
-            return product_formula_check(fs, k)
+            return product_formula_check(table, fm, k)
 
         monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
         fault = [repr("RuntimeError: synthetic fault")]
@@ -1225,7 +1214,7 @@ class TestSharedStates:
         path = tmp_path / name
         path.write_text(RANK_3_SEED, encoding="utf-8")
         monkeypatch.setattr(
-            quotient_embedding, "product_formula_check", parity_naming_check(3)
+            quotient_embedding, "product_formula_check", sign_naming_check(3)
         )
         code, out = run(
             "verify", "product-formula", "--seed-file", str(path), "--depth", "2"
@@ -1263,7 +1252,7 @@ class TestSharedStates:
             return group_mutate(fm, k)
 
         monkeypatch.setattr(
-            quotient_embedding, "product_formula_check", parity_naming_check(3)
+            quotient_embedding, "product_formula_check", sign_naming_check(3)
         )
         monkeypatch.setattr(quotient_embedding, "group_mutate", step)
         expected = prefix_walk_stdout(
@@ -1277,27 +1266,32 @@ class TestSharedStates:
         argv = ["verify", "product-formula", "--seed-file", str(path), "--depth", "3"]
         assert run(*argv + ["--json"] * as_json) == expected
 
-    def test_key_holds_the_parity_of_each_group(self, monkeypatch, tmp_path):
+    def test_paths_apart_only_in_size_one_parities_share_a_key(
+        self, monkeypatch, tmp_path
+    ):
+        # 2,3,2,3,2 mutates the one-member group 2 an odd number of times
+        # and 3,2,3,2,3 group 3; no check reads those parities, so both
+        # paths reach one key, and the real check passes on both.
+        seed = parse_seed_text(RANK_3_SEED)
+        root, step, check, key = _walk("product-formula", seed)
+        ends = []
+        for sequence in ((1, 2, 1, 2, 1), (2, 1, 2, 1, 2)):
+            fm = root
+            for k in sequence:
+                fm = step(fm, k)
+            assert check(fm) == ()
+            ends.append(fm)
+        assert key(ends[0]) == key(ends[1])
+        # The exhaustive depth-5 walk checks 51 distinct states, one per key.
         path = tmp_path / "rank3.seed"
         path.write_text(RANK_3_SEED, encoding="utf-8")
-        seed = parse_seed_text(RANK_3_SEED)
-        monkeypatch.setattr(
-            quotient_embedding, "product_formula_check", parity_naming_check(0)
-        )
-        expected = prefix_walk_records(
-            "product-formula", seed, str(path), exhaustive(3, 5)
-        )
-        by_sequence = {tuple(r["sequence"]): r["failures"] for r in expected}
-
-        def last_step(sequence):
-            return [f for f in by_sequence[sequence] if f.startswith("(5,")]
-
-        # One folded matrix, and a failure whose text differs by parity.
-        assert last_step((2, 3, 2, 3, 2))
-        assert last_step((2, 3, 2, 3, 2)) != last_step((3, 2, 3, 2, 3))
-        assert walked_records(
+        counter = Mock(wraps=quotient_embedding.product_formula_check)
+        monkeypatch.setattr(quotient_embedding, "product_formula_check", counter)
+        records = walked_records(
             "product-formula", "--seed-file", str(path), "--depth", "5"
-        ) == expected
+        )
+        assert all(r["ok"] for r in records)
+        assert counter.call_count == 51 * seed.rank
 
     def test_key_holds_the_cluster_entries(self, monkeypatch, tmp_path):
         # Every mutation of this rank-2 seed negates its matrix, so 1,2

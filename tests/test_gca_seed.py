@@ -561,6 +561,14 @@ class TestValidation:
             initial_seed(fix_c.matrix, fix_c.divisors, strings=bad,
                          cluster_names=("x",), frozen_names=("f",))
 
+    @pytest.mark.parametrize("names", [
+        {"cluster_names": "x"}, {"frozen_names": "f"},
+    ])
+    def test_bare_string_of_names_rejected(self, fix_c, names):
+        # One string would be split into one name a letter.
+        with pytest.raises(ValidationError, match="not the string"):
+            initial_seed(fix_c.matrix, fix_c.divisors, **names)
+
     def test_divisors_must_divide_principal_rows(self):
         matrix = ExtendedExchangeMatrix.from_rows(((0, 3), (-3, 0)), m=0)
         with pytest.raises(InvalidDivisors):

@@ -266,14 +266,14 @@ SHARED_MEMBER_NAMES = {
         "LaurentPolynomial's by p._keys throughout laurent_kernel; _Terms's by "
         "self._keys in its own methods"
     ),
-    "cluster": (
-        "FoldedSeed's by QuotientContext (self.fs.cluster); GeneralizedSeed's by "
-        "seed.cluster in gca_seed, root_adjoin and FoldedSeed.cluster"
-    ),
     "group_sizes": (
         "FoldedLayout's by self.group_sizes and layout.group_sizes in unfolding; "
         "FoldedMatrix's (its layout's) by fm.group_sizes in perfbench's tracer "
         "and the tests"
+    ),
+    "layout": (
+        "FoldedMatrix's by fm.layout in unfolding, quotient_embedding and cli_io; "
+        "QuotientContext's by self.layout and ctx.layout in quotient_embedding"
     ),
     "m_original": (
         "FoldedLayout's by self.m_original and fm.layout.m_original in unfolding; "
@@ -282,7 +282,7 @@ SHARED_MEMBER_NAMES = {
     ),
     "matrix": (
         "FoldedMatrix's by fm.matrix in unfolding, quotient_embedding and cli_io; "
-        "GeneralizedSeed's by seed.matrix"
+        "GeneralizedSeed's by seed.matrix and, in quotient_embedding, folded.matrix"
     ),
     "one": (
         "VariableTable's by table.one() in gca_seed, fixtures, randomgen and "
@@ -294,13 +294,11 @@ SHARED_MEMBER_NAMES = {
     ),
     "seed": (
         "AdjoinedSeed's by adjoined.seed and tau_tilde(...).seed; ExchangeContext's "
-        "by ctx.seed in gca_seed._exchange_polynomial and root_adjoin; "
-        "FoldedSeed's by fs.seed and self.seed in quotient_embedding"
+        "by ctx.seed in gca_seed._exchange_polynomial and root_adjoin"
     ),
     "table": (
-        "FoldedSeed's by fs.table and self.fs.table in quotient_embedding; the "
-        "fields of GeneralizedSeed, LaurentPolynomial and Monomial by seed.table, "
-        "p.table and mono.table"
+        "the fields of GeneralizedSeed, LaurentPolynomial and Monomial by "
+        "seed.table (folded.table in quotient_embedding), p.table and mono.table"
     ),
 }
 

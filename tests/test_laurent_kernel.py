@@ -307,6 +307,14 @@ class TestTables:
         with pytest.raises(ValidationError, match="not the string 'xf'"):
             VariableTable("xf", 1)
 
+    @pytest.mark.parametrize("cluster, frozen, shown", [
+        ("xy", ("f",), "'xy'"), (("x", "y"), "f", "'f'"),
+    ])
+    def test_make_rejects_a_bare_string_of_names(self, cluster, frozen, shown):
+        # Either part as one string would be split into one name a letter.
+        with pytest.raises(ValidationError, match=f"not the string {shown}"):
+            VariableTable.make(cluster=cluster, frozen=frozen)
+
     def test_make_accepts_iterators(self):
         table = VariableTable.make(cluster=(n for n in "xy"), frozen=("f",))
         assert table == SMALL_TABLE

@@ -2,6 +2,7 @@
 
 from collections import namedtuple
 from copy import copy
+from dataclasses import replace
 import hashlib
 import io
 from itertools import combinations, product
@@ -48,7 +49,6 @@ from gencluster.laurent_kernel import (
 )
 from gencluster.matrix_mutation import ExtendedExchangeMatrix, _trusted_matrix
 from gencluster.quotient_embedding import (
-    FoldedSeed,
     QuotientContext,
     _coherent_row,
     _eliminated_sigma,
@@ -65,7 +65,7 @@ from gencluster.quotient_embedding import (
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import root_names, tau_tilde
-from gencluster.unfolding import FoldedLayout, FoldedMatrix, group_mutate
+from gencluster.unfolding import FoldedLayout, FoldedMatrix, build, group_mutate
 
 FIX_C_PHI_X = "y1*y2"
 FIX_C_PHI_X_MUTATED = (
@@ -131,33 +131,44 @@ def member_sides(table, row, keep):
     )
 
 
-def group_monomials(fs, k):
+def folded_root(seed, multiplicity=None):
+    """The folded table and the unfolding of ``seed``, at depth zero."""
+    fm = build(seed, multiplicity)
+    return folded_initial_seed(seed, fm).table, fm
+
+
+def unfolding_of(ctx):
+    """The unfolding a context's folded seed carries."""
+    return FoldedMatrix(ctx.folded.matrix, ctx.layout)
+
+
+def group_monomials(table, fm, k):
     """The shared monomials of group ``k``, once the members are checked to agree.
 
     ``u_gt``/``u_lt`` carry the cluster columns of the group's rows and
     ``v_gt``/``v_lt`` the frozen columns, each split by sign.
     """
-    first = _coherent_row(fs, k)
+    first = _coherent_row(fm.matrix, fm.layout, k)
     # The group sizes are the divisors of the unfolded seed.
-    roles = [role for role, _ in folded_roles(fs.table, fs.folded.group_sizes)]
+    roles = [role for role, _ in folded_roles(table, fm.group_sizes)]
     return GroupMonomials(
         k,
-        *member_sides(fs.table, first, [role == "cluster" for role in roles]),
-        *member_sides(fs.table, first, [role == "frozen" for role in roles]),
+        *member_sides(table, first, [role == "cluster" for role in roles]),
+        *member_sides(table, first, [role == "frozen" for role in roles]),
     )
 
 
-def sigma_polynomial(fs, k, r):
+def sigma_polynomial(table, layout, k, r):
     """The balanced sum ``sigma_{k,r}``, built one subset at a time.
 
     Each ``r``-subset ``J`` of group ``k``'s members adds the monomial
     with ``t_c`` for ``c`` in ``J`` and ``s_c`` for the others.
     """
-    names = fs.table.names
-    pairs = list(zip(fs.folded.layout.t_range(k), fs.folded.layout.s_range(k)))
-    total = LaurentPolynomial.zero(fs.table)
+    names = table.names
+    pairs = list(zip(layout.t_range(k), layout.s_range(k)))
+    total = LaurentPolynomial.zero(table)
     for subset in combinations(range(len(pairs)), r):
-        term = fs.table.monomial({
+        term = table.monomial({
             names[t if idx in subset else s]: 1
             for idx, (t, s) in enumerate(pairs)
         })
@@ -179,49 +190,53 @@ def expand_term_by_term(ctx, p):
     balanced sums, the products are added term by term, and the unit
     relations are applied last.
     """
-    base_width = len(ctx.fs.table)
+    table, layout = ctx.folded.table, ctx.layout
+    base_width = len(table)
     slots = [
         (ctx.folded_plus.index(f"rho{k + 1}_{r}"), k, r)
         for k in range(ctx.tracked.rank)
         for r in range(1, ctx.tracked.divisors[k])
     ]
-    expanded = LaurentPolynomial.zero(ctx.fs.table)
+    expanded = LaurentPolynomial.zero(table)
     for exps, coeff in p.terms.items():
-        body = LaurentPolynomial(ctx.fs.table, {exps[:base_width]: coeff})
+        body = LaurentPolynomial(table, {exps[:base_width]: coeff})
         for pos, k, r in slots:
             if exps[pos]:
-                sigma = sigma_polynomial(ctx.fs, k, r)
+                sigma = sigma_polynomial(table, layout, k, r)
                 body = poly_mul(body, poly_pow(sigma, exps[pos]))
         expanded = poly_add(expanded, body)
-    return eliminate_units(ctx.fs, expanded)
+    return eliminate_units(table, layout.aux, expanded)
 
 
-def oracle_product_formula_check(fs, k):
+def oracle_product_formula_check(table, fm, k, parity):
     """The product formula over exponent-tuple monomials.
 
     Both sides are built from :class:`Monomial` objects and expanded in
     full, each shell by ``mono_power`` and ``mono_times``, and the unit relations
-    eliminate both sides at the end.
+    eliminate both sides at the end.  ``parity`` is the number of
+    mutations of group ``k`` so far, mod 2, counted by the caller rather
+    than read off the matrix.
     """
-    d_k = len(fs.folded.layout.group_range(k))
-    table = fs.table
+    layout = fm.layout
+    d_k = len(layout.group_range(k))
     lhs = LaurentPolynomial.one(table)
-    for c in fs.members(k):
-        row = fs.folded.matrix.rows[c]
+    for c in layout.group_range(k):
+        row = fm.matrix.rows[c]
         gt = Monomial(table, tuple(max(v, 0) for v in row))
         lt = Monomial(table, tuple(max(-v, 0) for v in row))
         lhs = poly_mul(lhs, poly_add(gt.as_polynomial(), lt.as_polynomial()))
-    gm = group_monomials(fs, k)
+    gm = group_monomials(table, fm, k)
     gt_base = mono_times(gm.u_gt, gm.v_gt)
     lt_base = mono_times(gm.u_lt, gm.v_lt)
     rhs = poly_sum(table, (
         poly_mul_monomial(
-            sigma_polynomial(fs, k, d_k - r if fs.parity[k] else r),
+            sigma_polynomial(table, layout, k, d_k - r if parity else r),
             mono_times(mono_power(gt_base, r), mono_power(lt_base, d_k - r)),
         )
         for r in range(d_k + 1)
     ))
-    lhs, rhs = eliminate_units(fs, lhs), eliminate_units(fs, rhs)
+    lhs = eliminate_units(table, layout.aux, lhs)
+    rhs = eliminate_units(table, layout.aux, rhs)
     if lhs != rhs:
         return Report(((k, str(poly_sub(lhs, rhs))),))
     return Report(())
@@ -233,15 +248,15 @@ def oracle_condition_iv(ctx):
     Each member's side ratios are divided out with ``mono_over`` and the
     balanced sums are built one subset at a time with ``mono_times``.
     """
-    fs, tracked, table = ctx.fs, ctx.tracked, ctx.fs.table
+    tracked, table, fm = ctx.tracked, ctx.folded.table, unfolding_of(ctx)
     roles = [role for role, _ in folded_roles(table, tracked.divisors.entries)]
     keep = [role != "cluster" for role in roles]
     failures = []
     for k in range(tracked.rank):
-        gm = group_monomials(fs, k)
+        gm = group_monomials(table, fm, k)
         ratios = []
-        for c in fs.members(k):
-            row = [v if kept else 0 for v, kept in zip(fs.folded.matrix.rows[c], keep)]
+        for c in fm.layout.group_range(k):
+            row = [v if kept else 0 for v, kept in zip(fm.matrix.rows[c], keep)]
             pair = (
                 mono_over(Monomial(table, tuple(max(v, 0) for v in row)), gm.v_gt),
                 mono_over(Monomial(table, tuple(max(-v, 0) for v in row)), gm.v_lt),
@@ -274,36 +289,39 @@ def oracle_phi_poly(ctx, p):
     eliminated ``sigma`` powers one ``poly_mul`` at a time, and add the
     parts with ``poly_sum``.
     """
-    fs, plus, tracked = ctx.fs, ctx.folded_plus, ctx.tracked
+    table, layout, plus, tracked = ctx.folded.table, ctx.layout, ctx.folded_plus, ctx.tracked
     images = {
-        tracked.table.names[k]: plus.monomial({fs.table.names[c]: 1 for c in fs.members(k)})
+        tracked.table.names[k]: plus.monomial(
+            {table.names[c]: 1 for c in layout.group_range(k)}
+        )
         for k in range(tracked.rank)
     }
     lifted = poly_map_variables(p, images, plus)
     units = oracle_unit_elimination(plus, tracked.divisors.entries)
     lifted = poly_map_variables(lifted, units, plus)
     slots = [
-        (fs.folded.layout.t_range(k), fs.folded.layout.s_range(k), r)
+        (layout.t_range(k), layout.s_range(k), r)
         for k in range(tracked.rank)
         for r in range(1, tracked.divisors[k])
     ]
     parts = []
-    for powers, part in poly_split_trailing(lifted, fs.table).items():
+    for powers, part in poly_split_trailing(lifted, table).items():
         if any(e < 0 for e in powers):
             raise InexactDivision("negative placeholder power")
         for slot, e in zip(slots, powers):
             if e:
-                part = poly_mul(part, _eliminated_sigma(fs.table, *slot, e))
+                part = poly_mul(part, _eliminated_sigma(table, *slot, e))
         parts.append(part)
-    return poly_sum(fs.table, parts)
+    return poly_sum(table, parts)
 
 
-def oracle_group_image(fs, k):
+def oracle_group_image(ctx, k):
     """``E(prod_c x_c)``: the group product first, the unit elimination last."""
-    product = LaurentPolynomial.one(fs.table)
-    for c in fs.members(k):
-        product = poly_mul(product, fs.cluster[c])
-    return eliminate_units(fs, product)
+    folded, layout = ctx.folded, ctx.layout
+    product = LaurentPolynomial.one(folded.table)
+    for c in layout.group_range(k):
+        product = poly_mul(product, folded.cluster[c])
+    return eliminate_units(folded.table, layout.aux, product)
 
 
 def oracle_conditions_i_ii(ctx):
@@ -316,7 +334,7 @@ def oracle_conditions_i_ii(ctx):
     tracked, failures = ctx.tracked, []
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
-        gm = group_monomials(ctx.fs, k)
+        gm = group_monomials(ctx.folded.table, unfolding_of(ctx), k)
         for label, exps, folded in (
             ("(i) u>", gca_ctx.u_gt, gm.u_gt),
             ("(i) u<", gca_ctx.u_lt, gm.u_lt),
@@ -384,31 +402,41 @@ def limit_seed(kind, b):
 
 
 def product_formula_states(seed, mode, sequences):
-    """Every folded state the product-formula walk reaches along ``sequences``."""
+    """The folded table, and every state the product-formula walk reaches.
+
+    Each state is ``(fm, parity)``: the unfolding, and the number of
+    mutations of each group on the path to it, mod 2, counted here.
+    """
     root, step, _, _ = product_formula_walk(seed, mode)
-    states = [root]
+    parity = (0,) * root.layout.n_groups
+    states = [(root, parity)]
     for sequence in sequences:
-        fs = root
+        fm, parity = states[0]
         for k in sequence:
-            fs = step(fs, k)
-            states.append(fs)
-    return states
+            fm = step(fm, k)
+            parity = parity[:k] + (1 - parity[k],) + parity[k + 1:]
+            states.append((fm, parity))
+    return folded_initial_seed(seed, root).table, states
 
 
-def tampered(fs, row, col, delta):
-    """``fs`` with one entry of its folded matrix moved by ``delta``.
+def tampered(fm, row, col, delta):
+    """``fm`` with one entry of its matrix moved by ``delta``.
 
     The matrix is built without validation, so a moved principal entry
     may break its skew-symmetrizability.
     """
-    rows = [list(r) for r in fs.folded.matrix.rows]
+    rows = [list(r) for r in fm.matrix.rows]
     rows[row][col] += delta
-    matrix = _trusted_matrix(fs.folded.matrix, tuple(tuple(r) for r in rows))
-    return FoldedSeed(
-        seed=fs.seed,
-        folded=FoldedMatrix(matrix=matrix, layout=fs.folded.layout),
-        parity=fs.parity,
+    return replace(fm, matrix=_trusted_matrix(fm.matrix, tuple(tuple(r) for r in rows)))
+
+
+def tampered_context(ctx, row, col, delta):
+    """A copy of ``ctx`` whose folded matrix has one entry moved by ``delta``."""
+    bad = copy(ctx)
+    bad.folded = _trusted_seed(
+        ctx.folded, matrix=tampered(unfolding_of(ctx), row, col, delta).matrix
     )
+    return bad
 
 
 def moved_entry_contexts(ctx):
@@ -418,7 +446,7 @@ def moved_entry_contexts(ctx):
     ``d_j``, and its first member's entry in the first cluster column of
     another group, and in the first frozen column, moved by one.
     """
-    tracked, fs = ctx.tracked, ctx.fs
+    tracked, layout = ctx.tracked, ctx.layout
     frozen = [
         pos for pos in tracked.table.frozen_indices
         if tracked.table.names[pos] not in ctx.rho_values
@@ -433,14 +461,12 @@ def moved_entry_contexts(ctx):
                 matrix=ExtendedExchangeMatrix(tracked.matrix.n, tracked.matrix.m, rows),
             )
             yield bad
-        member = fs.members(j)[0]
-        columns = [fs.members(i)[0] for i in range(tracked.rank) if i != j]
-        roles = folded_roles(fs.table, tracked.divisors.entries)
+        member = layout.group_range(j)[0]
+        columns = [layout.group_range(i)[0] for i in range(tracked.rank) if i != j]
+        roles = folded_roles(ctx.folded.table, tracked.divisors.entries)
         columns += [q for q, (role, _) in enumerate(roles) if role == "frozen"][:1]
         for col in columns:
-            bad = copy(ctx)
-            bad.fs = tampered(fs, member, col, 1)
-            yield bad
+            yield tampered_context(ctx, member, col, 1)
 
 
 def oracle_lifts(ctx):
@@ -450,8 +476,8 @@ def oracle_lifts(ctx):
     group, any other variable to the same-named variable of
     ``folded_plus``, which for a placeholder lies past the folded table.
     """
-    table, plus, width = ctx.tracked.table, ctx.folded_plus, len(ctx.fs.table)
-    roles = folded_roles(ctx.fs.table, ctx.tracked.divisors.entries)
+    table, plus, width = ctx.tracked.table, ctx.folded_plus, len(ctx.folded.table)
+    roles = folded_roles(ctx.folded.table, ctx.tracked.divisors.entries)
     lifts = []
     for pos, name in enumerate(table.names):
         if pos < ctx.tracked.rank:
@@ -490,7 +516,7 @@ def shared_factor_seeds():
 
 class TestFoldedSeed:
     def test_table_layout(self, fix_c):
-        table = folded_initial_seed(fix_c).table
+        table, _ = folded_root(fix_c)
         assert table.names == ("y1", "y2", "F", "t1", "t2", "s1", "s2")
         assert table.n_cluster == 2
 
@@ -504,7 +530,7 @@ class TestFoldedSeed:
         )
         assert root_names(clash.table) == ("F_R_R", "F_R_R_R", "F_R_R_R_R")
         for seed in (fix_a, fix_b, clash):
-            adjoined, folded = tau_tilde(seed).seed.table, folded_initial_seed(seed).table
+            adjoined, folded = tau_tilde(seed).seed.table, folded_root(seed)[0]
             roles = folded_roles(folded, seed.divisors.entries)
             assert [adjoined.names[p] for p in adjoined.frozen_indices] == [
                 name for name, (role, _) in zip(folded.names, roles) if role == "frozen"
@@ -517,8 +543,7 @@ class TestFoldedSeed:
         rng = random.Random(29)
         seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(40)]
         for seed in seeds:
-            fs = folded_initial_seed(seed)
-            table, fm = fs.table, fs.folded
+            table, fm = folded_root(seed)
             blocks = {}
             for q, key in enumerate(folded_roles(table, seed.divisors.entries)):
                 blocks.setdefault(key, []).append(q)
@@ -540,95 +565,92 @@ class TestFoldedSeed:
         rng = random.Random(31)
         seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(40)]
         for seed in seeds:
-            fs = folded_initial_seed(seed)
-            layout = fs.folded.layout
+            table, fm = folded_root(seed)
+            layout = fm.layout
             ranges = tuple(
                 (layout.t_range(k), layout.s_range(k)) for k in range(layout.n_groups)
             )
             assert ranges == layout.aux
-            units = unit_elimination_map(fs.table, layout.aux)
-            assert dict(units) == oracle_unit_elimination(fs.table, seed.divisors.entries)
-            assert unit_elimination_map(fs.table, ranges) is units
+            units = unit_elimination_map(table, layout.aux)
+            assert dict(units) == oracle_unit_elimination(table, seed.divisors.entries)
+            assert unit_elimination_map(table, ranges) is units
 
     def test_initial_seed_shape(self, fix_a):
-        fs = folded_initial_seed(fix_a)
-        assert fs.parity == (0, 0)
-        assert list(fs.members(0)) == [0, 1]
-        assert list(fs.members(1)) == [2, 3, 4]
-        assert fs.seed.matrix == fs.folded.matrix
-        assert all(d == 1 for d in fs.seed.divisors.entries)
+        fm = build(fix_a)
+        seed = folded_initial_seed(fix_a, fm)
+        assert [fm.identity_sign(k) for k in range(2)] == [1, 1]
+        assert list(fm.layout.group_range(0)) == [0, 1]
+        assert list(fm.layout.group_range(1)) == [2, 3, 4]
+        assert seed.matrix == fm.matrix
+        assert all(d == 1 for d in seed.divisors.entries)
 
-    def test_group_mutation_tracks_matrix(self, fix_a):
-        fs = group_mutate_seed(folded_initial_seed(fix_a), 0)
-        assert fs.parity == (1, 0)
-        assert group_mutate_seed(fs, 0).parity == (0, 0)
-        assert fs.seed.matrix == fs.folded.matrix
+    def test_group_mutation_flips_the_identity_sign(self, fix_a):
+        fm = build(fix_a)
+        seed = group_mutate_seed(folded_initial_seed(fix_a, fm), fm.layout, 0)
+        once = FoldedMatrix(seed.matrix, fm.layout)
+        assert [once.identity_sign(k) for k in range(2)] == [-1, 1]
+        twice = FoldedMatrix(group_mutate_seed(seed, fm.layout, 0).matrix, fm.layout)
+        assert [twice.identity_sign(k) for k in range(2)] == [1, 1]
 
     def test_group_mutation_matches_unfolding(self, fix_a, fix_b):
-        for seed in (fix_a, fix_b):
-            fs = folded_initial_seed(seed)
+        for gca in (fix_a, fix_b):
+            fm = build(gca)
+            seed = folded_initial_seed(gca, fm)
             for k in (0, 1, 1, 0):
-                expected = group_mutate(fs.folded, k)
-                fs = group_mutate_seed(fs, k)
-                assert fs.folded == expected
-                assert fs.seed.matrix == fs.folded.matrix
+                fm = group_mutate(fm, k)
+                seed = group_mutate_seed(seed, fm.layout, k)
+                assert seed.matrix == fm.matrix
 
     def test_group_mutation_checks_members(self, fix_c):
-        fs = folded_initial_seed(fix_c)
+        fm = build(fix_c)
         with pytest.raises(IndexOutOfRange):
-            group_mutate_seed(fs, 1)
+            group_mutate_seed(folded_initial_seed(fix_c, fm), fm.layout, 1)
         matrix = ExtendedExchangeMatrix.from_rows(
             ((0, 1, 1, 0, -1, 0), (-1, 0, 0, 1, 0, -1)), m=4
         )
-        interacting = FoldedMatrix(matrix=matrix, layout=FoldedLayout((2,), 0))
         with pytest.raises(StructureViolation):
-            group_mutate_seed(
-                FoldedSeed(seed=fs.seed, folded=interacting, parity=fs.parity), 0
-            )
+            group_mutate_seed(initial_seed(matrix, (1, 1)), FoldedLayout((2,), 0), 0)
 
     def test_coherent_row_refuses_a_missing_group(self, fix_a):
         # The layout's check is the only one, so the error is IndexOutOfRange.
-        fs = folded_initial_seed(fix_a)
-        for k in (-1, fs.folded.layout.n_groups):
+        fm = build(fix_a)
+        for k in (-1, fm.layout.n_groups):
             with pytest.raises(IndexOutOfRange, match=f"no group {k}"):
-                _coherent_row(fs, k)
+                _coherent_row(fm.matrix, fm.layout, k)
 
     def test_walks_share_the_layout(self, fix_b):
         ctx = QuotientContext.create(fix_b)
-        fs, step, _, _ = product_formula_walk(fix_b)
-        layouts = ctx.fs.folded.layout, fs.folded.layout
+        fm, step, _, _ = product_formula_walk(fix_b)
+        layouts = ctx.layout, fm.layout
         for k in (0, 1):
-            ctx, fs = ctx.mutate(k), step(fs, k)
-            assert ctx.fs.folded.layout is layouts[0]
-            assert fs.folded.layout is layouts[1]
+            ctx, fm = ctx.mutate(k), step(fm, k)
+            assert ctx.layout is layouts[0]
+            assert fm.layout is layouts[1]
 
     def test_group_monomials(self, fix_a):
-        fs = folded_initial_seed(fix_a)
-        gm0 = group_monomials(fs, 0)
+        table, fm = folded_root(fix_a)
+        gm0 = group_monomials(table, fm, 0)
         assert str(gm0.u_gt) == "y3^4*y4^4*y5^4"
         assert str(gm0.u_lt) == "1"
         assert str(gm0.v_gt) == "F2^15"
         assert str(gm0.v_lt) == "F1^9"
-        gm1 = group_monomials(fs, 1)
+        gm1 = group_monomials(table, fm, 1)
         assert str(gm1.u_lt) == "y1^4*y2^4"
         assert str(gm1.v_gt) == "F2^14"
         assert str(gm1.v_lt) == "F1^4"
 
     def test_group_coherence_violation(self, fix_a):
-        fs = folded_initial_seed(fix_a)
-        rows = [list(row) for row in fs.folded.matrix.rows]
+        table, fm = folded_root(fix_a)
+        rows = [list(row) for row in fm.matrix.rows]
         rows[0][5] = -8
         corrupted = FoldedMatrix(
             matrix=ExtendedExchangeMatrix(
-                fs.folded.matrix.n,
-                fs.folded.matrix.m,
-                tuple(tuple(row) for row in rows),
+                fm.matrix.n, fm.matrix.m, tuple(tuple(row) for row in rows)
             ),
-            layout=fs.folded.layout,
+            layout=fm.layout,
         )
-        broken = FoldedSeed(seed=fs.seed, folded=corrupted, parity=fs.parity)
         with pytest.raises(GroupCoherenceViolation):
-            group_monomials(broken, 0)
+            group_monomials(table, corrupted, 0)
 
 
     def test_root_unfoldings_scale_f_by_the_root_multiplicity(
@@ -652,8 +674,8 @@ class TestFoldedSeed:
                 if n != prod(divisors) and any(map(any, expected)):
                     apart += 1
                 for fm in (
-                    product_formula_walk(gca, mode)[0].folded,
-                    QuotientContext.create(gca, mode).fs.folded,
+                    product_formula_walk(gca, mode)[0],
+                    unfolding_of(QuotientContext.create(gca, mode)),
                 ):
                     columns = fm.layout.f_block
                     rows = fm.matrix.rows
@@ -664,23 +686,25 @@ class TestFoldedSeed:
 
 class TestSigmaAndUnits:
     def test_balanced_sum(self, fix_c):
-        fs = folded_initial_seed(fix_c)
-        assert str(sigma_polynomial(fs, 0, 1)) == "t1*s2 + t2*s1"
-        assert str(sigma_polynomial(fs, 0, 0)) == "s1*s2"
-        assert str(sigma_polynomial(fs, 0, 2)) == "t1*t2"
+        table, fm = folded_root(fix_c)
+        assert str(sigma_polynomial(table, fm.layout, 0, 1)) == "t1*s2 + t2*s1"
+        assert str(sigma_polynomial(table, fm.layout, 0, 0)) == "s1*s2"
+        assert str(sigma_polynomial(table, fm.layout, 0, 2)) == "t1*t2"
 
     def test_end_sums_are_units(self, fix_a, fix_b, fix_c):
         for seed in (fix_a, fix_b, fix_c):
-            fs = folded_initial_seed(seed)
-            one = LaurentPolynomial.one(fs.table)
+            table, fm = folded_root(seed)
+            layout = fm.layout
+            one = LaurentPolynomial.one(table)
             for k in range(seed.rank):
-                d_k = len(list(fs.members(k)))
-                assert eliminate_units(fs, sigma_polynomial(fs, k, 0)) == one
-                assert eliminate_units(fs, sigma_polynomial(fs, k, d_k)) == one
+                d_k = len(layout.group_range(k))
+                for r in (0, d_k):
+                    sigma = sigma_polynomial(table, layout, k, r)
+                    assert eliminate_units(table, layout.aux, sigma) == one
 
     def test_normal_form_idempotent_and_multiplicative(self, fix_c, rng):
         ctx = QuotientContext.create(fix_c)
-        table = ctx.fs.table
+        table = ctx.folded.table
 
         def random_poly():
             out = LaurentPolynomial.zero(table)
@@ -719,7 +743,7 @@ class TestSigmaAndUnits:
         ]
         for seed, mode, count, top in cases:
             ctx = QuotientContext.create(seed, mode=mode)
-            base = ctx.fs.table.names
+            base = ctx.folded.table.names
             width = len(ctx.placeholder_names)
             for _ in range(count):
                 parts = [
@@ -728,7 +752,7 @@ class TestSigmaAndUnits:
                 ]
                 terms = {}
                 for _ in range(rng.randint(1, 6)):
-                    body = ctx.fs.table.monomial(
+                    body = ctx.folded.table.monomial(
                         {n: rng.randint(-2, 2) for n in rng.sample(base, 3)}
                     )
                     exps = body.exponents + rng.choice(parts)
@@ -879,27 +903,75 @@ class TestProductFormula:
             seed = random_seed(rng)
             cases.append((seed, [random_sequence(rng, seed.matrix.n, 4)]))
         for seed, sequences in cases:
-            for fs in product_formula_states(seed, mode, sequences):
+            table, states = product_formula_states(seed, mode, sequences)
+            for fm, parity in states:
                 for k in range(seed.rank):
-                    report = product_formula_check(fs, k)
-                    assert report.ok, (seed.divisors, fs.parity, k)
-                    assert report == oracle_product_formula_check(fs, k)
+                    report = product_formula_check(table, fm, k)
+                    assert report.ok, (seed.divisors, parity, k)
+                    assert report == oracle_product_formula_check(table, fm, k, parity[k])
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_identity_sign_is_the_counted_parity(self, fix_a, fix_b, fix_c, mode):
+        # The walks count each group's mutations themselves.  A group of
+        # two or more members reads sign -1 exactly when its count is odd;
+        # a group of one reads +1 and needs no parity, since its
+        # sigma_{k,0} = s and sigma_{k,1} = t both eliminate to 1.
+        cases = [
+            (fix_a, list(product(range(2), repeat=6))),
+            (fix_b, list(product(range(2), repeat=6))),
+            (fix_c, [(0,) * 6]),
+        ]
+        rng = random.Random(37)
+        for _ in range(60):
+            seed = random_seed(rng, max_frozen=3)
+            cases.append((seed, [random_sequence(rng, seed.rank, 6) for _ in range(3)]))
+        read = single = 0
+        for seed, sequences in cases:
+            table, states = product_formula_states(seed, mode, sequences)
+            layout, one = states[0][0].layout, LaurentPolynomial.one(table)
+            for k in range(seed.rank):
+                if len(layout.group_range(k)) == 1:
+                    single += 1
+                    for r in (0, 1):
+                        sigma = sigma_polynomial(table, layout, k, r)
+                        assert eliminate_units(table, layout.aux, sigma) == one
+            for fm, parity in states:
+                for k in range(seed.rank):
+                    if len(layout.group_range(k)) > 1:
+                        assert fm.identity_sign(k) == (-1 if parity[k] else 1)
+                        read += 1
+        assert read > 1000 and single > 20
 
     def test_tampered_auxiliary_entry_fails_alike(self, fix_a, fix_b, fix_c):
         # The aux columns are outside the coherence check, so a tampered
-        # entry reaches the identity itself, and both routes must print
-        # the same residual.
+        # entry reaches the identity itself.  Where it leaves the group's
+        # identity sign as counted, both routes must print the same
+        # residual; a moved diagonal T entry may instead break the sign
+        # (StructureViolation) or flip it, and the check must still fail.
+        kinds = set()
         for seed in (fix_a, fix_b, fix_c):
             sequences = [(k,) for k in range(seed.rank)]
-            for fs in product_formula_states(seed, "total", sequences):
+            table, states = product_formula_states(seed, "total", sequences)
+            for fm, parity in states:
                 for k in range(seed.rank):
-                    member, (t_cols, s_cols) = fs.members(k)[0], fs.folded.layout.aux[k]
+                    member, (t_cols, s_cols) = fm.layout.group_range(k)[0], fm.layout.aux[k]
                     for col in (t_cols[0], s_cols[-1]):
                         for delta in (1, -2):
-                            bad = tampered(fs, member, col, delta)
-                            report = product_formula_check(bad, k)
+                            bad = tampered(fm, member, col, delta)
+                            try:
+                                report = product_formula_check(table, bad, k)
+                            except StructureViolation:
+                                kinds.add("broken sign")
+                                continue
                             assert not report.ok
-                            assert report == oracle_product_formula_check(bad, k)
+                            if bad.identity_sign(k) != fm.identity_sign(k):
+                                kinds.add("flipped sign")
+                                continue
+                            kinds.add("alike")
+                            assert report == oracle_product_formula_check(
+                                table, bad, k, parity[k]
+                            )
+        assert kinds == {"broken sign", "flipped sign", "alike"}
 
     def test_shell_exponent_at_the_limit_overflows(self):
         # One group of two members whose shared frozen entry is b: the
@@ -909,20 +981,20 @@ class TestProductFormula:
                 "gca-seed v1\nN 1\nM 1\ndivisors 2\nnames x ; f\n"
                 f"matrix 0 {b}\nstring 0 ; 2 ; 0\n"
             )
-            fs = folded_initial_seed(seed)
-            assert [row[2] for row in fs.folded.matrix.rows] == [b, b]
-            return fs
+            table, fm = folded_root(seed)
+            assert [row[2] for row in fm.matrix.rows] == [b, b]
+            return table, fm
 
-        fs = check_at(EXPONENT_LIMIT // 2)
+        table, fm = check_at(EXPONENT_LIMIT // 2)
         with pytest.raises(ExponentOverflow) as packed:
-            product_formula_check(fs, 0)
+            product_formula_check(table, fm, 0)
         with pytest.raises(ExponentOverflow) as oracle:
-            oracle_product_formula_check(fs, 0)
+            oracle_product_formula_check(table, fm, 0, 0)
         assert str(packed.value) == str(oracle.value)
         assert str(EXPONENT_LIMIT) in str(packed.value)
-        fs = check_at(EXPONENT_LIMIT // 2 - 2)
-        assert product_formula_check(fs, 0) == Report(())
-        assert oracle_product_formula_check(fs, 0) == Report(())
+        table, fm = check_at(EXPONENT_LIMIT // 2 - 2)
+        assert product_formula_check(table, fm, 0) == Report(())
+        assert oracle_product_formula_check(table, fm, 0, 0) == Report(())
 
     def test_lcm_mode(self, fix_b):
         report = product_formula_suite(fix_b, (0, 1), mode="lcm")
@@ -938,7 +1010,7 @@ class TestProductFormula:
         for seed in (fix_a, fix_b, fix_c, *shared_factor_seeds()):
             root, _, _, _ = product_formula_walk(seed, mode)
             n = tau_tilde(seed, mode=mode).multiplicity
-            assert root == folded_initial_seed(seed, n), (seed.divisors, mode)
+            assert root == build(seed, n), (seed.divisors, mode)
 
 
 class TestEmbeddingAndSubquotient:
@@ -962,9 +1034,8 @@ class TestEmbeddingAndSubquotient:
                 ctx = ctx if k is None else ctx.mutate(k)
                 assert condition_iv(ctx) == oracle_condition_iv(ctx) == []
                 for j in (j for j in range(seed.rank) if seed.divisors[j] > 1):
-                    bad = copy(ctx)
-                    member = ctx.fs.members(j)[0]
-                    bad.fs = tampered(ctx.fs, member, ctx.fs.folded.layout.t_range(j)[0], 1)
+                    member = ctx.layout.group_range(j)[0]
+                    bad = tampered_context(ctx, member, ctx.layout.t_range(j)[0], 1)
                     assert condition_iv(bad) == oracle_condition_iv(bad) != []
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
@@ -982,7 +1053,7 @@ class TestEmbeddingAndSubquotient:
                     ]
                     for p in polys:
                         assert ctx.phi_poly(p)._keys == oracle_phi_poly(ctx, p)._keys
-                    assert ctx.group_image(k)._keys == oracle_group_image(ctx.fs, k)._keys
+                    assert ctx.group_image(k)._keys == oracle_group_image(ctx, k)._keys
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_conditions_i_ii_match_the_polynomial_oracle(self, mode):
@@ -1012,9 +1083,8 @@ class TestEmbeddingAndSubquotient:
         ctx = QuotientContext.create(limit_seed(kind, EXPONENT_LIMIT - 1))
         assert _embedding_conditions_at(ctx) == oracle_conditions_i_ii(ctx) == []
         # One more on the folded side alone: the right side reaches the limit.
-        col = ctx.fs.members(1)[0] if kind == "(i)" else ctx.fs.table.frozen_indices[0]
-        bad = copy(ctx)
-        bad.fs = tampered(ctx.fs, 0, col, 1)
+        col = ctx.layout.group_range(1)[0] if kind == "(i)" else ctx.layout.f_block[0]
+        bad = tampered_context(ctx, 0, col, 1)
         found = outcome(conditions_i_ii, bad)
         assert found == outcome(oracle_conditions_i_ii, bad)
         assert found[0] == "ExponentOverflow" and str(EXPONENT_LIMIT) in found[1]
@@ -1022,7 +1092,7 @@ class TestEmbeddingAndSubquotient:
     def test_context_checks_what_the_images_rely_on(self, fix_c):
         ctx = QuotientContext.create(fix_c)
         with pytest.raises(ValidationError, match="tracked table"):
-            ctx.phi_poly(ctx.fs.cluster[0])
+            ctx.phi_poly(ctx.folded.cluster[0])
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_lifts_read_off_the_layout_match_the_name_oracle(
@@ -1047,7 +1117,7 @@ class TestEmbeddingAndSubquotient:
         for seed, sequences in walks:
             for ctx in walked_contexts(seed, mode, sequences).values():
                 assert oracle_lifts(ctx) == ctx._lifts
-                roles = folded_roles(ctx.fs.table, ctx.tracked.divisors.entries)
+                roles = folded_roles(ctx.folded.table, ctx.tracked.divisors.entries)
                 assert all(roles[q][0] not in ("t", "s") for q in sum(ctx._lifts, ()))
                 columns = [ctx.tracked.table.index(n) for n in ctx.placeholder_names]
                 assert not any(row[j] for row in ctx.tracked.matrix.rows for j in columns)

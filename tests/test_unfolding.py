@@ -483,6 +483,35 @@ class TestBlockConditions:
         with pytest.raises(StructureViolation):
             double_constant_check(fm)
 
+    def test_identity_sign_flips_with_its_group(self, fix_a):
+        fm = build(fix_a)
+        assert [fm.identity_sign(k) for k in range(2)] == [1, 1]
+        fm = group_mutate(fm, 0)
+        assert [fm.identity_sign(k) for k in range(2)] == [-1, 1]
+        fm = group_mutate(fm, 1)
+        assert [fm.identity_sign(k) for k in range(2)] == [-1, -1]
+
+    @pytest.mark.parametrize("value", [2, 0])
+    def test_identity_sign_raises_as_the_double_constant_check(self, fix_a, value):
+        # Row 0 of FIX-A's unfolding holds its diagonal T block's first
+        # row in columns 7 and 8, as (1, 0).
+        broken = edited(build(fix_a), {(0, 7): value})
+        with pytest.raises(StructureViolation) as read:
+            broken.identity_sign(0)
+        with pytest.raises(StructureViolation) as checked:
+            double_constant_check(broken)
+        assert str(read.value) == str(checked.value) == (
+            f"diagonal T block (0,0) identity part is {value}, expected +1 or -1"
+        )
+
+    def test_identity_sign_of_a_group_of_one_is_plus_one(self):
+        # A 1 x 1 block cannot tell its constant from its identity part.
+        fm = build(initial_seed(ExtendedExchangeMatrix.from_rows([[0]], m=0), (1,)))
+        for value in (1, -1, 3):
+            assert edited(fm, {(0, 1): value}).identity_sign(0) == 1
+        with pytest.raises(IndexOutOfRange):
+            fm.identity_sign(1)
+
     def test_conditions_at_build(self, fix_a, fix_b, fix_c):
         for seed in (fix_a, fix_b, fix_c):
             report = unfolding_conditions_check(build(seed), seed.matrix)
