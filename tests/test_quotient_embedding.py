@@ -584,14 +584,6 @@ class TestFoldedSeed:
         assert seed.matrix == fm.matrix
         assert all(d == 1 for d in seed.divisors.entries)
 
-    def test_group_mutation_flips_the_identity_sign(self, fix_a):
-        fm = build(fix_a)
-        seed = group_mutate_seed(folded_initial_seed(fix_a, fm), fm.layout, 0)
-        once = FoldedMatrix(seed.matrix, fm.layout)
-        assert [once.identity_sign(k) for k in range(2)] == [-1, 1]
-        twice = FoldedMatrix(group_mutate_seed(seed, fm.layout, 0).matrix, fm.layout)
-        assert [twice.identity_sign(k) for k in range(2)] == [1, 1]
-
     def test_group_mutation_matches_unfolding(self, fix_a, fix_b):
         for gca in (fix_a, fix_b):
             fm = build(gca)

@@ -483,14 +483,6 @@ class TestBlockConditions:
         with pytest.raises(StructureViolation):
             double_constant_check(fm)
 
-    def test_identity_sign_flips_with_its_group(self, fix_a):
-        fm = build(fix_a)
-        assert [fm.identity_sign(k) for k in range(2)] == [1, 1]
-        fm = group_mutate(fm, 0)
-        assert [fm.identity_sign(k) for k in range(2)] == [-1, 1]
-        fm = group_mutate(fm, 1)
-        assert [fm.identity_sign(k) for k in range(2)] == [-1, -1]
-
     @pytest.mark.parametrize("value", [2, 0])
     def test_identity_sign_raises_as_the_double_constant_check(self, fix_a, value):
         # Row 0 of FIX-A's unfolding holds its diagonal T block's first
