@@ -224,20 +224,20 @@ def parse_seed_text(text):
 
     matrix_text, line_no = _expect(cursor, "matrix")
     rows = []
-    if n:
-        row_texts = matrix_text.split(";")
-        if len(row_texts) != n:
+    # A rank-0 seed has a bare matrix line: any text on it is a row too many.
+    row_texts = matrix_text.split(";") if n or matrix_text else []
+    if len(row_texts) != n:
+        raise ParseError(
+            f"expected {n} matrix rows, got {len(row_texts)}", line=line_no
+        )
+    for row_text in row_texts:
+        row = _parse_ints(row_text, line_no, "matrix entries")
+        if len(row) != n + m:
             raise ParseError(
-                f"expected {n} matrix rows, got {len(row_texts)}", line=line_no
+                f"matrix rows need {n + m} entries, got {len(row)}",
+                line=line_no,
             )
-        for row_text in row_texts:
-            row = _parse_ints(row_text, line_no, "matrix entries")
-            if len(row) != n + m:
-                raise ParseError(
-                    f"matrix rows need {n + m} entries, got {len(row)}",
-                    line=line_no,
-                )
-            rows.append(tuple(row))
+        rows.append(tuple(row))
     matrix = ExtendedExchangeMatrix(n, m, tuple(rows))
     divisors = DivisorVector(tuple(divisor_list))
 
@@ -353,10 +353,13 @@ def _load_seed(args):
 def _parse_sequence(text, rank, *, what="direction"):
     """1-based comma/space separated indices -> 0-based tuple.
 
-    Each index is written as in a seed file (see :func:`_parse_ints`).
+    Each index is written as in a seed file (see :func:`_parse_ints`);
+    an empty entry (before, between or after commas) is refused.
     """
     if not text:
         return ()
+    if "," in text and not all(entry.strip() for entry in text.split(",")):
+        raise ParseError(f"{what} sequence {text!r} has an empty entry")
     words = text.replace(",", " ").split()
     out = []
     for word in words:
@@ -458,10 +461,10 @@ def _walk(target, seed):
 
     def step(state, k):
         fm, reference = state
-        return group_mutate(fm, k), mutate_sequence(reference, (k,))
+        return group_mutate(fm, k), mutate(reference, k)
 
     def check(state):
-        report = hadamard_check(*state, seed.divisors)
+        report = hadamard_check(*state)
         return () if report.ok else (tuple(report.failures),)
 
     def key(state):

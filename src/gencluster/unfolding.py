@@ -15,12 +15,13 @@ d_N`` mutable directions and ``M + 2T`` frozen columns, laid out as::
 * ``T^i`` / ``S^i``: identity and minus-identity blocks on the diagonal
   group, zero elsewhere.
 
-:class:`FoldedLayout` works these positions out once per unfolding;
-every other module reads them from it.
+:class:`FoldedLayout` works these positions and the ``F`` scales
+``n / d_i`` out once per unfolding; every other module reads them from
+it.
 
 Mutating a whole group (each member once, in any order — the diagonal
-cluster blocks vanish, so members do not interact) preserves three
-structural facts that the checkers in this module verify:
+cluster blocks vanish, so members do not interact) preserves the
+structural facts that the two checkers in this module verify:
 
 * :func:`hadamard_check` — cluster and ``F`` blocks stay constant,
   with constants read off the correspondingly mutated weighted matrix;
@@ -29,10 +30,12 @@ structural facts that the checkers in this module verify:
   (it returns nothing, or raises at the first pair that fails);
   :meth:`FoldedMatrix.identity_sign` reads the sign of that identity,
   which flips exactly when the group mutates (mutation negates the
-  group's rows);
-* :func:`unfolding_conditions_check` — column sums of cluster blocks
-  reproduce the weighted matrix, and positive entries force
-  non-negative blocks.
+  group's rows).
+
+Block constancy implies the unfolding conditions (each column of a
+cluster block sums to ``B_ij``, and a positive ``B_ij`` forces a
+non-negative block), so those are checked by the test suite as an
+oracle, not at run time.
 
 :func:`group_mutate` mutates the members one by one; the closed
 block-product formula for a whole-group mutation is checked against it
@@ -40,29 +43,42 @@ by the test suite, not recomputed at run time.
 """
 
 from dataclasses import dataclass, replace
+from math import prod
 
 from .errors import IndexOutOfRange, Report, StructureViolation, ValidationError
-from .matrix_mutation import DivisorVector, ExtendedExchangeMatrix, mutate
+from .matrix_mutation import ExtendedExchangeMatrix, mutate
 
 
 @dataclass(frozen=True)
 class FoldedLayout:
     """Column positions of an unfolding, worked out once per :func:`build`.
 
-    From the divisors ``group_sizes`` and the frozen count ``m_original``
-    of the weighted seed, the constructor stores ``n_groups``, ``total``
-    (the member count), ``groups[i]`` (group ``i``'s rows and cluster
-    columns), ``aux[i]`` (its ``(t_range, s_range)`` pair) and the
-    blocks ``cluster_block``, ``f_block``, ``exchange_block`` (cluster
-    and ``F`` columns) and ``frozen_block`` (all columns after the
-    cluster block).  The group accessors raise IndexOutOfRange for a
-    missing group.  Group mutations share the layout.
+    From the divisors ``group_sizes``, the frozen count ``m_original``
+    of the weighted seed and the root ``multiplicity`` ``n`` (the
+    product of the divisors unless given), the constructor stores
+    ``f_scales[i]`` (``n / d_i``, the factor of group ``i``'s ``F``
+    entries), ``n_groups``, ``total`` (the member count), ``groups[i]``
+    (group ``i``'s rows and cluster columns), ``aux[i]`` (its
+    ``(t_range, s_range)`` pair) and the blocks ``cluster_block``,
+    ``f_block``, ``exchange_block`` (cluster and ``F`` columns) and
+    ``frozen_block`` (all columns after the cluster block).  A
+    multiplicity that is not a positive multiple of every divisor
+    raises ValidationError.  The group accessors raise IndexOutOfRange
+    for a missing group.  Group mutations share the layout.
     """
 
     group_sizes: tuple
     m_original: int
+    multiplicity: int = None
 
     def __post_init__(self):
+        n = prod(self.group_sizes) if self.multiplicity is None else self.multiplicity
+        if n < 1 or any(n % d for d in self.group_sizes):
+            raise ValidationError(
+                f"root multiplicity {n} is not a positive multiple of every divisor"
+            )
+        object.__setattr__(self, "multiplicity", n)
+        object.__setattr__(self, "f_scales", tuple(n // d for d in self.group_sizes))
         total, m = sum(self.group_sizes), self.m_original
         groups, aux, start, t = [], [], 0, total + m
         for d in self.group_sizes:
@@ -159,16 +175,6 @@ class FoldedMatrix:
         return sign
 
 
-def _f_scales(divisors, multiplicity):
-    """``n / d_i`` per row: the factor of row ``i``'s ``F`` entries."""
-    n = divisors.product if multiplicity is None else multiplicity
-    if n < 1 or any(n % d for d in divisors.entries):
-        raise ValidationError(
-            f"root multiplicity {n} is not a positive multiple of every divisor"
-        )
-    return tuple(n // d for d in divisors.entries)
-
-
 def build(seed, multiplicity=None):
     """Unfold a seed, whose divisors divide its principal rows.
 
@@ -177,8 +183,7 @@ def build(seed, multiplicity=None):
     """
     matrix, divisors = seed.matrix, seed.divisors
     n, m = matrix.n, matrix.m
-    layout = FoldedLayout(divisors.entries, m)
-    scales = _f_scales(divisors, multiplicity)
+    layout = FoldedLayout(divisors.entries, m, multiplicity)
     rows = []
     for i in range(n):
         base = []
@@ -186,7 +191,7 @@ def build(seed, multiplicity=None):
             value = matrix.rows[i][j] // divisors[i]
             base.extend([value] * divisors[j])
         for l in range(m):
-            base.append(scales[i] * matrix.rows[i][n + l])
+            base.append(layout.f_scales[i] * matrix.rows[i][n + l])
         base.extend([0] * (2 * layout.total))
         for t, s in zip(*layout.aux[i]):
             row = list(base)
@@ -222,33 +227,33 @@ def group_mutate(fm, k):
     return replace(fm, matrix=out)
 
 
-def hadamard_check(fm, matrix, divisors, multiplicity=None):
+def hadamard_check(fm, reference):
     """Check block-constancy against a weighted reference matrix.
 
     Cluster block ``(i, j)`` must be the constant ``B_ij / d_i``; the
     ``F`` block ``(i, l)`` must be the constant ``(n / d_i) * B_{i,N+l}``,
-    with ``n`` the root multiplicity the unfolding was built with (the
-    product of the divisors by default).
-    ``matrix`` is the reference at the same mutation depth (group
-    mutations of the unfolding mirror plain mutations of the reference).
-    Returns a report whose failures name the first offending block and
-    entry.  A reference or divisor vector whose shape does not match the
-    unfolding raises ValidationError.
+    with ``d_i`` and ``n / d_i`` read off ``fm.layout``.
+    ``reference`` is the weighted matrix at the same mutation depth
+    (group mutations of the unfolding mirror plain mutations of the
+    reference).  Returns a report whose failures name the first
+    offending block and entry.  The reference needs one row per group
+    and one frozen column per ``F`` column, since a smaller one would
+    leave the rest of the unfolding unchecked: any other shape raises
+    ValidationError.
     """
-    if not isinstance(divisors, DivisorVector):
-        divisors = DivisorVector(tuple(divisors))
-    _check_reference(fm, matrix)
     layout = fm.layout
-    if len(divisors) != layout.n_groups:
+    if (reference.n, reference.m) != (layout.n_groups, layout.m_original):
         raise ValidationError(
-            f"{len(divisors)} divisors for an unfolding of {layout.n_groups} groups"
+            f"reference has {reference.n} rows and {reference.m} frozen columns; the "
+            f"unfolding has {layout.n_groups} groups and {layout.m_original} F columns"
         )
     failures = []
-    n = matrix.n
-    scales = _f_scales(divisors, multiplicity)
-    for i, rows_i in enumerate(layout.groups):
+    n = reference.n
+    for i, (rows_i, d, scale) in enumerate(
+        zip(layout.groups, layout.group_sizes, layout.f_scales)
+    ):
         for j, cols in enumerate(layout.groups):
-            value, rem = divmod(matrix.rows[i][j], divisors[i])
+            value, rem = divmod(reference.rows[i][j], d)
             if rem:
                 failures.append(
                     ("cluster", i, j, "reference entry not divisible by d_i")
@@ -258,26 +263,12 @@ def hadamard_check(fm, matrix, divisors, multiplicity=None):
             if bad is not None:
                 failures.append(("cluster", i, j, bad))
         for l, c in enumerate(layout.f_block):
-            value = scales[i] * matrix.rows[i][n + l]
+            value = scale * reference.rows[i][n + l]
             block = fm.block(rows_i, range(c, c + 1))
             bad = _first_nonconstant(block, value)
             if bad is not None:
                 failures.append(("f", i, l, bad))
     return Report(tuple(failures))
-
-
-def _check_reference(fm, matrix):
-    """ValidationError unless the reference ``matrix`` fits the unfolding.
-
-    It needs one row per group and one frozen column per ``F`` column:
-    a smaller reference would leave the rest of the unfolding unchecked.
-    """
-    layout = fm.layout
-    if (matrix.n, matrix.m) != (layout.n_groups, layout.m_original):
-        raise ValidationError(
-            f"reference has {matrix.n} rows and {matrix.m} frozen columns; the "
-            f"unfolding has {layout.n_groups} groups and {layout.m_original} F columns"
-        )
 
 
 def _first_nonconstant(block, value):
@@ -320,31 +311,3 @@ def double_constant_check(fm):
                 )
             if s_block != _plus_identity(a - c, -shift, *shape):
                 raise StructureViolation(f"T+S block ({i},{j}) is not constant")
-
-
-def unfolding_conditions_check(fm, matrix):
-    """Column sums and sign coherence of the cluster blocks.
-
-    For each cluster block ``(i, j)`` against the reference entry
-    ``B_ij``: every column of the block sums to ``B_ij``, and when
-    ``B_ij > 0`` every entry of the block is non-negative.  A reference
-    whose shape does not match the unfolding raises ValidationError.
-    """
-    _check_reference(fm, matrix)
-    failures = []
-    groups = fm.layout.groups
-    for i, rows_i in enumerate(groups):
-        for j, cols in enumerate(groups):
-            ref = matrix.rows[i][j]
-            block = fm.block(rows_i, cols)
-            for col in range(len(block[0])):
-                total = sum(block[r][col] for r in range(len(block)))
-                if total != ref:
-                    failures.append(
-                        ("column-sum", i, j, f"column {col} sums to {total}, "
-                         f"expected {ref}")
-                    )
-                    break
-            if ref > 0 and any(e < 0 for row in block for e in row):
-                failures.append(("sign", i, j, "negative entry under positive reference"))
-    return Report(tuple(failures))

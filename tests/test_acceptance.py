@@ -163,7 +163,7 @@ class TestAcceptance:
             assert (fm.matrix.rows[1][9], fm.matrix.rows[1][10]) == (-48, -47)
             assert fm.matrix.rows[0][10] == -(4 * 4 * 3)
             assert (fm.matrix.rows[0][9], fm.matrix.rows[0][10]) != (-15, -16)
-            assert hadamard_check(fm, composite, seed.divisors).ok
+            assert hadamard_check(fm, composite).ok
             double_constant_check(fm)
 
     def test_criterion_03_exchange_data_reproduction(self):
@@ -229,7 +229,7 @@ class TestAcceptance:
                 for k in random_sequence(rng, seed.rank, 5):
                     fm = group_mutate(fm, k)
                     matrix = mutate(matrix, k)
-                    assert hadamard_check(fm, matrix, seed.divisors).ok
+                    assert hadamard_check(fm, matrix).ok
                     double_constant_check(fm)
 
     def test_criterion_07_product_formula(self):

@@ -181,6 +181,24 @@ class TestSeedFiles:
             code, out = run("verify", "laurent", "--seed-file", str(path))
             assert (code, out) == (1, "")
 
+    def test_rank_zero_matrix_line_takes_no_rows(self, tmp_path, capsys):
+        # A rank-0 seed writes a bare "matrix" line; rows there are
+        # refused, not dropped.
+        rank_0 = initial_seed(ExtendedExchangeMatrix(0, 1, ()), ())
+        text = _seed_text(rank_0)
+        assert "\nmatrix\n" in text and parse_seed_text(text) == rank_0
+        path = tmp_path / "rank0.seed"
+        for rows, count in (("7 8 ; 9", 2), ("7", 1), (";", 2)):
+            bad = text.replace("\nmatrix\n", f"\nmatrix {rows}\n")
+            with pytest.raises(ParseError, match=f"expected 0 matrix rows, got {count}"):
+                parse_seed_text(bad)
+            path.write_text(bad, encoding="utf-8")
+            for argv in (("adjoin",), ("verify", "hadamard", "--depth", "0")):
+                assert run(*argv, "--seed-file", str(path)) == (1, "")
+                assert capsys.readouterr().err == (
+                    f"gencluster: error: line 6: expected 0 matrix rows, got {count}\n"
+                )
+
     def test_trailing_content_rejected(self, fix_c):
         with pytest.raises(ParseError):
             parse_seed_text(_seed_text(fix_c) + "extra\n")
@@ -502,6 +520,25 @@ class TestUsageErrors:
         # as in a seed file; ``int`` alone would read each of these.
         self.assert_usage_error(capsys, *argv)
 
+    @pytest.mark.parametrize("command, seed", [
+        ("mutate", "FIX-A"), ("unfold", "FIX-B"), ("trace", "FIX-C"),
+    ])
+    @pytest.mark.parametrize("sequence", ["1,,1", ",1", "1,", ",", "1, ,1"])
+    def test_an_empty_sequence_entry_is_refused(self, capsys, command, seed, sequence):
+        err = self.assert_usage_error(
+            capsys, command, "--seed", seed, "--sequence", sequence
+        )
+        assert f"sequence {sequence!r} has an empty entry" in err
+
+    @pytest.mark.parametrize("command, seed", [
+        ("mutate", "FIX-A"), ("unfold", "FIX-B"), ("trace", "FIX-C"),
+    ])
+    def test_sequences_without_empty_entries_run(self, command, seed):
+        outputs = {run(command, "--seed", seed, "--sequence", text)
+                   for text in ("1,1", "1 1", "1, 1", " 1 , 1 ")}
+        assert len(outputs) == 1 and outputs.pop()[0] == 0
+        assert run(command, "--seed", seed, "--sequence", "") == run(command, "--seed", seed)
+
     def test_canonical_integer_flags_run(self):
         assert run("trace", "--seed", "FIX-C", "--sequence", "1,1")[0] == 0
         for rng_seed in ("0", "-3", "12"):
@@ -633,7 +670,7 @@ def oracle_verdict(target, seed, sequence, step=group_mutate,
         failures = []
         for depth, (fm, reference) in enumerate(prefixes):
             if target == "hadamard":
-                report = hadamard(fm, reference, seed.divisors)
+                report = hadamard(fm, reference)
                 if not report.ok:
                     failures.append(repr((depth,) + tuple(report.failures)))
             else:
@@ -993,7 +1030,7 @@ class TestWalker:
         def value(fm):
             return fm.matrix.rows[0][5] + fm.matrix.rows[-1][5]
 
-        def hadamard(fm, reference, divisors):
+        def hadamard(fm, reference):
             bad = value(fm) > 0
             failures = (("synthetic", value(fm)),) if bad else ()
             return Report(failures)
@@ -1360,11 +1397,11 @@ class TestSharedStates:
                 raise StructureViolation("step from a shared state")
             return group_mutate(fm, k)
 
-        def hadamard(fm, reference, divisors):
+        def hadamard(fm, reference):
             if fm == after_1:
                 raised.append("check")
                 raise StructureViolation("check of a shared state")
-            return hadamard_check(fm, reference, divisors)
+            return hadamard_check(fm, reference)
 
         monkeypatch.setattr("gencluster.cli_io.group_mutate", step)
         monkeypatch.setattr("gencluster.cli_io.hadamard_check", hadamard)

@@ -284,6 +284,12 @@ SHARED_MEMBER_NAMES = {
         "FoldedMatrix's by fm.matrix in unfolding, quotient_embedding and cli_io; "
         "GeneralizedSeed's by seed.matrix and, in quotient_embedding, folded.matrix"
     ),
+    "multiplicity": (
+        "AdjoinedSeed's by self.multiplicity in root_adjoin and adjoined.multiplicity "
+        "in quotient_embedding and the scripts; FoldedLayout's (the root multiplicity "
+        "that scales its F columns) by self.multiplicity in unfolding and "
+        "fm.layout.multiplicity in the tests"
+    ),
     "one": (
         "VariableTable's by table.one() in gca_seed, fixtures, randomgen and "
         "quotient_embedding; LaurentPolynomial's by LaurentPolynomial.one(table)"

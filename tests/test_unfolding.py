@@ -1,6 +1,7 @@
 """Unfolding: block layout, group mutation, and preserved block structure."""
 
 from itertools import product
+from math import lcm, prod
 import random
 
 import pytest
@@ -8,16 +9,19 @@ import pytest
 from conftest import group_mutate_sequence
 from gencluster.errors import (
     IndexOutOfRange,
+    Report,
     StructureViolation,
     ValidationError,
 )
 from gencluster.gca_seed import initial_seed
 from gencluster.matrix_mutation import (
     ExtendedExchangeMatrix,
+    mutate,
     mutate_sequence,
     write_matrix,
 )
 from gencluster.randomgen import random_seed, random_sequence
+from gencluster.root_adjoin import root_multiplicity
 from gencluster.unfolding import (
     FoldedLayout,
     FoldedMatrix,
@@ -25,7 +29,6 @@ from gencluster.unfolding import (
     double_constant_check,
     group_mutate,
     hadamard_check,
-    unfolding_conditions_check,
 )
 
 # The rank-2 fixture with divisors (2, 3) unfolds to a 5 x 17 matrix:
@@ -78,6 +81,35 @@ def column_groups(fm):
         out.append(("t", j, fm.layout.t_range(j)))
         out.append(("s", j, fm.layout.s_range(j)))
     return out
+
+
+def unfolding_conditions_check(fm, matrix):
+    """Column sums and sign coherence of the cluster blocks (an oracle).
+
+    For each cluster block ``(i, j)`` against the reference entry
+    ``B_ij``: every column of the block sums to ``B_ij``, and when
+    ``B_ij > 0`` every entry of the block is non-negative.  These are the
+    unfolding conditions of Felikson, Shapiro and Tumarkin; block
+    constancy implies them, so ``hadamard_check`` fails wherever this
+    does.
+    """
+    failures = []
+    groups = fm.layout.groups
+    for i, rows_i in enumerate(groups):
+        for j, cols in enumerate(groups):
+            ref = matrix.rows[i][j]
+            block = fm.block(rows_i, cols)
+            for col in range(len(block[0])):
+                total = sum(block[r][col] for r in range(len(block)))
+                if total != ref:
+                    failures.append(
+                        ("column-sum", i, j, f"column {col} sums to {total}, "
+                         f"expected {ref}")
+                    )
+                    break
+            if ref > 0 and any(e < 0 for row in block for e in row):
+                failures.append(("sign", i, j, "negative entry under positive reference"))
+    return Report(tuple(failures))
 
 
 def edited(fm, changes):
@@ -186,7 +218,7 @@ class TestGroupMutation:
         reference = mutate_sequence(fix_a.matrix, (0, 1))
         assert reference.rows == FIX_A_MU21
         fm = group_mutate_sequence(build(fix_a), (0, 1))
-        report = hadamard_check(fm, reference, fix_a.divisors)
+        report = hadamard_check(fm, reference)
         assert report.ok, report.failures
         assert fm.matrix.rows[0][5] == 3 * reference.rows[0][2]
 
@@ -226,7 +258,7 @@ class TestGroupMutation:
         fm = edited(build(fix_a), {(0, 4): -4, (4, 0): 4})
         reference = fix_a.matrix
         for _ in range(2):
-            hadamard = hadamard_check(fm, reference, fix_a.divisors)
+            hadamard = hadamard_check(fm, reference)
             conditions = unfolding_conditions_check(fm, reference)
             assert ("cluster", 0, 1) in [f[:3] for f in hadamard.failures]
             assert (0, 1) in [f[1:3] for f in conditions.failures]
@@ -410,7 +442,7 @@ class TestBlockConditions:
     def test_hadamard_at_build(self, fix_a, fix_b, fix_c):
         for seed in (fix_a, fix_b, fix_c):
             fm = build(seed)
-            report = hadamard_check(fm, seed.matrix, seed.divisors)
+            report = hadamard_check(fm, seed.matrix)
             assert report.ok, report.failures
 
     def test_hadamard_along_prefixes(self, fix_a):
@@ -419,30 +451,55 @@ class TestBlockConditions:
         for k in (0, 1, 0, 1):
             fm = group_mutate(fm, k)
             matrix = mutate_sequence(matrix, (k,))
-            report = hadamard_check(fm, matrix, fix_a.divisors)
+            report = hadamard_check(fm, matrix)
             assert report.ok, report.failures
 
     def test_hadamard_with_root_multiplicity(self):
         # Divisors (2, 2) share a factor: roots adjoined with the lcm 2
         # scale the F columns by 2 / d_k, not by the product 4 / d_k.
+        # The layout carries the multiplicity, so the check is not told it.
         matrix = ExtendedExchangeMatrix.from_rows(
             [[0, 2, -1, -2], [-2, 0, 4, 3]], m=2
         )
         seed = initial_seed(matrix, (2, 2))
         fm = build(seed, multiplicity=2)
+        assert (fm.layout.multiplicity, fm.layout.f_scales) == (2, (1, 1))
         assert fm.block(fm.layout.group_range(0), range(4, 6)) == ((-1, -2), (-1, -2))
         for k in (0, 1, 0):
             fm = group_mutate(fm, k)
             matrix = mutate_sequence(matrix, (k,))
-            report = hadamard_check(fm, matrix, (2, 2), multiplicity=2)
+            report = hadamard_check(fm, matrix)
             assert report.ok, report.failures
-        assert not hadamard_check(fm, matrix, (2, 2)).ok
-        with pytest.raises(ValidationError):
+        # The same matrix under the default layout (multiplicity 4) is not
+        # block-constant against the reference.
+        default = FoldedMatrix(matrix=fm.matrix, layout=FoldedLayout((2, 2), 2))
+        assert not hadamard_check(default, matrix).ok
+        with pytest.raises(ValidationError, match="root multiplicity 3 is not"):
             build(seed, multiplicity=3)
+
+    @pytest.mark.parametrize("n", [0, -6, 4])
+    def test_layout_refuses_a_multiplicity_that_is_not_a_common_multiple(self, n):
+        with pytest.raises(ValidationError, match=f"root multiplicity {n} is not"):
+            FoldedLayout((2, 3), 1, n)
+
+    def test_block_constancy_under_other_multiplicities(self, fix_a, fix_b, fix_c):
+        rng = random.Random(2504)
+        seeds = [fix_a, fix_b, fix_c]
+        seeds += [random_seed(rng, max_frozen=3) for _ in range(40)]
+        for seed in seeds:
+            divisors = seed.divisors.entries
+            for n in (lcm(*divisors), 2 * prod(divisors)):
+                fm, matrix = build(seed, n), seed.matrix
+                assert fm.layout.multiplicity == n
+                assert hadamard_check(fm, matrix).ok
+                for k in random_sequence(rng, matrix.n, 5):
+                    fm, matrix = group_mutate(fm, k), mutate(matrix, k)
+                    report = hadamard_check(fm, matrix)
+                    assert report.ok, report.failures
 
     def test_hadamard_detects_corruption(self, fix_a):
         fm = edited(build(fix_a), {(0, 5): -8})
-        report = hadamard_check(fm, fix_a.matrix, fix_a.divisors)
+        report = hadamard_check(fm, fix_a.matrix)
         assert not report.ok
         assert report.failures[0][:3] == ("f", 0, 0)
 
@@ -451,9 +508,7 @@ class TestBlockConditions:
         fm = build(fix_b)
         reference = ExtendedExchangeMatrix.from_rows([[0, -8, 4, 0, 0, 0]], m=5)
         with pytest.raises(ValidationError, match="1 rows"):
-            hadamard_check(fm, reference, (3,))
-        with pytest.raises(ValidationError, match="1 rows"):
-            unfolding_conditions_check(fm, reference)
+            hadamard_check(fm, reference)
 
     def test_reference_with_fewer_f_columns_rejected(self, fix_a):
         fm = build(fix_a)
@@ -461,13 +516,7 @@ class TestBlockConditions:
             [row[:3] for row in fix_a.matrix.rows], m=1
         )
         with pytest.raises(ValidationError, match="1 frozen columns"):
-            hadamard_check(fm, reference, fix_a.divisors)
-        with pytest.raises(ValidationError, match="1 frozen columns"):
-            unfolding_conditions_check(fm, reference)
-
-    def test_divisor_count_must_match_the_groups(self, fix_a):
-        with pytest.raises(ValidationError, match="3 divisors"):
-            hadamard_check(build(fix_a), fix_a.matrix, (2, 3, 1))
+            hadamard_check(fm, reference)
 
     def test_double_constant_at_build(self, fix_a):
         assert double_constant_check(build(fix_a)) is None
@@ -517,6 +566,80 @@ class TestBlockConditions:
             for k in random_sequence(rng, matrix.n, 4):
                 fm = group_mutate(fm, k)
                 matrix = mutate_sequence(matrix, (k,))
-                assert hadamard_check(fm, matrix, seed.divisors).ok
+                assert hadamard_check(fm, matrix).ok
                 double_constant_check(fm)
                 assert unfolding_conditions_check(fm, matrix).ok
+
+
+def walk_pairs(fm, reference, depth):
+    """Every ``(unfolding, reference)`` pair of the group walks up to ``depth``."""
+    pairs = layer = [(fm, reference)]
+    for _ in range(depth):
+        layer = [
+            (group_mutate(f, k), mutate(r, k)) for f, r in layer for k in range(r.n)
+        ]
+        pairs = pairs + layer
+    return pairs
+
+
+def skew_edited(fm, deltas):
+    """``fm`` with each ``{(row, col): delta}`` added there and taken off at ``(col, row)``.
+
+    The cluster block of an unfolding is skew-symmetric, and stays so.
+    """
+    total = {}
+    for (r, c), delta in deltas.items():
+        total[(r, c)] = total.get((r, c), 0) + delta
+        total[(c, r)] = total.get((c, r), 0) - delta
+    rows = fm.matrix.rows
+    return edited(fm, {(r, c): rows[r][c] + d for (r, c), d in total.items()})
+
+
+def cluster_tamperings(fm):
+    """Skew-symmetric edits of the cluster block of ``fm``.
+
+    Single entries moved by one or negated, and ``2 x 2`` cycles
+    ``+1 -1 / -1 +1`` on two rows and two columns, which keep every
+    column sum.
+    """
+    rows = fm.matrix.rows
+    members = fm.layout.cluster_block
+    for r in members:
+        for c in members:
+            if r < c:
+                for delta in (1, -1, -2 * rows[r][c]):
+                    yield skew_edited(fm, {(r, c): delta})
+            if r + 1 in members and c + 1 in members and not {r, r + 1} & {c, c + 1}:
+                yield skew_edited(
+                    fm, {(r, c): 1, (r + 1, c): -1, (r, c + 1): -1, (r + 1, c + 1): 1}
+                )
+
+
+class TestConditionsOracle:
+    """The unfolding conditions hold wherever block constancy does."""
+
+    def test_oracle_and_hadamard_agree(self, fix_a, fix_b, fix_c):
+        rng = random.Random(2012)
+        pairs = []
+        for mode in ("total", "lcm"):
+            for seed in (fix_a, fix_b, fix_c):
+                root = build(seed, root_multiplicity(seed, mode))
+                pairs += walk_pairs(root, seed.matrix, 6)
+            for _ in range(60):
+                seed = random_seed(rng)
+                fm, reference = build(seed, root_multiplicity(seed, mode)), seed.matrix
+                pairs.append((fm, reference))
+                for k in random_sequence(rng, reference.n, 4):
+                    fm, reference = group_mutate(fm, k), mutate(reference, k)
+                    pairs.append((fm, reference))
+        for fm, reference in pairs:
+            assert hadamard_check(fm, reference).ok
+            assert unfolding_conditions_check(fm, reference).ok
+        verdicts = set()
+        for fm, reference in pairs[::7]:
+            for broken in cluster_tamperings(fm):
+                conditions = unfolding_conditions_check(broken, reference)
+                verdicts.add(conditions.ok)
+                if not conditions.ok:
+                    assert not hadamard_check(broken, reference).ok
+        assert verdicts == {True, False}
