@@ -1,0 +1,148 @@
+"""Value semantics of the package's immutable value types.
+
+Each type compares, hashes and prints by its fields: instances built
+apart from equal parts are equal, a change to any one field makes them
+unequal, another type never compares equal, and no attribute can be
+assigned or deleted.
+"""
+
+from copy import copy
+
+import pytest
+
+from gencluster.errors import Report
+from gencluster.gca_seed import CoefficientStrings, GeneralizedSeed, initial_seed, mutate_seed
+from gencluster.laurent_kernel import Monomial, VariableTable
+from gencluster.matrix_mutation import DivisorVector, ExtendedExchangeMatrix, mutate
+from gencluster.root_adjoin import AdjoinedSeed, tau_tilde
+from gencluster.unfolding import FoldedLayout, FoldedMatrix, build
+
+
+def _table():
+    return VariableTable(("x", "y", "f"), 2)
+
+
+def _matrix():
+    return ExtendedExchangeMatrix(2, 1, ((0, 2, 1), (-1, 0, 3)))
+
+
+def _seed():
+    return initial_seed(_matrix(), DivisorVector((2, 1)))
+
+
+#: ``class: (factory, {field: another value})``, fields in declaration
+#: order.  Each factory call builds an instance from freshly built parts.
+VALUES = {
+    Report: (lambda: Report(("x fails", "y fails")), {"failures": ("x fails",)}),
+    VariableTable: (_table, {"names": ("x", "y", "g"), "n_cluster": 1}),
+    Monomial: (
+        lambda: Monomial(_table(), (1, 0, -2)),
+        {"table": VariableTable(("x", "z", "f"), 2), "exponents": (1, 0, 2)},
+    ),
+    ExtendedExchangeMatrix: (
+        _matrix, {"n": 3, "m": 2, "rows": ((0, 2, 1), (-1, 0, 2))},
+    ),
+    DivisorVector: (lambda: DivisorVector((2, 1)), {"entries": (1, 2)}),
+    CoefficientStrings: (
+        lambda: CoefficientStrings.trivial(_table(), DivisorVector((2, 1))),
+        {"rows": CoefficientStrings.trivial(_table(), DivisorVector((1, 1))).rows},
+    ),
+    GeneralizedSeed: (_seed, {
+        "table": VariableTable(("a", "b", "f1"), 2),
+        "cluster": mutate_seed(_seed(), 0).cluster,
+        "matrix": mutate(_matrix(), 0),
+        "divisors": DivisorVector((1, 1)),
+        "strings": CoefficientStrings.trivial(_seed().table, DivisorVector((1, 1))),
+    }),
+    AdjoinedSeed: (lambda: tau_tilde(_seed()), {
+        "base": mutate_seed(_seed(), 0), "seed": _seed(), "multiplicity": 4,
+    }),
+    FoldedLayout: (
+        lambda: FoldedLayout((2, 1), 1),
+        {"group_sizes": (1, 2), "m_original": 0, "multiplicity": 4},
+    ),
+    FoldedMatrix: (lambda: build(_seed()), {
+        "matrix": mutate(build(_seed()).matrix, 0), "layout": FoldedLayout((2, 1), 1, 4),
+    }),
+}
+
+#: Types with a field that holds Laurent polynomials, which do not hash.
+UNHASHABLE = {GeneralizedSeed, AdjoinedSeed}
+
+CASES = [pytest.param(cls, id=cls.__name__) for cls in VALUES]
+FIELD_CASES = [
+    pytest.param(cls, field, id=f"{cls.__name__}.{field}")
+    for cls, (_, changes) in VALUES.items()
+    for field in changes
+]
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_equal_parts_give_equal_values(cls):
+    make, _ = VALUES[cls]
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert repr(a) == repr(b)
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_repr_lists_the_fields_in_order(cls):
+    make, changes = VALUES[cls]
+    value = make()
+    if cls is Monomial:
+        assert repr(value) == "Monomial(x*f^-2)"
+        return
+    fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in changes)
+    assert repr(value) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls, field", FIELD_CASES)
+def test_a_changed_field_makes_values_unequal(cls, field):
+    make, changes = VALUES[cls]
+    a = make()
+    b = copy(a)
+    assert a == b
+    assert getattr(a, field) != changes[field]
+    object.__setattr__(b, field, changes[field])
+    assert a != b and b != a
+    assert not a == b
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_other_types_never_compare_equal(cls):
+    make, _ = VALUES[cls]
+    value = make()
+    others = [None, 0, (), "value", object()]
+    others += [m() for other, (m, _) in VALUES.items() if other is not cls]
+    for other in others:
+        assert (value == other) is False
+        assert (other == value) is False
+        assert value != other
+
+
+@pytest.mark.parametrize("cls, field", FIELD_CASES)
+def test_fields_cannot_be_assigned_or_deleted(cls, field):
+    make, changes = VALUES[cls]
+    value = make()
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, changes[field])
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_no_attribute_can_be_added(cls):
+    make, _ = VALUES[cls]
+    value = make()
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "extra")
