@@ -34,7 +34,6 @@ leaves the records already written.
 
 import argparse
 import functools
-import hashlib
 import json
 import random
 import sys
@@ -299,6 +298,9 @@ def _digest(matrix, table, rows):
     traced runs agree exactly when every intermediate matrix and string
     table agrees.
     """
+    # Only ``trace`` digests, so only it loads hashlib.
+    import hashlib
+
     text = write_matrix(matrix) + "".join(
         line + "\n" for line in _string_lines(table, rows)
     )

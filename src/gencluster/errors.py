@@ -5,16 +5,49 @@ so callers can catch one type at the boundary.  Input/validation problems
 and mathematical impossibilities get distinct subclasses because the
 command line maps them to different exit codes.  A verification check
 that reports its failures rather than raising returns a :class:`Report`.
+
+:class:`FrozenValue` is the base of the package's immutable value types
+(tables, monomials, matrices, divisors, strings, seeds, layouts and
+reports).  Each subclass annotates its fields in its body; its
+``__init__`` stores them with ``object.__setattr__`` and calls the
+class's ``__post_init__`` validator where it has one, and it writes
+``__eq__`` (the same class, then field by field) and ``__hash__`` (of
+the tuple of its fields) by hand.  The base refuses assigning or
+deleting any attribute with AttributeError and prints the annotated
+fields in order, ``Name(field=value, ...)``.
 """
 
-from dataclasses import dataclass
+
+class FrozenValue:
+    """Base of the immutable value types: no attribute can be set or deleted."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        cls = type(self)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in cls.__annotations__)
+        return f"{cls.__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(FrozenValue):
     """Outcome of a verification check: the ``failures`` tuple, ``ok`` when empty."""
 
     failures: tuple
+
+    def __init__(self, failures):
+        object.__setattr__(self, "failures", failures)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.failures == other.failures
+
+    def __hash__(self):
+        return hash((self.failures,))
 
     @property
     def ok(self):

@@ -39,9 +39,7 @@ reassembling ``theta_k`` from the roots, and the special and balancing
 ``q`` monomials are test oracles in ``tests/test_gca_seed.py``.
 """
 
-from dataclasses import dataclass
-
-from .errors import Report, ValidationError
+from .errors import FrozenValue, Report, ValidationError
 from .laurent_kernel import (
     Monomial,
     VariableTable,
@@ -59,11 +57,24 @@ from .matrix_mutation import (
 )
 
 
-@dataclass(frozen=True)
-class CoefficientStrings:
-    """Per-direction tuples of frozen monomials, ends pinned to 1."""
+class CoefficientStrings(FrozenValue):
+    """Per-direction tuples of frozen monomials, ends pinned to 1.
+
+    The constructor stores the rows, and each row, as tuples.
+    """
 
     rows: tuple
+
+    def __init__(self, rows):
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     def row(self, k):
         return self.rows[k]
@@ -98,12 +109,14 @@ class CoefficientStrings:
         return CoefficientStrings(tuple((one,) * (d + 1) for d in divisors.entries))
 
 
-@dataclass(frozen=True)
-class GeneralizedSeed:
+class GeneralizedSeed(FrozenValue):
     """Cluster, exchange matrix, divisors, and coefficient strings.
 
-    The constructor checks that the parts fit together: sizes, tables,
-    divisor compatibility and the coefficient strings.  Mutation results
+    The constructor stores the cluster as a tuple and the divisors as a
+    :class:`~gencluster.matrix_mutation.DivisorVector` (a sequence of
+    integers is converted), then checks that the parts fit together:
+    sizes, tables, divisor compatibility and the coefficient strings.
+    Mutation results
     skip those checks (see :func:`_trusted_seed`), because
     :func:`mutate_seed` preserves each of them: the table and divisors
     are unchanged; each matrix update is 0 or ``+/- b_ik * b_kj``, so
@@ -118,7 +131,32 @@ class GeneralizedSeed:
     divisors: DivisorVector
     strings: CoefficientStrings
 
+    def __init__(self, table, cluster, matrix, divisors, strings):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "divisors", divisors)
+        object.__setattr__(self, "strings", strings)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.table == other.table
+            and self.cluster == other.cluster
+            and self.matrix == other.matrix
+            and self.divisors == other.divisors
+            and self.strings == other.strings
+        )
+
+    def __hash__(self):
+        return hash((self.table, self.cluster, self.matrix, self.divisors, self.strings))
+
     def __post_init__(self):
+        object.__setattr__(self, "cluster", tuple(self.cluster))
+        if not isinstance(self.divisors, DivisorVector):
+            object.__setattr__(self, "divisors", DivisorVector(tuple(self.divisors)))
         n, m = self.matrix.n, self.matrix.m
         if self.table.n_cluster != n:
             raise ValidationError("table cluster count does not match the matrix")
@@ -169,8 +207,6 @@ def initial_seed(matrix, divisors, strings=None, cluster_names=None, frozen_name
     sequences, and a bare ``str`` is refused as by
     :meth:`~gencluster.laurent_kernel.VariableTable.make`.
     """
-    if not isinstance(divisors, DivisorVector):
-        divisors = DivisorVector(tuple(divisors))
     n, m = matrix.n, matrix.m
     if cluster_names is None:
         cluster_names = tuple(f"x{i + 1}" for i in range(n))
@@ -178,13 +214,13 @@ def initial_seed(matrix, divisors, strings=None, cluster_names=None, frozen_name
         frozen_names = tuple(f"f{j + 1}" for j in range(m))
     table = VariableTable.make(cluster=cluster_names, frozen=frozen_names)
     if strings is None:
-        strings = CoefficientStrings.trivial(table, divisors)
+        strings = CoefficientStrings.trivial(table, DivisorVector(tuple(divisors)))
     cluster = tuple(table.variable(name) for name in table.names[: table.n_cluster])
     return GeneralizedSeed(table, cluster, matrix, divisors, strings)
 
 
 def _trusted_seed(seed, **changes):
-    """``dataclasses.replace(seed, **changes)`` without the constructor's checks.
+    """A copy of ``seed`` with the fields ``changes`` names replaced, unchecked.
 
     Only for seeds that mutation derives from ``seed``: the changed
     fields must keep every invariant the constructor checks (see

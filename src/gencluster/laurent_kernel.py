@@ -48,7 +48,6 @@ Design notes
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, index, sub
@@ -56,6 +55,7 @@ import re
 
 from .errors import (
     ExponentOverflow,
+    FrozenValue,
     InexactDivision,
     TableMismatch,
     UnknownSymbol,
@@ -124,8 +124,7 @@ def _name_tuple(names):
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class VariableTable:
+class VariableTable(FrozenValue):
     """Ordered table of named variables: cluster variables, then frozen ones.
 
     Parameters
@@ -140,6 +139,19 @@ class VariableTable:
 
     names: tuple
     n_cluster: int
+
+    def __init__(self, names, n_cluster):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "n_cluster", n_cluster)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names and self.n_cluster == other.n_cluster
+
+    def __hash__(self):
+        return hash((self.names, self.n_cluster))
 
     def __post_init__(self):
         object.__setattr__(self, "names", _name_tuple(self.names))
@@ -223,8 +235,7 @@ def _require_same_table(a, b):
         raise TableMismatch("operands live over different variable tables")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(FrozenValue):
     """A Laurent monomial: one exponent per table variable.
 
     Monomials are plain exponent tuples of any size; the exponent limit
@@ -234,6 +245,19 @@ class Monomial:
 
     table: VariableTable
     exponents: tuple
+
+    def __init__(self, table, exponents):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "exponents", exponents)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table and self.exponents == other.exponents
+
+    def __hash__(self):
+        return hash((self.table, self.exponents))
 
     def __post_init__(self):
         if len(self.exponents) != len(self.table):

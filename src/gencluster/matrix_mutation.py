@@ -28,11 +28,10 @@ m`` integers::
     0 8 -3 5 ; -12 0 -2 7
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 
 from .errors import (
+    FrozenValue,
     IndexOutOfRange,
     InvalidDivisors,
     NotSkewSymmetrizable,
@@ -44,8 +43,9 @@ def _check_skew_symmetrizable(rows, n):
     """Raise NotSkewSymmetrizable unless a positive diagonal skew-symmetrizes.
 
     Checks the principal part's signs, then propagates the exact ratios
-    ``d_j / d_i`` over the graph whose edges are its nonzero entries;
-    every edge is checked when its row is popped.
+    ``d_j / d_start`` over the graph whose edges are its nonzero entries,
+    each as an integer pair ``(numerator, denominator)``; every edge is
+    checked, by cross-multiplication, when its row is popped.
     """
     for i in range(n):
         if rows[i][i] != 0:
@@ -64,31 +64,32 @@ def _check_skew_symmetrizable(rows, n):
     for start in range(n):
         if values[start] is not None:
             continue
-        values[start] = Fraction(1)
+        values[start] = (1, 1)
         queue = [start]
         while queue:
             i = queue.pop()
+            num, den = values[i]
             for j in range(n):
                 if rows[i][j] == 0:
                     continue
                 # d_i * b_ij = -d_j * b_ji fixes the ratio d_j / d_i.
-                ratio = Fraction(-rows[i][j], rows[j][i])
+                ratio = (-num * rows[i][j], den * rows[j][i])
                 if values[j] is None:
-                    values[j] = values[i] * ratio
+                    values[j] = ratio
                     queue.append(j)
-                elif values[j] != values[i] * ratio:
+                elif values[j][0] * ratio[1] != ratio[0] * values[j][1]:
                     raise NotSkewSymmetrizable(
                         f"inconsistent ratio constraints on direction {j}"
                     )
 
 
-@dataclass(frozen=True)
-class ExtendedExchangeMatrix:
+class ExtendedExchangeMatrix(FrozenValue):
     """Integer matrix with ``n`` mutable rows and ``n + m`` columns.
 
     The principal (left ``n`` x ``n``) part must be skew-symmetrizable;
-    the constructor checks the shape, the entries and that property,
-    and stores the rows as tuples.
+    the constructor checks the dimensions (each an ``int``, not a
+    ``bool``), the shape, the entries and that property, and stores the
+    rows as tuples.
 
     Mutation results do not pass through the constructor: mutation
     keeps the shape and integrality and preserves skew-symmetrizers
@@ -100,7 +101,25 @@ class ExtendedExchangeMatrix:
     m: int
     rows: tuple
 
+    def __init__(self, n, m, rows):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.rows))
+
     def __post_init__(self):
+        if type(self.n) is not int or type(self.m) is not int:
+            raise ValidationError(
+                f"matrix dimensions {self.n!r} and {self.m!r} must be ints"
+            )
         if self.n < 0 or self.m < 0:
             raise ValidationError("matrix dimensions must be non-negative")
         rows = tuple(map(tuple, self.rows))
@@ -137,11 +156,22 @@ class ExtendedExchangeMatrix:
         return write_matrix(self)
 
 
-@dataclass(frozen=True)
-class DivisorVector:
+class DivisorVector(FrozenValue):
     """Positive integer weights, one per mutable direction."""
 
     entries: tuple
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     def __post_init__(self):
         try:

@@ -21,11 +21,10 @@ tau-variable) with monomial coefficients — the generalized coefficient
 table returned by :func:`rho`.
 """
 
-from dataclasses import dataclass
 from math import lcm
 from operator import add, sub
 
-from .errors import HomogeneityFailure, Report, ValidationError
+from .errors import FrozenValue, HomogeneityFailure, Report, ValidationError
 from .gca_seed import (
     CoefficientStrings,
     ExchangeContext,
@@ -44,8 +43,7 @@ from .laurent_kernel import (
 from .matrix_mutation import _trusted_matrix
 
 
-@dataclass(frozen=True)
-class AdjoinedSeed:
+class AdjoinedSeed(FrozenValue):
     """A seed with a root of every frozen variable adjoined.
 
     ``base`` is the original seed, ``seed`` the adjoined one, and
@@ -57,6 +55,23 @@ class AdjoinedSeed:
     base: GeneralizedSeed
     seed: GeneralizedSeed
     multiplicity: int
+
+    def __init__(self, base, seed, multiplicity):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "multiplicity", multiplicity)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.base == other.base
+            and self.seed == other.seed
+            and self.multiplicity == other.multiplicity
+        )
+
+    def __hash__(self):
+        return hash((self.base, self.seed, self.multiplicity))
 
     def root_map(self):
         """``{base_frozen_name: g^n}``, each root power over the current table.

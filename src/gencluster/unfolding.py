@@ -42,15 +42,19 @@ block-product formula for a whole-group mutation is checked against it
 by the test suite, not recomputed at run time.
 """
 
-from dataclasses import dataclass, replace
 from math import prod
 
-from .errors import IndexOutOfRange, Report, StructureViolation, ValidationError
+from .errors import (
+    FrozenValue,
+    IndexOutOfRange,
+    Report,
+    StructureViolation,
+    ValidationError,
+)
 from .matrix_mutation import ExtendedExchangeMatrix, mutate
 
 
-@dataclass(frozen=True)
-class FoldedLayout:
+class FoldedLayout(FrozenValue):
     """Column positions of an unfolding, worked out once per :func:`build`.
 
     From the divisors ``group_sizes``, the frozen count ``m_original``
@@ -70,6 +74,24 @@ class FoldedLayout:
     group_sizes: tuple
     m_original: int
     multiplicity: int = None
+
+    def __init__(self, group_sizes, m_original, multiplicity=None):
+        object.__setattr__(self, "group_sizes", group_sizes)
+        object.__setattr__(self, "m_original", m_original)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.group_sizes == other.group_sizes
+            and self.m_original == other.m_original
+            and self.multiplicity == other.multiplicity
+        )
+
+    def __hash__(self):
+        return hash((self.group_sizes, self.m_original, self.multiplicity))
 
     def __post_init__(self):
         n = prod(self.group_sizes) if self.multiplicity is None else self.multiplicity
@@ -120,8 +142,7 @@ class FoldedLayout:
         return tuple(roots) + tuple(aux)
 
 
-@dataclass(frozen=True)
-class FoldedMatrix:
+class FoldedMatrix(FrozenValue):
     """An unfolded exchange matrix and its :class:`FoldedLayout`.
 
     ``matrix`` has one mutable column per group member and the frozen
@@ -132,6 +153,19 @@ class FoldedMatrix:
 
     matrix: ExtendedExchangeMatrix
     layout: FoldedLayout
+
+    def __init__(self, matrix, layout):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "layout", layout)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrix == other.matrix and self.layout == other.layout
+
+    def __hash__(self):
+        return hash((self.matrix, self.layout))
 
     def __post_init__(self):
         if self.matrix.n != self.layout.total:
@@ -224,7 +258,7 @@ def group_mutate(fm, k):
     out = fm.matrix
     for c in _independent_members(fm.matrix, fm.layout, k):
         out = mutate(out, c)
-    return replace(fm, matrix=out)
+    return FoldedMatrix(out, fm.layout)
 
 
 def hadamard_check(fm, reference):

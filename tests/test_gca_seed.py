@@ -569,6 +569,28 @@ class TestValidation:
         with pytest.raises(ValidationError, match="not the string"):
             initial_seed(fix_c.matrix, fix_c.divisors, **names)
 
+    def test_list_parts_are_stored_as_tuples(self, fix_b):
+        strings = CoefficientStrings([list(row) for row in fix_b.strings.rows])
+        assert type(strings.rows) is tuple
+        assert all(type(row) is tuple for row in strings.rows)
+        assert strings == fix_b.strings and hash(strings) == hash(fix_b.strings)
+        seed = GeneralizedSeed(
+            fix_b.table, list(fix_b.cluster), fix_b.matrix,
+            list(fix_b.divisors.entries), strings,
+        )
+        assert type(seed.cluster) is tuple
+        assert seed.divisors == fix_b.divisors
+        assert seed == fix_b
+        for k in range(seed.rank):
+            assert mutate_seed(seed, k) == mutate_seed(fix_b, k)
+
+    @pytest.mark.parametrize("divisors", [[3, 0], (3, 2.0), [3, "2"]])
+    def test_seed_refuses_bad_divisor_sequences(self, fix_b, divisors):
+        with pytest.raises(InvalidDivisors, match="positive integers"):
+            GeneralizedSeed(
+                fix_b.table, fix_b.cluster, fix_b.matrix, divisors, fix_b.strings
+            )
+
     def test_divisors_must_divide_principal_rows(self):
         matrix = ExtendedExchangeMatrix.from_rows(((0, 3), (-3, 0)), m=0)
         with pytest.raises(InvalidDivisors):

@@ -239,6 +239,19 @@ def test_modules_import_only_the_reviewed_layers():
     assert found == REVIEWED_IMPORTS
 
 
+def run_with_src(code, *flags):
+    """stdout of ``code`` run by a fresh interpreter that imports from ``src``."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 @pytest.mark.parametrize("target", ["hadamard", "double-constant", "laurent"])
 def test_block_and_seed_targets_leave_the_quotient_layer_unloaded(target):
     code = (
@@ -248,14 +261,24 @@ def test_block_and_seed_targets_leave_the_quotient_layer_unloaded(target):
         "assert run_command(argv, io.StringIO()) == 0\n"
         "print('gencluster.quotient_embedding' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT
+    assert run_with_src(code) == "False\n"
+
+
+#: Standard modules the command line does without at start-up: the value
+#: types are plain classes (``dataclasses`` pulls in ``inspect``), the
+#: skew-symmetrizer walk keeps integer ratio pairs, and only ``trace``
+#: digests.
+UNLOADED_AT_IMPORT = ("dataclasses", "fractions", "hashlib", "inspect")
+
+
+def test_importing_the_command_line_leaves_heavy_modules_unloaded():
+    # -S keeps site-packages start-up hooks out of the count.
+    code = (
+        "import sys\n"
+        "import gencluster, gencluster.cli_io\n"
+        f"print([name for name in {UNLOADED_AT_IMPORT!r} if name in sys.modules])\n"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert run_with_src(code, "-S") == "[]\n"
 
 
 #: Member and field names that more than one class defines.  The scans

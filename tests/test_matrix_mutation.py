@@ -21,6 +21,7 @@ from gencluster.matrix_mutation import (
     modify,
     mutate,
     mutate_sequence,
+    write_matrix,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import tau_tilde
@@ -299,6 +300,19 @@ class TestValidation:
                 built.append(True)
             assert built[-1] == expected, rows
         assert built.count(False) >= 100 and built.count(True) >= 300
+
+    @pytest.mark.parametrize("n, m, rows", [
+        (True, 1, ((0, 1),)),
+        (1, False, ((0,),)),
+        (2.0, 0, ((0, 1), (-1, 0))),
+        (2, "0", ((0, 1), (-1, 0))),
+        (None, 0, ()),
+    ])
+    def test_dimensions_must_be_ints(self, n, m, rows):
+        # A bool would print as "True 1" in the matrix header.
+        with pytest.raises(ValidationError, match="must be ints"):
+            ExtendedExchangeMatrix(n, m, rows)
+        assert write_matrix(ExtendedExchangeMatrix(1, 1, ((0, 1),))) == "1 1\n0 1\n"
 
     def test_rejects_non_skew_symmetrizable(self):
         with pytest.raises(NotSkewSymmetrizable):

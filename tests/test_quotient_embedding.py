@@ -2,7 +2,6 @@
 
 from collections import namedtuple
 from copy import copy
-from dataclasses import replace
 import hashlib
 import io
 from itertools import combinations, product
@@ -427,7 +426,7 @@ def tampered(fm, row, col, delta):
     """
     rows = [list(r) for r in fm.matrix.rows]
     rows[row][col] += delta
-    return replace(fm, matrix=_trusted_matrix(fm.matrix, tuple(tuple(r) for r in rows)))
+    return FoldedMatrix(_trusted_matrix(fm.matrix, tuple(tuple(r) for r in rows)), fm.layout)
 
 
 def tampered_context(ctx, row, col, delta):
