@@ -6,15 +6,13 @@ and mathematical impossibilities get distinct subclasses because the
 command line maps them to different exit codes.  A verification check
 that reports its failures rather than raising returns a :class:`Report`.
 
-:class:`FrozenValue` is the base of the package's immutable value types
-(tables, monomials, matrices, divisors, strings, seeds, layouts and
-reports).  Each subclass annotates its fields in its body; its
-``__init__`` stores them with ``object.__setattr__`` and calls the
-class's ``__post_init__`` validator where it has one, and it writes
-``__eq__`` (the same class, then field by field) and ``__hash__`` (of
-the tuple of its fields) by hand.  The base refuses assigning or
-deleting any attribute with AttributeError and prints the annotated
-fields in order, ``Name(field=value, ...)``.
+:class:`FrozenValue` is the base of the immutable value types (tables,
+monomials, matrices, strings, seeds, layouts, reports): it refuses
+assigning or deleting any attribute with AttributeError and prints the
+annotated fields in order.  Each subclass annotates its fields; its
+``__init__`` stores them with ``object.__setattr__`` and calls its
+``__post_init__`` validator, if any; its ``__eq__`` (same class, then
+field by field) and ``__hash__`` (of the fields' tuple) are written out.
 """
 
 

@@ -142,13 +142,9 @@ class GeneralizedSeed(FrozenValue):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.table == other.table
-            and self.cluster == other.cluster
-            and self.matrix == other.matrix
-            and self.divisors == other.divisors
-            and self.strings == other.strings
-        )
+        return (self.table == other.table and self.cluster == other.cluster
+                and self.matrix == other.matrix and self.divisors == other.divisors
+                and self.strings == other.strings)
 
     def __hash__(self):
         return hash((self.table, self.cluster, self.matrix, self.divisors, self.strings))

@@ -117,9 +117,7 @@ class ExtendedExchangeMatrix(FrozenValue):
 
     def __post_init__(self):
         if type(self.n) is not int or type(self.m) is not int:
-            raise ValidationError(
-                f"matrix dimensions {self.n!r} and {self.m!r} must be ints"
-            )
+            raise ValidationError(f"matrix dimensions {self.n!r} and {self.m!r} must be ints")
         if self.n < 0 or self.m < 0:
             raise ValidationError("matrix dimensions must be non-negative")
         rows = tuple(map(tuple, self.rows))

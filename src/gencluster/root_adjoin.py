@@ -64,11 +64,8 @@ class AdjoinedSeed(FrozenValue):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.seed == other.seed
-            and self.multiplicity == other.multiplicity
-        )
+        return (self.base == other.base and self.seed == other.seed
+                and self.multiplicity == other.multiplicity)
 
     def __hash__(self):
         return hash((self.base, self.seed, self.multiplicity))

@@ -44,13 +44,7 @@ by the test suite, not recomputed at run time.
 
 from math import prod
 
-from .errors import (
-    FrozenValue,
-    IndexOutOfRange,
-    Report,
-    StructureViolation,
-    ValidationError,
-)
+from .errors import FrozenValue, IndexOutOfRange, Report, StructureViolation, ValidationError
 from .matrix_mutation import ExtendedExchangeMatrix, mutate
 
 
@@ -84,11 +78,8 @@ class FoldedLayout(FrozenValue):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.group_sizes == other.group_sizes
-            and self.m_original == other.m_original
-            and self.multiplicity == other.multiplicity
-        )
+        return (self.group_sizes == other.group_sizes and self.m_original == other.m_original
+                and self.multiplicity == other.multiplicity)
 
     def __hash__(self):
         return hash((self.group_sizes, self.m_original, self.multiplicity))
