@@ -116,9 +116,8 @@ class GeneralizedSeed(FrozenValue):
     :class:`~gencluster.matrix_mutation.DivisorVector` (a sequence of
     integers is converted), then checks that the parts fit together:
     sizes, tables, divisor compatibility and the coefficient strings.
-    Mutation results
-    skip those checks (see :func:`_trusted_seed`), because
-    :func:`mutate_seed` preserves each of them: the table and divisors
+    Mutation results skip those checks (see :func:`_trusted_seed`),
+    because :func:`mutate_seed` preserves each of them: the table and divisors
     are unchanged; each matrix update is 0 or ``+/- b_ik * b_kj``, so
     ``d_i`` still divides row ``i`` (and skew-symmetrizers carry over,
     Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5); and string row
