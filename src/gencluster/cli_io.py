@@ -35,7 +35,6 @@ leaves the records already written.
 import argparse
 import functools
 import json
-import random
 import sys
 
 from .errors import (
@@ -618,6 +617,7 @@ def _sequence_space(target, seed, args):
         raise _UsageError(f"a rank-0 seed has no mutation sequences of depth {depth}")
     if count is None:
         return _odometer(rank, depth)
+    import random  # only --sequences random:N draws, so only it loads random
     return _random_cases(random.Random(args.rng_seed), rank, depth, count)
 
 

@@ -6,18 +6,56 @@ and mathematical impossibilities get distinct subclasses because the
 command line maps them to different exit codes.  A verification check
 that reports its failures rather than raising returns a :class:`Report`.
 
-:class:`FrozenValue` is the base of the immutable value types (tables,
-monomials, matrices, strings, seeds, layouts, reports): it refuses
-assigning or deleting any attribute with AttributeError and prints the
-annotated fields in order.  Each subclass annotates its fields; its
-``__init__`` stores them with ``object.__setattr__`` and calls its
-``__post_init__`` validator, if any; its ``__eq__`` (same class, then
-field by field) and ``__hash__`` (of the fields' tuple) are written out.
+:class:`FrozenValue` owns the value semantics of the immutable value
+types (tables, monomials, matrices, strings, seeds, layouts, reports).
+A subclass annotates its fields in order, with any class-level default,
+and may write a ``__post_init__`` validator.  The base binds arguments
+to the fields with ``object.__setattr__``, then calls ``__post_init__``,
+looked up at each call so that it can be wrapped; it compares (same
+class, then the fields' values), hashes and prints by the fields, and
+refuses assigning or deleting any attribute with AttributeError.
 """
+
+from operator import attrgetter
+
+_store = object.__setattr__
 
 
 class FrozenValue:
-    """Base of the immutable value types: no attribute can be set or deleted."""
+    """Base of the immutable value types: built, compared and hashed by their fields."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        for name, value in zip(fields, args):
+            _store(self, name, value)
+        if kwargs or len(args) != len(fields):
+            cls = type(self)
+            if len(args) > len(fields):
+                raise TypeError(f"{cls.__qualname__} takes {len(fields)} fields, got {len(args)}")
+            for name in fields[len(args):]:
+                try:
+                    value = kwargs.pop(name) if name in kwargs else getattr(cls, name)
+                except AttributeError:
+                    raise TypeError(f"{cls.__qualname__} missing field {name!r}") from None
+                _store(self, name, value)
+            if kwargs:
+                raise TypeError(f"{cls.__qualname__} got an unexpected field {min(kwargs)!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check and normalize the stored fields; a subclass may override."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -26,26 +64,14 @@ class FrozenValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        cls = type(self)
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in cls.__annotations__)
-        return f"{cls.__qualname__}({fields})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Report(FrozenValue):
     """Outcome of a verification check: the ``failures`` tuple, ``ok`` when empty."""
 
     failures: tuple
-
-    def __init__(self, failures):
-        object.__setattr__(self, "failures", failures)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.failures == other.failures
-
-    def __hash__(self):
-        return hash((self.failures,))
 
     @property
     def ok(self):

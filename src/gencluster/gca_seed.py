@@ -65,16 +65,11 @@ class CoefficientStrings(FrozenValue):
 
     rows: tuple
 
-    def __init__(self, rows):
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows,))
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        except TypeError:
+            raise ValidationError(f"string rows must be sequences, not {self.rows!r}") from None
 
     def row(self, k):
         return self.rows[k]
@@ -129,24 +124,6 @@ class GeneralizedSeed(FrozenValue):
     matrix: ExtendedExchangeMatrix
     divisors: DivisorVector
     strings: CoefficientStrings
-
-    def __init__(self, table, cluster, matrix, divisors, strings):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "cluster", cluster)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "divisors", divisors)
-        object.__setattr__(self, "strings", strings)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.table == other.table and self.cluster == other.cluster
-                and self.matrix == other.matrix and self.divisors == other.divisors
-                and self.strings == other.strings)
-
-    def __hash__(self):
-        return hash((self.table, self.cluster, self.matrix, self.divisors, self.strings))
 
     def __post_init__(self):
         object.__setattr__(self, "cluster", tuple(self.cluster))

@@ -118,10 +118,13 @@ def _integer(value, what):
 
 
 def _name_tuple(names):
-    """``names`` as a tuple; a bare ``str`` raises ValidationError, not one name a letter."""
+    """``names`` as a tuple; a bare ``str`` or a non-sequence raises ValidationError."""
     if isinstance(names, str):
         raise ValidationError(f"names must be a sequence, not the string {names!r}")
-    return tuple(names)
+    try:
+        return tuple(names)
+    except TypeError:
+        raise ValidationError(f"names must be a sequence, not {names!r}") from None
 
 
 class VariableTable(FrozenValue):
@@ -139,19 +142,6 @@ class VariableTable(FrozenValue):
 
     names: tuple
     n_cluster: int
-
-    def __init__(self, names, n_cluster):
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "n_cluster", n_cluster)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.names == other.names and self.n_cluster == other.n_cluster
-
-    def __hash__(self):
-        return hash((self.names, self.n_cluster))
 
     def __post_init__(self):
         object.__setattr__(self, "names", _name_tuple(self.names))
@@ -246,23 +236,13 @@ class Monomial(FrozenValue):
     table: VariableTable
     exponents: tuple
 
-    def __init__(self, table, exponents):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "exponents", exponents)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.table == other.table and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash((self.table, self.exponents))
-
     def __post_init__(self):
-        if len(self.exponents) != len(self.table):
+        try:
+            exps = tuple([_integer(e, "exponents") for e in self.exponents])
+        except TypeError:
+            raise ValidationError(f"exponents must be a sequence, not {self.exponents!r}") from None
+        if len(exps) != len(self.table):
             raise ValidationError("exponent vector does not match table size")
-        exps = tuple([_integer(e, "exponents") for e in self.exponents])
         object.__setattr__(self, "exponents", exps)
 
     def is_one(self):

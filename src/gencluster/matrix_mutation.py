@@ -101,26 +101,15 @@ class ExtendedExchangeMatrix(FrozenValue):
     m: int
     rows: tuple
 
-    def __init__(self, n, m, rows):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rows", rows)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.m == other.m and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.rows))
-
     def __post_init__(self):
         if type(self.n) is not int or type(self.m) is not int:
             raise ValidationError(f"matrix dimensions {self.n!r} and {self.m!r} must be ints")
         if self.n < 0 or self.m < 0:
             raise ValidationError("matrix dimensions must be non-negative")
-        rows = tuple(map(tuple, self.rows))
+        try:
+            rows = tuple(map(tuple, self.rows))
+        except TypeError:
+            raise ValidationError(f"matrix rows must be sequences, not {self.rows!r}") from None
         if len(rows) != self.n:
             raise ValidationError("row count does not match n")
         if any(len(row) != self.n + self.m for row in rows):
@@ -158,18 +147,6 @@ class DivisorVector(FrozenValue):
     """Positive integer weights, one per mutable direction."""
 
     entries: tuple
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.entries,))
 
     def __post_init__(self):
         try:

@@ -56,20 +56,6 @@ class AdjoinedSeed(FrozenValue):
     seed: GeneralizedSeed
     multiplicity: int
 
-    def __init__(self, base, seed, multiplicity):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "multiplicity", multiplicity)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base == other.base and self.seed == other.seed
-                and self.multiplicity == other.multiplicity)
-
-    def __hash__(self):
-        return hash((self.base, self.seed, self.multiplicity))
-
     def root_map(self):
         """``{base_frozen_name: g^n}``, each root power over the current table.
 

@@ -69,21 +69,6 @@ class FoldedLayout(FrozenValue):
     m_original: int
     multiplicity: int = None
 
-    def __init__(self, group_sizes, m_original, multiplicity=None):
-        object.__setattr__(self, "group_sizes", group_sizes)
-        object.__setattr__(self, "m_original", m_original)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group_sizes == other.group_sizes and self.m_original == other.m_original
-                and self.multiplicity == other.multiplicity)
-
-    def __hash__(self):
-        return hash((self.group_sizes, self.m_original, self.multiplicity))
-
     def __post_init__(self):
         n = prod(self.group_sizes) if self.multiplicity is None else self.multiplicity
         if n < 1 or any(n % d for d in self.group_sizes):
@@ -144,19 +129,6 @@ class FoldedMatrix(FrozenValue):
 
     matrix: ExtendedExchangeMatrix
     layout: FoldedLayout
-
-    def __init__(self, matrix, layout):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "layout", layout)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.matrix == other.matrix and self.layout == other.layout
-
-    def __hash__(self):
-        return hash((self.matrix, self.layout))
 
     def __post_init__(self):
         if self.matrix.n != self.layout.total:

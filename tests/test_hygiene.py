@@ -266,9 +266,9 @@ def test_block_and_seed_targets_leave_the_quotient_layer_unloaded(target):
 
 #: Standard modules the command line does without at start-up: the value
 #: types are plain classes (``dataclasses`` pulls in ``inspect``), the
-#: skew-symmetrizer walk keeps integer ratio pairs, and only ``trace``
-#: digests.
-UNLOADED_AT_IMPORT = ("dataclasses", "fractions", "hashlib", "inspect")
+#: skew-symmetrizer walk keeps integer ratio pairs, only ``trace`` digests
+#: and only ``--sequences random:N`` draws.
+UNLOADED_AT_IMPORT = ("dataclasses", "fractions", "hashlib", "inspect", "random")
 
 
 def test_importing_the_command_line_leaves_heavy_modules_unloaded():
@@ -608,6 +608,62 @@ def test_only_the_reviewed_constructors_skip_checks():
     assert {k: v for k, v in found.items() if k not in TRUSTED_BYPASSES} == {}
     # A reviewed bypass that is gone is dropped from the table.
     assert set(found) == TRUSTED_BYPASSES
+
+
+#: The methods :class:`gencluster.errors.FrozenValue` owns for every value type.
+VALUE_SEMANTICS = ("__init__", "__eq__", "__hash__")
+
+
+def hand_written_value_semantics(sources):
+    """``(path, line, Class.method)`` of each value-semantics method a value type defines.
+
+    A value type is a class that derives from ``FrozenValue``, directly
+    or through another value type of ``sources`` (a path-to-source map).
+    """
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    classes = [
+        (path, node) for path, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    values = {"FrozenValue"}
+    while True:
+        derived = {
+            node.name for _, node in classes
+            if any(getattr(base, "id", getattr(base, "attr", None)) in values
+                   for base in node.bases)
+        }
+        if derived <= values:
+            break
+        values |= derived
+    return sorted(
+        (path, item.lineno, f"{node.name}.{item.name}")
+        for path, node in classes if node.name in values - {"FrozenValue"}
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in VALUE_SEMANTICS
+    )
+
+
+def test_hand_written_value_semantics_are_detected():
+    sources = {
+        "a.py": (
+            "class FrozenValue:\n    def __eq__(self, other):\n        pass\n"
+            "class Plain:\n    def __hash__(self):\n        pass\n"
+        ),
+        "b.py": (
+            "class Leaf(Mid):\n    def __init__(self):\n        pass\n"
+            "class Mid(errors.FrozenValue):\n"
+            "    def __eq__(self, other):\n        pass\n"
+            "    def __post_init__(self):\n        pass\n"
+            "    def __repr__(self):\n        pass\n"
+        ),
+    }
+    assert hand_written_value_semantics(sources) == [
+        ("b.py", 2, "Leaf.__init__"), ("b.py", 5, "Mid.__eq__"),
+    ]
+
+
+def test_value_types_leave_their_semantics_to_the_base():
+    assert hand_written_value_semantics(read_tree("src")) == []
 
 
 def read_tree(folder):

@@ -1,16 +1,18 @@
 """Value semantics of the package's immutable value types.
 
-Each type compares, hashes and prints by its fields: instances built
+Each type is built, compares, hashes and prints by its fields:
+keyword and positional arguments build equal values, instances built
 apart from equal parts are equal, a change to any one field makes them
 unequal, another type never compares equal, and no attribute can be
-assigned or deleted.
+assigned or deleted.  A part that is not a sequence raises
+ValidationError.
 """
 
 from copy import copy
 
 import pytest
 
-from gencluster.errors import Report
+from gencluster.errors import Report, ValidationError
 from gencluster.gca_seed import CoefficientStrings, GeneralizedSeed, initial_seed, mutate_seed
 from gencluster.laurent_kernel import Monomial, VariableTable
 from gencluster.matrix_mutation import DivisorVector, ExtendedExchangeMatrix, mutate
@@ -90,6 +92,38 @@ def test_equal_parts_give_equal_values(cls):
     else:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_keyword_and_positional_arguments_build_equal_values(cls):
+    make, changes = VALUES[cls]
+    value = make()
+    fields = {name: getattr(value, name) for name in changes}
+    assert cls(**fields) == cls(*fields.values()) == value
+    if cls is FoldedLayout:
+        # The multiplicity defaults to the product of the divisors.
+        assert FoldedLayout(group_sizes=(2, 1), m_original=1) == value
+    first = next(iter(fields))
+    with pytest.raises(TypeError, match=f"missing field {first!r}"):
+        cls(**{name: v for name, v in fields.items() if name != first})
+    with pytest.raises(TypeError, match="unexpected field 'extra'"):
+        cls(**fields, extra=None)
+    with pytest.raises(TypeError, match=f"unexpected field {first!r}"):
+        cls(fields[first], **fields)
+    with pytest.raises(TypeError, match=f"takes {len(fields)} fields"):
+        cls(*fields.values(), None)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ExtendedExchangeMatrix(1, 0, 5), id="matrix-rows"),
+    pytest.param(lambda: ExtendedExchangeMatrix(1, 0, (5,)), id="matrix-row"),
+    pytest.param(lambda: Monomial(_table(), 5), id="monomial-exponents"),
+    pytest.param(lambda: CoefficientStrings(5), id="string-rows"),
+    pytest.param(lambda: VariableTable(5, 0), id="table-names"),
+])
+def test_parts_that_are_not_sequences_raise_validation_error(build):
+    with pytest.raises(ValidationError, match="must be a sequence|must be sequences"):
+        build()
 
 
 @pytest.mark.parametrize("cls", CASES)
