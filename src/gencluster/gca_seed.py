@@ -82,16 +82,12 @@ class CoefficientStrings(FrozenValue):
             raise ValidationError("string row count does not match divisors")
         for i, row in enumerate(self.rows):
             if len(row) != divisors[i] + 1:
-                raise ValidationError(
-                    f"string row {i} must have {divisors[i] + 1} entries"
-                )
+                raise ValidationError(f"string row {i} must have {divisors[i] + 1} entries")
             for r, mono in enumerate(row):
                 if not _same_table(mono.table, table):
                     raise ValidationError("string entry over the wrong table")
                 if any(mono.exponents[: table.n_cluster]):
-                    raise ValidationError(
-                        f"string entry ({i},{r}) touches a cluster variable"
-                    )
+                    raise ValidationError(f"string entry ({i},{r}) touches a cluster variable")
             if not row[0].is_one() or not row[-1].is_one():
                 raise ValidationError(f"string row {i} must start and end at 1")
 
@@ -110,7 +106,7 @@ class GeneralizedSeed(FrozenValue):
     The constructor stores the cluster as a tuple and the divisors as a
     :class:`~gencluster.matrix_mutation.DivisorVector` (a sequence of
     integers is converted), then checks that the parts fit together:
-    sizes, tables, divisor compatibility and the coefficient strings.
+    types, sizes, tables, divisor compatibility and the coefficient strings.
     Mutation results skip those checks (see :func:`_trusted_seed`),
     because :func:`mutate_seed` preserves each of them: the table and divisors
     are unchanged; each matrix update is 0 or ``+/- b_ik * b_kj``, so
@@ -126,9 +122,15 @@ class GeneralizedSeed(FrozenValue):
     strings: CoefficientStrings
 
     def __post_init__(self):
-        object.__setattr__(self, "cluster", tuple(self.cluster))
-        if not isinstance(self.divisors, DivisorVector):
-            object.__setattr__(self, "divisors", DivisorVector(tuple(self.divisors)))
+        types = VariableTable, ExtendedExchangeMatrix, CoefficientStrings
+        if not all(map(isinstance, (self.table, self.matrix, self.strings), types)):
+            raise ValidationError("seed table, matrix or strings of the wrong type")
+        try:
+            object.__setattr__(self, "cluster", tuple(self.cluster))
+            if not isinstance(self.divisors, DivisorVector):
+                object.__setattr__(self, "divisors", DivisorVector(tuple(self.divisors)))
+        except TypeError:
+            raise ValidationError("seed cluster and divisors must be sequences") from None
         n, m = self.matrix.n, self.matrix.m
         if self.table.n_cluster != n:
             raise ValidationError("table cluster count does not match the matrix")
@@ -218,9 +220,7 @@ class ExchangeContext:
     work: its coefficients and ``v`` vectors are all zero.
     """
 
-    __slots__ = (
-        "seed", "degree", "bhat_row", "u_gt", "u_lt", "v_gt", "v_lt", "coefficients",
-    )
+    __slots__ = ("seed", "degree", "bhat_row", "u_gt", "u_lt", "v_gt", "v_lt", "coefficients")
 
     def __init__(self, seed, k):
         seed.matrix.check_direction(k)
@@ -367,8 +367,6 @@ def root_formula_check(seed, k):
             continue
         root, coefficient = tuple([e // d for e in target]), ctx.coefficients[r]
         if root != coefficient:
-            root, coefficient = (
-                Monomial(seed.table, v) for v in (root, coefficient)
-            )
+            root, coefficient = (Monomial(seed.table, v) for v in (root, coefficient))
             failures.append((k, r, f"root {root} differs from {coefficient}"))
     return Report(tuple(failures))

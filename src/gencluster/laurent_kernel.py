@@ -103,9 +103,7 @@ def exponent_amplitude(exps):
     """Largest exponent magnitude of a vector; ExponentOverflow at the limit."""
     amp = max(map(abs, exps), default=0)
     if amp >= EXPONENT_LIMIT:
-        raise ExponentOverflow(
-            f"exponent of magnitude {amp} reaches the limit {EXPONENT_LIMIT}"
-        )
+        raise ExponentOverflow(f"exponent of magnitude {amp} reaches the limit {EXPONENT_LIMIT}")
     return amp
 
 
@@ -118,13 +116,21 @@ def _integer(value, what):
 
 
 def _name_tuple(names):
-    """``names`` as a tuple; a bare ``str`` or a non-sequence raises ValidationError."""
+    """``names`` as a tuple of distinct identifier-shaped strings, else ValidationError."""
     if isinstance(names, str):
         raise ValidationError(f"names must be a sequence, not the string {names!r}")
     try:
-        return tuple(names)
+        names = tuple(names)
     except TypeError:
         raise ValidationError(f"names must be a sequence, not {names!r}") from None
+    seen = set()
+    for name in names:
+        if not isinstance(name, str) or not _NAME_RE.match(name):
+            raise ValidationError(f"bad variable name: {name!r}")
+        if name in seen:
+            raise ValidationError(f"duplicate variable name: {name!r}")
+        seen.add(name)
+    return names
 
 
 class VariableTable(FrozenValue):
@@ -145,13 +151,6 @@ class VariableTable(FrozenValue):
 
     def __post_init__(self):
         object.__setattr__(self, "names", _name_tuple(self.names))
-        seen = set()
-        for name in self.names:
-            if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise ValidationError(f"bad variable name: {name!r}")
-            if name in seen:
-                raise ValidationError(f"duplicate variable name: {name!r}")
-            seen.add(name)
         count, width = self.n_cluster, len(self.names)
         if type(count) is not int or not 0 <= count <= width:
             raise ValidationError(f"cluster count {count!r} is not an int in 0..{width}")
@@ -162,12 +161,12 @@ class VariableTable(FrozenValue):
 
     @staticmethod
     def make(cluster=(), frozen=()):
-        """Build a plain table of cluster names followed by frozen names.
+        """The shared table of cluster names followed by frozen names.
 
         Each part is a sequence of names; a bare ``str`` is refused.
         """
         cluster = _name_tuple(cluster)
-        return VariableTable(cluster + _name_tuple(frozen), len(cluster))
+        return _table_cache(cluster + _name_tuple(frozen), len(cluster))
 
     def __len__(self):
         return len(self.names)
@@ -212,8 +211,14 @@ class VariableTable(FrozenValue):
         return _trusted(self, {self._layout.pack(exponents): 1}, amp)
 
     def extended(self, names):
-        """New table with extra frozen variables appended on the right."""
-        return VariableTable(self.names + tuple(names), self.n_cluster)
+        """The table with frozen ``names`` appended, shared as by :meth:`make`."""
+        return _table_cache(self.names + _name_tuple(names), self.n_cluster)
+
+
+#: One table per content (``_name_tuple`` checks the names, so they hash),
+#: so that tables built apart compare by ``is``.  Bounded: eviction only
+#: makes a later equal table another object, which compares by value.
+_table_cache = lru_cache(maxsize=64)(VariableTable)
 
 
 def _same_table(a, b):
@@ -812,7 +817,5 @@ def poly_split_trailing(p, head):
         powers = tuple(((tail >> s) & _FIELD_MASK) - _BIAS for s in tail_shifts)
         # ``key >> bits`` keeps the full degree; take the tail's share off.
         correction = sum(powers) << degree_shift
-        out[powers] = _trusted(
-            head, {k - correction: c for k, c in body.items()}, p._amp
-        )
+        out[powers] = _trusted(head, {k - correction: c for k, c in body.items()}, p._amp)
     return out

@@ -53,11 +53,11 @@ Exchange data is read off matrix rows as exponent vectors, each role
 from its column block of the folded layout ``[cluster groups | F | T^1
 S^1 | ...]``, which :class:`~gencluster.unfolding.FoldedLayout` works
 out once per unfolding; the embedding's lifts are read off the same
-layout.  A ``sigma`` sum and the right side of the product formula are
-kernel shifted sums (``poly_shifted_sum``), which shift keys by exponent
-vectors and build no one-term polynomial; a placeholder expansion, whose
-factors are both general polynomials, is one kernel
-``poly_sum_of_products``.
+layout.  A ``sigma`` sum, a member binomial of the product formula and
+the formula's right side are kernel shifted sums (``poly_shifted_sum``),
+which shift keys by exponent vectors and build no one-term polynomial;
+a placeholder expansion, whose factors are general polynomials, is one
+kernel ``poly_sum_of_products``.
 """
 
 from copy import copy
@@ -75,7 +75,6 @@ from .gca_seed import (
     mutate_seed,
 )
 from .laurent_kernel import (
-    poly_add,
     poly_map_variables,
     poly_mul,
     poly_pow,
@@ -135,12 +134,11 @@ def _coherent_row(matrix, layout, k):
     validates their structure.
     """
     rows = [matrix.rows[r] for r in layout.group_range(k)]
-    for col in layout.exchange_block:
+    stop = layout.exchange_block.stop  # the block starts at column 0
+    if any(row[:stop] != rows[0][:stop] for row in rows):
+        col = next(c for c in range(stop) if any(row[c] != rows[0][c] for row in rows))
         column = [row[col] for row in rows]
-        if any(v != column[0] for v in column):
-            raise GroupCoherenceViolation(
-                f"group {k} rows disagree in column {col}: {column}"
-            )
+        raise GroupCoherenceViolation(f"group {k} rows disagree in column {col}: {column}")
     return rows[0]
 
 
@@ -200,25 +198,28 @@ def unit_elimination_map(table, ranges):
 
 
 @lru_cache(maxsize=256)
-def _eliminated_sigma(table, t_range, s_range, r, e):
-    """``E(sigma_{k,r})^e``, ``E`` the unit elimination of ``table``.
+def _eliminated_sigma(table, pattern):
+    """``E(prod sigma_{k,r}^e)`` over the ``((t_range, s_range, r), e)`` of ``pattern``.
 
+    ``E`` is the unit elimination of ``table``, and
     ``sigma_{k,r} = sum_{|J|=r} prod_{c in J} t_c prod_{c not in J} s_c``
     is the balanced sum identified with the coefficient ``rho_{k,r}``,
     over the members of group ``k``, whose ``t`` and ``s`` variables sit
     at ``t_range`` and ``s_range``, so ``E`` of that group alone
-    eliminates it.  ``E`` is a monomial ring map, so ``E(sigma^e) =
-    E(sigma)^e`` and the power of the eliminated sum is the eliminated
-    power.
+    eliminates it.  ``E`` is a monomial ring map, so the eliminated product
+    multiplies powers of the eliminated sums, each a one-slot pattern.
     """
-    if e == 1:
+    if len(pattern) == 1 and pattern[0][1] == 1:
+        (t_range, s_range, r), _ = pattern[0]
         positions = range(len(table))
         unit = [tuple(int(q == i) for q in positions) for i in positions]
         pairs = [(unit[t], unit[s]) for t, s in zip(t_range, s_range)]
         sigma = _balanced_sum(table, pairs, r)
         group_map = unit_elimination_map(table, ((t_range, s_range),))
         return poly_map_variables(sigma, group_map, table)
-    return poly_pow(_eliminated_sigma(table, t_range, s_range, r, 1), e)
+    return reduce(poly_mul, (
+        poly_pow(_eliminated_sigma(table, ((slot, 1),)), e) for slot, e in pattern
+    ))
 
 
 def eliminate_units(table, ranges, p):
@@ -250,8 +251,8 @@ class QuotientContext:
     only permutes which placeholder sits where), ``placeholder_names``,
     the placeholder-extended folded table ``folded_plus``, and the
     images of the tracked variables with their positions in the folded
-    table.  The eliminated ``sigma`` powers are cached per folded table
-    and group.
+    table.  Products of eliminated ``sigma`` powers are cached per
+    folded table and placeholder pattern.
 
     Every position is read off the folded layout ``[cluster groups | F |
     T^1 S^1 | ...]`` (:class:`~gencluster.unfolding.FoldedLayout`), not
@@ -304,15 +305,11 @@ class QuotientContext:
         )
         self.folded = folded
         self.layout = layout
-        self.rho_values = {
-            name: seed.strings.entry(k, r) for name, (k, r) in zip(names, slots)
-        }
+        self.rho_values = {name: seed.strings.entry(k, r) for name, (k, r) in zip(names, slots)}
         self.placeholder_names = names
         self.folded_plus = folded.table.extended(names)
         # ``(t_range, s_range, r)`` of every placeholder, in table order.
-        self._sigma_slots = tuple(
-            (layout.t_range(k), layout.s_range(k), r) for k, r in slots
-        )
+        self._sigma_slots = tuple((layout.t_range(k), layout.s_range(k), r) for k, r in slots)
         self._phi_images = {
             seed.table.names[k]: self.folded_plus.monomial(
                 {folded.table.names[c]: 1 for c in layout.group_range(k)}
@@ -363,9 +360,9 @@ class QuotientContext:
     def _expand(self, p):
         """Expand the placeholders of ``p``, over ``folded_plus`` and fixed by ``E``.
 
-        The placeholder parts, each times the product of its eliminated
-        ``sigma`` powers (a part with no placeholder as it is), are one
-        :func:`~gencluster.laurent_kernel.poly_sum_of_products`.  A
+        The placeholder parts, each times the cached product of its
+        eliminated ``sigma`` powers (a part with no placeholder as it is),
+        are one :func:`~gencluster.laurent_kernel.poly_sum_of_products`.  A
         negative placeholder power would divide by a ``sigma``
         polynomial, outside the verified identities: it raises
         :class:`~gencluster.errors.InexactDivision`.
@@ -379,10 +376,8 @@ class QuotientContext:
                         "negative placeholder power: identity outside "
                         "the verified fragment"
                     )
-                factors = [
-                    _eliminated_sigma(table, *s, e) for s, e in zip(slots, powers) if e
-                ]
-                yield part, reduce(poly_mul, factors) if factors else None
+                pattern = tuple((s, e) for s, e in zip(slots, powers) if e)
+                yield part, _eliminated_sigma(table, pattern) if pattern else None
 
         return poly_sum_of_products(table, summands())
 
@@ -438,7 +433,7 @@ def product_formula_check(table, fm, k):
     ``(k, residual)`` with the difference of the two normal forms.
 
     Each member's binomial and each shell ``(U> V>)^r (U< V<)^(d_k - r)``
-    is built straight from exponent vectors read off the matrix rows.
+    is a shifted sum of exponent vectors read off the matrix rows.
     The unit elimination ``E`` is a monomial ring map and the shells
     carry no auxiliary variables, so ``E(sigma * shell) = E(sigma) *
     shell``: the right side is the eliminated ``sigma`` sums, walk
@@ -448,9 +443,9 @@ def product_formula_check(table, fm, k):
     layout, matrix = fm.layout, fm.matrix
     members = layout.group_range(k)
     d_k = len(members)
-    # Each member's binomial adds the terms of its row's two sides.
     lhs = reduce(poly_mul, (
-        poly_add(*map(table.term, _sides(matrix.rows[c]))) for c in members
+        poly_shifted_sum(table, ((side, None) for side in _sides(matrix.rows[c])))
+        for c in members
     ))
 
     g, l = _sides(_coherent_row(matrix, layout, k), layout.exchange_block)
@@ -459,7 +454,7 @@ def product_formula_check(table, fm, k):
     rhs = poly_shifted_sum(table, (
         (
             [r * a + (d_k - r) * b for a, b in zip(g, l)],
-            _eliminated_sigma(table, t_range, s_range, d_k - r if flip else r, 1),
+            _eliminated_sigma(table, (((t_range, s_range, d_k - r if flip else r), 1),)),
         )
         for r in range(d_k + 1)
     ))
@@ -640,11 +635,7 @@ def subquotient_check(gca, mode="total"):
     for pos, name in zip(gca.table.frozen_indices, root_names(gca.table)):
         original = gca.table.names[pos]
         image = root_map[original]
-        support = [
-            (adjoined.seed.table.names[q], e)
-            for q, e in enumerate(image.exponents)
-            if e
-        ]
+        support = [(adjoined.seed.table.names[q], e) for q, e in enumerate(image.exponents) if e]
         if len(support) != 1 or support[0][0] != name:
             failures.append(("root image", original, str(image)))
             continue

@@ -127,7 +127,8 @@ def tau_tilde(seed, mode="total"):
     roots one column at a time, in any order.
 
     The result skips the seed constructor's checks (see
-    :func:`~gencluster.gca_seed._trusted_seed`); its table is validated.
+    :func:`~gencluster.gca_seed._trusted_seed`); its table is validated
+    and shared (:meth:`~gencluster.laurent_kernel.VariableTable.make`).
     The input passed those checks, and adjoining keeps each of them:
     only frozen columns are scaled, so the principal part and the
     divisors' compatibility are the input's; the cluster entries and
@@ -144,7 +145,7 @@ def tau_tilde(seed, mode="total"):
     names = list(table.names)
     for pos, name in zip(frozen, root_names(table)):
         names[pos] = name
-    new_table = VariableTable(tuple(names), table.n_cluster)
+    new_table = VariableTable.make(names[: table.n_cluster], names[table.n_cluster:])
 
     scaled = set(frozen)
     new_rows = tuple(
@@ -155,9 +156,7 @@ def tau_tilde(seed, mode="total"):
     new_matrix = _trusted_matrix(seed.matrix, new_rows)
 
     mapping = _root_powers(table, new_table, n)
-    new_cluster = tuple(
-        poly_map_variables(entry, mapping, new_table) for entry in seed.cluster
-    )
+    new_cluster = tuple(poly_map_variables(entry, mapping, new_table) for entry in seed.cluster)
 
     new_string_rows = []
     for k in range(seed.rank):

@@ -43,6 +43,7 @@ by the test suite, not recomputed at run time.
 """
 
 from math import prod
+from operator import index
 
 from .errors import FrozenValue, IndexOutOfRange, Report, StructureViolation, ValidationError
 from .matrix_mutation import ExtendedExchangeMatrix, mutate
@@ -59,10 +60,10 @@ class FoldedLayout(FrozenValue):
     (group ``i``'s rows and cluster columns), ``aux[i]`` (its
     ``(t_range, s_range)`` pair) and the blocks ``cluster_block``,
     ``f_block``, ``exchange_block`` (cluster and ``F`` columns) and
-    ``frozen_block`` (all columns after the cluster block).  A
-    multiplicity that is not a positive multiple of every divisor
-    raises ValidationError.  The group accessors raise IndexOutOfRange
-    for a missing group.  Group mutations share the layout.
+    ``frozen_block`` (all columns after the cluster block).  Sizes that
+    are not integers, or a multiplicity that is not a positive multiple
+    of every divisor, raise ValidationError; the group accessors raise
+    IndexOutOfRange for a missing group.  Group mutations share the layout.
     """
 
     group_sizes: tuple
@@ -70,14 +71,19 @@ class FoldedLayout(FrozenValue):
     multiplicity: int = None
 
     def __post_init__(self):
-        n = prod(self.group_sizes) if self.multiplicity is None else self.multiplicity
-        if n < 1 or any(n % d for d in self.group_sizes):
+        try:
+            sizes, m = tuple(map(index, self.group_sizes)), index(self.m_original)
+            n = prod(sizes) if self.multiplicity is None else index(self.multiplicity)
+        except TypeError:
+            raise ValidationError("layout sizes must be integers") from None
+        if n < 1 or any(n % d for d in sizes):
             raise ValidationError(
                 f"root multiplicity {n} is not a positive multiple of every divisor"
             )
+        object.__setattr__(self, "group_sizes", sizes)
         object.__setattr__(self, "multiplicity", n)
-        object.__setattr__(self, "f_scales", tuple(n // d for d in self.group_sizes))
-        total, m = sum(self.group_sizes), self.m_original
+        object.__setattr__(self, "f_scales", tuple(n // d for d in sizes))
+        total = sum(sizes)
         groups, aux, start, t = [], [], 0, total + m
         for d in self.group_sizes:
             groups.append(range(start, start + d))
@@ -131,6 +137,9 @@ class FoldedMatrix(FrozenValue):
     layout: FoldedLayout
 
     def __post_init__(self):
+        if not (isinstance(self.matrix, ExtendedExchangeMatrix)
+                and isinstance(self.layout, FoldedLayout)):
+            raise ValidationError("folded matrix or layout of the wrong type")
         if self.matrix.n != self.layout.total:
             raise ValidationError("matrix rank does not match the group sizes")
         if self.matrix.m != len(self.layout.frozen_block):
@@ -252,9 +261,7 @@ def hadamard_check(fm, reference):
         for j, cols in enumerate(layout.groups):
             value, rem = divmod(reference.rows[i][j], d)
             if rem:
-                failures.append(
-                    ("cluster", i, j, "reference entry not divisible by d_i")
-                )
+                failures.append(("cluster", i, j, "reference entry not divisible by d_i"))
                 continue
             bad = _first_nonconstant(fm.block(rows_i, cols), value)
             if bad is not None:
@@ -303,8 +310,6 @@ def double_constant_check(fm):
             c = t_block[0][0] - shift
             shape = len(rows_i), len(t_cols)
             if t_block != _plus_identity(c, shift, *shape):
-                raise StructureViolation(
-                    f"T block ({i},{j}) is not a constant plus {shift} Id"
-                )
+                raise StructureViolation(f"T block ({i},{j}) is not a constant plus {shift} Id")
             if s_block != _plus_identity(a - c, -shift, *shape):
                 raise StructureViolation(f"T+S block ({i},{j}) is not constant")

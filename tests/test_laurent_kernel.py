@@ -341,6 +341,17 @@ class TestTables:
             SMALL_TABLE.variable("x"), twin.variable("x")
         ) == poly_mul(LaurentPolynomial(twin, {(0,) * len(twin): 2}), twin.variable("x"))
 
+    def test_equal_content_gives_one_table_object(self):
+        # make and extended share a table per content; a table built
+        # directly is another object, equal and hashing alike.
+        made = VariableTable.make(cluster=("x", "y"), frozen=("f", "g"))
+        assert VariableTable.make(cluster=["x", "y"], frozen=("f",)).extended(["g"]) is made
+        assert VariableTable.make(cluster=("x", "y", "f"), frozen=("g",)) is not made
+        direct = VariableTable(("x", "y", "f", "g"), 2)
+        assert direct is not made and direct == made and hash(direct) == hash(made)
+        with pytest.raises(ValidationError, match="bad variable name"):
+            VariableTable.make(cluster=(["x"],))
+
     def test_cross_table_ops_rejected(self):
         other = VariableTable.make(cluster=("x", "z"), frozen=("f",))
         with pytest.raises(TableMismatch):

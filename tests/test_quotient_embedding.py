@@ -309,7 +309,7 @@ def oracle_phi_poly(ctx, p):
             raise InexactDivision("negative placeholder power")
         for slot, e in zip(slots, powers):
             if e:
-                part = poly_mul(part, _eliminated_sigma(table, *slot, e))
+                part = poly_mul(part, _eliminated_sigma(table, ((slot, e),)))
         parts.append(part)
     return poly_sum(table, parts)
 
@@ -602,6 +602,16 @@ class TestFoldedSeed:
         with pytest.raises(StructureViolation):
             group_mutate_seed(initial_seed(matrix, (1, 1)), FoldedLayout((2,), 0), 0)
 
+    def test_coherent_row_names_the_first_column_that_disagrees(self, fix_a):
+        fm = build(fix_a)
+        rows = [list(row) for row in fm.matrix.rows]
+        rows[4][6], rows[3][5] = 13, -8
+        matrix = ExtendedExchangeMatrix(fm.matrix.n, fm.matrix.m, tuple(map(tuple, rows)))
+        assert _coherent_row(matrix, fm.layout, 0) == fm.matrix.rows[0]
+        with pytest.raises(GroupCoherenceViolation) as error:
+            _coherent_row(matrix, fm.layout, 1)
+        assert str(error.value) == "group 1 rows disagree in column 5: [-4, -8, -4]"
+
     def test_coherent_row_refuses_a_missing_group(self, fix_a):
         # The layout's check is the only one, so the error is IndexOutOfRange.
         fm = build(fix_a)
@@ -797,6 +807,37 @@ class TestSigmaAndUnits:
         assert str(packed.value) == (
             f"exponent of magnitude {EXPONENT_LIMIT + 1} reaches the limit {EXPONENT_LIMIT}"
         )
+
+    def test_every_cached_sigma_pattern_matches_the_uncached_oracle(
+        self, fix_a, fix_b, monkeypatch
+    ):
+        # Each pattern an embedding walk asks for, against the powers of
+        # sigma sums built and eliminated with no cache.
+        from gencluster import quotient_embedding
+
+        seen, cached = {}, quotient_embedding._eliminated_sigma
+
+        def recording(table, pattern):
+            seen[table, pattern] = value = cached(table, pattern)
+            return value
+
+        monkeypatch.setattr(quotient_embedding, "_eliminated_sigma", recording)
+        for seed, sequence in ((fix_a, (0, 1)), (fix_b, (0, 1, 0))):
+            ctx = QuotientContext.create(seed)
+            assert embedding_check(seed, sequence).ok
+            table, layout = ctx.folded.table, ctx.layout
+            units = oracle_unit_elimination(table, seed.divisors.entries)
+            patterns = [pattern for t, pattern in seen if t is table]
+            assert any(len(pattern) > 1 for pattern in patterns)
+            for pattern in patterns:
+                oracle = LaurentPolynomial.one(table)
+                for (t_range, s_range, r), e in pattern:
+                    k = layout.aux.index((t_range, s_range))
+                    sigma = poly_map_variables(
+                        sigma_polynomial(table, layout, k, r), units, table
+                    )
+                    oracle = poly_mul(oracle, poly_pow(sigma, e))
+                assert seen[table, pattern] == oracle, pattern
 
     def test_negative_placeholder_power_rejected(self, fix_c):
         ctx = QuotientContext.create(fix_c)

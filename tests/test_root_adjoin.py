@@ -188,6 +188,16 @@ class TestTauTilde:
             assert min(ctx.coefficients[1]) == 1 - EXPONENT_LIMIT
             assert exchange_polynomial(adjoined, 0).terms
 
+    def test_adjoined_tables_are_shared(self, fix_b):
+        # Two adjunctions of equal seeds give one table object, the one
+        # VariableTable.make builds from the same names.
+        table = tau_tilde(fix_b).seed.table
+        assert tau_tilde(initial_seed(
+            fix_b.matrix, fix_b.divisors, fix_b.strings, ("x", "y"), fix_b.table.names[2:]
+        )).seed.table is table
+        assert VariableTable.make(table.names[:2], table.names[2:]) is table
+        assert VariableTable(table.names, 2) == table
+
     def test_adjoining_twice_rejected(self, fix_c):
         adjoined = tau_tilde(fix_c)
         with pytest.raises(ValidationError):

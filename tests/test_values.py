@@ -4,8 +4,8 @@ Each type is built, compares, hashes and prints by its fields:
 keyword and positional arguments build equal values, instances built
 apart from equal parts are equal, a change to any one field makes them
 unequal, another type never compares equal, and no attribute can be
-assigned or deleted.  A part that is not a sequence raises
-ValidationError.
+assigned or deleted.  A part that is not a sequence, or not of its
+field's type, raises ValidationError.
 """
 
 from copy import copy
@@ -123,6 +123,25 @@ def test_keyword_and_positional_arguments_build_equal_values(cls):
 ])
 def test_parts_that_are_not_sequences_raise_validation_error(build):
     with pytest.raises(ValidationError, match="must be a sequence|must be sequences"):
+        build()
+
+
+def _seed_with(**part):
+    seed = _seed()
+    return GeneralizedSeed(**{**{name: getattr(seed, name) for name in seed._fields}, **part})
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: _seed_with(cluster=5), id="seed-cluster"),
+    pytest.param(lambda: _seed_with(divisors=5), id="seed-divisors"),
+    pytest.param(lambda: _seed_with(matrix=5), id="seed-matrix"),
+    pytest.param(lambda: _seed_with(strings=5), id="seed-strings"),
+    pytest.param(lambda: FoldedLayout(5, 1), id="layout-sizes"),
+    pytest.param(lambda: FoldedLayout((2, 1), "a"), id="layout-frozen-count"),
+    pytest.param(lambda: FoldedMatrix(5, FoldedLayout((2, 1), 1)), id="folded-matrix"),
+])
+def test_parts_of_the_wrong_type_raise_validation_error(build):
+    with pytest.raises(ValidationError):
         build()
 
 
