@@ -14,6 +14,8 @@ to the fields with ``object.__setattr__``, then calls ``__post_init__``,
 looked up at each call so that it can be wrapped; it compares (same
 class, then the fields' values), hashes and prints by the fields, and
 refuses assigning or deleting any attribute with AttributeError.
+:meth:`FrozenValue._trusted_replace` copies a value with some fields
+replaced and skips ``__post_init__``: mutation results use it.
 """
 
 from operator import attrgetter
@@ -48,6 +50,16 @@ class FrozenValue:
 
     def __post_init__(self):
         """Check and normalize the stored fields; a subclass may override."""
+
+    def _trusted_replace(self, **changes):
+        """A copy with the fields ``changes`` names replaced, built unchecked.
+
+        Only for a type whose instances hold just their fields (a cached
+        attribute would be copied stale), and changes that keep its invariants.
+        """
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **changes)
+        return out
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -41,6 +41,7 @@ reassembling ``theta_k`` from the roots, and the special and balancing
 
 from .errors import FrozenValue, Report, ValidationError
 from .laurent_kernel import (
+    LaurentPolynomial,
     Monomial,
     VariableTable,
     _same_table,
@@ -60,7 +61,8 @@ from .matrix_mutation import (
 class CoefficientStrings(FrozenValue):
     """Per-direction tuples of frozen monomials, ends pinned to 1.
 
-    The constructor stores the rows, and each row, as tuples.
+    The constructor stores the rows, and each row, as tuples;
+    :func:`mutate_seed` reverses a row unchecked (see :class:`GeneralizedSeed`).
     """
 
     rows: tuple
@@ -84,15 +86,12 @@ class CoefficientStrings(FrozenValue):
             if len(row) != divisors[i] + 1:
                 raise ValidationError(f"string row {i} must have {divisors[i] + 1} entries")
             for r, mono in enumerate(row):
-                if not _same_table(mono.table, table):
-                    raise ValidationError("string entry over the wrong table")
+                if not isinstance(mono, Monomial) or not _same_table(mono.table, table):
+                    raise ValidationError(f"string entry ({i},{r}) is not a monomial of the table")
                 if any(mono.exponents[: table.n_cluster]):
                     raise ValidationError(f"string entry ({i},{r}) touches a cluster variable")
             if not row[0].is_one() or not row[-1].is_one():
                 raise ValidationError(f"string row {i} must start and end at 1")
-
-    def reversed_row(self, k):
-        return tuple(reversed(self.rows[k]))
 
     @staticmethod
     def trivial(table, divisors):
@@ -107,8 +106,9 @@ class GeneralizedSeed(FrozenValue):
     :class:`~gencluster.matrix_mutation.DivisorVector` (a sequence of
     integers is converted), then checks that the parts fit together:
     types, sizes, tables, divisor compatibility and the coefficient strings.
-    Mutation results skip those checks (see :func:`_trusted_seed`),
-    because :func:`mutate_seed` preserves each of them: the table and divisors
+    Mutation results and their strings skip those checks (see
+    :meth:`~gencluster.errors.FrozenValue._trusted_replace`), because
+    :func:`mutate_seed` preserves each of them: the table and divisors
     are unchanged; each matrix update is 0 or ``+/- b_ik * b_kj``, so
     ``d_i`` still divides row ``i`` (and skew-symmetrizers carry over,
     Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5); and string row
@@ -139,8 +139,8 @@ class GeneralizedSeed(FrozenValue):
         if len(self.cluster) != n:
             raise ValidationError("cluster size does not match the matrix")
         for entry in self.cluster:
-            if not _same_table(entry.table, self.table):
-                raise ValidationError("cluster entry over the wrong table")
+            if not isinstance(entry, LaurentPolynomial) or not _same_table(entry.table, self.table):
+                raise ValidationError("cluster entry is not a polynomial over the seed's table")
         if len(self.divisors) != n:
             raise ValidationError("divisor count does not match the matrix")
         check_compatible(self.matrix, self.divisors)
@@ -191,18 +191,6 @@ def initial_seed(matrix, divisors, strings=None, cluster_names=None, frozen_name
         strings = CoefficientStrings.trivial(table, DivisorVector(tuple(divisors)))
     cluster = tuple(table.variable(name) for name in table.names[: table.n_cluster])
     return GeneralizedSeed(table, cluster, matrix, divisors, strings)
-
-
-def _trusted_seed(seed, **changes):
-    """A copy of ``seed`` with the fields ``changes`` names replaced, unchecked.
-
-    Only for seeds that mutation derives from ``seed``: the changed
-    fields must keep every invariant the constructor checks (see
-    :class:`GeneralizedSeed`).
-    """
-    out = object.__new__(GeneralizedSeed)
-    out.__dict__.update(seed.__dict__, **changes)
-    return out
 
 
 class ExchangeContext:
@@ -316,12 +304,11 @@ def mutate_seed(seed, k):
     new_cluster = list(seed.cluster)
     new_cluster[k] = poly_exact_div(theta, seed.cluster[k])
     new_rows = list(seed.strings.rows)
-    new_rows[k] = seed.strings.reversed_row(k)
-    return _trusted_seed(
-        seed,
+    new_rows[k] = new_rows[k][::-1]
+    return seed._trusted_replace(
         cluster=tuple(new_cluster),
         matrix=mutate(seed.matrix, k),
-        strings=CoefficientStrings(tuple(new_rows)),
+        strings=seed.strings._trusted_replace(rows=tuple(new_rows)),
     )
 
 

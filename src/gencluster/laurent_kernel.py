@@ -41,7 +41,9 @@ Design notes
   limit.  A result that would hold an exponent of magnitude
   :data:`EXPONENT_LIMIT` or more raises
   :class:`~gencluster.errors.ExponentOverflow`, so no key ever aliases
-  another.
+  another.  Each exponent vector that enters the kernel (a term, a
+  shift, a :class:`Monomial` image) is packed and bounded in one pass;
+  :func:`exponent_amplitude` words the error of one at the limit.
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
@@ -84,13 +86,28 @@ class _Layout:
         #: ``units[i]`` is what one more power of variable ``i`` adds to a key.
         self.units = tuple((1 << self.degree_shift) + (1 << s) for s in self.shifts)
 
-    def pack(self, exps):
-        """Key of an exponent vector already checked against the limit."""
-        key = self.offset
-        for e, unit in zip(exps, self.units):
+    def pack_bounded(self, exps):
+        """``(key, largest exponent magnitude)`` of an exponent vector, in one loop.
+
+        ValidationError for another width, then ExponentOverflow at the limit.
+        """
+        units = self.units
+        if len(exps) != len(units):
+            raise ValidationError("exponent vector does not match table size")
+        key, amp = self.offset, 0
+        # Most shifts of an exchange polynomial are the zero vector.
+        if not any(exps):
+            return key, amp
+        for e, unit in zip(exps, units):
             if e:
                 key += e * unit
-        return key
+                if e < 0:
+                    e = -e
+                if e > amp:
+                    amp = e
+        if amp >= EXPONENT_LIMIT:
+            exponent_amplitude(exps)
+        return key, amp
 
     def unpack(self, key):
         return tuple(((key >> s) & _FIELD_MASK) - _BIAS for s in self.shifts)
@@ -205,10 +222,8 @@ class VariableTable(FrozenValue):
         polynomial constructor's type checks are skipped); an exponent of
         magnitude :data:`EXPONENT_LIMIT` or more raises ExponentOverflow.
         """
-        if len(exponents) != len(self.names):
-            raise ValidationError("exponent vector does not match table size")
-        amp = exponent_amplitude(exponents)
-        return _trusted(self, {self._layout.pack(exponents): 1}, amp)
+        key, amp = self._layout.pack_bounded(exponents)
+        return _trusted(self, {key: 1}, amp)
 
     def extended(self, names):
         """The table with frozen ``names`` appended, shared as by :meth:`make`."""
@@ -258,10 +273,11 @@ class Monomial(FrozenValue):
         try:
             return self._packed_cache
         except AttributeError:
-            amp = exponent_amplitude(self.exponents)
-            delta = self.table._layout.pack(self.exponents) - self.table._layout.offset
-            object.__setattr__(self, "_packed_cache", (delta, amp))
-            return delta, amp
+            layout = self.table._layout
+            key, amp = layout.pack_bounded(self.exponents)
+            packed = key - layout.offset, amp
+            object.__setattr__(self, "_packed_cache", packed)
+            return packed
 
     def as_polynomial(self):
         return self.table.term(self.exponents)
@@ -285,12 +301,11 @@ def _format_exponents(table, exps):
 class _Terms(Mapping):
     """Read-only ``{exponent tuple: coefficient}`` view of a polynomial."""
 
-    __slots__ = ("_keys", "_layout", "_width")
+    __slots__ = ("_keys", "_layout")
 
     def __init__(self, poly):
         self._keys = poly._keys
         self._layout = poly.table._layout
-        self._width = len(poly.table)
 
     def __len__(self):
         return len(self._keys)
@@ -300,11 +315,9 @@ class _Terms(Mapping):
 
     def __getitem__(self, exps):
         try:
-            if len(exps) == self._width and max(map(abs, exps), default=0) < EXPONENT_LIMIT:
-                return self._keys[self._layout.pack(tuple(map(index, exps)))]
-        except TypeError:
-            pass
-        raise KeyError(exps)
+            return self._keys[self._layout.pack_bounded(tuple(map(index, exps)))[0]]
+        except (TypeError, ValidationError, ExponentOverflow, KeyError):
+            raise KeyError(exps) from None
 
     def values(self):
         return self._keys.values()
@@ -336,8 +349,9 @@ class LaurentPolynomial:
                 exps = tuple(map(index, exps))
             except TypeError:
                 raise ValidationError(f"exponents must be integers: {exps!r}") from None
-            amp = max(amp, exponent_amplitude(exps))
-            keys[layout.pack(exps)] = coeff
+            key, term_amp = layout.pack_bounded(exps)
+            amp = max(amp, term_amp)
+            keys[key] = coeff
         self.table = table
         self._keys = keys
         self._amp = amp
@@ -529,15 +543,12 @@ def poly_shifted_sum(table, pairs):
     built.  Terms whose sum cancels are dropped.
     """
     layout = table._layout
-    width, offset, pack = len(table), layout.offset, layout.pack
+    offset, pack_bounded = layout.offset, layout.pack_bounded
     terms = {}
     get = terms.get
     amp = 0
     for exps, p in pairs:
-        if len(exps) != width:
-            raise ValidationError("exponent vector does not match table size")
-        shift_amp = exponent_amplitude(exps)
-        shift = pack(exps)
+        shift, shift_amp = pack_bounded(exps)
         if p is None:
             terms[shift] = get(shift, 0) + 1
             amp = max(amp, shift_amp)
@@ -647,8 +658,8 @@ def poly_exact_div(numer, denom):
     # set exactly when its difference is non-negative.  A borrow out of
     # the fields reaches only the degree field, which is not tested.
     fields = (1 << layout.degree_shift) - 1
-    upper = ((layout.pack(hi) - shift) & fields) + offset
-    lower = ((layout.pack(lo) - shift) & fields) - offset
+    upper = ((layout.pack_bounded(hi)[0] - shift) & fields) + offset
+    lower = ((layout.pack_bounded(lo)[0] - shift) & fields) - offset
     remainder = dict(numer._keys)
     get = remainder.get
     heap = [-k for k in remainder]
@@ -786,8 +797,8 @@ def _map_checked(p, mapping, target):
             else:
                 for j, g in enumerate(image.exponents):
                     acc[j] += e * g
-        amp = max(amp, exponent_amplitude(acc))
-        new_key = target._layout.pack(acc)
+        new_key, term_amp = target._layout.pack_bounded(acc)
+        amp = max(amp, term_amp)
         terms[new_key] = terms.get(new_key, 0) + coeff
     return _trusted(target, _drop_zeros(terms), amp)
 

@@ -16,7 +16,8 @@ The public constructor :class:`ExtendedExchangeMatrix` (and with it
 its input.  Mutation results skip that validation: the shape and the
 integer entries carry over from the input, and mutation preserves
 skew-symmetrizers (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so
-:func:`mutate` builds its results through :func:`_trusted_matrix`.  The
+:func:`mutate` replaces the rows of its input with
+:meth:`~gencluster.errors.FrozenValue._trusted_replace`.  The
 test-suite rebuilds those results through the validating constructor
 and compares.
 
@@ -94,7 +95,9 @@ class ExtendedExchangeMatrix(FrozenValue):
     Mutation results do not pass through the constructor: mutation
     keeps the shape and integrality and preserves skew-symmetrizers
     (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so
-    :func:`mutate` builds them with :func:`_trusted_matrix`.
+    :func:`mutate` builds them with
+    :meth:`~gencluster.errors.FrozenValue._trusted_replace`: the new
+    rows are a tuple of integer tuples of the input's shape.
     """
 
     n: int
@@ -208,18 +211,6 @@ def modify(matrix, divisors):
     return ExtendedExchangeMatrix(matrix.n, matrix.m, rows)
 
 
-def _trusted_matrix(matrix, rows):
-    """``matrix`` with its rows replaced, built without validation.
-
-    Only for results that keep the input's shape and its principal part,
-    or a mutation of it, which stays skew-symmetrizable: ``rows`` is a
-    tuple of integer tuples of the input's shape.
-    """
-    out = object.__new__(ExtendedExchangeMatrix)
-    out.__dict__.update(matrix.__dict__, rows=rows)
-    return out
-
-
 def mutate(matrix, k):
     """Standard mutation of an extended exchange matrix in direction ``k``.
 
@@ -251,7 +242,7 @@ def mutate(matrix, k):
         new_row = [e + size * p for e, p in zip(row, part)]
         new_row[k] = -b_ik
         new_rows.append(tuple(new_row))
-    return _trusted_matrix(matrix, tuple(new_rows))
+    return matrix._trusted_replace(rows=tuple(new_rows))
 
 
 def mutate_sequence(matrix, sequence):

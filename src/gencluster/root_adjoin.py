@@ -30,7 +30,6 @@ from .gca_seed import (
     ExchangeContext,
     GeneralizedSeed,
     _cluster_power,
-    _trusted_seed,
     floor_defect,
 )
 from .laurent_kernel import (
@@ -40,7 +39,6 @@ from .laurent_kernel import (
     exponent_amplitude,
     poly_map_variables,
 )
-from .matrix_mutation import _trusted_matrix
 
 
 class AdjoinedSeed(FrozenValue):
@@ -126,9 +124,9 @@ def tau_tilde(seed, mode="total"):
     defect reads only its own entry, so one pass equals adjoining the
     roots one column at a time, in any order.
 
-    The result skips the seed constructor's checks (see
-    :func:`~gencluster.gca_seed._trusted_seed`); its table is validated
-    and shared (:meth:`~gencluster.laurent_kernel.VariableTable.make`).
+    The seed and its matrix skip their constructors' checks (see
+    :meth:`~gencluster.errors.FrozenValue._trusted_replace`); the table
+    is validated and shared (:meth:`~gencluster.laurent_kernel.VariableTable.make`).
     The input passed those checks, and adjoining keeps each of them:
     only frozen columns are scaled, so the principal part and the
     divisors' compatibility are the input's; the cluster entries and
@@ -153,7 +151,7 @@ def tau_tilde(seed, mode="total"):
         for row in seed.matrix.rows
     )
     # Only frozen columns are scaled: the principal part is the input's.
-    new_matrix = _trusted_matrix(seed.matrix, new_rows)
+    new_matrix = seed.matrix._trusted_replace(rows=new_rows)
 
     mapping = _root_powers(table, new_table, n)
     new_cluster = tuple(poly_map_variables(entry, mapping, new_table) for entry in seed.cluster)
@@ -176,8 +174,7 @@ def tau_tilde(seed, mode="total"):
             row.append(Monomial(new_table, tuple(image)))
         new_string_rows.append(tuple(row))
 
-    new_seed = _trusted_seed(
-        seed,
+    new_seed = seed._trusted_replace(
         table=new_table,
         cluster=new_cluster,
         matrix=new_matrix,

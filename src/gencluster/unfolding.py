@@ -76,7 +76,7 @@ class FoldedLayout(FrozenValue):
             n = prod(sizes) if self.multiplicity is None else index(self.multiplicity)
         except TypeError:
             raise ValidationError("layout sizes must be integers") from None
-        if n < 1 or any(n % d for d in sizes):
+        if n < 1 or any(d < 1 or n % d for d in sizes):
             raise ValidationError(
                 f"root multiplicity {n} is not a positive multiple of every divisor"
             )

@@ -407,7 +407,7 @@ class TestMutation:
 
     def test_strings_reverse_in_the_mutated_row(self, fix_b):
         mutated = mutate_seed(fix_b, 0)
-        assert mutated.strings.rows[0] == fix_b.strings.reversed_row(0)
+        assert mutated.strings.rows[0] == fix_b.strings.rows[0][::-1]
         assert mutated.strings.rows[1] == fix_b.strings.rows[1]
 
     def test_string_ends_preserved_on_random(self, rng):
@@ -429,14 +429,18 @@ class TestMutation:
 def assert_seed_valid_as_built(seed):
     """A mutated seed passes the validating constructors unchanged."""
     matrix = seed.matrix
+    strings = CoefficientStrings(seed.strings.rows)
+    strings.validate(seed.table, seed.divisors)
     rebuilt = GeneralizedSeed(
         table=seed.table,
         cluster=seed.cluster,
         matrix=ExtendedExchangeMatrix(matrix.n, matrix.m, matrix.rows),
         divisors=seed.divisors,
-        strings=seed.strings,
+        strings=strings,
     )
     assert type(seed) is GeneralizedSeed
+    assert type(seed.strings) is CoefficientStrings
+    assert seed.strings == strings
     assert rebuilt == seed
 
 

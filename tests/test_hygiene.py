@@ -6,6 +6,7 @@ import importlib.util
 import io
 import os
 from pathlib import Path
+import random
 import subprocess
 import sys
 
@@ -167,7 +168,7 @@ REVIEWED_IMPORTS = {
     "matrix_mutation": ({"errors"}, set()),
     "unfolding": ({"errors", "matrix_mutation"}, set()),
     "gca_seed": ({"errors", "laurent_kernel", "matrix_mutation"}, set()),
-    "root_adjoin": ({"errors", "gca_seed", "laurent_kernel", "matrix_mutation"}, set()),
+    "root_adjoin": ({"errors", "gca_seed", "laurent_kernel"}, set()),
     "fixtures": ({"errors", "gca_seed", "laurent_kernel", "matrix_mutation"}, set()),
     "randomgen": ({"gca_seed", "laurent_kernel", "matrix_mutation"}, set()),
     "quotient_embedding": ({
@@ -546,17 +547,15 @@ def test_shared_member_names_are_detected():
 #: checks, as ``(file, function)``; every other fast path reuses them.
 TRUSTED_BYPASSES = {
     ("laurent_kernel.py", "_trusted"),
-    ("matrix_mutation.py", "_trusted_matrix"),
-    ("gca_seed.py", "_trusted_seed"),
+    ("errors.py", "_trusted_replace"),
 }
 
 
-def constructor_bypasses(source):
-    """``(line, function)`` of every call that skips a constructor.
+def method_calls(source, matches):
+    """``(line, function)`` of every call ``x.name(...)`` for which ``matches(x.name)``.
 
-    These are calls of ``__new__``, on any receiver, and of
-    ``__dict__.update``; ``function`` is the innermost enclosing function,
-    ``None`` at module or class level.
+    ``function`` is the innermost enclosing function, ``None`` at module
+    or class level.
     """
     found = []
 
@@ -566,17 +565,25 @@ def constructor_bypasses(source):
                 visit(child, child.name)
                 continue
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                called = child.func
-                if called.attr == "__new__" or (
-                    called.attr == "update"
-                    and isinstance(called.value, ast.Attribute)
-                    and called.value.attr == "__dict__"
-                ):
+                if matches(child.func):
                     found.append((child.lineno, function))
             visit(child, function)
 
     visit(ast.parse(source), None)
     return found
+
+
+def constructor_bypasses(source):
+    """``(line, function)`` of every call that skips a constructor.
+
+    These are calls of ``__new__``, on any receiver, and of
+    ``__dict__.update``, as :func:`method_calls` finds them.
+    """
+    return method_calls(source, lambda called: called.attr == "__new__" or (
+        called.attr == "update"
+        and isinstance(called.value, ast.Attribute)
+        and called.value.attr == "__dict__"
+    ))
 
 
 def test_constructor_bypasses_are_detected():
@@ -608,6 +615,71 @@ def test_only_the_reviewed_constructors_skip_checks():
     assert {k: v for k, v in found.items() if k not in TRUSTED_BYPASSES} == {}
     # A reviewed bypass that is gone is dropped from the table.
     assert set(found) == TRUSTED_BYPASSES
+
+
+#: The functions that build values with ``FrozenValue._trusted_replace``,
+#: as ``(file, function)``.  The helper copies the instance dict, so only
+#: a type whose instances hold nothing but their fields may take it.
+TRUSTED_REPLACE_CALLERS = {
+    ("matrix_mutation.py", "mutate"),
+    ("gca_seed.py", "mutate_seed"),
+    ("root_adjoin.py", "tau_tilde"),
+}
+
+
+def trusted_replace_calls(source):
+    """``(line, function)`` of each ``_trusted_replace`` call, found by :func:`method_calls`."""
+    return method_calls(source, lambda called: called.attr == "_trusted_replace")
+
+
+def test_trusted_replace_calls_are_detected():
+    source = (
+        "def mutate(m):\n"
+        "    return m._trusted_replace(rows=())\n"
+        "x = seed._trusted_replace(strings=s._trusted_replace(rows=()))\n"
+        "y = seed.trusted_replace()\n"
+    )
+    assert trusted_replace_calls(source) == [(2, "mutate"), (3, None), (3, None)]
+
+
+def test_only_the_reviewed_functions_replace_fields():
+    found = {
+        (path.name, function)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for _, function in trusted_replace_calls(path.read_text(encoding="utf-8"))
+    }
+    assert found == TRUSTED_REPLACE_CALLERS
+
+
+def test_replaced_values_hold_exactly_their_fields(monkeypatch):
+    # Runs every reviewed caller and records each value the helper builds.
+    from gencluster.errors import FrozenValue
+    from gencluster.fixtures import fixture_seed
+    from gencluster.gca_seed import mutate_seed
+    from gencluster.matrix_mutation import mutate
+    from gencluster.randomgen import random_seed
+    from gencluster.root_adjoin import tau_tilde
+
+    built = []
+    replace = FrozenValue._trusted_replace
+
+    def recording(value, **changes):
+        built.append(replace(value, **changes))
+        return built[-1]
+
+    monkeypatch.setattr(FrozenValue, "_trusted_replace", recording)
+    rng = random.Random(31)
+    starts = [fixture_seed(name) for name in ("FIX-B", "FIX-C")]
+    starts += [random_seed(rng, max_frozen=3) for _ in range(10)]
+    for start in starts:
+        for seed in (start, tau_tilde(start).seed):
+            mutate(seed.matrix, 0)
+            mutate_seed(mutate_seed(seed, 0), seed.rank - 1)
+    assert {type(value).__name__ for value in built} == {
+        "ExtendedExchangeMatrix", "GeneralizedSeed", "CoefficientStrings",
+    }
+    for value in built:
+        assert vars(value).keys() == set(type(value)._fields), type(value)
 
 
 #: The methods :class:`gencluster.errors.FrozenValue` owns for every value type.

@@ -20,7 +20,9 @@ from gencluster.errors import (
 from gencluster.laurent_kernel import (
     EXPONENT_LIMIT,
     LaurentPolynomial,
+    Monomial,
     VariableTable,
+    exponent_amplitude,
     poly_add,
     poly_exact_div,
     poly_map_variables,
@@ -320,6 +322,74 @@ class TestShiftedSum:
             assert str(fused.value) == str(composed.value) == (
                 f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
             )
+
+
+#: Exponents near the limit, on either side of it.
+EDGE = (EXPONENT_LIMIT - 1, 1 - EXPONENT_LIMIT)
+OVER = (EXPONENT_LIMIT, -EXPONENT_LIMIT)
+OVERFLOW_TEXT = f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
+
+
+@st.composite
+def edge_vectors(draw, table):
+    """Vectors of small exponents of both signs, some ``±(limit - 1)``; zero vectors too."""
+    entry = st.integers(-4, 4) | st.sampled_from(EDGE)
+    return draw(st.just((0,) * len(table)) | st.tuples(*[entry] * len(table)))
+
+
+def two_pass_key(layout, v):
+    """The key of ``v`` summed on its own: the key of 1 plus each exponent times its unit."""
+    return layout.offset + sum(e * unit for e, unit in zip(v, layout.units))
+
+
+def one_pass_routes(table, v):
+    """The one-term polynomial of ``v`` as ``term``, ``poly_shifted_sum`` and a mapped variable."""
+    source = table_of("u", 1)
+    image = poly_map_variables(source.variable("u0"), {"u0": Monomial(table, v)}, table)
+    return table.term(v), poly_shifted_sum(table, [(v, None)]), image
+
+
+class TestOnePassPack:
+    """Each vector is packed and bounded in one pass, as a key sum after ``exponent_amplitude``."""
+
+    @given(st.data())
+    def test_key_and_magnitude_match_two_passes(self, data):
+        table = data.draw(tables())
+        v = data.draw(edge_vectors(table))
+        layout = table._layout
+        amp = exponent_amplitude(v)
+        key = two_pass_key(layout, v)
+        assert layout.pack_bounded(v) == (key, amp)
+        for p in one_pass_routes(table, v):
+            assert p._keys == {key: 1}
+            assert p._amp == amp
+            assert p.terms == {v: 1}
+
+    @given(st.data())
+    def test_the_limit_raises_the_same_message(self, data):
+        table = data.draw(tables())
+        v = list(data.draw(edge_vectors(table)))
+        v[data.draw(st.integers(0, len(v) - 1))] = data.draw(st.sampled_from(OVER))
+        v = tuple(v)
+        with pytest.raises(ExponentOverflow) as two_passes:
+            exponent_amplitude(v)
+        assert str(two_passes.value) == OVERFLOW_TEXT
+        for build in (
+            table._layout.pack_bounded,
+            table.term,
+            lambda v: poly_shifted_sum(table, [(v, None)]),
+            lambda v: one_pass_routes(table, v)[2],
+        ):
+            with pytest.raises(ExponentOverflow) as one_pass:
+                build(v)
+            assert str(one_pass.value) == OVERFLOW_TEXT
+
+    @pytest.mark.parametrize("v", [(EXPONENT_LIMIT,), (0, 0, -EXPONENT_LIMIT), ()])
+    def test_the_width_is_checked_before_the_limit(self, v):
+        table = table_of("x", 2)
+        for build in (table.term, lambda v: poly_shifted_sum(table, [(v, None)])):
+            with pytest.raises(ValidationError, match="does not match table size"):
+                build(v)
 
 
 class TestDivision:

@@ -31,7 +31,6 @@ from gencluster.errors import (
 from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import (
     ExchangeContext,
-    _trusted_seed,
     initial_seed,
     mutate_seed,
 )
@@ -46,7 +45,7 @@ from gencluster.laurent_kernel import (
     poly_split_trailing,
     poly_sub,
 )
-from gencluster.matrix_mutation import ExtendedExchangeMatrix, _trusted_matrix
+from gencluster.matrix_mutation import ExtendedExchangeMatrix
 from gencluster.quotient_embedding import (
     QuotientContext,
     _coherent_row,
@@ -426,14 +425,15 @@ def tampered(fm, row, col, delta):
     """
     rows = [list(r) for r in fm.matrix.rows]
     rows[row][col] += delta
-    return FoldedMatrix(_trusted_matrix(fm.matrix, tuple(tuple(r) for r in rows)), fm.layout)
+    matrix = fm.matrix._trusted_replace(rows=tuple(tuple(r) for r in rows))
+    return FoldedMatrix(matrix, fm.layout)
 
 
 def tampered_context(ctx, row, col, delta):
     """A copy of ``ctx`` whose folded matrix has one entry moved by ``delta``."""
     bad = copy(ctx)
-    bad.folded = _trusted_seed(
-        ctx.folded, matrix=tampered(unfolding_of(ctx), row, col, delta).matrix
+    bad.folded = ctx.folded._trusted_replace(
+        matrix=tampered(unfolding_of(ctx), row, col, delta).matrix
     )
     return bad
 
@@ -455,8 +455,7 @@ def moved_entry_contexts(ctx):
             rows = [list(row) for row in tracked.matrix.rows]
             rows[j][frozen[0]] += tracked.divisors[j]
             bad = copy(ctx)
-            bad.tracked = _trusted_seed(
-                tracked,
+            bad.tracked = tracked._trusted_replace(
                 matrix=ExtendedExchangeMatrix(tracked.matrix.n, tracked.matrix.m, rows),
             )
             yield bad

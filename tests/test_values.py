@@ -131,12 +131,23 @@ def _seed_with(**part):
     return GeneralizedSeed(**{**{name: getattr(seed, name) for name in seed._fields}, **part})
 
 
+def _strings_with(entry):
+    """The seed's trivial strings with ``entry`` inside row 0."""
+    (first, *rest) = _seed().strings.rows
+    return CoefficientStrings(((first[0], entry, first[-1]), *rest))
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: _seed_with(cluster=5), id="seed-cluster"),
     pytest.param(lambda: _seed_with(divisors=5), id="seed-divisors"),
     pytest.param(lambda: _seed_with(matrix=5), id="seed-matrix"),
     pytest.param(lambda: _seed_with(strings=5), id="seed-strings"),
+    pytest.param(lambda: _seed_with(cluster=(5, 6)), id="seed-cluster-entries"),
+    pytest.param(lambda: _seed_with(strings=_strings_with(5)), id="seed-string-entry"),
+    pytest.param(lambda: CoefficientStrings(((5,),)).validate(_table(), (0,)), id="string-entry"),
     pytest.param(lambda: FoldedLayout(5, 1), id="layout-sizes"),
+    pytest.param(lambda: FoldedLayout((0,), 0, 1), id="layout-empty-group"),
+    pytest.param(lambda: FoldedLayout((-1,), 0, 2), id="layout-negative-group"),
     pytest.param(lambda: FoldedLayout((2, 1), "a"), id="layout-frozen-count"),
     pytest.param(lambda: FoldedMatrix(5, FoldedLayout((2, 1), 1)), id="folded-matrix"),
 ])
