@@ -200,15 +200,15 @@ class ExchangeContext:
     raises IndexOutOfRange for a bad direction.  ``u_gt``/``u_lt`` are
     exponent tuples over the seed's table whose cluster slots refer to
     the *current* cluster entries (slot ``i`` means ``seed.cluster[i]``),
-    not to the table symbols; ``v_gt``/``v_lt`` are the stable
-    monomials ``v>[1]``/``v<[1]``; ``coefficients[r]`` is the frozen
-    coefficient ``p_{k,r} * v>[r] * v<[d-r]`` of ``theta_k``.  No
-    :class:`Monomial` is built: callers that need one (reports, failure
-    text) wrap a vector.  A seed with no frozen column has no frozen
-    work: its coefficients and ``v`` vectors are all zero.
+    not to the table symbols; ``coefficients[r]`` is the frozen
+    coefficient ``p_{k,r} * v>[r] * v<[d-r]`` of ``theta_k``; ``v_gt``/
+    ``v_lt``, the stable monomials ``v>[1]``/``v<[1]``, are worked out
+    when read.  No :class:`Monomial` is built: callers that need one
+    (reports, failure text) wrap a vector.  A seed with no frozen column
+    has no frozen work: its coefficients and ``v`` vectors are all zero.
     """
 
-    __slots__ = ("seed", "degree", "bhat_row", "u_gt", "u_lt", "v_gt", "v_lt", "coefficients")
+    __slots__ = ("seed", "degree", "bhat_row", "u_gt", "u_lt", "coefficients")
 
     def __init__(self, seed, k):
         seed.matrix.check_direction(k)
@@ -221,11 +221,8 @@ class ExchangeContext:
         self.u_gt = tuple([e if e > 0 else 0 for e in cluster]) + zeros
         self.u_lt = tuple([-e if e < 0 else 0 for e in cluster]) + zeros
         if not frozen:
-            self.v_gt = self.v_lt = pad
             self.coefficients = (pad,) * (d + 1)
             return
-        self.v_gt = pad + tuple([e // d if e > 0 else 0 for e in frozen])
-        self.v_lt = pad + tuple([-e // d if e < 0 else 0 for e in frozen])
         # Frozen exponent b adds floor(r*b/d) (b > 0) or floor((d-r)*|b|/d)
         # (b < 0) to p_{k,r}; strings have no cluster exponent.
         self.coefficients = tuple([
@@ -235,6 +232,16 @@ class ExchangeContext:
             ])
             for r, string in enumerate(seed.strings.rows[k])
         ])
+
+    @property
+    def v_gt(self):
+        n, d = self.seed.matrix.n, self.degree
+        return (0,) * n + tuple([e // d if e > 0 else 0 for e in self.bhat_row[n:]])
+
+    @property
+    def v_lt(self):
+        n, d = self.seed.matrix.n, self.degree
+        return (0,) * n + tuple([-e // d if e < 0 else 0 for e in self.bhat_row[n:]])
 
 
 def _cluster_power(seed, exponents):
@@ -334,26 +341,27 @@ def root_formula_check(seed, k):
     the frozen sign parts of the scaled row, the monomial ``p_{k,r}^d /
     q_{k,r} * v>^r * v<^(d-r)`` must have every exponent divisible by
     ``d``, and its ``d``-th root must be the coefficient ``p_{k,r} *
-    v>[r] * v<[d-r]`` of ``theta_k``.  The monomials are exponent vectors.
+    v>[r] * v<[d-r]`` of ``theta_k``.  The monomials are exponent vectors
+    over the frozen slots; those of ``p_{k,r}`` on cluster slots must be 0.
     Returns a report listing failing ``(k, r)`` pairs.  Reassembling
     ``theta_k`` from the roots is a test oracle.
     """
     ctx = ExchangeContext(seed, k)
     d, n = ctx.degree, seed.rank
+    frozen, pad = ctx.bhat_row[n:], (0,) * n
     failures = []
     for r, string in enumerate(seed.strings.row(k)):
+        exps = string.exponents
+        # A cluster slot's target d * p is divisible; its root p must be 0.
         target = [
-            d * p + (
-                floor_defect(d, r, b, d) + r * max(b, 0) + (d - r) * max(-b, 0)
-                if pos >= n else 0
-            )
-            for pos, (p, b) in enumerate(zip(string.exponents, ctx.bhat_row))
+            d * p + floor_defect(d, r, b, d) + (r * b if b > 0 else (r - d) * b)
+            for p, b in zip(exps[n:], frozen)
         ]
         if any(e % d for e in target):
             failures.append((k, r, "exponents not divisible by the degree"))
             continue
         root, coefficient = tuple([e // d for e in target]), ctx.coefficients[r]
-        if root != coefficient:
-            root, coefficient = (Monomial(seed.table, v) for v in (root, coefficient))
+        if exps[:n] != pad or root != coefficient[n:]:
+            root, coefficient = (Monomial(seed.table, v) for v in (exps[:n] + root, coefficient))
             failures.append((k, r, f"root {root} differs from {coefficient}"))
     return Report(tuple(failures))

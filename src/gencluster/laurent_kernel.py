@@ -47,6 +47,9 @@ Design notes
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
+* Divisor links.  A quotient records its divisor, which a division by the
+  quotient (mutating back) tries first.  Recording a link clears the
+  divisor's, so links never chain: at most one more polynomial per quotient.
 """
 
 from collections.abc import Mapping
@@ -89,7 +92,7 @@ class _Layout:
     def pack_bounded(self, exps):
         """``(key, largest exponent magnitude)`` of an exponent vector, in one loop.
 
-        ValidationError for another width, then ExponentOverflow at the limit.
+        ValidationError for another width or a non-integer, then ExponentOverflow at the limit.
         """
         units = self.units
         if len(exps) != len(units):
@@ -105,6 +108,8 @@ class _Layout:
                     e = -e
                 if e > amp:
                     amp = e
+        if type(key) is not int:
+            raise ValidationError(f"exponents must be integers: {tuple(exps)!r}")
         if amp >= EXPONENT_LIMIT:
             exponent_amplitude(exps)
         return key, amp
@@ -218,9 +223,9 @@ class VariableTable(FrozenValue):
     def term(self, exponents):
         """The one-term polynomial with the given exponent vector.
 
-        ``exponents`` holds one integer per variable, in table order (the
-        polynomial constructor's type checks are skipped); an exponent of
-        magnitude :data:`EXPONENT_LIMIT` or more raises ExponentOverflow.
+        ``exponents`` holds one integer per variable, in table order
+        (ValidationError otherwise); an exponent of magnitude
+        :data:`EXPONENT_LIMIT` or more raises ExponentOverflow.
         """
         key, amp = self._layout.pack_bounded(exponents)
         return _trusted(self, {key: 1}, amp)
@@ -283,19 +288,22 @@ class Monomial(FrozenValue):
         return self.table.term(self.exponents)
 
     def __str__(self):
-        return _format_exponents(self.table, self.exponents) or "1"
+        return _format_powers(zip(self.table.names, self.exponents)) or "1"
 
     def __repr__(self):
         return f"Monomial({self})"
 
 
-def _format_exponents(table, exps):
-    parts = []
-    for name, e in zip(table.names, exps):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+def _trusted_monomial(table, exponents):
+    """A :class:`Monomial` of a tuple of ``int`` its caller built, unchecked."""
+    mono = object.__new__(Monomial)
+    mono.__dict__.update(table=table, exponents=exponents)
+    return mono
+
+
+def _format_powers(powers):
+    """``x*y^2``-style text of ``(name, exponent)`` pairs, zero exponents left out."""
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in powers if e])
 
 
 class _Terms(Mapping):
@@ -332,7 +340,7 @@ class LaurentPolynomial:
     operations return new objects.
     """
 
-    __slots__ = ("table", "_keys", "_amp")
+    __slots__ = ("table", "_keys", "_amp", "_divisor")
 
     def __init__(self, table, terms=None):
         layout = table._layout
@@ -355,6 +363,7 @@ class LaurentPolynomial:
         self.table = table
         self._keys = keys
         self._amp = amp
+        self._divisor = None
 
     @property
     def terms(self):
@@ -379,29 +388,18 @@ class LaurentPolynomial:
     def one(table):
         return _trusted(table, {table._layout.offset: 1}, 0)
 
-    def sorted_terms(self):
-        """Terms in canonical (graded-lex descending) order."""
-        unpack = self.table._layout.unpack
-        return [(unpack(k), c) for k, c in sorted(self._keys.items(), reverse=True)]
-
     def __str__(self):
         if not self._keys:
             return "0"
+        fields = tuple(zip(self.table.names, self.table._layout.shifts))
         pieces = []
-        for exps, coeff in self.sorted_terms():
-            mono = _format_exponents(self.table, exps)
+        for key, coeff in sorted(self._keys.items(), reverse=True):
+            mono = _format_powers((n, ((key >> s) & _FIELD_MASK) - _BIAS) for n, s in fields)
             mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
+            body = f"{mag}*{mono}" if mono and mag != 1 else mono or str(mag)
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"LaurentPolynomial({self})"
@@ -413,6 +411,7 @@ def _trusted(table, keys, amp):
     p.table = table
     p._keys = keys
     p._amp = amp
+    p._divisor = None
     return p
 
 
@@ -588,7 +587,8 @@ def poly_exact_div(numer, denom):
 
     Raises :class:`~gencluster.errors.InexactDivision` when the quotient
     does not exist (nonzero remainder, coefficient non-divisibility, or
-    division by zero).  Three routes, tried in this order:
+    division by zero).  A divisor of two or more terms first tries its
+    own divisor (see the design notes); then three routes, in this order:
 
     * a one-term divisor shifts every numerator key: the quotient is the
       product with the inverse term, and bounded as products are;
@@ -610,17 +610,43 @@ def poly_exact_div(numer, denom):
     _require_same_table(numer, denom)
     if not denom._keys:
         raise InexactDivision("division by the zero polynomial")
-    table = numer.table
     if not numer._keys:
-        return LaurentPolynomial.zero(table)
+        return LaurentPolynomial.zero(numer.table)
+    recorded = denom._divisor
+    if recorded is not None and len(denom._keys) > 1 and _is_product(numer, recorded, denom):
+        return recorded
+    quotient = _divide(numer, denom)
+    quotient._divisor, denom._divisor = denom, None
+    return quotient
+
+
+def _is_product(numer, a, b):
+    """Whether ``a * b`` is ``numer``: one product, bounded as by :func:`poly_mul`."""
+    offset = numer.table._layout.offset
+    if a._amp + b._amp >= EXPONENT_LIMIT or (
+        max(a._keys) + max(b._keys) - offset != max(numer._keys)
+    ):
+        return False
+    terms = {}
+    _add_product(terms, a, b, offset)
+    return _drop_zeros(terms) == numer._keys
+
+
+def _divide(numer, denom):
+    """:func:`poly_exact_div` of nonzero operands over one table, by its three routes."""
+    table = numer.table
     layout = table._layout
     offset = layout.offset
     if len(denom._keys) == 1:
         ((lead_d, lc_d),) = denom._keys.items()
-        # Keys are linear in exponents: the inverse term mirrors ``lead_d``
-        # about the key of 1.
-        amp = _product_amplitude(numer, _trusted(table, {2 * offset - lead_d: 1}, denom._amp))
+        amp = numer._amp + denom._amp
+        if amp >= EXPONENT_LIMIT:
+            # Keys are linear in exponents: the inverse term mirrors
+            # ``lead_d`` about the key of 1.
+            amp = _product_amplitude(numer, _trusted(table, {2 * offset - lead_d: 1}, denom._amp))
         shift = offset - lead_d
+        if lc_d == 1 or lc_d == -1:
+            return _trusted(table, {k + shift: c * lc_d for k, c in numer._keys.items()}, amp)
         quotient = {}
         for key, coeff in numer._keys.items():
             q_c, rem = divmod(coeff, lc_d)
@@ -724,8 +750,9 @@ def poly_map_variables(p, mapping, target):
     """Transport ``p`` to ``target`` by substituting monomials for variables.
 
     ``mapping`` sends variable names of ``p``'s table to
-    :class:`Monomial` objects over ``target``.  Names absent from the
-    mapping are carried across by name; a name that is needed but exists
+    :class:`Monomial` objects over ``target`` (ValidationError for
+    another image).  Names absent from the mapping are carried across
+    by name; a name that is needed but exists
     in neither the mapping nor the target raises
     :class:`~gencluster.errors.UnknownSymbol`.
     """
@@ -733,6 +760,8 @@ def poly_map_variables(p, mapping, target):
     for name, mono in mapping.items():
         if name not in source:
             raise UnknownSymbol(f"mapping source {name!r} is not in the table")
+        if not isinstance(mono, Monomial):
+            raise ValidationError(f"image of {name!r} is not a Monomial: {mono!r}")
         if not _same_table(mono.table, target):
             raise TableMismatch(f"image of {name!r} is not over the target table")
     s_layout, t_layout = source._layout, target._layout

@@ -137,7 +137,7 @@ class ExtendedExchangeMatrix(FrozenValue):
         return ExtendedExchangeMatrix(n, m, rows)
 
     def check_direction(self, k):
-        if not isinstance(k, int) or not 0 <= k < self.n:
+        if type(k) is not int or not 0 <= k < self.n:
             raise IndexOutOfRange(
                 f"direction {k!r} is not a mutable index (0..{self.n - 1})"
             )

@@ -33,9 +33,10 @@ from .gca_seed import (
     floor_defect,
 )
 from .laurent_kernel import (
+    EXPONENT_LIMIT,
     LaurentPolynomial,
-    Monomial,
     VariableTable,
+    _trusted_monomial,
     exponent_amplitude,
     poly_map_variables,
 )
@@ -73,7 +74,7 @@ def _root_powers(base, table, n):
     for pos in base.frozen_indices:
         exps = [0] * width
         exps[pos] = n
-        images[base.names[pos]] = Monomial(table, tuple(exps))
+        images[base.names[pos]] = _trusted_monomial(table, tuple(exps))
     return images
 
 
@@ -125,8 +126,9 @@ def tau_tilde(seed, mode="total"):
     roots one column at a time, in any order.
 
     The seed and its matrix skip their constructors' checks (see
-    :meth:`~gencluster.errors.FrozenValue._trusted_replace`); the table
-    is validated and shared (:meth:`~gencluster.laurent_kernel.VariableTable.make`).
+    :meth:`~gencluster.errors.FrozenValue._trusted_replace`), and so do
+    the root powers and string entries, built from ints unchecked; the
+    table is validated and shared (:meth:`~gencluster.laurent_kernel.VariableTable.make`).
     The input passed those checks, and adjoining keeps each of them:
     only frozen columns are scaled, so the principal part and the
     divisors' compatibility are the input's; the cluster entries and
@@ -162,16 +164,17 @@ def tau_tilde(seed, mode="total"):
         row_k = seed.scaled_row(k)
         row = []
         for r, p in enumerate(seed.strings.row(k)):
-            # The image of ``p`` under ``f_j -> g_j^n``, bounded like a
-            # transported polynomial, times the corrections ``g_j^defect``.
-            exponent_amplitude(p.exponents)
+            # The image of ``p`` under ``f_j -> g_j^n`` (n >= 1, so its bound bounds ``p``,
+            # which is named first at the limit), times the corrections ``g_j^defect``.
             image = list(p.exponents)
             for pos in frozen:
                 image[pos] *= n
-            exponent_amplitude(image)
+            if max(map(abs, image), default=0) >= EXPONENT_LIMIT:
+                exponent_amplitude(p.exponents)
+                exponent_amplitude(image)
             for pos in frozen:
                 image[pos] += floor_defect(n, r, row_k[pos], d_k)
-            row.append(Monomial(new_table, tuple(image)))
+            row.append(_trusted_monomial(new_table, tuple(image)))
         new_string_rows.append(tuple(row))
 
     new_seed = seed._trusted_replace(
@@ -273,7 +276,7 @@ def homogeneity_check(seed, k):
         b = ctx.bhat_row[j]
         name = seed.table.names[j]
         # The r = 1 coefficient carries a genuine floor defect.
-        term = Monomial(seed.table, ctx.coefficients[1])
+        term = _trusted_monomial(seed.table, ctx.coefficients[1])
         raise HomogeneityFailure(
             f"scaled entry {b} of frozen column {name!r} is not divisible "
             f"by {ctx.degree}; coefficient {term} cannot be balanced"
@@ -298,4 +301,4 @@ def _tau_variable(ctx, floor_free):
     exps = map(sub, ctx.u_gt, ctx.u_lt)
     if floor_free:
         exps = map(add, exps, map(sub, ctx.v_gt, ctx.v_lt))
-    return Monomial(ctx.seed.table, tuple(exps))
+    return _trusted_monomial(ctx.seed.table, tuple(exps))

@@ -58,6 +58,12 @@ def rng():
 SMALL_TABLE = VariableTable.make(cluster=("x", "y"), frozen=("f",))
 
 
+def sorted_terms(p):
+    """``(exponent tuple, coefficient)`` pairs of ``p``, in graded-lex descending order."""
+    unpack = p.table._layout.unpack
+    return [(unpack(k), c) for k, c in sorted(p._keys.items(), reverse=True)]
+
+
 def small_polynomials(table=SMALL_TABLE, max_terms=4, max_exp=3, max_coeff=5):
     """Strategy for small Laurent polynomials over ``table``."""
     width = len(table)

@@ -43,7 +43,7 @@ from gencluster.laurent_kernel import (
     poly_pow,
     poly_shifted_sum,
 )
-from gencluster.matrix_mutation import ExtendedExchangeMatrix, modify
+from gencluster.matrix_mutation import ExtendedExchangeMatrix, modify, mutate
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import tau_tilde
 
@@ -201,6 +201,29 @@ def oracle_root_formula_check(seed, k):
         root = Monomial(table, tuple(e // d for e in target.exponents))
         coefficient = oracle_coefficient(seed, k, r)
         if root != coefficient:
+            failures.append((k, r, f"root {root} differs from {coefficient}"))
+    return Report(tuple(failures))
+
+
+def full_width_root_formula_check(seed, k):
+    """:func:`root_formula_check` with its targets worked out over every slot."""
+    ctx = ExchangeContext(seed, k)
+    d, n = ctx.degree, seed.rank
+    failures = []
+    for r, string in enumerate(seed.strings.row(k)):
+        target = [
+            d * p + (
+                gca_seed.floor_defect(d, r, b, d) + r * max(b, 0) + (d - r) * max(-b, 0)
+                if pos >= n else 0
+            )
+            for pos, (p, b) in enumerate(zip(string.exponents, ctx.bhat_row))
+        ]
+        if any(e % d for e in target):
+            failures.append((k, r, "exponents not divisible by the degree"))
+            continue
+        root, coefficient = tuple([e // d for e in target]), ctx.coefficients[r]
+        if root != coefficient:
+            root, coefficient = (Monomial(seed.table, v) for v in (root, coefficient))
             failures.append((k, r, f"root {root} differs from {coefficient}"))
     return Report(tuple(failures))
 
@@ -425,6 +448,54 @@ class TestMutation:
         with pytest.raises(IndexOutOfRange):
             mutate_seed(fix_c, -1)
 
+    @pytest.mark.parametrize("k", [True, False])
+    def test_bool_directions_are_refused(self, fix_a, k):
+        # A bool is an int subclass, but no direction, as matrix sizes refuse it.
+        for call in (mutate_seed, root_formula_check, lambda s, k: mutate(s.matrix, k)):
+            with pytest.raises(IndexOutOfRange, match=f"direction {k!r} is not"):
+                call(fix_a, k)
+
+
+def assert_links_do_not_chain(seeds):
+    """No cluster entry of ``seeds`` reaches two polynomials through recorded divisors."""
+    for seed in seeds:
+        for entry in seed.cluster:
+            assert entry._divisor is None or entry._divisor._divisor is None
+
+
+class TestDivisorLinks:
+    """Mutating back divides by the new entry, whose recorded divisor is the old one."""
+
+    def test_mutating_back_returns_the_old_entry(self):
+        # A walk that ends in direction k mutates back already on the way
+        # there: that entry is returned, and records nothing.
+        returned = 0
+        for seed in walked_seeds(random.Random(3)):
+            for k in range(seed.rank):
+                there = mutate_seed(seed, k)
+                entry = there.cluster[k]
+                fresh = entry._divisor is seed.cluster[k]
+                back = mutate_seed(there, k)
+                assert back == seed
+                same = back.cluster[k] is seed.cluster[k]
+                assert same == (fresh and len(entry._keys) > 1)
+                returned += same
+        assert returned > 20
+
+    def test_a_walk_keeps_no_chain_of_links(self):
+        # Immediate repeats and every involution check follow links.
+        rng = random.Random(20)
+        for _ in range(20):
+            seed = random_seed(rng)
+            current = tau_tilde(seed).seed
+            walk, k = [seed, current], 0
+            for _ in range(20):
+                k = k if rng.random() < 0.3 else rng.randrange(seed.rank)
+                current = mutate_seed(current, k)
+                walk.append(current)
+                walk += [mutate_seed(mutate_seed(current, j), j) for j in range(seed.rank)]
+                assert_links_do_not_chain(walk)
+
 
 def assert_seed_valid_as_built(seed):
     """A mutated seed passes the validating constructors unchanged."""
@@ -501,6 +572,27 @@ class TestRootForm:
                     theta = poly_add(theta, poly_mul_monomial(term, root))
                 assert theta == exchange_polynomial(seed, k)
                 assert root_formula_check(seed, k).ok
+
+    def test_frozen_slots_match_the_full_width_formula(self, fix_a, fix_b, fix_c):
+        seeds = [fix_a, fix_b, fix_c] + list(walked_seeds(random.Random(8), count=30))
+        for seed in seeds:
+            for k in range(seed.rank):
+                assert root_formula_check(seed, k) == full_width_root_formula_check(seed, k)
+
+    def test_a_string_with_a_cluster_exponent_is_reported(self, fix_a, fix_b):
+        # Strings are validated cluster-free, so the rows are swapped in unchecked.
+        for seed in (fix_a, fix_b, mutate_seed(fix_b, 0)):
+            for k in range(seed.rank):
+                row = list(seed.strings.rows[k])
+                exps = list(row[1].exponents)
+                exps[k] += 1
+                row[1] = Monomial(seed.table, tuple(exps))
+                rows = seed.strings.rows[:k] + (tuple(row),) + seed.strings.rows[k + 1:]
+                bad = seed._trusted_replace(strings=seed.strings._trusted_replace(rows=rows))
+                report = root_formula_check(bad, k)
+                assert report == full_width_root_formula_check(bad, k)
+                ((_, r, text),) = report.failures
+                assert r == 1 and text.startswith("root ") and " differs from " in text
 
     def test_root_formula_fails_on_a_wrong_floor_defect(self, fix_c, monkeypatch):
         # The check reads q from the floor defects, never from the boxes,

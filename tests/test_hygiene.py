@@ -69,7 +69,7 @@ KERNEL_PRIVATE_IMPORTS = {
     "_trusted", "_drop_zeros", "_amplitude", "_shifted_amplitude", "_extremes",
     "_product_amplitude", "_exact_product_amplitude",
 }
-KERNEL_PRIVATE_ATTRIBUTES = {"_keys", "_amp", "_layout", "_packed"}
+KERNEL_PRIVATE_ATTRIBUTES = {"_keys", "_amp", "_layout", "_packed", "_divisor"}
 
 
 def kernel_internals(source):
@@ -547,6 +547,7 @@ def test_shared_member_names_are_detected():
 #: checks, as ``(file, function)``; every other fast path reuses them.
 TRUSTED_BYPASSES = {
     ("laurent_kernel.py", "_trusted"),
+    ("laurent_kernel.py", "_trusted_monomial"),
     ("errors.py", "_trusted_replace"),
 }
 

@@ -418,6 +418,72 @@ class TestDivision:
             poly_exact_div(numer, b)
 
 
+def unlinked(p):
+    """``p`` built afresh, with no recorded divisor, as the routes before the link see it."""
+    return LaurentPolynomial(p.table, dict(p.terms.items()))
+
+
+def outcome(numer, denom):
+    """The keys of ``numer / denom``, or the type and text of the error it raises."""
+    try:
+        return poly_exact_div(numer, denom)._keys
+    except (InexactDivision, ExponentOverflow) as error:
+        return type(error), str(error)
+
+
+def linked(b, q):
+    """``q`` as the quotient ``(q * b) / b``, which records ``b`` as its divisor."""
+    quotient = poly_exact_div(poly_mul(q, b), b)
+    assert quotient == q and quotient._divisor is b
+    return quotient
+
+
+class TestDivisorLink:
+    """Dividing by a quotient of two or more terms first tries its recorded divisor."""
+
+    @given(st.data())
+    def test_dividing_back_returns_the_divisor_itself(self, data):
+        table = data.draw(tables())
+        b = data.draw(polynomials(table, min_terms=1))
+        q = linked(b, data.draw(polynomials(table, min_terms=2)))
+        numer = poly_mul(b, q)
+        with extremes_reads() as reads:
+            assert poly_exact_div(numer, q) is b
+        assert reads == []
+        # The link is a hint: a successful try records nothing.
+        assert q._divisor is b and b._divisor is None
+
+    @given(st.data())
+    def test_other_numerators_give_the_routes_result(self, data):
+        # Another multiple, and a perturbed one, which no divisor of two
+        # or more terms divides.
+        table = data.draw(tables())
+        b = data.draw(polynomials(table, min_terms=1))
+        q = data.draw(polynomials(table, min_terms=2))
+        c = data.draw(polynomials(table, min_terms=1).filter(lambda c: c != b))
+        extra = data.draw(polynomials(table, min_terms=1, max_terms=1))
+        for numer in (poly_mul(c, q), poly_add(poly_mul(b, q), extra)):
+            expected = outcome(numer, unlinked(q))
+            assert outcome(numer, linked(b, q)) == expected
+        assert expected[0] is InexactDivision
+
+    @pytest.mark.parametrize("top", [EXPONENT_LIMIT // 2, EXPONENT_LIMIT - 2])
+    def test_bounds_that_reach_the_limit_take_the_routes(self, top):
+        # b * q stays below the limit, but the sum of the two bounds
+        # does not, so the product is not tried.
+        table = table_of("x", 2)
+        b = parse_polynomial(f"x0^{top} + x1", table)
+        q = linked(b, parse_polynomial(f"x0^-{top} + 1", table))
+        assert b._amp + q._amp >= EXPONENT_LIMIT
+        for numer in (poly_mul(b, q), poly_add(poly_mul(b, q), table.variable("x1"))):
+            expected, denom = outcome(numer, unlinked(q)), linked(b, q)
+            with extremes_reads() as reads:
+                assert outcome(numer, denom) == expected
+            assert reads == [numer, denom]
+        back = poly_exact_div(poly_mul(b, q), linked(b, q))
+        assert back == b and back is not b
+
+
 def monomial_times(table, draw):
     """``c * m`` for a drawn monomial ``m`` and nonzero coefficient ``c``."""
     exps = draw(monomials(table)).exponents
@@ -544,7 +610,24 @@ def canonical_text(terms, table):
     return " ".join(pieces) or "0"
 
 
+@st.composite
+def unit_heavy_polynomials(draw, table):
+    """Polynomials whose coefficients are mostly ``±1``, often with a constant term."""
+    exponent = st.integers(-3, 3) | st.just(0)
+    coeff = st.sampled_from([1, -1]) | st.integers(-12, 12).filter(bool)
+    vector = st.just((0,) * len(table)) | st.tuples(*[exponent] * len(table))
+    return LaurentPolynomial(table, dict(draw(st.lists(
+        st.tuples(vector, coeff), max_size=6, unique_by=lambda pair: pair[0],
+    ))))
+
+
 class TestText:
+    @given(st.data())
+    def test_keys_print_as_their_terms(self, data):
+        table = data.draw(tables())
+        p = data.draw(unit_heavy_polynomials(table))
+        assert str(p) == canonical_text(dict(p.terms.items()), table)
+
     @given(st.data())
     def test_print_parse_roundtrip_in_canonical_order(self, data):
         table = data.draw(tables())

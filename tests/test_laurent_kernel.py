@@ -1,5 +1,6 @@
 """Exact Laurent arithmetic: ring axioms, division, substitution, text."""
 
+from fractions import Fraction
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     parse_polynomial,
     poly_mul_monomial,
     small_polynomials,
+    sorted_terms,
 )
 from gencluster.errors import (
     ExponentOverflow,
@@ -34,6 +36,7 @@ from gencluster.laurent_kernel import (
     poly_mul,
     poly_neg,
     poly_pow,
+    poly_shifted_sum,
     poly_sub,
 )
 
@@ -189,7 +192,7 @@ class TestExactDivision:
         lo = [min(e[i] for e in n_exps) - min(e[i] for e in d_exps) for i in range(2)]
         hi = [max(e[i] for e in n_exps) - max(e[i] for e in d_exps) for i in range(2)]
         assert max(map(abs, lo + hi)) < LIMIT
-        lead = [a - b for a, b in zip(numer.sorted_terms()[0][0], denom.sorted_terms()[0][0])]
+        lead = [a - b for a, b in zip(sorted_terms(numer)[0][0], sorted_terms(denom)[0][0])]
         for i in range(2):
             if i != field:
                 assert lo[i] <= lead[i] <= hi[i]
@@ -232,6 +235,12 @@ class TestSubstitution:
         p = SMALL_TABLE.variable("x")
         with pytest.raises(TableMismatch):
             poly_map_variables(p, {"x": SMALL_TABLE.one()}, other)
+
+    @pytest.mark.parametrize("image", [(1, 0, 0), None, SMALL_TABLE.variable("y")])
+    def test_map_variables_rejects_images_that_are_not_monomials(self, image):
+        p = SMALL_TABLE.variable("x")
+        with pytest.raises(ValidationError, match="image of 'x' is not a Monomial"):
+            poly_map_variables(p, {"x": image}, SMALL_TABLE)
 
     def test_map_variables_carries_names(self):
         target = VariableTable.make(cluster=("y", "w"), frozen=("f",))
@@ -374,6 +383,19 @@ class TestIntegerArguments:
         mono = Monomial(SMALL_TABLE, [True, 0, -2])
         assert mono.exponents == (1, 0, -2)
         assert str(mono) == "x*f^-2"
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2)])
+    def test_term_and_shift_exponents(self, bad):
+        # Both pack the vector as given: a non-integer key is refused.
+        x = SMALL_TABLE.variable("x")
+        for build in (
+            SMALL_TABLE.term,
+            lambda v: poly_shifted_sum(SMALL_TABLE, [(v, None)]),
+            lambda v: poly_shifted_sum(SMALL_TABLE, [((0, 1, 0), x), (v, x)]),
+        ):
+            with pytest.raises(ValidationError, match="exponents must be integers"):
+                build((bad, 0, 0))
+        assert str(SMALL_TABLE.term((2, 0, -1))) == "x^2*f^-1"
 
     @pytest.mark.parametrize("bad", [1.5, "3"])
     def test_power(self, bad):

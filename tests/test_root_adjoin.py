@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import cluster_side, poly_mul_monomial
-from gencluster.errors import HomogeneityFailure, ValidationError
+from gencluster.errors import ExponentOverflow, HomogeneityFailure, ValidationError
 from gencluster.gca_seed import (
     CoefficientStrings,
     ExchangeContext,
@@ -356,6 +356,46 @@ class TestTrustedAdjunction:
             assert type(seed) is GeneralizedSeed
             assert rebuilt == seed
             assert rebuilt.content_key() == seed.content_key()
+
+
+class TestUncheckedMonomials:
+    """Root powers, transported strings and carriers skip the monomial constructor."""
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_they_rebuild_through_the_constructor(self, fix_a, fix_b, fix_c, mode):
+        rng = random.Random(34)
+        starts = [fix_a, fix_b, fix_c] + [random_seed(rng) for _ in range(100)]
+        for start in starts:
+            adjoined = tau_tilde(start, mode)
+            seed = adjoined.seed
+            monomials = [m for row in seed.strings.rows for m in row]
+            monomials += adjoined.root_map().values()
+            for k in range(seed.rank):
+                monomials += [homogeneity_check(seed, k), tau_variable(start, k)]
+            for mono in monomials:
+                rebuilt = Monomial(mono.table, mono.exponents)
+                assert type(mono) is Monomial and type(mono.exponents) is tuple
+                assert all(type(e) is int for e in mono.exponents)
+                assert rebuilt == mono and hash(rebuilt) == hash(mono)
+                assert str(rebuilt) == str(mono)
+
+    @pytest.mark.parametrize("exponent, magnitude", [
+        # A string entry at the limit is reported as it stands, one that
+        # reaches it only once scaled by the multiplicity 3, scaled.
+        (EXPONENT_LIMIT, EXPONENT_LIMIT),
+        (-(EXPONENT_LIMIT // 3 + 1), 3 * (EXPONENT_LIMIT // 3 + 1)),
+    ])
+    def test_string_overflow_names_the_first_bound_reached(self, exponent, magnitude):
+        table = VariableTable.make(cluster=("x",), frozen=("f",))
+        matrix = ExtendedExchangeMatrix.from_rows([[0, 3]], m=1)
+        middle = table.monomial(f=exponent)
+        strings = CoefficientStrings(((table.one(), middle, table.one(), table.one()),))
+        seed = initial_seed(matrix, (3,), strings, cluster_names=("x",), frozen_names=("f",))
+        with pytest.raises(ExponentOverflow) as failure:
+            tau_tilde(seed)
+        assert str(failure.value) == (
+            f"exponent of magnitude {magnitude} reaches the limit {EXPONENT_LIMIT}"
+        )
 
 
 def mutated_pair(adjoined, sequence):
