@@ -133,10 +133,18 @@ def suite_root_homogeneity(rng, cases, depth):
             homogeneity_check(t_bar, k)
 
 
+def non_negative(word):
+    """``word`` as an ``int`` of at least 0, for argparse."""
+    value = int(word)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0: {word!r}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--cases", type=int, default=200)
-    parser.add_argument("--depth", type=int, default=6)
+    parser.add_argument("--cases", type=non_negative, default=200)
+    parser.add_argument("--depth", type=non_negative, default=6)
     parser.add_argument("--rng-seed", type=int, default=0)
     args = parser.parse_args()
 

@@ -96,7 +96,11 @@ class CoefficientStrings(FrozenValue):
     @staticmethod
     def trivial(table, divisors):
         one = table.one()
-        return CoefficientStrings(tuple((one,) * (d + 1) for d in divisors.entries))
+        try:
+            return CoefficientStrings(tuple((one,) * (d + 1) for d in divisors.entries))
+        except OverflowError:
+            message = f"divisors too large for string rows: {divisors.entries}"
+            raise ValidationError(message) from None
 
 
 class GeneralizedSeed(FrozenValue):
@@ -188,7 +192,10 @@ def initial_seed(matrix, divisors, strings=None, cluster_names=None, frozen_name
         frozen_names = tuple(f"f{j + 1}" for j in range(m))
     table = VariableTable.make(cluster=cluster_names, frozen=frozen_names)
     if strings is None:
-        strings = CoefficientStrings.trivial(table, DivisorVector(tuple(divisors)))
+        # Checked before the strings are built: an incompatible divisor sizes no row.
+        divisors = DivisorVector(tuple(divisors))
+        check_compatible(matrix, divisors)
+        strings = CoefficientStrings.trivial(table, divisors)
     cluster = tuple(table.variable(name) for name in table.names[: table.n_cluster])
     return GeneralizedSeed(table, cluster, matrix, divisors, strings)
 
@@ -268,12 +275,7 @@ def _ladder(base, d):
 
 
 def exchange_polynomial(seed, k):
-    """The exchange polynomial ``theta_k`` evaluated at the current cluster."""
-    return _exchange_polynomial(ExchangeContext(seed, k))
-
-
-def _exchange_polynomial(ctx):
-    """:func:`exchange_polynomial` of an already built context.
+    """The exchange polynomial ``theta_k`` evaluated at the current cluster.
 
     With ``G``/``L`` the cluster powers of ``u>``/``u<``, the products
     ``G^r * L^(d-r)``, each shifted by the exponent vector of
@@ -283,7 +285,8 @@ def _exchange_polynomial(ctx):
     cluster power is absent and so are its powers, and a product with
     an absent side is the other side, or absent.
     """
-    seed, d = ctx.seed, ctx.degree
+    ctx = ExchangeContext(seed, k)
+    d = ctx.degree
     # Index r holds G^r (L^r), absent at r = 0 and for an absent base.
     gt_powers = _ladder(_cluster_power(seed, ctx.u_gt), d)
     lt_powers = _ladder(_cluster_power(seed, ctx.u_lt), d)

@@ -47,9 +47,12 @@ Design notes
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
-* Divisor links.  A quotient records its divisor, which a division by the
-  quotient (mutating back) tries first.  Recording a link clears the
+* Exact division.  A quotient records its divisor, which a division by
+  the quotient (mutating back) tries first.  Recording a link clears the
   divisor's, so links never chain: at most one more polynomial per quotient.
+  Otherwise a one-term divisor shifts keys and any other divisor runs the
+  heap elimination of :func:`poly_exact_div`, whose exponent box is the
+  quotient itself when the quotient is one term.
 """
 
 from collections.abc import Mapping
@@ -101,13 +104,17 @@ class _Layout:
         # Most shifts of an exchange polynomial are the zero vector.
         if not any(exps):
             return key, amp
-        for e, unit in zip(exps, units):
-            if e:
-                key += e * unit
-                if e < 0:
-                    e = -e
-                if e > amp:
-                    amp = e
+        try:
+            for e, unit in zip(exps, units):
+                if e:
+                    # Compared before it is multiplied: a string or a list
+                    # times a unit is a repetition, not a TypeError.
+                    size = -e if e < 0 else e
+                    if size > amp:
+                        amp = size
+                    key += e * unit
+        except TypeError:
+            key = None
         if type(key) is not int:
             raise ValidationError(f"exponents must be integers: {tuple(exps)!r}")
         if amp >= EXPONENT_LIMIT:
@@ -588,24 +595,20 @@ def poly_exact_div(numer, denom):
     Raises :class:`~gencluster.errors.InexactDivision` when the quotient
     does not exist (nonzero remainder, coefficient non-divisibility, or
     division by zero).  A divisor of two or more terms first tries its
-    own divisor (see the design notes); then three routes, in this order:
+    own divisor (see the design notes); then one of two routes:
 
     * a one-term divisor shifts every numerator key: the quotient is the
       product with the inverse term, and bounded as products are;
-    * operands of equal length are tried for a one-term quotient read
-      off the leading terms (:func:`_monomial_quotient`); when the
-      quotient is not one term, or not exact, the division falls
-      through to the heap route, which then raises any error;
-    * greedy leading-term elimination in the canonical graded-lex order.
-      The remainder is a dict of packed keys, and a max-heap holds every
-      key added to it; the leading term is the largest key popped that
-      has not cancelled since it was pushed.  Each quotient term updates
-      the remainder with the divisor's other terms at once, so the heap
-      holds remainder keys, not the pending products of Monagan and
-      Pearce's quotient heap (ISSAC 2009).  Every quotient term must lie
-      in the exponent box of the quotient, which is exact because
-      exponent extremes add under polynomial products; the first one
-      outside it stops the division.
+    * any other divisor takes greedy leading-term elimination in the
+      canonical graded-lex order.  The remainder is a dict of packed keys,
+      and a max-heap holds every key added to it; the leading term is the
+      largest key popped that has not cancelled since it was pushed.  Each
+      quotient term updates the remainder with the divisor's other terms at
+      once, so the heap holds remainder keys, not the pending products of
+      Monagan and Pearce's quotient heap (ISSAC 2009).  Every quotient term
+      must lie in the exponent box of the quotient, which is exact because
+      exponent extremes add under polynomial products; the first one outside
+      it stops the division.
     """
     _require_same_table(numer, denom)
     if not denom._keys:
@@ -633,7 +636,7 @@ def _is_product(numer, a, b):
 
 
 def _divide(numer, denom):
-    """:func:`poly_exact_div` of nonzero operands over one table, by its three routes."""
+    """:func:`poly_exact_div` of nonzero operands over one table, by its two routes."""
     table = numer.table
     layout = table._layout
     offset = layout.offset
@@ -654,10 +657,6 @@ def _divide(numer, denom):
                 raise InexactDivision("leading coefficient does not divide")
             quotient[key + shift] = q_c
         return _trusted(table, quotient, amp)
-    if len(numer._keys) == len(denom._keys):
-        quotient = _monomial_quotient(numer, denom)
-        if quotient is not None:
-            return quotient
 
     # Componentwise exponent box that must contain every quotient term:
     # coordinate extremes add under multiplication, so the quotient's
@@ -716,34 +715,6 @@ def _divide(numer, denom):
                 else:
                     del remainder[key]
     return _trusted(table, quotient, amp)
-
-
-def _monomial_quotient(numer, denom):
-    """``numer / denom`` if it is one term, else ``None``.
-
-    For operands of equal length: the only candidate is the quotient of
-    the leading terms.  Its exponents must lie below the limit and
-    every divisor term times it must be a numerator term; the lengths
-    are equal, so those products are then all of the numerator.  The
-    result is the heap route's, bound included (the quotient's box is
-    the quotient itself).
-    """
-    n_keys, d_keys = numer._keys, denom._keys
-    lead_n, lead_d = max(n_keys), max(d_keys)
-    q_c, rem = divmod(n_keys[lead_n], d_keys[lead_d])
-    if rem:
-        return None
-    layout = numer.table._layout
-    shift = lead_n - lead_d
-    # Each difference of two exponents below the limit fits its field.
-    amp = max(map(abs, layout.unpack(layout.offset + shift)), default=0)
-    if amp >= EXPONENT_LIMIT:
-        return None
-    get = n_keys.get
-    for key, coeff in d_keys.items():
-        if get(key + shift) != q_c * coeff:
-            return None
-    return _trusted(numer.table, {layout.offset + shift: q_c}, amp)
 
 
 def poly_map_variables(p, mapping, target):

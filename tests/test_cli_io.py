@@ -160,6 +160,23 @@ class TestSeedFiles:
         assert info.value.column == 1
         assert str(info.value).startswith("line 4, column 1:")
 
+    @pytest.mark.parametrize("divisor", ["1000003", "9999999999999999999993"])
+    def test_incompatible_divisors_are_input_errors(self, fix_a, tmp_path, capsys, divisor):
+        path = tmp_path / "a.seed"
+        path.write_text(_seed_text(fix_a).replace("divisors 2 3", f"divisors 2 {divisor}"))
+        code, out = run("mutate", "--seed-file", str(path), "--sequence", "1")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith(
+            f"gencluster: error: divisor {divisor} does not divide principal entry"
+        )
+
+    def test_divisors_too_large_for_a_string_row_are_input_errors(self, tmp_path, capsys):
+        path = tmp_path / "r.seed"
+        path.write_text(f"gca-seed v1\nN 1\nM 0\ndivisors {2**64}\nnames x ;\nmatrix 0\n")
+        code, out = run("mutate", "--seed-file", str(path), "--sequence", "1")
+        assert (code, out) == (1, "")
+        assert "too large for string rows" in capsys.readouterr().err
+
     def test_integers_must_be_canonical(self, fix_c, tmp_path):
         # Each word parses with int() but prints otherwise, so the file
         # would not write back byte for byte.

@@ -1,6 +1,7 @@
 """Generalized seeds: higher-degree exchange relations and mutation."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -691,6 +692,27 @@ class TestValidation:
         matrix = ExtendedExchangeMatrix.from_rows(((0, 3), (-3, 0)), m=0)
         with pytest.raises(InvalidDivisors):
             initial_seed(matrix, (2, 3))
+
+    @pytest.mark.parametrize("divisor", [1000003, 9999999999999999999993])
+    def test_incompatible_divisors_size_no_string_row(self, fix_a, divisor):
+        # Compatibility is checked before the trivial strings are built:
+        # a row of d + 1 entries would take megabytes at d = 1000003, and
+        # cannot be sized at all at the larger divisor.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidDivisors, match=f"divisor {divisor} does not divide"):
+                initial_seed(fix_a.matrix, (2, divisor))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_divisors_too_large_for_a_string_row(self):
+        # 2**64 divides the zero principal entry, but d + 1 entries are
+        # more than an index can count, so no row is attempted.
+        matrix = ExtendedExchangeMatrix.from_rows(((0,),), m=0)
+        with pytest.raises(ValidationError, match="too large for string rows"):
+            initial_seed(matrix, (2**64,))
 
     def test_slack_entries_unconstrained_by_divisors(self, fix_a):
         # principal row 1 is (0, 8) with divisor 2; the slack entries

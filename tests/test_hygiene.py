@@ -324,7 +324,7 @@ SHARED_MEMBER_NAMES = {
     ),
     "seed": (
         "AdjoinedSeed's by adjoined.seed and tau_tilde(...).seed; ExchangeContext's "
-        "by ctx.seed in gca_seed._exchange_polynomial and root_adjoin"
+        "by ctx.seed in root_adjoin"
     ),
     "table": (
         "the fields of GeneralizedSeed, LaurentPolynomial and Monomial by "

@@ -41,6 +41,14 @@ def test_run_verification_passes():
     assert "FAIL" not in result.stdout
 
 
+def test_run_verification_refuses_negative_counts():
+    # A negative count would leave the random suites nothing to check.
+    for flag, word in (("--cases", "-3"), ("--depth", "-2")):
+        result = run_script("run_verification.py", flag, word)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert f"argument {flag}: must be at least 0: '{word}'" in result.stderr
+
+
 def result_files(results):
     """Name and modification time of every file under ``results``."""
     if not results.is_dir():
