@@ -55,6 +55,7 @@ from .matrix_mutation import (
     ExtendedExchangeMatrix,
     check_compatible,
     mutate,
+    sides,
 )
 
 
@@ -223,10 +224,8 @@ class ExchangeContext:
         self.degree = d = seed.divisors.entries[k]
         self.bhat_row = bhat_row = seed.scaled_row(k)
         n = seed.matrix.n
-        cluster, frozen = bhat_row[:n], bhat_row[n:]
-        pad, zeros = (0,) * n, (0,) * len(frozen)
-        self.u_gt = tuple([e if e > 0 else 0 for e in cluster]) + zeros
-        self.u_lt = tuple([-e if e < 0 else 0 for e in cluster]) + zeros
+        frozen, pad = bhat_row[n:], (0,) * n
+        self.u_gt, self.u_lt = sides(bhat_row, range(n))
         if not frozen:
             self.coefficients = (pad,) * (d + 1)
             return

@@ -31,8 +31,9 @@ Design notes
   sums of monomials times polynomials with :func:`poly_shifted_sum`,
   which shifts each polynomial's keys by one packed vector and builds
   no one-term polynomial, and add sums of general products with
-  :func:`poly_sum_of_products`; :func:`exponent_amplitude` checks a
-  vector against the limit.
+  :func:`poly_sum_of_products`, whose one- and two-pair cases are
+  :func:`poly_mul` and :func:`poly_add`; :func:`exponent_amplitude`
+  checks a vector against the limit.
 * Exponent limit.  A field holds any sum of two exponents below the
   limit without carrying into its neighbour.  Every polynomial carries
   an upper bound on its largest exponent magnitude; each operation
@@ -100,23 +101,25 @@ class _Layout:
         units = self.units
         if len(exps) != len(units):
             raise ValidationError("exponent vector does not match table size")
+        # The sum is an int exactly when every entry is one: the loop
+        # below skips ``0.0``, ``None`` and ``""`` as zeros, and a string
+        # or a list times a unit is a repetition, not a TypeError.
+        try:
+            total = sum(exps)
+        except TypeError:
+            total = None
+        if type(total) is not int:
+            raise ValidationError(f"exponents must be integers: {tuple(exps)!r}")
         key, amp = self.offset, 0
         # Most shifts of an exchange polynomial are the zero vector.
         if not any(exps):
             return key, amp
-        try:
-            for e, unit in zip(exps, units):
-                if e:
-                    # Compared before it is multiplied: a string or a list
-                    # times a unit is a repetition, not a TypeError.
-                    size = -e if e < 0 else e
-                    if size > amp:
-                        amp = size
-                    key += e * unit
-        except TypeError:
-            key = None
-        if type(key) is not int:
-            raise ValidationError(f"exponents must be integers: {tuple(exps)!r}")
+        for e, unit in zip(exps, units):
+            if e:
+                size = -e if e < 0 else e
+                if size > amp:
+                    amp = size
+                key += e * unit
         if amp >= EXPONENT_LIMIT:
             exponent_amplitude(exps)
         return key, amp
@@ -423,8 +426,9 @@ def _trusted(table, keys, amp):
 
 
 def _drop_zeros(terms):
-    for key in [k for k, c in terms.items() if not c]:
-        del terms[key]
+    if 0 in terms.values():
+        for key in [k for k, c in terms.items() if not c]:
+            del terms[key]
     return terms
 
 
@@ -439,19 +443,8 @@ def _extremes(p):
 
 
 def poly_add(a, b):
-    """Sum of two Laurent polynomials over the same table."""
-    _require_same_table(a, b)
-    if len(a._keys) < len(b._keys):
-        a, b = b, a
-    terms = dict(a._keys)
-    get = terms.get
-    for key, coeff in b._keys.items():
-        new = get(key, 0) + coeff
-        if new:
-            terms[key] = new
-        else:
-            del terms[key]
-    return _trusted(a.table, terms, max(a._amp, b._amp))
+    """Sum of two Laurent polynomials over the same table: a sum of two products with 1."""
+    return poly_sum_of_products(a.table, ((a, None), (b, None)))
 
 
 def poly_neg(a):
@@ -492,21 +485,8 @@ def _add_product(terms, a, b, offset):
 
 
 def poly_mul(a, b):
-    """Product of two Laurent polynomials over the same table."""
-    _require_same_table(a, b)
-    if len(a._keys) > len(b._keys):
-        a, b = b, a
-    if not a._keys:
-        return LaurentPolynomial.zero(a.table)
-    amp = _product_amplitude(a, b)
-    offset = a.table._layout.offset
-    if len(a._keys) == 1:
-        ((ka, ca),) = a._keys.items()
-        ka -= offset
-        return _trusted(a.table, {ka + k: ca * c for k, c in b._keys.items()}, amp)
-    terms = {}
-    _add_product(terms, a, b, offset)
-    return _trusted(a.table, _drop_zeros(terms), amp)
+    """Product of two Laurent polynomials over the same table: a sum of one product."""
+    return poly_sum_of_products(a.table, ((a, b),))
 
 
 def poly_sum_of_products(table, pairs):
@@ -514,18 +494,22 @@ def poly_sum_of_products(table, pairs):
 
     ``pairs`` yields the ``(a_i, b_i)``, each side a polynomial over
     ``table`` (TableMismatch otherwise) or ``None``, which stands for 1.
-    The pairs are read one at a time: each product is bounded as in
-    :func:`poly_mul` before its terms are added, looping over the
-    shorter side, so a one-term side shifts the other's keys.  Terms
-    whose sum cancels are dropped.
+    The pairs are read one at a time: each product is bounded from its
+    sides' bounds, exactly at the limit, before its terms are added,
+    looping over the shorter side, so a one-term side shifts the other's
+    keys.  Terms whose sum cancels are dropped.  :func:`poly_mul` and
+    :func:`poly_add` are its one- and two-pair cases.
     """
     offset = table._layout.offset
-    one = _trusted(table, {offset: 1}, 0)
+    one = None
     terms = {}
     amp = 0
     for a, b in pairs:
-        a = one if a is None else a
-        b = one if b is None else b
+        if a is None or b is None:
+            # Built once, and only for a side that stands for 1.
+            one = one or _trusted(table, {offset: 1}, 0)
+            a = one if a is None else a
+            b = one if b is None else b
         if not (_same_table(a.table, table) and _same_table(b.table, table)):
             raise TableMismatch("operands live over different variable tables")
         if len(a._keys) > len(b._keys):
@@ -544,9 +528,9 @@ def poly_shifted_sum(table, pairs):
     ExponentOverflow at the limit, as :meth:`VariableTable.term`), and
     ``p_i`` is a polynomial over ``table`` (TableMismatch otherwise) or
     ``None``, which stands for 1.  Each vector is packed and checked
-    once, each product is bounded as in :func:`poly_mul`, and ``p_i``'s
-    keys are shifted by the packed vector, so no one-term polynomial is
-    built.  Terms whose sum cancels are dropped.
+    once, each product is bounded as in :func:`poly_sum_of_products`,
+    and ``p_i``'s keys are shifted by the packed vector, so no one-term
+    polynomial is built.  Terms whose sum cancels are dropped.
     """
     layout = table._layout
     offset, pack_bounded = layout.offset, layout.pack_bounded

@@ -211,6 +211,22 @@ def modify(matrix, divisors):
     return ExtendedExchangeMatrix(matrix.n, matrix.m, rows)
 
 
+def sides(row, cols=None):
+    """Exchange sides ``(gt, lt)`` of a matrix row as exponent vectors.
+
+    ``gt`` holds the positive entries and ``lt`` the magnitudes of the
+    negative ones, of the columns ``cols`` only, a step-1 ``range`` (all
+    by default); both are zero in the other columns.
+    """
+    block = row if cols is None else row[cols.start:cols.stop]
+    gt = tuple([v if v > 0 else 0 for v in block])
+    lt = tuple([-v if v < 0 else 0 for v in block])
+    if cols is None:
+        return gt, lt
+    before, after = (0,) * cols.start, (0,) * (len(row) - cols.stop)
+    return before + gt + after, before + lt + after
+
+
 def mutate(matrix, k):
     """Standard mutation of an extended exchange matrix in direction ``k``.
 
@@ -222,12 +238,11 @@ def mutate(matrix, k):
     """
     matrix.check_direction(k)
     pivot = matrix.rows[k]
-    # b_kk = 0, so column k of both parts is zero and the update
+    # b_kk = 0, so column k of both sides is zero and the update
     # leaves it for the sign flip below.  Rows are built from lists, not
     # generators: tuples grown from generators raised the peak memory of
     # long ``verify`` walks.
-    positive = [e if e > 0 else 0 for e in pivot]
-    negative = [e if e < 0 else 0 for e in pivot]
+    gt, lt = sides(pivot)
     new_rows = []
     for i, row in enumerate(matrix.rows):
         b_ik = row[k]
@@ -237,9 +252,7 @@ def mutate(matrix, k):
         if not b_ik:
             new_rows.append(row)
             continue
-        part = positive if b_ik > 0 else negative
-        size = abs(b_ik)
-        new_row = [e + size * p for e, p in zip(row, part)]
+        new_row = [e + b_ik * p for e, p in zip(row, gt if b_ik > 0 else lt)]
         new_row[k] = -b_ik
         new_rows.append(tuple(new_row))
     return matrix._trusted_replace(rows=tuple(new_rows))

@@ -84,7 +84,7 @@ from .laurent_kernel import (
     poly_sub,
     poly_sum_of_products,
 )
-from .matrix_mutation import ExtendedExchangeMatrix
+from .matrix_mutation import ExtendedExchangeMatrix, sides
 from .root_adjoin import fresh_name, root_multiplicity, root_names, tau_tilde
 from .unfolding import _independent_members, build, group_mutate
 
@@ -141,21 +141,6 @@ def _coherent_row(matrix, layout, k):
         column = [row[col] for row in rows]
         raise GroupCoherenceViolation(f"group {k} rows disagree in column {col}: {column}")
     return rows[0]
-
-
-def _sides(row, cols=None):
-    """Exchange sides ``(gt, lt)`` of a matrix row as exponent vectors.
-
-    Only the columns ``cols``, a step-1 ``range`` (all by default), are
-    read; the folded layout puts each role in one such block
-    (:class:`~gencluster.unfolding.FoldedLayout`).
-    """
-    start, stop = (0, len(row)) if cols is None else (cols.start, cols.stop)
-    before, after, block = (0,) * start, (0,) * (len(row) - stop), row[start:stop]
-    return (
-        before + tuple([v if v > 0 else 0 for v in block]) + after,
-        before + tuple([-v if v < 0 else 0 for v in block]) + after,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +430,11 @@ def product_formula_check(table, fm, k):
     members = layout.group_range(k)
     d_k = len(members)
     lhs = reduce(poly_mul, (
-        poly_shifted_sum(table, ((side, None) for side in _sides(matrix.rows[c])))
+        poly_shifted_sum(table, ((side, None) for side in sides(matrix.rows[c])))
         for c in members
     ))
 
-    g, l = _sides(_coherent_row(matrix, layout, k), layout.exchange_block)
+    g, l = sides(_coherent_row(matrix, layout, k), layout.exchange_block)
     t_range, s_range = layout.t_range(k), layout.s_range(k)
     flip = fm.identity_sign(k) < 0
     rhs = poly_shifted_sum(table, (
@@ -581,8 +566,8 @@ def _embedding_conditions_at(ctx):
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
         first = _coherent_row(folded.matrix, layout, k)
-        u_gt, u_lt = _sides(first, layout.cluster_block)
-        v_gt, v_lt = _sides(first, layout.f_block)
+        u_gt, u_lt = sides(first, layout.cluster_block)
+        v_gt, v_lt = sides(first, layout.f_block)
         # (i) cluster monomials and (ii) stable monomials.
         for label, exps, side in (
             ("(i) u>", gca_ctx.u_gt, u_gt),
@@ -601,7 +586,7 @@ def _embedding_conditions_at(ctx):
         # (iv) string entries against balanced side-ratio sums.
         ratios = []
         for c in layout.group_range(k):
-            gt, lt = _sides(folded.matrix.rows[c], layout.frozen_block)
+            gt, lt = sides(folded.matrix.rows[c], layout.frozen_block)
             pair = (tuple(map(sub, gt, v_gt)), tuple(map(sub, lt, v_lt)))
             for ratio, label in zip(pair, "><"):
                 failures.extend(

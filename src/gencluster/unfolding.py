@@ -60,9 +60,9 @@ class FoldedLayout(FrozenValue):
     (group ``i``'s rows and cluster columns), ``aux[i]`` (its
     ``(t_range, s_range)`` pair) and the blocks ``cluster_block``,
     ``f_block``, ``exchange_block`` (cluster and ``F`` columns) and
-    ``frozen_block`` (all columns after the cluster block).  Sizes that
-    are not integers, or a multiplicity that is not a positive multiple
-    of every divisor, raise ValidationError; the group accessors raise
+    ``frozen_block`` (all columns after the cluster block).  Non-integer sizes,
+    a negative frozen count or a multiplicity that is not a positive multiple
+    of every divisor raise ValidationError; the group accessors raise
     IndexOutOfRange for a missing group.  Group mutations share the layout.
     """
 
@@ -76,6 +76,8 @@ class FoldedLayout(FrozenValue):
             n = prod(sizes) if self.multiplicity is None else index(self.multiplicity)
         except TypeError:
             raise ValidationError("layout sizes must be integers") from None
+        if m < 0:
+            raise ValidationError(f"frozen count {m} is negative")
         if n < 1 or any(d < 1 or n % d for d in sizes):
             raise ValidationError(
                 f"root multiplicity {n} is not a positive multiple of every divisor"

@@ -552,8 +552,8 @@ TRUSTED_BYPASSES = {
 }
 
 
-def method_calls(source, matches):
-    """``(line, function)`` of every call ``x.name(...)`` for which ``matches(x.name)``.
+def calls(source, matches):
+    """``(line, function)`` of every call whose callee node ``matches``.
 
     ``function`` is the innermost enclosing function, ``None`` at module
     or class level.
@@ -565,13 +565,17 @@ def method_calls(source, matches):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                if matches(child.func):
-                    found.append((child.lineno, function))
+            if isinstance(child, ast.Call) and matches(child.func):
+                found.append((child.lineno, function))
             visit(child, function)
 
     visit(ast.parse(source), None)
     return found
+
+
+def method_calls(source, matches):
+    """:func:`calls` of every ``x.name(...)`` for which ``matches(x.name)``."""
+    return calls(source, lambda called: isinstance(called, ast.Attribute) and matches(called))
 
 
 def constructor_bypasses(source):
@@ -616,6 +620,64 @@ def test_only_the_reviewed_constructors_skip_checks():
     assert {k: v for k, v in found.items() if k not in TRUSTED_BYPASSES} == {}
     # A reviewed bypass that is gone is dropped from the table.
     assert set(found) == TRUSTED_BYPASSES
+
+
+#: The kernel functions that add a product's terms into a key dict with
+#: ``_add_product``: the sum of products, and the divisor link's test of
+#: one product.  ``poly_mul`` and ``poly_add`` are the sum's one- and
+#: two-pair cases and hold no loop of their own.
+ADD_PRODUCT_CALLERS = {"poly_sum_of_products", "_is_product"}
+LOOP_FREE = ("poly_mul", "poly_add")
+LOOP_NODES = (
+    ast.For, ast.AsyncFor, ast.While,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+
+
+def add_product_calls(source):
+    """``(line, function)`` of each call of ``_add_product``, bare or as an attribute, by :func:`calls`."""
+    return calls(source, lambda called: "_add_product" in (
+        getattr(called, "id", None), getattr(called, "attr", None)
+    ))
+
+
+def loop_lines(source, names):
+    """``{name: lines}`` of the loops and comprehensions in each top-level function ``names``."""
+    return {
+        node.name: [n.lineno for n in ast.walk(node) if isinstance(n, LOOP_NODES)]
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    }
+
+
+def test_second_product_loops_are_detected():
+    source = (
+        "def poly_mul(a, b):\n"
+        "    return poly_sum_of_products(a.table, ((a, b),))\n"
+        "def poly_add(a, b):\n"
+        "    terms = dict(a._keys)\n"
+        "    for key, coeff in b._keys.items():\n"
+        "        terms[key] = terms.get(key, 0) + coeff\n"
+        "    return {k: c for k, c in terms.items() if c}\n"
+        "def poly_square(a):\n"
+        "    terms = {}\n"
+        "    _add_product(terms, a, a, 0)\n"
+        "    helper._add_product(terms, a, a, 0)\n"
+        "    return terms\n"
+    )
+    assert loop_lines(source, LOOP_FREE) == {"poly_mul": [], "poly_add": [5, 7]}
+    assert add_product_calls(source) == [(10, "poly_square"), (11, "poly_square")]
+
+
+def test_products_and_sums_share_one_loop():
+    found = {
+        (path.name, function)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for _, function in add_product_calls(path.read_text(encoding="utf-8"))
+    }
+    assert found == {("laurent_kernel.py", name) for name in ADD_PRODUCT_CALLERS}
+    kernel = (ROOT / "src" / "gencluster" / "laurent_kernel.py").read_text(encoding="utf-8")
+    assert loop_lines(kernel, LOOP_FREE) == {name: [] for name in LOOP_FREE}
 
 
 #: The functions that build values with ``FrozenValue._trusted_replace``,

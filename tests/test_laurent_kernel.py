@@ -384,21 +384,28 @@ class TestIntegerArguments:
         assert mono.exponents == (1, 0, -2)
         assert str(mono) == "x*f^-2"
 
-    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), "a", [1], (1,)])
+    @pytest.mark.parametrize("bad", [
+        1.5, 2.0, Fraction(1, 2), "a", [1], (1,), 0.0, Fraction(0), None, "",
+    ])
     def test_term_and_shift_exponents(self, bad):
         # Both pack the vector as given: a non-integer key is refused.  A
         # string, list or tuple is refused before it is multiplied: times
         # a unit of this three-variable table it would be a repetition
-        # count too large for an index (OverflowError).
+        # count too large for an index (OverflowError).  A falsy entry is
+        # a zero only if it is an integer, in the zero vector as well as
+        # beside a nonzero entry, as the constructor has it.
         x = SMALL_TABLE.variable("x")
         for build in (
             SMALL_TABLE.term,
             lambda v: poly_shifted_sum(SMALL_TABLE, [(v, None)]),
             lambda v: poly_shifted_sum(SMALL_TABLE, [((0, 1, 0), x), (v, x)]),
         ):
-            with pytest.raises(ValidationError, match="exponents must be integers"):
-                build((bad, 0, 0))
+            for vector in ((bad, 0, 0), (bad, 1, 0)):
+                with pytest.raises(ValidationError, match="exponents must be integers"):
+                    build(vector)
         assert str(SMALL_TABLE.term((2, 0, -1))) == "x^2*f^-1"
+        assert str(SMALL_TABLE.term((0, False, 0))) == "1"
+        assert str(SMALL_TABLE.term((False, 1, 0))) == "y"
 
     @pytest.mark.parametrize("bad", [1.5, "3"])
     def test_power(self, bad):

@@ -482,6 +482,14 @@ class TestBlockConditions:
         with pytest.raises(ValidationError, match=f"root multiplicity {n} is not"):
             FoldedLayout((2, 3), 1, n)
 
+    @pytest.mark.parametrize("sizes, m, n", [((2,), -1, None), ((2, 3), -2, 6)])
+    def test_layout_refuses_a_negative_frozen_count(self, sizes, m, n):
+        # A negative count would start the t columns inside the cluster
+        # block, where a matrix of the shrunken width would pass the shape
+        # check and identity_sign would read a cluster column.
+        with pytest.raises(ValidationError, match=f"frozen count {m} is negative"):
+            FoldedLayout(sizes, m, n)
+
     def test_block_constancy_under_other_multiplicities(self, fix_a, fix_b, fix_c):
         rng = random.Random(2504)
         seeds = [fix_a, fix_b, fix_c]
