@@ -41,16 +41,29 @@ from gencluster.unfolding import (
 )
 
 
+class CheckFailed(Exception):
+    """A condition that a suite checks does not hold."""
+
+
+def require(condition, *detail):
+    """Raise :class:`CheckFailed` with ``detail`` unless ``condition`` holds.
+
+    An explicit check, not ``assert``, so that ``python -O`` runs it too.
+    """
+    if not condition:
+        raise CheckFailed(*detail)
+
+
 def suite_involution(rng, cases):
     for _ in range(cases):
         seed = random_seed(rng)
         k = rng.randrange(seed.matrix.n)
         back = mutate_seed(mutate_seed(seed, k), k)
-        assert back.matrix == seed.matrix
-        assert back.cluster == seed.cluster
-        assert back.strings == seed.strings
+        require(back.matrix == seed.matrix)
+        require(back.cluster == seed.cluster)
+        require(back.strings == seed.strings)
         for i, row in enumerate(back.strings.rows):
-            assert row[0].is_one() and row[-1].is_one(), i
+            require(row[0].is_one() and row[-1].is_one(), i)
 
 
 def suite_laurent(rng, cases, depth):
@@ -66,42 +79,42 @@ def suite_block_constancy(rng, cases, depth):
         fm = build(seed)
         reference = seed.matrix
         double_constant_check(fm)
-        assert hadamard_check(fm, reference).ok
+        require(hadamard_check(fm, reference).ok)
         for k in random_sequence(rng, seed.matrix.n, depth):
             fm = group_mutate(fm, k)
             reference = mutate_sequence(reference, (k,))
             double_constant_check(fm)
-            assert hadamard_check(fm, reference).ok
+            require(hadamard_check(fm, reference).ok)
 
 
 def suite_product_formula(rng, cases, depth):
     for name in FIXTURE_NAMES:
         seed = fixture_seed(name)
         report = product_formula_suite(seed, (0,) * depth)
-        assert report.ok, (name, report.failures)
+        require(report.ok, name, report.failures)
     for _ in range(cases):
         seed = random_seed(rng)
         sequence = random_sequence(rng, seed.matrix.n, depth)
         report = product_formula_suite(seed, sequence)
-        assert report.ok, report.failures
+        require(report.ok, report.failures)
 
 
 def suite_embedding():
     for sequence in [(), (0,), (0, 0), (0,) * 6]:
         report = embedding_check(fixture_seed("FIX-C"), sequence)
-        assert report.ok, report.failures
+        require(report.ok, report.failures)
     sequences = [()]
     for _ in range(3):
         sequences = [s + (k,) for s in sequences for k in range(2)]
     for sequence in sequences:
         report = embedding_check(fixture_seed("FIX-B"), sequence)
-        assert report.ok, report.failures
+        require(report.ok, report.failures)
 
 
 def suite_subquotient():
     for name in FIXTURE_NAMES:
         report = subquotient_check(fixture_seed(name))
-        assert report.ok, (name, report.failures)
+        require(report.ok, name, report.failures)
 
 
 def suite_random_theorem(check, rng, cases, depth):
@@ -111,14 +124,14 @@ def suite_random_theorem(check, rng, cases, depth):
         sequence = random_sequence(rng, seed.matrix.n, depth)
         for mode in ("total", "lcm"):
             report = check(seed, sequence, mode)
-            assert report.ok, (mode, sequence, report.failures)
+            require(report.ok, mode, sequence, report.failures)
 
 
 def suite_root_homogeneity(rng, cases, depth):
     for name in FIXTURE_NAMES:
         seed = fixture_seed(name)
         for k in range(seed.matrix.n):
-            assert root_formula_check(seed, k).ok
+            require(root_formula_check(seed, k).ok)
     for _ in range(cases):
         seed = random_seed(rng)
         adjoined = tau_tilde(seed)
@@ -127,9 +140,9 @@ def suite_root_homogeneity(rng, cases, depth):
         t = mutate_seed_sequence(seed, sequence)
         t_bar = mutate_seed_sequence(adjoined.seed, sequence)
         report = transport_check(AdjoinedSeed(t, t_bar, adjoined.multiplicity))
-        assert report.ok, (sequence, report.failures)
+        require(report.ok, sequence, report.failures)
         for k in range(seed.matrix.n):
-            assert root_formula_check(t_bar, k).ok
+            require(root_formula_check(t_bar, k).ok)
             homogeneity_check(t_bar, k)
 
 

@@ -48,17 +48,34 @@ Design notes
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
+* Products.  Every product runs :func:`poly_sum_of_products`, but for
+  the divisor link's test, which runs the schoolbook loop alone.  Below
+  ``_ROW_MIN_PRODUCTS`` term products it takes the schoolbook loop, one
+  key addition per term product.  Above it, it cuts both sides into
+  lattice lines along one direction and packs each line into one int with
+  signed slots, so each pair of lines is one big-integer product: Kronecker
+  substitution along one lattice direction (Schönhage 1982; Harvey,
+  J. Symb. Comput. 44, 2009), the sparse case of Roche's survey (ISSAC
+  2018).  It falls back to the schoolbook loop when no direction repeats
+  among nearby keys or the lines are too short or too sparse to pay.
+  Both routes give the same terms and bounds; only the order in which keys
+  enter the dict differs, and nothing reads that order.
 * Exact division.  A quotient records its divisor, which a division by
-  the quotient (mutating back) tries first.  Recording a link clears the
-  divisor's, so links never chain: at most one more polynomial per quotient.
+  the quotient (mutating back) tries first; when it answers, the link
+  moves onto the divisor it returns, so that dividing back again is
+  answered too.  Recording or moving a link clears the other side's, so a
+  lookup follows one link, and each polynomial holds at most one.
   Otherwise a one-term divisor shifts keys and any other divisor runs the
   heap elimination of :func:`poly_exact_div`, whose exponent box is the
   quotient itself when the quotient is one term.
 """
 
+from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import chain
+from math import gcd
 from operator import add, index, sub
 import re
 
@@ -484,6 +501,147 @@ def _add_product(terms, a, b, offset):
             terms[key] = get(key, 0) + ca * cb
 
 
+#: Products of fewer term products than this take :func:`_add_product`.
+#: Around and below it, the row route's direction pick and line
+#: bookkeeping cost as much as the key additions they save, and a try
+#: that falls back pays them for nothing.
+_ROW_MIN_PRODUCTS = 4096
+
+
+def _lines(keys, delta, shift):
+    """``{base: [(t, coeff), ...]}``: ``keys`` cut into the lattice lines ``base + t*delta``.
+
+    ``delta`` is 1 in the field at ``shift``, so ``t`` is a key's
+    exponent there and every base has exponent 0 there.
+    """
+    lines = {}
+    for key, coeff in keys.items():
+        t = ((key >> shift) & _FIELD_MASK) - _BIAS
+        lines.setdefault(key - t * delta, []).append((t, coeff))
+    return lines
+
+
+def _row_direction(keys, layout):
+    """``(delta, shift, lines of keys)`` for the row route, or ``None``.
+
+    The candidates are the differences of sorted keys one and two apart
+    that occur at least twice, most common first, each divided by the
+    gcd of its exponents.  Of the first three with an exponent of ``±1``
+    (``shift`` is its field's, and ``delta`` is signed to make it 1), the
+    one that cuts ``keys`` into the fewest lines wins.
+    """
+    ordered = sorted(keys)
+    counts = Counter(map(sub, ordered[1:], ordered[:-1]))
+    counts.update(map(sub, ordered[2:], ordered[:-2]))
+    best, tried = None, set()
+    for delta, count in counts.most_common():
+        if count < 2 or len(tried) == 3:
+            break
+        exps = layout.unpack(delta + layout.offset)
+        step = gcd(*exps)
+        for shift, e in zip(layout.shifts, exps):
+            if e == step or e == -step:
+                delta = delta // e
+                if delta not in tried:
+                    tried.add(delta)
+                    lines = _lines(keys, delta, shift)
+                    if best is None or len(lines) < len(best[2]):
+                        best = delta, shift, lines
+                break
+    return best
+
+
+def _slots(lines):
+    """How many slots the packed lines take: each line's span of ``t``."""
+    return sum([max(line)[0] - min(line)[0] + 1 for line in lines.values()])
+
+
+def _pack_lines(lines, bits):
+    """``[(base, t0, packed)]``: each line's coefficients in signed ``bits``-bit slots from ``t0``."""
+    packed = []
+    for base, line in lines.items():
+        t0 = min(line)[0]
+        value = 0
+        for t, coeff in line:
+            value += coeff << (bits * (t - t0))
+        packed.append((base, t0, value))
+    return packed
+
+
+def _add_row_product(terms, a, b, layout):
+    """Add the terms of ``a * b`` into ``terms`` line by line; False if the route does not pay.
+
+    ``a`` is the shorter side.  Both sides are cut into lattice lines
+    along one direction ``delta`` (:func:`_row_direction`), and each
+    line is packed into one int with signed ``bits``-bit slots, wide
+    enough for any coefficient of the product.  A product of two packed
+    lines is one int product, added into the output line through the sum
+    of their bases; a square multiplies each pair of lines once.  Then
+    every output line's slots are read back into keys.  False, with
+    ``terms`` untouched, when there is no direction, when the line pairs
+    are not far fewer than the term products, or when the lines are so
+    sparse that their slots far outnumber the terms.
+    """
+    found = _row_direction(a._keys, layout)
+    if found is None:
+        return False
+    delta, shift, lines_a = found
+    square = a is b
+    lines_b = lines_a if square else _lines(b._keys, delta, shift)
+    # A square multiplies each pair of lines once.
+    pairs = len(lines_a) * (len(lines_a) + 1) // 2 if square else len(lines_a) * len(lines_b)
+    if 4 * pairs > len(a._keys) * len(b._keys) or (
+        _slots(lines_a) + _slots(lines_b) > 4 * (len(a._keys) + len(b._keys))
+    ):
+        return False
+    top_a = max(map(abs, a._keys.values()))
+    top_b = top_a if square else max(map(abs, b._keys.values()))
+    bits = top_a.bit_length() + top_b.bit_length() + len(a._keys).bit_length() + 2
+    packed_a = _pack_lines(lines_a, bits)
+    packed_b = packed_a if square else _pack_lines(lines_b, bits)
+    offset = layout.offset
+    if square:
+        # Each pair of distinct lines once, doubled; the diagonal alone.
+        rows = chain(
+            ((base, t, v, packed_a[i:i + 1]) for i, (base, t, v) in enumerate(packed_a)),
+            ((base, t, v + v, packed_a[i + 1:]) for i, (base, t, v) in enumerate(packed_a)),
+        )
+    else:
+        rows = ((base, t, v, packed_b) for base, t, v in packed_a)
+    out = {}
+    get = out.get
+    for base_a, t_a, v_a, columns in rows:
+        base_a -= offset
+        for base_b, t_b, v_b in columns:
+            base = base_a + base_b
+            t = t_a + t_b
+            v = v_a * v_b
+            line = get(base)
+            if line is None:
+                out[base] = [t, v]
+            elif t >= line[0]:
+                line[1] += v << (bits * (t - line[0]))
+            else:
+                line[1] = (line[1] << (bits * (line[0] - t))) + v
+                line[0] = t
+    half = 1 << (bits - 1)
+    full = half << 1
+    mask = full - 1
+    get = terms.get
+    for base, (t, value) in out.items():
+        key = base + t * delta
+        while value:
+            coeff = value & mask
+            if coeff >= half:
+                coeff -= full
+            if coeff:
+                terms[key] = get(key, 0) + coeff
+                value -= coeff
+            value >>= bits
+            key += delta
+    return True
+
+
 def poly_mul(a, b):
     """Product of two Laurent polynomials over the same table: a sum of one product."""
     return poly_sum_of_products(a.table, ((a, b),))
@@ -495,12 +653,17 @@ def poly_sum_of_products(table, pairs):
     ``pairs`` yields the ``(a_i, b_i)``, each side a polynomial over
     ``table`` (TableMismatch otherwise) or ``None``, which stands for 1.
     The pairs are read one at a time: each product is bounded from its
-    sides' bounds, exactly at the limit, before its terms are added,
-    looping over the shorter side, so a one-term side shifts the other's
-    keys.  Terms whose sum cancels are dropped.  :func:`poly_mul` and
-    :func:`poly_add` are its one- and two-pair cases.
+    sides' bounds, exactly at the limit, before its terms are added.
+    Below ``_ROW_MIN_PRODUCTS`` term products, the schoolbook loop
+    :func:`_add_product` adds them looping over the shorter side, so a
+    one-term side shifts the other's keys; above it, the row route
+    :func:`_add_row_product` multiplies packed lattice lines, and falls
+    back to the schoolbook loop where it would not pay.  Terms whose sum
+    cancels are dropped.  :func:`poly_mul` and :func:`poly_add` are its
+    one- and two-pair cases.
     """
-    offset = table._layout.offset
+    layout = table._layout
+    offset = layout.offset
     one = None
     terms = {}
     amp = 0
@@ -516,7 +679,10 @@ def poly_sum_of_products(table, pairs):
             a, b = b, a
         if a._keys:
             amp = max(amp, _product_amplitude(a, b))
-            _add_product(terms, a, b, offset)
+            if len(a._keys) * len(b._keys) < _ROW_MIN_PRODUCTS or not _add_row_product(
+                terms, a, b, layout
+            ):
+                _add_product(terms, a, b, offset)
     return _trusted(table, _drop_zeros(terms), amp)
 
 
@@ -601,6 +767,9 @@ def poly_exact_div(numer, denom):
         return LaurentPolynomial.zero(numer.table)
     recorded = denom._divisor
     if recorded is not None and len(denom._keys) > 1 and _is_product(numer, recorded, denom):
+        # The link moves onto the returned divisor, so dividing back again
+        # is answered by the link too.
+        recorded._divisor, denom._divisor = denom, None
         return recorded
     quotient = _divide(numer, denom)
     quotient._divisor, denom._divisor = denom, None

@@ -83,6 +83,7 @@ class FoldedLayout(FrozenValue):
                 f"root multiplicity {n} is not a positive multiple of every divisor"
             )
         object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "m_original", m)
         object.__setattr__(self, "multiplicity", n)
         object.__setattr__(self, "f_scales", tuple(n // d for d in sizes))
         total = sum(sizes)

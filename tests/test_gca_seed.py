@@ -230,11 +230,15 @@ def full_width_root_formula_check(seed, k):
 
 
 def assert_matches_oracles(seed):
-    """``theta_k`` keys, in order, and root-formula reports equal the oracles'."""
+    """``theta_k`` terms and root-formula reports equal the oracles'.
+
+    The terms are compared as a dict: a product above the row route's size
+    inserts its keys line by line, so the order depends on how it was reached.
+    """
     for k in range(seed.rank):
         theta = exchange_polynomial(seed, k)
         oracle = oracle_exchange_polynomial(seed, k)
-        assert list(theta._keys.items()) == list(oracle._keys.items())
+        assert theta._keys == oracle._keys
         assert theta._amp == oracle._amp
         assert root_formula_check(seed, k) == oracle_root_formula_check(seed, k)
 

@@ -622,11 +622,17 @@ def test_only_the_reviewed_constructors_skip_checks():
     assert set(found) == TRUSTED_BYPASSES
 
 
-#: The kernel functions that add a product's terms into a key dict with
-#: ``_add_product``: the sum of products, and the divisor link's test of
-#: one product.  ``poly_mul`` and ``poly_add`` are the sum's one- and
-#: two-pair cases and hold no loop of their own.
-ADD_PRODUCT_CALLERS = {"poly_sum_of_products", "_is_product"}
+#: The kernel's two product loops, each with the kernel functions that add
+#: a product's terms into a key dict through it.  ``_add_product`` is the
+#: schoolbook loop: the sum of products runs it below the row route's size
+#: and when the route does not pay, and the divisor link's test of one
+#: product runs only it.  ``_add_row_product`` is the row route, reached
+#: only from the sum of products.  ``poly_mul`` and ``poly_add`` are the
+#: sum's one- and two-pair cases and hold no loop of their own.
+PRODUCT_LOOP_CALLERS = {
+    "_add_product": {"poly_sum_of_products", "_is_product"},
+    "_add_row_product": {"poly_sum_of_products"},
+}
 LOOP_FREE = ("poly_mul", "poly_add")
 LOOP_NODES = (
     ast.For, ast.AsyncFor, ast.While,
@@ -634,11 +640,15 @@ LOOP_NODES = (
 )
 
 
-def add_product_calls(source):
-    """``(line, function)`` of each call of ``_add_product``, bare or as an attribute, by :func:`calls`."""
-    return calls(source, lambda called: "_add_product" in (
-        getattr(called, "id", None), getattr(called, "attr", None)
-    ))
+def product_loop_calls(source):
+    """``(line, function, loop)`` of each call of a product loop, bare or as an attribute, by :func:`calls`."""
+    return [
+        (line, function, loop)
+        for loop in PRODUCT_LOOP_CALLERS
+        for line, function in calls(source, lambda called, loop=loop: loop in (
+            getattr(called, "id", None), getattr(called, "attr", None)
+        ))
+    ]
 
 
 def loop_lines(source, names):
@@ -663,19 +673,29 @@ def test_second_product_loops_are_detected():
         "    terms = {}\n"
         "    _add_product(terms, a, a, 0)\n"
         "    helper._add_product(terms, a, a, 0)\n"
-        "    return terms\n"
+        "    return _add_row_product(terms, a, a, None)\n"
     )
     assert loop_lines(source, LOOP_FREE) == {"poly_mul": [], "poly_add": [5, 7]}
-    assert add_product_calls(source) == [(10, "poly_square"), (11, "poly_square")]
+    assert product_loop_calls(source) == [
+        (10, "poly_square", "_add_product"),
+        (11, "poly_square", "_add_product"),
+        (12, "poly_square", "_add_row_product"),
+    ]
 
 
 def test_products_and_sums_share_one_loop():
+    # The schoolbook loop and the row route are the only product loops,
+    # and the divisor link's test of one product stays schoolbook.
     found = {
-        (path.name, function)
+        (path.name, loop, function)
         for path in sorted((ROOT / "src").rglob("*.py"))
-        for _, function in add_product_calls(path.read_text(encoding="utf-8"))
+        for _, function, loop in product_loop_calls(path.read_text(encoding="utf-8"))
     }
-    assert found == {("laurent_kernel.py", name) for name in ADD_PRODUCT_CALLERS}
+    assert found == {
+        ("laurent_kernel.py", loop, function)
+        for loop, functions in PRODUCT_LOOP_CALLERS.items()
+        for function in functions
+    }
     kernel = (ROOT / "src" / "gencluster" / "laurent_kernel.py").read_text(encoding="utf-8")
     assert loop_lines(kernel, LOOP_FREE) == {name: [] for name in LOOP_FREE}
 

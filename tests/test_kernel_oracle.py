@@ -6,10 +6,16 @@ arithmetic; the two results must have the same terms.  sympy is an
 optional test dependency, so the module is skipped without it.
 """
 
+from contextlib import contextmanager
+from operator import add
+from unittest import mock
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import extremes_reads, parse_polynomial, poly_sum
+
+from gencluster import laurent_kernel
 
 from gencluster.errors import (
     ExponentOverflow,
@@ -18,6 +24,7 @@ from gencluster.errors import (
     ValidationError,
 )
 from gencluster.laurent_kernel import (
+    _ROW_MIN_PRODUCTS,
     EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
@@ -201,6 +208,252 @@ class TestSumOfProducts:
         assert str(fused.value) == (
             f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
         )
+
+
+def oracle_poly_mul(a, b):
+    """``{exponent tuple: coefficient}`` of ``a * b``, term by term: the schoolbook product."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            exps = tuple(map(add, ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return {exps: c for exps, c in out.items() if c}
+
+
+def oracle_sum_of_products(pairs):
+    """``sum_i a_i * b_i`` of :func:`oracle_poly_mul` products."""
+    out = {}
+    for a, b in pairs:
+        for exps, c in oracle_poly_mul(a, b).items():
+            out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+@contextmanager
+def row_routes():
+    """Record what each call of the row route returned: True when it added the product."""
+    taken = []
+    original = laurent_kernel._add_row_product
+
+    def spy(*args):
+        taken.append(original(*args))
+        return taken[-1]
+
+    with mock.patch.object(laurent_kernel, "_add_row_product", spy):
+        yield taken
+
+
+def line_polynomial(table, direction, starts, coeffs):
+    """``sum coeffs[i][t] * x^(starts[i] + t*direction)``: terms on lattice lines."""
+    terms = {}
+    for start, line in zip(starts, coeffs):
+        for t, c in enumerate(line):
+            if c:
+                terms[tuple(s + t * d for s, d in zip(start, direction))] = c
+    return LaurentPolynomial(table, terms)
+
+
+@st.composite
+def lattice_polynomials(draw, table, direction, min_terms=64):
+    """Polynomials of ``min_terms`` or more terms on a few lines along ``direction``.
+
+    Each line starts at first exponent 0 and ``direction``'s is 1, so no
+    two lines share a term.  A line has nonzero coefficients and up to
+    three gaps.
+    """
+    width = len(table)
+    starts = draw(st.lists(
+        st.tuples(st.just(0), *[st.integers(-4, 4)] * (width - 1)),
+        min_size=1, max_size=6, unique=True,
+    ))
+    length = -(-min_terms // len(starts))
+    coeffs = []
+    for _ in starts:
+        line = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=length, max_size=length + 8))
+        for gap in draw(st.lists(st.integers(1, len(line) - 1), max_size=3)):
+            line.insert(gap, 0)
+        coeffs.append(line)
+    return line_polynomial(table, direction, starts, coeffs)
+
+
+@st.composite
+def directions(draw, width):
+    """A lattice direction of first exponent 1 over ``width`` variables."""
+    return (1,) + draw(st.tuples(*[st.integers(-2, 2)] * (width - 1)))
+
+
+class TestRowProducts:
+    """Products of at least ``_ROW_MIN_PRODUCTS`` term products against the schoolbook oracle."""
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_lattice_operands(self, data):
+        # Negative coefficients and zero gaps inside the lines.
+        table = data.draw(tables(max_width=8).filter(lambda t: len(t) >= 2))
+        direction = data.draw(directions(len(table)))
+        a = data.draw(lattice_polynomials(table, direction))
+        b = data.draw(lattice_polynomials(table, direction))
+        assert len(a.terms) * len(b.terms) >= _ROW_MIN_PRODUCTS
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+        assert len(taken) == 1
+        assert dict(product.terms.items()) == oracle_poly_mul(a, b)
+        assert product._amp == a._amp + b._amp
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_squares(self, data):
+        # ``a is b`` multiplies each pair of lines once.
+        table = data.draw(tables(max_width=8).filter(lambda t: len(t) >= 2))
+        a = data.draw(lattice_polynomials(table, data.draw(directions(len(table)))))
+        with row_routes() as taken:
+            square = poly_mul(a, a)
+        assert len(taken) == 1
+        assert dict(square.terms.items()) == oracle_poly_mul(a, a)
+        assert poly_pow(a, 2) == square
+
+    @pytest.mark.parametrize("top", [2**40 - 1, 2**40, 3**30])
+    @pytest.mark.parametrize("signs", ["same", "alternating"])
+    def test_coefficients_at_the_slot_edge(self, top, signs):
+        # One line each, every coefficient of magnitude ``top``: the middle
+        # coefficient of the product is ``64 * top**2``, the largest that
+        # the slot width is sized for.
+        table = table_of("x", 3)
+        sign = (lambda t: 1) if signs == "same" else (lambda t: (-1) ** t)
+        line = [[top * sign(t) for t in range(64)]]
+        a = line_polynomial(table, (1, -1, 0), [(0, 0, 2)], line)
+        b = line_polynomial(table, (1, -1, 0), [(0, 3, -1)], line)
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+            square = poly_mul(a, a)
+        assert taken == [True, True]
+        expected = oracle_poly_mul(a, b)
+        assert dict(product.terms.items()) == expected
+        assert max(map(abs, expected.values())) == 64 * top**2
+        assert dict(square.terms.items()) == oracle_poly_mul(a, a)
+
+    def test_single_line_times_many_lines(self):
+        # ``a`` is one line with a gap; ``b`` has 25 lines of three terms.
+        table = table_of("x", 4)
+        direction = (1, 0, -1, 2)
+        a = line_polynomial(table, direction, [(0, 1, 1, 1)], [list(range(-32, 33))])
+        starts = [(0, i, -i, i % 3) for i in range(25)]
+        b = line_polynomial(table, direction, starts, [[i + 1, 0, -i - 2, 3] for i in range(25)])
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+            other = poly_mul(b, a)
+        assert taken == [True, True]
+        assert dict(product.terms.items()) == oracle_poly_mul(a, b)
+        assert other == product
+
+    def test_steps_of_two_along_a_unit_direction(self):
+        # Every difference is a multiple of (2, -2); divided by its gcd it
+        # is (1, -1), and every other slot of a line is empty.
+        table = table_of("x", 2)
+        starts = [(0, i) for i in range(8)]
+        a = line_polynomial(table, (2, -2), starts, [[1, -2, 3, 0, 5, -1, 2, 7, 1]] * 8)
+        with row_routes() as taken:
+            product = poly_mul(a, a)
+        assert taken == [True]
+        assert dict(product.terms.items()) == oracle_poly_mul(a, a)
+
+    def test_singleton_lines_fall_back(self):
+        # ``a`` has 32 lines of two terms along (1, 0, 0), its one direction
+        # with a unit exponent, and each term of ``b`` is alone on its line,
+        # so the line pairs are not far fewer than the term products.
+        table = table_of("x", 3)
+        starts = [(0, 5 * i * i, 7 * i * i) for i in range(32)]
+        a = line_polynomial(table, (1, 0, 0), starts, [[1, -1]] * 32)
+        b = LaurentPolynomial(table, {(j, j * j, j ** 3): j + 1 for j in range(128)})
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+        assert taken == [False]
+        assert dict(product.terms.items()) == oracle_poly_mul(a, b)
+
+    def test_sparse_lines_fall_back(self):
+        # Along x1, ``a`` is two lines of 32 terms spread over 962 slots.
+        table = table_of("x", 2)
+        a = line_polynomial(table, (1, 0), [(0, i * i) for i in range(32)], [[1, -1]] * 32)
+        b = LaurentPolynomial(table, {(j, j ** 3): j + 1 for j in range(128)})
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+        assert taken == [False]
+        assert dict(product.terms.items()) == oracle_poly_mul(a, b)
+
+    @pytest.mark.parametrize("direction", [(2, 3), (3, -2, 5)])
+    def test_no_unit_direction_falls_back(self, direction):
+        # Every key difference is a multiple of ``direction``, which has no
+        # exponent of magnitude 1 after dividing out its gcd.
+        table = table_of("x", len(direction))
+        a = line_polynomial(table, direction, [(0,) * len(direction)], [list(range(1, 65))])
+        b = line_polynomial(table, direction, [(1,) * len(direction)], [list(range(-64, 0))])
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+        assert taken == [False]
+        assert dict(product.terms.items()) == oracle_poly_mul(a, b)
+
+    def test_no_repeated_difference_falls_back(self):
+        table = table_of("x", 2)
+        a = LaurentPolynomial(table, {(i, i * i): 1 for i in range(64)})
+        b = LaurentPolynomial(table, {(i * i, -i): -2 for i in range(64)})
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+        assert taken == [False]
+        assert dict(product.terms.items()) == oracle_poly_mul(a, b)
+
+    def test_products_below_the_threshold_take_the_schoolbook_loop(self):
+        table = table_of("x", 2)
+        a = line_polynomial(table, (1, 0), [(0, 0)], [[1] * 63])
+        b = line_polynomial(table, (1, 0), [(0, 1)], [[1] * 65])
+        assert len(a.terms) * len(b.terms) < _ROW_MIN_PRODUCTS
+        with row_routes() as taken:
+            poly_mul(a, b)
+        assert taken == []
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_cancelling_sums(self, data):
+        # Pairs on both routes whose products cancel, in part or in full.
+        table = data.draw(tables(max_width=6).filter(lambda t: len(t) >= 2))
+        direction = data.draw(directions(len(table)))
+        a = data.draw(lattice_polynomials(table, direction))
+        b = data.draw(lattice_polynomials(table, direction))
+        c = data.draw(polynomials(table))
+        pairs = [(a, b), (c, a), (poly_neg(b), a), (a, poly_neg(c)), (b, b)]
+        with row_routes() as taken:
+            total = poly_sum_of_products(table, pairs)
+            zero = poly_sum_of_products(table, pairs[:4])
+        assert len(taken) == 5
+        assert dict(total.terms.items()) == oracle_sum_of_products(pairs[4:])
+        assert zero == LaurentPolynomial.zero(table)
+
+    @pytest.mark.parametrize("top", [EXPONENT_LIMIT - 1, EXPONENT_LIMIT])
+    def test_exponents_near_the_limit(self, top):
+        # Lines along x1 with x0 at ``top - 40`` and 40: the product's x0
+        # exponent is ``top``, allowed only below the limit.  The sum of
+        # the bounds reaches the limit either way, so the exact extremes
+        # are read first, and the error is the schoolbook loop's.
+        table = table_of("x", 3)
+        line = [[1, -3, 7, 2, 5, 1, 1, -1, 4]] * 8
+        a = line_polynomial(table, (0, 1, 0), [(top - 40, 0, i) for i in range(8)], line)
+        b = line_polynomial(table, (0, 1, 0), [(40, 0, -7 * i) for i in range(8)], line)
+        assert a._amp + b._amp >= EXPONENT_LIMIT
+        with row_routes() as taken, extremes_reads() as reads:
+            if top == EXPONENT_LIMIT:
+                with pytest.raises(ExponentOverflow) as error:
+                    poly_mul(a, b)
+            else:
+                product = poly_mul(a, b)
+        assert reads == [a, b]
+        if top == EXPONENT_LIMIT:
+            assert taken == []
+            assert str(error.value) == (
+                f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
+            )
+            return
+        assert taken == [True]
+        assert dict(product.terms.items()) == oracle_poly_mul(a, b)
+        assert product._amp == top
 
 
 def composed_shifted_sum(table, pairs):
@@ -450,8 +703,23 @@ class TestDivisorLink:
         with extremes_reads() as reads:
             assert poly_exact_div(numer, q) is b
         assert reads == []
-        # The link is a hint: a successful try records nothing.
-        assert q._divisor is b and b._divisor is None
+        # The link moves onto the returned divisor, and never chains.
+        assert b._divisor is q and q._divisor is None
+
+    @given(st.data())
+    def test_divide_divide_back_divide_again(self, data):
+        # Each division after the first is answered by the moved link,
+        # with no division route run.
+        table = data.draw(tables())
+        b = data.draw(polynomials(table, min_terms=2))
+        q = linked(b, data.draw(polynomials(table, min_terms=2)))
+        numer = poly_mul(b, q)
+        with extremes_reads() as reads:
+            assert poly_exact_div(numer, q) is b
+            assert b._divisor is q and q._divisor is None
+            assert poly_exact_div(numer, b) is q
+            assert q._divisor is b and b._divisor is None
+        assert reads == []
 
     @given(st.data())
     def test_other_numerators_give_the_routes_result(self, data):

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/``, each in its own process."""
 
+import ast
 import hashlib
 import os
 from pathlib import Path
@@ -15,15 +16,19 @@ WALKTHROUGH_SHA256 = (
 )
 
 
-def run_script(name, *argv):
+def script_env():
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_script(name, *argv):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=script_env(),
         cwd=ROOT,
     )
 
@@ -47,6 +52,55 @@ def test_run_verification_refuses_negative_counts():
         result = run_script("run_verification.py", flag, word)
         assert (result.returncode, result.stdout) == (2, "")
         assert f"argument {flag}: must be at least 0: '{word}'" in result.stderr
+
+
+def assert_statements(source):
+    """Line of every ``assert`` statement in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_statements_are_detected():
+    source = "assert x\nif y:\n    assert y, 'y'\ncheck(z)\n"
+    assert assert_statements(source) == [1, 3]
+
+
+def test_scripts_check_without_assert():
+    # ``python -O`` drops assert statements, and with them the checks.
+    found = {
+        path.name: assert_statements(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "scripts").rglob("*.py"))
+    }
+    assert found and all(lines == [] for lines in found.values()), found
+
+
+#: Runs ``scripts/run_verification.py`` with ``root_formula_check`` planted
+#: to fail, after checking that the interpreter drops assert statements.
+PLANTED_FAILURE = """
+import importlib.util, sys
+if sys.flags.optimize < 1:
+    raise SystemExit("not optimized")
+spec = importlib.util.spec_from_file_location("run_verification", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+class Failed:
+    ok = False
+script.root_formula_check = lambda seed, k: Failed()
+sys.argv[1:] = ["--cases", "0", "--depth", "0"]
+raise SystemExit(script.main())
+"""
+
+
+def test_run_verification_fails_under_optimization():
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_FAILURE, str(ROOT / "scripts" / "run_verification.py")],
+        capture_output=True,
+        text=True,
+        env=script_env(),
+        cwd=ROOT,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    failed = [line for line in result.stdout.splitlines() if not line.startswith("PASS ")]
+    assert failed == ["FAIL root+homogeneity: CheckFailed: "]
 
 
 def result_files(results):

@@ -490,6 +490,19 @@ class TestBlockConditions:
         with pytest.raises(ValidationError, match=f"frozen count {m} is negative"):
             FoldedLayout(sizes, m, n)
 
+    def test_layout_stores_its_sizes_as_ints(self):
+        # Sizes of another integer type (here ``True``) are stored as the
+        # plain ints that the blocks are worked out from.
+        layout = FoldedLayout((True, 2), True, 2)
+        assert (layout.group_sizes, layout.m_original, layout.multiplicity) == ((1, 2), 1, 2)
+        assert all(
+            type(v) is int
+            for v in (*layout.group_sizes, layout.m_original, layout.multiplicity)
+        )
+        assert FoldedLayout((2,), True).m_original == 1
+        assert type(FoldedLayout((2,), True).m_original) is int
+        assert layout.f_block == range(3, 4)
+
     def test_block_constancy_under_other_multiplicities(self, fix_a, fix_b, fix_c):
         rng = random.Random(2504)
         seeds = [fix_a, fix_b, fix_c]
