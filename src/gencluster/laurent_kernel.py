@@ -57,14 +57,20 @@ Design notes
   substitution along one lattice direction (Schönhage 1982; Harvey,
   J. Symb. Comput. 44, 2009), the sparse case of Roche's survey (ISSAC
   2018).  It falls back to the schoolbook loop when no direction repeats
-  among nearby keys or the lines are too short or too sparse to pay.
+  among nearby keys, when the lines are too short or too sparse to pay,
+  or when the output lines would span more slots than there are term
+  products.
   Both routes give the same terms and bounds; only the order in which keys
   enter the dict differs, and nothing reads that order.
 * Exact division.  A quotient records its divisor, which a division by
   the quotient (mutating back) tries first; when it answers, the link
   moves onto the divisor it returns, so that dividing back again is
   answered too.  Recording or moving a link clears the other side's, so a
-  lookup follows one link, and each polynomial holds at most one.
+  lookup follows one link, and each polynomial holds at most one.  Links
+  can chain: when a divisor has two quotients and dividing back by one
+  moves its link onto the divisor, the other reaches the divisor and then
+  the first quotient.  A chain keeps alive only polynomials that were
+  each other's divisor and quotient, one per division.
   Otherwise a one-term divisor shifts keys and any other divisor runs the
   heap elimination of :func:`poly_exact_div`, whose exponent box is the
   quotient itself when the quotient is one term.
@@ -557,15 +563,46 @@ def _slots(lines):
 
 
 def _pack_lines(lines, bits):
-    """``[(base, t0, packed)]``: each line's coefficients in signed ``bits``-bit slots from ``t0``."""
+    """``[(base, t0, t1, packed)]``: each line in signed ``bits``-bit slots, ``t0`` to ``t1``."""
     packed = []
     for base, line in lines.items():
         t0 = min(line)[0]
         value = 0
         for t, coeff in line:
             value += coeff << (bits * (t - t0))
-        packed.append((base, t0, value))
+        packed.append((base, t0, max(line)[0], value))
     return packed
+
+
+def _read_line(terms, key, delta, value, bits, slots):
+    """Add the ``slots`` signed ``bits``-bit slots of ``value`` into ``terms`` at ``key + t*delta``.
+
+    A long line is split into halves first, so that each slot is shifted
+    out of a short int and reading a line takes time near linear in it.
+    """
+    if slots > 64:
+        low_slots = slots >> 1
+        width = bits * low_slots
+        low = value & ((1 << width) - 1)
+        if low >> (width - 1):
+            low -= 1 << width
+        _read_line(terms, key, delta, low, bits, low_slots)
+        high = (value - low) >> width
+        _read_line(terms, key + low_slots * delta, delta, high, bits, slots - low_slots)
+        return
+    half = 1 << (bits - 1)
+    full = half << 1
+    mask = full - 1
+    get = terms.get
+    while value:
+        coeff = value & mask
+        if coeff >= half:
+            coeff -= full
+        if coeff:
+            terms[key] = get(key, 0) + coeff
+            value -= coeff
+        value >>= bits
+        key += delta
 
 
 def _add_row_product(terms, a, b, layout):
@@ -579,8 +616,10 @@ def _add_row_product(terms, a, b, layout):
     of their bases; a square multiplies each pair of lines once.  Then
     every output line's slots are read back into keys.  False, with
     ``terms`` untouched, when there is no direction, when the line pairs
-    are not far fewer than the term products, or when the lines are so
-    sparse that their slots far outnumber the terms.
+    are more than half the term products, when the lines are so
+    sparse that their slots far outnumber the terms, or when the output
+    lines would span more slots than there are term products (products
+    far apart on one output line, which would otherwise fill the gap).
     """
     found = _row_direction(a._keys, layout)
     if found is None:
@@ -590,7 +629,7 @@ def _add_row_product(terms, a, b, layout):
     lines_b = lines_a if square else _lines(b._keys, delta, shift)
     # A square multiplies each pair of lines once.
     pairs = len(lines_a) * (len(lines_a) + 1) // 2 if square else len(lines_a) * len(lines_b)
-    if 4 * pairs > len(a._keys) * len(b._keys) or (
+    if 2 * pairs > len(a._keys) * len(b._keys) or (
         _slots(lines_a) + _slots(lines_b) > 4 * (len(a._keys) + len(b._keys))
     ):
         return False
@@ -603,42 +642,41 @@ def _add_row_product(terms, a, b, layout):
     if square:
         # Each pair of distinct lines once, doubled; the diagonal alone.
         rows = chain(
-            ((base, t, v, packed_a[i:i + 1]) for i, (base, t, v) in enumerate(packed_a)),
-            ((base, t, v + v, packed_a[i + 1:]) for i, (base, t, v) in enumerate(packed_a)),
+            ((base, lo, hi, v, packed_a[i:i + 1])
+             for i, (base, lo, hi, v) in enumerate(packed_a)),
+            ((base, lo, hi, v + v, packed_a[i + 1:])
+             for i, (base, lo, hi, v) in enumerate(packed_a)),
         )
     else:
-        rows = ((base, t, v, packed_b) for base, t, v in packed_a)
+        rows = ((base, lo, hi, v, packed_b) for base, lo, hi, v in packed_a)
+    # The output lines may span no more slots than there are term
+    # products: reading a slot back costs about a key addition, and two
+    # products far apart on one base would otherwise fill the gap.
+    room = len(a._keys) * len(b._keys)
     out = {}
     get = out.get
-    for base_a, t_a, v_a, columns in rows:
+    for base_a, lo_a, hi_a, v_a, columns in rows:
         base_a -= offset
-        for base_b, t_b, v_b in columns:
+        for base_b, lo_b, hi_b, v_b in columns:
             base = base_a + base_b
-            t = t_a + t_b
-            v = v_a * v_b
+            lo = lo_a + lo_b
+            hi = hi_a + hi_b
             line = get(base)
             if line is None:
-                out[base] = [t, v]
-            elif t >= line[0]:
-                line[1] += v << (bits * (t - line[0]))
-            else:
-                line[1] = (line[1] << (bits * (line[0] - t))) + v
-                line[0] = t
-    half = 1 << (bits - 1)
-    full = half << 1
-    mask = full - 1
-    get = terms.get
-    for base, (t, value) in out.items():
-        key = base + t * delta
-        while value:
-            coeff = value & mask
-            if coeff >= half:
-                coeff -= full
-            if coeff:
-                terms[key] = get(key, 0) + coeff
-                value -= coeff
-            value >>= bits
-            key += delta
+                # A new line spans no slot yet.
+                line = out[base] = [lo, lo - 1, 0]
+            t0, t1 = line[0], line[1]
+            if lo < t0 or hi > t1:
+                low = lo if lo < t0 else t0
+                high = hi if hi > t1 else t1
+                room -= high - low - t1 + t0
+                if room < 0:
+                    return False
+                line[2] <<= bits * (t0 - low)
+                line[0], line[1] = low, high
+            line[2] += v_a * v_b << (bits * (lo - line[0]))
+    for base, (t0, t1, value) in out.items():
+        _read_line(terms, base + t0 * delta, delta, value, bits, t1 - t0 + 1)
     return True
 
 

@@ -358,12 +358,13 @@ class TestRowProducts:
         assert dict(product.terms.items()) == oracle_poly_mul(a, a)
 
     def test_singleton_lines_fall_back(self):
-        # ``a`` has 32 lines of two terms along (1, 0, 0), its one direction
-        # with a unit exponent, and each term of ``b`` is alone on its line,
-        # so the line pairs are not far fewer than the term products.
+        # ``a`` has 32 lines along (1, 0, 0), its one direction with a unit
+        # exponent, half of them of two terms and half of one, and each term
+        # of ``b`` is alone on its line, so the line pairs are more than
+        # half the term products.
         table = table_of("x", 3)
         starts = [(0, 5 * i * i, 7 * i * i) for i in range(32)]
-        a = line_polynomial(table, (1, 0, 0), starts, [[1, -1]] * 32)
+        a = line_polynomial(table, (1, 0, 0), starts, [[1, -1]] * 16 + [[1]] * 16)
         b = LaurentPolynomial(table, {(j, j * j, j ** 3): j + 1 for j in range(128)})
         with row_routes() as taken:
             product = poly_mul(a, b)
@@ -378,6 +379,22 @@ class TestRowProducts:
         with row_routes() as taken:
             product = poly_mul(a, b)
         assert taken == [False]
+        assert dict(product.terms.items()) == oracle_poly_mul(a, b)
+
+    @pytest.mark.parametrize("gap", [64, 2**31, 2**44])
+    def test_products_far_apart_on_one_line_fall_back(self, gap):
+        # ``a`` is a clump at x0^0 and one at x0^gap * x1, ``b`` the same
+        # with x1 moved to the first clump: the product of the first
+        # clumps and that of the last both land on the line of x1, about
+        # ``2 * gap`` apart.  Next to each other they are taken; far apart
+        # the line would span more slots than there are term products.
+        table = table_of("x", 2)
+        coeffs = [[t - 40 for t in range(64)], [3 - t for t in range(64)]]
+        a = line_polynomial(table, (1, 0), [(0, 0), (gap, 1)], coeffs)
+        b = line_polynomial(table, (1, 0), [(0, 1), (gap, 0)], coeffs[::-1])
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+        assert taken == [gap == 64]
         assert dict(product.terms.items()) == oracle_poly_mul(a, b)
 
     @pytest.mark.parametrize("direction", [(2, 3), (3, -2, 5)])
@@ -720,6 +737,21 @@ class TestDivisorLink:
             assert poly_exact_div(numer, b) is q
             assert q._divisor is b and b._divisor is None
         assert reads == []
+
+    @given(st.data())
+    def test_a_shared_divisor_chains_two_links(self, data):
+        # ``r`` and ``q`` are both quotients by ``b``.  Dividing back by
+        # ``q`` moves its link onto ``b``, so ``r`` reaches ``b`` and then
+        # ``q``: a chain, which only a divisor of two quotients makes.
+        # Dividing back by ``r`` moves ``b``'s link to ``r`` and ends it.
+        table = data.draw(tables())
+        b = data.draw(polynomials(table, min_terms=2))
+        r = linked(b, data.draw(polynomials(table, min_terms=2)))
+        q = linked(b, data.draw(polynomials(table, min_terms=2)))
+        assert poly_exact_div(poly_mul(b, q), q) is b
+        assert r._divisor is b and b._divisor is q and q._divisor is None
+        assert poly_exact_div(poly_mul(b, r), r) is b
+        assert b._divisor is r and r._divisor is None and q._divisor is None
 
     @given(st.data())
     def test_other_numerators_give_the_routes_result(self, data):
