@@ -663,8 +663,11 @@ def _add_row_product(terms, a, b, layout):
             hi = hi_a + hi_b
             line = get(base)
             if line is None:
-                # A new line spans no slot yet.
-                line = out[base] = [lo, lo - 1, 0]
+                room -= hi - lo + 1
+                if room < 0:
+                    return False
+                out[base] = [lo, hi, v_a * v_b]
+                continue
             t0, t1 = line[0], line[1]
             if lo < t0 or hi > t1:
                 low = lo if lo < t0 else t0
@@ -673,8 +676,9 @@ def _add_row_product(terms, a, b, layout):
                 if room < 0:
                     return False
                 line[2] <<= bits * (t0 - low)
-                line[0], line[1] = low, high
-            line[2] += v_a * v_b << (bits * (lo - line[0]))
+                line[0] = t0 = low
+                line[1] = high
+            line[2] += v_a * v_b << (bits * (lo - t0))
     for base, (t0, t1, value) in out.items():
         _read_line(terms, base + t0 * delta, delta, value, bits, t1 - t0 + 1)
     return True
