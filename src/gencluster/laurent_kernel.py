@@ -577,8 +577,10 @@ def _pack_lines(lines, bits):
 def _read_line(terms, key, delta, value, bits, slots):
     """Add the ``slots`` signed ``bits``-bit slots of ``value`` into ``terms`` at ``key + t*delta``.
 
-    A long line is split into halves first, so that each slot is shifted
-    out of a short int and reading a line takes time near linear in it.
+    Each slot holds a coefficient of magnitude below ``2**(bits - 1)``, so
+    each half of a line is a signed int of its own width.  A long line is
+    split into halves first, so that each slot is shifted out of a short
+    int and reading a line takes time near linear in it.
     """
     if slots > 64:
         low_slots = slots >> 1

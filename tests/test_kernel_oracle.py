@@ -381,6 +381,23 @@ class TestRowProducts:
         assert taken == [False]
         assert dict(product.terms.items()) == oracle_poly_mul(a, b)
 
+    @given(st.data())
+    def test_reading_a_line_back(self, data):
+        # Lines longer than 64 slots are read by halves; coefficients
+        # reach the largest magnitude a slot holds, of either sign.
+        bits = data.draw(st.integers(2, 40))
+        top = (1 << (bits - 1)) - 1
+        slots = data.draw(st.integers(0, 300))
+        coeffs = data.draw(st.lists(
+            st.one_of(st.sampled_from([0, top, -top]), st.integers(-top, top)),
+            min_size=slots, max_size=slots,
+        ))
+        terms = {}
+        laurent_kernel._read_line(
+            terms, 5, 3, sum(c << (bits * t) for t, c in enumerate(coeffs)), bits, len(coeffs)
+        )
+        assert terms == {5 + 3 * t: c for t, c in enumerate(coeffs) if c}
+
     @pytest.mark.parametrize("gap", [64, 2**31, 2**44])
     def test_products_far_apart_on_one_line_fall_back(self, gap):
         # ``a`` is a clump at x0^0 and one at x0^gap * x1, ``b`` the same
