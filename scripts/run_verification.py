@@ -11,33 +11,27 @@ seeds and on random seeds with up to three frozen variables, in both
 ``total`` and ``lcm`` root mode),
 the transport of exchange data through root adjunction, and the
 root-extraction/homogeneity form of the exchange polynomials on
-adjoined seeds.  Exits nonzero if any suite fails.
+adjoined seeds.  Every suite named after a ``gencluster verify`` target
+walks its sequences through ``verify``'s walker
+(``gencluster.cli_io.walk_verdicts``) and requires each verdict; the
+involution and root+homogeneity suites keep loops of their own.
+Exits nonzero if any suite fails.
 """
 
 import argparse
+from itertools import product
 import random
 import time
 
+from gencluster.cli_io import walk_verdicts
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import mutate_seed, mutate_seed_sequence, root_formula_check
-from gencluster.matrix_mutation import mutate_sequence
-from gencluster.quotient_embedding import (
-    embedding_check,
-    product_formula_suite,
-    subquotient_check,
-)
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import (
     AdjoinedSeed,
     homogeneity_check,
     tau_tilde,
     transport_check,
-)
-from gencluster.unfolding import (
-    build,
-    double_constant_check,
-    group_mutate,
-    hadamard_check,
 )
 
 
@@ -66,65 +60,56 @@ def suite_involution(rng, cases):
             require(row[0].is_one() and row[-1].is_one(), i)
 
 
+def walk(target, seed, sequences, mode="total"):
+    """Require the verdict of ``verify``'s walk of ``target`` on each sequence.
+
+    Each sequence is walked from the root through the states the ones
+    before it reached, so every distinct state is checked once.
+    """
+    cases = [(tuple(sequence), 0) for sequence in sequences]
+    for sequence, ok, failures in walk_verdicts(target, seed, cases, mode):
+        require(ok, target, mode, sequence, failures)
+
+
 def suite_laurent(rng, cases, depth):
     for _ in range(cases):
         seed = random_seed(rng)
-        for k in random_sequence(rng, seed.matrix.n, depth):
-            seed = mutate_seed(seed, k)
+        walk("laurent", seed, [random_sequence(rng, seed.matrix.n, depth)])
 
 
 def suite_block_constancy(rng, cases, depth):
     for _ in range(cases):
         seed = random_seed(rng)
-        fm = build(seed)
-        reference = seed.matrix
-        double_constant_check(fm)
-        require(hadamard_check(fm, reference).ok)
-        for k in random_sequence(rng, seed.matrix.n, depth):
-            fm = group_mutate(fm, k)
-            reference = mutate_sequence(reference, (k,))
-            double_constant_check(fm)
-            require(hadamard_check(fm, reference).ok)
+        sequence = random_sequence(rng, seed.matrix.n, depth)
+        walk("hadamard", seed, [sequence])
+        walk("double-constant", seed, [sequence])
 
 
 def suite_product_formula(rng, cases, depth):
     for name in FIXTURE_NAMES:
-        seed = fixture_seed(name)
-        report = product_formula_suite(seed, (0,) * depth)
-        require(report.ok, name, report.failures)
+        walk("product-formula", fixture_seed(name), [(0,) * depth])
     for _ in range(cases):
         seed = random_seed(rng)
-        sequence = random_sequence(rng, seed.matrix.n, depth)
-        report = product_formula_suite(seed, sequence)
-        require(report.ok, report.failures)
+        walk("product-formula", seed, [random_sequence(rng, seed.matrix.n, depth)])
 
 
 def suite_embedding():
-    for sequence in [(), (0,), (0, 0), (0,) * 6]:
-        report = embedding_check(fixture_seed("FIX-C"), sequence)
-        require(report.ok, report.failures)
-    sequences = [()]
-    for _ in range(3):
-        sequences = [s + (k,) for s in sequences for k in range(2)]
-    for sequence in sequences:
-        report = embedding_check(fixture_seed("FIX-B"), sequence)
-        require(report.ok, report.failures)
+    walk("embedding", fixture_seed("FIX-C"), [(), (0,), (0, 0), (0,) * 6])
+    walk("embedding", fixture_seed("FIX-B"), product(range(2), repeat=3))
 
 
 def suite_subquotient():
     for name in FIXTURE_NAMES:
-        report = subquotient_check(fixture_seed(name))
-        require(report.ok, name, report.failures)
+        walk("subquotient", fixture_seed(name), [()])
 
 
-def suite_random_theorem(check, rng, cases, depth):
-    """``check(seed, sequence, mode)`` on random seeds, in both root modes."""
+def suite_random_theorem(target, rng, cases, depth):
+    """``target`` on random seeds, in both root modes."""
     for _ in range(cases):
         seed = random_seed(rng, max_frozen=3)
         sequence = random_sequence(rng, seed.matrix.n, depth)
         for mode in ("total", "lcm"):
-            report = check(seed, sequence, mode)
-            require(report.ok, mode, sequence, report.failures)
+            walk(target, seed, [sequence], mode)
 
 
 def suite_root_homogeneity(rng, cases, depth):
@@ -177,20 +162,17 @@ def main():
         (
             "random embedding",
             lambda r: suite_random_theorem(
-                embedding_check, r, args.cases // 4, min(args.depth, 3)
+                "embedding", r, args.cases // 4, min(args.depth, 3)
             ),
         ),
         (
             "random subquotient",
-            lambda r: suite_random_theorem(
-                lambda seed, _, mode: subquotient_check(seed, mode),
-                r, args.cases // 4, 0,
-            ),
+            lambda r: suite_random_theorem("subquotient", r, args.cases // 4, 0),
         ),
         (
             "random product-formula",
             lambda r: suite_random_theorem(
-                product_formula_suite, r, args.cases // 4, min(args.depth, 4)
+                "product-formula", r, args.cases // 4, min(args.depth, 4)
             ),
         ),
         (

@@ -432,27 +432,30 @@ _DEFAULT_DEPTH = {
 }
 
 
-def _walk(target, seed):
+def _walk(target, seed, mode="total"):
     """Root state, step, check and state key of a ``verify`` target.
 
     A ``laurent`` state is the seed, which has no check of its own; a
     ``double-constant`` state is the unfolding; a ``hadamard`` state
     pairs the unfolding with the weighted reference it is checked
-    against.  ``product-formula`` and ``embedding`` walk as their
-    suites do.  A check returns the depth-free failures of one state.
-    The key of a state holds everything its step and its check read,
-    compared exactly: states with equal keys step and check alike.
+    against.  ``product-formula`` and ``embedding`` are the walks of
+    :func:`~gencluster.quotient_embedding.product_formula_walk` and
+    :func:`~gencluster.quotient_embedding.embedding_walk` in root mode
+    ``mode``, which the other targets do not read.  A check returns the
+    depth-free failures of one state.  The key of a state holds
+    everything its step and its check read, compared exactly: states
+    with equal keys step and check alike.
     """
     if target == "laurent":
         return seed, mutate_seed, lambda state: (), GeneralizedSeed.content_key
     if target == "product-formula":
         from .quotient_embedding import product_formula_walk
 
-        return product_formula_walk(seed)
+        return product_formula_walk(seed, mode)
     if target == "embedding":
         from .quotient_embedding import embedding_walk
 
-        return embedding_walk(seed)
+        return embedding_walk(seed, mode)
     if target == "double-constant":
         def check(fm):
             double_constant_check(fm)
@@ -497,10 +500,17 @@ class _State:
         self.children = {}
 
 
-def _walk_verdicts(target, seed, cases):
+def walk_verdicts(target, seed, cases, mode="total"):
     """Yield ``(sequence, ok, failures)`` of each case as soon as it is known.
 
-    ``cases`` are the ``(sequence, shared)`` pairs of :func:`_sequence_space`.
+    This is the one walker of mutation sequences: ``verify`` and the
+    verification script both check the paper's identities through it.
+    ``cases`` are ``(sequence, shared)`` pairs, as :func:`_sequence_space`
+    makes them: ``shared`` is at most the length of the prefix a
+    sequence shares with the one before it, and ``0`` walks the
+    sequence from the root through the states already reached.  ``mode``
+    is the root mode of the quotient targets (``total`` or ``lcm``, see
+    :func:`~gencluster.root_adjoin.root_multiplicity`).
     States are kept by their content key (see :func:`_walk`), so each
     distinct state is checked once and each distinct (state, direction)
     step is made once, however many prefixes reach it; the walk holds
@@ -528,10 +538,10 @@ def _walk_verdicts(target, seed, cases):
         if target == "subquotient":
             from .quotient_embedding import subquotient_check
 
-            failures = subquotient_check(seed).failures
+            failures = subquotient_check(seed, mode).failures
             verdict = (not failures, failures)
         else:
-            root, step, check, key = _walk(target, seed)
+            root, step, check, key = _walk(target, seed, mode)
             start = _State(root)
             seen = {key(root): start}
     except Exception as exc:
@@ -671,7 +681,7 @@ def _cmd_verify(args, out):
         else:
             prefix, suffix = f"ok target={target} seed={_text_label(label)} sequence=", "\n"
         names = [str(k + 1) for k in range(seed.matrix.n)]
-        for sequence, ok, failures in _walk_verdicts(target, seed, cases):
+        for sequence, ok, failures in walk_verdicts(target, seed, cases):
             if ok:
                 out.write(prefix + (separator.join([names[k] for k in sequence]) or empty) + suffix)
             else:

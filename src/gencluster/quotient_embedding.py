@@ -478,27 +478,6 @@ def product_formula_walk(gca, mode="total"):
     return root, group_mutate, check, lambda fm: fm.matrix.rows
 
 
-def _walk_one(walk, sequence):
-    """Report of one sequence: the check of every prefix, in depth order."""
-    state, step, check, _ = walk
-    failures = []
-    for depth in range(len(sequence) + 1):
-        if depth:
-            state = step(state, sequence[depth - 1])
-        failures.extend((depth,) + f for f in check(state))
-    return Report(tuple(failures))
-
-
-def product_formula_suite(gca, sequence=(), mode="total"):
-    """Run the product formula for every group at every prefix.
-
-    One pass of :func:`product_formula_walk` along ``sequence``,
-    checking every group at every prefix including the empty one.
-    Failures are ``(prefix_length, k, residual)`` triples.
-    """
-    return _walk_one(product_formula_walk(gca, mode=mode), sequence)
-
-
 # ---------------------------------------------------------------------------
 # Verification: the embedding conditions
 
@@ -506,24 +485,7 @@ def product_formula_suite(gca, sequence=(), mode="total"):
 def embedding_walk(gca, mode="total"):
     """Root, step, check and state key of the embedding conditions.
 
-    The state is the :class:`QuotientContext`, stepped by its
-    :meth:`~QuotientContext.mutate`; ``check(ctx)`` returns the
-    failures of :func:`embedding_check` at that state.  The key is the
-    content of both tracks' seeds; everything else in a context is a
-    walk constant or, like the eliminated cluster entries, a function of
-    the folded seed.  The two tracks correspond because
-    :meth:`~QuotientContext.mutate` advances both.
-    """
-    return (
-        QuotientContext.create(gca, mode=mode),
-        lambda ctx, k: ctx.mutate(k),
-        _embedding_conditions_at,
-        lambda ctx: (ctx.tracked.content_key(), ctx.folded.content_key()),
-    )
-
-
-def embedding_check(gca, sequence=(), mode="total"):
-    """Verify the embedding conditions at every prefix of ``sequence``.
+    At every state the walk checks, for each direction ``k``:
 
     (i)   images of the cluster-monomial sides ``u>``/``u<`` equal the
           folded group monomials ``U>``/``U<``;
@@ -539,10 +501,23 @@ def embedding_check(gca, sequence=(), mode="total"):
     Conditions (i), (ii) and (iv) compare exchange data — monomials in
     the table symbols — while (iii) compares the evaluated cluster
     entries, which carries the full content of the embedding through
-    the homomorphism property.  One pass of :func:`embedding_walk`;
-    failures are reported as ``(prefix_length, condition, k, r)``.
+    the homomorphism property.
+
+    The state is the :class:`QuotientContext`, stepped by its
+    :meth:`~QuotientContext.mutate`; ``check(ctx)`` is
+    :func:`_embedding_conditions_at`, whose failures are ``(condition,
+    k, r)`` triples (``r`` the string slot, a member, or ``None``).  The
+    key is the content of both tracks' seeds; everything else in a
+    context is a walk constant or, like the eliminated cluster entries,
+    a function of the folded seed.  The two tracks correspond because
+    :meth:`~QuotientContext.mutate` advances both.
     """
-    return _walk_one(embedding_walk(gca, mode=mode), sequence)
+    return (
+        QuotientContext.create(gca, mode=mode),
+        lambda ctx, k: ctx.mutate(k),
+        _embedding_conditions_at,
+        lambda ctx: (ctx.tracked.content_key(), ctx.folded.content_key()),
+    )
 
 
 def _embedding_conditions_at(ctx):

@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+from math import lcm
 import random
 import re
 from contextlib import contextmanager
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from gencluster import laurent_kernel
+from gencluster.cli_io import walk_verdicts
 from gencluster.errors import ParseError, TableMismatch
 from gencluster.fixtures import fixture_seed
 from gencluster.matrix_mutation import modify
+from gencluster.randomgen import random_seed
 from gencluster.unfolding import group_mutate
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
@@ -98,6 +101,31 @@ def group_mutate_sequence(fm, sequence):
     for k in sequence:
         fm = group_mutate(fm, k)
     return fm
+
+
+def failed_cases(target, seed, sequences, mode="total"):
+    """The failing ``(sequence, ok, failures)`` verdicts of ``verify``'s walk.
+
+    Each of ``sequences`` is one case of the walk of ``target`` on
+    ``seed`` in root mode ``mode``, walked from the root.
+    """
+    cases = [(tuple(sequence), 0) for sequence in sequences]
+    return [v for v in walk_verdicts(target, seed, cases, mode) if not v[1]]
+
+
+def shared_factor_seeds():
+    """Random seeds whose divisors share a factor and that have frozen columns.
+
+    In ``lcm`` mode their roots have multiplicity ``lcm(d) < prod(d)``,
+    so the unfolding paired with them must scale its ``F`` columns by
+    ``lcm(d) / d_k`` rather than ``prod(d) / d_k``.
+    """
+    rng = random.Random(11)
+    seeds = [random_seed(rng) for _ in range(300)]
+    return [
+        seed for seed in seeds
+        if seed.matrix.m and lcm(*seed.divisors.entries) < seed.divisors.product
+    ]
 
 
 @contextmanager

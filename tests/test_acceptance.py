@@ -13,7 +13,7 @@ import itertools
 import random
 import time
 
-from conftest import group_mutate_sequence, parse_polynomial
+from conftest import failed_cases, group_mutate_sequence, parse_polynomial
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import (
     exchange_polynomial,
@@ -28,11 +28,7 @@ from gencluster.matrix_mutation import (
     mutate_sequence,
     write_matrix,
 )
-from gencluster.quotient_embedding import (
-    embedding_check,
-    product_formula_suite,
-    subquotient_check,
-)
+from gencluster.quotient_embedding import subquotient_check
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import (
     homogeneity_check,
@@ -237,24 +233,18 @@ class TestAcceptance:
             for name in FIXTURE_NAMES:
                 seed = fixture_seed(name)
                 sequences = itertools.product(range(seed.rank), repeat=4)
-                for sequence in sequences:
-                    report = product_formula_suite(seed, sequence)
-                    assert report.ok, report.failures
+                assert not failed_cases("product-formula", seed, sequences)
             rng = random.Random(7)
             for _ in range(50):
                 seed = random_seed(rng)
                 sequence = random_sequence(rng, seed.rank, 4)
-                report = product_formula_suite(seed, sequence)
-                assert report.ok, report.failures
+                assert not failed_cases("product-formula", seed, [sequence])
 
     def test_criterion_08_embedding(self):
         with criterion(8, 600.0):
-            report = embedding_check(fixture_seed("FIX-C"), (0,) * 6)
-            assert report.ok, report.failures
-            fix_b = fixture_seed("FIX-B")
-            for sequence in itertools.product((0, 1), repeat=3):
-                report = embedding_check(fix_b, sequence)
-                assert report.ok, report.failures
+            assert not failed_cases("embedding", fixture_seed("FIX-C"), [(0,) * 6])
+            sequences = itertools.product((0, 1), repeat=3)
+            assert not failed_cases("embedding", fixture_seed("FIX-B"), sequences)
 
     def test_criterion_09_subquotient(self):
         with criterion(9, 1.0):

@@ -14,12 +14,14 @@ from unittest.mock import Mock
 
 import pytest
 
-from conftest import group_mutate_sequence
+from conftest import group_mutate_sequence, shared_factor_seeds
 from gencluster import cli_io, gca_seed
 from gencluster.cli_io import (
     parse_seed,
     parse_seed_text,
     run_command,
+    walk_verdicts,
+    _odometer,
     _seed_text,
     _walk,
 )
@@ -44,10 +46,8 @@ from gencluster import quotient_embedding
 from gencluster.quotient_embedding import (
     QuotientContext,
     _embedding_conditions_at,
-    embedding_check,
     folded_initial_seed,
     product_formula_check,
-    product_formula_suite,
     subquotient_check,
 )
 from gencluster.randomgen import random_seed, random_sequence
@@ -732,17 +732,21 @@ def shared_prefix_scan(previous, sequence):
     return common
 
 
-def prefix_walk_verdicts(target, seed, sequences):
+def prefix_walk_verdicts(target, seed, sequences, mode="total"):
     """``verify``'s walk before states were shared by content key.
 
     Each distinct prefix is stepped and checked once, shared between the
     sequences that start with it, but equal states reached by different
     prefixes are stepped and checked again.  Errors rank as in the
     walker: a mutation error on the path, then a check error, then the
-    failures in depth order.
+    failures in depth order.  ``subquotient`` checks the seed alone, in
+    root mode ``mode`` as the walks of the other quotient targets are.
     """
     try:
-        root, step, check, _ = _walk(target, seed)
+        if target == "subquotient":
+            failures = subquotient_check(seed, mode).failures
+            return [(not failures, failures)] * len(sequences)
+        root, step, check, _ = _walk(target, seed, mode)
     except Exception as exc:
         return [(False, (f"{type(exc).__name__}: {exc}",))] * len(sequences)
     path = []
@@ -969,8 +973,7 @@ class TestWalker:
     ):
         # After group 1 the check raises, and so does the next mutation.
         # Within depth 2 no other prefix reaches that folded matrix.
-        fix_b = fixture_seed("FIX-B")
-        after_1 = group_mutate(build(fix_b), 0)
+        after_1 = group_mutate(build(fixture_seed("FIX-B")), 0)
         if target == "product-formula":
 
             def step(fm, k):
@@ -985,7 +988,6 @@ class TestWalker:
 
             monkeypatch.setattr(quotient_embedding, "group_mutate", step)
             monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
-            suite = product_formula_suite
         else:
             mutate = QuotientContext.mutate
 
@@ -1001,7 +1003,6 @@ class TestWalker:
 
             monkeypatch.setattr(QuotientContext, "mutate", step)
             monkeypatch.setattr(quotient_embedding, "_embedding_conditions_at", check)
-            suite = embedding_check
         deep = [repr("StructureViolation: deep mutation")]
         shallow = [repr("StructureViolation: shallow check")]
         records = walked_records(target, "--seed", "FIX-B", "--depth", "2")
@@ -1010,9 +1011,6 @@ class TestWalker:
         }
         records = walked_records(target, "--seed", "FIX-B", "--depth", "1")
         assert [r["failures"] for r in records] == [shallow, []]
-        # A suite walks one case and raises the first error it meets.
-        with pytest.raises(StructureViolation, match="shallow check"):
-            suite(fix_b, (0, 1))
 
     def test_unexpected_exception_fails_its_case_only(self, monkeypatch):
         # A check that is not a library error, raised after direction 2
@@ -1236,6 +1234,26 @@ class TestStreaming:
 
 class TestSharedStates:
     """The walk shares each state by its content key."""
+
+    @pytest.mark.parametrize("target", ["product-formula", "embedding", "subquotient"])
+    def test_lcm_walks_match_the_prefix_walk(self, monkeypatch, target):
+        # On these seeds the lcm root is smaller than the total one, and
+        # every root the walks build must be an lcm root.
+        modes = []
+        for name in ("root_multiplicity", "tau_tilde"):
+            def spy(gca, mode, original=getattr(quotient_embedding, name)):
+                modes.append(mode)
+                return original(gca, mode)
+
+            monkeypatch.setattr(quotient_embedding, name, spy)
+        depth = 0 if target == "subquotient" else 2
+        for seed in shared_factor_seeds():
+            cases = _odometer(seed.rank, depth)
+            walked = [v[1:] for v in walk_verdicts(target, seed, cases, mode="lcm")]
+            sequences = exhaustive(seed.rank, depth)
+            assert walked == prefix_walk_verdicts(target, seed, sequences, mode="lcm")
+            assert all(ok for ok, _ in walked), (seed.divisors, walked)
+        assert set(modes) == {"lcm"}
 
     @pytest.mark.parametrize("spec", ["exhaustive", "random:5"])
     @pytest.mark.parametrize("as_json", [False, True])

@@ -12,11 +12,13 @@ import pytest
 
 from conftest import (
     extremes_reads,
+    failed_cases,
     mono_over,
     mono_power,
     mono_times,
     poly_mul_monomial,
     poly_sum,
+    shared_factor_seeds,
 )
 from gencluster.cli_io import parse_seed_text, run_command
 from gencluster.errors import (
@@ -52,11 +54,9 @@ from gencluster.quotient_embedding import (
     _eliminated_sigma,
     _embedding_conditions_at,
     eliminate_units,
-    embedding_check,
     folded_initial_seed,
     group_mutate_seed,
     product_formula_check,
-    product_formula_suite,
     product_formula_walk,
     subquotient_check,
     unit_elimination_map,
@@ -497,21 +497,6 @@ def named_frozen_seeds():
     ]
 
 
-def shared_factor_seeds():
-    """Random seeds whose divisors share a factor and that have frozen columns.
-
-    In ``lcm`` mode their roots have multiplicity ``lcm(d) < prod(d)``,
-    so the unfolding paired with them must scale its ``F`` columns by
-    ``lcm(d) / d_k`` rather than ``prod(d) / d_k``.
-    """
-    rng = random.Random(11)
-    seeds = [random_seed(rng) for _ in range(300)]
-    return [
-        seed for seed in seeds
-        if seed.matrix.m and lcm(*seed.divisors.entries) < seed.divisors.product
-    ]
-
-
 class TestFoldedSeed:
     def test_table_layout(self, fix_c):
         table, _ = folded_root(fix_c)
@@ -823,7 +808,7 @@ class TestSigmaAndUnits:
         monkeypatch.setattr(quotient_embedding, "_eliminated_sigma", recording)
         for seed, sequence in ((fix_a, (0, 1)), (fix_b, (0, 1, 0))):
             ctx = QuotientContext.create(seed)
-            assert embedding_check(seed, sequence).ok
+            assert not failed_cases("embedding", seed, [sequence])
             table, layout = ctx.folded.table, ctx.layout
             units = oracle_unit_elimination(table, seed.divisors.entries)
             patterns = [pattern for t, pattern in seen if t is table]
@@ -909,15 +894,13 @@ class TestProductFormula:
             (fix_b, (0, 1, 0)),
             (fix_c, (0, 0, 0, 0)),
         ):
-            report = product_formula_suite(seed, sequence)
-            assert report.ok, report.failures
+            assert not failed_cases("product-formula", seed, [sequence])
 
     def test_suite_on_random(self, rng):
         for _ in range(25):
             seed = random_seed(rng)
             sequence = random_sequence(rng, seed.matrix.n, 3)
-            report = product_formula_suite(seed, sequence)
-            assert report.ok, report.failures
+            assert not failed_cases("product-formula", seed, [sequence])
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_packed_check_matches_tuple_oracle(self, fix_a, fix_b, fix_c, rng, mode):
@@ -1028,8 +1011,7 @@ class TestProductFormula:
         assert oracle_product_formula_check(table, fm, 0, 0) == Report(())
 
     def test_lcm_mode(self, fix_b):
-        report = product_formula_suite(fix_b, (0, 1), mode="lcm")
-        assert report.ok, report.failures
+        assert not failed_cases("product-formula", fix_b, [(0, 1)], mode="lcm")
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_walk_root_carries_the_adjoined_multiplicity(
@@ -1159,7 +1141,7 @@ class TestEmbeddingAndSubquotient:
         text = "gca-seed v1\nN 1\nM 1\ndivisors 2\nnames rho1_1 ; f\nmatrix 0 2\n"
         seed = parse_seed_text(text)
         assert QuotientContext.create(seed).placeholder_names == ("rho1_1_R",)
-        assert embedding_check(seed, (0, 0)).ok
+        assert not failed_cases("embedding", seed, [(0, 0)])
         assert subquotient_check(seed).ok
         path = tmp_path / "rho.seed"
         path.write_text(text, encoding="utf-8")
@@ -1172,20 +1154,17 @@ class TestEmbeddingAndSubquotient:
             "matrix 0 0 2 ; 0 0 1\n"
         )
         assert QuotientContext.create(both).placeholder_names == ("rho1_1_R_R",)
-        assert embedding_check(both, (0, 1)).ok
+        assert not failed_cases("embedding", both, [(0, 1)])
 
     def test_embedding_fix_c_deep(self, fix_c):
-        report = embedding_check(fix_c, (0,) * 6)
-        assert report.ok, report.failures
+        assert not failed_cases("embedding", fix_c, [(0,) * 6])
 
     def test_embedding_fix_b(self, fix_b):
         for sequence in ((0, 1), (1, 0)):
-            report = embedding_check(fix_b, sequence)
-            assert report.ok, report.failures
+            assert not failed_cases("embedding", fix_b, [sequence])
 
     def test_embedding_fix_a(self, fix_a):
-        report = embedding_check(fix_a, (0,))
-        assert report.ok, report.failures
+        assert not failed_cases("embedding", fix_a, [(0,)])
 
     def test_subquotient_on_fixtures(self, fix_a, fix_b, fix_c):
         for seed in (fix_a, fix_b, fix_c):
@@ -1202,7 +1181,7 @@ class TestEmbeddingAndSubquotient:
         assert len(seeds) == 48
         for seed in seeds:
             sequence = random_sequence(rng, seed.matrix.n, 2)
-            report = embedding_check(seed, sequence, mode="lcm")
-            assert report.ok, (seed.divisors, sequence, report.failures)
+            failed = failed_cases("embedding", seed, [sequence], mode="lcm")
+            assert not failed, seed.divisors
             report = subquotient_check(seed, mode="lcm")
             assert report.ok, (seed.divisors, report.failures)

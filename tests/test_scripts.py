@@ -4,9 +4,12 @@ import ast
 import hashlib
 import os
 from pathlib import Path
+import re
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,10 +43,31 @@ def test_walkthrough_stdout():
     assert digest == WALKTHROUGH_SHA256
 
 
+#: Every suite of ``scripts/run_verification.py``, in the order it runs them.
+SUITES = [
+    "involution",
+    "laurent",
+    "hadamard+double-constant",
+    "product-formula",
+    "embedding",
+    "subquotient",
+    "random embedding",
+    "random subquotient",
+    "random product-formula",
+    "root+homogeneity",
+]
+
+
 def test_run_verification_passes():
-    result = run_script("run_verification.py", "--cases", "8", "--depth", "3")
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "FAIL" not in result.stdout
+    # The small settings, the defaults, and the larger settings.
+    for argv in ((), ("--cases", "8", "--depth", "3"),
+                 ("--cases", "400", "--depth", "7", "--rng-seed", "5")):
+        result = run_script("run_verification.py", *argv)
+        assert result.returncode == 0, result.stdout + result.stderr
+        lines = result.stdout.splitlines()
+        names = [re.fullmatch(r"PASS (.+) \(\d+\.\d\ds\)", line) for line in lines]
+        assert all(names), result.stdout
+        assert [m[1] for m in names] == SUITES
 
 
 def test_run_verification_refuses_negative_counts():
@@ -73,34 +97,71 @@ def test_scripts_check_without_assert():
     assert found and all(lines == [] for lines in found.values()), found
 
 
-#: Runs ``scripts/run_verification.py`` with ``root_formula_check`` planted
-#: to fail, after checking that the interpreter drops assert statements.
+#: Runs ``scripts/run_verification.py`` with the arguments after its path,
+#: once ``PLANT`` has planted a fault, after checking that the
+#: interpreter drops assert statements.
 PLANTED_FAILURE = """
 import importlib.util, sys
 if sys.flags.optimize < 1:
     raise SystemExit("not optimized")
+from gencluster import quotient_embedding
+from gencluster.errors import Report
 spec = importlib.util.spec_from_file_location("run_verification", sys.argv[1])
 script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
-class Failed:
-    ok = False
-script.root_formula_check = lambda seed, k: Failed()
-sys.argv[1:] = ["--cases", "0", "--depth", "0"]
+PLANT
+sys.argv[1:] = sys.argv[2:]
 raise SystemExit(script.main())
 """
 
 
-def test_run_verification_fails_under_optimization():
+def run_planted(plant, *argv):
+    """Exit code and non-``PASS`` lines of the script run under ``-O`` with ``plant``."""
     result = subprocess.run(
-        [sys.executable, "-O", "-c", PLANTED_FAILURE, str(ROOT / "scripts" / "run_verification.py")],
+        [
+            sys.executable, "-O", "-c", PLANTED_FAILURE.replace("PLANT", plant),
+            str(ROOT / "scripts" / "run_verification.py"), *argv,
+        ],
         capture_output=True,
         text=True,
         env=script_env(),
         cwd=ROOT,
     )
-    assert result.returncode == 1, result.stdout + result.stderr
-    failed = [line for line in result.stdout.splitlines() if not line.startswith("PASS ")]
-    assert failed == ["FAIL root+homogeneity: CheckFailed: "]
+    lines = [line for line in result.stdout.splitlines() if not line.startswith("PASS ")]
+    return result.returncode, lines or [result.stderr]
+
+
+def test_run_verification_fails_under_optimization():
+    plant = "script.root_formula_check = lambda seed, k: Report((k,))"
+    assert run_planted(plant, "--cases", "0", "--depth", "0") == (
+        1, ["FAIL root+homogeneity: CheckFailed: "]
+    )
+
+
+@pytest.mark.parametrize("plant, argv, failed, detail", [
+    (
+        "quotient_embedding.product_formula_check = (\n"
+        "    lambda table, fm, k: Report(((k, 'residual'),)))",
+        ("--cases", "4", "--depth", "0"),
+        ["product-formula", "random product-formula"],
+        "'residual')",
+    ),
+    (
+        "def conditions(ctx):\n"
+        "    raise RuntimeError('planted')\n"
+        "quotient_embedding._embedding_conditions_at = conditions",
+        ("--cases", "0", "--depth", "0"),
+        ["embedding"],
+        "'RuntimeError: planted'",
+    ),
+], ids=["product-formula", "embedding"])
+def test_walked_failures_fail_under_optimization(plant, argv, failed, detail):
+    # The walker turns a residual or an exception into a failing verdict,
+    # and the script must still fail on it.
+    code, lines = run_planted(plant, *argv)
+    assert code == 1, lines
+    assert [line.partition(": ")[0] for line in lines] == [f"FAIL {name}" for name in failed]
+    assert all(detail in line for line in lines), lines
 
 
 def result_files(results):
