@@ -102,14 +102,6 @@ class InexactDivision(GenClusterError):
     """A Laurent-polynomial division left a nonzero remainder."""
 
 
-class ExponentOverflow(GenClusterError):
-    """A Laurent exponent would reach the kernel's exponent limit.
-
-    The limit is :data:`gencluster.laurent_kernel.EXPONENT_LIMIT`; no
-    kernel operation stores an exponent of that magnitude or more.
-    """
-
-
 class UnknownSymbol(GenClusterError):
     """A symbol is not present in the relevant variable table."""
 

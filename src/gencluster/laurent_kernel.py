@@ -7,9 +7,8 @@ canonical forms produced by this module.
 
 Design notes
 ------------
-* Coefficients are Python integers, so all arithmetic is exact and
-  unbounded.  Exponents are integers of either sign (Laurent) whose
-  magnitude stays below :data:`EXPONENT_LIMIT` (``2**46``).
+* Coefficients and exponents are Python integers, so all arithmetic is
+  exact and unbounded.  Exponents are integers of either sign (Laurent).
 * A :class:`VariableTable` fixes the ambient ring: an ordered list of
   named variables and a cluster count; the first ``n_cluster`` names
   are cluster variables and the rest are frozen, and
@@ -17,9 +16,9 @@ Design notes
   over different tables never silently mix; combining them raises
   :class:`~gencluster.errors.TableMismatch`.
 * Terms are kept in a dict keyed by one packed integer per monomial:
-  the total degree in the top field, then one ``_FIELD_BITS``-bit field
-  per variable, variable 0 most significant, each exponent biased by
-  ``2**(_FIELD_BITS - 1)``.  Integer order on keys is therefore the
+  the total degree in the top field, then one ``bits``-bit field per
+  variable, variable 0 most significant, each exponent biased by
+  ``2**(bits - 1)``.  Integer order on keys is therefore the
   canonical graded-lexicographic order (higher total degree first, ties
   broken lexicographically on the exponent vector in table order): a
   leading term is ``max(keys)``, and printing sorts the keys.  Packing
@@ -32,19 +31,21 @@ Design notes
   which shifts each polynomial's keys by one packed vector and builds
   no one-term polynomial, and add sums of general products with
   :func:`poly_sum_of_products`, whose one- and two-pair cases are
-  :func:`poly_mul` and :func:`poly_add`; :func:`exponent_amplitude`
-  checks a vector against the limit.
-* Exponent limit.  A field holds any sum of two exponents below the
-  limit without carrying into its neighbour.  Every polynomial carries
-  an upper bound on its largest exponent magnitude; each operation
-  bounds its result from its operands' bounds before it combines keys,
-  and reads the exact exponent extremes only when that bound reaches the
-  limit.  A result that would hold an exponent of magnitude
-  :data:`EXPONENT_LIMIT` or more raises
-  :class:`~gencluster.errors.ExponentOverflow`, so no key ever aliases
-  another.  Each exponent vector that enters the kernel (a term, a
-  shift, a :class:`Monomial` image) is packed and bounded in one pass;
-  :func:`exponent_amplitude` words the error of one at the limit.
+  :func:`poly_mul` and :func:`poly_add`.
+* Field sizes.  The fields of one polynomial all have one size, a rung
+  of the ladder 48, 96, 192, ... bits; a rung's ``limit`` is
+  ``2**(bits - 2)``, and a field holds any sum of two exponents below
+  it without carrying into its neighbour.  Every polynomial carries an
+  upper bound on its largest exponent magnitude and sits on the
+  narrowest rung whose limit exceeds that bound.  Each operation bounds
+  its result from its operands' bounds before it combines keys, works
+  on the result's rung, and first moves a narrower operand's keys up to
+  it; a sum whose bound grows past its rung moves the terms added so
+  far.  Equality and :meth:`LaurentPolynomial.hash_key` do not depend on
+  the rung, so a polynomial built with a loose bound equals the one
+  built with a tight bound.  Each exponent vector that enters the kernel
+  (a term, a shift, a :class:`Monomial` image) is packed and bounded in
+  one pass.
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
@@ -82,11 +83,10 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
-from operator import add, index, sub
+from operator import index, mul, sub
 import re
 
 from .errors import (
-    ExponentOverflow,
     FrozenValue,
     InexactDivision,
     TableMismatch,
@@ -96,30 +96,37 @@ from .errors import (
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-_FIELD_BITS = 48
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-_BIAS = 1 << (_FIELD_BITS - 1)
-#: Every stored exponent has magnitude below this bound.
-EXPONENT_LIMIT = 1 << (_FIELD_BITS - 2)
-
 
 class _Layout:
-    """Packing constants for tables of one width."""
+    """Packing constants for tables of one width, on one rung of field sizes."""
 
-    __slots__ = ("shifts", "degree_shift", "offset", "units")
+    __slots__ = ("width", "bits", "mask", "bias", "limit", "shifts", "degree_shift", "offset", "units")
 
-    def __init__(self, width):
-        self.shifts = tuple((width - 1 - i) * _FIELD_BITS for i in range(width))
-        self.degree_shift = width * _FIELD_BITS
+    def __init__(self, width, bits):
+        self.width, self.bits = width, bits
+        self.mask, self.bias = (1 << bits) - 1, 1 << (bits - 1)
+        #: Every exponent stored on this rung has magnitude below this bound.
+        self.limit = 1 << (bits - 2)
+        self.shifts = tuple((width - 1 - i) * bits for i in range(width))
+        self.degree_shift = width * bits
         #: The key of the monomial 1.
-        self.offset = sum(_BIAS << s for s in self.shifts)
+        self.offset = sum(self.bias << s for s in self.shifts)
         #: ``units[i]`` is what one more power of variable ``i`` adds to a key.
         self.units = tuple((1 << self.degree_shift) + (1 << s) for s in self.shifts)
+
+    def fit(self, amp):
+        """The narrowest rung, from this one up, whose limit exceeds ``amp``."""
+        layout = self
+        while amp >= layout.limit:
+            layout = _layout(self.width, 2 * layout.bits)
+        return layout
 
     def pack_bounded(self, exps):
         """``(key, largest exponent magnitude)`` of an exponent vector, in one loop.
 
-        ValidationError for another width or a non-integer, then ExponentOverflow at the limit.
+        The key is on the rung ``self.fit(amp)``: a vector past this
+        rung's limit is packed again on the narrowest rung that holds it.
+        ValidationError for another width or a non-integer.
         """
         units = self.units
         if len(exps) != len(units):
@@ -143,23 +150,29 @@ class _Layout:
                 if size > amp:
                     amp = size
                 key += e * unit
-        if amp >= EXPONENT_LIMIT:
-            exponent_amplitude(exps)
+        if amp >= self.limit:
+            return self.fit(amp).pack_bounded(exps)
         return key, amp
 
     def unpack(self, key):
-        return tuple(((key >> s) & _FIELD_MASK) - _BIAS for s in self.shifts)
+        mask, bias = self.mask, self.bias
+        return tuple(((key >> s) & mask) - bias for s in self.shifts)
 
 
+#: One layout per table width and rung, so that layouts compare by ``is``.
 _layout = lru_cache(maxsize=None)(_Layout)
 
 
-def exponent_amplitude(exps):
-    """Largest exponent magnitude of a vector; ExponentOverflow at the limit."""
-    amp = max(map(abs, exps), default=0)
-    if amp >= EXPONENT_LIMIT:
-        raise ExponentOverflow(f"exponent of magnitude {amp} reaches the limit {EXPONENT_LIMIT}")
-    return amp
+def _repack(keys, old, new):
+    """The key dict ``keys`` moved from rung ``old`` to rung ``new`` of one width.
+
+    Every exponent must lie below both rungs' limits; ``keys`` itself
+    when the rungs are one.
+    """
+    if old is new:
+        return keys
+    offset, units, unpack = new.offset, new.units, old.unpack
+    return {offset + sum(map(mul, unpack(k), units)): c for k, c in keys.items()}
 
 
 def _integer(value, what):
@@ -212,7 +225,8 @@ class VariableTable(FrozenValue):
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
         object.__setattr__(self, "cluster_indices", tuple(range(count)))
         object.__setattr__(self, "frozen_indices", tuple(range(count, width)))
-        object.__setattr__(self, "_layout", _layout(width))
+        # Every table starts on the 48-bit rung; a polynomial moves up from it.
+        object.__setattr__(self, "_layout", _layout(width, 48))
 
     @staticmethod
     def make(cluster=(), frozen=()):
@@ -257,8 +271,7 @@ class VariableTable(FrozenValue):
         """The one-term polynomial with the given exponent vector.
 
         ``exponents`` holds one integer per variable, in table order
-        (ValidationError otherwise); an exponent of magnitude
-        :data:`EXPONENT_LIMIT` or more raises ExponentOverflow.
+        (ValidationError otherwise), of any size.
         """
         key, amp = self._layout.pack_bounded(exponents)
         return _trusted(self, {key: 1}, amp)
@@ -286,8 +299,7 @@ def _require_same_table(a, b):
 class Monomial(FrozenValue):
     """A Laurent monomial: one exponent per table variable.
 
-    Monomials are plain exponent tuples of any size; the exponent limit
-    applies when one enters polynomial arithmetic.  Each exponent must
+    Monomials are plain exponent tuples of any size.  Each exponent must
     be an integer (ValidationError otherwise) and is stored as an ``int``.
     """
 
@@ -307,13 +319,13 @@ class Monomial(FrozenValue):
         return all(e == 0 for e in self.exponents)
 
     def _packed(self):
-        """``(key - offset, largest exponent magnitude)``, computed once."""
+        """``(key - offset, largest exponent magnitude)``, computed once, on the rung that fits."""
         try:
             return self._packed_cache
         except AttributeError:
             layout = self.table._layout
             key, amp = layout.pack_bounded(self.exponents)
-            packed = key - layout.offset, amp
+            packed = key - layout.fit(amp).offset, amp
             object.__setattr__(self, "_packed_cache", packed)
             return packed
 
@@ -342,43 +354,46 @@ def _format_powers(powers):
 class _Terms(Mapping):
     """Read-only ``{exponent tuple: coefficient}`` view of a polynomial."""
 
-    __slots__ = ("_keys", "_layout")
+    __slots__ = ("_poly",)
 
     def __init__(self, poly):
-        self._keys = poly._keys
-        self._layout = poly.table._layout
+        self._poly = poly
 
     def __len__(self):
-        return len(self._keys)
+        return len(self._poly._keys)
 
     def __iter__(self):
-        return map(self._layout.unpack, self._keys)
+        return map(self._poly._layout.unpack, self._poly._keys)
 
     def __getitem__(self, exps):
+        layout = self._poly._layout
         try:
-            return self._keys[self._layout.pack_bounded(tuple(map(index, exps)))[0]]
-        except (TypeError, ValidationError, ExponentOverflow, KeyError):
+            key, amp = layout.pack_bounded(tuple(map(index, exps)))
+            # A vector past the fields is packed on a wider rung: no term's.
+            if amp >= layout.limit:
+                raise KeyError(exps)
+            return self._poly._keys[key]
+        except (TypeError, ValidationError, KeyError):
             raise KeyError(exps) from None
 
     def values(self):
-        return self._keys.values()
+        return self._poly._keys.values()
 
 
 class LaurentPolynomial:
     """Sparse Laurent polynomial with integer coefficients.
 
-    Built from ``{exponent tuple: nonzero coefficient}`` (one exponent
-    per table variable, each below :data:`EXPONENT_LIMIT` in magnitude);
-    ``terms`` reads the same mapping back.  Instances are immutable; all
-    operations return new objects.
+    Built from ``{exponent tuple: nonzero coefficient}`` (one integer
+    exponent per table variable, of any size); ``terms`` reads the same
+    mapping back.  Instances are immutable; all operations return new
+    objects.  The keys sit on the narrowest rung that holds the terms.
     """
 
-    __slots__ = ("table", "_keys", "_amp", "_divisor")
+    __slots__ = ("table", "_keys", "_amp", "_layout", "_divisor")
 
     def __init__(self, table, terms=None):
-        layout = table._layout
         width = len(table)
-        keys = {}
+        vectors = {}
         amp = 0
         for exps, coeff in (terms or {}).items():
             if len(exps) != width:
@@ -390,12 +405,13 @@ class LaurentPolynomial:
                 exps = tuple(map(index, exps))
             except TypeError:
                 raise ValidationError(f"exponents must be integers: {exps!r}") from None
-            key, term_amp = layout.pack_bounded(exps)
-            amp = max(amp, term_amp)
-            keys[key] = coeff
+            amp = max(amp, max(map(abs, exps), default=0))
+            vectors[exps] = coeff
+        layout = table._layout.fit(amp)
         self.table = table
-        self._keys = keys
+        self._keys = {layout.pack_bounded(exps)[0]: c for exps, c in vectors.items()}
         self._amp = amp
+        self._layout = layout
         self._divisor = None
 
     @property
@@ -405,13 +421,20 @@ class LaurentPolynomial:
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self._keys == other._keys and _same_table(self.table, other.table)
+        if self._layout is other._layout:
+            return self._keys == other._keys and _same_table(self.table, other.table)
+        return _same_table(self.table, other.table) and self.hash_key() == other.hash_key()
 
     __hash__ = None
 
     def hash_key(self):
-        """Hashable key, equal exactly for equal polynomials over one table."""
-        return frozenset(self._keys.items())
+        """Hashable key, equal exactly for equal polynomials over one table, whatever their rungs."""
+        # The keys on the narrowest rung that holds the exact extremes.
+        keys, layout, base = self._keys, self._layout, self.table._layout
+        if layout is not base and keys:
+            lo, hi = _extremes(self)
+            keys = _repack(keys, layout, base.fit(max(map(abs, lo + hi))))
+        return frozenset(keys.items())
 
     @staticmethod
     def zero(table):
@@ -424,10 +447,10 @@ class LaurentPolynomial:
     def __str__(self):
         if not self._keys:
             return "0"
-        fields = tuple(zip(self.table.names, self.table._layout.shifts))
+        names, unpack = self.table.names, self._layout.unpack
         pieces = []
         for key, coeff in sorted(self._keys.items(), reverse=True):
-            mono = _format_powers((n, ((key >> s) & _FIELD_MASK) - _BIAS) for n, s in fields)
+            mono = _format_powers(zip(names, unpack(key)))
             mag = abs(coeff)
             body = f"{mag}*{mono}" if mono and mag != 1 else mono or str(mag)
             pieces.append(("+ " if coeff > 0 else "- ") + body)
@@ -439,11 +462,13 @@ class LaurentPolynomial:
 
 
 def _trusted(table, keys, amp):
-    """A kernel result: ``keys`` are packed and nonzero, ``amp`` bounds them."""
+    """A kernel result: ``amp`` bounds it, and ``keys`` are nonzero, on the rung ``amp`` fits."""
     p = object.__new__(LaurentPolynomial)
+    layout = table._layout
     p.table = table
     p._keys = keys
     p._amp = amp
+    p._layout = layout if amp < layout.limit else layout.fit(amp)
     p._divisor = None
     return p
 
@@ -457,11 +482,13 @@ def _drop_zeros(terms):
 
 def _extremes(p):
     """Exact per-variable ``(minima, maxima)`` of a nonzero polynomial."""
+    layout = p._layout
+    mask, bias = layout.mask, layout.bias
     lo, hi = [], []
-    for shift in p.table._layout.shifts:
-        fields = [(k >> shift) & _FIELD_MASK for k in p._keys]
-        lo.append(min(fields) - _BIAS)
-        hi.append(max(fields) - _BIAS)
+    for shift in layout.shifts:
+        fields = [(k >> shift) & mask for k in p._keys]
+        lo.append(min(fields) - bias)
+        hi.append(max(fields) - bias)
     return tuple(lo), tuple(hi)
 
 
@@ -478,29 +505,11 @@ def poly_sub(a, b):
     return poly_add(a, poly_neg(b))
 
 
-def _product_amplitude(a, b):
-    """Bound for ``a * b`` (both nonzero); ExponentOverflow at the limit.
-
-    The operands' bounds added, or at the limit the exact bound: exponent
-    extremes add under products (the ring is a domain).
-    """
-    amp = a._amp + b._amp
-    if amp >= EXPONENT_LIMIT:
-        amp = _exact_product_amplitude(_extremes(a), _extremes(b))
-    return amp
-
-
-def _exact_product_amplitude(extremes_a, extremes_b):
-    """Largest exponent magnitude of a product of operands with these extremes."""
-    (alo, ahi), (blo, bhi) = extremes_a, extremes_b
-    return exponent_amplitude(tuple(map(add, alo, blo)) + tuple(map(add, ahi, bhi)))
-
-
-def _add_product(terms, a, b, offset):
-    """Add the terms of ``a * b`` into the key dict ``terms``, looping over ``a``'s."""
+def _add_product(terms, keys_a, keys_b, offset):
+    """Add the terms of ``a * b`` into the key dict ``terms``, looping over ``a``'s keys."""
     get = terms.get
-    items = b._keys.items()
-    for ka, ca in a._keys.items():
+    items = keys_b.items()
+    for ka, ca in keys_a.items():
         ka -= offset
         for kb, cb in items:
             key = ka + kb
@@ -514,15 +523,16 @@ def _add_product(terms, a, b, offset):
 _ROW_MIN_PRODUCTS = 4096
 
 
-def _lines(keys, delta, shift):
+def _lines(keys, delta, shift, layout):
     """``{base: [(t, coeff), ...]}``: ``keys`` cut into the lattice lines ``base + t*delta``.
 
     ``delta`` is 1 in the field at ``shift``, so ``t`` is a key's
     exponent there and every base has exponent 0 there.
     """
+    mask, bias = layout.mask, layout.bias
     lines = {}
     for key, coeff in keys.items():
-        t = ((key >> shift) & _FIELD_MASK) - _BIAS
+        t = ((key >> shift) & mask) - bias
         lines.setdefault(key - t * delta, []).append((t, coeff))
     return lines
 
@@ -550,7 +560,7 @@ def _row_direction(keys, layout):
                 delta = delta // e
                 if delta not in tried:
                     tried.add(delta)
-                    lines = _lines(keys, delta, shift)
+                    lines = _lines(keys, delta, shift, layout)
                     if best is None or len(lines) < len(best[2]):
                         best = delta, shift, lines
                 break
@@ -607,10 +617,11 @@ def _read_line(terms, key, delta, value, bits, slots):
         key += delta
 
 
-def _add_row_product(terms, a, b, layout):
+def _add_row_product(terms, keys_a, keys_b, layout):
     """Add the terms of ``a * b`` into ``terms`` line by line; False if the route does not pay.
 
-    ``a`` is the shorter side.  Both sides are cut into lattice lines
+    ``keys_a``, the keys of ``a`` on ``layout``, is the shorter side, and
+    ``keys_a is keys_b`` for a square.  Both sides are cut into lattice lines
     along one direction ``delta`` (:func:`_row_direction`), and each
     line is packed into one int with signed ``bits``-bit slots, wide
     enough for any coefficient of the product.  A product of two packed
@@ -623,21 +634,21 @@ def _add_row_product(terms, a, b, layout):
     lines would span more slots than there are term products (products
     far apart on one output line, which would otherwise fill the gap).
     """
-    found = _row_direction(a._keys, layout)
+    found = _row_direction(keys_a, layout)
     if found is None:
         return False
     delta, shift, lines_a = found
-    square = a is b
-    lines_b = lines_a if square else _lines(b._keys, delta, shift)
+    square = keys_a is keys_b
+    lines_b = lines_a if square else _lines(keys_b, delta, shift, layout)
     # A square multiplies each pair of lines once.
     pairs = len(lines_a) * (len(lines_a) + 1) // 2 if square else len(lines_a) * len(lines_b)
-    if 2 * pairs > len(a._keys) * len(b._keys) or (
-        _slots(lines_a) + _slots(lines_b) > 4 * (len(a._keys) + len(b._keys))
+    if 2 * pairs > len(keys_a) * len(keys_b) or (
+        _slots(lines_a) + _slots(lines_b) > 4 * (len(keys_a) + len(keys_b))
     ):
         return False
-    top_a = max(map(abs, a._keys.values()))
-    top_b = top_a if square else max(map(abs, b._keys.values()))
-    bits = top_a.bit_length() + top_b.bit_length() + len(a._keys).bit_length() + 2
+    top_a = max(map(abs, keys_a.values()))
+    top_b = top_a if square else max(map(abs, keys_b.values()))
+    bits = top_a.bit_length() + top_b.bit_length() + len(keys_a).bit_length() + 2
     packed_a = _pack_lines(lines_a, bits)
     packed_b = packed_a if square else _pack_lines(lines_b, bits)
     offset = layout.offset
@@ -654,7 +665,7 @@ def _add_row_product(terms, a, b, layout):
     # The output lines may span no more slots than there are term
     # products: reading a slot back costs about a key addition, and two
     # products far apart on one base would otherwise fill the gap.
-    room = len(a._keys) * len(b._keys)
+    room = len(keys_a) * len(keys_b)
     out = {}
     get = out.get
     for base_a, lo_a, hi_a, v_a, columns in rows:
@@ -697,8 +708,9 @@ def poly_sum_of_products(table, pairs):
     ``pairs`` yields the ``(a_i, b_i)``, each side a polynomial over
     ``table`` (TableMismatch otherwise) or ``None``, which stands for 1.
     The pairs are read one at a time: each product is bounded from its
-    sides' bounds, exactly at the limit, before its terms are added.
-    Below ``_ROW_MIN_PRODUCTS`` term products, the schoolbook loop
+    sides' bounds before its terms are added, on the rung of the sum's
+    bound so far; when the bound outgrows the rung, the terms added so far
+    move up.  Below ``_ROW_MIN_PRODUCTS`` term products, the schoolbook loop
     :func:`_add_product` adds them looping over the shorter side, so a
     one-term side shifts the other's keys; above it, the row route
     :func:`_add_row_product` multiplies packed lattice lines, and falls
@@ -707,14 +719,13 @@ def poly_sum_of_products(table, pairs):
     one- and two-pair cases.
     """
     layout = table._layout
-    offset = layout.offset
     one = None
     terms = {}
     amp = 0
     for a, b in pairs:
         if a is None or b is None:
             # Built once, and only for a side that stands for 1.
-            one = one or _trusted(table, {offset: 1}, 0)
+            one = one or _trusted(table, {table._layout.offset: 1}, 0)
             a = one if a is None else a
             b = one if b is None else b
         if not (_same_table(a.table, table) and _same_table(b.table, table)):
@@ -722,11 +733,18 @@ def poly_sum_of_products(table, pairs):
         if len(a._keys) > len(b._keys):
             a, b = b, a
         if a._keys:
-            amp = max(amp, _product_amplitude(a, b))
-            if len(a._keys) * len(b._keys) < _ROW_MIN_PRODUCTS or not _add_row_product(
-                terms, a, b, layout
+            amp = max(amp, a._amp + b._amp)
+            if amp >= layout.limit:
+                wide = layout.fit(amp)
+                terms, layout = _repack(terms, layout, wide), wide
+            keys_a, keys_b = a._keys, b._keys
+            if a._layout is not layout or b._layout is not layout:
+                keys_a = _repack(keys_a, a._layout, layout)
+                keys_b = keys_a if b is a else _repack(keys_b, b._layout, layout)
+            if len(keys_a) * len(keys_b) < _ROW_MIN_PRODUCTS or not _add_row_product(
+                terms, keys_a, keys_b, layout
             ):
-                _add_product(terms, a, b, offset)
+                _add_product(terms, keys_a, keys_b, layout.offset)
     return _trusted(table, _drop_zeros(terms), amp)
 
 
@@ -734,35 +752,37 @@ def poly_shifted_sum(table, pairs):
     """``sum_i x^(v_i) * p_i`` over ``table``, added into one dict.
 
     ``pairs`` yields the ``(v_i, p_i)``: ``v_i`` holds one integer per
-    variable, in table order (ValidationError for another length, and
-    ExponentOverflow at the limit, as :meth:`VariableTable.term`), and
-    ``p_i`` is a polynomial over ``table`` (TableMismatch otherwise) or
-    ``None``, which stands for 1.  Each vector is packed and checked
-    once, each product is bounded as in :func:`poly_sum_of_products`,
-    and ``p_i``'s keys are shifted by the packed vector, so no one-term
-    polynomial is built.  Terms whose sum cancels are dropped.
+    variable, in table order (ValidationError for another length, as
+    :meth:`VariableTable.term`), and ``p_i`` is a polynomial over
+    ``table`` (TableMismatch otherwise) or ``None``, which stands for 1.
+    Each vector is packed and bounded once, each product is bounded and
+    its rung kept as in :func:`poly_sum_of_products`, and ``p_i``'s keys
+    are shifted by the packed vector, so no one-term polynomial is
+    built.  Terms whose sum cancels are dropped.
     """
     layout = table._layout
-    offset, pack_bounded = layout.offset, layout.pack_bounded
     terms = {}
     get = terms.get
     amp = 0
     for exps, p in pairs:
-        shift, shift_amp = pack_bounded(exps)
+        shift, bound = layout.pack_bounded(exps)
+        if p is not None:
+            if not _same_table(p.table, table):
+                raise TableMismatch("operands live over different variable tables")
+            if not p._keys:
+                continue
+            bound += p._amp
+        if bound >= layout.limit:
+            wide = layout.fit(bound)
+            terms, layout = _repack(terms, layout, wide), wide
+            get = terms.get
+            shift = layout.pack_bounded(exps)[0]
+        amp = max(amp, bound)
         if p is None:
             terms[shift] = get(shift, 0) + 1
-            amp = max(amp, shift_amp)
             continue
-        if not _same_table(p.table, table):
-            raise TableMismatch("operands live over different variable tables")
-        if not p._keys:
-            continue
-        bound = shift_amp + p._amp
-        if bound >= EXPONENT_LIMIT:
-            bound = _exact_product_amplitude((exps, exps), _extremes(p))
-        amp = max(amp, bound)
-        shift -= offset
-        for key, coeff in p._keys.items():
+        shift -= layout.offset
+        for key, coeff in _repack(p._keys, p._layout, layout).items():
             key += shift
             terms[key] = get(key, 0) + coeff
     return _trusted(table, _drop_zeros(terms), amp)
@@ -821,34 +841,35 @@ def poly_exact_div(numer, denom):
 
 
 def _is_product(numer, a, b):
-    """Whether ``a * b`` is ``numer``: one product, bounded as by :func:`poly_mul`."""
-    offset = numer.table._layout.offset
-    if a._amp + b._amp >= EXPONENT_LIMIT or (
-        max(a._keys) + max(b._keys) - offset != max(numer._keys)
+    """Whether ``a * b`` is ``numer``, tried as one product when all three share a rung.
+
+    A field holds the sum of two exponents on its rung without a carry,
+    so each key of the product is exact, and one past the rung's limit
+    matches none of ``numer``'s.
+    """
+    layout = numer._layout
+    if a._layout is not layout or b._layout is not layout or (
+        max(a._keys) + max(b._keys) - layout.offset != max(numer._keys)
     ):
         return False
     terms = {}
-    _add_product(terms, a, b, offset)
+    _add_product(terms, a._keys, b._keys, layout.offset)
     return _drop_zeros(terms) == numer._keys
 
 
 def _divide(numer, denom):
     """:func:`poly_exact_div` of nonzero operands over one table, by its two routes."""
     table = numer.table
-    layout = table._layout
-    offset = layout.offset
     if len(denom._keys) == 1:
-        ((lead_d, lc_d),) = denom._keys.items()
         amp = numer._amp + denom._amp
-        if amp >= EXPONENT_LIMIT:
-            # Keys are linear in exponents: the inverse term mirrors
-            # ``lead_d`` about the key of 1.
-            amp = _product_amplitude(numer, _trusted(table, {2 * offset - lead_d: 1}, denom._amp))
-        shift = offset - lead_d
+        layout = table._layout.fit(amp)
+        ((lead_d, lc_d),) = _repack(denom._keys, denom._layout, layout).items()
+        keys = _repack(numer._keys, numer._layout, layout)
+        shift = layout.offset - lead_d
         if lc_d == 1 or lc_d == -1:
-            return _trusted(table, {k + shift: c * lc_d for k, c in numer._keys.items()}, amp)
+            return _trusted(table, {k + shift: c * lc_d for k, c in keys.items()}, amp)
         quotient = {}
-        for key, coeff in numer._keys.items():
+        for key, coeff in keys.items():
             q_c, rem = divmod(coeff, lc_d)
             if rem:
                 raise InexactDivision("leading coefficient does not divide")
@@ -863,26 +884,32 @@ def _divide(numer, denom):
     hi = tuple(map(sub, n_hi, d_hi))
     if any(l > h for l, h in zip(lo, hi)):
         raise InexactDivision("quotient support leaves the feasible box")
-    amp = exponent_amplitude(lo + hi)
+    amp = max(map(abs, lo + hi), default=0)
+    # The rung that holds both operands and the box; the quotient moves
+    # down to its own rung at the end.
+    layout = table._layout.fit(max(amp, numer._amp, denom._amp))
+    offset = layout.offset
+    denom_keys = _repack(denom._keys, denom._layout, layout)
 
-    lead_d = max(denom._keys)
-    lc_d = denom._keys[lead_d]
+    lead_d = max(denom_keys)
+    lc_d = denom_keys[lead_d]
     # The leading product cancels by construction; the others update the
     # remainder.  Every remainder key stays inside the numerator's box.
-    others = [(k - offset, -c) for k, c in denom._keys.items() if k != lead_d]
+    others = [(k - offset, -c) for k, c in denom_keys.items() if k != lead_d]
     shift = offset - lead_d
     # A quotient key ``lead + shift`` lies in the box exactly when the
     # remainder key ``lead`` lies in the box shifted by ``lead_d``, which
     # lies inside the numerator's box.  So a field of ``lead`` and the
-    # same field of a corner differ by less than 2**47 in magnitude, and
-    # with 2**47 added per field (``offset`` has exactly those bits) the
-    # differences borrow nothing from each other: bit 47 of a field is
-    # set exactly when its difference is non-negative.  A borrow out of
-    # the fields reaches only the degree field, which is not tested.
+    # same field of a corner differ by less than the bias ``2**(bits - 1)``
+    # in magnitude, and with the bias added per field (``offset`` has
+    # exactly those bits) the differences borrow nothing from each other:
+    # the bias bit of a field is set exactly when its difference is
+    # non-negative.  A borrow out of the fields reaches only the degree
+    # field, which is not tested.
     fields = (1 << layout.degree_shift) - 1
     upper = ((layout.pack_bounded(hi)[0] - shift) & fields) + offset
     lower = ((layout.pack_bounded(lo)[0] - shift) & fields) - offset
-    remainder = dict(numer._keys)
+    remainder = dict(_repack(numer._keys, numer._layout, layout))
     get = remainder.get
     heap = [-k for k in remainder]
     heapify(heap)
@@ -911,7 +938,7 @@ def _divide(numer, denom):
                     remainder[key] = new
                 else:
                     del remainder[key]
-    return _trusted(table, quotient, amp)
+    return _trusted(table, _repack(quotient, layout, table._layout.fit(amp)), amp)
 
 
 def poly_map_variables(p, mapping, target):
@@ -932,71 +959,53 @@ def poly_map_variables(p, mapping, target):
             raise ValidationError(f"image of {name!r} is not a Monomial: {mono!r}")
         if not _same_table(mono.table, target):
             raise TableMismatch(f"image of {name!r} is not over the target table")
-    s_layout, t_layout = source._layout, target._layout
+    s_layout = p._layout
     used = 0
     for key in p._keys:
         used |= key ^ s_layout.offset
-    # Keys are linear in exponent vectors.  Over a table of the same
-    # width a term keeps its key and each variable that moves adds its
-    # exponent times (image - itself); over the same table only mapped
-    # variables can move.  Otherwise the key is rebuilt from the
-    # target's 1 out of the used variables.
     same = _same_table(source, target)
-    in_place = same or len(source) == len(target)
-    moves = []
+    images = []
     bound = 1 if same else 0
     for i, name in ((source.index(n), n) for n in mapping) if same else enumerate(source.names):
-        shift = s_layout.shifts[i]
-        if not (used >> shift) & _FIELD_MASK:
-            continue
-        image = mapping.get(name)
-        if image is not None:
-            delta, amp = image._packed()
-        else:
-            delta, amp = t_layout.units[target.index(name)], 1
-        if in_place:
-            delta -= s_layout.units[i]
-        if delta:
-            moves.append((shift, delta))
-        bound += amp
+        if (used >> s_layout.shifts[i]) & s_layout.mask:
+            image = mapping.get(name)
+            images.append((i, name, image))
+            bound += 1 if image is None else image._packed()[1]
     amp = p._amp * bound
-    if amp >= EXPONENT_LIMIT:
-        return _map_checked(p, mapping, target)
+    layout = target._layout.fit(amp)
+    # Keys are linear in exponent vectors.  Over a table of the same
+    # width and on the same rung a term keeps its key and each variable
+    # that moves adds its exponent times (image - itself).  Over the same
+    # table only mapped variables can move, so ``p``'s keys first move up
+    # to the result's rung.  Otherwise the key is rebuilt from the
+    # target's 1 out of the used variables.
+    keys, r_layout = (_repack(p._keys, s_layout, layout), layout) if same else (p._keys, s_layout)
+    in_place = r_layout is layout
+    moves = []
+    for i, name, image in images:
+        if image is None:
+            delta = layout.units[target.index(name)]
+        elif layout is target._layout:
+            delta = image._packed()[0]
+        else:
+            delta = layout.pack_bounded(image.exponents)[0] - layout.offset
+        if in_place:
+            delta -= layout.units[i]
+        if delta:
+            moves.append((r_layout.shifts[i], delta))
     if same and not moves:
         return p
-    base = None if in_place else t_layout.offset
+    base = layout.offset
+    mask, bias = r_layout.mask, r_layout.bias
     terms = {}
     get = terms.get
-    for key, coeff in p._keys.items():
+    for key, coeff in keys.items():
         acc = key if in_place else base
         for shift, delta in moves:
-            e = ((key >> shift) & _FIELD_MASK) - _BIAS
+            e = ((key >> shift) & mask) - bias
             if e:
                 acc += e * delta
         terms[acc] = get(acc, 0) + coeff
-    return _trusted(target, _drop_zeros(terms), amp)
-
-
-def _map_checked(p, mapping, target):
-    """:func:`poly_map_variables` term by term, checking every exponent."""
-    width = len(target)
-    unpack = p.table._layout.unpack
-    terms = {}
-    amp = 0
-    for key, coeff in p._keys.items():
-        acc = [0] * width
-        for name, e in zip(p.table.names, unpack(key)):
-            if not e:
-                continue
-            image = mapping.get(name)
-            if image is None:
-                acc[target.index(name)] += e
-            else:
-                for j, g in enumerate(image.exponents):
-                    acc[j] += e * g
-        new_key, term_amp = target._layout.pack_bounded(acc)
-        amp = max(amp, term_amp)
-        terms[new_key] = terms.get(new_key, 0) + coeff
     return _trusted(target, _drop_zeros(terms), amp)
 
 
@@ -1012,17 +1021,19 @@ def poly_split_trailing(p, head):
     width = len(head)
     if p.table.names[:width] != head.names:
         raise ValidationError("head table is not a prefix of the polynomial's table")
-    extra = len(p.table) - width
-    bits = extra * _FIELD_BITS
+    layout = p._layout
+    bits = (len(p.table) - width) * layout.bits
     low = (1 << bits) - 1
     groups = {}
     for key, coeff in p._keys.items():
         groups.setdefault(key & low, {})[key >> bits] = coeff
-    tail_shifts = p.table._layout.shifts[width:]
-    degree_shift = head._layout.degree_shift
+    tail_shifts = layout.shifts[width:]
+    # The parts keep ``p``'s bound, so they sit on its rung.
+    degree_shift = width * layout.bits
+    mask, bias = layout.mask, layout.bias
     out = {}
     for tail, body in groups.items():
-        powers = tuple(((tail >> s) & _FIELD_MASK) - _BIAS for s in tail_shifts)
+        powers = tuple(((tail >> s) & mask) - bias for s in tail_shifts)
         # ``key >> bits`` keeps the full degree; take the tail's share off.
         correction = sum(powers) << degree_shift
         out[powers] = _trusted(head, {k - correction: c for k, c in body.items()}, p._amp)

@@ -75,7 +75,6 @@ from .gca_seed import (
     mutate_seed,
 )
 from .laurent_kernel import (
-    exponent_amplitude,
     poly_map_variables,
     poly_mul,
     poly_pow,
@@ -523,9 +522,8 @@ def embedding_walk(gca, mode="total"):
 def _embedding_conditions_at(ctx):
     """The failures of conditions (i)-(iv) at one context.
 
-    (i) and (ii) compare exponent vectors over the folded table, each
-    checked against the exponent limit as a one-term polynomial of it
-    would be.  The tracked exchange monomials carry no placeholder and
+    (i) and (ii) compare exponent vectors over the folded table, of any
+    size.  The tracked exchange monomials carry no placeholder and
     the folded group monomials no ``t``/``s`` variable, so neither side
     needs the quotient: the left side's image places each exponent at
     the positions of its variable's lift (a walk constant), and the
@@ -550,10 +548,7 @@ def _embedding_conditions_at(ctx):
             ("(ii) v>[1]", gca_ctx.v_gt, v_gt),
             ("(ii) v<[1]", gca_ctx.v_lt, v_lt),
         ):
-            image = ctx._image(exps)
-            exponent_amplitude(image)
-            exponent_amplitude(side)
-            if image != side:
+            if ctx._image(exps) != side:
                 failures.append((label, k, None))
         # (iii) cluster variables, compared as evaluated elements.
         if ctx.phi_poly(tracked.cluster[k]) != ctx.group_image(k):

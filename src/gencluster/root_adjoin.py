@@ -33,11 +33,9 @@ from .gca_seed import (
     floor_defect,
 )
 from .laurent_kernel import (
-    EXPONENT_LIMIT,
     LaurentPolynomial,
     VariableTable,
     _trusted_monomial,
-    exponent_amplitude,
     poly_map_variables,
 )
 
@@ -164,16 +162,10 @@ def tau_tilde(seed, mode="total"):
         row_k = seed.scaled_row(k)
         row = []
         for r, p in enumerate(seed.strings.row(k)):
-            # The image of ``p`` under ``f_j -> g_j^n`` (n >= 1, so its bound bounds ``p``,
-            # which is named first at the limit), times the corrections ``g_j^defect``.
+            # The image of ``p`` under ``f_j -> g_j^n``, times the corrections ``g_j^defect``.
             image = list(p.exponents)
             for pos in frozen:
-                image[pos] *= n
-            if max(map(abs, image), default=0) >= EXPONENT_LIMIT:
-                exponent_amplitude(p.exponents)
-                exponent_amplitude(image)
-            for pos in frozen:
-                image[pos] += floor_defect(n, r, row_k[pos], d_k)
+                image[pos] = image[pos] * n + floor_defect(n, r, row_k[pos], d_k)
             row.append(_trusted_monomial(new_table, tuple(image)))
         new_string_rows.append(tuple(row))
 

@@ -1,6 +1,7 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
 from math import lcm
+from operator import add
 import random
 import re
 from contextlib import contextmanager
@@ -22,7 +23,6 @@ from gencluster.laurent_kernel import (
     VariableTable,
     _drop_zeros,
     _require_same_table,
-    _product_amplitude,
     _same_table,
     _trusted,
     poly_mul,
@@ -59,6 +59,10 @@ def rng():
 
 
 SMALL_TABLE = VariableTable.make(cluster=("x", "y"), frozen=("f",))
+
+#: The limit of the first, 48-bit rung of key fields: a polynomial with an
+#: exponent bound of this magnitude or more sits on a wider rung.
+FIRST_RUNG_LIMIT = 2**46
 
 
 def sorted_terms(p):
@@ -133,8 +137,8 @@ def extremes_reads():
     """Record every polynomial whose exponent extremes the kernel reads.
 
     The heap route of ``poly_exact_div`` reads both operands' extremes
-    before it starts; its other routes read them only when a bound
-    reaches the exponent limit.
+    before it starts, and ``hash_key`` and equality across rungs read
+    those of a polynomial above the first rung; nothing else reads them.
     """
     reads = []
     original = laurent_kernel._extremes
@@ -147,18 +151,48 @@ def extremes_reads():
         yield reads
 
 
+def sum_with_bound(table, terms, amp):
+    """The polynomial of ``{exponent tuple: coefficient}`` over ``table``, bounded by ``amp``.
+
+    Zero coefficients are dropped; the keys sit on the rung ``amp`` fits,
+    as a kernel result's do.
+    """
+    layout = table._layout.fit(amp)
+    return _trusted(table, _drop_zeros({
+        layout.pack_bounded(exps)[0]: coeff for exps, coeff in terms.items()
+    }), amp)
+
+
 def poly_sum(table, polys):
-    """Sum of any number of polynomials over ``table``, in one pass."""
+    """Sum of any number of polynomials over ``table``, term by term, in one pass."""
     terms = {}
-    get = terms.get
     amp = 0
     for p in polys:
         if not _same_table(p.table, table):
             raise TableMismatch("operands live over different variable tables")
-        for key, coeff in p._keys.items():
-            terms[key] = get(key, 0) + coeff
+        for exps, coeff in p.terms.items():
+            terms[exps] = terms.get(exps, 0) + coeff
         amp = max(amp, p._amp)
-    return _trusted(table, _drop_zeros(terms), amp)
+    return sum_with_bound(table, terms, amp)
+
+
+def oracle_poly_mul(a, b):
+    """``{exponent tuple: coefficient}`` of ``a * b``, term by term: the schoolbook product."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            exps = tuple(map(add, ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return {exps: c for exps, c in out.items() if c}
+
+
+def oracle_sum_of_products(pairs):
+    """``sum_i a_i * b_i`` of :func:`oracle_poly_mul` products."""
+    out = {}
+    for a, b in pairs:
+        for exps, c in oracle_poly_mul(a, b).items():
+            out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
 
 
 def mono_times(a, b):
@@ -179,14 +213,18 @@ def mono_power(m, k):
 
 
 def poly_mul_monomial(a, m, c=1):
-    """Product with a single term ``c * m``, shifting every key by the monomial's."""
+    """Product with a single term ``c * m``, shifting every exponent vector by the monomial's.
+
+    It is bounded as a product is: ``a``'s bound plus the monomial's.
+    """
     _require_same_table(a, m)
     c = int(c)
     if c == 0 or not a._keys:
         return LaurentPolynomial.zero(a.table)
-    delta, _ = m._packed()
-    amp = _product_amplitude(a, m.as_polynomial())
-    return _trusted(a.table, {k + delta: k_c * c for k, k_c in a._keys.items()}, amp)
+    amp = a._amp + max(map(abs, m.exponents), default=0)
+    return sum_with_bound(a.table, {
+        tuple(map(add, exps, m.exponents)): coeff * c for exps, coeff in a.terms.items()
+    }, amp)
 
 
 _TOKEN_RE = re.compile(

@@ -34,7 +34,6 @@ from gencluster.errors import (
 )
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import initial_seed, mutate_seed
-from gencluster.laurent_kernel import EXPONENT_LIMIT
 from gencluster.matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
@@ -419,24 +418,26 @@ class TestVerify:
         assert code == 2
         assert "InexactDivision: negative placeholder power" in text
 
-    def test_exponent_overflow_is_a_recorded_failure(self, tmp_path):
-        # The folded shared frozen entry is limit / 2, so the product
-        # formula's r = 2 shell reaches the exponent limit at depth 0.
+    @pytest.mark.parametrize("target", ["product-formula", "embedding"])
+    def test_a_walk_across_wider_key_fields_passes(self, tmp_path, target):
+        # The folded shared frozen entry is 2**45, so the product
+        # formula's r = 2 shell holds an exponent of 2**46 at depth 0, past
+        # the first rung of key fields.
         path = tmp_path / "big.seed"
         path.write_text(
             "gca-seed v1\nN 1\nM 1\ndivisors 2\nnames x ; f\n"
-            f"matrix 0 {EXPONENT_LIMIT // 2}\nstring 0 ; 2 ; 0\n"
+            f"matrix 0 {2**45}\nstring 0 ; 2 ; 0\n"
         )
-        code, text = run(
-            "verify", "product-formula", "--seed-file", str(path), "--depth", "1"
-        )
-        assert code == 2
+        code, text = run("verify", target, "--seed-file", str(path), "--depth", "3")
+        assert code == 0
+        assert text.splitlines() == [f"ok target={target} seed={path} sequence=1,1,1"]
+
+    def test_product_formula_walks_past_the_first_rung(self):
+        # FIX-A's folded exponents pass 2**46 at depth 13.
+        code, text = run("verify", "product-formula", "--seed", "FIX-A", "--depth", "16")
+        assert code == 0
         lines = text.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("FAIL")
-        assert (
-            f"ExponentOverflow: exponent of magnitude {EXPONENT_LIMIT} "
-            f"reaches the limit {EXPONENT_LIMIT}"
-        ) in lines[0]
+        assert len(lines) == 65536 and all(line.startswith("ok ") for line in lines)
 
 
 class TestUsageErrors:
@@ -1538,10 +1539,9 @@ GOLDEN_OUTPUTS = [
      "c8f9abe2fdf0fe4dbb1c159a2dc8d5fc01512f8f0855da472204dd39116defa6", 0),
     ("verify product-formula --seed FIX-A --depth 2 --sequences random:8 --rng-seed 2",
      "b813086aa6c9cb4ec4543dcc67c05eb6b5c40d1e196020e4520a32f4a73d7ebd", 0),
-    # Two cases reach an exponent past the kernel's limit; both are
-    # recorded as ExponentOverflow failures and every other case passes.
+    # Exponents pass 2**46, the first rung's limit, and every case passes.
     ("verify product-formula --seed FIX-A --depth 13",
-     "27122452548533d5a821d5eb394dfb994db60e1dd0e906e61d20f85de58f05ac", 2),
+     "989d857ab083706d663872955fcd554178b50cbc2c185c5b06de2c30672d5cd9", 0),
 ]
 
 #: Stdout digests and exit codes of ``verify product-formula --seed-file

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from conftest import (
+    FIRST_RUNG_LIMIT,
     cluster_side,
     mono_over,
     mono_power,
@@ -16,7 +17,6 @@ from conftest import (
 )
 from gencluster import gca_seed
 from gencluster.errors import (
-    ExponentOverflow,
     IndexOutOfRange,
     InvalidDivisors,
     Report,
@@ -34,7 +34,6 @@ from gencluster.gca_seed import (
     root_formula_check,
 )
 from gencluster.laurent_kernel import (
-    EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
     VariableTable,
@@ -261,7 +260,7 @@ def walked_seeds(rng, count=20, depth=3, mode="total"):
             yield mutate_seed_sequence(start, sequence)
 
 
-def limit_seed(string_exponent, carried):
+def big_coefficient_seed(string_exponent, carried):
     """A seed whose coefficient ``(0, 1)`` is ``f1^(s + 1)``, ``s`` the argument.
 
     Scaled row 0 is ``(0, 1, 2)``, so ``u> = x2`` and ``v>[1] = f1``,
@@ -345,24 +344,18 @@ class TestExchangePolynomials:
         for seed in walked_seeds(random.Random(12), mode=mode):
             assert_matches_oracles(seed)
 
-    def test_exponent_limit_on_the_coefficient(self):
-        # With x2 / f1 only the coefficient f1^(s + 1) reaches the limit,
-        # with x2 * f1 only the shifted product x2 * f1^(s + 2) does.  At
-        # the limit both routes raise the same message; one step below
-        # both pass.
-        for carried, at_limit in ((-1, EXPONENT_LIMIT - 1), (1, EXPONENT_LIMIT - 2)):
-            seed = limit_seed(at_limit, carried)
-            with pytest.raises(ExponentOverflow) as new:
-                mutate_seed(seed, 0)
-            with pytest.raises(ExponentOverflow) as oracle:
-                poly_exact_div(oracle_exchange_polynomial(seed, 0), seed.cluster[0])
-            assert str(new.value) == str(oracle.value)
-            assert f"magnitude {EXPONENT_LIMIT} reaches the limit" in str(new.value)
-            seed = limit_seed(at_limit - 1, carried)
-            mutated = mutate_seed(seed, 0)
-            assert mutated.cluster[0] == poly_exact_div(
-                oracle_exchange_polynomial(seed, 0), seed.cluster[0]
-            )
+    def test_coefficient_across_the_first_rung(self):
+        # With x2 / f1 only the coefficient f1^(s + 1) reaches the first
+        # rung's limit, with x2 * f1 only the shifted product x2 * f1^(s + 2)
+        # does.  At the limit and one step below, both routes agree.
+        for carried, at_limit in ((-1, FIRST_RUNG_LIMIT - 1), (1, FIRST_RUNG_LIMIT - 2)):
+            for s in (at_limit, at_limit - 1):
+                seed = big_coefficient_seed(s, carried)
+                theta, oracle = exchange_polynomial(seed, 0), oracle_exchange_polynomial(seed, 0)
+                assert dict(theta.terms.items()) == dict(oracle.terms.items())
+                assert theta == oracle and theta.hash_key() == oracle.hash_key()
+                mutated = mutate_seed(seed, 0)
+                assert mutated.cluster[0] == poly_exact_div(oracle, seed.cluster[0])
             assert_matches_oracles(seed)
 
     def test_mutation_builds_no_monomials(self, monkeypatch):

@@ -60,15 +60,9 @@ def test_every_import_is_read():
     assert unread == []
 
 
-#: Names private to the Laurent kernel: the helpers that build and bound
-#: results on packed keys, and the attributes that hold the key format.
-#: ``_amplitude`` is public as ``exponent_amplitude`` and the bound of
-#: ``_shifted_amplitude`` is ``_product_amplitude``; the old names stay
-#: listed so that neither comes back as an import.
-KERNEL_PRIVATE_IMPORTS = {
-    "_trusted", "_drop_zeros", "_amplitude", "_shifted_amplitude", "_extremes",
-    "_product_amplitude", "_exact_product_amplitude",
-}
+#: Names private to the Laurent kernel: the helpers that build, bound and
+#: move results on packed keys, and the attributes that hold the key format.
+KERNEL_PRIVATE_IMPORTS = {"_trusted", "_drop_zeros", "_extremes", "_repack"}
 KERNEL_PRIVATE_ATTRIBUTES = {"_keys", "_amp", "_layout", "_packed", "_divisor"}
 
 
@@ -286,10 +280,6 @@ def test_importing_the_command_line_leaves_heavy_modules_unloaded():
 #: cannot tell whose attribute a read is, so each entry names the reads
 #: that are each owner's own.
 SHARED_MEMBER_NAMES = {
-    "_keys": (
-        "LaurentPolynomial's by p._keys throughout laurent_kernel; _Terms's by "
-        "self._keys in its own methods"
-    ),
     "group_sizes": (
         "FoldedLayout's by self.group_sizes and layout.group_sizes in unfolding; "
         "FoldedMatrix's (its layout's) by fm.group_sizes in perfbench's tracer "
@@ -855,7 +845,7 @@ def test_shared_member_names_are_reviewed():
 #: ``bound`` is its ``maxsize`` (``None``: unbounded); ``fill`` is its size
 #: after one pass of the benchmark's ``quotient`` units, or ``None`` where
 #: that is no fixed count: ``_layout`` keeps one layout per table width and
-#: ``_build_parser`` takes no argument.  A bounded cache that fills up evicts
+#: rung of field sizes, and ``_build_parser`` takes no argument.  A bounded cache that fills up evicts
 #: in the order the units run, so the traced work counts of a benchmark run
 #: would differ between passes; a new cache is reviewed here before it lands.
 REVIEWED_CACHES = {

@@ -7,29 +7,32 @@ optional test dependency, so the module is skipped without it.
 """
 
 from contextlib import contextmanager
-from operator import add
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import extremes_reads, parse_polynomial, poly_sum
+from conftest import (
+    FIRST_RUNG_LIMIT,
+    extremes_reads,
+    oracle_poly_mul,
+    oracle_sum_of_products,
+    parse_polynomial,
+    poly_sum,
+)
 
 from gencluster import laurent_kernel
 
 from gencluster.errors import (
-    ExponentOverflow,
     InexactDivision,
     TableMismatch,
     ValidationError,
 )
 from gencluster.laurent_kernel import (
     _ROW_MIN_PRODUCTS,
-    EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
     VariableTable,
-    exponent_amplitude,
     poly_add,
     poly_exact_div,
     poly_map_variables,
@@ -37,6 +40,7 @@ from gencluster.laurent_kernel import (
     poly_neg,
     poly_pow,
     poly_shifted_sum,
+    poly_split_trailing,
     poly_sum_of_products,
 )
 
@@ -127,7 +131,7 @@ def composed_sum(table, pairs):
 def assert_sum_matches(table, pairs):
     fused = poly_sum_of_products(table, iter(pairs))
     assert fused == composed_sum(table, pairs)
-    assert fused._amp < EXPONENT_LIMIT
+    assert fused._layout is table._layout.fit(fused._amp)
     assert all(fused._keys.values())
     big = sympy.Add(*(
         (1 if a is None else to_sympy(a)) * (1 if b is None else to_sympy(b))
@@ -184,49 +188,24 @@ class TestSumOfProducts:
         with pytest.raises(TableMismatch):
             composed_sum(table, [(x, u)])
 
-    @pytest.mark.parametrize("top", [EXPONENT_LIMIT - 1, EXPONENT_LIMIT])
-    def test_exponents_near_the_limit(self, top):
-        # The bound of ``a * b`` reaches the limit either way, so its exact
-        # extremes are read: its x0 exponent is ``top``, allowed only
-        # below the limit.
+    @pytest.mark.parametrize("top", [FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT])
+    def test_exponents_across_the_first_rung(self, top):
+        # The bound of ``a * b`` reaches the first rung's limit either way,
+        # so the terms of ``b * b`` move up when ``a * b`` is added; the
+        # x0 exponent of ``a * b`` is ``top``.  No exact extremes are read.
         table = table_of("x", 2)
         a = parse_polynomial(f"x0^{top - 1} + x1^-1", table)
         b = parse_polynomial("x0 + x1^-2", table)
         pairs = [(b, b), (a, b), (None, b)]
-        assert a._amp + b._amp >= EXPONENT_LIMIT
-        if top < EXPONENT_LIMIT:
-            with extremes_reads() as reads:
-                poly_sum_of_products(table, pairs)
-            assert reads == [a, b]
-            assert_sum_matches(table, pairs)
-            return
-        with pytest.raises(ExponentOverflow) as fused:
-            poly_sum_of_products(table, pairs)
-        with pytest.raises(ExponentOverflow) as composed:
-            composed_sum(table, pairs)
-        assert str(fused.value) == str(composed.value)
-        assert str(fused.value) == (
-            f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
-        )
-
-
-def oracle_poly_mul(a, b):
-    """``{exponent tuple: coefficient}`` of ``a * b``, term by term: the schoolbook product."""
-    out = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            exps = tuple(map(add, ea, eb))
-            out[exps] = out.get(exps, 0) + ca * cb
-    return {exps: c for exps, c in out.items() if c}
-
-
-def oracle_sum_of_products(pairs):
-    """``sum_i a_i * b_i`` of :func:`oracle_poly_mul` products."""
-    out = {}
-    for a, b in pairs:
-        for exps, c in oracle_poly_mul(a, b).items():
-            out[exps] = out.get(exps, 0) + c
-    return {exps: c for exps, c in out.items() if c}
+        with extremes_reads() as reads:
+            fused = poly_sum_of_products(table, pairs)
+        assert reads == []
+        assert fused._amp == a._amp + b._amp >= FIRST_RUNG_LIMIT
+        one = LaurentPolynomial.one(table)
+        expected = oracle_sum_of_products([(b, b), (a, b), (one, b)])
+        assert dict(fused.terms.items()) == expected
+        assert (top, 0) in expected
+        assert_sum_matches(table, pairs)
 
 
 @contextmanager
@@ -461,33 +440,21 @@ class TestRowProducts:
         assert dict(total.terms.items()) == oracle_sum_of_products(pairs[4:])
         assert zero == LaurentPolynomial.zero(table)
 
-    @pytest.mark.parametrize("top", [EXPONENT_LIMIT - 1, EXPONENT_LIMIT])
-    def test_exponents_near_the_limit(self, top):
+    @pytest.mark.parametrize("top", [FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT])
+    def test_exponents_across_the_first_rung(self, top):
         # Lines along x1 with x0 at ``top - 40`` and 40: the product's x0
-        # exponent is ``top``, allowed only below the limit.  The sum of
-        # the bounds reaches the limit either way, so the exact extremes
-        # are read first, and the error is the schoolbook loop's.
+        # exponent is ``top``.  The sum of the bounds reaches the first
+        # rung's limit either way, so the row route works on a wider rung.
         table = table_of("x", 3)
         line = [[1, -3, 7, 2, 5, 1, 1, -1, 4]] * 8
         a = line_polynomial(table, (0, 1, 0), [(top - 40, 0, i) for i in range(8)], line)
         b = line_polynomial(table, (0, 1, 0), [(40, 0, -7 * i) for i in range(8)], line)
-        assert a._amp + b._amp >= EXPONENT_LIMIT
         with row_routes() as taken, extremes_reads() as reads:
-            if top == EXPONENT_LIMIT:
-                with pytest.raises(ExponentOverflow) as error:
-                    poly_mul(a, b)
-            else:
-                product = poly_mul(a, b)
-        assert reads == [a, b]
-        if top == EXPONENT_LIMIT:
-            assert taken == []
-            assert str(error.value) == (
-                f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
-            )
-            return
-        assert taken == [True]
+            product = poly_mul(a, b)
+        assert reads == [] and taken == [True]
         assert dict(product.terms.items()) == oracle_poly_mul(a, b)
-        assert product._amp == top
+        assert product._amp == a._amp + b._amp >= FIRST_RUNG_LIMIT
+        assert product._layout.bits == 96
 
 
 def composed_shifted_sum(table, pairs):
@@ -501,7 +468,8 @@ def assert_shifted_sum_matches(table, pairs):
     fused = poly_shifted_sum(table, iter(pairs))
     composed = composed_shifted_sum(table, pairs)
     assert fused == composed
-    assert fused._amp == composed._amp < EXPONENT_LIMIT
+    assert fused._amp == composed._amp
+    assert fused._layout is table._layout.fit(fused._amp)
     assert all(fused._keys.values())
     xs = symbols(table)
     big = sympy.Add(*(
@@ -580,47 +548,38 @@ class TestShiftedSum:
                 assert str(fused.value) == str(composed.value)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("top", [EXPONENT_LIMIT - 1, EXPONENT_LIMIT])
-    def test_exponents_near_the_limit(self, sign, top):
+    @pytest.mark.parametrize("top", [FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT])
+    def test_exponents_across_the_first_rung(self, sign, top):
         # Three routes to an exponent of magnitude ``top``: the vector
         # alone, the vector times a polynomial whose bound reaches the
-        # limit one step early (its exact extremes are read), and a
-        # polynomial at the limit's edge shifted by a small vector, whose
-        # bound is exact.
+        # first rung's limit one step early, after a pair on that rung,
+        # and a polynomial at the rung's edge shifted by a small vector,
+        # whose bound is exact.  No exact extremes are read.
         table = table_of("x", 2)
         p = parse_polynomial(f"x0^{sign} + x1^-2", table)
         edge = parse_polynomial(f"x0^{sign * (top - 2)} + x1", table)
         cases = [
-            ([((sign * top, 0), None)], []),
-            ([((0, 1), p), ((sign * (top - 1), 0), p)], [p]),
-            ([((sign * 2, 0), edge), ((0, 0), None)], []),
+            [((sign * top, 0), None)],
+            [((0, 1), p), ((sign * (top - 1), 0), p)],
+            [((sign * 2, 0), edge), ((0, 0), None)],
         ]
-        for pairs, reads_below in cases:
-            if top < EXPONENT_LIMIT:
-                with extremes_reads() as reads:
-                    poly_shifted_sum(table, pairs)
-                assert reads == reads_below
-                assert_shifted_sum_matches(table, pairs)
-                continue
-            with pytest.raises(ExponentOverflow) as fused:
-                poly_shifted_sum(table, pairs)
-            with pytest.raises(ExponentOverflow) as composed:
-                composed_shifted_sum(table, pairs)
-            assert str(fused.value) == str(composed.value) == (
-                f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
-            )
+        for pairs in cases:
+            with extremes_reads() as reads:
+                fused = poly_shifted_sum(table, pairs)
+            assert reads == []
+            assert (sign * top, 0) in fused.terms
+            assert_shifted_sum_matches(table, pairs)
 
 
-#: Exponents near the limit, on either side of it.
-EDGE = (EXPONENT_LIMIT - 1, 1 - EXPONENT_LIMIT)
-OVER = (EXPONENT_LIMIT, -EXPONENT_LIMIT)
-OVERFLOW_TEXT = f"exponent of magnitude {EXPONENT_LIMIT} reaches the limit {EXPONENT_LIMIT}"
+#: Exponents at the edge of the first rung, and past it on the rungs above.
+EDGE = (FIRST_RUNG_LIMIT - 1, 1 - FIRST_RUNG_LIMIT)
+WIDE = (FIRST_RUNG_LIMIT, -FIRST_RUNG_LIMIT, 2**47, -(2**94), 2**200)
 
 
 @st.composite
-def edge_vectors(draw, table):
-    """Vectors of small exponents of both signs, some ``±(limit - 1)``; zero vectors too."""
-    entry = st.integers(-4, 4) | st.sampled_from(EDGE)
+def edge_vectors(draw, table, edges=EDGE):
+    """Vectors of small exponents of both signs, some drawn from ``edges``; zero vectors too."""
+    entry = st.integers(-4, 4) | st.sampled_from(edges)
     return draw(st.just((0,) * len(table)) | st.tuples(*[entry] * len(table)))
 
 
@@ -637,42 +596,47 @@ def one_pass_routes(table, v):
 
 
 class TestOnePassPack:
-    """Each vector is packed and bounded in one pass, as a key sum after ``exponent_amplitude``."""
+    """Each vector is packed and bounded in one pass, on the narrowest rung that holds it."""
 
     @given(st.data())
     def test_key_and_magnitude_match_two_passes(self, data):
         table = data.draw(tables())
-        v = data.draw(edge_vectors(table))
-        layout = table._layout
-        amp = exponent_amplitude(v)
+        v = data.draw(edge_vectors(table, EDGE + WIDE))
+        amp = max(map(abs, v), default=0)
+        layout = table._layout.fit(amp)
         key = two_pass_key(layout, v)
-        assert layout.pack_bounded(v) == (key, amp)
+        assert table._layout.pack_bounded(v) == layout.pack_bounded(v) == (key, amp)
         for p in one_pass_routes(table, v):
             assert p._keys == {key: 1}
-            assert p._amp == amp
+            assert p._amp == amp and p._layout is layout
             assert p.terms == {v: 1}
 
     @given(st.data())
-    def test_the_limit_raises_the_same_message(self, data):
+    def test_a_vector_past_the_first_rung_widens(self, data):
         table = data.draw(tables())
         v = list(data.draw(edge_vectors(table)))
-        v[data.draw(st.integers(0, len(v) - 1))] = data.draw(st.sampled_from(OVER))
+        v[data.draw(st.integers(0, len(v) - 1))] = data.draw(st.sampled_from(WIDE))
         v = tuple(v)
-        with pytest.raises(ExponentOverflow) as two_passes:
-            exponent_amplitude(v)
-        assert str(two_passes.value) == OVERFLOW_TEXT
-        for build in (
-            table._layout.pack_bounded,
-            table.term,
-            lambda v: poly_shifted_sum(table, [(v, None)]),
-            lambda v: one_pass_routes(table, v)[2],
-        ):
-            with pytest.raises(ExponentOverflow) as one_pass:
-                build(v)
-            assert str(one_pass.value) == OVERFLOW_TEXT
+        amp = max(map(abs, v))
+        for p in one_pass_routes(table, v):
+            layout = p._layout
+            # The narrowest rung: the limit of the one below is reached.
+            assert layout.limit > amp >= 1 << (layout.bits // 2 - 2)
+            assert p == LaurentPolynomial(table, {v: 1})
 
-    @pytest.mark.parametrize("v", [(EXPONENT_LIMIT,), (0, 0, -EXPONENT_LIMIT), ()])
-    def test_the_width_is_checked_before_the_limit(self, v):
+    @pytest.mark.parametrize("amp, bits", [
+        (0, 48), (2**46 - 1, 48), (2**46, 96), (2**47, 96), (2**94 - 1, 96), (2**94, 192),
+        (2**200, 384),
+    ])
+    def test_fit_climbs_the_ladder(self, amp, bits):
+        base = table_of("x", 3)._layout
+        assert base.bits == 48
+        layout = base.fit(amp)
+        assert layout.bits == bits and layout.limit == 1 << (bits - 2)
+        assert layout is table_of("y", 3)._layout.fit(amp)
+
+    @pytest.mark.parametrize("v", [(FIRST_RUNG_LIMIT,), (0, 0, -FIRST_RUNG_LIMIT), ()])
+    def test_the_width_is_checked_for_wide_vectors(self, v):
         table = table_of("x", 2)
         for build in (table.term, lambda v: poly_shifted_sum(table, [(v, None)])):
             with pytest.raises(ValidationError, match="does not match table size"):
@@ -714,7 +678,7 @@ def outcome(numer, denom):
     """The keys of ``numer / denom``, or the type and text of the error it raises."""
     try:
         return poly_exact_div(numer, denom)._keys
-    except (InexactDivision, ExponentOverflow) as error:
+    except InexactDivision as error:
         return type(error), str(error)
 
 
@@ -784,14 +748,15 @@ class TestDivisorLink:
             assert outcome(numer, linked(b, q)) == expected
         assert expected[0] is InexactDivision
 
-    @pytest.mark.parametrize("top", [EXPONENT_LIMIT // 2, EXPONENT_LIMIT - 2])
-    def test_bounds_that_reach_the_limit_take_the_routes(self, top):
-        # b * q stays below the limit, but the sum of the two bounds
-        # does not, so the product is not tried.
+    @pytest.mark.parametrize("top", [FIRST_RUNG_LIMIT // 2, FIRST_RUNG_LIMIT - 2])
+    def test_products_on_a_wider_rung_take_the_routes(self, top):
+        # b * q stays below the first rung's limit, but the sum of the two
+        # bounds does not, so the product sits on a wider rung than its
+        # factors and is not tried.
         table = table_of("x", 2)
         b = parse_polynomial(f"x0^{top} + x1", table)
         q = linked(b, parse_polynomial(f"x0^-{top} + 1", table))
-        assert b._amp + q._amp >= EXPONENT_LIMIT
+        assert poly_mul(b, q)._layout is not q._layout is b._layout
         for numer in (poly_mul(b, q), poly_add(poly_mul(b, q), table.variable("x1"))):
             expected, denom = outcome(numer, unlinked(q)), linked(b, q)
             with extremes_reads() as reads:
@@ -950,3 +915,190 @@ class TestText:
         text = str(p)
         assert text == canonical_text(sympy_terms(to_sympy(p), table), table)
         assert parse_polynomial(text, table) == p
+
+
+#: Exponent magnitudes at the first rung's edge and past it, up the ladder.
+MAGNITUDES = [2**46 - 1, 2**46, 2**47, 2**94, 2**200]
+
+
+def oracle_map(p, mapping, target):
+    """``{exponent tuple: coefficient}`` of ``p`` under ``mapping``, term by term."""
+    out = {}
+    for exps, coeff in p.terms.items():
+        image = [0] * len(target)
+        for name, e in zip(p.table.names, exps):
+            if name in mapping:
+                for j, g in enumerate(mapping[name].exponents):
+                    image[j] += e * g
+            else:
+                image[target.index(name)] += e
+        image = tuple(image)
+        out[image] = out.get(image, 0) + coeff
+    return {exps: c for exps, c in out.items() if c}
+
+
+def assert_on_its_rung(p, terms):
+    """``p`` has exactly ``terms``, on the rung its bound fits, and prints them."""
+    assert dict(p.terms.items()) == terms
+    assert p._layout is p.table._layout.fit(p._amp)
+    assert str(p) == canonical_text(terms, p.table)
+
+
+@st.composite
+def wide_polynomials(draw, table, max_terms=4):
+    """Polynomials whose exponents are small or drawn from :data:`MAGNITUDES`, of both signs."""
+    exponent = st.integers(-3, 3) | st.sampled_from(MAGNITUDES).map(
+        lambda m: m * draw(st.sampled_from([1, -1]))
+    )
+    coeff = st.integers(-9, 9).filter(bool)
+    return LaurentPolynomial(table, dict(draw(st.lists(
+        st.tuples(st.tuples(*[exponent] * len(table)), coeff),
+        max_size=max_terms, unique_by=lambda pair: pair[0],
+    ))))
+
+
+class TestWideKeys:
+    """Exponents past the first rung against tuple-keyed oracles: results widen, never wrap."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_random_wide_operands(self, data):
+        table = data.draw(tables(max_width=5))
+        a = data.draw(wide_polynomials(table))
+        b = data.draw(wide_polynomials(table))
+        c = data.draw(wide_polynomials(table))
+        one = LaurentPolynomial.one(table)
+        assert_on_its_rung(poly_mul(a, b), oracle_poly_mul(a, b))
+        assert_on_its_rung(poly_add(a, b), oracle_sum_of_products([(a, one), (b, one)]))
+        pairs = [(a, b), (c, None), (b, c)]
+        expected = oracle_sum_of_products([(a, b), (c, one), (b, c)])
+        assert_on_its_rung(poly_sum_of_products(table, pairs), expected)
+        if b._keys:
+            assert poly_exact_div(poly_mul(a, b), unlinked(b)) == a
+        mapping = {name: data.draw(monomials(table)) for name in table.names[::2]}
+        assert_on_its_rung(poly_map_variables(a, mapping, table), oracle_map(a, mapping, table))
+
+    @pytest.mark.parametrize("m", MAGNITUDES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_schoolbook_products(self, m, sign):
+        table = table_of("x", 3)
+        e = sign * m
+        a = parse_polynomial(f"x0^{e}*x1 - 3*x2^-2 + 5", table)
+        b = parse_polynomial(f"x0^{-e}*x2 + 2*x1^{e} - 7", table)
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+            square = poly_mul(b, b)
+        assert taken == []
+        assert_on_its_rung(product, oracle_poly_mul(a, b))
+        assert_on_its_rung(square, oracle_poly_mul(b, b))
+
+    @pytest.mark.parametrize("m", MAGNITUDES)
+    def test_row_products(self, m):
+        table = table_of("x", 3)
+        line = [[1, -3, 7, 2, 5, 1, 1, -1, 4]] * 8
+        a = line_polynomial(table, (0, 1, 0), [(m, 0, i) for i in range(8)], line)
+        b = line_polynomial(table, (0, 1, 0), [(3, -m, -7 * i) for i in range(8)], line)
+        with row_routes() as taken:
+            product = poly_mul(a, b)
+            square = poly_mul(a, a)
+        assert taken == [True, True]
+        assert_on_its_rung(product, oracle_poly_mul(a, b))
+        assert_on_its_rung(square, oracle_poly_mul(a, a))
+
+    @pytest.mark.parametrize("m", MAGNITUDES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_division_routes(self, m, sign):
+        table = table_of("x", 3)
+        e = sign * m
+        a = parse_polynomial(f"x0^{e}*x1 - 3*x2^-2 + 5", table)
+        b = parse_polynomial(f"x0^{-e}*x2 + 2*x1^{e} - 7", table)
+        term = LaurentPolynomial(table, {(e, -1, 0): 3})
+        assert_on_its_rung(poly_exact_div(poly_mul(a, term), term), dict(a.terms.items()))
+        numer, denom = poly_mul(a, b), unlinked(b)
+        with extremes_reads() as reads:
+            quotient = poly_exact_div(numer, denom)
+        assert reads == [numer, denom]
+        assert_on_its_rung(quotient, dict(a.terms.items()))
+        with pytest.raises(InexactDivision):
+            poly_exact_div(poly_add(numer, table.term((e, 0, 1))), unlinked(b))
+
+    @pytest.mark.parametrize("m", MAGNITUDES)
+    def test_divisor_link(self, m):
+        # The link answers when the product shares its factors' rung; a
+        # product on a wider rung takes the heap route to the same result.
+        table = table_of("x", 2)
+        b = parse_polynomial(f"x0^{m} + x1", table)
+        q = linked(b, parse_polynomial(f"x0^-{m}*x1 + 1", table))
+        numer = poly_mul(b, q)
+        back = poly_exact_div(numer, q)
+        assert back == b
+        assert (back is b) == (numer._layout is b._layout is q._layout)
+
+    @pytest.mark.parametrize("m", MAGNITUDES)
+    def test_maps(self, m):
+        source = VariableTable.make(cluster=("x0", "x1"), frozen=("f",))
+        p = parse_polynomial(f"x0^{m}*f - 2*x1^-3*f^{m} + 1", source)
+        same = {"x0": source.monomial(x0=2, x1=-1)}
+        other = VariableTable.make(cluster=("u0", "u1"), frozen=("f",))
+        across = {"x0": other.monomial(u0=3, f=-1), "x1": other.monomial(u1=-2)}
+        narrow = VariableTable.make(cluster=("u0",), frozen=("f",))
+        down = {"x1": narrow.one(), "x0": narrow.monomial(u0=-5)}
+        # Every image 1: a zero bound, so the result sits below ``p``'s rung.
+        flat = {name: narrow.one() for name in source.names}
+        for mapping, target in ((same, source), (across, other), (down, narrow), (flat, narrow)):
+            image = poly_map_variables(p, mapping, target)
+            assert_on_its_rung(image, oracle_map(p, mapping, target))
+
+    @pytest.mark.parametrize("m", MAGNITUDES)
+    def test_split_trailing(self, m):
+        table = VariableTable.make(cluster=("x0", "x1"), frozen=("t0", "t1"))
+        head = VariableTable.make(cluster=("x0", "x1"))
+        p = parse_polynomial(f"x0^{m}*t0^-{m} + 3*x1*t1^{m} - t0^-{m}*x1^2 + 5", table)
+        expected = {}
+        for exps, coeff in p.terms.items():
+            expected.setdefault(exps[2:], {})[exps[:2]] = coeff
+        parts = poly_split_trailing(p, head)
+        assert parts.keys() == expected.keys()
+        for powers, part in parts.items():
+            assert_on_its_rung(part, expected[powers])
+
+    @pytest.mark.parametrize("m", MAGNITUDES)
+    def test_a_later_pair_widens_the_earlier_terms(self, m):
+        table = table_of("x", 2)
+        a = parse_polynomial("x0^2 - x1 + 3", table)
+        b = parse_polynomial("x0*x1^-1 + 1", table)
+        wide = parse_polynomial(f"x0^{m} - x1", table)
+        one = LaurentPolynomial.one(table)
+        fused = poly_sum_of_products(table, [(a, b), (b, b), (wide, b), (None, a)])
+        expected = oracle_sum_of_products([(a, b), (b, b), (wide, b), (one, a)])
+        assert_on_its_rung(fused, expected)
+        shifted = poly_shifted_sum(table, [((1, 0), a), ((0, -1), None), ((-m, 1), b)])
+        expected = oracle_sum_of_products([
+            (table.term((1, 0)), a), (table.term((0, -1)), one), (table.term((-m, 1)), b),
+        ])
+        assert_on_its_rung(shifted, expected)
+
+    @pytest.mark.parametrize("m", MAGNITUDES + [2**93])
+    def test_tight_and_loose_bounds_compare_and_hash_equal(self, m):
+        table = table_of("x", 2)
+        loose = poly_mul(parse_polynomial(f"x0^{m}*x1 + x1", table), table.term((-m, 0)))
+        tight = LaurentPolynomial(table, dict(loose.terms.items()))
+        assert tight._amp == m and loose._amp == 2 * m
+        assert loose == tight and tight == loose
+        assert loose.hash_key() == tight.hash_key()
+        assert len({loose.hash_key(), tight.hash_key()}) == 1
+        other = poly_add(tight, table.variable("x0"))
+        assert other != loose and loose != other
+        assert other.hash_key() != loose.hash_key()
+
+    @pytest.mark.parametrize("m", MAGNITUDES)
+    def test_a_lookup_past_the_fields_raises(self, m):
+        table = table_of("x", 3)
+        p = parse_polynomial(f"x0^{m} - x1 + x0*x2^-{m}", table)
+        for exps in p.terms:
+            assert p.terms[exps] == p._keys[p._layout.pack_bounded(exps)[0]]
+        past = p._layout.limit
+        for exps in ((past, 0, 0), (0, -past, 0), (1, 0, past + m), (2**400, 0, 0)):
+            assert exps not in p.terms
+            with pytest.raises(KeyError):
+                p.terms[exps]

@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    FIRST_RUNG_LIMIT,
     SMALL_TABLE,
     extremes_reads,
     mono_over,
     mono_power,
     mono_times,
+    oracle_poly_mul,
     parse_polynomial,
     poly_mul_monomial,
     small_polynomials,
     sorted_terms,
 )
 from gencluster.errors import (
-    ExponentOverflow,
     GenClusterError,
     InexactDivision,
     TableMismatch,
@@ -26,7 +27,6 @@ from gencluster.errors import (
     ValidationError,
 )
 from gencluster.laurent_kernel import (
-    EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
     VariableTable,
@@ -421,39 +421,48 @@ class TestIntegerArguments:
         assert str(LaurentPolynomial(SMALL_TABLE, {(1, 0, 0): 3})) == "3*x"
 
 
-LIMIT = EXPONENT_LIMIT
+LIMIT = FIRST_RUNG_LIMIT
 
 
 def x_power(e, table=SMALL_TABLE):
     return LaurentPolynomial(table, {(e, 0, 0): 1})
 
 
-class TestExponentLimit:
-    """Exponents below the limit are exact; reaching it raises, never wraps."""
+def assert_wide(p, terms):
+    """``p`` has exactly ``terms`` and sits on the rung its bound fits, past the first."""
+    assert dict(p.terms.items()) == terms
+    assert p._layout is p.table._layout.fit(p._amp)
+    assert p._amp >= LIMIT and p._layout.bits > 48
+
+
+class TestWideExponents:
+    """Exponents past the first rung's limit are exact: the keys widen, never wrap."""
 
     def test_constructor(self):
         for e in (LIMIT - 1, -(LIMIT - 1)):
             p = x_power(e)
             assert dict(p.terms.items()) == {(e, 0, 0): 1}
             assert str(p) == f"x^{e}"
+            assert p._layout is SMALL_TABLE._layout
         for e in (LIMIT, -LIMIT):
-            with pytest.raises(ExponentOverflow):
-                x_power(e)
+            p = x_power(e)
+            assert_wide(p, {(e, 0, 0): 1})
+            assert str(p) == f"x^{e}"
 
     def test_term(self):
         edge = (LIMIT - 1, 0, 1 - LIMIT)
         assert SMALL_TABLE.term(edge) == LaurentPolynomial(SMALL_TABLE, {edge: 1})
         for e in (LIMIT, -LIMIT):
-            with pytest.raises(ExponentOverflow):
-                SMALL_TABLE.term((0, e, 0))
+            p = SMALL_TABLE.term((0, e, 0))
+            assert_wide(p, {(0, e, 0): 1})
+            assert p == LaurentPolynomial(SMALL_TABLE, {(0, e, 0): 1})
 
     def test_parse(self):
         assert parse_polynomial(f"x^{LIMIT - 1} + y^{1 - LIMIT}", SMALL_TABLE) == poly_add(
             x_power(LIMIT - 1), LaurentPolynomial(SMALL_TABLE, {(0, 1 - LIMIT, 0): 1})
         )
-        for text in (f"x^{LIMIT}", f"x^-{LIMIT}", f"x^{LIMIT - 1}*x"):
-            with pytest.raises(ExponentOverflow):
-                parse_polynomial(text, SMALL_TABLE)
+        for text, e in ((f"x^{LIMIT}", LIMIT), (f"x^-{LIMIT}", -LIMIT), (f"x^{LIMIT - 1}*x", LIMIT)):
+            assert_wide(parse_polynomial(text, SMALL_TABLE), {(e, 0, 0): 1})
 
     def test_mul(self):
         x = SMALL_TABLE.variable("x")
@@ -467,40 +476,40 @@ class TestExponentLimit:
             (x_power(1 - LIMIT), x_power(-1)),
             (poly_add(x_power(LIMIT - 1), y_plus_1), poly_add(x, y_plus_1)),
         ):
-            with pytest.raises(ExponentOverflow):
-                poly_mul(a, b)
+            assert_wide(poly_mul(a, b), oracle_poly_mul(a, b))
 
     def test_mul_monomial(self):
         p = poly_add(x_power(LIMIT - 1), SMALL_TABLE.variable("y"))
         shifted = poly_mul_monomial(p, SMALL_TABLE.monomial(y=5))
         assert (LIMIT - 1, 5, 0) in shifted.terms
-        with pytest.raises(ExponentOverflow):
-            poly_mul_monomial(p, SMALL_TABLE.monomial(x=1))
-        with pytest.raises(ExponentOverflow):
-            poly_mul_monomial(x_power(-1), SMALL_TABLE.monomial(x=-LIMIT))
+        for a, m in (
+            (p, SMALL_TABLE.monomial(x=1)),
+            (x_power(-1), SMALL_TABLE.monomial(x=-LIMIT)),
+        ):
+            product = poly_mul_monomial(a, m)
+            assert_wide(product, oracle_poly_mul(a, m.as_polynomial()))
+            assert product == poly_mul(a, m.as_polynomial())
 
     def test_pow_of_monomial(self):
         x = SMALL_TABLE.variable("x")
         assert poly_pow(x, LIMIT - 1) == x_power(LIMIT - 1)
         assert poly_pow(x_power(-2), LIMIT // 2 - 1) == x_power(2 - LIMIT)
-        for base, k in ((x, LIMIT), (x_power(-1), LIMIT), (x_power(LIMIT // 2), 2)):
-            with pytest.raises(ExponentOverflow):
-                poly_pow(base, k)
+        for base, k, e in ((x, LIMIT, LIMIT), (x_power(-1), LIMIT, -LIMIT), (x_power(LIMIT // 2), 2, LIMIT)):
+            assert_wide(poly_pow(base, k), {(e, 0, 0): 1})
 
     def test_exact_div(self):
         y_plus_1 = parse_polynomial("y + 1", SMALL_TABLE)
         numer = poly_mul(x_power(LIMIT - 1), y_plus_1)
         assert poly_exact_div(numer, y_plus_1) == x_power(LIMIT - 1)
         assert poly_exact_div(x_power(LIMIT - 1), x_power(1)) == x_power(LIMIT - 2)
-        with pytest.raises(ExponentOverflow):
-            poly_exact_div(x_power(LIMIT - 1), x_power(-1))
-        with pytest.raises(ExponentOverflow):
-            poly_exact_div(numer, poly_mul(x_power(-1), y_plus_1))
+        assert_wide(poly_exact_div(x_power(LIMIT - 1), x_power(-1)), {(LIMIT, 0, 0): 1})
+        quotient = poly_exact_div(numer, poly_mul(x_power(-1), y_plus_1))
+        assert dict(quotient.terms.items()) == {(LIMIT, 0, 0): 1}
+        assert quotient == x_power(LIMIT)
 
     def test_exact_div_monomial_quotient(self):
         # Equal lengths and a one-term quotient: the heap route's box is
-        # the quotient itself, so its bound is exact below the limit and
-        # the box raises ExponentOverflow at the limit.
+        # the quotient itself, so its bound is exact on either rung.
         y_plus_1 = parse_polynomial("y + 1", SMALL_TABLE)
         for sign in (1, -1):
             denom = poly_mul(x_power(-sign), y_plus_1)
@@ -510,23 +519,21 @@ class TestExponentLimit:
             assert quotient._amp == LIMIT - 1
             at = poly_mul(x_power(sign * (LIMIT - 1)), y_plus_1)
             with extremes_reads() as reads:
-                with pytest.raises(ExponentOverflow) as overflow:
-                    poly_exact_div(at, denom)
+                quotient = poly_exact_div(at, denom)
             assert reads == [at, denom]
-            assert str(overflow.value) == (
-                f"exponent of magnitude {LIMIT} reaches the limit {LIMIT}"
-            )
+            assert_wide(quotient, {(sign * LIMIT, 0, 0): 1})
+            assert quotient._amp == LIMIT
 
     def test_map_variables(self):
         target = VariableTable.make(cluster=("u",), frozen=("f",))
         p = poly_add(x_power(LIMIT // 4), SMALL_TABLE.variable("f"))
         image = poly_map_variables(p, {"x": target.monomial(u=3)}, target)
         assert image == parse_polynomial(f"u^{3 * (LIMIT // 4)} + f", target)
-        with pytest.raises(ExponentOverflow):
-            poly_map_variables(p, {"x": target.monomial(u=4)}, target)
+        image = poly_map_variables(p, {"x": target.monomial(u=4)}, target)
+        assert_wide(image, {(LIMIT, 0): 1, (0, 1): 1})
         # The same crossing inside one table, where keys move in place.
-        with pytest.raises(ExponentOverflow):
-            poly_map_variables(p, {"x": SMALL_TABLE.monomial(x=2, y=-4)}, SMALL_TABLE)
+        image = poly_map_variables(p, {"x": SMALL_TABLE.monomial(x=2, y=-4)}, SMALL_TABLE)
+        assert_wide(image, {(LIMIT // 2, -LIMIT, 0): 1, (0, 0, 1): 1})
 
     def test_terms_view_never_aliases(self):
         p = x_power(LIMIT - 1)
@@ -536,3 +543,7 @@ class TestExponentLimit:
             assert exps not in p.terms
         with pytest.raises(TypeError):
             p.terms[(0, 0, 0)] = 1
+        wide = poly_add(x_power(LIMIT), SMALL_TABLE.variable("y"))
+        assert (LIMIT, 0, 0) in wide.terms and (0, 1, 0) in wide.terms
+        for exps in ((2**94, 0, 0), (0, 1 - 2**94, 0), (LIMIT + 1, 0, 0)):
+            assert exps not in wide.terms

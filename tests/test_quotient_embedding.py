@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import (
-    extremes_reads,
+    FIRST_RUNG_LIMIT,
     failed_cases,
     mono_over,
     mono_power,
@@ -22,7 +22,6 @@ from conftest import (
 )
 from gencluster.cli_io import parse_seed_text, run_command
 from gencluster.errors import (
-    ExponentOverflow,
     GroupCoherenceViolation,
     IndexOutOfRange,
     InexactDivision,
@@ -37,7 +36,6 @@ from gencluster.gca_seed import (
     mutate_seed,
 )
 from gencluster.laurent_kernel import (
-    EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
     poly_add,
@@ -390,7 +388,7 @@ def embedding_walks():
     return walks
 
 
-def limit_seed(kind, b):
+def big_entry_seed(kind, b):
     """A divisor-one seed whose (i) or (ii) monomial has exponent ``b``."""
     if kind == "(i)":
         text = f"gca-seed v1\nN 2\nM 0\ndivisors 1 1\nnames x y ;\nmatrix 0 {b} ; -{b} 0\n"
@@ -747,50 +745,46 @@ class TestSigmaAndUnits:
                 )
                 assert placeholder_normal_form(ctx, p) == expand_term_by_term(ctx, p)
 
-    def test_expansion_at_the_exponent_limit(self, fix_c):
+    @pytest.mark.parametrize("e", [FIRST_RUNG_LIMIT - 2, FIRST_RUNG_LIMIT - 1])
+    def test_expansion_across_the_first_rung(self, fix_c, e):
         # E(sigma_{1,1}) = t1*s1^-1 + t1^-1*s1, so t1^e * rho1_1 expands
-        # to a t1 exponent of e + 1.
+        # to a t1 exponent of e + 1, past the first rung's limit for the
+        # second ``e``.
         ctx = QuotientContext.create(fix_c)
+        p = ctx.folded_plus.monomial({"t1": e, "rho1_1": 1}).as_polynomial()
+        expanded = placeholder_normal_form(ctx, p)
+        assert expanded == expand_term_by_term(ctx, p)
+        assert max(exps[ctx.folded.table.index("t1")] for exps in expanded.terms) == e + 1
 
-        def placeholder_term(e):
-            return ctx.folded_plus.monomial({"t1": e, "rho1_1": 1}).as_polynomial()
-
-        p = placeholder_term(EXPONENT_LIMIT - 1)
-        with pytest.raises(ExponentOverflow) as packed:
-            placeholder_normal_form(ctx, p)
-        with pytest.raises(ExponentOverflow) as oracle:
-            expand_term_by_term(ctx, p)
-        assert str(packed.value) == str(oracle.value)
-        assert str(EXPONENT_LIMIT) in str(packed.value)
-        p = placeholder_term(EXPONENT_LIMIT - 2)
-        assert placeholder_normal_form(ctx, p) == expand_term_by_term(ctx, p)
-
-    def test_expansion_bound_at_the_limit_below_the_exact_extremes(self, fix_c):
-        # The bound of y1^(limit - 1) * E(sigma_{1,1}) reaches the limit,
-        # but sigma moves only t1 and s1, so the exact exponents stay below.
+    def test_expansion_bound_past_the_first_rung_above_the_exact_extremes(self, fix_c):
+        # The bound of y1^(limit - 1) * E(sigma_{1,1}) reaches the first
+        # rung's limit, but sigma moves only t1 and s1, so the exact
+        # exponents stay below it: the expansion sits on a wider rung and
+        # equals the term-by-term one, and that one rebuilt on the first.
         ctx = QuotientContext.create(fix_c)
         p = poly_add(
-            ctx.folded_plus.monomial({"y1": EXPONENT_LIMIT - 1, "rho1_1": 1}).as_polynomial(),
+            ctx.folded_plus.monomial({"y1": FIRST_RUNG_LIMIT - 1, "rho1_1": 1}).as_polynomial(),
             ctx.folded_plus.monomial({"y2": -3, "t1": 2, "rho1_1": 2}).as_polynomial(),
         )
-        with extremes_reads() as reads:
-            expanded = placeholder_normal_form(ctx, p)
-        assert any(len(q.terms) == 2 for q in reads)
-        assert expanded == expand_term_by_term(ctx, p)
+        expanded, oracle = placeholder_normal_form(ctx, p), expand_term_by_term(ctx, p)
+        tight = LaurentPolynomial(oracle.table, dict(oracle.terms.items()))
+        assert expanded._layout.bits > tight._layout.bits == 48
+        for other in (oracle, tight):
+            assert expanded == other and other == expanded
+            assert expanded.hash_key() == other.hash_key()
 
-    def test_expansion_past_the_limit_names_the_exact_exponent(self, fix_c):
+    def test_expansion_past_the_first_rung(self, fix_c):
         # The second part's t1^(limit - 1) times E(sigma_{1,1})^2 holds
-        # t1^(limit + 1); the first part is within the limit.
+        # t1^(limit + 1); the first part is within the first rung's limit.
         ctx = QuotientContext.create(fix_c)
         p = poly_add(
-            ctx.folded_plus.monomial({"y1": EXPONENT_LIMIT - 1, "rho1_1": 1}).as_polynomial(),
-            ctx.folded_plus.monomial({"t1": EXPONENT_LIMIT - 1, "rho1_1": 2}).as_polynomial(),
+            ctx.folded_plus.monomial({"y1": FIRST_RUNG_LIMIT - 1, "rho1_1": 1}).as_polynomial(),
+            ctx.folded_plus.monomial({"t1": FIRST_RUNG_LIMIT - 1, "rho1_1": 2}).as_polynomial(),
         )
-        with pytest.raises(ExponentOverflow) as packed:
-            placeholder_normal_form(ctx, p)
-        assert str(packed.value) == (
-            f"exponent of magnitude {EXPONENT_LIMIT + 1} reaches the limit {EXPONENT_LIMIT}"
-        )
+        expanded = placeholder_normal_form(ctx, p)
+        assert expanded == expand_term_by_term(ctx, p)
+        t1 = ctx.folded.table.index("t1")
+        assert max(exps[t1] for exps in expanded.terms) == FIRST_RUNG_LIMIT + 1
 
     def test_every_cached_sigma_pattern_matches_the_uncached_oracle(
         self, fix_a, fix_b, monkeypatch
@@ -987,9 +981,9 @@ class TestProductFormula:
                             )
         assert kinds == {"broken sign", "flipped sign", "alike"}
 
-    def test_shell_exponent_at_the_limit_overflows(self):
+    def test_shell_exponent_across_the_first_rung(self):
         # One group of two members whose shared frozen entry is b: the
-        # r = 2 shell holds F^(2b), which reaches the limit at 2b = limit.
+        # r = 2 shell holds F^(2b), past the first rung's limit at 2b = limit.
         def check_at(b):
             seed = parse_seed_text(
                 "gca-seed v1\nN 1\nM 1\ndivisors 2\nnames x ; f\n"
@@ -999,16 +993,10 @@ class TestProductFormula:
             assert [row[2] for row in fm.matrix.rows] == [b, b]
             return table, fm
 
-        table, fm = check_at(EXPONENT_LIMIT // 2)
-        with pytest.raises(ExponentOverflow) as packed:
-            product_formula_check(table, fm, 0)
-        with pytest.raises(ExponentOverflow) as oracle:
-            oracle_product_formula_check(table, fm, 0, 0)
-        assert str(packed.value) == str(oracle.value)
-        assert str(EXPONENT_LIMIT) in str(packed.value)
-        table, fm = check_at(EXPONENT_LIMIT // 2 - 2)
-        assert product_formula_check(table, fm, 0) == Report(())
-        assert oracle_product_formula_check(table, fm, 0, 0) == Report(())
+        for b in (FIRST_RUNG_LIMIT // 2 - 2, FIRST_RUNG_LIMIT // 2, FIRST_RUNG_LIMIT):
+            table, fm = check_at(b)
+            assert product_formula_check(table, fm, 0) == Report(())
+            assert oracle_product_formula_check(table, fm, 0, 0) == Report(())
 
     def test_lcm_mode(self, fix_b):
         assert not failed_cases("product-formula", fix_b, [(0, 1)], mode="lcm")
@@ -1085,22 +1073,18 @@ class TestEmbeddingAndSubquotient:
         assert failing > 100
 
     @pytest.mark.parametrize("kind", ["(i)", "(ii)"])
-    def test_conditions_i_ii_at_the_exponent_limit(self, kind):
-        ctx = QuotientContext.create(limit_seed(kind, EXPONENT_LIMIT))
-        with pytest.raises(ExponentOverflow) as keys:
-            conditions_i_ii(ctx)
-        with pytest.raises(ExponentOverflow) as oracle:
-            oracle_conditions_i_ii(ctx)
-        assert str(keys.value) == str(oracle.value)
-        assert str(EXPONENT_LIMIT) in str(keys.value)
-        ctx = QuotientContext.create(limit_seed(kind, EXPONENT_LIMIT - 1))
-        assert _embedding_conditions_at(ctx) == oracle_conditions_i_ii(ctx) == []
-        # One more on the folded side alone: the right side reaches the limit.
-        col = ctx.layout.group_range(1)[0] if kind == "(i)" else ctx.layout.f_block[0]
-        bad = tampered_context(ctx, 0, col, 1)
-        found = outcome(conditions_i_ii, bad)
-        assert found == outcome(oracle_conditions_i_ii, bad)
-        assert found[0] == "ExponentOverflow" and str(EXPONENT_LIMIT) in found[1]
+    def test_conditions_i_ii_across_the_first_rung(self, kind):
+        # Exchange monomials with an exponent at and below the first
+        # rung's limit pass both routes; one more on the folded side alone
+        # fails both alike.
+        for b in (FIRST_RUNG_LIMIT, FIRST_RUNG_LIMIT - 1):
+            ctx = QuotientContext.create(big_entry_seed(kind, b))
+            assert _embedding_conditions_at(ctx) == oracle_conditions_i_ii(ctx) == []
+            col = ctx.layout.group_range(1)[0] if kind == "(i)" else ctx.layout.f_block[0]
+            bad = tampered_context(ctx, 0, col, 1)
+            found = outcome(conditions_i_ii, bad)
+            assert found == outcome(oracle_conditions_i_ii, bad)
+            assert found and all(f[0].startswith(kind) for f in found)
 
     def test_context_checks_what_the_images_rely_on(self, fix_c):
         ctx = QuotientContext.create(fix_c)

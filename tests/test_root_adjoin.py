@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import cluster_side, poly_mul_monomial
-from gencluster.errors import ExponentOverflow, HomogeneityFailure, ValidationError
+from conftest import FIRST_RUNG_LIMIT, cluster_side, poly_mul_monomial
+from gencluster.errors import HomogeneityFailure, ValidationError
 from gencluster.gca_seed import (
     CoefficientStrings,
     ExchangeContext,
@@ -18,7 +18,6 @@ from gencluster.gca_seed import (
     root_formula_check,
 )
 from gencluster.laurent_kernel import (
-    EXPONENT_LIMIT,
     LaurentPolynomial,
     Monomial,
     VariableTable,
@@ -111,6 +110,38 @@ def oracle_rho_row(seed, k):
     return row if not any(ends) else None
 
 
+def homogeneous_theta(seed, k, rho_row):
+    """``theta_k`` rebuilt as ``sum_r rho_{k,r} * (u> * v>[1])^r * (u< * v<[1])^(d-r)``.
+
+    The cluster sides are built with ``poly_pow`` and shifted by the
+    stable monomials and the coefficients term by term.
+    """
+    v_gt, v_lt = stable_monomials(seed, k)
+    gt = poly_mul_monomial(cluster_side(seed, k, 1), v_gt)
+    lt = poly_mul_monomial(cluster_side(seed, k, -1), v_lt)
+    d = seed.divisors[k]
+    rebuilt = LaurentPolynomial.zero(seed.table)
+    for r, rho_r in enumerate(rho_row):
+        term = poly_mul(poly_pow(gt, r), poly_pow(lt, d - r))
+        rebuilt = poly_add(rebuilt, poly_mul_monomial(term, rho_r))
+    return rebuilt
+
+
+def assert_adjoined_exactly(seed):
+    """The adjoined seed's coefficients and exchange polynomial match the oracles.
+
+    Adjoining also commutes with mutation along ``(0,)`` and ``(0, 0)``.
+    """
+    adjoined = tau_tilde(seed)
+    assert rho(adjoined.seed)[0] == oracle_rho_row(adjoined.seed, 0)
+    theta = exchange_polynomial(adjoined.seed, 0)
+    assert theta == homogeneous_theta(adjoined.seed, 0, oracle_rho_row(adjoined.seed, 0))
+    for sequence in ((), (0,), (0, 0)):
+        report = transport_check(mutated_pair(adjoined, sequence))
+        assert report.ok, report.failures
+    return adjoined.seed
+
+
 class TestTauTilde:
     def test_fix_b_adjoined_exchange(self, fix_b):
         adjoined = tau_tilde(fix_b)
@@ -168,11 +199,12 @@ class TestTauTilde:
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
         assert digest == RANDOM_ADJOINED_SHA256
 
-    def test_correction_at_the_exponent_limit(self):
-        # 3 * e is one below the limit and the correction adds -1, which
-        # the adjoined row's box takes back: the coefficient of theta is
-        # below the limit, whichever frozen column carries the exponent.
-        e = -(EXPONENT_LIMIT - 1) // 3
+    def test_correction_at_the_first_rung_edge(self):
+        # 3 * e is one below the first rung's limit and the correction adds
+        # -1, which the adjoined row's box takes back: the coefficient of
+        # theta is below that limit, whichever frozen column carries the
+        # exponent.
+        e = -(FIRST_RUNG_LIMIT - 1) // 3
         table = VariableTable.make(cluster=("x",), frozen=("f", "g"))
         matrix = ExtendedExchangeMatrix.from_rows([[0, 1, 1]], m=2)
         for name in ("f", "g"):
@@ -182,11 +214,10 @@ class TestTauTilde:
                 matrix, (3,), strings=strings,
                 cluster_names=("x",), frozen_names=("f", "g"),
             )
-            adjoined = tau_tilde(seed).seed
-            assert min(adjoined.strings.entry(0, 1).exponents) == -EXPONENT_LIMIT
+            adjoined = assert_adjoined_exactly(seed)
+            assert min(adjoined.strings.entry(0, 1).exponents) == -FIRST_RUNG_LIMIT
             ctx = ExchangeContext(adjoined, 0)
-            assert min(ctx.coefficients[1]) == 1 - EXPONENT_LIMIT
-            assert exchange_polynomial(adjoined, 0).terms
+            assert min(ctx.coefficients[1]) == 1 - FIRST_RUNG_LIMIT
 
     def test_adjoined_tables_are_shared(self, fix_b):
         # Two adjunctions of equal seeds give one table object, the one
@@ -274,14 +305,7 @@ class TestFloorStructure:
             for step in random_sequence(rng, start.rank, depth) + (None,):
                 table = rho(current)
                 for k in range(current.rank):
-                    v_gt, v_lt = stable_monomials(current, k)
-                    gt = poly_mul_monomial(cluster_side(current, k, 1), v_gt)
-                    lt = poly_mul_monomial(cluster_side(current, k, -1), v_lt)
-                    d = current.divisors[k]
-                    rebuilt = LaurentPolynomial.zero(current.table)
-                    for r, rho_r in enumerate(table[k]):
-                        term = poly_mul(poly_pow(gt, r), poly_pow(lt, d - r))
-                        rebuilt = poly_add(rebuilt, poly_mul_monomial(term, rho_r))
+                    rebuilt = homogeneous_theta(current, k, table[k])
                     assert rebuilt == exchange_polynomial(current, k)
                 if step is not None:
                     current = mutate_seed(current, step)
@@ -379,23 +403,20 @@ class TestUncheckedMonomials:
                 assert rebuilt == mono and hash(rebuilt) == hash(mono)
                 assert str(rebuilt) == str(mono)
 
-    @pytest.mark.parametrize("exponent, magnitude", [
-        # A string entry at the limit is reported as it stands, one that
-        # reaches it only once scaled by the multiplicity 3, scaled.
-        (EXPONENT_LIMIT, EXPONENT_LIMIT),
-        (-(EXPONENT_LIMIT // 3 + 1), 3 * (EXPONENT_LIMIT // 3 + 1)),
+    @pytest.mark.parametrize("exponent", [
+        # A string entry past the first rung's limit as it stands, and one
+        # that passes it only once scaled by the multiplicity 3.
+        FIRST_RUNG_LIMIT,
+        -(FIRST_RUNG_LIMIT // 3 + 1),
     ])
-    def test_string_overflow_names_the_first_bound_reached(self, exponent, magnitude):
+    def test_string_entries_past_the_first_rung(self, exponent):
         table = VariableTable.make(cluster=("x",), frozen=("f",))
         matrix = ExtendedExchangeMatrix.from_rows([[0, 3]], m=1)
         middle = table.monomial(f=exponent)
         strings = CoefficientStrings(((table.one(), middle, table.one(), table.one()),))
         seed = initial_seed(matrix, (3,), strings, cluster_names=("x",), frozen_names=("f",))
-        with pytest.raises(ExponentOverflow) as failure:
-            tau_tilde(seed)
-        assert str(failure.value) == (
-            f"exponent of magnitude {magnitude} reaches the limit {EXPONENT_LIMIT}"
-        )
+        adjoined = assert_adjoined_exactly(seed)
+        assert adjoined.strings.entry(0, 1).exponents[1] in (3 * exponent, 3 * exponent - 1)
 
 
 def mutated_pair(adjoined, sequence):
