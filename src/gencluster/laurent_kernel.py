@@ -33,19 +33,19 @@ Design notes
   :func:`poly_sum_of_products`, whose one- and two-pair cases are
   :func:`poly_mul` and :func:`poly_add`.
 * Field sizes.  The fields of one polynomial all have one size, a rung
-  of the ladder 48, 96, 192, ... bits; a rung's ``limit`` is
-  ``2**(bits - 2)``, and a field holds any sum of two exponents below
-  it without carrying into its neighbour.  Every polynomial carries an
-  upper bound on its largest exponent magnitude and sits on the
-  narrowest rung whose limit exceeds that bound.  Each operation bounds
-  its result from its operands' bounds before it combines keys, works
-  on the result's rung, and first moves a narrower operand's keys up to
-  it; a sum whose bound grows past its rung moves the terms added so
-  far.  Equality and :meth:`LaurentPolynomial.hash_key` do not depend on
-  the rung, so a polynomial built with a loose bound equals the one
-  built with a tight bound.  Each exponent vector that enters the kernel
-  (a term, a shift, a :class:`Monomial` image) is packed and bounded in
-  one pass.
+  of the ladder 24, 48, 96, ... bits; a rung's ``limit`` is
+  ``2**(bits - 2)`` (``2**22``, ``2**46``, ...), and a field holds any
+  sum of two exponents below it without carrying into its neighbour.
+  Every polynomial carries an upper bound on its largest exponent
+  magnitude and sits on the narrowest rung whose limit exceeds it.
+  Each operation bounds its result from its operands' bounds before it
+  combines keys, works on the result's rung, and first moves a narrower
+  operand's keys up to it; a sum whose bound grows past its rung moves
+  the terms added so far.  Equality and
+  :meth:`LaurentPolynomial.hash_key` do not depend on the rung, so a
+  polynomial built with a loose bound equals one built with a tight
+  bound.  Each exponent vector that enters the kernel (a term, a shift,
+  a :class:`Monomial` image) is packed and bounded in one pass.
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
@@ -225,8 +225,8 @@ class VariableTable(FrozenValue):
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
         object.__setattr__(self, "cluster_indices", tuple(range(count)))
         object.__setattr__(self, "frozen_indices", tuple(range(count, width)))
-        # Every table starts on the 48-bit rung; a polynomial moves up from it.
-        object.__setattr__(self, "_layout", _layout(width, 48))
+        # Every table starts on the 24-bit rung; a polynomial moves up from it.
+        object.__setattr__(self, "_layout", _layout(width, 24))
 
     @staticmethod
     def make(cluster=(), frozen=()):
@@ -544,12 +544,12 @@ def _row_direction(keys, layout):
     that occur at least twice, most common first, each divided by the
     gcd of its exponents.  Of the first three with an exponent of ``±1``
     (``shift`` is its field's, and ``delta`` is signed to make it 1), the
-    one that cuts ``keys`` into the fewest lines wins.
+    one with the fewest line bases ``key - field * delta`` wins.
     """
     ordered = sorted(keys)
     counts = Counter(map(sub, ordered[1:], ordered[:-1]))
     counts.update(map(sub, ordered[2:], ordered[:-2]))
-    best, tried = None, set()
+    best, fewest, tried, mask = None, 0, set(), layout.mask
     for delta, count in counts.most_common():
         if count < 2 or len(tried) == 3:
             break
@@ -560,11 +560,11 @@ def _row_direction(keys, layout):
                 delta = delta // e
                 if delta not in tried:
                     tried.add(delta)
-                    lines = _lines(keys, delta, shift, layout)
-                    if best is None or len(lines) < len(best[2]):
-                        best = delta, shift, lines
+                    bases = len({k - ((k >> shift) & mask) * delta for k in keys})
+                    if best is None or bases < fewest:
+                        best, fewest = (delta, shift), bases
                 break
-    return best
+    return None if best is None else (*best, _lines(keys, *best, layout))
 
 
 def _slots(lines):

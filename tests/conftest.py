@@ -60,14 +60,18 @@ def rng():
 
 SMALL_TABLE = VariableTable.make(cluster=("x", "y"), frozen=("f",))
 
-#: The limit of the first, 48-bit rung of key fields: a polynomial with an
-#: exponent bound of this magnitude or more sits on a wider rung.
-FIRST_RUNG_LIMIT = 2**46
+#: The field size and the limit of the first rung of key fields, where
+#: every table starts: a polynomial with an exponent bound of this
+#: magnitude or more sits on a wider rung.
+FIRST_RUNG_BITS = SMALL_TABLE._layout.bits
+FIRST_RUNG_LIMIT = SMALL_TABLE._layout.limit
+#: The limit of the second rung, of twice the first rung's field size.
+SECOND_RUNG_LIMIT = SMALL_TABLE._layout.fit(FIRST_RUNG_LIMIT).limit
 
 
 def sorted_terms(p):
     """``(exponent tuple, coefficient)`` pairs of ``p``, in graded-lex descending order."""
-    unpack = p.table._layout.unpack
+    unpack = p._layout.unpack
     return [(unpack(k), c) for k, c in sorted(p._keys.items(), reverse=True)]
 
 

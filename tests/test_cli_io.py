@@ -15,7 +15,7 @@ from unittest.mock import Mock
 import pytest
 
 from conftest import group_mutate_sequence, shared_factor_seeds
-from gencluster import cli_io, gca_seed
+from gencluster import cli_io, gca_seed, laurent_kernel
 from gencluster.cli_io import (
     parse_seed,
     parse_seed_text,
@@ -422,7 +422,7 @@ class TestVerify:
     def test_a_walk_across_wider_key_fields_passes(self, tmp_path, target):
         # The folded shared frozen entry is 2**45, so the product
         # formula's r = 2 shell holds an exponent of 2**46 at depth 0, past
-        # the first rung of key fields.
+        # the first two rungs of key fields.
         path = tmp_path / "big.seed"
         path.write_text(
             "gca-seed v1\nN 1\nM 1\ndivisors 2\nnames x ; f\n"
@@ -432,8 +432,33 @@ class TestVerify:
         assert code == 0
         assert text.splitlines() == [f"ok target={target} seed={path} sequence=1,1,1"]
 
+    def test_product_formula_widens_mid_walk(self, monkeypatch):
+        # FIX-A's folded exponents pass 2**22, the first rung's limit, at
+        # depth 5: results move up a rung after some records are written
+        # and before the last, and the bytes are pinned from a build whose
+        # tables started on 48-bit fields, where this walk never widens.
+        out = io.StringIO()
+        written_at_widening = []
+        fit = laurent_kernel._Layout.fit
+
+        def spy(layout, amp):
+            wider = fit(layout, amp)
+            if wider is not layout:
+                written_at_widening.append(out.getvalue().count("\n"))
+            return wider
+
+        monkeypatch.setattr(laurent_kernel._Layout, "fit", spy)
+        argv = ["verify", "product-formula", "--seed", "FIX-A", "--depth", "5"]
+        assert run_command(argv, out=out) == 0
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
+            "db9a8df1cdfd6b5283f49d0465e64ab295cf432fc25e2b8a910280456cd6eb81"
+        )
+        assert written_at_widening
+        assert 0 < min(written_at_widening) and max(written_at_widening) < 32
+
     def test_product_formula_walks_past_the_first_rung(self):
-        # FIX-A's folded exponents pass 2**46 at depth 13.
+        # FIX-A's folded exponents pass 2**46, the second rung's limit, at
+        # depth 13.
         code, text = run("verify", "product-formula", "--seed", "FIX-A", "--depth", "16")
         assert code == 0
         lines = text.splitlines()
@@ -1539,7 +1564,7 @@ GOLDEN_OUTPUTS = [
      "c8f9abe2fdf0fe4dbb1c159a2dc8d5fc01512f8f0855da472204dd39116defa6", 0),
     ("verify product-formula --seed FIX-A --depth 2 --sequences random:8 --rng-seed 2",
      "b813086aa6c9cb4ec4543dcc67c05eb6b5c40d1e196020e4520a32f4a73d7ebd", 0),
-    # Exponents pass 2**46, the first rung's limit, and every case passes.
+    # Exponents pass 2**46, the second rung's limit, and every case passes.
     ("verify product-formula --seed FIX-A --depth 13",
      "989d857ab083706d663872955fcd554178b50cbc2c185c5b06de2c30672d5cd9", 0),
 ]

@@ -6,14 +6,19 @@ arithmetic; the two results must have the same terms.  sympy is an
 optional test dependency, so the module is skipped without it.
 """
 
+from collections import Counter
 from contextlib import contextmanager
+from math import gcd
+from operator import sub
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    FIRST_RUNG_BITS,
     FIRST_RUNG_LIMIT,
+    SECOND_RUNG_LIMIT,
     extremes_reads,
     oracle_poly_mul,
     oracle_sum_of_products,
@@ -47,6 +52,14 @@ from gencluster.laurent_kernel import (
 sympy = pytest.importorskip("sympy")
 
 MAX_WIDTH = 24
+
+#: Exponents on both sides of the limits of the first two rungs.
+RUNG_EDGES = [FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT, SECOND_RUNG_LIMIT - 1, SECOND_RUNG_LIMIT]
+
+
+def rung_limit(top):
+    """The rung limit that ``top``, one of :data:`RUNG_EDGES`, sits next to."""
+    return FIRST_RUNG_LIMIT if top <= FIRST_RUNG_LIMIT else SECOND_RUNG_LIMIT
 
 
 def table_of(prefix, width):
@@ -188,10 +201,10 @@ class TestSumOfProducts:
         with pytest.raises(TableMismatch):
             composed_sum(table, [(x, u)])
 
-    @pytest.mark.parametrize("top", [FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT])
-    def test_exponents_across_the_first_rung(self, top):
-        # The bound of ``a * b`` reaches the first rung's limit either way,
-        # so the terms of ``b * b`` move up when ``a * b`` is added; the
+    @pytest.mark.parametrize("top", RUNG_EDGES)
+    def test_exponents_across_a_rung(self, top):
+        # The bound of ``a * b`` reaches the limit of ``b * b``'s rung either
+        # way, so the terms of ``b * b`` move up when ``a * b`` is added; the
         # x0 exponent of ``a * b`` is ``top``.  No exact extremes are read.
         table = table_of("x", 2)
         a = parse_polynomial(f"x0^{top - 1} + x1^-1", table)
@@ -200,7 +213,7 @@ class TestSumOfProducts:
         with extremes_reads() as reads:
             fused = poly_sum_of_products(table, pairs)
         assert reads == []
-        assert fused._amp == a._amp + b._amp >= FIRST_RUNG_LIMIT
+        assert fused._amp == a._amp + b._amp >= rung_limit(top)
         one = LaurentPolynomial.one(table)
         expected = oracle_sum_of_products([(b, b), (a, b), (one, b)])
         assert dict(fused.terms.items()) == expected
@@ -208,17 +221,50 @@ class TestSumOfProducts:
         assert_sum_matches(table, pairs)
 
 
+def line_count_pick(keys, layout):
+    """The row route's direction pick, made by building each candidate's lines to count them."""
+    ordered = sorted(keys)
+    counts = Counter(map(sub, ordered[1:], ordered[:-1]))
+    counts.update(map(sub, ordered[2:], ordered[:-2]))
+    best, tried = None, set()
+    for delta, count in counts.most_common():
+        if count < 2 or len(tried) == 3:
+            break
+        exps = layout.unpack(delta + layout.offset)
+        step = gcd(*exps)
+        for shift, e in zip(layout.shifts, exps):
+            if e == step or e == -step:
+                delta = delta // e
+                if delta not in tried:
+                    tried.add(delta)
+                    lines = laurent_kernel._lines(keys, delta, shift, layout)
+                    if best is None or len(lines) < len(best[2]):
+                        best = delta, shift, lines
+                break
+    return best
+
+
 @contextmanager
 def row_routes():
-    """Record what each call of the row route returned: True when it added the product."""
+    """Record what each call of the row route returned: True when it added the product.
+
+    Each direction the route picks is checked against :func:`line_count_pick`.
+    """
     taken = []
-    original = laurent_kernel._add_row_product
+    original, pick = laurent_kernel._add_row_product, laurent_kernel._row_direction
 
     def spy(*args):
         taken.append(original(*args))
         return taken[-1]
 
-    with mock.patch.object(laurent_kernel, "_add_row_product", spy):
+    def checked_pick(keys, layout):
+        found = pick(keys, layout)
+        assert found == line_count_pick(keys, layout)
+        return found
+
+    with mock.patch.object(laurent_kernel, "_add_row_product", spy), mock.patch.object(
+        laurent_kernel, "_row_direction", checked_pick
+    ):
         yield taken
 
 
@@ -263,6 +309,21 @@ def directions(draw, width):
 
 class TestRowProducts:
     """Products of at least ``_ROW_MIN_PRODUCTS`` term products against the schoolbook oracle."""
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_the_pick_is_the_line_count_pick(self, data):
+        # Counting line bases picks the direction, and so the lines, that
+        # building and counting each candidate's lines picks, ties
+        # included: on lattice operands, with stray terms added, and on
+        # operands with no repeated direction.
+        table = data.draw(tables(max_width=8).filter(lambda t: len(t) >= 2))
+        a = data.draw(lattice_polynomials(table, data.draw(directions(len(table)))))
+        b = data.draw(lattice_polynomials(table, data.draw(directions(len(table))), min_terms=8))
+        stray = data.draw(polynomials(table))
+        for p in (a, poly_add(a, b), poly_add(a, stray), stray):
+            picked = laurent_kernel._row_direction(p._keys, p._layout)
+            assert picked == line_count_pick(p._keys, p._layout)
 
     @settings(max_examples=20)
     @given(st.data())
@@ -440,11 +501,11 @@ class TestRowProducts:
         assert dict(total.terms.items()) == oracle_sum_of_products(pairs[4:])
         assert zero == LaurentPolynomial.zero(table)
 
-    @pytest.mark.parametrize("top", [FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT])
-    def test_exponents_across_the_first_rung(self, top):
+    @pytest.mark.parametrize("top", RUNG_EDGES)
+    def test_exponents_across_a_rung(self, top):
         # Lines along x1 with x0 at ``top - 40`` and 40: the product's x0
-        # exponent is ``top``.  The sum of the bounds reaches the first
-        # rung's limit either way, so the row route works on a wider rung.
+        # exponent is ``top``.  The sum of the bounds reaches the limit of
+        # ``a``'s rung either way, so the row route works on the next rung.
         table = table_of("x", 3)
         line = [[1, -3, 7, 2, 5, 1, 1, -1, 4]] * 8
         a = line_polynomial(table, (0, 1, 0), [(top - 40, 0, i) for i in range(8)], line)
@@ -453,8 +514,8 @@ class TestRowProducts:
             product = poly_mul(a, b)
         assert reads == [] and taken == [True]
         assert dict(product.terms.items()) == oracle_poly_mul(a, b)
-        assert product._amp == a._amp + b._amp >= FIRST_RUNG_LIMIT
-        assert product._layout.bits == 96
+        assert product._amp == a._amp + b._amp >= rung_limit(top)
+        assert product._layout.bits == 2 * a._layout.bits
 
 
 def composed_shifted_sum(table, pairs):
@@ -548,11 +609,11 @@ class TestShiftedSum:
                 assert str(fused.value) == str(composed.value)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("top", [FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT])
-    def test_exponents_across_the_first_rung(self, sign, top):
+    @pytest.mark.parametrize("top", RUNG_EDGES)
+    def test_exponents_across_a_rung(self, sign, top):
         # Three routes to an exponent of magnitude ``top``: the vector
         # alone, the vector times a polynomial whose bound reaches the
-        # first rung's limit one step early, after a pair on that rung,
+        # rung's limit one step early, after a pair below it,
         # and a polynomial at the rung's edge shifted by a small vector,
         # whose bound is exact.  No exact extremes are read.
         table = table_of("x", 2)
@@ -571,9 +632,13 @@ class TestShiftedSum:
             assert_shifted_sum_matches(table, pairs)
 
 
-#: Exponents at the edge of the first rung, and past it on the rungs above.
+#: Exponents at the edge of the first rung, and past it on the rungs
+#: above: both sides of the second rung's edge, and further up.
 EDGE = (FIRST_RUNG_LIMIT - 1, 1 - FIRST_RUNG_LIMIT)
-WIDE = (FIRST_RUNG_LIMIT, -FIRST_RUNG_LIMIT, 2**47, -(2**94), 2**200)
+WIDE = (
+    FIRST_RUNG_LIMIT, -FIRST_RUNG_LIMIT, SECOND_RUNG_LIMIT - 1, 1 - SECOND_RUNG_LIMIT,
+    SECOND_RUNG_LIMIT, -SECOND_RUNG_LIMIT, 2**47, -(2**94), 2**200,
+)
 
 
 @st.composite
@@ -624,13 +689,15 @@ class TestOnePassPack:
             assert layout.limit > amp >= 1 << (layout.bits // 2 - 2)
             assert p == LaurentPolynomial(table, {v: 1})
 
-    @pytest.mark.parametrize("amp, bits", [
-        (0, 48), (2**46 - 1, 48), (2**46, 96), (2**47, 96), (2**94 - 1, 96), (2**94, 192),
-        (2**200, 384),
+    @pytest.mark.parametrize("amp, rung", [
+        (0, 0), (FIRST_RUNG_LIMIT - 1, 0), (FIRST_RUNG_LIMIT, 1), (SECOND_RUNG_LIMIT - 1, 1),
+        (SECOND_RUNG_LIMIT, 2), (2**47, 2), (2**94 - 1, 2), (2**94, 3), (2**200, 4),
     ])
-    def test_fit_climbs_the_ladder(self, amp, bits):
+    def test_fit_climbs_the_ladder(self, amp, rung):
+        # ``rung`` counts the doublings from the first rung.
         base = table_of("x", 3)._layout
-        assert base.bits == 48
+        assert base.bits == FIRST_RUNG_BITS and base.limit == FIRST_RUNG_LIMIT
+        bits = FIRST_RUNG_BITS << rung
         layout = base.fit(amp)
         assert layout.bits == bits and layout.limit == 1 << (bits - 2)
         assert layout is table_of("y", 3)._layout.fit(amp)
@@ -748,11 +815,13 @@ class TestDivisorLink:
             assert outcome(numer, linked(b, q)) == expected
         assert expected[0] is InexactDivision
 
-    @pytest.mark.parametrize("top", [FIRST_RUNG_LIMIT // 2, FIRST_RUNG_LIMIT - 2])
+    @pytest.mark.parametrize("top", [
+        FIRST_RUNG_LIMIT // 2, FIRST_RUNG_LIMIT - 2, SECOND_RUNG_LIMIT // 2, SECOND_RUNG_LIMIT - 2,
+    ])
     def test_products_on_a_wider_rung_take_the_routes(self, top):
-        # b * q stays below the first rung's limit, but the sum of the two
-        # bounds does not, so the product sits on a wider rung than its
-        # factors and is not tried.
+        # b * q stays below the limit of its factors' rung, but the sum of
+        # the two bounds does not, so the product sits on a wider rung than
+        # its factors and is not tried.
         table = table_of("x", 2)
         b = parse_polynomial(f"x0^{top} + x1", table)
         q = linked(b, parse_polynomial(f"x0^-{top} + 1", table))
@@ -917,8 +986,11 @@ class TestText:
         assert parse_polynomial(text, table) == p
 
 
-#: Exponent magnitudes at the first rung's edge and past it, up the ladder.
-MAGNITUDES = [2**46 - 1, 2**46, 2**47, 2**94, 2**200]
+#: Exponent magnitudes at the edges of the first two rungs and past them, up the ladder.
+MAGNITUDES = [
+    FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT, SECOND_RUNG_LIMIT - 1, SECOND_RUNG_LIMIT,
+    2**47, 2**94, 2**200,
+]
 
 
 def oracle_map(p, mapping, target):

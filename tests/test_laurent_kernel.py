@@ -8,6 +8,7 @@ from hypothesis import given
 
 from conftest import (
     FIRST_RUNG_LIMIT,
+    SECOND_RUNG_LIMIT,
     SMALL_TABLE,
     extremes_reads,
     mono_over,
@@ -175,13 +176,15 @@ class TestExactDivision:
     @pytest.mark.parametrize("numer_shift, denom_shift", [
         (0, 0), (1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1),
     ])
+    @pytest.mark.parametrize("limit", [FIRST_RUNG_LIMIT, SECOND_RUNG_LIMIT], ids=["first", "second"])
     def test_first_quotient_term_leaves_the_box_by_one(
-        self, numer, denom, field, face, numer_shift, denom_shift
+        self, numer, denom, field, face, numer_shift, denom_shift, limit
     ):
-        # Shifts of +/-(LIMIT - 8) in every field move the keys, and with
-        # unequal shifts the box and the quotient, next to the limit.
+        # Shifts of +/-(limit - 8) in every field move the keys, and with
+        # unequal shifts the box and the quotient, next to the limit of
+        # the first or the second rung.
         table = VariableTable.make(cluster=("x0", "x1"))
-        far = LIMIT - 8
+        far = limit - 8
 
         def shifted(text, sign):
             return poly_mul(parse_polynomial(text, table), table.term((sign * far,) * 2))
@@ -191,7 +194,7 @@ class TestExactDivision:
         n_exps, d_exps = list(numer.terms), list(denom.terms)
         lo = [min(e[i] for e in n_exps) - min(e[i] for e in d_exps) for i in range(2)]
         hi = [max(e[i] for e in n_exps) - max(e[i] for e in d_exps) for i in range(2)]
-        assert max(map(abs, lo + hi)) < LIMIT
+        assert max(map(abs, lo + hi)) < limit
         lead = [a - b for a, b in zip(sorted_terms(numer)[0][0], sorted_terms(denom)[0][0])]
         for i in range(2):
             if i != field:
@@ -421,129 +424,131 @@ class TestIntegerArguments:
         assert str(LaurentPolynomial(SMALL_TABLE, {(1, 0, 0): 3})) == "3*x"
 
 
-LIMIT = FIRST_RUNG_LIMIT
-
-
 def x_power(e, table=SMALL_TABLE):
     return LaurentPolynomial(table, {(e, 0, 0): 1})
 
 
-def assert_wide(p, terms):
-    """``p`` has exactly ``terms`` and sits on the rung its bound fits, past the first."""
+def assert_wide(p, terms, limit):
+    """``p`` has exactly ``terms`` and sits on the rung its bound fits, past the rung of ``limit``."""
     assert dict(p.terms.items()) == terms
     assert p._layout is p.table._layout.fit(p._amp)
-    assert p._amp >= LIMIT and p._layout.bits > 48
+    assert p._amp >= limit and p._layout.limit > limit
 
 
 class TestWideExponents:
-    """Exponents past the first rung's limit are exact: the keys widen, never wrap."""
+    """Exponents past a rung's limit are exact: the keys widen, never wrap."""
 
-    def test_constructor(self):
-        for e in (LIMIT - 1, -(LIMIT - 1)):
+    @pytest.fixture(params=[FIRST_RUNG_LIMIT, SECOND_RUNG_LIMIT], ids=["first", "second"])
+    def limit(self, request):
+        """The limit of the rung that the tests cross: the first, then the second."""
+        return request.param
+
+    def test_constructor(self, limit):
+        for e in (limit - 1, -(limit - 1)):
             p = x_power(e)
             assert dict(p.terms.items()) == {(e, 0, 0): 1}
             assert str(p) == f"x^{e}"
-            assert p._layout is SMALL_TABLE._layout
-        for e in (LIMIT, -LIMIT):
+            assert p._layout is SMALL_TABLE._layout.fit(p._amp) and p._layout.limit == limit
+        for e in (limit, -limit):
             p = x_power(e)
-            assert_wide(p, {(e, 0, 0): 1})
+            assert_wide(p, {(e, 0, 0): 1}, limit)
             assert str(p) == f"x^{e}"
 
-    def test_term(self):
-        edge = (LIMIT - 1, 0, 1 - LIMIT)
+    def test_term(self, limit):
+        edge = (limit - 1, 0, 1 - limit)
         assert SMALL_TABLE.term(edge) == LaurentPolynomial(SMALL_TABLE, {edge: 1})
-        for e in (LIMIT, -LIMIT):
+        for e in (limit, -limit):
             p = SMALL_TABLE.term((0, e, 0))
-            assert_wide(p, {(0, e, 0): 1})
+            assert_wide(p, {(0, e, 0): 1}, limit)
             assert p == LaurentPolynomial(SMALL_TABLE, {(0, e, 0): 1})
 
-    def test_parse(self):
-        assert parse_polynomial(f"x^{LIMIT - 1} + y^{1 - LIMIT}", SMALL_TABLE) == poly_add(
-            x_power(LIMIT - 1), LaurentPolynomial(SMALL_TABLE, {(0, 1 - LIMIT, 0): 1})
+    def test_parse(self, limit):
+        assert parse_polynomial(f"x^{limit - 1} + y^{1 - limit}", SMALL_TABLE) == poly_add(
+            x_power(limit - 1), LaurentPolynomial(SMALL_TABLE, {(0, 1 - limit, 0): 1})
         )
-        for text, e in ((f"x^{LIMIT}", LIMIT), (f"x^-{LIMIT}", -LIMIT), (f"x^{LIMIT - 1}*x", LIMIT)):
-            assert_wide(parse_polynomial(text, SMALL_TABLE), {(e, 0, 0): 1})
+        for text, e in ((f"x^{limit}", limit), (f"x^-{limit}", -limit), (f"x^{limit - 1}*x", limit)):
+            assert_wide(parse_polynomial(text, SMALL_TABLE), {(e, 0, 0): 1}, limit)
 
-    def test_mul(self):
+    def test_mul(self, limit):
         x = SMALL_TABLE.variable("x")
         y_plus_1 = parse_polynomial("y + 1", SMALL_TABLE)
-        assert poly_mul(x_power(LIMIT - 2), x) == x_power(LIMIT - 1)
-        assert poly_mul(x_power(LIMIT - 1), x_power(-1)) == x_power(LIMIT - 2)
-        edge = poly_mul(poly_add(x_power(LIMIT - 1), y_plus_1), y_plus_1)
-        assert (LIMIT - 1, 1, 0) in edge.terms
+        assert poly_mul(x_power(limit - 2), x) == x_power(limit - 1)
+        assert poly_mul(x_power(limit - 1), x_power(-1)) == x_power(limit - 2)
+        edge = poly_mul(poly_add(x_power(limit - 1), y_plus_1), y_plus_1)
+        assert (limit - 1, 1, 0) in edge.terms
         for a, b in (
-            (x_power(LIMIT - 1), x),
-            (x_power(1 - LIMIT), x_power(-1)),
-            (poly_add(x_power(LIMIT - 1), y_plus_1), poly_add(x, y_plus_1)),
+            (x_power(limit - 1), x),
+            (x_power(1 - limit), x_power(-1)),
+            (poly_add(x_power(limit - 1), y_plus_1), poly_add(x, y_plus_1)),
         ):
-            assert_wide(poly_mul(a, b), oracle_poly_mul(a, b))
+            assert_wide(poly_mul(a, b), oracle_poly_mul(a, b), limit)
 
-    def test_mul_monomial(self):
-        p = poly_add(x_power(LIMIT - 1), SMALL_TABLE.variable("y"))
+    def test_mul_monomial(self, limit):
+        p = poly_add(x_power(limit - 1), SMALL_TABLE.variable("y"))
         shifted = poly_mul_monomial(p, SMALL_TABLE.monomial(y=5))
-        assert (LIMIT - 1, 5, 0) in shifted.terms
+        assert (limit - 1, 5, 0) in shifted.terms
         for a, m in (
             (p, SMALL_TABLE.monomial(x=1)),
-            (x_power(-1), SMALL_TABLE.monomial(x=-LIMIT)),
+            (x_power(-1), SMALL_TABLE.monomial(x=-limit)),
         ):
             product = poly_mul_monomial(a, m)
-            assert_wide(product, oracle_poly_mul(a, m.as_polynomial()))
+            assert_wide(product, oracle_poly_mul(a, m.as_polynomial()), limit)
             assert product == poly_mul(a, m.as_polynomial())
 
-    def test_pow_of_monomial(self):
+    def test_pow_of_monomial(self, limit):
         x = SMALL_TABLE.variable("x")
-        assert poly_pow(x, LIMIT - 1) == x_power(LIMIT - 1)
-        assert poly_pow(x_power(-2), LIMIT // 2 - 1) == x_power(2 - LIMIT)
-        for base, k, e in ((x, LIMIT, LIMIT), (x_power(-1), LIMIT, -LIMIT), (x_power(LIMIT // 2), 2, LIMIT)):
-            assert_wide(poly_pow(base, k), {(e, 0, 0): 1})
+        assert poly_pow(x, limit - 1) == x_power(limit - 1)
+        assert poly_pow(x_power(-2), limit // 2 - 1) == x_power(2 - limit)
+        for base, k, e in ((x, limit, limit), (x_power(-1), limit, -limit), (x_power(limit // 2), 2, limit)):
+            assert_wide(poly_pow(base, k), {(e, 0, 0): 1}, limit)
 
-    def test_exact_div(self):
+    def test_exact_div(self, limit):
         y_plus_1 = parse_polynomial("y + 1", SMALL_TABLE)
-        numer = poly_mul(x_power(LIMIT - 1), y_plus_1)
-        assert poly_exact_div(numer, y_plus_1) == x_power(LIMIT - 1)
-        assert poly_exact_div(x_power(LIMIT - 1), x_power(1)) == x_power(LIMIT - 2)
-        assert_wide(poly_exact_div(x_power(LIMIT - 1), x_power(-1)), {(LIMIT, 0, 0): 1})
+        numer = poly_mul(x_power(limit - 1), y_plus_1)
+        assert poly_exact_div(numer, y_plus_1) == x_power(limit - 1)
+        assert poly_exact_div(x_power(limit - 1), x_power(1)) == x_power(limit - 2)
+        assert_wide(poly_exact_div(x_power(limit - 1), x_power(-1)), {(limit, 0, 0): 1}, limit)
         quotient = poly_exact_div(numer, poly_mul(x_power(-1), y_plus_1))
-        assert dict(quotient.terms.items()) == {(LIMIT, 0, 0): 1}
-        assert quotient == x_power(LIMIT)
+        assert dict(quotient.terms.items()) == {(limit, 0, 0): 1}
+        assert quotient == x_power(limit)
 
-    def test_exact_div_monomial_quotient(self):
+    def test_exact_div_monomial_quotient(self, limit):
         # Equal lengths and a one-term quotient: the heap route's box is
         # the quotient itself, so its bound is exact on either rung.
         y_plus_1 = parse_polynomial("y + 1", SMALL_TABLE)
         for sign in (1, -1):
             denom = poly_mul(x_power(-sign), y_plus_1)
-            below = poly_mul(x_power(sign * (LIMIT - 2)), y_plus_1)
+            below = poly_mul(x_power(sign * (limit - 2)), y_plus_1)
             quotient = poly_exact_div(below, denom)
-            assert quotient == x_power(sign * (LIMIT - 1))
-            assert quotient._amp == LIMIT - 1
-            at = poly_mul(x_power(sign * (LIMIT - 1)), y_plus_1)
+            assert quotient == x_power(sign * (limit - 1))
+            assert quotient._amp == limit - 1
+            at = poly_mul(x_power(sign * (limit - 1)), y_plus_1)
             with extremes_reads() as reads:
                 quotient = poly_exact_div(at, denom)
             assert reads == [at, denom]
-            assert_wide(quotient, {(sign * LIMIT, 0, 0): 1})
-            assert quotient._amp == LIMIT
+            assert_wide(quotient, {(sign * limit, 0, 0): 1}, limit)
+            assert quotient._amp == limit
 
-    def test_map_variables(self):
+    def test_map_variables(self, limit):
         target = VariableTable.make(cluster=("u",), frozen=("f",))
-        p = poly_add(x_power(LIMIT // 4), SMALL_TABLE.variable("f"))
+        p = poly_add(x_power(limit // 4), SMALL_TABLE.variable("f"))
         image = poly_map_variables(p, {"x": target.monomial(u=3)}, target)
-        assert image == parse_polynomial(f"u^{3 * (LIMIT // 4)} + f", target)
+        assert image == parse_polynomial(f"u^{3 * (limit // 4)} + f", target)
         image = poly_map_variables(p, {"x": target.monomial(u=4)}, target)
-        assert_wide(image, {(LIMIT, 0): 1, (0, 1): 1})
+        assert_wide(image, {(limit, 0): 1, (0, 1): 1}, limit)
         # The same crossing inside one table, where keys move in place.
         image = poly_map_variables(p, {"x": SMALL_TABLE.monomial(x=2, y=-4)}, SMALL_TABLE)
-        assert_wide(image, {(LIMIT // 2, -LIMIT, 0): 1, (0, 0, 1): 1})
+        assert_wide(image, {(limit // 2, -limit, 0): 1, (0, 0, 1): 1}, limit)
 
-    def test_terms_view_never_aliases(self):
-        p = x_power(LIMIT - 1)
+    def test_terms_view_never_aliases(self, limit):
+        p = x_power(limit - 1)
         assert len(p.terms) == 1
-        assert (LIMIT - 1, 0, 0) in p.terms
-        for exps in ((LIMIT, 0, 0), (LIMIT - 1, 0), ("x", 0, 0)):
+        assert (limit - 1, 0, 0) in p.terms
+        for exps in ((limit, 0, 0), (limit - 1, 0), ("x", 0, 0)):
             assert exps not in p.terms
         with pytest.raises(TypeError):
             p.terms[(0, 0, 0)] = 1
-        wide = poly_add(x_power(LIMIT), SMALL_TABLE.variable("y"))
-        assert (LIMIT, 0, 0) in wide.terms and (0, 1, 0) in wide.terms
-        for exps in ((2**94, 0, 0), (0, 1 - 2**94, 0), (LIMIT + 1, 0, 0)):
+        wide = poly_add(x_power(limit), SMALL_TABLE.variable("y"))
+        assert (limit, 0, 0) in wide.terms and (0, 1, 0) in wide.terms
+        for exps in ((2**94, 0, 0), (0, 1 - 2**94, 0), (limit + 1, 0, 0)):
             assert exps not in wide.terms

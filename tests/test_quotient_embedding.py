@@ -11,6 +11,7 @@ import random
 import pytest
 
 from conftest import (
+    FIRST_RUNG_BITS,
     FIRST_RUNG_LIMIT,
     failed_cases,
     mono_over,
@@ -768,7 +769,7 @@ class TestSigmaAndUnits:
         )
         expanded, oracle = placeholder_normal_form(ctx, p), expand_term_by_term(ctx, p)
         tight = LaurentPolynomial(oracle.table, dict(oracle.terms.items()))
-        assert expanded._layout.bits > tight._layout.bits == 48
+        assert expanded._layout.bits > tight._layout.bits == FIRST_RUNG_BITS
         for other in (oracle, tight):
             assert expanded == other and other == expanded
             assert expanded.hash_key() == other.hash_key()
