@@ -44,8 +44,8 @@ Design notes
   the terms added so far.  Equality and
   :meth:`LaurentPolynomial.hash_key` do not depend on the rung, so a
   polynomial built with a loose bound equals one built with a tight
-  bound.  Each exponent vector that enters the kernel (a term, a shift,
-  a :class:`Monomial` image) is packed and bounded in one pass.
+  bound.  Each exponent vector that enters the kernel (a term, a shift)
+  is packed and bounded in one pass.
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
@@ -75,6 +75,16 @@ Design notes
   Otherwise a one-term divisor shifts keys and any other divisor runs the
   heap elimination of :func:`poly_exact_div`, whose exponent box is the
   quotient itself when the quotient is one term.
+* Substitutions.  A :class:`Substitution` is a monomial ring map, built
+  once from ``(mapping, source table, target table)``: it checks the
+  mapping when it is built, and stores a variable's image as its nonzero
+  exponents when a polynomial or a vector first uses the variable.  It
+  maps a polynomial in one loop over its keys, with one move list per
+  pair of rungs packed from the stored images and kept, and an exponent
+  vector (:meth:`Substitution.vector`) from the same images.  A monomial
+  ring map sends ``sum c_v x^v`` to ``sum c_v x^(E v)``, so a caller that
+  builds a polynomial from exponent vectors can map the vectors first and
+  run no pass over the polynomial.
 """
 
 from collections import Counter
@@ -85,6 +95,7 @@ from itertools import chain
 from math import gcd
 from operator import index, mul, sub
 import re
+from types import MappingProxyType
 
 from .errors import (
     FrozenValue,
@@ -317,17 +328,6 @@ class Monomial(FrozenValue):
 
     def is_one(self):
         return all(e == 0 for e in self.exponents)
-
-    def _packed(self):
-        """``(key - offset, largest exponent magnitude)``, computed once, on the rung that fits."""
-        try:
-            return self._packed_cache
-        except AttributeError:
-            layout = self.table._layout
-            key, amp = layout.pack_bounded(self.exponents)
-            packed = key - layout.fit(amp).offset, amp
-            object.__setattr__(self, "_packed_cache", packed)
-            return packed
 
     def as_polynomial(self):
         return self.table.term(self.exponents)
@@ -941,72 +941,140 @@ def _divide(numer, denom):
     return _trusted(table, _repack(quotient, layout, table._layout.fit(amp)), amp)
 
 
-def poly_map_variables(p, mapping, target):
-    """Transport ``p`` to ``target`` by substituting monomials for variables.
+class Substitution:
+    """The monomial ring map from ``source`` to ``target`` that ``mapping`` defines.
 
-    ``mapping`` sends variable names of ``p``'s table to
-    :class:`Monomial` objects over ``target`` (ValidationError for
-    another image).  Names absent from the mapping are carried across
-    by name; a name that is needed but exists
-    in neither the mapping nor the target raises
-    :class:`~gencluster.errors.UnknownSymbol`.
+    ``mapping`` sends variable names of ``source`` to :class:`Monomial`
+    images over ``target``.  It is checked here, once: UnknownSymbol for
+    a name outside ``source``, ValidationError for an image that is not a
+    :class:`Monomial`, TableMismatch for one over another table.  A name
+    absent from the mapping is fixed when the tables are one, and is
+    otherwise carried across by name; a name the target lacks raises
+    UnknownSymbol only when a polynomial or a vector uses it.  ``images``
+    is a read-only view of the mapping.
+
+    ``sub(p)`` maps a polynomial over ``source``, and ``sub.vector(exps)``
+    maps an exponent vector: the exponents of the image of ``x^exps``.
+    Both read one stored column per source variable, worked out when a
+    polynomial or a vector first uses the variable: the nonzero ``(target
+    position, exponent)`` entries of its image and the image's largest
+    exponent magnitude.  The polynomial form packs a column's move from
+    it, into one move list per pair of rungs, and keeps it.
     """
-    source = p.table
-    for name, mono in mapping.items():
-        if name not in source:
-            raise UnknownSymbol(f"mapping source {name!r} is not in the table")
-        if not isinstance(mono, Monomial):
-            raise ValidationError(f"image of {name!r} is not a Monomial: {mono!r}")
-        if not _same_table(mono.table, target):
-            raise TableMismatch(f"image of {name!r} is not over the target table")
-    s_layout = p._layout
-    used = 0
-    for key in p._keys:
-        used |= key ^ s_layout.offset
-    same = _same_table(source, target)
-    images = []
-    bound = 1 if same else 0
-    for i, name in ((source.index(n), n) for n in mapping) if same else enumerate(source.names):
-        if (used >> s_layout.shifts[i]) & s_layout.mask:
-            image = mapping.get(name)
-            images.append((i, name, image))
-            bound += 1 if image is None else image._packed()[1]
-    amp = p._amp * bound
-    layout = target._layout.fit(amp)
-    # Keys are linear in exponent vectors.  Over a table of the same
-    # width and on the same rung a term keeps its key and each variable
-    # that moves adds its exponent times (image - itself).  Over the same
-    # table only mapped variables can move, so ``p``'s keys first move up
-    # to the result's rung.  Otherwise the key is rebuilt from the
-    # target's 1 out of the used variables.
-    keys, r_layout = (_repack(p._keys, s_layout, layout), layout) if same else (p._keys, s_layout)
-    in_place = r_layout is layout
-    moves = []
-    for i, name, image in images:
+
+    __slots__ = ("source", "target", "images", "_same", "_positions", "_columns", "_moves")
+
+    def __init__(self, mapping, source, target):
+        for name, mono in mapping.items():
+            if name not in source:
+                raise UnknownSymbol(f"mapping source {name!r} is not in the table")
+            if not isinstance(mono, Monomial):
+                raise ValidationError(f"image of {name!r} is not a Monomial: {mono!r}")
+            if not _same_table(mono.table, target):
+                raise TableMismatch(f"image of {name!r} is not over the target table")
+        self.source, self.target = source, target
+        self.images = MappingProxyType(dict(mapping))
+        self._same = same = _same_table(source, target)
+        # The variables that can move: over one table, the mapped ones.
+        self._positions = sorted(map(source.index, mapping)) if same else range(len(source))
+        self._columns = [None] * len(source)
+        self._moves = {}
+
+    def _column(self, i):
+        """``(entries, bound)`` of source variable ``i``, stored on first use."""
+        name = self.source.names[i]
+        image = self.images.get(name)
         if image is None:
-            delta = layout.units[target.index(name)]
-        elif layout is target._layout:
-            delta = image._packed()[0]
+            column = ((self.target.index(name), 1),), 1
         else:
-            delta = layout.pack_bounded(image.exponents)[0] - layout.offset
-        if in_place:
-            delta -= layout.units[i]
-        if delta:
-            moves.append((r_layout.shifts[i], delta))
-    if same and not moves:
-        return p
-    base = layout.offset
-    mask, bias = r_layout.mask, r_layout.bias
-    terms = {}
-    get = terms.get
-    for key, coeff in keys.items():
-        acc = key if in_place else base
-        for shift, delta in moves:
-            e = ((key >> shift) & mask) - bias
+            exps = image.exponents
+            column = [(j, g) for j, g in enumerate(exps) if g], max(map(abs, exps), default=0)
+        self._columns[i] = column
+        return column
+
+    def __call__(self, p):
+        """The image of the polynomial ``p`` over ``source`` (TableMismatch otherwise).
+
+        The result is bounded by ``p``'s bound times the sum of the used
+        variables' image bounds (plus one over one table, for the
+        variables that stay).  Keys are linear in exponent vectors, so
+        each used variable adds its exponent times its packed image to a
+        key rebuilt from the target's 1.  On one rung of one width a term
+        keeps its key, and each variable that moves adds its exponent
+        times (image - itself); over one table ``p``'s keys first move up
+        to the result's rung, so only mapped variables move.
+        """
+        if not _same_table(p.table, self.source):
+            raise TableMismatch("polynomial is not over the substitution's source table")
+        s_layout, same, columns = p._layout, self._same, self._columns
+        used = 0
+        for key in p._keys:
+            used |= key ^ s_layout.offset
+        shifts, mask = s_layout.shifts, s_layout.mask
+        picked, bound = [], int(same)
+        for i in self._positions:
+            if (used >> shifts[i]) & mask:
+                picked.append(i)
+                bound += (columns[i] or self._column(i))[1]
+        amp = p._amp * bound
+        target = self.target
+        layout = target._layout.fit(amp)
+        keys, r_layout = (_repack(p._keys, s_layout, layout), layout) if same else (p._keys, s_layout)
+        in_place = r_layout is layout
+        packed = self._moves.get((r_layout, layout))
+        if packed is None:
+            packed = self._moves[r_layout, layout] = [None] * len(columns)
+        moves = []
+        for i in picked:
+            move = packed[i]
+            if move is None:
+                units = layout.units
+                delta = -units[i] if in_place else 0
+                for j, g in columns[i][0]:
+                    delta += g * units[j]
+                move = packed[i] = (r_layout.shifts[i], delta)
+            if move[1]:
+                moves.append(move)
+        if same and not moves:
+            return p
+        base = layout.offset
+        mask, bias = r_layout.mask, r_layout.bias
+        terms = {}
+        get = terms.get
+        for key, coeff in keys.items():
+            acc = key if in_place else base
+            for shift, delta in moves:
+                e = ((key >> shift) & mask) - bias
+                if e:
+                    acc += e * delta
+            terms[acc] = get(acc, 0) + coeff
+        return _trusted(target, _drop_zeros(terms), amp)
+
+    def vector(self, exps):
+        """The exponent vector, over ``target``, of the image of ``x^exps``.
+
+        ``exps`` holds one integer per ``source`` variable, in table
+        order (ValidationError otherwise), of any size.
+        """
+        if len(exps) != len(self.source):
+            raise ValidationError("exponent vector does not match table size")
+        # As in ``_Layout.pack_bounded``: the sum is an int exactly when every entry is one.
+        try:
+            total = sum(exps)
+        except TypeError:
+            total = None
+        if type(total) is not int:
+            raise ValidationError(f"exponents must be integers: {tuple(exps)!r}")
+        same, columns = self._same, self._columns
+        out = list(exps) if same else [0] * len(self.target)
+        for i in self._positions:
+            e = exps[i]
             if e:
-                acc += e * delta
-        terms[acc] = get(acc, 0) + coeff
-    return _trusted(target, _drop_zeros(terms), amp)
+                if same:
+                    out[i] -= e
+                for j, g in (columns[i] or self._column(i))[0]:
+                    out[j] += e * g
+        return tuple(out)
 
 
 def poly_split_trailing(p, head):

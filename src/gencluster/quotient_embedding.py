@@ -58,13 +58,20 @@ the formula's right side are kernel shifted sums (``poly_shifted_sum``),
 which shift keys by exponent vectors and build no one-term polynomial;
 a placeholder expansion, whose factors are general polynomials, is one
 kernel ``poly_sum_of_products``.
+
+The unit elimination ``E`` and the embedding ``phi`` are monomial ring
+maps, each a kernel :class:`~gencluster.laurent_kernel.Substitution`
+built once: ``E`` once per folded table and layout, ``phi`` once per walk
+and source table.  ``E(sum c_v x^v) = sum c_v x^(E v)``, so where a
+polynomial is built from exponent vectors (the member binomials of the
+product formula, the balanced sums of condition (iv), the ``sigma``
+sums), ``E`` is applied to the vectors and no elimination pass runs.
 """
 
 from copy import copy
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import sub
-from types import MappingProxyType
 
 from .errors import GroupCoherenceViolation, InexactDivision, Report, ValidationError
 from .gca_seed import (
@@ -75,7 +82,7 @@ from .gca_seed import (
     mutate_seed,
 )
 from .laurent_kernel import (
-    poly_map_variables,
+    Substitution,
     poly_mul,
     poly_pow,
     poly_shifted_sum,
@@ -165,21 +172,24 @@ def _balanced_sum(table, pairs, r):
 
 @lru_cache(maxsize=64)
 def unit_elimination_map(table, ranges):
-    """Substitutions realizing ``prod t = prod s = 1`` per group.
+    """The unit elimination ``E`` realizing ``prod t = prod s = 1`` per group.
 
     ``ranges`` holds each group's ``(t_range, s_range)``: the positions
     the folded layout gives its ``t`` and ``s`` variables
     (``FoldedLayout.aux``).  The last member's pair is rewritten as the
     inverse product of the others; for a size-one group the variables
-    are simply erased.  Every route to the
-    quotient over one layout shares a single, read-only map.
+    are simply erased.  ``E`` is a kernel
+    :class:`~gencluster.laurent_kernel.Substitution` of ``table`` into
+    itself, and every route to the quotient over one layout shares it.
+    ``E(p)`` eliminates a polynomial and ``E.vector(exps)`` an exponent
+    vector.
     """
     names = table.names
-    return MappingProxyType({
+    return Substitution({
         names[block[-1]]: table.monomial({names[q]: -1 for q in block[:-1]})
         for pair in ranges
         for block in pair
-    })
+    }, table, table)
 
 
 @lru_cache(maxsize=256)
@@ -191,17 +201,18 @@ def _eliminated_sigma(table, pattern):
     is the balanced sum identified with the coefficient ``rho_{k,r}``,
     over the members of group ``k``, whose ``t`` and ``s`` variables sit
     at ``t_range`` and ``s_range``, so ``E`` of that group alone
-    eliminates it.  ``E`` is a monomial ring map, so the eliminated product
-    multiplies powers of the eliminated sums, each a one-slot pattern.
+    eliminates it.  ``E`` is a monomial ring map, so the eliminated sum is
+    the balanced sum of the eliminated ``t`` and ``s`` vectors, and the
+    eliminated product multiplies powers of the eliminated sums, each a
+    one-slot pattern.
     """
     if len(pattern) == 1 and pattern[0][1] == 1:
         (t_range, s_range, r), _ = pattern[0]
         positions = range(len(table))
         unit = [tuple(int(q == i) for q in positions) for i in positions]
-        pairs = [(unit[t], unit[s]) for t, s in zip(t_range, s_range)]
-        sigma = _balanced_sum(table, pairs, r)
-        group_map = unit_elimination_map(table, ((t_range, s_range),))
-        return poly_map_variables(sigma, group_map, table)
+        units = unit_elimination_map(table, ((t_range, s_range),))
+        pairs = [(units.vector(unit[t]), units.vector(unit[s])) for t, s in zip(t_range, s_range)]
+        return _balanced_sum(table, pairs, r)
     return reduce(poly_mul, (
         poly_pow(_eliminated_sigma(table, ((slot, 1),)), e) for slot, e in pattern
     ))
@@ -215,7 +226,7 @@ def eliminate_units(table, ranges, p):
     """
     if p.table != table:
         raise ValidationError("polynomial is not over the folded table")
-    return poly_map_variables(p, unit_elimination_map(table, ranges), table)
+    return unit_elimination_map(table, ranges)(p)
 
 
 class QuotientContext:
@@ -234,10 +245,13 @@ class QuotientContext:
     reaches: the folded ``layout``, ``rho_values`` (the table sending
     each placeholder ``rho<k>_<r>`` to its concrete monomial; mutation
     only permutes which placeholder sits where), ``placeholder_names``,
-    the placeholder-extended folded table ``folded_plus``, and the
-    images of the tracked variables with their positions in the folded
-    table.  Products of eliminated ``sigma`` powers are cached per
-    folded table and placeholder pattern.
+    the placeholder-extended folded table ``folded_plus``, the images
+    of the tracked variables with their positions in the folded table,
+    the unit elimination ``E``, the embedding ``phi`` built once per
+    source table, and the images of the string entries met so far, keyed
+    by exponent vector (mutation only permutes the placeholders, so a
+    walk meets few).  Products of eliminated ``sigma`` powers are cached
+    per folded table and placeholder pattern.
 
     Every position is read off the folded layout ``[cluster groups | F |
     T^1 S^1 | ...]`` (:class:`~gencluster.unfolding.FoldedLayout`), not
@@ -301,6 +315,9 @@ class QuotientContext:
             )
             for k in range(seed.rank)
         }
+        self._phi = {}
+        self._string_images = {}
+        self._units = unit_elimination_map(folded.table, layout.aux)
         self._lifts = (
             tuple(tuple(members) for members in layout.groups)
             + tuple((c,) for c in layout.f_block)
@@ -335,12 +352,27 @@ class QuotientContext:
         ``p`` may also live over a leading part of that table.  Its lift
         carries no ``t`` or ``s`` variable (checked once per walk), so
         the unit elimination, which would fix it, is skipped and only
-        the placeholders are expanded.
+        the placeholders are expanded.  ``phi`` is built once per source
+        table and kept for the walk.
         """
-        names, table = p.table.names, self.tracked.table
-        if p.table is not table and names != table.names[: len(names)]:
-            raise ValidationError("phi_poly expects a polynomial over the tracked table")
-        return self._expand(poly_map_variables(p, self._phi_images, self.folded_plus))
+        phi = self._phi.get(p.table)
+        if phi is None:
+            names, table = p.table.names, self.tracked.table
+            if p.table is not table and names != table.names[: len(names)]:
+                raise ValidationError("phi_poly expects a polynomial over the tracked table")
+            phi = self._phi[p.table] = Substitution(self._phi_images, p.table, self.folded_plus)
+        return self._expand(phi(p))
+
+    def string_image(self, entry):
+        """:meth:`phi_poly` of a string entry, a monomial over the tracked table.
+
+        Each image is built once per walk and kept by exponent vector.
+        """
+        images = self._string_images
+        image = images.get(entry.exponents)
+        if image is None:
+            image = images[entry.exponents] = self.phi_poly(entry.as_polynomial())
+        return image
 
     def _expand(self, p):
         """Expand the placeholders of ``p``, over ``folded_plus`` and fixed by ``E``.
@@ -386,15 +418,27 @@ class QuotientContext:
         class the embedding gives the ``k``-th cluster variable.
         """
         members, eliminated = self.layout.group_range(k), self._eliminated
-        table, aux = self.folded.table, self.layout.aux
         for c in members:
             if eliminated[c] is None:
-                eliminated[c] = eliminate_units(table, aux, self.folded.cluster[c])
+                eliminated[c] = self._units(self.folded.cluster[c])
         return reduce(poly_mul, (eliminated[c] for c in members))
 
 
 # ---------------------------------------------------------------------------
 # Verification: the product formula
+
+
+def _member_binomial_product(table, fm, k):
+    """``E(prod_c theta_c)`` over the members ``c`` of group ``k`` of ``fm``.
+
+    Each member's binomial ``x^(E a) + x^(E b)`` is the shifted sum of
+    its row's sides ``a`` and ``b``, eliminated as exponent vectors.
+    """
+    units, matrix = unit_elimination_map(table, fm.layout.aux), fm.matrix
+    return reduce(poly_mul, (
+        poly_shifted_sum(table, ((units.vector(side), None) for side in sides(matrix.rows[c])))
+        for c in fm.layout.group_range(k)
+    ))
 
 
 def product_formula_check(table, fm, k):
@@ -419,21 +463,18 @@ def product_formula_check(table, fm, k):
 
     Each member's binomial and each shell ``(U> V>)^r (U< V<)^(d_k - r)``
     is a shifted sum of exponent vectors read off the matrix rows.
-    The unit elimination ``E`` is a monomial ring map and the shells
-    carry no auxiliary variables, so ``E(sigma * shell) = E(sigma) *
-    shell``: the right side is the eliminated ``sigma`` sums, walk
-    constants built once per folded table, each shifted by its shell's
-    exponent vector, and only the left side takes an elimination pass.
+    The unit elimination ``E`` is a monomial ring map, so it is applied
+    to exponent vectors and no elimination pass runs over a polynomial:
+    ``E(x^a + x^b) = x^(E a) + x^(E b)``, so each member binomial is
+    built from its eliminated sides; and the shells carry no auxiliary
+    variables, so ``E(sigma * shell) = E(sigma) * shell``, and the right
+    side is the eliminated ``sigma`` sums, walk constants built once per
+    folded table, each shifted by its shell's exponent vector.
     """
-    layout, matrix = fm.layout, fm.matrix
-    members = layout.group_range(k)
-    d_k = len(members)
-    lhs = reduce(poly_mul, (
-        poly_shifted_sum(table, ((side, None) for side in sides(matrix.rows[c])))
-        for c in members
-    ))
-
-    g, l = sides(_coherent_row(matrix, layout, k), layout.exchange_block)
+    layout = fm.layout
+    d_k = len(layout.group_range(k))
+    lhs = _member_binomial_product(table, fm, k)
+    g, l = sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
     t_range, s_range = layout.t_range(k), layout.s_range(k)
     flip = fm.identity_sign(k) < 0
     rhs = poly_shifted_sum(table, (
@@ -443,7 +484,6 @@ def product_formula_check(table, fm, k):
         )
         for r in range(d_k + 1)
     ))
-    lhs = eliminate_units(table, layout.aux, lhs)
     if lhs != rhs:
         residual = poly_sub(lhs, rhs)
         return Report(((k, str(residual)),))
@@ -530,11 +570,14 @@ def _embedding_conditions_at(ctx):
     unit elimination ``E`` leaves the right side as it is.  (iii) takes
     its right side as ``prod_c E(x_c)``, which equals ``E(prod_c x_c)``
     because ``E`` is a monomial ring map; the context keeps the
-    ``E(x_c)``.  (iv) builds the balanced sums of the side ratios'
-    exponent vectors.
+    ``E(x_c)``.  (iv) eliminates the units of the side ratios'
+    exponent vectors before it builds their balanced sums, which is
+    ``E`` of the balanced sums of the ratios, as ``E`` is a monomial
+    ring map; its left sides are the walk's string images
+    (:meth:`QuotientContext.string_image`).
     """
     failures = []
-    tracked, folded, layout = ctx.tracked, ctx.folded, ctx.layout
+    tracked, folded, layout, units = ctx.tracked, ctx.folded, ctx.layout, ctx._units
     table = folded.table
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
@@ -564,10 +607,10 @@ def _embedding_conditions_at(ctx):
                     for pos in layout.f_block
                     if ratio[pos]
                 )
-            ratios.append(pair)
+            ratios.append((units.vector(pair[0]), units.vector(pair[1])))
         for r in range(tracked.divisors[k] + 1):
-            lhs = ctx.phi_poly(tracked.strings.entry(k, r).as_polynomial())
-            rhs = ctx.normal_form(_balanced_sum(table, ratios, r))
+            lhs = ctx.string_image(tracked.strings.entry(k, r))
+            rhs = _balanced_sum(table, ratios, r)
             if lhs != rhs:
                 failures.append(("(iv)", k, r))
     return failures

@@ -34,9 +34,9 @@ from .gca_seed import (
 )
 from .laurent_kernel import (
     LaurentPolynomial,
+    Substitution,
     VariableTable,
     _trusted_monomial,
-    poly_map_variables,
 )
 
 
@@ -153,8 +153,8 @@ def tau_tilde(seed, mode="total"):
     # Only frozen columns are scaled: the principal part is the input's.
     new_matrix = seed.matrix._trusted_replace(rows=new_rows)
 
-    mapping = _root_powers(table, new_table, n)
-    new_cluster = tuple(poly_map_variables(entry, mapping, new_table) for entry in seed.cluster)
+    phi = Substitution(_root_powers(table, new_table, n), table, new_table)
+    new_cluster = tuple(map(phi, seed.cluster))
 
     new_string_rows = []
     for k in range(seed.rank):
@@ -197,12 +197,8 @@ def transport_check(adjoined):
     ``(condition, k, r)`` triples (``r`` is ``None`` outside (ii)).
     """
     t, t_bar = adjoined.base, adjoined.seed
-    mapping = adjoined.root_map()
     target = t_bar.table
-
-    def phi(p):
-        return poly_map_variables(p, mapping, target)
-
+    phi = Substitution(adjoined.root_map(), t.table, target)
     failures = []
     for k in range(t.rank):
         ctx = ExchangeContext(t, k)

@@ -20,6 +20,7 @@ from gencluster.unfolding import group_mutate
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
+    Substitution,
     VariableTable,
     _drop_zeros,
     _require_same_table,
@@ -178,6 +179,11 @@ def poly_sum(table, polys):
             terms[exps] = terms.get(exps, 0) + coeff
         amp = max(amp, p._amp)
     return sum_with_bound(table, terms, amp)
+
+
+def map_variables(p, mapping, target):
+    """``p`` under the :class:`Substitution` of ``mapping`` from its table to ``target``, built for it alone."""
+    return Substitution(mapping, p.table, target)(p)
 
 
 def oracle_poly_mul(a, b):

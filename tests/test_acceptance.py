@@ -13,7 +13,7 @@ import itertools
 import random
 import time
 
-from conftest import failed_cases, group_mutate_sequence, parse_polynomial
+from conftest import failed_cases, group_mutate_sequence, map_variables, parse_polynomial
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import (
     exchange_polynomial,
@@ -21,7 +21,6 @@ from gencluster.gca_seed import (
     mutate_seed_sequence,
     root_formula_check,
 )
-from gencluster.laurent_kernel import poly_map_variables
 from gencluster.matrix_mutation import (
     modify,
     mutate,
@@ -191,8 +190,8 @@ class TestAcceptance:
             alt = parse_polynomial(FIX_B_ADJ_THETA_X_ALT, adjoined.seed.table)
             assert alt != theta_bar_x
             root_map = adjoined.root_map()
-            assert poly_map_variables(theta_x, root_map, adjoined.seed.table) == theta_bar_x
-            assert poly_map_variables(theta_y, root_map, adjoined.seed.table) == theta_bar_y
+            assert map_variables(theta_x, root_map, adjoined.seed.table) == theta_bar_x
+            assert map_variables(theta_y, root_map, adjoined.seed.table) == theta_bar_y
 
     def test_criterion_04_involution_and_string_legality(self):
         with criterion(4, 30.0):

@@ -434,9 +434,11 @@ class TestVerify:
 
     def test_product_formula_widens_mid_walk(self, monkeypatch):
         # FIX-A's folded exponents pass 2**22, the first rung's limit, at
-        # depth 5: results move up a rung after some records are written
+        # depth 6: results move up a rung after some records are written
         # and before the last, and the bytes are pinned from a build whose
         # tables started on 48-bit fields, where this walk never widens.
+        # (At depth 5 only the loose bound of an elimination pass crossed
+        # the limit; the product formula now eliminates exponent vectors.)
         out = io.StringIO()
         written_at_widening = []
         fit = laurent_kernel._Layout.fit
@@ -448,13 +450,13 @@ class TestVerify:
             return wider
 
         monkeypatch.setattr(laurent_kernel._Layout, "fit", spy)
-        argv = ["verify", "product-formula", "--seed", "FIX-A", "--depth", "5"]
+        argv = ["verify", "product-formula", "--seed", "FIX-A", "--depth", "6"]
         assert run_command(argv, out=out) == 0
         assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
-            "db9a8df1cdfd6b5283f49d0465e64ab295cf432fc25e2b8a910280456cd6eb81"
+            "f7e55018906410b46945e6f61dce95bb2f579ff3eddecc852f9b75d977421ebe"
         )
         assert written_at_widening
-        assert 0 < min(written_at_widening) and max(written_at_widening) < 32
+        assert 0 < min(written_at_widening) and max(written_at_widening) < 64
 
     def test_product_formula_walks_past_the_first_rung(self):
         # FIX-A's folded exponents pass 2**46, the second rung's limit, at

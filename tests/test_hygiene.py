@@ -969,8 +969,11 @@ def test_bounded_caches_do_not_fill_in_a_quotient_pass():
 def test_a_quotient_pass_compares_tables_by_value_only_when_they_differ(monkeypatch):
     # Equal tables are one shared object, so a walk that rebuilds its
     # tables shows here: without sharing, a warm pass made 2877 such
-    # comparisons, 2691 of them of equal tables.  The 186 left compare a
-    # tracked or base table with a folded or adjoined one.
+    # comparisons, 2691 of them of equal tables.  The 17 left compare a
+    # tracked or base table with a folded or adjoined one, once for each
+    # substitution built between them (10 embeddings, 7 root adjunctions);
+    # before substitutions were built once, each mapping made them again
+    # (186).
     from gencluster.laurent_kernel import VariableTable
 
     for cached in bounded_caches().values():
@@ -988,4 +991,4 @@ def test_a_quotient_pass_compares_tables_by_value_only_when_they_differ(monkeypa
 
     monkeypatch.setattr(VariableTable, "__eq__", counting_eq)
     quotient_pass()
-    assert compared == {"distinct": 186, "equal": 0}
+    assert compared == {"distinct": 17, "equal": 0}

@@ -31,16 +31,17 @@ from gencluster import laurent_kernel
 from gencluster.errors import (
     InexactDivision,
     TableMismatch,
+    UnknownSymbol,
     ValidationError,
 )
 from gencluster.laurent_kernel import (
     _ROW_MIN_PRODUCTS,
     LaurentPolynomial,
     Monomial,
+    Substitution,
     VariableTable,
     poly_add,
     poly_exact_div,
-    poly_map_variables,
     poly_mul,
     poly_neg,
     poly_pow,
@@ -656,7 +657,7 @@ def two_pass_key(layout, v):
 def one_pass_routes(table, v):
     """The one-term polynomial of ``v`` as ``term``, ``poly_shifted_sum`` and a mapped variable."""
     source = table_of("u", 1)
-    image = poly_map_variables(source.variable("u0"), {"u0": Monomial(table, v)}, table)
+    image = Substitution({"u0": Monomial(table, v)}, source, table)(source.variable("u0"))
     return table.term(v), poly_shifted_sum(table, [(v, None)]), image
 
 
@@ -916,6 +917,13 @@ class TestMonomialQuotient:
             assert str(failure.value) == "leading coefficient does not divide"
 
 
+def assert_vector_form(sub, p):
+    """Each term's exponents under ``sub.vector`` are those of the term's one-term image."""
+    for exps in p.terms:
+        image = sub(p.table.term(exps))
+        assert dict(image.terms.items()) == {sub.vector(exps): 1}
+
+
 class TestSubstitution:
     @given(st.data())
     def test_map_across_tables(self, data):
@@ -925,11 +933,12 @@ class TestSubstitution:
         mapping = {
             name: data.draw(monomials(target)) for name in source.names
         }
-        image = poly_map_variables(p, mapping, target)
+        sub = Substitution(mapping, source, target)
         expected = to_sympy(p).xreplace(
             {sympy.Symbol(n): to_sympy(m.as_polynomial()) for n, m in mapping.items()}
         )
-        assert_matches(image, expected)
+        assert_matches(sub(p), expected)
+        assert_vector_form(sub, p)
 
     @given(st.data())
     def test_map_within_a_table(self, data):
@@ -937,11 +946,57 @@ class TestSubstitution:
         p = data.draw(polynomials(table))
         moved = data.draw(st.lists(st.sampled_from(table.names), unique=True))
         mapping = {name: data.draw(monomials(table)) for name in moved}
-        image = poly_map_variables(p, mapping, table)
+        sub = Substitution(mapping, table, table)
         expected = to_sympy(p).xreplace(
             {sympy.Symbol(n): to_sympy(m.as_polynomial()) for n, m in mapping.items()}
         )
-        assert_matches(image, expected)
+        assert_matches(sub(p), expected)
+        assert_vector_form(sub, p)
+
+    def test_mapping_errors_are_raised_when_built(self):
+        source = VariableTable.make(cluster=("x", "y"), frozen=("f",))
+        target = VariableTable.make(cluster=("u",), frozen=("f",))
+        for mapping, error, text in (
+            ({"nope": target.one()}, UnknownSymbol, "mapping source 'nope' is not in the table"),
+            ({"x": (1, 0)}, ValidationError, "image of 'x' is not a Monomial: (1, 0)"),
+            ({"x": target.variable("u")}, ValidationError, "image of 'x' is not a Monomial: "),
+            ({"x": source.one()}, TableMismatch, "image of 'x' is not over the target table"),
+        ):
+            with pytest.raises(error) as failure:
+                Substitution(mapping, source, target)
+            assert str(failure.value).startswith(text)
+
+    def test_a_name_the_target_lacks_raises_only_when_used(self):
+        source = VariableTable.make(cluster=("x", "y"), frozen=("f",))
+        target = VariableTable.make(cluster=("u",), frozen=("f",))
+        sub = Substitution({"x": target.monomial(u=2)}, source, target)
+        p = parse_polynomial("x^3*f - x + 2", source)
+        assert sub(p) == parse_polynomial("u^6*f - u^2 + 2", target)
+        assert sub.vector((3, 0, 1)) == (6, 1)
+        for used in (parse_polynomial("x + y", source), source.variable("y")):
+            with pytest.raises(UnknownSymbol, match="symbol 'y' is not in the table"):
+                sub(used)
+        with pytest.raises(UnknownSymbol, match="symbol 'y' is not in the table"):
+            sub.vector((0, -1, 0))
+
+    def test_operands_are_checked(self):
+        source = VariableTable.make(cluster=("x", "y"))
+        sub = Substitution({"x": source.monomial(y=1)}, source, source)
+        with pytest.raises(TableMismatch):
+            sub(table_of("x", 2).variable("x0"))
+        for exps in ((1, 0, 0), (1,), (1.5, 0), ("a", 0), (None, 0)):
+            with pytest.raises(ValidationError):
+                sub.vector(exps)
+        assert sub.vector((2, -1)) == (0, 1)
+
+    def test_images_are_a_read_only_view(self):
+        table = VariableTable.make(cluster=("x", "y"))
+        mapping = {"x": table.monomial(y=-1)}
+        sub = Substitution(mapping, table, table)
+        mapping["y"] = table.one()
+        assert dict(sub.images) == {"x": table.monomial(y=-1)}
+        with pytest.raises(TypeError):
+            sub.images["y"] = table.one()
 
 
 def canonical_text(terms, table):
@@ -1048,7 +1103,9 @@ class TestWideKeys:
         if b._keys:
             assert poly_exact_div(poly_mul(a, b), unlinked(b)) == a
         mapping = {name: data.draw(monomials(table)) for name in table.names[::2]}
-        assert_on_its_rung(poly_map_variables(a, mapping, table), oracle_map(a, mapping, table))
+        sub = Substitution(mapping, table, table)
+        assert_on_its_rung(sub(a), oracle_map(a, mapping, table))
+        assert_vector_form(sub, a)
 
     @pytest.mark.parametrize("m", MAGNITUDES)
     @pytest.mark.parametrize("sign", [1, -1])
@@ -1118,8 +1175,28 @@ class TestWideKeys:
         # Every image 1: a zero bound, so the result sits below ``p``'s rung.
         flat = {name: narrow.one() for name in source.names}
         for mapping, target in ((same, source), (across, other), (down, narrow), (flat, narrow)):
-            image = poly_map_variables(p, mapping, target)
-            assert_on_its_rung(image, oracle_map(p, mapping, target))
+            sub = Substitution(mapping, source, target)
+            assert_on_its_rung(sub(p), oracle_map(p, mapping, target))
+            assert_vector_form(sub, p)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_one_substitution_across_rungs(self, data):
+        # One substitution maps polynomials on several rungs, in any order,
+        # within one table and across tables: each rung pair packs its
+        # own move list, read on the rung of the keys it moves.
+        source = data.draw(tables("x", max_width=4))
+        across = data.draw(st.booleans())
+        target = data.draw(tables("u", max_width=4)) if across else source
+        names = source.names if across else data.draw(
+            st.lists(st.sampled_from(source.names), unique=True)
+        )
+        mapping = {name: data.draw(monomials(target)) for name in names}
+        sub = Substitution(mapping, source, target)
+        for _ in range(data.draw(st.integers(2, 5))):
+            p = data.draw(wide_polynomials(source))
+            assert_on_its_rung(sub(p), oracle_map(p, mapping, target))
+            assert_vector_form(sub, p)
 
     @pytest.mark.parametrize("m", MAGNITUDES)
     def test_split_trailing(self, m):

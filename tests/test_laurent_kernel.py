@@ -30,10 +30,10 @@ from gencluster.errors import (
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
+    Substitution,
     VariableTable,
     poly_add,
     poly_exact_div,
-    poly_map_variables,
     poly_mul,
     poly_neg,
     poly_pow,
@@ -50,7 +50,7 @@ def poly_substitute(p, v, m):
     """
     if v not in p.table:
         raise UnknownSymbol(f"symbol {v!r} is not in the table")
-    return poly_map_variables(p, {v: m}, m.table)
+    return Substitution({v: m}, p.table, m.table)(p)
 
 
 class NonFrozenSupport(GenClusterError):
@@ -235,21 +235,26 @@ class TestSubstitution:
 
     def test_map_variables_rejects_foreign_images(self):
         other = VariableTable.make(cluster=("u",))
-        p = SMALL_TABLE.variable("x")
-        with pytest.raises(TableMismatch):
-            poly_map_variables(p, {"x": SMALL_TABLE.one()}, other)
+        with pytest.raises(TableMismatch, match="image of 'x' is not over the target table"):
+            Substitution({"x": SMALL_TABLE.one()}, SMALL_TABLE, other)
 
     @pytest.mark.parametrize("image", [(1, 0, 0), None, SMALL_TABLE.variable("y")])
     def test_map_variables_rejects_images_that_are_not_monomials(self, image):
-        p = SMALL_TABLE.variable("x")
         with pytest.raises(ValidationError, match="image of 'x' is not a Monomial"):
-            poly_map_variables(p, {"x": image}, SMALL_TABLE)
+            Substitution({"x": image}, SMALL_TABLE, SMALL_TABLE)
 
     def test_map_variables_carries_names(self):
+        # ``x`` has no image and no namesake in the target: only a
+        # polynomial or a vector that uses it fails.
         target = VariableTable.make(cluster=("y", "w"), frozen=("f",))
+        sub = Substitution({}, SMALL_TABLE, target)
         p = poly_mul(SMALL_TABLE.variable("y"), SMALL_TABLE.variable("f"))
-        moved = poly_map_variables(p, {}, target)
-        assert moved == poly_mul(target.variable("y"), target.variable("f"))
+        assert sub(p) == poly_mul(target.variable("y"), target.variable("f"))
+        assert sub.vector((0, 2, -1)) == (2, 0, -1)
+        with pytest.raises(UnknownSymbol, match="symbol 'x' is not in the table"):
+            sub(poly_add(p, SMALL_TABLE.variable("x")))
+        with pytest.raises(UnknownSymbol, match="symbol 'x' is not in the table"):
+            sub.vector((1, 0, 0))
 
 
 class TestTextForms:
@@ -532,13 +537,20 @@ class TestWideExponents:
     def test_map_variables(self, limit):
         target = VariableTable.make(cluster=("u",), frozen=("f",))
         p = poly_add(x_power(limit // 4), SMALL_TABLE.variable("f"))
-        image = poly_map_variables(p, {"x": target.monomial(u=3)}, target)
+        image = Substitution({"x": target.monomial(u=3)}, SMALL_TABLE, target)(p)
         assert image == parse_polynomial(f"u^{3 * (limit // 4)} + f", target)
-        image = poly_map_variables(p, {"x": target.monomial(u=4)}, target)
-        assert_wide(image, {(limit, 0): 1, (0, 1): 1}, limit)
+        wide = Substitution({"x": target.monomial(u=4)}, SMALL_TABLE, target)
+        assert_wide(wide(p), {(limit, 0): 1, (0, 1): 1}, limit)
         # The same crossing inside one table, where keys move in place.
-        image = poly_map_variables(p, {"x": SMALL_TABLE.monomial(x=2, y=-4)}, SMALL_TABLE)
-        assert_wide(image, {(limit // 2, -limit, 0): 1, (0, 0, 1): 1}, limit)
+        inside = Substitution({"x": SMALL_TABLE.monomial(x=2, y=-4)}, SMALL_TABLE, SMALL_TABLE)
+        assert_wide(inside(p), {(limit // 2, -limit, 0): 1, (0, 0, 1): 1}, limit)
+        # Each substitution, kept, maps a polynomial below the crossing
+        # after one past it, and its vector form agrees.
+        small = poly_add(x_power(3), SMALL_TABLE.variable("f"))
+        assert wide(small) == parse_polynomial("u^12 + f", target)
+        assert inside(small) == parse_polynomial("x^6*y^-12 + f", SMALL_TABLE)
+        assert wide.vector((limit // 4, 0, 1)) == (limit, 1)
+        assert inside.vector((limit // 4, 0, 1)) == (limit // 2, -limit, 1)
 
     def test_terms_view_never_aliases(self, limit):
         p = x_power(limit - 1)

@@ -14,6 +14,7 @@ from conftest import (
     FIRST_RUNG_BITS,
     FIRST_RUNG_LIMIT,
     failed_cases,
+    map_variables,
     mono_over,
     mono_power,
     mono_times,
@@ -40,7 +41,6 @@ from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
     poly_add,
-    poly_map_variables,
     poly_mul,
     poly_pow,
     poly_split_trailing,
@@ -49,9 +49,11 @@ from gencluster.laurent_kernel import (
 from gencluster.matrix_mutation import ExtendedExchangeMatrix
 from gencluster.quotient_embedding import (
     QuotientContext,
+    _balanced_sum,
     _coherent_row,
     _eliminated_sigma,
     _embedding_conditions_at,
+    _member_binomial_product,
     eliminate_units,
     folded_initial_seed,
     group_mutate_seed,
@@ -177,7 +179,7 @@ def placeholder_normal_form(ctx, p):
     """Normal form of ``p`` over ``folded_plus``: units eliminated, then expanded."""
     plus = ctx.folded_plus
     units = oracle_unit_elimination(plus, ctx.tracked.divisors.entries)
-    return ctx._expand(poly_map_variables(p, units, plus))
+    return ctx._expand(map_variables(p, units, plus))
 
 
 def expand_term_by_term(ctx, p):
@@ -293,9 +295,9 @@ def oracle_phi_poly(ctx, p):
         )
         for k in range(tracked.rank)
     }
-    lifted = poly_map_variables(p, images, plus)
+    lifted = map_variables(p, images, plus)
     units = oracle_unit_elimination(plus, tracked.divisors.entries)
-    lifted = poly_map_variables(lifted, units, plus)
+    lifted = map_variables(lifted, units, plus)
     slots = [
         (layout.t_range(k), layout.s_range(k), r)
         for k in range(tracked.rank)
@@ -368,6 +370,33 @@ def walked_contexts(seed, mode, sequences):
             prefix = tuple(sequence[:depth])
             if prefix not in reached:
                 reached[prefix] = reached[prefix[:-1]].mutate(prefix[-1])
+    return reached
+
+
+def formal_contexts(seed, depth):
+    """The context at every state of the exhaustive walk to ``depth``, over formal cluster symbols.
+
+    After every step both tracks' cluster entries are reset to their
+    variables, so a step costs one exchange per member however deep the
+    walk (FIX-A's entries at depth 3 take half a minute each).  Matrices,
+    strings and placeholders evolve as in :func:`walked_contexts`;
+    neither condition (iv) nor a string image reads a cluster entry.
+    """
+    def formal(ctx):
+        step = copy(ctx)
+        for track in ("tracked", "folded"):
+            seed = getattr(ctx, track)
+            names = seed.table.names[: len(seed.cluster)]
+            setattr(step, track, seed._trusted_replace(
+                cluster=tuple(seed.table.variable(n) for n in names)
+            ))
+        step._eliminated = [None] * len(ctx._eliminated)
+        return step
+
+    reached = {(): formal(QuotientContext.create(seed))}
+    for d in range(1, depth + 1):
+        for prefix in product(range(seed.rank), repeat=d):
+            reached[prefix] = formal(reached[prefix[:-1]].mutate(prefix[-1]))
     return reached
 
 
@@ -554,7 +583,8 @@ class TestFoldedSeed:
             )
             assert ranges == layout.aux
             units = unit_elimination_map(table, layout.aux)
-            assert dict(units) == oracle_unit_elimination(table, seed.divisors.entries)
+            assert dict(units.images) == oracle_unit_elimination(table, seed.divisors.entries)
+            assert units.source == units.target == table
             assert unit_elimination_map(table, ranges) is units
 
     def test_initial_seed_shape(self, fix_a):
@@ -812,7 +842,7 @@ class TestSigmaAndUnits:
                 oracle = LaurentPolynomial.one(table)
                 for (t_range, s_range, r), e in pattern:
                     k = layout.aux.index((t_range, s_range))
-                    sigma = poly_map_variables(
+                    sigma = map_variables(
                         sigma_polynomial(table, layout, k, r), units, table
                     )
                     oracle = poly_mul(oracle, poly_pow(sigma, e))
@@ -840,12 +870,12 @@ class TestEmbeddingMap:
         def check(ctx, concrete):
             table = concrete.table
             for k in range(concrete.rank):
-                assert poly_map_variables(
+                assert map_variables(
                     ctx.tracked.cluster[k], ctx.rho_values, table
                 ) == concrete.cluster[k]
                 for r in range(concrete.divisors[k] + 1):
                     entry = ctx.tracked.strings.entry(k, r).as_polynomial()
-                    assert poly_map_variables(
+                    assert map_variables(
                         entry, ctx.rho_values, table
                     ) == concrete.strings.entry(k, r).as_polynomial()
 
@@ -1013,6 +1043,100 @@ class TestProductFormula:
             root, _, _, _ = product_formula_walk(seed, mode)
             n = tau_tilde(seed, mode=mode).multiplicity
             assert root == build(seed, n), (seed.divisors, mode)
+
+
+class TestEliminationOnVectors:
+    """The elimination passes that exponent vectors replace, kept as oracles.
+
+    Every state of the FIX-A and FIX-B walks to depth 3 and the FIX-C
+    walk to depth 6 is checked.
+    """
+
+    WALKS = [("FIX-A", 3), ("FIX-B", 3), ("FIX-C", 6)]
+
+    @pytest.mark.parametrize("name, depth", [("FIX-A", 2), ("FIX-B", 3), ("FIX-C", 6)])
+    def test_formal_contexts_follow_the_walk(self, name, depth):
+        seed = fixture_seed(name)
+        formal = formal_contexts(seed, depth)
+        walked = walked_contexts(seed, "total", list(product(range(seed.rank), repeat=depth)))
+        assert formal.keys() == walked.keys()
+        for prefix, ctx in walked.items():
+            other = formal[prefix]
+            assert other.tracked.matrix == ctx.tracked.matrix
+            assert other.tracked.strings == ctx.tracked.strings
+            assert other.folded.matrix == ctx.folded.matrix
+
+    @pytest.mark.parametrize("name, depth", WALKS)
+    def test_product_formula_left_side(self, name, depth):
+        # The product of the members' binomials built from eliminated
+        # sides, against eliminate_units of the product of the binomials.
+        seed = fixture_seed(name)
+        sequences = list(product(range(seed.rank), repeat=depth))
+        table, states = product_formula_states(seed, "total", sequences)
+        everything = [True] * len(table)
+        for fm, _ in states:
+            layout = fm.layout
+            for k in range(layout.n_groups):
+                lhs = LaurentPolynomial.one(table)
+                for c in layout.group_range(k):
+                    gt, lt = member_sides(table, fm.matrix.rows[c], everything)
+                    lhs = poly_mul(lhs, poly_add(gt.as_polynomial(), lt.as_polynomial()))
+                expected = eliminate_units(table, layout.aux, lhs)
+                assert _member_binomial_product(table, fm, k) == expected
+
+    @pytest.mark.parametrize("name, depth", WALKS)
+    def test_condition_iv_right_sides(self, name, depth, monkeypatch):
+        # Each balanced sum of eliminated side ratios that (iv) compares,
+        # against the normal form of the balanced sum of the ratios.  The
+        # ratios are read off the rows by role and eliminated by name.
+        from gencluster import quotient_embedding
+
+        built = {}
+
+        def recording(table, pairs, r):
+            built[tuple(pairs), r] = value = _balanced_sum(table, pairs, r)
+            return value
+
+        monkeypatch.setattr(quotient_embedding, "_balanced_sum", recording)
+        seed = fixture_seed(name)
+        for ctx in formal_contexts(seed, depth).values():
+            built.clear()
+            assert _embedding_conditions_at(ctx) == []
+            table, fm = ctx.folded.table, unfolding_of(ctx)
+            units = oracle_unit_elimination(table, seed.divisors.entries)
+            keep = [role != "cluster" for role, _ in folded_roles(table, seed.divisors.entries)]
+
+            def eliminated(mono):
+                (exps,) = map_variables(mono.as_polynomial(), units, table).terms
+                return exps
+
+            for k in range(seed.rank):
+                gm = group_monomials(table, fm, k)
+                ratios = []
+                for c in fm.layout.group_range(k):
+                    gt, lt = member_sides(table, fm.matrix.rows[c], keep)
+                    ratios.append((mono_over(gt, gm.v_gt), mono_over(lt, gm.v_lt)))
+                raw = [(a.exponents, b.exponents) for a, b in ratios]
+                vectors = tuple((eliminated(a), eliminated(b)) for a, b in ratios)
+                for r in range(seed.divisors[k] + 1):
+                    expected = ctx.normal_form(_balanced_sum(table, raw, r))
+                    assert built[vectors, r] == expected
+
+    @pytest.mark.parametrize("name, depth", WALKS)
+    def test_string_images(self, name, depth):
+        # Each string image the walk keeps, against the earlier route;
+        # the table is one per walk, and an image is built once.
+        contexts = formal_contexts(fixture_seed(name), depth)
+        root = contexts[()]
+        for ctx in contexts.values():
+            assert ctx._string_images is root._string_images
+            tracked = ctx.tracked
+            for k in range(tracked.rank):
+                for r in range(tracked.divisors[k] + 1):
+                    entry = tracked.strings.entry(k, r)
+                    image = ctx.string_image(entry)
+                    assert image == oracle_phi_poly(ctx, entry.as_polynomial())
+                    assert ctx.string_image(entry) is image
 
 
 class TestEmbeddingAndSubquotient:
