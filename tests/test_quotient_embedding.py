@@ -40,6 +40,7 @@ from gencluster.gca_seed import (
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
+    Substitution,
     poly_add,
     poly_mul,
     poly_pow,
@@ -63,7 +64,7 @@ from gencluster.quotient_embedding import (
     unit_elimination_map,
 )
 from gencluster.randomgen import random_seed, random_sequence
-from gencluster.root_adjoin import root_names, tau_tilde
+from gencluster.root_adjoin import AdjoinedSeed, root_names, tau_tilde
 from gencluster.unfolding import FoldedLayout, FoldedMatrix, build, group_mutate
 
 FIX_C_PHI_X = "y1*y2"
@@ -1294,3 +1295,59 @@ class TestEmbeddingAndSubquotient:
             assert not failed, seed.divisors
             report = subquotient_check(seed, mode="lcm")
             assert report.ok, (seed.divisors, report.failures)
+
+
+def first_root_image_changed(change):
+    """A ``root_map`` whose first image is ``change`` of the true one."""
+    root_map = AdjoinedSeed.root_map
+
+    def planted(self):
+        images = root_map(self)
+        name = next(iter(images))
+        images[name] = change(images[name])
+        return images
+
+    return planted
+
+
+class TestSubquotientFailures:
+    """Each failure of :func:`subquotient_check`, from one planted fault on FIX-A.
+
+    FIX-A adjoins sixth roots: ``f1 = F1^6``.
+    """
+
+    def test_root_image(self, fix_a, monkeypatch):
+        # The first root image picks up a cluster variable.
+        def times_x1(image):
+            return mono_times(image, image.table.monomial({"x1": 1}))
+
+        monkeypatch.setattr(AdjoinedSeed, "root_map", first_root_image_changed(times_x1))
+        assert subquotient_check(fix_a).failures == (("root image", "f1", "x1*F1^6"),)
+
+    def test_root_exponent(self, fix_a, monkeypatch):
+        # The first root image is squared; its folded image is squared alike.
+        planted = first_root_image_changed(lambda image: mono_power(image, 2))
+        monkeypatch.setattr(AdjoinedSeed, "root_map", planted)
+        assert subquotient_check(fix_a).failures == (("root exponent", "f1", 12),)
+
+    def test_frozen_image(self, fix_a, monkeypatch):
+        # A unit elimination that squares the first root sends the folded
+        # target F1^6 elsewhere.
+        from gencluster import quotient_embedding
+
+        def moving_a_root(table, ranges):
+            name = table.names[table.n_cluster]
+            return Substitution({name: table.monomial({name: 2})}, table, table)
+
+        monkeypatch.setattr(quotient_embedding, "unit_elimination_map", moving_a_root)
+        assert subquotient_check(fix_a).failures == (("frozen image", "f1", "F1^6"),)
+
+    def test_cluster_image(self, fix_a, monkeypatch):
+        # Every group image reads 1.
+        monkeypatch.setattr(
+            QuotientContext, "group_image",
+            lambda ctx, k: LaurentPolynomial.one(ctx.folded.table),
+        )
+        assert subquotient_check(fix_a).failures == (
+            ("cluster image", 0, "y1*y2"), ("cluster image", 1, "y3*y4*y5"),
+        )

@@ -450,9 +450,13 @@ class TestTransport:
         apart = AdjoinedSeed(
             mutate_seed(adjoined.base, 0), adjoined.seed, adjoined.multiplicity
         )
-        report = transport_check(apart)
-        assert not report.ok
-        assert ("(iii)", 0, None) in report.failures
+        assert transport_check(apart).failures == (
+            ("(i) u>", 0, None), ("(i) u<", 0, None),
+            ("(ii)", 0, 0), ("(ii)", 0, 1), ("(ii)", 0, 2), ("(ii)", 0, 3),
+            ("(iii)", 0, None),
+            ("(i) u>", 1, None), ("(i) u<", 1, None),
+            ("(ii)", 1, 0), ("(ii)", 1, 1),
+        )
 
     def test_slack_scaling_commutes(self, fix_a, rng):
         adjoined = tau_tilde(fix_a)
