@@ -193,7 +193,8 @@ def transport_check(adjoined):
           coefficient monomial, for every ``k`` and ``r``;
     (iii) ``phi`` of each cluster entry equals the counterpart entry.
 
-    Returns a :class:`~gencluster.errors.Report` listing failures as
+    (ii) compares exponent vectors: ``phi``'s vector form of each
+    coefficient with the counterpart's.  Returns a :class:`~gencluster.errors.Report` listing failures as
     ``(condition, k, r)`` triples (``r`` is ``None`` outside (ii)).
     """
     t, t_bar = adjoined.base, adjoined.seed
@@ -213,7 +214,7 @@ def transport_check(adjoined):
             if lhs != rhs:
                 failures.append((f"(i) {label}", k, None))
         for r, exps in enumerate(ctx.coefficients):
-            if phi(t.table.term(exps)) != target.term(ctx_bar.coefficients[r]):
+            if phi.vector(exps) != ctx_bar.coefficients[r]:
                 failures.append(("(ii)", k, r))
         if phi(t.cluster[k]) != t_bar.cluster[k]:
             failures.append(("(iii)", k, None))
