@@ -16,8 +16,9 @@ The construction proceeds in three layers, all verified exactly:
     into ``|J| = r`` members contributing ``t`` and the rest
     contributing ``s``, the sum of the products.  The ``r = 0`` and
     ``r = d_k`` generators force the unit relations ``prod_i t_{k,i} =
-    prod_i s_{k,i} = 1``, which :meth:`QuotientContext.normal_form`
-    realizes by eliminating the last member's pair.
+    prod_i s_{k,i} = 1``, which the unit elimination ``E``
+    (:func:`unit_elimination_map`) realizes by eliminating the last
+    member's pair.
 
 3.  **Embedding** — the substitution ``phi`` sending each cluster
     variable to the product of its group members, each root symbol to
@@ -52,20 +53,20 @@ initial coefficient is read off the group's diagonal ``T`` block
 Exchange data is read off matrix rows as exponent vectors, each role
 from its column block of the folded layout ``[cluster groups | F | T^1
 S^1 | ...]``, which :class:`~gencluster.unfolding.FoldedLayout` works
-out once per unfolding; the embedding's lifts are read off the same
-layout.  A ``sigma`` sum, a member binomial of the product formula and
-the formula's right side are kernel shifted sums (``poly_shifted_sum``),
-which shift keys by exponent vectors and build no one-term polynomial;
-a placeholder expansion, whose factors are general polynomials, is one
-kernel ``poly_sum_of_products``.
+out once per unfolding.  A ``sigma`` sum, a member binomial of the
+product formula and the formula's right side are kernel shifted sums
+(``poly_shifted_sum``), which shift keys by exponent vectors and build
+no one-term polynomial; a placeholder expansion, whose factors are
+general polynomials, is one kernel ``poly_sum_of_products``.
 
 The unit elimination ``E`` and the embedding ``phi`` are monomial ring
 maps, each a kernel :class:`~gencluster.laurent_kernel.Substitution`
-built once: ``E`` once per folded table and layout, ``phi`` once per walk
-and source table.  ``E(sum c_v x^v) = sum c_v x^(E v)``, so where a
-polynomial is built from exponent vectors (the member binomials of the
-product formula, the balanced sums of condition (iv), the ``sigma``
-sums), ``E`` is applied to the vectors and no elimination pass runs.
+built once: ``E`` once per folded table and layout, ``phi`` once per
+walk.  ``E(sum c_v x^v) = sum c_v x^(E v)``, so where a polynomial is
+built from exponent vectors (the member binomials of the product
+formula, the balanced sums of condition (iv), the ``sigma`` sums), ``E``
+is applied to the vectors and no elimination pass runs; conditions (i)
+and (ii) likewise compare ``phi``'s vector form with the folded side.
 """
 
 from copy import copy
@@ -73,7 +74,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import sub
 
-from .errors import GroupCoherenceViolation, InexactDivision, Report, ValidationError
+from .errors import GroupCoherenceViolation, InexactDivision, Report
 from .gca_seed import (
     CoefficientStrings,
     ExchangeContext,
@@ -218,17 +219,6 @@ def _eliminated_sigma(table, pattern):
     ))
 
 
-def eliminate_units(table, ranges, p):
-    """Rewrite ``p`` modulo the unit relations only (no placeholders).
-
-    ``table`` is the folded table and ``ranges`` the groups' ``(t_range,
-    s_range)`` pairs, as for :func:`unit_elimination_map`.
-    """
-    if p.table != table:
-        raise ValidationError("polynomial is not over the folded table")
-    return unit_elimination_map(table, ranges)(p)
-
-
 class QuotientContext:
     """Two-track bookkeeping for one embedding walk.
 
@@ -245,26 +235,25 @@ class QuotientContext:
     reaches: the folded ``layout``, ``rho_values`` (the table sending
     each placeholder ``rho<k>_<r>`` to its concrete monomial; mutation
     only permutes which placeholder sits where), ``placeholder_names``,
-    the placeholder-extended folded table ``folded_plus``, the images
-    of the tracked variables with their positions in the folded table,
-    the unit elimination ``E``, the embedding ``phi`` built once per
-    source table, and the images of the string entries met so far, keyed
-    by exponent vector (mutation only permutes the placeholders, so a
-    walk meets few).  Products of eliminated ``sigma`` powers are cached
-    per folded table and placeholder pattern.
+    the placeholder-extended folded table ``folded_plus``, the embedding
+    ``phi``, the unit elimination ``elimination`` (``E``), and the images
+    of the string entries met so far, keyed by exponent vector (mutation
+    only permutes the placeholders, so a walk meets few).  Products of
+    eliminated ``sigma`` powers are cached per folded table and
+    placeholder pattern.
 
-    Every position is read off the folded layout ``[cluster groups | F |
-    T^1 S^1 | ...]`` (:class:`~gencluster.unfolding.FoldedLayout`), not
-    off the table: the unit elimination takes each group's ``t`` and
-    ``s`` ranges from it, cluster variable ``k`` lifts to the members of
-    group ``k``, and the root at frozen position ``j`` to column ``j`` of
-    the ``F`` block, as both tables name their roots with
-    :func:`~gencluster.root_adjoin.root_names` in frozen order.  A
-    placeholder lifts to no folded column.  Two facts keep the images
-    sound, and the constructor makes them so: no lift touches a ``t`` or
-    ``s`` column, so the unit elimination ``E`` fixes every lift; and the
-    tracked matrix's placeholder columns are zero (mutation keeps a zero
-    column zero), so the exchange monomials carry no placeholder.
+    ``phi`` is the :class:`~gencluster.laurent_kernel.Substitution` from
+    the tracked table to ``folded_plus`` sending cluster variable ``k``
+    to the product of the members of group ``k``; every other name, a
+    root or a placeholder, is carried to the same name, as both tables
+    name their roots with :func:`~gencluster.root_adjoin.root_names`.
+    ``E`` takes each group's ``t`` and ``s`` ranges from the folded
+    layout ``[cluster groups | F | T^1 S^1 | ...]``
+    (:class:`~gencluster.unfolding.FoldedLayout`).  Two facts keep the
+    images sound: ``phi`` sends no variable to a ``t`` or ``s`` variable,
+    so ``E`` fixes every image; and the tracked matrix's placeholder
+    columns are zero (mutation keeps a zero column zero), so the exchange
+    monomials carry no placeholder.
 
     Each context holds the eliminated folded cluster entries ``E(x_c)``,
     filled on first use and shared with its parent for every member
@@ -309,20 +298,14 @@ class QuotientContext:
         self.folded_plus = folded.table.extended(names)
         # ``(t_range, s_range, r)`` of every placeholder, in table order.
         self._sigma_slots = tuple((layout.t_range(k), layout.s_range(k), r) for k, r in slots)
-        self._phi_images = {
+        self.phi = Substitution({
             seed.table.names[k]: self.folded_plus.monomial(
                 {folded.table.names[c]: 1 for c in layout.group_range(k)}
             )
             for k in range(seed.rank)
-        }
-        self._phi = {}
+        }, table_p, self.folded_plus)
+        self.elimination = unit_elimination_map(folded.table, layout.aux)
         self._string_images = {}
-        self._units = unit_elimination_map(folded.table, layout.aux)
-        self._lifts = (
-            tuple(tuple(members) for members in layout.groups)
-            + tuple((c,) for c in layout.f_block)
-            + ((),) * extra
-        )
         self._eliminated = [None] * layout.total
 
     @staticmethod
@@ -339,29 +322,15 @@ class QuotientContext:
             step._eliminated[c] = None
         return step
 
-    def normal_form(self, p):
-        """Canonical representative in the quotient of ``p``, over the folded table.
-
-        The unit relations eliminate each group's last auxiliary pair.
-        """
-        return eliminate_units(self.folded.table, self.layout.aux, p)
-
     def phi_poly(self, p):
         """Image of a polynomial over the tracked table, in normal form.
 
-        ``p`` may also live over a leading part of that table.  Its lift
-        carries no ``t`` or ``s`` variable (checked once per walk), so
-        the unit elimination, which would fix it, is skipped and only
-        the placeholders are expanded.  ``phi`` is built once per source
-        table and kept for the walk.
+        ``phi`` sends no tracked variable to a ``t`` or ``s`` variable, so
+        ``E`` would fix ``phi(p)``: it is skipped, and only the
+        placeholders are expanded.  ``tests/test_quotient_embedding.py``
+        checks that fact along walks.
         """
-        phi = self._phi.get(p.table)
-        if phi is None:
-            names, table = p.table.names, self.tracked.table
-            if p.table is not table and names != table.names[: len(names)]:
-                raise ValidationError("phi_poly expects a polynomial over the tracked table")
-            phi = self._phi[p.table] = Substitution(self._phi_images, p.table, self.folded_plus)
-        return self._expand(phi(p))
+        return self._expand(self.phi(p))
 
     def string_image(self, entry):
         """:meth:`phi_poly` of a string entry, a monomial over the tracked table.
@@ -398,19 +367,6 @@ class QuotientContext:
 
         return poly_sum_of_products(table, summands())
 
-    def _image(self, exps):
-        """Folded-table exponents of the image of a placeholder-free tracked monomial.
-
-        Each tracked variable lifts to distinct variables with exponent
-        one, disjoint from the others' lifts, so the image holds the
-        entries of ``exps``.
-        """
-        image = [0] * len(self.folded.table)
-        for e, lift in zip(exps, self._lifts):
-            for q in lift:
-                image[q] = e
-        return tuple(image)
-
     def group_image(self, k):
         """``prod_c E(x_c)`` over the members ``c`` of group ``k``.
 
@@ -420,7 +376,7 @@ class QuotientContext:
         members, eliminated = self.layout.group_range(k), self._eliminated
         for c in members:
             if eliminated[c] is None:
-                eliminated[c] = self._units(self.folded.cluster[c])
+                eliminated[c] = self.elimination(self.folded.cluster[c])
         return reduce(poly_mul, (eliminated[c] for c in members))
 
 
@@ -565,20 +521,20 @@ def _embedding_conditions_at(ctx):
     (i) and (ii) compare exponent vectors over the folded table, of any
     size.  The tracked exchange monomials carry no placeholder and
     the folded group monomials no ``t``/``s`` variable, so neither side
-    needs the quotient: the left side's image places each exponent at
-    the positions of its variable's lift (a walk constant), and the
-    unit elimination ``E`` leaves the right side as it is.  (iii) takes
-    its right side as ``prod_c E(x_c)``, which equals ``E(prod_c x_c)``
-    because ``E`` is a monomial ring map; the context keeps the
-    ``E(x_c)``.  (iv) eliminates the units of the side ratios'
-    exponent vectors before it builds their balanced sums, which is
-    ``E`` of the balanced sums of the ratios, as ``E`` is a monomial
-    ring map; its left sides are the walk's string images
+    needs the quotient: the left side is ``phi``'s vector form cut to
+    the folded table, and the unit elimination ``E`` leaves the right
+    side as it is.  (iii) takes its right side as ``prod_c E(x_c)``,
+    which equals ``E(prod_c x_c)`` because ``E`` is a monomial ring map;
+    the context keeps the ``E(x_c)``.  (iv) eliminates the units of the
+    side ratios' exponent vectors before it builds their balanced sums,
+    which is ``E`` of the balanced sums of the ratios, as ``E`` is a
+    monomial ring map; its left sides are the walk's string images
     (:meth:`QuotientContext.string_image`).
     """
     failures = []
-    tracked, folded, layout, units = ctx.tracked, ctx.folded, ctx.layout, ctx._units
-    table = folded.table
+    tracked, folded, layout, units = ctx.tracked, ctx.folded, ctx.layout, ctx.elimination
+    table, phi = folded.table, ctx.phi
+    width = len(table)
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
         first = _coherent_row(folded.matrix, layout, k)
@@ -591,7 +547,7 @@ def _embedding_conditions_at(ctx):
             ("(ii) v>[1]", gca_ctx.v_gt, v_gt),
             ("(ii) v<[1]", gca_ctx.v_lt, v_lt),
         ):
-            if ctx._image(exps) != side:
+            if phi.vector(exps)[:width] != side:
                 failures.append((label, k, None))
         # (iii) cluster variables, compared as evaluated elements.
         if ctx.phi_poly(tracked.cluster[k]) != ctx.group_image(k):
@@ -635,6 +591,8 @@ def subquotient_check(gca, mode="total"):
     failures = []
     n = adjoined.multiplicity
     root_map = adjoined.root_map()
+    # A root image is lifted onto the tracked table: no placeholder.
+    tracked, pad = ctx.tracked.table, (0,) * len(ctx.placeholder_names)
     for pos, name in zip(gca.table.frozen_indices, root_names(gca.table)):
         original = gca.table.names[pos]
         image = root_map[original]
@@ -646,8 +604,8 @@ def subquotient_check(gca, mode="total"):
         if exponent != n:
             failures.append(("root exponent", original, exponent))
         target = ctx.folded.table.monomial({name: exponent}).as_polynomial()
-        lifted = ctx.phi_poly(image.as_polynomial())
-        if lifted != ctx.normal_form(target):
+        lifted = ctx.phi_poly(tracked.term(image.exponents + pad))
+        if lifted != ctx.elimination(target):
             failures.append(("frozen image", original, str(lifted)))
     for k in range(gca.rank):
         image = ctx.phi_poly(ctx.tracked.cluster[k])

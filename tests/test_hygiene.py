@@ -612,6 +612,50 @@ def test_only_the_reviewed_constructors_skip_checks():
     assert set(found) == TRUSTED_BYPASSES
 
 
+
+#: The functions that build a kernel ``Substitution``, as ``(file,
+#: function)``, each once: the unit elimination ``E``, the embedding
+#: ``phi`` (once per walk, in ``QuotientContext.__init__``), and root
+#: adjunction's ``f -> g^n``, once when it adjoins and once per transport
+#: check.  A second ``phi``, or a map built per call, shows here.
+SUBSTITUTION_BUILDERS = (
+    ("quotient_embedding.py", "__init__"),
+    ("quotient_embedding.py", "unit_elimination_map"),
+    ("root_adjoin.py", "tau_tilde"),
+    ("root_adjoin.py", "transport_check"),
+)
+
+
+def substitution_builds(source):
+    """:func:`calls` of ``Substitution``, bare or read off a module."""
+    return calls(source, lambda called: "Substitution" in (
+        getattr(called, "id", None), getattr(called, "attr", None)
+    ))
+
+
+def test_substitution_builds_are_detected():
+    source = (
+        "from .laurent_kernel import Substitution\n"
+        "def phi(t):\n"
+        "    return Substitution({}, t, t)\n"
+        "class C:\n"
+        "    def __init__(self, t):\n"
+        "        self.e = laurent_kernel.Substitution({}, t, t)\n"
+        "    def kind(self):\n"
+        "        return Substitution\n"
+        "E = Substitution({}, T, T)\n"
+    )
+    assert substitution_builds(source) == [(3, "phi"), (6, "__init__"), (9, None)]
+
+
+def test_only_the_reviewed_functions_build_substitutions():
+    found = sorted(
+        (path.name, function)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for _, function in substitution_builds(path.read_text(encoding="utf-8"))
+    )
+    assert found == sorted(SUBSTITUTION_BUILDERS)
+
 #: The kernel's two product loops, each with the kernel functions that add
 #: a product's terms into a key dict through it.  ``_add_product`` is the
 #: schoolbook loop: the sum of products runs it below the row route's size
@@ -969,11 +1013,12 @@ def test_bounded_caches_do_not_fill_in_a_quotient_pass():
 def test_a_quotient_pass_compares_tables_by_value_only_when_they_differ(monkeypatch):
     # Equal tables are one shared object, so a walk that rebuilds its
     # tables shows here: without sharing, a warm pass made 2877 such
-    # comparisons, 2691 of them of equal tables.  The 17 left compare a
+    # comparisons, 2691 of them of equal tables.  The 14 left compare a
     # tracked or base table with a folded or adjoined one, once for each
-    # substitution built between them (10 embeddings, 7 root adjunctions);
-    # before substitutions were built once, each mapping made them again
-    # (186).
+    # substitution built between them (7 embeddings, one per walk, and 7
+    # root adjunctions); with one embedding per source table they were 17,
+    # and before substitutions were built once, each mapping made them
+    # again (186).
     from gencluster.laurent_kernel import VariableTable
 
     for cached in bounded_caches().values():
@@ -991,4 +1036,4 @@ def test_a_quotient_pass_compares_tables_by_value_only_when_they_differ(monkeypa
 
     monkeypatch.setattr(VariableTable, "__eq__", counting_eq)
     quotient_pass()
-    assert compared == {"distinct": 17, "equal": 0}
+    assert compared == {"distinct": 14, "equal": 0}

@@ -29,7 +29,7 @@ from gencluster.errors import (
     InexactDivision,
     Report,
     StructureViolation,
-    ValidationError,
+    TableMismatch,
 )
 from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import (
@@ -55,7 +55,6 @@ from gencluster.quotient_embedding import (
     _eliminated_sigma,
     _embedding_conditions_at,
     _member_binomial_product,
-    eliminate_units,
     folded_initial_seed,
     group_mutate_seed,
     product_formula_check,
@@ -205,7 +204,7 @@ def expand_term_by_term(ctx, p):
                 sigma = sigma_polynomial(table, layout, k, r)
                 body = poly_mul(body, poly_pow(sigma, exps[pos]))
         expanded = poly_add(expanded, body)
-    return eliminate_units(table, layout.aux, expanded)
+    return unit_elimination_map(table, layout.aux)(expanded)
 
 
 def oracle_product_formula_check(table, fm, k, parity):
@@ -235,8 +234,8 @@ def oracle_product_formula_check(table, fm, k, parity):
         )
         for r in range(d_k + 1)
     ))
-    lhs = eliminate_units(table, layout.aux, lhs)
-    rhs = eliminate_units(table, layout.aux, rhs)
+    units = unit_elimination_map(table, layout.aux)
+    lhs, rhs = units(lhs), units(rhs)
     if lhs != rhs:
         return Report(((k, str(poly_sub(lhs, rhs))),))
     return Report(())
@@ -276,7 +275,7 @@ def oracle_condition_iv(ctx):
                     term = mono_times(term, inside if idx in subset else outside)
                 total = poly_add(total, term.as_polynomial())
             lhs = ctx.phi_poly(tracked.strings.entry(k, r).as_polynomial())
-            if lhs != ctx.normal_form(total):
+            if lhs != ctx.elimination(total):
                 failures.append(("(iv)", k, r))
     return failures
 
@@ -321,7 +320,7 @@ def oracle_group_image(ctx, k):
     product = LaurentPolynomial.one(folded.table)
     for c in layout.group_range(k):
         product = poly_mul(product, folded.cluster[c])
-    return eliminate_units(folded.table, layout.aux, product)
+    return ctx.elimination(product)
 
 
 def oracle_conditions_i_ii(ctx):
@@ -342,7 +341,7 @@ def oracle_conditions_i_ii(ctx):
             ("(ii) v<[1]", gca_ctx.v_lt, gm.v_lt),
         ):
             lhs = oracle_phi_poly(ctx, Monomial(tracked.table, exps).as_polynomial())
-            if lhs != ctx.normal_form(folded.as_polynomial()):
+            if lhs != ctx.elimination(folded.as_polynomial()):
                 failures.append((label, k, None))
     return failures
 
@@ -512,6 +511,20 @@ def oracle_lifts(ctx):
         else:
             support = [plus.index(name)]
         lifts.append(tuple(q for q in support if q < width))
+    return tuple(lifts)
+
+
+def phi_lifts(ctx):
+    """Folded-table positions of each tracked variable's image, read off ``phi.vector``.
+
+    Within the folded table every image has exponents 0 and 1 only.
+    """
+    width, size = len(ctx.folded.table), len(ctx.tracked.table)
+    lifts = []
+    for pos in range(size):
+        image = ctx.phi.vector(tuple(int(q == pos) for q in range(size)))[:width]
+        assert set(image) <= {0, 1}
+        lifts.append(tuple(q for q, e in enumerate(image) if e))
     return tuple(lifts)
 
 
@@ -715,7 +728,7 @@ class TestSigmaAndUnits:
                 d_k = len(layout.group_range(k))
                 for r in (0, d_k):
                     sigma = sigma_polynomial(table, layout, k, r)
-                    assert eliminate_units(table, layout.aux, sigma) == one
+                    assert unit_elimination_map(table, layout.aux)(sigma) == one
 
     def test_normal_form_idempotent_and_multiplicative(self, fix_c, rng):
         ctx = QuotientContext.create(fix_c)
@@ -738,9 +751,9 @@ class TestSigmaAndUnits:
 
         for _ in range(25):
             p, q = random_poly(), random_poly()
-            np_, nq = ctx.normal_form(p), ctx.normal_form(q)
-            assert ctx.normal_form(np_) == np_
-            assert ctx.normal_form(poly_mul(p, q)) == ctx.normal_form(
+            np_, nq = ctx.elimination(p), ctx.elimination(q)
+            assert ctx.elimination(np_) == np_
+            assert ctx.elimination(poly_mul(p, q)) == ctx.elimination(
                 poly_mul(np_, nq)
             )
 
@@ -974,7 +987,7 @@ class TestProductFormula:
                     single += 1
                     for r in (0, 1):
                         sigma = sigma_polynomial(table, layout, k, r)
-                        assert eliminate_units(table, layout.aux, sigma) == one
+                        assert unit_elimination_map(table, layout.aux)(sigma) == one
             for fm, parity in states:
                 for k in range(seed.rank):
                     if len(layout.group_range(k)) > 1:
@@ -1070,7 +1083,7 @@ class TestEliminationOnVectors:
     @pytest.mark.parametrize("name, depth", WALKS)
     def test_product_formula_left_side(self, name, depth):
         # The product of the members' binomials built from eliminated
-        # sides, against eliminate_units of the product of the binomials.
+        # sides, against the unit elimination of the product of the binomials.
         seed = fixture_seed(name)
         sequences = list(product(range(seed.rank), repeat=depth))
         table, states = product_formula_states(seed, "total", sequences)
@@ -1082,13 +1095,13 @@ class TestEliminationOnVectors:
                 for c in layout.group_range(k):
                     gt, lt = member_sides(table, fm.matrix.rows[c], everything)
                     lhs = poly_mul(lhs, poly_add(gt.as_polynomial(), lt.as_polynomial()))
-                expected = eliminate_units(table, layout.aux, lhs)
+                expected = unit_elimination_map(table, layout.aux)(lhs)
                 assert _member_binomial_product(table, fm, k) == expected
 
     @pytest.mark.parametrize("name, depth", WALKS)
     def test_condition_iv_right_sides(self, name, depth, monkeypatch):
         # Each balanced sum of eliminated side ratios that (iv) compares,
-        # against the normal form of the balanced sum of the ratios.  The
+        # against the unit elimination of the balanced sum of the ratios.  The
         # ratios are read off the rows by role and eliminated by name.
         from gencluster import quotient_embedding
 
@@ -1120,7 +1133,7 @@ class TestEliminationOnVectors:
                 raw = [(a.exponents, b.exponents) for a, b in ratios]
                 vectors = tuple((eliminated(a), eliminated(b)) for a, b in ratios)
                 for r in range(seed.divisors[k] + 1):
-                    expected = ctx.normal_form(_balanced_sum(table, raw, r))
+                    expected = ctx.elimination(_balanced_sum(table, raw, r))
                     assert built[vectors, r] == expected
 
     @pytest.mark.parametrize("name, depth", WALKS)
@@ -1169,9 +1182,13 @@ class TestEmbeddingAndSubquotient:
     def test_images_match_the_earlier_route(self, mode):
         # Every cluster and string image by phi_poly, and every group
         # image, against the route that eliminated the units of the whole
-        # lift and of the whole group product.
+        # lift and of the whole group product.  The walk shares one phi
+        # and one E.
         for seed, sequences in embedding_walks():
-            for ctx in walked_contexts(seed, mode, sequences).values():
+            contexts = walked_contexts(seed, mode, sequences)
+            root = contexts[()]
+            for ctx in contexts.values():
+                assert ctx.phi is root.phi and ctx.elimination is root.elimination
                 tracked = ctx.tracked
                 for k in range(tracked.rank):
                     polys = [tracked.cluster[k]] + [
@@ -1214,7 +1231,7 @@ class TestEmbeddingAndSubquotient:
 
     def test_context_checks_what_the_images_rely_on(self, fix_c):
         ctx = QuotientContext.create(fix_c)
-        with pytest.raises(ValidationError, match="tracked table"):
+        with pytest.raises(TableMismatch, match="source table"):
             ctx.phi_poly(ctx.folded.cluster[0])
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
@@ -1239,9 +1256,10 @@ class TestEmbeddingAndSubquotient:
             walks.append((seed, [random_sequence(rng, seed.rank, 3)]))
         for seed, sequences in walks:
             for ctx in walked_contexts(seed, mode, sequences).values():
-                assert oracle_lifts(ctx) == ctx._lifts
+                lifts = phi_lifts(ctx)
+                assert oracle_lifts(ctx) == lifts
                 roles = folded_roles(ctx.folded.table, ctx.tracked.divisors.entries)
-                assert all(roles[q][0] not in ("t", "s") for q in sum(ctx._lifts, ()))
+                assert all(roles[q][0] not in ("t", "s") for q in sum(lifts, ()))
                 columns = [ctx.tracked.table.index(n) for n in ctx.placeholder_names]
                 assert not any(row[j] for row in ctx.tracked.matrix.rows for j in columns)
 
