@@ -612,7 +612,6 @@ def test_only_the_reviewed_constructors_skip_checks():
     assert set(found) == TRUSTED_BYPASSES
 
 
-
 #: The functions that build a kernel ``Substitution``, as ``(file,
 #: function)``, each once: the unit elimination ``E``, the embedding
 #: ``phi`` (once per walk, in ``QuotientContext.__init__``), and root
@@ -655,6 +654,7 @@ def test_only_the_reviewed_functions_build_substitutions():
         for _, function in substitution_builds(path.read_text(encoding="utf-8"))
     )
     assert found == sorted(SUBSTITUTION_BUILDERS)
+
 
 #: The kernel's two product loops, each with the kernel functions that add
 #: a product's terms into a key dict through it.  ``_add_product`` is the
