@@ -49,8 +49,7 @@ Design notes
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
-* Products.  Every product runs :func:`poly_sum_of_products`, but for
-  the divisor link's test, which runs the schoolbook loop alone.  Below
+* Products.  Every product runs :func:`poly_sum_of_products`.  Below
   ``_ROW_MIN_PRODUCTS`` term products it takes the schoolbook loop, one
   key addition per term product.  Above it, it cuts both sides into
   lattice lines along one direction and packs each line into one int with
@@ -63,15 +62,17 @@ Design notes
   products.
   Both routes give the same terms and bounds; only the order in which keys
   enter the dict differs, and nothing reads that order.
-* Exact division.  A quotient records its divisor, which a division by
-  the quotient (mutating back) tries first; when it answers, the link
-  moves onto the divisor it returns, so that dividing back again is
-  answered too.  Recording or moving a link clears the other side's, so a
-  lookup follows one link, and each polynomial holds at most one.  Links
-  can chain: when a divisor has two quotients and dividing back by one
-  moves its link onto the divisor, the other reaches the divisor and then
-  the first quotient.  A chain keeps alive only polynomials that were
-  each other's divisor and quotient, one per division.
+* Exact division.  A quotient records its divisor and its numerator,
+  which the division proved their product.  Dividing an equal numerator
+  by the quotient (mutating back) returns the recorded divisor, and the
+  link moves onto it with the new numerator, so that dividing back
+  again is answered too.  Recording or moving a link clears the other
+  side's, so a lookup follows one link, and each polynomial holds at
+  most one.  Links can chain: when a divisor has two quotients and
+  dividing back by one moves its link onto the divisor, the other
+  reaches the divisor and then the first quotient.  A chain keeps alive
+  only polynomials that were each other's divisor, quotient and
+  numerator, one of each per division.
   Otherwise a one-term divisor shifts keys and any other divisor runs the
   heap elimination of :func:`poly_exact_div`, whose exponent box is the
   quotient itself when the quotient is one term.
@@ -142,15 +143,15 @@ class _Layout:
         units = self.units
         if len(exps) != len(units):
             raise ValidationError("exponent vector does not match table size")
-        # The sum is an int exactly when every entry is one: the loop
-        # below skips ``0.0``, ``None`` and ``""`` as zeros, and a string
-        # or a list times a unit is a repetition, not a TypeError.
+        # An int sum shows every entry is an int, else they are converted:
+        # the loop below skips ``0.0``, ``None`` and ``""`` as zeros, and a
+        # string or a list times a unit is a repetition, not a TypeError.
         try:
             total = sum(exps)
         except TypeError:
             total = None
         if type(total) is not int:
-            raise ValidationError(f"exponents must be integers: {tuple(exps)!r}")
+            exps = _int_vector(exps)
         key, amp = self.offset, 0
         # Most shifts of an exchange polynomial are the zero vector.
         if not any(exps):
@@ -184,6 +185,14 @@ def _repack(keys, old, new):
         return keys
     offset, units, unpack = new.offset, new.units, old.unpack
     return {offset + sum(map(mul, unpack(k), units)): c for k, c in keys.items()}
+
+
+def _int_vector(exps):
+    """``exps`` as ``int``s by ``__index__`` (``numpy.int64``); ValidationError for a non-integer."""
+    try:
+        return tuple(map(index, exps))
+    except TypeError:
+        raise ValidationError(f"exponents must be integers: {tuple(exps)!r}") from None
 
 
 def _integer(value, what):
@@ -389,7 +398,7 @@ class LaurentPolynomial:
     objects.  The keys sit on the narrowest rung that holds the terms.
     """
 
-    __slots__ = ("table", "_keys", "_amp", "_layout", "_divisor")
+    __slots__ = ("table", "_keys", "_amp", "_layout", "_divisor", "_numer")
 
     def __init__(self, table, terms=None):
         width = len(table)
@@ -401,10 +410,7 @@ class LaurentPolynomial:
             coeff = _integer(coeff, "coefficients")
             if coeff == 0:
                 raise ValidationError("zero coefficient stored in term dict")
-            try:
-                exps = tuple(map(index, exps))
-            except TypeError:
-                raise ValidationError(f"exponents must be integers: {exps!r}") from None
+            exps = _int_vector(exps)
             amp = max(amp, max(map(abs, exps), default=0))
             vectors[exps] = coeff
         layout = table._layout.fit(amp)
@@ -412,7 +418,7 @@ class LaurentPolynomial:
         self._keys = {layout.pack_bounded(exps)[0]: c for exps, c in vectors.items()}
         self._amp = amp
         self._layout = layout
-        self._divisor = None
+        self._divisor = self._numer = None
 
     @property
     def terms(self):
@@ -469,7 +475,7 @@ def _trusted(table, keys, amp):
     p._keys = keys
     p._amp = amp
     p._layout = layout if amp < layout.limit else layout.fit(amp)
-    p._divisor = None
+    p._divisor = p._numer = None
     return p
 
 
@@ -808,8 +814,9 @@ def poly_exact_div(numer, denom):
 
     Raises :class:`~gencluster.errors.InexactDivision` when the quotient
     does not exist (nonzero remainder, coefficient non-divisibility, or
-    division by zero).  A divisor of two or more terms first tries its
-    own divisor (see the design notes); then one of two routes:
+    division by zero).  A divisor of two or more terms first compares
+    ``numer`` with its recorded numerator (see the design notes); then
+    one of two routes:
 
     * a one-term divisor shifts every numerator key: the quotient is the
       product with the inverse term, and bounded as products are;
@@ -829,32 +836,14 @@ def poly_exact_div(numer, denom):
         raise InexactDivision("division by the zero polynomial")
     if not numer._keys:
         return LaurentPolynomial.zero(numer.table)
-    recorded = denom._divisor
-    if recorded is not None and len(denom._keys) > 1 and _is_product(numer, recorded, denom):
-        # The link moves onto the returned divisor, so dividing back again
-        # is answered by the link too.
-        recorded._divisor, denom._divisor = denom, None
-        return recorded
-    quotient = _divide(numer, denom)
-    quotient._divisor, denom._divisor = denom, None
+    quotient = denom._divisor
+    if quotient is None or len(denom._keys) == 1 or numer != denom._numer:
+        quotient = _divide(numer, denom)
+    # ``numer = denom * quotient``; a link answered moves onto the divisor
+    # it returns, so dividing back again is answered by the link too.
+    quotient._divisor, quotient._numer = denom, numer
+    denom._divisor = denom._numer = None
     return quotient
-
-
-def _is_product(numer, a, b):
-    """Whether ``a * b`` is ``numer``, tried as one product when all three share a rung.
-
-    A field holds the sum of two exponents on its rung without a carry,
-    so each key of the product is exact, and one past the rung's limit
-    matches none of ``numer``'s.
-    """
-    layout = numer._layout
-    if a._layout is not layout or b._layout is not layout or (
-        max(a._keys) + max(b._keys) - layout.offset != max(numer._keys)
-    ):
-        return False
-    terms = {}
-    _add_product(terms, a._keys, b._keys, layout.offset)
-    return _drop_zeros(terms) == numer._keys
 
 
 def _divide(numer, denom):
@@ -1058,13 +1047,13 @@ class Substitution:
         """
         if len(exps) != len(self.source):
             raise ValidationError("exponent vector does not match table size")
-        # As in ``_Layout.pack_bounded``: the sum is an int exactly when every entry is one.
+        # As in ``_Layout.pack_bounded``: the sum is an int when every entry is one.
         try:
             total = sum(exps)
         except TypeError:
             total = None
         if type(total) is not int:
-            raise ValidationError(f"exponents must be integers: {tuple(exps)!r}")
+            exps = _int_vector(exps)
         same, columns = self._same, self._columns
         out = list(exps) if same else [0] * len(self.target)
         for i in self._positions:

@@ -63,7 +63,7 @@ def test_every_import_is_read():
 #: Names private to the Laurent kernel: the helpers that build, bound and
 #: move results on packed keys, and the attributes that hold the key format.
 KERNEL_PRIVATE_IMPORTS = {"_trusted", "_drop_zeros", "_extremes", "_repack"}
-KERNEL_PRIVATE_ATTRIBUTES = {"_keys", "_amp", "_layout", "_packed", "_divisor"}
+KERNEL_PRIVATE_ATTRIBUTES = {"_keys", "_amp", "_layout", "_packed", "_divisor", "_numer"}
 
 
 def kernel_internals(source):
@@ -658,13 +658,13 @@ def test_only_the_reviewed_functions_build_substitutions():
 
 #: The kernel's two product loops, each with the kernel functions that add
 #: a product's terms into a key dict through it.  ``_add_product`` is the
-#: schoolbook loop: the sum of products runs it below the row route's size
-#: and when the route does not pay, and the divisor link's test of one
-#: product runs only it.  ``_add_row_product`` is the row route, reached
-#: only from the sum of products.  ``poly_mul`` and ``poly_add`` are the
-#: sum's one- and two-pair cases and hold no loop of their own.
+#: schoolbook loop, which the sum of products runs below the row route's
+#: size and when the route does not pay; ``_add_row_product`` is the row
+#: route.  Both are reached only from the sum of products.  ``poly_mul``
+#: and ``poly_add`` are the sum's one- and two-pair cases and hold no loop
+#: of their own.
 PRODUCT_LOOP_CALLERS = {
-    "_add_product": {"poly_sum_of_products", "_is_product"},
+    "_add_product": {"poly_sum_of_products"},
     "_add_row_product": {"poly_sum_of_products"},
 }
 LOOP_FREE = ("poly_mul", "poly_add")
@@ -718,8 +718,7 @@ def test_second_product_loops_are_detected():
 
 
 def test_products_and_sums_share_one_loop():
-    # The schoolbook loop and the row route are the only product loops,
-    # and the divisor link's test of one product stays schoolbook.
+    # The schoolbook loop and the row route are the only product loops.
     found = {
         (path.name, loop, function)
         for path in sorted((ROOT / "src").rglob("*.py"))

@@ -819,21 +819,64 @@ class TestDivisorLink:
     @pytest.mark.parametrize("top", [
         FIRST_RUNG_LIMIT // 2, FIRST_RUNG_LIMIT - 2, SECOND_RUNG_LIMIT // 2, SECOND_RUNG_LIMIT - 2,
     ])
-    def test_products_on_a_wider_rung_take_the_routes(self, top):
+    def test_products_on_a_wider_rung_are_answered(self, top):
         # b * q stays below the limit of its factors' rung, but the sum of
         # the two bounds does not, so the product sits on a wider rung than
-        # its factors and is not tried.
+        # its factors.  The link compares numerators, not a product, so it
+        # answers there too; a perturbed numerator takes the routes.
         table = table_of("x", 2)
         b = parse_polynomial(f"x0^{top} + x1", table)
         q = linked(b, parse_polynomial(f"x0^-{top} + 1", table))
         assert poly_mul(b, q)._layout is not q._layout is b._layout
-        for numer in (poly_mul(b, q), poly_add(poly_mul(b, q), table.variable("x1"))):
-            expected, denom = outcome(numer, unlinked(q)), linked(b, q)
-            with extremes_reads() as reads:
-                assert outcome(numer, denom) == expected
-            assert reads == [numer, denom]
-        back = poly_exact_div(poly_mul(b, q), linked(b, q))
-        assert back == b and back is not b
+        numer, denom = poly_mul(b, q), linked(b, q)
+        with extremes_reads() as reads:
+            assert poly_exact_div(numer, denom) is b
+        assert reads == []
+        numer = poly_add(poly_mul(b, q), table.variable("x1"))
+        expected, denom = outcome(numer, unlinked(q)), linked(b, q)
+        with extremes_reads() as reads:
+            assert outcome(numer, denom) == expected
+        assert reads == [numer, denom]
+
+    @given(st.data())
+    def test_an_equal_numerator_is_answered(self, data):
+        # A numerator built apart, as another object and on its tightest
+        # rung, equals the recorded one: the recorded divisor is returned,
+        # and the link moves onto it with the new numerator.
+        table = data.draw(tables())
+        b = data.draw(polynomials(table, min_terms=1))
+        q = linked(b, data.draw(polynomials(table, min_terms=2)))
+        numer = unlinked(poly_mul(b, q))
+        assert numer is not q._numer and numer == q._numer
+        assert poly_exact_div(numer, q) is b
+        assert b._divisor is q and b._numer is numer
+        assert q._divisor is None and q._numer is None
+
+    @pytest.mark.parametrize("extra, text", [
+        (None, None),
+        ("x1^5", "leading coefficient does not divide"),
+        ("2*x0", "quotient support leaves the feasible box"),
+    ])
+    def test_an_unequal_numerator_misses(self, extra, text):
+        # Another multiple of q gives the heap route's quotient, a perturbed
+        # one its error text, as with no link.  After a quotient q keeps
+        # neither divisor nor numerator; a division that raises moves no link.
+        table = table_of("x", 2)
+        b = parse_polynomial("x0 + x1 - 1", table)
+        q = linked(b, parse_polynomial("2*x0^2 + x1", table))
+        c = parse_polynomial("x0 - 3*x1^2", table)
+        numer = poly_mul(c, q)
+        if extra is not None:
+            numer = poly_add(numer, parse_polynomial(extra, table))
+        expected = outcome(numer, unlinked(q))
+        with extremes_reads() as reads:
+            assert outcome(numer, q) == expected
+        assert reads == [numer, q]
+        assert expected == (c._keys if text is None else (InexactDivision, text))
+        if text is None:
+            assert q._divisor is None and q._numer is None
+        else:
+            assert poly_exact_div(poly_mul(b, q), q) is b
 
 
 def monomial_times(table, draw):
@@ -1153,15 +1196,14 @@ class TestWideKeys:
 
     @pytest.mark.parametrize("m", MAGNITUDES)
     def test_divisor_link(self, m):
-        # The link answers when the product shares its factors' rung; a
-        # product on a wider rung takes the heap route to the same result.
+        # The link answers whether or not the product shares its factors'
+        # rung: it compares the numerator with the recorded one.
         table = table_of("x", 2)
         b = parse_polynomial(f"x0^{m} + x1", table)
         q = linked(b, parse_polynomial(f"x0^-{m}*x1 + 1", table))
-        numer = poly_mul(b, q)
-        back = poly_exact_div(numer, q)
-        assert back == b
-        assert (back is b) == (numer._layout is b._layout is q._layout)
+        with extremes_reads() as reads:
+            assert poly_exact_div(poly_mul(b, q), q) is b
+        assert reads == []
 
     @pytest.mark.parametrize("m", MAGNITUDES)
     def test_maps(self, m):

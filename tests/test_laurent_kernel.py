@@ -375,6 +375,21 @@ class TestTables:
             poly_add(SMALL_TABLE.variable("x"), other.variable("x"))
 
 
+class Index:
+    """An integer only by ``__index__``: adding it gives another ``Index``, not an ``int``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __add__(self, other):
+        return Index(self.value + other.__index__())
+
+    __radd__ = __add__
+
+
 class TestIntegerArguments:
     """Helpers reject a non-integer instead of truncating it."""
 
@@ -414,6 +429,23 @@ class TestIntegerArguments:
         assert str(SMALL_TABLE.term((2, 0, -1))) == "x^2*f^-1"
         assert str(SMALL_TABLE.term((0, False, 0))) == "1"
         assert str(SMALL_TABLE.term((False, 1, 0))) == "y"
+
+    def test_index_integer_exponents(self):
+        # An entry that is an integer only by ``__index__``, as
+        # ``numpy.int64`` is, is taken as that int wherever an exponent
+        # vector enters, also past the first rung.
+        vector, wide = (Index(2), 0, Index(-1)), (Index(2 * FIRST_RUNG_LIMIT), 0, 0)
+        expected = SMALL_TABLE.term((2, 0, -1))
+        x = SMALL_TABLE.variable("x")
+        assert SMALL_TABLE.term(vector) == expected
+        assert SMALL_TABLE.term(wide) == SMALL_TABLE.term((2 * FIRST_RUNG_LIMIT, 0, 0))
+        assert poly_shifted_sum(SMALL_TABLE, [(vector, x)]) == poly_mul(expected, x)
+        assert LaurentPolynomial(SMALL_TABLE, {vector: 1}) == expected
+        assert Monomial(SMALL_TABLE, vector).as_polynomial() == expected
+        assert SMALL_TABLE.monomial(x=Index(2), f=Index(-1)).as_polynomial() == expected
+        sub = Substitution({"x": SMALL_TABLE.monomial(y=3)}, SMALL_TABLE, SMALL_TABLE)
+        assert sub.vector(vector) == (0, 6, -1)
+        assert all(type(e) is int for e in sub.vector(vector))
 
     @pytest.mark.parametrize("bad", [1.5, "3"])
     def test_power(self, bad):
