@@ -248,8 +248,11 @@ class TestGroupMutation:
             ((0, 1, 1, 0, -1, 0), (-1, 0, 0, 1, 0, -1)), m=4
         )
         fm = FoldedMatrix(matrix=matrix, layout=FoldedLayout((2,), 0))
-        with pytest.raises(StructureViolation):
+        with pytest.raises(StructureViolation) as raised:
             group_mutate(fm, 0)
+        assert str(raised.value) == (
+            "group 0 members interact at (0,1); group mutation is not well-defined"
+        )
 
     def test_sign_incoherent_block_reported(self, fix_a):
         # Group mutation does not need sign-coherent blocks (members that
@@ -524,6 +527,30 @@ class TestBlockConditions:
         assert not report.ok
         assert report.failures[0][:3] == ("f", 0, 0)
 
+    @pytest.mark.parametrize("changes, reference_rows, failures", [
+        # Skew-symmetric edits of the cluster block: the first offender of
+        # each block is named, not its first row.
+        ({(1, 3): 3, (3, 1): -3, (1, 4): 5, (4, 1): -5}, None, (
+            ("cluster", 0, 1, "entry (1,1) = 3, expected 4"),
+            ("cluster", 1, 0, "entry (1,1) = -3, expected -4"),
+        )),
+        ({(1, 6): 16, (4, 5): -5}, None, (
+            ("f", 0, 1, "entry (1,0) = 16, expected 15"),
+            ("f", 1, 0, "entry (2,0) = -5, expected -4"),
+        )),
+        # d_0 = 2 does not divide 7; the block it would fix is not read.
+        ({(0, 2): 5, (2, 0): -5}, ((0, 7, -3, 5), (-12, 0, -2, 7)), (
+            ("cluster", 0, 1, "reference entry not divisible by d_i"),
+            ("cluster", 1, 0, "entry (0,0) = -5, expected -4"),
+        )),
+    ])
+    def test_hadamard_failures_in_full(self, fix_a, changes, reference_rows, failures):
+        fm = edited(build(fix_a), changes)
+        reference = fix_a.matrix
+        if reference_rows is not None:
+            reference = ExtendedExchangeMatrix.from_rows(reference_rows, m=2)
+        assert hadamard_check(fm, reference).failures == failures
+
     def test_reference_with_fewer_groups_rejected(self, fix_b):
         # One row that matches group 0 of FIX-B would leave group 1 unchecked.
         fm = build(fix_b)
@@ -552,6 +579,21 @@ class TestBlockConditions:
         fm = edited(build(fix_a), {(0, 10): 5})
         with pytest.raises(StructureViolation):
             double_constant_check(fm)
+
+    @pytest.mark.parametrize("changes, text", [
+        ({(0, 11): 2}, "T block (0,1) is not a constant plus 0 Id"),
+        ({(0, 10): 5}, "T+S block (0,0) is not constant"),
+        ({(2, 9): 1}, "T+S block (1,0) is not constant"),
+        # Both blocks of pair (0,0) break, the S block in an earlier row:
+        # every T row is checked before the S rows.
+        ({(1, 7): 1, (0, 10): 5}, "T block (0,0) is not a constant plus 1 Id"),
+        # Pair (0,1) comes before pair (1,0).
+        ({(2, 7): 1, (0, 15): 2}, "T+S block (0,1) is not constant"),
+    ])
+    def test_double_constant_texts(self, fix_a, changes, text):
+        with pytest.raises(StructureViolation) as raised:
+            double_constant_check(edited(build(fix_a), changes))
+        assert str(raised.value) == text
 
     @pytest.mark.parametrize("value", [2, 0])
     def test_identity_sign_raises_as_the_double_constant_check(self, fix_a, value):
