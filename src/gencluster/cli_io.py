@@ -551,21 +551,20 @@ def walk_verdicts(target, seed, cases, mode="total"):
             yield (sequence, *verdict)
         return
 
+    # Each runs once per state; the walk reads a made step or check off the state.
     def child(state, k):
-        if k not in state.children:
-            try:
-                value = step(state.value, k)
-                state.children[k] = (seen.setdefault(key(value), _State(value)), None)
-            except Exception as exc:
-                state.children[k] = (None, _error_text(exc))
+        try:
+            value = step(state.value, k)
+            state.children[k] = (seen.setdefault(key(value), _State(value)), None)
+        except Exception as exc:
+            state.children[k] = (None, _error_text(exc))
         return state.children[k]
 
     def outcome(state):
-        if state.outcome is None:
-            try:
-                state.outcome = (tuple(check(state.value)), None)
-            except Exception as exc:
-                state.outcome = ((), _error_text(exc))
+        try:
+            state.outcome = (tuple(check(state.value)), None)
+        except Exception as exc:
+            state.outcome = ((), _error_text(exc))
         return state.outcome
 
     found, check_error = outcome(start)
@@ -575,9 +574,9 @@ def walk_verdicts(target, seed, cases, mode="total"):
         for k in sequence[len(path) - 1:]:
             state, mutation_error, check_error, failures = path[-1]
             if mutation_error is None:
-                state, mutation_error = child(state, k)
+                state, mutation_error = state.children.get(k) or child(state, k)
             if mutation_error is None and check_error is None:
-                found, check_error = outcome(state)
+                found, check_error = state.outcome or outcome(state)
                 if found:
                     failures += tuple((len(path),) + f for f in found)
             path.append((state, mutation_error, check_error, failures))

@@ -5,18 +5,19 @@ columns: the left ``n`` columns form the principal part (required to be
 skew-symmetrizable), the right ``m`` columns are slack (frozen)
 directions.
 
-There is one mutation rule, :func:`mutate`, the standard matrix
-mutation in direction ``k``.  The divisor-scaled matrix of a mutated
-seed is :func:`modify` of its mutated matrix; the divisor-weighted rule
-that mutates the scaled matrix directly is a test oracle, and the
-test-suite asserts that the two agree.
+There is one mutation rule, :func:`mutate_commuting`, the standard
+matrix mutation in a range of directions that do not interact, made in
+one pass; :func:`mutate` is its one-direction case.  The divisor-scaled
+matrix of a mutated seed is :func:`modify` of its mutated matrix; the
+divisor-weighted rule that mutates the scaled matrix directly is a test
+oracle, and the test-suite asserts that the two agree.
 
 The public constructor :class:`ExtendedExchangeMatrix` (and with it
 :meth:`ExtendedExchangeMatrix.from_rows` and :func:`modify`) validates
 its input.  Mutation results skip that validation: the shape and the
 integer entries carry over from the input, and mutation preserves
 skew-symmetrizers (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so
-:func:`mutate` replaces the rows of its input with
+:func:`mutate_commuting` replaces the rows of its input with
 :meth:`~gencluster.errors.FrozenValue._trusted_replace`.  The
 test-suite rebuilds those results through the validating constructor
 and compares.
@@ -95,7 +96,7 @@ class ExtendedExchangeMatrix(FrozenValue):
     Mutation results do not pass through the constructor: mutation
     keeps the shape and integrality and preserves skew-symmetrizers
     (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5), so
-    :func:`mutate` builds them with
+    :func:`mutate_commuting` builds them with
     :meth:`~gencluster.errors.FrozenValue._trusted_replace`: the new
     rows are a tuple of integer tuples of the input's shape.
     """
@@ -228,42 +229,53 @@ def sides(row, cols=None):
 
 
 def mutate(matrix, k):
-    """Standard mutation of an extended exchange matrix in direction ``k``.
-
-    The update of entry ``(i, j)`` off row and column ``k`` is ``(|b_ik|
-    b_kj + b_ik |b_kj|) / 2``, which is ``|b_ik|`` times the part of
-    ``b_kj`` with the sign of ``b_ik``.  A row with ``b_ik = 0`` is
-    unchanged, its column ``k`` entry being zero, and is shared with the
-    input: rows are tuples.
-    """
+    """Standard mutation in direction ``k``: :func:`mutate_commuting` of ``k`` alone."""
     matrix.check_direction(k)
-    pivot = matrix.rows[k]
-    # b_kk = 0, so column k of both sides is zero and the update
-    # leaves it for the sign flip below.  Rows are built from lists, not
-    # generators: tuples grown from generators raised the peak memory of
-    # long ``verify`` walks.
-    gt, lt = sides(pivot)
+    return mutate_commuting(matrix, range(k, k + 1))
+
+
+def mutate_commuting(matrix, ks):
+    """Mutate once in each direction of the ``range`` ``ks``, in one pass.
+
+    The caller checks that the directions are mutable and do not
+    interact (``b_kl = 0`` within ``ks``), so their mutations commute.
+    Entry ``(i, j)`` gains, for each ``k``, ``|b_ik|`` times the part of
+    ``b_kj`` with the sign of ``b_ik``; rows and columns ``ks`` are
+    negated.  Each pivot is read once, as its nonzero entries of either
+    sign, and a row with every ``b_ik = 0`` is shared with the input.
+    """
+    rows = matrix.rows
+    pivots = []
+    for k in ks:
+        gt, lt = [], []
+        for j, v in enumerate(rows[k]):
+            if v:
+                (gt if v > 0 else lt).append((j, v if v > 0 else -v))
+        pivots.append((k, gt, lt))
+    # b_kl = 0 within ks, so only the sign flips touch columns ks.  Rows come
+    # from lists: tuples grown from generators raised long walks' peak memory.
     new_rows = []
-    for i, row in enumerate(matrix.rows):
-        b_ik = row[k]
-        if i == k:
-            new_rows.append(tuple([-e for e in row]))
-            continue
-        if not b_ik:
-            new_rows.append(row)
-            continue
-        new_row = [e + b_ik * p for e, p in zip(row, gt if b_ik > 0 else lt)]
-        new_row[k] = -b_ik
-        new_rows.append(tuple(new_row))
+    for row in rows:
+        new_row = row
+        for k, gt, lt in pivots:
+            b_ik = row[k]
+            if b_ik:
+                if new_row is row:
+                    new_row = list(row)
+                for j, v in gt if b_ik > 0 else lt:
+                    new_row[j] += b_ik * v
+                new_row[k] = -b_ik
+        new_rows.append(row if new_row is row else tuple(new_row))
+    for k in ks:
+        new_rows[k] = tuple([-e for e in rows[k]])
     return matrix._trusted_replace(rows=tuple(new_rows))
 
 
 def mutate_sequence(matrix, sequence):
     """Apply mutations left to right."""
-    out = matrix
     for k in sequence:
-        out = mutate(out, k)
-    return out
+        matrix = mutate(matrix, k)
+    return matrix
 
 
 def write_matrix(matrix):

@@ -37,16 +37,16 @@ cluster block sums to ``B_ij``, and a positive ``B_ij`` forces a
 non-negative block), so those are checked by the test suite as an
 oracle, not at run time.
 
-:func:`group_mutate` mutates the members one by one; the closed
-block-product formula for a whole-group mutation is checked against it
-by the test suite, not recomputed at run time.
+:func:`group_mutate` mutates all members in one pass; member-by-member
+mutation and the closed block-product formula for a whole-group mutation
+are test oracles, not recomputed at run time.
 """
 
 from math import prod
 from operator import index
 
 from .errors import FrozenValue, IndexOutOfRange, Report, StructureViolation, ValidationError
-from .matrix_mutation import ExtendedExchangeMatrix, mutate
+from .matrix_mutation import ExtendedExchangeMatrix, mutate_commuting
 
 
 class FoldedLayout(FrozenValue):
@@ -227,13 +227,11 @@ def _independent_members(matrix, layout, k):
 def group_mutate(fm, k):
     """Mutate every member of group ``k`` once (the order is immaterial).
 
-    Members that do not interact commute.  The test suite checks the
-    result against the closed block formula for whole-group mutation.
+    Members that do not interact commute, so one pass mutates them all;
+    the test suite checks it against member-by-member mutation.
     """
-    out = fm.matrix
-    for c in _independent_members(fm.matrix, fm.layout, k):
-        out = mutate(out, c)
-    return FoldedMatrix(out, fm.layout)
+    members = _independent_members(fm.matrix, fm.layout, k)
+    return FoldedMatrix(mutate_commuting(fm.matrix, members), fm.layout)
 
 
 def hadamard_check(fm, reference):
@@ -257,41 +255,39 @@ def hadamard_check(fm, reference):
             f"unfolding has {layout.n_groups} groups and {layout.m_original} F columns"
         )
     failures = []
-    n = reference.n
-    for i, (rows_i, d, scale) in enumerate(
-        zip(layout.groups, layout.group_sizes, layout.f_scales)
-    ):
+    n, rows = reference.n, fm.matrix.rows
+    for i, (rows_i, d, scale) in enumerate(zip(layout.groups, layout.group_sizes, layout.f_scales)):
         for j, cols in enumerate(layout.groups):
             value, rem = divmod(reference.rows[i][j], d)
             if rem:
                 failures.append(("cluster", i, j, "reference entry not divisible by d_i"))
-                continue
-            bad = _first_nonconstant(fm.block(rows_i, cols), value)
-            if bad is not None:
-                failures.append(("cluster", i, j, bad))
-        for l, c in enumerate(layout.f_block):
-            value = scale * reference.rows[i][n + l]
-            block = fm.block(rows_i, range(c, c + 1))
-            bad = _first_nonconstant(block, value)
-            if bad is not None:
-                failures.append(("f", i, l, bad))
+            elif not _rows_match(rows, rows_i, cols, (value,) * len(cols)):
+                failures.append(("cluster", i, j, _first_nonconstant(fm, rows_i, cols, value)))
+        values = tuple([scale * e for e in reference.rows[i][n:]])
+        if not _rows_match(rows, rows_i, layout.f_block, values):
+            for l, c in enumerate(layout.f_block):
+                bad = _first_nonconstant(fm, rows_i, range(c, c + 1), values[l])
+                if bad is not None:
+                    failures.append(("f", i, l, bad))
     return Report(tuple(failures))
 
 
-def _first_nonconstant(block, value):
-    for r, row in enumerate(block):
+def _first_nonconstant(fm, members, cols, value):
+    """Failure text naming the first entry of a block that is not ``value``, or None."""
+    for r, row in enumerate(fm.block(members, cols)):
         for c, e in enumerate(row):
             if e != value:
                 return f"entry ({r},{c}) = {e}, expected {value}"
-    return None
 
 
-def _plus_identity(value, shift, height, width):
-    """``value J + shift Id`` as row tuples, like :meth:`FoldedMatrix.block`."""
-    row = (value,) * width
-    if not shift:
-        return (row,) * height
-    return tuple(row[:r] + (value + shift,) + row[r + 1:] for r in range(height))
+def _rows_match(rows, members, cols, expected, shift=0):
+    """Whether each row ``members[r]`` is ``expected`` over ``cols``, plus ``shift`` at ``r``."""
+    start, stop = cols.start, cols.stop
+    for r, row in enumerate(members):
+        want = expected[:r] + (expected[r] + shift,) + expected[r + 1:] if shift else expected
+        if rows[row][start:stop] != want:
+            return False
+    return True
 
 
 def double_constant_check(fm):
@@ -304,15 +300,13 @@ def double_constant_check(fm):
     :meth:`FoldedMatrix.identity_sign`, which raises unless it is +1 or
     -1.  The first pair that breaks the rule raises StructureViolation.
     """
+    rows = fm.matrix.rows
     for i, rows_i in enumerate(fm.layout.groups):
+        first = rows[rows_i[0]]
         for j, (t_cols, s_cols) in enumerate(fm.layout.aux):
-            t_block = fm.block(rows_i, t_cols)
-            s_block = fm.block(rows_i, s_cols)
             shift = fm.identity_sign(i) if i == j else 0
-            a = t_block[0][0] + s_block[0][0]
-            c = t_block[0][0] - shift
-            shape = len(rows_i), len(t_cols)
-            if t_block != _plus_identity(c, shift, *shape):
+            t, s = first[t_cols.start] - shift, first[s_cols.start] + shift
+            if not _rows_match(rows, rows_i, t_cols, (t,) * len(t_cols), shift):
                 raise StructureViolation(f"T block ({i},{j}) is not a constant plus {shift} Id")
-            if s_block != _plus_identity(a - c, -shift, *shape):
+            if not _rows_match(rows, rows_i, s_cols, (s,) * len(s_cols), -shift):
                 raise StructureViolation(f"T+S block ({i},{j}) is not constant")

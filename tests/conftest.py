@@ -14,9 +14,9 @@ from gencluster import laurent_kernel
 from gencluster.cli_io import walk_verdicts
 from gencluster.errors import ParseError, TableMismatch
 from gencluster.fixtures import fixture_seed
-from gencluster.matrix_mutation import modify
+from gencluster.matrix_mutation import ExtendedExchangeMatrix, modify, sides
 from gencluster.randomgen import random_seed
-from gencluster.unfolding import group_mutate
+from gencluster.unfolding import FoldedMatrix, group_mutate
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
@@ -103,6 +103,39 @@ def cluster_side(seed, k, sign):
         if sign * row[i] > 0:
             out = poly_mul(out, poly_pow(seed.cluster[i], sign * row[i]))
     return out
+
+
+def dense_mutate(matrix, k):
+    """Mutation in direction ``k`` by the dense one-direction rule.
+
+    Every row with ``b_ik != 0`` is rebuilt over every column: entry
+    ``(i, j)`` gains ``|b_ik|`` times the part of ``b_kj`` with the sign
+    of ``b_ik``, read off the pivot's dense exchange sides.  Row ``k``
+    and column ``k`` are negated.  The result passes the validating
+    constructor.
+    """
+    matrix.check_direction(k)
+    gt, lt = sides(matrix.rows[k])
+    rows = []
+    for i, row in enumerate(matrix.rows):
+        b_ik = row[k]
+        if i == k:
+            rows.append(tuple([-e for e in row]))
+        elif not b_ik:
+            rows.append(row)
+        else:
+            new_row = [e + b_ik * p for e, p in zip(row, gt if b_ik > 0 else lt)]
+            new_row[k] = -b_ik
+            rows.append(tuple(new_row))
+    return ExtendedExchangeMatrix(matrix.n, matrix.m, tuple(rows))
+
+
+def member_by_member(fm, k):
+    """Group mutation of ``fm`` at ``k`` composed of :func:`dense_mutate` steps."""
+    matrix = fm.matrix
+    for c in fm.layout.group_range(k):
+        matrix = dense_mutate(matrix, c)
+    return FoldedMatrix(matrix, fm.layout)
 
 
 def group_mutate_sequence(fm, sequence):

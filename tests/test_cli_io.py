@@ -1444,6 +1444,29 @@ class TestSharedStates:
         )
         assert tuple(c.call_count for c in counters) == before
 
+    def test_each_step_and_check_runs_exactly_once(self, monkeypatch):
+        # The walk reads a step or check already made off its state; none
+        # is made twice, and every state a step reaches is checked.
+        steps, checks, reached = [], [], set()
+
+        def step(fm, k):
+            steps.append((fm.matrix.rows, k))
+            mutated = group_mutate(fm, k)
+            reached.add(mutated.matrix.rows)
+            return mutated
+
+        def hadamard(fm, reference):
+            checks.append(fm.matrix.rows)
+            return hadamard_check(fm, reference)
+
+        monkeypatch.setattr("gencluster.cli_io.group_mutate", step)
+        monkeypatch.setattr("gencluster.cli_io.hadamard_check", hadamard)
+        records = walked_records("hadamard", "--seed", "FIX-A", "--depth", "7")
+        assert len(records) == 2 ** 7 and all(r["ok"] for r in records)
+        assert len(steps) == len(set(steps)) == 26
+        assert len(checks) == len(set(checks)) == 15
+        assert set(checks) == reached | {build(fixture_seed("FIX-A")).matrix.rows}
+
     def test_errors_on_a_shared_state_fail_every_case_that_reaches_it(
         self, monkeypatch
     ):

@@ -737,7 +737,7 @@ def test_products_and_sums_share_one_loop():
 #: as ``(file, function)``.  The helper copies the instance dict, so only
 #: a type whose instances hold nothing but their fields may take it.
 TRUSTED_REPLACE_CALLERS = {
-    ("matrix_mutation.py", "mutate"),
+    ("matrix_mutation.py", "mutate_commuting"),
     ("gca_seed.py", "mutate_seed"),
     ("root_adjoin.py", "tau_tilde"),
 }
@@ -772,9 +772,10 @@ def test_replaced_values_hold_exactly_their_fields(monkeypatch):
     from gencluster.errors import FrozenValue
     from gencluster.fixtures import fixture_seed
     from gencluster.gca_seed import mutate_seed
-    from gencluster.matrix_mutation import mutate
+    from gencluster.matrix_mutation import mutate_commuting
     from gencluster.randomgen import random_seed
     from gencluster.root_adjoin import tau_tilde
+    from gencluster.unfolding import build
 
     built = []
     replace = FrozenValue._trusted_replace
@@ -788,8 +789,11 @@ def test_replaced_values_hold_exactly_their_fields(monkeypatch):
     starts = [fixture_seed(name) for name in ("FIX-B", "FIX-C")]
     starts += [random_seed(rng, max_frozen=3) for _ in range(10)]
     for start in starts:
+        # The members of an unfolding's group do not interact.
+        unfolded = build(start)
+        mutate_commuting(unfolded.matrix, unfolded.layout.group_range(0))
         for seed in (start, tau_tilde(start).seed):
-            mutate(seed.matrix, 0)
+            mutate_commuting(seed.matrix, range(1))
             mutate_seed(mutate_seed(seed, 0), seed.rank - 1)
     assert {type(value).__name__ for value in built} == {
         "ExtendedExchangeMatrix", "GeneralizedSeed", "CoefficientStrings",

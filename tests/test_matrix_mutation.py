@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import dense_mutate
 from gencluster.errors import (
     IndexOutOfRange,
     InvalidDivisors,
@@ -20,6 +21,7 @@ from gencluster.matrix_mutation import (
     check_compatible,
     modify,
     mutate,
+    mutate_commuting,
     mutate_sequence,
     write_matrix,
 )
@@ -281,6 +283,76 @@ def drawn_rows(rng, perturb):
     if perturb:
         rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
     return n, m, rows
+
+
+def zeroed(rows, indices):
+    """``rows`` with the rows and principal columns ``indices`` set to zero.
+
+    Taking a vertex out keeps a skew-symmetrizable principal part so.
+    """
+    for i in indices:
+        rows[i] = [0] * len(rows[i])
+        for row in rows:
+            row[i] = 0
+    return rows
+
+
+class TestOnePass:
+    """The one-pass rule against the dense one-direction rule of the tests."""
+
+    def test_mutate_matches_the_dense_rule(self):
+        rng = random.Random(4507)
+        shared = 0
+        for draw in range(400):
+            n, m, rows = drawn_rows(rng, perturb=False)
+            if draw % 4 == 0:
+                m, rows = 0, [row[:n] for row in rows]
+            if draw % 3 == 0:
+                rows = zeroed(rows, [rng.randrange(n)])
+            matrix = ExtendedExchangeMatrix(n, m, rows)
+            for k in range(n):
+                mutated = mutate(matrix, k)
+                assert mutated == dense_mutate(matrix, k)
+                assert_valid_as_built(mutated)
+                # A row with b_ik = 0 is the input's row object; any other is new.
+                for i, row in enumerate(matrix.rows):
+                    kept = i != k and row[k] == 0
+                    assert (mutated.rows[i] is row) == kept
+                    shared += kept
+        assert shared > 200
+
+    def test_all_zero_matrices_are_negated_in_the_pivot_row_only(self):
+        for n, m in ((1, 0), (2, 0), (3, 2)):
+            matrix = ExtendedExchangeMatrix(n, m, ((0,) * (n + m),) * n)
+            for k in range(n):
+                mutated = mutate(matrix, k)
+                assert mutated == matrix == dense_mutate(matrix, k)
+                assert all(
+                    (new is old) == (i != k)
+                    for i, (new, old) in enumerate(zip(mutated.rows, matrix.rows))
+                )
+
+    def test_commuting_directions_match_the_dense_rule_composed(self):
+        rng = random.Random(4508)
+        for _ in range(300):
+            n, m, rows = drawn_rows(rng, perturb=False)
+            a = rng.randrange(n)
+            ks = range(a, rng.randint(a + 1, n))
+            # Directions that do not interact: the principal block on ks is zero.
+            for i in ks:
+                rows[i][a:ks.stop] = [0] * len(ks)
+            if rng.randrange(3) == 0:
+                rows = zeroed(rows, [rng.randrange(n)])
+            matrix = ExtendedExchangeMatrix(n, m, rows)
+            result = mutate_commuting(matrix, ks)
+            assert_valid_as_built(result)
+            for order in permutations(ks):
+                composed = matrix
+                for k in order:
+                    composed = dense_mutate(composed, k)
+                assert result == composed
+            for i, row in enumerate(matrix.rows):
+                assert (result.rows[i] is row) == (i not in ks and not any(row[a:ks.stop]))
 
 
 class TestValidation:

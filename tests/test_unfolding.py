@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import group_mutate_sequence
+from conftest import group_mutate_sequence, member_by_member
 from gencluster.errors import (
     IndexOutOfRange,
     Report,
@@ -340,6 +340,62 @@ class TestBlockFormula:
         fm = edited(build(fix_a), {(0, 4): -4, (4, 0): 4})
         with pytest.raises(AssertionError, match="sign-incoherent"):
             block_formula(fm, 0)
+
+
+class TestMemberByMember:
+    """One-pass group mutation against member-by-member dense mutation."""
+
+    def test_fixture_walks(self, fix_a, fix_b, fix_c):
+        for seed in (fix_a, fix_b, fix_c):
+            for fm in walk_states(seed, 4):
+                for k in range(fm.layout.n_groups):
+                    assert group_mutate(fm, k) == member_by_member(fm, k)
+
+    def test_random_seeds(self):
+        rng = random.Random(2013)
+        for _ in range(80):
+            seed = random_seed(rng)
+            fm = build(seed)
+            for k in random_sequence(rng, seed.matrix.n, 4):
+                expected = member_by_member(fm, k)
+                fm = group_mutate(fm, k)
+                assert fm == expected
+
+    def test_sign_incoherent_blocks(self, fix_a, fix_b):
+        # Edited unfoldings on which block_formula refuses group k.
+        refused = []
+        for seed in (fix_a, fix_b):
+            for fm in walk_states(seed, 2):
+                for broken in cluster_tamperings(fm):
+                    for k in range(broken.layout.n_groups):
+                        try:
+                            block_formula(broken, k)
+                        except AssertionError:
+                            assert group_mutate(broken, k) == member_by_member(broken, k)
+                            refused.append(k)
+        assert len(refused) > 100 and set(refused) == {0, 1}
+
+    def test_groups_of_one(self):
+        seeds = [
+            initial_seed(ExtendedExchangeMatrix.from_rows([[0, 2, -1, 3], [-2, 0, 4, 0]], m=2), (1, 2)),
+            initial_seed(
+                ExtendedExchangeMatrix.from_rows([[0, 1, -1, 2], [-1, 0, 1, 0], [1, -1, 0, -3]], m=1),
+                (1, 1, 1),
+            ),
+        ]
+        for seed in seeds:
+            assert 1 in build(seed).group_sizes
+            for fm in walk_states(seed, 4):
+                for k in range(fm.layout.n_groups):
+                    assert group_mutate(fm, k) == member_by_member(fm, k)
+
+    def test_fix_a_alternating_to_depth_300(self, fix_a):
+        fm = build(fix_a)
+        for step in range(300):
+            expected = member_by_member(fm, step % 2)
+            fm = group_mutate(fm, step % 2)
+            assert fm == expected
+        assert max(abs(e) for row in fm.matrix.rows for e in row).bit_length() > 900
 
 
 def has_witness(fm):
