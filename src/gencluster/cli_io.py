@@ -551,7 +551,7 @@ def walk_verdicts(target, seed, cases, mode="total"):
             yield (sequence, *verdict)
         return
 
-    # Each runs once per state; the walk reads a made step or check off the state.
+    # Each makes a step or check once; the walk reads a made one off the state.
     def child(state, k):
         try:
             value = step(state.value, k)
