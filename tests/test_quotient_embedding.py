@@ -1,5 +1,6 @@
 """Quotient embedding: folded seeds, the product formula, and the image map."""
 
+import ast
 from collections import namedtuple
 from copy import copy
 import hashlib
@@ -1369,3 +1370,111 @@ class TestSubquotientFailures:
         assert subquotient_check(fix_a).failures == (
             ("cluster image", 0, "y1*y2"), ("cluster image", 1, "y3*y4*y5"),
         )
+
+
+def unreversed_strings(monkeypatch):
+    """Tracked steps that mutate the matrix and the cluster but keep every string row."""
+    from gencluster import quotient_embedding
+
+    def step(seed, k):
+        return mutate_seed(seed, k)._trusted_replace(strings=seed.strings)
+
+    monkeypatch.setattr(quotient_embedding, "mutate_seed", step)
+
+
+def skipped_group_step(monkeypatch):
+    """Folded steps that leave the unfolding as it is for group 2."""
+    from gencluster import quotient_embedding
+
+    def step(seed, layout, k):
+        return seed if k == 1 else group_mutate_seed(seed, layout, k)
+
+    monkeypatch.setattr(quotient_embedding, "group_mutate_seed", step)
+
+
+def phi_from_another_group(monkeypatch):
+    """An embedding that sends the first cluster variable to the second group's product."""
+    built = QuotientContext.__init__
+
+    def init(self, adjoined):
+        built(self, adjoined)
+        phi, names = self.phi, self.tracked.table.names
+        images = dict(phi.images)
+        images[names[0]] = images[names[1]]
+        self.phi = Substitution(images, phi.source, phi.target)
+
+    monkeypatch.setattr(QuotientContext, "__init__", init)
+
+
+#: ``verify embedding --seed FIX-B --depth 2`` under each planted fault:
+#: the exit code and the failing records' details, by sequence.
+PLANTED_EMBEDDING_FAULTS = {
+    "unreversed strings": (unreversed_strings, {
+        "1,1": ["'InexactDivision: quotient support leaves the feasible box'"],
+        "1,2": ["(1, '(iv)', 0, 1)", "(1, '(iv)', 0, 2)",
+                "(2, '(iv)', 0, 1)", "(2, '(iv)', 0, 2)"],
+        "2,1": ["(2, '(iv)', 0, 1)", "(2, '(iv)', 0, 2)"],
+    }),
+    "skipped group step": (skipped_group_step, {
+        "1,2": [
+            "(2, '(i) u>', 0, None)", "(2, '(i) u<', 0, None)",
+            "(2, '(ii) v>[1]', 0, None)", "(2, '(ii) v<[1]', 0, None)",
+            "(2, '(i) u>', 1, None)", "(2, '(i) u<', 1, None)",
+            "(2, '(ii) v>[1]', 1, None)", "(2, '(ii) v<[1]', 1, None)",
+            "(2, '(iii)', 1, None)",
+        ],
+        "2,1": [
+            "(1, '(i) u>', 0, None)", "(1, '(i) u<', 0, None)",
+            "(1, '(i) u>', 1, None)", "(1, '(i) u<', 1, None)",
+            "(1, '(ii) v>[1]', 1, None)", "(1, '(ii) v<[1]', 1, None)",
+            "(1, '(iii)', 1, None)",
+            "(2, '(i) u>', 0, None)", "(2, '(i) u<', 0, None)", "(2, '(iii)', 0, None)",
+            "(2, '(i) u>', 1, None)", "(2, '(i) u<', 1, None)",
+            "(2, '(ii) v>[1]', 1, None)", "(2, '(ii) v<[1]', 1, None)",
+            "(2, '(iii)', 1, None)",
+        ],
+        "2,2": [
+            "(1, '(i) u>', 0, None)", "(1, '(i) u<', 0, None)",
+            "(1, '(i) u>', 1, None)", "(1, '(i) u<', 1, None)",
+            "(1, '(ii) v>[1]', 1, None)", "(1, '(ii) v<[1]', 1, None)",
+            "(1, '(iii)', 1, None)",
+        ],
+    }),
+    "phi from another group": (phi_from_another_group, {
+        "1,1": ["(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
+                "(1, '(iii)', 0, None)", "(1, '(i) u>', 1, None)",
+                "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)"],
+        "1,2": ["(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
+                "(1, '(iii)', 0, None)", "(1, '(i) u>', 1, None)",
+                "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)",
+                "(2, '(iii)', 1, None)"],
+        "2,1": ["(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
+                "(1, '(iii)', 0, None)", "(1, '(i) u>', 1, None)",
+                "(1, '(iii)', 1, None)",
+                "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)",
+                "(2, '(iii)', 1, None)"],
+        "2,2": ["(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
+                "(1, '(iii)', 0, None)", "(1, '(i) u>', 1, None)",
+                "(1, '(iii)', 1, None)",
+                "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)"],
+    }),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_EMBEDDING_FAULTS))
+def test_planted_embedding_faults_are_pinned(monkeypatch, fault):
+    # Each plant fails the cases that reach it, with these records; every
+    # other case of the depth-2 walk passes.
+    plant, expected = PLANTED_EMBEDDING_FAULTS[fault]
+    plant(monkeypatch)
+    out = io.StringIO()
+    assert run_command(["verify", "embedding", "--seed", "FIX-B", "--depth", "2"], out) == 2
+    found = {}
+    for line in out.getvalue().splitlines():
+        verdict, _, _, sequence, *detail = line.split(" ", 4)
+        assert verdict == ("FAIL" if detail else "ok"), line
+        if detail:
+            found[sequence.removeprefix("sequence=")] = ast.literal_eval(
+                detail[0].removeprefix("detail=")
+            )
+    assert found == expected
