@@ -10,10 +10,12 @@ the definitions; nothing is read from stored outputs.
 """
 
 import argparse
+from functools import reduce
 
 from gencluster.cli_io import _seed_text
 from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import exchange_polynomial, mutate_seed
+from gencluster.laurent_kernel import poly_mul
 from gencluster.matrix_mutation import modify, mutate, write_matrix
 from gencluster.quotient_embedding import QuotientContext
 from gencluster.root_adjoin import rho, tau_tilde, tau_variable
@@ -92,8 +94,12 @@ def tour_quotient():
     show("FIX-C folded matrix", write_matrix(ctx.folded.matrix))
     image = ctx.group_image(0)
     show("FIX-C image of x under the embedding", str(image))
-    ctx = ctx.mutate(0)
-    image = ctx.group_image(0)
+    # Mutating x mutates each member of its group once; x' maps to the
+    # unit elimination of the members' product.
+    folded, members = ctx.folded, ctx.layout.group_range(0)
+    for c in members:
+        folded = mutate_seed(folded, c)
+    image = reduce(poly_mul, (ctx.elimination(folded.cluster[c]) for c in members))
     show("FIX-C image of x' after one mutation", str(image))
 
 

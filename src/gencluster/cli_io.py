@@ -21,20 +21,22 @@ The command-line tool exposes the library operations as subcommands::
 
 Exit codes: ``0`` all checks passed, ``1`` unusable input (bad flags,
 malformed files, out-of-range indices), ``2`` a mathematical check
-failed.  All output is deterministic for a fixed ``--rng-seed``;
-records never include wall-clock fields, so identical invocations are
-byte-identical.  Every ``verify`` target keeps the states it reaches by
-their content: each distinct state is checked once and each distinct
-(state, direction) step is made once, however many prefixes of its
-sequences reach them.  Each record is written as soon as its verdict
-is known, in sequence order, so memory grows with the distinct states
-a walk holds, not with the number of cases, and an interrupted run
-leaves the records already written.
+failed, ``141`` stdout closed by its reader.  All output is
+deterministic for a fixed ``--rng-seed``; records never include
+wall-clock fields, so identical invocations are byte-identical.  Every
+``verify`` target keeps the states it reaches by their content: each
+distinct state is checked once and each distinct (state, direction)
+step is made once, however many prefixes of its sequences reach them.
+Each record is written as soon as its verdict is known, in sequence
+order, so memory grows with the distinct states a walk holds, not with
+the number of cases, and an interrupted run leaves the records already
+written.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import (
@@ -51,6 +53,7 @@ from .gca_seed import (
     CoefficientStrings,
     GeneralizedSeed,
     initial_seed,
+    mutate_exchange_data,
     mutate_seed,
 )
 from .laurent_kernel import VariableTable
@@ -290,18 +293,17 @@ def parse_seed(path):
 # trace digests
 
 
-def _digest(matrix, table, rows):
+def _digest(seed):
     """SHA-256 of a (possibly mutated) seed's matrix-and-strings text.
 
-    ``rows`` are the seed's coefficient strings over ``table``.  Two
-    traced runs agree exactly when every intermediate matrix and string
-    table agrees.
+    Two traced runs agree exactly when every intermediate matrix and
+    string table agrees.
     """
     # Only ``trace`` digests, so only it loads hashlib.
     import hashlib
 
-    text = write_matrix(matrix) + "".join(
-        line + "\n" for line in _string_lines(table, rows)
+    text = write_matrix(seed.matrix) + "".join(
+        line + "\n" for line in _string_lines(seed.table, seed.strings.rows)
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -409,19 +411,17 @@ def _cmd_adjoin(args, out):
 def _cmd_trace(args, out):
     seed, _ = _load_seed(args)
     sequence = _parse_sequence(args.sequence, seed.matrix.n)
-    matrix, rows = seed.matrix, list(seed.strings.rows)
-    out.write(f"init digest={_digest(matrix, seed.table, rows)}\n")
-    # The digest reads no cluster entry, so only the matrix and the
-    # strings are mutated: mutation in direction k reverses string row k.
+    out.write(f"init digest={_digest(seed)}\n")
+    # The digest reads no cluster entry, so only the exchange data are mutated.
     for k in sequence:
-        matrix, rows[k] = mutate(matrix, k), rows[k][::-1]
-        out.write(f"mutate k={k + 1} digest={_digest(matrix, seed.table, rows)}\n")
+        seed = mutate_exchange_data(seed, k)
+        out.write(f"mutate k={k + 1} digest={_digest(seed)}\n")
     return 0
 
 
-#: Depth a target walks when ``--depth`` is not given.  The embedding
-#: target evaluates whole folded clusters, which grows quickly on
-#: coarse seeds, so its default is shallow; everything else is cheap.
+#: Depth a target walks when ``--depth`` is not given.  A deeper
+#: ``embedding`` default would change the bytes of a default run, so it
+#: stays at 2, though the walk no longer evaluates cluster entries.
 _DEFAULT_DEPTH = {
     "hadamard": 4,
     "double-constant": 4,
@@ -801,4 +801,10 @@ def run_command(argv, out=None):
 
 
 def main(argv=None):
-    return run_command(sys.argv[1:] if argv is None else argv)
+    """:func:`run_command` on stdout; a reader closing it early ends the run with 141."""
+    try:
+        return run_command(sys.argv[1:] if argv is None else argv)
+    except BrokenPipeError:
+        # 128 + SIGPIPE, as a killed process reports; stdout's rest goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141

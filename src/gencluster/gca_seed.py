@@ -28,9 +28,10 @@ powers is shifted by its coefficient's exponent vector, so the mutation
 path builds neither a one-term polynomial per coefficient nor a
 :class:`~gencluster.laurent_kernel.Monomial`.
 
-Mutation in direction ``k`` replaces the cluster entry by the exact
-quotient ``theta_k / x_k`` (evaluated at the current cluster), mutates
-the matrix by the standard rule, and reverses string row ``k``.
+Mutation in direction ``k`` mutates the matrix by the standard rule and
+reverses string row ``k`` (:func:`mutate_exchange_data`, the one step of
+the exchange data), and replaces the cluster entry by the exact quotient
+``theta_k / x_k``, evaluated at the current cluster (:func:`mutate_seed`).
 
 The module also provides the degree-``d_k``-root apparatus: the floor
 defect and a check of the perfect-power form of each coefficient of
@@ -63,7 +64,7 @@ class CoefficientStrings(FrozenValue):
     """Per-direction tuples of frozen monomials, ends pinned to 1.
 
     The constructor stores the rows, and each row, as tuples;
-    :func:`mutate_seed` reverses a row unchecked (see :class:`GeneralizedSeed`).
+    :func:`mutate_exchange_data` reverses a row unchecked (see :class:`GeneralizedSeed`).
     """
 
     rows: tuple
@@ -113,7 +114,7 @@ class GeneralizedSeed(FrozenValue):
     types, sizes, tables, divisor compatibility and the coefficient strings.
     Mutation results and their strings skip those checks (see
     :meth:`~gencluster.errors.FrozenValue._trusted_replace`), because
-    :func:`mutate_seed` preserves each of them: the table and divisors
+    :func:`mutate_exchange_data` preserves each of them: the table and divisors
     are unchanged; each matrix update is 0 or ``+/- b_ik * b_kj``, so
     ``d_i`` still divides row ``i`` (and skew-symmetrizers carry over,
     Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5); and string row
@@ -304,21 +305,27 @@ def exchange_polynomial(seed, k):
     return poly_shifted_sum(seed.table, summands())
 
 
-def mutate_seed(seed, k):
-    """Seed mutation in direction ``k`` (matrix, cluster, and strings).
+def mutate_exchange_data(seed, k, cluster=None):
+    """Mutate the matrix in direction ``k`` and reverse string row ``k``.
 
-    :func:`exchange_polynomial` checks the direction.
+    The cluster stays as it is unless ``cluster`` replaces it, so the
+    exchange-data walks keep the table's symbols.  ``mutate`` checks ``k``.
     """
-    theta = exchange_polynomial(seed, k)
-    new_cluster = list(seed.cluster)
-    new_cluster[k] = poly_exact_div(theta, seed.cluster[k])
-    new_rows = list(seed.strings.rows)
-    new_rows[k] = new_rows[k][::-1]
+    matrix = mutate(seed.matrix, k)
+    rows = list(seed.strings.rows)
+    rows[k] = rows[k][::-1]
     return seed._trusted_replace(
-        cluster=tuple(new_cluster),
-        matrix=mutate(seed.matrix, k),
-        strings=seed.strings._trusted_replace(rows=tuple(new_rows)),
+        cluster=seed.cluster if cluster is None else cluster,
+        matrix=matrix,
+        strings=seed.strings._trusted_replace(rows=tuple(rows)),
     )
+
+
+def mutate_seed(seed, k):
+    """:func:`mutate_exchange_data` with entry ``k`` replaced by ``theta_k / x_k``."""
+    cluster = list(seed.cluster)
+    cluster[k] = poly_exact_div(exchange_polynomial(seed, k), seed.cluster[k])
+    return mutate_exchange_data(seed, k, tuple(cluster))
 
 
 def mutate_seed_sequence(seed, sequence):

@@ -7,8 +7,8 @@ The construction proceeds in three layers, all verified exactly:
     per member of each group, the original frozen variables renamed to
     their root symbols, and one ``t``/``s`` pair of auxiliary frozen
     variables per member.  Group mutation mutates every member once.
-    The embedding walk's :class:`QuotientContext` holds this seed beside
-    the shared folded layout.
+    :class:`QuotientContext` holds this seed at depth zero beside the
+    shared folded layout.
 
 2.  **Quotient** — the auxiliary variables are cut down by the ideal
     identifying each generalized coefficient ``rho_{k,r}`` with the
@@ -26,11 +26,12 @@ The construction proceeds in three layers, all verified exactly:
     placeholder to its ``sigma`` expansion.  The checkers verify, at
     every requested mutation depth, that ``phi`` matches cluster
     monomials, stable monomials, cluster variables, and coefficient
-    strings against their folded counterparts (conditions (i)-(iv)),
-    that group products of exchange polynomials expand the generalized
-    exchange polynomial (the product formula), and that the original
-    frozen variables land on ``n``-th powers, ``n`` the root multiplicity
-    (the subquotient property).
+    strings against their folded counterparts (conditions (i)-(iv), the
+    cluster variables by induction on mutation), that group products of
+    exchange polynomials expand the generalized exchange polynomial (the
+    product formula), and that the original frozen variables land on
+    ``n``-th powers, ``n`` the root multiplicity (the subquotient
+    property).
 
 Coefficient bookkeeping: on the generalized side the string entries are
 tracked as opaque placeholder symbols (mutation only permutes them), and
@@ -40,14 +41,15 @@ which no expanded form would (a frozen monomial does not remember which
 part of it came from a coefficient), and makes the directed rewrite
 placeholder -> sigma sound at every depth.
 
-The product formula is a statement about exchange polynomials, so it is
-checked over *formal* current-cluster symbols: the current cluster is a
-transcendence basis, hence an identity holds for the evaluated elements
-exactly when it holds formally.  This keeps the check exact at depths
-where the evaluated cluster entries would be astronomically large.  Its
-walk steps the bare unfolding and builds no seed: the folded table is a
-walk constant, and which end of a group's coefficient row holds each
-initial coefficient is read off the group's diagonal ``T`` block
+The product formula and the embedding's exchange identity are
+statements about exchange polynomials, so they are checked over *formal*
+current-cluster symbols: the current cluster is a transcendence basis,
+hence an identity holds for the evaluated elements exactly when it holds
+formally.  This keeps the checks exact at depths where the evaluated
+cluster entries would be astronomically large.  Both walks step exchange
+data only and build no cluster entry: the folded table is a walk
+constant, and which end of a group's coefficient row holds each initial
+coefficient is read off the group's diagonal ``T`` block
 (:meth:`~gencluster.unfolding.FoldedMatrix.identity_sign`).
 
 Exchange data is read off matrix rows as exponent vectors, each role
@@ -69,7 +71,6 @@ is applied to the vectors and no elimination pass runs; conditions (i)
 and (ii) likewise compare ``phi``'s vector form with the folded side.
 """
 
-from copy import copy
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import sub
@@ -79,8 +80,9 @@ from .gca_seed import (
     CoefficientStrings,
     ExchangeContext,
     GeneralizedSeed,
+    exchange_polynomial,
     initial_seed,
-    mutate_seed,
+    mutate_exchange_data,
 )
 from .laurent_kernel import (
     Substitution,
@@ -93,7 +95,7 @@ from .laurent_kernel import (
 )
 from .matrix_mutation import ExtendedExchangeMatrix, sides
 from .root_adjoin import fresh_name, root_multiplicity, root_names, tau_tilde
-from .unfolding import _independent_members, build, group_mutate
+from .unfolding import FoldedMatrix, build, group_mutate
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +117,6 @@ def folded_initial_seed(gca, fm):
         cluster_names=layout.cluster_names(),
         frozen_names=layout.frozen_names(root_names(gca.table)),
     )
-
-
-def group_mutate_seed(seed, layout, k):
-    """Mutate every member of group ``k`` of a folded seed once.
-
-    The members are checked as in :func:`~gencluster.unfolding.group_mutate`;
-    the seed's mutated matrix is the new folded matrix.
-    """
-    for c in _independent_members(seed.matrix, layout, k):
-        seed = mutate_seed(seed, c)
-    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +211,17 @@ def _eliminated_sigma(table, pattern):
 
 
 class QuotientContext:
-    """Two-track bookkeeping for one embedding walk.
+    """The constants of one embedding walk, built once from the root-adjoined pair.
 
-    :meth:`mutate` advances two tracks in lock step:
-
-    * ``tracked`` — the root-adjoined generalized seed with each interior
-      string entry replaced by an opaque placeholder symbol (zero matrix
-      column).  The concrete root-adjoined seed is its image under
-      ``rho_values``, so it is never mutated itself;
-    * ``folded`` — the folded ordinary seed, advanced by group mutations.
-
-    Everything else is a walk constant, built once by the constructor
-    from the root-adjoined pair and shared by every context the walk
-    reaches: the folded ``layout``, ``rho_values`` (the table sending
-    each placeholder ``rho<k>_<r>`` to its concrete monomial; mutation
-    only permutes which placeholder sits where), ``placeholder_names``,
-    the placeholder-extended folded table ``folded_plus``, the embedding
-    ``phi``, the unit elimination ``elimination`` (``E``), and the images
-    of the string entries met so far, keyed by exponent vector (mutation
-    only permutes the placeholders, so a walk meets few).  Products of
-    eliminated ``sigma`` powers are cached per folded table and
-    placeholder pattern.
+    ``tracked`` is the root-adjoined generalized seed at depth zero with
+    each interior string entry replaced by an opaque placeholder symbol
+    (zero matrix column); its image under ``rho_values``, the table
+    sending each placeholder ``rho<k>_<r>`` to its concrete monomial, is
+    the concrete seed, and mutation only permutes the placeholders.
+    ``folded`` is the folded ordinary seed at depth zero and ``layout``
+    its folded layout.  The images of the string entries met so far are
+    kept by exponent vector (a walk meets few), and products of
+    eliminated ``sigma`` powers per folded table and placeholder pattern.
 
     ``phi`` is the :class:`~gencluster.laurent_kernel.Substitution` from
     the tracked table to ``folded_plus`` sending cluster variable ``k``
@@ -254,10 +235,6 @@ class QuotientContext:
     so ``E`` fixes every image; and the tracked matrix's placeholder
     columns are zero (mutation keeps a zero column zero), so the exchange
     monomials carry no placeholder.
-
-    Each context holds the eliminated folded cluster entries ``E(x_c)``,
-    filled on first use and shared with its parent for every member
-    outside the mutated group.
     """
 
     def __init__(self, adjoined):
@@ -306,21 +283,10 @@ class QuotientContext:
         }, table_p, self.folded_plus)
         self.elimination = unit_elimination_map(folded.table, layout.aux)
         self._string_images = {}
-        self._eliminated = [None] * layout.total
 
     @staticmethod
     def create(gca, mode="total"):
         return QuotientContext(tau_tilde(gca, mode=mode))
-
-    def mutate(self, k):
-        """Advance both tracks by one mutation in direction ``k``."""
-        step = copy(self)
-        step.tracked = mutate_seed(self.tracked, k)
-        step.folded = group_mutate_seed(self.folded, self.layout, k)
-        step._eliminated = list(self._eliminated)
-        for c in self.layout.group_range(k):
-            step._eliminated[c] = None
-        return step
 
     def phi_poly(self, p):
         """Image of a polynomial over the tracked table, in normal form.
@@ -368,16 +334,9 @@ class QuotientContext:
         return poly_sum_of_products(table, summands())
 
     def group_image(self, k):
-        """``prod_c E(x_c)`` over the members ``c`` of group ``k``.
-
-        ``E`` is a monomial ring map, so this is ``E(prod_c x_c)``, the
-        class the embedding gives the ``k``-th cluster variable.
-        """
-        members, eliminated = self.layout.group_range(k), self._eliminated
-        for c in members:
-            if eliminated[c] is None:
-                eliminated[c] = self.elimination(self.folded.cluster[c])
-        return reduce(poly_mul, (eliminated[c] for c in members))
+        """``E(prod_c y_c)`` over the members of group ``k``: the class the embedding gives ``x_k``."""
+        cluster = self.folded.cluster
+        return reduce(poly_mul, (self.elimination(cluster[c]) for c in self.layout.group_range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -486,58 +445,67 @@ def embedding_walk(gca, mode="total"):
           folded group monomials ``U>``/``U<``;
     (ii)  images of the stable monomials ``v>[1]``/``v<[1]`` equal
           ``V>``/``V<``;
-    (iii) the image of each cluster variable equals the class of the
-          product of its group's folded cluster variables;
+    (iii) ``phi(x_k) = E(prod_{c in k} x_c)`` for each cluster variable;
     (iv)  the image of each string entry equals the class of the
           balanced sum of member side-ratios: over splittings
           ``I ∪ J`` of the group with ``|J| = r``, the products of
           ``v_{c<}/V<`` over ``I`` times ``v_{c>}/V>`` over ``J``.
 
-    Conditions (i), (ii) and (iv) compare exchange data — monomials in
-    the table symbols — while (iii) compares the evaluated cluster
-    entries, which carries the full content of the embedding through
-    the homomorphism property.
+    (iii) holds by induction on mutation, as in the paper, so no cluster
+    entry is evaluated.  The base case reads no state; it is checked as
+    exponent vectors at every state, like (i) and (ii), so the check
+    stays a function of the state and a wrong ``phi`` fails at every
+    depth.  The step, checked at every state over formal current-cluster
+    symbols as ``(iii) exchange``, is ``phi(theta_k) = E(prod_{c in k}
+    theta_c)``, which gives ``phi(x'_k) = phi(theta_k) / phi(x_k) =
+    E(prod x'_c)``: ``phi`` and ``E`` are ring maps, and the members of a
+    group do not interact (``b_cc' = 0``, checked by
+    :func:`~gencluster.unfolding.group_mutate`), so each ``theta_c`` reads
+    no other member and ``x'_c = theta_c / x_c``.  Every other cluster
+    variable is unchanged.
 
-    The state is the :class:`QuotientContext`, stepped by its
-    :meth:`~QuotientContext.mutate`; ``check(ctx)`` is
-    :func:`_embedding_conditions_at`, whose failures are ``(condition,
-    k, r)`` triples (``r`` the string slot, a member, or ``None``).  The
-    key is the content of both tracks' seeds; everything else in a
-    context is a walk constant or, like the eliminated cluster entries,
-    a function of the folded seed.  The two tracks correspond because
-    :meth:`~QuotientContext.mutate` advances both.
+    The state is ``(tracked, fm)``, stepped by
+    :func:`~gencluster.gca_seed.mutate_exchange_data` and
+    :func:`~gencluster.unfolding.group_mutate`; the tracked cluster stays
+    the table's symbols.  ``check(state)`` is
+    :func:`_embedding_conditions_at` against the walk's
+    :class:`QuotientContext`, with ``(condition, k, r)`` failures (``r``
+    a string slot, a member, or ``None``).  The key is the tracked seed's
+    content and the folded matrix rows.
     """
-    return (
-        QuotientContext.create(gca, mode=mode),
-        lambda ctx, k: ctx.mutate(k),
-        _embedding_conditions_at,
-        lambda ctx: (ctx.tracked.content_key(), ctx.folded.content_key()),
-    )
+    ctx = QuotientContext.create(gca, mode=mode)
+
+    def step(state, k):
+        tracked, fm = state
+        return mutate_exchange_data(tracked, k), group_mutate(fm, k)
+
+    def key(state):
+        return state[0].content_key(), state[1].matrix.rows
+
+    root = ctx.tracked, FoldedMatrix(ctx.folded.matrix, ctx.layout)
+    return root, step, lambda state: _embedding_conditions_at(ctx, *state), key
 
 
-def _embedding_conditions_at(ctx):
-    """The failures of conditions (i)-(iv) at one context.
+def _embedding_conditions_at(ctx, tracked, fm):
+    """The failures of conditions (i)-(iv) at the state ``(tracked, fm)`` of ``ctx``'s walk.
 
-    (i) and (ii) compare exponent vectors over the folded table, of any
-    size.  The tracked exchange monomials carry no placeholder and
-    the folded group monomials no ``t``/``s`` variable, so neither side
-    needs the quotient: the left side is ``phi``'s vector form cut to
-    the folded table, and the unit elimination ``E`` leaves the right
-    side as it is.  (iii) takes its right side as ``prod_c E(x_c)``,
-    which equals ``E(prod_c x_c)`` because ``E`` is a monomial ring map;
-    the context keeps the ``E(x_c)``.  (iv) eliminates the units of the
-    side ratios' exponent vectors before it builds their balanced sums,
-    which is ``E`` of the balanced sums of the ratios, as ``E`` is a
-    monomial ring map; its left sides are the walk's string images
-    (:meth:`QuotientContext.string_image`).
+    (i), (ii) and the base case of (iii) compare exponent vectors of any
+    size.  The tracked exchange monomials carry no placeholder and the
+    folded group monomials no ``t``/``s`` variable, so neither side needs
+    the quotient: the left side is ``phi``'s vector form, and the unit
+    elimination ``E`` fixes the right side.  The exchange identity is
+    :func:`_member_binomial_product` on the right.  (iv) eliminates the
+    units of the side ratios' vectors before it builds their balanced
+    sums, which is ``E`` of the sums, as ``E`` is a monomial ring map;
+    its left sides are the walk's string images.
     """
     failures = []
-    tracked, folded, layout, units = ctx.tracked, ctx.folded, ctx.layout, ctx.elimination
-    table, phi = folded.table, ctx.phi
-    width = len(table)
+    layout, units, phi = ctx.layout, ctx.elimination, ctx.phi
+    table = ctx.folded.table
+    width, size = len(table), len(tracked.table)
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
-        first = _coherent_row(folded.matrix, layout, k)
+        first = _coherent_row(fm.matrix, layout, k)
         u_gt, u_lt = sides(first, layout.cluster_block)
         v_gt, v_lt = sides(first, layout.f_block)
         # (i) cluster monomials and (ii) stable monomials.
@@ -549,13 +517,17 @@ def _embedding_conditions_at(ctx):
         ):
             if phi.vector(exps)[:width] != side:
                 failures.append((label, k, None))
-        # (iii) cluster variables, compared as evaluated elements.
-        if ctx.phi_poly(tracked.cluster[k]) != ctx.group_image(k):
+        # (iii) cluster variables: the base case, then the exchange identity.
+        members = layout.group_range(k)
+        image = phi.vector(tuple(int(q == k) for q in range(size)))
+        if image != tuple(int(q in members) for q in range(len(image))):
             failures.append(("(iii)", k, None))
+        if ctx.phi_poly(exchange_polynomial(tracked, k)) != _member_binomial_product(table, fm, k):
+            failures.append(("(iii) exchange", k, None))
         # (iv) string entries against balanced side-ratio sums.
         ratios = []
-        for c in layout.group_range(k):
-            gt, lt = sides(folded.matrix.rows[c], layout.frozen_block)
+        for c in members:
+            gt, lt = sides(fm.matrix.rows[c], layout.frozen_block)
             pair = (tuple(map(sub, gt, v_gt)), tuple(map(sub, lt, v_lt)))
             for ratio, label in zip(pair, "><"):
                 failures.extend(

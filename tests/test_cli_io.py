@@ -33,7 +33,7 @@ from gencluster.errors import (
     ValidationError,
 )
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
-from gencluster.gca_seed import initial_seed, mutate_seed
+from gencluster.gca_seed import initial_seed, mutate_exchange_data, mutate_seed
 from gencluster.matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
@@ -51,6 +51,7 @@ from gencluster.quotient_embedding import (
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.unfolding import (
+    FoldedMatrix,
     build,
     double_constant_check,
     group_mutate,
@@ -679,10 +680,12 @@ def quotient_failures(target, seed, sequence, pf_check, conditions):
         failures = [repr(f) for f in subquotient_check(seed).failures]
     else:
         ctx = QuotientContext.create(seed)
+        tracked, fm = ctx.tracked, FoldedMatrix(ctx.folded.matrix, ctx.layout)
         for depth in range(len(sequence) + 1):
             if depth:
-                ctx = ctx.mutate(sequence[depth - 1])
-            failures += [repr((depth,) + f) for f in conditions(ctx)]
+                k = sequence[depth - 1]
+                tracked, fm = mutate_exchange_data(tracked, k), group_mutate(fm, k)
+            failures += [repr((depth,) + f) for f in conditions(ctx, tracked, fm)]
     return failures
 
 
@@ -975,10 +978,10 @@ class TestWalker:
         # so a walk that reaches the wrong state changes the records.
         pf_check = sign_naming_check(100)
 
-        def conditions(ctx):
-            rows = ctx.tracked.matrix.rows
+        def conditions(ctx, tracked, fm):
+            rows = tracked.matrix.rows
             bad = sum(rows[0]) > 10
-            return [("synthetic", rows, ctx.folded.matrix.rows)] if bad else []
+            return [("synthetic", rows, fm.matrix.rows)] if bad else []
 
         monkeypatch.setattr(quotient_embedding, "product_formula_check", pf_check)
         monkeypatch.setattr(quotient_embedding, "_embedding_conditions_at", conditions)
@@ -1002,34 +1005,28 @@ class TestWalker:
         # After group 1 the check raises, and so does the next mutation.
         # Within depth 2 no other prefix reaches that folded matrix.
         after_1 = group_mutate(build(fixture_seed("FIX-B")), 0)
-        if target == "product-formula":
 
-            def step(fm, k):
-                if fm == after_1:
-                    raise StructureViolation("deep mutation")
-                return group_mutate(fm, k)
+        def step(fm, k):
+            if fm == after_1:
+                raise StructureViolation("deep mutation")
+            return group_mutate(fm, k)
+
+        monkeypatch.setattr(quotient_embedding, "group_mutate", step)
+        if target == "product-formula":
 
             def check(table, fm, k):
                 if fm == after_1:
                     raise StructureViolation("shallow check")
                 return product_formula_check(table, fm, k)
 
-            monkeypatch.setattr(quotient_embedding, "group_mutate", step)
             monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
         else:
-            mutate = QuotientContext.mutate
 
-            def step(ctx, k):
-                if ctx.folded.matrix == after_1.matrix:
-                    raise StructureViolation("deep mutation")
-                return mutate(ctx, k)
-
-            def check(ctx):
-                if ctx.folded.matrix == after_1.matrix:
+            def check(ctx, tracked, fm):
+                if fm == after_1:
                     raise StructureViolation("shallow check")
-                return _embedding_conditions_at(ctx)
+                return _embedding_conditions_at(ctx, tracked, fm)
 
-            monkeypatch.setattr(QuotientContext, "mutate", step)
             monkeypatch.setattr(quotient_embedding, "_embedding_conditions_at", check)
         deep = [repr("StructureViolation: deep mutation")]
         shallow = [repr("StructureViolation: shallow check")]
@@ -1423,7 +1420,7 @@ class TestSharedStates:
          (quotient_embedding, "group_mutate"), (126, 62), (22, 18)),
         ("embedding --seed FIX-B --depth 3",
          (quotient_embedding, "_embedding_conditions_at"),
-         (quotient_embedding, "group_mutate_seed"), (15, 14), (7, 10)),
+         (quotient_embedding, "group_mutate"), (15, 14), (7, 10)),
     ])
     def test_each_distinct_state_is_checked_once(
         self, monkeypatch, argv, check, step, before, after

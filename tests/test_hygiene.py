@@ -738,7 +738,7 @@ def test_products_and_sums_share_one_loop():
 #: a type whose instances hold nothing but their fields may take it.
 TRUSTED_REPLACE_CALLERS = {
     ("matrix_mutation.py", "mutate_commuting"),
-    ("gca_seed.py", "mutate_seed"),
+    ("gca_seed.py", "mutate_exchange_data"),
     ("root_adjoin.py", "tau_tilde"),
 }
 
@@ -771,7 +771,7 @@ def test_replaced_values_hold_exactly_their_fields(monkeypatch):
     # Runs every reviewed caller and records each value the helper builds.
     from gencluster.errors import FrozenValue
     from gencluster.fixtures import fixture_seed
-    from gencluster.gca_seed import mutate_seed
+    from gencluster.gca_seed import mutate_exchange_data, mutate_seed
     from gencluster.matrix_mutation import mutate_commuting
     from gencluster.randomgen import random_seed
     from gencluster.root_adjoin import tau_tilde
@@ -795,6 +795,7 @@ def test_replaced_values_hold_exactly_their_fields(monkeypatch):
         for seed in (start, tau_tilde(start).seed):
             mutate_commuting(seed.matrix, range(1))
             mutate_seed(mutate_seed(seed, 0), seed.rank - 1)
+            mutate_exchange_data(seed, seed.rank - 1)
     assert {type(value).__name__ for value in built} == {
         "ExtendedExchangeMatrix", "GeneralizedSeed", "CoefficientStrings",
     }
@@ -888,6 +889,56 @@ def test_shared_member_names_are_reviewed():
     assert sorted(SHARED_MEMBER_NAMES) == sorted(shared)
 
 
+#: The functions that reverse a sequence, as ``(file, function)``: only
+#: the exchange-data step, which reverses string row ``k``.  Seed
+#: mutation, ``trace`` and the embedding walk all step through it.
+REVERSERS = {("gca_seed.py", "mutate_exchange_data")}
+
+
+def reversals(source):
+    """``(line, function)`` of each negative-step slice and each ``reversed`` call.
+
+    ``function`` is the innermost enclosing function, as in :func:`calls`.
+    """
+    found = calls(source, lambda called: getattr(called, "id", None) == "reversed")
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            step = child.step if isinstance(child, ast.Slice) else None
+            if step is not None and ast.unparse(step).startswith("-"):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_reversals_are_detected():
+    source = (
+        "def step(rows, k):\n"
+        "    rows[k] = rows[k][::-1]\n"
+        "    return rows[::2], rows[1:3]\n"
+        "def by_hand(row):\n"
+        "    def inner():\n"
+        "        return row[len(row)::-2]\n"
+        "    return tuple(reversed(row)), inner()\n"
+        "LAST = ROWS[::-1]\n"
+    )
+    assert reversals(source) == [(2, "step"), (6, "inner"), (7, "by_hand"), (8, None)]
+
+
+def test_only_the_exchange_data_step_reverses_a_string_row():
+    found = {
+        (path.name, function)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for _, function in reversals(path.read_text(encoding="utf-8"))
+    }
+    assert found == REVERSERS
+
+
 #: Every cache the library makes, reviewed: ``module.name: (bound, fill)``.
 #: ``bound`` is its ``maxsize`` (``None``: unbounded); ``fill`` is its size
 #: after one pass of the benchmark's ``quotient`` units, or ``None`` where
@@ -899,7 +950,7 @@ REVIEWED_CACHES = {
     "laurent_kernel._layout": (None, None),
     "laurent_kernel._table_cache": (64, 15),
     "quotient_embedding.unit_elimination_map": (64, 7),
-    "quotient_embedding._eliminated_sigma": (256, 145),
+    "quotient_embedding._eliminated_sigma": (256, 17),
     "cli_io._build_parser": (1, None),
 }
 

@@ -36,6 +36,7 @@ from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import (
     ExchangeContext,
     initial_seed,
+    mutate_exchange_data,
     mutate_seed,
 )
 from gencluster.laurent_kernel import (
@@ -56,8 +57,8 @@ from gencluster.quotient_embedding import (
     _eliminated_sigma,
     _embedding_conditions_at,
     _member_binomial_product,
+    embedding_walk,
     folded_initial_seed,
-    group_mutate_seed,
     product_formula_check,
     product_formula_walk,
     subquotient_check,
@@ -66,6 +67,7 @@ from gencluster.quotient_embedding import (
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import AdjoinedSeed, root_names, tau_tilde
 from gencluster.unfolding import FoldedLayout, FoldedMatrix, build, group_mutate
+from evaluated_embedding import EvaluatedContext, evaluated_conditions, group_mutate_seed
 
 FIX_C_PHI_X = "y1*y2"
 FIX_C_PHI_X_MUTATED = (
@@ -140,6 +142,16 @@ def folded_root(seed, multiplicity=None):
 def unfolding_of(ctx):
     """The unfolding a context's folded seed carries."""
     return FoldedMatrix(ctx.folded.matrix, ctx.layout)
+
+
+def library_conditions(ctx):
+    """The library's check of the state an :class:`EvaluatedContext` holds.
+
+    The walk's tracked cluster is the table's symbols, so the evaluated
+    entries are put back to them.
+    """
+    tracked = ctx.tracked._trusted_replace(cluster=ctx.constants.tracked.cluster)
+    return _embedding_conditions_at(ctx.constants, tracked, unfolding_of(ctx))
 
 
 def group_monomials(table, fm, k):
@@ -348,9 +360,9 @@ def oracle_conditions_i_ii(ctx):
 
 
 def conditions_i_ii(ctx):
-    """The (i) and (ii) failures of :func:`_embedding_conditions_at`."""
+    """The (i) and (ii) failures of :func:`library_conditions`."""
     return [
-        f for f in _embedding_conditions_at(ctx) if f[0].startswith(("(i) ", "(ii) "))
+        f for f in library_conditions(ctx) if f[0].startswith(("(i) ", "(ii) "))
     ]
 
 
@@ -363,8 +375,8 @@ def outcome(check, ctx):
 
 
 def walked_contexts(seed, mode, sequences):
-    """The context at every prefix of ``sequences``, each prefix once."""
-    root = QuotientContext.create(seed, mode=mode)
+    """The evaluated context at every prefix of ``sequences``, each prefix once."""
+    root = EvaluatedContext.create(seed, mode=mode)
     reached = {(): root}
     for sequence in sequences:
         for depth in range(1, len(sequence) + 1):
@@ -384,17 +396,13 @@ def formal_contexts(seed, depth):
     neither condition (iv) nor a string image reads a cluster entry.
     """
     def formal(ctx):
-        step = copy(ctx)
+        step = EvaluatedContext(ctx.constants)
         for track in ("tracked", "folded"):
-            seed = getattr(ctx, track)
-            names = seed.table.names[: len(seed.cluster)]
-            setattr(step, track, seed._trusted_replace(
-                cluster=tuple(seed.table.variable(n) for n in names)
-            ))
-        step._eliminated = [None] * len(ctx._eliminated)
+            cluster = getattr(ctx.constants, track).cluster
+            setattr(step, track, getattr(ctx, track)._trusted_replace(cluster=cluster))
         return step
 
-    reached = {(): formal(QuotientContext.create(seed))}
+    reached = {(): EvaluatedContext.create(seed)}
     for d in range(1, depth + 1):
         for prefix in product(range(seed.rank), repeat=d):
             reached[prefix] = formal(reached[prefix[:-1]].mutate(prefix[-1]))
@@ -648,12 +656,12 @@ class TestFoldedSeed:
                 _coherent_row(fm.matrix, fm.layout, k)
 
     def test_walks_share_the_layout(self, fix_b):
-        ctx = QuotientContext.create(fix_b)
+        (tracked, embedded), embedding_step, _, _ = embedding_walk(fix_b)
         fm, step, _, _ = product_formula_walk(fix_b)
-        layouts = ctx.layout, fm.layout
+        layouts = embedded.layout, fm.layout
         for k in (0, 1):
-            ctx, fm = ctx.mutate(k), step(fm, k)
-            assert ctx.layout is layouts[0]
+            (tracked, embedded), fm = embedding_step((tracked, embedded), k), step(fm, k)
+            assert embedded.layout is layouts[0]
             assert fm.layout is layouts[1]
 
     def test_group_monomials(self, fix_a):
@@ -836,7 +844,10 @@ class TestSigmaAndUnits:
         self, fix_a, fix_b, monkeypatch
     ):
         # Each pattern an embedding walk asks for, against the powers of
-        # sigma sums built and eliminated with no cache.
+        # sigma sums built and eliminated with no cache.  The walk expands
+        # exchange polynomials and string entries, which hold at most one
+        # placeholder to the first power per term; the images of evaluated
+        # cluster entries along the same sequence ask for products.
         from gencluster import quotient_embedding
 
         seen, cached = {}, quotient_embedding._eliminated_sigma
@@ -850,6 +861,13 @@ class TestSigmaAndUnits:
             ctx = QuotientContext.create(seed)
             assert not failed_cases("embedding", seed, [sequence])
             table, layout = ctx.folded.table, ctx.layout
+            walked = [pattern for t, pattern in seen if t is table]
+            assert walked and all(len(p) == 1 and p[0][1] == 1 for p in walked)
+            evaluated = EvaluatedContext(ctx)
+            for k in sequence:
+                evaluated = evaluated.mutate(k)
+                for entry in evaluated.tracked.cluster:
+                    evaluated.phi_poly(entry)
             units = oracle_unit_elimination(table, seed.divisors.entries)
             patterns = [pattern for t, pattern in seen if t is table]
             assert any(len(pattern) > 1 for pattern in patterns)
@@ -876,7 +894,7 @@ class TestEmbeddingMap:
         assert str(ctx.group_image(0)) == FIX_C_PHI_X
 
     def test_image_after_mutation(self, fix_c):
-        ctx = QuotientContext.create(fix_c).mutate(0)
+        ctx = EvaluatedContext.create(fix_c).mutate(0)
         assert str(ctx.group_image(0)) == FIX_C_PHI_X_MUTATED
 
     def test_tracked_seed_specializes_to_concrete(self, fix_a, fix_b, fix_c, rng):
@@ -901,10 +919,10 @@ class TestEmbeddingMap:
                     walk(ctx.mutate(k), mutate_seed(concrete, k), depth - 1)
 
         for seed, depth in ((fix_a, 2), (fix_b, 3), (fix_c, 3)):
-            walk(QuotientContext.create(seed), tau_tilde(seed).seed, depth)
+            walk(EvaluatedContext.create(seed), tau_tilde(seed).seed, depth)
         for _ in range(20):
             seed = random_seed(rng)
-            ctx, concrete = QuotientContext.create(seed), tau_tilde(seed).seed
+            ctx, concrete = EvaluatedContext.create(seed), tau_tilde(seed).seed
             check(ctx, concrete)
             for k in random_sequence(rng, seed.matrix.n, 3):
                 ctx, concrete = ctx.mutate(k), mutate_seed(concrete, k)
@@ -922,7 +940,7 @@ class TestEmbeddingMap:
                 for k in range(ctx.tracked.rank):
                     walk(ctx.mutate(k), depth - 1)
 
-        walk(QuotientContext.create(fix_b), 3)
+        walk(EvaluatedContext.create(fix_b), 3)
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
         assert digest == FIX_B_CLUSTER_IMAGES_SHA256
 
@@ -1116,7 +1134,7 @@ class TestEliminationOnVectors:
         seed = fixture_seed(name)
         for ctx in formal_contexts(seed, depth).values():
             built.clear()
-            assert _embedding_conditions_at(ctx) == []
+            assert library_conditions(ctx) == []
             table, fm = ctx.folded.table, unfolding_of(ctx)
             units = oracle_unit_elimination(table, seed.divisors.entries)
             keep = [role != "cluster" for role, _ in folded_roles(table, seed.divisors.entries)]
@@ -1154,6 +1172,113 @@ class TestEliminationOnVectors:
                     assert ctx.string_image(entry) is image
 
 
+def attempt(function, *args):
+    """``(function(*args), None)``, or ``(None, "Type: message")`` of what it raised."""
+    try:
+        return function(*args), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def evaluated_mismatches(seed, mode, depth):
+    """The prefixes where the exchange-data walk and the evaluated walk disagree.
+
+    Every prefix up to ``depth`` is walked on both.  At each, the walks
+    must hold the same tracked matrix and strings and the same folded
+    matrix, and their checks must raise alike or agree: the same (i),
+    (ii) and (iv) failures, and a failure of (iii) (the evaluated
+    elements) exactly where the walk's base case or exchange identity
+    fails somewhere on the prefix.
+    """
+    root, step, check, _ = embedding_walk(seed, mode)
+    mismatches, level = [], [((), root, EvaluatedContext.create(seed, mode), False)]
+    for d in range(depth + 1):
+        deeper = []
+        for prefix, state, ctx, failed in level:
+            (found, error), (expected, oracle_error) = (
+                attempt(check, state), attempt(evaluated_conditions, ctx)
+            )
+            failed |= any(f[0].startswith("(iii)") for f in found or ())
+            if error or oracle_error:
+                agree = error == oracle_error
+            else:
+                agree = failed == any(f[0] == "(iii)" for f in expected) and (
+                    [f for f in found if not f[0].startswith("(iii)")]
+                    == [f for f in expected if f[0] != "(iii)"]
+                )
+            if not agree:
+                mismatches.append(prefix)
+            for k in range(seed.rank if d < depth else 0):
+                (child, error), (evaluated, oracle_error) = (
+                    attempt(step, state, k), attempt(EvaluatedContext.mutate, ctx, k)
+                )
+                if error or oracle_error:
+                    if error != oracle_error:
+                        mismatches.append(prefix + (k,))
+                    continue
+                tracked, fm = child
+                if (tracked.matrix, tracked.strings, fm.matrix) != (
+                    evaluated.tracked.matrix, evaluated.tracked.strings, evaluated.folded.matrix
+                ):
+                    mismatches.append(prefix + (k,))
+                    continue
+                deeper.append((prefix + (k,), child, evaluated, failed))
+        level = deeper
+    return mismatches
+
+
+def oracle_draws():
+    """60 draws of rank up to 5, divisors up to 5 and up to 3 frozen columns."""
+    rng = random.Random(2504)
+    return [random_seed(rng, max_rank=5, max_frozen=3, max_divisor=5) for _ in range(60)]
+
+
+class TestEvaluatedOracle:
+    """The exchange-data walk against the evaluated walk of ``evaluated_embedding``."""
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    @pytest.mark.parametrize("name, depth", [("FIX-A", 2), ("FIX-B", 4), ("FIX-C", 6)])
+    def test_fixtures(self, name, depth, mode):
+        assert evaluated_mismatches(fixture_seed(name), mode, depth) == []
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_random_draws(self, mode):
+        for seed in oracle_draws():
+            assert evaluated_mismatches(seed, mode, 2) == [], seed.divisors
+
+    def test_planted_faults_in_either_track_fail(self, monkeypatch):
+        import evaluated_embedding
+        from gencluster import quotient_embedding
+
+        fix_b = fixture_seed("FIX-B")
+
+        def wrong_group(table, fm, k):
+            return _member_binomial_product(table, fm, (k + 1) % fm.layout.n_groups)
+
+        def skipped_members(seed, layout, k):
+            return seed if k == 1 else group_mutate_seed(seed, layout, k)
+
+        plants = [
+            lambda: unreversed_strings(monkeypatch),
+            lambda: skipped_group_step(monkeypatch),
+            lambda: monkeypatch.setattr(
+                quotient_embedding, "_member_binomial_product", wrong_group
+            ),
+            lambda: monkeypatch.setattr(
+                evaluated_embedding, "group_mutate_seed", skipped_members
+            ),
+            lambda: monkeypatch.setattr(
+                EvaluatedContext, "group_image",
+                lambda ctx, k: LaurentPolynomial.one(ctx.folded.table),
+            ),
+        ]
+        for plant in plants:
+            plant()
+            assert evaluated_mismatches(fix_b, "total", 2) != []
+            monkeypatch.undo()
+        assert evaluated_mismatches(fix_b, "total", 2) == []
+
+
 class TestEmbeddingAndSubquotient:
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_condition_iv_matches_the_monomial_oracle(self, fix_a, fix_b, fix_c, mode):
@@ -1167,10 +1292,10 @@ class TestEmbeddingAndSubquotient:
             seed = random_seed(rng)
             walks.append((seed, random_sequence(rng, seed.rank, 2)))
         def condition_iv(ctx):
-            return [f for f in _embedding_conditions_at(ctx) if f[0].startswith("(iv)")]
+            return [f for f in library_conditions(ctx) if f[0].startswith("(iv)")]
 
         for seed, sequence in walks:
-            ctx = QuotientContext.create(seed, mode=mode)
+            ctx = EvaluatedContext.create(seed, mode=mode)
             for k in (None,) + sequence:
                 ctx = ctx if k is None else ctx.mutate(k)
                 assert condition_iv(ctx) == oracle_condition_iv(ctx) == []
@@ -1222,8 +1347,8 @@ class TestEmbeddingAndSubquotient:
         # rung's limit pass both routes; one more on the folded side alone
         # fails both alike.
         for b in (FIRST_RUNG_LIMIT, FIRST_RUNG_LIMIT - 1):
-            ctx = QuotientContext.create(big_entry_seed(kind, b))
-            assert _embedding_conditions_at(ctx) == oracle_conditions_i_ii(ctx) == []
+            ctx = EvaluatedContext.create(big_entry_seed(kind, b))
+            assert library_conditions(ctx) == oracle_conditions_i_ii(ctx) == []
             col = ctx.layout.group_range(1)[0] if kind == "(i)" else ctx.layout.f_block[0]
             bad = tampered_context(ctx, 0, col, 1)
             found = outcome(conditions_i_ii, bad)
@@ -1373,23 +1498,23 @@ class TestSubquotientFailures:
 
 
 def unreversed_strings(monkeypatch):
-    """Tracked steps that mutate the matrix and the cluster but keep every string row."""
+    """Tracked steps that mutate the matrix but keep every string row."""
     from gencluster import quotient_embedding
 
     def step(seed, k):
-        return mutate_seed(seed, k)._trusted_replace(strings=seed.strings)
+        return mutate_exchange_data(seed, k)._trusted_replace(strings=seed.strings)
 
-    monkeypatch.setattr(quotient_embedding, "mutate_seed", step)
+    monkeypatch.setattr(quotient_embedding, "mutate_exchange_data", step)
 
 
 def skipped_group_step(monkeypatch):
     """Folded steps that leave the unfolding as it is for group 2."""
     from gencluster import quotient_embedding
 
-    def step(seed, layout, k):
-        return seed if k == 1 else group_mutate_seed(seed, layout, k)
+    def step(fm, k):
+        return fm if k == 1 else group_mutate(fm, k)
 
-    monkeypatch.setattr(quotient_embedding, "group_mutate_seed", step)
+    monkeypatch.setattr(quotient_embedding, "group_mutate", step)
 
 
 def phi_from_another_group(monkeypatch):
@@ -1410,53 +1535,71 @@ def phi_from_another_group(monkeypatch):
 #: the exit code and the failing records' details, by sequence.
 PLANTED_EMBEDDING_FAULTS = {
     "unreversed strings": (unreversed_strings, {
-        "1,1": ["'InexactDivision: quotient support leaves the feasible box'"],
-        "1,2": ["(1, '(iv)', 0, 1)", "(1, '(iv)', 0, 2)",
-                "(2, '(iv)', 0, 1)", "(2, '(iv)', 0, 2)"],
-        "2,1": ["(2, '(iv)', 0, 1)", "(2, '(iv)', 0, 2)"],
+        "1,1": [
+            "(1, '(iii) exchange', 0, None)", "(1, '(iv)', 0, 1)", "(1, '(iv)', 0, 2)"
+        ],
+        "1,2": [
+            "(1, '(iii) exchange', 0, None)", "(1, '(iv)', 0, 1)", "(1, '(iv)', 0, 2)",
+            "(2, '(iii) exchange', 0, None)", "(2, '(iv)', 0, 1)", "(2, '(iv)', 0, 2)"
+        ],
+        "2,1": [
+            "(2, '(iii) exchange', 0, None)", "(2, '(iv)', 0, 1)", "(2, '(iv)', 0, 2)"
+        ],
     }),
     "skipped group step": (skipped_group_step, {
         "1,2": [
             "(2, '(i) u>', 0, None)", "(2, '(i) u<', 0, None)",
             "(2, '(ii) v>[1]', 0, None)", "(2, '(ii) v<[1]', 0, None)",
-            "(2, '(i) u>', 1, None)", "(2, '(i) u<', 1, None)",
-            "(2, '(ii) v>[1]', 1, None)", "(2, '(ii) v<[1]', 1, None)",
-            "(2, '(iii)', 1, None)",
+            "(2, '(iii) exchange', 0, None)", "(2, '(i) u>', 1, None)",
+            "(2, '(i) u<', 1, None)", "(2, '(ii) v>[1]', 1, None)",
+            "(2, '(ii) v<[1]', 1, None)"
         ],
         "2,1": [
             "(1, '(i) u>', 0, None)", "(1, '(i) u<', 0, None)",
-            "(1, '(i) u>', 1, None)", "(1, '(i) u<', 1, None)",
-            "(1, '(ii) v>[1]', 1, None)", "(1, '(ii) v<[1]', 1, None)",
-            "(1, '(iii)', 1, None)",
-            "(2, '(i) u>', 0, None)", "(2, '(i) u<', 0, None)", "(2, '(iii)', 0, None)",
+            "(1, '(iii) exchange', 0, None)", "(1, '(i) u>', 1, None)",
+            "(1, '(i) u<', 1, None)", "(1, '(ii) v>[1]', 1, None)",
+            "(1, '(ii) v<[1]', 1, None)", "(2, '(i) u>', 0, None)",
+            "(2, '(i) u<', 0, None)", "(2, '(iii) exchange', 0, None)",
             "(2, '(i) u>', 1, None)", "(2, '(i) u<', 1, None)",
             "(2, '(ii) v>[1]', 1, None)", "(2, '(ii) v<[1]', 1, None)",
-            "(2, '(iii)', 1, None)",
+            "(2, '(iii) exchange', 1, None)"
         ],
         "2,2": [
             "(1, '(i) u>', 0, None)", "(1, '(i) u<', 0, None)",
-            "(1, '(i) u>', 1, None)", "(1, '(i) u<', 1, None)",
-            "(1, '(ii) v>[1]', 1, None)", "(1, '(ii) v<[1]', 1, None)",
-            "(1, '(iii)', 1, None)",
+            "(1, '(iii) exchange', 0, None)", "(1, '(i) u>', 1, None)",
+            "(1, '(i) u<', 1, None)", "(1, '(ii) v>[1]', 1, None)",
+            "(1, '(ii) v<[1]', 1, None)"
         ],
     }),
     "phi from another group": (phi_from_another_group, {
-        "1,1": ["(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
-                "(1, '(iii)', 0, None)", "(1, '(i) u>', 1, None)",
-                "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)"],
-        "1,2": ["(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
-                "(1, '(iii)', 0, None)", "(1, '(i) u>', 1, None)",
-                "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)",
-                "(2, '(iii)', 1, None)"],
-        "2,1": ["(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
-                "(1, '(iii)', 0, None)", "(1, '(i) u>', 1, None)",
-                "(1, '(iii)', 1, None)",
-                "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)",
-                "(2, '(iii)', 1, None)"],
-        "2,2": ["(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
-                "(1, '(iii)', 0, None)", "(1, '(i) u>', 1, None)",
-                "(1, '(iii)', 1, None)",
-                "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)"],
+        "1,1": [
+            "(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
+            "(0, '(iii) exchange', 1, None)", "(1, '(iii)', 0, None)",
+            "(1, '(i) u>', 1, None)", "(1, '(iii) exchange', 1, None)",
+            "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)",
+            "(2, '(iii) exchange', 1, None)"
+        ],
+        "1,2": [
+            "(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
+            "(0, '(iii) exchange', 1, None)", "(1, '(iii)', 0, None)",
+            "(1, '(i) u>', 1, None)", "(1, '(iii) exchange', 1, None)",
+            "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)",
+            "(2, '(iii) exchange', 1, None)"
+        ],
+        "2,1": [
+            "(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
+            "(0, '(iii) exchange', 1, None)", "(1, '(iii)', 0, None)",
+            "(1, '(i) u>', 1, None)", "(1, '(iii) exchange', 1, None)",
+            "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)",
+            "(2, '(iii) exchange', 1, None)"
+        ],
+        "2,2": [
+            "(0, '(iii)', 0, None)", "(0, '(i) u<', 1, None)",
+            "(0, '(iii) exchange', 1, None)", "(1, '(iii)', 0, None)",
+            "(1, '(i) u>', 1, None)", "(1, '(iii) exchange', 1, None)",
+            "(2, '(iii)', 0, None)", "(2, '(i) u<', 1, None)",
+            "(2, '(iii) exchange', 1, None)"
+        ],
     }),
 }
 

@@ -147,7 +147,7 @@ def test_run_verification_fails_under_optimization():
         "'residual')",
     ),
     (
-        "def conditions(ctx):\n"
+        "def conditions(ctx, tracked, fm):\n"
         "    raise RuntimeError('planted')\n"
         "quotient_embedding._embedding_conditions_at = conditions",
         ("--cases", "0", "--depth", "0"),
@@ -193,3 +193,24 @@ def test_perfbench_selftest(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.rstrip().endswith("selftest passed")
     assert result_files(results) == before
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # The reader takes one line and closes the pipe, as ``| head -1`` does.
+    # The 4 096 records overflow the pipe's buffer, so the run is still
+    # writing: it ends with 128 + SIGPIPE and no traceback.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "gencluster", "verify", "hadamard",
+         "--seed", "FIX-A", "--depth", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=script_env(),
+        cwd=ROOT,
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    errors = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert first == b"ok target=hadamard seed=FIX-A sequence=1,1,1,1,1,1,1,1,1,1,1,1\n"
+    assert errors == b""
