@@ -26,11 +26,11 @@ Design notes
   ``ka + kb - offset`` (``offset`` is the key of 1) and a monomial
   substitution adds one packed image per variable it moves.  The format
   is private to this module: other modules build polynomials from
-  exponent vectors (:meth:`VariableTable.term`, the constructor), add
-  sums of monomials times polynomials with :func:`poly_shifted_sum`,
+  exponent vectors (:meth:`VariableTable.term`, the constructor) and
+  add sums of monomials times polynomials with :func:`poly_shifted_sum`,
   which shifts each polynomial's keys by one packed vector and builds
-  no one-term polynomial, and add sums of general products with
-  :func:`poly_sum_of_products`, whose one- and two-pair cases are
+  no one-term polynomial.  :func:`poly_sum_of_products` adds sums of
+  general products; it serves only its one- and two-pair cases,
   :func:`poly_mul` and :func:`poly_add`.
 * Field sizes.  The fields of one polynomial all have one size, a rung
   of the ladder 24, 48, 96, ... bits; a rung's ``limit`` is
@@ -337,9 +337,6 @@ class Monomial(FrozenValue):
 
     def is_one(self):
         return all(e == 0 for e in self.exponents)
-
-    def as_polynomial(self):
-        return self.table.term(self.exponents)
 
     def __str__(self):
         return _format_powers(zip(self.table.names, self.exponents)) or "1"
@@ -1064,34 +1061,3 @@ class Substitution:
                 for j, g in (columns[i] or self._column(i))[0]:
                     out[j] += e * g
         return tuple(out)
-
-
-def poly_split_trailing(p, head):
-    """Group the terms of ``p`` by the exponents of its trailing variables.
-
-    ``head`` is a table whose names are the leading names of ``p``'s
-    table.  Returns ``{trailing exponent tuple: polynomial over head}``;
-    each polynomial collects the head parts of the terms with those
-    trailing exponents, so ``p`` is the sum of every part times its
-    trailing monomial.
-    """
-    width = len(head)
-    if p.table.names[:width] != head.names:
-        raise ValidationError("head table is not a prefix of the polynomial's table")
-    layout = p._layout
-    bits = (len(p.table) - width) * layout.bits
-    low = (1 << bits) - 1
-    groups = {}
-    for key, coeff in p._keys.items():
-        groups.setdefault(key & low, {})[key >> bits] = coeff
-    tail_shifts = layout.shifts[width:]
-    # The parts keep ``p``'s bound, so they sit on its rung.
-    degree_shift = width * layout.bits
-    mask, bias = layout.mask, layout.bias
-    out = {}
-    for tail, body in groups.items():
-        powers = tuple(((tail >> s) & mask) - bias for s in tail_shifts)
-        # ``key >> bits`` keeps the full degree; take the tail's share off.
-        correction = sum(powers) << degree_shift
-        out[powers] = _trusted(head, {k - correction: c for k, c in body.items()}, p._amp)
-    return out

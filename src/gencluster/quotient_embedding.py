@@ -20,10 +20,10 @@ The construction proceeds in three layers, all verified exactly:
     (:func:`unit_elimination_map`) realizes by eliminating the last
     member's pair.
 
-3.  **Embedding** — the substitution ``phi`` sending each cluster
-    variable to the product of its group members, each root symbol to
-    its same-named folded frozen variable, and each coefficient
-    placeholder to its ``sigma`` expansion.  The checkers verify, at
+3.  **Embedding** — the monomial map ``phi`` sending each cluster
+    variable to the product of its group members and each root symbol
+    to its same-named folded frozen variable; a coefficient placeholder
+    then goes to its eliminated ``sigma`` sum.  The checkers verify, at
     every requested mutation depth, that ``phi`` matches cluster
     monomials, stable monomials, cluster variables, and coefficient
     strings against their folded counterparts (conditions (i)-(iv), the
@@ -56,19 +56,21 @@ Exchange data is read off matrix rows as exponent vectors, each role
 from its column block of the folded layout ``[cluster groups | F | T^1
 S^1 | ...]``, which :class:`~gencluster.unfolding.FoldedLayout` works
 out once per unfolding.  A ``sigma`` sum, a member binomial of the
-product formula and the formula's right side are kernel shifted sums
-(``poly_shifted_sum``), which shift keys by exponent vectors and build
-no one-term polynomial; a placeholder expansion, whose factors are
-general polynomials, is one kernel ``poly_sum_of_products``.
+product formula, the formula's right side and the class of a sum of
+tracked monomials are kernel shifted sums (``poly_shifted_sum``), which
+shift keys by exponent vectors and build no one-term polynomial.
 
 The unit elimination ``E`` and the embedding ``phi`` are monomial ring
 maps, each a kernel :class:`~gencluster.laurent_kernel.Substitution`
 built once: ``E`` once per folded table and layout, ``phi`` once per
-walk.  ``E(sum c_v x^v) = sum c_v x^(E v)``, so where a polynomial is
-built from exponent vectors (the member binomials of the product
-formula, the balanced sums of condition (iv), the ``sigma`` sums), ``E``
-is applied to the vectors and no elimination pass runs; conditions (i)
-and (ii) likewise compare ``phi``'s vector form with the folded side.
+walk.  Both are applied to exponent vectors only: ``E(sum c_v x^v) =
+sum c_v x^(E v)``, so every polynomial here is built from vectors
+already mapped, and no pass runs over a polynomial.  Every image the
+checks ask for is the class of a sum of tracked monomials: ``x^v`` goes
+to ``x^(phi v)`` times the eliminated ``sigma`` powers of its
+placeholder exponents
+(:meth:`QuotientContext.image`), and the sum to one shifted sum
+(:meth:`QuotientContext.class_of`).
 """
 
 from functools import lru_cache, reduce
@@ -80,19 +82,10 @@ from .gca_seed import (
     CoefficientStrings,
     ExchangeContext,
     GeneralizedSeed,
-    exchange_polynomial,
     initial_seed,
     mutate_exchange_data,
 )
-from .laurent_kernel import (
-    Substitution,
-    poly_mul,
-    poly_pow,
-    poly_shifted_sum,
-    poly_split_trailing,
-    poly_sub,
-    poly_sum_of_products,
-)
+from .laurent_kernel import Substitution, poly_mul, poly_pow, poly_shifted_sum, poly_sub
 from .matrix_mutation import ExtendedExchangeMatrix, sides
 from .root_adjoin import fresh_name, root_multiplicity, root_names, tau_tilde
 from .unfolding import FoldedMatrix, build, group_mutate
@@ -219,9 +212,8 @@ class QuotientContext:
     sending each placeholder ``rho<k>_<r>`` to its concrete monomial, is
     the concrete seed, and mutation only permutes the placeholders.
     ``folded`` is the folded ordinary seed at depth zero and ``layout``
-    its folded layout.  The images of the string entries met so far are
-    kept by exponent vector (a walk meets few), and products of
-    eliminated ``sigma`` powers per folded table and placeholder pattern.
+    its folded layout.  Products of eliminated ``sigma`` powers are
+    cached per folded table and placeholder pattern.
 
     ``phi`` is the :class:`~gencluster.laurent_kernel.Substitution` from
     the tracked table to ``folded_plus`` sending cluster variable ``k``
@@ -234,7 +226,8 @@ class QuotientContext:
     images sound: ``phi`` sends no variable to a ``t`` or ``s`` variable,
     so ``E`` fixes every image; and the tracked matrix's placeholder
     columns are zero (mutation keeps a zero column zero), so the exchange
-    monomials carry no placeholder.
+    monomials carry no placeholder.  :meth:`image` and :meth:`class_of`
+    take tracked exponent vectors, and are the one route to an image.
     """
 
     def __init__(self, adjoined):
@@ -282,61 +275,43 @@ class QuotientContext:
             for k in range(seed.rank)
         }, table_p, self.folded_plus)
         self.elimination = unit_elimination_map(folded.table, layout.aux)
-        self._string_images = {}
 
     @staticmethod
     def create(gca, mode="total"):
         return QuotientContext(tau_tilde(gca, mode=mode))
 
-    def phi_poly(self, p):
-        """Image of a polynomial over the tracked table, in normal form.
+    def image(self, exps):
+        """``(phi(x^exps)`` cut to the folded table, ``E(prod sigma^e)`` or ``None)``.
 
-        ``phi`` sends no tracked variable to a ``t`` or ``s`` variable, so
-        ``E`` would fix ``phi(p)``: it is skipped, and only the
-        placeholders are expanded.  ``tests/test_quotient_embedding.py``
-        checks that fact along walks.
-        """
-        return self._expand(self.phi(p))
-
-    def string_image(self, entry):
-        """:meth:`phi_poly` of a string entry, a monomial over the tracked table.
-
-        Each image is built once per walk and kept by exponent vector.
-        """
-        images = self._string_images
-        image = images.get(entry.exponents)
-        if image is None:
-            image = images[entry.exponents] = self.phi_poly(entry.as_polynomial())
-        return image
-
-    def _expand(self, p):
-        """Expand the placeholders of ``p``, over ``folded_plus`` and fixed by ``E``.
-
-        The placeholder parts, each times the cached product of its
-        eliminated ``sigma`` powers (a part with no placeholder as it is),
-        are one :func:`~gencluster.laurent_kernel.poly_sum_of_products`.  A
-        negative placeholder power would divide by a ``sigma``
-        polynomial, outside the verified identities: it raises
+        ``exps`` is an exponent vector over the tracked table.  ``phi``
+        carries the placeholders across by name, so the tail of
+        ``phi.vector(exps)`` holds their powers ``e``; the class of
+        ``x^exps`` is the head's monomial times the cached product of the
+        eliminated ``sigma`` powers (``None`` for no placeholder).  ``phi``
+        sends no tracked variable to a ``t`` or ``s`` variable, so ``E``
+        fixes the head.  A negative placeholder power would divide by a
+        ``sigma`` polynomial, outside the verified identities: it raises
         :class:`~gencluster.errors.InexactDivision`.
         """
-        table, slots = self.folded.table, self._sigma_slots
+        table = self.folded.table
+        image = self.phi.vector(exps)
+        head, powers = image[: len(table)], image[len(table):]
+        if any(e < 0 for e in powers):
+            raise InexactDivision(
+                "negative placeholder power: identity outside the verified fragment"
+            )
+        pattern = tuple((s, e) for s, e in zip(self._sigma_slots, powers) if e)
+        return head, _eliminated_sigma(table, pattern) if pattern else None
 
-        def summands():
-            for powers, part in poly_split_trailing(p, table).items():
-                if any(e < 0 for e in powers):
-                    raise InexactDivision(
-                        "negative placeholder power: identity outside "
-                        "the verified fragment"
-                    )
-                pattern = tuple((s, e) for s, e in zip(slots, powers) if e)
-                yield part, _eliminated_sigma(table, pattern) if pattern else None
-
-        return poly_sum_of_products(table, summands())
+    def class_of(self, vectors):
+        """The class of ``sum_v x^v`` over tracked vectors: the :meth:`image` pairs' shifted sum."""
+        return poly_shifted_sum(self.folded.table, map(self.image, vectors))
 
     def group_image(self, k):
         """``E(prod_c y_c)`` over the members of group ``k``: the class the embedding gives ``x_k``."""
-        cluster = self.folded.cluster
-        return reduce(poly_mul, (self.elimination(cluster[c]) for c in self.layout.group_range(k)))
+        table, members = self.folded.table, self.layout.group_range(k)
+        product = tuple(int(q in members) for q in range(len(table)))
+        return table.term(self.elimination.vector(product))
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +468,15 @@ def _embedding_conditions_at(ctx, tracked, fm):
     size.  The tracked exchange monomials carry no placeholder and the
     folded group monomials no ``t``/``s`` variable, so neither side needs
     the quotient: the left side is ``phi``'s vector form, and the unit
-    elimination ``E`` fixes the right side.  The exchange identity is
-    :func:`_member_binomial_product` on the right.  (iv) eliminates the
-    units of the side ratios' vectors before it builds their balanced
-    sums, which is ``E`` of the sums, as ``E`` is a monomial ring map;
-    its left sides are the walk's string images.
+    elimination ``E`` fixes the right side.  The exchange identity's
+    left side is ``theta_k`` over the tracked table's symbols, the class
+    of the vectors ``c_r + r u> + (d - r) u<`` of the same
+    :class:`~gencluster.gca_seed.ExchangeContext` (``c_r`` its coefficient
+    ``r``); its right side is :func:`_member_binomial_product`.  (iv)
+    eliminates the units of the side ratios' vectors before it builds
+    their balanced sums, which is ``E`` of the sums, as ``E`` is a
+    monomial ring map; its left sides are the classes of the string
+    entries' vectors.
     """
     failures = []
     layout, units, phi = ctx.layout, ctx.elimination, ctx.phi
@@ -522,7 +501,12 @@ def _embedding_conditions_at(ctx, tracked, fm):
         image = phi.vector(tuple(int(q == k) for q in range(size)))
         if image != tuple(int(q in members) for q in range(len(image))):
             failures.append(("(iii)", k, None))
-        if ctx.phi_poly(exchange_polynomial(tracked, k)) != _member_binomial_product(table, fm, k):
+        d, gt, lt = gca_ctx.degree, gca_ctx.u_gt, gca_ctx.u_lt
+        theta = ctx.class_of(
+            [c + r * g + (d - r) * l for c, g, l in zip(coefficient, gt, lt)]
+            for r, coefficient in enumerate(gca_ctx.coefficients)
+        )
+        if theta != _member_binomial_product(table, fm, k):
             failures.append(("(iii) exchange", k, None))
         # (iv) string entries against balanced side-ratio sums.
         ratios = []
@@ -537,9 +521,8 @@ def _embedding_conditions_at(ctx, tracked, fm):
                 )
             ratios.append((units.vector(pair[0]), units.vector(pair[1])))
         for r in range(tracked.divisors[k] + 1):
-            lhs = ctx.string_image(tracked.strings.entry(k, r))
-            rhs = _balanced_sum(table, ratios, r)
-            if lhs != rhs:
+            lhs = ctx.class_of((tracked.strings.entry(k, r).exponents,))
+            if lhs != _balanced_sum(table, ratios, r):
                 failures.append(("(iv)", k, r))
     return failures
 
@@ -564,7 +547,7 @@ def subquotient_check(gca, mode="total"):
     n = adjoined.multiplicity
     root_map = adjoined.root_map()
     # A root image is lifted onto the tracked table: no placeholder.
-    tracked, pad = ctx.tracked.table, (0,) * len(ctx.placeholder_names)
+    pad = (0,) * len(ctx.placeholder_names)
     for pos, name in zip(gca.table.frozen_indices, root_names(gca.table)):
         original = gca.table.names[pos]
         image = root_map[original]
@@ -575,12 +558,13 @@ def subquotient_check(gca, mode="total"):
         exponent = support[0][1]
         if exponent != n:
             failures.append(("root exponent", original, exponent))
-        target = ctx.folded.table.monomial({name: exponent}).as_polynomial()
-        lifted = ctx.phi_poly(tracked.term(image.exponents + pad))
-        if lifted != ctx.elimination(target):
+        target = ctx.folded.table.monomial({name: exponent}).exponents
+        lifted = ctx.class_of((image.exponents + pad,))
+        if lifted != ctx.folded.table.term(ctx.elimination.vector(target)):
             failures.append(("frozen image", original, str(lifted)))
+    size = len(ctx.tracked.table)
     for k in range(gca.rank):
-        image = ctx.phi_poly(ctx.tracked.cluster[k])
+        image = ctx.class_of((tuple(int(q == k) for q in range(size)),))
         if image != ctx.group_image(k):
             failures.append(("cluster image", k, str(image)))
     return Report(tuple(failures))

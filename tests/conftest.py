@@ -250,6 +250,11 @@ def mono_over(a, b):
     return Monomial(a.table, tuple(x - y for x, y in zip(a.exponents, b.exponents)))
 
 
+def mono_poly(m):
+    """The one-term polynomial of a monomial."""
+    return m.table.term(m.exponents)
+
+
 def mono_power(m, k):
     """Integer power of a monomial (exponent scaling)."""
     return Monomial(m.table, tuple(x * int(k) for x in m.exponents))

@@ -6,18 +6,93 @@ both tracks at every state: the tracked seed by ``mutate_seed`` and the
 folded seed member by member, each an exact division of a cluster entry.
 Its condition (iii) compares ``phi(x_k)`` with ``prod_c E(x_c)`` as
 evaluated elements, and a mutated context shares the eliminated entries
-``E(x_c)`` with its parent outside the mutated group.  Conditions (i),
-(ii) and (iv) are as the library checks them.
+``E(x_c)`` with its parent outside the mutated group.  An evaluated
+cluster entry is a general polynomial, which the library's image route
+(exponent vectors) does not take: its image is :func:`oracle_phi_poly`.
+Conditions (i), (ii) and (iv) are as the library checks them.
 """
 
 from functools import reduce
 from operator import sub
 
+from conftest import map_variables, poly_sum
+from gencluster.errors import InexactDivision
 from gencluster.gca_seed import ExchangeContext, mutate_seed
-from gencluster.laurent_kernel import poly_mul
+from gencluster.laurent_kernel import LaurentPolynomial, poly_mul
 from gencluster.matrix_mutation import sides
-from gencluster.quotient_embedding import QuotientContext, _balanced_sum, _coherent_row
+from gencluster.quotient_embedding import (
+    QuotientContext,
+    _balanced_sum,
+    _coherent_row,
+    _eliminated_sigma,
+)
 from gencluster.unfolding import FoldedMatrix, _independent_members
+
+
+def oracle_unit_elimination(table, sizes):
+    """The unit elimination over ``table``, found by name.
+
+    ``sizes`` are the group sizes.  Group ``k``'s members are numbered on
+    from the sizes of the groups before it, and member ``c`` names the
+    auxiliaries ``t<c>`` and ``s<c>``; the last member's ``t`` (``s``)
+    goes to the inverse product of the group's other ``t`` (``s``)
+    variables.
+    """
+    images, start = {}, 0
+    for size in sizes:
+        members = range(start + 1, start + size + 1)
+        for prefix in "ts":
+            names = [f"{prefix}{c}" for c in members]
+            images[names[-1]] = table.monomial({n: -1 for n in names[:-1]})
+        start += size
+    return images
+
+
+def oracle_lift(ctx, p):
+    """``p`` over the tracked table, lifted to ``folded_plus`` with its units eliminated.
+
+    Each cluster variable goes to the product of its group's members,
+    found by the layout; every other name is kept.
+    """
+    table, layout, plus, tracked = ctx.folded.table, ctx.layout, ctx.folded_plus, ctx.tracked
+    images = {
+        tracked.table.names[k]: plus.monomial(
+            {table.names[c]: 1 for c in layout.group_range(k)}
+        )
+        for k in range(tracked.rank)
+    }
+    units = oracle_unit_elimination(plus, tracked.divisors.entries)
+    return map_variables(map_variables(p, images, plus), units, plus)
+
+
+def oracle_phi_poly(ctx, p):
+    """The image of a polynomial over the tracked table, placeholders expanded.
+
+    Split the terms of :func:`oracle_lift` by their placeholder powers
+    (the exponents past the folded table), multiply each part by its
+    eliminated ``sigma`` powers one ``poly_mul`` at a time, and add the
+    parts with ``poly_sum``.  A negative placeholder power raises
+    :class:`~gencluster.errors.InexactDivision`.
+    """
+    table, layout, tracked = ctx.folded.table, ctx.layout, ctx.tracked
+    slots = [
+        (layout.t_range(k), layout.s_range(k), r)
+        for k in range(tracked.rank)
+        for r in range(1, tracked.divisors[k])
+    ]
+    width, split = len(table), {}
+    for exps, coeff in oracle_lift(ctx, p).terms.items():
+        split.setdefault(exps[width:], {})[exps[:width]] = coeff
+    parts = []
+    for powers, terms in split.items():
+        if any(e < 0 for e in powers):
+            raise InexactDivision("negative placeholder power")
+        part = LaurentPolynomial(table, terms)
+        for slot, e in zip(slots, powers):
+            if e:
+                part = poly_mul(part, _eliminated_sigma(table, ((slot, e),)))
+        parts.append(part)
+    return poly_sum(table, parts)
 
 
 def group_mutate_seed(seed, layout, k):
@@ -99,7 +174,7 @@ def evaluated_conditions(ctx):
         ):
             if phi.vector(exps)[:width] != side:
                 failures.append((label, k, None))
-        if ctx.phi_poly(tracked.cluster[k]) != ctx.group_image(k):
+        if oracle_phi_poly(ctx, tracked.cluster[k]) != ctx.group_image(k):
             failures.append(("(iii)", k, None))
         ratios = []
         for c in layout.group_range(k):
@@ -113,7 +188,7 @@ def evaluated_conditions(ctx):
                 )
             ratios.append((units.vector(pair[0]), units.vector(pair[1])))
         for r in range(tracked.divisors[k] + 1):
-            lhs = ctx.string_image(tracked.strings.entry(k, r))
+            lhs = ctx.class_of((tracked.strings.entry(k, r).exponents,))
             if lhs != _balanced_sum(table, ratios, r):
                 failures.append(("(iv)", k, r))
     return failures

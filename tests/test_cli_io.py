@@ -14,7 +14,7 @@ from unittest.mock import Mock
 
 import pytest
 
-from conftest import group_mutate_sequence, shared_factor_seeds
+from conftest import group_mutate_sequence, mono_power, shared_factor_seeds
 from gencluster import cli_io, gca_seed, laurent_kernel
 from gencluster.cli_io import (
     parse_seed,
@@ -33,7 +33,12 @@ from gencluster.errors import (
     ValidationError,
 )
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
-from gencluster.gca_seed import initial_seed, mutate_exchange_data, mutate_seed
+from gencluster.gca_seed import (
+    CoefficientStrings,
+    initial_seed,
+    mutate_exchange_data,
+    mutate_seed,
+)
 from gencluster.matrix_mutation import (
     DivisorVector,
     ExtendedExchangeMatrix,
@@ -405,19 +410,36 @@ class TestVerify:
         assert "StructureViolation" in text
 
     def test_negative_placeholder_power_exits_two(self, monkeypatch):
-        # Shift every placeholder power down by one, so the quotient's
-        # normal form meets a negative power: a mismatch, not bad input.
-        split = quotient_embedding.poly_split_trailing
-        monkeypatch.setattr(
-            "gencluster.quotient_embedding.poly_split_trailing",
-            lambda p, table: {
-                tuple(e - 1 for e in powers): part
-                for powers, part in split(p, table).items()
-            },
-        )
+        # Invert every tracked string entry, so the quotient's image of
+        # an interior entry meets a negative placeholder power: a
+        # mismatch, not bad input.
+        built = quotient_embedding.QuotientContext.__init__
+
+        def init(self, adjoined):
+            built(self, adjoined)
+            rows = [[mono_power(entry, -1) for entry in row] for row in self.tracked.strings.rows]
+            self.tracked = self.tracked._trusted_replace(strings=CoefficientStrings(rows))
+
+        monkeypatch.setattr(quotient_embedding.QuotientContext, "__init__", init)
         code, text = run("verify", "embedding", "--seed", "FIX-C", "--depth", "1")
         assert code == 2
         assert "InexactDivision: negative placeholder power" in text
+
+    def test_embedding_builds_one_exchange_context_per_check(self, monkeypatch):
+        # The (i)-(iii) checks of one (state, direction) read one
+        # ExchangeContext: FIX-B's depth-6 walk checks 13 distinct states
+        # in each of its 2 directions.
+        built = []
+        init = gca_seed.ExchangeContext.__init__
+
+        def counting(self, seed, k):
+            built.append(k)
+            init(self, seed, k)
+
+        monkeypatch.setattr(gca_seed.ExchangeContext, "__init__", counting)
+        code, text = run("verify", "embedding", "--seed", "FIX-B", "--depth", "6")
+        assert code == 0
+        assert len(built) == 26
 
     @pytest.mark.parametrize("target", ["product-formula", "embedding"])
     def test_a_walk_across_wider_key_fields_passes(self, tmp_path, target):

@@ -656,6 +656,45 @@ def test_only_the_reviewed_functions_build_substitutions():
     assert found == sorted(SUBSTITUTION_BUILDERS)
 
 
+#: The names and attributes that hold ``quotient_embedding``'s monomial
+#: maps: the embedding ``phi`` and the unit elimination ``E`` (``units``
+#: where it is bound to a local name).  Every image there is built from
+#: exponent vectors, so each map is applied through ``.vector`` only.
+VECTOR_ONLY_MAPS = {"phi", "elimination", "units"}
+
+
+def polynomial_map_calls(source):
+    """:func:`calls` of a map of :data:`VECTOR_ONLY_MAPS`, or of a fresh ``unit_elimination_map``, on a polynomial.
+
+    ``phi.vector(v)`` calls ``vector``, which is not matched.
+    """
+    def matches(called):
+        if isinstance(called, ast.Call):
+            return getattr(called.func, "id", None) == "unit_elimination_map"
+        return VECTOR_ONLY_MAPS & {getattr(called, "id", None), getattr(called, "attr", None)}
+
+    return calls(source, matches)
+
+
+def test_polynomial_map_calls_are_detected():
+    source = (
+        "def walk(ctx, p, v):\n"
+        "    phi, units = ctx.phi, ctx.elimination\n"
+        "    phi.vector(v), units.vector(v), ctx.elimination.vector(v)\n"
+        "    return phi(p), units(p), ctx.elimination(p)\n"
+        "def group(self, k):\n"
+        "    return self.phi(k), unit_elimination_map(t, r)(k), unit_elimination_map(t, r)\n"
+    )
+    assert polynomial_map_calls(source) == [
+        (4, "walk"), (4, "walk"), (4, "walk"), (6, "group"), (6, "group"),
+    ]
+
+
+def test_quotient_maps_apply_to_exponent_vectors_only():
+    source = (ROOT / "src" / "gencluster" / "quotient_embedding.py").read_text(encoding="utf-8")
+    assert polynomial_map_calls(source) == []
+
+
 #: The kernel's two product loops, each with the kernel functions that add
 #: a product's terms into a key dict through it.  ``_add_product`` is the
 #: schoolbook loop, which the sum of products runs below the row route's

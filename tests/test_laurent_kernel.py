@@ -12,6 +12,7 @@ from conftest import (
     SMALL_TABLE,
     extremes_reads,
     mono_over,
+    mono_poly,
     mono_power,
     mono_times,
     oracle_poly_mul,
@@ -214,7 +215,7 @@ class TestExactDivision:
         y = SMALL_TABLE.variable("y")
         quotient = poly_exact_div(x, y)
         assert quotient == poly_mul(
-            x, SMALL_TABLE.monomial(y=-1).as_polynomial()
+            x, mono_poly(SMALL_TABLE.monomial(y=-1))
         )
 
 
@@ -441,8 +442,8 @@ class TestIntegerArguments:
         assert SMALL_TABLE.term(wide) == SMALL_TABLE.term((2 * FIRST_RUNG_LIMIT, 0, 0))
         assert poly_shifted_sum(SMALL_TABLE, [(vector, x)]) == poly_mul(expected, x)
         assert LaurentPolynomial(SMALL_TABLE, {vector: 1}) == expected
-        assert Monomial(SMALL_TABLE, vector).as_polynomial() == expected
-        assert SMALL_TABLE.monomial(x=Index(2), f=Index(-1)).as_polynomial() == expected
+        assert mono_poly(Monomial(SMALL_TABLE, vector)) == expected
+        assert mono_poly(SMALL_TABLE.monomial(x=Index(2), f=Index(-1))) == expected
         sub = Substitution({"x": SMALL_TABLE.monomial(y=3)}, SMALL_TABLE, SMALL_TABLE)
         assert sub.vector(vector) == (0, 6, -1)
         assert all(type(e) is int for e in sub.vector(vector))
@@ -529,8 +530,8 @@ class TestWideExponents:
             (x_power(-1), SMALL_TABLE.monomial(x=-limit)),
         ):
             product = poly_mul_monomial(a, m)
-            assert_wide(product, oracle_poly_mul(a, m.as_polynomial()), limit)
-            assert product == poly_mul(a, m.as_polynomial())
+            assert_wide(product, oracle_poly_mul(a, mono_poly(m)), limit)
+            assert product == poly_mul(a, mono_poly(m))
 
     def test_pow_of_monomial(self, limit):
         x = SMALL_TABLE.variable("x")

@@ -1,7 +1,7 @@
 """Quotient embedding: folded seeds, the product formula, and the image map."""
 
 import ast
-from collections import namedtuple
+from collections import Counter, namedtuple
 from copy import copy
 import hashlib
 import io
@@ -14,9 +14,11 @@ import pytest
 from conftest import (
     FIRST_RUNG_BITS,
     FIRST_RUNG_LIMIT,
+    SECOND_RUNG_LIMIT,
     failed_cases,
     map_variables,
     mono_over,
+    mono_poly,
     mono_power,
     mono_times,
     poly_mul_monomial,
@@ -30,7 +32,7 @@ from gencluster.errors import (
     InexactDivision,
     Report,
     StructureViolation,
-    TableMismatch,
+    ValidationError,
 )
 from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import (
@@ -46,7 +48,6 @@ from gencluster.laurent_kernel import (
     poly_add,
     poly_mul,
     poly_pow,
-    poly_split_trailing,
     poly_sub,
 )
 from gencluster.matrix_mutation import ExtendedExchangeMatrix
@@ -54,7 +55,6 @@ from gencluster.quotient_embedding import (
     QuotientContext,
     _balanced_sum,
     _coherent_row,
-    _eliminated_sigma,
     _embedding_conditions_at,
     _member_binomial_product,
     embedding_walk,
@@ -67,7 +67,14 @@ from gencluster.quotient_embedding import (
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import AdjoinedSeed, root_names, tau_tilde
 from gencluster.unfolding import FoldedLayout, FoldedMatrix, build, group_mutate
-from evaluated_embedding import EvaluatedContext, evaluated_conditions, group_mutate_seed
+from evaluated_embedding import (
+    EvaluatedContext,
+    evaluated_conditions,
+    group_mutate_seed,
+    oracle_lift,
+    oracle_phi_poly,
+    oracle_unit_elimination,
+)
 
 FIX_C_PHI_X = "y1*y2"
 FIX_C_PHI_X_MUTATED = (
@@ -102,23 +109,6 @@ def folded_roles(table, sizes):
             )
         start += size
     return [roles.get(name, ("frozen", None)) for name in table.names]
-
-
-def oracle_unit_elimination(table, sizes):
-    """The unit elimination over ``table``, found by name.
-
-    The members of each group are numbered as in :func:`folded_roles`;
-    the last member's ``t`` (``s``) goes to the inverse product of the
-    group's other ``t`` (``s``) variables.
-    """
-    images, start = {}, 0
-    for size in sizes:
-        members = range(start + 1, start + size + 1)
-        for prefix in "ts":
-            names = [f"{prefix}{c}" for c in members]
-            images[names[-1]] = table.monomial({n: -1 for n in names[:-1]})
-        start += size
-    return images
 
 
 def member_sides(table, row, keep):
@@ -184,15 +174,18 @@ def sigma_polynomial(table, layout, k, r):
             names[t if idx in subset else s]: 1
             for idx, (t, s) in enumerate(pairs)
         })
-        total = poly_add(total, term.as_polynomial())
+        total = poly_add(total, mono_poly(term))
     return total
 
 
-def placeholder_normal_form(ctx, p):
-    """Normal form of ``p`` over ``folded_plus``: units eliminated, then expanded."""
-    plus = ctx.folded_plus
-    units = oracle_unit_elimination(plus, ctx.tracked.divisors.entries)
-    return ctx._expand(map_variables(p, units, plus))
+def tracked_sum(ctx, vectors):
+    """``sum_v x^v`` over the tracked table, each vector counted as often as it comes."""
+    return LaurentPolynomial(ctx.tracked.table, Counter(map(tuple, vectors)))
+
+
+def term_by_term_class(ctx, vectors):
+    """The class of ``sum_v x^v`` over tracked vectors by :func:`expand_term_by_term`."""
+    return expand_term_by_term(ctx, oracle_lift(ctx, tracked_sum(ctx, vectors)))
 
 
 def expand_term_by_term(ctx, p):
@@ -236,7 +229,7 @@ def oracle_product_formula_check(table, fm, k, parity):
         row = fm.matrix.rows[c]
         gt = Monomial(table, tuple(max(v, 0) for v in row))
         lt = Monomial(table, tuple(max(-v, 0) for v in row))
-        lhs = poly_mul(lhs, poly_add(gt.as_polynomial(), lt.as_polynomial()))
+        lhs = poly_mul(lhs, poly_add(mono_poly(gt), mono_poly(lt)))
     gm = group_monomials(table, fm, k)
     gt_base = mono_times(gm.u_gt, gm.v_gt)
     lt_base = mono_times(gm.u_lt, gm.v_lt)
@@ -286,45 +279,11 @@ def oracle_condition_iv(ctx):
                 term = table.one()
                 for idx, (inside, outside) in enumerate(ratios):
                     term = mono_times(term, inside if idx in subset else outside)
-                total = poly_add(total, term.as_polynomial())
-            lhs = ctx.phi_poly(tracked.strings.entry(k, r).as_polynomial())
+                total = poly_add(total, mono_poly(term))
+            lhs = oracle_phi_poly(ctx, mono_poly(tracked.strings.entry(k, r)))
             if lhs != ctx.elimination(total):
                 failures.append(("(iv)", k, r))
     return failures
-
-
-def oracle_phi_poly(ctx, p):
-    """The image of a generalized-side polynomial by the earlier route.
-
-    Lift by the cluster images, eliminate the units over the
-    placeholder-extended table, multiply each placeholder part by its
-    eliminated ``sigma`` powers one ``poly_mul`` at a time, and add the
-    parts with ``poly_sum``.
-    """
-    table, layout, plus, tracked = ctx.folded.table, ctx.layout, ctx.folded_plus, ctx.tracked
-    images = {
-        tracked.table.names[k]: plus.monomial(
-            {table.names[c]: 1 for c in layout.group_range(k)}
-        )
-        for k in range(tracked.rank)
-    }
-    lifted = map_variables(p, images, plus)
-    units = oracle_unit_elimination(plus, tracked.divisors.entries)
-    lifted = map_variables(lifted, units, plus)
-    slots = [
-        (layout.t_range(k), layout.s_range(k), r)
-        for k in range(tracked.rank)
-        for r in range(1, tracked.divisors[k])
-    ]
-    parts = []
-    for powers, part in poly_split_trailing(lifted, table).items():
-        if any(e < 0 for e in powers):
-            raise InexactDivision("negative placeholder power")
-        for slot, e in zip(slots, powers):
-            if e:
-                part = poly_mul(part, _eliminated_sigma(table, ((slot, e),)))
-        parts.append(part)
-    return poly_sum(table, parts)
 
 
 def oracle_group_image(ctx, k):
@@ -353,8 +312,8 @@ def oracle_conditions_i_ii(ctx):
             ("(ii) v>[1]", gca_ctx.v_gt, gm.v_gt),
             ("(ii) v<[1]", gca_ctx.v_lt, gm.v_lt),
         ):
-            lhs = oracle_phi_poly(ctx, Monomial(tracked.table, exps).as_polynomial())
-            if lhs != ctx.elimination(folded.as_polynomial()):
+            lhs = oracle_phi_poly(ctx, mono_poly(Monomial(tracked.table, exps)))
+            if lhs != ctx.elimination(mono_poly(folded)):
                 failures.append((label, k, None))
     return failures
 
@@ -769,9 +728,11 @@ class TestSigmaAndUnits:
     def test_placeholder_expansion_matches_term_by_term(
         self, fix_a, fix_b, fix_c, rng
     ):
-        # The library eliminates the units first and multiplies by cached
-        # eliminated sigma powers; the oracle expands first and
-        # eliminates last.
+        # The library shifts each vector's image by the cached product of
+        # its eliminated sigma powers; the oracle lifts the sum, expands
+        # it term by term and eliminates last.  A vector comes up to three
+        # times (its coefficient), and its placeholder tail may hold
+        # several placeholders to any power up to ``top``.
         cases = [(seed, "total", 15, 3) for seed in (fix_a, fix_b, fix_c)]
         cases += [
             (seed, mode, 3, 2)
@@ -780,74 +741,80 @@ class TestSigmaAndUnits:
         ]
         for seed, mode, count, top in cases:
             ctx = QuotientContext.create(seed, mode=mode)
-            base = ctx.folded.table.names
             width = len(ctx.placeholder_names)
+            base = len(ctx.tracked.table) - width
             for _ in range(count):
-                parts = [
+                tails = [
                     tuple(rng.randint(0, top) for _ in range(width))
                     for _ in range(2)
                 ]
-                terms = {}
+                vectors = []
                 for _ in range(rng.randint(1, 6)):
-                    body = ctx.folded.table.monomial(
-                        {n: rng.randint(-2, 2) for n in rng.sample(base, 3)}
-                    )
-                    exps = body.exponents + rng.choice(parts)
-                    terms[exps] = terms.get(exps, 0) + rng.choice((-2, -1, 1, 3))
-                p = LaurentPolynomial(
-                    ctx.folded_plus, {e: c for e, c in terms.items() if c}
-                )
-                assert placeholder_normal_form(ctx, p) == expand_term_by_term(ctx, p)
+                    head = [0] * base
+                    for q in rng.sample(range(base), min(3, base)):
+                        head[q] = rng.randint(-2, 2)
+                    vectors += [tuple(head) + rng.choice(tails)] * rng.randint(1, 3)
+                image = ctx.class_of(vectors)
+                assert image == term_by_term_class(ctx, vectors)
+                assert image == oracle_phi_poly(ctx, tracked_sum(ctx, vectors))
 
     @pytest.mark.parametrize("e", [FIRST_RUNG_LIMIT - 2, FIRST_RUNG_LIMIT - 1])
     def test_expansion_across_the_first_rung(self, fix_c, e):
-        # E(sigma_{1,1}) = t1*s1^-1 + t1^-1*s1, so t1^e * rho1_1 expands
-        # to a t1 exponent of e + 1, past the first rung's limit for the
-        # second ``e``.
+        # x^e * rho1_1 has the image y1^e*y2^e * E(sigma_{1,1}), where
+        # E(sigma_{1,1}) = t1*s1^-1 + t1^-1*s1, bounded by e + 1; x^(e + 1)
+        # holds y1^(e + 1).  Both reach the first rung's limit for the
+        # second ``e`` only.
         ctx = QuotientContext.create(fix_c)
-        p = ctx.folded_plus.monomial({"t1": e, "rho1_1": 1}).as_polynomial()
-        expanded = placeholder_normal_form(ctx, p)
-        assert expanded == expand_term_by_term(ctx, p)
-        assert max(exps[ctx.folded.table.index("t1")] for exps in expanded.terms) == e + 1
+        vectors = [
+            ctx.tracked.table.monomial({"x": e, "rho1_1": 1}).exponents,
+            ctx.tracked.table.monomial({"x": e + 1}).exponents,
+        ]
+        image = ctx.class_of(vectors)
+        assert image == term_by_term_class(ctx, vectors)
+        y1 = ctx.folded.table.index("y1")
+        assert max(exps[y1] for exps in image.terms) == e + 1
+        assert (image._layout.bits == FIRST_RUNG_BITS) == (e + 1 < FIRST_RUNG_LIMIT)
 
     def test_expansion_bound_past_the_first_rung_above_the_exact_extremes(self, fix_c):
-        # The bound of y1^(limit - 1) * E(sigma_{1,1}) reaches the first
-        # rung's limit, but sigma moves only t1 and s1, so the exact
-        # exponents stay below it: the expansion sits on a wider rung and
-        # equals the term-by-term one, and that one rebuilt on the first.
+        # The bound of y1^(limit - 1)*y2^(limit - 1) * E(sigma_{1,1})
+        # reaches the first rung's limit, but sigma moves only t1 and s1,
+        # so the exact exponents stay below it: the image sits on a wider
+        # rung and equals the term-by-term one, and that one rebuilt on
+        # the first.  The second vector's rho1_1^2 is a power pattern.
         ctx = QuotientContext.create(fix_c)
-        p = poly_add(
-            ctx.folded_plus.monomial({"y1": FIRST_RUNG_LIMIT - 1, "rho1_1": 1}).as_polynomial(),
-            ctx.folded_plus.monomial({"y2": -3, "t1": 2, "rho1_1": 2}).as_polynomial(),
-        )
-        expanded, oracle = placeholder_normal_form(ctx, p), expand_term_by_term(ctx, p)
+        vectors = [
+            ctx.tracked.table.monomial({"x": FIRST_RUNG_LIMIT - 1, "rho1_1": 1}).exponents,
+            ctx.tracked.table.monomial({"x": -3, "rho1_1": 2}).exponents,
+        ]
+        image, oracle = ctx.class_of(vectors), term_by_term_class(ctx, vectors)
         tight = LaurentPolynomial(oracle.table, dict(oracle.terms.items()))
-        assert expanded._layout.bits > tight._layout.bits == FIRST_RUNG_BITS
+        assert image._layout.bits > tight._layout.bits == FIRST_RUNG_BITS
         for other in (oracle, tight):
-            assert expanded == other and other == expanded
-            assert expanded.hash_key() == other.hash_key()
+            assert image == other and other == image
+            assert image.hash_key() == other.hash_key()
 
     def test_expansion_past_the_first_rung(self, fix_c):
-        # The second part's t1^(limit - 1) times E(sigma_{1,1})^2 holds
-        # t1^(limit + 1); the first part is within the first rung's limit.
+        # The second vector's x^(limit + 1) times E(sigma_{1,1})^2 holds
+        # y1^(limit + 1); the first vector is within the first rung's limit.
         ctx = QuotientContext.create(fix_c)
-        p = poly_add(
-            ctx.folded_plus.monomial({"y1": FIRST_RUNG_LIMIT - 1, "rho1_1": 1}).as_polynomial(),
-            ctx.folded_plus.monomial({"t1": FIRST_RUNG_LIMIT - 1, "rho1_1": 2}).as_polynomial(),
-        )
-        expanded = placeholder_normal_form(ctx, p)
-        assert expanded == expand_term_by_term(ctx, p)
-        t1 = ctx.folded.table.index("t1")
-        assert max(exps[t1] for exps in expanded.terms) == FIRST_RUNG_LIMIT + 1
+        vectors = [
+            ctx.tracked.table.monomial({"x": FIRST_RUNG_LIMIT - 2, "rho1_1": 1}).exponents,
+            ctx.tracked.table.monomial({"x": FIRST_RUNG_LIMIT + 1, "rho1_1": 2}).exponents,
+        ]
+        image = ctx.class_of(vectors)
+        assert image == term_by_term_class(ctx, vectors)
+        y1 = ctx.folded.table.index("y1")
+        assert max(exps[y1] for exps in image.terms) == FIRST_RUNG_LIMIT + 1
 
     def test_every_cached_sigma_pattern_matches_the_uncached_oracle(
         self, fix_a, fix_b, monkeypatch
     ):
-        # Each pattern an embedding walk asks for, against the powers of
-        # sigma sums built and eliminated with no cache.  The walk expands
-        # exchange polynomials and string entries, which hold at most one
-        # placeholder to the first power per term; the images of evaluated
-        # cluster entries along the same sequence ask for products.
+        # Each pattern a class asks for, against the powers of sigma sums
+        # built and eliminated with no cache.  The walk asks for the
+        # classes of exchange polynomials and string entries, whose
+        # vectors hold at most one placeholder to the first power; the
+        # term vectors of evaluated cluster entries along the same
+        # sequence ask for products.
         from gencluster import quotient_embedding
 
         seen, cached = {}, quotient_embedding._eliminated_sigma
@@ -867,7 +834,7 @@ class TestSigmaAndUnits:
             for k in sequence:
                 evaluated = evaluated.mutate(k)
                 for entry in evaluated.tracked.cluster:
-                    evaluated.phi_poly(entry)
+                    ctx.class_of(entry.terms)
             units = oracle_unit_elimination(table, seed.divisors.entries)
             patterns = [pattern for t, pattern in seen if t is table]
             assert any(len(pattern) > 1 for pattern in patterns)
@@ -881,11 +848,29 @@ class TestSigmaAndUnits:
                     oracle = poly_mul(oracle, poly_pow(sigma, e))
                 assert seen[table, pattern] == oracle, pattern
 
+    @pytest.mark.parametrize("m", [
+        FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT, SECOND_RUNG_LIMIT - 1, SECOND_RUNG_LIMIT,
+        2**47, 2**94, 2**200,
+    ])
+    def test_image_splits_off_the_placeholder_tail(self, fix_b, m):
+        # The image's head is phi's vector cut to the folded table, of any
+        # size; its placeholder tail picks one product of eliminated sigma
+        # powers, against the oracle's one power at a time.
+        ctx = QuotientContext.create(fix_b)
+        tracked, folded = ctx.tracked.table, ctx.folded.table
+        mono = tracked.monomial({"x": m, "A": -m, "rho1_2": 1, "rho2_1": 2})
+        head, sigma = ctx.image(mono.exponents)
+        assert head == folded.monomial({"y1": m, "y2": m, "y3": m, "A": -m}).exponents
+        assert ctx.image(tracked.monomial({"A": -m}).exponents)[1] is None
+        image, oracle = ctx.class_of((mono.exponents,)), oracle_phi_poly(ctx, mono_poly(mono))
+        assert image == oracle and image.hash_key() == oracle.hash_key()
+        assert image == poly_mul(folded.term(head), sigma)
+
     def test_negative_placeholder_power_rejected(self, fix_c):
         ctx = QuotientContext.create(fix_c)
-        bad = ctx.folded_plus.monomial({"rho1_1": -1}).as_polynomial()
+        bad = ctx.tracked.table.monomial({"x": 2, "rho1_1": -1}).exponents
         with pytest.raises(InexactDivision, match="verified fragment"):
-            placeholder_normal_form(ctx, bad)
+            ctx.class_of([ctx.tracked.table.one().exponents, bad])
 
 
 class TestEmbeddingMap:
@@ -907,10 +892,10 @@ class TestEmbeddingMap:
                     ctx.tracked.cluster[k], ctx.rho_values, table
                 ) == concrete.cluster[k]
                 for r in range(concrete.divisors[k] + 1):
-                    entry = ctx.tracked.strings.entry(k, r).as_polynomial()
+                    entry = mono_poly(ctx.tracked.strings.entry(k, r))
                     assert map_variables(
                         entry, ctx.rho_values, table
-                    ) == concrete.strings.entry(k, r).as_polynomial()
+                    ) == mono_poly(concrete.strings.entry(k, r))
 
         def walk(ctx, concrete, depth):
             check(ctx, concrete)
@@ -935,7 +920,7 @@ class TestEmbeddingMap:
 
         def walk(ctx, depth):
             for k in range(ctx.tracked.rank):
-                lines.append(str(ctx.phi_poly(ctx.tracked.cluster[k])))
+                lines.append(str(oracle_phi_poly(ctx, ctx.tracked.cluster[k])))
             if depth:
                 for k in range(ctx.tracked.rank):
                     walk(ctx.mutate(k), depth - 1)
@@ -1113,7 +1098,7 @@ class TestEliminationOnVectors:
                 lhs = LaurentPolynomial.one(table)
                 for c in layout.group_range(k):
                     gt, lt = member_sides(table, fm.matrix.rows[c], everything)
-                    lhs = poly_mul(lhs, poly_add(gt.as_polynomial(), lt.as_polynomial()))
+                    lhs = poly_mul(lhs, poly_add(mono_poly(gt), mono_poly(lt)))
                 expected = unit_elimination_map(table, layout.aux)(lhs)
                 assert _member_binomial_product(table, fm, k) == expected
 
@@ -1140,7 +1125,7 @@ class TestEliminationOnVectors:
             keep = [role != "cluster" for role, _ in folded_roles(table, seed.divisors.entries)]
 
             def eliminated(mono):
-                (exps,) = map_variables(mono.as_polynomial(), units, table).terms
+                (exps,) = map_variables(mono_poly(mono), units, table).terms
                 return exps
 
             for k in range(seed.rank):
@@ -1157,19 +1142,17 @@ class TestEliminationOnVectors:
 
     @pytest.mark.parametrize("name, depth", WALKS)
     def test_string_images(self, name, depth):
-        # Each string image the walk keeps, against the earlier route;
-        # the table is one per walk, and an image is built once.
-        contexts = formal_contexts(fixture_seed(name), depth)
-        root = contexts[()]
-        for ctx in contexts.values():
-            assert ctx._string_images is root._string_images
-            tracked = ctx.tracked
+        # Each string entry's class, against the earlier route; its
+        # vector's image holds at most one placeholder, to the first power.
+        for ctx in formal_contexts(fixture_seed(name), depth).values():
+            tracked, width = ctx.tracked, len(ctx.folded.table)
             for k in range(tracked.rank):
                 for r in range(tracked.divisors[k] + 1):
                     entry = tracked.strings.entry(k, r)
-                    image = ctx.string_image(entry)
-                    assert image == oracle_phi_poly(ctx, entry.as_polynomial())
-                    assert ctx.string_image(entry) is image
+                    tail = ctx.phi.vector(entry.exponents)[width:]
+                    assert sum(tail) <= 1 and set(tail) <= {0, 1}
+                    image = ctx.class_of((entry.exponents,))
+                    assert image == oracle_phi_poly(ctx, mono_poly(entry))
 
 
 def attempt(function, *args):
@@ -1305,24 +1288,34 @@ class TestEmbeddingAndSubquotient:
                     assert condition_iv(bad) == oracle_condition_iv(bad) != []
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
-    def test_images_match_the_earlier_route(self, mode):
-        # Every cluster and string image by phi_poly, and every group
-        # image, against the route that eliminated the units of the whole
-        # lift and of the whole group product.  The walk shares one phi
-        # and one E.
+    def test_images_match_the_earlier_route(self, mode, monkeypatch):
+        # Every class the check asks for (each exchange polynomial over
+        # formal symbols, each string entry), and every group image,
+        # against the route that eliminated the units of the whole lift
+        # and of the whole group product.  The walk shares one phi and one E.
+        asked, class_of = [], QuotientContext.class_of
+
+        def recording(self, vectors):
+            vectors = list(vectors)
+            asked.append((vectors, class_of(self, vectors)))
+            return asked[-1][1]
+
+        monkeypatch.setattr(QuotientContext, "class_of", recording)
         for seed, sequences in embedding_walks():
             contexts = walked_contexts(seed, mode, sequences)
             root = contexts[()]
+            for k in range(seed.rank):
+                image = root.constants.group_image(k)
+                assert image._keys == oracle_group_image(root, k)._keys
             for ctx in contexts.values():
                 assert ctx.phi is root.phi and ctx.elimination is root.elimination
-                tracked = ctx.tracked
-                for k in range(tracked.rank):
-                    polys = [tracked.cluster[k]] + [
-                        tracked.strings.entry(k, r).as_polynomial()
-                        for r in range(tracked.divisors[k] + 1)
-                    ]
-                    for p in polys:
-                        assert ctx.phi_poly(p)._keys == oracle_phi_poly(ctx, p)._keys
+                asked.clear()
+                assert library_conditions(ctx) == []
+                assert len(asked) == sum(d + 2 for d in ctx.tracked.divisors.entries)
+                for vectors, image in asked:
+                    p = tracked_sum(ctx, vectors)
+                    assert image._keys == oracle_phi_poly(ctx, p)._keys
+                for k in range(ctx.tracked.rank):
                     assert ctx.group_image(k)._keys == oracle_group_image(ctx, k)._keys
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
@@ -1356,9 +1349,10 @@ class TestEmbeddingAndSubquotient:
             assert found and all(f[0].startswith(kind) for f in found)
 
     def test_context_checks_what_the_images_rely_on(self, fix_c):
+        # A vector over the folded table is not one over the tracked table.
         ctx = QuotientContext.create(fix_c)
-        with pytest.raises(TableMismatch, match="source table"):
-            ctx.phi_poly(ctx.folded.cluster[0])
+        with pytest.raises(ValidationError, match="table size"):
+            ctx.class_of((ctx.folded.table.one().exponents,))
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_lifts_read_off_the_layout_match_the_name_oracle(
