@@ -31,7 +31,10 @@ Design notes
   which shifts each polynomial's keys by one packed vector and builds
   no one-term polynomial.  :func:`poly_sum_of_products` adds sums of
   general products; it serves only its one- and two-pair cases,
-  :func:`poly_mul` and :func:`poly_add`.
+  :func:`poly_mul` and :func:`poly_add`.  A product of binomials
+  ``prod_i (x^(a_i) + x^(b_i))`` is expanded from its vectors in one
+  loop, whole (:func:`poly_binomial_product`) or by the number of first
+  sides taken (:func:`poly_binomial_levels`).
 * Field sizes.  The fields of one polynomial all have one size, a rung
   of the ladder 24, 48, 96, ... bits; a rung's ``limit`` is
   ``2**(bits - 2)`` (``2**22``, ``2**46``, ...), and a field holds any
@@ -49,11 +52,12 @@ Design notes
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
-* Products.  Every product runs :func:`poly_sum_of_products`.  Below
-  ``_ROW_MIN_PRODUCTS`` term products it takes the schoolbook loop, one
-  key addition per term product.  Above it, it cuts both sides into
-  lattice lines along one direction and packs each line into one int with
-  signed slots, so each pair of lines is one big-integer product: Kronecker
+* Products.  Every product of two polynomials runs
+  :func:`poly_sum_of_products`.  Below ``_ROW_MIN_PRODUCTS`` term
+  products it takes the schoolbook loop, one key addition per term
+  product.  Above it, it cuts both sides into lattice lines along one
+  direction and packs each line into one int with signed slots, so
+  each pair of lines is one big-integer product: Kronecker
   substitution along one lattice direction (Schönhage 1982; Harvey,
   J. Symb. Comput. 44, 2009), the sparse case of Roche's survey (ISSAC
   2018).  It falls back to the schoolbook loop when no direction repeats
@@ -791,6 +795,45 @@ def poly_shifted_sum(table, pairs):
     return _trusted(table, _drop_zeros(terms), amp)
 
 
+def poly_binomial_product(table, pairs):
+    """``prod_i (x^(a_i) + x^(b_i))`` over ``table``: :func:`poly_binomial_levels` in one level."""
+    return _binomial_levels(table, pairs, 0)[0]
+
+
+def poly_binomial_levels(table, pairs):
+    """``[e_0, ..., e_d]``: ``e_r`` sums ``x^(sum_(i in J) a_i + sum_(i not in J) b_i)``, ``|J| = r``."""
+    return _binomial_levels(table, pairs, 1)
+
+
+def _binomial_levels(table, pairs, step):
+    """``prod_i (x^(a_i) + x^(b_i))`` by levels, each first side ``step`` levels up.
+
+    ``pairs`` yields exponent vectors ``(a_i, b_i)`` over ``table``, each
+    packed once (ValidationError for another length, as
+    :meth:`VariableTable.term`) on the rung of the bound every level takes,
+    ``sum_i max(|a_i|, |b_i|)``; each pair in turn shifts every key so far
+    by both its keys.  No term cancels.
+    """
+    layout, vectors = table._layout, [(a, b) for a, b in pairs]
+    packed = [(layout.pack_bounded(a), layout.pack_bounded(b)) for a, b in vectors]
+    amp = sum([pa[1] if pa[1] > pb[1] else pb[1] for pa, pb in packed])
+    if amp >= layout.limit:
+        layout = layout.fit(amp)
+        packed = [(layout.pack_bounded(a), layout.pack_bounded(b)) for a, b in vectors]
+    offset = layout.offset
+    levels = [{offset: 1}]
+    for (ka, _), (kb, _) in packed:
+        ka, kb = ka - offset, kb - offset
+        out = [{key + kb: coeff for key, coeff in level.items()} for level in levels] + [{}] * step
+        for terms, level in zip(out[step:], levels):
+            get = terms.get
+            for key, coeff in level.items():
+                key += ka
+                terms[key] = get(key, 0) + coeff
+        levels = out
+    return [_trusted(table, level, amp) for level in levels]
+
+
 def poly_pow(a, k):
     """Non-negative integer power by binary exponentiation."""
     k = _integer(k, "powers")
@@ -1042,7 +1085,7 @@ class Substitution:
         ``exps`` holds one integer per ``source`` variable, in table
         order (ValidationError otherwise), of any size.
         """
-        if len(exps) != len(self.source):
+        if len(exps) != len(self.source.names):
             raise ValidationError("exponent vector does not match table size")
         # As in ``_Layout.pack_bounded``: the sum is an int when every entry is one.
         try:
@@ -1052,7 +1095,7 @@ class Substitution:
         if type(total) is not int:
             exps = _int_vector(exps)
         same, columns = self._same, self._columns
-        out = list(exps) if same else [0] * len(self.target)
+        out = list(exps) if same else [0] * len(self.target.names)
         for i in self._positions:
             e = exps[i]
             if e:

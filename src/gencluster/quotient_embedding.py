@@ -46,47 +46,33 @@ statements about exchange polynomials, so they are checked over *formal*
 current-cluster symbols: the current cluster is a transcendence basis,
 hence an identity holds for the evaluated elements exactly when it holds
 formally.  This keeps the checks exact at depths where the evaluated
-cluster entries would be astronomically large.  Both walks step exchange
-data only and build no cluster entry: the folded table is a walk
-constant, and which end of a group's coefficient row holds each initial
-coefficient is read off the group's diagonal ``T`` block
-(:meth:`~gencluster.unfolding.FoldedMatrix.identity_sign`).
+cluster entries would be astronomically large; both walks step exchange
+data only and build no cluster entry.
 
 Exchange data is read off matrix rows as exponent vectors, each role
 from its column block of the folded layout ``[cluster groups | F | T^1
-S^1 | ...]``, which :class:`~gencluster.unfolding.FoldedLayout` works
-out once per unfolding.  A ``sigma`` sum, a member binomial of the
-product formula, the formula's right side and the class of a sum of
-tracked monomials are kernel shifted sums (``poly_shifted_sum``), which
-shift keys by exponent vectors and build no one-term polynomial.
-
-The unit elimination ``E`` and the embedding ``phi`` are monomial ring
-maps, each a kernel :class:`~gencluster.laurent_kernel.Substitution`
-built once: ``E`` once per folded table and layout, ``phi`` once per
-walk.  Both are applied to exponent vectors only: ``E(sum c_v x^v) =
-sum c_v x^(E v)``, so every polynomial here is built from vectors
-already mapped, and no pass runs over a polynomial.  Every image the
-checks ask for is the class of a sum of tracked monomials: ``x^v`` goes
-to ``x^(phi v)`` times the eliminated ``sigma`` powers of its
-placeholder exponents
-(:meth:`QuotientContext.image`), and the sum to one shifted sum
-(:meth:`QuotientContext.class_of`).
+S^1 | ...]`` (:class:`~gencluster.unfolding.FoldedLayout`).  ``E`` and
+``phi`` are monomial ring maps, kernel
+:class:`~gencluster.laurent_kernel.Substitution` objects built once
+(``E`` per folded table and layout, ``phi`` per walk), applied to
+exponent vectors only: ``E(sum c_v x^v) = sum c_v x^(E v)``.  So the
+kernel expands each polynomial here once, from mapped vectors: a
+product of member binomials, or the balanced sums ``sigma`` of every
+order at once, is one binomial expansion (``poly_binomial_product``,
+``poly_binomial_levels``); the class of a sum of tracked monomials
+(:meth:`QuotientContext.class_of`) and the product formula's right side
+are each one shifted sum (``poly_shifted_sum``).
 """
 
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import sub
 
 from .errors import GroupCoherenceViolation, InexactDivision, Report
-from .gca_seed import (
-    CoefficientStrings,
-    ExchangeContext,
-    GeneralizedSeed,
-    initial_seed,
-    mutate_exchange_data,
-)
-from .laurent_kernel import Substitution, poly_mul, poly_pow, poly_shifted_sum, poly_sub
-from .matrix_mutation import ExtendedExchangeMatrix, sides
+from .gca_seed import ExchangeContext, initial_seed, mutate_exchange_data
+from .laurent_kernel import LaurentPolynomial, Substitution, VariableTable, _trusted_monomial
+from .laurent_kernel import poly_binomial_levels, poly_binomial_product, poly_shifted_sum
+from .laurent_kernel import poly_mul, poly_pow, poly_sub
+from .matrix_mutation import sides
 from .root_adjoin import fresh_name, root_multiplicity, root_names, tau_tilde
 from .unfolding import FoldedMatrix, build, group_mutate
 
@@ -138,23 +124,6 @@ def _coherent_row(matrix, layout, k):
 # The quotient: sigma sums, unit relations, normal forms
 
 
-def _balanced_sum(table, pairs, r):
-    """Sum over the ``r``-subsets ``J`` of a group's pairs of exponent vectors.
-
-    Each summand is the monomial whose exponents add the first vector of
-    every pair in ``J`` and the second of every pair outside it.
-    """
-    def summands():
-        for subset in combinations(range(len(pairs)), r):
-            chosen = [
-                inside if idx in subset else outside
-                for idx, (inside, outside) in enumerate(pairs)
-            ]
-            yield tuple(map(sum, zip(*chosen))), None
-
-    return poly_shifted_sum(table, summands())
-
-
 @lru_cache(maxsize=64)
 def unit_elimination_map(table, ranges):
     """The unit elimination ``E`` realizing ``prod t = prod s = 1`` per group.
@@ -181,23 +150,23 @@ def unit_elimination_map(table, ranges):
 def _eliminated_sigma(table, pattern):
     """``E(prod sigma_{k,r}^e)`` over the ``((t_range, s_range, r), e)`` of ``pattern``.
 
-    ``E`` is the unit elimination of ``table``, and
     ``sigma_{k,r} = sum_{|J|=r} prod_{c in J} t_c prod_{c not in J} s_c``
     is the balanced sum identified with the coefficient ``rho_{k,r}``,
     over the members of group ``k``, whose ``t`` and ``s`` variables sit
-    at ``t_range`` and ``s_range``, so ``E`` of that group alone
-    eliminates it.  ``E`` is a monomial ring map, so the eliminated sum is
-    the balanced sum of the eliminated ``t`` and ``s`` vectors, and the
-    eliminated product multiplies powers of the eliminated sums, each a
-    one-slot pattern.
+    at ``t_range`` and ``s_range``; ``E`` of that group alone eliminates
+    it.  ``E`` is a monomial ring map, so the eliminated sum is level ``r``
+    of the expansion of the eliminated ``(t_c, s_c)`` vector pairs, rebuilt
+    from its terms for an exact bound, as every class shifts it.  A
+    product multiplies powers of one-slot patterns.
     """
     if len(pattern) == 1 and pattern[0][1] == 1:
         (t_range, s_range, r), _ = pattern[0]
-        positions = range(len(table))
-        unit = [tuple(int(q == i) for q in positions) for i in positions]
-        units = unit_elimination_map(table, ((t_range, s_range),))
-        pairs = [(units.vector(unit[t]), units.vector(unit[s])) for t, s in zip(t_range, s_range)]
-        return _balanced_sum(table, pairs, r)
+        units, names = unit_elimination_map(table, ((t_range, s_range),)), table.names
+        pairs = [
+            [units.vector(table.monomial({names[q]: 1}).exponents) for q in pair]
+            for pair in zip(t_range, s_range)
+        ]
+        return LaurentPolynomial(table, poly_binomial_levels(table, pairs)[r].terms)
     return reduce(poly_mul, (
         poly_pow(_eliminated_sigma(table, ((slot, 1),)), e) for slot, e in pattern
     ))
@@ -208,26 +177,26 @@ class QuotientContext:
 
     ``tracked`` is the root-adjoined generalized seed at depth zero with
     each interior string entry replaced by an opaque placeholder symbol
-    (zero matrix column); its image under ``rho_values``, the table
-    sending each placeholder ``rho<k>_<r>`` to its concrete monomial, is
-    the concrete seed, and mutation only permutes the placeholders.
-    ``folded`` is the folded ordinary seed at depth zero and ``layout``
-    its folded layout.  Products of eliminated ``sigma`` powers are
-    cached per folded table and placeholder pattern.
+    (zero matrix column), built unchecked from the checked adjoined seed;
+    its image under ``rho_values``, the table sending each placeholder
+    ``rho<k>_<r>`` to its concrete monomial, is the concrete seed, and
+    mutation only permutes the placeholders.  ``folded`` is the folded
+    ordinary seed at depth zero and ``layout`` its folded layout.
+    Products of eliminated ``sigma`` powers are cached per folded table
+    and placeholder pattern.
 
     ``phi`` is the :class:`~gencluster.laurent_kernel.Substitution` from
     the tracked table to ``folded_plus`` sending cluster variable ``k``
     to the product of the members of group ``k``; every other name, a
     root or a placeholder, is carried to the same name, as both tables
     name their roots with :func:`~gencluster.root_adjoin.root_names`.
-    ``E`` takes each group's ``t`` and ``s`` ranges from the folded
-    layout ``[cluster groups | F | T^1 S^1 | ...]``
-    (:class:`~gencluster.unfolding.FoldedLayout`).  Two facts keep the
-    images sound: ``phi`` sends no variable to a ``t`` or ``s`` variable,
-    so ``E`` fixes every image; and the tracked matrix's placeholder
-    columns are zero (mutation keeps a zero column zero), so the exchange
-    monomials carry no placeholder.  :meth:`image` and :meth:`class_of`
-    take tracked exponent vectors, and are the one route to an image.
+    ``E`` reads each group's ``t`` and ``s`` ranges off the folded layout.
+    Two facts keep the images sound: ``phi`` sends no variable to a ``t``
+    or ``s`` variable, so ``E`` fixes every image; and the tracked
+    matrix's placeholder columns are zero (mutation keeps a zero column
+    zero), so the exchange monomials carry no placeholder.  :meth:`image`
+    and :meth:`class_of` take tracked exponent vectors, and are the one
+    route to an image.
     """
 
     def __init__(self, adjoined):
@@ -240,26 +209,20 @@ class QuotientContext:
         names = tuple(fresh_name(f"rho{k + 1}_{r}", taken) for k, r in slots)
         extra = len(names)
         table_p = seed.table.extended(names)
-        matrix_p = ExtendedExchangeMatrix(
-            seed.matrix.n,
-            seed.matrix.m + extra,
-            tuple(row + (0,) * extra for row in seed.matrix.rows),
-        )
-        string_rows = tuple(
-            (table_p.one(),)
-            + tuple(
-                table_p.monomial({name: 1})
-                for name, (j, _) in zip(names, slots) if j == k
-            )
-            + (table_p.one(),)
-            for k in range(seed.rank)
-        )
-        self.tracked = GeneralizedSeed(
+        width = len(table_p)
+        one = _trusted_monomial(table_p, (0,) * width)
+        rho = iter([
+            _trusted_monomial(table_p, tuple(int(q == i) for q in range(width)))
+            for i in range(len(seed.table), width)
+        ])
+        rows = tuple((one, *[next(rho) for j, _ in slots if j == k], one) for k in range(seed.rank))
+        self.tracked = seed._trusted_replace(
             table=table_p,
             cluster=tuple(table_p.variable(n) for n in table_p.names[: seed.rank]),
-            matrix=matrix_p,
-            divisors=seed.divisors,
-            strings=CoefficientStrings(string_rows),
+            matrix=seed.matrix._trusted_replace(
+                m=seed.matrix.m + extra, rows=tuple(row + (0,) * extra for row in seed.matrix.rows)
+            ),
+            strings=seed.strings._trusted_replace(rows=rows),
         )
         self.folded = folded
         self.layout = layout
@@ -294,8 +257,8 @@ class QuotientContext:
         :class:`~gencluster.errors.InexactDivision`.
         """
         table = self.folded.table
-        image = self.phi.vector(exps)
-        head, powers = image[: len(table)], image[len(table):]
+        image, width = self.phi.vector(exps), len(table.names)
+        head, powers = image[:width], image[width:]
         if any(e < 0 for e in powers):
             raise InexactDivision(
                 "negative placeholder power: identity outside the verified fragment"
@@ -321,14 +284,11 @@ class QuotientContext:
 def _member_binomial_product(table, fm, k):
     """``E(prod_c theta_c)`` over the members ``c`` of group ``k`` of ``fm``.
 
-    Each member's binomial ``x^(E a) + x^(E b)`` is the shifted sum of
-    its row's sides ``a`` and ``b``, eliminated as exponent vectors.
+    ``E(theta_c) = x^(E a) + x^(E b)`` for the sides ``a`` and ``b`` of row
+    ``c``, so the product is one expansion of the eliminated side pairs.
     """
-    units, matrix = unit_elimination_map(table, fm.layout.aux), fm.matrix
-    return reduce(poly_mul, (
-        poly_shifted_sum(table, ((units.vector(side), None) for side in sides(matrix.rows[c])))
-        for c in fm.layout.group_range(k)
-    ))
+    units, members = unit_elimination_map(table, fm.layout.aux), fm.layout.group_range(k)
+    return poly_binomial_product(table, (map(units.vector, sides(fm.matrix.rows[c])) for c in members))
 
 
 def product_formula_check(table, fm, k):
@@ -351,22 +311,19 @@ def product_formula_check(table, fm, k):
     :class:`~gencluster.errors.Report`; on failure it carries
     ``(k, residual)`` with the difference of the two normal forms.
 
-    Each member's binomial and each shell ``(U> V>)^r (U< V<)^(d_k - r)``
-    is a shifted sum of exponent vectors read off the matrix rows.
-    The unit elimination ``E`` is a monomial ring map, so it is applied
-    to exponent vectors and no elimination pass runs over a polynomial:
-    ``E(x^a + x^b) = x^(E a) + x^(E b)``, so each member binomial is
-    built from its eliminated sides; and the shells carry no auxiliary
-    variables, so ``E(sigma * shell) = E(sigma) * shell``, and the right
-    side is the eliminated ``sigma`` sums, walk constants built once per
-    folded table, each shifted by its shell's exponent vector.
+    Both sides are built from exponent vectors read off the matrix rows,
+    with the unit elimination ``E`` applied to the vectors.  The left side
+    is one kernel expansion of the member binomials
+    (:func:`_member_binomial_product`).  The shells ``(U> V>)^r (U<
+    V<)^(d_k - r)`` carry no auxiliary variable, so ``E(sigma * shell) =
+    E(sigma) * shell``: the right side is one shifted sum of the cached
+    eliminated ``sigma`` sums by the shells' vectors.
     """
     layout = fm.layout
     d_k = len(layout.group_range(k))
     lhs = _member_binomial_product(table, fm, k)
     g, l = sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
-    t_range, s_range = layout.t_range(k), layout.s_range(k)
-    flip = fm.identity_sign(k) < 0
+    t_range, s_range, flip = layout.t_range(k), layout.s_range(k), fm.identity_sign(k) < 0
     rhs = poly_shifted_sum(table, (
         (
             [r * a + (d_k - r) * b for a, b in zip(g, l)],
@@ -375,8 +332,7 @@ def product_formula_check(table, fm, k):
         for r in range(d_k + 1)
     ))
     if lhs != rhs:
-        residual = poly_sub(lhs, rhs)
-        return Report(((k, str(residual)),))
+        return Report(((k, str(poly_sub(lhs, rhs))),))
     return Report(())
 
 
@@ -395,7 +351,8 @@ def product_formula_walk(gca, mode="total"):
     walk.
     """
     root = build(gca, root_multiplicity(gca, mode))
-    table = folded_initial_seed(gca, root).table
+    layout = root.layout
+    table = VariableTable.make(layout.cluster_names(), layout.frozen_names(root_names(gca.table)))
 
     def check(fm):
         return tuple(
@@ -473,10 +430,9 @@ def _embedding_conditions_at(ctx, tracked, fm):
     of the vectors ``c_r + r u> + (d - r) u<`` of the same
     :class:`~gencluster.gca_seed.ExchangeContext` (``c_r`` its coefficient
     ``r``); its right side is :func:`_member_binomial_product`.  (iv)
-    eliminates the units of the side ratios' vectors before it builds
-    their balanced sums, which is ``E`` of the sums, as ``E`` is a
-    monomial ring map; its left sides are the classes of the string
-    entries' vectors.
+    eliminates the side ratios' vectors and expands their balanced sums
+    of every order at once (``E`` of the sums, as ``E`` is a monomial ring
+    map); its left sides are the classes of the string entries' vectors.
     """
     failures = []
     layout, units, phi = ctx.layout, ctx.elimination, ctx.phi
@@ -520,9 +476,10 @@ def _embedding_conditions_at(ctx, tracked, fm):
                     if ratio[pos]
                 )
             ratios.append((units.vector(pair[0]), units.vector(pair[1])))
+        sigmas = poly_binomial_levels(table, ratios)
         for r in range(tracked.divisors[k] + 1):
             lhs = ctx.class_of((tracked.strings.entry(k, r).exponents,))
-            if lhs != _balanced_sum(table, ratios, r):
+            if lhs != sigmas[r]:
                 failures.append(("(iv)", k, r))
     return failures
 

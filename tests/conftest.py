@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+from itertools import combinations
 from math import lcm
 from operator import add
 import random
@@ -236,6 +237,20 @@ def oracle_sum_of_products(pairs):
         for exps, c in oracle_poly_mul(a, b).items():
             out[exps] = out.get(exps, 0) + c
     return {exps: c for exps, c in out.items() if c}
+
+
+def oracle_balanced_sum(table, pairs, r):
+    """Sum over the ``r``-subsets ``J`` of ``pairs`` of exponent vectors, subset by subset.
+
+    Each summand is the monomial whose exponents add the first vector of
+    every pair in ``J`` and the second of every pair outside it.
+    """
+    summands = {}
+    for subset in combinations(range(len(pairs)), r):
+        chosen = [inside if i in subset else outside for i, (inside, outside) in enumerate(pairs)]
+        exps = tuple(map(sum, zip(*chosen))) if chosen else (0,) * len(table)
+        summands[exps] = summands.get(exps, 0) + 1
+    return LaurentPolynomial(table, summands)
 
 
 def mono_times(a, b):

@@ -9,20 +9,20 @@ evaluated elements, and a mutated context shares the eliminated entries
 ``E(x_c)`` with its parent outside the mutated group.  An evaluated
 cluster entry is a general polynomial, which the library's image route
 (exponent vectors) does not take: its image is :func:`oracle_phi_poly`.
-Conditions (i), (ii) and (iv) are as the library checks them.
+Conditions (i) and (ii) are as the library checks them; (iv) builds each
+balanced sum subset by subset (:func:`conftest.oracle_balanced_sum`).
 """
 
 from functools import reduce
 from operator import sub
 
-from conftest import map_variables, poly_sum
+from conftest import map_variables, oracle_balanced_sum, poly_sum
 from gencluster.errors import InexactDivision
 from gencluster.gca_seed import ExchangeContext, mutate_seed
 from gencluster.laurent_kernel import LaurentPolynomial, poly_mul
 from gencluster.matrix_mutation import sides
 from gencluster.quotient_embedding import (
     QuotientContext,
-    _balanced_sum,
     _coherent_row,
     _eliminated_sigma,
 )
@@ -189,6 +189,6 @@ def evaluated_conditions(ctx):
             ratios.append((units.vector(pair[0]), units.vector(pair[1])))
         for r in range(tracked.divisors[k] + 1):
             lhs = ctx.class_of((tracked.strings.entry(k, r).exponents,))
-            if lhs != _balanced_sum(table, ratios, r):
+            if lhs != oracle_balanced_sum(table, ratios, r):
                 failures.append(("(iv)", k, r))
     return failures

@@ -772,6 +772,62 @@ def test_products_and_sums_share_one_loop():
     assert loop_lines(kernel, LOOP_FREE) == {name: [] for name in LOOP_FREE}
 
 
+#: The kernel is the one place that expands a product of binomials
+#: ``prod (x^a + x^b)``: its two entry points hold no loop and share
+#: ``_binomial_levels``.  The quotient layer enumerates no subsets, and
+#: its member binomial product multiplies nothing itself.
+BINOMIAL_ENTRY_POINTS = ("poly_binomial_product", "poly_binomial_levels")
+BINOMIAL_PRODUCTS = ("_member_binomial_product",)
+
+
+def read_names(source, functions):
+    """``{function: names}``: the names each top-level function reads, bare or as attributes."""
+    return {
+        node.name: {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        }
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+    }
+
+
+def test_read_names_are_detected():
+    source = (
+        "def f(a):\n"
+        "    return reduce(poly_mul, a)\n"
+        "def g(a):\n"
+        "    return kernel.poly_mul(a, a)\n"
+        "def h(a):\n"
+        "    poly_mul = a\n"
+    )
+    assert read_names(source, ("f", "g", "h")) == {
+        "f": {"reduce", "poly_mul", "a"}, "g": {"kernel", "poly_mul", "a"}, "h": {"a"},
+    }
+
+
+def test_binomial_products_are_expanded_only_in_the_kernel():
+    package = ROOT / "src" / "gencluster"
+    quotient = (package / "quotient_embedding.py").read_text(encoding="utf-8")
+    assert "combinations" not in imported_names(ast.parse(quotient))
+    for names in read_names(quotient, BINOMIAL_PRODUCTS).values():
+        assert "poly_mul" not in names and "poly_binomial_product" in names
+    kernel = (package / "laurent_kernel.py").read_text(encoding="utf-8")
+    assert loop_lines(kernel, BINOMIAL_ENTRY_POINTS) == {name: [] for name in BINOMIAL_ENTRY_POINTS}
+    found = {
+        (path.name, function)
+        for path in sorted(package.glob("*.py"))
+        for _, function in calls(
+            path.read_text(encoding="utf-8"),
+            lambda called: "_binomial_levels" in (
+                getattr(called, "id", None), getattr(called, "attr", None)
+            ),
+        )
+    }
+    assert found == {("laurent_kernel.py", name) for name in BINOMIAL_ENTRY_POINTS}
+
+
 #: The functions that build values with ``FrozenValue._trusted_replace``,
 #: as ``(file, function)``.  The helper copies the instance dict, so only
 #: a type whose instances hold nothing but their fields may take it.
@@ -779,6 +835,7 @@ TRUSTED_REPLACE_CALLERS = {
     ("matrix_mutation.py", "mutate_commuting"),
     ("gca_seed.py", "mutate_exchange_data"),
     ("root_adjoin.py", "tau_tilde"),
+    ("quotient_embedding.py", "__init__"),
 }
 
 
@@ -812,6 +869,7 @@ def test_replaced_values_hold_exactly_their_fields(monkeypatch):
     from gencluster.fixtures import fixture_seed
     from gencluster.gca_seed import mutate_exchange_data, mutate_seed
     from gencluster.matrix_mutation import mutate_commuting
+    from gencluster.quotient_embedding import QuotientContext
     from gencluster.randomgen import random_seed
     from gencluster.root_adjoin import tau_tilde
     from gencluster.unfolding import build
@@ -835,6 +893,8 @@ def test_replaced_values_hold_exactly_their_fields(monkeypatch):
             mutate_commuting(seed.matrix, range(1))
             mutate_seed(mutate_seed(seed, 0), seed.rank - 1)
             mutate_exchange_data(seed, seed.rank - 1)
+        for mode in ("total", "lcm"):
+            QuotientContext.create(start, mode)
     assert {type(value).__name__ for value in built} == {
         "ExtendedExchangeMatrix", "GeneralizedSeed", "CoefficientStrings",
     }

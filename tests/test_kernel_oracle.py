@@ -8,7 +8,8 @@ optional test dependency, so the module is skipped without it.
 
 from collections import Counter
 from contextlib import contextmanager
-from math import gcd
+from functools import reduce
+from math import comb, gcd
 from operator import sub
 from unittest import mock
 
@@ -21,6 +22,7 @@ from conftest import (
     SECOND_RUNG_LIMIT,
     extremes_reads,
     mono_poly,
+    oracle_balanced_sum,
     oracle_poly_mul,
     oracle_sum_of_products,
     parse_polynomial,
@@ -42,6 +44,8 @@ from gencluster.laurent_kernel import (
     Substitution,
     VariableTable,
     poly_add,
+    poly_binomial_levels,
+    poly_binomial_product,
     poly_exact_div,
     poly_mul,
     poly_neg,
@@ -709,6 +713,103 @@ class TestOnePassPack:
         for build in (table.term, lambda v: poly_shifted_sum(table, [(v, None)])):
             with pytest.raises(ValidationError, match="does not match table size"):
                 build(v)
+
+
+def composed_binomial_product(table, pairs):
+    """``prod_i (x^(a_i) + x^(b_i))`` as ``poly_mul`` of one-binomial shifted sums."""
+    return reduce(poly_mul, (
+        poly_shifted_sum(table, ((a, None), (b, None))) for a, b in pairs
+    ), LaurentPolynomial.one(table))
+
+
+def assert_binomials_match(table, pairs):
+    """Both entry points against the subset-by-subset sums and the composed product."""
+    levels = poly_binomial_levels(table, iter(pairs))
+    assert len(levels) == len(pairs) + 1
+    for r, level in enumerate(levels):
+        oracle = oracle_balanced_sum(table, pairs, r)
+        assert level == oracle and str(level) == str(oracle)
+        assert level._layout is table._layout.fit(level._amp)
+    fused = poly_binomial_product(table, iter(pairs))
+    composed = composed_binomial_product(table, pairs)
+    assert fused == composed and str(fused) == str(composed)
+    assert fused._amp == composed._amp
+    assert fused == poly_sum(table, levels)
+    return levels, fused
+
+
+@st.composite
+def binomial_pairs(draw, table, max_pairs=4, edges=()):
+    entry = (st.integers(-4, 4) | st.sampled_from(edges)) if edges else st.integers(-4, 4)
+    vector = st.tuples(*[entry] * len(table))
+    return draw(st.lists(st.tuples(vector, vector), max_size=max_pairs))
+
+
+class TestBinomialExpansion:
+    """``poly_binomial_levels`` and ``poly_binomial_product`` against subset sums and products."""
+
+    @given(st.data())
+    def test_random_pairs(self, data):
+        table = data.draw(tables(max_width=6))
+        assert_binomials_match(table, data.draw(binomial_pairs(table)))
+
+    @given(st.data())
+    def test_duplicate_pairs_add_coefficients(self, data):
+        table = data.draw(tables(max_width=6))
+        (pair,) = data.draw(binomial_pairs(table, max_pairs=1).filter(len))
+        count = data.draw(st.integers(2, 4))
+        levels, fused = assert_binomials_match(table, [pair] * count)
+        assert [max(level.terms.values()) for level in levels] == [
+            comb(count, r) for r in range(count + 1)
+        ]
+        assert sum(fused.terms.values()) == 2**count
+
+    def test_negative_exponents_and_shared_summands(self):
+        table = table_of("x", 3)
+        pairs = [((1, -2, 0), (0, 1, 3)), ((1, -2, 0), (0, 1, 3)), ((2, 0, -1), (0, 0, 0))]
+        levels, fused = assert_binomials_match(table, pairs)
+        assert [str(level) for level in levels] == [
+            "x1^2*x2^6",
+            "x0^2*x1^2*x2^5 + 2*x0*x1^-1*x2^3",
+            "2*x0^3*x1^-1*x2^2 + x0^2*x1^-4",
+            "x0^4*x1^-4*x2^-1",
+        ]
+        assert fused == poly_sum(table, levels)
+
+    @given(st.data())
+    def test_vectors_past_the_first_rung_widen(self, data):
+        table = data.draw(tables(max_width=4))
+        pairs = data.draw(binomial_pairs(table, max_pairs=3, edges=EDGE + WIDE))
+        _, fused = assert_binomials_match(table, pairs)
+        if any(max(map(abs, a + b), default=0) >= FIRST_RUNG_LIMIT for a, b in pairs):
+            assert fused._layout.bits > FIRST_RUNG_BITS
+
+    def test_bounds_reaching_the_first_rung_together(self):
+        # Each pair stays below the first rung's limit; their sum does not.
+        table = table_of("x", 2)
+        half = FIRST_RUNG_LIMIT // 2
+        pairs = [((half, 0), (0, 1)), ((half, -1), (0, 0))]
+        _, fused = assert_binomials_match(table, pairs)
+        assert (FIRST_RUNG_LIMIT, -1) in fused.terms
+        assert fused._amp == FIRST_RUNG_LIMIT and fused._layout.bits == 2 * FIRST_RUNG_BITS
+
+    def test_no_pairs_give_one(self):
+        table = table_of("x", 3)
+        one = LaurentPolynomial.one(table)
+        assert poly_binomial_levels(table, []) == [one]
+        assert poly_binomial_product(table, iter(())) == one
+        assert str(poly_binomial_product(table, [])) == "1"
+
+    @pytest.mark.parametrize("v", [(1,), (1, 0, 0), (FIRST_RUNG_LIMIT,), ()])
+    def test_wrong_lengths_raise_as_term_does(self, v):
+        table = table_of("x", 2)
+        with pytest.raises(ValidationError) as composed:
+            table.term(v)
+        for pairs in ([(v, (0, 0))], [((1, 1), (0, 0)), ((0, 0), v)]):
+            for expand in (poly_binomial_levels, poly_binomial_product):
+                with pytest.raises(ValidationError) as fused:
+                    expand(table, pairs)
+                assert str(fused.value) == str(composed.value)
 
 
 class TestDivision:

@@ -21,6 +21,7 @@ from conftest import (
     mono_poly,
     mono_power,
     mono_times,
+    oracle_balanced_sum,
     poly_mul_monomial,
     poly_sum,
     shared_factor_seeds,
@@ -36,7 +37,9 @@ from gencluster.errors import (
 )
 from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import (
+    CoefficientStrings,
     ExchangeContext,
+    GeneralizedSeed,
     initial_seed,
     mutate_exchange_data,
     mutate_seed,
@@ -53,7 +56,6 @@ from gencluster.laurent_kernel import (
 from gencluster.matrix_mutation import ExtendedExchangeMatrix
 from gencluster.quotient_embedding import (
     QuotientContext,
-    _balanced_sum,
     _coherent_row,
     _embedding_conditions_at,
     _member_binomial_product,
@@ -913,6 +915,43 @@ class TestEmbeddingMap:
                 ctx, concrete = ctx.mutate(k), mutate_seed(concrete, k)
                 check(ctx, concrete)
 
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_tracked_seed_passes_the_validating_constructors(self, fix_a, fix_b, fix_c, mode):
+        # The context builds its tracked seed unchecked from the adjoined
+        # seed.  Rebuilt through the public constructors, with each
+        # placeholder found by name, it is the same seed.
+        rng = random.Random(48)
+        for seed in [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(12)]:
+            ctx = QuotientContext.create(seed, mode)
+            adjoined, names = tau_tilde(seed, mode=mode).seed, ctx.placeholder_names
+            table = adjoined.table.extended(names)
+            extra = len(names)
+            matrix = ExtendedExchangeMatrix(
+                adjoined.matrix.n,
+                adjoined.matrix.m + extra,
+                [list(row) + [0] * extra for row in adjoined.matrix.rows],
+            )
+            slots = [(k, r) for k in range(seed.rank) for r in range(1, seed.divisors[k])]
+            rows = [
+                [table.one()]
+                + [table.monomial({name: 1}) for name, (j, _) in zip(names, slots) if j == k]
+                + [table.one()]
+                for k in range(seed.rank)
+            ]
+            rebuilt = GeneralizedSeed(
+                table,
+                [table.variable(name) for name in table.names[: seed.rank]],
+                matrix,
+                list(adjoined.divisors.entries),
+                CoefficientStrings(rows),
+            )
+            assert rebuilt == ctx.tracked
+            assert ctx.tracked.table is table
+            for row in ctx.tracked.strings.rows:
+                for entry in row:
+                    assert Monomial(entry.table, entry.exponents) == entry
+                    assert vars(entry).keys() == {"table", "exponents"}
+
     def test_cluster_images_pinned(self, fix_b):
         # SHA-256 of every cluster image along FIX-B, exhaustively to
         # depth 3 in depth-first order, pinned from a reference run.
@@ -1104,18 +1143,21 @@ class TestEliminationOnVectors:
 
     @pytest.mark.parametrize("name, depth", WALKS)
     def test_condition_iv_right_sides(self, name, depth, monkeypatch):
-        # Each balanced sum of eliminated side ratios that (iv) compares,
-        # against the unit elimination of the balanced sum of the ratios.  The
-        # ratios are read off the rows by role and eliminated by name.
+        # Every level of the balanced sums of eliminated side ratios that
+        # (iv) compares, against the unit elimination of the ratios'
+        # balanced sums built subset by subset.  The ratios are read off the
+        # rows by role and eliminated by name.
         from gencluster import quotient_embedding
 
         built = {}
+        expand = quotient_embedding.poly_binomial_levels
 
-        def recording(table, pairs, r):
-            built[tuple(pairs), r] = value = _balanced_sum(table, pairs, r)
-            return value
+        def recording(table, pairs):
+            pairs = tuple(tuple(pair) for pair in pairs)
+            built[pairs] = levels = expand(table, pairs)
+            return levels
 
-        monkeypatch.setattr(quotient_embedding, "_balanced_sum", recording)
+        monkeypatch.setattr(quotient_embedding, "poly_binomial_levels", recording)
         seed = fixture_seed(name)
         for ctx in formal_contexts(seed, depth).values():
             built.clear()
@@ -1136,9 +1178,12 @@ class TestEliminationOnVectors:
                     ratios.append((mono_over(gt, gm.v_gt), mono_over(lt, gm.v_lt)))
                 raw = [(a.exponents, b.exponents) for a, b in ratios]
                 vectors = tuple((eliminated(a), eliminated(b)) for a, b in ratios)
-                for r in range(seed.divisors[k] + 1):
-                    expected = ctx.elimination(_balanced_sum(table, raw, r))
-                    assert built[vectors, r] == expected
+                levels = built[vectors]
+                assert len(levels) == seed.divisors[k] + 1
+                for r, level in enumerate(levels):
+                    expected = ctx.elimination(oracle_balanced_sum(table, raw, r))
+                    assert level == expected
+                    assert str(level) == str(expected)
 
     @pytest.mark.parametrize("name, depth", WALKS)
     def test_string_images(self, name, depth):
