@@ -1622,7 +1622,52 @@ RANK_3_PRODUCT_FORMULA_OUTPUTS = [
 ]
 
 
+#: ``tests/data/rank3.seed``: the first draw of ``random_seed(random.Random(2504))``
+#: of rank 3 with a non-trivial string entry (draw 2: divisors ``1 2 3``,
+#: one frozen variable).  It is read by ``--seed-file`` and is not a fixture.
+RANK_3_DRAW_FILE = Path(__file__).resolve().parent / "data" / "rank3.seed"
+
+#: Stdout digests and exit codes of every ``verify`` target on
+#: :data:`RANK_3_DRAW_FILE`, at depth 2 (``subquotient`` bare).
+RANK_3_DRAW_OUTPUTS = [
+    ("verify hadamard --seed-file rank3.seed --depth 2",
+     "1272bdc72d758e6f4683e68d0c6e3b951e16bbccd725f5f3670fbe0aebc1be11", 0),
+    ("verify double-constant --seed-file rank3.seed --depth 2",
+     "ed235c0de319ba76bae661b7bd273f8032aa1cd14a67299b32a423dee15e6930", 0),
+    ("verify laurent --seed-file rank3.seed --depth 2",
+     "d424d78d2bbb30073f4018f1a0f7e9bc549f55d9a9bfe4757e1d6fa916bf26fb", 0),
+    ("verify product-formula --seed-file rank3.seed --depth 2",
+     "45cf893b54260c7806f8501cb418e06a80872c51902e3928c5224c867aa9edc5", 0),
+    ("verify embedding --seed-file rank3.seed --depth 2",
+     "755b8597f8ba6602ed3fef0e506c8ca60f019b12ed4a26900a9725aa83c042c4", 0),
+    ("verify subquotient --seed-file rank3.seed",
+     "593088cf39faf8c68fd4f06233ab26a39fc281a05951d4b225fecde7949a2ba0", 0),
+]
+
+
 class TestGoldenOutputs:
+    def test_rank_3_draw_follows_its_rule(self):
+        rng = random.Random(2504)
+        draws = [random_seed(rng) for _ in range(3)]
+        picked = next(
+            seed for seed in draws
+            if seed.rank == 3 and any(
+                entry != entry.table.one() for row in seed.strings.rows for entry in row
+            )
+        )
+        assert picked is draws[2] and picked.divisors.entries == (1, 2, 3)
+        assert RANK_3_DRAW_FILE.read_text(encoding="utf-8") == cli_io._seed_text(picked)
+        assert "rank3" not in FIXTURE_NAMES
+
+    @pytest.mark.parametrize("argv, digest, code", RANK_3_DRAW_OUTPUTS)
+    def test_rank_3_draw_bytes(self, monkeypatch, argv, digest, code):
+        # The file is named relative to its folder, so the records' label
+        # is the same wherever the repository is checked out.
+        monkeypatch.chdir(RANK_3_DRAW_FILE.parent)
+        got_code, text = run(*argv.split())
+        assert got_code == code
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     @pytest.mark.parametrize("argv, digest, code", GOLDEN_OUTPUTS)
     def test_stdout_bytes(self, argv, digest, code):
         got_code, text = run(*argv.split())
