@@ -2,13 +2,15 @@
 
 The construction proceeds in three layers, all verified exactly:
 
-1.  **Folded seed** — the unfolded matrix of a seed becomes an ordinary
-    (all-divisors-one) seed over a larger table: one cluster variable
-    per member of each group, the original frozen variables renamed to
-    their root symbols, and one ``t``/``s`` pair of auxiliary frozen
-    variables per member.  Group mutation mutates every member once.
-    :class:`QuotientContext` holds this seed at depth zero beside the
-    shared folded layout.
+1.  **Folded layout** — the unfolded matrix of a seed is the exchange
+    matrix of an ordinary (all-divisors-one) seed over a larger table
+    (:func:`folded_table`): one cluster variable per member of each
+    group, the original frozen variables renamed to their root symbols,
+    and one ``t``/``s`` pair of auxiliary frozen variables per member.
+    Group mutation mutates every member once.  The checks read only the
+    unfolding's matrix and its :class:`~gencluster.unfolding.FoldedLayout`,
+    so no folded seed is built; :class:`QuotientContext` holds the
+    folded table beside the root unfolding.
 
 2.  **Quotient** — the auxiliary variables are cut down by the ideal
     identifying each generalized coefficient ``rho_{k,r}`` with the
@@ -17,8 +19,9 @@ The construction proceeds in three layers, all verified exactly:
     contributing ``s``, the sum of the products.  The ``r = 0`` and
     ``r = d_k`` generators force the unit relations ``prod_i t_{k,i} =
     prod_i s_{k,i} = 1``, which the unit elimination ``E``
-    (:func:`unit_elimination_map`) realizes by eliminating the last
-    member's pair.
+    (:meth:`~gencluster.unfolding.FoldedLayout.eliminate_units`) realizes
+    by eliminating the last member's pair.  Both relations read only the
+    layout's ``t``/``s`` ranges and the folded table.
 
 3.  **Embedding** — the monomial map ``phi`` sending each cluster
     variable to the product of its group members and each root symbol
@@ -34,9 +37,9 @@ The construction proceeds in three layers, all verified exactly:
     property).
 
 Coefficient bookkeeping: on the generalized side the string entries are
-tracked as opaque placeholder symbols (mutation only permutes them), and
-a separate value table maps each placeholder to its concrete root-symbol
-monomial.  This keeps the ``rho``-content of every coefficient visible,
+tracked as opaque placeholder symbols (mutation only permutes them), each
+standing for the concrete root-symbol monomial at its slot of the
+adjoined seed's strings.  This keeps the ``rho``-content of every coefficient visible,
 which no expanded form would (a frozen monomial does not remember which
 part of it came from a coefficient), and makes the directed rewrite
 placeholder -> sigma sound at every depth.
@@ -52,50 +55,43 @@ data only and build no cluster entry.
 Exchange data is read off matrix rows as exponent vectors, each role
 from its column block of the folded layout ``[cluster groups | F | T^1
 S^1 | ...]`` (:class:`~gencluster.unfolding.FoldedLayout`).  ``E`` and
-``phi`` are monomial ring maps, kernel
-:class:`~gencluster.laurent_kernel.Substitution` objects built once
-(``E`` per folded table and layout, ``phi`` per walk), applied to
-exponent vectors only: ``E(sum c_v x^v) = sum c_v x^(E v)``.  So the
-kernel expands each polynomial here once, from mapped vectors: a
-product of member binomials, or the balanced sums ``sigma`` of every
-order at once, is one binomial expansion (``poly_binomial_product``,
+``phi`` are monomial ring maps applied to exponent vectors only, ``E``
+the layout's method and ``phi`` a kernel
+:class:`~gencluster.laurent_kernel.Substitution` built once per walk:
+``E(sum c_v x^v) = sum c_v x^(E v)``.  So the kernel expands each
+polynomial here once, from mapped vectors: a product of member
+binomials, or the balanced sums ``sigma`` of every order at once, is one
+binomial expansion (``poly_binomial_product``,
 ``poly_binomial_levels``); the class of a sum of tracked monomials
 (:meth:`QuotientContext.class_of`) and the product formula's right side
 are each one shifted sum (``poly_shifted_sum``).
 """
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import sub
 
 from .errors import GroupCoherenceViolation, InexactDivision, Report
-from .gca_seed import ExchangeContext, initial_seed, mutate_exchange_data
+from .gca_seed import ExchangeContext, mutate_exchange_data
 from .laurent_kernel import LaurentPolynomial, Substitution, VariableTable, _trusted_monomial
-from .laurent_kernel import poly_binomial_levels, poly_binomial_product, poly_shifted_sum
-from .laurent_kernel import poly_mul, poly_pow, poly_sub
+from .laurent_kernel import poly_binomial_levels, poly_binomial_product, poly_shifted_sum, poly_sub
 from .matrix_mutation import sides
 from .root_adjoin import fresh_name, root_multiplicity, root_names, tau_tilde
-from .unfolding import FoldedMatrix, build, group_mutate
+from .unfolding import build, group_mutate
 
 
 # ---------------------------------------------------------------------------
-# Folded seeds
+# The folded table
 
 
-def folded_initial_seed(gca, fm):
-    """The ordinary seed of the unfolding ``fm`` of ``gca``, at depth zero.
+def folded_table(gca, layout):
+    """The table of the unfolding of ``gca`` laid out by ``layout``.
 
-    The table follows the folded columns: cluster variables ``y1..yT``
+    Its names follow the folded columns: cluster variables ``y1..yT``
     (grouped by original direction), the original frozen variables
     renamed to their roots (:func:`~gencluster.root_adjoin.root_names`),
     then per group the ``t`` members followed by the ``s`` members.
     """
-    layout = fm.layout
-    return initial_seed(
-        fm.matrix,
-        (1,) * layout.total,
-        cluster_names=layout.cluster_names(),
-        frozen_names=layout.frozen_names(root_names(gca.table)),
-    )
+    return VariableTable.make(layout.cluster_names(), layout.frozen_names(root_names(gca.table)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,55 +117,28 @@ def _coherent_row(matrix, layout, k):
 
 
 # ---------------------------------------------------------------------------
-# The quotient: sigma sums, unit relations, normal forms
+# The quotient: sigma sums and classes
 
 
 @lru_cache(maxsize=64)
-def unit_elimination_map(table, ranges):
-    """The unit elimination ``E`` realizing ``prod t = prod s = 1`` per group.
-
-    ``ranges`` holds each group's ``(t_range, s_range)``: the positions
-    the folded layout gives its ``t`` and ``s`` variables
-    (``FoldedLayout.aux``).  The last member's pair is rewritten as the
-    inverse product of the others; for a size-one group the variables
-    are simply erased.  ``E`` is a kernel
-    :class:`~gencluster.laurent_kernel.Substitution` of ``table`` into
-    itself, and every route to the quotient over one layout shares it.
-    ``E(p)`` eliminates a polynomial and ``E.vector(exps)`` an exponent
-    vector.
-    """
-    names = table.names
-    return Substitution({
-        names[block[-1]]: table.monomial({names[q]: -1 for q in block[:-1]})
-        for pair in ranges
-        for block in pair
-    }, table, table)
-
-
-@lru_cache(maxsize=256)
-def _eliminated_sigma(table, pattern):
-    """``E(prod sigma_{k,r}^e)`` over the ``((t_range, s_range, r), e)`` of ``pattern``.
+def _sigma_levels(table, layout, k):
+    """``(E(sigma_{k,0}), ..., E(sigma_{k,d}))`` over the folded ``table`` of ``layout``.
 
     ``sigma_{k,r} = sum_{|J|=r} prod_{c in J} t_c prod_{c not in J} s_c``
     is the balanced sum identified with the coefficient ``rho_{k,r}``,
-    over the members of group ``k``, whose ``t`` and ``s`` variables sit
-    at ``t_range`` and ``s_range``; ``E`` of that group alone eliminates
-    it.  ``E`` is a monomial ring map, so the eliminated sum is level ``r``
-    of the expansion of the eliminated ``(t_c, s_c)`` vector pairs, rebuilt
-    from its terms for an exact bound, as every class shifts it.  A
-    product multiplies powers of one-slot patterns.
+    over the ``d`` members of group ``k``.  ``E`` is a monomial ring map,
+    so the eliminated sums are the levels of one expansion of the
+    eliminated ``(t_c, s_c)`` vector pairs, each rebuilt from its terms
+    for an exact bound, as every class shifts it.
     """
-    if len(pattern) == 1 and pattern[0][1] == 1:
-        (t_range, s_range, r), _ = pattern[0]
-        units, names = unit_elimination_map(table, ((t_range, s_range),)), table.names
-        pairs = [
-            [units.vector(table.monomial({names[q]: 1}).exponents) for q in pair]
-            for pair in zip(t_range, s_range)
-        ]
-        return LaurentPolynomial(table, poly_binomial_levels(table, pairs)[r].terms)
-    return reduce(poly_mul, (
-        poly_pow(_eliminated_sigma(table, ((slot, 1),)), e) for slot, e in pattern
-    ))
+    width, eliminate = len(table), layout.eliminate_units
+    pairs = [
+        [eliminate(tuple(int(p == q) for p in range(width))) for q in pair]
+        for pair in zip(layout.t_range(k), layout.s_range(k))
+    ]
+    return tuple(
+        LaurentPolynomial(table, level.terms) for level in poly_binomial_levels(table, pairs)
+    )
 
 
 class QuotientContext:
@@ -177,32 +146,34 @@ class QuotientContext:
 
     ``tracked`` is the root-adjoined generalized seed at depth zero with
     each interior string entry replaced by an opaque placeholder symbol
-    (zero matrix column), built unchecked from the checked adjoined seed;
-    its image under ``rho_values``, the table sending each placeholder
-    ``rho<k>_<r>`` to its concrete monomial, is the concrete seed, and
-    mutation only permutes the placeholders.  ``folded`` is the folded
-    ordinary seed at depth zero and ``layout`` its folded layout.
-    Products of eliminated ``sigma`` powers are cached per folded table
-    and placeholder pattern.
+    ``rho<k>_<r>`` (zero matrix column), built unchecked from the checked
+    adjoined seed; sending each placeholder to the adjoined string entry
+    ``(k, r)`` gives the concrete seed, and mutation only permutes the
+    placeholders.  ``root`` is the root unfolding, ``layout`` its folded
+    layout and ``table`` the folded table (:func:`folded_table`).  The
+    eliminated ``sigma`` sums are cached per folded table and group
+    (:func:`_sigma_levels`).
 
     ``phi`` is the :class:`~gencluster.laurent_kernel.Substitution` from
     the tracked table to ``folded_plus`` sending cluster variable ``k``
     to the product of the members of group ``k``; every other name, a
     root or a placeholder, is carried to the same name, as both tables
     name their roots with :func:`~gencluster.root_adjoin.root_names`.
-    ``E`` reads each group's ``t`` and ``s`` ranges off the folded layout.
-    Two facts keep the images sound: ``phi`` sends no variable to a ``t``
-    or ``s`` variable, so ``E`` fixes every image; and the tracked
-    matrix's placeholder columns are zero (mutation keeps a zero column
-    zero), so the exchange monomials carry no placeholder.  :meth:`image`
+    ``E`` is the layout's
+    :meth:`~gencluster.unfolding.FoldedLayout.eliminate_units`.  Two
+    facts keep the images sound: ``phi`` sends no variable to a ``t`` or
+    ``s`` variable, so ``E`` fixes every image; and the tracked matrix's
+    placeholder columns are zero (mutation keeps a zero column zero), so
+    the exchange monomials carry no placeholder.  :meth:`image`
     and :meth:`class_of` take tracked exponent vectors, and are the one
     route to an image.
     """
 
     def __init__(self, adjoined):
         seed = adjoined.seed
-        fm = build(adjoined.base, adjoined.multiplicity)
-        folded, layout = folded_initial_seed(adjoined.base, fm), fm.layout
+        self.root = build(adjoined.base, adjoined.multiplicity)
+        self.layout = layout = self.root.layout
+        self.table = table = folded_table(adjoined.base, layout)
         slots = [(k, r) for k in range(seed.rank) for r in range(1, seed.divisors[k])]
         # A placeholder name a cluster variable holds moves on by ``_R``.
         taken = set(seed.table.names)
@@ -224,57 +195,61 @@ class QuotientContext:
             ),
             strings=seed.strings._trusted_replace(rows=rows),
         )
-        self.folded = folded
-        self.layout = layout
-        self.rho_values = {name: seed.strings.entry(k, r) for name, (k, r) in zip(names, slots)}
         self.placeholder_names = names
-        self.folded_plus = folded.table.extended(names)
-        # ``(t_range, s_range, r)`` of every placeholder, in table order.
-        self._sigma_slots = tuple((layout.t_range(k), layout.s_range(k), r) for k, r in slots)
+        self.folded_plus = table.extended(names)
+        # ``(k, r)`` of every placeholder, in table order.
+        self._slots = slots
         self.phi = Substitution({
             seed.table.names[k]: self.folded_plus.monomial(
-                {folded.table.names[c]: 1 for c in layout.group_range(k)}
+                {table.names[c]: 1 for c in layout.group_range(k)}
             )
             for k in range(seed.rank)
         }, table_p, self.folded_plus)
-        self.elimination = unit_elimination_map(folded.table, layout.aux)
 
     @staticmethod
     def create(gca, mode="total"):
         return QuotientContext(tau_tilde(gca, mode=mode))
 
     def image(self, exps):
-        """``(phi(x^exps)`` cut to the folded table, ``E(prod sigma^e)`` or ``None)``.
+        """``(phi(x^exps)`` cut to the folded table, ``E(sigma_{k,r})`` or ``None)``.
 
         ``exps`` is an exponent vector over the tracked table.  ``phi``
         carries the placeholders across by name, so the tail of
-        ``phi.vector(exps)`` holds their powers ``e``; the class of
-        ``x^exps`` is the head's monomial times the cached product of the
-        eliminated ``sigma`` powers (``None`` for no placeholder).  ``phi``
-        sends no tracked variable to a ``t`` or ``s`` variable, so ``E``
-        fixes the head.  A negative placeholder power would divide by a
-        ``sigma`` polynomial, outside the verified identities: it raises
+        ``phi.vector(exps)`` holds their powers; the class of ``x^exps``
+        is the head's monomial times the cached eliminated ``sigma`` of
+        its placeholder ``rho<k>_<r>`` (``None`` for no placeholder).
+        ``phi`` sends no tracked variable to a ``t`` or ``s`` variable,
+        so ``E`` fixes the head.  The checks ask only for vectors with at
+        most one placeholder, to the first power (the terms of
+        ``theta_k`` and the string entries).  A negative placeholder
+        power would divide by a ``sigma`` polynomial, and a product of
+        placeholders would multiply ``sigma`` sums; both lie outside the
+        verified identities and raise
         :class:`~gencluster.errors.InexactDivision`.
         """
-        table = self.folded.table
-        image, width = self.phi.vector(exps), len(table.names)
+        image, width = self.phi.vector(exps), len(self.table)
         head, powers = image[:width], image[width:]
         if any(e < 0 for e in powers):
             raise InexactDivision(
                 "negative placeholder power: identity outside the verified fragment"
             )
-        pattern = tuple((s, e) for s, e in zip(self._sigma_slots, powers) if e)
-        return head, _eliminated_sigma(table, pattern) if pattern else None
+        count = sum(powers)
+        if count > 1:
+            raise InexactDivision("placeholder product: identity outside the verified fragment")
+        if not count:
+            return head, None
+        k, r = self._slots[powers.index(1)]
+        return head, _sigma_levels(self.table, self.layout, k)[r]
 
     def class_of(self, vectors):
         """The class of ``sum_v x^v`` over tracked vectors: the :meth:`image` pairs' shifted sum."""
-        return poly_shifted_sum(self.folded.table, map(self.image, vectors))
+        return poly_shifted_sum(self.table, map(self.image, vectors))
 
     def group_image(self, k):
         """``E(prod_c y_c)`` over the members of group ``k``: the class the embedding gives ``x_k``."""
-        table, members = self.folded.table, self.layout.group_range(k)
+        table, members = self.table, self.layout.group_range(k)
         product = tuple(int(q in members) for q in range(len(table)))
-        return table.term(self.elimination.vector(product))
+        return table.term(self.layout.eliminate_units(product))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +262,10 @@ def _member_binomial_product(table, fm, k):
     ``E(theta_c) = x^(E a) + x^(E b)`` for the sides ``a`` and ``b`` of row
     ``c``, so the product is one expansion of the eliminated side pairs.
     """
-    units, members = unit_elimination_map(table, fm.layout.aux), fm.layout.group_range(k)
-    return poly_binomial_product(table, (map(units.vector, sides(fm.matrix.rows[c])) for c in members))
+    layout = fm.layout
+    return poly_binomial_product(table, (
+        map(layout.eliminate_units, sides(fm.matrix.rows[c])) for c in layout.group_range(k)
+    ))
 
 
 def product_formula_check(table, fm, k):
@@ -316,19 +293,17 @@ def product_formula_check(table, fm, k):
     is one kernel expansion of the member binomials
     (:func:`_member_binomial_product`).  The shells ``(U> V>)^r (U<
     V<)^(d_k - r)`` carry no auxiliary variable, so ``E(sigma * shell) =
-    E(sigma) * shell``: the right side is one shifted sum of the cached
-    eliminated ``sigma`` sums by the shells' vectors.
+    E(sigma) * shell``: the right side is one shifted sum of the group's
+    cached eliminated ``sigma`` sums (:func:`_sigma_levels`) by the
+    shells' vectors.
     """
     layout = fm.layout
     d_k = len(layout.group_range(k))
     lhs = _member_binomial_product(table, fm, k)
     g, l = sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
-    t_range, s_range, flip = layout.t_range(k), layout.s_range(k), fm.identity_sign(k) < 0
+    sigma, flip = _sigma_levels(table, layout, k), fm.identity_sign(k) < 0
     rhs = poly_shifted_sum(table, (
-        (
-            [r * a + (d_k - r) * b for a, b in zip(g, l)],
-            _eliminated_sigma(table, (((t_range, s_range, d_k - r if flip else r), 1),)),
-        )
+        ([r * a + (d_k - r) * b for a, b in zip(g, l)], sigma[d_k - r if flip else r])
         for r in range(d_k + 1)
     ))
     if lhs != rhs:
@@ -351,8 +326,7 @@ def product_formula_walk(gca, mode="total"):
     walk.
     """
     root = build(gca, root_multiplicity(gca, mode))
-    layout = root.layout
-    table = VariableTable.make(layout.cluster_names(), layout.frozen_names(root_names(gca.table)))
+    table = folded_table(gca, root.layout)
 
     def check(fm):
         return tuple(
@@ -414,8 +388,7 @@ def embedding_walk(gca, mode="total"):
     def key(state):
         return state[0].content_key(), state[1].matrix.rows
 
-    root = ctx.tracked, FoldedMatrix(ctx.folded.matrix, ctx.layout)
-    return root, step, lambda state: _embedding_conditions_at(ctx, *state), key
+    return (ctx.tracked, ctx.root), step, lambda state: _embedding_conditions_at(ctx, *state), key
 
 
 def _embedding_conditions_at(ctx, tracked, fm):
@@ -435,8 +408,7 @@ def _embedding_conditions_at(ctx, tracked, fm):
     map); its left sides are the classes of the string entries' vectors.
     """
     failures = []
-    layout, units, phi = ctx.layout, ctx.elimination, ctx.phi
-    table = ctx.folded.table
+    layout, phi, table = ctx.layout, ctx.phi, ctx.table
     width, size = len(table), len(tracked.table)
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
@@ -475,7 +447,7 @@ def _embedding_conditions_at(ctx, tracked, fm):
                     for pos in layout.f_block
                     if ratio[pos]
                 )
-            ratios.append((units.vector(pair[0]), units.vector(pair[1])))
+            ratios.append(tuple(map(layout.eliminate_units, pair)))
         sigmas = poly_binomial_levels(table, ratios)
         for r in range(tracked.divisors[k] + 1):
             lhs = ctx.class_of((tracked.strings.entry(k, r).exponents,))
@@ -515,9 +487,9 @@ def subquotient_check(gca, mode="total"):
         exponent = support[0][1]
         if exponent != n:
             failures.append(("root exponent", original, exponent))
-        target = ctx.folded.table.monomial({name: exponent}).exponents
+        target = ctx.table.monomial({name: exponent}).exponents
         lifted = ctx.class_of((image.exponents + pad,))
-        if lifted != ctx.folded.table.term(ctx.elimination.vector(target)):
+        if lifted != ctx.table.term(ctx.layout.eliminate_units(target)):
             failures.append(("frozen image", original, str(lifted)))
     size = len(ctx.tracked.table)
     for k in range(gca.rank):

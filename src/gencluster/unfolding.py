@@ -60,7 +60,9 @@ class FoldedLayout(FrozenValue):
     (group ``i``'s rows and cluster columns), ``aux[i]`` (its
     ``(t_range, s_range)`` pair) and the blocks ``cluster_block``,
     ``f_block``, ``exchange_block`` (cluster and ``F`` columns) and
-    ``frozen_block`` (all columns after the cluster block).  Non-integer sizes,
+    ``frozen_block`` (all columns after the cluster block).
+    :meth:`eliminate_units` is the quotient's unit elimination ``E``,
+    read off ``aux`` alone.  Non-integer sizes,
     a negative frozen count or a multiplicity that is not a positive multiple
     of every divisor raise ValidationError; the group accessors raise
     IndexOutOfRange for a missing group.  Group mutations share the layout.
@@ -116,6 +118,25 @@ class FoldedLayout(FrozenValue):
 
     def s_range(self, i):
         return self.aux[self._group(i)][1]
+
+    def eliminate_units(self, exps):
+        """The unit elimination ``E``, realizing ``prod t = prod s = 1`` per group, on a vector.
+
+        ``exps`` is an exponent vector over the folded table.  Each
+        group's last ``t`` (``s``) power moves onto the group's other
+        ``t`` (``s``) variables as its inverse; a group of one member
+        has its pair erased.  ``E`` is a monomial ring map, so
+        ``E(sum c_v x^v) = sum c_v x^(E v)``.
+        """
+        out = list(exps)
+        for pair in self.aux:
+            for block in pair:
+                e = out[block[-1]]
+                if e:
+                    out[block[-1]] = 0
+                    for q in block[:-1]:
+                        out[q] -= e
+        return tuple(out)
 
     def cluster_names(self):
         """``y1 .. yT``, one cluster variable per member, group by group."""

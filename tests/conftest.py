@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from operator import add
@@ -218,6 +219,53 @@ def poly_sum(table, polys):
 def map_variables(p, mapping, target):
     """``p`` under the :class:`Substitution` of ``mapping`` from its table to ``target``, built for it alone."""
     return Substitution(mapping, p.table, target)(p)
+
+
+def oracle_unit_elimination(table, sizes):
+    """The unit elimination over a folded ``table``, found by name.
+
+    ``sizes`` are the group sizes.  Group ``k``'s members are numbered on
+    from the sizes of the groups before it, and member ``c`` names the
+    auxiliaries ``t<c>`` and ``s<c>``; the last member's ``t`` (``s``)
+    goes to the inverse product of the group's other ``t`` (``s``)
+    variables.
+    """
+    images, start = {}, 0
+    for size in sizes:
+        members = range(start + 1, start + size + 1)
+        for prefix in "ts":
+            names = [f"{prefix}{c}" for c in members]
+            images[names[-1]] = table.monomial({n: -1 for n in names[:-1]})
+        start += size
+    return images
+
+
+@lru_cache(maxsize=None)
+def oracle_units(table, sizes):
+    """:func:`oracle_unit_elimination` as a kernel ``Substitution`` of ``table`` into itself."""
+    return Substitution(oracle_unit_elimination(table, sizes), table, table)
+
+
+@lru_cache(maxsize=None)
+def oracle_sigma(table, sizes, k, r):
+    """``E(sigma_{k,r})`` over a folded ``table``: group ``k``'s balanced sum, found by name.
+
+    The pairs ``(t<c>, s<c>)`` of the group's members (numbered as in
+    :func:`oracle_unit_elimination`) are summed subset by subset
+    (:func:`oracle_balanced_sum`) and eliminated by :func:`eliminated`.
+    ``sizes`` is a tuple, as the sum is kept per argument.
+    """
+    start = sum(sizes[:k])
+    pairs = [
+        (table.monomial({f"t{c}": 1}).exponents, table.monomial({f"s{c}": 1}).exponents)
+        for c in range(start + 1, start + sizes[k] + 1)
+    ]
+    return eliminated(oracle_balanced_sum(table, pairs, r), sizes)
+
+
+def eliminated(p, sizes):
+    """``E(p)``: ``p``, over a folded table with group sizes ``sizes``, by :func:`oracle_units`."""
+    return oracle_units(p.table, tuple(sizes))(p)
 
 
 def oracle_poly_mul(a, b):

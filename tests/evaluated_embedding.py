@@ -3,12 +3,14 @@
 :func:`gencluster.quotient_embedding.embedding_walk` steps exchange data
 only and proves condition (iii) by induction.  The walk here evaluates
 both tracks at every state: the tracked seed by ``mutate_seed`` and the
-folded seed member by member, each an exact division of a cluster entry.
+folded seed (:func:`folded_initial_seed`, which the library no longer
+builds) member by member, each an exact division of a cluster entry.
 Its condition (iii) compares ``phi(x_k)`` with ``prod_c E(x_c)`` as
 evaluated elements, and a mutated context shares the eliminated entries
 ``E(x_c)`` with its parent outside the mutated group.  An evaluated
 cluster entry is a general polynomial, which the library's image route
 (exponent vectors) does not take: its image is :func:`oracle_phi_poly`.
+``E`` is the name oracle :func:`conftest.eliminated` throughout.
 Conditions (i) and (ii) are as the library checks them; (iv) builds each
 balanced sum subset by subset (:func:`conftest.oracle_balanced_sum`).
 """
@@ -16,36 +18,33 @@ balanced sum subset by subset (:func:`conftest.oracle_balanced_sum`).
 from functools import reduce
 from operator import sub
 
-from conftest import map_variables, oracle_balanced_sum, poly_sum
-from gencluster.errors import InexactDivision
-from gencluster.gca_seed import ExchangeContext, mutate_seed
-from gencluster.laurent_kernel import LaurentPolynomial, poly_mul
-from gencluster.matrix_mutation import sides
-from gencluster.quotient_embedding import (
-    QuotientContext,
-    _coherent_row,
-    _eliminated_sigma,
+from conftest import (
+    eliminated, map_variables, oracle_balanced_sum, oracle_sigma, oracle_units, poly_sum,
 )
+from gencluster.errors import InexactDivision
+from gencluster.gca_seed import ExchangeContext, initial_seed, mutate_seed
+from gencluster.laurent_kernel import LaurentPolynomial, poly_mul, poly_pow
+from gencluster.matrix_mutation import sides
+from gencluster.quotient_embedding import QuotientContext, _coherent_row
+from gencluster.root_adjoin import root_names
 from gencluster.unfolding import FoldedMatrix, _independent_members
 
 
-def oracle_unit_elimination(table, sizes):
-    """The unit elimination over ``table``, found by name.
+def folded_initial_seed(gca, fm):
+    """The ordinary seed of the unfolding ``fm`` of ``gca``, at depth zero.
 
-    ``sizes`` are the group sizes.  Group ``k``'s members are numbered on
-    from the sizes of the groups before it, and member ``c`` names the
-    auxiliaries ``t<c>`` and ``s<c>``; the last member's ``t`` (``s``)
-    goes to the inverse product of the group's other ``t`` (``s``)
-    variables.
+    The table follows the folded columns: cluster variables ``y1..yT``
+    (grouped by original direction), the original frozen variables
+    renamed to their roots (:func:`~gencluster.root_adjoin.root_names`),
+    then per group the ``t`` members followed by the ``s`` members.
     """
-    images, start = {}, 0
-    for size in sizes:
-        members = range(start + 1, start + size + 1)
-        for prefix in "ts":
-            names = [f"{prefix}{c}" for c in members]
-            images[names[-1]] = table.monomial({n: -1 for n in names[:-1]})
-        start += size
-    return images
+    layout = fm.layout
+    return initial_seed(
+        fm.matrix,
+        (1,) * layout.total,
+        cluster_names=layout.cluster_names(),
+        frozen_names=layout.frozen_names(root_names(gca.table)),
+    )
 
 
 def oracle_lift(ctx, p):
@@ -54,32 +53,28 @@ def oracle_lift(ctx, p):
     Each cluster variable goes to the product of its group's members,
     found by the layout; every other name is kept.
     """
-    table, layout, plus, tracked = ctx.folded.table, ctx.layout, ctx.folded_plus, ctx.tracked
+    table, layout, plus, tracked = ctx.table, ctx.layout, ctx.folded_plus, ctx.tracked
     images = {
         tracked.table.names[k]: plus.monomial(
             {table.names[c]: 1 for c in layout.group_range(k)}
         )
         for k in range(tracked.rank)
     }
-    units = oracle_unit_elimination(plus, tracked.divisors.entries)
-    return map_variables(map_variables(p, images, plus), units, plus)
+    return eliminated(map_variables(p, images, plus), tracked.divisors.entries)
 
 
 def oracle_phi_poly(ctx, p):
     """The image of a polynomial over the tracked table, placeholders expanded.
 
     Split the terms of :func:`oracle_lift` by their placeholder powers
-    (the exponents past the folded table), multiply each part by its
-    eliminated ``sigma`` powers one ``poly_mul`` at a time, and add the
-    parts with ``poly_sum``.  A negative placeholder power raises
-    :class:`~gencluster.errors.InexactDivision`.
+    (the exponents past the folded table), multiply each part by the
+    powers of its :func:`conftest.oracle_sigma` sums one ``poly_mul`` at
+    a time, and add the parts with ``poly_sum``.  A negative placeholder
+    power raises :class:`~gencluster.errors.InexactDivision`.
     """
-    table, layout, tracked = ctx.folded.table, ctx.layout, ctx.tracked
-    slots = [
-        (layout.t_range(k), layout.s_range(k), r)
-        for k in range(tracked.rank)
-        for r in range(1, tracked.divisors[k])
-    ]
+    table, tracked = ctx.table, ctx.tracked
+    sizes = tracked.divisors.entries
+    slots = [(k, r) for k in range(tracked.rank) for r in range(1, sizes[k])]
     width, split = len(table), {}
     for exps, coeff in oracle_lift(ctx, p).terms.items():
         split.setdefault(exps[width:], {})[exps[:width]] = coeff
@@ -88,9 +83,9 @@ def oracle_phi_poly(ctx, p):
         if any(e < 0 for e in powers):
             raise InexactDivision("negative placeholder power")
         part = LaurentPolynomial(table, terms)
-        for slot, e in zip(slots, powers):
+        for (k, r), e in zip(slots, powers):
             if e:
-                part = poly_mul(part, _eliminated_sigma(table, ((slot, e),)))
+                part = poly_mul(part, poly_pow(oracle_sigma(table, sizes, k, r), e))
         parts.append(part)
     return poly_sum(table, parts)
 
@@ -110,18 +105,19 @@ class EvaluatedContext:
     """Both tracks' evaluated seeds at one state, beside a walk's constants.
 
     ``constants`` is the walk's :class:`QuotientContext`; every name this
-    class does not set is read off it.  ``tracked`` and ``folded`` start
-    at its depth-zero seeds.
+    class does not set is read off it.  ``tracked`` starts at its
+    depth-zero seed, and ``folded`` is the folded track's seed.
     """
 
-    def __init__(self, constants):
+    def __init__(self, constants, folded):
         self.constants = constants
-        self.tracked, self.folded = constants.tracked, constants.folded
+        self.tracked, self.folded = constants.tracked, folded
         self._eliminated = [None] * constants.layout.total
 
     @staticmethod
     def create(gca, mode="total"):
-        return EvaluatedContext(QuotientContext.create(gca, mode=mode))
+        constants = QuotientContext.create(gca, mode=mode)
+        return EvaluatedContext(constants, folded_initial_seed(gca, constants.root))
 
     def __getattr__(self, name):
         if name.startswith("__"):  # ``copy`` asks before the instance has a dict
@@ -134,9 +130,9 @@ class EvaluatedContext:
 
     def mutate(self, k):
         """Advance both tracks by one mutation in direction ``k``."""
-        step = EvaluatedContext(self.constants)
-        step.tracked = mutate_seed(self.tracked, k)
-        step.folded = group_mutate_seed(self.folded, self.layout, k)
+        tracked = mutate_seed(self.tracked, k)
+        step = EvaluatedContext(self.constants, group_mutate_seed(self.folded, self.layout, k))
+        step.tracked = tracked
         step._eliminated = list(self._eliminated)
         for c in self.layout.group_range(k):
             step._eliminated[c] = None
@@ -144,11 +140,11 @@ class EvaluatedContext:
 
     def group_image(self, k):
         """``prod_c E(x_c)`` over the members ``c`` of group ``k``, each ``E(x_c)`` kept."""
-        members, eliminated = self.layout.group_range(k), self._eliminated
+        members, kept = self.layout.group_range(k), self._eliminated
         for c in members:
-            if eliminated[c] is None:
-                eliminated[c] = self.elimination(self.folded.cluster[c])
-        return reduce(poly_mul, (eliminated[c] for c in members))
+            if kept[c] is None:
+                kept[c] = eliminated(self.folded.cluster[c], self.tracked.divisors.entries)
+        return reduce(poly_mul, (kept[c] for c in members))
 
 
 def evaluated_conditions(ctx):
@@ -158,8 +154,9 @@ def evaluated_conditions(ctx):
     the group's product of eliminated folded entries.
     """
     failures = []
-    tracked, folded, layout, units = ctx.tracked, ctx.folded, ctx.layout, ctx.elimination
+    tracked, folded, layout = ctx.tracked, ctx.folded, ctx.layout
     table, phi = folded.table, ctx.phi
+    units = oracle_units(table, tracked.divisors.entries)
     width = len(table)
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)

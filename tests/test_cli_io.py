@@ -50,18 +50,17 @@ from gencluster import quotient_embedding
 from gencluster.quotient_embedding import (
     QuotientContext,
     _embedding_conditions_at,
-    folded_initial_seed,
     product_formula_check,
     subquotient_check,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.unfolding import (
-    FoldedMatrix,
     build,
     double_constant_check,
     group_mutate,
     hadamard_check,
 )
+from evaluated_embedding import folded_initial_seed
 from weighted_quiver import weighted_matrix_mutation
 
 MUTATE_FIX_A_1 = (
@@ -702,7 +701,7 @@ def quotient_failures(target, seed, sequence, pf_check, conditions):
         failures = [repr(f) for f in subquotient_check(seed).failures]
     else:
         ctx = QuotientContext.create(seed)
-        tracked, fm = ctx.tracked, FoldedMatrix(ctx.folded.matrix, ctx.layout)
+        tracked, fm = ctx.tracked, ctx.root
         for depth in range(len(sequence) + 1):
             if depth:
                 k = sequence[depth - 1]

@@ -296,7 +296,7 @@ SHARED_MEMBER_NAMES = {
     ),
     "matrix": (
         "FoldedMatrix's by fm.matrix in unfolding, quotient_embedding and cli_io; "
-        "GeneralizedSeed's by seed.matrix and, in quotient_embedding, folded.matrix"
+        "GeneralizedSeed's by seed.matrix"
     ),
     "multiplicity": (
         "AdjoinedSeed's by self.multiplicity in root_adjoin and adjoined.multiplicity "
@@ -318,7 +318,8 @@ SHARED_MEMBER_NAMES = {
     ),
     "table": (
         "the fields of GeneralizedSeed, LaurentPolynomial and Monomial by "
-        "seed.table (folded.table in quotient_embedding), p.table and mono.table"
+        "seed.table, p.table and mono.table; QuotientContext's folded table by "
+        "self.table and ctx.table in quotient_embedding and the scripts"
     ),
 }
 
@@ -613,13 +614,13 @@ def test_only_the_reviewed_constructors_skip_checks():
 
 
 #: The functions that build a kernel ``Substitution``, as ``(file,
-#: function)``, each once: the unit elimination ``E``, the embedding
-#: ``phi`` (once per walk, in ``QuotientContext.__init__``), and root
-#: adjunction's ``f -> g^n``, once when it adjoins and once per transport
-#: check.  A second ``phi``, or a map built per call, shows here.
+#: function)``, each once: the embedding ``phi`` (once per walk, in
+#: ``QuotientContext.__init__``), and root adjunction's ``f -> g^n``, once
+#: when it adjoins and once per transport check.  The unit elimination
+#: ``E`` is ``FoldedLayout.eliminate_units`` and builds none.  A second
+#: ``phi``, or a map built per call, shows here.
 SUBSTITUTION_BUILDERS = (
     ("quotient_embedding.py", "__init__"),
-    ("quotient_embedding.py", "unit_elimination_map"),
     ("root_adjoin.py", "tau_tilde"),
     ("root_adjoin.py", "transport_check"),
 )
@@ -657,37 +658,32 @@ def test_only_the_reviewed_functions_build_substitutions():
 
 
 #: The names and attributes that hold ``quotient_embedding``'s monomial
-#: maps: the embedding ``phi`` and the unit elimination ``E`` (``units``
-#: where it is bound to a local name).  Every image there is built from
-#: exponent vectors, so each map is applied through ``.vector`` only.
-VECTOR_ONLY_MAPS = {"phi", "elimination", "units"}
+#: map kernel ``Substitution``: the embedding ``phi``.  Every image there
+#: is built from exponent vectors, so it is applied through ``.vector``
+#: only; the unit elimination ``E`` is a layout method on vectors.
+VECTOR_ONLY_MAPS = {"phi"}
 
 
 def polynomial_map_calls(source):
-    """:func:`calls` of a map of :data:`VECTOR_ONLY_MAPS`, or of a fresh ``unit_elimination_map``, on a polynomial.
+    """:func:`calls` of a map of :data:`VECTOR_ONLY_MAPS` on a polynomial.
 
     ``phi.vector(v)`` calls ``vector``, which is not matched.
     """
-    def matches(called):
-        if isinstance(called, ast.Call):
-            return getattr(called.func, "id", None) == "unit_elimination_map"
-        return VECTOR_ONLY_MAPS & {getattr(called, "id", None), getattr(called, "attr", None)}
-
-    return calls(source, matches)
+    return calls(source, lambda called: VECTOR_ONLY_MAPS & {
+        getattr(called, "id", None), getattr(called, "attr", None)
+    })
 
 
 def test_polynomial_map_calls_are_detected():
     source = (
         "def walk(ctx, p, v):\n"
-        "    phi, units = ctx.phi, ctx.elimination\n"
-        "    phi.vector(v), units.vector(v), ctx.elimination.vector(v)\n"
-        "    return phi(p), units(p), ctx.elimination(p)\n"
+        "    phi = ctx.phi\n"
+        "    phi.vector(v), ctx.phi.vector(v), ctx.layout.eliminate_units(v)\n"
+        "    return phi(p), ctx.phi(p)\n"
         "def group(self, k):\n"
-        "    return self.phi(k), unit_elimination_map(t, r)(k), unit_elimination_map(t, r)\n"
+        "    return self.phi(k)\n"
     )
-    assert polynomial_map_calls(source) == [
-        (4, "walk"), (4, "walk"), (4, "walk"), (6, "group"), (6, "group"),
-    ]
+    assert polynomial_map_calls(source) == [(4, "walk"), (4, "walk"), (6, "group")]
 
 
 def test_quotient_maps_apply_to_exponent_vectors_only():
@@ -826,6 +822,50 @@ def test_binomial_products_are_expanded_only_in_the_kernel():
         )
     }
     assert found == {("laurent_kernel.py", name) for name in BINOMIAL_ENTRY_POINTS}
+
+
+#: What the quotient layer does not import, under any name: it builds no
+#: folded seed (``initial_seed``) and multiplies no polynomials itself
+#: (``reduce``, ``poly_mul``, ``poly_pow``); its products are kernel
+#: expansions of exponent vectors.
+QUOTIENT_UNIMPORTED = {"initial_seed", "reduce", "poly_mul", "poly_pow"}
+
+
+def unimported_reads(source):
+    """``(line, name)`` of each import or attribute read of a :data:`QUOTIENT_UNIMPORTED` name.
+
+    An import counts by the name it imports, whatever it is bound to.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [
+                (node.lineno, alias.name.split(".")[-1])
+                for alias in node.names
+                if alias.name.split(".")[-1] in QUOTIENT_UNIMPORTED
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in QUOTIENT_UNIMPORTED:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_unimported_reads_are_detected():
+    source = (
+        "from functools import reduce as fold, lru_cache\n"
+        "from .gca_seed import ExchangeContext, initial_seed\n"
+        "import functools\n"
+        "total = functools.reduce(add, [])\n"
+        "from .laurent_kernel import poly_pow, poly_sub\n"
+        "poly_mul = None\n"
+    )
+    assert unimported_reads(source) == [
+        (1, "reduce"), (2, "initial_seed"), (4, "reduce"), (5, "poly_pow"),
+    ]
+
+
+def test_the_quotient_layer_builds_no_folded_seed_and_multiplies_nothing():
+    source = (ROOT / "src" / "gencluster" / "quotient_embedding.py").read_text(encoding="utf-8")
+    assert unimported_reads(source) == []
 
 
 #: The functions that build values with ``FrozenValue._trusted_replace``,
@@ -1048,8 +1088,7 @@ def test_only_the_exchange_data_step_reverses_a_string_row():
 REVIEWED_CACHES = {
     "laurent_kernel._layout": (None, None),
     "laurent_kernel._table_cache": (64, 15),
-    "quotient_embedding.unit_elimination_map": (64, 7),
-    "quotient_embedding._eliminated_sigma": (256, 17),
+    "quotient_embedding._sigma_levels": (64, 5),
     "cli_io._build_parser": (1, None),
 }
 
@@ -1190,3 +1229,33 @@ def test_a_quotient_pass_compares_tables_by_value_only_when_they_differ(monkeypa
     monkeypatch.setattr(VariableTable, "__eq__", counting_eq)
     quotient_pass()
     assert compared == {"distinct": 14, "equal": 0}
+
+
+def test_a_warm_quotient_pass_hashes_tables_and_checks_seeds_a_pinned_number_of_times(monkeypatch):
+    # One process cache lookup hashes its table.  The quotient layer reads
+    # the folded table and layout, not a folded seed, so a warm pass
+    # checks divisor compatibility only for the seeds it parses and
+    # adjoins (16; 30 with a folded seed per context, checked twice) and
+    # hashes 188 tables (517 with the unit elimination and the sigma
+    # products cached per pattern).
+    from gencluster import gca_seed
+    from gencluster.laurent_kernel import VariableTable
+
+    for cached in bounded_caches().values():
+        cached.cache_clear()
+    quotient_pass()
+    counts = {"check_compatible": 0, "hash": 0}
+    check, table_hash = gca_seed.check_compatible, VariableTable.__hash__
+
+    def counting_check(*args):
+        counts["check_compatible"] += 1
+        return check(*args)
+
+    def counting_hash(table):
+        counts["hash"] += 1
+        return table_hash(table)
+
+    monkeypatch.setattr(gca_seed, "check_compatible", counting_check)
+    monkeypatch.setattr(VariableTable, "__hash__", counting_hash)
+    quotient_pass()
+    assert counts == {"check_compatible": 16, "hash": 188}

@@ -1,4 +1,4 @@
-"""Quotient embedding: folded seeds, the product formula, and the image map."""
+"""Quotient embedding: the folded layout, the product formula, and the image map."""
 
 import ast
 from collections import Counter, namedtuple
@@ -15,6 +15,7 @@ from conftest import (
     FIRST_RUNG_BITS,
     FIRST_RUNG_LIMIT,
     SECOND_RUNG_LIMIT,
+    eliminated,
     failed_cases,
     map_variables,
     mono_over,
@@ -22,6 +23,8 @@ from conftest import (
     mono_power,
     mono_times,
     oracle_balanced_sum,
+    oracle_sigma,
+    oracle_unit_elimination,
     poly_mul_monomial,
     poly_sum,
     shared_factor_seeds,
@@ -59,12 +62,12 @@ from gencluster.quotient_embedding import (
     _coherent_row,
     _embedding_conditions_at,
     _member_binomial_product,
+    _sigma_levels,
     embedding_walk,
-    folded_initial_seed,
+    folded_table,
     product_formula_check,
     product_formula_walk,
     subquotient_check,
-    unit_elimination_map,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import AdjoinedSeed, root_names, tau_tilde
@@ -72,10 +75,10 @@ from gencluster.unfolding import FoldedLayout, FoldedMatrix, build, group_mutate
 from evaluated_embedding import (
     EvaluatedContext,
     evaluated_conditions,
+    folded_initial_seed,
     group_mutate_seed,
     oracle_lift,
     oracle_phi_poly,
-    oracle_unit_elimination,
 )
 
 FIX_C_PHI_X = "y1*y2"
@@ -131,11 +134,6 @@ def folded_root(seed, multiplicity=None):
     return folded_initial_seed(seed, fm).table, fm
 
 
-def unfolding_of(ctx):
-    """The unfolding a context's folded seed carries."""
-    return FoldedMatrix(ctx.folded.matrix, ctx.layout)
-
-
 def library_conditions(ctx):
     """The library's check of the state an :class:`EvaluatedContext` holds.
 
@@ -143,7 +141,7 @@ def library_conditions(ctx):
     entries are put back to them.
     """
     tracked = ctx.tracked._trusted_replace(cluster=ctx.constants.tracked.cluster)
-    return _embedding_conditions_at(ctx.constants, tracked, unfolding_of(ctx))
+    return _embedding_conditions_at(ctx.constants, tracked, ctx.unfolding)
 
 
 def group_monomials(table, fm, k):
@@ -197,7 +195,7 @@ def expand_term_by_term(ctx, p):
     balanced sums, the products are added term by term, and the unit
     relations are applied last.
     """
-    table, layout = ctx.folded.table, ctx.layout
+    table, layout = ctx.table, ctx.layout
     base_width = len(table)
     slots = [
         (ctx.folded_plus.index(f"rho{k + 1}_{r}"), k, r)
@@ -212,7 +210,7 @@ def expand_term_by_term(ctx, p):
                 sigma = sigma_polynomial(table, layout, k, r)
                 body = poly_mul(body, poly_pow(sigma, exps[pos]))
         expanded = poly_add(expanded, body)
-    return unit_elimination_map(table, layout.aux)(expanded)
+    return eliminated(expanded, ctx.tracked.divisors.entries)
 
 
 def oracle_product_formula_check(table, fm, k, parity):
@@ -242,8 +240,7 @@ def oracle_product_formula_check(table, fm, k, parity):
         )
         for r in range(d_k + 1)
     ))
-    units = unit_elimination_map(table, layout.aux)
-    lhs, rhs = units(lhs), units(rhs)
+    lhs, rhs = eliminated(lhs, fm.group_sizes), eliminated(rhs, fm.group_sizes)
     if lhs != rhs:
         return Report(((k, str(poly_sub(lhs, rhs))),))
     return Report(())
@@ -255,7 +252,7 @@ def oracle_condition_iv(ctx):
     Each member's side ratios are divided out with ``mono_over`` and the
     balanced sums are built one subset at a time with ``mono_times``.
     """
-    tracked, table, fm = ctx.tracked, ctx.folded.table, unfolding_of(ctx)
+    tracked, table, fm = ctx.tracked, ctx.folded.table, ctx.unfolding
     roles = [role for role, _ in folded_roles(table, tracked.divisors.entries)]
     keep = [role != "cluster" for role in roles]
     failures = []
@@ -283,7 +280,7 @@ def oracle_condition_iv(ctx):
                     term = mono_times(term, inside if idx in subset else outside)
                 total = poly_add(total, mono_poly(term))
             lhs = oracle_phi_poly(ctx, mono_poly(tracked.strings.entry(k, r)))
-            if lhs != ctx.elimination(total):
+            if lhs != eliminated(total, tracked.divisors.entries):
                 failures.append(("(iv)", k, r))
     return failures
 
@@ -294,7 +291,7 @@ def oracle_group_image(ctx, k):
     product = LaurentPolynomial.one(folded.table)
     for c in layout.group_range(k):
         product = poly_mul(product, folded.cluster[c])
-    return ctx.elimination(product)
+    return eliminated(product, ctx.tracked.divisors.entries)
 
 
 def oracle_conditions_i_ii(ctx):
@@ -307,7 +304,7 @@ def oracle_conditions_i_ii(ctx):
     tracked, failures = ctx.tracked, []
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
-        gm = group_monomials(ctx.folded.table, unfolding_of(ctx), k)
+        gm = group_monomials(ctx.folded.table, ctx.unfolding, k)
         for label, exps, folded in (
             ("(i) u>", gca_ctx.u_gt, gm.u_gt),
             ("(i) u<", gca_ctx.u_lt, gm.u_lt),
@@ -315,7 +312,7 @@ def oracle_conditions_i_ii(ctx):
             ("(ii) v<[1]", gca_ctx.v_lt, gm.v_lt),
         ):
             lhs = oracle_phi_poly(ctx, mono_poly(Monomial(tracked.table, exps)))
-            if lhs != ctx.elimination(mono_poly(folded)):
+            if lhs != eliminated(mono_poly(folded), tracked.divisors.entries):
                 failures.append((label, k, None))
     return failures
 
@@ -356,14 +353,15 @@ def formal_contexts(seed, depth):
     strings and placeholders evolve as in :func:`walked_contexts`;
     neither condition (iv) nor a string image reads a cluster entry.
     """
+    root = EvaluatedContext.create(seed)
+
     def formal(ctx):
-        step = EvaluatedContext(ctx.constants)
-        for track in ("tracked", "folded"):
-            cluster = getattr(ctx.constants, track).cluster
-            setattr(step, track, getattr(ctx, track)._trusted_replace(cluster=cluster))
+        folded = ctx.folded._trusted_replace(cluster=root.folded.cluster)
+        step = EvaluatedContext(ctx.constants, folded)
+        step.tracked = ctx.tracked._trusted_replace(cluster=root.tracked.cluster)
         return step
 
-    reached = {(): EvaluatedContext.create(seed)}
+    reached = {(): root}
     for d in range(1, depth + 1):
         for prefix in product(range(seed.rank), repeat=d):
             reached[prefix] = formal(reached[prefix[:-1]].mutate(prefix[-1]))
@@ -431,7 +429,7 @@ def tampered_context(ctx, row, col, delta):
     """A copy of ``ctx`` whose folded matrix has one entry moved by ``delta``."""
     bad = copy(ctx)
     bad.folded = ctx.folded._trusted_replace(
-        matrix=tampered(unfolding_of(ctx), row, col, delta).matrix
+        matrix=tampered(ctx.unfolding, row, col, delta).matrix
     )
     return bad
 
@@ -446,7 +444,7 @@ def moved_entry_contexts(ctx):
     tracked, layout = ctx.tracked, ctx.layout
     frozen = [
         pos for pos in tracked.table.frozen_indices
-        if tracked.table.names[pos] not in ctx.rho_values
+        if tracked.table.names[pos] not in ctx.placeholder_names
     ]
     for j in range(tracked.rank):
         if frozen:
@@ -511,9 +509,12 @@ def named_frozen_seeds():
 
 class TestFoldedSeed:
     def test_table_layout(self, fix_c):
-        table, _ = folded_root(fix_c)
+        table, fm = folded_root(fix_c)
         assert table.names == ("y1", "y2", "F", "t1", "t2", "s1", "s2")
         assert table.n_cluster == 2
+        # The library builds the table of the folded seed without the seed.
+        assert folded_table(fix_c, fm.layout) is table
+        assert QuotientContext.create(fix_c).table is table
 
     def test_frozen_names_match_root_symbols(self, fix_a, fix_b):
         assert root_names(fix_a.table) == ("F1", "F2")
@@ -554,22 +555,30 @@ class TestFoldedSeed:
             assert len(table) == fm.matrix.n + fm.matrix.m
             assert table.n_cluster == fm.layout.total
 
-    def test_unit_elimination_matches_the_name_oracle(self, fix_a, fix_b, fix_c):
-        # The map reads each group's t and s positions off the layout;
-        # the oracle finds them by name, numbering members by divisors.
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_eliminate_units_matches_the_name_oracle(self, fix_a, fix_b, fix_c, mode):
+        # The layout moves each group's last t and s powers by position;
+        # the oracle substitution finds the variables by name, numbering
+        # members by divisors.  The vectors are zero, then random with
+        # entries up to 2**200.
         rng = random.Random(31)
-        seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(40)]
+        seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(12)]
         for seed in seeds:
-            table, fm = folded_root(seed)
-            layout = fm.layout
-            ranges = tuple(
+            ctx = QuotientContext.create(seed, mode)
+            table, layout = ctx.table, ctx.layout
+            assert layout.aux == tuple(
                 (layout.t_range(k), layout.s_range(k)) for k in range(layout.n_groups)
             )
-            assert ranges == layout.aux
-            units = unit_elimination_map(table, layout.aux)
-            assert dict(units.images) == oracle_unit_elimination(table, seed.divisors.entries)
-            assert units.source == units.target == table
-            assert unit_elimination_map(table, ranges) is units
+            images = oracle_unit_elimination(table, seed.divisors.entries)
+            units = Substitution(images, table, table)
+            width = len(table)
+            vectors = [(0,) * width]
+            for bits in (2, 64, 200):
+                vectors += [
+                    tuple(rng.randint(-2**bits, 2**bits) for _ in range(width)) for _ in range(4)
+                ]
+            for exps in vectors:
+                assert layout.eliminate_units(exps) == units.vector(exps)
 
     def test_initial_seed_shape(self, fix_a):
         fm = build(fix_a)
@@ -673,7 +682,7 @@ class TestFoldedSeed:
                     apart += 1
                 for fm in (
                     product_formula_walk(gca, mode)[0],
-                    unfolding_of(QuotientContext.create(gca, mode)),
+                    QuotientContext.create(gca, mode).root,
                 ):
                     columns = fm.layout.f_block
                     rows = fm.matrix.rows
@@ -696,13 +705,16 @@ class TestSigmaAndUnits:
             one = LaurentPolynomial.one(table)
             for k in range(seed.rank):
                 d_k = len(layout.group_range(k))
+                levels = _sigma_levels(table, layout, k)
                 for r in (0, d_k):
                     sigma = sigma_polynomial(table, layout, k, r)
-                    assert unit_elimination_map(table, layout.aux)(sigma) == one
+                    assert eliminated(sigma, seed.divisors.entries) == one
+                    (exps,) = sigma.terms
+                    assert table.term(layout.eliminate_units(exps)) == levels[r] == one
 
     def test_normal_form_idempotent_and_multiplicative(self, fix_c, rng):
         ctx = QuotientContext.create(fix_c)
-        table = ctx.folded.table
+        table, sizes, eliminate = ctx.table, fix_c.divisors.entries, ctx.layout.eliminate_units
 
         def random_poly():
             out = LaurentPolynomial.zero(table)
@@ -721,35 +733,40 @@ class TestSigmaAndUnits:
 
         for _ in range(25):
             p, q = random_poly(), random_poly()
-            np_, nq = ctx.elimination(p), ctx.elimination(q)
-            assert ctx.elimination(np_) == np_
-            assert ctx.elimination(poly_mul(p, q)) == ctx.elimination(
-                poly_mul(np_, nq)
-            )
+            np_, nq = eliminated(p, sizes), eliminated(q, sizes)
+            assert eliminated(np_, sizes) == np_
+            assert eliminated(poly_mul(p, q), sizes) == eliminated(poly_mul(np_, nq), sizes)
+            # The layout's map on vectors: idempotent, and additive, as a
+            # monomial map is multiplicative.
+            for a, b in product(p.terms, q.terms):
+                assert eliminate(eliminate(a)) == eliminate(a)
+                total = tuple(x + y for x, y in zip(a, b))
+                assert eliminate(total) == tuple(
+                    x + y for x, y in zip(eliminate(a), eliminate(b))
+                )
 
     def test_placeholder_expansion_matches_term_by_term(
         self, fix_a, fix_b, fix_c, rng
     ):
-        # The library shifts each vector's image by the cached product of
-        # its eliminated sigma powers; the oracle lifts the sum, expands
-        # it term by term and eliminates last.  A vector comes up to three
-        # times (its coefficient), and its placeholder tail may hold
-        # several placeholders to any power up to ``top``.
-        cases = [(seed, "total", 15, 3) for seed in (fix_a, fix_b, fix_c)]
+        # The library shifts each vector's image by the cached eliminated
+        # sigma of its placeholder; the oracle lifts the sum, expands it
+        # term by term and eliminates last.  A vector comes up to three
+        # times (its coefficient), and its placeholder tail holds at most
+        # one placeholder, to the first power.  A tail that multiplies
+        # placeholders is refused.
+        cases = [(seed, "total", 15) for seed in (fix_a, fix_b, fix_c)]
         cases += [
-            (seed, mode, 3, 2)
+            (seed, mode, 3)
             for seed in shared_factor_seeds()
             for mode in ("total", "lcm")
         ]
-        for seed, mode, count, top in cases:
+        for seed, mode, count in cases:
             ctx = QuotientContext.create(seed, mode=mode)
             width = len(ctx.placeholder_names)
             base = len(ctx.tracked.table) - width
+            ones = [tuple(int(q == i) for q in range(width)) for i in range(width)]
             for _ in range(count):
-                tails = [
-                    tuple(rng.randint(0, top) for _ in range(width))
-                    for _ in range(2)
-                ]
+                tails = [rng.choice([(0,) * width] + ones) for _ in range(2)]
                 vectors = []
                 for _ in range(rng.randint(1, 6)):
                     head = [0] * base
@@ -759,6 +776,11 @@ class TestSigmaAndUnits:
                 image = ctx.class_of(vectors)
                 assert image == term_by_term_class(ctx, vectors)
                 assert image == oracle_phi_poly(ctx, tracked_sum(ctx, vectors))
+            for tail in {
+                tuple(a + b for a, b in zip(ones[i], ones[j])) for i, j in ((0, 0), (0, -1))
+            } if width else ():
+                with pytest.raises(InexactDivision, match="^placeholder product"):
+                    ctx.class_of([(0,) * base + tail])
 
     @pytest.mark.parametrize("e", [FIRST_RUNG_LIMIT - 2, FIRST_RUNG_LIMIT - 1])
     def test_expansion_across_the_first_rung(self, fix_c, e):
@@ -773,7 +795,7 @@ class TestSigmaAndUnits:
         ]
         image = ctx.class_of(vectors)
         assert image == term_by_term_class(ctx, vectors)
-        y1 = ctx.folded.table.index("y1")
+        y1 = ctx.table.index("y1")
         assert max(exps[y1] for exps in image.terms) == e + 1
         assert (image._layout.bits == FIRST_RUNG_BITS) == (e + 1 < FIRST_RUNG_LIMIT)
 
@@ -782,11 +804,11 @@ class TestSigmaAndUnits:
         # reaches the first rung's limit, but sigma moves only t1 and s1,
         # so the exact exponents stay below it: the image sits on a wider
         # rung and equals the term-by-term one, and that one rebuilt on
-        # the first.  The second vector's rho1_1^2 is a power pattern.
+        # the first.
         ctx = QuotientContext.create(fix_c)
         vectors = [
             ctx.tracked.table.monomial({"x": FIRST_RUNG_LIMIT - 1, "rho1_1": 1}).exponents,
-            ctx.tracked.table.monomial({"x": -3, "rho1_1": 2}).exponents,
+            ctx.tracked.table.monomial({"x": -3, "rho1_1": 1}).exponents,
         ]
         image, oracle = ctx.class_of(vectors), term_by_term_class(ctx, vectors)
         tight = LaurentPolynomial(oracle.table, dict(oracle.terms.items()))
@@ -796,59 +818,38 @@ class TestSigmaAndUnits:
             assert image.hash_key() == other.hash_key()
 
     def test_expansion_past_the_first_rung(self, fix_c):
-        # The second vector's x^(limit + 1) times E(sigma_{1,1})^2 holds
+        # The second vector's x^(limit + 1) times E(sigma_{1,1}) holds
         # y1^(limit + 1); the first vector is within the first rung's limit.
         ctx = QuotientContext.create(fix_c)
         vectors = [
             ctx.tracked.table.monomial({"x": FIRST_RUNG_LIMIT - 2, "rho1_1": 1}).exponents,
-            ctx.tracked.table.monomial({"x": FIRST_RUNG_LIMIT + 1, "rho1_1": 2}).exponents,
+            ctx.tracked.table.monomial({"x": FIRST_RUNG_LIMIT + 1, "rho1_1": 1}).exponents,
         ]
         image = ctx.class_of(vectors)
         assert image == term_by_term_class(ctx, vectors)
-        y1 = ctx.folded.table.index("y1")
+        y1 = ctx.table.index("y1")
         assert max(exps[y1] for exps in image.terms) == FIRST_RUNG_LIMIT + 1
 
-    def test_every_cached_sigma_pattern_matches_the_uncached_oracle(
-        self, fix_a, fix_b, monkeypatch
-    ):
-        # Each pattern a class asks for, against the powers of sigma sums
-        # built and eliminated with no cache.  The walk asks for the
-        # classes of exchange polynomials and string entries, whose
-        # vectors hold at most one placeholder to the first power; the
-        # term vectors of evaluated cluster entries along the same
-        # sequence ask for products.
-        from gencluster import quotient_embedding
-
-        seen, cached = {}, quotient_embedding._eliminated_sigma
-
-        def recording(table, pattern):
-            seen[table, pattern] = value = cached(table, pattern)
-            return value
-
-        monkeypatch.setattr(quotient_embedding, "_eliminated_sigma", recording)
-        for seed, sequence in ((fix_a, (0, 1)), (fix_b, (0, 1, 0))):
-            ctx = QuotientContext.create(seed)
-            assert not failed_cases("embedding", seed, [sequence])
-            table, layout = ctx.folded.table, ctx.layout
-            walked = [pattern for t, pattern in seen if t is table]
-            assert walked and all(len(p) == 1 and p[0][1] == 1 for p in walked)
-            evaluated = EvaluatedContext(ctx)
-            for k in sequence:
-                evaluated = evaluated.mutate(k)
-                for entry in evaluated.tracked.cluster:
-                    ctx.class_of(entry.terms)
-            units = oracle_unit_elimination(table, seed.divisors.entries)
-            patterns = [pattern for t, pattern in seen if t is table]
-            assert any(len(pattern) > 1 for pattern in patterns)
-            for pattern in patterns:
-                oracle = LaurentPolynomial.one(table)
-                for (t_range, s_range, r), e in pattern:
-                    k = layout.aux.index((t_range, s_range))
-                    sigma = map_variables(
-                        sigma_polynomial(table, layout, k, r), units, table
-                    )
-                    oracle = poly_mul(oracle, poly_pow(sigma, e))
-                assert seen[table, pattern] == oracle, pattern
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_every_cached_sigma_level_matches_the_oracle(self, fix_a, fix_b, fix_c, mode):
+        # Each group's one cached tuple E(sigma_{k,0}), ..., E(sigma_{k,d}),
+        # level by level, against the balanced sum built subset by subset
+        # and eliminated through the name oracle.  Each level is rebuilt
+        # from its terms, so its bound is the exact one.
+        rng = random.Random(33)
+        seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(12)]
+        for seed in seeds:
+            ctx = QuotientContext.create(seed, mode)
+            table, sizes = ctx.table, seed.divisors.entries
+            for k in range(seed.rank):
+                levels = _sigma_levels(table, ctx.layout, k)
+                assert _sigma_levels(table, ctx.layout, k) is levels
+                assert len(levels) == sizes[k] + 1
+                for r, level in enumerate(levels):
+                    oracle = oracle_sigma(table, sizes, k, r)
+                    assert level == oracle and str(level) == str(oracle)
+                    assert level.hash_key() == oracle.hash_key()
+                    assert level._amp == LaurentPolynomial(table, dict(oracle.terms))._amp
 
     @pytest.mark.parametrize("m", [
         FIRST_RUNG_LIMIT - 1, FIRST_RUNG_LIMIT, SECOND_RUNG_LIMIT - 1, SECOND_RUNG_LIMIT,
@@ -856,17 +857,21 @@ class TestSigmaAndUnits:
     ])
     def test_image_splits_off_the_placeholder_tail(self, fix_b, m):
         # The image's head is phi's vector cut to the folded table, of any
-        # size; its placeholder tail picks one product of eliminated sigma
-        # powers, against the oracle's one power at a time.
+        # size; its one placeholder picks the cached eliminated sigma,
+        # against the oracle's expansion.  A second placeholder power
+        # would multiply sigma sums, and is refused.
         ctx = QuotientContext.create(fix_b)
-        tracked, folded = ctx.tracked.table, ctx.folded.table
-        mono = tracked.monomial({"x": m, "A": -m, "rho1_2": 1, "rho2_1": 2})
+        tracked, folded = ctx.tracked.table, ctx.table
+        mono = tracked.monomial({"x": m, "A": -m, "rho1_2": 1})
         head, sigma = ctx.image(mono.exponents)
         assert head == folded.monomial({"y1": m, "y2": m, "y3": m, "A": -m}).exponents
         assert ctx.image(tracked.monomial({"A": -m}).exponents)[1] is None
         image, oracle = ctx.class_of((mono.exponents,)), oracle_phi_poly(ctx, mono_poly(mono))
         assert image == oracle and image.hash_key() == oracle.hash_key()
         assert image == poly_mul(folded.term(head), sigma)
+        product = tracked.monomial({"x": m, "A": -m, "rho1_2": 1, "rho2_1": 2})
+        with pytest.raises(InexactDivision, match="^placeholder product"):
+            ctx.image(product.exponents)
 
     def test_negative_placeholder_power_rejected(self, fix_c):
         ctx = QuotientContext.create(fix_c)
@@ -886,34 +891,43 @@ class TestEmbeddingMap:
 
     def test_tracked_seed_specializes_to_concrete(self, fix_a, fix_b, fix_c, rng):
         # The concrete root-adjoined seed is mutated here on its own; the
-        # context's placeholder track must specialize to it at every prefix.
-        def check(ctx, concrete):
+        # context's placeholder track must specialize to it at every
+        # prefix, each placeholder sent to the root seed's string entry
+        # at its slot.
+        def values(ctx, root):
+            slots = [(k, r) for k in range(root.rank) for r in range(1, root.divisors[k])]
+            return {
+                name: root.strings.entry(k, r)
+                for name, (k, r) in zip(ctx.placeholder_names, slots, strict=True)
+            }
+
+        def check(ctx, concrete, rho):
             table = concrete.table
             for k in range(concrete.rank):
-                assert map_variables(
-                    ctx.tracked.cluster[k], ctx.rho_values, table
-                ) == concrete.cluster[k]
+                assert map_variables(ctx.tracked.cluster[k], rho, table) == concrete.cluster[k]
                 for r in range(concrete.divisors[k] + 1):
                     entry = mono_poly(ctx.tracked.strings.entry(k, r))
                     assert map_variables(
-                        entry, ctx.rho_values, table
+                        entry, rho, table
                     ) == mono_poly(concrete.strings.entry(k, r))
 
-        def walk(ctx, concrete, depth):
-            check(ctx, concrete)
+        def walk(ctx, concrete, rho, depth):
+            check(ctx, concrete, rho)
             if depth:
                 for k in range(concrete.rank):
-                    walk(ctx.mutate(k), mutate_seed(concrete, k), depth - 1)
+                    walk(ctx.mutate(k), mutate_seed(concrete, k), rho, depth - 1)
 
         for seed, depth in ((fix_a, 2), (fix_b, 3), (fix_c, 3)):
-            walk(EvaluatedContext.create(seed), tau_tilde(seed).seed, depth)
+            ctx, concrete = EvaluatedContext.create(seed), tau_tilde(seed).seed
+            walk(ctx, concrete, values(ctx, concrete), depth)
         for _ in range(20):
             seed = random_seed(rng)
             ctx, concrete = EvaluatedContext.create(seed), tau_tilde(seed).seed
-            check(ctx, concrete)
+            rho = values(ctx, concrete)
+            check(ctx, concrete, rho)
             for k in random_sequence(rng, seed.matrix.n, 3):
                 ctx, concrete = ctx.mutate(k), mutate_seed(concrete, k)
-                check(ctx, concrete)
+                check(ctx, concrete, rho)
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_tracked_seed_passes_the_validating_constructors(self, fix_a, fix_b, fix_c, mode):
@@ -1030,7 +1044,7 @@ class TestProductFormula:
                     single += 1
                     for r in (0, 1):
                         sigma = sigma_polynomial(table, layout, k, r)
-                        assert unit_elimination_map(table, layout.aux)(sigma) == one
+                        assert eliminated(sigma, seed.divisors.entries) == one
             for fm, parity in states:
                 for k in range(seed.rank):
                     if len(layout.group_range(k)) > 1:
@@ -1138,7 +1152,7 @@ class TestEliminationOnVectors:
                 for c in layout.group_range(k):
                     gt, lt = member_sides(table, fm.matrix.rows[c], everything)
                     lhs = poly_mul(lhs, poly_add(mono_poly(gt), mono_poly(lt)))
-                expected = unit_elimination_map(table, layout.aux)(lhs)
+                expected = eliminated(lhs, seed.divisors.entries)
                 assert _member_binomial_product(table, fm, k) == expected
 
     @pytest.mark.parametrize("name, depth", WALKS)
@@ -1162,11 +1176,11 @@ class TestEliminationOnVectors:
         for ctx in formal_contexts(seed, depth).values():
             built.clear()
             assert library_conditions(ctx) == []
-            table, fm = ctx.folded.table, unfolding_of(ctx)
+            table, fm = ctx.folded.table, ctx.unfolding
             units = oracle_unit_elimination(table, seed.divisors.entries)
             keep = [role != "cluster" for role, _ in folded_roles(table, seed.divisors.entries)]
 
-            def eliminated(mono):
+            def eliminated_vector(mono):
                 (exps,) = map_variables(mono_poly(mono), units, table).terms
                 return exps
 
@@ -1177,11 +1191,11 @@ class TestEliminationOnVectors:
                     gt, lt = member_sides(table, fm.matrix.rows[c], keep)
                     ratios.append((mono_over(gt, gm.v_gt), mono_over(lt, gm.v_lt)))
                 raw = [(a.exponents, b.exponents) for a, b in ratios]
-                vectors = tuple((eliminated(a), eliminated(b)) for a, b in ratios)
+                vectors = tuple((eliminated_vector(a), eliminated_vector(b)) for a, b in ratios)
                 levels = built[vectors]
                 assert len(levels) == seed.divisors[k] + 1
                 for r, level in enumerate(levels):
-                    expected = ctx.elimination(oracle_balanced_sum(table, raw, r))
+                    expected = eliminated(oracle_balanced_sum(table, raw, r), seed.divisors.entries)
                     assert level == expected
                     assert str(level) == str(expected)
 
@@ -1297,7 +1311,7 @@ class TestEvaluatedOracle:
             ),
             lambda: monkeypatch.setattr(
                 EvaluatedContext, "group_image",
-                lambda ctx, k: LaurentPolynomial.one(ctx.folded.table),
+                lambda ctx, k: LaurentPolynomial.one(ctx.table),
             ),
         ]
         for plant in plants:
@@ -1337,7 +1351,7 @@ class TestEmbeddingAndSubquotient:
         # Every class the check asks for (each exchange polynomial over
         # formal symbols, each string entry), and every group image,
         # against the route that eliminated the units of the whole lift
-        # and of the whole group product.  The walk shares one phi and one E.
+        # and of the whole group product.  The walk shares one phi and one layout.
         asked, class_of = [], QuotientContext.class_of
 
         def recording(self, vectors):
@@ -1353,7 +1367,7 @@ class TestEmbeddingAndSubquotient:
                 image = root.constants.group_image(k)
                 assert image._keys == oracle_group_image(root, k)._keys
             for ctx in contexts.values():
-                assert ctx.phi is root.phi and ctx.elimination is root.elimination
+                assert ctx.phi is root.phi and ctx.layout is root.layout
                 asked.clear()
                 assert library_conditions(ctx) == []
                 assert len(asked) == sum(d + 2 for d in ctx.tracked.divisors.entries)
@@ -1397,7 +1411,7 @@ class TestEmbeddingAndSubquotient:
         # A vector over the folded table is not one over the tracked table.
         ctx = QuotientContext.create(fix_c)
         with pytest.raises(ValidationError, match="table size"):
-            ctx.class_of((ctx.folded.table.one().exponents,))
+            ctx.class_of((ctx.table.one().exponents,))
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_lifts_read_off_the_layout_match_the_name_oracle(
@@ -1516,20 +1530,18 @@ class TestSubquotientFailures:
     def test_frozen_image(self, fix_a, monkeypatch):
         # A unit elimination that squares the first root sends the folded
         # target F1^6 elsewhere.
-        from gencluster import quotient_embedding
+        def moving_a_root(layout, exps):
+            q = layout.f_block[0]
+            return exps[:q] + (2 * exps[q],) + exps[q + 1:]
 
-        def moving_a_root(table, ranges):
-            name = table.names[table.n_cluster]
-            return Substitution({name: table.monomial({name: 2})}, table, table)
-
-        monkeypatch.setattr(quotient_embedding, "unit_elimination_map", moving_a_root)
+        monkeypatch.setattr(FoldedLayout, "eliminate_units", moving_a_root)
         assert subquotient_check(fix_a).failures == (("frozen image", "f1", "F1^6"),)
 
     def test_cluster_image(self, fix_a, monkeypatch):
         # Every group image reads 1.
         monkeypatch.setattr(
             QuotientContext, "group_image",
-            lambda ctx, k: LaurentPolynomial.one(ctx.folded.table),
+            lambda ctx, k: LaurentPolynomial.one(ctx.table),
         )
         assert subquotient_check(fix_a).failures == (
             ("cluster image", 0, "y1*y2"), ("cluster image", 1, "y3*y4*y5"),
