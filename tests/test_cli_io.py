@@ -84,6 +84,18 @@ ADJOIN_FIX_C = (
     "string 0 ; 4 ; 0\n"
 )
 
+#: Stdout digests of ``verify <target> --seed <fixture> --depth 10``: 1024
+#: ok records each.
+DEPTH_10_OUTPUTS = [
+    ("embedding", "FIX-A", "46279fd453b313dbc68c0da0edbafba5bd3f2b5b96c5ddb1f679457bc94acbb8"),
+    ("embedding", "FIX-B", "4aa60fb7efdc2c42a169db2103446b037c4c61420a2fa51ac2803af61159fdee"),
+    ("product-formula", "FIX-A",
+     "9032385539f59d2b2057cb12153befb28b1c657d8c3236d4ba4a9541edbe7b7f"),
+    ("product-formula", "FIX-B",
+     "cfe3e79c0cac3c69c1c339bf470c764052fe124c97ae65da2ad20228b475fbd2"),
+]
+
+
 def write_seed(seed, path):
     """Write ``seed`` to ``path`` in the canonical flat-file form.
 
@@ -479,6 +491,30 @@ class TestVerify:
         )
         assert written_at_widening
         assert 0 < min(written_at_widening) and max(written_at_widening) < 64
+
+    @pytest.mark.parametrize("target, seed, digest", DEPTH_10_OUTPUTS)
+    def test_depth_10_walks_are_pinned(self, monkeypatch, target, seed, digest):
+        # FIX-A's folded exponents pass 2**22 at depth 6, so both of its
+        # walks widen their key fields after the first records are written
+        # and before the last; FIX-B's stay on the first rung.
+        out = io.StringIO()
+        written_at_widening = []
+        fit = laurent_kernel._Layout.fit
+
+        def spy(layout, amp):
+            wider = fit(layout, amp)
+            if wider is not layout:
+                written_at_widening.append(out.getvalue().count("\n"))
+            return wider
+
+        monkeypatch.setattr(laurent_kernel._Layout, "fit", spy)
+        argv = ["verify", target, "--seed", seed, "--depth", "10"]
+        assert run_command(argv, out=out) == 0
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+        if seed == "FIX-A":
+            assert 0 < min(written_at_widening) and max(written_at_widening) < 1023
+        else:
+            assert written_at_widening == []
 
     def test_product_formula_walks_past_the_first_rung(self):
         # FIX-A's folded exponents pass 2**46, the second rung's limit, at
