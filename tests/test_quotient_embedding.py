@@ -1672,3 +1672,75 @@ def test_planted_embedding_faults_are_pinned(monkeypatch, fault):
                 detail[0].removeprefix("detail=")
             )
     assert found == expected
+
+
+def coherent_row_with_another_f_slice(monkeypatch):
+    """Coherent rows whose first ``F`` entry is one more than every member's."""
+    from gencluster import quotient_embedding
+
+    coherent = quotient_embedding._coherent_row
+
+    def planted(matrix, layout, k):
+        row = coherent(matrix, layout, k)
+        q = layout.f_block[0]
+        return row[:q] + (row[q] + 1,) + row[q + 1:]
+
+    monkeypatch.setattr(quotient_embedding, "_coherent_row", planted)
+
+
+#: ``verify embedding --seed FIX-B --depth 1`` under
+#: :func:`coherent_row_with_another_f_slice`: the failing records' details
+#: by sequence, and the stdout digest.  The members' ``F`` slices differ
+#: from the coherent row's, so the side ratios of (iv) keep frozen content:
+#: both labels are recorded, one per member and ``F`` column whose part of
+#: that sign differs, and the levels with frozen content fail (iv).
+FROZEN_CONTENT_RECORDS = {
+    "1": [
+        "(0, '(ii) v<[1]', 0, None)", "(0, '(iv) ratio < keeps frozen content', 0, 0)",
+        "(0, '(iv) ratio < keeps frozen content', 0, 1)",
+        "(0, '(iv) ratio < keeps frozen content', 0, 2)",
+        "(0, '(iv)', 0, 0)", "(0, '(iv)', 0, 1)", "(0, '(iv)', 0, 2)",
+        "(0, '(ii) v>[1]', 1, None)", "(0, '(iv) ratio > keeps frozen content', 1, 3)",
+        "(0, '(iv) ratio > keeps frozen content', 1, 4)",
+        "(0, '(iv)', 1, 1)", "(0, '(iv)', 1, 2)",
+        "(1, '(ii) v>[1]', 0, None)", "(1, '(iv) ratio > keeps frozen content', 0, 0)",
+        "(1, '(iv) ratio > keeps frozen content', 0, 1)",
+        "(1, '(iv) ratio > keeps frozen content', 0, 2)",
+        "(1, '(iv)', 0, 1)", "(1, '(iv)', 0, 2)", "(1, '(iv)', 0, 3)",
+        "(1, '(ii) v<[1]', 1, None)", "(1, '(iv) ratio < keeps frozen content', 1, 3)",
+        "(1, '(iv) ratio < keeps frozen content', 1, 4)",
+        "(1, '(iv)', 1, 0)", "(1, '(iv)', 1, 1)",
+    ],
+    "2": [
+        "(0, '(ii) v<[1]', 0, None)", "(0, '(iv) ratio < keeps frozen content', 0, 0)",
+        "(0, '(iv) ratio < keeps frozen content', 0, 1)",
+        "(0, '(iv) ratio < keeps frozen content', 0, 2)",
+        "(0, '(iv)', 0, 0)", "(0, '(iv)', 0, 1)", "(0, '(iv)', 0, 2)",
+        "(0, '(ii) v>[1]', 1, None)", "(0, '(iv) ratio > keeps frozen content', 1, 3)",
+        "(0, '(iv) ratio > keeps frozen content', 1, 4)",
+        "(0, '(iv)', 1, 1)", "(0, '(iv)', 1, 2)",
+        "(1, '(ii) v<[1]', 0, None)", "(1, '(iv) ratio < keeps frozen content', 0, 0)",
+        "(1, '(iv) ratio < keeps frozen content', 0, 1)",
+        "(1, '(iv) ratio < keeps frozen content', 0, 2)",
+        "(1, '(iv)', 0, 0)", "(1, '(iv)', 0, 1)", "(1, '(iv)', 0, 2)",
+        "(1, '(ii) v>[1]', 1, None)", "(1, '(iv) ratio > keeps frozen content', 1, 3)",
+        "(1, '(iv) ratio > keeps frozen content', 1, 4)",
+        "(1, '(iv)', 1, 1)", "(1, '(iv)', 1, 2)",
+    ],
+}
+FROZEN_CONTENT_SHA256 = "789cbb2905b6f37fda46d48dea8ec89b192d7a48a859ad08e8a9dcfa4f661b7a"
+
+
+def test_frozen_content_records_are_pinned(monkeypatch):
+    coherent_row_with_another_f_slice(monkeypatch)
+    out = io.StringIO()
+    assert run_command(["verify", "embedding", "--seed", "FIX-B", "--depth", "1"], out) == 2
+    found = {}
+    for line in out.getvalue().splitlines():
+        verdict, _, _, sequence, detail = line.split(" ", 4)
+        assert verdict == "FAIL", line
+        found[sequence.removeprefix("sequence=")] = ast.literal_eval(
+            detail.removeprefix("detail=")
+        )
+    assert found == FROZEN_CONTENT_RECORDS
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FROZEN_CONTENT_SHA256
