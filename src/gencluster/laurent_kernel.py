@@ -90,6 +90,11 @@ Design notes
   ring map sends ``sum c_v x^v`` to ``sum c_v x^(E v)``, so a caller that
   builds a polynomial from exponent vectors can map the vectors first and
   run no pass over the polynomial.
+* Packed monomials.  A :class:`PackedMonomial` (a key, a bound, the
+  narrowest rung that holds it) goes wherever an exponent vector does.
+  Packing is linear, so a :class:`ColumnMap` reads a row side's key as
+  the sum of its nonzero entries times their columns' packed images, one
+  pass over the row with no vector built.
 """
 
 from collections import Counter
@@ -142,8 +147,15 @@ class _Layout:
 
         The key is on the rung ``self.fit(amp)``: a vector past this
         rung's limit is packed again on the narrowest rung that holds it.
-        ValidationError for another width or a non-integer.
+        ValidationError for another width or a non-integer.  A
+        :class:`PackedMonomial` is read off its key, or unpacked to move up.
         """
+        if type(exps) is PackedMonomial:
+            rung = exps._rung
+            # Its rung is the narrowest that holds its bound.
+            if rung is self or rung.width == self.width and exps._bound >= self.limit:
+                return exps._key, exps._bound
+            exps = rung.unpack(exps._key)
         units = self.units
         if len(exps) != len(units):
             raise ValidationError("exponent vector does not match table size")
@@ -1104,3 +1116,95 @@ class Substitution:
                 for j, g in (columns[i] or self._column(i))[0]:
                     out[j] += e * g
         return tuple(out)
+
+
+class PackedMonomial:
+    """A monomial as its key, an upper bound on its largest exponent magnitude, and its rung.
+
+    The rung is the narrowest that holds the bound.  The kernel functions
+    that take an exponent vector take one, through ``pack_bounded``.
+    """
+
+    __slots__ = ("_key", "_bound", "_rung")
+
+    def __init__(self, key, bound, rung):
+        self._key, self._bound, self._rung = key, bound, rung
+
+
+def monomial_combination(m, a, n, b):
+    """The :class:`PackedMonomial` of ``m v_a + n v_b``, bounded by ``|m|`` and ``|n|`` times theirs.
+
+    ValidationError for two widths or a factor that is not an integer.
+    """
+    m, n = _integer(m, "factors"), _integer(n, "factors")
+    bound, rung = abs(m) * a._bound + abs(n) * b._bound, a._rung
+    # A shared rung that holds the bound is the narrowest when an operand
+    # with a nonzero factor sits on it.
+    if rung is not b._rung or bound >= rung.limit or not (m or n):
+        rung = _layout(rung.width, 24).fit(bound)
+    offset = rung.offset
+    keys = [rung.pack_bounded(a)[0] - offset, rung.pack_bounded(b)[0] - offset]
+    return PackedMonomial(offset + m * keys[0] + n * keys[1], bound, rung)
+
+
+class ColumnMap:
+    """A monomial map of ``table`` to itself that reads matrix rows into packed monomials.
+
+    ``images`` maps the positions of the columns that move to the exponent
+    vectors of their images (ValidationError for another position or
+    length, or a non-integer); the other columns are fixed.  The packed
+    images are worked out once per rung that a row needs.
+    """
+
+    __slots__ = ("table", "_images", "_bounds", "_rungs")
+
+    def __init__(self, table, images):
+        width = len(table)
+        self.table, self._images, self._bounds, self._rungs = table, {}, [1] * width, {}
+        for c, v in images.items():
+            v = _int_vector(v)
+            if type(c) is not int or not 0 <= c < width or len(v) != width:
+                raise ValidationError(f"image of column {c!r} does not match table size")
+            self._images[c], self._bounds[c] = v, max(map(abs, v), default=0)
+
+    def sides(self, row, cols=None):
+        """``(gt, lt)``: the images of a row's exchange sides, as :class:`PackedMonomial`.
+
+        ``gt`` maps the positive entries of ``row`` (one integer per table
+        variable, ValidationError otherwise) in the step-1 ``range`` ``cols``
+        (all by default), ``lt`` the negative entries' magnitudes.  An entry
+        ``e`` of column ``c`` adds ``e`` times ``c``'s packed image to its side's
+        key, and ``|e|`` times the image's largest magnitude to its bound.
+        """
+        if len(row) != len(self._bounds):
+            raise ValidationError("exponent vector does not match table size")
+        cols = range(len(row)) if cols is None else cols
+        base = self.table._layout
+        gt, lt, gt_bound, lt_bound = self._row_keys(row, cols, base)
+        if gt_bound < base.limit > lt_bound:
+            return (PackedMonomial(base.offset + gt, gt_bound, base),
+                    PackedMonomial(base.offset + lt, lt_bound, base))
+        wide = [base.fit(gt_bound), base.fit(lt_bound)]
+        return tuple(
+            PackedMonomial(w.offset + self._row_keys(row, cols, w)[i], (gt_bound, lt_bound)[i], w)
+            for i, w in enumerate(wide)
+        )
+
+    def _row_keys(self, row, cols, layout):
+        """The two keys of ``row`` over ``cols``, less ``layout.offset``, and their bounds."""
+        packed = self._rungs.get(layout)
+        if packed is None:
+            packed = self._rungs[layout] = list(layout.units)
+            for c, v in self._images.items():
+                packed[c] = sum(map(mul, v, layout.units))
+        bounds = self._bounds
+        gt = lt = gt_bound = lt_bound = 0
+        for c in cols:
+            e = row[c]
+            if e > 0:
+                gt += e * packed[c]
+                gt_bound += e * bounds[c]
+            elif e < 0:
+                lt -= e * packed[c]
+                lt_bound -= e * bounds[c]
+        return gt, lt, gt_bound, lt_bound

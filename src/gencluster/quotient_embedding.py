@@ -52,14 +52,20 @@ formally.  This keeps the checks exact at depths where the evaluated
 cluster entries would be astronomically large; both walks step exchange
 data only and build no cluster entry.
 
-Exchange data is read off matrix rows as exponent vectors, each role
-from its column block of the folded layout ``[cluster groups | F | T^1
-S^1 | ...]`` (:class:`~gencluster.unfolding.FoldedLayout`).  ``E`` and
-``phi`` are monomial ring maps applied to exponent vectors only, ``E``
-the layout's method and ``phi`` a kernel
-:class:`~gencluster.laurent_kernel.Substitution` built once per walk:
-``E(sum c_v x^v) = sum c_v x^(E v)``.  So the kernel expands each
-polynomial here once, from mapped vectors: a product of member
+Exchange data is read off matrix rows, each role from its column block
+of the folded layout ``[cluster groups | F | T^1 S^1 | ...]``
+(:class:`~gencluster.unfolding.FoldedLayout`).  ``E`` and ``phi`` are
+monomial ring maps applied to monomials only, never to a polynomial:
+``E(sum c_v x^v) = sum c_v x^(E v)``.  ``phi`` is a kernel
+:class:`~gencluster.laurent_kernel.Substitution` built once per walk
+and applied to exponent vectors.  ``E`` is the layout's method; each
+walk also builds its kernel :class:`~gencluster.laurent_kernel.ColumnMap`
+(:func:`eliminated_columns`), which reads the eliminated exchange sides
+of a row straight into packed monomials.  Every side the checks
+eliminate is read through it: the member rows of the binomial product,
+the coherent row's exchange block for the product formula's shells, and
+the member rows' auxiliary columns for the ratios of (iv).  So the
+kernel expands each polynomial here once: a product of member
 binomials, or the balanced sums ``sigma`` of every order at once, is one
 binomial expansion (``poly_binomial_product``,
 ``poly_binomial_levels``); the class of a sum of tracked monomials
@@ -68,11 +74,11 @@ are each one shifted sum (``poly_shifted_sum``).
 """
 
 from functools import lru_cache
-from operator import sub
 
 from .errors import GroupCoherenceViolation, InexactDivision, Report
 from .gca_seed import ExchangeContext, mutate_exchange_data
-from .laurent_kernel import LaurentPolynomial, Substitution, VariableTable, _trusted_monomial
+from .laurent_kernel import ColumnMap, LaurentPolynomial, Substitution, VariableTable
+from .laurent_kernel import _trusted_monomial, monomial_combination
 from .laurent_kernel import poly_binomial_levels, poly_binomial_product, poly_shifted_sum, poly_sub
 from .matrix_mutation import sides
 from .root_adjoin import fresh_name, root_multiplicity, root_names, tau_tilde
@@ -92,6 +98,22 @@ def folded_table(gca, layout):
     then per group the ``t`` members followed by the ``s`` members.
     """
     return VariableTable.make(layout.cluster_names(), layout.frozen_names(root_names(gca.table)))
+
+
+def eliminated_columns(table, layout):
+    """The :class:`~gencluster.laurent_kernel.ColumnMap` of ``E`` over the folded ``table``.
+
+    Column ``c``'s image is ``E`` of the unit vector ``c``
+    (:meth:`~gencluster.unfolding.FoldedLayout.eliminate_units`), so the
+    map's sides of a matrix row are the unit eliminations of the row's
+    exchange sides.  ``E`` moves only each group's last ``t`` and ``s``
+    columns, so only their images are given; each walk builds one map.
+    """
+    width = len(table)
+    moved = [block[-1] for pair in layout.aux for block in pair]
+    return ColumnMap(table, {
+        c: layout.eliminate_units((0,) * c + (1,) + (0,) * (width - 1 - c)) for c in moved
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +172,9 @@ class QuotientContext:
     adjoined seed; sending each placeholder to the adjoined string entry
     ``(k, r)`` gives the concrete seed, and mutation only permutes the
     placeholders.  ``root`` is the root unfolding, ``layout`` its folded
-    layout and ``table`` the folded table (:func:`folded_table`).  The
-    eliminated ``sigma`` sums are cached per folded table and group
+    layout and ``table`` the folded table (:func:`folded_table`), and
+    ``columns`` the column map of ``E`` over it (:func:`eliminated_columns`).
+    The eliminated ``sigma`` sums are cached per folded table and group
     (:func:`_sigma_levels`).
 
     ``phi`` is the :class:`~gencluster.laurent_kernel.Substitution` from
@@ -174,6 +197,7 @@ class QuotientContext:
         self.root = build(adjoined.base, adjoined.multiplicity)
         self.layout = layout = self.root.layout
         self.table = table = folded_table(adjoined.base, layout)
+        self.columns = eliminated_columns(table, layout)
         slots = [(k, r) for k in range(seed.rank) for r in range(1, seed.divisors[k])]
         # A placeholder name a cluster variable holds moves on by ``_R``.
         taken = set(seed.table.names)
@@ -256,26 +280,28 @@ class QuotientContext:
 # Verification: the product formula
 
 
-def _member_binomial_product(table, fm, k):
+def _member_binomial_product(columns, fm, k):
     """``E(prod_c theta_c)`` over the members ``c`` of group ``k`` of ``fm``.
 
     ``E(theta_c) = x^(E a) + x^(E b)`` for the sides ``a`` and ``b`` of row
-    ``c``, so the product is one expansion of the eliminated side pairs.
+    ``c``, so the product is one expansion of the side pairs that the
+    column map of ``E`` (:func:`eliminated_columns`) reads off the rows.
     """
-    layout = fm.layout
-    return poly_binomial_product(table, (
-        map(layout.eliminate_units, sides(fm.matrix.rows[c])) for c in layout.group_range(k)
-    ))
+    rows = fm.matrix.rows
+    return poly_binomial_product(
+        columns.table, (columns.sides(rows[c]) for c in fm.layout.group_range(k))
+    )
 
 
-def product_formula_check(table, fm, k):
+def product_formula_check(columns, fm, k):
     """Group products of exchange polynomials expand the generalized one.
 
     Verifies, in the quotient and over formal current-cluster symbols::
 
         prod_c theta_{k,c}  =  sum_r sigma(rho_{k,r}) * (U> V>)^r * (U< V<)^(d_k - r)
 
-    on the unfolding ``fm``, with ``table`` the folded table.  ``d_k`` is
+    on the unfolding ``fm``, with ``columns`` the column map of ``E`` over
+    the folded table (:func:`eliminated_columns`).  ``d_k`` is
     the size of group ``k``.  Each coefficient contributes through its
     defining relation: ``rho_{k,r}`` is the initial coefficient at slot
     ``r`` or ``d_k - r`` (mutation reverses the row once per mutation of
@@ -288,22 +314,23 @@ def product_formula_check(table, fm, k):
     :class:`~gencluster.errors.Report`; on failure it carries
     ``(k, residual)`` with the difference of the two normal forms.
 
-    Both sides are built from exponent vectors read off the matrix rows,
-    with the unit elimination ``E`` applied to the vectors.  The left side
+    Both sides are built from monomials that the column map reads off the
+    matrix rows, with the unit elimination ``E`` applied.  The left side
     is one kernel expansion of the member binomials
     (:func:`_member_binomial_product`).  The shells ``(U> V>)^r (U<
     V<)^(d_k - r)`` carry no auxiliary variable, so ``E(sigma * shell) =
     E(sigma) * shell``: the right side is one shifted sum of the group's
     cached eliminated ``sigma`` sums (:func:`_sigma_levels`) by the
-    shells' vectors.
+    shells, each the sum ``r g + (d_k - r) l`` of the coherent row's
+    exchange-block sides ``g`` and ``l``.
     """
-    layout = fm.layout
+    layout, table = fm.layout, columns.table
     d_k = len(layout.group_range(k))
-    lhs = _member_binomial_product(table, fm, k)
-    g, l = sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
+    lhs = _member_binomial_product(columns, fm, k)
+    g, l = columns.sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
     sigma, flip = _sigma_levels(table, layout, k), fm.identity_sign(k) < 0
     rhs = poly_shifted_sum(table, (
-        ([r * a + (d_k - r) * b for a, b in zip(g, l)], sigma[d_k - r if flip else r])
+        (monomial_combination(r, g, d_k - r, l), sigma[d_k - r if flip else r])
         for r in range(d_k + 1)
     ))
     if lhs != rhs:
@@ -321,18 +348,19 @@ def product_formula_walk(gca, mode="total"):
     columns carry the root multiplicity of ``mode``
     (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fm)``
     returns ``(k, residual)`` for every failing group, over the folded
-    table, a walk constant.  The key is the folded matrix, all that
+    table; the column map of ``E`` over it is a walk constant.  The key is
+    the folded matrix, all that
     :func:`product_formula_check` reads, as in the ``double-constant``
     walk.
     """
     root = build(gca, root_multiplicity(gca, mode))
-    table = folded_table(gca, root.layout)
+    columns = eliminated_columns(folded_table(gca, root.layout), root.layout)
 
     def check(fm):
         return tuple(
             failure
             for k in range(gca.rank)
-            for failure in product_formula_check(table, fm, k).failures
+            for failure in product_formula_check(columns, fm, k).failures
         )
 
     return root, group_mutate, check, lambda fm: fm.matrix.rows
@@ -403,18 +431,25 @@ def _embedding_conditions_at(ctx, tracked, fm):
     of the vectors ``c_r + r u> + (d - r) u<`` of the same
     :class:`~gencluster.gca_seed.ExchangeContext` (``c_r`` its coefficient
     ``r``); its right side is :func:`_member_binomial_product`.  (iv)
-    eliminates the side ratios' vectors and expands their balanced sums
-    of every order at once (``E`` of the sums, as ``E`` is a monomial ring
-    map); its left sides are the classes of the string entries' vectors.
+    reads the eliminated side ratios of each member row through the column
+    map and expands their balanced sums of every order at once (``E`` of
+    the sums, as ``E`` is a monomial ring map); its left sides are the
+    classes of the string entries' vectors.  A ratio is the member's
+    auxiliary sides: the member and coherent rows share their ``F``
+    slices, so the ``F`` parts cancel.  A member whose ``F`` slice differs
+    fails ``(iv) ratio > keeps frozen content`` once for each ``F`` column
+    whose positive part differs (``<``: negative part), and its ratios keep
+    the difference of the ``F`` sides.
     """
     failures = []
-    layout, phi, table = ctx.layout, ctx.phi, ctx.table
+    layout, phi, table, columns = ctx.layout, ctx.phi, ctx.table, ctx.columns
+    rows, f = fm.matrix.rows, layout.f_block
     width, size = len(table), len(tracked.table)
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
         first = _coherent_row(fm.matrix, layout, k)
         u_gt, u_lt = sides(first, layout.cluster_block)
-        v_gt, v_lt = sides(first, layout.f_block)
+        v_gt, v_lt = sides(first, f)
         # (i) cluster monomials and (ii) stable monomials.
         for label, exps, side in (
             ("(i) u>", gca_ctx.u_gt, u_gt),
@@ -426,28 +461,34 @@ def _embedding_conditions_at(ctx, tracked, fm):
                 failures.append((label, k, None))
         # (iii) cluster variables: the base case, then the exchange identity.
         members = layout.group_range(k)
-        image = phi.vector(tuple(int(q == k) for q in range(size)))
-        if image != tuple(int(q in members) for q in range(len(image))):
+        image = phi.vector((0,) * k + (1,) + (0,) * (size - 1 - k))
+        if image != (0,) * members.start + (1,) * len(members) + (0,) * (len(image) - members.stop):
             failures.append(("(iii)", k, None))
         d, gt, lt = gca_ctx.degree, gca_ctx.u_gt, gca_ctx.u_lt
         theta = ctx.class_of(
             [c + r * g + (d - r) * l for c, g, l in zip(coefficient, gt, lt)]
             for r, coefficient in enumerate(gca_ctx.coefficients)
         )
-        if theta != _member_binomial_product(table, fm, k):
+        if theta != _member_binomial_product(columns, fm, k):
             failures.append(("(iii) exchange", k, None))
         # (iv) string entries against balanced side-ratio sums.
         ratios = []
         for c in members:
-            gt, lt = sides(fm.matrix.rows[c], layout.frozen_block)
-            pair = (tuple(map(sub, gt, v_gt)), tuple(map(sub, lt, v_lt)))
-            for ratio, label in zip(pair, "><"):
+            row = rows[c]
+            if row[f.start:f.stop] == first[f.start:f.stop]:
+                ratios.append(columns.sides(row, layout.aux_block))
+                continue
+            for label, sign in ((">", 1), ("<", -1)):
                 failures.extend(
                     (f"(iv) ratio {label} keeps frozen content", k, c)
-                    for pos in layout.f_block
-                    if ratio[pos]
+                    for pos in f
+                    if max(sign * row[pos], 0) != max(sign * first[pos], 0)
                 )
-            ratios.append(tuple(map(layout.eliminate_units, pair)))
+            ratios.append(tuple(
+                monomial_combination(1, side, -1, coherent)
+                for side, coherent in zip(columns.sides(row, layout.frozen_block),
+                                          columns.sides(first, f))
+            ))
         sigmas = poly_binomial_levels(table, ratios)
         for r in range(tracked.divisors[k] + 1):
             lhs = ctx.class_of((tracked.strings.entry(k, r).exponents,))

@@ -59,8 +59,9 @@ class FoldedLayout(FrozenValue):
     entries), ``n_groups``, ``total`` (the member count), ``groups[i]``
     (group ``i``'s rows and cluster columns), ``aux[i]`` (its
     ``(t_range, s_range)`` pair) and the blocks ``cluster_block``,
-    ``f_block``, ``exchange_block`` (cluster and ``F`` columns) and
-    ``frozen_block`` (all columns after the cluster block).
+    ``f_block``, ``exchange_block`` (cluster and ``F`` columns),
+    ``frozen_block`` (all columns after the cluster block) and
+    ``aux_block`` (the ``T``/``S`` columns).
     :meth:`eliminate_units` is the quotient's unit elimination ``E``,
     read off ``aux`` alone.  Non-integer sizes,
     a negative frozen count or a multiplicity that is not a positive multiple
@@ -102,6 +103,7 @@ class FoldedLayout(FrozenValue):
         object.__setattr__(self, "f_block", range(total, total + m))
         object.__setattr__(self, "exchange_block", range(total + m))
         object.__setattr__(self, "frozen_block", range(total, t))
+        object.__setattr__(self, "aux_block", range(total + m, t))
 
     def _group(self, i):
         """``i``, or IndexOutOfRange unless it numbers a group."""

@@ -22,6 +22,7 @@ from gencluster.unfolding import FoldedMatrix, group_mutate
 from gencluster.laurent_kernel import (
     LaurentPolynomial,
     Monomial,
+    PackedMonomial,
     Substitution,
     VariableTable,
     _drop_zeros,
@@ -201,6 +202,11 @@ def sum_with_bound(table, terms, amp):
     return _trusted(table, _drop_zeros({
         layout.pack_bounded(exps)[0]: coeff for exps, coeff in terms.items()
     }), amp)
+
+
+def packed_vector(v):
+    """The exponent vector ``v``, or a ``PackedMonomial``'s, decoded from its key."""
+    return v._rung.unpack(v._key) if isinstance(v, PackedMonomial) else tuple(v)
 
 
 def poly_sum(table, polys):

@@ -50,6 +50,7 @@ from gencluster import quotient_embedding
 from gencluster.quotient_embedding import (
     QuotientContext,
     _embedding_conditions_at,
+    eliminated_columns,
     product_formula_check,
     subquotient_check,
 )
@@ -398,7 +399,7 @@ class TestVerify:
     def test_failing_report_exits_two(self, monkeypatch):
         monkeypatch.setattr(
             "gencluster.quotient_embedding.product_formula_check",
-            lambda table, fm, k: Report(((k, "residual"),)),
+            lambda columns, fm, k: Report(((k, "residual"),)),
         )
         code, text = run(
             "verify", "product-formula", "--seed", "FIX-C", "--depth", "1"
@@ -727,11 +728,11 @@ def quotient_failures(target, seed, sequence, pf_check, conditions):
     failures = []
     if target == "product-formula":
         root = build(seed)
-        table = folded_initial_seed(seed, root).table
+        columns = eliminated_columns(folded_initial_seed(seed, root).table, root.layout)
         for depth in range(len(sequence) + 1):
             fm = group_mutate_sequence(root, sequence[:depth])
             for k in range(seed.matrix.n):
-                report = pf_check(table, fm, k)
+                report = pf_check(columns, fm, k)
                 failures += [repr((depth,) + f) for f in report.failures]
     elif target == "subquotient":
         failures = [repr(f) for f in subquotient_check(seed).failures]
@@ -1071,10 +1072,10 @@ class TestWalker:
         monkeypatch.setattr(quotient_embedding, "group_mutate", step)
         if target == "product-formula":
 
-            def check(table, fm, k):
+            def check(columns, fm, k):
                 if fm == after_1:
                     raise StructureViolation("shallow check")
-                return product_formula_check(table, fm, k)
+                return product_formula_check(columns, fm, k)
 
             monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
         else:
@@ -1100,10 +1101,10 @@ class TestWalker:
         # Within depth 2 no other prefix reaches that folded matrix.
         after_2 = group_mutate(build(fixture_seed("FIX-B")), 1)
 
-        def check(table, fm, k):
+        def check(columns, fm, k):
             if fm == after_2:
                 raise RuntimeError("synthetic fault")
-            return product_formula_check(table, fm, k)
+            return product_formula_check(columns, fm, k)
 
         monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
         fault = [repr("RuntimeError: synthetic fault")]

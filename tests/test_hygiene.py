@@ -61,9 +61,13 @@ def test_every_import_is_read():
 
 
 #: Names private to the Laurent kernel: the helpers that build, bound and
-#: move results on packed keys, and the attributes that hold the key format.
+#: move results on packed keys, and the attributes that hold the key format
+#: (a polynomial's, a packed monomial's and a column map's packed images).
 KERNEL_PRIVATE_IMPORTS = {"_trusted", "_drop_zeros", "_extremes", "_repack"}
-KERNEL_PRIVATE_ATTRIBUTES = {"_keys", "_amp", "_layout", "_packed", "_divisor", "_numer"}
+KERNEL_PRIVATE_ATTRIBUTES = {
+    "_keys", "_amp", "_layout", "_packed", "_divisor", "_numer",
+    "_key", "_bound", "_rung", "_rungs", "_row_keys",
+}
 
 
 def kernel_internals(source):
@@ -88,10 +92,12 @@ def test_kernel_internals_are_detected():
         "p._keys = {}\n"
         "print(p._amp, table._layout.offset, mono._packed(), lk._drop_zeros)\n"
         "print(p.terms, seed._trusted_seed, _amplitude)\n"
+        "print(side._key, side._rung.offset, columns.sides(row), columns._rungs)\n"
     )
     assert kernel_internals(source) == [
         (1, "_extremes"), (1, "_trusted"),
         (3, "_amp"), (3, "_drop_zeros"), (3, "_layout"), (3, "_packed"),
+        (5, "_key"), (5, "_rung"), (5, "_rungs"),
     ]
 
 
@@ -319,7 +325,9 @@ SHARED_MEMBER_NAMES = {
     "table": (
         "the fields of GeneralizedSeed, LaurentPolynomial and Monomial by "
         "seed.table, p.table and mono.table; QuotientContext's folded table by "
-        "self.table and ctx.table in quotient_embedding and the scripts"
+        "self.table and ctx.table in quotient_embedding and the scripts; "
+        "ColumnMap's by self.table in laurent_kernel and columns.table in "
+        "quotient_embedding"
     ),
 }
 
@@ -822,6 +830,69 @@ def test_binomial_products_are_expanded_only_in_the_kernel():
         )
     }
     assert found == {("laurent_kernel.py", name) for name in BINOMIAL_ENTRY_POINTS}
+
+
+#: The quotient checks that read exchange sides through the kernel's column
+#: map of ``E``: the member binomial product (the product formula's left
+#: side and the right side of ``(iii) exchange``), the product formula's
+#: shells and the side ratios of (iv).  None of them reads a row side as an
+#: exponent vector and eliminates it: ``matrix_mutation.sides`` is called
+#: only on the coherent row ``first``, for the vectors (i) and (ii) compare,
+#: and ``eliminate_units`` is not read at all.
+COLUMN_MAP_SITES = ("_member_binomial_product", "product_formula_check", "_embedding_conditions_at")
+
+
+def vector_side_reads(source, functions):
+    """``(line, function, name)`` of each vector-route read in the top-level ``functions``.
+
+    These are the calls of the bare name ``sides`` whose first argument is
+    not the name ``first``, and every read of ``eliminate_units``, called
+    or passed on.
+    """
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in functions):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "sides":
+                if not (sub.args and getattr(sub.args[0], "id", None) == "first"):
+                    found.append((sub.lineno, node.name, "sides"))
+            elif "eliminate_units" in (getattr(sub, "id", None), getattr(sub, "attr", None)):
+                if isinstance(sub.ctx, ast.Load):
+                    found.append((sub.lineno, node.name, "eliminate_units"))
+    return sorted(found)
+
+
+def test_vector_side_reads_are_detected():
+    source = (
+        "def _member_binomial_product(table, fm, k):\n"
+        "    layout = fm.layout\n"
+        "    return poly_binomial_product(table, (\n"
+        "        map(layout.eliminate_units, sides(fm.matrix.rows[c])) for c in members))\n"
+        "def product_formula_check(columns, fm, k):\n"
+        "    g, l = sides(_coherent_row(fm.matrix, fm.layout, k), block)\n"
+        "    return columns.sides(row), eliminate_units\n"
+        "def _embedding_conditions_at(ctx, tracked, fm):\n"
+        "    u_gt, u_lt = sides(first, layout.cluster_block)\n"
+        "    gt, lt = sides(row, layout.frozen_block)\n"
+        "    return ctx.layout.eliminate_units((gt, lt)), ctx.columns.sides(row, block)\n"
+        "def group_image(self, k):\n"
+        "    return self.layout.eliminate_units(sides(row)[0])\n"
+    )
+    assert vector_side_reads(source, COLUMN_MAP_SITES) == [
+        (4, "_member_binomial_product", "eliminate_units"),
+        (4, "_member_binomial_product", "sides"),
+        (6, "product_formula_check", "sides"),
+        (7, "product_formula_check", "eliminate_units"),
+        (10, "_embedding_conditions_at", "sides"),
+        (11, "_embedding_conditions_at", "eliminate_units"),
+    ]
+
+
+def test_the_column_map_sites_read_no_row_side_vectors():
+    source = (ROOT / "src" / "gencluster" / "quotient_embedding.py").read_text(encoding="utf-8")
+    assert set(read_names(source, COLUMN_MAP_SITES)) == set(COLUMN_MAP_SITES)
+    assert vector_side_reads(source, COLUMN_MAP_SITES) == []
 
 
 #: What the quotient layer does not import, under any name: it builds no

@@ -39,10 +39,12 @@ from gencluster.errors import (
 )
 from gencluster.laurent_kernel import (
     _ROW_MIN_PRODUCTS,
+    ColumnMap,
     LaurentPolynomial,
     Monomial,
     Substitution,
     VariableTable,
+    monomial_combination,
     poly_add,
     poly_binomial_levels,
     poly_binomial_product,
@@ -810,6 +812,201 @@ class TestBinomialExpansion:
                 with pytest.raises(ValidationError) as fused:
                     expand(table, pairs)
                 assert str(fused.value) == str(composed.value)
+
+
+def unit(width, c):
+    return (0,) * c + (1,) + (0,) * (width - 1 - c)
+
+
+def vector_sides(images, row, cols):
+    """The oracle of ``ColumnMap.sides``: each entry times its column's image, added as vectors.
+
+    A column absent from ``images`` is fixed.
+    """
+    width = len(row)
+    gt, lt = [0] * width, [0] * width
+    for c in cols:
+        e = row[c]
+        side, e = (gt, e) if e > 0 else (lt, -e)
+        for q, g in enumerate(images.get(c, unit(width, c))):
+            side[q] += e * g
+    return tuple(gt), tuple(lt)
+
+
+def assert_packed_is(table, packed, vector):
+    """A packed monomial against its vector: as a term (``==``, ``str``, ``hash_key``), bound and rung."""
+    got, expected = table.term(packed), table.term(vector)
+    assert got == expected and str(got) == str(expected)
+    assert got.hash_key() == expected.hash_key()
+    assert packed._bound >= max(map(abs, vector), default=0)
+    assert packed._rung is table._layout.fit(packed._bound)
+
+
+def assert_sides_match(table, images, row, cols=None):
+    """``ColumnMap.sides`` against :func:`vector_sides`, alone and through the kernel functions."""
+    columns = ColumnMap(table, images)
+    packed = columns.sides(row) if cols is None else columns.sides(row, cols)
+    vectors = vector_sides(images, row, range(len(row)) if cols is None else cols)
+    for side, vector in zip(packed, vectors):
+        assert_packed_is(table, side, vector)
+    for expand in (poly_binomial_levels, poly_binomial_product, poly_shifted_sum):
+        pairs = [packed, vectors[::-1]] if expand is not poly_shifted_sum else [
+            (packed[0], None), (packed[1], table.variable(table.names[0])),
+        ]
+        oracle = [vectors, vectors[::-1]] if expand is not poly_shifted_sum else [
+            (vectors[0], None), (vectors[1], table.variable(table.names[0])),
+        ]
+        got, expected = expand(table, pairs), expand(table, oracle)
+        assert got == expected and str(got) == str(expected)
+    return packed, vectors
+
+
+def eliminations(sizes):
+    """Images of a unit elimination over groups of ``sizes`` columns, one group after another.
+
+    Each group's last column moves onto the others as its inverse: its
+    image is ``-1`` on the group's other columns, zero for a group of one.
+    """
+    width, images, start = sum(sizes), {}, 0
+    for size in sizes:
+        last = start + size - 1
+        images[last] = tuple(-int(start <= q < last) for q in range(width))
+        start += size
+    return images
+
+
+@st.composite
+def column_images(draw, width, entries=st.integers(-2, 2)):
+    """Images of some columns: zero vectors, random vectors of both signs; the rest fixed."""
+    image = st.none() | st.just((0,) * width) | st.tuples(*[entries] * width)
+    drawn = draw(st.lists(image, min_size=width, max_size=width))
+    return {c: v for c, v in enumerate(drawn) if v is not None}
+
+
+@st.composite
+def column_ranges(draw, width):
+    start = draw(st.integers(0, width))
+    return range(start, draw(st.integers(start, width)))
+
+
+#: Entries and bound sums at both sides of the limits of the 24- and 48-bit rungs.
+LIMIT_EDGES = [
+    limit + delta for limit in (FIRST_RUNG_LIMIT, SECOND_RUNG_LIMIT) for delta in (-1, 0, 1)
+]
+
+
+class TestColumnMap:
+    """``ColumnMap.sides`` and ``monomial_combination`` against the vector route they replace."""
+
+    @given(st.data())
+    def test_random_rows_and_images(self, data):
+        table = data.draw(tables(max_width=8))
+        width = len(table)
+        images = data.draw(column_images(width))
+        row = data.draw(edge_vectors(table))
+        assert_sides_match(table, images, row)
+        assert_sides_match(table, images, row, data.draw(column_ranges(width)))
+
+    @given(st.data())
+    def test_eliminations_with_single_member_groups(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        table = table_of("x", sum(sizes))
+        row = data.draw(edge_vectors(table))
+        images = eliminations(sizes)
+        # Each group's last column moves; a group of one has a zero image.
+        assert [any(images[c]) for c in sorted(images)] == [size > 1 for size in sizes]
+        assert_sides_match(table, images, row)
+        assert_sides_match(table, images, row, data.draw(column_ranges(len(table))))
+
+    def test_zero_rows_and_zero_columns(self):
+        table = table_of("x", 4)
+        images = {1: (0, 0, 0, 0), 3: (-1, 2, 0, 0)}
+        for row in ((0, 0, 0, 0), (0, 5, 0, 0), (2, 0, -3, 0), (0, 0, 0, -2)):
+            for cols in (None, range(0), range(1, 3), range(2, 4)):
+                packed, vectors = assert_sides_match(table, images, row, cols)
+                for side, vector in zip(packed, vectors):
+                    if not any(vector):
+                        assert table.term(side) == LaurentPolynomial.one(table)
+
+    @pytest.mark.parametrize("entry", LIMIT_EDGES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_entries_at_the_rung_limits(self, entry, sign):
+        # A fixed column, a column sent to its neighbour's inverse, and a
+        # column sent to zero, each holding one entry at a rung's edge.
+        table = table_of("x", 3)
+        images = {1: (-1, 0, 0), 2: (0, 0, 0)}
+        for c in range(3):
+            row = tuple(sign * entry * (q == c) for q in range(3))
+            (gt, lt), _ = assert_sides_match(table, images, row)
+            side = gt if sign > 0 else lt
+            assert side._bound == (0 if c == 2 else entry)
+
+    @pytest.mark.parametrize("total", LIMIT_EDGES)
+    def test_bound_sums_at_the_rung_limits(self, total):
+        # Two entries of one sign add their bounds: onto one variable, where
+        # the exponents add as well, and onto two whose images cancel.
+        table = table_of("x", 3)
+        half = total // 2
+        for images in ({1: (1, 0, 0)}, {1: (-1, 0, 0)}):
+            for sign in (1, -1):
+                row = (sign * half, sign * (total - half), 0)
+                (gt, lt), _ = assert_sides_match(table, images, row)
+                side = gt if sign > 0 else lt
+                assert side._bound == total
+                assert side._rung is table._layout.fit(total)
+
+    @given(st.data())
+    def test_combinations(self, data):
+        table = data.draw(tables(max_width=6))
+        images = data.draw(column_images(len(table)))
+        columns = ColumnMap(table, images)
+        rows = [data.draw(edge_vectors(table)) for _ in range(2)]
+        (a, _), (_, b) = (columns.sides(row) for row in rows)
+        (va, _), (_, vb) = (vector_sides(images, row, range(len(table))) for row in rows)
+        factors = st.integers(-3, 3) | st.sampled_from(LIMIT_EDGES)
+        m, n = data.draw(factors), data.draw(factors)
+        combined = monomial_combination(m, a, n, b)
+        assert_packed_is(table, combined, tuple(m * x + n * y for x, y in zip(va, vb)))
+        assert combined._bound == abs(m) * a._bound + abs(n) * b._bound
+
+    def test_combinations_leave_a_wide_rung_for_a_narrow_bound(self):
+        table = table_of("x", 2)
+        columns = ColumnMap(table, {})
+        wide, _ = columns.sides((SECOND_RUNG_LIMIT, 0))
+        small, _ = columns.sides((0, 3))
+        for m, n, vector in ((0, 1, (0, 3)), (0, 0, (0, 0)), (1, 0, (SECOND_RUNG_LIMIT, 0))):
+            assert_packed_is(table, monomial_combination(m, wide, n, small), vector)
+        # Two operands on one wide rung, both with factor zero.
+        assert_packed_is(table, monomial_combination(0, wide, 0, wide), (0, 0))
+
+    def test_wrong_lengths_and_widths_raise_as_term_does(self):
+        table = table_of("x", 2)
+        with pytest.raises(ValidationError) as composed:
+            table.term((1,))
+        columns = ColumnMap(table, {0: (0, 1)})
+        for row in ((1,), (1, 0, 0), ()):
+            with pytest.raises(ValidationError) as fused:
+                columns.sides(row)
+            assert str(fused.value) == str(composed.value)
+        others = [ColumnMap(table_of("u", 3), {}).sides((e, 0, 0))[0] for e in (1, SECOND_RUNG_LIMIT)]
+        for other in others:
+            for build in (table.term, lambda v: poly_shifted_sum(table, [(v, None)])):
+                with pytest.raises(ValidationError) as fused:
+                    build(other)
+                assert str(fused.value) == str(composed.value)
+        other = others[0]
+        (mono, _) = columns.sides((1, 0))
+        with pytest.raises(ValidationError) as fused:
+            monomial_combination(1, mono, 1, other)
+        assert str(fused.value) == str(composed.value)
+        with pytest.raises(ValidationError, match="factors must be integers"):
+            monomial_combination(0.5, mono, 1, mono)
+
+    def test_images_are_checked_when_built(self):
+        table = table_of("x", 2)
+        for images in ({0: (1,)}, {2: (0, 0)}, {-1: (0, 0)}, {"x0": (0, 0)}, {0: (0.5, 0)}):
+            with pytest.raises(ValidationError):
+                ColumnMap(table, images)
 
 
 class TestDivision:

@@ -25,6 +25,7 @@ from conftest import (
     oracle_balanced_sum,
     oracle_sigma,
     oracle_unit_elimination,
+    packed_vector,
     poly_mul_monomial,
     poly_sum,
     shared_factor_seeds,
@@ -63,6 +64,7 @@ from gencluster.quotient_embedding import (
     _embedding_conditions_at,
     _member_binomial_product,
     _sigma_levels,
+    eliminated_columns,
     embedding_walk,
     folded_table,
     product_formula_check,
@@ -1014,9 +1016,10 @@ class TestProductFormula:
             cases.append((seed, [random_sequence(rng, seed.matrix.n, 4)]))
         for seed, sequences in cases:
             table, states = product_formula_states(seed, mode, sequences)
+            columns = eliminated_columns(table, states[0][0].layout)
             for fm, parity in states:
                 for k in range(seed.rank):
-                    report = product_formula_check(table, fm, k)
+                    report = product_formula_check(columns, fm, k)
                     assert report.ok, (seed.divisors, parity, k)
                     assert report == oracle_product_formula_check(table, fm, k, parity[k])
 
@@ -1062,6 +1065,7 @@ class TestProductFormula:
         for seed in (fix_a, fix_b, fix_c):
             sequences = [(k,) for k in range(seed.rank)]
             table, states = product_formula_states(seed, "total", sequences)
+            columns = eliminated_columns(table, states[0][0].layout)
             for fm, parity in states:
                 for k in range(seed.rank):
                     member, (t_cols, s_cols) = fm.layout.group_range(k)[0], fm.layout.aux[k]
@@ -1069,7 +1073,7 @@ class TestProductFormula:
                         for delta in (1, -2):
                             bad = tampered(fm, member, col, delta)
                             try:
-                                report = product_formula_check(table, bad, k)
+                                report = product_formula_check(columns, bad, k)
                             except StructureViolation:
                                 kinds.add("broken sign")
                                 continue
@@ -1097,7 +1101,7 @@ class TestProductFormula:
 
         for b in (FIRST_RUNG_LIMIT // 2 - 2, FIRST_RUNG_LIMIT // 2, FIRST_RUNG_LIMIT):
             table, fm = check_at(b)
-            assert product_formula_check(table, fm, 0) == Report(())
+            assert product_formula_check(eliminated_columns(table, fm.layout), fm, 0) == Report(())
             assert oracle_product_formula_check(table, fm, 0, 0) == Report(())
 
     def test_lcm_mode(self, fix_b):
@@ -1144,6 +1148,7 @@ class TestEliminationOnVectors:
         seed = fixture_seed(name)
         sequences = list(product(range(seed.rank), repeat=depth))
         table, states = product_formula_states(seed, "total", sequences)
+        columns = eliminated_columns(table, states[0][0].layout)
         everything = [True] * len(table)
         for fm, _ in states:
             layout = fm.layout
@@ -1153,22 +1158,24 @@ class TestEliminationOnVectors:
                     gt, lt = member_sides(table, fm.matrix.rows[c], everything)
                     lhs = poly_mul(lhs, poly_add(mono_poly(gt), mono_poly(lt)))
                 expected = eliminated(lhs, seed.divisors.entries)
-                assert _member_binomial_product(table, fm, k) == expected
+                assert _member_binomial_product(columns, fm, k) == expected
 
     @pytest.mark.parametrize("name, depth", WALKS)
     def test_condition_iv_right_sides(self, name, depth, monkeypatch):
         # Every level of the balanced sums of eliminated side ratios that
         # (iv) compares, against the unit elimination of the ratios'
         # balanced sums built subset by subset.  The ratios are read off the
-        # rows by role and eliminated by name.
+        # rows by role and eliminated by name.  The check passes packed
+        # monomials, recorded here by their exponent vectors.
         from gencluster import quotient_embedding
 
         built = {}
         expand = quotient_embedding.poly_binomial_levels
 
         def recording(table, pairs):
-            pairs = tuple(tuple(pair) for pair in pairs)
-            built[pairs] = levels = expand(table, pairs)
+            pairs = [tuple(pair) for pair in pairs]
+            levels = expand(table, pairs)
+            built[tuple(tuple(map(packed_vector, pair)) for pair in pairs)] = levels
             return levels
 
         monkeypatch.setattr(quotient_embedding, "poly_binomial_levels", recording)
@@ -1294,8 +1301,8 @@ class TestEvaluatedOracle:
 
         fix_b = fixture_seed("FIX-B")
 
-        def wrong_group(table, fm, k):
-            return _member_binomial_product(table, fm, (k + 1) % fm.layout.n_groups)
+        def wrong_group(columns, fm, k):
+            return _member_binomial_product(columns, fm, (k + 1) % fm.layout.n_groups)
 
         def skipped_members(seed, layout, k):
             return seed if k == 1 else group_mutate_seed(seed, layout, k)

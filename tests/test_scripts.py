@@ -141,7 +141,7 @@ def test_run_verification_fails_under_optimization():
 @pytest.mark.parametrize("plant, argv, failed, detail", [
     (
         "quotient_embedding.product_formula_check = (\n"
-        "    lambda table, fm, k: Report(((k, 'residual'),)))",
+        "    lambda columns, fm, k: Report(((k, 'residual'),)))",
         ("--cases", "4", "--depth", "0"),
         ["product-formula", "random product-formula"],
         "'residual')",
