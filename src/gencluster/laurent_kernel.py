@@ -1140,11 +1140,13 @@ def monomial_combination(m, a, n, b):
     bound, rung = abs(m) * a._bound + abs(n) * b._bound, a._rung
     # A shared rung that holds the bound is the narrowest when an operand
     # with a nonzero factor sits on it.
-    if rung is not b._rung or bound >= rung.limit or not (m or n):
+    if rung is b._rung and bound < rung.limit and (m or n):
+        a_key, b_key = a._key, b._key
+    else:
         rung = _layout(rung.width, 24).fit(bound)
+        a_key, b_key = rung.pack_bounded(a)[0], rung.pack_bounded(b)[0]
     offset = rung.offset
-    keys = [rung.pack_bounded(a)[0] - offset, rung.pack_bounded(b)[0] - offset]
-    return PackedMonomial(offset + m * keys[0] + n * keys[1], bound, rung)
+    return PackedMonomial(offset + m * (a_key - offset) + n * (b_key - offset), bound, rung)
 
 
 class ColumnMap:
