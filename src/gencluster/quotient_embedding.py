@@ -60,7 +60,8 @@ monomial ring maps applied to monomials only, never to a polynomial:
 :class:`~gencluster.laurent_kernel.Substitution` built once per walk
 and applied to exponent vectors.  ``E`` is the layout's method; each
 walk also builds its kernel :class:`~gencluster.laurent_kernel.ColumnMap`
-(:func:`eliminated_columns`), which reads the eliminated exchange sides
+(over :meth:`~gencluster.unfolding.FoldedLayout.moved_unit_images`),
+which reads the eliminated exchange sides
 of a row straight into packed monomials.  Every side the checks
 eliminate is read through it: the member rows of the binomial product,
 the coherent row's exchange block for the product formula's shells, and
@@ -98,22 +99,6 @@ def folded_table(gca, layout):
     then per group the ``t`` members followed by the ``s`` members.
     """
     return VariableTable.make(layout.cluster_names(), layout.frozen_names(root_names(gca.table)))
-
-
-def eliminated_columns(table, layout):
-    """The :class:`~gencluster.laurent_kernel.ColumnMap` of ``E`` over the folded ``table``.
-
-    Column ``c``'s image is ``E`` of the unit vector ``c``
-    (:meth:`~gencluster.unfolding.FoldedLayout.eliminate_units`), so the
-    map's sides of a matrix row are the unit eliminations of the row's
-    exchange sides.  ``E`` moves only each group's last ``t`` and ``s``
-    columns, so only their images are given; each walk builds one map.
-    """
-    width = len(table)
-    moved = [block[-1] for pair in layout.aux for block in pair]
-    return ColumnMap(table, {
-        c: layout.eliminate_units((0,) * c + (1,) + (0,) * (width - 1 - c)) for c in moved
-    })
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +158,8 @@ class QuotientContext:
     ``(k, r)`` gives the concrete seed, and mutation only permutes the
     placeholders.  ``root`` is the root unfolding, ``layout`` its folded
     layout and ``table`` the folded table (:func:`folded_table`), and
-    ``columns`` the column map of ``E`` over it (:func:`eliminated_columns`).
+    ``columns`` the column map of ``E`` over it, whose sides of a matrix
+    row are the unit eliminations of the row's exchange sides.
     The eliminated ``sigma`` sums are cached per folded table and group
     (:func:`_sigma_levels`).
 
@@ -197,7 +183,7 @@ class QuotientContext:
         self.root = build(adjoined.base, adjoined.multiplicity)
         self.layout = layout = self.root.layout
         self.table = table = folded_table(adjoined.base, layout)
-        self.columns = eliminated_columns(table, layout)
+        self.columns = ColumnMap(table, layout.moved_unit_images())
         slots = [(k, r) for k in range(seed.rank) for r in range(1, seed.divisors[k])]
         # A placeholder name a cluster variable holds moves on by ``_R``.
         taken = set(seed.table.names)
@@ -285,7 +271,7 @@ def _member_binomial_product(columns, fm, k):
 
     ``E(theta_c) = x^(E a) + x^(E b)`` for the sides ``a`` and ``b`` of row
     ``c``, so the product is one expansion of the side pairs that the
-    column map of ``E`` (:func:`eliminated_columns`) reads off the rows.
+    column map of ``E`` reads off the rows.
     """
     rows = fm.matrix.rows
     return poly_binomial_product(
@@ -300,8 +286,9 @@ def product_formula_check(columns, fm, k):
 
         prod_c theta_{k,c}  =  sum_r sigma(rho_{k,r}) * (U> V>)^r * (U< V<)^(d_k - r)
 
-    on the unfolding ``fm``, with ``columns`` the column map of ``E`` over
-    the folded table (:func:`eliminated_columns`).  ``d_k`` is
+    on the unfolding ``fm``, with ``columns`` the
+    :class:`~gencluster.laurent_kernel.ColumnMap` of ``E`` over the folded
+    table.  ``d_k`` is
     the size of group ``k``.  Each coefficient contributes through its
     defining relation: ``rho_{k,r}`` is the initial coefficient at slot
     ``r`` or ``d_k - r`` (mutation reverses the row once per mutation of
@@ -354,7 +341,7 @@ def product_formula_walk(gca, mode="total"):
     walk.
     """
     root = build(gca, root_multiplicity(gca, mode))
-    columns = eliminated_columns(folded_table(gca, root.layout), root.layout)
+    columns = ColumnMap(folded_table(gca, root.layout), root.layout.moved_unit_images())
 
     def check(fm):
         return tuple(

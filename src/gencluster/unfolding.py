@@ -63,7 +63,8 @@ class FoldedLayout(FrozenValue):
     ``frozen_block`` (all columns after the cluster block) and
     ``aux_block`` (the ``T``/``S`` columns).
     :meth:`eliminate_units` is the quotient's unit elimination ``E``,
-    read off ``aux`` alone.  Non-integer sizes,
+    read off ``aux`` alone, and :meth:`moved_unit_images` the images of
+    the variables it moves.  Non-integer sizes,
     a negative frozen count or a multiplicity that is not a positive multiple
     of every divisor raise ValidationError; the group accessors raise
     IndexOutOfRange for a missing group.  Group mutations share the layout.
@@ -139,6 +140,16 @@ class FoldedLayout(FrozenValue):
                     for q in block[:-1]:
                         out[q] -= e
         return tuple(out)
+
+    def moved_unit_images(self):
+        """``{c: E(e_c)}`` for each column ``c`` that :meth:`eliminate_units` moves.
+
+        These are each group's last ``t`` and ``s`` columns; ``E`` fixes
+        every other unit vector ``e_c``.
+        """
+        width = self.frozen_block.stop
+        moved = [block[-1] for pair in self.aux for block in pair]
+        return {c: self.eliminate_units((0,) * c + (1,) + (0,) * (width - c - 1)) for c in moved}
 
     def cluster_names(self):
         """``y1 .. yT``, one cluster variable per member, group by group."""

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import group_mutate_sequence, mono_power, shared_factor_seeds
 from gencluster import cli_io, gca_seed, laurent_kernel
+from gencluster.laurent_kernel import ColumnMap
 from gencluster.cli_io import (
     parse_seed,
     parse_seed_text,
@@ -50,7 +51,6 @@ from gencluster import quotient_embedding
 from gencluster.quotient_embedding import (
     QuotientContext,
     _embedding_conditions_at,
-    eliminated_columns,
     product_formula_check,
     subquotient_check,
 )
@@ -728,7 +728,8 @@ def quotient_failures(target, seed, sequence, pf_check, conditions):
     failures = []
     if target == "product-formula":
         root = build(seed)
-        columns = eliminated_columns(folded_initial_seed(seed, root).table, root.layout)
+        table = folded_initial_seed(seed, root).table
+        columns = ColumnMap(table, root.layout.moved_unit_images())
         for depth in range(len(sequence) + 1):
             fm = group_mutate_sequence(root, sequence[:depth])
             for k in range(seed.matrix.n):

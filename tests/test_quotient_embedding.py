@@ -49,6 +49,7 @@ from gencluster.gca_seed import (
     mutate_seed,
 )
 from gencluster.laurent_kernel import (
+    ColumnMap,
     LaurentPolynomial,
     Monomial,
     Substitution,
@@ -64,7 +65,6 @@ from gencluster.quotient_embedding import (
     _embedding_conditions_at,
     _member_binomial_product,
     _sigma_levels,
-    eliminated_columns,
     embedding_walk,
     folded_table,
     product_formula_check,
@@ -581,6 +581,13 @@ class TestFoldedSeed:
                 ]
             for exps in vectors:
                 assert layout.eliminate_units(exps) == units.vector(exps)
+            # The moved images are those of the unit vectors E does not fix.
+            moved = {}
+            for c in range(width):
+                unit = tuple(int(q == c) for q in range(width))
+                if units.vector(unit) != unit:
+                    moved[c] = units.vector(unit)
+            assert layout.moved_unit_images() == moved
 
     def test_initial_seed_shape(self, fix_a):
         fm = build(fix_a)
@@ -1016,7 +1023,7 @@ class TestProductFormula:
             cases.append((seed, [random_sequence(rng, seed.matrix.n, 4)]))
         for seed, sequences in cases:
             table, states = product_formula_states(seed, mode, sequences)
-            columns = eliminated_columns(table, states[0][0].layout)
+            columns = ColumnMap(table, states[0][0].layout.moved_unit_images())
             for fm, parity in states:
                 for k in range(seed.rank):
                     report = product_formula_check(columns, fm, k)
@@ -1065,7 +1072,7 @@ class TestProductFormula:
         for seed in (fix_a, fix_b, fix_c):
             sequences = [(k,) for k in range(seed.rank)]
             table, states = product_formula_states(seed, "total", sequences)
-            columns = eliminated_columns(table, states[0][0].layout)
+            columns = ColumnMap(table, states[0][0].layout.moved_unit_images())
             for fm, parity in states:
                 for k in range(seed.rank):
                     member, (t_cols, s_cols) = fm.layout.group_range(k)[0], fm.layout.aux[k]
@@ -1101,7 +1108,8 @@ class TestProductFormula:
 
         for b in (FIRST_RUNG_LIMIT // 2 - 2, FIRST_RUNG_LIMIT // 2, FIRST_RUNG_LIMIT):
             table, fm = check_at(b)
-            assert product_formula_check(eliminated_columns(table, fm.layout), fm, 0) == Report(())
+            columns = ColumnMap(table, fm.layout.moved_unit_images())
+            assert product_formula_check(columns, fm, 0) == Report(())
             assert oracle_product_formula_check(table, fm, 0, 0) == Report(())
 
     def test_lcm_mode(self, fix_b):
@@ -1148,7 +1156,7 @@ class TestEliminationOnVectors:
         seed = fixture_seed(name)
         sequences = list(product(range(seed.rank), repeat=depth))
         table, states = product_formula_states(seed, "total", sequences)
-        columns = eliminated_columns(table, states[0][0].layout)
+        columns = ColumnMap(table, states[0][0].layout.moved_unit_images())
         everything = [True] * len(table)
         for fm, _ in states:
             layout = fm.layout
