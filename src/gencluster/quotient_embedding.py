@@ -58,15 +58,15 @@ of the folded layout ``[cluster groups | F | T^1 S^1 | ...]``
 monomial ring maps applied to monomials only, never to a polynomial:
 ``E(sum c_v x^v) = sum c_v x^(E v)``.  ``phi`` is a kernel
 :class:`~gencluster.laurent_kernel.Substitution` built once per walk
-and applied to exponent vectors.  ``E`` is the layout's method; each
-walk also builds its kernel :class:`~gencluster.laurent_kernel.ColumnMap`
-(over :meth:`~gencluster.unfolding.FoldedLayout.moved_unit_images`),
-which reads the eliminated exchange sides
-of a row straight into packed monomials.  Every side the checks
-eliminate is read through it: the member rows of the binomial product,
-the coherent row's exchange block for the product formula's shells, and
-the member rows' auxiliary columns for the ratios of (iv).  So the
-kernel expands each polynomial here once: a product of member
+and applied to exponent vectors.  ``E`` is the layout's method, and each
+walk builds one kernel :class:`~gencluster.laurent_kernel.ColumnMap` of
+it from :meth:`~gencluster.unfolding.FoldedLayout.moved_unit_images`,
+which reads the eliminated exchange sides of a row straight into packed
+monomials.  Every side the checks eliminate is read through it: the
+member rows of the binomial product, the coherent row's exchange block
+for the product formula's shells, and the member rows' auxiliary columns
+for the ratios of (iv).  So the kernel expands each polynomial here
+once: a product of member
 binomials, or the balanced sums ``sigma`` of every order at once, is one
 binomial expansion (``poly_binomial_product``,
 ``poly_binomial_levels``); the class of a sum of tracked monomials
@@ -288,11 +288,10 @@ def product_formula_check(columns, fm, k):
 
     on the unfolding ``fm``, with ``columns`` the
     :class:`~gencluster.laurent_kernel.ColumnMap` of ``E`` over the folded
-    table.  ``d_k`` is
-    the size of group ``k``.  Each coefficient contributes through its
-    defining relation: ``rho_{k,r}`` is the initial coefficient at slot
-    ``r`` or ``d_k - r`` (mutation reverses the row once per mutation of
-    the group, and so negates the group's
+    table.  ``d_k`` is the size of group ``k``.  Each coefficient
+    contributes through its defining relation: ``rho_{k,r}`` is the
+    initial coefficient at slot ``r`` or ``d_k - r`` (mutation reverses
+    the row once per mutation of the group, and so negates the group's
     :meth:`~gencluster.unfolding.FoldedMatrix.identity_sign`, which
     decides), and the relation identifies that initial coefficient with
     the balanced sum of the same index.  A group of one member has sign
@@ -336,9 +335,8 @@ def product_formula_walk(gca, mode="total"):
     (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fm)``
     returns ``(k, residual)`` for every failing group, over the folded
     table; the column map of ``E`` over it is a walk constant.  The key is
-    the folded matrix, all that
-    :func:`product_formula_check` reads, as in the ``double-constant``
-    walk.
+    the folded matrix, all that :func:`product_formula_check` reads, as in
+    the ``double-constant`` walk.
     """
     root = build(gca, root_multiplicity(gca, mode))
     columns = ColumnMap(folded_table(gca, root.layout), root.layout.moved_unit_images())

@@ -493,7 +493,9 @@ class TestVerify:
         assert written_at_widening
         assert 0 < min(written_at_widening) and max(written_at_widening) < 64
 
-    @pytest.mark.parametrize("target, seed, digest", DEPTH_10_OUTPUTS)
+    @pytest.mark.parametrize(
+        "target, seed, digest", DEPTH_10_OUTPUTS, ids=[f"{t}-{s}" for t, s, _ in DEPTH_10_OUTPUTS]
+    )
     def test_depth_10_walks_are_pinned(self, monkeypatch, target, seed, digest):
         # FIX-A's folded exponents pass 2**22 at depth 6, so both of its
         # walks widen their key fields after the first records are written

@@ -849,13 +849,12 @@ def assert_sides_match(table, images, row, cols=None):
     vectors = vector_sides(images, row, range(len(row)) if cols is None else cols)
     for side, vector in zip(packed, vectors):
         assert_packed_is(table, side, vector)
-    for expand in (poly_binomial_levels, poly_binomial_product, poly_shifted_sum):
-        pairs = [packed, vectors[::-1]] if expand is not poly_shifted_sum else [
-            (packed[0], None), (packed[1], table.variable(table.names[0])),
-        ]
-        oracle = [vectors, vectors[::-1]] if expand is not poly_shifted_sum else [
-            (vectors[0], None), (vectors[1], table.variable(table.names[0])),
-        ]
+    x0 = table.variable(table.names[0])
+    for expand, pairs, oracle in (
+        (poly_binomial_levels, [packed, vectors[::-1]], [vectors, vectors[::-1]]),
+        (poly_binomial_product, [packed, vectors[::-1]], [vectors, vectors[::-1]]),
+        (poly_shifted_sum, [(packed[0], None), (packed[1], x0)], [(vectors[0], None), (vectors[1], x0)]),
+    ):
         got, expected = expand(table, pairs), expand(table, oracle)
         assert got == expected and str(got) == str(expected)
     return packed, vectors
