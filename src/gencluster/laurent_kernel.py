@@ -90,11 +90,8 @@ Design notes
   ring map sends ``sum c_v x^v`` to ``sum c_v x^(E v)``, so a caller that
   builds a polynomial from exponent vectors can map the vectors first and
   run no pass over the polynomial.
-* Packed monomials.  A :class:`PackedMonomial` (a key, a bound, the
-  narrowest rung that holds it) goes wherever an exponent vector does.
-  Packing is linear, so a :class:`ColumnMap` reads a row side's key as
-  the sum of its nonzero entries times their columns' packed images, one
-  pass over the row with no vector built.
+* Packed monomials go wherever exponent vectors do.  Packing is linear,
+  so :class:`ColumnMap` sums a row's entries times packed column images.
 """
 
 from collections import Counter
@@ -147,14 +144,15 @@ class _Layout:
 
         The key is on the rung ``self.fit(amp)``: a vector past this
         rung's limit is packed again on the narrowest rung that holds it.
-        ValidationError for another width or a non-integer.  A
-        :class:`PackedMonomial` is read off its key, or unpacked to move up.
+        ValidationError for another width or a non-integer.
         """
         if type(exps) is PackedMonomial:
-            rung = exps._rung
-            # Its rung is the narrowest that holds its bound.
-            if rung is self or rung.width == self.width and exps._bound >= self.limit:
-                return exps._key, exps._bound
+            rung, bound = exps._rung, exps._bound
+            if rung.width == self.width:
+                # Its rung is the narrowest that holds its bound.
+                if rung is self or bound >= self.limit:
+                    return exps._key, bound
+                return self.offset + sum(map(mul, rung.unpack(exps._key), self.units)), bound
             exps = rung.unpack(exps._key)
         units = self.units
         if len(exps) != len(units):
@@ -1119,11 +1117,7 @@ class Substitution:
 
 
 class PackedMonomial:
-    """A monomial as its key, an upper bound on its largest exponent magnitude, and its rung.
-
-    The rung is the narrowest that holds the bound.  The kernel functions
-    that take an exponent vector take one, through ``pack_bounded``.
-    """
+    """A key, a bound on its largest exponent magnitude, and the narrowest rung holding the bound."""
 
     __slots__ = ("_key", "_bound", "_rung")
 
@@ -1132,30 +1126,18 @@ class PackedMonomial:
 
 
 def monomial_combination(m, a, n, b):
-    """The :class:`PackedMonomial` of ``m v_a + n v_b``, bounded by ``|m|`` and ``|n|`` times theirs.
-
-    ValidationError for two widths or a factor that is not an integer.
-    """
+    """``m a + n b`` of two :class:`PackedMonomial` (ValidationError for two widths)."""
     m, n = _integer(m, "factors"), _integer(n, "factors")
-    bound, rung = abs(m) * a._bound + abs(n) * b._bound, a._rung
-    # A shared rung that holds the bound is the narrowest when an operand
-    # with a nonzero factor sits on it.
-    if rung is b._rung and bound < rung.limit and (m or n):
-        a_key, b_key = a._key, b._key
-    else:
-        rung = _layout(rung.width, 24).fit(bound)
-        a_key, b_key = rung.pack_bounded(a)[0], rung.pack_bounded(b)[0]
-    offset = rung.offset
+    bound = abs(m) * a._bound + abs(n) * b._bound
+    rung = _layout(a._rung.width, 24).fit(bound)
+    a_key, b_key, offset = rung.pack_bounded(a)[0], rung.pack_bounded(b)[0], rung.offset
     return PackedMonomial(offset + m * (a_key - offset) + n * (b_key - offset), bound, rung)
 
 
 class ColumnMap:
-    """A monomial map of ``table`` to itself that reads matrix rows into packed monomials.
+    """The monomial map of ``table`` sending column ``c`` to ``images[c]`` and fixing the rest.
 
-    ``images`` maps the positions of the columns that move to the exponent
-    vectors of their images (ValidationError for another position or
-    length, or a non-integer); the other columns are fixed.  The packed
-    images are worked out once per rung that a row needs.
+    ValidationError for an image of another position or length.
     """
 
     __slots__ = ("table", "_images", "_bounds", "_rungs")
@@ -1170,13 +1152,11 @@ class ColumnMap:
             self._images[c], self._bounds[c] = v, max(map(abs, v), default=0)
 
     def sides(self, row, cols=None):
-        """``(gt, lt)``: the images of a row's exchange sides, as :class:`PackedMonomial`.
+        """The images of ``row``'s sides over the ``range`` ``cols``, as :class:`PackedMonomial`.
 
-        ``gt`` maps the positive entries of ``row`` (one integer per table
-        variable, ValidationError otherwise) in the step-1 ``range`` ``cols``
-        (all by default), ``lt`` the negative entries' magnitudes.  An entry
-        ``e`` of column ``c`` adds ``e`` times ``c``'s packed image to its side's
-        key, and ``|e|`` times the image's largest magnitude to its bound.
+        ``(gt, lt)`` map the positive entries and the negative entries'
+        magnitudes.  A side's bound sums each entry times its image's
+        largest magnitude, or is exact once that sum passes the first rung.
         """
         if len(row) != len(self._bounds):
             raise ValidationError("exponent vector does not match table size")
@@ -1186,11 +1166,11 @@ class ColumnMap:
         if gt_bound < base.limit > lt_bound:
             return (PackedMonomial(base.offset + gt, gt_bound, base),
                     PackedMonomial(base.offset + lt, lt_bound, base))
-        wide = [base.fit(gt_bound), base.fit(lt_bound)]
-        return tuple(
-            PackedMonomial(w.offset + self._row_keys(row, cols, w)[i], (gt_bound, lt_bound)[i], w)
-            for i, w in enumerate(wide)
-        )
+        wide, out = base.fit(max(gt_bound, lt_bound)), []
+        for key in self._row_keys(row, cols, wide)[:2]:
+            key, amp = base.pack_bounded(wide.unpack(wide.offset + key))
+            out.append(PackedMonomial(key, amp, base.fit(amp)))
+        return tuple(out)
 
     def _row_keys(self, row, cols, layout):
         """The two keys of ``row`` over ``cols``, less ``layout.offset``, and their bounds."""

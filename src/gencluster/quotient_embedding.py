@@ -157,10 +157,8 @@ class QuotientContext:
     adjoined seed; sending each placeholder to the adjoined string entry
     ``(k, r)`` gives the concrete seed, and mutation only permutes the
     placeholders.  ``root`` is the root unfolding, ``layout`` its folded
-    layout and ``table`` the folded table (:func:`folded_table`), and
-    ``columns`` the column map of ``E`` over it, whose sides of a matrix
-    row are the unit eliminations of the row's exchange sides.
-    The eliminated ``sigma`` sums are cached per folded table and group
+    layout and ``table`` the folded table (:func:`folded_table`).  The
+    eliminated ``sigma`` sums are cached per folded table and group
     (:func:`_sigma_levels`).
 
     ``phi`` is the :class:`~gencluster.laurent_kernel.Substitution` from
@@ -183,7 +181,6 @@ class QuotientContext:
         self.root = build(adjoined.base, adjoined.multiplicity)
         self.layout = layout = self.root.layout
         self.table = table = folded_table(adjoined.base, layout)
-        self.columns = ColumnMap(table, layout.moved_unit_images())
         slots = [(k, r) for k in range(seed.rank) for r in range(1, seed.divisors[k])]
         # A placeholder name a cluster variable holds moves on by ``_R``.
         taken = set(seed.table.names)
@@ -388,24 +385,32 @@ def embedding_walk(gca, mode="total"):
     :func:`~gencluster.unfolding.group_mutate`; the tracked cluster stays
     the table's symbols.  ``check(state)`` is
     :func:`_embedding_conditions_at` against the walk's
-    :class:`QuotientContext`, with ``(condition, k, r)`` failures (``r``
+    :class:`QuotientContext` and the column map of ``E`` over its folded
+    table, both walk constants, with ``(condition, k, r)`` failures (``r``
     a string slot, a member, or ``None``).  The key is the tracked seed's
     content and the folded matrix rows.
     """
     ctx = QuotientContext.create(gca, mode=mode)
+    columns = ColumnMap(ctx.table, ctx.layout.moved_unit_images())
 
     def step(state, k):
         tracked, fm = state
         return mutate_exchange_data(tracked, k), group_mutate(fm, k)
 
+    def check(state):
+        return _embedding_conditions_at(ctx, columns, *state)
+
     def key(state):
         return state[0].content_key(), state[1].matrix.rows
 
-    return (ctx.tracked, ctx.root), step, lambda state: _embedding_conditions_at(ctx, *state), key
+    return (ctx.tracked, ctx.root), step, check, key
 
 
-def _embedding_conditions_at(ctx, tracked, fm):
+def _embedding_conditions_at(ctx, columns, tracked, fm):
     """The failures of conditions (i)-(iv) at the state ``(tracked, fm)`` of ``ctx``'s walk.
+
+    ``columns`` is the :class:`~gencluster.laurent_kernel.ColumnMap` of
+    ``E`` over ``ctx.table``.
 
     (i), (ii) and the base case of (iii) compare exponent vectors of any
     size.  The tracked exchange monomials carry no placeholder and the
@@ -427,7 +432,7 @@ def _embedding_conditions_at(ctx, tracked, fm):
     the difference of the ``F`` sides.
     """
     failures = []
-    layout, phi, table, columns = ctx.layout, ctx.phi, ctx.table, ctx.columns
+    layout, phi, table = ctx.layout, ctx.phi, ctx.table
     rows, f = fm.matrix.rows, layout.f_block
     width, size = len(table), len(tracked.table)
     for k in range(tracked.rank):
@@ -446,8 +451,8 @@ def _embedding_conditions_at(ctx, tracked, fm):
                 failures.append((label, k, None))
         # (iii) cluster variables: the base case, then the exchange identity.
         members = layout.group_range(k)
-        image = phi.vector((0,) * k + (1,) + (0,) * (size - 1 - k))
-        if image != (0,) * members.start + (1,) * len(members) + (0,) * (len(image) - members.stop):
+        image = phi.vector(tuple(int(q == k) for q in range(size)))
+        if image != tuple(int(q in members) for q in range(len(image))):
             failures.append(("(iii)", k, None))
         d, gt, lt = gca_ctx.degree, gca_ctx.u_gt, gca_ctx.u_lt
         theta = ctx.class_of(

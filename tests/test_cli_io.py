@@ -741,12 +741,13 @@ def quotient_failures(target, seed, sequence, pf_check, conditions):
         failures = [repr(f) for f in subquotient_check(seed).failures]
     else:
         ctx = QuotientContext.create(seed)
+        columns = ColumnMap(ctx.table, ctx.layout.moved_unit_images())
         tracked, fm = ctx.tracked, ctx.root
         for depth in range(len(sequence) + 1):
             if depth:
                 k = sequence[depth - 1]
                 tracked, fm = mutate_exchange_data(tracked, k), group_mutate(fm, k)
-            failures += [repr((depth,) + f) for f in conditions(ctx, tracked, fm)]
+            failures += [repr((depth,) + f) for f in conditions(ctx, columns, tracked, fm)]
     return failures
 
 
@@ -1039,7 +1040,7 @@ class TestWalker:
         # so a walk that reaches the wrong state changes the records.
         pf_check = sign_naming_check(100)
 
-        def conditions(ctx, tracked, fm):
+        def conditions(ctx, columns, tracked, fm):
             rows = tracked.matrix.rows
             bad = sum(rows[0]) > 10
             return [("synthetic", rows, fm.matrix.rows)] if bad else []
@@ -1083,10 +1084,10 @@ class TestWalker:
             monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
         else:
 
-            def check(ctx, tracked, fm):
+            def check(ctx, columns, tracked, fm):
                 if fm == after_1:
                     raise StructureViolation("shallow check")
-                return _embedding_conditions_at(ctx, tracked, fm)
+                return _embedding_conditions_at(ctx, columns, tracked, fm)
 
             monkeypatch.setattr(quotient_embedding, "_embedding_conditions_at", check)
         deep = [repr("StructureViolation: deep mutation")]

@@ -872,10 +872,10 @@ def test_vector_side_reads_are_detected():
         "def product_formula_check(columns, fm, k):\n"
         "    g, l = sides(_coherent_row(fm.matrix, fm.layout, k), block)\n"
         "    return columns.sides(row), eliminate_units\n"
-        "def _embedding_conditions_at(ctx, tracked, fm):\n"
+        "def _embedding_conditions_at(ctx, columns, tracked, fm):\n"
         "    u_gt, u_lt = sides(first, layout.cluster_block)\n"
         "    gt, lt = sides(row, layout.frozen_block)\n"
-        "    return ctx.layout.eliminate_units((gt, lt)), ctx.columns.sides(row, block)\n"
+        "    return ctx.layout.eliminate_units((gt, lt)), columns.sides(row, block)\n"
         "def group_image(self, k):\n"
         "    return self.layout.eliminate_units(sides(row)[0])\n"
     )

@@ -943,16 +943,19 @@ class TestColumnMap:
     @pytest.mark.parametrize("total", LIMIT_EDGES)
     def test_bound_sums_at_the_rung_limits(self, total):
         # Two entries of one sign add their bounds: onto one variable, where
-        # the exponents add as well, and onto two whose images cancel.
+        # the exponents add as well, and onto two whose images cancel.  A
+        # sum that reaches the first rung's limit gives way to the exact
+        # largest magnitude.
         table = table_of("x", 3)
         half = total // 2
         for images in ({1: (1, 0, 0)}, {1: (-1, 0, 0)}):
             for sign in (1, -1):
                 row = (sign * half, sign * (total - half), 0)
-                (gt, lt), _ = assert_sides_match(table, images, row)
-                side = gt if sign > 0 else lt
-                assert side._bound == total
-                assert side._rung is table._layout.fit(total)
+                (gt, lt), vectors = assert_sides_match(table, images, row)
+                side, vector = (gt, vectors[0]) if sign > 0 else (lt, vectors[1])
+                exact = max(map(abs, vector))
+                assert side._bound == (total if total < FIRST_RUNG_LIMIT else exact)
+                assert side._rung is table._layout.fit(side._bound)
 
     @given(st.data())
     def test_combinations(self, data):

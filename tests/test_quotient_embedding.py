@@ -142,8 +142,10 @@ def library_conditions(ctx):
     The walk's tracked cluster is the table's symbols, so the evaluated
     entries are put back to them.
     """
-    tracked = ctx.tracked._trusted_replace(cluster=ctx.constants.tracked.cluster)
-    return _embedding_conditions_at(ctx.constants, tracked, ctx.unfolding)
+    constants = ctx.constants
+    tracked = ctx.tracked._trusted_replace(cluster=constants.tracked.cluster)
+    columns = ColumnMap(constants.table, constants.layout.moved_unit_images())
+    return _embedding_conditions_at(constants, columns, tracked, ctx.unfolding)
 
 
 def group_monomials(table, fm, k):

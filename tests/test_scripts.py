@@ -147,7 +147,7 @@ def test_run_verification_fails_under_optimization():
         "'residual')",
     ),
     (
-        "def conditions(ctx, tracked, fm):\n"
+        "def conditions(ctx, columns, tracked, fm):\n"
         "    raise RuntimeError('planted')\n"
         "quotient_embedding._embedding_conditions_at = conditions",
         ("--cases", "0", "--depth", "0"),
