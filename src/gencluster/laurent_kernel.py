@@ -144,15 +144,14 @@ class _Layout:
 
         The key is on the rung ``self.fit(amp)``: a vector past this
         rung's limit is packed again on the narrowest rung that holds it.
-        ValidationError for another width or a non-integer.
+        ValidationError for another width or a non-integer.  A
+        :class:`PackedMonomial` is read off its key, or unpacked to move up.
         """
         if type(exps) is PackedMonomial:
-            rung, bound = exps._rung, exps._bound
-            if rung.width == self.width:
-                # Its rung is the narrowest that holds its bound.
-                if rung is self or bound >= self.limit:
-                    return exps._key, bound
-                return self.offset + sum(map(mul, rung.unpack(exps._key), self.units)), bound
+            rung = exps._rung
+            # Its rung is the narrowest that holds its bound.
+            if rung is self or rung.width == self.width and exps._bound >= self.limit:
+                return exps._key, exps._bound
             exps = rung.unpack(exps._key)
         units = self.units
         if len(exps) != len(units):
