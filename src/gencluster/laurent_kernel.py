@@ -80,18 +80,19 @@ Design notes
   Otherwise a one-term divisor shifts keys and any other divisor runs the
   heap elimination of :func:`poly_exact_div`, whose exponent box is the
   quotient itself when the quotient is one term.
-* Substitutions.  A :class:`Substitution` is a monomial ring map, built
-  once from ``(mapping, source table, target table)``: it checks the
-  mapping when it is built, and stores a variable's image as its nonzero
-  exponents when a polynomial or a vector first uses the variable.  It
-  maps a polynomial in one loop over its keys, with one move list per
-  pair of rungs packed from the stored images and kept, and an exponent
-  vector (:meth:`Substitution.vector`) from the same images.  A monomial
-  ring map sends ``sum c_v x^v`` to ``sum c_v x^(E v)``, so a caller that
-  builds a polynomial from exponent vectors can map the vectors first and
-  run no pass over the polynomial.
+* Substitutions.  A :class:`Substitution` is the one monomial ring map,
+  built once from ``(mapping, source table, target table)``: it checks
+  the mapping when it is built, and stores a variable's image as its
+  nonzero exponents when it first uses the variable.  It maps an exponent
+  vector (:meth:`Substitution.vector`), a polynomial term by term through
+  the vector form, and the two sides of a matrix row
+  (:meth:`Substitution.sides`).  A monomial ring map sends ``sum c_v
+  x^v`` to ``sum c_v x^(E v)``, so a caller that builds a polynomial from
+  exponent vectors can map the vectors first and run no pass over the
+  polynomial.
 * Packed monomials go wherever exponent vectors do.  Packing is linear,
-  so :class:`ColumnMap` sums a row's entries times packed column images.
+  so :meth:`Substitution.sides` sums a row's entries times column images
+  packed once per target rung.
 """
 
 from collections import Counter
@@ -988,19 +989,21 @@ class Substitution:
     :class:`Monomial`, TableMismatch for one over another table.  A name
     absent from the mapping is fixed when the tables are one, and is
     otherwise carried across by name; a name the target lacks raises
-    UnknownSymbol only when a polynomial or a vector uses it.  ``images``
-    is a read-only view of the mapping.
+    UnknownSymbol when a vector or a polynomial uses it, or at the first
+    :meth:`sides`, which reads every column.  ``images`` is a read-only
+    view of the mapping.
 
-    ``sub(p)`` maps a polynomial over ``source``, and ``sub.vector(exps)``
-    maps an exponent vector: the exponents of the image of ``x^exps``.
-    Both read one stored column per source variable, worked out when a
-    polynomial or a vector first uses the variable: the nonzero ``(target
-    position, exponent)`` entries of its image and the image's largest
-    exponent magnitude.  The polynomial form packs a column's move from
-    it, into one move list per pair of rungs, and keeps it.
+    ``sub.vector(exps)`` maps an exponent vector: the exponents of the
+    image of ``x^exps``.  ``sub(p)`` maps a polynomial term by term, and
+    ``sub.sides(row, cols)`` reads both sides of a row straight into
+    packed monomials.  All three read one stored column per source
+    variable, worked out on first use: the nonzero ``(target position,
+    exponent)`` entries of its image and the image's largest exponent
+    magnitude.  :meth:`sides` packs every column's image on a target rung
+    once, and keeps it.
     """
 
-    __slots__ = ("source", "target", "images", "_same", "_positions", "_columns", "_moves")
+    __slots__ = ("source", "target", "images", "_same", "_positions", "_columns", "_rung_images")
 
     def __init__(self, mapping, source, target):
         for name, mono in mapping.items():
@@ -1016,7 +1019,7 @@ class Substitution:
         # The variables that can move: over one table, the mapped ones.
         self._positions = sorted(map(source.index, mapping)) if same else range(len(source))
         self._columns = [None] * len(source)
-        self._moves = {}
+        self._rung_images = {}
 
     def _column(self, i):
         """``(entries, bound)`` of source variable ``i``, stored on first use."""
@@ -1033,60 +1036,22 @@ class Substitution:
     def __call__(self, p):
         """The image of the polynomial ``p`` over ``source`` (TableMismatch otherwise).
 
-        The result is bounded by ``p``'s bound times the sum of the used
-        variables' image bounds (plus one over one table, for the
-        variables that stay).  Keys are linear in exponent vectors, so
-        each used variable adds its exponent times its packed image to a
-        key rebuilt from the target's 1.  On one rung of one width a term
-        keeps its key, and each variable that moves adds its exponent
-        times (image - itself); over one table ``p``'s keys first move up
-        to the result's rung, so only mapped variables move.
+        Each term's exponent vector goes through :meth:`vector`, the terms
+        whose images meet add, and the result sits on the rung of its
+        exact bound.
         """
         if not _same_table(p.table, self.source):
             raise TableMismatch("polynomial is not over the substitution's source table")
-        s_layout, same, columns = p._layout, self._same, self._columns
-        used = 0
-        for key in p._keys:
-            used |= key ^ s_layout.offset
-        shifts, mask = s_layout.shifts, s_layout.mask
-        picked, bound = [], int(same)
-        for i in self._positions:
-            if (used >> shifts[i]) & mask:
-                picked.append(i)
-                bound += (columns[i] or self._column(i))[1]
-        amp = p._amp * bound
-        target = self.target
-        layout = target._layout.fit(amp)
-        keys, r_layout = (_repack(p._keys, s_layout, layout), layout) if same else (p._keys, s_layout)
-        in_place = r_layout is layout
-        packed = self._moves.get((r_layout, layout))
-        if packed is None:
-            packed = self._moves[r_layout, layout] = [None] * len(columns)
-        moves = []
-        for i in picked:
-            move = packed[i]
-            if move is None:
-                units = layout.units
-                delta = -units[i] if in_place else 0
-                for j, g in columns[i][0]:
-                    delta += g * units[j]
-                move = packed[i] = (r_layout.shifts[i], delta)
-            if move[1]:
-                moves.append(move)
-        if same and not moves:
-            return p
-        base = layout.offset
-        mask, bias = r_layout.mask, r_layout.bias
-        terms = {}
-        get = terms.get
-        for key, coeff in keys.items():
-            acc = key if in_place else base
-            for shift, delta in moves:
-                e = ((key >> shift) & mask) - bias
-                if e:
-                    acc += e * delta
-            terms[acc] = get(acc, 0) + coeff
-        return _trusted(target, _drop_zeros(terms), amp)
+        unpack, vector, terms = p._layout.unpack, self.vector, {}
+        for key, coeff in p._keys.items():
+            image = vector(unpack(key))
+            terms[image] = terms.get(image, 0) + coeff
+        terms = _drop_zeros(terms)
+        amp = max(map(abs, chain.from_iterable(terms)), default=0)
+        layout = self.target._layout.fit(amp)
+        offset, units = layout.offset, layout.units
+        keys = {offset + sum(map(mul, image, units)): c for image, c in terms.items()}
+        return _trusted(self.target, keys, amp)
 
     def vector(self, exps):
         """The exponent vector, over ``target``, of the image of ``x^exps``.
@@ -1114,6 +1079,52 @@ class Substitution:
                     out[j] += e * g
         return tuple(out)
 
+    def sides(self, row, cols=None):
+        """The images of ``row``'s sides over the ``range`` ``cols``, as :class:`PackedMonomial`.
+
+        ``row`` holds one integer per ``source`` variable (ValidationError
+        otherwise).  ``(gt, lt)`` map its positive entries and its negative
+        entries' magnitudes.  A side's bound sums each entry times its
+        image's largest magnitude, or is exact once that sum passes the
+        first rung.
+        """
+        if len(row) != len(self._columns):
+            raise ValidationError("exponent vector does not match table size")
+        cols = range(len(row)) if cols is None else cols
+        base = self.target._layout
+        gt, lt, gt_bound, lt_bound = self._row_keys(row, cols, base)
+        if gt_bound < base.limit > lt_bound:
+            return (PackedMonomial(base.offset + gt, gt_bound, base),
+                    PackedMonomial(base.offset + lt, lt_bound, base))
+        wide, out = base.fit(max(gt_bound, lt_bound)), []
+        for key in self._row_keys(row, cols, wide)[:2]:
+            key, amp = base.pack_bounded(wide.unpack(wide.offset + key))
+            out.append(PackedMonomial(key, amp, base.fit(amp)))
+        return tuple(out)
+
+    def _row_keys(self, row, cols, layout):
+        """The two keys of ``row`` over ``cols``, less ``layout.offset``, and their bounds."""
+        rung = self._rung_images.get(layout)
+        if rung is None:
+            # Over one table a variable without an image is fixed.
+            units, width = layout.units, len(self._columns)
+            packed, bounds = (list(units), [1] * width) if self._same else ([0] * width, [0] * width)
+            for i in self._positions:
+                entries, bounds[i] = self._columns[i] or self._column(i)
+                packed[i] = sum([g * units[j] for j, g in entries])
+            rung = self._rung_images[layout] = packed, bounds
+        packed, bounds = rung
+        gt = lt = gt_bound = lt_bound = 0
+        for c in cols:
+            e = row[c]
+            if e > 0:
+                gt += e * packed[c]
+                gt_bound += e * bounds[c]
+            elif e < 0:
+                lt -= e * packed[c]
+                lt_bound -= e * bounds[c]
+        return gt, lt, gt_bound, lt_bound
+
 
 class PackedMonomial:
     """A key, a bound on its largest exponent magnitude, and the narrowest rung holding the bound."""
@@ -1131,61 +1142,3 @@ def monomial_combination(m, a, n, b):
     rung = _layout(a._rung.width, 24).fit(bound)
     a_key, b_key, offset = rung.pack_bounded(a)[0], rung.pack_bounded(b)[0], rung.offset
     return PackedMonomial(offset + m * (a_key - offset) + n * (b_key - offset), bound, rung)
-
-
-class ColumnMap:
-    """The monomial map of ``table`` sending column ``c`` to ``images[c]`` and fixing the rest.
-
-    ValidationError for an image of another position or length.
-    """
-
-    __slots__ = ("table", "_images", "_bounds", "_rungs")
-
-    def __init__(self, table, images):
-        width = len(table)
-        self.table, self._images, self._bounds, self._rungs = table, {}, [1] * width, {}
-        for c, v in images.items():
-            v = _int_vector(v)
-            if type(c) is not int or not 0 <= c < width or len(v) != width:
-                raise ValidationError(f"image of column {c!r} does not match table size")
-            self._images[c], self._bounds[c] = v, max(map(abs, v), default=0)
-
-    def sides(self, row, cols=None):
-        """The images of ``row``'s sides over the ``range`` ``cols``, as :class:`PackedMonomial`.
-
-        ``(gt, lt)`` map the positive entries and the negative entries'
-        magnitudes.  A side's bound sums each entry times its image's
-        largest magnitude, or is exact once that sum passes the first rung.
-        """
-        if len(row) != len(self._bounds):
-            raise ValidationError("exponent vector does not match table size")
-        cols = range(len(row)) if cols is None else cols
-        base = self.table._layout
-        gt, lt, gt_bound, lt_bound = self._row_keys(row, cols, base)
-        if gt_bound < base.limit > lt_bound:
-            return (PackedMonomial(base.offset + gt, gt_bound, base),
-                    PackedMonomial(base.offset + lt, lt_bound, base))
-        wide, out = base.fit(max(gt_bound, lt_bound)), []
-        for key in self._row_keys(row, cols, wide)[:2]:
-            key, amp = base.pack_bounded(wide.unpack(wide.offset + key))
-            out.append(PackedMonomial(key, amp, base.fit(amp)))
-        return tuple(out)
-
-    def _row_keys(self, row, cols, layout):
-        """The two keys of ``row`` over ``cols``, less ``layout.offset``, and their bounds."""
-        packed = self._rungs.get(layout)
-        if packed is None:
-            packed = self._rungs[layout] = list(layout.units)
-            for c, v in self._images.items():
-                packed[c] = sum(map(mul, v, layout.units))
-        bounds = self._bounds
-        gt = lt = gt_bound = lt_bound = 0
-        for c in cols:
-            e = row[c]
-            if e > 0:
-                gt += e * packed[c]
-                gt_bound += e * bounds[c]
-            elif e < 0:
-                lt -= e * packed[c]
-                lt_bound -= e * bounds[c]
-        return gt, lt, gt_bound, lt_bound

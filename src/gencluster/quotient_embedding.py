@@ -56,17 +56,19 @@ Exchange data is read off matrix rows, each role from its column block
 of the folded layout ``[cluster groups | F | T^1 S^1 | ...]``
 (:class:`~gencluster.unfolding.FoldedLayout`).  ``E`` and ``phi`` are
 monomial ring maps applied to monomials only, never to a polynomial:
-``E(sum c_v x^v) = sum c_v x^(E v)``.  ``phi`` is a kernel
-:class:`~gencluster.laurent_kernel.Substitution` built once per walk
-and applied to exponent vectors.  ``E`` is the layout's method, and each
-walk builds one kernel :class:`~gencluster.laurent_kernel.ColumnMap` of
-it from :meth:`~gencluster.unfolding.FoldedLayout.moved_unit_images`,
-which reads the eliminated exchange sides of a row straight into packed
-monomials.  Every side the checks eliminate is read through it: the
-member rows of the binomial product, the coherent row's exchange block
-for the product formula's shells, and the member rows' auxiliary columns
-for the ratios of (iv).  So the kernel expands each polynomial here
-once: a product of member
+``E(sum c_v x^v) = sum c_v x^(E v)``.  Each is a kernel
+:class:`~gencluster.laurent_kernel.Substitution`, the one monomial map,
+which offers ``vector``, ``sub(p)`` and ``sides``.  ``phi`` is built once
+per walk and applied to exponent vectors.  The layout's
+:meth:`~gencluster.unfolding.FoldedLayout.eliminate_units` defines
+``E``, and each walk builds its map once (:func:`unit_elimination`) from
+:meth:`~gencluster.unfolding.FoldedLayout.moved_unit_images`; its
+``sides`` reads the eliminated exchange sides of a row straight into
+packed monomials.  Every side the checks eliminate is read through it:
+the member rows of the binomial product, the coherent row's exchange
+block for the product formula's shells, and the member rows' auxiliary
+columns for the ratios of (iv).  So the kernel expands each polynomial
+here once: a product of member
 binomials, or the balanced sums ``sigma`` of every order at once, is one
 binomial expansion (``poly_binomial_product``,
 ``poly_binomial_levels``); the class of a sum of tracked monomials
@@ -78,7 +80,7 @@ from functools import lru_cache
 
 from .errors import GroupCoherenceViolation, InexactDivision, Report
 from .gca_seed import ExchangeContext, mutate_exchange_data
-from .laurent_kernel import ColumnMap, LaurentPolynomial, Substitution, VariableTable
+from .laurent_kernel import LaurentPolynomial, Substitution, VariableTable
 from .laurent_kernel import _trusted_monomial, monomial_combination
 from .laurent_kernel import poly_binomial_levels, poly_binomial_product, poly_shifted_sum, poly_sub
 from .matrix_mutation import sides
@@ -259,34 +261,45 @@ class QuotientContext:
         return table.term(self.layout.eliminate_units(product))
 
 
+def unit_elimination(table, layout):
+    """``E`` over the folded ``table`` of ``layout`` as a kernel map, one per walk.
+
+    Its images are :meth:`~gencluster.unfolding.FoldedLayout.moved_unit_images`;
+    it fixes every other column.
+    """
+    names = table.names
+    images = layout.moved_unit_images().items()
+    return Substitution({names[c]: _trusted_monomial(table, v) for c, v in images}, table, table)
+
+
 # ---------------------------------------------------------------------------
 # Verification: the product formula
 
 
-def _member_binomial_product(columns, fm, k):
+def _member_binomial_product(elimination, fm, k):
     """``E(prod_c theta_c)`` over the members ``c`` of group ``k`` of ``fm``.
 
     ``E(theta_c) = x^(E a) + x^(E b)`` for the sides ``a`` and ``b`` of row
     ``c``, so the product is one expansion of the side pairs that the
-    column map of ``E`` reads off the rows.
+    map ``elimination`` of ``E`` reads off the rows.
     """
     rows = fm.matrix.rows
     return poly_binomial_product(
-        columns.table, (columns.sides(rows[c]) for c in fm.layout.group_range(k))
+        elimination.target, (elimination.sides(rows[c]) for c in fm.layout.group_range(k))
     )
 
 
-def product_formula_check(columns, fm, k):
+def product_formula_check(elimination, fm, k):
     """Group products of exchange polynomials expand the generalized one.
 
     Verifies, in the quotient and over formal current-cluster symbols::
 
         prod_c theta_{k,c}  =  sum_r sigma(rho_{k,r}) * (U> V>)^r * (U< V<)^(d_k - r)
 
-    on the unfolding ``fm``, with ``columns`` the
-    :class:`~gencluster.laurent_kernel.ColumnMap` of ``E`` over the folded
-    table.  ``d_k`` is the size of group ``k``.  Each coefficient
-    contributes through its defining relation: ``rho_{k,r}`` is the
+    on the unfolding ``fm``, with ``elimination`` the map of ``E`` over the
+    folded table (:func:`unit_elimination`).  ``d_k`` is the size of group
+    ``k``.  Each coefficient contributes through its defining relation:
+    ``rho_{k,r}`` is the
     initial coefficient at slot ``r`` or ``d_k - r`` (mutation reverses
     the row once per mutation of the group, and so negates the group's
     :meth:`~gencluster.unfolding.FoldedMatrix.identity_sign`, which
@@ -297,7 +310,7 @@ def product_formula_check(columns, fm, k):
     :class:`~gencluster.errors.Report`; on failure it carries
     ``(k, residual)`` with the difference of the two normal forms.
 
-    Both sides are built from monomials that the column map reads off the
+    Both sides are built from monomials that ``elimination`` reads off the
     matrix rows, with the unit elimination ``E`` applied.  The left side
     is one kernel expansion of the member binomials
     (:func:`_member_binomial_product`).  The shells ``(U> V>)^r (U<
@@ -307,10 +320,10 @@ def product_formula_check(columns, fm, k):
     shells, each the sum ``r g + (d_k - r) l`` of the coherent row's
     exchange-block sides ``g`` and ``l``.
     """
-    layout, table = fm.layout, columns.table
+    layout, table = fm.layout, elimination.target
     d_k = len(layout.group_range(k))
-    lhs = _member_binomial_product(columns, fm, k)
-    g, l = columns.sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
+    lhs = _member_binomial_product(elimination, fm, k)
+    g, l = elimination.sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
     sigma, flip = _sigma_levels(table, layout, k), fm.identity_sign(k) < 0
     rhs = poly_shifted_sum(table, (
         (monomial_combination(r, g, d_k - r, l), sigma[d_k - r if flip else r])
@@ -331,18 +344,18 @@ def product_formula_walk(gca, mode="total"):
     columns carry the root multiplicity of ``mode``
     (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fm)``
     returns ``(k, residual)`` for every failing group, over the folded
-    table; the column map of ``E`` over it is a walk constant.  The key is
+    table; the map of ``E`` over it is a walk constant.  The key is
     the folded matrix, all that :func:`product_formula_check` reads, as in
     the ``double-constant`` walk.
     """
     root = build(gca, root_multiplicity(gca, mode))
-    columns = ColumnMap(folded_table(gca, root.layout), root.layout.moved_unit_images())
+    elimination = unit_elimination(folded_table(gca, root.layout), root.layout)
 
     def check(fm):
         return tuple(
             failure
             for k in range(gca.rank)
-            for failure in product_formula_check(columns, fm, k).failures
+            for failure in product_formula_check(elimination, fm, k).failures
         )
 
     return root, group_mutate, check, lambda fm: fm.matrix.rows
@@ -385,20 +398,20 @@ def embedding_walk(gca, mode="total"):
     :func:`~gencluster.unfolding.group_mutate`; the tracked cluster stays
     the table's symbols.  ``check(state)`` is
     :func:`_embedding_conditions_at` against the walk's
-    :class:`QuotientContext` and the column map of ``E`` over its folded
+    :class:`QuotientContext` and the map of ``E`` over its folded
     table, both walk constants, with ``(condition, k, r)`` failures (``r``
     a string slot, a member, or ``None``).  The key is the tracked seed's
     content and the folded matrix rows.
     """
     ctx = QuotientContext.create(gca, mode=mode)
-    columns = ColumnMap(ctx.table, ctx.layout.moved_unit_images())
+    elimination = unit_elimination(ctx.table, ctx.layout)
 
     def step(state, k):
         tracked, fm = state
         return mutate_exchange_data(tracked, k), group_mutate(fm, k)
 
     def check(state):
-        return _embedding_conditions_at(ctx, columns, *state)
+        return _embedding_conditions_at(ctx, elimination, *state)
 
     def key(state):
         return state[0].content_key(), state[1].matrix.rows
@@ -406,11 +419,10 @@ def embedding_walk(gca, mode="total"):
     return (ctx.tracked, ctx.root), step, check, key
 
 
-def _embedding_conditions_at(ctx, columns, tracked, fm):
+def _embedding_conditions_at(ctx, elimination, tracked, fm):
     """The failures of conditions (i)-(iv) at the state ``(tracked, fm)`` of ``ctx``'s walk.
 
-    ``columns`` is the :class:`~gencluster.laurent_kernel.ColumnMap` of
-    ``E`` over ``ctx.table``.
+    ``elimination`` is the map of ``E`` over ``ctx.table`` (:func:`unit_elimination`).
 
     (i), (ii) and the base case of (iii) compare exponent vectors of any
     size.  The tracked exchange monomials carry no placeholder and the
@@ -459,14 +471,14 @@ def _embedding_conditions_at(ctx, columns, tracked, fm):
             [c + r * g + (d - r) * l for c, g, l in zip(coefficient, gt, lt)]
             for r, coefficient in enumerate(gca_ctx.coefficients)
         )
-        if theta != _member_binomial_product(columns, fm, k):
+        if theta != _member_binomial_product(elimination, fm, k):
             failures.append(("(iii) exchange", k, None))
         # (iv) string entries against balanced side-ratio sums.
         ratios = []
         for c in members:
             row = rows[c]
             if row[f.start:f.stop] == first[f.start:f.stop]:
-                ratios.append(columns.sides(row, layout.aux_block))
+                ratios.append(elimination.sides(row, layout.aux_block))
                 continue
             for label, sign in ((">", 1), ("<", -1)):
                 failures.extend(
@@ -476,8 +488,8 @@ def _embedding_conditions_at(ctx, columns, tracked, fm):
                 )
             ratios.append(tuple(
                 monomial_combination(1, side, -1, coherent)
-                for side, coherent in zip(columns.sides(row, layout.frozen_block),
-                                          columns.sides(first, f))
+                for side, coherent in zip(elimination.sides(row, layout.frozen_block),
+                                          elimination.sides(first, f))
             ))
         sigmas = poly_binomial_levels(table, ratios)
         for r in range(tracked.divisors[k] + 1):

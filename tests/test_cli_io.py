@@ -16,7 +16,6 @@ import pytest
 
 from conftest import group_mutate_sequence, mono_power, shared_factor_seeds
 from gencluster import cli_io, gca_seed, laurent_kernel
-from gencluster.laurent_kernel import ColumnMap
 from gencluster.cli_io import (
     parse_seed,
     parse_seed_text,
@@ -53,6 +52,7 @@ from gencluster.quotient_embedding import (
     _embedding_conditions_at,
     product_formula_check,
     subquotient_check,
+    unit_elimination,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.unfolding import (
@@ -399,7 +399,7 @@ class TestVerify:
     def test_failing_report_exits_two(self, monkeypatch):
         monkeypatch.setattr(
             "gencluster.quotient_embedding.product_formula_check",
-            lambda columns, fm, k: Report(((k, "residual"),)),
+            lambda elimination, fm, k: Report(((k, "residual"),)),
         )
         code, text = run(
             "verify", "product-formula", "--seed", "FIX-C", "--depth", "1"
@@ -731,23 +731,23 @@ def quotient_failures(target, seed, sequence, pf_check, conditions):
     if target == "product-formula":
         root = build(seed)
         table = folded_initial_seed(seed, root).table
-        columns = ColumnMap(table, root.layout.moved_unit_images())
+        elimination = unit_elimination(table, root.layout)
         for depth in range(len(sequence) + 1):
             fm = group_mutate_sequence(root, sequence[:depth])
             for k in range(seed.matrix.n):
-                report = pf_check(columns, fm, k)
+                report = pf_check(elimination, fm, k)
                 failures += [repr((depth,) + f) for f in report.failures]
     elif target == "subquotient":
         failures = [repr(f) for f in subquotient_check(seed).failures]
     else:
         ctx = QuotientContext.create(seed)
-        columns = ColumnMap(ctx.table, ctx.layout.moved_unit_images())
+        elimination = unit_elimination(ctx.table, ctx.layout)
         tracked, fm = ctx.tracked, ctx.root
         for depth in range(len(sequence) + 1):
             if depth:
                 k = sequence[depth - 1]
                 tracked, fm = mutate_exchange_data(tracked, k), group_mutate(fm, k)
-            failures += [repr((depth,) + f) for f in conditions(ctx, columns, tracked, fm)]
+            failures += [repr((depth,) + f) for f in conditions(ctx, elimination, tracked, fm)]
     return failures
 
 
@@ -1040,7 +1040,7 @@ class TestWalker:
         # so a walk that reaches the wrong state changes the records.
         pf_check = sign_naming_check(100)
 
-        def conditions(ctx, columns, tracked, fm):
+        def conditions(ctx, elimination, tracked, fm):
             rows = tracked.matrix.rows
             bad = sum(rows[0]) > 10
             return [("synthetic", rows, fm.matrix.rows)] if bad else []
@@ -1076,18 +1076,18 @@ class TestWalker:
         monkeypatch.setattr(quotient_embedding, "group_mutate", step)
         if target == "product-formula":
 
-            def check(columns, fm, k):
+            def check(elimination, fm, k):
                 if fm == after_1:
                     raise StructureViolation("shallow check")
-                return product_formula_check(columns, fm, k)
+                return product_formula_check(elimination, fm, k)
 
             monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
         else:
 
-            def check(ctx, columns, tracked, fm):
+            def check(ctx, elimination, tracked, fm):
                 if fm == after_1:
                     raise StructureViolation("shallow check")
-                return _embedding_conditions_at(ctx, columns, tracked, fm)
+                return _embedding_conditions_at(ctx, elimination, tracked, fm)
 
             monkeypatch.setattr(quotient_embedding, "_embedding_conditions_at", check)
         deep = [repr("StructureViolation: deep mutation")]
@@ -1105,10 +1105,10 @@ class TestWalker:
         # Within depth 2 no other prefix reaches that folded matrix.
         after_2 = group_mutate(build(fixture_seed("FIX-B")), 1)
 
-        def check(columns, fm, k):
+        def check(elimination, fm, k):
             if fm == after_2:
                 raise RuntimeError("synthetic fault")
-            return product_formula_check(columns, fm, k)
+            return product_formula_check(elimination, fm, k)
 
         monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
         fault = [repr("RuntimeError: synthetic fault")]

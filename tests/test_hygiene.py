@@ -62,11 +62,13 @@ def test_every_import_is_read():
 
 #: Names private to the Laurent kernel: the helpers that build, bound and
 #: move results on packed keys, and the attributes that hold the key format
-#: (a polynomial's, a packed monomial's and a column map's packed images).
+#: (a polynomial's, a packed monomial's, and a substitution's stored
+#: columns and packed images).
 KERNEL_PRIVATE_IMPORTS = {"_trusted", "_drop_zeros", "_extremes", "_repack"}
 KERNEL_PRIVATE_ATTRIBUTES = {
     "_keys", "_amp", "_layout", "_packed", "_divisor", "_numer",
-    "_key", "_bound", "_rung", "_rungs", "_row_keys",
+    "_key", "_bound", "_rung",
+    "_same", "_positions", "_columns", "_column", "_rung_images", "_row_keys",
 }
 
 
@@ -92,12 +94,14 @@ def test_kernel_internals_are_detected():
         "p._keys = {}\n"
         "print(p._amp, table._layout.offset, mono._packed(), lk._drop_zeros)\n"
         "print(p.terms, seed._trusted_seed, _amplitude)\n"
-        "print(side._key, side._rung.offset, columns.sides(row), columns._rungs)\n"
+        "print(side._key, side._rung.offset, sub.sides(row), sub._rung_images)\n"
+        "print(sub.vector(v), sub._columns, sub._row_keys(row, cols, layout))\n"
     )
     assert kernel_internals(source) == [
         (1, "_extremes"), (1, "_trusted"),
         (3, "_amp"), (3, "_drop_zeros"), (3, "_layout"), (3, "_packed"),
-        (5, "_key"), (5, "_rung"), (5, "_rungs"),
+        (5, "_key"), (5, "_rung"), (5, "_rung_images"),
+        (6, "_columns"), (6, "_row_keys"),
     ]
 
 
@@ -325,9 +329,7 @@ SHARED_MEMBER_NAMES = {
     "table": (
         "the fields of GeneralizedSeed, LaurentPolynomial and Monomial by "
         "seed.table, p.table and mono.table; QuotientContext's folded table by "
-        "self.table and ctx.table in quotient_embedding and the scripts; "
-        "ColumnMap's by self.table in laurent_kernel and columns.table in "
-        "quotient_embedding"
+        "self.table and ctx.table in quotient_embedding and the scripts"
     ),
 }
 
@@ -623,12 +625,14 @@ def test_only_the_reviewed_constructors_skip_checks():
 
 #: The functions that build a kernel ``Substitution``, as ``(file,
 #: function)``, each once: the embedding ``phi`` (once per walk, in
-#: ``QuotientContext.__init__``), and root adjunction's ``f -> g^n``, once
-#: when it adjoins and once per transport check.  The unit elimination
-#: ``E`` is ``FoldedLayout.eliminate_units`` and builds none.  A second
-#: ``phi``, or a map built per call, shows here.
+#: ``QuotientContext.__init__``), the unit elimination ``E`` (once per
+#: walk, in ``unit_elimination``, from the images that
+#: ``FoldedLayout.eliminate_units`` defines), and root adjunction's
+#: ``f -> g^n``, once when it adjoins and once per transport check.  A
+#: second ``phi`` or ``E``, or a map built per call, shows here.
 SUBSTITUTION_BUILDERS = (
     ("quotient_embedding.py", "__init__"),
+    ("quotient_embedding.py", "unit_elimination"),
     ("root_adjoin.py", "tau_tilde"),
     ("root_adjoin.py", "transport_check"),
 )
@@ -665,11 +669,11 @@ def test_only_the_reviewed_functions_build_substitutions():
     assert found == sorted(SUBSTITUTION_BUILDERS)
 
 
-#: The names and attributes that hold ``quotient_embedding``'s monomial
-#: map kernel ``Substitution``: the embedding ``phi``.  Every image there
-#: is built from exponent vectors, so it is applied through ``.vector``
-#: only; the unit elimination ``E`` is a layout method on vectors.
-VECTOR_ONLY_MAPS = {"phi"}
+#: The names and attributes that hold ``quotient_embedding``'s kernel
+#: ``Substitution`` maps: the embedding ``phi`` and the unit elimination
+#: ``elimination``.  Every image there is built from exponent vectors, so
+#: a map is applied through ``.vector`` or ``.sides`` only.
+VECTOR_ONLY_MAPS = {"phi", "elimination"}
 
 
 def polynomial_map_calls(source):
@@ -690,8 +694,12 @@ def test_polynomial_map_calls_are_detected():
         "    return phi(p), ctx.phi(p)\n"
         "def group(self, k):\n"
         "    return self.phi(k)\n"
+        "def sides(elimination, row, p):\n"
+        "    return elimination.sides(row), elimination(p)\n"
     )
-    assert polynomial_map_calls(source) == [(4, "walk"), (4, "walk"), (6, "group")]
+    assert polynomial_map_calls(source) == [
+        (4, "walk"), (4, "walk"), (6, "group"), (8, "sides"),
+    ]
 
 
 def test_quotient_maps_apply_to_exponent_vectors_only():
@@ -832,8 +840,8 @@ def test_binomial_products_are_expanded_only_in_the_kernel():
     assert found == {("laurent_kernel.py", name) for name in BINOMIAL_ENTRY_POINTS}
 
 
-#: The quotient checks that read exchange sides through the kernel's column
-#: map of ``E``: the member binomial product (the product formula's left
+#: The quotient checks that read exchange sides through ``sides`` of the
+#: kernel map of ``E``: the member binomial product (the product formula's left
 #: side and the right side of ``(iii) exchange``), the product formula's
 #: shells and the side ratios of (iv).  None of them reads a row side as an
 #: exponent vector and eliminates it: ``matrix_mutation.sides`` is called

@@ -39,7 +39,6 @@ from gencluster.errors import (
 )
 from gencluster.laurent_kernel import (
     _ROW_MIN_PRODUCTS,
-    ColumnMap,
     LaurentPolynomial,
     Monomial,
     Substitution,
@@ -818,12 +817,23 @@ def unit(width, c):
     return (0,) * c + (1,) + (0,) * (width - 1 - c)
 
 
+def column_map(table, images, target=None):
+    """The :class:`Substitution` of ``table`` into ``target`` sending column ``c`` to ``images[c]``.
+
+    ``target`` is ``table`` by default.  Every other column is fixed, or
+    carried by name into another target.
+    """
+    target = table if target is None else target
+    names = table.names
+    return Substitution({names[c]: Monomial(target, v) for c, v in images.items()}, table, target)
+
+
 def vector_sides(images, row, cols):
-    """The oracle of ``ColumnMap.sides``: each entry times its column's image, added as vectors.
+    """The oracle of ``Substitution.sides``: each entry times its column's image, added as vectors.
 
     A column absent from ``images`` is fixed.
     """
-    width = len(row)
+    width = len(next(iter(images.values()), row))
     gt, lt = [0] * width, [0] * width
     for c in cols:
         e = row[c]
@@ -842,20 +852,29 @@ def assert_packed_is(table, packed, vector):
     assert packed._rung is table._layout.fit(packed._bound)
 
 
-def assert_sides_match(table, images, row, cols=None):
-    """``ColumnMap.sides`` against :func:`vector_sides`, alone and through the kernel functions."""
-    columns = ColumnMap(table, images)
-    packed = columns.sides(row) if cols is None else columns.sides(row, cols)
-    vectors = vector_sides(images, row, range(len(row)) if cols is None else cols)
+def assert_sides_match(table, images, row, cols=None, target=None):
+    """``sides`` of :func:`column_map` against :func:`vector_sides`, alone and through the kernel functions.
+
+    Over another ``target``, the oracle carries each column without an
+    image to its namesake.
+    """
+    sub = column_map(table, images, target)
+    target = sub.target
+    full = {
+        c: images[c] if c in images else unit(len(target), target.index(name))
+        for c, name in enumerate(table.names)
+    }
+    packed = sub.sides(row) if cols is None else sub.sides(row, cols)
+    vectors = vector_sides(full, row, range(len(row)) if cols is None else cols)
     for side, vector in zip(packed, vectors):
-        assert_packed_is(table, side, vector)
-    x0 = table.variable(table.names[0])
+        assert_packed_is(target, side, vector)
+    x0 = target.variable(target.names[0])
     for expand, pairs, oracle in (
         (poly_binomial_levels, [packed, vectors[::-1]], [vectors, vectors[::-1]]),
         (poly_binomial_product, [packed, vectors[::-1]], [vectors, vectors[::-1]]),
         (poly_shifted_sum, [(packed[0], None), (packed[1], x0)], [(vectors[0], None), (vectors[1], x0)]),
     ):
-        got, expected = expand(table, pairs), expand(table, oracle)
+        got, expected = expand(target, pairs), expand(target, oracle)
         assert got == expected and str(got) == str(expected)
     return packed, vectors
 
@@ -875,9 +894,10 @@ def eliminations(sizes):
 
 
 @st.composite
-def column_images(draw, width, entries=st.integers(-2, 2)):
+def column_images(draw, width, entries=st.integers(-2, 2), target_width=None):
     """Images of some columns: zero vectors, random vectors of both signs; the rest fixed."""
-    image = st.none() | st.just((0,) * width) | st.tuples(*[entries] * width)
+    target_width = width if target_width is None else target_width
+    image = st.none() | st.just((0,) * target_width) | st.tuples(*[entries] * target_width)
     drawn = draw(st.lists(image, min_size=width, max_size=width))
     return {c: v for c, v in enumerate(drawn) if v is not None}
 
@@ -888,23 +908,33 @@ def column_ranges(draw, width):
     return range(start, draw(st.integers(start, width)))
 
 
+@st.composite
+def carrying_targets(draw, table):
+    """A table holding ``table``'s names in a drawn order among up to two new ones."""
+    names = draw(st.permutations(table.names + ("u0", "u1")[:draw(st.integers(0, 2))]))
+    return VariableTable.make(cluster=names)
+
+
 #: Entries and bound sums at both sides of the limits of the 24- and 48-bit rungs.
 LIMIT_EDGES = [
     limit + delta for limit in (FIRST_RUNG_LIMIT, SECOND_RUNG_LIMIT) for delta in (-1, 0, 1)
 ]
 
 
-class TestColumnMap:
-    """``ColumnMap.sides`` and ``monomial_combination`` against the vector route they replace."""
+class TestSides:
+    """``Substitution.sides`` and ``monomial_combination`` against the vector route they replace."""
 
     @given(st.data())
     def test_random_rows_and_images(self, data):
+        # Into another table, the columns without an image are carried by
+        # name, to another position of a table of another width.
         table = data.draw(tables(max_width=8))
         width = len(table)
-        images = data.draw(column_images(width))
+        target = data.draw(st.just(table) | carrying_targets(table))
+        images = data.draw(column_images(width, target_width=len(target)))
         row = data.draw(edge_vectors(table))
-        assert_sides_match(table, images, row)
-        assert_sides_match(table, images, row, data.draw(column_ranges(width)))
+        assert_sides_match(table, images, row, target=target)
+        assert_sides_match(table, images, row, data.draw(column_ranges(width)), target)
 
     @given(st.data())
     def test_eliminations_with_single_member_groups(self, data):
@@ -961,9 +991,9 @@ class TestColumnMap:
     def test_combinations(self, data):
         table = data.draw(tables(max_width=6))
         images = data.draw(column_images(len(table)))
-        columns = ColumnMap(table, images)
+        sub = column_map(table, images)
         rows = [data.draw(edge_vectors(table)) for _ in range(2)]
-        (a, _), (_, b) = (columns.sides(row) for row in rows)
+        (a, _), (_, b) = (sub.sides(row) for row in rows)
         (va, _), (_, vb) = (vector_sides(images, row, range(len(table))) for row in rows)
         factors = st.integers(-3, 3) | st.sampled_from(LIMIT_EDGES)
         m, n = data.draw(factors), data.draw(factors)
@@ -973,9 +1003,9 @@ class TestColumnMap:
 
     def test_combinations_leave_a_wide_rung_for_a_narrow_bound(self):
         table = table_of("x", 2)
-        columns = ColumnMap(table, {})
-        wide, _ = columns.sides((SECOND_RUNG_LIMIT, 0))
-        small, _ = columns.sides((0, 3))
+        sub = column_map(table, {})
+        wide, _ = sub.sides((SECOND_RUNG_LIMIT, 0))
+        small, _ = sub.sides((0, 3))
         for m, n, vector in ((0, 1, (0, 3)), (0, 0, (0, 0)), (1, 0, (SECOND_RUNG_LIMIT, 0))):
             assert_packed_is(table, monomial_combination(m, wide, n, small), vector)
         # Two operands on one wide rung, both with factor zero.
@@ -985,30 +1015,35 @@ class TestColumnMap:
         table = table_of("x", 2)
         with pytest.raises(ValidationError) as composed:
             table.term((1,))
-        columns = ColumnMap(table, {0: (0, 1)})
+        sub = column_map(table, {0: (0, 1)})
         for row in ((1,), (1, 0, 0), ()):
             with pytest.raises(ValidationError) as fused:
-                columns.sides(row)
+                sub.sides(row)
             assert str(fused.value) == str(composed.value)
-        others = [ColumnMap(table_of("u", 3), {}).sides((e, 0, 0))[0] for e in (1, SECOND_RUNG_LIMIT)]
+        others = [column_map(table_of("u", 3), {}).sides((e, 0, 0))[0] for e in (1, SECOND_RUNG_LIMIT)]
         for other in others:
             for build in (table.term, lambda v: poly_shifted_sum(table, [(v, None)])):
                 with pytest.raises(ValidationError) as fused:
                     build(other)
                 assert str(fused.value) == str(composed.value)
         other = others[0]
-        (mono, _) = columns.sides((1, 0))
+        (mono, _) = sub.sides((1, 0))
         with pytest.raises(ValidationError) as fused:
             monomial_combination(1, mono, 1, other)
         assert str(fused.value) == str(composed.value)
         with pytest.raises(ValidationError, match="factors must be integers"):
             monomial_combination(0.5, mono, 1, mono)
 
-    def test_images_are_checked_when_built(self):
-        table = table_of("x", 2)
-        for images in ({0: (1,)}, {2: (0, 0)}, {-1: (0, 0)}, {"x0": (0, 0)}, {0: (0.5, 0)}):
-            with pytest.raises(ValidationError):
-                ColumnMap(table, images)
+    def test_a_name_the_target_lacks_raises_at_the_first_sides(self):
+        # ``sides`` packs every column once, so an uncarried name fails
+        # even for a row that leaves it out; the vector form fails only
+        # for a vector that uses it.
+        source = VariableTable.make(cluster=("x", "y"))
+        sub = Substitution({"x": table_of("u", 1).monomial(u0=2)}, source, table_of("u", 1))
+        assert sub.vector((3, 0)) == (6,)
+        for row in ((1, 0), (0, 1)):
+            with pytest.raises(UnknownSymbol, match="symbol 'y' is not in the table"):
+                sub.sides(row)
 
 
 class TestDivision:
@@ -1525,8 +1560,8 @@ class TestWideKeys:
     @given(st.data())
     def test_one_substitution_across_rungs(self, data):
         # One substitution maps polynomials on several rungs, in any order,
-        # within one table and across tables: each rung pair packs its
-        # own move list, read on the rung of the keys it moves.
+        # within one table and across tables: each result sits on the
+        # rung of its own exact bound.
         source = data.draw(tables("x", max_width=4))
         across = data.draw(st.booleans())
         target = data.draw(tables("u", max_width=4)) if across else source

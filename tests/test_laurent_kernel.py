@@ -574,7 +574,7 @@ class TestWideExponents:
         assert image == parse_polynomial(f"u^{3 * (limit // 4)} + f", target)
         wide = Substitution({"x": target.monomial(u=4)}, SMALL_TABLE, target)
         assert_wide(wide(p), {(limit, 0): 1, (0, 1): 1}, limit)
-        # The same crossing inside one table, where keys move in place.
+        # The same crossing inside one table.
         inside = Substitution({"x": SMALL_TABLE.monomial(x=2, y=-4)}, SMALL_TABLE, SMALL_TABLE)
         assert_wide(inside(p), {(limit // 2, -limit, 0): 1, (0, 0, 1): 1}, limit)
         # Each substitution, kept, maps a polynomial below the crossing

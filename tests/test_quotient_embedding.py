@@ -49,7 +49,6 @@ from gencluster.gca_seed import (
     mutate_seed,
 )
 from gencluster.laurent_kernel import (
-    ColumnMap,
     LaurentPolynomial,
     Monomial,
     Substitution,
@@ -70,6 +69,7 @@ from gencluster.quotient_embedding import (
     product_formula_check,
     product_formula_walk,
     subquotient_check,
+    unit_elimination,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import AdjoinedSeed, root_names, tau_tilde
@@ -144,8 +144,8 @@ def library_conditions(ctx):
     """
     constants = ctx.constants
     tracked = ctx.tracked._trusted_replace(cluster=constants.tracked.cluster)
-    columns = ColumnMap(constants.table, constants.layout.moved_unit_images())
-    return _embedding_conditions_at(constants, columns, tracked, ctx.unfolding)
+    elimination = unit_elimination(constants.table, constants.layout)
+    return _embedding_conditions_at(constants, elimination, tracked, ctx.unfolding)
 
 
 def group_monomials(table, fm, k):
@@ -1025,10 +1025,10 @@ class TestProductFormula:
             cases.append((seed, [random_sequence(rng, seed.matrix.n, 4)]))
         for seed, sequences in cases:
             table, states = product_formula_states(seed, mode, sequences)
-            columns = ColumnMap(table, states[0][0].layout.moved_unit_images())
+            elimination = unit_elimination(table, states[0][0].layout)
             for fm, parity in states:
                 for k in range(seed.rank):
-                    report = product_formula_check(columns, fm, k)
+                    report = product_formula_check(elimination, fm, k)
                     assert report.ok, (seed.divisors, parity, k)
                     assert report == oracle_product_formula_check(table, fm, k, parity[k])
 
@@ -1074,7 +1074,7 @@ class TestProductFormula:
         for seed in (fix_a, fix_b, fix_c):
             sequences = [(k,) for k in range(seed.rank)]
             table, states = product_formula_states(seed, "total", sequences)
-            columns = ColumnMap(table, states[0][0].layout.moved_unit_images())
+            elimination = unit_elimination(table, states[0][0].layout)
             for fm, parity in states:
                 for k in range(seed.rank):
                     member, (t_cols, s_cols) = fm.layout.group_range(k)[0], fm.layout.aux[k]
@@ -1082,7 +1082,7 @@ class TestProductFormula:
                         for delta in (1, -2):
                             bad = tampered(fm, member, col, delta)
                             try:
-                                report = product_formula_check(columns, bad, k)
+                                report = product_formula_check(elimination, bad, k)
                             except StructureViolation:
                                 kinds.add("broken sign")
                                 continue
@@ -1110,8 +1110,8 @@ class TestProductFormula:
 
         for b in (FIRST_RUNG_LIMIT // 2 - 2, FIRST_RUNG_LIMIT // 2, FIRST_RUNG_LIMIT):
             table, fm = check_at(b)
-            columns = ColumnMap(table, fm.layout.moved_unit_images())
-            assert product_formula_check(columns, fm, 0) == Report(())
+            elimination = unit_elimination(table, fm.layout)
+            assert product_formula_check(elimination, fm, 0) == Report(())
             assert oracle_product_formula_check(table, fm, 0, 0) == Report(())
 
     def test_lcm_mode(self, fix_b):
@@ -1158,7 +1158,7 @@ class TestEliminationOnVectors:
         seed = fixture_seed(name)
         sequences = list(product(range(seed.rank), repeat=depth))
         table, states = product_formula_states(seed, "total", sequences)
-        columns = ColumnMap(table, states[0][0].layout.moved_unit_images())
+        elimination = unit_elimination(table, states[0][0].layout)
         everything = [True] * len(table)
         for fm, _ in states:
             layout = fm.layout
@@ -1168,7 +1168,7 @@ class TestEliminationOnVectors:
                     gt, lt = member_sides(table, fm.matrix.rows[c], everything)
                     lhs = poly_mul(lhs, poly_add(mono_poly(gt), mono_poly(lt)))
                 expected = eliminated(lhs, seed.divisors.entries)
-                assert _member_binomial_product(columns, fm, k) == expected
+                assert _member_binomial_product(elimination, fm, k) == expected
 
     @pytest.mark.parametrize("name, depth", WALKS)
     def test_condition_iv_right_sides(self, name, depth, monkeypatch):
@@ -1311,8 +1311,8 @@ class TestEvaluatedOracle:
 
         fix_b = fixture_seed("FIX-B")
 
-        def wrong_group(columns, fm, k):
-            return _member_binomial_product(columns, fm, (k + 1) % fm.layout.n_groups)
+        def wrong_group(elimination, fm, k):
+            return _member_binomial_product(elimination, fm, (k + 1) % fm.layout.n_groups)
 
         def skipped_members(seed, layout, k):
             return seed if k == 1 else group_mutate_seed(seed, layout, k)
