@@ -831,7 +831,8 @@ def column_map(table, images, target=None):
 def vector_sides(images, row, cols):
     """The oracle of ``Substitution.sides``: each entry times its column's image, added as vectors.
 
-    A column absent from ``images`` is fixed.
+    The images have the target's width, ``row``'s when there are none.  A
+    column absent from ``images`` is fixed.
     """
     width = len(next(iter(images.values()), row))
     gt, lt = [0] * width, [0] * width
