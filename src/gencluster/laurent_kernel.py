@@ -84,15 +84,12 @@ Design notes
   built once from ``(mapping, source table, target table)``: it checks
   the mapping when it is built, and stores a variable's image as its
   nonzero exponents when it first uses the variable.  It maps an exponent
-  vector (:meth:`Substitution.vector`), a polynomial term by term through
-  the vector form, and the two sides of a matrix row
-  (:meth:`Substitution.sides`).  A monomial ring map sends ``sum c_v
-  x^v`` to ``sum c_v x^(E v)``, so a caller that builds a polynomial from
-  exponent vectors can map the vectors first and run no pass over the
-  polynomial.
-* Packed monomials go wherever exponent vectors do.  Packing is linear,
-  so :meth:`Substitution.sides` sums a row's entries times column images
-  packed once per target rung.
+  vector (:meth:`Substitution.vector`).  Packing is linear, so it maps a
+  polynomial's keys and the two sides of a matrix row
+  (:meth:`Substitution.sides`) as sums of column images packed once per
+  target rung.  A monomial ring map sends ``sum c_v x^v`` to ``sum c_v
+  x^(E v)``, so a caller that builds a polynomial from exponent vectors
+  can map the vectors first and run no pass over the polynomial.
 """
 
 from collections import Counter
@@ -990,20 +987,18 @@ class Substitution:
     absent from the mapping is fixed when the tables are one, and is
     otherwise carried across by name; a name the target lacks raises
     UnknownSymbol when a vector or a polynomial uses it, or at the first
-    :meth:`sides`, which reads every column.  ``images`` is a read-only
-    view of the mapping.
+    :meth:`sides`.  ``images`` is a read-only view of the mapping.
 
     ``sub.vector(exps)`` maps an exponent vector: the exponents of the
     image of ``x^exps``.  ``sub(p)`` maps a polynomial term by term, and
     ``sub.sides(row, cols)`` reads both sides of a row straight into
-    packed monomials.  All three read one stored column per source
-    variable, worked out on first use: the nonzero ``(target position,
-    exponent)`` entries of its image and the image's largest exponent
-    magnitude.  :meth:`sides` packs every column's image on a target rung
-    once, and keeps it.
+    packed monomials.  All three read one column per source variable,
+    stored on first use: its image's nonzero ``(target position,
+    exponent)`` entries and largest magnitude.  The last two also share,
+    per target rung, one table of every column's packed image and bound.
     """
 
-    __slots__ = ("source", "target", "images", "_same", "_positions", "_columns", "_rung_images")
+    __slots__ = ("source", "target", "images", "_same", "_positions", "_lacking", "_columns", "_rung_images")
 
     def __init__(self, mapping, source, target):
         for name, mono in mapping.items():
@@ -1013,11 +1008,12 @@ class Substitution:
                 raise ValidationError(f"image of {name!r} is not a Monomial: {mono!r}")
             if not _same_table(mono.table, target):
                 raise TableMismatch(f"image of {name!r} is not over the target table")
-        self.source, self.target = source, target
-        self.images = MappingProxyType(dict(mapping))
+        self.source, self.target, self.images = source, target, MappingProxyType(dict(mapping))
         self._same = same = _same_table(source, target)
         # The variables that can move: over one table, the mapped ones.
         self._positions = sorted(map(source.index, mapping)) if same else range(len(source))
+        self._lacking = () if same else tuple(
+            i for i, name in enumerate(source.names) if name not in mapping and name not in target)
         self._columns = [None] * len(source)
         self._rung_images = {}
 
@@ -1025,33 +1021,41 @@ class Substitution:
         """``(entries, bound)`` of source variable ``i``, stored on first use."""
         name = self.source.names[i]
         image = self.images.get(name)
-        if image is None:
-            column = ((self.target.index(name), 1),), 1
-        else:
-            exps = image.exponents
-            column = [(j, g) for j, g in enumerate(exps) if g], max(map(abs, exps), default=0)
-        self._columns[i] = column
+        entries = ((self.target.index(name), 1),) if image is None else [
+            (j, g) for j, g in enumerate(image.exponents) if g]
+        column = self._columns[i] = entries, max([abs(g) for _, g in entries], default=0)
         return column
 
     def __call__(self, p):
         """The image of the polynomial ``p`` over ``source`` (TableMismatch otherwise).
 
-        Each term's exponent vector goes through :meth:`vector`, the terms
-        whose images meet add, and the result sits on the rung of its
-        exact bound.
+        Keys are linear in exponent vectors: a term's image is the target's
+        1 plus each used exponent times its column's packed image, on the
+        rung that fits ``p``'s bound times the used bounds summed (plus one
+        over one table).  On ``p``'s own layout a term's key moves instead,
+        by each exponent times (image - itself).
         """
         if not _same_table(p.table, self.source):
             raise TableMismatch("polynomial is not over the substitution's source table")
-        unpack, vector, terms = p._layout.unpack, self.vector, {}
-        for key, coeff in p._keys.items():
-            image = vector(unpack(key))
-            terms[image] = terms.get(image, 0) + coeff
-        terms = _drop_zeros(terms)
-        amp = max(map(abs, chain.from_iterable(terms)), default=0)
+        s_layout, used = p._layout, 0
+        for key in p._keys:
+            used |= key ^ s_layout.offset
+        shifts, mask, bias, units = s_layout.shifts, s_layout.mask, s_layout.bias, s_layout.units
+        amp = p._amp * sum([(self._columns[i] or self._column(i))[1] for i in self._positions
+                            if (used >> shifts[i]) & mask], int(self._same))
         layout = self.target._layout.fit(amp)
-        offset, units = layout.offset, layout.units
-        keys = {offset + sum(map(mul, image, units)): c for image, c in terms.items()}
-        return _trusted(self.target, keys, amp)
+        packed = (self._rung_images.get(layout) or self._images_on(layout))[0]
+        in_place, terms = layout is s_layout, {}
+        moves = [(shift, packed[c] - in_place * units[c]) for c, shift in enumerate(shifts)
+                 if (used >> shift) & mask and packed[c] != in_place * units[c]]
+        if self._same and not moves:
+            return p
+        for key, coeff in p._keys.items():
+            image = key if in_place else layout.offset
+            for shift, move in moves:
+                image += (((key >> shift) & mask) - bias) * move
+            terms[image] = terms.get(image, 0) + coeff
+        return _trusted(self.target, _drop_zeros(terms), amp)
 
     def vector(self, exps):
         """The exponent vector, over ``target``, of the image of ``x^exps``.
@@ -1082,38 +1086,40 @@ class Substitution:
     def sides(self, row, cols=None):
         """The images of ``row``'s sides over the ``range`` ``cols``, as :class:`PackedMonomial`.
 
-        ``row`` holds one integer per ``source`` variable (ValidationError
-        otherwise).  ``(gt, lt)`` map its positive entries and its negative
-        entries' magnitudes.  A side's bound sums each entry times its
-        image's largest magnitude, or is exact once that sum passes the
-        first rung.
+        ``row`` holds one integer per ``source`` variable (ValidationError otherwise).
+        ``(gt, lt)`` map its positive entries and its negative entries' magnitudes.
+        A side's bound sums each entry times its image's largest magnitude, or
+        is exact once that sum passes the first rung.
         """
         if len(row) != len(self._columns):
             raise ValidationError("exponent vector does not match table size")
+        if self._lacking:
+            self._column(self._lacking[0])  # UnknownSymbol
         cols = range(len(row)) if cols is None else cols
         base = self.target._layout
         gt, lt, gt_bound, lt_bound = self._row_keys(row, cols, base)
         if gt_bound < base.limit > lt_bound:
             return (PackedMonomial(base.offset + gt, gt_bound, base),
                     PackedMonomial(base.offset + lt, lt_bound, base))
-        wide, out = base.fit(max(gt_bound, lt_bound)), []
-        for key in self._row_keys(row, cols, wide)[:2]:
-            key, amp = base.pack_bounded(wide.unpack(wide.offset + key))
-            out.append(PackedMonomial(key, amp, base.fit(amp)))
-        return tuple(out)
+        wide = base.fit(max(gt_bound, lt_bound))
+        exact = [base.pack_bounded(wide.unpack(wide.offset + key))
+                 for key in self._row_keys(row, cols, wide)[:2]]
+        return tuple(PackedMonomial(key, amp, base.fit(amp)) for key, amp in exact)
+
+    def _images_on(self, layout):
+        """The packed image and the bound of every column on ``layout``, kept per rung."""
+        # Over one table a variable without an image is fixed.
+        units, width = layout.units, len(self._columns)
+        packed, bounds = (list(units), [1] * width) if self._same else ([0] * width, [0] * width)
+        for i in self._positions:
+            if i not in self._lacking:
+                entries, bounds[i] = self._columns[i] or self._column(i)
+                packed[i] = sum([g * units[j] for j, g in entries])
+        return self._rung_images.setdefault(layout, (packed, bounds))
 
     def _row_keys(self, row, cols, layout):
         """The two keys of ``row`` over ``cols``, less ``layout.offset``, and their bounds."""
-        rung = self._rung_images.get(layout)
-        if rung is None:
-            # Over one table a variable without an image is fixed.
-            units, width = layout.units, len(self._columns)
-            packed, bounds = (list(units), [1] * width) if self._same else ([0] * width, [0] * width)
-            for i in self._positions:
-                entries, bounds[i] = self._columns[i] or self._column(i)
-                packed[i] = sum([g * units[j] for j, g in entries])
-            rung = self._rung_images[layout] = packed, bounds
-        packed, bounds = rung
+        packed, bounds = self._rung_images.get(layout) or self._images_on(layout)
         gt = lt = gt_bound = lt_bound = 0
         for c in cols:
             e = row[c]

@@ -68,12 +68,11 @@ packed monomials.  Every side the checks eliminate is read through it:
 the member rows of the binomial product, the coherent row's exchange
 block for the product formula's shells, and the member rows' auxiliary
 columns for the ratios of (iv).  So the kernel expands each polynomial
-here once: a product of member
-binomials, or the balanced sums ``sigma`` of every order at once, is one
-binomial expansion (``poly_binomial_product``,
-``poly_binomial_levels``); the class of a sum of tracked monomials
-(:meth:`QuotientContext.class_of`) and the product formula's right side
-are each one shifted sum (``poly_shifted_sum``).
+here once: a product of member binomials, or the balanced sums
+``sigma`` of every order at once, is one binomial expansion
+(``poly_binomial_product``, ``poly_binomial_levels``); the class of a
+sum of tracked monomials (:meth:`QuotientContext.class_of`) and the
+product formula's right side are each one shifted sum (``poly_shifted_sum``).
 """
 
 from functools import lru_cache
@@ -267,9 +266,8 @@ def unit_elimination(table, layout):
     Its images are :meth:`~gencluster.unfolding.FoldedLayout.moved_unit_images`;
     it fixes every other column.
     """
-    names = table.names
     images = layout.moved_unit_images().items()
-    return Substitution({names[c]: _trusted_monomial(table, v) for c, v in images}, table, table)
+    return Substitution({table.names[c]: _trusted_monomial(table, v) for c, v in images}, table, table)
 
 
 # ---------------------------------------------------------------------------

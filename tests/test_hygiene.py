@@ -68,7 +68,8 @@ KERNEL_PRIVATE_IMPORTS = {"_trusted", "_drop_zeros", "_extremes", "_repack"}
 KERNEL_PRIVATE_ATTRIBUTES = {
     "_keys", "_amp", "_layout", "_packed", "_divisor", "_numer",
     "_key", "_bound", "_rung",
-    "_same", "_positions", "_columns", "_column", "_rung_images", "_row_keys",
+    "_same", "_positions", "_lacking", "_columns", "_column", "_rung_images", "_images_on",
+    "_row_keys",
 }
 
 
