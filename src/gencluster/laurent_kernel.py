@@ -44,11 +44,10 @@ Design notes
   Each operation bounds its result from its operands' bounds before it
   combines keys, works on the result's rung, and first moves a narrower
   operand's keys up to it; a sum whose bound grows past its rung moves
-  the terms added so far.  Equality and
-  :meth:`LaurentPolynomial.hash_key` do not depend on the rung, so a
-  polynomial built with a loose bound equals one built with a tight
-  bound.  Each exponent vector that enters the kernel (a term, a shift)
-  is packed and bounded in one pass.
+  the terms added so far.  Equality and :meth:`LaurentPolynomial.hash_key`
+  do not depend on the rung, so a polynomial built with a loose bound
+  equals one built with a tight bound.  Each exponent vector that enters
+  the kernel (a term, a shift) is packed and bounded in one pass.
 * ``LaurentPolynomial(table, {exponent tuple: coefficient})`` validates
   its terms; kernel results skip that check.  ``terms`` is a read-only
   view that decodes keys back to exponent tuples on demand.
@@ -81,15 +80,14 @@ Design notes
   heap elimination of :func:`poly_exact_div`, whose exponent box is the
   quotient itself when the quotient is one term.
 * Substitutions.  A :class:`Substitution` is the one monomial ring map,
-  built once from ``(mapping, source table, target table)``: it checks
-  the mapping when it is built, and stores a variable's image as its
-  nonzero exponents when it first uses the variable.  It maps an exponent
-  vector (:meth:`Substitution.vector`).  Packing is linear, so it maps a
-  polynomial's keys and the two sides of a matrix row
-  (:meth:`Substitution.sides`) as sums of column images packed once per
-  target rung.  A monomial ring map sends ``sum c_v x^v`` to ``sum c_v
-  x^(E v)``, so a caller that builds a polynomial from exponent vectors
-  can map the vectors first and run no pass over the polynomial.
+  built once from ``(mapping, source table, target table)``; it checks
+  the mapping when it is built.  It maps an exponent vector
+  (:meth:`Substitution.vector`) and, as packing is linear, a polynomial's
+  keys and the two sides of a matrix row (:meth:`Substitution.sides`) as
+  sums of column images packed once per target rung.  A monomial ring map
+  sends ``sum c_v x^v`` to ``sum c_v x^(E v)``, so a caller that builds a
+  polynomial from exponent vectors can map the vectors first and run no
+  pass over the polynomial.
 """
 
 from collections import Counter
@@ -989,13 +987,11 @@ class Substitution:
     UnknownSymbol when a vector or a polynomial uses it, or at the first
     :meth:`sides`.  ``images`` is a read-only view of the mapping.
 
-    ``sub.vector(exps)`` maps an exponent vector: the exponents of the
-    image of ``x^exps``.  ``sub(p)`` maps a polynomial term by term, and
-    ``sub.sides(row, cols)`` reads both sides of a row straight into
-    packed monomials.  All three read one column per source variable,
-    stored on first use: its image's nonzero ``(target position,
-    exponent)`` entries and largest magnitude.  The last two also share,
-    per target rung, one table of every column's packed image and bound.
+    ``sub.vector(exps)`` maps an exponent vector, ``sub(p)`` a polynomial
+    term by term, and ``sub.sides(row, cols)`` a row's two sides into packed
+    monomials.  The first two read each variable's nonzero image entries and
+    largest magnitude, stored on first use; the last two, one table per
+    target rung of every packed image and bound.
     """
 
     __slots__ = ("source", "target", "images", "_same", "_positions", "_lacking", "_columns", "_rung_images")
@@ -1012,28 +1008,22 @@ class Substitution:
         self._same = same = _same_table(source, target)
         # The variables that can move: over one table, the mapped ones.
         self._positions = sorted(map(source.index, mapping)) if same else range(len(source))
-        self._lacking = () if same else tuple(
-            i for i, name in enumerate(source.names) if name not in mapping and name not in target)
-        self._columns = [None] * len(source)
-        self._rung_images = {}
+        self._columns, self._lacking, self._rung_images = [None] * len(source), (), {}
 
     def _column(self, i):
         """``(entries, bound)`` of source variable ``i``, stored on first use."""
         name = self.source.names[i]
         image = self.images.get(name)
-        entries = ((self.target.index(name), 1),) if image is None else [
-            (j, g) for j, g in enumerate(image.exponents) if g]
-        column = self._columns[i] = entries, max([abs(g) for _, g in entries], default=0)
+        column = self._columns[i] = (((self.target.index(name), 1),), 1) if image is None else (
+            [(j, g) for j, g in enumerate(image.exponents) if g], max(map(abs, image.exponents), default=0))
         return column
 
     def __call__(self, p):
         """The image of the polynomial ``p`` over ``source`` (TableMismatch otherwise).
 
-        Keys are linear in exponent vectors: a term's image is the target's
-        1 plus each used exponent times its column's packed image, on the
-        rung that fits ``p``'s bound times the used bounds summed (plus one
-        over one table).  On ``p``'s own layout a term's key moves instead,
-        by each exponent times (image - itself).
+        A term's key maps to the target's 1 plus each used exponent times its
+        column's packed image, on the rung of ``p``'s bound times the used
+        bounds (plus one over one table), or moves in place on ``p``'s rung.
         """
         if not _same_table(p.table, self.source):
             raise TableMismatch("polynomial is not over the substitution's source table")
@@ -1041,21 +1031,27 @@ class Substitution:
         for key in p._keys:
             used |= key ^ s_layout.offset
         shifts, mask, bias, units = s_layout.shifts, s_layout.mask, s_layout.bias, s_layout.units
-        amp = p._amp * sum([(self._columns[i] or self._column(i))[1] for i in self._positions
-                            if (used >> shifts[i]) & mask], int(self._same))
-        layout = self.target._layout.fit(amp)
-        packed = (self._rung_images.get(layout) or self._images_on(layout))[0]
-        in_place, terms = layout is s_layout, {}
-        moves = [(shift, packed[c] - in_place * units[c]) for c, shift in enumerate(shifts)
-                 if (used >> shift) & mask and packed[c] != in_place * units[c]]
-        if self._same and not moves:
+        live, bound = [], int(self._same)
+        for c in self._positions:
+            if (used >> shifts[c]) & mask:
+                live.append(c)
+                bound += (self._columns[c] or self._column(c))[1]
+        if self._same and not live:
             return p
+        layout = self.target._layout.fit(p._amp * bound)
+        packed = (self._rung_images.get(layout) or self._images_on(layout))[0]
+        in_place, terms, home, moves = layout is s_layout, {}, units, []
+        if not in_place:  # keys are rebuilt from the target's 1, so the fixed columns move too
+            home, live = (0,) * len(units), [c for c, shift in enumerate(shifts) if (used >> shift) & mask]
+        for c in live:
+            if packed[c] != home[c]:
+                moves.append((shifts[c], packed[c] - home[c]))
         for key, coeff in p._keys.items():
             image = key if in_place else layout.offset
             for shift, move in moves:
                 image += (((key >> shift) & mask) - bias) * move
             terms[image] = terms.get(image, 0) + coeff
-        return _trusted(self.target, _drop_zeros(terms), amp)
+        return _trusted(self.target, _drop_zeros(terms), p._amp * bound)
 
     def vector(self, exps):
         """The exponent vector, over ``target``, of the image of ``x^exps``.
@@ -1093,11 +1089,11 @@ class Substitution:
         """
         if len(row) != len(self._columns):
             raise ValidationError("exponent vector does not match table size")
-        if self._lacking:
-            self._column(self._lacking[0])  # UnknownSymbol
         cols = range(len(row)) if cols is None else cols
         base = self.target._layout
         gt, lt, gt_bound, lt_bound = self._row_keys(row, cols, base)
+        if self._lacking:
+            self._column(self._lacking[0])  # UnknownSymbol
         if gt_bound < base.limit > lt_bound:
             return (PackedMonomial(base.offset + gt, gt_bound, base),
                     PackedMonomial(base.offset + lt, lt_bound, base))
@@ -1108,13 +1104,17 @@ class Substitution:
 
     def _images_on(self, layout):
         """The packed image and the bound of every column on ``layout``, kept per rung."""
-        # Over one table a variable without an image is fixed.
-        units, width = layout.units, len(self._columns)
-        packed, bounds = (list(units), [1] * width) if self._same else ([0] * width, [0] * width)
+        units, width, names, index = layout.units, len(self._columns), self.source.names, self.target._index
+        packed, bounds = list(units) if self._same else [0] * width, [1] * width
         for i in self._positions:
-            if i not in self._lacking:
-                entries, bounds[i] = self._columns[i] or self._column(i)
-                packed[i] = sum([g * units[j] for j, g in entries])
+            image = self.images.get(names[i])
+            if image is not None:
+                exps = image.exponents
+                packed[i], bounds[i] = sum(map(mul, exps, units)), max(map(abs, exps), default=0)
+            elif names[i] in index:
+                packed[i] = units[index[names[i]]]
+            else:  # a carried name the target lacks packs as 0
+                self._lacking = self._lacking or (i,)
         return self._rung_images.setdefault(layout, (packed, bounds))
 
     def _row_keys(self, row, cols, layout):

@@ -1358,6 +1358,15 @@ class TestSubstitution:
         with pytest.raises(UnknownSymbol, match="symbol 'y' is not in the table"):
             sub.vector((0, -1, 0))
 
+    def test_the_image_bound_and_an_unmoved_polynomial(self):
+        table = VariableTable.make(cluster=("x", "y", "z"))
+        sub = Substitution({"x": table.monomial(y=3, z=-2)}, table, table)
+        p = parse_polynomial("x^2*y*z - z^-2", table)
+        # ``p``'s bound times the used images' bounds, plus one for the fixed variables.
+        assert sub(p)._amp == p._amp * (3 + 1) == 8
+        q = parse_polynomial("y*z + 1", table)
+        assert sub(q) is q
+
     def test_operands_are_checked(self):
         source = VariableTable.make(cluster=("x", "y"))
         sub = Substitution({"x": source.monomial(y=1)}, source, source)
