@@ -23,7 +23,7 @@ from itertools import product
 import random
 import time
 
-from gencluster.cli_io import walk_verdicts
+from gencluster.cli_io import _flag_int, walk_verdicts
 from gencluster.fixtures import FIXTURE_NAMES, fixture_seed
 from gencluster.gca_seed import mutate_seed, mutate_seed_sequence, root_formula_check
 from gencluster.randomgen import random_seed, random_sequence
@@ -132,8 +132,8 @@ def suite_root_homogeneity(rng, cases, depth):
 
 
 def non_negative(word):
-    """``word`` as an ``int`` of at least 0, for argparse."""
-    value = int(word)
+    """``word`` as an ``int`` of at least 0, for argparse, read as ``gencluster``'s flags are."""
+    value = _flag_int(word)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0: {word!r}")
     return value
@@ -143,7 +143,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cases", type=non_negative, default=200)
     parser.add_argument("--depth", type=non_negative, default=6)
-    parser.add_argument("--rng-seed", type=int, default=0)
+    parser.add_argument("--rng-seed", type=_flag_int, default=0)
     args = parser.parse_args()
 
     suites = [

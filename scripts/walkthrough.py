@@ -15,7 +15,7 @@ from functools import reduce
 from gencluster.cli_io import _seed_text
 from gencluster.fixtures import fixture_seed
 from gencluster.gca_seed import exchange_polynomial, initial_seed, mutate_seed
-from gencluster.laurent_kernel import LaurentPolynomial, poly_mul
+from gencluster.laurent_kernel import poly_mul
 from gencluster.matrix_mutation import modify, mutate, write_matrix
 from gencluster.quotient_embedding import QuotientContext
 from gencluster.root_adjoin import rho, tau_tilde, tau_variable
@@ -88,15 +88,6 @@ def tour_exchange():
     show("FIX-B cluster entry x after mutation at x", str(mutated.cluster[0]))
 
 
-def eliminated(p, layout):
-    """``E(p)``: each term's vector through ``layout.eliminate_units``, like terms added."""
-    terms = {}
-    for exps, coeff in p.terms.items():
-        key = layout.eliminate_units(exps)
-        terms[key] = terms.get(key, 0) + coeff
-    return LaurentPolynomial(p.table, {exps: c for exps, c in terms.items() if c})
-
-
 def tour_quotient():
     seed = fixture_seed("FIX-C")
     ctx = QuotientContext.create(seed)
@@ -116,7 +107,7 @@ def tour_quotient():
     members = layout.group_range(0)
     for c in members:
         folded = mutate_seed(folded, c)
-    image = reduce(poly_mul, (eliminated(folded.cluster[c], layout) for c in members))
+    image = reduce(poly_mul, (ctx.elimination(folded.cluster[c]) for c in members))
     show("FIX-C image of x' after one mutation", str(image))
 
 

@@ -18,10 +18,11 @@ The construction proceeds in three layers, all verified exactly:
     into ``|J| = r`` members contributing ``t`` and the rest
     contributing ``s``, the sum of the products.  The ``r = 0`` and
     ``r = d_k`` generators force the unit relations ``prod_i t_{k,i} =
-    prod_i s_{k,i} = 1``, which the unit elimination ``E``
-    (:meth:`~gencluster.unfolding.FoldedLayout.eliminate_units`) realizes
-    by eliminating the last member's pair.  Both relations read only the
-    layout's ``t``/``s`` ranges and the folded table.
+    prod_i s_{k,i} = 1``, which the unit elimination ``E`` realizes by
+    eliminating the last member's pair.  Both relations read only the
+    layout's ``t``/``s`` ranges and the folded table, and one function
+    owns them: :func:`quotient_relations` builds ``E`` and its ``sigma``
+    levels together, once per folded table and layout.
 
 3.  **Embedding** — the monomial map ``phi`` sending each cluster
     variable to the product of its group members and each root symbol
@@ -59,10 +60,8 @@ monomial ring maps applied to monomials only, never to a polynomial:
 ``E(sum c_v x^v) = sum c_v x^(E v)``.  Each is a kernel
 :class:`~gencluster.laurent_kernel.Substitution`, the one monomial map,
 which offers ``vector``, ``sub(p)`` and ``sides``.  ``phi`` is built once
-per walk and applied to exponent vectors.  The layout's
-:meth:`~gencluster.unfolding.FoldedLayout.eliminate_units` defines
-``E``, and each walk builds its map once (:func:`unit_elimination`) from
-:meth:`~gencluster.unfolding.FoldedLayout.moved_unit_images`; its
+per walk and applied to exponent vectors.  ``E`` is written once, in
+:func:`quotient_relations`, and each walk looks it up once; its
 ``sides`` reads the eliminated exchange sides of a row straight into
 packed monomials.  Every side the checks eliminate is read through it:
 the member rows of the binomial product, the coherent row's exchange
@@ -129,24 +128,41 @@ def _coherent_row(matrix, layout, k):
 
 
 @lru_cache(maxsize=64)
-def _sigma_levels(table, layout, k):
-    """``(E(sigma_{k,0}), ..., E(sigma_{k,d}))`` over the folded ``table`` of ``layout``.
+def quotient_relations(table, layout):
+    """``(elimination, sigma)``: the quotient's relations over the folded ``table`` of ``layout``.
 
-    ``sigma_{k,r} = sum_{|J|=r} prod_{c in J} t_c prod_{c not in J} s_c``
-    is the balanced sum identified with the coefficient ``rho_{k,r}``,
-    over the ``d`` members of group ``k``.  ``E`` is a monomial ring map,
-    so the eliminated sums are the levels of one expansion of the
-    eliminated ``(t_c, s_c)`` vector pairs, each rebuilt from its terms
-    for an exact bound, as every class shifts it.
+    ``elimination`` is the unit elimination ``E``, realizing ``prod t =
+    prod s = 1`` per group, as a kernel map of ``table`` into itself: each
+    group's last ``t`` (``s``) goes to the inverse product of the group's
+    other ``t`` (``s``) variables, so a group of one member has its pair
+    erased, and every other variable is fixed.  ``sigma[k]`` is
+    ``(E(sigma_{k,0}), ..., E(sigma_{k,d}))``, where ``sigma_{k,r} =
+    sum_{|J|=r} prod_{c in J} t_c prod_{c not in J} s_c`` is the balanced
+    sum identified with the coefficient ``rho_{k,r}``, over the ``d``
+    members of group ``k``.  ``E`` is a monomial ring map, so the
+    eliminated sums are the levels of one expansion of the eliminated
+    ``(t_c, s_c)`` vector pairs, each rebuilt from its terms for an exact
+    bound, as every class shifts it.  Both are process constants: walks
+    over equal seeds share their tables, so one lookup per walk finds them.
     """
-    width, eliminate = len(table), layout.eliminate_units
-    pairs = [
-        [eliminate(tuple(int(p == q) for p in range(width))) for q in pair]
-        for pair in zip(layout.t_range(k), layout.s_range(k))
-    ]
-    return tuple(
-        LaurentPolynomial(table, level.terms) for level in poly_binomial_levels(table, pairs)
+    width = len(table)
+    elimination = Substitution({
+        table.names[block[-1]]: _trusted_monomial(
+            table, tuple(-int(q in block[:-1]) for q in range(width))
+        )
+        for pair in layout.aux for block in pair
+    }, table, table)
+
+    def unit(c):
+        return elimination.vector(tuple(int(q == c) for q in range(width)))
+
+    sigma = tuple(
+        tuple(LaurentPolynomial(table, level.terms) for level in poly_binomial_levels(
+            table, [(unit(t), unit(s)) for t, s in zip(*pair)]
+        ))
+        for pair in layout.aux
     )
+    return elimination, sigma
 
 
 class QuotientContext:
@@ -158,21 +174,20 @@ class QuotientContext:
     adjoined seed; sending each placeholder to the adjoined string entry
     ``(k, r)`` gives the concrete seed, and mutation only permutes the
     placeholders.  ``root`` is the root unfolding, ``layout`` its folded
-    layout and ``table`` the folded table (:func:`folded_table`).  The
-    eliminated ``sigma`` sums are cached per folded table and group
-    (:func:`_sigma_levels`).
+    layout and ``table`` the folded table (:func:`folded_table`).
+    ``elimination`` (the map of ``E``) and ``sigma`` (the eliminated
+    ``sigma`` levels of each group) are the quotient's relations over that
+    table, from one :func:`quotient_relations` lookup.
 
     ``phi`` is the :class:`~gencluster.laurent_kernel.Substitution` from
     the tracked table to ``folded_plus`` sending cluster variable ``k``
     to the product of the members of group ``k``; every other name, a
     root or a placeholder, is carried to the same name, as both tables
     name their roots with :func:`~gencluster.root_adjoin.root_names`.
-    ``E`` is the layout's
-    :meth:`~gencluster.unfolding.FoldedLayout.eliminate_units`.  Two
-    facts keep the images sound: ``phi`` sends no variable to a ``t`` or
-    ``s`` variable, so ``E`` fixes every image; and the tracked matrix's
-    placeholder columns are zero (mutation keeps a zero column zero), so
-    the exchange monomials carry no placeholder.  :meth:`image`
+    Two facts keep the images sound: ``phi`` sends no variable to a
+    ``t`` or ``s`` variable, so ``E`` fixes every image; and the tracked
+    matrix's placeholder columns are zero (mutation keeps a zero column
+    zero), so the exchange monomials carry no placeholder.  :meth:`image`
     and :meth:`class_of` take tracked exponent vectors, and are the one
     route to an image.
     """
@@ -182,6 +197,7 @@ class QuotientContext:
         self.root = build(adjoined.base, adjoined.multiplicity)
         self.layout = layout = self.root.layout
         self.table = table = folded_table(adjoined.base, layout)
+        self.elimination, self.sigma = quotient_relations(table, layout)
         slots = [(k, r) for k in range(seed.rank) for r in range(1, seed.divisors[k])]
         # A placeholder name a cluster variable holds moves on by ``_R``.
         taken = set(seed.table.names)
@@ -247,7 +263,7 @@ class QuotientContext:
         if not count:
             return head, None
         k, r = self._slots[powers.index(1)]
-        return head, _sigma_levels(self.table, self.layout, k)[r]
+        return head, self.sigma[k][r]
 
     def class_of(self, vectors):
         """The class of ``sum_v x^v`` over tracked vectors: the :meth:`image` pairs' shifted sum."""
@@ -257,17 +273,7 @@ class QuotientContext:
         """``E(prod_c y_c)`` over the members of group ``k``: the class the embedding gives ``x_k``."""
         table, members = self.table, self.layout.group_range(k)
         product = tuple(int(q in members) for q in range(len(table)))
-        return table.term(self.layout.eliminate_units(product))
-
-
-def unit_elimination(table, layout):
-    """``E`` over the folded ``table`` of ``layout`` as a kernel map, one per walk.
-
-    Its images are :meth:`~gencluster.unfolding.FoldedLayout.moved_unit_images`;
-    it fixes every other column.
-    """
-    images = layout.moved_unit_images().items()
-    return Substitution({table.names[c]: _trusted_monomial(table, v) for c, v in images}, table, table)
+        return table.term(self.elimination.vector(product))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +293,7 @@ def _member_binomial_product(elimination, fm, k):
     )
 
 
-def product_formula_check(elimination, fm, k):
+def product_formula_check(elimination, sigma, fm, k):
     """Group products of exchange polynomials expand the generalized one.
 
     Verifies, in the quotient and over formal current-cluster symbols::
@@ -295,11 +301,12 @@ def product_formula_check(elimination, fm, k):
         prod_c theta_{k,c}  =  sum_r sigma(rho_{k,r}) * (U> V>)^r * (U< V<)^(d_k - r)
 
     on the unfolding ``fm``, with ``elimination`` the map of ``E`` over the
-    folded table (:func:`unit_elimination`).  ``d_k`` is the size of group
-    ``k``.  Each coefficient contributes through its defining relation:
-    ``rho_{k,r}`` is the
-    initial coefficient at slot ``r`` or ``d_k - r`` (mutation reverses
-    the row once per mutation of the group, and so negates the group's
+    folded table and ``sigma`` its eliminated ``sigma`` levels, both from
+    :func:`quotient_relations`.  ``d_k`` is the size of group ``k``.
+    Each coefficient contributes through its defining relation:
+    ``rho_{k,r}`` is the initial coefficient at slot ``r`` or ``d_k - r``
+    (mutation reverses the row once per mutation of the group, and so
+    negates the group's
     :meth:`~gencluster.unfolding.FoldedMatrix.identity_sign`, which
     decides), and the relation identifies that initial coefficient with
     the balanced sum of the same index.  A group of one member has sign
@@ -314,17 +321,17 @@ def product_formula_check(elimination, fm, k):
     (:func:`_member_binomial_product`).  The shells ``(U> V>)^r (U<
     V<)^(d_k - r)`` carry no auxiliary variable, so ``E(sigma * shell) =
     E(sigma) * shell``: the right side is one shifted sum of the group's
-    cached eliminated ``sigma`` sums (:func:`_sigma_levels`) by the
-    shells, each the sum ``r g + (d_k - r) l`` of the coherent row's
-    exchange-block sides ``g`` and ``l``.
+    eliminated ``sigma`` levels ``sigma[k]`` by the shells, each the sum
+    ``r g + (d_k - r) l`` of the coherent row's exchange-block sides
+    ``g`` and ``l``.
     """
     layout, table = fm.layout, elimination.target
     d_k = len(layout.group_range(k))
     lhs = _member_binomial_product(elimination, fm, k)
     g, l = elimination.sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
-    sigma, flip = _sigma_levels(table, layout, k), fm.identity_sign(k) < 0
+    levels, flip = sigma[k], fm.identity_sign(k) < 0
     rhs = poly_shifted_sum(table, (
-        (monomial_combination(r, g, d_k - r, l), sigma[d_k - r if flip else r])
+        (monomial_combination(r, g, d_k - r, l), levels[d_k - r if flip else r])
         for r in range(d_k + 1)
     ))
     if lhs != rhs:
@@ -342,18 +349,19 @@ def product_formula_walk(gca, mode="total"):
     columns carry the root multiplicity of ``mode``
     (:func:`~gencluster.root_adjoin.root_multiplicity`).  ``check(fm)``
     returns ``(k, residual)`` for every failing group, over the folded
-    table; the map of ``E`` over it is a walk constant.  The key is
+    table; the quotient's relations over it (:func:`quotient_relations`)
+    are looked up once per walk.  The key is
     the folded matrix, all that :func:`product_formula_check` reads, as in
     the ``double-constant`` walk.
     """
     root = build(gca, root_multiplicity(gca, mode))
-    elimination = unit_elimination(folded_table(gca, root.layout), root.layout)
+    elimination, sigma = quotient_relations(folded_table(gca, root.layout), root.layout)
 
     def check(fm):
         return tuple(
             failure
             for k in range(gca.rank)
-            for failure in product_formula_check(elimination, fm, k).failures
+            for failure in product_formula_check(elimination, sigma, fm, k).failures
         )
 
     return root, group_mutate, check, lambda fm: fm.matrix.rows
@@ -396,20 +404,19 @@ def embedding_walk(gca, mode="total"):
     :func:`~gencluster.unfolding.group_mutate`; the tracked cluster stays
     the table's symbols.  ``check(state)`` is
     :func:`_embedding_conditions_at` against the walk's
-    :class:`QuotientContext` and the map of ``E`` over its folded
-    table, both walk constants, with ``(condition, k, r)`` failures (``r``
+    :class:`QuotientContext`, a walk constant that holds the map of ``E``
+    over its folded table, with ``(condition, k, r)`` failures (``r``
     a string slot, a member, or ``None``).  The key is the tracked seed's
     content and the folded matrix rows.
     """
     ctx = QuotientContext.create(gca, mode=mode)
-    elimination = unit_elimination(ctx.table, ctx.layout)
 
     def step(state, k):
         tracked, fm = state
         return mutate_exchange_data(tracked, k), group_mutate(fm, k)
 
     def check(state):
-        return _embedding_conditions_at(ctx, elimination, *state)
+        return _embedding_conditions_at(ctx, *state)
 
     def key(state):
         return state[0].content_key(), state[1].matrix.rows
@@ -417,10 +424,11 @@ def embedding_walk(gca, mode="total"):
     return (ctx.tracked, ctx.root), step, check, key
 
 
-def _embedding_conditions_at(ctx, elimination, tracked, fm):
+def _embedding_conditions_at(ctx, tracked, fm):
     """The failures of conditions (i)-(iv) at the state ``(tracked, fm)`` of ``ctx``'s walk.
 
-    ``elimination`` is the map of ``E`` over ``ctx.table`` (:func:`unit_elimination`).
+    ``ctx.elimination`` is the map of ``E`` over ``ctx.table`` and
+    ``ctx.sigma`` its ``sigma`` levels (:func:`quotient_relations`).
 
     (i), (ii) and the base case of (iii) compare exponent vectors of any
     size.  The tracked exchange monomials carry no placeholder and the
@@ -431,10 +439,11 @@ def _embedding_conditions_at(ctx, elimination, tracked, fm):
     of the vectors ``c_r + r u> + (d - r) u<`` of the same
     :class:`~gencluster.gca_seed.ExchangeContext` (``c_r`` its coefficient
     ``r``); its right side is :func:`_member_binomial_product`.  (iv)
-    reads the eliminated side ratios of each member row through the column
-    map and expands their balanced sums of every order at once (``E`` of
+    reads the eliminated side ratios of each member row through
+    ``elimination.sides`` and expands their balanced sums of every order at once (``E`` of
     the sums, as ``E`` is a monomial ring map); its left sides are the
-    classes of the string entries' vectors.  A ratio is the member's
+    classes of the string entries' vectors, whose placeholders read
+    ``ctx.sigma``.  A ratio is the member's
     auxiliary sides: the member and coherent rows share their ``F``
     slices, so the ``F`` parts cancel.  A member whose ``F`` slice differs
     fails ``(iv) ratio > keeps frozen content`` once for each ``F`` column
@@ -442,7 +451,7 @@ def _embedding_conditions_at(ctx, elimination, tracked, fm):
     the difference of the ``F`` sides.
     """
     failures = []
-    layout, phi, table = ctx.layout, ctx.phi, ctx.table
+    layout, phi, table, elimination = ctx.layout, ctx.phi, ctx.table, ctx.elimination
     rows, f = fm.matrix.rows, layout.f_block
     width, size = len(table), len(tracked.table)
     for k in range(tracked.rank):
@@ -530,7 +539,7 @@ def subquotient_check(gca, mode="total"):
             failures.append(("root exponent", original, exponent))
         target = ctx.table.monomial({name: exponent}).exponents
         lifted = ctx.class_of((image.exponents + pad,))
-        if lifted != ctx.table.term(ctx.layout.eliminate_units(target)):
+        if lifted != ctx.table.term(ctx.elimination.vector(target)):
             failures.append(("frozen image", original, str(lifted)))
     size = len(ctx.tracked.table)
     for k in range(gca.rank):

@@ -17,7 +17,9 @@ d_N`` mutable directions and ``M + 2T`` frozen columns, laid out as::
 
 :class:`FoldedLayout` works these positions and the ``F`` scales
 ``n / d_i`` out once per unfolding; every other module reads them from
-it.
+it.  It holds positions only: the quotient's relations on the ``T``/``S``
+variables (``E`` and ``sigma``) have one owner,
+:func:`~gencluster.quotient_embedding.quotient_relations`.
 
 Mutating a whole group (each member once, in any order — the diagonal
 cluster blocks vanish, so members do not interact) preserves the
@@ -58,13 +60,10 @@ class FoldedLayout(FrozenValue):
     ``f_scales[i]`` (``n / d_i``, the factor of group ``i``'s ``F``
     entries), ``n_groups``, ``total`` (the member count), ``groups[i]``
     (group ``i``'s rows and cluster columns), ``aux[i]`` (its
-    ``(t_range, s_range)`` pair) and the blocks ``cluster_block``,
+    ``t`` and ``s`` column ranges) and the blocks ``cluster_block``,
     ``f_block``, ``exchange_block`` (cluster and ``F`` columns),
     ``frozen_block`` (all columns after the cluster block) and
-    ``aux_block`` (the ``T``/``S`` columns).
-    :meth:`eliminate_units` is the quotient's unit elimination ``E``,
-    read off ``aux`` alone, and :meth:`moved_unit_images` the images of
-    the variables it moves.  Non-integer sizes,
+    ``aux_block`` (the ``T``/``S`` columns).  Non-integer sizes,
     a negative frozen count or a multiplicity that is not a positive multiple
     of every divisor raise ValidationError; the group accessors raise
     IndexOutOfRange for a missing group.  Group mutations share the layout.
@@ -118,38 +117,6 @@ class FoldedLayout(FrozenValue):
 
     def t_range(self, i):
         return self.aux[self._group(i)][0]
-
-    def s_range(self, i):
-        return self.aux[self._group(i)][1]
-
-    def eliminate_units(self, exps):
-        """The unit elimination ``E``, realizing ``prod t = prod s = 1`` per group, on a vector.
-
-        ``exps`` is an exponent vector over the folded table.  Each
-        group's last ``t`` (``s``) power moves onto the group's other
-        ``t`` (``s``) variables as its inverse; a group of one member
-        has its pair erased.  ``E`` is a monomial ring map, so
-        ``E(sum c_v x^v) = sum c_v x^(E v)``.
-        """
-        out = list(exps)
-        for pair in self.aux:
-            for block in pair:
-                e = out[block[-1]]
-                if e:
-                    out[block[-1]] = 0
-                    for q in block[:-1]:
-                        out[q] -= e
-        return tuple(out)
-
-    def moved_unit_images(self):
-        """``{c: E(e_c)}`` for each column ``c`` that :meth:`eliminate_units` moves.
-
-        These are each group's last ``t`` and ``s`` columns; ``E`` fixes
-        every other unit vector ``e_c``.
-        """
-        width = self.frozen_block.stop
-        moved = [block[-1] for pair in self.aux for block in pair]
-        return {c: self.eliminate_units((0,) * c + (1,) + (0,) * (width - c - 1)) for c in moved}
 
     def cluster_names(self):
         """``y1 .. yT``, one cluster variable per member, group by group."""

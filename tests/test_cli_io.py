@@ -51,8 +51,8 @@ from gencluster.quotient_embedding import (
     QuotientContext,
     _embedding_conditions_at,
     product_formula_check,
+    quotient_relations,
     subquotient_check,
-    unit_elimination,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.unfolding import (
@@ -399,7 +399,7 @@ class TestVerify:
     def test_failing_report_exits_two(self, monkeypatch):
         monkeypatch.setattr(
             "gencluster.quotient_embedding.product_formula_check",
-            lambda elimination, fm, k: Report(((k, "residual"),)),
+            lambda elimination, sigma, fm, k: Report(((k, "residual"),)),
         )
         code, text = run(
             "verify", "product-formula", "--seed", "FIX-C", "--depth", "1"
@@ -409,7 +409,7 @@ class TestVerify:
         assert "residual" in text
 
     def test_structural_error_exits_two(self, monkeypatch):
-        def boom(table, fm, k):
+        def boom(elimination, sigma, fm, k):
             raise StructureViolation("synthetic break")
 
         monkeypatch.setattr(
@@ -731,23 +731,22 @@ def quotient_failures(target, seed, sequence, pf_check, conditions):
     if target == "product-formula":
         root = build(seed)
         table = folded_initial_seed(seed, root).table
-        elimination = unit_elimination(table, root.layout)
+        elimination, sigma = quotient_relations(table, root.layout)
         for depth in range(len(sequence) + 1):
             fm = group_mutate_sequence(root, sequence[:depth])
             for k in range(seed.matrix.n):
-                report = pf_check(elimination, fm, k)
+                report = pf_check(elimination, sigma, fm, k)
                 failures += [repr((depth,) + f) for f in report.failures]
     elif target == "subquotient":
         failures = [repr(f) for f in subquotient_check(seed).failures]
     else:
         ctx = QuotientContext.create(seed)
-        elimination = unit_elimination(ctx.table, ctx.layout)
         tracked, fm = ctx.tracked, ctx.root
         for depth in range(len(sequence) + 1):
             if depth:
                 k = sequence[depth - 1]
                 tracked, fm = mutate_exchange_data(tracked, k), group_mutate(fm, k)
-            failures += [repr((depth,) + f) for f in conditions(ctx, elimination, tracked, fm)]
+            failures += [repr((depth,) + f) for f in conditions(ctx, tracked, fm)]
     return failures
 
 
@@ -910,7 +909,7 @@ def sign_naming_check(threshold):
     ``threshold``, and its failure text holds the sign of ``k``, so a
     walk that reaches the wrong state changes the records.
     """
-    def pf_check(table, fm, k):
+    def pf_check(elimination, sigma, fm, k):
         row = fm.matrix.rows[fm.layout.group_range(k)[0]]
         bad = sum(row) > threshold
         failures = ((k, f"{row} sign {fm.identity_sign(k)}"),) if bad else ()
@@ -1040,7 +1039,7 @@ class TestWalker:
         # so a walk that reaches the wrong state changes the records.
         pf_check = sign_naming_check(100)
 
-        def conditions(ctx, elimination, tracked, fm):
+        def conditions(ctx, tracked, fm):
             rows = tracked.matrix.rows
             bad = sum(rows[0]) > 10
             return [("synthetic", rows, fm.matrix.rows)] if bad else []
@@ -1076,18 +1075,18 @@ class TestWalker:
         monkeypatch.setattr(quotient_embedding, "group_mutate", step)
         if target == "product-formula":
 
-            def check(elimination, fm, k):
+            def check(elimination, sigma, fm, k):
                 if fm == after_1:
                     raise StructureViolation("shallow check")
-                return product_formula_check(elimination, fm, k)
+                return product_formula_check(elimination, sigma, fm, k)
 
             monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
         else:
 
-            def check(ctx, elimination, tracked, fm):
+            def check(ctx, tracked, fm):
                 if fm == after_1:
                     raise StructureViolation("shallow check")
-                return _embedding_conditions_at(ctx, elimination, tracked, fm)
+                return _embedding_conditions_at(ctx, tracked, fm)
 
             monkeypatch.setattr(quotient_embedding, "_embedding_conditions_at", check)
         deep = [repr("StructureViolation: deep mutation")]
@@ -1105,10 +1104,10 @@ class TestWalker:
         # Within depth 2 no other prefix reaches that folded matrix.
         after_2 = group_mutate(build(fixture_seed("FIX-B")), 1)
 
-        def check(elimination, fm, k):
+        def check(elimination, sigma, fm, k):
             if fm == after_2:
                 raise RuntimeError("synthetic fault")
-            return product_formula_check(elimination, fm, k)
+            return product_formula_check(elimination, sigma, fm, k)
 
         monkeypatch.setattr(quotient_embedding, "product_formula_check", check)
         fault = [repr("RuntimeError: synthetic fault")]

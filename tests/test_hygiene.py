@@ -627,13 +627,13 @@ def test_only_the_reviewed_constructors_skip_checks():
 #: The functions that build a kernel ``Substitution``, as ``(file,
 #: function)``, each once: the embedding ``phi`` (once per walk, in
 #: ``QuotientContext.__init__``), the unit elimination ``E`` (once per
-#: walk, in ``unit_elimination``, from the images that
-#: ``FoldedLayout.eliminate_units`` defines), and root adjunction's
-#: ``f -> g^n``, once when it adjoins and once per transport check.  A
-#: second ``phi`` or ``E``, or a map built per call, shows here.
+#: folded table and layout, in the process cache ``quotient_relations``,
+#: which writes its images), and root adjunction's ``f -> g^n``, once
+#: when it adjoins and once per transport check.  A second ``phi`` or
+#: ``E``, or a map built per call, shows here.
 SUBSTITUTION_BUILDERS = (
     ("quotient_embedding.py", "__init__"),
-    ("quotient_embedding.py", "unit_elimination"),
+    ("quotient_embedding.py", "quotient_relations"),
     ("root_adjoin.py", "tau_tilde"),
     ("root_adjoin.py", "transport_check"),
 )
@@ -691,7 +691,7 @@ def test_polynomial_map_calls_are_detected():
     source = (
         "def walk(ctx, p, v):\n"
         "    phi = ctx.phi\n"
-        "    phi.vector(v), ctx.phi.vector(v), ctx.layout.eliminate_units(v)\n"
+        "    phi.vector(v), ctx.phi.vector(v), ctx.elimination.vector(v)\n"
         "    return phi(p), ctx.phi(p)\n"
         "def group(self, k):\n"
         "    return self.phi(k)\n"
@@ -847,7 +847,7 @@ def test_binomial_products_are_expanded_only_in_the_kernel():
 #: shells and the side ratios of (iv).  None of them reads a row side as an
 #: exponent vector and eliminates it: ``matrix_mutation.sides`` is called
 #: only on the coherent row ``first``, for the vectors (i) and (ii) compare,
-#: and ``eliminate_units`` is not read at all.
+#: and the vector form of ``E`` (``elimination.vector``) is not read at all.
 COLUMN_MAP_SITES = ("_member_binomial_product", "product_formula_check", "_embedding_conditions_at")
 
 
@@ -855,8 +855,9 @@ def vector_side_reads(source, functions):
     """``(line, function, name)`` of each vector-route read in the top-level ``functions``.
 
     These are the calls of the bare name ``sides`` whose first argument is
-    not the name ``first``, and every read of ``eliminate_units``, called
-    or passed on.
+    not the name ``first``, and every read of ``vector`` off the map of
+    ``E``, bare (``elimination``) or an attribute (``ctx.elimination``),
+    called or passed on.
     """
     found = []
     for node in ast.parse(source).body:
@@ -866,35 +867,37 @@ def vector_side_reads(source, functions):
             if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "sides":
                 if not (sub.args and getattr(sub.args[0], "id", None) == "first"):
                     found.append((sub.lineno, node.name, "sides"))
-            elif "eliminate_units" in (getattr(sub, "id", None), getattr(sub, "attr", None)):
+            elif isinstance(sub, ast.Attribute) and sub.attr == "vector" and "elimination" in (
+                getattr(sub.value, "id", None), getattr(sub.value, "attr", None)
+            ):
                 if isinstance(sub.ctx, ast.Load):
-                    found.append((sub.lineno, node.name, "eliminate_units"))
+                    found.append((sub.lineno, node.name, "elimination.vector"))
     return sorted(found)
 
 
 def test_vector_side_reads_are_detected():
     source = (
-        "def _member_binomial_product(table, fm, k):\n"
+        "def _member_binomial_product(elimination, fm, k):\n"
         "    layout = fm.layout\n"
         "    return poly_binomial_product(table, (\n"
-        "        map(layout.eliminate_units, sides(fm.matrix.rows[c])) for c in members))\n"
-        "def product_formula_check(columns, fm, k):\n"
+        "        map(elimination.vector, sides(fm.matrix.rows[c])) for c in members))\n"
+        "def product_formula_check(elimination, sigma, fm, k):\n"
         "    g, l = sides(_coherent_row(fm.matrix, fm.layout, k), block)\n"
-        "    return columns.sides(row), eliminate_units\n"
-        "def _embedding_conditions_at(ctx, columns, tracked, fm):\n"
+        "    return elimination.sides(row), elimination.vector(g), phi.vector(g)\n"
+        "def _embedding_conditions_at(ctx, tracked, fm):\n"
         "    u_gt, u_lt = sides(first, layout.cluster_block)\n"
         "    gt, lt = sides(row, layout.frozen_block)\n"
-        "    return ctx.layout.eliminate_units((gt, lt)), columns.sides(row, block)\n"
+        "    return ctx.elimination.vector((gt, lt)), ctx.elimination.sides(row, block)\n"
         "def group_image(self, k):\n"
-        "    return self.layout.eliminate_units(sides(row)[0])\n"
+        "    return self.elimination.vector(sides(row)[0])\n"
     )
     assert vector_side_reads(source, COLUMN_MAP_SITES) == [
-        (4, "_member_binomial_product", "eliminate_units"),
+        (4, "_member_binomial_product", "elimination.vector"),
         (4, "_member_binomial_product", "sides"),
         (6, "product_formula_check", "sides"),
-        (7, "product_formula_check", "eliminate_units"),
+        (7, "product_formula_check", "elimination.vector"),
         (10, "_embedding_conditions_at", "sides"),
-        (11, "_embedding_conditions_at", "eliminate_units"),
+        (11, "_embedding_conditions_at", "elimination.vector"),
     ]
 
 
@@ -1162,13 +1165,15 @@ def test_only_the_exchange_data_step_reverses_a_string_row():
 #: ``bound`` is its ``maxsize`` (``None``: unbounded); ``fill`` is its size
 #: after one pass of the benchmark's ``quotient`` units, or ``None`` where
 #: that is no fixed count: ``_layout`` keeps one layout per table width and
-#: rung of field sizes, and ``_build_parser`` takes no argument.  A bounded cache that fills up evicts
+#: rung of field sizes, and ``_build_parser`` takes no argument;
+#: ``quotient_relations`` keeps one entry per distinct folded table and
+#: layout the units walk.  A bounded cache that fills up evicts
 #: in the order the units run, so the traced work counts of a benchmark run
 #: would differ between passes; a new cache is reviewed here before it lands.
 REVIEWED_CACHES = {
     "laurent_kernel._layout": (None, None),
     "laurent_kernel._table_cache": (64, 15),
-    "quotient_embedding._sigma_levels": (64, 5),
+    "quotient_embedding.quotient_relations": (64, 3),
     "cli_io._build_parser": (1, None),
 }
 
@@ -1316,8 +1321,9 @@ def test_a_warm_quotient_pass_hashes_tables_and_checks_seeds_a_pinned_number_of_
     # the folded table and layout, not a folded seed, so a warm pass
     # checks divisor compatibility only for the seeds it parses and
     # adjoins (16; 30 with a folded seed per context, checked twice) and
-    # hashes 188 tables (517 with the unit elimination and the sigma
-    # products cached per pattern).
+    # hashes 12 tables, one per walk's lookup of the quotient relations
+    # (188 with the sigma levels looked up per group and image, 517 with
+    # the unit elimination and the sigma products cached per pattern).
     from gencluster import gca_seed
     from gencluster.laurent_kernel import VariableTable
 
@@ -1338,4 +1344,4 @@ def test_a_warm_quotient_pass_hashes_tables_and_checks_seeds_a_pinned_number_of_
     monkeypatch.setattr(gca_seed, "check_compatible", counting_check)
     monkeypatch.setattr(VariableTable, "__hash__", counting_hash)
     quotient_pass()
-    assert counts == {"check_compatible": 16, "hash": 188}
+    assert counts == {"check_compatible": 16, "hash": 12}

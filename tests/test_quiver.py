@@ -33,7 +33,7 @@ def unfolded_quiver(seed):
         tuple(tuple(fm.layout.group_range(i)) for i in range(fm.layout.n_groups))
         + ((tuple(fm.layout.f_block),) if fm.m_original else ())
         + tuple(tuple(fm.layout.t_range(i)) for i in range(fm.layout.n_groups))
-        + tuple(tuple(fm.layout.s_range(i)) for i in range(fm.layout.n_groups))
+        + tuple(tuple(fm.layout.aux[i][1]) for i in range(fm.layout.n_groups))
     )
     return from_matrix(fm.matrix, (1,) * fm.layout.total), partition, fm
 

@@ -63,13 +63,12 @@ from gencluster.quotient_embedding import (
     _coherent_row,
     _embedding_conditions_at,
     _member_binomial_product,
-    _sigma_levels,
     embedding_walk,
     folded_table,
     product_formula_check,
     product_formula_walk,
+    quotient_relations,
     subquotient_check,
-    unit_elimination,
 )
 from gencluster.randomgen import random_seed, random_sequence
 from gencluster.root_adjoin import AdjoinedSeed, root_names, tau_tilde
@@ -144,8 +143,7 @@ def library_conditions(ctx):
     """
     constants = ctx.constants
     tracked = ctx.tracked._trusted_replace(cluster=constants.tracked.cluster)
-    elimination = unit_elimination(constants.table, constants.layout)
-    return _embedding_conditions_at(constants, elimination, tracked, ctx.unfolding)
+    return _embedding_conditions_at(constants, tracked, ctx.unfolding)
 
 
 def group_monomials(table, fm, k):
@@ -171,7 +169,7 @@ def sigma_polynomial(table, layout, k, r):
     with ``t_c`` for ``c`` in ``J`` and ``s_c`` for the others.
     """
     names = table.names
-    pairs = list(zip(layout.t_range(k), layout.s_range(k)))
+    pairs = list(zip(*layout.aux[k]))
     total = LaurentPolynomial.zero(table)
     for subset in combinations(range(len(pairs)), r):
         term = table.monomial({
@@ -553,7 +551,7 @@ class TestFoldedSeed:
             for k in range(fm.layout.n_groups):
                 expected["cluster", k] = list(fm.layout.group_range(k))
                 expected["t", k] = list(fm.layout.t_range(k))
-                expected["s", k] = list(fm.layout.s_range(k))
+                expected["s", k] = list(fm.layout.aux[k][1])
             assert blocks == expected
             assert all(b == list(range(b[0], b[-1] + 1)) for b in blocks.values())
             assert len(table) == fm.matrix.n + fm.matrix.m
@@ -561,18 +559,18 @@ class TestFoldedSeed:
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_eliminate_units_matches_the_name_oracle(self, fix_a, fix_b, fix_c, mode):
-        # The layout moves each group's last t and s powers by position;
-        # the oracle substitution finds the variables by name, numbering
-        # members by divisors.  The vectors are zero, then random with
-        # entries up to 2**200.
+        # The relations' map of E moves each group's last t and s powers
+        # by position; the oracle substitution finds the variables by
+        # name, numbering members by divisors.  The vectors are zero, then
+        # random with entries up to 2**200.
         rng = random.Random(31)
         seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(12)]
         for seed in seeds:
             ctx = QuotientContext.create(seed, mode)
             table, layout = ctx.table, ctx.layout
-            assert layout.aux == tuple(
-                (layout.t_range(k), layout.s_range(k)) for k in range(layout.n_groups)
-            )
+            assert all(layout.aux[k][0] == layout.t_range(k) for k in range(layout.n_groups))
+            elimination = quotient_relations(table, layout)[0]
+            assert elimination is ctx.elimination
             images = oracle_unit_elimination(table, seed.divisors.entries)
             units = Substitution(images, table, table)
             width = len(table)
@@ -582,14 +580,14 @@ class TestFoldedSeed:
                     tuple(rng.randint(-2**bits, 2**bits) for _ in range(width)) for _ in range(4)
                 ]
             for exps in vectors:
-                assert layout.eliminate_units(exps) == units.vector(exps)
-            # The moved images are those of the unit vectors E does not fix.
+                assert elimination.vector(exps) == units.vector(exps)
+            # The map's images are those of the unit vectors E does not fix.
             moved = {}
             for c in range(width):
                 unit = tuple(int(q == c) for q in range(width))
                 if units.vector(unit) != unit:
-                    moved[c] = units.vector(unit)
-            assert layout.moved_unit_images() == moved
+                    moved[table.names[c]] = units.vector(unit)
+            assert {name: m.exponents for name, m in elimination.images.items()} == moved
 
     def test_initial_seed_shape(self, fix_a):
         fm = build(fix_a)
@@ -714,18 +712,19 @@ class TestSigmaAndUnits:
             table, fm = folded_root(seed)
             layout = fm.layout
             one = LaurentPolynomial.one(table)
+            elimination, sigma_levels = quotient_relations(table, layout)
             for k in range(seed.rank):
                 d_k = len(layout.group_range(k))
-                levels = _sigma_levels(table, layout, k)
+                levels = sigma_levels[k]
                 for r in (0, d_k):
                     sigma = sigma_polynomial(table, layout, k, r)
                     assert eliminated(sigma, seed.divisors.entries) == one
                     (exps,) = sigma.terms
-                    assert table.term(layout.eliminate_units(exps)) == levels[r] == one
+                    assert table.term(elimination.vector(exps)) == levels[r] == one
 
     def test_normal_form_idempotent_and_multiplicative(self, fix_c, rng):
         ctx = QuotientContext.create(fix_c)
-        table, sizes, eliminate = ctx.table, fix_c.divisors.entries, ctx.layout.eliminate_units
+        table, sizes, eliminate = ctx.table, fix_c.divisors.entries, ctx.elimination.vector
 
         def random_poly():
             out = LaurentPolynomial.zero(table)
@@ -846,15 +845,22 @@ class TestSigmaAndUnits:
         # Each group's one cached tuple E(sigma_{k,0}), ..., E(sigma_{k,d}),
         # level by level, against the balanced sum built subset by subset
         # and eliminated through the name oracle.  Each level is rebuilt
-        # from its terms, so its bound is the exact one.
+        # from its terms, so its bound is the exact one.  Equal tables and
+        # layouts, built apart, find the one cached pair.
         rng = random.Random(33)
         seeds = [fix_a, fix_b, fix_c] + [random_seed(rng, max_frozen=3) for _ in range(12)]
         for seed in seeds:
             ctx = QuotientContext.create(seed, mode)
             table, sizes = ctx.table, seed.divisors.entries
+            apart = build(seed, ctx.layout.multiplicity).layout
+            assert apart is not ctx.layout and apart == ctx.layout
+            relations = quotient_relations(folded_table(seed, apart), apart)
+            assert relations is quotient_relations(table, ctx.layout)
+            assert relations[0] is ctx.elimination and relations[1] is ctx.sigma
+            sigma = relations[1]
+            assert len(sigma) == seed.rank
             for k in range(seed.rank):
-                levels = _sigma_levels(table, ctx.layout, k)
-                assert _sigma_levels(table, ctx.layout, k) is levels
+                levels = sigma[k]
                 assert len(levels) == sizes[k] + 1
                 for r, level in enumerate(levels):
                     oracle = oracle_sigma(table, sizes, k, r)
@@ -1025,10 +1031,10 @@ class TestProductFormula:
             cases.append((seed, [random_sequence(rng, seed.matrix.n, 4)]))
         for seed, sequences in cases:
             table, states = product_formula_states(seed, mode, sequences)
-            elimination = unit_elimination(table, states[0][0].layout)
+            elimination, sigma = quotient_relations(table, states[0][0].layout)
             for fm, parity in states:
                 for k in range(seed.rank):
-                    report = product_formula_check(elimination, fm, k)
+                    report = product_formula_check(elimination, sigma, fm, k)
                     assert report.ok, (seed.divisors, parity, k)
                     assert report == oracle_product_formula_check(table, fm, k, parity[k])
 
@@ -1074,7 +1080,7 @@ class TestProductFormula:
         for seed in (fix_a, fix_b, fix_c):
             sequences = [(k,) for k in range(seed.rank)]
             table, states = product_formula_states(seed, "total", sequences)
-            elimination = unit_elimination(table, states[0][0].layout)
+            elimination, sigma = quotient_relations(table, states[0][0].layout)
             for fm, parity in states:
                 for k in range(seed.rank):
                     member, (t_cols, s_cols) = fm.layout.group_range(k)[0], fm.layout.aux[k]
@@ -1082,7 +1088,7 @@ class TestProductFormula:
                         for delta in (1, -2):
                             bad = tampered(fm, member, col, delta)
                             try:
-                                report = product_formula_check(elimination, bad, k)
+                                report = product_formula_check(elimination, sigma, bad, k)
                             except StructureViolation:
                                 kinds.add("broken sign")
                                 continue
@@ -1110,8 +1116,8 @@ class TestProductFormula:
 
         for b in (FIRST_RUNG_LIMIT // 2 - 2, FIRST_RUNG_LIMIT // 2, FIRST_RUNG_LIMIT):
             table, fm = check_at(b)
-            elimination = unit_elimination(table, fm.layout)
-            assert product_formula_check(elimination, fm, 0) == Report(())
+            elimination, sigma = quotient_relations(table, fm.layout)
+            assert product_formula_check(elimination, sigma, fm, 0) == Report(())
             assert oracle_product_formula_check(table, fm, 0, 0) == Report(())
 
     def test_lcm_mode(self, fix_b):
@@ -1158,7 +1164,7 @@ class TestEliminationOnVectors:
         seed = fixture_seed(name)
         sequences = list(product(range(seed.rank), repeat=depth))
         table, states = product_formula_states(seed, "total", sequences)
-        elimination = unit_elimination(table, states[0][0].layout)
+        elimination = quotient_relations(table, states[0][0].layout)[0]
         everything = [True] * len(table)
         for fm, _ in states:
             layout = fm.layout
@@ -1545,13 +1551,20 @@ class TestSubquotientFailures:
         assert subquotient_check(fix_a).failures == (("root exponent", "f1", 12),)
 
     def test_frozen_image(self, fix_a, monkeypatch):
-        # A unit elimination that squares the first root sends the folded
-        # target F1^6 elsewhere.
-        def moving_a_root(layout, exps):
-            q = layout.f_block[0]
-            return exps[:q] + (2 * exps[q],) + exps[q + 1:]
+        # A unit elimination that squares the first root, planted in the
+        # images the relations are built with, sends the folded target
+        # F1^6 elsewhere.
+        from gencluster import quotient_embedding
 
-        monkeypatch.setattr(FoldedLayout, "eliminate_units", moving_a_root)
+        relations = quotient_embedding.quotient_relations.__wrapped__
+
+        def moving_a_root(table, layout):
+            elimination, sigma = relations(table, layout)
+            root = table.names[layout.f_block[0]]
+            images = {**elimination.images, root: table.monomial({root: 2})}
+            return Substitution(images, table, table), sigma
+
+        monkeypatch.setattr(quotient_embedding, "quotient_relations", moving_a_root)
         assert subquotient_check(fix_a).failures == (("frozen image", "f1", "F1^6"),)
 
     def test_cluster_image(self, fix_a, monkeypatch):

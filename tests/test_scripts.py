@@ -76,6 +76,13 @@ def test_run_verification_refuses_negative_counts():
         result = run_script("run_verification.py", flag, word)
         assert (result.returncode, result.stdout) == (2, "")
         assert f"argument {flag}: must be at least 0: '{word}'" in result.stderr
+    # Its integer flags are read as every ``gencluster`` flag is: a sign,
+    # an underscore or a non-ASCII digit is not a canonical integer.
+    for flag in ("--cases", "--depth", "--rng-seed"):
+        for word in ("+2", "1_0", "\u0663"):
+            result = run_script("run_verification.py", flag, word)
+            assert (result.returncode, result.stdout) == (2, ""), (flag, word)
+            assert f"argument {flag}: int value not in canonical form: {word!r}" in result.stderr
 
 
 def assert_statements(source):
@@ -141,13 +148,13 @@ def test_run_verification_fails_under_optimization():
 @pytest.mark.parametrize("plant, argv, failed, detail", [
     (
         "quotient_embedding.product_formula_check = (\n"
-        "    lambda columns, fm, k: Report(((k, 'residual'),)))",
+        "    lambda elimination, sigma, fm, k: Report(((k, 'residual'),)))",
         ("--cases", "4", "--depth", "0"),
         ["product-formula", "random product-formula"],
         "'residual')",
     ),
     (
-        "def conditions(ctx, columns, tracked, fm):\n"
+        "def conditions(ctx, tracked, fm):\n"
         "    raise RuntimeError('planted')\n"
         "quotient_embedding._embedding_conditions_at = conditions",
         ("--cases", "0", "--depth", "0"),

@@ -79,7 +79,7 @@ def column_groups(fm):
         out.append(("f", l, range(c, c + 1)))
     for j in range(fm.layout.n_groups):
         out.append(("t", j, fm.layout.t_range(j)))
-        out.append(("s", j, fm.layout.s_range(j)))
+        out.append(("s", j, fm.layout.aux[j][1]))
     return out
 
 
@@ -162,9 +162,9 @@ class TestBuild:
         assert list(fm.layout.group_range(1)) == [2, 3, 4]
         assert list(fm.layout.f_block) == [5, 6]
         assert list(fm.layout.t_range(0)) == [7, 8]
-        assert list(fm.layout.s_range(0)) == [9, 10]
+        assert list(fm.layout.aux[0][1]) == [9, 10]
         assert list(fm.layout.t_range(1)) == [11, 12, 13]
-        assert list(fm.layout.s_range(1)) == [14, 15, 16]
+        assert list(fm.layout.aux[1][1]) == [14, 15, 16]
         kinds = [(kind, idx) for kind, idx, _ in column_groups(fm)]
         assert kinds == [
             ("cluster", 0),
@@ -177,13 +177,15 @@ class TestBuild:
             ("s", 1),
         ]
 
-    @pytest.mark.parametrize("accessor", ["group_range", "t_range", "s_range"])
+    @pytest.mark.parametrize("accessor", ["group_range", "t_range", "identity_sign"])
     def test_group_accessors_refuse_a_missing_group(self, fix_a, accessor):
         # -1 would otherwise read the last group, and n_groups one past it.
-        layout = build(fix_a).layout
-        for i in (-1, layout.n_groups):
+        # The unfolding's identity sign reads its group through the layout.
+        fm = build(fix_a)
+        owner = fm if accessor == "identity_sign" else fm.layout
+        for i in (-1, fm.layout.n_groups):
             with pytest.raises(IndexOutOfRange, match=f"no group {i}"):
-                getattr(layout, accessor)(i)
+                getattr(owner, accessor)(i)
 
     def test_layout_validation(self, fix_a):
         fm = build(fix_a)
@@ -448,13 +450,13 @@ def ts_corruptions(fm):
     rows = fm.matrix.rows
     for j in range(fm.layout.n_groups):
         for r in range(fm.layout.total):
-            for t, s in zip(fm.layout.t_range(j), fm.layout.s_range(j)):
+            for t, s in zip(*fm.layout.aux[j]):
                 yield {(r, t): rows[r][t] + 1}
                 yield {(r, s): rows[r][s] - 1}
                 yield {(r, t): rows[r][t] + 1, (r, s): rows[r][s] - 1}
     for i in range(fm.layout.n_groups):
         layout = fm.layout
-        members = list(zip(layout.group_range(i), layout.t_range(i), layout.s_range(i)))
+        members = list(zip(layout.group_range(i), *layout.aux[i]))
         for delta in (-2, -1, 1, 2):
             changes = {}
             for r, t, s in members:
