@@ -760,24 +760,34 @@ def poly_sum_of_products(table, pairs):
     return _trusted(table, _drop_zeros(terms), amp)
 
 
-def poly_shifted_sum(table, pairs):
-    """``sum_i x^(v_i) * p_i`` over ``table``, added into one dict.
+def poly_shifted_sum(table, pairs, common=None):
+    """``sum_i x^(v_i + i g + (d - i) l) * p_i`` over ``table``, added into one dict.
 
     ``pairs`` yields the ``(v_i, p_i)``: ``v_i`` holds one integer per
     variable, in table order (ValidationError for another length, as
-    :meth:`VariableTable.term`), and ``p_i`` is a polynomial over
-    ``table`` (TableMismatch otherwise) or ``None``, which stands for 1.
-    Each vector is packed and bounded once, each product is bounded and
-    its rung kept as in :func:`poly_sum_of_products`, and ``p_i``'s keys
-    are shifted by the packed vector, so no one-term polynomial is
-    built.  Terms whose sum cancels are dropped.
+    :meth:`VariableTable.term`), or is ``None`` for the zero vector, and
+    ``p_i`` is a polynomial over ``table`` (TableMismatch otherwise) or
+    ``None``, which stands for 1.
+    ``common`` is the pair of vectors ``(g, l)``, or ``None`` for zero
+    vectors, and ``d`` is the number of pairs less one: with ``g`` and
+    ``l`` two sides, the shifts are the shells of a homogeneous binomial
+    of degree ``d``.  Each vector is packed and bounded once, each product
+    is bounded and its rung kept as in :func:`poly_sum_of_products`, and
+    ``p_i``'s keys are shifted by the packed vectors, so no one-term
+    polynomial is built.  Terms whose sum cancels are dropped.
     """
     layout = table._layout
     terms = {}
     get = terms.get
     amp = 0
-    for exps, p in pairs:
-        shift, bound = layout.pack_bounded(exps)
+    if common is not None:
+        pairs = list(pairs)
+        d = len(pairs) - 1
+        (kg, bg), (kl, bl) = (layout.pack_bounded(side) for side in common)
+    for i, (exps, p) in enumerate(pairs):
+        shift, bound = (layout.offset, 0) if exps is None else layout.pack_bounded(exps)
+        if common is not None:
+            bound += i * bg + (d - i) * bl
         if p is not None:
             if not _same_table(p.table, table):
                 raise TableMismatch("operands live over different variable tables")
@@ -788,7 +798,11 @@ def poly_shifted_sum(table, pairs):
             wide = layout.fit(bound)
             terms, layout = _repack(terms, layout, wide), wide
             get = terms.get
-            shift = layout.pack_bounded(exps)[0]
+            shift = layout.offset if exps is None else layout.pack_bounded(exps)[0]
+            if common is not None:
+                kg, kl = (layout.pack_bounded(side)[0] for side in common)
+        if common is not None:
+            shift += i * (kg - layout.offset) + (d - i) * (kl - layout.offset)
         amp = max(amp, bound)
         if p is None:
             terms[shift] = get(shift, 0) + 1
@@ -800,9 +814,12 @@ def poly_shifted_sum(table, pairs):
     return _trusted(table, _drop_zeros(terms), amp)
 
 
-def poly_binomial_product(table, pairs):
-    """``prod_i (x^(a_i) + x^(b_i))`` over ``table``: :func:`poly_binomial_levels` in one level."""
-    return _binomial_levels(table, pairs, 0)[0]
+def poly_binomial_product(table, pairs, common=None):
+    """``prod_i (x^(g + a_i) + x^(l + b_i))`` over ``table``: :func:`poly_binomial_levels` in one level.
+
+    ``common`` is the pair ``(g, l)`` added to every pair's sides, zero by default.
+    """
+    return _binomial_levels(table, pairs, 0, common)[0]
 
 
 def poly_binomial_levels(table, pairs):
@@ -810,25 +827,31 @@ def poly_binomial_levels(table, pairs):
     return _binomial_levels(table, pairs, 1)
 
 
-def _binomial_levels(table, pairs, step):
-    """``prod_i (x^(a_i) + x^(b_i))`` by levels, each first side ``step`` levels up.
+def _binomial_levels(table, pairs, step, common=None):
+    """``prod_i (x^(g + a_i) + x^(l + b_i))`` by levels, each first side ``step`` levels up.
 
-    ``pairs`` yields exponent vectors ``(a_i, b_i)`` over ``table``, each
+    ``pairs`` yields exponent vectors ``(a_i, b_i)`` over ``table``, and
+    ``common`` is ``(g, l)`` or ``None`` for zero vectors.  Each vector is
     packed once (ValidationError for another length, as
     :meth:`VariableTable.term`) on the rung of the bound every level takes,
-    ``sum_i max(|a_i|, |b_i|)``; each pair in turn shifts every key so far
-    by both its keys.  No term cancels.
+    ``sum_i max(|g| + |a_i|, |l| + |b_i|)``; each pair in turn shifts every
+    key so far by both its keys.  No term cancels.
     """
     layout, vectors = table._layout, [(a, b) for a, b in pairs]
+    if common is not None:
+        vectors.append(tuple(common))
     packed = [(layout.pack_bounded(a), layout.pack_bounded(b)) for a, b in vectors]
-    amp = sum([pa[1] if pa[1] > pb[1] else pb[1] for pa, pb in packed])
+    (kg, bg), (kl, bl) = packed.pop() if common is not None else ((layout.offset, 0),) * 2
+    amp = sum([bg + pa[1] if bg + pa[1] > bl + pb[1] else bl + pb[1] for pa, pb in packed])
     if amp >= layout.limit:
         layout = layout.fit(amp)
         packed = [(layout.pack_bounded(a), layout.pack_bounded(b)) for a, b in vectors]
+        (kg, _), (kl, _) = packed.pop() if common is not None else ((layout.offset, 0),) * 2
     offset = layout.offset
+    g, l = kg - offset, kl - offset
     levels = [{offset: 1}]
     for (ka, _), (kb, _) in packed:
-        ka, kb = ka - offset, kb - offset
+        ka, kb = ka - offset + g, kb - offset + l
         out = [{key + kb: coeff for key, coeff in level.items()} for level in levels] + [{}] * step
         for terms, level in zip(out[step:], levels):
             get = terms.get
@@ -990,8 +1013,9 @@ class Substitution:
     ``sub.vector(exps)`` maps an exponent vector, ``sub(p)`` a polynomial
     term by term, and ``sub.sides(row, cols)`` a row's two sides into packed
     monomials.  The first two read each variable's nonzero image entries and
-    largest magnitude, stored on first use; the last two, one table per
-    target rung of every packed image and bound.
+    largest magnitude, stored on first use; ``sides`` keeps one table per
+    target rung of every packed image and bound, which ``sub(p)`` reads when
+    it is there, and otherwise packs only the columns ``p`` uses.
     """
 
     __slots__ = ("source", "target", "images", "_same", "_positions", "_lacking", "_columns", "_rung_images")
@@ -1024,6 +1048,8 @@ class Substitution:
         A term's key maps to the target's 1 plus each used exponent times its
         column's packed image, on the rung of ``p``'s bound times the used
         bounds (plus one over one table), or moves in place on ``p``'s rung.
+        Only the columns ``p`` uses are packed, unless :meth:`sides` has
+        stored every column's image on that rung.
         """
         if not _same_table(p.table, self.source):
             raise TableMismatch("polynomial is not over the substitution's source table")
@@ -1039,13 +1065,14 @@ class Substitution:
         if self._same and not live:
             return p
         layout = self.target._layout.fit(p._amp * bound)
-        packed = (self._rung_images.get(layout) or self._images_on(layout))[0]
+        stored = self._rung_images.get(layout)
         in_place, terms, home, moves = layout is s_layout, {}, units, []
         if not in_place:  # keys are rebuilt from the target's 1, so the fixed columns move too
             home, live = (0,) * len(units), [c for c, shift in enumerate(shifts) if (used >> shift) & mask]
         for c in live:
-            if packed[c] != home[c]:
-                moves.append((shifts[c], packed[c] - home[c]))
+            image = stored[0][c] if stored else self._packed(c, layout)
+            if image != home[c]:
+                moves.append((shifts[c], image - home[c]))
         for key, coeff in p._keys.items():
             image = key if in_place else layout.offset
             for shift, move in moves:
@@ -1079,13 +1106,17 @@ class Substitution:
                     out[j] += e * g
         return tuple(out)
 
-    def sides(self, row, cols=None):
+    def sides(self, row, cols=None, table=None):
         """The images of ``row``'s sides over the ``range`` ``cols``, as :class:`PackedMonomial`.
 
         ``row`` holds one integer per ``source`` variable (ValidationError otherwise).
         ``(gt, lt)`` map its positive entries and its negative entries' magnitudes.
         A side's bound sums each entry times its image's largest magnitude, or
-        is exact once that sum passes the first rung.
+        is exact once that sum passes the first rung.  The sides are over
+        ``target``, or over ``table`` when given: a table that ``target``
+        extends (:meth:`VariableTable.extended`), where a side with an exponent
+        past ``table``'s names raises ValidationError, as a vector of another
+        length does.
         """
         if len(row) != len(self._columns):
             raise ValidationError("exponent vector does not match table size")
@@ -1095,12 +1126,21 @@ class Substitution:
         if self._lacking:
             self._column(self._lacking[0])  # UnknownSymbol
         if gt_bound < base.limit > lt_bound:
+            if table is not None:
+                base, gt, lt = _restricted(base, table, gt, lt)
             return (PackedMonomial(base.offset + gt, gt_bound, base),
                     PackedMonomial(base.offset + lt, lt_bound, base))
         wide = base.fit(max(gt_bound, lt_bound))
-        exact = [base.pack_bounded(wide.unpack(wide.offset + key))
-                 for key in self._row_keys(row, cols, wide)[:2]]
+        gt, lt = self._row_keys(row, cols, wide)[:2]
+        if table is not None:
+            (wide, gt, lt), base = _restricted(wide, table, gt, lt), table._layout
+        exact = [base.pack_bounded(wide.unpack(wide.offset + key)) for key in (gt, lt)]
         return tuple(PackedMonomial(key, amp, base.fit(amp)) for key, amp in exact)
+
+    def _packed(self, c, layout):
+        """The packed image of source column ``c`` on ``layout``, from its stored entries."""
+        units = layout.units
+        return sum([g * units[j] for j, g in (self._columns[c] or self._column(c))[0]])
 
     def _images_on(self, layout):
         """The packed image and the bound of every column on ``layout``, kept per rung."""
@@ -1139,6 +1179,24 @@ class PackedMonomial:
 
     def __init__(self, key, bound, rung):
         self._key, self._bound, self._rung = key, bound, rung
+
+
+def _restricted(rung, table, gt, lt):
+    """``(rung, gt, lt)`` moved to ``table``'s width; ``gt`` and ``lt`` are keys less ``rung.offset``.
+
+    ``table`` is one that ``rung``'s table extends (:meth:`VariableTable.extended`).
+    Keys are linear, and on one rung a variable's unit in the wider table
+    is its unit in ``table`` shifted past the extra fields, which hold zero
+    exactly when those low bits of a key less its offset are clear.
+    ValidationError otherwise, as for a vector of another length.
+    """
+    narrow = table._layout
+    if narrow.bits != rung.bits:
+        narrow = _layout(narrow.width, rung.bits)
+    drop = rung.degree_shift - narrow.degree_shift
+    if drop < 0 or (gt | lt) & ((1 << drop) - 1):
+        raise ValidationError("exponent vector does not match table size")
+    return narrow, gt >> drop, lt >> drop
 
 
 def monomial_combination(m, a, n, b):

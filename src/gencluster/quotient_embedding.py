@@ -114,13 +114,15 @@ def _coherent_row(matrix, layout, k):
     columns are not constrained here; the double-constant check
     validates their structure.
     """
-    rows = [matrix.rows[r] for r in layout.group_range(k)]
+    members, rows = layout.group_range(k), matrix.rows
     stop = layout.exchange_block.stop  # the block starts at column 0
-    if any(row[:stop] != rows[0][:stop] for row in rows):
-        col = next(c for c in range(stop) if any(row[c] != rows[0][c] for row in rows))
-        column = [row[col] for row in rows]
+    first = rows[members[0]]
+    head = first[:stop]
+    if any(rows[c][:stop] != head for c in members[1:]):
+        col = next(c for c in range(stop) if any(rows[r][c] != first[c] for r in members))
+        column = [rows[r][col] for r in members]
         raise GroupCoherenceViolation(f"group {k} rows disagree in column {col}: {column}")
-    return rows[0]
+    return first
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,8 @@ class QuotientContext:
             )
             for k in range(seed.rank)
         }, table_p, self.folded_plus)
+        # The walk's constants read off ``phi`` and ``sigma``, filled on first use.
+        self._strings, self._base_cases = {}, {}
 
     @staticmethod
     def create(gca, mode="total"):
@@ -269,6 +273,61 @@ class QuotientContext:
         """The class of ``sum_v x^v`` over tracked vectors: the :meth:`image` pairs' shifted sum."""
         return poly_shifted_sum(self.table, map(self.image, vectors))
 
+    def string_class(self, exps):
+        """``(class, level)`` of a tracked string-entry vector ``exps``, kept per walk.
+
+        ``class`` is the class of ``x^exps`` (:meth:`class_of`) and
+        ``level`` the ``sigma`` level of its placeholder, or ``None`` (the
+        second member of :meth:`image`).  A walk only reverses string rows,
+        so it meets each row's entries in two orders and no new vector:
+        each is mapped once, on first use.
+        """
+        found = self._strings.get(exps)
+        if found is None:
+            head, level = self.image(exps)
+            found = self._strings[exps] = (poly_shifted_sum(self.table, ((head, level),)), level)
+        return found
+
+    def base_case(self, k):
+        """Whether ``phi(x_k)`` is the product of group ``k``'s members, kept per walk.
+
+        It is the base case of (iii): the image of the tracked unit vector
+        of ``x_k`` against the members' indicator over ``folded_plus``.
+        It reads no state, so it is worked out once, on first use.
+        """
+        holds = self._base_cases.get(k)
+        if holds is None:
+            members, size = self.layout.group_range(k), len(self.tracked.table)
+            image = self.phi.vector(tuple(int(q == k) for q in range(size)))
+            holds = image == tuple(int(q in members) for q in range(len(image)))
+            self._base_cases[k] = holds
+        return holds
+
+    def exchange_class(self, exchange, row):
+        """The class of ``theta_k`` for the :class:`~gencluster.gca_seed.ExchangeContext` ``exchange``.
+
+        ``row`` is the tracked string row ``k``.  ``theta_k`` sums the
+        tracked monomials ``c_r + r u> + (d - r) u<``, with ``c_r`` the
+        coefficient ``r``, and ``phi`` is linear: ``phi(u>)`` and
+        ``phi(u<)`` are read once, as the packed sides of the scaled row's
+        cluster columns, and each ``c_r`` once, as the first side of its
+        columns before the placeholders (it has no negative entry: the
+        tracked string entries are placeholders or 1, and its frozen part
+        is a floor of non-negative numbers).  Both land on the folded
+        table, as ``phi`` sends no column there onto a placeholder.  The
+        placeholder of ``c_r`` is that of the string entry ``r``, whose
+        ``sigma`` level :meth:`string_class` keeps, so the class is one
+        shifted sum with the shells ``r phi(u>) + (d - r) phi(u<)``
+        common to its terms: no vector is built per term.
+        """
+        seed, phi, table = exchange.seed, self.phi, self.table
+        n = seed.matrix.n
+        frozen = range(n, len(seed.table) - len(self.placeholder_names))
+        return poly_shifted_sum(table, [
+            (phi.sides(coefficient, frozen, table)[0], self.string_class(entry.exponents)[1])
+            for entry, coefficient in zip(row, exchange.coefficients)
+        ], phi.sides(exchange.bhat_row, range(n), table))
+
     def group_image(self, k):
         """``E(prod_c y_c)`` over the members of group ``k``: the class the embedding gives ``x_k``."""
         table, members = self.table, self.layout.group_range(k)
@@ -280,17 +339,21 @@ class QuotientContext:
 # Verification: the product formula
 
 
-def _member_binomial_product(elimination, fm, k):
-    """``E(prod_c theta_c)`` over the members ``c`` of group ``k`` of ``fm``.
+def _member_binomial_product(table, exchange, aux):
+    """``E(prod_c theta_c)`` over the members ``c`` of a group, from their eliminated sides.
 
-    ``E(theta_c) = x^(E a) + x^(E b)`` for the sides ``a`` and ``b`` of row
-    ``c``, so the product is one expansion of the side pairs that the
-    map ``elimination`` of ``E`` reads off the rows.
+    The members share the coherent row's exchange block (:func:`_coherent_row`),
+    whose eliminated sides are ``exchange = (g, l)``; ``aux`` holds each
+    member's ``(a_c, b_c)``, the eliminated sides of the rest of its row.
+    ``E`` is a monomial ring map and sides add over columns, so ``E(theta_c)
+    = x^(g + a_c) + x^(l + b_c)``, and the product is one expansion over
+    ``table`` with ``(g, l)`` common to every pair.
     """
-    rows = fm.matrix.rows
-    return poly_binomial_product(
-        elimination.target, (elimination.sides(rows[c]) for c in fm.layout.group_range(k))
-    )
+    return poly_binomial_product(table, aux, exchange)
+
+
+#: The report of a group that satisfies the product formula, built once.
+_PASSED = Report(())
 
 
 def product_formula_check(elimination, sigma, fm, k):
@@ -325,18 +388,20 @@ def product_formula_check(elimination, sigma, fm, k):
     ``r g + (d_k - r) l`` of the coherent row's exchange-block sides
     ``g`` and ``l``.
     """
-    layout, table = fm.layout, elimination.target
-    d_k = len(layout.group_range(k))
-    lhs = _member_binomial_product(elimination, fm, k)
-    g, l = elimination.sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
+    layout, table, rows = fm.layout, elimination.target, fm.matrix.rows
+    members = layout.group_range(k)
+    d_k = len(members)
+    exchange = elimination.sides(_coherent_row(fm.matrix, layout, k), layout.exchange_block)
+    lhs = _member_binomial_product(
+        table, exchange, [elimination.sides(rows[c], layout.aux_block) for c in members]
+    )
     levels, flip = sigma[k], fm.identity_sign(k) < 0
-    rhs = poly_shifted_sum(table, (
-        (monomial_combination(r, g, d_k - r, l), levels[d_k - r if flip else r])
-        for r in range(d_k + 1)
-    ))
+    rhs = poly_shifted_sum(
+        table, [(None, levels[d_k - r if flip else r]) for r in range(d_k + 1)], exchange
+    )
     if lhs != rhs:
         return Report(((k, str(poly_sub(lhs, rhs))),))
-    return Report(())
+    return _PASSED
 
 
 def product_formula_walk(gca, mode="total"):
@@ -452,8 +517,8 @@ def _embedding_conditions_at(ctx, tracked, fm):
     """
     failures = []
     layout, phi, table, elimination = ctx.layout, ctx.phi, ctx.table, ctx.elimination
-    rows, f = fm.matrix.rows, layout.f_block
-    width, size = len(table), len(tracked.table)
+    rows, f, stop = fm.matrix.rows, layout.f_block, layout.exchange_block.stop
+    width = len(table)
     for k in range(tracked.rank):
         gca_ctx = ExchangeContext(tracked, k)
         first = _coherent_row(fm.matrix, layout, k)
@@ -469,26 +534,28 @@ def _embedding_conditions_at(ctx, tracked, fm):
             if phi.vector(exps)[:width] != side:
                 failures.append((label, k, None))
         # (iii) cluster variables: the base case, then the exchange identity.
-        members = layout.group_range(k)
-        image = phi.vector(tuple(int(q == k) for q in range(size)))
-        if image != tuple(int(q in members) for q in range(len(image))):
+        if not ctx.base_case(k):
             failures.append(("(iii)", k, None))
-        d, gt, lt = gca_ctx.degree, gca_ctx.u_gt, gca_ctx.u_lt
-        theta = ctx.class_of(
-            [c + r * g + (d - r) * l for c, g, l in zip(coefficient, gt, lt)]
-            for r, coefficient in enumerate(gca_ctx.coefficients)
-        )
-        if theta != _member_binomial_product(elimination, fm, k):
-            failures.append(("(iii) exchange", k, None))
-        # (iv) string entries against balanced side-ratio sums.
-        ratios = []
-        for c in members:
+        exchange = elimination.sides(first, layout.exchange_block)
+        pairs, ratios, kept = [], [], []
+        for c in layout.group_range(k):
             row = rows[c]
+            aux = elimination.sides(row, layout.aux_block)
+            if row[:stop] == first[:stop]:
+                pairs.append(aux)
+                ratios.append(aux)
+                continue
+            # Only a coherent row that is not the members' own reaches here:
+            # the member's pair is its whole row's sides less ``exchange``.
+            pairs.append(tuple(
+                monomial_combination(1, side, -1, common)
+                for side, common in zip(elimination.sides(row), exchange)
+            ))
             if row[f.start:f.stop] == first[f.start:f.stop]:
-                ratios.append(elimination.sides(row, layout.aux_block))
+                ratios.append(aux)
                 continue
             for label, sign in ((">", 1), ("<", -1)):
-                failures.extend(
+                kept.extend(
                     (f"(iv) ratio {label} keeps frozen content", k, c)
                     for pos in f
                     if max(sign * row[pos], 0) != max(sign * first[pos], 0)
@@ -498,10 +565,14 @@ def _embedding_conditions_at(ctx, tracked, fm):
                 for side, coherent in zip(elimination.sides(row, layout.frozen_block),
                                           elimination.sides(first, f))
             ))
+        theta = ctx.exchange_class(gca_ctx, tracked.strings.rows[k])
+        if theta != _member_binomial_product(table, exchange, pairs):
+            failures.append(("(iii) exchange", k, None))
+        # (iv) string entries against balanced side-ratio sums.
+        failures.extend(kept)
         sigmas = poly_binomial_levels(table, ratios)
         for r in range(tracked.divisors[k] + 1):
-            lhs = ctx.class_of((tracked.strings.entry(k, r).exponents,))
-            if lhs != sigmas[r]:
+            if ctx.string_class(tracked.strings.entry(k, r).exponents)[0] != sigmas[r]:
                 failures.append(("(iv)", k, r))
     return failures
 

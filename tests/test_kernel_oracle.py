@@ -10,7 +10,7 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
 from math import comb, gcd
-from operator import sub
+from operator import add, sub
 from unittest import mock
 
 import pytest
@@ -25,6 +25,7 @@ from conftest import (
     oracle_balanced_sum,
     oracle_poly_mul,
     oracle_sum_of_products,
+    packed_vector,
     parse_polynomial,
     poly_sum,
 )
@@ -592,6 +593,40 @@ class TestShiftedSum:
         origin = (0,) * len(table)
         assert poly_shifted_sum(table, [(origin, p)]) == p
 
+    @given(st.data())
+    def test_common_shells(self, data):
+        # With ``common = (g, l)``, pair ``i`` of ``d + 1`` is shifted by
+        # ``i g + (d - i) l`` as well; a ``None`` vector is zero.
+        table = data.draw(tables(max_width=4))
+        entry = st.integers(-4, 4) | st.sampled_from(EDGE + WIDE)
+        g, l = (data.draw(st.tuples(*[entry] * len(table))) for _ in range(2))
+        pairs = data.draw(st.lists(
+            st.tuples(st.none() | vectors(table), st.none() | polynomials(table)), max_size=4
+        ))
+        d = len(pairs) - 1
+        shells = [
+            tuple((0 if v is None else v[q]) + i * g[q] + (d - i) * l[q] for q in range(len(table)))
+            for i, (v, _) in enumerate(pairs)
+        ]
+        fused = poly_shifted_sum(table, iter(pairs), (g, l))
+        composed = composed_shifted_sum(table, [(v, p) for v, (_, p) in zip(shells, pairs)])
+        assert fused == composed and str(fused) == str(composed)
+        assert fused._layout is table._layout.fit(fused._amp)
+        assert fused._amp >= composed._amp
+
+    def test_none_is_the_zero_vector(self):
+        table = table_of("x", 2)
+        p = parse_polynomial("x0^2*x1^-3 - 5", table)
+        assert poly_shifted_sum(table, [(None, p), (None, None)]) == poly_shifted_sum(
+            table, [((0, 0), p), ((0, 0), None)]
+        )
+        # A common pair of packed monomials, read by ``sides``.
+        sub = column_map(table, {})
+        g, l = sub.sides((3, -1))
+        assert poly_shifted_sum(table, [(None, None), (None, p)], (g, l)) == poly_shifted_sum(
+            table, [((0, 1), None), ((3, 0), p)]
+        )
+
     def test_both_signs(self):
         table = table_of("x", 3)
         p = parse_polynomial("x0^2*x1^-3 - 5*x2 + 7", table)
@@ -793,6 +828,22 @@ class TestBinomialExpansion:
         _, fused = assert_binomials_match(table, pairs)
         assert (FIRST_RUNG_LIMIT, -1) in fused.terms
         assert fused._amp == FIRST_RUNG_LIMIT and fused._layout.bits == 2 * FIRST_RUNG_BITS
+
+    @given(st.data())
+    def test_common_sides_add_to_every_pair(self, data):
+        # ``common = (g, l)`` expands ``prod (x^(g + a_i) + x^(l + b_i))``,
+        # from vectors, or from the packed sides ``sides`` reads.
+        table = data.draw(tables(max_width=4))
+        pairs = data.draw(binomial_pairs(table, max_pairs=3, edges=EDGE + WIDE))
+        row = data.draw(edge_vectors(table, EDGE + WIDE))
+        for common in (data.draw(binomial_pairs(table, 1, EDGE + WIDE).filter(len))[0],
+                       column_map(table, {}).sides(row)):
+            g, l = map(packed_vector, common)
+            moved = [(tuple(map(add, a, g)), tuple(map(add, b, l))) for a, b in pairs]
+            expected = poly_binomial_product(table, moved)
+            fused = poly_binomial_product(table, iter(pairs), common)
+            assert fused == expected and str(fused) == str(expected)
+            assert fused._layout is table._layout.fit(fused._amp)
 
     def test_no_pairs_give_one(self):
         table = table_of("x", 3)
@@ -1034,6 +1085,29 @@ class TestSides:
         assert str(fused.value) == str(composed.value)
         with pytest.raises(ValidationError, match="factors must be integers"):
             monomial_combination(0.5, mono, 1, mono)
+
+    @given(st.data())
+    def test_sides_over_a_table_the_target_extends(self, data):
+        # Read into a target with extra names, sides that leave them at zero
+        # come back over the narrower table; any exponent there raises.
+        table = data.draw(tables(max_width=5))
+        target = table.extended(("p0", "p1")[:data.draw(st.integers(1, 2))])
+        extra = len(target) - len(table)
+        images = data.draw(column_images(len(table), st.integers(-2, 2) | st.sampled_from(EDGE)))
+        images = {c: v + (0,) * extra for c, v in images.items()}
+        row = data.draw(edge_vectors(table))
+        sub = column_map(table, images, target)
+        full = {c: images.get(c, unit(len(target), c)) for c in range(len(table))}
+        for cols in (range(len(table)), data.draw(column_ranges(len(table)))):
+            for side, vector in zip(sub.sides(row, cols, table), vector_sides(full, row, cols)):
+                assert vector[len(table):] == (0,) * extra
+                assert_packed_is(table, side, vector[:len(table)])
+        moved = {0: unit(len(target), len(table))}
+        for e in (1, -1, FIRST_RUNG_LIMIT):
+            with pytest.raises(ValidationError, match="does not match table size"):
+                column_map(table, moved, target).sides((e,) + (0,) * (len(table) - 1), None, table)
+        with pytest.raises(ValidationError, match="does not match table size"):
+            column_map(table, {}, table).sides((1,) * len(table), None, target)
 
     def test_a_name_the_target_lacks_raises_at_the_first_sides(self):
         # ``sides`` packs every column once, so an uncarried name fails
@@ -1357,6 +1431,29 @@ class TestSubstitution:
                 sub(used)
         with pytest.raises(UnknownSymbol, match="symbol 'y' is not in the table"):
             sub.vector((0, -1, 0))
+
+    @given(st.data())
+    def test_a_fresh_map_packs_only_the_columns_a_polynomial_uses(self, data):
+        # Each polynomial uses one column of a fresh map, whose other
+        # columns include a name the target lacks: the terms map as the
+        # vector form says, and no table of every packed image is kept.
+        source = data.draw(tables("x", max_width=5))
+        target = table_of("u", data.draw(st.integers(1, 4)))
+        names = source.names
+        mapping = {name: data.draw(monomials(target)) for name in names[1:]}
+        for c, name in enumerate(names[1:], 1):
+            exps = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+            terms = {tuple(e * (q == c) for q in range(len(names))): k + 1 for k, e in enumerate(exps)}
+            p = LaurentPolynomial(source, terms)
+            sub = Substitution(mapping, source, target)
+            expected = Counter()
+            for v, k in terms.items():
+                expected[sub.vector(v)] += k
+            assert dict(sub(p).terms.items()) == {v: k for v, k in expected.items() if k}
+            assert_vector_form(sub, p)
+            assert sub._rung_images == {}
+        with pytest.raises(UnknownSymbol, match=f"symbol {names[0]!r} is not in the table"):
+            Substitution(mapping, source, target)(source.variable(names[0]))
 
     def test_the_image_bound_and_an_unmoved_polynomial(self):
         table = VariableTable.make(cluster=("x", "y", "z"))

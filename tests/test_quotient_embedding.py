@@ -1174,7 +1174,12 @@ class TestEliminationOnVectors:
                     gt, lt = member_sides(table, fm.matrix.rows[c], everything)
                     lhs = poly_mul(lhs, poly_add(mono_poly(gt), mono_poly(lt)))
                 expected = eliminated(lhs, seed.divisors.entries)
-                assert _member_binomial_product(elimination, fm, k) == expected
+                exchange = elimination.sides(
+                    _coherent_row(fm.matrix, layout, k), layout.exchange_block
+                )
+                aux = [elimination.sides(fm.matrix.rows[c], layout.aux_block)
+                       for c in layout.group_range(k)]
+                assert _member_binomial_product(table, exchange, aux) == expected
 
     @pytest.mark.parametrize("name, depth", WALKS)
     def test_condition_iv_right_sides(self, name, depth, monkeypatch):
@@ -1317,8 +1322,8 @@ class TestEvaluatedOracle:
 
         fix_b = fixture_seed("FIX-B")
 
-        def wrong_group(elimination, fm, k):
-            return _member_binomial_product(elimination, fm, (k + 1) % fm.layout.n_groups)
+        def swapped_sides(table, exchange, aux):
+            return _member_binomial_product(table, exchange[::-1], aux)
 
         def skipped_members(seed, layout, k):
             return seed if k == 1 else group_mutate_seed(seed, layout, k)
@@ -1327,7 +1332,7 @@ class TestEvaluatedOracle:
             lambda: unreversed_strings(monkeypatch),
             lambda: skipped_group_step(monkeypatch),
             lambda: monkeypatch.setattr(
-                quotient_embedding, "_member_binomial_product", wrong_group
+                quotient_embedding, "_member_binomial_product", swapped_sides
             ),
             lambda: monkeypatch.setattr(
                 evaluated_embedding, "group_mutate_seed", skipped_members
@@ -1371,18 +1376,18 @@ class TestEmbeddingAndSubquotient:
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_images_match_the_earlier_route(self, mode, monkeypatch):
-        # Every class the check asks for (each exchange polynomial over
-        # formal symbols, each string entry), and every group image,
-        # against the route that eliminated the units of the whole lift
-        # and of the whole group product.  The walk shares one phi and one layout.
-        asked, class_of = [], QuotientContext.class_of
+        # Every class the check reads (each exchange polynomial over formal
+        # symbols, and each string entry the walk's table holds), and every
+        # group image, against the route that eliminated the units of the
+        # whole lift and of the whole group product.  The walk shares one
+        # phi, one layout and one table of string classes.
+        asked, exchange_class = [], QuotientContext.exchange_class
 
-        def recording(self, vectors):
-            vectors = list(vectors)
-            asked.append((vectors, class_of(self, vectors)))
+        def recording(self, exchange, row):
+            asked.append((exchange, exchange_class(self, exchange, row)))
             return asked[-1][1]
 
-        monkeypatch.setattr(QuotientContext, "class_of", recording)
+        monkeypatch.setattr(QuotientContext, "exchange_class", recording)
         for seed, sequences in embedding_walks():
             contexts = walked_contexts(seed, mode, sequences)
             root = contexts[()]
@@ -1391,14 +1396,65 @@ class TestEmbeddingAndSubquotient:
                 assert image._keys == oracle_group_image(root, k)._keys
             for ctx in contexts.values():
                 assert ctx.phi is root.phi and ctx.layout is root.layout
+                assert ctx.constants is root.constants
                 asked.clear()
                 assert library_conditions(ctx) == []
-                assert len(asked) == sum(d + 2 for d in ctx.tracked.divisors.entries)
-                for vectors, image in asked:
-                    p = tracked_sum(ctx, vectors)
-                    assert image._keys == oracle_phi_poly(ctx, p)._keys
+                assert len(asked) == ctx.tracked.rank
+                for exchange, image in asked:
+                    d = exchange.degree
+                    vectors = [
+                        [c + r * g + (d - r) * l
+                         for c, g, l in zip(coefficient, exchange.u_gt, exchange.u_lt)]
+                        for r, coefficient in enumerate(exchange.coefficients)
+                    ]
+                    oracle = oracle_phi_poly(ctx, tracked_sum(ctx, vectors))
+                    assert image == oracle and str(image) == str(oracle)
                 for k in range(ctx.tracked.rank):
                     assert ctx.group_image(k)._keys == oracle_group_image(ctx, k)._keys
+            entries = {
+                entry.exponents
+                for ctx in contexts.values() for row in ctx.tracked.strings.rows for entry in row
+            }
+            held = root.constants._strings
+            assert set(held) == entries
+            for exps, (image, level) in held.items():
+                assert image._keys == oracle_phi_poly(root, tracked_sum(root, [exps]))._keys
+                # A string entry is a placeholder or 1: its class is its level.
+                assert image == (LaurentPolynomial.one(root.table) if level is None else level)
+
+    @pytest.mark.parametrize("mode", ["total", "lcm"])
+    def test_walk_tables_match_the_oracles_at_every_state(self, mode):
+        # After the check of each state, every string class the walk's
+        # table holds equals the polynomial oracle, and every base-case
+        # verdict equals the vector oracle: the lift of x_k against the
+        # product of group k's members.  Each coefficient of theta_k has
+        # no negative entry, which its class reads the first side of.
+        for seed, sequences in embedding_walks():
+            contexts = walked_contexts(seed, mode, sequences)
+            constants = contexts[()].constants
+            plus, names = constants.folded_plus, constants.tracked.table.names
+            for ctx in contexts.values():
+                assert library_conditions(ctx) == []
+                for exps, (image, _) in constants._strings.items():
+                    assert image == oracle_phi_poly(ctx, tracked_sum(ctx, [exps]))
+                assert sorted(constants._base_cases) == list(range(seed.rank))
+                for k, holds in constants._base_cases.items():
+                    members = plus.monomial({plus.names[c]: 1 for c in ctx.layout.group_range(k)})
+                    lift = oracle_lift(ctx, ctx.tracked.table.variable(names[k]))
+                    assert holds is (lift == mono_poly(members)) is True
+                    exchange = ExchangeContext(ctx.tracked, k)
+                    assert all(e >= 0 for c in exchange.coefficients for e in c)
+
+    def test_walk_tables_read_the_planted_phi(self, monkeypatch):
+        # The tables are filled from ``ctx.phi`` when first read, so a phi
+        # replaced after the context is built reaches every verdict.
+        phi_from_another_group(monkeypatch)
+        ctx = QuotientContext.create(fixture_seed("FIX-B"))
+        root, _, check, _ = embedding_walk(fixture_seed("FIX-B"))
+        assert check(root)[:1] == [("(iii)", 0, None)]
+        assert not ctx._base_cases and not ctx._strings
+        assert [ctx.base_case(k) for k in range(2)] == [False, True]
+        assert ctx._base_cases == {0: False, 1: True}
 
     @pytest.mark.parametrize("mode", ["total", "lcm"])
     def test_conditions_i_ii_match_the_polynomial_oracle(self, mode):

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import json
 import os
 from pathlib import Path
 import re
@@ -221,3 +222,21 @@ def test_a_closed_stdout_ends_the_run_quietly():
     assert child.wait(timeout=60) == 141
     assert first == b"ok target=hadamard seed=FIX-A sequence=1,1,1,1,1,1,1,1,1,1,1,1\n"
     assert errors == b""
+
+
+def test_bench_pairs_summarises_a_tiny_pair(tmp_path):
+    # One pair of tiny runs of this checkout against itself: a line per
+    # end-to-end metric.  A checkout without the benchmark fails the run.
+    argv = ["--workload", "quotient", "--pairs", "1", "--seed", "3", "--size", "tiny",
+            "--seconds", "5"]
+    result = run_script("bench_pairs.py", str(ROOT), str(ROOT), *argv)
+    assert result.returncode == 0, result.stderr
+    head, *lines = result.stdout.splitlines()
+    assert head == "quotient, 1 pairs, seeds 3-3"
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert [line.split(":")[0] for line in lines] == [m["name"] for m in spec["end_to_end"]]
+    assert all(re.search(r"parent quartiles \S+-\S+, change lower in [01]/1$", line)
+               for line in lines)
+    failed = run_script("bench_pairs.py", str(ROOT), str(tmp_path), *argv)
+    assert failed.returncode == 1 and failed.stdout == ""
+    assert "the change run is not correct" in failed.stderr
