@@ -6,8 +6,9 @@ Run from anywhere::
     python3 scripts/bench_pairs.py PARENT CHANGE --workload quotient --pairs 10 --seed 1
 
 Each pair runs the unchanged ``perfbench/run.py --trace 0`` once in each
-checkout, the parent first in even pairs and the change first in odd
-ones, with workload seed ``S + i`` for pair ``i``.  For every end-to-end
+checkout, for the ``run_seconds`` that ``BENCHMARK.json`` sets, the parent
+first in even pairs and the change first in odd ones, with workload seed
+``S + i`` for pair ``i``.  For every end-to-end
 metric it prints the medians of both sides, their relative change, the
 parent's quartiles and how many pairs the change was lower in.  It exits
 1 if any run fails or is not ``"correct": true``, and prints no summary.
@@ -20,11 +21,15 @@ import statistics
 import subprocess
 import sys
 
+RUN_SECONDS = json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8")
+)["run_seconds"]
+
 
 def run_once(checkout, args, seed):
     """The result line of one benchmark run in ``checkout``, or ``None`` if it failed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
+            "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0",
             "--size", args.size]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -66,7 +71,6 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=42)
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
     if args.pairs < 1:

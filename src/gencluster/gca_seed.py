@@ -231,14 +231,16 @@ class ExchangeContext:
             self.coefficients = (pad,) * (d + 1)
             return
         # Frozen exponent b adds floor(r*b/d) (b > 0) or floor((d-r)*|b|/d)
-        # (b < 0) to p_{k,r}; strings have no cluster exponent.
-        self.coefficients = tuple([
-            pad + tuple([
-                p + (r * e if e > 0 else (r - d) * e) // d
-                for p, e in zip(string.exponents[n:], frozen)
-            ])
-            for r, string in enumerate(seed.strings.rows[k])
-        ])
+        # (b < 0) to p_{k,r}; strings have no cluster exponent, and a zero
+        # b adds nothing.
+        moved = [(j, e) for j, e in enumerate(frozen, n) if e]
+        coefficients = []
+        for r, string in enumerate(seed.strings.rows[k]):
+            coefficient = [*pad, *string.exponents[n:]]
+            for j, e in moved:
+                coefficient[j] += (r * e if e > 0 else (r - d) * e) // d
+            coefficients.append(tuple(coefficient))
+        self.coefficients = tuple(coefficients)
 
     @property
     def v_gt(self):

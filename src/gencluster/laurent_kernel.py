@@ -34,7 +34,9 @@ Design notes
   :func:`poly_mul` and :func:`poly_add`.  A product of binomials
   ``prod_i (x^(a_i) + x^(b_i))`` is expanded from its vectors in one
   loop, whole (:func:`poly_binomial_product`) or by the number of first
-  sides taken (:func:`poly_binomial_levels`).
+  sides taken (:func:`poly_binomial_levels`).  A pair of sides ``(g, l)``
+  common to every binomial, or the shells ``i g + (d - i) l`` of a
+  shifted sum's ``d + 1`` terms, are packed once and added to keys.
 * Field sizes.  The fields of one polynomial all have one size, a rung
   of the ladder 24, 48, 96, ... bits; a rung's ``limit`` is
   ``2**(bits - 2)`` (``2**22``, ``2**46``, ...), and a field holds any
@@ -84,7 +86,10 @@ Design notes
   the mapping when it is built.  It maps an exponent vector
   (:meth:`Substitution.vector`) and, as packing is linear, a polynomial's
   keys and the two sides of a matrix row (:meth:`Substitution.sides`) as
-  sums of column images packed once per target rung.  A monomial ring map
+  sums of column images packed once per target rung; a polynomial packs
+  only the images of the columns it uses.  The sides can be read over a
+  table the target extends, when they leave its extra variables at
+  zero: the keys are shifted past those fields.  A monomial ring map
   sends ``sum c_v x^v`` to ``sum c_v x^(E v)``, so a caller that builds a
   polynomial from exponent vectors can map the vectors first and run no
   pass over the polynomial.

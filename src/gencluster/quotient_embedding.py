@@ -60,18 +60,23 @@ monomial ring maps applied to monomials only, never to a polynomial:
 ``E(sum c_v x^v) = sum c_v x^(E v)``.  Each is a kernel
 :class:`~gencluster.laurent_kernel.Substitution`, the one monomial map,
 which offers ``vector``, ``sub(p)`` and ``sides``.  ``phi`` is built once
-per walk and applied to exponent vectors.  ``E`` is written once, in
-:func:`quotient_relations`, and each walk looks it up once; its
-``sides`` reads the eliminated exchange sides of a row straight into
-packed monomials.  Every side the checks eliminate is read through it:
-the member rows of the binomial product, the coherent row's exchange
-block for the product formula's shells, and the member rows' auxiliary
-columns for the ratios of (iv).  So the kernel expands each polynomial
-here once: a product of member binomials, or the balanced sums
-``sigma`` of every order at once, is one binomial expansion
-(``poly_binomial_product``, ``poly_binomial_levels``); the class of a
-sum of tracked monomials (:meth:`QuotientContext.class_of`) and the
-product formula's right side are each one shifted sum (``poly_shifted_sum``).
+per walk and applied to exponent vectors, or read as packed sides over
+the folded table.  ``E`` is written once, in :func:`quotient_relations`,
+and each walk looks it up once; its ``sides`` reads the eliminated
+exchange sides of a row straight into packed monomials.  Every side the
+checks eliminate is read through it: the coherent row's exchange block,
+for the product formula's shells and for the member binomials, and the
+member rows' auxiliary columns, for the member binomials and the ratios
+of (iv).  So the kernel expands each polynomial here once: a product of
+member binomials, or the balanced sums ``sigma`` of every order at
+once, is one binomial expansion (``poly_binomial_product``,
+``poly_binomial_levels``); the class of a sum of tracked monomials
+(:meth:`QuotientContext.class_of`), ``theta_k``'s class and the product
+formula's right side are each one shifted sum (``poly_shifted_sum``),
+the last two with their shells common to every term.  What a walk reads
+of ``phi`` and ``sigma`` without reading its state (the string entries'
+classes and the base case of (iii)) its :class:`QuotientContext` keeps
+once it has been read.
 """
 
 from functools import lru_cache
@@ -192,6 +197,14 @@ class QuotientContext:
     zero), so the exchange monomials carry no placeholder.  :meth:`image`
     and :meth:`class_of` take tracked exponent vectors, and are the one
     route to an image.
+
+    The walk's constants that read no state are kept in two tables,
+    filled from ``phi`` and ``sigma`` when first read, so that a ``phi``
+    replaced after construction reaches them: :meth:`string_class` (the
+    class of each string entry) and :meth:`base_case` (each direction's
+    base case of (iii)).  :meth:`exchange_class` builds ``theta_k``'s
+    class from packed sides of ``phi``.  The tables live on the walk's
+    context only, and go with it.
     """
 
     def __init__(self, adjoined):
@@ -379,14 +392,15 @@ def product_formula_check(elimination, sigma, fm, k):
     ``(k, residual)`` with the difference of the two normal forms.
 
     Both sides are built from monomials that ``elimination`` reads off the
-    matrix rows, with the unit elimination ``E`` applied.  The left side
-    is one kernel expansion of the member binomials
-    (:func:`_member_binomial_product`).  The shells ``(U> V>)^r (U<
-    V<)^(d_k - r)`` carry no auxiliary variable, so ``E(sigma * shell) =
-    E(sigma) * shell``: the right side is one shifted sum of the group's
-    eliminated ``sigma`` levels ``sigma[k]`` by the shells, each the sum
-    ``r g + (d_k - r) l`` of the coherent row's exchange-block sides
-    ``g`` and ``l``.
+    matrix rows, with the unit elimination ``E`` applied: the coherent
+    row's exchange-block sides ``g`` and ``l``, and each member's
+    auxiliary sides.  The left side is one kernel expansion of the member
+    binomials (:func:`_member_binomial_product`), with ``(g, l)`` common
+    to every pair.  The shells ``(U> V>)^r (U< V<)^(d_k - r)`` carry no
+    auxiliary variable, so ``E(sigma * shell) = E(sigma) * shell``: the
+    right side is one shifted sum of the group's eliminated ``sigma``
+    levels ``sigma[k]``, with the shells ``r g + (d_k - r) l`` common to
+    its terms.
     """
     layout, table, rows = fm.layout, elimination.target, fm.matrix.rows
     members = layout.group_range(k)
@@ -499,16 +513,22 @@ def _embedding_conditions_at(ctx, tracked, fm):
     size.  The tracked exchange monomials carry no placeholder and the
     folded group monomials no ``t``/``s`` variable, so neither side needs
     the quotient: the left side is ``phi``'s vector form, and the unit
-    elimination ``E`` fixes the right side.  The exchange identity's
-    left side is ``theta_k`` over the tracked table's symbols, the class
-    of the vectors ``c_r + r u> + (d - r) u<`` of the same
+    elimination ``E`` fixes the right side.  The base case reads no
+    state: ``ctx`` works it out once per direction (:meth:`QuotientContext.base_case`),
+    and every state reports it.  The exchange identity's left side is
+    ``theta_k`` over the tracked table's symbols, the class of the
+    vectors ``c_r + r u> + (d - r) u<`` of the same
     :class:`~gencluster.gca_seed.ExchangeContext` (``c_r`` its coefficient
-    ``r``); its right side is :func:`_member_binomial_product`.  (iv)
-    reads the eliminated side ratios of each member row through
-    ``elimination.sides`` and expands their balanced sums of every order at once (``E`` of
-    the sums, as ``E`` is a monomial ring map); its left sides are the
-    classes of the string entries' vectors, whose placeholders read
-    ``ctx.sigma``.  A ratio is the member's
+    ``r``), from packed sides of ``phi`` (:meth:`QuotientContext.exchange_class`);
+    its right side is :func:`_member_binomial_product` of the coherent
+    row's eliminated exchange-block sides and each member's eliminated
+    auxiliary sides.  A member whose exchange block is not the coherent
+    row's (only a coherent row other than the members' own makes one)
+    takes its whole row's sides less the coherent ones.  (iv) expands the
+    balanced sums of every order of the same auxiliary sides at once
+    (``E`` of the sums, as ``E`` is a monomial ring map); its left sides
+    are the classes of the string entries (:meth:`QuotientContext.string_class`),
+    whose placeholders read ``ctx.sigma``.  A ratio is the member's
     auxiliary sides: the member and coherent rows share their ``F``
     slices, so the ``F`` parts cancel.  A member whose ``F`` slice differs
     fails ``(iv) ratio > keeps frozen content`` once for each ``F`` column

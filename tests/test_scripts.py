@@ -227,8 +227,7 @@ def test_a_closed_stdout_ends_the_run_quietly():
 def test_bench_pairs_summarises_a_tiny_pair(tmp_path):
     # One pair of tiny runs of this checkout against itself: a line per
     # end-to-end metric.  A checkout without the benchmark fails the run.
-    argv = ["--workload", "quotient", "--pairs", "1", "--seed", "3", "--size", "tiny",
-            "--seconds", "5"]
+    argv = ["--workload", "quotient", "--pairs", "1", "--seed", "3", "--size", "tiny"]
     result = run_script("bench_pairs.py", str(ROOT), str(ROOT), *argv)
     assert result.returncode == 0, result.stderr
     head, *lines = result.stdout.splitlines()
