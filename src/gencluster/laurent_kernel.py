@@ -1018,9 +1018,9 @@ class Substitution:
     ``sub.vector(exps)`` maps an exponent vector, ``sub(p)`` a polynomial
     term by term, and ``sub.sides(row, cols)`` a row's two sides into packed
     monomials.  The first two read each variable's nonzero image entries and
-    largest magnitude, stored on first use; ``sides`` keeps one table per
-    target rung of every packed image and bound, which ``sub(p)`` reads when
-    it is there, and otherwise packs only the columns ``p`` uses.
+    largest magnitude, stored on first use; ``sub(p)`` packs only the
+    columns ``p`` uses, and ``sides`` keeps one table per target rung of
+    every packed image and bound.
     """
 
     __slots__ = ("source", "target", "images", "_same", "_positions", "_lacking", "_columns", "_rung_images")
@@ -1053,8 +1053,7 @@ class Substitution:
         A term's key maps to the target's 1 plus each used exponent times its
         column's packed image, on the rung of ``p``'s bound times the used
         bounds (plus one over one table), or moves in place on ``p``'s rung.
-        Only the columns ``p`` uses are packed, unless :meth:`sides` has
-        stored every column's image on that rung.
+        Only the columns ``p`` uses are packed.
         """
         if not _same_table(p.table, self.source):
             raise TableMismatch("polynomial is not over the substitution's source table")
@@ -1070,12 +1069,11 @@ class Substitution:
         if self._same and not live:
             return p
         layout = self.target._layout.fit(p._amp * bound)
-        stored = self._rung_images.get(layout)
         in_place, terms, home, moves = layout is s_layout, {}, units, []
         if not in_place:  # keys are rebuilt from the target's 1, so the fixed columns move too
             home, live = (0,) * len(units), [c for c, shift in enumerate(shifts) if (used >> shift) & mask]
         for c in live:
-            image = stored[0][c] if stored else self._packed(c, layout)
+            image = self._packed(c, layout)
             if image != home[c]:
                 moves.append((shifts[c], image - home[c]))
         for key, coeff in p._keys.items():

@@ -119,15 +119,13 @@ def _coherent_row(matrix, layout, k):
     columns are not constrained here; the double-constant check
     validates their structure.
     """
-    members, rows = layout.group_range(k), matrix.rows
+    rows = [matrix.rows[r] for r in layout.group_range(k)]
     stop = layout.exchange_block.stop  # the block starts at column 0
-    first = rows[members[0]]
-    head = first[:stop]
-    if any(rows[c][:stop] != head for c in members[1:]):
-        col = next(c for c in range(stop) if any(rows[r][c] != first[c] for r in members))
-        column = [rows[r][col] for r in members]
+    if any(row[:stop] != rows[0][:stop] for row in rows):
+        col = next(c for c in range(stop) if any(row[c] != rows[0][c] for row in rows))
+        column = [row[col] for row in rows]
         raise GroupCoherenceViolation(f"group {k} rows disagree in column {col}: {column}")
-    return first
+    return rows[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +322,31 @@ class QuotientContext:
         coefficient ``r``, and ``phi`` is linear: ``phi(u>)`` and
         ``phi(u<)`` are read once, as the packed sides of the scaled row's
         cluster columns, and each ``c_r`` once, as the first side of its
-        columns before the placeholders (it has no negative entry: the
-        tracked string entries are placeholders or 1, and its frozen part
-        is a floor of non-negative numbers).  Both land on the folded
-        table, as ``phi`` sends no column there onto a placeholder.  The
+        columns before the placeholders, which is all of it while those
+        columns hold no negative entry.  The tracked string entries are
+        placeholders or 1 and the frozen floors are not negative, so no
+        check makes one; a ``c_r`` that has one lies outside the verified
+        identities and raises :class:`~gencluster.errors.InexactDivision`,
+        after the string entries' classes, which raise as :meth:`image`
+        does.  Both sides land on the folded table, as
+        ``phi`` sends no column there onto a placeholder.  The
         placeholder of ``c_r`` is that of the string entry ``r``, whose
         ``sigma`` level :meth:`string_class` keeps, so the class is one
         shifted sum with the shells ``r phi(u>) + (d - r) phi(u<)``
         common to its terms: no vector is built per term.
         """
         seed, phi, table = exchange.seed, self.phi, self.table
-        n = seed.matrix.n
-        frozen = range(n, len(seed.table) - len(self.placeholder_names))
-        return poly_shifted_sum(table, [
-            (phi.sides(coefficient, frozen, table)[0], self.string_class(entry.exponents)[1])
-            for entry, coefficient in zip(row, exchange.coefficients)
-        ], phi.sides(exchange.bhat_row, range(n), table))
+        n, stop = seed.matrix.n, len(seed.table) - len(self.placeholder_names)
+        frozen = range(n, stop)
+        levels = [self.string_class(entry.exponents)[1] for entry in row]
+        terms = []
+        for coefficient, level in zip(exchange.coefficients, levels):
+            if min(coefficient[n:stop], default=0) < 0:
+                raise InexactDivision(
+                    "negative coefficient entry: identity outside the verified fragment"
+                )
+            terms.append((phi.sides(coefficient, frozen, table)[0], level))
+        return poly_shifted_sum(table, terms, phi.sides(exchange.bhat_row, range(n), table))
 
     def group_image(self, k):
         """``E(prod_c y_c)`` over the members of group ``k``: the class the embedding gives ``x_k``."""
@@ -363,10 +370,6 @@ def _member_binomial_product(table, exchange, aux):
     ``table`` with ``(g, l)`` common to every pair.
     """
     return poly_binomial_product(table, aux, exchange)
-
-
-#: The report of a group that satisfies the product formula, built once.
-_PASSED = Report(())
 
 
 def product_formula_check(elimination, sigma, fm, k):
@@ -415,7 +418,7 @@ def product_formula_check(elimination, sigma, fm, k):
     )
     if lhs != rhs:
         return Report(((k, str(poly_sub(lhs, rhs))),))
-    return _PASSED
+    return Report(())
 
 
 def product_formula_walk(gca, mode="total"):

@@ -896,6 +896,22 @@ class TestSigmaAndUnits:
         with pytest.raises(InexactDivision, match="verified fragment"):
             ctx.class_of([ctx.tracked.table.one().exponents, bad])
 
+    def test_a_negative_coefficient_entry_is_refused(self, fix_b):
+        # theta_k's class reads the first side of each coefficient, which
+        # is all of it while no entry is negative; a coefficient with a
+        # negative frozen entry is refused rather than cut to that side.
+        ctx = QuotientContext.create(fix_b)
+        exchange, row = ExchangeContext(ctx.tracked, 0), ctx.tracked.strings.rows[0]
+        d = exchange.degree
+        vectors = [[c + r * g + (d - r) * l for c, g, l in zip(coefficient, exchange.u_gt, exchange.u_lt)]
+                   for r, coefficient in enumerate(exchange.coefficients)]
+        assert ctx.exchange_class(exchange, row) == oracle_phi_poly(ctx, tracked_sum(ctx, vectors))
+        first = list(exchange.coefficients[0])
+        first[ctx.tracked.table.index("A")] = -1
+        exchange.coefficients = (tuple(first), *exchange.coefficients[1:])
+        with pytest.raises(InexactDivision, match="^negative coefficient entry"):
+            ctx.exchange_class(exchange, row)
+
 
 class TestEmbeddingMap:
     def test_initial_image(self, fix_c):
